@@ -163,8 +163,8 @@ pub fn run_with_pool(
     });
     // "blocked" = the layout stage alone: interleaved CCS feeding the
     // row-major gather, still two passes with a materialized IndexMatrix.
-    // (The transposed table layout is the PIM PE view — pimdl-serve's
-    // integrity check streams it — not a host gather optimization.)
+    // (Row-major is the only table layout: pimdl-serve's integrity check
+    // streams it too, through the fused INT8 gather.)
     let (blocked_s, blocked_out) = time_best(reps, || {
         lut.lookup(&cbs.encode(&x).expect("shape checked"))
             .expect("indices in range")

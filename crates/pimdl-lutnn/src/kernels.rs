@@ -21,6 +21,9 @@
 //!   never materialized beyond one row tile.
 //! * `*_parallel` variants — partition rows across the persistent
 //!   [`WorkerPool`], not per-call spawned threads.
+//! * [`lut_checksum_quant`] — the fused INT8 gather driven by precomputed
+//!   indices and reduced straight to the `f64` output sum: the host
+//!   reference `pimdl-serve` verifies every simulated-PE result against.
 //!
 //! **Bit-exactness contract**: every kernel here reproduces the reference
 //! operators exactly, bit for bit. Distances accumulate in the same order as
@@ -34,7 +37,7 @@
 use pimdl_tensor::pool::WorkerPool;
 use pimdl_tensor::Matrix;
 
-use crate::lut::{LutTable, QuantLutTable};
+use crate::lut::{validate_indices, LutTable, QuantLutTable};
 use crate::pq::{IndexMatrix, ProductQuantizer};
 use crate::{LutError, Result};
 
@@ -731,6 +734,51 @@ fn fused_band_quant(
     }
 }
 
+/// Sum of the INT8 LUT output selected by `n × CB` precomputed `indices`:
+/// the fused INT8 kernel minus CCS, reduced instead of stored.
+///
+/// Bit-identical to summing `qlut.lookup(..)`'s output as `f64` in
+/// row-major order, without building the [`IndexMatrix`] or the `n × F`
+/// output: each row tile is gathered into an i32 scratch by the same
+/// [`gather_block_quant`] the fused kernel uses, dequantized with the same
+/// `acc as f32 * scale`, and folded into one running `f64`.
+///
+/// # Errors
+///
+/// Returns [`LutError::Config`] if `indices.len() != n * CB` or an index
+/// reaches `CT`; nothing is gathered in either case.
+pub fn lut_checksum_quant(n: usize, indices: &[u16], qlut: &QuantLutTable) -> Result<f64> {
+    let (cb, ct, f) = (qlut.cb(), qlut.ct(), qlut.f());
+    if n.checked_mul(cb) != Some(indices.len()) {
+        return Err(LutError::Config {
+            op: "lut_checksum_quant",
+            detail: format!("{} indices, shape needs {n} x CB = {cb}", indices.len()),
+        });
+    }
+    validate_indices(indices, ct, "lut_checksum_quant")?;
+    let codes = qlut.table().codes();
+    let scale = qlut.table().scale();
+    // A gather block spans whole rows: splitting F would reorder the f64
+    // adds below. Wide tables shrink the row tile instead, keeping the
+    // scratch within the fused kernel's L2 budget.
+    let row_tile = (FUSED_ROW_TILE * FUSED_F_TILE / f.max(1)).clamp(1, FUSED_ROW_TILE);
+    let mut acc = vec![0i32; row_tile.min(n) * f];
+    // -0.0 is the additive identity `Iterator::sum` folds from, so empty
+    // and all-negative-zero outputs reduce to the same bits too.
+    let mut sum = -0.0f64;
+    for t0 in (0..n).step_by(row_tile) {
+        let t1 = (t0 + row_tile).min(n);
+        let acc_tile = &mut acc[..(t1 - t0) * f];
+        acc_tile.fill(0);
+        let tile = &indices[t0 * cb..t1 * cb];
+        gather_block_quant(acc_tile, f, (t0, t1), 0, codes, f, (cb, ct), tile);
+        for &a in acc_tile.iter() {
+            sum += f64::from(a as f32 * scale);
+        }
+    }
+    Ok(sum)
+}
+
 /// One feature block of the fused INT8 gather: widening i8 → i32
 /// accumulation into the tile accumulator, 4-wide over codebooks (integer
 /// addition is associative, so the unroll is exact by construction).
@@ -979,6 +1027,34 @@ mod tests {
         let qlut = lut.quantize();
         assert!(lut_linear_fused_quant(&bad_x, &cbs, &qlut).is_err());
         assert!(lut_linear_fused_quant_parallel(&x, &cbs, &qlut, 0).is_err());
+    }
+
+    #[test]
+    fn checksum_rejects_bad_indices_without_gathering() {
+        let (pq, lut, x) = setup(10, 3, 8, 6, 2, 4);
+        let qlut = lut.quantize();
+        let idx = pq.encode(&x).unwrap();
+        let good = idx.as_slice();
+        assert!(lut_checksum_quant(3, good, &qlut).is_ok());
+        // Wrong count (a row short, a row long, a wrong `n`), an index equal
+        // to CT, and an empty slice: all `Config`, none panics.
+        let mut at_ct = good.to_vec();
+        at_ct[5] = qlut.ct() as u16;
+        for (n, bad) in [
+            (3, &good[..good.len() - qlut.cb()]),
+            (2, good),
+            (3, &good[1..]),
+            (3, &at_ct[..]),
+            (3, &[][..]),
+        ] {
+            let err = lut_checksum_quant(n, bad, &qlut).unwrap_err();
+            assert!(matches!(err, LutError::Config { .. }), "{err}");
+        }
+        // Zero rows is a shape, not an error: the empty sum.
+        assert_eq!(
+            lut_checksum_quant(0, &[], &qlut).unwrap().to_bits(),
+            std::iter::empty::<f64>().sum::<f64>().to_bits()
+        );
     }
 
     #[test]

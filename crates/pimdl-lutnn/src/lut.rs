@@ -110,7 +110,7 @@ impl LutTable {
                 detail: format!("index width {} != CB = {}", indices.cols(), self.cb),
             });
         }
-        validate_indices(indices, self.ct, "LutTable::lookup")?;
+        validate_indices(indices.as_slice(), self.ct, "LutTable::lookup")?;
         let n = indices.rows();
         let mut out = Matrix::zeros(n, self.f);
         for r in 0..n {
@@ -124,25 +124,6 @@ impl LutTable {
             }
         }
         Ok(out)
-    }
-
-    /// Re-lays the tables into the transposed [`TransposedLutTable`] slice
-    /// layout (all `CT` candidates of one output feature contiguous).
-    pub fn transposed(&self) -> TransposedLutTable {
-        let mut data = vec![0.0f32; self.cb * self.f * self.ct];
-        for c in 0..self.cb {
-            for k in 0..self.ct {
-                for (j, &v) in self.table.row(c * self.ct + k).iter().enumerate() {
-                    data[(c * self.f + j) * self.ct + k] = v;
-                }
-            }
-        }
-        TransposedLutTable {
-            cb: self.cb,
-            ct: self.ct,
-            f: self.f,
-            data,
-        }
     }
 
     /// Storage footprint of the `f32` tables in bytes.
@@ -210,7 +191,7 @@ impl QuantLutTable {
         }
         // Hoisted validation: one pre-pass over the index matrix keeps the
         // gather-accumulate loop below branch-free.
-        validate_indices(indices, self.ct, "QuantLutTable::lookup")?;
+        validate_indices(indices.as_slice(), self.ct, "QuantLutTable::lookup")?;
         let n = indices.rows();
         let mut out = Matrix::zeros(n, self.f);
         let scale = self.table.scale();
@@ -259,204 +240,22 @@ impl QuantLutTable {
         Ok(QuantLutTable { cb, ct, f, table })
     }
 
-    /// Re-lays the codes into the transposed [`TransposedQuantLutTable`]
-    /// slice layout.
-    pub fn transposed(&self) -> TransposedQuantLutTable {
-        let mut data = vec![0i8; self.cb * self.f * self.ct];
-        let codes = self.table.codes();
-        for c in 0..self.cb {
-            for k in 0..self.ct {
-                let row = &codes[(c * self.ct + k) * self.f..(c * self.ct + k + 1) * self.f];
-                for (j, &v) in row.iter().enumerate() {
-                    data[(c * self.f + j) * self.ct + k] = v;
-                }
-            }
-        }
-        TransposedQuantLutTable {
-            cb: self.cb,
-            ct: self.ct,
-            f: self.f,
-            scale: self.table.scale(),
-            data,
-        }
-    }
-
     /// Storage footprint in bytes (one byte per table entry).
     pub fn size_bytes(&self) -> usize {
         self.table.size_bytes()
     }
 }
 
-/// Checks index width and range in one pre-pass so the lookup hot loops can
-/// be branch-free.
-fn validate_indices(indices: &IndexMatrix, ct: usize, op: &'static str) -> Result<()> {
-    if let Some(&k) = indices.as_slice().iter().find(|&&k| k as usize >= ct) {
+/// Checks index range in one pre-pass so the lookup hot loops can be
+/// branch-free.
+pub(crate) fn validate_indices(indices: &[u16], ct: usize, op: &'static str) -> Result<()> {
+    if let Some(&k) = indices.iter().find(|&&k| k as usize >= ct) {
         return Err(LutError::Config {
             op,
             detail: format!("index {k} >= CT = {ct}"),
         });
     }
     Ok(())
-}
-
-/// `f32` look-up tables in the **transposed slice layout**: for codebook
-/// `cb` and output feature `j`, all `CT` candidate entries are contiguous
-/// (`data[(cb·F + j)·CT + k]`).
-///
-/// This is the view a PIM PE holds of one table slice — a gather within a
-/// resident `CT`-run — and the layout the serving replica's integrity check
-/// streams. Produced by [`LutTable::transposed`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TransposedLutTable {
-    cb: usize,
-    ct: usize,
-    f: usize,
-    data: Vec<f32>,
-}
-
-impl TransposedLutTable {
-    /// Codebook count `CB`.
-    pub fn cb(&self) -> usize {
-        self.cb
-    }
-
-    /// Centroids per codebook `CT`.
-    pub fn ct(&self) -> usize {
-        self.ct
-    }
-
-    /// Output feature length `F`.
-    pub fn f(&self) -> usize {
-        self.f
-    }
-
-    /// Borrows codebook `cb`'s full slice (`F * CT` values, feature-major).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cb` is out of bounds.
-    #[inline]
-    pub fn slice(&self, cb: usize) -> &[f32] {
-        &self.data[cb * self.f * self.ct..(cb + 1) * self.f * self.ct]
-    }
-
-    /// Borrows the contiguous `CT` candidates for `(cb, j)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    #[inline]
-    pub fn candidates(&self, cb: usize, j: usize) -> &[f32] {
-        debug_assert!(cb < self.cb && j < self.f);
-        &self.data[(cb * self.f + j) * self.ct..(cb * self.f + j + 1) * self.ct]
-    }
-
-    /// LUT gather over the transposed layout. Bit-identical to
-    /// [`LutTable::lookup`] on the source table (per output element the
-    /// codebook accumulation order is unchanged).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LutError::Config`] on index-shape mismatch or out-of-range
-    /// indices.
-    pub fn lookup(&self, indices: &IndexMatrix) -> Result<Matrix> {
-        if indices.cols() != self.cb {
-            return Err(LutError::Config {
-                op: "TransposedLutTable::lookup",
-                detail: format!("index width {} != CB = {}", indices.cols(), self.cb),
-            });
-        }
-        validate_indices(indices, self.ct, "TransposedLutTable::lookup")?;
-        let n = indices.rows();
-        let mut out = Matrix::zeros(n, self.f);
-        for r in 0..n {
-            let idx_row = indices.row(r);
-            for (j, o) in out.row_mut(r).iter_mut().enumerate() {
-                let mut acc = 0.0f32;
-                for (c, &k) in idx_row.iter().enumerate() {
-                    acc += self.data[(c * self.f + j) * self.ct + k as usize];
-                }
-                *o = acc;
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// INT8 look-up tables in the transposed slice layout, with i32
-/// accumulation. Produced by [`QuantLutTable::transposed`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TransposedQuantLutTable {
-    cb: usize,
-    ct: usize,
-    f: usize,
-    scale: f32,
-    data: Vec<i8>,
-}
-
-impl TransposedQuantLutTable {
-    /// Codebook count `CB`.
-    pub fn cb(&self) -> usize {
-        self.cb
-    }
-
-    /// Centroids per codebook `CT`.
-    pub fn ct(&self) -> usize {
-        self.ct
-    }
-
-    /// Output feature length `F`.
-    pub fn f(&self) -> usize {
-        self.f
-    }
-
-    /// The dequantization scale.
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-
-    /// Borrows the contiguous `CT` candidate codes for `(cb, j)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    #[inline]
-    pub fn candidates(&self, cb: usize, j: usize) -> &[i8] {
-        debug_assert!(cb < self.cb && j < self.f);
-        &self.data[(cb * self.f + j) * self.ct..(cb * self.f + j + 1) * self.ct]
-    }
-
-    /// Integer gather over the transposed layout, dequantized once per
-    /// output element. Bit-identical to [`QuantLutTable::lookup`] on the
-    /// source table (i32 accumulation is exact; the final multiply is the
-    /// same `acc as f32 * scale`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LutError::Config`] on index-shape mismatch or out-of-range
-    /// indices.
-    pub fn lookup(&self, indices: &IndexMatrix) -> Result<Matrix> {
-        if indices.cols() != self.cb {
-            return Err(LutError::Config {
-                op: "TransposedQuantLutTable::lookup",
-                detail: format!("index width {} != CB = {}", indices.cols(), self.cb),
-            });
-        }
-        validate_indices(indices, self.ct, "TransposedQuantLutTable::lookup")?;
-        let n = indices.rows();
-        let mut out = Matrix::zeros(n, self.f);
-        for r in 0..n {
-            let idx_row = indices.row(r);
-            for (j, o) in out.row_mut(r).iter_mut().enumerate() {
-                let mut acc = 0i32;
-                for (c, &k) in idx_row.iter().enumerate() {
-                    acc += self.data[(c * self.f + j) * self.ct + k as usize] as i32;
-                }
-                *o = acc as f32 * self.scale;
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// Fused LUT-NN linear evaluation: CCS on `x`, then table lookup.
@@ -590,40 +389,6 @@ mod tests {
         assert!(qlut.lookup(&bad_width).is_err());
         let bad_value = IndexMatrix::from_vec(1, pq.cb(), vec![9; pq.cb()]).unwrap();
         assert!(qlut.lookup(&bad_value).is_err());
-    }
-
-    #[test]
-    fn transposed_lookup_bit_identical() {
-        let (pq, lut, _, x) = setup(8, 12, 16, 9, 2, 8);
-        let idx = pq.encode(&x).unwrap();
-        let t = lut.transposed();
-        assert_eq!((t.cb(), t.ct(), t.f()), (lut.cb(), lut.ct(), lut.f()));
-        assert_eq!(t.lookup(&idx).unwrap(), lut.lookup(&idx).unwrap());
-        let qlut = lut.quantize();
-        let tq = qlut.transposed();
-        assert_eq!(tq.scale(), qlut.table().scale());
-        assert_eq!((tq.cb(), tq.ct(), tq.f()), (lut.cb(), lut.ct(), lut.f()));
-        assert_eq!(tq.lookup(&idx).unwrap(), qlut.lookup(&idx).unwrap());
-        // The candidate runs hold every centroid's entry for one (cb, j).
-        for c in 0..lut.cb() {
-            assert_eq!(t.slice(c).len(), lut.f() * lut.ct());
-            for k in 0..lut.ct() {
-                for j in 0..lut.f() {
-                    assert_eq!(t.candidates(c, j)[k], lut.entry(c, k)[j]);
-                    assert_eq!(
-                        tq.candidates(c, j)[k],
-                        qlut.table().code(c * lut.ct() + k, j)
-                    );
-                }
-            }
-        }
-        // Shared validation: bad widths and out-of-range indices rejected.
-        let bad_width = IndexMatrix::from_vec(1, 3, vec![0; 3]).unwrap();
-        assert!(t.lookup(&bad_width).is_err());
-        assert!(tq.lookup(&bad_width).is_err());
-        let bad_value = IndexMatrix::from_vec(1, lut.cb(), vec![99; lut.cb()]).unwrap();
-        assert!(t.lookup(&bad_value).is_err());
-        assert!(tq.lookup(&bad_value).is_err());
     }
 
     #[test]

@@ -3,14 +3,15 @@
 use proptest::prelude::*;
 
 use pimdl_lutnn::kernels::{
-    lut_linear_fused, lut_linear_fused_parallel, lut_linear_fused_quant,
+    lut_checksum_quant, lut_linear_fused, lut_linear_fused_parallel, lut_linear_fused_quant,
     lut_linear_fused_quant_parallel, lut_linear_fused_quant_tiled, lut_linear_fused_tiled,
-    FusedTiling,
+    FusedTiling, FUSED_F_TILE, FUSED_ROW_TILE,
 };
 use pimdl_lutnn::kmeans::{kmeans, sq_dist};
-use pimdl_lutnn::lut::LutTable;
-use pimdl_lutnn::pq::ProductQuantizer;
+use pimdl_lutnn::lut::{LutTable, QuantLutTable};
+use pimdl_lutnn::pq::{IndexMatrix, ProductQuantizer};
 use pimdl_tensor::gemm;
+use pimdl_tensor::quant::QuantMatrix;
 use pimdl_tensor::rng::DataRng;
 use pimdl_tensor::Matrix;
 
@@ -25,8 +26,50 @@ fn snap_to_grid(m: &Matrix, step: f32) -> Matrix {
     Matrix::from_vec(m.rows(), m.cols(), data).expect("same shape")
 }
 
+/// `(lut_checksum_quant, Σ f64::from over QuantLutTable::lookup)` as bits,
+/// for a random full-range INT8 table and random in-range indices.
+fn checksum_vs_lookup(seed: u64, n: usize, cb: usize, ct: usize, f: usize) -> (u64, u64) {
+    let mut rng = DataRng::new(seed);
+    let codes = (0..cb * ct * f)
+        .map(|_| (rng.index(256) as i32 - 128) as i8)
+        .collect();
+    let table = QuantMatrix::from_codes(cb * ct, f, 0.05, codes).unwrap();
+    let qlut = QuantLutTable::from_parts(cb, ct, f, table).unwrap();
+    let indices: Vec<u16> = (0..n * cb).map(|_| rng.index(ct) as u16).collect();
+    let out = qlut
+        .lookup(&IndexMatrix::from_vec(n, cb, indices.clone()).unwrap())
+        .unwrap();
+    let reference: f64 = out.as_slice().iter().map(|&v| f64::from(v)).sum();
+    let checksum = lut_checksum_quant(n, &indices, &qlut).unwrap();
+    (checksum.to_bits(), reference.to_bits())
+}
+
+/// The shapes the random ranges below cannot reach: a row wider than one
+/// fused feature tile and a request taller than one fused row tile.
+#[test]
+fn checksum_bit_identical_past_the_fused_tiles() {
+    let (got, want) = checksum_vs_lookup(1, 5, 6, 4, FUSED_F_TILE + 37);
+    assert_eq!(got, want, "F > FUSED_F_TILE");
+    let (got, want) = checksum_vs_lookup(2, FUSED_ROW_TILE + 9, 5, 3, 11);
+    assert_eq!(got, want, "N > FUSED_ROW_TILE");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The index-driven checksum kernel equals the sum of the reference
+    /// lookup to the bit (CB up to 13 runs the 4-way unroll's tail).
+    #[test]
+    fn checksum_bit_identical_to_lookup_sum(
+        seed in any::<u64>(),
+        n in 1usize..41,
+        cb in 1usize..14,
+        ct in 2usize..18,
+        f in 1usize..71,
+    ) {
+        let (got, want) = checksum_vs_lookup(seed, n, cb, ct, f);
+        prop_assert_eq!(got, want);
+    }
 
     /// Decoding any encoding yields sub-vectors that are actual centroids,
     /// and each is the *nearest* centroid of its codebook.

@@ -53,6 +53,12 @@ impl AdmissionQueue {
         self.queue.is_empty()
     }
 
+    /// Whether [`Self::try_admit`] would refuse: lets the caller skip
+    /// building a request it could only have rejected.
+    pub fn is_full(&self) -> bool {
+        self.queue.len() >= self.capacity
+    }
+
     /// Admits `req`, or hands it back if the queue is full (the caller
     /// records the rejection).
     ///
@@ -60,7 +66,7 @@ impl AdmissionQueue {
     ///
     /// The rejected request itself.
     pub fn try_admit(&mut self, req: Request) -> std::result::Result<(), Request> {
-        if self.queue.len() >= self.capacity {
+        if self.is_full() {
             return Err(req);
         }
         self.queue.push_back(req);

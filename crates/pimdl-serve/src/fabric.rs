@@ -897,6 +897,12 @@ impl<'a> FabricServerLoop<'a> {
         self.queued_total
     }
 
+    /// Reference gathers the front end's oracles have run, over all tables
+    /// (see [`ReplicaModel::reference_gathers`]).
+    pub fn reference_gathers(&self) -> u64 {
+        self.oracles.values().map(|o| o.reference_gathers()).sum()
+    }
+
     /// Runs until shutdown (a [`WAKE_SHUTDOWN`] token followed by a full
     /// drain) or — for the simulated transport — until the script is
     /// exhausted and no work remains. Live shards get a [`Frame::Shutdown`]
@@ -1121,19 +1127,19 @@ impl<'a> FabricServerLoop<'a> {
         let now = self.clock.now();
         let id = self.next_req_id;
         self.next_req_id += 1;
-        let req = match oracle.request_from_indices(id, now, now + self.cfg.deadline_s, q.indices) {
-            Ok(r) => r,
-            Err(_) => {
-                self.respond_error(source, t, &q.tag, ErrorKind::Invalid);
-                return Ok(());
-            }
-        };
+        if oracle.validate_indices(&q.indices).is_err() {
+            self.respond_error(source, t, &q.tag, ErrorKind::Invalid);
+            return Ok(());
+        }
         self.metrics.record_submitted();
         if self.queued_total >= self.cfg.queue_capacity {
             self.metrics.record_rejected();
             self.respond_error(source, t, &q.tag, ErrorKind::Rejected);
             return Ok(());
         }
+        // Refused requests never get here: the reference gather is the
+        // request's most expensive step.
+        let req = oracle.request_from_valid(id, now, now + self.cfg.deadline_s, q.indices)?;
         if let Some(conn) = self.conns.get_mut(&t.0) {
             if let ConnKind::Client { pending, .. } = &mut conn.kind {
                 *pending += 1;

@@ -238,6 +238,19 @@ impl FairBatcher {
         self.tenants.get(tenant).map_or(0, |t| t.in_flight)
     }
 
+    /// Why [`Self::admit`] would refuse a job of `tenant` right now (`None`
+    /// if it would be admitted): lets the caller skip building a job it
+    /// could only have bounced.
+    pub fn refusal_for(&self, tenant: &str) -> Option<AdmitRefusal> {
+        let Some(quota) = self.quota_of(tenant) else {
+            return Some(AdmitRefusal::UnknownTenant);
+        };
+        if self.in_flight_of(tenant) >= quota.max_in_flight {
+            return Some(AdmitRefusal::QuotaExceeded);
+        }
+        (self.queued_total >= self.capacity).then_some(AdmitRefusal::QueueFull)
+    }
+
     /// Admits `job` into its tenant's queue, or hands it back with the
     /// refusal reason (the caller maps it to an HTTP status and records
     /// the rejection).
@@ -254,16 +267,13 @@ impl FairBatcher {
             self.tenants
                 .insert(job.tenant.clone(), TenantState::new(default));
         }
+        if let Some(refusal) = self.refusal_for(&job.tenant) {
+            return Err((job, refusal));
+        }
         let global_pass = self.global_pass;
         let Some(t) = self.tenants.get_mut(&job.tenant) else {
             return Err((job, AdmitRefusal::UnknownTenant));
         };
-        if t.in_flight >= t.quota.max_in_flight {
-            return Err((job, AdmitRefusal::QuotaExceeded));
-        }
-        if self.queued_total >= self.capacity {
-            return Err((job, AdmitRefusal::QueueFull));
-        }
         if t.queued == 0 {
             // Idle → active: rejoin at the current virtual time.
             t.pass = t.pass.max(global_pass);

@@ -600,35 +600,35 @@ impl<'a> ServerLoop<'a> {
             self.respond(source, t, &msg);
             return Ok(());
         }
-        let req = match self.replica.request_from_indices(
-            self.next_id,
-            now,
-            now + self.cfg.deadline_s,
-            query.indices,
-        ) {
-            Ok(req) => req,
-            Err(_) => {
-                let msg = codec::encode_error(&query.tag, ErrorKind::Invalid);
-                self.respond(source, t, &msg);
-                return Ok(());
-            }
-        };
+        if self.replica.validate_indices(&query.indices).is_err() {
+            let msg = codec::encode_error(&query.tag, ErrorKind::Invalid);
+            self.respond(source, t, &msg);
+            return Ok(());
+        }
         let id = self.next_id;
         self.next_id += 1;
         self.metrics.record_submitted();
-        match self.queue.try_admit(req) {
-            Ok(()) => {
-                self.metrics.observe_queue_depth(self.queue.len());
-                self.route.insert(id, (t.0, query.tag));
-                if let Some(c) = self.conns.get_mut(&t.0) {
-                    c.pending += 1;
-                }
+        // Refuse before paying: the reference gather is the request's most
+        // expensive step and runs only once the queue has room for it.
+        let admitted = !self.queue.is_full() && {
+            let req = self.replica.request_from_valid(
+                id,
+                now,
+                now + self.cfg.deadline_s,
+                query.indices,
+            )?;
+            self.queue.try_admit(req).is_ok()
+        };
+        if admitted {
+            self.metrics.observe_queue_depth(self.queue.len());
+            self.route.insert(id, (t.0, query.tag));
+            if let Some(c) = self.conns.get_mut(&t.0) {
+                c.pending += 1;
             }
-            Err(_rejected) => {
-                self.metrics.record_rejected();
-                let msg = codec::encode_error(&query.tag, ErrorKind::Rejected);
-                self.respond(source, t, &msg);
-            }
+        } else {
+            self.metrics.record_rejected();
+            let msg = codec::encode_error(&query.tag, ErrorKind::Rejected);
+            self.respond(source, t, &msg);
         }
         Ok(())
     }
@@ -1237,7 +1237,7 @@ impl<'a> HttpServerLoop<'a> {
                     http::encode_response(404, "text/plain; charset=utf-8", b"not found\n", keep);
                 self.enqueue_response(source, t, seq, bytes, !keep);
             }
-            Route::Infer { model } => self.handle_infer(source, t, seq, keep, req, &model),
+            Route::Infer { model } => self.handle_infer(source, t, seq, keep, req, &model)?,
         }
         Ok(())
     }
@@ -1251,7 +1251,7 @@ impl<'a> HttpServerLoop<'a> {
         keep: bool,
         req: &HttpRequest,
         model: &str,
-    ) {
+    ) -> Result<()> {
         let refuse = |this: &mut Self, source: &mut dyn EventSource, status: u16, msg: &str| {
             let body = format!("{msg}\n").into_bytes();
             let bytes = http::encode_response(status, "text/plain; charset=utf-8", &body, keep);
@@ -1259,42 +1259,45 @@ impl<'a> HttpServerLoop<'a> {
         };
         let Some(replica) = self.registry.get(model).map(Arc::clone) else {
             refuse(self, source, 404, &format!("unknown model {model:?}"));
-            return;
+            return Ok(());
         };
         if self.draining {
             refuse(self, source, 503, "draining");
-            return;
+            return Ok(());
         }
         let indices = match http::parse_infer_body(&req.body) {
             Ok(indices) => indices,
             Err(detail) => {
                 refuse(self, source, 400, &detail);
-                return;
+                return Ok(());
             }
         };
-        let now = self.clock.now();
-        let request = match replica.request_from_indices(
-            self.next_id,
-            now,
-            now + self.cfg.deadline_s,
-            indices,
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                refuse(self, source, 400, &format!("invalid infer payload: {e}"));
-                return;
-            }
-        };
+        if let Err(e) = replica.validate_indices(&indices) {
+            refuse(self, source, 400, &format!("invalid infer payload: {e}"));
+            return Ok(());
+        }
         let tenant = req.header("x-tenant").unwrap_or("anonymous").to_string();
+        let now = self.clock.now();
         let id = self.next_id;
         self.next_id += 1;
         self.metrics.record_submitted();
-        match self.batcher.admit(TaggedJob {
-            request,
-            tenant: tenant.clone(),
-            model: model.to_string(),
-        }) {
-            Ok(()) => {
+        // Refuse before paying: the reference gather is the request's most
+        // expensive step and runs only for a job the batcher will take.
+        let refusal = match self.batcher.refusal_for(&tenant) {
+            Some(refusal) => Some(refusal),
+            None => {
+                let request =
+                    replica.request_from_valid(id, now, now + self.cfg.deadline_s, indices)?;
+                let job = TaggedJob {
+                    request,
+                    tenant: tenant.clone(),
+                    model: model.to_string(),
+                };
+                self.batcher.admit(job).err().map(|(_, refusal)| refusal)
+            }
+        };
+        match refusal {
+            None => {
                 self.metrics
                     .observe_queue_depth(self.batcher.queued_total());
                 self.route.insert(
@@ -1310,7 +1313,7 @@ impl<'a> HttpServerLoop<'a> {
                     c.pending += 1;
                 }
             }
-            Err((_, refusal)) => {
+            Some(refusal) => {
                 self.metrics.record_rejected();
                 let (status, msg) = match refusal {
                     AdmitRefusal::UnknownTenant => (403, format!("unknown tenant {tenant:?}")),
@@ -1322,6 +1325,7 @@ impl<'a> HttpServerLoop<'a> {
                 refuse(self, source, status, &msg);
             }
         }
+        Ok(())
     }
 
     /// Shed → dispatch while a shard can absorb work. Returns whether

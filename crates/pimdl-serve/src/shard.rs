@@ -5,15 +5,18 @@
 //! shard ([`ShardManager`]), their service time comes from the engine's
 //! end-to-end cost model ([`ServiceModel`]), and their *results* come from
 //! `pimdl_sim`'s functional LUT execution, verified bit-for-bit against a
-//! host reference checksum carried by each request.
+//! host reference checksum carried by each request — the fused INT8 gather
+//! of `pimdl_lutnn::kernels` over the same row-major table the simulated
+//! PEs read.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use pimdl_engine::pipeline::{PimDlEngine, ServingConfig};
 use pimdl_engine::shapes::TransformerShape;
-use pimdl_lutnn::lut::{QuantLutTable, TransposedQuantLutTable};
-use pimdl_lutnn::pq::IndexMatrix;
+use pimdl_lutnn::kernels::lut_checksum_quant;
+use pimdl_lutnn::lut::QuantLutTable;
 use pimdl_sim::exec::{run_lut_kernel, LutKernelData};
 use pimdl_sim::{LutWorkload, Mapping, PlatformConfig};
 use pimdl_tensor::pool::WorkerPool;
@@ -27,16 +30,16 @@ use crate::Result;
 /// One model replica: the quantized LUT every request on a shard queries,
 /// plus the tuned mapping it executes under.
 ///
-/// The tables are held as a real [`QuantLutTable`] (row-major, what the
-/// simulated PEs gather from) together with its transposed slice layout
-/// (what the host-side integrity check streams).
+/// The replica holds one row-major [`QuantLutTable`]: the simulated PEs
+/// gather from it and the host-side integrity check streams the same bytes.
 #[derive(Debug)]
 pub struct ReplicaModel {
     platform: PlatformConfig,
     workload: LutWorkload,
     mapping: Mapping,
     table: QuantLutTable,
-    transposed: TransposedQuantLutTable,
+    /// Reference gathers run so far (a statistic; publishes nothing).
+    reference_gathers: AtomicU64,
 }
 
 impl ReplicaModel {
@@ -64,13 +67,12 @@ impl ReplicaModel {
                     detail: e.to_string(),
                 }
             })?;
-        let transposed = table.transposed();
         Ok(ReplicaModel {
             platform: engine.platform().clone(),
             workload,
             mapping,
             table,
-            transposed,
+            reference_gathers: AtomicU64::new(0),
         })
     }
 
@@ -89,7 +91,7 @@ impl ReplicaModel {
     ///
     /// # Errors
     ///
-    /// Propagates the reference-checksum shape check (unreachable here:
+    /// Propagates the reference gather's shape check (unreachable here:
     /// the indices are generated in range for this workload).
     pub fn make_request(
         &self,
@@ -100,20 +102,12 @@ impl ReplicaModel {
     ) -> Result<Request> {
         let w = self.workload;
         let indices: Vec<u16> = (0..w.n * w.cb).map(|_| rng.index(w.ct) as u16).collect();
-        let expected_checksum = self.reference_checksum(&indices)?;
-        Ok(Request {
-            id,
-            arrival_s,
-            deadline_s,
-            indices,
-            expected_checksum,
-        })
+        self.request_from_valid(id, arrival_s, deadline_s, indices)
     }
 
     /// Builds a request from externally supplied indices (the network
-    /// front end's path), validating shape and codebook range and
-    /// computing the host-reference checksum the PIM execution is
-    /// verified against.
+    /// front end's path): [`Self::validate_indices`], then the
+    /// host-reference checksum the PIM execution is verified against.
     ///
     /// # Errors
     ///
@@ -126,7 +120,21 @@ impl ReplicaModel {
         deadline_s: f64,
         indices: Vec<u16>,
     ) -> Result<Request> {
-        let expected_checksum = self.checksum_of(&indices)?;
+        self.validate_indices(&indices)?;
+        self.request_from_valid(id, arrival_s, deadline_s, indices)
+    }
+
+    /// The expensive half of [`Self::request_from_indices`], for indices
+    /// that already passed [`Self::validate_indices`]: the server loops
+    /// validate, run their admission refusals, and only then pay for this.
+    pub(crate) fn request_from_valid(
+        &self,
+        id: u64,
+        arrival_s: f64,
+        deadline_s: f64,
+        indices: Vec<u16>,
+    ) -> Result<Request> {
+        let expected_checksum = self.reference_checksum(&indices)?;
         Ok(Request {
             id,
             arrival_s,
@@ -136,14 +144,14 @@ impl ReplicaModel {
         })
     }
 
-    /// Host-reference checksum of the output `indices` should produce,
-    /// after validating them against the replica's workload shape.
+    /// Cheap admission check of a query against the replica's workload
+    /// shape: index count and codebook range, no table access.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Config`] for a wrong index count or an index
     /// outside the codebook range.
-    pub fn checksum_of(&self, indices: &[u16]) -> Result<f64> {
+    pub fn validate_indices(&self, indices: &[u16]) -> Result<()> {
         let w = self.workload;
         if indices.len() != w.n * w.cb {
             return Err(ServeError::Config {
@@ -161,13 +169,31 @@ impl ReplicaModel {
                 detail: format!("query index {bad} outside codebook range 0..{}", w.ct),
             });
         }
+        Ok(())
+    }
+
+    /// Host-reference checksum of the output `indices` should produce,
+    /// after validating them against the replica's workload shape.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::Config`] for a wrong index count or an index
+    /// outside the codebook range.
+    pub fn checksum_of(&self, indices: &[u16]) -> Result<f64> {
+        self.validate_indices(indices)?;
         self.reference_checksum(indices)
     }
 
-    /// Host-reference output checksum: the transposed-layout LUT gather
-    /// (the same INT32 accumulate and dequantization the simulated PEs
-    /// perform), summed over the output in row-major order so the
-    /// comparison is exact, not approximate.
+    /// Reference gathers this replica has run: one per request that got as
+    /// far as its checksum, none for a request refused before it.
+    pub fn reference_gathers(&self) -> u64 {
+        self.reference_gathers.load(Ordering::Relaxed)
+    }
+
+    /// Host-reference output checksum: the fused INT8 gather over the
+    /// replica's table (the same INT32 accumulate and dequantization the
+    /// simulated PEs perform), summed over the output in row-major order
+    /// so the comparison is exact, not approximate.
     ///
     /// # Errors
     ///
@@ -176,18 +202,10 @@ impl ReplicaModel {
     /// callers that validate first, but propagated rather than panicking
     /// because this runs on the serving hot path.
     fn reference_checksum(&self, indices: &[u16]) -> Result<f64> {
-        let w = self.workload;
-        let idx =
-            IndexMatrix::from_vec(w.n, w.cb, indices.to_vec()).map_err(|e| ServeError::Config {
-                detail: format!("reference index matrix: {e}"),
-            })?;
-        let out = self
-            .transposed
-            .lookup(&idx)
-            .map_err(|e| ServeError::Config {
-                detail: format!("reference LUT gather: {e}"),
-            })?;
-        Ok(out.as_slice().iter().map(|&v| f64::from(v)).sum())
+        self.reference_gathers.fetch_add(1, Ordering::Relaxed);
+        lut_checksum_quant(self.workload.n, indices, &self.table).map_err(|e| ServeError::Config {
+            detail: format!("reference LUT gather: {e}"),
+        })
     }
 
     /// Executes a request's query functionally on the simulated PEs and
@@ -463,6 +481,37 @@ mod tests {
         let mut req = r.make_request(0, 0.0, f64::INFINITY, &mut rng).unwrap();
         req.expected_checksum += 1.0;
         assert!(!r.execute(&req).unwrap());
+    }
+
+    #[test]
+    fn malformed_queries_are_refused_before_any_gather() {
+        let r = replica(); // n=8, CB=8, CT=16
+        let good = vec![3u16; 64];
+        let mut at_ct = good.clone();
+        at_ct[17] = 16;
+        for (bad, names) in [
+            (&good[..63], "64 (8x8)"),
+            (&[][..], "64 (8x8)"),
+            (&at_ct[..], "range 0..16"),
+        ] {
+            for err in [
+                r.validate_indices(bad).unwrap_err(),
+                r.checksum_of(bad).unwrap_err(),
+                r.request_from_indices(0, 0.0, 1.0, bad.to_vec())
+                    .unwrap_err(),
+            ] {
+                assert!(matches!(err, ServeError::Config { .. }), "{err}");
+                assert!(err.to_string().contains(names), "{err}");
+            }
+        }
+        assert_eq!(r.reference_gathers(), 0);
+        // The well-formed query pays for exactly one gather per checksum.
+        r.validate_indices(&good).unwrap();
+        assert_eq!(r.reference_gathers(), 0);
+        let sum = r.checksum_of(&good).unwrap();
+        let req = r.request_from_indices(0, 0.0, 1.0, good).unwrap();
+        assert_eq!(req.expected_checksum.to_bits(), sum.to_bits());
+        assert_eq!(r.reference_gathers(), 2);
     }
 
     #[test]

@@ -143,4 +143,12 @@ cargo run --offline --release -p pimdl-bench --bin reproduce -- bench_kernels --
 echo "==> reproduce tuner --quick"
 cargo run --offline --release -p pimdl-bench --bin reproduce -- tuner --quick
 
+# The benchmark package (bench/, a workspace of its own) compiles against
+# these crates' public API and is otherwise only built by the acceptance
+# pipeline: lint it and run its unit tests plus the <= 15 s smoke
+# self-test, so an API change that breaks it fails here first.
+echo "==> bench/: cargo clippy + cargo test --release"
+cargo clippy --offline --manifest-path bench/Cargo.toml --all-targets -- -D warnings
+cargo test --release --offline --manifest-path bench/Cargo.toml
+
 echo "All checks passed."

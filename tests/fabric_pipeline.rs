@@ -59,6 +59,7 @@ struct FabricRun {
     table_states: Vec<(String, Option<TableState>)>,
     all_ready: bool,
     any_lost: bool,
+    reference_gathers: u64,
 }
 
 /// Runs a scripted fabric scenario over `num_shards` simulated shards and
@@ -112,6 +113,7 @@ fn run_fabric(
             .collect(),
         all_ready: sup.all_tables_ready(),
         any_lost: sup.any_table_lost(),
+        reference_gathers: server.reference_gathers(),
         snapshot: metrics.snapshot_with_reactor(poller.stats().snapshot()),
         outputs: conns.iter().map(|&c| poller.output_of(c)).collect(),
     }
@@ -418,4 +420,50 @@ fn fabric_final_drain_and_accept_errors_reach_the_snapshot() {
     // run's final snapshot through `snapshot_with_reactor`.
     assert_eq!(run.snapshot.reactor.accept_errors, 3);
     assert!(run.all_ready);
+}
+
+/// Refuse before paying: a burst that overflows the 4-deep queue is
+/// rejected on the queue bound alone, and a malformed query on its shape
+/// — the front end's oracle runs its reference gather only for the
+/// requests it enqueues.
+#[test]
+fn rejected_queries_cost_no_reference_gather() {
+    let rt = runtime(4);
+    let w = rt.replica().workload();
+    let tables = vec![("t-0".to_string(), 100u64)];
+    let run = run_fabric(&rt, 1, 10.0, &tables, 0, &|poller| {
+        let shard = poller.connect_at(0.0);
+        poller.send_at(0.0, shard, hello(0));
+        // One write, so every query is handled before the first batch
+        // leaves the queue.
+        let client = poller.connect_at(0.0);
+        let mut burst = Vec::new();
+        for k in 0..10 {
+            burst.extend_from_slice(&codec::encode_query(&format!("q{k}"), &indices_for(w, k)));
+        }
+        let past_codebook = vec![w.ct as u16; w.n * w.cb];
+        burst.extend_from_slice(&codec::encode_query("bad", &past_codebook));
+        poller.send_at(0.1, client, burst);
+        poller.close_at(5.0, client);
+        vec![client]
+    });
+
+    let kind_count = |want: ErrorKind| {
+        parse_lines(&run.outputs[0])
+            .values()
+            .filter(|m| matches!(m, ServerMsg::Error { kind, .. } if *kind == want))
+            .count()
+    };
+    assert_eq!(kind_count(ErrorKind::Rejected), 6);
+    assert_eq!(kind_count(ErrorKind::Invalid), 1);
+    assert_eq!(
+        run.snapshot.submitted, 10,
+        "the malformed query is never submitted"
+    );
+    assert_eq!(run.snapshot.rejected, 6, "4 fit the queue, the rest bounce");
+    assert_eq!(run.snapshot.completed, 4);
+    assert_eq!(
+        run.reference_gathers, 4,
+        "one reference gather per enqueued request, none per refusal"
+    );
 }

@@ -171,6 +171,17 @@ fn run_sim(
             .register(name, rt.build_replica(seed).unwrap())
             .unwrap();
     }
+    run_registry(rt, http_cfg, registry, script)
+}
+
+/// [`run_sim`] over a caller-built registry (so a test can keep a handle
+/// on the replicas it registered).
+fn run_registry(
+    rt: &Runtime,
+    http_cfg: HttpConfig,
+    registry: ModelRegistry,
+    script: &dyn Fn(&mut SimPoller) -> Vec<Token>,
+) -> SimRun {
     let clock = Arc::new(VirtualClock::new());
     let mut poller = SimPoller::new(Arc::clone(&clock));
     let metrics = Arc::new(Metrics::new(rt.config().policy.max_batch));
@@ -586,4 +597,55 @@ fn weighted_fair_runs_are_bit_identical() {
     assert_eq!(a.outputs, b.outputs, "wire bytes must be identical");
     assert_eq!((a.dispatches, a.wakeups), (b.dispatches, b.wakeups));
     assert_eq!((a_heavy, a_light), (b_heavy, b_light));
+}
+
+/// Refuse before paying: 429 (tenant quota), 403 (unknown tenant), 503
+/// (queue full) and 400 (index past the codebook) are all decided before
+/// the replica runs its reference gather — only the two admitted jobs
+/// cost one.
+#[test]
+fn refused_infers_cost_no_reference_gather() {
+    let rt = runtime(2, f64::INFINITY);
+    let w = rt.replica().workload();
+    let replica = rt.build_replica(101).unwrap();
+    let mut registry = ModelRegistry::new();
+    registry.register("m-a", Arc::clone(&replica)).unwrap();
+    let http_cfg = HttpConfig {
+        tenants: vec![
+            ("small".to_string(), TenantQuota::new(1, 1).unwrap()),
+            ("big".to_string(), TenantQuota::new(1, 16).unwrap()),
+        ],
+        default_quota: None,
+        ..HttpConfig::default()
+    };
+
+    let run = run_registry(&rt, http_cfg, registry, &|poller| {
+        // One write, so every request is handled before the first batch
+        // leaves the 2-deep queue.
+        let a = poller.connect_at(0.0);
+        let mut bytes = Vec::new();
+        let tenants = ["small", "small", "nobody", "big", "big", "big"];
+        for (k, tenant) in tenants.into_iter().enumerate() {
+            bytes.extend_from_slice(&infer_req("m-a", tenant, &csv(&indices_for(w, k))));
+        }
+        let past_codebook = vec![w.ct as u16; w.n * w.cb];
+        bytes.extend_from_slice(&infer_req("m-a", "big", &csv(&past_codebook)));
+        poller.send_at(0.001, a, bytes);
+        poller.close_at(2.0, a);
+        vec![a]
+    });
+
+    let statuses: Vec<u16> = parse_responses(&run.outputs[0])
+        .iter()
+        .map(|r| r.status)
+        .collect();
+    assert_eq!(statuses, [200, 429, 403, 200, 503, 503, 400]);
+    assert_eq!(run.snapshot.submitted, 6);
+    assert_eq!(run.snapshot.rejected, 4);
+    assert_eq!(run.snapshot.completed, 2);
+    assert_eq!(
+        replica.reference_gathers(),
+        2,
+        "one reference gather per admitted job, none per refusal"
+    );
 }

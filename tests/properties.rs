@@ -2,12 +2,15 @@
 //! invariants: the LUT path computes exactly the snapped GEMM; simulated
 //! execution matches the host reference for every legal partition; the
 //! partition is always perfectly load-balanced; the tuner's pick is always
-//! legal.
+//! legal; a served replica's simulated output sums to the host kernel's
+//! reference checksum under any tuned mapping.
 
 use proptest::prelude::*;
 
+use pimdl::engine::pipeline::PimDlEngine;
 use pimdl::lutnn::lut::LutTable;
 use pimdl::lutnn::pq::ProductQuantizer;
+use pimdl::serve::ReplicaModel;
 use pimdl::sim::cost::{cost_with_repeat, estimate_cost};
 use pimdl::sim::exec::{measure_repeat_fraction, run_lut_kernel, LutKernelData};
 use pimdl::sim::mapping::MicroKernel;
@@ -154,6 +157,33 @@ proptest! {
             result.mapping.validate(&w, &platform).unwrap();
             let sim = estimate_cost(&platform, &w, &result.mapping).unwrap();
             prop_assert!(result.predicted_total_s <= sim.time.total_s() + 1e-12);
+        }
+    }
+
+    /// Model / simulator / kernel triple: under whatever mapping the tuner
+    /// picks for a random workload, the simulated PEs' output sums to the
+    /// host kernel's reference checksum bit for bit, and one flipped bit of
+    /// that checksum is caught. (Bit 63 is left out: `-0.0 == 0.0`.)
+    #[test]
+    fn replica_execution_matches_reference_checksum(
+        seed in 0u64..1000,
+        n_pow in 3u32..6,
+        f_pow in 3u32..7,
+        cb in 1usize..9,
+        ct_pow in 1u32..5,
+        pes_pow in 1u32..5,
+        bit in 0u32..63,
+    ) {
+        let w = LutWorkload::new(1 << n_pow, cb, 1 << ct_pow, 1 << f_pow).unwrap();
+        let mut platform = PlatformConfig::upmem();
+        platform.num_pes = 1 << pes_pow;
+        if let Ok(replica) = ReplicaModel::build(&PimDlEngine::new(platform), w, seed) {
+            let mut req = replica
+                .make_request(0, 0.0, f64::INFINITY, &mut DataRng::new(seed + 1))
+                .unwrap();
+            prop_assert!(replica.execute(&req).unwrap());
+            req.expected_checksum = f64::from_bits(req.expected_checksum.to_bits() ^ (1 << bit));
+            prop_assert!(!replica.execute(&req).unwrap());
         }
     }
 }

@@ -250,3 +250,50 @@ fn final_drain_and_accept_errors_reach_the_snapshot() {
     assert_eq!(snap.batches, 1, "one partial batch of two");
     assert_eq!(snap.reactor.accept_errors, 2);
 }
+
+/// Refuse before paying: a burst that overflows the 12-deep queue is
+/// rejected on the queue bound alone — the replica runs its reference
+/// gather only for the requests it admits, never for the ones it drops,
+/// and malformed queries are refused before any gather too.
+#[test]
+fn rejected_requests_cost_no_reference_gather() {
+    let rt = runtime(f64::INFINITY);
+    let w = rt.replica().workload();
+    let clock = Arc::new(VirtualClock::new());
+    let mut poller = SimPoller::new(Arc::clone(&clock));
+    let metrics = Arc::new(Metrics::new(rt.config().policy.max_batch));
+
+    // One write carrying 40 good queries and one with an index past the
+    // codebook: all are handled before the loop next dispatches.
+    let conn = poller.connect_at(0.0);
+    let mut burst = Vec::new();
+    for k in 0..40 {
+        let indices: Vec<u16> = (0..w.n * w.cb).map(|i| ((k + i) % w.ct) as u16).collect();
+        burst.extend_from_slice(&codec::encode_query(&format!("q{k}"), &indices));
+    }
+    let bad = vec![w.ct as u16; w.n * w.cb];
+    burst.extend_from_slice(&codec::encode_query("bad", &bad));
+    poller.send_at(0.001, conn, burst);
+    poller.close_at(1.0, conn);
+
+    let mut executor = SimExecutor::new(
+        Arc::clone(&clock),
+        poller.handle(),
+        Arc::clone(&metrics),
+        rt.config().num_shards,
+    );
+    let clock_dyn: Arc<dyn Clock> = Arc::clone(&clock) as Arc<dyn Clock>;
+    let mut server = ServerLoop::new(&rt, clock_dyn, Arc::clone(&metrics)).unwrap();
+    assert_eq!(rt.replica().reference_gathers(), 0);
+    server.run(&mut poller, &mut executor).unwrap();
+
+    let snap = metrics.snapshot_with_reactor(poller.stats().snapshot());
+    assert_eq!(snap.submitted, 40, "the malformed query is never submitted");
+    assert_eq!(snap.rejected, 28, "12 fit the queue, the rest bounce");
+    assert_eq!(snap.completed, 12);
+    assert_eq!(
+        rt.replica().reference_gathers(),
+        snap.submitted - snap.rejected,
+        "one reference gather per admitted request, none per refusal"
+    );
+}
