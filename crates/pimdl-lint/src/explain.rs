@@ -150,8 +150,7 @@ static EXPLANATIONS: [Explanation; 12] = [
                     `.min(HUGE)` taint-theater still fires. Struct fields, \
                     collections, closures, and `while` bounds are invisible (false \
                     negatives); `checked_*`/`try_into` kill taint even when they \
-                    bound overflow rather than magnitude. `--taint-ranges off` \
-                    reverts to purely syntactic clamp recognition.",
+                    bound overflow rather than magnitude.",
         allow_policy: "No allowlist escape by default — add the bounds check; the \
                     guard `if n > MAX_X { return Err(..) }` is recognized and is \
                     also the real fix.",
@@ -193,8 +192,7 @@ static EXPLANATIONS: [Explanation; 12] = [
                     knows source widths, so `u8::from_le_bytes(..) as u16` is \
                     clean and a clamped value casts cleanly below its bound; a \
                     symbolically bounded value (`<= buf.len()`) is trusted not to \
-                    truncate (false negative on 32-bit-address hosts). With \
-                    `--taint-ranges off`, any tainted cast to a narrow type fires.",
+                    truncate (false negative on 32-bit-address hosts).",
         allow_policy: "No allowlist escape by default — `try_into` with error \
                     handling both fixes and silences it.",
     },
@@ -215,7 +213,7 @@ static EXPLANATIONS: [Explanation; 12] = [
                     operands would drown the report in noise — false negatives). \
                     Operand types come from source widths, `as` casts, and \
                     `uN::from` widenings; untyped literals adopt the other \
-                    operand's width. Requires `--taint-ranges on` (the default).",
+                    operand's width.",
         allow_policy: "No allowlist escape by default — `checked_mul`/`u64::from` \
                     both fix and silence it.",
     },

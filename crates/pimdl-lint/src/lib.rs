@@ -52,17 +52,13 @@ use model::SourceFile;
 /// heuristic (L6) covers, and which protocol modules the taint pass
 /// (L7) treats as untrusted-input sources. Paths are component-guarded
 /// suffixes; L6/L7 entries without a `.rs` suffix match as directory
-/// substrings. `taint_ranges` enables the interval abstract
-/// interpretation layer (proved sanitizer bounds + L8-OVERFLOW);
-/// turning it off (`--taint-ranges off`) reverts L7 to the purely
-/// syntactic clamp/guard kills and disables L8.
+/// substrings.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
     pub hot_paths: Vec<String>,
     pub syscall_files: Vec<String>,
     pub lockset_paths: Vec<String>,
     pub taint_paths: Vec<String>,
-    pub taint_ranges: bool,
 }
 
 impl Default for LintConfig {
@@ -70,6 +66,7 @@ impl Default for LintConfig {
         LintConfig {
             hot_paths: [
                 "crates/pimdl-serve/src/reactor.rs",
+                "crates/pimdl-serve/src/conn.rs",
                 "crates/pimdl-serve/src/server.rs",
                 "crates/pimdl-serve/src/shard.rs",
                 "crates/pimdl-serve/src/batcher.rs",
@@ -104,7 +101,6 @@ impl Default for LintConfig {
             ]
             .map(String::from)
             .to_vec(),
-            taint_ranges: true,
         }
     }
 }
@@ -244,8 +240,7 @@ pub fn run_lints(files: &[SourceFile], allow: &AllowList, cfg: &LintConfig) -> R
     // L7 and L8 share one dataflow engine: the interprocedural fixpoint
     // and reporting walk run under L7's clock; L8 drains the overflow
     // findings that walk stashed.
-    let mut taint_engine =
-        passes::taint::Engine::new(&ws, files, &cfg.taint_paths, cfg.taint_ranges);
+    let mut taint_engine = passes::taint::Engine::new(&ws, files, &cfg.taint_paths);
     timed("L7-TAINT", &mut report, &mut |r| {
         taint_engine.fixpoint();
         taint_engine.report(allow, r);

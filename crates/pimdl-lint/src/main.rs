@@ -3,7 +3,7 @@
 //! ```text
 //! pimdl-lint [--format human|json|github] [--root DIR] [--file F]...
 //!            [--hot SUFFIX]... [--syscall-file SUFFIX]... [--lockset PATH]...
-//!            [--taint PATH]... [--taint-ranges on|off] [--inventory PATH]
+//!            [--taint PATH]... [--inventory PATH]
 //!            [--explain CODE]
 //! ```
 //!
@@ -23,7 +23,7 @@ use pimdl_lint::{discover_files, explain, lint_paths, LintConfig};
 
 const USAGE: &str = "usage: pimdl-lint [--format human|json|github] [--root DIR] \
                      [--file F]... [--hot SUFFIX]... [--syscall-file SUFFIX]... \
-                     [--lockset PATH]... [--taint PATH]... [--taint-ranges on|off] \
+                     [--lockset PATH]... [--taint PATH]... \
                      [--inventory PATH] [--explain CODE]";
 
 enum Format {
@@ -40,7 +40,6 @@ fn main() -> ExitCode {
     let mut syscall_files: Vec<String> = Vec::new();
     let mut lockset: Vec<String> = Vec::new();
     let mut taint: Vec<String> = Vec::new();
-    let mut taint_ranges = true;
     let mut inventory: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
@@ -92,15 +91,6 @@ fn main() -> ExitCode {
                 Some(v) => taint.push(v),
                 None => return ExitCode::from(2),
             },
-            "--taint-ranges" => match take("--taint-ranges").as_deref() {
-                Some("on") => taint_ranges = true,
-                Some("off") => taint_ranges = false,
-                Some(other) => {
-                    eprintln!("pimdl-lint: unknown --taint-ranges value `{other}` (on|off)");
-                    return ExitCode::from(2);
-                }
-                None => return ExitCode::from(2),
-            },
             "--inventory" => match take("--inventory") {
                 Some(v) => inventory = Some(PathBuf::from(v)),
                 None => return ExitCode::from(2),
@@ -129,7 +119,6 @@ fn main() -> ExitCode {
     if !taint.is_empty() {
         cfg.taint_paths = taint;
     }
-    cfg.taint_ranges = taint_ranges;
 
     let allow = AllowList::load(&root.join("lint-allow.toml"));
     let paths = if files.is_empty() {

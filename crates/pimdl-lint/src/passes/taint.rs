@@ -21,9 +21,8 @@
 //!   release-mode wrap silently fabricates a new (attacker-influenced)
 //!   value before any downstream bounds check sees it.
 //!
-//! With intervals on (the default; `--taint-ranges off` reverts to the
-//! syntactic behavior), a sanitizer only discharges a sink when the
-//! *proved* interval fits: `.min(MAX)`/`.clamp(..)` narrow the interval
+//! A sanitizer only discharges a sink when the *proved* interval fits:
+//! `.min(MAX)`/`.clamp(..)` narrow the interval
 //! and keep the taint, and the sink checks `hi <= capacity` (or a
 //! symbolic `len()` bound). `checked_*`/`try_into`/`try_from` still
 //! kill taint outright (the caller must handle the failure), as does a
@@ -69,8 +68,7 @@ const SOURCES: [&str; 5] = [
     "parse",
 ];
 
-/// Methods that bound their receiver (and, with ranges off, kill taint
-/// when the bound argument is constant-like).
+/// Methods that bound their receiver.
 const CLAMP_SANITIZERS: [&str; 2] = ["min", "clamp"];
 
 /// Allocation sinks: the argument at index 0 is an element count.
@@ -81,11 +79,6 @@ const ALLOC_SINKS: [&str; 5] = [
     "resize",
     "resize_with",
 ];
-
-/// Integer types an `as` cast can silently truncate into (the
-/// ranges-off TRUNC trigger; ranges-on compares the interval against
-/// `range::cast_bound`).
-const NARROW_CASTS: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
 
 /// Statement/expression keywords that never start a value chain.
 const KEYWORDS: [&str; 26] = [
@@ -233,8 +226,8 @@ struct Finding {
 }
 
 /// A pending guard refinement: once the walk passes the token index,
-/// the named variable is either fully trusted (`Kill`, the legacy
-/// behavior and the fallback for unfoldable bounds) or keeps its taint
+/// the named variable is either fully trusted (`Kill`, the fallback
+/// for unfoldable bounds) or keeps its taint
 /// with the interval capped at the proved bound.
 enum Refine {
     Kill,
@@ -270,7 +263,6 @@ struct FnCtx<'a> {
 /// own wall-clock line while the dataflow runs once.
 pub struct Engine<'a> {
     ws: &'a Workspace,
-    ranges: bool,
     ctxs: Vec<Option<FnCtx<'a>>>,
     summaries: Vec<Summary>,
     /// (ctx index, finding) stash filled by `report`, drained by `report_l8`.
@@ -278,12 +270,7 @@ pub struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    pub fn new(
-        ws: &'a Workspace,
-        files: &'a [SourceFile],
-        scope: &'a [String],
-        ranges: bool,
-    ) -> Engine<'a> {
+    pub fn new(ws: &'a Workspace, files: &'a [SourceFile], scope: &'a [String]) -> Engine<'a> {
         // Build per-function contexts once. Functions without a body or
         // in test regions are skipped entirely (decoding in tests is the
         // test's business); nested fns are analyzed as their own entries.
@@ -333,7 +320,6 @@ impl<'a> Engine<'a> {
             .collect();
         Engine {
             ws,
-            ranges,
             ctxs,
             summaries,
             l8: Vec::new(),
@@ -348,7 +334,6 @@ impl<'a> Engine<'a> {
     pub fn fixpoint(&mut self) {
         let Engine {
             ws,
-            ranges,
             ctxs,
             summaries,
             ..
@@ -369,7 +354,7 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 let (ret, pushes) = {
-                    let mut a = Analyzer::new(ctx, ws, &*summaries, gi, false, *ranges);
+                    let mut a = Analyzer::new(ctx, ws, &*summaries, gi, false);
                     a.walk_fn();
                     (a.ret_val.take(), std::mem::take(&mut a.pushes))
                 };
@@ -418,7 +403,6 @@ impl<'a> Engine<'a> {
     pub fn report(&mut self, allow: &AllowList, report: &mut Report) {
         let Engine {
             ws,
-            ranges,
             ctxs,
             summaries,
             l8,
@@ -431,7 +415,7 @@ impl<'a> Engine<'a> {
             if !ctx.sources_active {
                 continue;
             }
-            let mut a = Analyzer::new(ctx, ws, &*summaries, gi, true, *ranges);
+            let mut a = Analyzer::new(ctx, ws, &*summaries, gi, true);
             a.walk_fn();
             for t in a.source_toks {
                 source_sites.insert((ctx.path.to_string(), ctx.file.tokens[t].line));
@@ -462,8 +446,7 @@ impl<'a> Engine<'a> {
         report.taint_sinks = sink_sites.len();
     }
 
-    /// Drains the L8-OVERFLOW findings stashed by `report` (empty when
-    /// ranges are off — the overflow check needs the interval domain).
+    /// Drains the L8-OVERFLOW findings stashed by `report`.
     pub fn report_l8(&mut self, allow: &AllowList, report: &mut Report) {
         for (gi, f) in std::mem::take(&mut self.l8) {
             let Some(ctx) = &self.ctxs[gi] else { continue };
@@ -497,8 +480,6 @@ struct Analyzer<'a> {
     source_toks: BTreeSet<usize>,
     sink_toks: BTreeSet<usize>,
     reporting: bool,
-    /// Interval mode (`--taint-ranges`); off = legacy syntactic kills.
-    ranges: bool,
     /// Re-evaluation of an already-walked range (guard bounds): suppress
     /// findings and summary pushes.
     quiet: bool,
@@ -511,7 +492,6 @@ impl<'a> Analyzer<'a> {
         summaries: &'a [Summary],
         gi: usize,
         reporting: bool,
-        ranges: bool,
     ) -> Analyzer<'a> {
         let mut vars = HashMap::new();
         let sm = &summaries[gi];
@@ -540,7 +520,6 @@ impl<'a> Analyzer<'a> {
             source_toks: BTreeSet::new(),
             sink_toks: BTreeSet::new(),
             reporting,
-            ranges,
             quiet: false,
         }
     }
@@ -552,7 +531,7 @@ impl<'a> Analyzer<'a> {
     /// Whether `v` is proved small enough (or symbolically bounded by a
     /// buffer length) to discharge an allocation/loop/index sink.
     fn proved(&self, v: &Val) -> bool {
-        self.ranges && (v.iv.hi <= MAX_PROVED_CAPACITY || v.sym.is_some())
+        v.iv.hi <= MAX_PROVED_CAPACITY || v.sym.is_some()
     }
 
     /// Joins a return-site value into the function's return fact. Values
@@ -756,9 +735,9 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Suffix for range-aware messages: the proved interval, when it is
-    /// tighter than unknown (so legacy-mode messages are unchanged).
+    /// tighter than unknown.
     fn range_note(&self, v: &Val) -> String {
-        if self.ranges && !v.iv.is_top() {
+        if !v.iv.is_top() {
             format!(" despite proved range [{}, {}]", v.iv.lo, v.iv.hi)
         } else {
             String::new()
@@ -888,21 +867,18 @@ impl<'a> Analyzer<'a> {
                 // variable once the guard block is behind us. A bound
                 // that folds to a number caps the interval (taint
                 // retained — the sinks check the proof); anything
-                // constant-like but unfoldable keeps the legacy kill.
+                // constant-like but unfoldable kills the taint.
                 for (cs, ce) in split_on_or(toks, if_idx + 1, brace) {
                     if let Some((name, bs, be)) = upper_bound_guard(toks, cs, ce, &self.vars) {
-                        let refine = if self.ranges {
-                            let q = std::mem::replace(&mut self.quiet, true);
-                            let b = self.eval_arith(bs, be);
-                            self.quiet = q;
+                        let q = std::mem::replace(&mut self.quiet, true);
+                        let b = self.eval_arith(bs, be);
+                        self.quiet = q;
+                        let refine =
                             if b.taint.is_none() && (b.iv.hi < u128::MAX || b.sym.is_some()) {
                                 Refine::Bound(b.iv.hi, b.sym)
                             } else {
                                 Refine::Kill
-                            }
-                        } else {
-                            Refine::Kill
-                        };
+                            };
                         self.refines.push((close, name, refine));
                     }
                 }
@@ -1244,7 +1220,7 @@ impl<'a> Analyzer<'a> {
         };
         let mut iv = raw;
         if let Some(w) = w {
-            if self.ranges && w < Width::W64 && matches!(op, '+' | '*' | '«') && raw.hi > w.max() {
+            if w < Width::W64 && matches!(op, '+' | '*' | '«') && raw.hi > w.max() {
                 if let Some(t) = &taint {
                     let ty = match w {
                         Width::W8 => "u8",
@@ -1427,12 +1403,7 @@ impl<'a> Analyzer<'a> {
                         break;
                     };
                     if let Some(t) = val.taint.clone() {
-                        let fires = if self.ranges {
-                            val.sym.is_none() && cast_bound(ty).is_some_and(|b| val.iv.hi > b)
-                        } else {
-                            NARROW_CASTS.contains(&ty)
-                        };
-                        if fires {
+                        if val.sym.is_none() && cast_bound(ty).is_some_and(|b| val.iv.hi > b) {
                             self.finding(
                                 TRUNC,
                                 toks[cur].line,
@@ -1725,10 +1696,9 @@ impl<'a> Analyzer<'a> {
     /// transfer function and the taint survives with it — the sink
     /// checks whether the proof is good enough. The syntactic kill is
     /// kept only for constant-like bounds the folder cannot resolve
-    /// (cross-crate consts, `limits.max_*` fields), and for ranges-off
-    /// mode; in both cases the bound must pass the tightened
-    /// const-argument matcher (a bare `cap_hint` variable is not a
-    /// clamp — the fix for the old matcher's substring hole).
+    /// (cross-crate consts, `limits.max_*` fields); the bound must pass
+    /// the tightened const-argument matcher (a bare `cap_hint` variable
+    /// is not a clamp — the fix for the old matcher's substring hole).
     fn handle_clamp(&mut self, m: &str, args: &[(usize, usize)], recv: Val) -> Val {
         let toks = self.toks();
         let arg_vals: Vec<Val> = args.iter().map(|&(s, e)| self.eval_arith(s, e)).collect();
@@ -1754,24 +1724,15 @@ impl<'a> Analyzer<'a> {
             && args
                 .get(bound_idx)
                 .is_some_and(|&(s, e)| const_bound_arg(toks, s, e, &self.vars));
-        if self.ranges {
-            if bounded || (sym.is_some() && !bound_tainted) {
-                return Val {
-                    taint: recv.taint,
-                    iv,
-                    w: recv.w,
-                    sym,
-                };
-            }
-            if syntactic {
-                return Val {
-                    taint: None,
-                    iv,
-                    w: recv.w,
-                    sym,
-                };
-            }
-        } else if syntactic {
+        if bounded || (sym.is_some() && !bound_tainted) {
+            return Val {
+                taint: recv.taint,
+                iv,
+                w: recv.w,
+                sym,
+            };
+        }
+        if syntactic {
             return Val {
                 taint: None,
                 iv,

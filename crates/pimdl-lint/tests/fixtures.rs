@@ -31,7 +31,6 @@ fn lint_fixture(name: &str, allow_toml: &str) -> pimdl_lint::diag::Report {
             "l8_bad.rs".to_string(),
             "l8_clean.rs".to_string(),
         ],
-        taint_ranges: true,
     };
     let allow = AllowList::parse(allow_toml);
     lint_paths(&[fixture(name)], &allow, &cfg).expect("fixture must be readable")
@@ -135,34 +134,6 @@ fn l8_bad_fixture_reports_every_seeded_flow() {
         "got:\n{}",
         report.render_human()
     );
-}
-
-/// `--taint-ranges off` reverts L7 to the syntactic clamp kills and
-/// disables L8 entirely: the overflow fixture goes quiet, and the
-/// unproved `.min(cap_hint)` flow in l7_bad.rs still fires (the
-/// tightened bound matcher applies in both modes).
-#[test]
-fn taint_ranges_off_disables_l8_and_keeps_syntactic_l7() {
-    let cfg_off = || LintConfig {
-        taint_paths: vec!["l7_bad.rs".to_string(), "l8_bad.rs".to_string()],
-        taint_ranges: false,
-        ..LintConfig::default()
-    };
-    let allow = AllowList::parse("");
-    let report = lint_paths(&[fixture("l8_bad.rs")], &allow, &cfg_off()).unwrap();
-    assert!(
-        !report.failed(),
-        "ranges off must silence L8, got:\n{}",
-        report.render_human()
-    );
-    let report = lint_paths(&[fixture("l7_bad.rs")], &allow, &cfg_off()).unwrap();
-    let lines: Vec<u32> = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.lint == "L7-ALLOC")
-        .map(|d| d.line)
-        .collect();
-    assert!(lines.contains(&77), "var-arg .min still fires: {lines:?}");
 }
 
 #[test]

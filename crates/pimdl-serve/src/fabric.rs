@@ -11,11 +11,13 @@
 //! re-replicated to the consistent-hash successor while its queued and
 //! in-flight requests are re-routed rather than dropped.
 //!
-//! The same [`FabricServerLoop`] runs under the deterministic
-//! [`crate::SimPoller`] (with [`SimShardEngine`] standing in for worker
-//! processes) and under the real epoll reactor with
-//! [`ProcessShardEngine`] and actual child processes spawned by
-//! [`Runtime::serve_fabric`].
+//! [`FabricServerLoop`] is the third codec on the crate's connection core
+//! (`conn.rs`: the event loop, the transport path and the reactor-thread
+//! spawner are shared with the line and HTTP front ends), so the same
+//! state machine runs under the deterministic [`crate::SimPoller`] (with
+//! [`SimShardEngine`] standing in for worker processes) and under the
+//! real epoll reactor with [`ProcessShardEngine`] and actual child
+//! processes spawned by [`Runtime::serve_fabric`].
 //!
 //! ## Frame format
 //!
@@ -47,16 +49,15 @@ use pimdl_engine::fabric::FabricConfig;
 use pimdl_engine::pipeline::PimDlEngine;
 use pimdl_sim::{LutWorkload, NetworkModel, PlatformConfig};
 
-use crate::clock::{Clock, RealClock};
+use crate::clock::Clock;
 use crate::codec::{self, ErrorKind, LineBuffer};
+use crate::conn::{self, ConnState, Conns, Front, WakeAt};
 use crate::error::ServeError;
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::reactor::{
-    EpollPoller, EventSource, IoEvent, SimHandle, Token, Waker, WAKE_COMPLETION, WAKE_SHUTDOWN,
-};
+use crate::reactor::{EventSource, SimHandle, Token, WAKE_COMPLETION};
 use crate::request::Request;
 use crate::runtime::Runtime;
-use crate::server::{fallback_tag, DEADLINE_SLOP_S};
+use crate::server::{fallback_tag, ServeHandle};
 use crate::shard::{ReplicaModel, ServiceModel};
 use crate::supervisor::{LoadOrder, Supervisor, TableState};
 use crate::Result;
@@ -731,7 +732,7 @@ fn valid_table_name(name: &str) -> bool {
 #[derive(Debug)]
 struct PendingReq {
     req: Request,
-    conn: u64,
+    conn: Token,
     tag: String,
     table: String,
 }
@@ -744,31 +745,38 @@ struct InflightBatch {
 }
 
 #[derive(Debug)]
-enum ConnKind {
+pub(crate) enum ConnKind {
     /// No bytes seen yet; the first byte classifies the peer.
     Unknown,
     /// Line-protocol client.
-    Client { lines: LineBuffer, pending: usize },
+    Client(LineBuffer),
     /// Shard worker speaking frames.
     Shard { decoder: FrameDecoder },
 }
 
-#[derive(Debug)]
-struct FabricConn {
-    kind: ConnKind,
-    out: Vec<u8>,
-    peer_closed: bool,
-    want_write: bool,
-}
-
-impl FabricConn {
-    fn new() -> Self {
-        FabricConn {
-            kind: ConnKind::Unknown,
-            out: Vec::new(),
-            peer_closed: false,
-            want_write: false,
+impl ConnState for ConnKind {
+    /// The first byte classifies the peer; lines or frames from then on.
+    fn feed(&mut self, bytes: &[u8]) {
+        if let (ConnKind::Unknown, Some(&first)) = (&*self, bytes.first()) {
+            *self = if first == FRAME_MAGIC[0] {
+                ConnKind::Shard {
+                    decoder: FrameDecoder::new(),
+                }
+            } else {
+                ConnKind::Client(LineBuffer::new())
+            };
         }
+        match self {
+            ConnKind::Unknown => {}
+            ConnKind::Client(lines) => lines.push(bytes),
+            ConnKind::Shard { decoder } => decoder.push(bytes),
+        }
+    }
+
+    /// A client (or a peer that never spoke) is done once drained; a shard
+    /// connection only ever ends through death bookkeeping.
+    fn done(&self, drained: bool) -> bool {
+        drained && !matches!(self, ConnKind::Shard { .. })
     }
 }
 
@@ -797,7 +805,6 @@ pub struct FabricServerLoop<'a> {
     /// Host-side oracle replicas (one per table) for request validation
     /// and reference checksums.
     oracles: BTreeMap<String, Arc<ReplicaModel>>,
-    conns: BTreeMap<u64, FabricConn>,
     queues: BTreeMap<String, VecDeque<PendingReq>>,
     queued_total: usize,
     inflight: BTreeMap<u64, InflightBatch>,
@@ -805,7 +812,6 @@ pub struct FabricServerLoop<'a> {
     pending_dead: Vec<Token>,
     next_batch_id: u64,
     next_req_id: u64,
-    draining: bool,
     default_table: String,
     /// Latched `true` the first time every table routes (all workers
     /// hello'd and loaded). [`FabricHandle::wait_all_ready`] observes it.
@@ -864,14 +870,12 @@ impl<'a> FabricServerLoop<'a> {
             metrics,
             sup,
             oracles,
-            conns: BTreeMap::new(),
             queues: BTreeMap::new(),
             queued_total: 0,
             inflight: BTreeMap::new(),
             pending_dead: Vec::new(),
             next_batch_id: 0,
             next_req_id: 0,
-            draining: false,
             default_table: first.clone(),
             all_ready: Arc::new(AtomicBool::new(false)),
         })
@@ -903,10 +907,10 @@ impl<'a> FabricServerLoop<'a> {
         self.oracles.values().map(|o| o.reference_gathers()).sum()
     }
 
-    /// Runs until shutdown (a [`WAKE_SHUTDOWN`] token followed by a full
-    /// drain) or — for the simulated transport — until the script is
-    /// exhausted and no work remains. Live shards get a [`Frame::Shutdown`]
-    /// on the way out.
+    /// Runs until shutdown (a [`crate::reactor::WAKE_SHUTDOWN`] token
+    /// followed by a full drain) or — for the simulated transport — until
+    /// the script is exhausted and no work remains. Live shards get a
+    /// [`Frame::Shutdown`] on the way out.
     ///
     /// # Errors
     ///
@@ -918,97 +922,7 @@ impl<'a> FabricServerLoop<'a> {
         source: &mut dyn EventSource,
         engine: &mut dyn FabricShardEngine,
     ) -> Result<()> {
-        let stats = source.stats();
-        let can_quiesce = source.supports_quiescence();
-        let mut events: Vec<IoEvent> = Vec::new();
-        loop {
-            let timeout = self.next_timeout();
-            source.wait(timeout, &mut events)?;
-            let quiescent = can_quiesce && events.is_empty() && timeout.is_none();
-            let mut had_wake = false;
-            let mut progress = false;
-            for &event in events.iter() {
-                match event {
-                    IoEvent::Accepted(t) => {
-                        self.conns.insert(t.0, FabricConn::new());
-                        progress = true;
-                    }
-                    IoEvent::Readable(t) => {
-                        if self.handle_readable(source, engine, t)? {
-                            progress = true;
-                        }
-                    }
-                    IoEvent::Writable(t) => {
-                        self.flush_conn(source, t);
-                        progress = true;
-                    }
-                    IoEvent::Wake(t) => {
-                        had_wake = true;
-                        if t == WAKE_SHUTDOWN && !self.draining {
-                            self.draining = true;
-                            source.stop_accepting();
-                            progress = true;
-                        }
-                    }
-                }
-            }
-
-            let now = self.clock.now();
-            for shard in self.sup.expired(now) {
-                self.shard_died(source, engine, shard)?;
-                progress = true;
-            }
-            if self.deliver_sim_replies(source, engine)? {
-                progress = true;
-            }
-            loop {
-                let dead = self.reap_dead(source, engine)?;
-                if self.pump(source, engine)? || dead {
-                    progress = true;
-                }
-                if self.pending_dead.is_empty() && !dead {
-                    break;
-                }
-            }
-            if had_wake && !progress {
-                stats.record_spurious_wakeup();
-            }
-            // Relaxed on purpose: the latch is a monotonic flag guarding
-            // no other memory — observers act through sockets, not shared
-            // state published alongside the store.
-            if !self.all_ready.load(Ordering::Relaxed) && self.sup.all_tables_ready() {
-                self.all_ready.store(true, Ordering::Relaxed);
-            }
-            if (self.draining || quiescent) && self.queued_total == 0 && self.inflight.is_empty() {
-                self.send_shutdowns(source, engine);
-                return Ok(());
-            }
-        }
-    }
-
-    /// Relative wait timeout: the earliest of the batch flush window (only
-    /// for tables whose shard could take the batch), queued-request
-    /// deadlines, and the supervisor's protocol deadlines.
-    fn next_timeout(&self) -> Option<f64> {
-        let now = self.clock.now();
-        let mut wake_s = f64::INFINITY;
-        for (table, q) in &self.queues {
-            let Some(front) = q.front() else { continue };
-            if let Some((shard, _)) = self.sup.route(table) {
-                if !self.shard_busy(shard) {
-                    wake_s = wake_s.min(front.req.arrival_s + self.cfg.policy.max_wait_s);
-                }
-            }
-            for p in q {
-                if p.req.deadline_s.is_finite() {
-                    wake_s = wake_s.min(p.req.deadline_s + DEADLINE_SLOP_S);
-                }
-            }
-        }
-        if let Some(d) = self.sup.next_deadline_s() {
-            wake_s = wake_s.min(d + DEADLINE_SLOP_S);
-        }
-        wake_s.is_finite().then(|| (wake_s - now).max(0.0))
+        conn::drive(source, self, engine)
     }
 
     fn shard_busy(&self, shard: u32) -> bool {
@@ -1016,76 +930,122 @@ impl<'a> FabricServerLoop<'a> {
     }
 }
 
-impl<'a> FabricServerLoop<'a> {
-    /// Drains a readable connection, classifying it on its first byte,
-    /// then parses lines (clients) or frames (shards). Returns whether any
-    /// byte moved.
-    fn handle_readable(
+impl<'e> Front<dyn FabricShardEngine + 'e> for FabricServerLoop<'_> {
+    type Conn = ConnKind;
+
+    /// The earliest of the batch flush window (only for tables whose shard
+    /// could take the batch), queued-request deadlines, and the
+    /// supervisor's protocol deadlines.
+    fn next_timeout(&self, _engine: &(dyn FabricShardEngine + 'e)) -> Option<f64> {
+        let mut wake = WakeAt::never();
+        for (table, q) in &self.queues {
+            let Some(front) = q.front() else { continue };
+            if self
+                .sup
+                .route(table)
+                .is_some_and(|(shard, _)| !self.shard_busy(shard))
+            {
+                wake.at(Some(front.req.arrival_s + self.cfg.policy.max_wait_s));
+            }
+            for p in q {
+                wake.after(Some(p.req.deadline_s));
+            }
+        }
+        wake.after(self.sup.next_deadline_s());
+        wake.timeout(self.clock.now())
+    }
+
+    fn accept(&self) -> ConnKind {
+        ConnKind::Unknown
+    }
+
+    /// Parses lines (clients) or frames (shards).
+    fn readable(
         &mut self,
-        source: &mut dyn EventSource,
-        engine: &mut dyn FabricShardEngine,
+        conns: &mut Conns<'_, ConnKind>,
+        engine: &mut (dyn FabricShardEngine + 'e),
         t: Token,
-    ) -> Result<bool> {
-        let mut scratch = Vec::new();
-        let rr = source.read(t, &mut scratch)?;
-        let Some(conn) = self.conns.get_mut(&t.0) else {
-            return Ok(false);
-        };
-        if matches!(conn.kind, ConnKind::Unknown) && !scratch.is_empty() {
-            conn.kind = if scratch[0] == FRAME_MAGIC[0] {
-                ConnKind::Shard {
-                    decoder: FrameDecoder::new(),
-                }
-            } else {
-                ConnKind::Client {
-                    lines: LineBuffer::new(),
-                    pending: 0,
-                }
-            };
-        }
-        if rr.closed {
-            conn.peer_closed = true;
-        }
-        let progress = rr.bytes > 0 || rr.closed;
-        match &mut conn.kind {
-            ConnKind::Unknown => {
-                if rr.closed {
-                    self.conn_failed(source, t);
-                }
-            }
-            ConnKind::Client { lines, .. } => {
-                lines.push(&scratch);
-                self.pump_client_lines(source, t)?;
-                self.reap_if_done(source, t);
-            }
-            ConnKind::Shard { decoder } => {
-                decoder.push(&scratch);
-                self.pump_shard_frames(source, engine, t)?;
-                if rr.closed {
+        eof: bool,
+    ) -> Result<()> {
+        match conns.state_mut(t) {
+            Some(ConnKind::Client(_)) => self.pump_client_lines(conns, t)?,
+            Some(ConnKind::Shard { .. }) => {
+                self.pump_shard_frames(conns, engine, t)?;
+                if eof {
                     // EOF from a worker — including one that was
                     // `kill -9`ed mid-batch.
-                    self.conn_failed(source, t);
+                    self.conn_failed(conns, t);
                 }
             }
+            // A peer that never spoke: the table reaps it at EOF.
+            Some(ConnKind::Unknown) | None => {}
+        }
+        Ok(())
+    }
+
+    fn failed(&mut self, conns: &mut Conns<'_, ConnKind>, t: Token) {
+        self.conn_failed(conns, t);
+    }
+
+    /// Protocol timeouts, simulated replies, then death bookkeeping and
+    /// dispatch to a fixpoint (a dispatch can fail a shard connection,
+    /// whose re-queued batches want another dispatch).
+    fn step(
+        &mut self,
+        conns: &mut Conns<'_, ConnKind>,
+        engine: &mut (dyn FabricShardEngine + 'e),
+    ) -> Result<bool> {
+        let mut progress = false;
+        for shard in self.sup.expired(self.clock.now()) {
+            self.shard_died(conns, engine, shard)?;
+            progress = true;
+        }
+        progress |= self.deliver_sim_replies(conns, engine)?;
+        loop {
+            let dead = self.reap_dead(conns, engine)?;
+            progress |= self.pump(conns, engine)? || dead;
+            if self.pending_dead.is_empty() && !dead {
+                break;
+            }
+        }
+        // Relaxed on purpose: the latch is a monotonic flag guarding no
+        // other memory — observers act through sockets, not shared state
+        // published alongside the store.
+        if !self.all_ready.load(Ordering::Relaxed) && self.sup.all_tables_ready() {
+            self.all_ready.store(true, Ordering::Relaxed);
         }
         Ok(progress)
     }
 
+    fn idle(&self, _engine: &(dyn FabricShardEngine + 'e)) -> bool {
+        self.queued_total == 0 && self.inflight.is_empty()
+    }
+
+    /// Best-effort `Shutdown` frames to every live shard on exit.
+    fn exit(&mut self, conns: &mut Conns<'_, ConnKind>, engine: &mut (dyn FabricShardEngine + 'e)) {
+        let now = self.clock.now();
+        for t in self.sup.live_tokens() {
+            if let Ok(bytes) = Frame::Shutdown.encode() {
+                let _ = engine.on_send(t, &Frame::Shutdown, now);
+                let _ = conns.source.write(t, &bytes);
+            }
+        }
+    }
+}
+
+impl<'a> FabricServerLoop<'a> {
     /// Pops and serves every complete client line. An oversized line
     /// (framing lost) drops the connection, as in `ServerLoop`.
-    fn pump_client_lines(&mut self, source: &mut dyn EventSource, t: Token) -> Result<()> {
+    fn pump_client_lines(&mut self, conns: &mut Conns<'_, ConnKind>, t: Token) -> Result<()> {
         loop {
-            let Some(conn) = self.conns.get_mut(&t.0) else {
-                return Ok(());
-            };
-            let ConnKind::Client { lines, .. } = &mut conn.kind else {
+            let Some(ConnKind::Client(lines)) = conns.state_mut(t) else {
                 return Ok(());
             };
             match lines.pop_line() {
-                Ok(Some(line)) => self.handle_query_line(source, t, &line)?,
+                Ok(Some(line)) => self.handle_query_line(conns, t, &line)?,
                 Ok(None) => return Ok(()),
                 Err(_) => {
-                    self.conn_failed(source, t);
+                    self.conn_failed(conns, t);
                     return Ok(());
                 }
             }
@@ -1097,19 +1057,23 @@ impl<'a> FabricServerLoop<'a> {
     /// `ServerLoop::handle_line`'s refusal order.
     fn handle_query_line(
         &mut self,
-        source: &mut dyn EventSource,
+        conns: &mut Conns<'_, ConnKind>,
         t: Token,
         line: &[u8],
     ) -> Result<()> {
         let q = match codec::parse_query(line) {
             Ok(q) => q,
             Err(_) => {
-                self.respond_error(source, t, &fallback_tag(line), ErrorKind::Invalid);
+                self.send(
+                    conns,
+                    t,
+                    &codec::encode_error(&fallback_tag(line), ErrorKind::Invalid),
+                );
                 return Ok(());
             }
         };
-        if self.draining {
-            self.respond_error(source, t, &q.tag, ErrorKind::Shutdown);
+        if conns.draining {
+            self.send(conns, t, &codec::encode_error(&q.tag, ErrorKind::Shutdown));
             return Ok(());
         }
         let table = q
@@ -1117,40 +1081,36 @@ impl<'a> FabricServerLoop<'a> {
             .clone()
             .unwrap_or_else(|| self.default_table.clone());
         let Some(oracle) = self.oracles.get(&table) else {
-            self.respond_error(source, t, &q.tag, ErrorKind::Invalid);
+            self.send(conns, t, &codec::encode_error(&q.tag, ErrorKind::Invalid));
             return Ok(());
         };
         if self.sup.table_state(&table) == Some(TableState::Lost) {
-            self.respond_error(source, t, &q.tag, ErrorKind::Shutdown);
+            self.send(conns, t, &codec::encode_error(&q.tag, ErrorKind::Shutdown));
             return Ok(());
         }
         let now = self.clock.now();
         let id = self.next_req_id;
         self.next_req_id += 1;
         if oracle.validate_indices(&q.indices).is_err() {
-            self.respond_error(source, t, &q.tag, ErrorKind::Invalid);
+            self.send(conns, t, &codec::encode_error(&q.tag, ErrorKind::Invalid));
             return Ok(());
         }
         self.metrics.record_submitted();
         if self.queued_total >= self.cfg.queue_capacity {
             self.metrics.record_rejected();
-            self.respond_error(source, t, &q.tag, ErrorKind::Rejected);
+            self.send(conns, t, &codec::encode_error(&q.tag, ErrorKind::Rejected));
             return Ok(());
         }
         // Refused requests never get here: the reference gather is the
         // request's most expensive step.
         let req = oracle.request_from_valid(id, now, now + self.cfg.deadline_s, q.indices)?;
-        if let Some(conn) = self.conns.get_mut(&t.0) {
-            if let ConnKind::Client { pending, .. } = &mut conn.kind {
-                *pending += 1;
-            }
-        }
+        conns.owe(t);
         self.queues
             .entry(table.clone())
             .or_default()
             .push_back(PendingReq {
                 req,
-                conn: t.0,
+                conn: t,
                 tag: q.tag,
                 table,
             });
@@ -1163,22 +1123,19 @@ impl<'a> FabricServerLoop<'a> {
     /// poisons the decoder; the shard is treated as failed.
     fn pump_shard_frames(
         &mut self,
-        source: &mut dyn EventSource,
+        conns: &mut Conns<'_, ConnKind>,
         engine: &mut dyn FabricShardEngine,
         t: Token,
     ) -> Result<()> {
         loop {
-            let Some(conn) = self.conns.get_mut(&t.0) else {
-                return Ok(());
-            };
-            let ConnKind::Shard { decoder } = &mut conn.kind else {
+            let Some(ConnKind::Shard { decoder }) = conns.state_mut(t) else {
                 return Ok(());
             };
             match decoder.next_frame() {
-                Ok(Some(frame)) => self.handle_shard_frame(source, engine, t, frame)?,
+                Ok(Some(frame)) => self.handle_shard_frame(conns, engine, t, frame)?,
                 Ok(None) => return Ok(()),
                 Err(_) => {
-                    self.conn_failed(source, t);
+                    self.conn_failed(conns, t);
                     return Ok(());
                 }
             }
@@ -1190,7 +1147,7 @@ impl<'a> FabricServerLoop<'a> {
     /// is no longer trustworthy.
     fn handle_shard_frame(
         &mut self,
-        source: &mut dyn EventSource,
+        conns: &mut Conns<'_, ConnKind>,
         engine: &mut dyn FabricShardEngine,
         t: Token,
         frame: Frame,
@@ -1200,23 +1157,23 @@ impl<'a> FabricServerLoop<'a> {
             Frame::Hello { shard_id } => match self.sup.on_hello(shard_id, t, now) {
                 Ok(orders) => {
                     for o in orders {
-                        self.send_load(source, engine, &o)?;
+                        self.send_load(conns, engine, &o)?;
                     }
                 }
-                Err(_) => self.conn_failed(source, t),
+                Err(_) => self.conn_failed(conns, t),
             },
             Frame::TableReady { table } => {
                 let Some(shard) = self.sup.shard_by_token(t) else {
-                    self.conn_failed(source, t);
+                    self.conn_failed(conns, t);
                     return Ok(());
                 };
                 if self.sup.on_table_ready(shard, &table, now).is_err() {
-                    self.conn_failed(source, t);
+                    self.conn_failed(conns, t);
                 }
             }
             Frame::ExecDone { batch_id, flags } => {
                 let Some(shard) = self.sup.shard_by_token(t) else {
-                    self.conn_failed(source, t);
+                    self.conn_failed(conns, t);
                     return Ok(());
                 };
                 let valid = self
@@ -1224,7 +1181,7 @@ impl<'a> FabricServerLoop<'a> {
                     .get(&batch_id)
                     .is_some_and(|b| b.shard == shard && b.items.len() == flags.len());
                 if !valid {
-                    self.conn_failed(source, t);
+                    self.conn_failed(conns, t);
                     return Ok(());
                 }
                 let Some(batch) = self.inflight.remove(&batch_id) else {
@@ -1237,11 +1194,11 @@ impl<'a> FabricServerLoop<'a> {
                         correct,
                         item.req.expected_checksum.to_bits(),
                     );
-                    self.respond_to_pending(source, &item, bytes);
+                    self.respond_to_pending(conns, &item, bytes);
                 }
             }
             Frame::LoadTable { .. } | Frame::Execute { .. } | Frame::Shutdown => {
-                self.conn_failed(source, t);
+                self.conn_failed(conns, t);
             }
         }
         Ok(())
@@ -1251,7 +1208,7 @@ impl<'a> FabricServerLoop<'a> {
     /// (otherwise its own `Hello` will re-collect the order).
     fn send_load(
         &mut self,
-        source: &mut dyn EventSource,
+        conns: &mut Conns<'_, ConnKind>,
         engine: &mut dyn FabricShardEngine,
         order: &LoadOrder,
     ) -> Result<()> {
@@ -1262,24 +1219,21 @@ impl<'a> FabricServerLoop<'a> {
             table: order.table.clone(),
             seed: order.seed,
         };
-        self.send_frame(source, engine, token, &frame)
+        self.send_frame(conns, engine, token, &frame)
     }
 
     /// Encodes and sends a frame to a shard connection, giving the engine
     /// its interception hook first.
     fn send_frame(
         &mut self,
-        source: &mut dyn EventSource,
+        conns: &mut Conns<'_, ConnKind>,
         engine: &mut dyn FabricShardEngine,
         t: Token,
         frame: &Frame,
     ) -> Result<()> {
         let bytes = frame.encode()?;
         engine.on_send(t, frame, self.clock.now())?;
-        if let Some(conn) = self.conns.get_mut(&t.0) {
-            conn.out.extend_from_slice(&bytes);
-            self.flush_conn(source, t);
-        }
+        self.send(conns, t, &bytes);
         Ok(())
     }
 
@@ -1287,7 +1241,7 @@ impl<'a> FabricServerLoop<'a> {
     /// path real socket reads use. Returns whether anything arrived.
     fn deliver_sim_replies(
         &mut self,
-        source: &mut dyn EventSource,
+        conns: &mut Conns<'_, ConnKind>,
         engine: &mut dyn FabricShardEngine,
     ) -> Result<bool> {
         let replies = engine.due_replies(self.clock.now());
@@ -1295,14 +1249,11 @@ impl<'a> FabricServerLoop<'a> {
             return Ok(false);
         }
         for (t, bytes) in replies {
-            let Some(conn) = self.conns.get_mut(&t.0) else {
-                continue;
-            };
-            let ConnKind::Shard { decoder } = &mut conn.kind else {
+            let Some(ConnKind::Shard { decoder }) = conns.state_mut(t) else {
                 continue;
             };
             decoder.push(&bytes);
-            self.pump_shard_frames(source, engine, t)?;
+            self.pump_shard_frames(conns, engine, t)?;
         }
         Ok(true)
     }
@@ -1312,7 +1263,7 @@ impl<'a> FabricServerLoop<'a> {
     /// anything moved.
     fn pump(
         &mut self,
-        source: &mut dyn EventSource,
+        conns: &mut Conns<'_, ConnKind>,
         engine: &mut dyn FabricShardEngine,
     ) -> Result<bool> {
         let now = self.clock.now();
@@ -1328,7 +1279,7 @@ impl<'a> FabricServerLoop<'a> {
                 self.queued_total -= 1;
                 self.metrics.record_deadline_exceeded();
                 let bytes = codec::encode_error(&item.tag, ErrorKind::Deadline);
-                self.respond_to_pending(source, &item, bytes);
+                self.respond_to_pending(conns, &item, bytes);
                 progress = true;
             }
 
@@ -1340,7 +1291,7 @@ impl<'a> FabricServerLoop<'a> {
                     {
                         self.queued_total -= 1;
                         let bytes = codec::encode_error(&item.tag, ErrorKind::Shutdown);
-                        self.respond_to_pending(source, &item, bytes);
+                        self.respond_to_pending(conns, &item, bytes);
                         progress = true;
                     }
                 }
@@ -1359,7 +1310,7 @@ impl<'a> FabricServerLoop<'a> {
             let max_batch = self.cfg.policy.max_batch;
             let due = q_len >= max_batch
                 || now + 1e-12 >= oldest_arrival + self.cfg.policy.max_wait_s
-                || self.draining;
+                || conns.draining;
             if !due {
                 continue;
             }
@@ -1386,7 +1337,7 @@ impl<'a> FabricServerLoop<'a> {
             self.metrics.record_shard_wakeup();
             self.inflight
                 .insert(batch_id, InflightBatch { shard, items });
-            self.send_frame(source, engine, token, &frame)?;
+            self.send_frame(conns, engine, token, &frame)?;
             progress = true;
         }
         Ok(progress)
@@ -1399,7 +1350,7 @@ impl<'a> FabricServerLoop<'a> {
     /// ready successors.
     fn shard_died(
         &mut self,
-        source: &mut dyn EventSource,
+        conns: &mut Conns<'_, ConnKind>,
         engine: &mut dyn FabricShardEngine,
         shard: u32,
     ) -> Result<()> {
@@ -1407,8 +1358,7 @@ impl<'a> FabricServerLoop<'a> {
         let orders = self.sup.mark_dead(shard, self.clock.now());
         if let Some(t) = token {
             engine.forget(t);
-            source.close(t);
-            self.conns.remove(&t.0);
+            conns.close(t);
         }
         let mut ids: Vec<u64> = self
             .inflight
@@ -1432,7 +1382,7 @@ impl<'a> FabricServerLoop<'a> {
             }
         }
         for o in orders {
-            self.send_load(source, engine, &o)?;
+            self.send_load(conns, engine, &o)?;
         }
         Ok(())
     }
@@ -1440,114 +1390,48 @@ impl<'a> FabricServerLoop<'a> {
     /// Processes shard connections that failed I/O since the last pass.
     fn reap_dead(
         &mut self,
-        source: &mut dyn EventSource,
+        conns: &mut Conns<'_, ConnKind>,
         engine: &mut dyn FabricShardEngine,
     ) -> Result<bool> {
         let mut progress = false;
         while let Some(t) = self.pending_dead.pop() {
             if let Some(shard) = self.sup.shard_by_token(t) {
-                self.shard_died(source, engine, shard)?;
+                self.shard_died(conns, engine, shard)?;
                 progress = true;
             }
         }
         Ok(progress)
     }
 
-    /// Best-effort `Shutdown` frames to every live shard on exit.
-    fn send_shutdowns(&mut self, source: &mut dyn EventSource, engine: &mut dyn FabricShardEngine) {
-        let now = self.clock.now();
-        for t in self.sup.live_tokens() {
-            if let Ok(bytes) = Frame::Shutdown.encode() {
-                let _ = engine.on_send(t, &Frame::Shutdown, now);
-                let _ = source.write(t, &bytes);
-            }
-        }
-    }
-
     /// Fails a connection: shard connections queue for death bookkeeping,
-    /// everything else just closes.
-    fn conn_failed(&mut self, source: &mut dyn EventSource, t: Token) {
+    /// everything else just closes (a no-op when the transport already
+    /// closed it on a write failure).
+    fn conn_failed(&mut self, conns: &mut Conns<'_, ConnKind>, t: Token) {
         if self.sup.shard_by_token(t).is_some() && !self.pending_dead.contains(&t) {
             self.pending_dead.push(t);
         }
-        source.close(t);
-        self.conns.remove(&t.0);
+        conns.close(t);
     }
 
-    /// Emits an `E` refusal on a client connection.
-    fn respond_error(
-        &mut self,
-        source: &mut dyn EventSource,
-        t: Token,
-        tag: &str,
-        kind: ErrorKind,
-    ) {
-        let bytes = codec::encode_error(tag, kind);
-        if let Some(conn) = self.conns.get_mut(&t.0) {
-            conn.out.extend_from_slice(&bytes);
-            self.flush_conn(source, t);
+    /// Queues `bytes` on `t` and flushes as far as the transport allows.
+    fn send(&mut self, conns: &mut Conns<'_, ConnKind>, t: Token, bytes: &[u8]) {
+        if conns.send(t, bytes) {
+            self.conn_failed(conns, t);
         }
     }
 
     /// Delivers a response for a tracked (queued or in-flight) request to
-    /// its client connection, releasing its pending slot. Responses to
+    /// its client connection, settling what it is owed. Responses to
     /// connections that have since dropped are discarded — the work was
     /// still executed and counted.
     fn respond_to_pending(
         &mut self,
-        source: &mut dyn EventSource,
+        conns: &mut Conns<'_, ConnKind>,
         item: &PendingReq,
         bytes: Vec<u8>,
     ) {
-        let Some(conn) = self.conns.get_mut(&item.conn) else {
-            return;
-        };
-        if let ConnKind::Client { pending, .. } = &mut conn.kind {
-            *pending = pending.saturating_sub(1);
-        }
-        conn.out.extend_from_slice(&bytes);
-        self.flush_conn(source, Token(item.conn));
-    }
-
-    /// Writes as much buffered output as the connection accepts, arming
-    /// writable interest on backpressure. Hard write errors fail the
-    /// connection.
-    fn flush_conn(&mut self, source: &mut dyn EventSource, t: Token) {
-        let Some(c) = self.conns.get_mut(&t.0) else {
-            return;
-        };
-        if !c.out.is_empty() {
-            match source.write(t, &c.out) {
-                Ok(n) => {
-                    c.out.drain(..n);
-                }
-                Err(_) => {
-                    self.conn_failed(source, t);
-                    return;
-                }
-            }
-        }
-        let want = !c.out.is_empty();
-        if want != c.want_write && source.set_writable_interest(t, want).is_ok() {
-            c.want_write = want;
-        }
-        self.reap_if_done(source, t);
-    }
-
-    /// Reaps a client connection once its peer closed and nothing is owed.
-    fn reap_if_done(&mut self, source: &mut dyn EventSource, t: Token) {
-        let Some(c) = self.conns.get(&t.0) else {
-            return;
-        };
-        let done = match &c.kind {
-            ConnKind::Client { pending, .. } => c.peer_closed && *pending == 0 && c.out.is_empty(),
-            ConnKind::Unknown => c.peer_closed,
-            ConnKind::Shard { .. } => false,
-        };
-        if done {
-            source.close(t);
-            self.conns.remove(&t.0);
-        }
+        conns.settle(item.conn);
+        self.send(conns, item.conn, &bytes);
     }
 }
 
@@ -1560,9 +1444,7 @@ impl<'a> FabricServerLoop<'a> {
 /// processes (exposed so fault-injection tests can kill one).
 #[derive(Debug)]
 pub struct FabricHandle {
-    addr: SocketAddr,
-    shutdown: Waker,
-    join: std::thread::JoinHandle<Result<MetricsSnapshot>>,
+    reactor: ServeHandle,
     children: Mutex<Vec<Child>>,
     all_ready: Arc<AtomicBool>,
 }
@@ -1570,7 +1452,7 @@ pub struct FabricHandle {
 impl FabricHandle {
     /// The address the listener is bound to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.reactor.addr()
     }
 
     /// Blocks until every table has become routable at least once (all
@@ -1634,21 +1516,14 @@ impl FabricHandle {
     ///
     /// Propagates reactor-loop failures.
     pub fn shutdown(self) -> Result<MetricsSnapshot> {
-        self.shutdown.wake();
-        let result = self.join.join().map_err(|_| ServeError::Io {
-            detail: "fabric reactor thread panicked".to_string(),
-        })?;
+        let result = self.reactor.shutdown();
         let mut kids = self
             .children
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for mut child in kids.drain(..) {
-            // Workers exit on their Shutdown frame or the closed socket;
-            // the kill is a belt-and-braces reap for ones that never
-            // connected.
-            let _ = child.kill();
-            let _ = child.wait();
-        }
+        // Workers exit on their Shutdown frame or the closed socket; the
+        // kill is a belt-and-braces reap for ones that never connected.
+        kill_all(&mut kids);
         result
     }
 }
@@ -1691,10 +1566,6 @@ impl Runtime {
         let addr = listener
             .local_addr()
             .map_err(ServeError::from_io("local_addr"))?;
-        let mut poller = EpollPoller::new(speedup)?;
-        poller.listen(listener)?;
-        let shutdown = poller.waker(WAKE_SHUTDOWN);
-
         let spec = WorkerSpec {
             platform: self.service_model().engine().platform().clone(),
             lut: self.config().lut,
@@ -1723,38 +1594,26 @@ impl Runtime {
             }
         }
 
-        let rt = Arc::clone(self);
         let all_ready = Arc::new(AtomicBool::new(false));
         let ready_flag = Arc::clone(&all_ready);
-        let join = std::thread::Builder::new()
-            .name("pimdl-serve-fabric".to_string())
-            .spawn(move || -> Result<MetricsSnapshot> {
-                let clock = Arc::new(RealClock::accelerated(speedup)?);
-                let metrics = Arc::new(Metrics::new(rt.config().policy.max_batch));
-                let clock_dyn: Arc<dyn Clock> = clock;
-                let mut engine = ProcessShardEngine;
-                let mut server =
-                    FabricServerLoop::new(&rt, fabric, &tables, clock_dyn, Arc::clone(&metrics))?
-                        .with_ready_flag(ready_flag);
-                server.run(&mut poller, &mut engine)?;
-                Ok(metrics.snapshot_with_reactor(poller.stats().snapshot()))
-            });
-        let join = match join {
-            Ok(j) => j,
+        // No in-process shard threads: the workers are the child processes.
+        let run = move |rt: &Runtime, r: &mut conn::Reactor| {
+            let (clock, metrics) = (Arc::clone(&r.clock), Arc::clone(&r.metrics));
+            FabricServerLoop::new(rt, fabric, &tables, clock, metrics)?
+                .with_ready_flag(ready_flag)
+                .run(&mut r.poller, &mut ProcessShardEngine)
+        };
+        match conn::spawn_reactor(self, "pimdl-serve-fabric", listener, speedup, 0, run) {
+            Ok(reactor) => Ok(FabricHandle {
+                reactor,
+                children: Mutex::new(children),
+                all_ready,
+            }),
             Err(e) => {
                 kill_all(&mut children);
-                return Err(ServeError::Io {
-                    detail: format!("spawn fabric reactor thread: {e}"),
-                });
+                Err(e)
             }
-        };
-        Ok(FabricHandle {
-            addr,
-            shutdown,
-            join,
-            children: Mutex::new(children),
-            all_ready,
-        })
+        }
     }
 }
 

@@ -22,6 +22,13 @@
 //!   histograms (latency p50/p95/p99, batch-size distribution, peak queue
 //!   depth, shed counts), snapshotted at shutdown.
 //!
+//! The network front ends ([`server`], [`fabric`]) are three codecs —
+//! line protocol, HTTP/1.1, shard-fabric frames — over one crate-private
+//! connection core (`conn.rs`): one event loop, one transport path with
+//! bounded per-connection output, one reactor-thread spawner, on the
+//! readiness [`reactor`] (real epoll, or a scripted source on the virtual
+//! clock for bit-deterministic tests).
+//!
 //! # Example
 //!
 //! ```rust
@@ -45,6 +52,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod conn;
 mod error;
 
 pub mod admission;

@@ -8,12 +8,17 @@
 //!   [`crate::clock::VirtualClock`]. Bit-for-bit deterministic per seed;
 //!   this is what the latency/batching assertions test.
 //! * [`Runtime::run_threaded`] — real threads: an open-loop load generator,
-//!   a batcher thread, and one worker thread per shard, joined by bounded
-//!   channels. A clock speedup compresses simulated service times into
-//!   short real sleeps. Tests assert interleaving-independent invariants
-//!   (conservation, metrics/ledger consistency).
+//!   a batcher thread parked on a reactor, and one worker thread per shard
+//!   (the [`ThreadedExecutor`] the network front ends use). A clock speedup
+//!   compresses simulated service times into short real sleeps. Tests
+//!   assert interleaving-independent invariants (conservation,
+//!   metrics/ledger consistency).
 //!
-//! Both drivers uphold the conservation invariant: every generated request
+//! The network front ends ([`Runtime::serve`], [`Runtime::serve_http`],
+//! [`Runtime::serve_fabric`]) run the same state machines on the reactor,
+//! through the one connection core in `conn.rs`.
+//!
+//! All drivers uphold the conservation invariant: every generated request
 //! terminates in exactly one of `Completed`, `Rejected`, or
 //! `DeadlineExceeded` — nothing is ever silently dropped. Deadlines cover
 //! time-to-dispatch: a request shed before its batch leaves the front end
@@ -31,10 +36,12 @@ use pimdl_tensor::rng::DataRng;
 use crate::admission::AdmissionQueue;
 use crate::batcher::ContinuousBatcher;
 use crate::clock::{Clock, RealClock, VirtualClock};
+use crate::conn::WakeAt;
 use crate::error::ServeError;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::reactor::{EpollPoller, EventSource, IoEvent, WAKE_ARRIVAL, WAKE_COMPLETION};
 use crate::request::{Outcome, Request, RequestRecord};
+use crate::server::{BatchExecutor, ThreadedExecutor};
 use crate::shard::{ReplicaModel, ServiceModel, ShardManager};
 use crate::Result;
 
@@ -216,18 +223,10 @@ impl ServeReport {
     }
 }
 
-/// A batch in flight to a shard worker (threaded driver).
-struct BatchMsg {
-    batch: Vec<Request>,
-    shard: usize,
-    service_s: f64,
-}
-
 /// State shared between the threaded driver's generator and batcher.
 struct FrontEnd {
     queue: AdmissionQueue,
     closed: bool,
-    shard_busy: Vec<bool>,
 }
 
 /// The serving runtime: a model replica sharded across simulated PIM
@@ -504,8 +503,9 @@ impl Runtime {
     }
 
     /// Runs the load on real threads: an open-loop generator, a batcher
-    /// thread, and one worker per shard. `speedup` compresses simulated
-    /// seconds into real time (`1.0` = real time).
+    /// thread, and one worker per shard (the network front ends'
+    /// [`ThreadedExecutor`]). `speedup` compresses simulated seconds into
+    /// real time (`1.0` = real time).
     ///
     /// # Errors
     ///
@@ -526,15 +526,14 @@ impl Runtime {
                 })
                 .collect::<Result<_>>()?
         };
-        let clock = RealClock::accelerated(speedup)?;
-        let metrics = Metrics::new(self.cfg.policy.max_batch);
+        let clock = Arc::new(RealClock::accelerated(speedup)?);
+        let metrics = Arc::new(Metrics::new(self.cfg.policy.max_batch));
         let deadline_rel = self.cfg.deadline_s;
         let num_shards = self.cfg.num_shards;
 
         let front = Mutex::new(FrontEnd {
             queue: AdmissionQueue::new(self.cfg.queue_capacity)?,
             closed: false,
-            shard_busy: vec![false; num_shards],
         });
         // The batcher thread parks on a readiness reactor instead of a
         // condition variable with a fallback poll: the generator wakes it
@@ -545,18 +544,16 @@ impl Runtime {
         // lose a notification.
         let mut park = EpollPoller::new(speedup)?;
         let wake_front = park.waker(WAKE_ARRIVAL);
-        let wake_done = park.waker(WAKE_COMPLETION);
         let park_stats = park.stats();
+        let mut executor = ThreadedExecutor::new(
+            Arc::clone(&clock),
+            Arc::clone(&metrics),
+            park.waker(WAKE_COMPLETION),
+            num_shards,
+        );
         let error_slot: Mutex<Option<ServeError>> = Mutex::new(None);
 
         let (records_tx, records_rx) = mpsc::channel::<RequestRecord>();
-        let mut shard_txs = Vec::with_capacity(num_shards);
-        let mut shard_rxs = Vec::with_capacity(num_shards);
-        for _ in 0..num_shards {
-            let (tx, rx) = mpsc::sync_channel::<BatchMsg>(1);
-            shard_txs.push(tx);
-            shard_rxs.push(rx);
-        }
 
         let arrivals = Self::arrival_times(load);
         let mut records = Vec::with_capacity(load.num_requests);
@@ -564,8 +561,7 @@ impl Runtime {
         std::thread::scope(|s| -> Result<()> {
             // Load generator: open-loop Poisson arrivals.
             let gen_tx = records_tx.clone();
-            let (clock_ref, front_ref, metrics_ref) = (&clock, &front, &metrics);
-            let replica = &self.replica;
+            let (clock_ref, front_ref, metrics_ref) = (&*clock, &front, &*metrics);
             let arrivals_ref = &arrivals;
             let wake_front_ref = &wake_front;
             s.spawn(move || {
@@ -602,10 +598,11 @@ impl Runtime {
                 wake_front_ref.wake();
             });
 
-            // Batcher: drains the queue, forms batches, routes to shards.
+            // Batcher: drains the queue, forms batches, routes to shards,
+            // and books what the shard workers finish.
             let batcher_tx = records_tx.clone();
-            let service = &self.service;
-            let error_ref = &error_slot;
+            let (service, replica) = (&self.service, &self.replica);
+            let (error_ref, executor) = (&error_slot, &mut executor);
             s.spawn(move || {
                 let mut batcher =
                     ContinuousBatcher::new(self.cfg.policy).expect("policy validated");
@@ -614,6 +611,11 @@ impl Runtime {
                 let mut g = front_ref.lock().expect("front end poisoned");
                 loop {
                     let now = clock_ref.now();
+                    // Sampled before the drain: a worker publishes its
+                    // batch before it stops counting it in flight, so
+                    // "nothing in flight" here makes this drain the last.
+                    let in_flight = executor.in_flight();
+                    let done = executor.drain();
                     let mut shed = g.queue.shed_expired(now);
                     shed.extend(batcher.shed_expired(now));
                     while !batcher.is_full() {
@@ -623,8 +625,25 @@ impl Runtime {
                         }
                     }
                     metrics_ref.observe_queue_depth(g.queue.len());
-                    if !shed.is_empty() {
+                    if !shed.is_empty() || !done.is_empty() {
                         drop(g);
+                        for batch in done {
+                            let batch_size = batch.results.len();
+                            for (req, correct) in batch.results {
+                                let latency_s = batch.finish_s - req.arrival_s;
+                                metrics_ref.record_completed(latency_s);
+                                let _ = batcher_tx.send(RequestRecord {
+                                    id: req.id,
+                                    arrival_s: req.arrival_s,
+                                    outcome: Outcome::Completed {
+                                        latency_s,
+                                        shard: batch.shard,
+                                        batch_size,
+                                        correct,
+                                    },
+                                });
+                            }
+                        }
                         for r in shed {
                             metrics_ref.record_deadline_exceeded();
                             let _ = batcher_tx.send(RequestRecord {
@@ -639,41 +658,25 @@ impl Runtime {
                     // Drain on shutdown: a closed front end flushes partial
                     // batches as soon as a shard frees up.
                     let drain = g.closed && g.queue.is_empty();
-                    if batcher.is_empty() && drain {
+                    if batcher.is_empty() && drain && in_flight == 0 {
                         break;
                     }
+                    let free = executor.free_shards();
                     let flush = !batcher.is_empty() && (batcher.ready(now) || drain);
                     if flush {
-                        let eligible: Vec<bool> = g.shard_busy.iter().map(|&b| !b).collect();
-                        if let Some(sid) = shards.least_loaded_among(&eligible) {
-                            g.shard_busy[sid] = true;
+                        if let Some(sid) = shards.least_loaded_among(&free) {
                             drop(g);
                             let batch = batcher.take();
-                            match service.batch_service_s(batch.len()) {
-                                Ok(service_s) => {
-                                    shards.dispatch_to(sid, now, service_s);
-                                    metrics_ref.record_batch(batch.len());
-                                    // The shard was idle, so its depth-1
-                                    // channel is empty: send cannot block.
-                                    let _ = shard_txs[sid].send(BatchMsg {
-                                        batch,
-                                        shard: sid,
-                                        service_s,
-                                    });
-                                }
-                                Err(e) => {
-                                    // Impossible after prewarm; record the
-                                    // requests so conservation still holds.
-                                    *error_ref.lock().expect("error slot poisoned") = Some(e);
-                                    for r in batch {
-                                        metrics_ref.record_deadline_exceeded();
-                                        let _ = batcher_tx.send(RequestRecord {
-                                            id: r.id,
-                                            arrival_s: r.arrival_s,
-                                            outcome: Outcome::DeadlineExceeded { at_s: now },
-                                        });
-                                    }
-                                }
+                            let size = batch.len();
+                            let sent = service.batch_service_s(size).and_then(|service_s| {
+                                shards.dispatch_to(sid, now, service_s);
+                                metrics_ref.record_batch(size);
+                                executor.submit(sid, service_s, replica, batch)
+                            });
+                            if let Err(e) = sent {
+                                // Impossible after prewarm with live workers.
+                                *error_ref.lock().expect("error slot poisoned") = Some(e);
+                                break;
                             }
                             g = front_ref.lock().expect("front end poisoned");
                             continue;
@@ -685,74 +688,20 @@ impl Runtime {
                     // shard could absorb the batch — with every shard busy
                     // the completion wake is the real signal, so parking
                     // without it avoids a busy-wait on a ready batch.
-                    let mut wake_s = f64::INFINITY;
-                    if !batcher.is_empty() && g.shard_busy.iter().any(|&b| !b) {
-                        if let Some(d) = batcher.flush_deadline_s() {
-                            wake_s = wake_s.min(d);
-                        }
+                    let mut wake = WakeAt::never();
+                    if free.iter().any(|&f| f) {
+                        wake.at(batcher.flush_deadline_s());
                     }
-                    if let Some(d) = g.queue.min_deadline_s() {
-                        wake_s = wake_s.min(d + crate::server::DEADLINE_SLOP_S);
-                    }
-                    if let Some(d) = batcher.min_deadline_s() {
-                        wake_s = wake_s.min(d + crate::server::DEADLINE_SLOP_S);
-                    }
+                    wake.after(g.queue.min_deadline_s());
+                    wake.after(batcher.min_deadline_s());
                     drop(g);
-                    let timeout = wake_s.is_finite().then(|| (wake_s - now).max(0.0));
-                    if let Err(e) = park.wait(timeout, &mut events) {
+                    if let Err(e) = park.wait(wake.timeout(now), &mut events) {
                         *error_ref.lock().expect("error slot poisoned") = Some(e);
                         break;
                     }
                     g = front_ref.lock().expect("front end poisoned");
                 }
-                drop(shard_txs); // closes the worker channels
             });
-
-            // Shard workers: functional execution + cost-model service time.
-            for (sid, rx) in shard_rxs.into_iter().enumerate() {
-                let worker_tx = records_tx.clone();
-                let wake_done_ref = &wake_done;
-                s.spawn(move || {
-                    for msg in rx.iter() {
-                        debug_assert_eq!(msg.shard, sid);
-                        metrics_ref.record_shard_wakeup();
-                        let t_recv = clock_ref.now();
-                        let batch_size = msg.batch.len();
-                        let flags = match replica.execute_batch(&msg.batch) {
-                            Ok(flags) => flags,
-                            Err(e) => {
-                                *error_ref.lock().expect("error slot poisoned") = Some(e);
-                                vec![false; batch_size]
-                            }
-                        };
-                        let executed: Vec<(Request, bool)> =
-                            msg.batch.into_iter().zip(flags).collect();
-                        // The functional check runs on the host only to
-                        // verify the PIM result — it overlaps the modeled
-                        // service time rather than adding to it.
-                        clock_ref.sleep(msg.service_s - (clock_ref.now() - t_recv));
-                        let finish = clock_ref.now();
-                        for (req, correct) in executed {
-                            let latency_s = finish - req.arrival_s;
-                            metrics_ref.record_completed(latency_s);
-                            let _ = worker_tx.send(RequestRecord {
-                                id: req.id,
-                                arrival_s: req.arrival_s,
-                                outcome: Outcome::Completed {
-                                    latency_s,
-                                    shard: sid,
-                                    batch_size,
-                                    correct,
-                                },
-                            });
-                        }
-                        let mut g = front_ref.lock().expect("front end poisoned");
-                        g.shard_busy[sid] = false;
-                        drop(g);
-                        wake_done_ref.wake();
-                    }
-                });
-            }
 
             drop(records_tx); // the ledger closes when all stages finish
             for record in records_rx.iter() {
@@ -761,6 +710,7 @@ impl Runtime {
             Ok(())
         })?;
 
+        executor.shutdown()?;
         if let Some(e) = error_slot.into_inner().expect("error slot poisoned") {
             return Err(e);
         }

@@ -1,15 +1,16 @@
-//! The reactor-driven serving front end: one event loop, two transports.
+//! The batching front ends over the shared connection core: the line
+//! protocol ([`ServerLoop`]) and HTTP/1.1 ([`HttpServerLoop`]).
 //!
-//! [`ServerLoop`] parks on an [`EventSource`] and feeds accepted
-//! connections through the existing pipeline — [`AdmissionQueue`] →
-//! [`ContinuousBatcher`] → [`ShardManager`] routing → a
-//! [`BatchExecutor`] — speaking the line protocol of [`crate::codec`].
-//! The loop is written once against the two traits, so the identical
-//! byte-for-byte pipeline runs under:
+//! Each is a codec plus its admission and batching state — accepted
+//! connections feed [`AdmissionQueue`] → [`ContinuousBatcher`] (line) or
+//! the [`FairBatcher`] over a [`ModelRegistry`] (HTTP) → [`ShardManager`]
+//! routing → a [`BatchExecutor`]. The event loop, the transport path and
+//! the reactor-thread spawner are `conn.rs`'s, written once against
+//! [`EventSource`], so the identical byte-for-byte pipeline runs under:
 //!
-//! * [`EpollPoller`] + [`ThreadedExecutor`] — real sockets, real shard
-//!   worker threads ([`Runtime::serve`] wires this up and returns a
-//!   [`ServeHandle`]);
+//! * [`crate::EpollPoller`] + [`ThreadedExecutor`] — real sockets, real
+//!   shard worker threads ([`Runtime::serve`] / [`Runtime::serve_http`]
+//!   wire this up and return a [`ServeHandle`]);
 //! * [`crate::reactor::SimPoller`] + [`SimExecutor`] — scripted
 //!   connections and inline execution on a [`VirtualClock`], advanced
 //!   tick by tick by the deterministic tests.
@@ -26,24 +27,18 @@ use std::sync::{mpsc, Arc, Mutex};
 use crate::admission::AdmissionQueue;
 use crate::batcher::ContinuousBatcher;
 use crate::clock::{Clock, RealClock, VirtualClock};
-use crate::codec::{self, ErrorKind};
+use crate::codec::{self, ErrorKind, LineBuffer};
+use crate::conn::{self, ConnState, Conns, Front, Reactor, WakeAt};
 use crate::error::ServeError;
 use crate::http::{self, HttpLimits, HttpParser, HttpRequest, Route};
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::reactor::{
-    EpollPoller, EventSource, IoEvent, SimHandle, Token, Waker, WAKE_COMPLETION, WAKE_SHUTDOWN,
-};
+use crate::reactor::{EventSource, SimHandle, Token, Waker, WAKE_COMPLETION};
 use crate::registry::{AdmitRefusal, FairBatcher, ModelRegistry, TaggedJob};
 use crate::request::Request;
 use crate::runtime::{Runtime, ServeConfig};
 use crate::shard::{ReplicaModel, ServiceModel, ShardManager};
 use crate::Result;
 use pimdl_engine::scheduler::TenantQuota;
-
-/// Deadline expiry is strict (`now > deadline`), so deadline-driven
-/// wakeups aim this far past the deadline (simulated seconds). Waking at
-/// exactly `deadline` would shed nothing and respin on a zero timeout.
-pub(crate) const DEADLINE_SLOP_S: f64 = 1e-9;
 
 /// One finished batch, as reported by a [`BatchExecutor`].
 #[derive(Debug)]
@@ -358,37 +353,84 @@ impl BatchExecutor for ThreadedExecutor {
 }
 
 // ---------------------------------------------------------------------------
+// Routing shared by the line and HTTP front ends
+// ---------------------------------------------------------------------------
+
+/// The flush window of a non-empty batch counts only while a shard could
+/// absorb it — with every shard busy the completion wake is the real
+/// signal, and a timed wait would spin on a ready batch.
+fn flush_window(executor: &dyn BatchExecutor, flush_deadline_s: Option<f64>) -> Option<f64> {
+    flush_deadline_s.filter(|_| executor.free_shards().iter().any(|&f| f))
+}
+
+/// Where batches go: the per-shard load book and the cost model that
+/// prices a batch.
+#[derive(Debug)]
+struct Router<'a> {
+    shards: ShardManager,
+    service: &'a ServiceModel,
+}
+
+impl<'a> Router<'a> {
+    fn new(rt: &'a Runtime) -> Result<Self> {
+        Ok(Router {
+            shards: ShardManager::new(rt.config().num_shards)?,
+            service: rt.service_model(),
+        })
+    }
+
+    /// Dispatches the batch `take` yields to the least-loaded free shard:
+    /// prices it with the cost model, books it and hands it to the
+    /// executor. `take` runs only once a shard is known to be free.
+    /// Returns whether a batch left.
+    fn dispatch_next(
+        &mut self,
+        metrics: &Metrics,
+        executor: &mut dyn BatchExecutor,
+        now: f64,
+        take: impl FnOnce() -> Result<Option<(Arc<ReplicaModel>, Vec<Request>)>>,
+    ) -> Result<bool> {
+        let Some(sid) = self.shards.least_loaded_among(&executor.free_shards()) else {
+            return Ok(false);
+        };
+        let Some((model, batch)) = take()? else {
+            return Ok(false);
+        };
+        let service_s = self.service.batch_service_s(batch.len())?;
+        self.shards.dispatch_to(sid, now, service_s);
+        self.shards.record_wakeup(sid);
+        metrics.record_batch(batch.len());
+        executor.submit(sid, service_s, &model, batch)?;
+        Ok(true)
+    }
+}
+
+// ---------------------------------------------------------------------------
 // ServerLoop
 // ---------------------------------------------------------------------------
 
-/// Per-connection server-side state.
-#[derive(Debug, Default)]
-struct ServerConn {
-    buf: codec::LineBuffer,
-    out: Vec<u8>,
-    peer_closed: bool,
-    /// Admitted requests whose responses this connection still owes.
-    pending: usize,
-    want_write: bool,
+/// A line-protocol connection's state is its reassembly buffer (a fabric
+/// client's too); it is done when the table says it is drained.
+impl ConnState for LineBuffer {
+    fn feed(&mut self, bytes: &[u8]) {
+        self.push(bytes);
+    }
 }
 
-/// The serving event loop: admission, batching, routing, and the line
-/// protocol, driven entirely by an [`EventSource`].
+/// The line-protocol front end: admission, batching, routing, and the
+/// codec, run by the shared connection core on any [`EventSource`].
 #[derive(Debug)]
 pub struct ServerLoop<'a> {
     cfg: ServeConfig,
-    service: &'a ServiceModel,
     replica: Arc<ReplicaModel>,
     clock: Arc<dyn Clock>,
     metrics: Arc<Metrics>,
     queue: AdmissionQueue,
     batcher: ContinuousBatcher,
-    shards: ShardManager,
-    conns: BTreeMap<u64, ServerConn>,
+    router: Router<'a>,
     /// request id → (connection token, client tag) of admitted requests.
-    route: HashMap<u64, (u64, String)>,
+    route: HashMap<u64, (Token, String)>,
     next_id: u64,
-    draining: bool,
 }
 
 impl<'a> ServerLoop<'a> {
@@ -402,29 +444,26 @@ impl<'a> ServerLoop<'a> {
         let cfg = *rt.config();
         Ok(ServerLoop {
             cfg,
-            service: rt.service_model(),
             replica: rt.replica_arc(),
             clock,
             metrics,
             queue: AdmissionQueue::new(cfg.queue_capacity)?,
             batcher: ContinuousBatcher::new(cfg.policy)?,
-            shards: ShardManager::new(cfg.num_shards)?,
-            conns: BTreeMap::new(),
+            router: Router::new(rt)?,
             route: HashMap::new(),
             next_id: 0,
-            draining: false,
         })
     }
 
     /// The shard router (exposed so tests can check per-shard dispatch and
     /// wakeup accounting after a run).
     pub fn shards(&self) -> &ShardManager {
-        &self.shards
+        &self.router.shards
     }
 
-    /// Runs until shutdown (a [`WAKE_SHUTDOWN`] token followed by a full
-    /// drain) or — for the simulated transport — until the script is
-    /// exhausted and no work remains.
+    /// Runs until shutdown (a [`crate::reactor::WAKE_SHUTDOWN`] token
+    /// followed by a full drain) or — for the simulated transport — until
+    /// the script is exhausted and no work remains.
     ///
     /// # Errors
     ///
@@ -435,153 +474,16 @@ impl<'a> ServerLoop<'a> {
         source: &mut dyn EventSource,
         executor: &mut dyn BatchExecutor,
     ) -> Result<()> {
-        let stats = source.stats();
-        let can_quiesce = source.supports_quiescence();
-        let mut events: Vec<IoEvent> = Vec::new();
-        loop {
-            let timeout = self.next_timeout(executor);
-            source.wait(timeout, &mut events)?;
-            // Only a scripted source proves end-of-input with an empty
-            // untimed wait; a live poller can return an empty batch
-            // spuriously (stale wake-pipe byte) and must be re-parked.
-            let quiescent = can_quiesce && events.is_empty() && timeout.is_none();
-            let mut had_wake = false;
-            let mut progress = false;
-            for &event in events.iter() {
-                match event {
-                    IoEvent::Accepted(t) => {
-                        self.conns.insert(t.0, ServerConn::default());
-                        progress = true;
-                    }
-                    IoEvent::Readable(t) => {
-                        if self.handle_readable(source, t)? {
-                            progress = true;
-                        }
-                    }
-                    IoEvent::Writable(t) => {
-                        self.flush_conn(source, t);
-                        progress = true;
-                    }
-                    IoEvent::Wake(t) => {
-                        had_wake = true;
-                        if t == WAKE_SHUTDOWN && !self.draining {
-                            self.draining = true;
-                            source.stop_accepting();
-                            progress = true;
-                        }
-                    }
-                }
-            }
-
-            if self.drain_completions(source, executor) {
-                progress = true;
-            }
-
-            if self.pump(source, executor)? {
-                progress = true;
-            }
-            if had_wake && !progress {
-                stats.record_spurious_wakeup();
-            }
-            if (self.draining || quiescent)
-                && self.queue.is_empty()
-                && self.batcher.is_empty()
-                && executor.in_flight() == 0
-                // A worker publishes its BatchDone *before* decrementing
-                // in-flight, so a completion landing between the drain above
-                // and the in-flight check is still undelivered here. Re-drain;
-                // if anything surfaced, its responses were just queued — loop
-                // once more instead of exiting with them unwritten.
-                && !self.drain_completions(source, executor)
-            {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Delivers every finished batch the executor has published: records
-    /// completion latency and writes each response back to its connection.
-    /// Returns whether anything was drained.
-    fn drain_completions(
-        &mut self,
-        source: &mut dyn EventSource,
-        executor: &mut dyn BatchExecutor,
-    ) -> bool {
-        let mut progress = false;
-        for done in executor.drain() {
-            progress = true;
-            for (req, correct) in done.results {
-                self.metrics.record_completed(done.finish_s - req.arrival_s);
-                if let Some((conn, tag)) = self.route.remove(&req.id) {
-                    if let Some(c) = self.conns.get_mut(&conn) {
-                        c.pending -= 1;
-                    }
-                    let line = codec::encode_result(&tag, correct, req.expected_checksum.to_bits());
-                    self.respond(source, Token(conn), &line);
-                }
-            }
-        }
-        progress
-    }
-
-    /// Relative wait timeout: the earliest timed obligation — the flush
-    /// window (only meaningful while a shard can absorb the batch) or a
-    /// queued request's deadline. `None` = nothing timed, park until a
-    /// socket or wake token fires.
-    fn next_timeout(&self, executor: &dyn BatchExecutor) -> Option<f64> {
-        let now = self.clock.now();
-        let mut wake_s = f64::INFINITY;
-        if !self.batcher.is_empty() && executor.free_shards().iter().any(|&f| f) {
-            if let Some(d) = self.batcher.flush_deadline_s() {
-                wake_s = wake_s.min(d);
-            }
-        }
-        // Request deadlines are strict (`now > deadline`), so wake a hair
-        // *past* them — waking at exactly `deadline` would shed nothing and
-        // recompute the same zero timeout forever.
-        if let Some(d) = self.queue.min_deadline_s() {
-            wake_s = wake_s.min(d + DEADLINE_SLOP_S);
-        }
-        if let Some(d) = self.batcher.min_deadline_s() {
-            wake_s = wake_s.min(d + DEADLINE_SLOP_S);
-        }
-        wake_s.is_finite().then(|| (wake_s - now).max(0.0))
-    }
-
-    /// Drains a readable connection and processes every complete line.
-    /// Returns whether any byte moved.
-    fn handle_readable(&mut self, source: &mut dyn EventSource, t: Token) -> Result<bool> {
-        let mut scratch = Vec::new();
-        let rr = source.read(t, &mut scratch)?;
-        let Some(conn) = self.conns.get_mut(&t.0) else {
-            return Ok(false);
-        };
-        conn.buf.push(&scratch);
-        if rr.closed {
-            conn.peer_closed = true;
-        }
-        // `get_mut` re-runs each iteration: a protocol error inside
-        // `handle_line` may drop the connection mid-loop (oversized line).
-        while let Some(c) = self.conns.get_mut(&t.0) {
-            match c.buf.pop_line() {
-                Ok(Some(line)) => self.handle_line(source, t, &line)?,
-                Ok(None) => break,
-                Err(_) => {
-                    self.drop_conn(source, t);
-                    break;
-                }
-            }
-        }
-        if let Some(c) = self.conns.get_mut(&t.0) {
-            if c.peer_closed && c.pending == 0 && c.out.is_empty() {
-                self.drop_conn(source, t);
-            }
-        }
-        Ok(rr.bytes > 0 || rr.closed)
+        conn::drive(source, self, executor)
     }
 
     /// Parses and admits (or refuses) one query line.
-    fn handle_line(&mut self, source: &mut dyn EventSource, t: Token, line: &[u8]) -> Result<()> {
+    fn handle_line(
+        &mut self,
+        conns: &mut Conns<'_, LineBuffer>,
+        t: Token,
+        line: &[u8],
+    ) -> Result<()> {
         if line.is_empty() {
             return Ok(());
         }
@@ -589,20 +491,19 @@ impl<'a> ServerLoop<'a> {
         let query = match codec::parse_query(line) {
             Ok(q) => q,
             Err(_) => {
-                let tag = fallback_tag(line);
-                let msg = codec::encode_error(&tag, ErrorKind::Invalid);
-                self.respond(source, t, &msg);
+                conns.send(
+                    t,
+                    &codec::encode_error(&fallback_tag(line), ErrorKind::Invalid),
+                );
                 return Ok(());
             }
         };
-        if self.draining {
-            let msg = codec::encode_error(&query.tag, ErrorKind::Shutdown);
-            self.respond(source, t, &msg);
+        if conns.draining {
+            conns.send(t, &codec::encode_error(&query.tag, ErrorKind::Shutdown));
             return Ok(());
         }
         if self.replica.validate_indices(&query.indices).is_err() {
-            let msg = codec::encode_error(&query.tag, ErrorKind::Invalid);
-            self.respond(source, t, &msg);
+            conns.send(t, &codec::encode_error(&query.tag, ErrorKind::Invalid));
             return Ok(());
         }
         let id = self.next_id;
@@ -621,40 +522,98 @@ impl<'a> ServerLoop<'a> {
         };
         if admitted {
             self.metrics.observe_queue_depth(self.queue.len());
-            self.route.insert(id, (t.0, query.tag));
-            if let Some(c) = self.conns.get_mut(&t.0) {
-                c.pending += 1;
-            }
+            self.route.insert(id, (t, query.tag));
+            conns.owe(t);
         } else {
             self.metrics.record_rejected();
-            let msg = codec::encode_error(&query.tag, ErrorKind::Rejected);
-            self.respond(source, t, &msg);
+            conns.send(t, &codec::encode_error(&query.tag, ErrorKind::Rejected));
         }
         Ok(())
     }
 
-    /// Shed → refill → dispatch while a shard can absorb work. Returns
-    /// whether anything was shed or dispatched.
-    fn pump(
+    /// Answers admitted request `id` (if its route is still known),
+    /// settling what the connection that submitted it is owed.
+    fn answer(
         &mut self,
-        source: &mut dyn EventSource,
-        executor: &mut dyn BatchExecutor,
+        conns: &mut Conns<'_, LineBuffer>,
+        id: u64,
+        encode: impl FnOnce(&str) -> Vec<u8>,
+    ) {
+        if let Some((t, tag)) = self.route.remove(&id) {
+            conns.settle(t);
+            conns.send(t, &encode(&tag));
+        }
+    }
+}
+
+impl<'e> Front<dyn BatchExecutor + 'e> for ServerLoop<'_> {
+    type Conn = LineBuffer;
+
+    /// The earliest timed obligation: the flush window or a queued
+    /// request's deadline.
+    fn next_timeout(&self, executor: &(dyn BatchExecutor + 'e)) -> Option<f64> {
+        let mut wake = WakeAt::never();
+        wake.at(flush_window(executor, self.batcher.flush_deadline_s()));
+        wake.after(self.queue.min_deadline_s());
+        wake.after(self.batcher.min_deadline_s());
+        wake.timeout(self.clock.now())
+    }
+
+    fn accept(&self) -> LineBuffer {
+        LineBuffer::new()
+    }
+
+    /// Processes every complete line.
+    fn readable(
+        &mut self,
+        conns: &mut Conns<'_, LineBuffer>,
+        _executor: &mut (dyn BatchExecutor + 'e),
+        t: Token,
+        _eof: bool,
+    ) -> Result<()> {
+        // Looked up again each iteration: answering a line may fail the
+        // connection mid-loop (hard write error).
+        while let Some(buf) = conns.state_mut(t) {
+            match buf.pop_line() {
+                Ok(Some(line)) => self.handle_line(conns, t, &line)?,
+                Ok(None) => break,
+                Err(_) => {
+                    // Oversized line: framing is lost.
+                    conns.close(t);
+                    break;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Delivers every finished batch (completion latency, one response
+    /// each), then shed → refill → dispatch while a shard can absorb work.
+    fn step(
+        &mut self,
+        conns: &mut Conns<'_, LineBuffer>,
+        executor: &mut (dyn BatchExecutor + 'e),
     ) -> Result<bool> {
-        let now = self.clock.now();
         let mut progress = false;
+        for done in executor.drain() {
+            progress = true;
+            for (req, correct) in done.results {
+                self.metrics.record_completed(done.finish_s - req.arrival_s);
+                self.answer(conns, req.id, |tag| {
+                    codec::encode_result(tag, correct, req.expected_checksum.to_bits())
+                });
+            }
+        }
+        let now = self.clock.now();
         loop {
             let mut shed = self.queue.shed_expired(now);
             shed.extend(self.batcher.shed_expired(now));
             for r in shed {
                 progress = true;
                 self.metrics.record_deadline_exceeded();
-                if let Some((conn, tag)) = self.route.remove(&r.id) {
-                    if let Some(c) = self.conns.get_mut(&conn) {
-                        c.pending -= 1;
-                    }
-                    let msg = codec::encode_error(&tag, ErrorKind::Deadline);
-                    self.respond(source, Token(conn), &msg);
-                }
+                self.answer(conns, r.id, |tag| {
+                    codec::encode_error(tag, ErrorKind::Deadline)
+                });
             }
             while !self.batcher.is_full() {
                 match self.queue.pop() {
@@ -664,65 +623,23 @@ impl<'a> ServerLoop<'a> {
             }
             self.metrics.observe_queue_depth(self.queue.len());
             let flush = self.batcher.ready(now)
-                || (self.draining && !self.batcher.is_empty() && self.queue.is_empty());
-            if flush {
-                if let Some(sid) = self.shards.least_loaded_among(&executor.free_shards()) {
-                    let batch = self.batcher.take();
-                    let service_s = self.service.batch_service_s(batch.len())?;
-                    self.shards.dispatch_to(sid, now, service_s);
-                    self.shards.record_wakeup(sid);
-                    self.metrics.record_batch(batch.len());
-                    let model = Arc::clone(&self.replica);
-                    executor.submit(sid, service_s, &model, batch)?;
-                    progress = true;
-                    continue; // another batch may fit another shard
-                }
+                || (conns.draining && !self.batcher.is_empty() && self.queue.is_empty());
+            let (replica, batcher) = (&self.replica, &mut self.batcher);
+            let take = || Ok(Some((Arc::clone(replica), batcher.take())));
+            if flush
+                && self
+                    .router
+                    .dispatch_next(&self.metrics, executor, now, take)?
+            {
+                progress = true;
+                continue; // another batch may fit another shard
             }
             return Ok(progress);
         }
     }
 
-    /// Queues `bytes` on the connection and flushes as far as the
-    /// transport allows.
-    fn respond(&mut self, source: &mut dyn EventSource, t: Token, bytes: &[u8]) {
-        if let Some(c) = self.conns.get_mut(&t.0) {
-            c.out.extend_from_slice(bytes);
-        }
-        self.flush_conn(source, t);
-    }
-
-    /// Writes the connection's output buffer; arms writable interest on a
-    /// partial write; reaps the connection when it is fully drained and
-    /// the peer is gone. A hard write error drops the connection.
-    fn flush_conn(&mut self, source: &mut dyn EventSource, t: Token) {
-        let Some(c) = self.conns.get_mut(&t.0) else {
-            return;
-        };
-        if !c.out.is_empty() {
-            match source.write(t, &c.out) {
-                Ok(n) => {
-                    c.out.drain(..n);
-                }
-                Err(_) => {
-                    self.drop_conn(source, t);
-                    return;
-                }
-            }
-        }
-        let want = !c.out.is_empty();
-        if want != c.want_write && source.set_writable_interest(t, want).is_ok() {
-            c.want_write = want;
-        }
-        if c.peer_closed && c.pending == 0 && c.out.is_empty() {
-            self.drop_conn(source, t);
-        }
-    }
-
-    /// Closes and forgets a connection. In-flight requests it submitted
-    /// still execute (and are counted); their responses are dropped.
-    fn drop_conn(&mut self, source: &mut dyn EventSource, t: Token) {
-        source.close(t);
-        self.conns.remove(&t.0);
+    fn idle(&self, executor: &(dyn BatchExecutor + 'e)) -> bool {
+        self.queue.is_empty() && self.batcher.is_empty() && executor.in_flight() == 0
     }
 }
 
@@ -744,16 +661,16 @@ pub(crate) fn fallback_tag(line: &[u8]) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Runtime::serve — the real network front end
+// Runtime::serve — the real network front ends
 // ---------------------------------------------------------------------------
 
 /// Handle to a running network server: its bound address, a shutdown
 /// trigger, and the reactor thread's final metrics.
 #[derive(Debug)]
 pub struct ServeHandle {
-    addr: SocketAddr,
-    shutdown: Waker,
-    join: std::thread::JoinHandle<Result<MetricsSnapshot>>,
+    pub(crate) addr: SocketAddr,
+    pub(crate) shutdown: Waker,
+    pub(crate) join: std::thread::JoinHandle<Result<MetricsSnapshot>>,
 }
 
 impl ServeHandle {
@@ -778,54 +695,25 @@ impl ServeHandle {
 
 impl Runtime {
     /// Serves the line protocol on `listener` from a dedicated reactor
-    /// thread: an [`EpollPoller`] owns the listener and every accepted
-    /// connection, and a [`ThreadedExecutor`] runs one worker per shard.
-    /// `speedup` compresses simulated service seconds into real time
-    /// (`1.0` = real time), exactly as in
-    /// [`Runtime::run_threaded`].
+    /// thread: an [`crate::EpollPoller`] owns the listener and every
+    /// accepted connection, and a [`ThreadedExecutor`] runs one worker per
+    /// shard. `speedup` compresses simulated service seconds into real
+    /// time (`1.0` = real time), exactly as in [`Runtime::run_threaded`].
     ///
     /// # Errors
     ///
     /// Poller construction, listener registration, or clock validation.
     pub fn serve(self: &Arc<Self>, listener: TcpListener, speedup: f64) -> Result<ServeHandle> {
-        let addr = listener
-            .local_addr()
-            .map_err(ServeError::from_io("local_addr"))?;
-        let mut poller = EpollPoller::new(speedup)?;
-        poller.listen(listener)?;
-        let shutdown = poller.waker(WAKE_SHUTDOWN);
-        let completion = poller.waker(WAKE_COMPLETION);
-        let rt = Arc::clone(self);
-        let join = std::thread::Builder::new()
-            .name("pimdl-serve-reactor".to_string())
-            .spawn(move || -> Result<MetricsSnapshot> {
-                let clock = Arc::new(RealClock::accelerated(speedup)?);
-                let metrics = Arc::new(Metrics::new(rt.config().policy.max_batch));
-                let mut executor = ThreadedExecutor::new(
-                    Arc::clone(&clock),
-                    Arc::clone(&metrics),
-                    completion,
-                    rt.config().num_shards,
-                );
-                let clock_dyn: Arc<dyn Clock> = clock;
-                let mut server = ServerLoop::new(&rt, clock_dyn, Arc::clone(&metrics))?;
-                let run = server.run(&mut poller, &mut executor);
-                let stop = executor.shutdown();
-                run?;
-                stop?;
-                Ok(metrics.snapshot_with_reactor(poller.stats().snapshot()))
-            })
-            .map_err(ServeError::from_io("spawn reactor thread"))?;
-        Ok(ServeHandle {
-            addr,
-            shutdown,
-            join,
-        })
+        let workers = self.config().num_shards;
+        let run = |rt: &Runtime, r: &mut Reactor| {
+            ServerLoop::new(rt, Arc::clone(&r.clock), Arc::clone(&r.metrics))?
+                .run(&mut r.poller, &mut r.executor)
+        };
+        conn::spawn_reactor(self, "pimdl-serve-reactor", listener, speedup, workers, run)
     }
 
     /// Serves HTTP/1.1 on `listener` from a dedicated reactor thread:
-    /// the same [`EpollPoller`] + [`ThreadedExecutor`] wiring as
-    /// [`Runtime::serve`], but speaking HTTP through an
+    /// the same wiring as [`Runtime::serve`], but speaking HTTP through an
     /// [`HttpServerLoop`] over `registry`'s models with `http`'s tenant
     /// quotas.
     ///
@@ -840,40 +728,13 @@ impl Runtime {
         http: HttpConfig,
         registry: ModelRegistry,
     ) -> Result<ServeHandle> {
-        let addr = listener
-            .local_addr()
-            .map_err(ServeError::from_io("local_addr"))?;
-        let mut poller = EpollPoller::new(speedup)?;
-        poller.listen(listener)?;
-        let shutdown = poller.waker(WAKE_SHUTDOWN);
-        let completion = poller.waker(WAKE_COMPLETION);
-        let rt = Arc::clone(self);
-        let join = std::thread::Builder::new()
-            .name("pimdl-serve-http".to_string())
-            .spawn(move || -> Result<MetricsSnapshot> {
-                let clock = Arc::new(RealClock::accelerated(speedup)?);
-                let metrics = Arc::new(Metrics::new(rt.config().policy.max_batch));
-                let mut executor = ThreadedExecutor::new(
-                    Arc::clone(&clock),
-                    Arc::clone(&metrics),
-                    completion,
-                    rt.config().num_shards,
-                );
-                let clock_dyn: Arc<dyn Clock> = clock;
-                let mut server =
-                    HttpServerLoop::new(&rt, http, registry, clock_dyn, Arc::clone(&metrics))?;
-                let run = server.run(&mut poller, &mut executor);
-                let stop = executor.shutdown();
-                run?;
-                stop?;
-                Ok(metrics.snapshot_with_reactor(poller.stats().snapshot()))
-            })
-            .map_err(ServeError::from_io("spawn reactor thread"))?;
-        Ok(ServeHandle {
-            addr,
-            shutdown,
-            join,
-        })
+        let workers = self.config().num_shards;
+        let run = move |rt: &Runtime, r: &mut Reactor| {
+            let (clock, metrics) = (Arc::clone(&r.clock), Arc::clone(&r.metrics));
+            HttpServerLoop::new(rt, http, registry, clock, metrics)?
+                .run(&mut r.poller, &mut r.executor)
+        };
+        conn::spawn_reactor(self, "pimdl-serve-http", listener, speedup, workers, run)
     }
 }
 
@@ -904,6 +765,8 @@ impl Default for HttpConfig {
     }
 }
 
+const TEXT_PLAIN: &str = "text/plain; charset=utf-8";
+
 /// Per-connection HTTP state.
 ///
 /// Pipelined requests are answered strictly in arrival order: each parsed
@@ -911,70 +774,57 @@ impl Default for HttpConfig {
 /// until every earlier response has been emitted, and `next_flush` walks
 /// the sequence forward.
 #[derive(Debug)]
-struct HttpConn {
+pub(crate) struct HttpConn {
     parser: HttpParser,
-    /// Bytes ready for the transport (in-order responses only).
-    out: Vec<u8>,
     /// Out-of-order finished responses: seq → (bytes, close-after).
     ready: BTreeMap<u64, (Vec<u8>, bool)>,
     /// Sequence number the next parsed request takes.
     next_seq: u64,
     /// Sequence number the next emitted response must carry.
     next_flush: u64,
-    /// Admitted infer requests whose responses this connection still owes.
-    pending: usize,
-    peer_closed: bool,
-    want_write: bool,
     /// A `Connection: close` (or fatal-error) response has been emitted:
-    /// stop parsing, close once `out` drains.
+    /// stop parsing, close once the output drains.
     closing: bool,
 }
 
-impl HttpConn {
-    fn new(limits: HttpLimits) -> Self {
-        HttpConn {
-            parser: HttpParser::new(limits),
-            out: Vec::new(),
-            ready: BTreeMap::new(),
-            next_seq: 0,
-            next_flush: 0,
-            pending: 0,
-            peer_closed: false,
-            want_write: false,
-            closing: false,
-        }
+impl ConnState for HttpConn {
+    fn feed(&mut self, bytes: &[u8]) {
+        self.parser.push(bytes);
+    }
+
+    /// A close-marked response has fully flushed, or the peer is gone and
+    /// nothing is owed or parked.
+    fn done(&self, drained: bool) -> bool {
+        self.closing || (drained && self.ready.is_empty())
     }
 }
 
 /// Where an admitted infer request's response goes, and who to charge.
 #[derive(Debug)]
 struct HttpRouteEntry {
-    conn: u64,
+    conn: Token,
     seq: u64,
     tenant: String,
     keep_alive: bool,
 }
 
-/// The HTTP serving event loop: incremental parsing, routing, per-tenant
+/// The HTTP front end: incremental parsing, routing, per-tenant
 /// admission, weighted-fair batching across the model registry, and
-/// in-order pipelined responses — driven entirely by an [`EventSource`],
-/// so the identical state machine runs under the real poller and the
+/// in-order pipelined responses — run by the shared connection core, so
+/// the identical state machine runs under the real poller and the
 /// deterministic simulated one.
 #[derive(Debug)]
 pub struct HttpServerLoop<'a> {
     cfg: ServeConfig,
     http: HttpConfig,
-    service: &'a ServiceModel,
     registry: ModelRegistry,
     clock: Arc<dyn Clock>,
     metrics: Arc<Metrics>,
     batcher: FairBatcher,
-    shards: ShardManager,
-    conns: BTreeMap<u64, HttpConn>,
+    router: Router<'a>,
     /// request id → response routing of admitted infer requests.
     route: HashMap<u64, HttpRouteEntry>,
     next_id: u64,
-    draining: bool,
 }
 
 impl<'a> HttpServerLoop<'a> {
@@ -1008,28 +858,25 @@ impl<'a> HttpServerLoop<'a> {
         Ok(HttpServerLoop {
             cfg,
             http,
-            service: rt.service_model(),
             registry,
             clock,
             metrics,
             batcher,
-            shards: ShardManager::new(cfg.num_shards)?,
-            conns: BTreeMap::new(),
+            router: Router::new(rt)?,
             route: HashMap::new(),
             next_id: 0,
-            draining: false,
         })
     }
 
     /// The shard router (exposed so tests can check per-shard dispatch and
     /// wakeup accounting after a run).
     pub fn shards(&self) -> &ShardManager {
-        &self.shards
+        &self.router.shards
     }
 
-    /// Runs until shutdown (a [`WAKE_SHUTDOWN`] token followed by a full
-    /// drain) or — for the simulated transport — until the script is
-    /// exhausted and no work remains.
+    /// Runs until shutdown (a [`crate::reactor::WAKE_SHUTDOWN`] token
+    /// followed by a full drain) or — for the simulated transport — until
+    /// the script is exhausted and no work remains.
     ///
     /// # Errors
     ///
@@ -1040,204 +887,45 @@ impl<'a> HttpServerLoop<'a> {
         source: &mut dyn EventSource,
         executor: &mut dyn BatchExecutor,
     ) -> Result<()> {
-        let stats = source.stats();
-        let can_quiesce = source.supports_quiescence();
-        let mut events: Vec<IoEvent> = Vec::new();
-        loop {
-            let timeout = self.next_timeout(executor);
-            source.wait(timeout, &mut events)?;
-            let quiescent = can_quiesce && events.is_empty() && timeout.is_none();
-            let mut had_wake = false;
-            let mut progress = false;
-            for &event in events.iter() {
-                match event {
-                    IoEvent::Accepted(t) => {
-                        self.conns.insert(t.0, HttpConn::new(self.http.limits));
-                        progress = true;
-                    }
-                    IoEvent::Readable(t) => {
-                        if self.handle_readable(source, t)? {
-                            progress = true;
-                        }
-                    }
-                    IoEvent::Writable(t) => {
-                        self.flush_conn(source, t);
-                        progress = true;
-                    }
-                    IoEvent::Wake(t) => {
-                        had_wake = true;
-                        if t == WAKE_SHUTDOWN && !self.draining {
-                            self.draining = true;
-                            source.stop_accepting();
-                            progress = true;
-                        }
-                    }
-                }
-            }
-
-            if self.drain_completions(source, executor) {
-                progress = true;
-            }
-            if self.pump(source, executor)? {
-                progress = true;
-            }
-            if had_wake && !progress {
-                stats.record_spurious_wakeup();
-            }
-            if (self.draining || quiescent)
-                && self.batcher.is_empty()
-                && executor.in_flight() == 0
-                // Same late-completion race as ServerLoop::run: a worker
-                // publishes its BatchDone before decrementing in-flight, so
-                // re-drain once more before exiting.
-                && !self.drain_completions(source, executor)
-            {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Relative wait timeout: the flush window (only while a shard can
-    /// absorb the batch) or the earliest queued request deadline.
-    fn next_timeout(&self, executor: &dyn BatchExecutor) -> Option<f64> {
-        let now = self.clock.now();
-        let mut wake_s = f64::INFINITY;
-        if !self.batcher.is_empty() && executor.free_shards().iter().any(|&f| f) {
-            if let Some(d) = self.batcher.flush_deadline_s() {
-                wake_s = wake_s.min(d);
-            }
-        }
-        if let Some(d) = self.batcher.min_deadline_s() {
-            wake_s = wake_s.min(d + DEADLINE_SLOP_S);
-        }
-        wake_s.is_finite().then(|| (wake_s - now).max(0.0))
-    }
-
-    /// Delivers every finished batch: records completion latency, releases
-    /// the tenant's quota slot, and emits the JSON result in pipeline
-    /// order. Returns whether anything was drained.
-    fn drain_completions(
-        &mut self,
-        source: &mut dyn EventSource,
-        executor: &mut dyn BatchExecutor,
-    ) -> bool {
-        let mut progress = false;
-        for done in executor.drain() {
-            progress = true;
-            for (req, correct) in done.results {
-                self.metrics.record_completed(done.finish_s - req.arrival_s);
-                if let Some(entry) = self.route.remove(&req.id) {
-                    // Quota releases even when the connection is gone —
-                    // otherwise a dropped client would leak its slots.
-                    self.batcher.release(&entry.tenant);
-                    if let Some(c) = self.conns.get_mut(&entry.conn) {
-                        c.pending -= 1;
-                    }
-                    let body = http::infer_result_body(correct, req.expected_checksum.to_bits());
-                    let bytes =
-                        http::encode_response(200, "application/json", &body, entry.keep_alive);
-                    self.enqueue_response(
-                        source,
-                        Token(entry.conn),
-                        entry.seq,
-                        bytes,
-                        !entry.keep_alive,
-                    );
-                }
-            }
-        }
-        progress
-    }
-
-    /// Drains a readable connection and processes every complete request.
-    /// Returns whether any byte moved.
-    fn handle_readable(&mut self, source: &mut dyn EventSource, t: Token) -> Result<bool> {
-        let mut scratch = Vec::new();
-        let rr = source.read(t, &mut scratch)?;
-        let Some(conn) = self.conns.get_mut(&t.0) else {
-            return Ok(false);
-        };
-        conn.parser.push(&scratch);
-        if rr.closed {
-            conn.peer_closed = true;
-        }
-        // Re-fetched each iteration: handling a request needs &mut self
-        // and may drop the connection (hard write error).
-        while let Some(c) = self.conns.get_mut(&t.0) {
-            if c.closing {
-                break; // a close-marked response is already on the wire
-            }
-            match c.parser.next_request() {
-                Ok(Some(req)) => self.handle_request(source, t, &req)?,
-                Ok(None) => break,
-                Err(e) => {
-                    // Fatal framing error: one error response, connection
-                    // marked for close after it flushes — never a silent
-                    // drop, never a parse-fail respin on the same bytes
-                    // (the parser is poisoned).
-                    let seq = c.next_seq;
-                    c.next_seq += 1;
-                    let body = format!("{}\n", e.detail).into_bytes();
-                    let bytes =
-                        http::encode_response(e.status, "text/plain; charset=utf-8", &body, false);
-                    self.enqueue_response(source, t, seq, bytes, true);
-                    break;
-                }
-            }
-        }
-        self.reap_if_done(source, t);
-        Ok(rr.bytes > 0 || rr.closed)
+        conn::drive(source, self, executor)
     }
 
     /// Routes and answers one parsed request.
     fn handle_request(
         &mut self,
-        source: &mut dyn EventSource,
+        conns: &mut Conns<'_, HttpConn>,
         t: Token,
         req: &HttpRequest,
     ) -> Result<()> {
         let keep = req.keep_alive();
         let seq = {
-            let Some(c) = self.conns.get_mut(&t.0) else {
+            let Some(state) = conns.state_mut(t) else {
                 return Ok(());
             };
-            let seq = c.next_seq;
-            c.next_seq += 1;
+            let seq = state.next_seq;
+            state.next_seq += 1;
             seq
         };
         match http::route(&req.method, &req.target) {
-            Route::Healthz => {
-                let bytes = http::encode_response(200, "text/plain; charset=utf-8", b"ok\n", keep);
-                self.enqueue_response(source, t, seq, bytes, !keep);
-            }
+            Route::Healthz => self.respond_text(conns, t, seq, keep, 200, b"ok\n"),
             Route::Metrics => {
                 // Live snapshot, streamed chunked: the body length isn't
                 // known before rendering, and chunked framing exercises the
                 // streaming half of the response writer.
                 let snap = self
                     .metrics
-                    .snapshot_with_reactor(source.stats().snapshot());
+                    .snapshot_with_reactor(conns.source.stats().snapshot());
                 let text = snap.render_prometheus();
                 let mut bytes = http::encode_chunked_head(200, "text/plain; version=0.0.4", keep);
                 bytes.extend_from_slice(&http::encode_chunk(text.as_bytes()));
                 bytes.extend_from_slice(http::CHUNKED_END);
-                self.enqueue_response(source, t, seq, bytes, !keep);
+                self.enqueue_response(conns, t, seq, bytes, !keep);
             }
             Route::MethodNotAllowed => {
-                let bytes = http::encode_response(
-                    405,
-                    "text/plain; charset=utf-8",
-                    b"method not allowed\n",
-                    keep,
-                );
-                self.enqueue_response(source, t, seq, bytes, !keep);
+                self.respond_text(conns, t, seq, keep, 405, b"method not allowed\n");
             }
-            Route::NotFound => {
-                let bytes =
-                    http::encode_response(404, "text/plain; charset=utf-8", b"not found\n", keep);
-                self.enqueue_response(source, t, seq, bytes, !keep);
-            }
-            Route::Infer { model } => self.handle_infer(source, t, seq, keep, req, &model)?,
+            Route::NotFound => self.respond_text(conns, t, seq, keep, 404, b"not found\n"),
+            Route::Infer { model } => self.handle_infer(conns, t, seq, keep, req, &model)?,
         }
         Ok(())
     }
@@ -1245,35 +933,33 @@ impl<'a> HttpServerLoop<'a> {
     /// Admits (or refuses) one infer request.
     fn handle_infer(
         &mut self,
-        source: &mut dyn EventSource,
+        conns: &mut Conns<'_, HttpConn>,
         t: Token,
         seq: u64,
         keep: bool,
         req: &HttpRequest,
         model: &str,
     ) -> Result<()> {
-        let refuse = |this: &mut Self, source: &mut dyn EventSource, status: u16, msg: &str| {
-            let body = format!("{msg}\n").into_bytes();
-            let bytes = http::encode_response(status, "text/plain; charset=utf-8", &body, keep);
-            this.enqueue_response(source, t, seq, bytes, !keep);
+        let refuse = |this: &mut Self, conns: &mut Conns<'_, HttpConn>, status: u16, msg: &str| {
+            this.respond_text(conns, t, seq, keep, status, format!("{msg}\n").as_bytes());
         };
         let Some(replica) = self.registry.get(model).map(Arc::clone) else {
-            refuse(self, source, 404, &format!("unknown model {model:?}"));
+            refuse(self, conns, 404, &format!("unknown model {model:?}"));
             return Ok(());
         };
-        if self.draining {
-            refuse(self, source, 503, "draining");
+        if conns.draining {
+            refuse(self, conns, 503, "draining");
             return Ok(());
         }
         let indices = match http::parse_infer_body(&req.body) {
             Ok(indices) => indices,
             Err(detail) => {
-                refuse(self, source, 400, &detail);
+                refuse(self, conns, 400, &detail);
                 return Ok(());
             }
         };
         if let Err(e) = replica.validate_indices(&indices) {
-            refuse(self, source, 400, &format!("invalid infer payload: {e}"));
+            refuse(self, conns, 400, &format!("invalid infer payload: {e}"));
             return Ok(());
         }
         let tenant = req.header("x-tenant").unwrap_or("anonymous").to_string();
@@ -1303,15 +989,13 @@ impl<'a> HttpServerLoop<'a> {
                 self.route.insert(
                     id,
                     HttpRouteEntry {
-                        conn: t.0,
+                        conn: t,
                         seq,
                         tenant,
                         keep_alive: keep,
                     },
                 );
-                if let Some(c) = self.conns.get_mut(&t.0) {
-                    c.pending += 1;
-                }
+                conns.owe(t);
             }
             Some(refusal) => {
                 self.metrics.record_rejected();
@@ -1322,71 +1006,40 @@ impl<'a> HttpServerLoop<'a> {
                     }
                     AdmitRefusal::QueueFull => (503, "queue full".to_string()),
                 };
-                refuse(self, source, status, &msg);
+                refuse(self, conns, status, &msg);
             }
         }
         Ok(())
     }
 
-    /// Shed → dispatch while a shard can absorb work. Returns whether
-    /// anything was shed or dispatched.
-    fn pump(
+    /// Answers an admitted infer request whose route entry was just taken,
+    /// settling what its connection is owed.
+    fn answer(
         &mut self,
-        source: &mut dyn EventSource,
-        executor: &mut dyn BatchExecutor,
-    ) -> Result<bool> {
-        let now = self.clock.now();
-        let mut progress = false;
-        loop {
-            for job in self.batcher.shed_expired(now) {
-                progress = true;
-                self.metrics.record_deadline_exceeded();
-                if let Some(entry) = self.route.remove(&job.request.id) {
-                    if let Some(c) = self.conns.get_mut(&entry.conn) {
-                        c.pending -= 1;
-                    }
-                    let bytes = http::encode_response(
-                        504,
-                        "text/plain; charset=utf-8",
-                        b"deadline exceeded\n",
-                        entry.keep_alive,
-                    );
-                    self.enqueue_response(
-                        source,
-                        Token(entry.conn),
-                        entry.seq,
-                        bytes,
-                        !entry.keep_alive,
-                    );
-                }
-            }
-            self.metrics
-                .observe_queue_depth(self.batcher.queued_total());
-            let flush = self.batcher.ready(now) || (self.draining && !self.batcher.is_empty());
-            if flush {
-                if let Some(sid) = self.shards.least_loaded_among(&executor.free_shards()) {
-                    if let Some((model_name, jobs)) = self.batcher.take_batch() {
-                        let Some(model) = self.registry.get(&model_name) else {
-                            // Admission verified the model; a miss here is a
-                            // registry invariant violation, not a client error.
-                            return Err(ServeError::Config {
-                                detail: format!("batch for unregistered model {model_name:?}"),
-                            });
-                        };
-                        let model = Arc::clone(model);
-                        let batch: Vec<Request> = jobs.into_iter().map(|j| j.request).collect();
-                        let service_s = self.service.batch_service_s(batch.len())?;
-                        self.shards.dispatch_to(sid, now, service_s);
-                        self.shards.record_wakeup(sid);
-                        self.metrics.record_batch(batch.len());
-                        executor.submit(sid, service_s, &model, batch)?;
-                        progress = true;
-                        continue; // another batch may fit another shard
-                    }
-                }
-            }
-            return Ok(progress);
-        }
+        conns: &mut Conns<'_, HttpConn>,
+        entry: &HttpRouteEntry,
+        status: u16,
+        content_type: &str,
+        body: &[u8],
+    ) {
+        conns.settle(entry.conn);
+        let bytes = http::encode_response(status, content_type, body, entry.keep_alive);
+        self.enqueue_response(conns, entry.conn, entry.seq, bytes, !entry.keep_alive);
+    }
+
+    /// Answers `seq` with a plain-text body; `keep == false` also marks the
+    /// connection for close after it.
+    fn respond_text(
+        &mut self,
+        conns: &mut Conns<'_, HttpConn>,
+        t: Token,
+        seq: u64,
+        keep: bool,
+        status: u16,
+        body: &[u8],
+    ) {
+        let bytes = http::encode_response(status, TEXT_PLAIN, body, keep);
+        self.enqueue_response(conns, t, seq, bytes, !keep);
     }
 
     /// Parks `bytes` as the response for `seq` and emits every response
@@ -1394,74 +1047,145 @@ impl<'a> HttpServerLoop<'a> {
     /// for close once this response (and everything before it) flushes.
     fn enqueue_response(
         &mut self,
-        source: &mut dyn EventSource,
+        conns: &mut Conns<'_, HttpConn>,
         t: Token,
         seq: u64,
         bytes: Vec<u8>,
         close_after: bool,
     ) {
-        if let Some(c) = self.conns.get_mut(&t.0) {
-            if !c.closing {
-                c.ready.insert(seq, (bytes, close_after));
-                while let Some((b, close)) = c.ready.remove(&c.next_flush) {
-                    c.out.extend_from_slice(&b);
-                    c.next_flush += 1;
-                    if close {
-                        // The client asked to close (or the stream is
-                        // unframed): later pipelined responses are moot.
-                        c.closing = true;
-                        c.ready.clear();
-                        break;
-                    }
+        if let Some(c) = conns.get_mut(t).filter(|c| !c.state.closing) {
+            c.state.ready.insert(seq, (bytes, close_after));
+            while let Some((b, close)) = c.state.ready.remove(&c.state.next_flush) {
+                c.queue(&b);
+                c.state.next_flush += 1;
+                if close {
+                    // The client asked to close (or the stream is
+                    // unframed): later pipelined responses are moot.
+                    c.state.closing = true;
+                    c.state.ready.clear();
+                    break;
                 }
             }
         }
-        self.flush_conn(source, t);
+        conns.flush(t);
+    }
+}
+
+impl<'e> Front<dyn BatchExecutor + 'e> for HttpServerLoop<'_> {
+    type Conn = HttpConn;
+
+    /// The earliest timed obligation: the flush window or a queued
+    /// request's deadline.
+    fn next_timeout(&self, executor: &(dyn BatchExecutor + 'e)) -> Option<f64> {
+        let mut wake = WakeAt::never();
+        wake.at(flush_window(executor, self.batcher.flush_deadline_s()));
+        wake.after(self.batcher.min_deadline_s());
+        wake.timeout(self.clock.now())
     }
 
-    /// Writes the connection's output buffer; arms writable interest on a
-    /// partial write; reaps the connection when nothing more can happen on
-    /// it. A hard write error drops the connection.
-    fn flush_conn(&mut self, source: &mut dyn EventSource, t: Token) {
-        let Some(c) = self.conns.get_mut(&t.0) else {
-            return;
-        };
-        if !c.out.is_empty() {
-            match source.write(t, &c.out) {
-                Ok(n) => {
-                    c.out.drain(..n);
-                }
-                Err(_) => {
-                    self.drop_conn(source, t);
-                    return;
+    fn accept(&self) -> HttpConn {
+        HttpConn {
+            parser: HttpParser::new(self.http.limits),
+            ready: BTreeMap::new(),
+            next_seq: 0,
+            next_flush: 0,
+            closing: false,
+        }
+    }
+
+    /// Processes every complete request.
+    fn readable(
+        &mut self,
+        conns: &mut Conns<'_, HttpConn>,
+        _executor: &mut (dyn BatchExecutor + 'e),
+        t: Token,
+        _eof: bool,
+    ) -> Result<()> {
+        // Re-fetched each iteration: handling a request needs &mut self
+        // and may drop the connection (hard write error).
+        while let Some(state) = conns.state_mut(t) {
+            if state.closing {
+                break; // a close-marked response is already on the wire
+            }
+            match state.parser.next_request() {
+                Ok(Some(req)) => self.handle_request(conns, t, &req)?,
+                Ok(None) => break,
+                Err(e) => {
+                    // Fatal framing error: one error response, connection
+                    // marked for close after it flushes — never a silent
+                    // drop, never a parse-fail respin on the same bytes
+                    // (the parser is poisoned).
+                    let seq = state.next_seq;
+                    state.next_seq += 1;
+                    let body = format!("{}\n", e.detail);
+                    self.respond_text(conns, t, seq, false, e.status, body.as_bytes());
+                    break;
                 }
             }
         }
-        let want = !c.out.is_empty();
-        if want != c.want_write && source.set_writable_interest(t, want).is_ok() {
-            c.want_write = want;
-        }
-        self.reap_if_done(source, t);
+        Ok(())
     }
 
-    /// Closes the connection when its story is over: a close-marked
-    /// response has fully flushed, or the peer is gone and nothing is owed.
-    fn reap_if_done(&mut self, source: &mut dyn EventSource, t: Token) {
-        let Some(c) = self.conns.get(&t.0) else {
-            return;
-        };
-        let closing_done = c.closing && c.out.is_empty();
-        let peer_done = c.peer_closed && c.pending == 0 && c.out.is_empty() && c.ready.is_empty();
-        if closing_done || peer_done {
-            self.drop_conn(source, t);
+    /// Delivers every finished batch (completion latency, the tenant's
+    /// quota slot, the JSON result in pipeline order), then shed →
+    /// dispatch while a shard can absorb work.
+    fn step(
+        &mut self,
+        conns: &mut Conns<'_, HttpConn>,
+        executor: &mut (dyn BatchExecutor + 'e),
+    ) -> Result<bool> {
+        let mut progress = false;
+        for done in executor.drain() {
+            progress = true;
+            for (req, correct) in done.results {
+                self.metrics.record_completed(done.finish_s - req.arrival_s);
+                if let Some(entry) = self.route.remove(&req.id) {
+                    // Quota releases even when the connection is gone —
+                    // otherwise a dropped client would leak its slots.
+                    self.batcher.release(&entry.tenant);
+                    let body = http::infer_result_body(correct, req.expected_checksum.to_bits());
+                    self.answer(conns, &entry, 200, "application/json", &body);
+                }
+            }
+        }
+        let now = self.clock.now();
+        loop {
+            for job in self.batcher.shed_expired(now) {
+                progress = true;
+                self.metrics.record_deadline_exceeded();
+                if let Some(entry) = self.route.remove(&job.request.id) {
+                    self.answer(conns, &entry, 504, TEXT_PLAIN, b"deadline exceeded\n");
+                }
+            }
+            self.metrics
+                .observe_queue_depth(self.batcher.queued_total());
+            let flush = self.batcher.ready(now) || (conns.draining && !self.batcher.is_empty());
+            let (registry, batcher) = (&self.registry, &mut self.batcher);
+            let take = || {
+                let Some((name, jobs)) = batcher.take_batch() else {
+                    return Ok(None);
+                };
+                // Admission verified the model; a miss here is a registry
+                // invariant violation, not a client error.
+                let model = registry.get(&name).ok_or_else(|| ServeError::Config {
+                    detail: format!("batch for unregistered model {name:?}"),
+                })?;
+                let batch = jobs.into_iter().map(|j| j.request).collect();
+                Ok(Some((Arc::clone(model), batch)))
+            };
+            if flush
+                && self
+                    .router
+                    .dispatch_next(&self.metrics, executor, now, take)?
+            {
+                progress = true;
+                continue; // another batch may fit another shard
+            }
+            return Ok(progress);
         }
     }
 
-    /// Closes and forgets a connection. In-flight requests it submitted
-    /// still execute (and release their tenant's quota on completion);
-    /// their responses are dropped.
-    fn drop_conn(&mut self, source: &mut dyn EventSource, t: Token) {
-        source.close(t);
-        self.conns.remove(&t.0);
+    fn idle(&self, executor: &(dyn BatchExecutor + 'e)) -> bool {
+        self.batcher.is_empty() && executor.in_flight() == 0
     }
 }

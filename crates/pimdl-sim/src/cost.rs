@@ -103,6 +103,123 @@ pub struct CostReport {
     pub repeat_fraction: f64,
 }
 
+/// Host↔PIM transfer times of the sub-LUT partition (Eqs. 3–5). They
+/// depend only on the **P1** pair `(N_s-tile, F_s-tile)`, never on the
+/// micro-kernel; the simulator and the tuner's analytical model both
+/// take them from [`sub_lut_times`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SubLutTimes {
+    /// Index tile send time (`t_sub_index`).
+    pub index_s: f64,
+    /// LUT tile send time (`t_sub_lut`).
+    pub lut_s: f64,
+    /// Output fetch time (`t_sub_output`).
+    pub output_s: f64,
+    /// Index bytes the host sends in total (one copy per PE, or per PE
+    /// group on command-driven products).
+    pub index_total_bytes: u64,
+}
+
+impl SubLutTimes {
+    /// `t_sub-lut` (Eq. 3).
+    pub fn total_s(&self) -> f64 {
+        self.index_s + self.lut_s + self.output_s
+    }
+}
+
+/// Evaluates Eqs. 3–5 for one (already validated) mapping.
+pub fn sub_lut_times(platform: &PlatformConfig, w: &LutWorkload, m: &Mapping) -> SubLutTimes {
+    let num_pes = platform.num_pes as u64;
+    let (stile_idx, stile_lut, stile_out) = m.stile_sizes(w);
+    let ht = &platform.host_transfer;
+
+    // Index tiles are shared by all PEs in a group (F/F_s of them); LUT
+    // tiles are shared by all groups (N/N_s of them). Reuse > 1 lets the
+    // host broadcast.
+    let idx_pattern = if m.pes_per_group(w) > 1 {
+        TransferPattern::ToPimBroadcast
+    } else {
+        TransferPattern::ToPimDistinct
+    };
+    let lut_pattern = if m.groups(w) > 1 {
+        TransferPattern::ToPimBroadcast
+    } else {
+        TransferPattern::ToPimDistinct
+    };
+    // Command-driven products receive indices inside the instruction
+    // stream: one copy per PE group instead of one per PE (§6.7).
+    let index_total_bytes = if platform.command_driven_indices {
+        stile_idx * m.groups(w) as u64
+    } else {
+        stile_idx * num_pes
+    };
+    SubLutTimes {
+        index_s: ht.transfer_time_s(idx_pattern, index_total_bytes as f64, stile_idx as f64),
+        lut_s: ht.transfer_time_s(lut_pattern, (stile_lut * num_pes) as f64, stile_lut as f64),
+        output_s: ht.transfer_time_s(
+            TransferPattern::FromPim,
+            (stile_out * num_pes) as f64,
+            stile_out as f64,
+        ),
+        index_total_bytes,
+    }
+}
+
+/// Per-PE stream counts of one micro-kernel (Eqs. 7–9): how often each
+/// structure streams from local memory and at what transfer size. The
+/// LUT count is repeat-blind — every gather priced; the simulator
+/// discounts index-repeat reuse on top, the analytical model does not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamCounts {
+    /// Index MTile loads (`LCount_index`).
+    pub index_loads: u64,
+    /// Bytes of one index MTile.
+    pub index_mtile_bytes: u64,
+    /// Output MTile loads (`LCount_output`); each is also stored once.
+    pub output_loads: u64,
+    /// Bytes of one output MTile.
+    pub output_mtile_bytes: u64,
+    /// LUT load accesses (granularity depends on the load scheme).
+    pub lut_accesses: u64,
+    /// Bytes of one LUT access.
+    pub lut_access_bytes: u64,
+}
+
+/// Derives the stream counts of one (already validated) mapping.
+pub fn stream_counts(w: &LutWorkload, m: &Mapping) -> StreamCounts {
+    let k = &m.kernel;
+    let trips = m.trip_counts(w);
+    let (lut_accesses, lut_access_bytes) = match k.load_scheme {
+        LoadScheme::Static => (1, w.cb * w.ct * m.f_stile),
+        LoadScheme::CoarseGrain { cb_load, f_load } => {
+            let chunks_per_mtile = ((k.cb_mtile / cb_load) * (k.f_mtile / f_load)) as u64;
+            // The buffer holds one chunk. With a single chunk per MTile the
+            // chunk survives iterations that keep (f, cb) fixed; multiple
+            // chunks thrash the buffer and reload every iteration.
+            let accesses = if chunks_per_mtile == 1 {
+                k.traversal.load_count(trips, (false, true, true))
+            } else {
+                trips.0 * trips.1 * trips.2 * chunks_per_mtile
+            };
+            (accesses, cb_load * w.ct * f_load)
+        }
+        // One access of f_load bytes per (row, codebook, f-chunk).
+        LoadScheme::FineGrain { f_load, .. } => {
+            ((m.n_stile * w.cb * (m.f_stile / f_load)) as u64, f_load)
+        }
+    };
+    StreamCounts {
+        // Index MTiles: used by (n, cb).
+        index_loads: k.traversal.load_count(trips, (true, false, true)),
+        index_mtile_bytes: (k.n_mtile * k.cb_mtile * w.index_elem_bytes()) as u64,
+        // Output MTiles: used by (n, f); loaded and stored per eviction.
+        output_loads: k.traversal.load_count(trips, (true, true, false)),
+        output_mtile_bytes: (k.n_mtile * k.f_mtile * 4) as u64,
+        lut_accesses,
+        lut_access_bytes: lut_access_bytes as u64,
+    }
+}
+
 /// Estimates the cost of a kernel launch without data, using the *expected*
 /// index-repeat fraction `1 / CT` for fine-grain gathers.
 ///
@@ -136,98 +253,44 @@ pub fn cost_with_repeat(
     let num_pes = platform.num_pes as u64;
 
     // ---- Step 1: sub-LUT partition (Eqs. 3–5) ----
-    let (stile_idx, stile_lut, stile_out) = m.stile_sizes(w);
-    let ht = &platform.host_transfer;
-
-    // Index tiles are shared by all PEs in a group (F/F_s of them); LUT
-    // tiles are shared by all groups (N/N_s of them). Reuse > 1 lets the
-    // host broadcast.
-    let idx_pattern = if m.pes_per_group(w) > 1 {
-        TransferPattern::ToPimBroadcast
-    } else {
-        TransferPattern::ToPimDistinct
-    };
-    let lut_pattern = if m.groups(w) > 1 {
-        TransferPattern::ToPimBroadcast
-    } else {
-        TransferPattern::ToPimDistinct
-    };
-    // Command-driven products receive indices inside the instruction
-    // stream: one copy per PE group instead of one per PE (§6.7).
-    let index_total_bytes = if platform.command_driven_indices {
-        stile_idx * m.groups(w) as u64
-    } else {
-        stile_idx * num_pes
-    };
-    let sub_index_s = ht.transfer_time_s(idx_pattern, index_total_bytes as f64, stile_idx as f64);
-    let sub_lut_s = ht.transfer_time_s(lut_pattern, (stile_lut * num_pes) as f64, stile_lut as f64);
-    let sub_output_s = ht.transfer_time_s(
-        TransferPattern::FromPim,
-        (stile_out * num_pes) as f64,
-        stile_out as f64,
-    );
+    let sub = sub_lut_times(platform, w, m);
+    let (_, stile_lut, stile_out) = m.stile_sizes(w);
 
     // ---- Step 2: micro-kernel execution (Eqs. 6–10) ----
-    let trips = m.trip_counts(w);
+    let sc = stream_counts(w, m);
     let lm = &platform.local_mem;
 
-    // Index MTiles: used by (n, cb).
-    let index_loads = k.traversal.load_count(trips, (true, false, true));
-    let index_mtile = (k.n_mtile * k.cb_mtile * w.index_elem_bytes()) as f64;
-    let kernel_index_s = lm.sim_time_s(index_loads as f64 * index_mtile, index_mtile, index_loads);
-
-    // Output MTiles: used by (n, f); loaded and stored per eviction.
-    let output_loads = k.traversal.load_count(trips, (true, true, false));
-    let output_mtile = (k.n_mtile * k.f_mtile * 4) as f64;
-    let kernel_output_s = lm.sim_time_s(
-        2.0 * output_loads as f64 * output_mtile,
-        output_mtile,
-        2 * output_loads,
+    let index_mtile = sc.index_mtile_bytes as f64;
+    let kernel_index_s = lm.sim_time_s(
+        sc.index_loads as f64 * index_mtile,
+        index_mtile,
+        sc.index_loads,
     );
 
-    // LUT loads by scheme.
-    let repeat = repeat_fraction.clamp(0.0, 1.0);
-    let (lut_accesses, lut_bytes, lut_access_bytes, effective_overhead_s, effective_repeat);
-    match k.load_scheme {
-        LoadScheme::Static => {
-            let bytes = (w.cb * w.ct * m.f_stile) as u64;
-            lut_accesses = 1;
-            lut_bytes = bytes;
-            lut_access_bytes = bytes as f64;
-            effective_overhead_s = lm.access_overhead_s;
-            effective_repeat = 0.0;
-        }
-        LoadScheme::CoarseGrain { cb_load, f_load } => {
-            let chunk = (cb_load * w.ct * f_load) as u64;
-            let chunks_per_mtile = ((k.cb_mtile / cb_load) * (k.f_mtile / f_load)) as u64;
-            // The buffer holds one chunk. With a single chunk per MTile the
-            // chunk survives iterations that keep (f, cb) fixed; multiple
-            // chunks thrash the buffer and reload every iteration.
-            lut_accesses = if chunks_per_mtile == 1 {
-                k.traversal.load_count(trips, (false, true, true))
-            } else {
-                trips.0 * trips.1 * trips.2 * chunks_per_mtile
-            };
-            lut_bytes = lut_accesses * chunk;
-            lut_access_bytes = chunk as f64;
-            effective_overhead_s = lm.access_overhead_s;
-            effective_repeat = 0.0;
-        }
-        LoadScheme::FineGrain { f_load, threads } => {
-            // One access of f_load bytes per (row, codebook, f-chunk);
-            // repeated indices across consecutive rows hit the thread's
+    let output_mtile = sc.output_mtile_bytes as f64;
+    let kernel_output_s = lm.sim_time_s(
+        2.0 * sc.output_loads as f64 * output_mtile,
+        output_mtile,
+        2 * sc.output_loads,
+    );
+
+    // LUT loads: only fine-grain gathers see index-repeat reuse.
+    let (lut_accesses, effective_overhead_s, effective_repeat) = match k.load_scheme {
+        LoadScheme::FineGrain { threads, .. } => {
+            // Repeated indices across consecutive rows hit the thread's
             // buffer and cost nothing.
-            let raw = (m.n_stile * w.cb * (m.f_stile / f_load)) as u64;
-            let kept = (raw as f64 * (1.0 - repeat)).ceil() as u64;
-            lut_accesses = kept.max(1);
-            lut_bytes = lut_accesses * f_load as u64;
-            lut_access_bytes = f_load as f64;
+            let repeat = repeat_fraction.clamp(0.0, 1.0);
+            let kept = (sc.lut_accesses as f64 * (1.0 - repeat)).ceil() as u64;
             // Hardware threads overlap access issue; overhead amortizes.
-            effective_overhead_s = lm.access_overhead_s / threads.max(1) as f64;
-            effective_repeat = repeat;
+            let overhead_s = lm.access_overhead_s / threads.max(1) as f64;
+            (kept.max(1), overhead_s, repeat)
         }
-    }
-    let kernel_lut_s = lm.ideal_time_s(lut_bytes as f64, lut_access_bytes)
+        LoadScheme::Static | LoadScheme::CoarseGrain { .. } => {
+            (sc.lut_accesses, lm.access_overhead_s, 0.0)
+        }
+    };
+    let lut_bytes = lut_accesses * sc.lut_access_bytes;
+    let kernel_lut_s = lm.ideal_time_s(lut_bytes as f64, sc.lut_access_bytes as f64)
         + lut_accesses as f64 * effective_overhead_s;
 
     // Reduce: N_s × CB × F_s accumulations with short-loop stalls.
@@ -236,9 +299,9 @@ pub fn cost_with_repeat(
     let kernel_reduce_s = reduce_ops as f64 * platform.single_reduce_s * stall_factor;
 
     let time = TimeBreakdown {
-        sub_index_s,
-        sub_lut_s,
-        sub_output_s,
+        sub_index_s: sub.index_s,
+        sub_lut_s: sub.lut_s,
+        sub_output_s: sub.output_s,
         kernel_index_s,
         kernel_lut_s,
         kernel_output_s,
@@ -247,15 +310,15 @@ pub fn cost_with_repeat(
     Ok(CostReport {
         time,
         accesses: AccessCounts {
-            index_loads,
+            index_loads: sc.index_loads,
             lut_accesses,
             lut_bytes,
-            output_loads,
-            output_stores: output_loads,
+            output_loads: sc.output_loads,
+            output_stores: sc.output_loads,
             reduce_ops,
         },
         wram_bytes: m.wram_usage(w),
-        host_pim_bytes: index_total_bytes + (stile_lut + stile_out) * num_pes,
+        host_pim_bytes: sub.index_total_bytes + (stile_lut + stile_out) * num_pes,
         lut_stage_bytes: stile_lut * num_pes,
         repeat_fraction: effective_repeat,
     })

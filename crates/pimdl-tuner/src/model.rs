@@ -17,8 +17,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use pimdl_sim::config::{PlatformConfig, PlatformKind, TransferPattern};
-use pimdl_sim::{LoadScheme, LutWorkload, Mapping};
+use pimdl_sim::config::{PlatformConfig, PlatformKind};
+use pimdl_sim::cost::{stream_counts, sub_lut_times, StreamCounts};
+use pimdl_sim::{LutWorkload, Mapping};
 
 use crate::Result;
 
@@ -58,49 +59,31 @@ pub fn analytical_cost(
     mapping: &Mapping,
 ) -> Result<AnalyticalBreakdown> {
     mapping.validate(workload, platform)?;
-    let w = workload;
-    let m = mapping;
+    let sc = stream_counts(workload, mapping);
+    Ok(analytical(platform, workload, mapping, &sc))
+}
+
+/// [`analytical_cost`] of a validated mapping whose stream counts are at
+/// hand (the hierarchical model prices the same streams again).
+fn analytical(
+    platform: &PlatformConfig,
+    w: &LutWorkload,
+    m: &Mapping,
+    sc: &StreamCounts,
+) -> AnalyticalBreakdown {
     let k = &m.kernel;
 
     // ---- Eq. 3–4: sub-LUT partition (shared with the simulator). ----
     let sub_lut_s = sub_lut_time_s(platform, w, m);
 
-    // ---- Eq. 6–10: micro-kernel (idealized). ----
-    let trips = m.trip_counts(w);
+    // ---- Eq. 6–10: micro-kernel (idealized: bandwidth only, and
+    // repeat-blind on purpose — the data-dependent reuse rate of
+    // fine-grain gathers is unknowable offline, and pricing them at full
+    // count partially offsets the per-access overheads the model also
+    // cannot see, keeping scheme selection balanced, §6.6). ----
     let lm = &platform.local_mem;
-
-    let index_loads = k.traversal.load_count(trips, (true, false, true));
-    let index_mtile = (k.n_mtile * k.cb_mtile * w.index_elem_bytes()) as f64;
-    let kernel_index_s = lm.ideal_time_s(index_loads as f64 * index_mtile, index_mtile);
-
-    let output_loads = k.traversal.load_count(trips, (true, true, false));
-    let output_mtile = (k.n_mtile * k.f_mtile * 4) as f64;
-    let kernel_output_s = lm.ideal_time_s(2.0 * output_loads as f64 * output_mtile, output_mtile);
-
-    let kernel_lut_s = match k.load_scheme {
-        LoadScheme::Static => {
-            let bytes = (w.cb * w.ct * m.f_stile) as f64;
-            lm.ideal_time_s(bytes, bytes)
-        }
-        LoadScheme::CoarseGrain { cb_load, f_load } => {
-            let chunk = (cb_load * w.ct * f_load) as f64;
-            let chunks_per_mtile = ((k.cb_mtile / cb_load) * (k.f_mtile / f_load)) as u64;
-            let accesses = if chunks_per_mtile == 1 {
-                k.traversal.load_count(trips, (false, true, true))
-            } else {
-                trips.0 * trips.1 * trips.2 * chunks_per_mtile
-            };
-            lm.ideal_time_s(accesses as f64 * chunk, chunk)
-        }
-        LoadScheme::FineGrain { f_load, .. } => {
-            // Repeat-blind on purpose: the data-dependent reuse rate is
-            // unknowable offline, and pricing gathers at full count
-            // partially offsets the per-access overheads the model also
-            // cannot see — keeping scheme selection balanced (§6.6).
-            let accesses = (m.n_stile * w.cb * (m.f_stile / f_load)) as f64;
-            lm.ideal_time_s(accesses * f_load as f64, f_load as f64)
-        }
-    };
+    let [kernel_index_s, kernel_output_s, kernel_lut_s] =
+        streams(sc).map(|(loads, tile)| lm.ideal_time_s(loads * tile, tile));
 
     let reduce_ops = (m.n_stile * w.cb * m.f_stile) as f64;
     // Profiled per-width reduce rate: t_single-reduce measured at the
@@ -108,14 +91,24 @@ pub fn analytical_cost(
     let stall = 1.0 + pimdl_sim::cost::REDUCE_LOOP_OVERHEAD / k.f_mtile as f64;
     let kernel_reduce_s = reduce_ops * platform.single_reduce_s * stall;
 
-    Ok(AnalyticalBreakdown {
+    AnalyticalBreakdown {
         sub_lut_s,
         micro_kernel_s: kernel_index_s + kernel_lut_s + kernel_output_s + kernel_reduce_s,
         kernel_index_s,
         kernel_lut_s,
         kernel_output_s,
         kernel_reduce_s,
-    })
+    }
+}
+
+/// The micro-kernel's three local-memory streams — index, output
+/// (loaded and stored per eviction), LUT — as `(transfers, bytes each)`.
+fn streams(sc: &StreamCounts) -> [(f64, f64); 3] {
+    [
+        (sc.index_loads as f64, sc.index_mtile_bytes as f64),
+        (2.0 * sc.output_loads as f64, sc.output_mtile_bytes as f64),
+        (sc.lut_accesses as f64, sc.lut_access_bytes as f64),
+    ]
 }
 
 /// The sub-LUT partition time (Eqs. 3–4) of a mapping. Depends only on the
@@ -124,31 +117,7 @@ pub fn analytical_cost(
 /// subtree. [`analytical_cost`] calls this same function, keeping the two
 /// bit-identical.
 pub fn sub_lut_time_s(platform: &PlatformConfig, w: &LutWorkload, m: &Mapping) -> f64 {
-    let num_pes = platform.num_pes as u64;
-    let (stile_idx, stile_lut, stile_out) = m.stile_sizes(w);
-    let ht = &platform.host_transfer;
-    let idx_pattern = if m.pes_per_group(w) > 1 {
-        TransferPattern::ToPimBroadcast
-    } else {
-        TransferPattern::ToPimDistinct
-    };
-    let lut_pattern = if m.groups(w) > 1 {
-        TransferPattern::ToPimBroadcast
-    } else {
-        TransferPattern::ToPimDistinct
-    };
-    let index_total_bytes = if platform.command_driven_indices {
-        stile_idx * m.groups(w) as u64
-    } else {
-        stile_idx * num_pes
-    };
-    ht.transfer_time_s(idx_pattern, index_total_bytes as f64, stile_idx as f64)
-        + ht.transfer_time_s(lut_pattern, (stile_lut * num_pes) as f64, stile_lut as f64)
-        + ht.transfer_time_s(
-            TransferPattern::FromPim,
-            (stile_out * num_pes) as f64,
-            stile_out as f64,
-        )
+    sub_lut_times(platform, w, m).total_s()
 }
 
 /// Greatest common divisor (Euclid). `gcd(0, n) = n`.
@@ -271,42 +240,12 @@ pub fn hierarchical_cost_with(
     workload: &LutWorkload,
     mapping: &Mapping,
 ) -> Result<HierBreakdown> {
-    let base = analytical_cost(platform, workload, mapping)?;
-    let w = workload;
-    let m = mapping;
-    let k = &m.kernel;
-    let trips = m.trip_counts(w);
-
-    let index_loads = k.traversal.load_count(trips, (true, false, true));
-    let index_mtile = (k.n_mtile * k.cb_mtile * w.index_elem_bytes()) as f64;
-    let output_loads = k.traversal.load_count(trips, (true, true, false));
-    let output_mtile = (k.n_mtile * k.f_mtile * 4) as f64;
-    let (lut_loads, lut_tile) = match k.load_scheme {
-        LoadScheme::Static => (1.0, (w.cb * w.ct * m.f_stile) as f64),
-        LoadScheme::CoarseGrain { cb_load, f_load } => {
-            let chunk = (cb_load * w.ct * f_load) as f64;
-            let chunks_per_mtile = ((k.cb_mtile / cb_load) * (k.f_mtile / f_load)) as u64;
-            let accesses = if chunks_per_mtile == 1 {
-                k.traversal.load_count(trips, (false, true, true))
-            } else {
-                trips.0 * trips.1 * trips.2 * chunks_per_mtile
-            };
-            (accesses as f64, chunk)
-        }
-        LoadScheme::FineGrain { f_load, .. } => {
-            let accesses = (m.n_stile * w.cb * (m.f_stile / f_load)) as f64;
-            (accesses, f_load as f64)
-        }
-    };
-
-    let streams = [
-        (index_loads as f64, index_mtile),
-        (2.0 * output_loads as f64, output_mtile),
-        (lut_loads, lut_tile),
-    ];
+    mapping.validate(workload, platform)?;
+    let sc = stream_counts(workload, mapping);
+    let base = analytical(platform, workload, mapping, &sc);
     let mut row_activation_s = 0.0;
     let mut crossing_s = 0.0;
-    for (loads, tile) in streams {
+    for (loads, tile) in streams(&sc) {
         let (compulsory, crossing) = hier.row_traffic(loads, tile);
         row_activation_s += compulsory * hier.row_activation_s;
         crossing_s += crossing * hier.row_activation_s;
@@ -333,6 +272,7 @@ mod tests {
     use super::*;
     use pimdl_sim::cost::estimate_cost;
     use pimdl_sim::mapping::MicroKernel;
+    use pimdl_sim::LoadScheme;
     use pimdl_sim::TraversalOrder;
 
     fn platform(pes: usize) -> PlatformConfig {
