@@ -14,14 +14,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use pimdl_sim::cost::estimate_cost;
-use pimdl_sim::energy::EnergyReport;
 use pimdl_sim::{LutWorkload, Mapping, PlatformConfig};
 use pimdl_tuner::alloc::{AllocPlan, SUPPORTED_V};
 use pimdl_tuner::space::sub_lut_candidates;
 
-use crate::pipeline::{InferenceReport, LinearCost, PimDlEngine, ServingConfig};
-use crate::residency::{plan, OperatorFootprint};
+use crate::pipeline::{InferenceReport, PimDlEngine, ServingConfig};
 use crate::shapes::TransformerShape;
 use crate::{EngineError, Result};
 
@@ -226,90 +223,9 @@ impl PimDlEngine {
         cfg: &PerLayerServingConfig,
     ) -> Result<InferenceReport> {
         cfg.validate(shape, self.platform())?;
-        let n = cfg.batch * cfg.seq_len;
-        let layers = shape.layers as f64;
-
-        let mut per_linear = Vec::new();
-        let mut footprints = Vec::new();
-        let mut lut_s = 0.0;
-        let mut ccs_s = 0.0;
-        let mut host_pim_bytes = 0u64;
-        for (op, oc) in shape.linear_ops().iter().zip(&cfg.ops) {
-            let workload = LutWorkload::new(n, op.in_dim / oc.v, oc.ct, op.out_dim)?;
-            // Pins hold only at the batch geometry they were allocated
-            // for (Eq. 5 ties the PE partition to N); a re-batched serve
-            // falls back to the engine's own tuner.
-            let mapping = match oc.mapping {
-                Some(m) if m.validate(&workload, self.platform()).is_ok() => m,
-                _ => self.mapping_for(&workload)?,
-            };
-            let report = estimate_cost(self.platform(), &workload, &mapping)?;
-            let op_lut_s = report.time.total_resident_s() * layers;
-
-            let ccs_flops =
-                ((3 * n * op.in_dim * oc.ct) as f64 / crate::baseline::CCS_EFFICIENCY) as u64;
-            let ccs_bytes = (n * op.in_dim * 4) as u64 + workload.index_bytes();
-            let op_ccs_s = self.host().gemm_time_s(ccs_flops, ccs_bytes) * layers;
-
-            lut_s += op_lut_s;
-            ccs_s += op_ccs_s;
-            let op_bytes = (report.host_pim_bytes - report.lut_stage_bytes) * shape.layers as u64;
-            host_pim_bytes += op_bytes;
-            per_linear.push(LinearCost {
-                name: op.name.to_string(),
-                workload,
-                mapping,
-                lut_s: op_lut_s,
-                ccs_s: op_ccs_s,
-                host_pim_bytes: op_bytes,
-            });
-            footprints.push((op.name, workload, mapping, report));
-        }
-
-        let footprint_refs: Vec<OperatorFootprint<'_>> = footprints
-            .iter()
-            .map(|(name, workload, mapping, report)| OperatorFootprint {
-                name,
-                workload: *workload,
-                mapping: *mapping,
-                report: *report,
-                layers: shape.layers,
-            })
-            .collect();
-        let residency = plan(self.platform(), &footprint_refs);
-        lut_s += residency.staging_penalty_s;
-        for (entry, (_, _, _, report)) in residency.entries.iter().zip(&footprints) {
-            if !entry.resident {
-                host_pim_bytes += report.lut_stage_bytes * shape.layers as u64;
-            }
-        }
-
-        let attn_flops = shape.attention_flops_per_layer(cfg.batch, cfg.seq_len);
-        let attn_bytes = (3 * n * shape.hidden) as u64 * 4
-            + (cfg.batch * shape.heads * cfg.seq_len * cfg.seq_len) as u64 * 4;
-        let attention_s = self.host().gemm_time_s(attn_flops, attn_bytes) * layers;
-        let other_s = self
-            .host()
-            .elementwise_time_s(shape.elementwise_bytes_per_layer(cfg.batch, cfg.seq_len))
-            * layers;
-
-        let total_s = lut_s + ccs_s + attention_s + other_s;
-        let energy = EnergyReport::from_window(
-            total_s,
-            self.platform().pim_power_w,
-            self.host().power_w,
-            host_pim_bytes as f64,
-            self.platform().transfer_energy_pj_per_byte,
-        );
-        Ok(InferenceReport {
-            total_s,
-            lut_s,
-            ccs_s,
-            attention_s,
-            other_s,
-            per_linear,
-            residency,
-            energy,
+        self.estimate(shape, cfg.batch, cfg.seq_len, |i| {
+            let oc = &cfg.ops[i];
+            (oc.v, oc.ct, oc.mapping)
         })
     }
 }

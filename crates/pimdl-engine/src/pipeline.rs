@@ -199,7 +199,23 @@ impl PimDlEngine {
     /// input dim, or tuning/simulation errors.
     pub fn serve(&self, shape: &TransformerShape, cfg: &ServingConfig) -> Result<InferenceReport> {
         cfg.validate()?;
-        let n = cfg.batch * cfg.seq_len;
+        self.estimate(shape, cfg.batch, cfg.seq_len, |_| (cfg.v, cfg.ct, None))
+    }
+
+    /// The per-operator cost path under [`PimDlEngine::serve`] and
+    /// [`PimDlEngine::serve_per_layer`], which validate their own
+    /// configurations first. `setting_of(i)` gives the `i`-th linear
+    /// operator's `(V, CT)` and optionally a pinned mapping; a pin is used
+    /// verbatim when it is legal for the operator's workload, and the
+    /// operator is tuned otherwise.
+    pub(crate) fn estimate(
+        &self,
+        shape: &TransformerShape,
+        batch: usize,
+        seq_len: usize,
+        setting_of: impl Fn(usize) -> (usize, usize, Option<Mapping>),
+    ) -> Result<InferenceReport> {
+        let n = batch * seq_len;
         let layers = shape.layers as f64;
 
         let mut per_linear = Vec::new();
@@ -207,17 +223,24 @@ impl PimDlEngine {
         let mut lut_s = 0.0;
         let mut ccs_s = 0.0;
         let mut host_pim_bytes = 0u64;
-        for op in shape.linear_ops() {
-            if op.in_dim % cfg.v != 0 {
+        for (i, op) in shape.linear_ops().iter().enumerate() {
+            let (v, ct, pin) = setting_of(i);
+            if op.in_dim % v != 0 {
                 return Err(EngineError::Config {
                     detail: format!(
-                        "V = {} does not divide {}'s input dim {}",
-                        cfg.v, op.name, op.in_dim
+                        "V = {v} does not divide {}'s input dim {}",
+                        op.name, op.in_dim
                     ),
                 });
             }
-            let workload = LutWorkload::new(n, op.in_dim / cfg.v, cfg.ct, op.out_dim)?;
-            let mapping = self.mapping_for(&workload)?;
+            let workload = LutWorkload::new(n, op.in_dim / v, ct, op.out_dim)?;
+            // Pins hold only at the batch geometry they were allocated
+            // for (Eq. 5 ties the PE partition to N); a re-batched serve
+            // falls back to the engine's own tuner.
+            let mapping = match pin {
+                Some(m) if m.validate(&workload, &self.platform).is_ok() => m,
+                _ => self.mapping_for(&workload)?,
+            };
             let report = estimate_cost(&self.platform, &workload, &mapping)?;
             // Serving keeps the LUTs resident in PIM memory (distributed
             // once at model load, exactly like the GEMM baseline's
@@ -230,7 +253,7 @@ impl PimDlEngine {
             // argmin-shaped kernel sustains only CCS_EFFICIENCY of the
             // host's dense-GEMM throughput.
             let ccs_flops =
-                ((3 * n * op.in_dim * cfg.ct) as f64 / crate::baseline::CCS_EFFICIENCY) as u64;
+                ((3 * n * op.in_dim * ct) as f64 / crate::baseline::CCS_EFFICIENCY) as u64;
             let ccs_bytes = (n * op.in_dim * 4) as u64 + workload.index_bytes();
             let op_ccs_s = self.host.gemm_time_s(ccs_flops, ccs_bytes) * layers;
 
@@ -269,13 +292,13 @@ impl PimDlEngine {
             }
         }
 
-        let attn_flops = shape.attention_flops_per_layer(cfg.batch, cfg.seq_len);
+        let attn_flops = shape.attention_flops_per_layer(batch, seq_len);
         let attn_bytes = (3 * n * shape.hidden) as u64 * 4
-            + (cfg.batch * shape.heads * cfg.seq_len * cfg.seq_len) as u64 * 4;
+            + (batch * shape.heads * seq_len * seq_len) as u64 * 4;
         let attention_s = self.host.gemm_time_s(attn_flops, attn_bytes) * layers;
         let other_s = self
             .host
-            .elementwise_time_s(shape.elementwise_bytes_per_layer(cfg.batch, cfg.seq_len))
+            .elementwise_time_s(shape.elementwise_bytes_per_layer(batch, seq_len))
             * layers;
 
         let total_s = lut_s + ccs_s + attention_s + other_s;

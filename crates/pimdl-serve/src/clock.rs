@@ -83,9 +83,7 @@ impl Clock for RealClock {
     }
 
     fn sleep(&self, dur_s: f64) {
-        if dur_s > 0.0 && dur_s.is_finite() {
-            std::thread::sleep(Duration::from_secs_f64(dur_s / self.speedup));
-        }
+        std::thread::sleep(self.real_duration(dur_s));
     }
 }
 
@@ -156,5 +154,20 @@ mod tests {
         assert!(RealClock::accelerated(0.0).is_err());
         assert!(RealClock::accelerated(f64::NAN).is_err());
         assert!(RealClock::accelerated(-2.0).is_err());
+    }
+
+    #[test]
+    fn real_duration_clamps_what_duration_cannot_hold() {
+        // `sleep` goes through this conversion, so a span like the
+        // inter-arrival gap of `OpenLoop { rate_rps: 1e-25, .. }` must come
+        // out capped, not panic inside `Duration::from_secs_f64`.
+        let c = RealClock::accelerated(1e-3).unwrap();
+        let hour = Duration::from_secs(3600);
+        assert_eq!(c.real_duration(1e300), hour);
+        assert_eq!(c.real_duration(f64::MAX), hour);
+        assert_eq!(c.real_duration(f64::INFINITY), Duration::ZERO);
+        assert_eq!(c.real_duration(f64::NAN), Duration::ZERO);
+        assert_eq!(c.real_duration(-1.0), Duration::ZERO);
+        assert_eq!(c.real_duration(2e-3), Duration::from_secs(2));
     }
 }

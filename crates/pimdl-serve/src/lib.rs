@@ -11,8 +11,10 @@
 //! * **Continuous batching** ([`batcher`]) — the engine scheduler's
 //!   [`pimdl_engine::scheduler::BatchingPolicy`] semantics (flush at
 //!   `max_batch`, or when the oldest request has waited `max_wait_s`) as a
-//!   pure state machine, driven either by real threads or by a
-//!   deterministic virtual clock ([`clock`]).
+//!   pure state machine. Queue, batcher and router are composed once (the
+//!   shed → refill → flush → dispatch step in [`server`]) and driven by a
+//!   socket, by real threads, or by a deterministic virtual clock
+//!   ([`clock`]).
 //! * **DIMM sharding** ([`shard`]) — model replicas across groups of
 //!   simulated PIM DIMMs; batches route to the least-loaded shard, service
 //!   times come from the engine's end-to-end cost model, and results come

@@ -1,22 +1,27 @@
 //! The serving runtime: admission → continuous batching → shard dispatch.
 //!
-//! Two drivers run the identical state machines
-//! ([`crate::admission::AdmissionQueue`], [`crate::batcher::ContinuousBatcher`],
-//! [`crate::shard::ShardManager`]):
+//! The policy — shed, refill, flush, dispatch, deliver — is written once,
+//! in `server.rs`'s crate-private `LinePipeline`. The drivers here give it
+//! arrivals, a clock, and somewhere for terminal outcomes to go:
 //!
-//! * [`Runtime::run_virtual`] — a single-threaded discrete-event loop on a
-//!   [`crate::clock::VirtualClock`]. Bit-for-bit deterministic per seed;
-//!   this is what the latency/batching assertions test.
-//! * [`Runtime::run_threaded`] — real threads: an open-loop load generator,
-//!   a batcher thread parked on a reactor, and one worker thread per shard
-//!   (the [`ThreadedExecutor`] the network front ends use). A clock speedup
-//!   compresses simulated service times into short real sleeps. Tests
-//!   assert interleaving-independent invariants (conservation,
-//!   metrics/ledger consistency).
+//! * [`Runtime::run_virtual`] — a single-threaded discrete-event loop: the
+//!   pre-generated arrival list, a [`crate::clock::VirtualClock`] advanced
+//!   to the next event, outcomes into the ledger. Bit-for-bit
+//!   deterministic per seed; this is what the latency/batching assertions
+//!   test.
+//! * [`Runtime::run_threaded`] — real threads: an open-loop load generator
+//!   sending arrivals over a channel, the connection core's event loop
+//!   (`conn::drive`) parked on a socket-less reactor, and one worker
+//!   thread per shard (the [`ThreadedExecutor`] the network front ends
+//!   use). A clock speedup compresses simulated service times into short
+//!   real sleeps. Tests assert interleaving-independent invariants
+//!   (conservation, metrics/ledger consistency).
 //!
-//! The network front ends ([`Runtime::serve`], [`Runtime::serve_http`],
-//! [`Runtime::serve_fabric`]) run the same state machines on the reactor,
-//! through the one connection core in `conn.rs`.
+//! The line-protocol front end ([`Runtime::serve`]) runs the same pipeline
+//! with arrivals off a socket and outcomes encoded as reply lines; the
+//! HTTP and fabric front ends ([`Runtime::serve_http`],
+//! [`Runtime::serve_fabric`]) batch per model and per process, on the
+//! same connection core.
 //!
 //! All drivers uphold the conservation invariant: every generated request
 //! terminates in exactly one of `Completed`, `Rejected`, or
@@ -24,8 +29,7 @@
 //! time-to-dispatch: a request shed before its batch leaves the front end
 //! is `DeadlineExceeded`; once dispatched it runs to completion.
 
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc};
 
 use pimdl_engine::pipeline::{PimDlEngine, ServingConfig};
 use pimdl_engine::scheduler::BatchingPolicy;
@@ -33,16 +37,16 @@ use pimdl_engine::shapes::TransformerShape;
 use pimdl_sim::{LutWorkload, PlatformConfig};
 use pimdl_tensor::rng::DataRng;
 
-use crate::admission::AdmissionQueue;
-use crate::batcher::ContinuousBatcher;
 use crate::clock::{Clock, RealClock, VirtualClock};
-use crate::conn::WakeAt;
+use crate::conn::{self, ConnState, Conns, Front};
 use crate::error::ServeError;
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::reactor::{EpollPoller, EventSource, IoEvent, WAKE_ARRIVAL, WAKE_COMPLETION};
+use crate::reactor::{
+    EpollPoller, EventSource, Token, WAKE_ARRIVAL, WAKE_COMPLETION, WAKE_SHUTDOWN,
+};
 use crate::request::{Outcome, Request, RequestRecord};
-use crate::server::{BatchExecutor, ThreadedExecutor};
-use crate::shard::{ReplicaModel, ServiceModel, ShardManager};
+use crate::server::{LinePipeline, SimExecutor, ThreadedExecutor};
+use crate::shard::{ReplicaModel, ServiceModel};
 use crate::Result;
 
 /// Static configuration of a serving runtime.
@@ -223,12 +227,6 @@ impl ServeReport {
     }
 }
 
-/// State shared between the threaded driver's generator and batcher.
-struct FrontEnd {
-    queue: AdmissionQueue,
-    closed: bool,
-}
-
 /// The serving runtime: a model replica sharded across simulated PIM
 /// DIMM groups behind a batching front end.
 #[derive(Debug)]
@@ -238,9 +236,78 @@ pub struct Runtime {
     replica: Arc<ReplicaModel>,
 }
 
-/// An in-flight batch: finish time, shard, dispatched batch size, and the
-/// batch's requests paired with their functional-correctness flags.
-type InflightBatch = (f64, usize, usize, Vec<(Request, bool)>);
+/// The ledger entry of a request that just reached `outcome`.
+fn record(req: &Request, outcome: Outcome) -> RequestRecord {
+    RequestRecord {
+        id: req.id,
+        arrival_s: req.arrival_s,
+        outcome,
+    }
+}
+
+/// `run_threaded`'s front on the connection core: no connections, arrivals
+/// over a channel from the load generator, terminal outcomes into the
+/// ledger.
+#[derive(Debug)]
+struct LedgerFront<'a> {
+    pipeline: LinePipeline<'a>,
+    clock: Arc<RealClock>,
+    metrics: Arc<Metrics>,
+    arrivals: mpsc::Receiver<Request>,
+    records: Vec<RequestRecord>,
+}
+
+/// The poller under [`LedgerFront`] has no listener, so no connection is
+/// ever accepted and nothing is fed.
+impl ConnState for () {
+    fn feed(&mut self, _bytes: &[u8]) {}
+}
+
+impl Front<ThreadedExecutor> for LedgerFront<'_> {
+    type Conn = ();
+
+    fn next_timeout(&self, executor: &ThreadedExecutor) -> Option<f64> {
+        self.pipeline.next_timeout(self.clock.now(), executor)
+    }
+
+    fn accept(&self) {}
+
+    fn readable(
+        &mut self,
+        _conns: &mut Conns<'_, ()>,
+        _executor: &mut ThreadedExecutor,
+        _t: Token,
+        _eof: bool,
+    ) -> Result<()> {
+        Ok(())
+    }
+
+    /// Books what the shard workers finished, admits what the generator
+    /// sent since the last step, and pumps; `draining` (the generator's
+    /// `WAKE_SHUTDOWN`, sent after its last request) flushes partial
+    /// batches as soon as a shard frees up.
+    fn step(&mut self, conns: &mut Conns<'_, ()>, executor: &mut ThreadedExecutor) -> Result<bool> {
+        let records = &mut self.records;
+        let mut sink = |req: Request, outcome: Outcome| records.push(record(&req, outcome));
+        let mut progress = self.pipeline.deliver(executor, &mut sink);
+        let now = self.clock.now();
+        for req in self.arrivals.try_iter() {
+            progress = true;
+            self.metrics.record_submitted();
+            if let Err(back) = self.pipeline.admit(req) {
+                sink(back, Outcome::Rejected { at_s: now });
+            }
+        }
+        progress |= self
+            .pipeline
+            .pump(now, conns.draining, executor, &mut sink)?;
+        Ok(progress)
+    }
+
+    fn idle(&self, executor: &ThreadedExecutor) -> bool {
+        self.pipeline.idle(executor)
+    }
+}
 
 impl Runtime {
     /// Builds a runtime: tunes the replica's mapping, validates the
@@ -335,8 +402,8 @@ impl Runtime {
     /// Load validation, engine, or simulator failures.
     pub fn run_virtual(&self, load: &OpenLoop) -> Result<ServeReport> {
         load.validate()?;
-        let clock = VirtualClock::new();
-        let metrics = Metrics::new(self.cfg.policy.max_batch);
+        let clock = Arc::new(VirtualClock::new());
+        let metrics = Arc::new(Metrics::new(self.cfg.policy.max_batch));
         let deadline_rel = self.cfg.deadline_s;
 
         let arrivals = Self::arrival_times(load);
@@ -350,138 +417,53 @@ impl Runtime {
             })
             .collect::<Result<_>>()?;
 
-        let mut queue = AdmissionQueue::new(self.cfg.queue_capacity)?;
-        let mut batcher = ContinuousBatcher::new(self.cfg.policy)?;
-        let mut shards = ShardManager::new(self.cfg.num_shards)?;
-        let mut inflight: Vec<InflightBatch> = Vec::new();
+        let mut pipeline = LinePipeline::new(self, Arc::clone(&metrics))?;
+        let mut executor = SimExecutor::detached(
+            Arc::clone(&clock),
+            Arc::clone(&metrics),
+            self.cfg.num_shards,
+        );
         let mut records: Vec<RequestRecord> = Vec::with_capacity(requests.len());
+        let mut sink = |req: Request, outcome: Outcome| records.push(record(&req, outcome));
         let mut next_arrival = 0usize;
 
         let max_iters = 1_000_000 + requests.len() * 64;
         for _ in 0..max_iters {
-            // Next event strictly after the current time: an arrival, a
-            // completion, the flush deadline, a shard freeing up, or the
-            // earliest request deadline (for shed timing). Anything at or
-            // before `now` was already handled by the previous iteration's
-            // pump, so past times must not pin the clock.
+            // What makes this driver the discrete-event simulation: the
+            // clock jumps to the next event strictly after the current
+            // time — an arrival, a completion (which is also when a busy
+            // shard frees up), the flush deadline, or the earliest request
+            // deadline (for shed timing). Anything at or before `now` was
+            // already handled by the previous iteration's pump, so past
+            // times must not pin the clock.
             let now0 = clock.now();
-            let mut t_next = f64::INFINITY;
-            let consider = |t_next: &mut f64, t: f64| {
-                if t > now0 {
-                    *t_next = t_next.min(t);
-                }
-            };
-            if next_arrival < requests.len() {
-                consider(&mut t_next, requests[next_arrival].arrival_s);
-            }
-            for &(finish, _, _, _) in &inflight {
-                consider(&mut t_next, finish);
-            }
-            if !batcher.is_empty() {
-                if let Some(d) = batcher.flush_deadline_s() {
-                    consider(&mut t_next, d);
-                }
-                consider(&mut t_next, shards.earliest_free_s());
-            }
-            if let Some(d) = queue.min_deadline_s() {
-                consider(&mut t_next, d);
-            }
-            if let Some(d) = batcher.min_deadline_s() {
-                consider(&mut t_next, d);
-            }
+            let timers = pipeline.timers();
+            let arrival = requests.get(next_arrival).map(|r| r.arrival_s);
+            let t_next = arrival
+                .into_iter()
+                .chain(executor.finish_times())
+                .chain(timers.flush_s)
+                .chain(timers.queue_deadline_s)
+                .chain(timers.batch_deadline_s)
+                .filter(|&t| t > now0)
+                .fold(f64::INFINITY, f64::min);
             if t_next.is_infinite() {
                 break; // quiescent: everything terminated
             }
             clock.advance_to(t_next);
             let now = clock.now();
 
-            // 1. Completions (deterministic order: finish time, then shard).
-            let mut done: Vec<InflightBatch> = Vec::new();
-            inflight.retain_mut(|entry| {
-                if entry.0 <= now {
-                    done.push((entry.0, entry.1, entry.2, std::mem::take(&mut entry.3)));
-                    false
-                } else {
-                    true
-                }
-            });
-            done.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)));
-            for (finish, shard, batch_size, batch) in done {
-                for (req, correct) in batch {
-                    metrics.record_completed(finish - req.arrival_s);
-                    records.push(RequestRecord {
-                        id: req.id,
-                        arrival_s: req.arrival_s,
-                        outcome: Outcome::Completed {
-                            latency_s: finish - req.arrival_s,
-                            shard,
-                            batch_size,
-                            correct,
-                        },
-                    });
-                }
-            }
-
-            // 2. Arrivals.
-            while next_arrival < requests.len() && requests[next_arrival].arrival_s <= now {
-                let req = requests[next_arrival].clone();
+            pipeline.deliver(&mut executor, &mut sink);
+            while let Some(req) = requests.get(next_arrival).filter(|r| r.arrival_s <= now) {
                 next_arrival += 1;
                 metrics.record_submitted();
-                if let Err(back) = queue.try_admit(req) {
-                    metrics.record_rejected();
-                    records.push(RequestRecord {
-                        id: back.id,
-                        arrival_s: back.arrival_s,
-                        outcome: Outcome::Rejected { at_s: now },
-                    });
+                if let Err(back) = pipeline.admit(req.clone()) {
+                    sink(back, Outcome::Rejected { at_s: now });
                 }
-                metrics.observe_queue_depth(queue.len());
             }
+            pipeline.pump(now, false, &mut executor, &mut sink)?;
 
-            // 3. Pump: shed, refill, dispatch while shards can absorb work.
-            loop {
-                for r in queue.shed_expired(now) {
-                    metrics.record_deadline_exceeded();
-                    records.push(RequestRecord {
-                        id: r.id,
-                        arrival_s: r.arrival_s,
-                        outcome: Outcome::DeadlineExceeded { at_s: now },
-                    });
-                }
-                for r in batcher.shed_expired(now) {
-                    metrics.record_deadline_exceeded();
-                    records.push(RequestRecord {
-                        id: r.id,
-                        arrival_s: r.arrival_s,
-                        outcome: Outcome::DeadlineExceeded { at_s: now },
-                    });
-                }
-                while !batcher.is_full() {
-                    match queue.pop() {
-                        Some(r) => batcher.push(r),
-                        None => break,
-                    }
-                }
-                metrics.observe_queue_depth(queue.len());
-                if batcher.ready(now) && shards.any_free(now) {
-                    let batch = batcher.take();
-                    let service_s = self.service.batch_service_s(batch.len())?;
-                    let ticket = shards.dispatch(now, service_s);
-                    metrics.record_batch(batch.len());
-                    metrics.record_shard_wakeup();
-                    let flags = self.replica.execute_batch(&batch)?;
-                    let executed: Vec<(Request, bool)> = batch.into_iter().zip(flags).collect();
-                    inflight.push((ticket.finish_s, ticket.shard, executed.len(), executed));
-                    continue; // another batch may be ready for another shard
-                }
-                break;
-            }
-
-            if next_arrival >= requests.len()
-                && inflight.is_empty()
-                && batcher.is_empty()
-                && queue.is_empty()
-            {
+            if next_arrival >= requests.len() && pipeline.idle(&executor) {
                 break;
             }
         }
@@ -502,10 +484,10 @@ impl Runtime {
         })
     }
 
-    /// Runs the load on real threads: an open-loop generator, a batcher
-    /// thread, and one worker per shard (the network front ends'
-    /// [`ThreadedExecutor`]). `speedup` compresses simulated seconds into
-    /// real time (`1.0` = real time).
+    /// Runs the load on real threads: an open-loop generator, the
+    /// connection core's event loop on the calling thread, and one worker
+    /// per shard (the network front ends' [`ThreadedExecutor`]). `speedup`
+    /// compresses simulated seconds into real time (`1.0` = real time).
     ///
     /// # Errors
     ///
@@ -526,197 +508,59 @@ impl Runtime {
                 })
                 .collect::<Result<_>>()?
         };
+        let arrivals = Self::arrival_times(load);
+        let deadline_rel = self.cfg.deadline_s;
         let clock = Arc::new(RealClock::accelerated(speedup)?);
         let metrics = Arc::new(Metrics::new(self.cfg.policy.max_batch));
-        let deadline_rel = self.cfg.deadline_s;
-        let num_shards = self.cfg.num_shards;
 
-        let front = Mutex::new(FrontEnd {
-            queue: AdmissionQueue::new(self.cfg.queue_capacity)?,
-            closed: false,
-        });
-        // The batcher thread parks on a readiness reactor instead of a
-        // condition variable with a fallback poll: the generator wakes it
-        // with WAKE_ARRIVAL, shard workers with WAKE_COMPLETION, and with
-        // nothing timed pending it parks indefinitely — an idle front end
-        // burns zero wakeups. Wake tokens are remembered by the poller's
-        // pipe, so the update-under-mutex / drop / park sequence cannot
-        // lose a notification.
-        let mut park = EpollPoller::new(speedup)?;
-        let wake_front = park.waker(WAKE_ARRIVAL);
-        let park_stats = park.stats();
+        // The loop parks on a poller with no sockets: the generator wakes
+        // it with WAKE_ARRIVAL, shard workers with WAKE_COMPLETION, and
+        // with nothing timed pending it parks indefinitely. Wake tokens
+        // are remembered by the poller's pipe, so a send just before the
+        // park cannot be lost.
+        let mut poller = EpollPoller::new(speedup)?;
+        let (wake_arrival, wake_shutdown) =
+            (poller.waker(WAKE_ARRIVAL), poller.waker(WAKE_SHUTDOWN));
         let mut executor = ThreadedExecutor::new(
             Arc::clone(&clock),
             Arc::clone(&metrics),
-            park.waker(WAKE_COMPLETION),
-            num_shards,
+            poller.waker(WAKE_COMPLETION),
+            self.cfg.num_shards,
         );
-        let error_slot: Mutex<Option<ServeError>> = Mutex::new(None);
+        let (arrivals_tx, arrivals_rx) = mpsc::channel::<Request>();
+        let mut front = LedgerFront {
+            pipeline: LinePipeline::new(self, Arc::clone(&metrics))?,
+            clock: Arc::clone(&clock),
+            metrics: Arc::clone(&metrics),
+            arrivals: arrivals_rx,
+            records: Vec::with_capacity(load.num_requests),
+        };
 
-        let (records_tx, records_rx) = mpsc::channel::<RequestRecord>();
-
-        let arrivals = Self::arrival_times(load);
-        let mut records = Vec::with_capacity(load.num_requests);
-
-        std::thread::scope(|s| -> Result<()> {
-            // Load generator: open-loop Poisson arrivals.
-            let gen_tx = records_tx.clone();
-            let (clock_ref, front_ref, metrics_ref) = (&*clock, &front, &*metrics);
-            let arrivals_ref = &arrivals;
-            let wake_front_ref = &wake_front;
+        let run = std::thread::scope(|s| {
+            // Load generator: open-loop Poisson arrivals, then shutdown.
+            let gen_clock = &*clock;
             s.spawn(move || {
-                for (&target, payload) in arrivals_ref.iter().zip(payloads) {
-                    clock_ref.sleep(target - clock_ref.now());
-                    let arrival = clock_ref.now();
-                    let req = Request {
+                for (target, payload) in arrivals.into_iter().zip(payloads) {
+                    gen_clock.sleep(target - gen_clock.now());
+                    let arrival = gen_clock.now();
+                    // The receiver outlives this thread; a send cannot fail.
+                    let _ = arrivals_tx.send(Request {
                         arrival_s: arrival,
                         deadline_s: arrival + deadline_rel,
                         ..payload
-                    };
-                    metrics_ref.record_submitted();
-                    let mut g = front_ref.lock().expect("front end poisoned");
-                    match g.queue.try_admit(req) {
-                        Ok(()) => {
-                            metrics_ref.observe_queue_depth(g.queue.len());
-                            drop(g);
-                            wake_front_ref.wake();
-                        }
-                        Err(back) => {
-                            drop(g);
-                            metrics_ref.record_rejected();
-                            let _ = gen_tx.send(RequestRecord {
-                                id: back.id,
-                                arrival_s: back.arrival_s,
-                                outcome: Outcome::Rejected { at_s: arrival },
-                            });
-                        }
-                    }
+                    });
+                    wake_arrival.wake();
                 }
-                let mut g = front_ref.lock().expect("front end poisoned");
-                g.closed = true;
-                drop(g);
-                wake_front_ref.wake();
+                wake_shutdown.wake();
             });
-
-            // Batcher: drains the queue, forms batches, routes to shards,
-            // and books what the shard workers finish.
-            let batcher_tx = records_tx.clone();
-            let (service, replica) = (&self.service, &self.replica);
-            let (error_ref, executor) = (&error_slot, &mut executor);
-            s.spawn(move || {
-                let mut batcher =
-                    ContinuousBatcher::new(self.cfg.policy).expect("policy validated");
-                let mut shards = ShardManager::new(num_shards).expect("shards validated");
-                let mut events: Vec<IoEvent> = Vec::new();
-                let mut g = front_ref.lock().expect("front end poisoned");
-                loop {
-                    let now = clock_ref.now();
-                    // Sampled before the drain: a worker publishes its
-                    // batch before it stops counting it in flight, so
-                    // "nothing in flight" here makes this drain the last.
-                    let in_flight = executor.in_flight();
-                    let done = executor.drain();
-                    let mut shed = g.queue.shed_expired(now);
-                    shed.extend(batcher.shed_expired(now));
-                    while !batcher.is_full() {
-                        match g.queue.pop() {
-                            Some(r) => batcher.push(r),
-                            None => break,
-                        }
-                    }
-                    metrics_ref.observe_queue_depth(g.queue.len());
-                    if !shed.is_empty() || !done.is_empty() {
-                        drop(g);
-                        for batch in done {
-                            let batch_size = batch.results.len();
-                            for (req, correct) in batch.results {
-                                let latency_s = batch.finish_s - req.arrival_s;
-                                metrics_ref.record_completed(latency_s);
-                                let _ = batcher_tx.send(RequestRecord {
-                                    id: req.id,
-                                    arrival_s: req.arrival_s,
-                                    outcome: Outcome::Completed {
-                                        latency_s,
-                                        shard: batch.shard,
-                                        batch_size,
-                                        correct,
-                                    },
-                                });
-                            }
-                        }
-                        for r in shed {
-                            metrics_ref.record_deadline_exceeded();
-                            let _ = batcher_tx.send(RequestRecord {
-                                id: r.id,
-                                arrival_s: r.arrival_s,
-                                outcome: Outcome::DeadlineExceeded { at_s: now },
-                            });
-                        }
-                        g = front_ref.lock().expect("front end poisoned");
-                        continue;
-                    }
-                    // Drain on shutdown: a closed front end flushes partial
-                    // batches as soon as a shard frees up.
-                    let drain = g.closed && g.queue.is_empty();
-                    if batcher.is_empty() && drain && in_flight == 0 {
-                        break;
-                    }
-                    let free = executor.free_shards();
-                    let flush = !batcher.is_empty() && (batcher.ready(now) || drain);
-                    if flush {
-                        if let Some(sid) = shards.least_loaded_among(&free) {
-                            drop(g);
-                            let batch = batcher.take();
-                            let size = batch.len();
-                            let sent = service.batch_service_s(size).and_then(|service_s| {
-                                shards.dispatch_to(sid, now, service_s);
-                                metrics_ref.record_batch(size);
-                                executor.submit(sid, service_s, replica, batch)
-                            });
-                            if let Err(e) = sent {
-                                // Impossible after prewarm with live workers.
-                                *error_ref.lock().expect("error slot poisoned") = Some(e);
-                                break;
-                            }
-                            g = front_ref.lock().expect("front end poisoned");
-                            continue;
-                        }
-                    }
-                    // Nothing actionable: park on the reactor until an
-                    // arrival or completion wake, the flush window, or the
-                    // next deadline. The flush window only matters while a
-                    // shard could absorb the batch — with every shard busy
-                    // the completion wake is the real signal, so parking
-                    // without it avoids a busy-wait on a ready batch.
-                    let mut wake = WakeAt::never();
-                    if free.iter().any(|&f| f) {
-                        wake.at(batcher.flush_deadline_s());
-                    }
-                    wake.after(g.queue.min_deadline_s());
-                    wake.after(batcher.min_deadline_s());
-                    drop(g);
-                    if let Err(e) = park.wait(wake.timeout(now), &mut events) {
-                        *error_ref.lock().expect("error slot poisoned") = Some(e);
-                        break;
-                    }
-                    g = front_ref.lock().expect("front end poisoned");
-                }
-            });
-
-            drop(records_tx); // the ledger closes when all stages finish
-            for record in records_rx.iter() {
-                records.push(record);
-            }
-            Ok(())
-        })?;
-
-        executor.shutdown()?;
-        if let Some(e) = error_slot.into_inner().expect("error slot poisoned") {
-            return Err(e);
-        }
+            conn::drive(&mut poller, &mut front, &mut executor)
+        });
+        let stop = executor.shutdown();
+        run?;
+        stop?;
         Ok(ServeReport {
-            records,
-            metrics: metrics.snapshot_with_reactor(park_stats.snapshot()),
+            records: front.records,
+            metrics: metrics.snapshot_with_reactor(poller.stats().snapshot()),
             makespan_s: clock.now(),
         })
     }

@@ -2,9 +2,11 @@
 //! protocol ([`ServerLoop`]) and HTTP/1.1 ([`HttpServerLoop`]).
 //!
 //! Each is a codec plus its admission and batching state — accepted
-//! connections feed [`AdmissionQueue`] → [`ContinuousBatcher`] (line) or
-//! the [`FairBatcher`] over a [`ModelRegistry`] (HTTP) → [`ShardManager`]
-//! routing → a [`BatchExecutor`]. The event loop, the transport path and
+//! connections feed the `LinePipeline` ([`AdmissionQueue`] →
+//! [`ContinuousBatcher`] → [`ShardManager`] routing; also what
+//! [`Runtime::run_virtual`] and [`Runtime::run_threaded`] run) or, for
+//! HTTP, the [`FairBatcher`] over a [`ModelRegistry`] → the same routing →
+//! a [`BatchExecutor`]. The event loop, the transport path and
 //! the reactor-thread spawner are `conn.rs`'s, written once against
 //! [`EventSource`], so the identical byte-for-byte pipeline runs under:
 //!
@@ -34,7 +36,7 @@ use crate::http::{self, HttpLimits, HttpParser, HttpRequest, Route};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::reactor::{EventSource, SimHandle, Token, Waker, WAKE_COMPLETION};
 use crate::registry::{AdmitRefusal, FairBatcher, ModelRegistry, TaggedJob};
-use crate::request::Request;
+use crate::request::{Outcome, Request};
 use crate::runtime::{Runtime, ServeConfig};
 use crate::shard::{ReplicaModel, ServiceModel, ShardManager};
 use crate::Result;
@@ -107,7 +109,10 @@ fn sort_done(done: &mut [BatchDone]) {
 #[derive(Debug)]
 pub struct SimExecutor {
     clock: Arc<VirtualClock>,
-    sim: SimHandle,
+    /// Where completion wakes are scheduled; `None` under
+    /// [`Runtime::run_virtual`], which advances the clock itself from
+    /// [`SimExecutor::finish_times`].
+    sim: Option<SimHandle>,
     metrics: Arc<Metrics>,
     pending: Vec<BatchDone>,
     busy: Vec<bool>,
@@ -123,12 +128,30 @@ impl SimExecutor {
         num_shards: usize,
     ) -> Self {
         SimExecutor {
+            sim: Some(sim),
+            ..Self::detached(clock, metrics, num_shards)
+        }
+    }
+
+    /// An executor no poller listens to: nothing is scheduled, the driver
+    /// reads the completion times off [`SimExecutor::finish_times`].
+    pub(crate) fn detached(
+        clock: Arc<VirtualClock>,
+        metrics: Arc<Metrics>,
+        num_shards: usize,
+    ) -> Self {
+        SimExecutor {
             clock,
-            sim,
+            sim: None,
             metrics,
             pending: Vec::new(),
             busy: vec![false; num_shards],
         }
+    }
+
+    /// Completion time of every batch in flight.
+    pub(crate) fn finish_times(&self) -> impl Iterator<Item = f64> + '_ {
+        self.pending.iter().map(|b| b.finish_s)
     }
 }
 
@@ -150,7 +173,9 @@ impl BatchExecutor for SimExecutor {
             finish_s,
             results: batch.into_iter().zip(flags).collect(),
         });
-        self.sim.wake_at(finish_s, WAKE_COMPLETION);
+        if let Some(sim) = &self.sim {
+            sim.wake_at(finish_s, WAKE_COMPLETION);
+        }
         Ok(())
     }
 
@@ -406,6 +431,174 @@ impl<'a> Router<'a> {
 }
 
 // ---------------------------------------------------------------------------
+// LinePipeline — admission → continuous batching → routing, once
+// ---------------------------------------------------------------------------
+
+/// The timed obligations of a [`LinePipeline`], raw: each driver applies
+/// its own wake rule to them.
+#[derive(Debug)]
+pub(crate) struct Timers {
+    /// When the pending partial batch's wait window closes.
+    pub(crate) flush_s: Option<f64>,
+    /// Earliest finite deadline in the admission queue.
+    pub(crate) queue_deadline_s: Option<f64>,
+    /// Earliest finite deadline in the pending batch.
+    pub(crate) batch_deadline_s: Option<f64>,
+}
+
+/// The serving policy every single-model driver runs: a bounded
+/// [`AdmissionQueue`] feeding a [`ContinuousBatcher`] feeding the
+/// [`Router`]. The drivers differ in where arrivals and time come from
+/// and in what a terminal outcome turns into (the `sink`); the order of
+/// shedding, refilling, flushing and dispatching, and which metric each
+/// transition records, are decided here.
+#[derive(Debug)]
+pub(crate) struct LinePipeline<'a> {
+    replica: Arc<ReplicaModel>,
+    metrics: Arc<Metrics>,
+    queue: AdmissionQueue,
+    batcher: ContinuousBatcher,
+    router: Router<'a>,
+}
+
+impl<'a> LinePipeline<'a> {
+    /// `rt`'s queue capacity, batching policy, shard count and replica,
+    /// recording into `metrics`.
+    ///
+    /// # Errors
+    ///
+    /// Configuration validation of the queue/batcher/shard state machines.
+    pub(crate) fn new(rt: &'a Runtime, metrics: Arc<Metrics>) -> Result<Self> {
+        let cfg = rt.config();
+        Ok(LinePipeline {
+            replica: rt.replica_arc(),
+            metrics,
+            queue: AdmissionQueue::new(cfg.queue_capacity)?,
+            batcher: ContinuousBatcher::new(cfg.policy)?,
+            router: Router::new(rt)?,
+        })
+    }
+
+    /// Whether [`LinePipeline::admit`] would take a request now — asked
+    /// first by a caller whose request is expensive to build.
+    pub(crate) fn has_room(&self) -> bool {
+        !self.queue.is_full()
+    }
+
+    /// Queues `req`, or hands it back (counted as rejected) when the
+    /// queue is full.
+    pub(crate) fn admit(&mut self, req: Request) -> std::result::Result<(), Request> {
+        let admitted = self.queue.try_admit(req);
+        if admitted.is_err() {
+            self.metrics.record_rejected();
+        }
+        self.metrics.observe_queue_depth(self.queue.len());
+        admitted
+    }
+
+    /// What is timed right now (`None`: nothing of that kind pending).
+    pub(crate) fn timers(&self) -> Timers {
+        Timers {
+            flush_s: self.batcher.flush_deadline_s(),
+            queue_deadline_s: self.queue.min_deadline_s(),
+            batch_deadline_s: self.batcher.min_deadline_s(),
+        }
+    }
+
+    /// Relative timeout of a reactor-parked driver's next wait: the flush
+    /// window (while a shard could take the batch) or a hair past the
+    /// earliest deadline.
+    pub(crate) fn next_timeout(&self, now: f64, executor: &dyn BatchExecutor) -> Option<f64> {
+        let timers = self.timers();
+        let mut wake = WakeAt::never();
+        wake.at(flush_window(executor, timers.flush_s));
+        wake.after(timers.queue_deadline_s);
+        wake.after(timers.batch_deadline_s);
+        wake.timeout(now)
+    }
+
+    /// Hands every request of every finished batch to `sink` as
+    /// `Completed`, in `(finish_s, shard)` order. Returns whether a batch
+    /// had finished.
+    pub(crate) fn deliver(
+        &self,
+        executor: &mut dyn BatchExecutor,
+        sink: &mut impl FnMut(Request, Outcome),
+    ) -> bool {
+        let mut progress = false;
+        for done in executor.drain() {
+            progress = true;
+            let batch_size = done.results.len();
+            for (req, correct) in done.results {
+                let latency_s = done.finish_s - req.arrival_s;
+                self.metrics.record_completed(latency_s);
+                let outcome = Outcome::Completed {
+                    latency_s,
+                    shard: done.shard,
+                    batch_size,
+                    correct,
+                };
+                sink(req, outcome);
+            }
+        }
+        progress
+    }
+
+    /// Shed → refill → flush → dispatch, repeated while a shard absorbs a
+    /// batch. Expired requests reach `sink` as `DeadlineExceeded` and are
+    /// shed before the refill, so none is ever dispatched; `draining`
+    /// flushes a partial batch without waiting out its window (the refill
+    /// runs first, so a batch is partial only once the queue behind it is
+    /// empty). Returns whether anything moved.
+    ///
+    /// # Errors
+    ///
+    /// Cost-model and executor failures.
+    pub(crate) fn pump(
+        &mut self,
+        now: f64,
+        draining: bool,
+        executor: &mut dyn BatchExecutor,
+        sink: &mut impl FnMut(Request, Outcome),
+    ) -> Result<bool> {
+        let mut progress = false;
+        loop {
+            let mut shed = self.queue.shed_expired(now);
+            shed.extend(self.batcher.shed_expired(now));
+            for r in shed {
+                progress = true;
+                self.metrics.record_deadline_exceeded();
+                sink(r, Outcome::DeadlineExceeded { at_s: now });
+            }
+            while !self.batcher.is_full() {
+                match self.queue.pop() {
+                    Some(r) => self.batcher.push(r),
+                    None => break,
+                }
+            }
+            self.metrics.observe_queue_depth(self.queue.len());
+            let flush = self.batcher.ready(now) || (draining && !self.batcher.is_empty());
+            let (replica, batcher) = (&self.replica, &mut self.batcher);
+            let take = || Ok(Some((Arc::clone(replica), batcher.take())));
+            if flush
+                && self
+                    .router
+                    .dispatch_next(&self.metrics, executor, now, take)?
+            {
+                progress = true;
+                continue; // another batch may fit another shard
+            }
+            return Ok(progress);
+        }
+    }
+
+    /// Whether nothing is queued, pending or in flight.
+    pub(crate) fn idle(&self, executor: &dyn BatchExecutor) -> bool {
+        self.queue.is_empty() && self.batcher.is_empty() && executor.in_flight() == 0
+    }
+}
+
+// ---------------------------------------------------------------------------
 // ServerLoop
 // ---------------------------------------------------------------------------
 
@@ -417,17 +610,16 @@ impl ConnState for LineBuffer {
     }
 }
 
-/// The line-protocol front end: admission, batching, routing, and the
-/// codec, run by the shared connection core on any [`EventSource`].
+/// The line-protocol front end: the codec and the reply routing over a
+/// `LinePipeline`, run by the shared connection core on any
+/// [`EventSource`].
 #[derive(Debug)]
 pub struct ServerLoop<'a> {
-    cfg: ServeConfig,
+    deadline_s: f64,
     replica: Arc<ReplicaModel>,
     clock: Arc<dyn Clock>,
     metrics: Arc<Metrics>,
-    queue: AdmissionQueue,
-    batcher: ContinuousBatcher,
-    router: Router<'a>,
+    pipeline: LinePipeline<'a>,
     /// request id → (connection token, client tag) of admitted requests.
     route: HashMap<u64, (Token, String)>,
     next_id: u64,
@@ -441,15 +633,12 @@ impl<'a> ServerLoop<'a> {
     ///
     /// Configuration validation of the queue/batcher/shard state machines.
     pub fn new(rt: &'a Runtime, clock: Arc<dyn Clock>, metrics: Arc<Metrics>) -> Result<Self> {
-        let cfg = *rt.config();
         Ok(ServerLoop {
-            cfg,
+            deadline_s: rt.config().deadline_s,
             replica: rt.replica_arc(),
             clock,
+            pipeline: LinePipeline::new(rt, Arc::clone(&metrics))?,
             metrics,
-            queue: AdmissionQueue::new(cfg.queue_capacity)?,
-            batcher: ContinuousBatcher::new(cfg.policy)?,
-            router: Router::new(rt)?,
             route: HashMap::new(),
             next_id: 0,
         })
@@ -458,7 +647,7 @@ impl<'a> ServerLoop<'a> {
     /// The shard router (exposed so tests can check per-shard dispatch and
     /// wakeup accounting after a run).
     pub fn shards(&self) -> &ShardManager {
-        &self.router.shards
+        &self.pipeline.router.shards
     }
 
     /// Runs until shutdown (a [`crate::reactor::WAKE_SHUTDOWN`] token
@@ -509,54 +698,33 @@ impl<'a> ServerLoop<'a> {
         let id = self.next_id;
         self.next_id += 1;
         self.metrics.record_submitted();
-        // Refuse before paying: the reference gather is the request's most
-        // expensive step and runs only once the queue has room for it.
-        let admitted = !self.queue.is_full() && {
-            let req = self.replica.request_from_valid(
-                id,
-                now,
-                now + self.cfg.deadline_s,
-                query.indices,
-            )?;
-            self.queue.try_admit(req).is_ok()
+        let admitted = if self.pipeline.has_room() {
+            let deadline_s = now + self.deadline_s;
+            let req = self
+                .replica
+                .request_from_valid(id, now, deadline_s, query.indices)?;
+            self.pipeline.admit(req).is_ok()
+        } else {
+            // Refused before paying: the reference gather is the request's
+            // most expensive step, so no request is built for a full queue.
+            self.metrics.record_rejected();
+            false
         };
         if admitted {
-            self.metrics.observe_queue_depth(self.queue.len());
             self.route.insert(id, (t, query.tag));
             conns.owe(t);
         } else {
-            self.metrics.record_rejected();
             conns.send(t, &codec::encode_error(&query.tag, ErrorKind::Rejected));
         }
         Ok(())
-    }
-
-    /// Answers admitted request `id` (if its route is still known),
-    /// settling what the connection that submitted it is owed.
-    fn answer(
-        &mut self,
-        conns: &mut Conns<'_, LineBuffer>,
-        id: u64,
-        encode: impl FnOnce(&str) -> Vec<u8>,
-    ) {
-        if let Some((t, tag)) = self.route.remove(&id) {
-            conns.settle(t);
-            conns.send(t, &encode(&tag));
-        }
     }
 }
 
 impl<'e> Front<dyn BatchExecutor + 'e> for ServerLoop<'_> {
     type Conn = LineBuffer;
 
-    /// The earliest timed obligation: the flush window or a queued
-    /// request's deadline.
     fn next_timeout(&self, executor: &(dyn BatchExecutor + 'e)) -> Option<f64> {
-        let mut wake = WakeAt::never();
-        wake.at(flush_window(executor, self.batcher.flush_deadline_s()));
-        wake.after(self.queue.min_deadline_s());
-        wake.after(self.batcher.min_deadline_s());
-        wake.timeout(self.clock.now())
+        self.pipeline.next_timeout(self.clock.now(), executor)
     }
 
     fn accept(&self) -> LineBuffer {
@@ -587,59 +755,37 @@ impl<'e> Front<dyn BatchExecutor + 'e> for ServerLoop<'_> {
         Ok(())
     }
 
-    /// Delivers every finished batch (completion latency, one response
-    /// each), then shed → refill → dispatch while a shard can absorb work.
+    /// Runs the pipeline with a sink that answers each terminal outcome
+    /// with one reply line on the connection that submitted the request
+    /// (if its route is still known), settling what that connection is
+    /// owed.
     fn step(
         &mut self,
         conns: &mut Conns<'_, LineBuffer>,
         executor: &mut (dyn BatchExecutor + 'e),
     ) -> Result<bool> {
-        let mut progress = false;
-        for done in executor.drain() {
-            progress = true;
-            for (req, correct) in done.results {
-                self.metrics.record_completed(done.finish_s - req.arrival_s);
-                self.answer(conns, req.id, |tag| {
-                    codec::encode_result(tag, correct, req.expected_checksum.to_bits())
-                });
+        let (route, draining) = (&mut self.route, conns.draining);
+        let mut sink = |req: Request, outcome: Outcome| {
+            if let Some((t, tag)) = route.remove(&req.id) {
+                let line = match outcome {
+                    Outcome::Completed { correct, .. } => {
+                        codec::encode_result(&tag, correct, req.expected_checksum.to_bits())
+                    }
+                    // The pipeline's only other terminal outcome is a shed.
+                    _ => codec::encode_error(&tag, ErrorKind::Deadline),
+                };
+                conns.settle(t);
+                conns.send(t, &line);
             }
-        }
+        };
+        let delivered = self.pipeline.deliver(executor, &mut sink);
         let now = self.clock.now();
-        loop {
-            let mut shed = self.queue.shed_expired(now);
-            shed.extend(self.batcher.shed_expired(now));
-            for r in shed {
-                progress = true;
-                self.metrics.record_deadline_exceeded();
-                self.answer(conns, r.id, |tag| {
-                    codec::encode_error(tag, ErrorKind::Deadline)
-                });
-            }
-            while !self.batcher.is_full() {
-                match self.queue.pop() {
-                    Some(r) => self.batcher.push(r),
-                    None => break,
-                }
-            }
-            self.metrics.observe_queue_depth(self.queue.len());
-            let flush = self.batcher.ready(now)
-                || (conns.draining && !self.batcher.is_empty() && self.queue.is_empty());
-            let (replica, batcher) = (&self.replica, &mut self.batcher);
-            let take = || Ok(Some((Arc::clone(replica), batcher.take())));
-            if flush
-                && self
-                    .router
-                    .dispatch_next(&self.metrics, executor, now, take)?
-            {
-                progress = true;
-                continue; // another batch may fit another shard
-            }
-            return Ok(progress);
-        }
+        let pumped = self.pipeline.pump(now, draining, executor, &mut sink)?;
+        Ok(delivered || pumped)
     }
 
     fn idle(&self, executor: &(dyn BatchExecutor + 'e)) -> bool {
-        self.queue.is_empty() && self.batcher.is_empty() && executor.in_flight() == 0
+        self.pipeline.idle(executor)
     }
 }
 
@@ -1187,5 +1333,238 @@ impl<'e> Front<dyn BatchExecutor + 'e> for HttpServerLoop<'_> {
 
     fn idle(&self, executor: &(dyn BatchExecutor + 'e)) -> bool {
         self.batcher.is_empty() && executor.in_flight() == 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pimdl_engine::shapes::TransformerShape;
+    use pimdl_sim::PlatformConfig;
+    use pimdl_tensor::rng::DataRng;
+
+    /// What the sink saw: request id and its terminal outcome, in order.
+    type Seen = Vec<(u64, Outcome)>;
+
+    /// A runtime with batches of up to 4, a flush window of a quarter of
+    /// the single-request service time `s1` (returned, the tests' unit of
+    /// time) and unbounded default deadlines.
+    fn runtime(num_shards: usize, queue_capacity: usize) -> (Runtime, f64) {
+        let build = |cfg| {
+            let mut platform = PlatformConfig::upmem();
+            platform.num_pes = 64;
+            Runtime::new(platform, TransformerShape::tiny(), cfg).unwrap()
+        };
+        let mut cfg = ServeConfig::example();
+        cfg.num_shards = num_shards;
+        cfg.queue_capacity = queue_capacity;
+        let s1 = build(cfg).service_model().batch_service_s(1).unwrap();
+        cfg.policy.max_wait_s = s1 / 4.0;
+        (build(cfg), s1)
+    }
+
+    /// The pipeline with no socket, thread or poller around it: a
+    /// handle-less [`SimExecutor`] on a clock the test advances by hand.
+    struct Rig<'a> {
+        rt: &'a Runtime,
+        clock: Arc<VirtualClock>,
+        metrics: Arc<Metrics>,
+        pipeline: LinePipeline<'a>,
+        executor: SimExecutor,
+        rng: DataRng,
+        seen: Seen,
+    }
+
+    impl<'a> Rig<'a> {
+        fn new(rt: &'a Runtime) -> Self {
+            let clock = Arc::new(VirtualClock::new());
+            let metrics = Arc::new(Metrics::new(rt.config().policy.max_batch));
+            Rig {
+                rt,
+                pipeline: LinePipeline::new(rt, Arc::clone(&metrics)).unwrap(),
+                executor: SimExecutor::detached(
+                    Arc::clone(&clock),
+                    Arc::clone(&metrics),
+                    rt.config().num_shards,
+                ),
+                clock,
+                metrics,
+                rng: DataRng::new(5),
+                seen: Vec::new(),
+            }
+        }
+
+        /// Admits request `id`, arriving now, with the given deadline.
+        fn admit(&mut self, id: u64, deadline_s: f64) -> std::result::Result<(), Request> {
+            let now = self.clock.now();
+            let req = self
+                .rt
+                .replica()
+                .make_request(id, now, deadline_s, &mut self.rng);
+            self.pipeline.admit(req.unwrap())
+        }
+
+        /// Advances the clock to `t`, then delivers and pumps there.
+        fn step_at(&mut self, t: f64, draining: bool) -> bool {
+            self.clock.advance_to(t);
+            let seen = &mut self.seen;
+            let mut sink = |req: Request, outcome: Outcome| seen.push((req.id, outcome));
+            let delivered = self.pipeline.deliver(&mut self.executor, &mut sink);
+            let pumped = self
+                .pipeline
+                .pump(t, draining, &mut self.executor, &mut sink)
+                .unwrap();
+            delivered || pumped
+        }
+
+        /// `(id, shard, batch_size)` of every completion seen, in order.
+        fn completions(&self) -> Vec<(u64, usize, usize)> {
+            let completed = |(id, outcome): &(u64, Outcome)| match *outcome {
+                Outcome::Completed {
+                    shard, batch_size, ..
+                } => Some((*id, shard, batch_size)),
+                _ => None,
+            };
+            self.seen.iter().filter_map(completed).collect()
+        }
+    }
+
+    #[test]
+    fn expired_request_is_shed_before_the_refill_and_never_dispatched() {
+        let (rt, s1) = runtime(1, 8);
+        let mut rig = Rig::new(&rt);
+        rig.admit(0, s1).unwrap();
+        rig.admit(1, f64::INFINITY).unwrap();
+        // Past request 0's deadline and past the flush window: it is shed
+        // out of the queue, and only request 1 reaches the batch that leaves.
+        assert!(rig.step_at(2.0 * s1, false));
+        assert_eq!(
+            rig.seen,
+            [(0, Outcome::DeadlineExceeded { at_s: 2.0 * s1 })]
+        );
+        assert_eq!(rig.executor.in_flight(), 1);
+        rig.step_at(4.0 * s1, false);
+        assert_eq!(rig.completions(), [(1, 0, 1)]);
+        assert_eq!(rig.seen.len(), 2, "each request reached the sink once");
+
+        // A request already in the pending batch is shed there, at the
+        // strict `now > deadline`, and the emptied batch goes nowhere.
+        rig.admit(2, 4.125 * s1).unwrap();
+        assert!(
+            !rig.step_at(4.125 * s1, false),
+            "not expired at its deadline"
+        );
+        assert!(rig.step_at(4.2 * s1, false));
+        assert_eq!(
+            rig.seen[2],
+            (2, Outcome::DeadlineExceeded { at_s: 4.2 * s1 })
+        );
+        assert!(rig.pipeline.idle(&rig.executor));
+        let snap = rig.metrics.snapshot();
+        assert_eq!((snap.deadline_exceeded, snap.batches), (2, 1));
+    }
+
+    #[test]
+    fn partial_batch_waits_for_its_window_unless_draining() {
+        let (rt, s1) = runtime(2, 16);
+        let window = rt.config().policy.max_wait_s;
+        let mut rig = Rig::new(&rt);
+        rig.admit(0, f64::INFINITY).unwrap();
+        assert!(!rig.step_at(0.9 * window, false), "held inside the window");
+        assert_eq!(rig.executor.in_flight(), 0);
+        assert!(rig.step_at(window, false), "leaves when the window closes");
+        assert_eq!(rig.executor.in_flight(), 1);
+
+        // Draining: a lone request leaves at once.
+        rig.step_at(2.0 * s1, false);
+        rig.admit(1, f64::INFINITY).unwrap();
+        assert!(rig.step_at(2.0 * s1, true));
+        assert_eq!(rig.executor.in_flight(), 1);
+
+        // Draining with a backlog: the queue empties into full batches
+        // first; only what is left over goes as a partial one.
+        rig.step_at(4.0 * s1, false);
+        for id in 2..8 {
+            rig.admit(id, f64::INFINITY).unwrap();
+        }
+        assert!(rig.step_at(4.0 * s1, true));
+        rig.step_at(9.0 * s1, false);
+        let sizes: Vec<usize> = rig.completions()[2..].iter().map(|c| c.2).collect();
+        assert_eq!(sizes, [2, 2, 4, 4, 4, 4], "the pair finishes first");
+    }
+
+    #[test]
+    fn busy_shards_take_nothing_and_drop_the_flush_window_from_the_timeout() {
+        let (rt, s1) = runtime(1, 8);
+        let window = rt.config().policy.max_wait_s;
+        let mut rig = Rig::new(&rt);
+        for id in 0..4 {
+            rig.admit(id, f64::INFINITY).unwrap();
+        }
+        assert!(rig.step_at(0.0, false), "a full batch leaves at once");
+        rig.admit(4, 10.0 * s1).unwrap();
+
+        // The window has closed and the batch is ready, but the one shard
+        // is busy: nothing leaves, and the next wake is the deadline (a
+        // hair past it), not the window.
+        let now = 2.0 * window;
+        assert!(now < rt.service_model().batch_service_s(4).unwrap());
+        assert!(!rig.step_at(now, false));
+        assert_eq!(rig.executor.in_flight(), 1);
+        let timeout = rig.pipeline.next_timeout(now, &rig.executor).unwrap();
+        assert!(timeout > 10.0 * s1 - now && timeout < 10.0 * s1);
+
+        // Once the shard is free the closed window is due immediately.
+        rig.clock.advance_to(9.0 * s1);
+        rig.pipeline.deliver(&mut rig.executor, &mut |_, _| ());
+        assert_eq!(
+            rig.pipeline.next_timeout(9.0 * s1, &rig.executor),
+            Some(0.0)
+        );
+    }
+
+    #[test]
+    fn one_pump_fills_every_free_shard_and_deliver_reports_the_batch_ridden() {
+        let (rt, s1) = runtime(2, 16);
+        let mut rig = Rig::new(&rt);
+        for id in 0..8 {
+            rig.admit(id, f64::INFINITY).unwrap();
+        }
+        assert!(rig.step_at(0.0, false));
+        assert_eq!(
+            rig.executor.in_flight(),
+            2,
+            "two ready batches, two free shards"
+        );
+        assert_eq!(rig.pipeline.router.shards.dispatch_counts(), [1, 1]);
+
+        // A ninth request rides alone once a shard is free again. Delivery
+        // is in (finish_s, shard) order, each request tagged with the
+        // shard and size of the batch it rode in.
+        rig.admit(8, f64::INFINITY).unwrap();
+        rig.step_at(20.0 * s1, false);
+        rig.step_at(40.0 * s1, false);
+        let expected: Vec<(u64, usize, usize)> = (0..4)
+            .map(|id| (id, 0, 4))
+            .chain((4..8).map(|id| (id, 1, 4)))
+            .chain([(8, 0, 1)])
+            .collect();
+        assert_eq!(rig.completions(), expected);
+        assert!(rig.pipeline.idle(&rig.executor));
+    }
+
+    #[test]
+    fn full_queue_hands_the_request_back_and_counts_one_rejection() {
+        let (rt, _) = runtime(1, 2);
+        let mut rig = Rig::new(&rt);
+        rig.admit(0, f64::INFINITY).unwrap();
+        assert!(rig.pipeline.has_room());
+        rig.admit(1, f64::INFINITY).unwrap();
+        assert!(!rig.pipeline.has_room());
+        let back = rig.admit(2, f64::INFINITY).unwrap_err();
+        assert_eq!(back.id, 2);
+        let snap = rig.metrics.snapshot();
+        assert_eq!((snap.rejected, snap.queue_depth_peak), (1, 2));
+        assert!(rig.seen.is_empty(), "a rejection is the caller's to report");
     }
 }

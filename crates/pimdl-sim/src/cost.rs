@@ -165,6 +165,22 @@ pub fn sub_lut_times(platform: &PlatformConfig, w: &LutWorkload, m: &Mapping) ->
     }
 }
 
+/// Per-PE reduce time (`t_reduce`, Eq. 10) of one `(N_s-tile, F_s-tile)`
+/// pair: its `RCount` reduce operations at the profiled single-reduce
+/// rate, stretched by the loop-overhead stall of an innermost loop
+/// `f_mtile` long. The simulator, the tuner's analytical model and its
+/// branch-and-bound lower bound all take the term from here.
+pub fn reduce_time_s(
+    platform: &PlatformConfig,
+    w: &LutWorkload,
+    (n_stile, f_stile): (usize, usize),
+    f_mtile: usize,
+) -> f64 {
+    let reduce_ops = (n_stile * w.cb * f_stile) as f64;
+    let stall = 1.0 + REDUCE_LOOP_OVERHEAD / f_mtile as f64;
+    reduce_ops * platform.single_reduce_s * stall
+}
+
 /// Per-PE stream counts of one micro-kernel (Eqs. 7–9): how often each
 /// structure streams from local memory and at what transfer size. The
 /// LUT count is repeat-blind — every gather priced; the simulator
@@ -295,8 +311,7 @@ pub fn cost_with_repeat(
 
     // Reduce: N_s × CB × F_s accumulations with short-loop stalls.
     let reduce_ops = (m.n_stile * w.cb * m.f_stile) as u64;
-    let stall_factor = 1.0 + REDUCE_LOOP_OVERHEAD / k.f_mtile as f64;
-    let kernel_reduce_s = reduce_ops as f64 * platform.single_reduce_s * stall_factor;
+    let kernel_reduce_s = reduce_time_s(platform, w, (m.n_stile, m.f_stile), k.f_mtile);
 
     let time = TimeBreakdown {
         sub_index_s: sub.index_s,

@@ -36,10 +36,11 @@
 //! beats the incumbent — exactness is preserved bit for bit.
 
 use pimdl_sim::config::PlatformConfig;
+use pimdl_sim::cost::reduce_time_s;
 use pimdl_sim::{LoadScheme, LutWorkload, Mapping, MicroKernel, TraversalOrder};
 
 use crate::model::{hierarchical_cost_with, sub_lut_time_s, HierBreakdown, MemHierarchy};
-use crate::space::{mapping_of, sub_lut_candidates, tile_candidates};
+use crate::space::{legal_pairs, mapping_of, tile_candidates};
 use crate::{Result, TuneError};
 
 /// Relative slack applied before pruning: a subtree is cut only when its
@@ -88,7 +89,30 @@ struct PairCtx<'a> {
     coarse_feasible: bool,
 }
 
-impl PairCtx<'_> {
+impl<'a> PairCtx<'a> {
+    /// The context of P1 pair `(n_stile, f_stile)`. `t_sub-lut` depends
+    /// only on the pair, so any kernel prices it.
+    fn new(
+        platform: &'a PlatformConfig,
+        w: &'a LutWorkload,
+        hier: &'a MemHierarchy,
+        (n_stile, f_stile): (usize, usize),
+    ) -> Self {
+        let probe = mapping_of(n_stile, f_stile, probe_kernel());
+        let lut_stile_bytes = w.cb * w.ct * f_stile;
+        PairCtx {
+            platform,
+            w,
+            hier,
+            n_stile,
+            f_stile,
+            sub_lut_s: sub_lut_time_s(platform, w, &probe),
+            lut_stile_bytes,
+            static_feasible: lut_stile_bytes <= platform.wram_bytes,
+            coarse_feasible: w.ct <= platform.wram_bytes,
+        }
+    }
+
     /// Admissible lower bound on the hierarchical total of every
     /// completion of `p` (see the module docs for the derivation).
     fn bound(&self, p: Partial) -> f64 {
@@ -107,9 +131,7 @@ impl PairCtx<'_> {
         let cb_m = p.cb_m.unwrap_or(w.cb);
 
         // Reduce: count exact, stall minimized by the largest legal F_m.
-        let reduce_ops = (self.n_stile * w.cb * self.f_stile) as f64;
-        let stall = 1.0 + pimdl_sim::cost::REDUCE_LOOP_OVERHEAD / f_m as f64;
-        let reduce_lb = reduce_ops * self.platform.single_reduce_s * stall;
+        let reduce_lb = reduce_time_s(self.platform, w, (self.n_stile, self.f_stile), f_m);
 
         let index_floor = (self.n_stile * w.cb * elem) as f64;
         let output_floor = (self.n_stile * self.f_stile * 4) as f64;
@@ -203,15 +225,7 @@ fn sort_children<T>(children: &mut [(f64, T)]) {
 ///
 /// Returns [`TuneError::NoLegalMapping`] if no candidate validates.
 pub fn search(platform: &PlatformConfig, workload: &LutWorkload) -> Result<BnbOutcome> {
-    let pairs = sub_lut_candidates(workload, platform);
-    if pairs.is_empty() {
-        return Err(TuneError::NoLegalMapping {
-            detail: format!(
-                "workload ({}, {}, {}, {}) cannot satisfy Eq. 5 on {} PEs",
-                workload.n, workload.cb, workload.ct, workload.f, platform.num_pes
-            ),
-        });
-    }
+    let pairs = legal_pairs(workload, platform)?;
 
     let hier = MemHierarchy::for_platform(platform);
     let mut best: Option<(Mapping, HierBreakdown)> = None;
@@ -221,20 +235,8 @@ pub fn search(platform: &PlatformConfig, workload: &LutWorkload) -> Result<BnbOu
     // Root level: order the P1 pairs by their pair-level bound.
     let mut roots: Vec<(f64, PairCtx)> = pairs
         .into_iter()
-        .map(|(n_s, f_s)| {
-            let probe = mapping_of(n_s, f_s, probe_kernel());
-            let lut_stile_bytes = workload.cb * workload.ct * f_s;
-            let ctx = PairCtx {
-                platform,
-                w: workload,
-                hier: &hier,
-                n_stile: n_s,
-                f_stile: f_s,
-                sub_lut_s: sub_lut_time_s(platform, workload, &probe),
-                lut_stile_bytes,
-                static_feasible: lut_stile_bytes <= platform.wram_bytes,
-                coarse_feasible: workload.ct <= platform.wram_bytes,
-            };
+        .map(|pair| {
+            let ctx = PairCtx::new(platform, workload, &hier, pair);
             (ctx.bound(Partial::default()), ctx)
         })
         .collect();
@@ -289,31 +291,11 @@ pub struct PairBest {
 ///
 /// Returns [`TuneError::NoLegalMapping`] if Eq. 5 has no solution.
 pub fn pair_bests(platform: &PlatformConfig, workload: &LutWorkload) -> Result<Vec<PairBest>> {
-    let pairs = sub_lut_candidates(workload, platform);
-    if pairs.is_empty() {
-        return Err(TuneError::NoLegalMapping {
-            detail: format!(
-                "workload ({}, {}, {}, {}) cannot satisfy Eq. 5 on {} PEs",
-                workload.n, workload.cb, workload.ct, workload.f, platform.num_pes
-            ),
-        });
-    }
+    let pairs = legal_pairs(workload, platform)?;
     let hier = MemHierarchy::for_platform(platform);
     let mut out = Vec::with_capacity(pairs.len());
     for (n_s, f_s) in pairs {
-        let probe = mapping_of(n_s, f_s, probe_kernel());
-        let lut_stile_bytes = workload.cb * workload.ct * f_s;
-        let ctx = PairCtx {
-            platform,
-            w: workload,
-            hier: &hier,
-            n_stile: n_s,
-            f_stile: f_s,
-            sub_lut_s: sub_lut_time_s(platform, workload, &probe),
-            lut_stile_bytes,
-            static_feasible: lut_stile_bytes <= platform.wram_bytes,
-            coarse_feasible: workload.ct <= platform.wram_bytes,
-        };
+        let ctx = PairCtx::new(platform, workload, &hier, (n_s, f_s));
         let mut best = None;
         let (mut evaluated, mut pruned) = (0, 0);
         descend_pair(&ctx, &mut best, &mut evaluated, &mut pruned);
@@ -321,7 +303,7 @@ pub fn pair_bests(platform: &PlatformConfig, workload: &LutWorkload) -> Result<V
             out.push(PairBest {
                 n_stile: n_s,
                 f_stile: f_s,
-                per_pe_lut_bytes: lut_stile_bytes,
+                per_pe_lut_bytes: ctx.lut_stile_bytes,
                 mapping,
                 predicted,
             });

@@ -18,7 +18,7 @@
 use serde::{Deserialize, Serialize};
 
 use pimdl_sim::config::{PlatformConfig, PlatformKind};
-use pimdl_sim::cost::{stream_counts, sub_lut_times, StreamCounts};
+use pimdl_sim::cost::{reduce_time_s, stream_counts, sub_lut_times, StreamCounts};
 use pimdl_sim::{LutWorkload, Mapping};
 
 use crate::Result;
@@ -85,11 +85,9 @@ fn analytical(
     let [kernel_index_s, kernel_output_s, kernel_lut_s] =
         streams(sc).map(|(loads, tile)| lm.ideal_time_s(loads * tile, tile));
 
-    let reduce_ops = (m.n_stile * w.cb * m.f_stile) as f64;
     // Profiled per-width reduce rate: t_single-reduce measured at the
     // kernel's inner-loop length includes the loop-overhead amortization.
-    let stall = 1.0 + pimdl_sim::cost::REDUCE_LOOP_OVERHEAD / k.f_mtile as f64;
-    let kernel_reduce_s = reduce_ops * platform.single_reduce_s * stall;
+    let kernel_reduce_s = reduce_time_s(platform, w, (m.n_stile, m.f_stile), k.f_mtile);
 
     AnalyticalBreakdown {
         sub_lut_s,

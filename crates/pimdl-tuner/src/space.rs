@@ -3,6 +3,8 @@
 use pimdl_sim::config::PlatformConfig;
 use pimdl_sim::{LoadScheme, LutWorkload, Mapping, MicroKernel, TraversalOrder};
 
+use crate::{Result, TuneError};
+
 /// Maximum divisor candidates per tiling dimension before falling back to
 /// power-of-two divisors only (keeps the space tractable for large dims).
 const MAX_DIVISORS: usize = 24;
@@ -59,6 +61,24 @@ pub fn sub_lut_candidates(
         out.push((workload.n / groups, workload.f / per_group));
     }
     out
+}
+
+/// [`sub_lut_candidates`], or the error every search reports when Eq. 5
+/// has no solution.
+pub(crate) fn legal_pairs(
+    workload: &LutWorkload,
+    platform: &PlatformConfig,
+) -> Result<Vec<(usize, usize)>> {
+    let pairs = sub_lut_candidates(workload, platform);
+    if pairs.is_empty() {
+        return Err(TuneError::NoLegalMapping {
+            detail: format!(
+                "workload ({}, {}, {}, {}) cannot satisfy Eq. 5 on {} PEs",
+                workload.n, workload.cb, workload.ct, workload.f, platform.num_pes
+            ),
+        });
+    }
+    Ok(pairs)
 }
 
 /// Micro-kernel candidates (**P2** + **P3** + **P4**) for a fixed sub-LUT

@@ -17,7 +17,7 @@ use pimdl_sim::config::PlatformConfig;
 use pimdl_sim::{LutWorkload, Mapping};
 
 use crate::model::{hierarchical_cost_with, AnalyticalBreakdown, HierBreakdown, MemHierarchy};
-use crate::space::{kernel_candidates, mapping_of, sub_lut_candidates};
+use crate::space::{kernel_candidates, legal_pairs, mapping_of};
 use crate::{Result, TuneError};
 
 /// Which search walks the mapping space.
@@ -129,15 +129,7 @@ fn tune_exhaustive(
     workload: &LutWorkload,
     options: TuneOptions,
 ) -> Result<TuningResult> {
-    let pairs = sub_lut_candidates(workload, platform);
-    if pairs.is_empty() {
-        return Err(TuneError::NoLegalMapping {
-            detail: format!(
-                "workload ({}, {}, {}, {}) cannot satisfy Eq. 5 on {} PEs",
-                workload.n, workload.cb, workload.ct, workload.f, platform.num_pes
-            ),
-        });
-    }
+    let pairs = legal_pairs(workload, platform)?;
     let hier = MemHierarchy::for_platform(platform);
 
     let score_pair = |&(n_s, f_s): &(usize, usize)| -> (Option<(Mapping, HierBreakdown)>, usize) {

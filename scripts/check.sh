@@ -100,7 +100,8 @@ for crate in "${WORKSPACE_CRATES[@]}"; do
     cargo clippy --offline -p "${crate}" --all-targets -- -D warnings
 done
 
-for crate in pimdl-tensor pimdl-lutnn pimdl-tuner pimdl-serve pimdl-lint; do
+for crate in pimdl-tensor pimdl-lutnn pimdl-sim pimdl-nn pimdl-engine pimdl-tuner \
+    pimdl-serve pimdl-lint; do
     echo "==> cargo test -p ${crate} --offline"
     cargo test --offline -p "${crate}"
 done
