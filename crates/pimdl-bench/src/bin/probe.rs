@@ -1,7 +1,8 @@
+use pimdl_bench::experiments::sampled_kernels;
 use pimdl_sim::cost::estimate_cost;
-use pimdl_sim::{LutWorkload, PlatformConfig};
+use pimdl_sim::{LutWorkload, MicroKernel, PlatformConfig};
 use pimdl_tuner::model::analytical_cost;
-use pimdl_tuner::space::{kernel_candidates, mapping_of, sub_lut_candidates};
+use pimdl_tuner::space::{mapping_of, sub_lut_candidates};
 use pimdl_tuner::tune;
 fn main() {
     let p = PlatformConfig::upmem();
@@ -25,14 +26,9 @@ fn main() {
     println!("  sim breakdown: sub_idx {:.4} sub_lut {:.4} sub_out {:.4} k_idx {:.4} k_lut {:.4} k_out {:.4} k_red {:.4}",
         tb.sub_index_s, tb.sub_lut_s, tb.sub_output_s, tb.kernel_index_s, tb.kernel_lut_s, tb.kernel_output_s, tb.kernel_reduce_s);
     let mut best = (f64::INFINITY, None);
+    let keep = |k: &MicroKernel| k.n_mtile >= 4 && k.f_mtile >= 4 && k.cb_mtile >= 2;
     for (n_s, f_s) in sub_lut_candidates(&w, &p) {
-        let mut kernels = kernel_candidates(&w, &p, n_s, f_s);
-        kernels.retain(|k| k.n_mtile >= 4 && k.f_mtile >= 4 && k.cb_mtile >= 2);
-        if kernels.len() > 1500 {
-            let st = kernels.len().div_ceil(1500);
-            kernels = kernels.into_iter().step_by(st).collect();
-        }
-        for k in kernels {
+        for k in sampled_kernels(&w, &p, (n_s, f_s), keep, 1500) {
             let m = mapping_of(n_s, f_s, k);
             if let Ok(c) = estimate_cost(&p, &w, &m) {
                 if c.time.total_s() < best.0 {

@@ -15,8 +15,9 @@ use pimdl_sim::cost::estimate_cost;
 use pimdl_sim::mapping::MicroKernel;
 use pimdl_sim::{LoadScheme, LutWorkload, Mapping, PlatformConfig};
 use pimdl_tuner::model::{analytical_cost, relative_error};
-use pimdl_tuner::space::{kernel_candidates, mapping_of, sub_lut_candidates};
+use pimdl_tuner::space::{mapping_of, sub_lut_candidates};
 
+use super::{is_sane, sampled_kernels};
 use crate::report::TextTable;
 
 /// A scored mapping.
@@ -68,19 +69,6 @@ pub fn paper_workload() -> LutWorkload {
     LutWorkload::new(32768, 256, 16, 4096).expect("static shape")
 }
 
-/// The paper's Fig. 13 plots the *neighborhood* of sensible mappings, not
-/// pathological corner tilings (1-element micro-tiles whose per-access
-/// overheads dwarf useful work). This predicate reproduces that framing.
-fn is_sane(kernel: &MicroKernel) -> bool {
-    let tiles_ok = kernel.n_mtile >= 4 && kernel.f_mtile >= 4 && kernel.cb_mtile >= 2;
-    let loads_ok = match kernel.load_scheme {
-        LoadScheme::Static => true,
-        LoadScheme::CoarseGrain { cb_load, f_load } => cb_load * f_load >= 4,
-        LoadScheme::FineGrain { f_load, .. } => f_load >= 4,
-    };
-    tiles_ok && loads_ok
-}
-
 fn scheme_matches(scheme: LoadScheme, filter: &str) -> bool {
     matches!(
         (scheme, filter),
@@ -99,18 +87,11 @@ fn sweep_panel(
     max_candidates: usize,
 ) -> Option<Fig13Panel> {
     let mut scored: Vec<ScoredMapping> = Vec::new();
+    let keep = |k: &MicroKernel| {
+        is_sane(k) && scheme_filter.is_none_or(|f| scheme_matches(k.load_scheme, f))
+    };
     for &(n_s, f_s) in pairs {
-        let mut kernels = kernel_candidates(workload, platform, n_s, f_s);
-        kernels.retain(is_sane);
-        if let Some(filter) = scheme_filter {
-            kernels.retain(|k| scheme_matches(k.load_scheme, filter));
-        }
-        if max_candidates > 0 && kernels.len() > max_candidates {
-            // Deterministic thinning: keep a uniform stride.
-            let stride = kernels.len().div_ceil(max_candidates);
-            kernels = kernels.into_iter().step_by(stride).collect();
-        }
-        for kernel in kernels {
+        for kernel in sampled_kernels(workload, platform, (n_s, f_s), keep, max_candidates) {
             let mapping = mapping_of(n_s, f_s, kernel);
             let Ok(model) = analytical_cost(platform, workload, &mapping) else {
                 continue;

@@ -22,6 +22,43 @@ pub mod table1;
 pub mod tuner;
 pub mod tuner_error;
 
+use pimdl_sim::{LoadScheme, LutWorkload, MicroKernel, PlatformConfig};
+use pimdl_tuner::space::kernel_candidates;
+
+/// The paper's Fig. 13 / §6.6 statistics cover the *neighborhood* of
+/// sensible mappings, not pathological corner tilings (1-element
+/// micro-tiles whose per-access overheads dwarf useful work). This
+/// predicate reproduces that framing.
+pub(crate) fn is_sane(kernel: &MicroKernel) -> bool {
+    let tiles_ok = kernel.n_mtile >= 4 && kernel.f_mtile >= 4 && kernel.cb_mtile >= 2;
+    let loads_ok = match kernel.load_scheme {
+        LoadScheme::Static => true,
+        LoadScheme::CoarseGrain { cb_load, f_load } => cb_load * f_load >= 4,
+        LoadScheme::FineGrain { f_load, .. } => f_load >= 4,
+    };
+    tiles_ok && loads_ok
+}
+
+/// The micro-kernel candidates of P1 pair `(n_s, f_s)` that pass `keep`,
+/// thinned to at most `cap` (0 = all of them) by a uniform stride — a
+/// prefix would drop the large-tile candidates, which the enumeration
+/// generates last.
+pub fn sampled_kernels(
+    workload: &LutWorkload,
+    platform: &PlatformConfig,
+    (n_s, f_s): (usize, usize),
+    keep: impl Fn(&MicroKernel) -> bool,
+    cap: usize,
+) -> Vec<MicroKernel> {
+    let mut kernels = kernel_candidates(workload, platform, n_s, f_s);
+    kernels.retain(keep);
+    if cap > 0 && kernels.len() > cap {
+        let stride = kernels.len().div_ceil(cap);
+        kernels = kernels.into_iter().step_by(stride).collect();
+    }
+    kernels
+}
+
 /// Geometric mean of a non-empty slice of positive values.
 pub fn geomean(values: &[f64]) -> f64 {
     if values.is_empty() {

@@ -8,11 +8,12 @@ use serde::Serialize;
 
 use pimdl_engine::shapes::TransformerShape;
 use pimdl_sim::cost::estimate_cost;
-use pimdl_sim::{LoadScheme, LutWorkload, PlatformConfig};
+use pimdl_sim::{LutWorkload, PlatformConfig};
 use pimdl_tuner::model::{analytical_cost, relative_error};
-use pimdl_tuner::space::{kernel_candidates, mapping_of, sub_lut_candidates};
+use pimdl_tuner::space::{mapping_of, sub_lut_candidates};
 use pimdl_tuner::tune;
 
+use super::{is_sane, sampled_kernels};
 use crate::report::TextTable;
 
 /// Tuner-quality statistics for one workload.
@@ -69,24 +70,16 @@ pub fn analyze_workload(
     let mut best_sim_s = tuned_sim_s;
     let mut errors = Vec::new();
     for (n_s, f_s) in sub_lut_candidates(workload, platform) {
-        let mut kernels = kernel_candidates(workload, platform, n_s, f_s);
         // Evaluate the model over the sensible neighborhood the paper
         // plots (degenerate 1-element tiles are overhead-dominated and not
         // part of its error statistics).
-        kernels.retain(|k| {
-            k.n_mtile >= 4
-                && k.f_mtile >= 4
-                && k.cb_mtile >= 2
-                && match k.load_scheme {
-                    LoadScheme::Static => true,
-                    LoadScheme::CoarseGrain { cb_load, f_load } => cb_load * f_load >= 4,
-                    LoadScheme::FineGrain { f_load, .. } => f_load >= 4,
-                }
-        });
-        if max_candidates_per_pair > 0 && kernels.len() > max_candidates_per_pair {
-            let stride = kernels.len().div_ceil(max_candidates_per_pair);
-            kernels = kernels.into_iter().step_by(stride).collect();
-        }
+        let kernels = sampled_kernels(
+            workload,
+            platform,
+            (n_s, f_s),
+            is_sane,
+            max_candidates_per_pair,
+        );
         for kernel in kernels {
             let mapping = mapping_of(n_s, f_s, kernel);
             let (Ok(model), Ok(sim)) = (

@@ -44,25 +44,9 @@ pub fn measure_repeat_fraction(indices: &[u16], n: usize, cb: usize) -> f64 {
     repeats as f64 / ((n - 1) as u64 * cb as u64) as f64
 }
 
-/// Runs the LUT kernel functionally on every simulated PE and returns the
-/// assembled `N x F` output together with the measured-cost report.
-///
-/// PE `(group i, member j)` computes output rows
-/// `[i·N_s, (i+1)·N_s) x [j·F_s, (j+1)·F_s)` — the sub-LUT partition of
-/// Fig. 8-(a). No inter-PE communication occurs (limitation **L2** is
-/// respected by construction: neither `CT` nor `CB` is split across PEs).
-///
-/// # Errors
-///
-/// Returns [`SimError::WorkloadMismatch`] if the operand slices disagree
-/// with the workload shape, or an illegal-mapping error from validation.
-pub fn run_lut_kernel(
-    platform: &PlatformConfig,
-    workload: &LutWorkload,
-    mapping: &Mapping,
-    data: LutKernelData<'_>,
-) -> Result<(Matrix, CostReport)> {
-    let w = workload;
+/// The operand slices must have the workload's shape and every index must
+/// select one of the `CT` centroids.
+fn check_operands(w: &LutWorkload, data: LutKernelData<'_>) -> Result<()> {
     if data.indices.len() != w.n * w.cb {
         return Err(SimError::WorkloadMismatch {
             detail: format!(
@@ -86,10 +70,32 @@ pub fn run_lut_kernel(
             detail: format!("index {bad} >= CT = {}", w.ct),
         });
     }
+    Ok(())
+}
+
+/// Runs the LUT kernel functionally on every simulated PE and returns the
+/// assembled `N x F` output together with the measured-cost report.
+///
+/// PE `(group i, member j)` computes output rows
+/// `[i·N_s, (i+1)·N_s) x [j·F_s, (j+1)·F_s)` — the sub-LUT partition of
+/// Fig. 8-(a). No inter-PE communication occurs (limitation **L2** is
+/// respected by construction: neither `CT` nor `CB` is split across PEs).
+///
+/// # Errors
+///
+/// Returns [`SimError::WorkloadMismatch`] if the operand slices disagree
+/// with the workload shape, or an illegal-mapping error from validation.
+pub fn run_lut_kernel(
+    platform: &PlatformConfig,
+    workload: &LutWorkload,
+    mapping: &Mapping,
+    data: LutKernelData<'_>,
+) -> Result<(Matrix, CostReport)> {
+    let w = workload;
+    check_operands(w, data)?;
     let repeat = measure_repeat_fraction(data.indices, w.n, w.cb);
     let report = cost_with_repeat(platform, w, mapping, repeat)?;
 
-    let groups = mapping.groups(w);
     let per_group = mapping.pes_per_group(w);
     let (n_s, f_s) = (mapping.n_stile, mapping.f_stile);
 
@@ -133,7 +139,6 @@ pub fn run_lut_kernel(
             }
         })
         .expect("simulated PE panicked");
-        let _ = groups;
     }
 
     Ok((output, report))
@@ -185,24 +190,7 @@ pub fn run_lut_kernel_compiled(
     data: LutKernelData<'_>,
 ) -> Result<(Matrix, Vec<crate::interp::InterpStats>)> {
     let w = workload;
-    if data.indices.len() != w.n * w.cb {
-        return Err(SimError::WorkloadMismatch {
-            detail: format!(
-                "index slice has {} entries, workload needs {}",
-                data.indices.len(),
-                w.n * w.cb
-            ),
-        });
-    }
-    if data.table.len() != w.cb * w.ct * w.f {
-        return Err(SimError::WorkloadMismatch {
-            detail: format!(
-                "table slice has {} entries, workload needs {}",
-                data.table.len(),
-                w.cb * w.ct * w.f
-            ),
-        });
-    }
+    check_operands(w, data)?;
     mapping.validate(workload, platform)?;
     let program = crate::isa::compile(workload, mapping)?;
     let mut out = Matrix::zeros(w.n, w.f);
@@ -349,29 +337,28 @@ mod tests {
         let (indices, table) = random_operands(&w, 3);
         let p = platform(8);
         let m = mapping();
-
-        let bad_idx = LutKernelData {
-            indices: &indices[..10],
-            table: &table,
-            scale: 1.0,
-        };
-        assert!(run_lut_kernel(&p, &w, &m, bad_idx).is_err());
-
-        let bad_table = LutKernelData {
-            indices: &indices,
-            table: &table[..10],
-            scale: 1.0,
-        };
-        assert!(run_lut_kernel(&p, &w, &m, bad_table).is_err());
-
         let mut big = indices.clone();
         big[0] = 99;
-        let bad_value = LutKernelData {
-            indices: &big,
-            table: &table,
-            scale: 1.0,
-        };
-        assert!(run_lut_kernel(&p, &w, &m, bad_value).is_err());
+
+        // Short index slice, short table slice, index past CT: both
+        // runners refuse each with the same error.
+        for (indices, table) in [
+            (&indices[..10], &table[..]),
+            (&indices[..], &table[..10]),
+            (&big[..], &table[..]),
+        ] {
+            let data = LutKernelData {
+                indices,
+                table,
+                scale: 1.0,
+            };
+            let direct = run_lut_kernel(&p, &w, &m, data).unwrap_err();
+            assert!(matches!(direct, SimError::WorkloadMismatch { .. }));
+            assert_eq!(
+                run_lut_kernel_compiled(&p, &w, &m, data).unwrap_err(),
+                direct
+            );
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Branch-and-bound search over the P1–P4 mapping space.
 //!
-//! The exhaustive enumerator scores every candidate; this search walks the
-//! same space as a tree — **P1** pair → `N_m` → `F_m` → `CB_m` → traversal
-//! → load scheme — and prunes a subtree as soon as an *admissible lower
-//! bound* on every completion's [`hierarchical_cost`] already exceeds the
-//! incumbent. Because the bounds never overestimate, the search returns a
-//! mapping whose cost equals the exhaustive optimum exactly (the proptest
-//! oracle in `tests/properties.rs` asserts bit-identical totals).
+//! The search tree is [`crate::space`]'s — **P1** pair → `N_m` → `F_m` →
+//! `CB_m` → traversal → load scheme. This module descends it best-first
+//! and prunes a subtree as soon as an *admissible lower bound* on every
+//! completion's [`hierarchical_cost`](crate::model::hierarchical_cost)
+//! already exceeds the incumbent. Because the bounds never overestimate,
+//! the search returns a mapping whose cost equals the optimum over the
+//! materialised list ([`crate::space::kernel_candidates`]) exactly (the
+//! proptest oracle in `tests/properties.rs` asserts bit-identical totals).
 //!
 //! # Lower-bound derivation (DESIGN.md §12)
 //!
@@ -40,17 +41,15 @@ use pimdl_sim::cost::reduce_time_s;
 use pimdl_sim::{LoadScheme, LutWorkload, Mapping, MicroKernel, TraversalOrder};
 
 use crate::model::{hierarchical_cost_with, sub_lut_time_s, HierBreakdown, MemHierarchy};
-use crate::space::{legal_pairs, mapping_of, tile_candidates};
+use crate::space::{
+    leaf_kernels, legal_pairs, mapping_of, static_fits, Partial, SchemeClass, Tiling, FINE_THREADS,
+};
 use crate::{Result, TuneError};
 
 /// Relative slack applied before pruning: a subtree is cut only when its
 /// lower bound exceeds the incumbent by more than accumulated-rounding
 /// noise, so pruning can never change the returned optimum.
 const PRUNE_GUARD: f64 = 1.0 - 1e-12;
-
-/// UPMEM tasklet count used for fine-grain candidates (must match
-/// [`crate::space::kernel_candidates`] so both searches walk one space).
-const FINE_THREADS: usize = 16;
 
 /// Outcome of a branch-and-bound run.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,13 +65,52 @@ pub struct BnbOutcome {
     pub pruned_subtrees: usize,
 }
 
-/// Partial assignment of the micro-kernel levels, in branching order.
-#[derive(Debug, Clone, Copy, Default)]
-struct Partial {
-    n_m: Option<usize>,
-    f_m: Option<usize>,
-    cb_m: Option<usize>,
-    traversal: Option<TraversalOrder>,
+/// The best candidate offered so far and how many were scored: the one
+/// "strictly better" fold every search (the descent here, the reference
+/// enumeration in [`crate::tuner`]) runs its candidates through.
+#[derive(Debug, Default)]
+pub(crate) struct Incumbent {
+    best: Option<(Mapping, HierBreakdown)>,
+    evaluated: usize,
+}
+
+impl Incumbent {
+    fn total_s(&self) -> Option<f64> {
+        self.best.as_ref().map(|(_, b)| b.total_s())
+    }
+
+    /// Scores `mapping` if it is legal; it replaces the incumbent only when
+    /// strictly better, so of equal-cost candidates the first offered wins.
+    pub(crate) fn offer(
+        &mut self,
+        hier: &MemHierarchy,
+        platform: &PlatformConfig,
+        workload: &LutWorkload,
+        mapping: Mapping,
+    ) {
+        let Ok(scored) = hierarchical_cost_with(hier, platform, workload, &mapping) else {
+            return;
+        };
+        self.evaluated += 1;
+        if self.total_s().is_none_or(|best| scored.total_s() < best) {
+            self.best = Some((mapping, scored));
+        }
+    }
+
+    /// The winner, its prediction and the number of candidates scored.
+    pub(crate) fn into_best(
+        self,
+        workload: &LutWorkload,
+    ) -> Result<(Mapping, HierBreakdown, usize)> {
+        let evaluated = self.evaluated;
+        let (mapping, predicted) = self.best.ok_or_else(|| TuneError::NoLegalMapping {
+            detail: format!(
+                "all {evaluated} scored candidates were illegal for ({}, {}, {}, {})",
+                workload.n, workload.cb, workload.ct, workload.f
+            ),
+        })?;
+        Ok((mapping, predicted, evaluated))
+    }
 }
 
 /// Per-pair search context: everything the bound function needs.
@@ -108,7 +146,7 @@ impl<'a> PairCtx<'a> {
             f_stile,
             sub_lut_s: sub_lut_time_s(platform, w, &probe),
             lut_stile_bytes,
-            static_feasible: lut_stile_bytes <= platform.wram_bytes,
+            static_feasible: static_fits(w, platform, f_stile),
             coarse_feasible: w.ct <= platform.wram_bytes,
         }
     }
@@ -174,19 +212,17 @@ impl<'a> PairCtx<'a> {
             )
         };
 
-        // LUT: minimum over the still-legal schemes.
-        let lut_floor = self.lut_stile_bytes as f64;
-        let fine_total = (self.n_stile * w.cb * self.f_stile) as f64;
-        let mut lut_lb = lm.ideal_time_s(fine_total, f_m as f64);
-        let mut lut_bytes_floor = fine_total;
-        if self.static_feasible {
-            lut_lb = lut_lb.min(lm.ideal_time_s(lut_floor, lut_floor));
-            lut_bytes_floor = lut_bytes_floor.min(lut_floor);
-        }
-        if self.coarse_feasible {
-            let chunk_max = (cb_m * w.ct * f_m).min(self.platform.wram_bytes) as f64;
-            lut_lb = lut_lb.min(lm.ideal_time_s(lut_floor, chunk_max));
-            lut_bytes_floor = lut_bytes_floor.min(lut_floor);
+        // LUT: minimum over the still-legal scheme classes.
+        let mut lut_lb = self.lut_class_lb(SchemeClass::Fine, f_m, cb_m);
+        let mut lut_bytes_floor = (self.n_stile * w.cb * self.f_stile) as f64;
+        for (class, feasible) in [
+            (SchemeClass::Static, self.static_feasible),
+            (SchemeClass::Coarse, self.coarse_feasible),
+        ] {
+            if feasible {
+                lut_lb = lut_lb.min(self.lut_class_lb(class, f_m, cb_m));
+                lut_bytes_floor = lut_bytes_floor.min(self.lut_stile_bytes as f64);
+            }
         }
 
         // Row activation: volume floor over all three streams; crossing
@@ -199,6 +235,36 @@ impl<'a> PairCtx<'a> {
             self.sub_lut_s + index_lb + output_lb + reduce_lb + rowact_lb,
             lut_lb,
         )
+    }
+
+    /// Lower bound on the LUT term of every `class` leaf whose m-tiles are
+    /// at most `(f_m, cb_m)` (module docs, **LUT**).
+    fn lut_class_lb(&self, class: SchemeClass, f_m: usize, cb_m: usize) -> f64 {
+        let lm = &self.platform.local_mem;
+        let lut_floor = self.lut_stile_bytes as f64;
+        match class {
+            SchemeClass::Static => lm.ideal_time_s(lut_floor, lut_floor),
+            SchemeClass::Coarse => {
+                let chunk_max = (cb_m * self.w.ct * f_m).min(self.platform.wram_bytes);
+                lm.ideal_time_s(lut_floor, chunk_max as f64)
+            }
+            SchemeClass::Fine => {
+                let fine_total = self.n_stile * self.w.cb * self.f_stile;
+                lm.ideal_time_s(fine_total as f64, f_m as f64)
+            }
+        }
+    }
+
+    /// Structural WRAM cut, decidable once the three m-tiles are set: even
+    /// the smallest scheme buffer (a fine-grain single-feature gather)
+    /// does not fit beside the index and output tiles.
+    fn overflows_wram(&self, p: Partial) -> bool {
+        let (Some(n_m), Some(f_m), Some(cb_m), None) = (p.n_m, p.f_m, p.cb_m, p.traversal) else {
+            return false;
+        };
+        let tiles_bytes = n_m * cb_m * self.w.index_elem_bytes() + n_m * f_m * 4;
+        let min_buf = FINE_THREADS.min(self.w.ct).min(self.lut_stile_bytes);
+        tiles_bytes + min_buf > self.platform.wram_bytes
     }
 }
 
@@ -228,8 +294,7 @@ pub fn search(platform: &PlatformConfig, workload: &LutWorkload) -> Result<BnbOu
     let pairs = legal_pairs(workload, platform)?;
 
     let hier = MemHierarchy::for_platform(platform);
-    let mut best: Option<(Mapping, HierBreakdown)> = None;
-    let mut evaluated = 0usize;
+    let mut incumbent = Incumbent::default();
     let mut pruned_subtrees = 0usize;
 
     // Root level: order the P1 pairs by their pair-level bound.
@@ -243,19 +308,19 @@ pub fn search(platform: &PlatformConfig, workload: &LutWorkload) -> Result<BnbOu
     sort_children(&mut roots);
 
     for (lb, ctx) in &roots {
-        if prunes(*lb, best.as_ref().map(|(_, b)| b.total_s())) {
+        if prunes(*lb, incumbent.total_s()) {
             pruned_subtrees += 1;
             continue;
         }
-        descend_pair(ctx, &mut best, &mut evaluated, &mut pruned_subtrees);
+        descend(
+            ctx,
+            Partial::default(),
+            &mut incumbent,
+            &mut pruned_subtrees,
+        );
     }
 
-    let (mapping, predicted) = best.ok_or_else(|| TuneError::NoLegalMapping {
-        detail: format!(
-            "all {evaluated} scored candidates were illegal for ({}, {}, {}, {})",
-            workload.n, workload.cb, workload.ct, workload.f
-        ),
-    })?;
+    let (mapping, predicted, evaluated) = incumbent.into_best(workload)?;
     Ok(BnbOutcome {
         mapping,
         predicted,
@@ -296,10 +361,9 @@ pub fn pair_bests(platform: &PlatformConfig, workload: &LutWorkload) -> Result<V
     let mut out = Vec::with_capacity(pairs.len());
     for (n_s, f_s) in pairs {
         let ctx = PairCtx::new(platform, workload, &hier, (n_s, f_s));
-        let mut best = None;
-        let (mut evaluated, mut pruned) = (0, 0);
-        descend_pair(&ctx, &mut best, &mut evaluated, &mut pruned);
-        if let Some((mapping, predicted)) = best {
+        let mut incumbent = Incumbent::default();
+        descend(&ctx, Partial::default(), &mut incumbent, &mut 0);
+        if let Some((mapping, predicted)) = incumbent.best {
             out.push(PairBest {
                 n_stile: n_s,
                 f_stile: f_s,
@@ -327,208 +391,52 @@ fn probe_kernel() -> MicroKernel {
     }
 }
 
-/// DFS through the micro-kernel levels of one P1 pair.
-fn descend_pair(
-    ctx: &PairCtx,
-    best: &mut Option<(Mapping, HierBreakdown)>,
-    evaluated: &mut usize,
-    pruned: &mut usize,
-) {
-    let incumbent =
-        |best: &Option<(Mapping, HierBreakdown)>| best.as_ref().map(|(_, b)| b.total_s());
-    let w = ctx.w;
-
-    let mut n_children: Vec<(f64, usize)> = tile_candidates(ctx.n_stile)
+/// Depth-first descent below `node` within one P1 pair: bound the children
+/// of the first unset level, visit them best-first and cut those the
+/// incumbent already beats; under a complete tiling, score the P4 leaves.
+fn descend(ctx: &PairCtx, node: Partial, incumbent: &mut Incumbent, pruned: &mut usize) {
+    if let Some(tiling) = node.complete() {
+        return score_leaves(ctx, node, tiling, incumbent, pruned);
+    }
+    let mut children: Vec<(f64, Partial)> = node
+        .children(ctx.w, ctx.n_stile, ctx.f_stile)
         .into_iter()
-        .map(|n_m| {
-            let p = Partial {
-                n_m: Some(n_m),
-                ..Partial::default()
-            };
-            (ctx.bound(p), n_m)
-        })
+        .map(|child| (ctx.bound(child), child))
         .collect();
-    sort_children(&mut n_children);
-
-    for &(n_lb, n_m) in &n_children {
-        if prunes(n_lb, incumbent(best)) {
+    sort_children(&mut children);
+    for (lb, child) in children {
+        if prunes(lb, incumbent.total_s()) || ctx.overflows_wram(child) {
             *pruned += 1;
             continue;
         }
-        let mut f_children: Vec<(f64, usize)> = tile_candidates(ctx.f_stile)
-            .into_iter()
-            .map(|f_m| {
-                let p = Partial {
-                    n_m: Some(n_m),
-                    f_m: Some(f_m),
-                    ..Partial::default()
-                };
-                (ctx.bound(p), f_m)
-            })
-            .collect();
-        sort_children(&mut f_children);
-
-        for &(f_lb, f_m) in &f_children {
-            if prunes(f_lb, incumbent(best)) {
-                *pruned += 1;
-                continue;
-            }
-            let mut cb_children: Vec<(f64, usize)> = tile_candidates(w.cb)
-                .into_iter()
-                .map(|cb_m| {
-                    let p = Partial {
-                        n_m: Some(n_m),
-                        f_m: Some(f_m),
-                        cb_m: Some(cb_m),
-                        traversal: None,
-                    };
-                    (ctx.bound(p), cb_m)
-                })
-                .collect();
-            sort_children(&mut cb_children);
-
-            for &(cb_lb, cb_m) in &cb_children {
-                if prunes(cb_lb, incumbent(best)) {
-                    *pruned += 1;
-                    continue;
-                }
-                // Structural WRAM cut: even the smallest scheme buffer
-                // (a fine-grain single-feature gather) cannot fit.
-                let tiles_bytes = n_m * cb_m * w.index_elem_bytes() + n_m * f_m * 4;
-                let min_buf = FINE_THREADS.min(w.ct).min(ctx.lut_stile_bytes);
-                if tiles_bytes + min_buf > ctx.platform.wram_bytes {
-                    *pruned += 1;
-                    continue;
-                }
-
-                let mut t_children: Vec<(f64, TraversalOrder)> = TraversalOrder::all()
-                    .into_iter()
-                    .map(|t| {
-                        let p = Partial {
-                            n_m: Some(n_m),
-                            f_m: Some(f_m),
-                            cb_m: Some(cb_m),
-                            traversal: Some(t),
-                        };
-                        (ctx.bound(p), t)
-                    })
-                    .collect();
-                sort_children(&mut t_children);
-
-                for &(t_lb, traversal) in &t_children {
-                    if prunes(t_lb, incumbent(best)) {
-                        *pruned += 1;
-                        continue;
-                    }
-                    score_leaves(ctx, (n_m, f_m, cb_m), traversal, best, evaluated, pruned);
-                }
-            }
-        }
+        descend(ctx, child, incumbent, pruned);
     }
 }
 
-/// Evaluates every load-scheme leaf under a fixed tiling + traversal,
-/// mirroring the scheme enumeration of `kernel_candidates` exactly.
+/// Scores the load-scheme leaves under a complete tiling, class by class.
 fn score_leaves(
     ctx: &PairCtx,
-    (n_m, f_m, cb_m): (usize, usize, usize),
-    traversal: TraversalOrder,
-    best: &mut Option<(Mapping, HierBreakdown)>,
-    evaluated: &mut usize,
+    node: Partial,
+    tiling @ (_, f_m, cb_m, _): Tiling,
+    incumbent: &mut Incumbent,
     pruned: &mut usize,
 ) {
-    let w = ctx.w;
-    let lm = &ctx.platform.local_mem;
-    let incumbent = best.as_ref().map(|(_, b)| b.total_s());
-    // Everything but the LUT term is exact at this depth; per scheme
-    // class, swap in that class's own LUT floor before enumerating its
-    // chunk factors (the classes dominate the leaf count).
-    let (non_lut_lb, _) = ctx.bound_parts(Partial {
-        n_m: Some(n_m),
-        f_m: Some(f_m),
-        cb_m: Some(cb_m),
-        traversal: Some(traversal),
-    });
-
-    let eval = |kernel: MicroKernel,
-                best: &mut Option<(Mapping, HierBreakdown)>,
-                evaluated: &mut usize| {
-        let mapping = mapping_of(ctx.n_stile, ctx.f_stile, kernel);
-        if let Ok(hb) = hierarchical_cost_with(ctx.hier, ctx.platform, w, &mapping) {
-            *evaluated += 1;
-            let better = match best {
-                None => true,
-                Some((_, b)) => hb.total_s() < b.total_s(),
-            };
-            if better {
-                *best = Some((mapping, hb));
-            }
+    // Everything but the LUT term is exact at this depth; swap in each
+    // class's own LUT floor and gate the whole class on it before
+    // enumerating its chunk factors (the classes dominate the leaf count).
+    // Every gate compares against the incumbent on entry.
+    let on_entry = incumbent.total_s();
+    let (non_lut_lb, _) = ctx.bound_parts(node);
+    for class in SchemeClass::ALL {
+        // Static is a single leaf: scoring it costs no more than bounding it.
+        let gated = !matches!(class, SchemeClass::Static);
+        if gated && prunes(non_lut_lb + ctx.lut_class_lb(class, f_m, cb_m), on_entry) {
+            *pruned += 1;
+            continue;
         }
-    };
-
-    // ❶ static.
-    if ctx.static_feasible {
-        eval(
-            MicroKernel {
-                n_mtile: n_m,
-                f_mtile: f_m,
-                cb_mtile: cb_m,
-                traversal,
-                load_scheme: LoadScheme::Static,
-            },
-            best,
-            evaluated,
-        );
-    }
-
-    // ❷ coarse-grain: gate the whole class with its tightest bound before
-    // enumerating chunk factors.
-    let lut_floor = ctx.lut_stile_bytes as f64;
-    let coarse_gran = (cb_m * w.ct * f_m).min(ctx.platform.wram_bytes) as f64;
-    let coarse_class_lb = non_lut_lb + lm.ideal_time_s(lut_floor, coarse_gran);
-    if prunes(coarse_class_lb, incumbent) {
-        *pruned += 1;
-    } else {
-        for &cb_load in &tile_candidates(cb_m) {
-            for &f_load in &tile_candidates(f_m) {
-                if cb_load * w.ct * f_load <= ctx.platform.wram_bytes {
-                    eval(
-                        MicroKernel {
-                            n_mtile: n_m,
-                            f_mtile: f_m,
-                            cb_mtile: cb_m,
-                            traversal,
-                            load_scheme: LoadScheme::CoarseGrain { cb_load, f_load },
-                        },
-                        best,
-                        evaluated,
-                    );
-                }
-            }
-        }
-    }
-
-    // ❸ fine-grain.
-    let fine_total = (ctx.n_stile * w.cb * ctx.f_stile) as f64;
-    let fine_class_lb = non_lut_lb + lm.ideal_time_s(fine_total, f_m as f64);
-    if prunes(fine_class_lb, incumbent) {
-        *pruned += 1;
-    } else {
-        for &f_load in &tile_candidates(f_m) {
-            eval(
-                MicroKernel {
-                    n_mtile: n_m,
-                    f_mtile: f_m,
-                    cb_mtile: cb_m,
-                    traversal,
-                    load_scheme: LoadScheme::FineGrain {
-                        f_load,
-                        threads: FINE_THREADS,
-                    },
-                },
-                best,
-                evaluated,
-            );
+        for kernel in leaf_kernels(class, ctx.w, ctx.platform, ctx.f_stile, tiling) {
+            let mapping = mapping_of(ctx.n_stile, ctx.f_stile, kernel);
+            incumbent.offer(ctx.hier, ctx.platform, ctx.w, mapping);
         }
     }
 }

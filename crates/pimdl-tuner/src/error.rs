@@ -14,11 +14,6 @@ pub enum TuneError {
     },
     /// An underlying simulator/validation error.
     Sim(SimError),
-    /// A search worker thread died; the result would be incomplete.
-    Worker {
-        /// What the runtime reported.
-        detail: String,
-    },
     /// An allocation request is malformed (unsupported `V`, empty op
     /// list, zero budget, …) — distinct from a well-formed request that
     /// merely has no feasible answer.
@@ -35,7 +30,6 @@ impl fmt::Display for TuneError {
                 write!(f, "no legal mapping found: {detail}")
             }
             TuneError::Sim(e) => write!(f, "simulator error: {e}"),
-            TuneError::Worker { detail } => write!(f, "tuner worker failed: {detail}"),
             TuneError::InvalidConfig { detail } => {
                 write!(f, "invalid tuning request: {detail}")
             }

@@ -81,9 +81,133 @@ pub(crate) fn legal_pairs(
     Ok(pairs)
 }
 
+/// UPMEM tasklet count of every fine-grain candidate (harmless elsewhere).
+pub(crate) const FINE_THREADS: usize = 16;
+
+/// A node of the micro-kernel search tree below one P1 pair: the levels
+/// assigned so far, in branching order — **P2** `N_m` → `F_m` → `CB_m`,
+/// then the **P3** traversal. The **P4** load schemes are the leaves under
+/// a complete assignment ([`leaf_kernels`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Partial {
+    pub(crate) n_m: Option<usize>,
+    pub(crate) f_m: Option<usize>,
+    pub(crate) cb_m: Option<usize>,
+    pub(crate) traversal: Option<TraversalOrder>,
+}
+
+/// A complete [`Partial`]: `(N_m, F_m, CB_m, traversal)`.
+pub(crate) type Tiling = (usize, usize, usize, TraversalOrder);
+
+impl Partial {
+    /// The assignment once every level is set.
+    pub(crate) fn complete(self) -> Option<Tiling> {
+        Some((self.n_m?, self.f_m?, self.cb_m?, self.traversal?))
+    }
+
+    /// One child per entry of the first unset level's menu, in menu order
+    /// (none once the assignment is complete).
+    pub(crate) fn children(self, w: &LutWorkload, n_stile: usize, f_stile: usize) -> Vec<Partial> {
+        if self.n_m.is_none() {
+            self.branch(tile_candidates(n_stile), |c, t| c.n_m = Some(t))
+        } else if self.f_m.is_none() {
+            self.branch(tile_candidates(f_stile), |c, t| c.f_m = Some(t))
+        } else if self.cb_m.is_none() {
+            self.branch(tile_candidates(w.cb), |c, t| c.cb_m = Some(t))
+        } else if self.traversal.is_none() {
+            self.branch(TraversalOrder::all(), |c, t| c.traversal = Some(t))
+        } else {
+            Vec::new()
+        }
+    }
+
+    fn branch<T>(
+        self,
+        menu: impl IntoIterator<Item = T>,
+        set: fn(&mut Partial, T),
+    ) -> Vec<Partial> {
+        let child = |choice| {
+            let mut child = self;
+            set(&mut child, choice);
+            child
+        };
+        menu.into_iter().map(child).collect()
+    }
+}
+
+/// The three **P4** load-scheme classes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum SchemeClass {
+    Static,
+    Coarse,
+    Fine,
+}
+
+impl SchemeClass {
+    /// Enumeration order of the classes under one tiling.
+    pub(crate) const ALL: [SchemeClass; 3] =
+        [SchemeClass::Static, SchemeClass::Coarse, SchemeClass::Fine];
+}
+
+/// Can the static scheme hold the whole sub-LUT (`CB·CT·F_s`) on chip?
+pub(crate) fn static_fits(
+    workload: &LutWorkload,
+    platform: &PlatformConfig,
+    f_stile: usize,
+) -> bool {
+    workload.cb * workload.ct * f_stile <= platform.wram_bytes
+}
+
+/// The leaves of one scheme class under a complete tiling: ❶ static, if the
+/// sub-LUT fits; ❷ coarse-grain, every `cb_load × f_load` chunk dividing
+/// the m-tiles that fits; ❸ fine-grain, every `f_load` dividing `F_m`.
+pub(crate) fn leaf_kernels(
+    class: SchemeClass,
+    workload: &LutWorkload,
+    platform: &PlatformConfig,
+    f_stile: usize,
+    (n_m, f_m, cb_m, traversal): Tiling,
+) -> Vec<MicroKernel> {
+    let kernel = |load_scheme| MicroKernel {
+        n_mtile: n_m,
+        f_mtile: f_m,
+        cb_mtile: cb_m,
+        traversal,
+        load_scheme,
+    };
+    match class {
+        SchemeClass::Static => static_fits(workload, platform, f_stile)
+            .then(|| kernel(LoadScheme::Static))
+            .into_iter()
+            .collect(),
+        SchemeClass::Coarse => {
+            let f_loads = tile_candidates(f_m);
+            let mut out = Vec::new();
+            for cb_load in tile_candidates(cb_m) {
+                for &f_load in &f_loads {
+                    if cb_load * workload.ct * f_load <= platform.wram_bytes {
+                        out.push(kernel(LoadScheme::CoarseGrain { cb_load, f_load }));
+                    }
+                }
+            }
+            out
+        }
+        SchemeClass::Fine => tile_candidates(f_m)
+            .into_iter()
+            .map(|f_load| {
+                kernel(LoadScheme::FineGrain {
+                    f_load,
+                    threads: FINE_THREADS,
+                })
+            })
+            .collect(),
+    }
+}
+
 /// Micro-kernel candidates (**P2** + **P3** + **P4**) for a fixed sub-LUT
-/// partition. Only structurally legal kernels are returned; WRAM capacity is
-/// checked by `Mapping::validate` at scoring time.
+/// partition: the search tree materialised depth-first in menu order. Only
+/// structurally legal kernels are returned; WRAM capacity is checked by
+/// `Mapping::validate` at scoring time.
 pub fn kernel_candidates(
     workload: &LutWorkload,
     platform: &PlatformConfig,
@@ -91,52 +215,15 @@ pub fn kernel_candidates(
     f_stile: usize,
 ) -> Vec<MicroKernel> {
     let mut kernels = Vec::new();
-    let n_tiles = tile_candidates(n_stile);
-    let f_tiles = tile_candidates(f_stile);
-    let cb_tiles = tile_candidates(workload.cb);
-    let threads = 16; // UPMEM tasklets; harmless default elsewhere.
-
-    for &n_m in &n_tiles {
-        for &f_m in &f_tiles {
-            for &cb_m in &cb_tiles {
-                for traversal in TraversalOrder::all() {
-                    // P4 ❶ static — requires the full LUT s-tile on chip.
-                    let static_bytes = workload.cb * workload.ct * f_stile;
-                    if static_bytes <= platform.wram_bytes {
-                        kernels.push(MicroKernel {
-                            n_mtile: n_m,
-                            f_mtile: f_m,
-                            cb_mtile: cb_m,
-                            traversal,
-                            load_scheme: LoadScheme::Static,
-                        });
-                    }
-                    // P4 ❷ coarse-grain — chunk factors divide the m-tiles.
-                    for &cb_load in &tile_candidates(cb_m) {
-                        for &f_load in &tile_candidates(f_m) {
-                            if cb_load * workload.ct * f_load <= platform.wram_bytes {
-                                kernels.push(MicroKernel {
-                                    n_mtile: n_m,
-                                    f_mtile: f_m,
-                                    cb_mtile: cb_m,
-                                    traversal,
-                                    load_scheme: LoadScheme::CoarseGrain { cb_load, f_load },
-                                });
-                            }
-                        }
-                    }
-                    // P4 ❸ fine-grain.
-                    for &f_load in &tile_candidates(f_m) {
-                        kernels.push(MicroKernel {
-                            n_mtile: n_m,
-                            f_mtile: f_m,
-                            cb_mtile: cb_m,
-                            traversal,
-                            load_scheme: LoadScheme::FineGrain { f_load, threads },
-                        });
-                    }
+    let mut stack = vec![Partial::default()];
+    while let Some(node) = stack.pop() {
+        match node.complete() {
+            Some(tiling) => {
+                for class in SchemeClass::ALL {
+                    kernels.extend(leaf_kernels(class, workload, platform, f_stile, tiling));
                 }
             }
+            None => stack.extend(node.children(workload, n_stile, f_stile).into_iter().rev()),
         }
     }
     kernels

@@ -3,22 +3,24 @@
 //! For each legal sub-LUT tiling pair the tuner estimates the partition
 //! overhead (Eq. 3) and searches the micro-kernel space for the fastest
 //! kernel under the **hierarchical cost model** ([`crate::model`]: the
-//! flat Eqs. 3–10 plus row-activation and layout-crossing terms). Two
-//! strategies cover the same candidate space:
+//! flat Eqs. 3–10 plus row-activation and layout-crossing terms). The
+//! space has one definition ([`crate::space`]) and two readers:
 //!
-//! * [`SearchStrategy::BranchAndBound`] (the default) prunes subtrees
-//!   with admissible lower bounds ([`crate::bnb`]) and typically scores a
-//!   few percent of the candidates;
-//! * [`SearchStrategy::Exhaustive`] is the original enumerator, kept as
-//!   the correctness oracle — on enumerable spaces both must return the
-//!   same optimal cost bit for bit.
+//! * [`SearchStrategy::BranchAndBound`] (the default) descends the tree,
+//!   pruning subtrees with admissible lower bounds ([`crate::bnb`]), and
+//!   typically scores a few percent of the candidates;
+//! * [`SearchStrategy::Exhaustive`] scores the materialised list
+//!   ([`crate::space::kernel_candidates`]) front to back. It is the
+//!   reference: on enumerable spaces both return the same optimal cost bit
+//!   for bit.
 
 use pimdl_sim::config::PlatformConfig;
 use pimdl_sim::{LutWorkload, Mapping};
 
-use crate::model::{hierarchical_cost_with, AnalyticalBreakdown, HierBreakdown, MemHierarchy};
+use crate::bnb::Incumbent;
+use crate::model::{AnalyticalBreakdown, HierBreakdown, MemHierarchy};
 use crate::space::{kernel_candidates, legal_pairs, mapping_of};
-use crate::{Result, TuneError};
+use crate::Result;
 
 /// Which search walks the mapping space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -26,44 +28,23 @@ pub enum SearchStrategy {
     /// Model-guided branch-and-bound with admissible lower bounds.
     #[default]
     BranchAndBound,
-    /// Exhaustive enumeration (the correctness oracle). Subject to
-    /// `max_kernels_per_pair` thinning; use `0` for the full space.
+    /// Serial enumeration of the full space (the correctness oracle; only
+    /// practical where the space is small enough to materialise).
     Exhaustive,
 }
 
 /// Options controlling the search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TuneOptions {
-    /// Score sub-LUT candidates on worker threads (exhaustive strategy
-    /// only; branch-and-bound shares one incumbent and runs serially —
-    /// pruning beats parallelism by orders of magnitude).
-    pub parallel: bool,
-    /// Upper bound on micro-kernel candidates evaluated per sub-LUT pair
-    /// (0 = unlimited). Large workloads have millions of candidates; the
-    /// bound keeps the exhaustive oracle at the paper's "~1 s/model"
-    /// scale. Ignored by branch-and-bound, which prunes instead.
-    pub max_kernels_per_pair: usize,
     /// Search strategy (default: branch-and-bound).
     pub strategy: SearchStrategy,
 }
 
-impl Default for TuneOptions {
-    fn default() -> Self {
-        TuneOptions {
-            parallel: true,
-            max_kernels_per_pair: 50_000,
-            strategy: SearchStrategy::default(),
-        }
-    }
-}
-
 impl TuneOptions {
-    /// The exhaustive oracle over the *full* space (no thinning) — what
-    /// the branch-and-bound result is verified against in tests.
+    /// The exhaustive oracle over the full space — what the
+    /// branch-and-bound result is verified against.
     pub fn exhaustive_oracle() -> Self {
         TuneOptions {
-            parallel: false,
-            max_kernels_per_pair: 0,
             strategy: SearchStrategy::Exhaustive,
         }
     }
@@ -90,8 +71,8 @@ pub struct TuningResult {
 ///
 /// # Errors
 ///
-/// Returns [`TuneError::NoLegalMapping`] if the workload cannot be evenly
-/// partitioned over the platform's PEs.
+/// Returns [`TuneError::NoLegalMapping`](crate::TuneError::NoLegalMapping)
+/// if the workload cannot be evenly partitioned over the platform's PEs.
 pub fn tune(platform: &PlatformConfig, workload: &LutWorkload) -> Result<TuningResult> {
     tune_with_options(platform, workload, TuneOptions::default())
 }
@@ -100,117 +81,20 @@ pub fn tune(platform: &PlatformConfig, workload: &LutWorkload) -> Result<TuningR
 ///
 /// # Errors
 ///
-/// Returns [`TuneError::NoLegalMapping`] if no candidate validates, or
-/// [`TuneError::Worker`] if a search worker thread dies.
+/// Returns [`TuneError::NoLegalMapping`](crate::TuneError::NoLegalMapping)
+/// if no candidate validates.
 pub fn tune_with_options(
     platform: &PlatformConfig,
     workload: &LutWorkload,
     options: TuneOptions,
 ) -> Result<TuningResult> {
-    match options.strategy {
+    let (mapping, hierarchical, evaluated) = match options.strategy {
         SearchStrategy::BranchAndBound => {
             let out = crate::bnb::search(platform, workload)?;
-            Ok(TuningResult {
-                mapping: out.mapping,
-                predicted: out.predicted.base,
-                hierarchical: out.predicted,
-                predicted_total_s: out.predicted.total_s(),
-                evaluated: out.evaluated,
-            })
+            (out.mapping, out.predicted, out.evaluated)
         }
-        SearchStrategy::Exhaustive => tune_exhaustive(platform, workload, options),
-    }
-}
-
-/// The original enumerator, scoring every candidate with the hierarchical
-/// model (shared objective with branch-and-bound).
-fn tune_exhaustive(
-    platform: &PlatformConfig,
-    workload: &LutWorkload,
-    options: TuneOptions,
-) -> Result<TuningResult> {
-    let pairs = legal_pairs(workload, platform)?;
-    let hier = MemHierarchy::for_platform(platform);
-
-    let score_pair = |&(n_s, f_s): &(usize, usize)| -> (Option<(Mapping, HierBreakdown)>, usize) {
-        let mut best: Option<(Mapping, HierBreakdown)> = None;
-        let mut evaluated = 0;
-        let mut kernels = kernel_candidates(workload, platform, n_s, f_s);
-        if options.max_kernels_per_pair > 0 && kernels.len() > options.max_kernels_per_pair {
-            // Thin uniformly: a prefix truncation would drop everything the
-            // enumeration generates last (the large-tile candidates).
-            let stride = kernels.len().div_ceil(options.max_kernels_per_pair);
-            kernels = kernels.into_iter().step_by(stride).collect();
-        }
-        for kernel in kernels {
-            let mapping = mapping_of(n_s, f_s, kernel);
-            let Ok(pred) = hierarchical_cost_with(&hier, platform, workload, &mapping) else {
-                continue;
-            };
-            evaluated += 1;
-            let better = match &best {
-                None => true,
-                Some((_, b)) => pred.total_s() < b.total_s(),
-            };
-            if better {
-                best = Some((mapping, pred));
-            }
-        }
-        (best, evaluated)
+        SearchStrategy::Exhaustive => tune_exhaustive(platform, workload)?,
     };
-
-    let results: Vec<(Option<(Mapping, HierBreakdown)>, usize)> = if options.parallel {
-        let scoped = crossbeam::scope(|scope| {
-            let handles: Vec<_> = pairs
-                .iter()
-                .map(|pair| scope.spawn(move |_| score_pair(pair)))
-                .collect();
-            let mut out = Vec::with_capacity(handles.len());
-            for h in handles {
-                match h.join() {
-                    Ok(r) => out.push(r),
-                    Err(_) => {
-                        return Err(TuneError::Worker {
-                            detail: "tuner worker thread panicked".to_string(),
-                        })
-                    }
-                }
-            }
-            Ok(out)
-        });
-        match scoped {
-            Ok(inner) => inner?,
-            Err(_) => {
-                return Err(TuneError::Worker {
-                    detail: "tuner thread scope panicked".to_string(),
-                })
-            }
-        }
-    } else {
-        pairs.iter().map(score_pair).collect()
-    };
-
-    let mut evaluated = 0;
-    let mut best: Option<(Mapping, HierBreakdown)> = None;
-    for (candidate, count) in results {
-        evaluated += count;
-        if let Some((m, p)) = candidate {
-            let better = match &best {
-                None => true,
-                Some((_, b)) => p.total_s() < b.total_s(),
-            };
-            if better {
-                best = Some((m, p));
-            }
-        }
-    }
-
-    let (mapping, hierarchical) = best.ok_or_else(|| TuneError::NoLegalMapping {
-        detail: format!(
-            "all {evaluated} scored candidates were illegal for ({}, {}, {}, {})",
-            workload.n, workload.cb, workload.ct, workload.f
-        ),
-    })?;
     Ok(TuningResult {
         mapping,
         predicted: hierarchical.base,
@@ -220,9 +104,27 @@ fn tune_exhaustive(
     })
 }
 
+/// The reference: every candidate of every legal pair, in enumeration
+/// order, scored with the hierarchical model (the objective
+/// branch-and-bound shares).
+fn tune_exhaustive(
+    platform: &PlatformConfig,
+    workload: &LutWorkload,
+) -> Result<(Mapping, HierBreakdown, usize)> {
+    let hier = MemHierarchy::for_platform(platform);
+    let mut incumbent = Incumbent::default();
+    for (n_s, f_s) in legal_pairs(workload, platform)? {
+        for kernel in kernel_candidates(workload, platform, n_s, f_s) {
+            incumbent.offer(&hier, platform, workload, mapping_of(n_s, f_s, kernel));
+        }
+    }
+    incumbent.into_best(workload)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TuneError;
     use pimdl_sim::cost::estimate_cost;
     use pimdl_sim::LoadScheme;
 
@@ -301,6 +203,42 @@ mod tests {
     }
 
     #[test]
+    fn bnb_visit_order_is_pinned() {
+        // `evaluated` and `pruned_subtrees` are functions of the visit
+        // order (children best-first, ties in menu order; class gates
+        // against the incumbent on entry), and `tune_sim`'s exact
+        // `tuner.bnb.evaluated` rides on it: a drift must fail here.
+        let p = platform(16);
+        for (shape, (n_s, f_s, cb_m), evaluated, pruned) in [
+            ((64, 8, 16, 32), (16, 8, 8), 106, 19),
+            ((128, 16, 16, 64), (32, 16, 16), 161, 22),
+            ((64, 4, 64, 48), (32, 6, 4), 82, 19),
+        ] {
+            let w = LutWorkload::new(shape.0, shape.1, shape.2, shape.3).unwrap();
+            let out = crate::bnb::search(&p, &w).unwrap();
+            // Every winner is the whole s-tile, N→F→CB, static LUT.
+            let kernel = pimdl_sim::MicroKernel {
+                n_mtile: n_s,
+                f_mtile: f_s,
+                cb_mtile: cb_m,
+                traversal: pimdl_sim::TraversalOrder::Nfc,
+                load_scheme: LoadScheme::Static,
+            };
+            assert_eq!(out.mapping, mapping_of(n_s, f_s, kernel), "{shape:?}");
+            assert_eq!(
+                (out.evaluated, out.pruned_subtrees),
+                (evaluated, pruned),
+                "{shape:?}"
+            );
+            assert_eq!(
+                crate::bnb::pair_bests(&p, &w).unwrap().len(),
+                5,
+                "{shape:?}"
+            );
+        }
+    }
+
+    #[test]
     fn tune_rejects_impossible_platform() {
         let p = platform(7); // prime PE count, cannot split 64×32 evenly...
         let w = LutWorkload::new(64, 8, 16, 33).unwrap();
@@ -312,44 +250,6 @@ mod tests {
             tune_with_options(&p, &w, TuneOptions::exhaustive_oracle()),
             Err(TuneError::NoLegalMapping { .. })
         ));
-    }
-
-    #[test]
-    fn parallel_and_serial_agree() {
-        let p = platform(16);
-        let w = LutWorkload::new(64, 8, 16, 32).unwrap();
-        let a = tune_with_options(
-            &p,
-            &w,
-            TuneOptions {
-                parallel: true,
-                max_kernels_per_pair: 0,
-                strategy: SearchStrategy::Exhaustive,
-            },
-        )
-        .unwrap();
-        let b = tune_with_options(&p, &w, TuneOptions::exhaustive_oracle()).unwrap();
-        assert_eq!(a.evaluated, b.evaluated);
-        assert!((a.predicted_total_s - b.predicted_total_s).abs() < 1e-15);
-    }
-
-    #[test]
-    fn kernel_cap_limits_work() {
-        let p = platform(16);
-        let w = LutWorkload::new(64, 8, 16, 32).unwrap();
-        let capped = tune_with_options(
-            &p,
-            &w,
-            TuneOptions {
-                parallel: false,
-                max_kernels_per_pair: 10,
-                strategy: SearchStrategy::Exhaustive,
-            },
-        )
-        .unwrap();
-        let full = tune_with_options(&p, &w, TuneOptions::exhaustive_oracle()).unwrap();
-        assert!(capped.evaluated <= full.evaluated);
-        assert!(full.predicted_total_s <= capped.predicted_total_s + 1e-15);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use pimdl_tuner::model::{analytical_cost, relative_error};
 use pimdl_tuner::space::{
     divisors, kernel_candidates, mapping_of, sub_lut_candidates, tile_candidates,
 };
-use pimdl_tuner::{tune_with_options, SearchStrategy, TuneOptions};
+use pimdl_tuner::{tune_with_options, TuneOptions};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -71,25 +71,6 @@ proptest! {
         }
         let err = relative_error(model.total_s(), sim.time.total_s());
         prop_assert!(err < 0.5, "error {err} for {mapping:?}");
-    }
-
-    /// The exhaustive search (no cap) never loses to any stride-thinned
-    /// search: the full space is a superset of every sample.
-    #[test]
-    fn exhaustive_never_worse_than_sampled(cap in 1usize..250) {
-        let w = LutWorkload::new(64, 8, 16, 32).unwrap();
-        let mut p = PlatformConfig::upmem();
-        p.num_pes = 16;
-        let sampled = tune_with_options(&p, &w, TuneOptions {
-            parallel: false,
-            max_kernels_per_pair: cap,
-            strategy: SearchStrategy::Exhaustive,
-        });
-        let full = tune_with_options(&p, &w, TuneOptions::exhaustive_oracle());
-        if let (Ok(s), Ok(f)) = (sampled, full) {
-            prop_assert!(f.predicted_total_s <= s.predicted_total_s + 1e-15);
-            prop_assert!(f.evaluated >= s.evaluated);
-        }
     }
 
     /// The branch-and-bound oracle property: on randomly generated small

@@ -106,32 +106,18 @@ for crate in pimdl-tensor pimdl-lutnn pimdl-sim pimdl-nn pimdl-engine pimdl-tune
     cargo test --offline -p "${crate}"
 done
 
-# Reactor end-to-end: the deterministic SimPoller pipeline (1k scripted
-# requests, bit-identical across runs) and the real-epoll loopback smoke.
-echo "==> cargo test -p pimdl --test reactor_pipeline"
-cargo test --offline -p pimdl --test reactor_pipeline
-echo "==> cargo test -p pimdl-serve --test loopback"
-cargo test --offline -p pimdl-serve --test loopback
-
-# HTTP front end: the scripted conformance corpus (status codes, pipelined
-# keep-alive, quota 429s, weighted-fair sharing — any 4xx/5xx mismatch
-# fails the suite) and the real-socket HTTP loopback smoke.
-echo "==> cargo test -p pimdl --test http_pipeline"
-cargo test --offline -p pimdl --test http_pipeline
-echo "==> cargo test -p pimdl-serve --test http_loopback"
-cargo test --offline -p pimdl-serve --test http_loopback
-
-# Shard fabric: the frame-protocol property corpus (round-trip under
-# arbitrary splits, truncation starves, corruption poisons exactly once),
-# the deterministic SimPoller fault-injection suite (shard death
-# mid-batch loses nothing, bit-identical reruns), and the real-process
-# loopback smoke including a kill -9 of a live worker.
-echo "==> cargo test -p pimdl-serve --test fabric_protocol"
-cargo test --offline -p pimdl-serve --test fabric_protocol
-echo "==> cargo test -p pimdl --test fabric_pipeline"
-cargo test --offline -p pimdl --test fabric_pipeline
-echo "==> cargo test -p pimdl-serve --test fabric_loopback"
-cargo test --offline -p pimdl-serve --test fabric_loopback
+# The root package's integration suites. Reactor end-to-end: the
+# deterministic SimPoller pipeline (1k scripted requests, bit-identical
+# across runs). HTTP front end: the scripted conformance corpus (status
+# codes, pipelined keep-alive, quota 429s, weighted-fair sharing — any
+# 4xx/5xx mismatch fails the suite). Shard fabric: the deterministic
+# SimPoller fault-injection suite (shard death mid-batch loses nothing,
+# bit-identical reruns). Plus deploy, end_to_end, failure_injection,
+# pim_binary and the cross-crate properties. (The real-socket loopback
+# smokes and the frame-protocol property corpus are pimdl-serve's own
+# tests, run by the loop above.)
+echo "==> cargo test -p pimdl --offline"
+cargo test --offline -p pimdl
 
 # Kernel-performance smoke: small shape, best-of-reps timing; the binary
 # exits non-zero if the fused kernel regresses below the scalar two-pass.

@@ -17,7 +17,7 @@ use pimdl::sim::mapping::MicroKernel;
 use pimdl::sim::{LoadScheme, LutWorkload, Mapping, PlatformConfig, TraversalOrder};
 use pimdl::tensor::gemm;
 use pimdl::tensor::rng::DataRng;
-use pimdl::tuner::tune;
+use pimdl::tuner::{tune, tune_with_options, TuneOptions};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -141,8 +141,9 @@ proptest! {
         prop_assert_eq!(mapping.pes_per_group(&w) * mapping.f_stile, f);
     }
 
-    /// Whatever workload the tuner accepts, its returned mapping validates
-    /// and its prediction never exceeds the simulator's estimate.
+    /// Whatever workload the tuner accepts, its returned mapping validates,
+    /// its prediction never exceeds the simulator's estimate, and on small
+    /// shapes it equals the exhaustive reference's to the bit.
     #[test]
     fn tuner_pick_is_legal_and_underestimates(
         n_pow in 3u32..7,
@@ -157,6 +158,16 @@ proptest! {
             result.mapping.validate(&w, &platform).unwrap();
             let sim = estimate_cost(&platform, &w, &result.mapping).unwrap();
             prop_assert!(result.predicted_total_s <= sim.time.total_s() + 1e-12);
+            // Where the space is small enough to enumerate in a debug
+            // build, the descent finds the materialised list's optimum.
+            if n_pow <= 4 && f_pow <= 4 {
+                let oracle =
+                    tune_with_options(&platform, &w, TuneOptions::exhaustive_oracle()).unwrap();
+                prop_assert_eq!(
+                    result.predicted_total_s.to_bits(),
+                    oracle.predicted_total_s.to_bits()
+                );
+            }
         }
     }
 
