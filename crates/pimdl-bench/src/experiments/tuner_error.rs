@@ -8,7 +8,7 @@ use serde::Serialize;
 
 use pimdl_engine::shapes::TransformerShape;
 use pimdl_sim::cost::estimate_cost;
-use pimdl_sim::{LutWorkload, PlatformConfig};
+use pimdl_sim::{LutWorkload, Mapping, PlatformConfig, TimeBreakdown};
 use pimdl_tuner::model::{analytical_cost, relative_error};
 use pimdl_tuner::space::{mapping_of, sub_lut_candidates};
 use pimdl_tuner::tune;
@@ -35,6 +35,53 @@ pub struct TunerErrorRow {
     pub max_error: f64,
     /// Sampled candidate count.
     pub sampled: usize,
+    /// The sampled candidate with the largest model error (`None` if
+    /// nothing was sampled).
+    pub max_error_mapping: Option<Mapping>,
+    /// Its per-term residuals `model.term − sim.term` (seconds): both
+    /// sides speak [`TimeBreakdown`], so the error splits by term.
+    pub max_error_residual_s: TimeBreakdown,
+}
+
+/// `model.term − sim.term` for each of the seven terms.
+fn residual(model: &TimeBreakdown, sim: &TimeBreakdown) -> TimeBreakdown {
+    TimeBreakdown {
+        sub_index_s: model.sub_index_s - sim.sub_index_s,
+        sub_lut_s: model.sub_lut_s - sim.sub_lut_s,
+        sub_output_s: model.sub_output_s - sim.sub_output_s,
+        kernel_index_s: model.kernel_index_s - sim.kernel_index_s,
+        kernel_lut_s: model.kernel_lut_s - sim.kernel_lut_s,
+        kernel_output_s: model.kernel_output_s - sim.kernel_output_s,
+        kernel_reduce_s: model.kernel_reduce_s - sim.kernel_reduce_s,
+    }
+}
+
+/// The seven terms of a breakdown by name.
+fn terms(t: &TimeBreakdown) -> [(&'static str, f64); 7] {
+    [
+        ("sub_index", t.sub_index_s),
+        ("sub_lut", t.sub_lut_s),
+        ("sub_output", t.sub_output_s),
+        ("kernel_index", t.kernel_index_s),
+        ("kernel_lut", t.kernel_lut_s),
+        ("kernel_output", t.kernel_output_s),
+        ("kernel_reduce", t.kernel_reduce_s),
+    ]
+}
+
+impl TunerErrorRow {
+    /// The term carrying the largest share of the max-error candidate's
+    /// residual, as `(name, |residual| / Σ|residuals|)`.
+    pub fn dominant_residual(&self) -> (&'static str, f64) {
+        let terms = terms(&self.max_error_residual_s);
+        let sum: f64 = terms.iter().map(|(_, r)| r.abs()).sum();
+        let (name, worst) =
+            terms.into_iter().fold(
+                ("none", 0.0_f64),
+                |a, b| if b.1.abs() > a.1.abs() { b } else { a },
+            );
+        (name, if sum > 0.0 { worst.abs() / sum } else { 0.0 })
+    }
 }
 
 /// Full tuner-error result.
@@ -69,6 +116,7 @@ pub fn analyze_workload(
 
     let mut best_sim_s = tuned_sim_s;
     let mut errors = Vec::new();
+    let mut worst: Option<(f64, Mapping, TimeBreakdown)> = None;
     for (n_s, f_s) in sub_lut_candidates(workload, platform) {
         // Evaluate the model over the sensible neighborhood the paper
         // plots (degenerate 1-element tiles are overhead-dominated and not
@@ -90,7 +138,11 @@ pub fn analyze_workload(
             };
             let sim_s = sim.time.total_s();
             best_sim_s = best_sim_s.min(sim_s);
-            errors.push(relative_error(model.total_s(), sim_s));
+            let error = relative_error(model.total_s(), sim_s);
+            if worst.is_none_or(|(e, ..)| error > e) {
+                worst = Some((error, mapping, residual(&model, &sim.time)));
+            }
+            errors.push(error);
         }
     }
     let sampled = errors.len();
@@ -109,6 +161,8 @@ pub fn analyze_workload(
         avg_error,
         max_error,
         sampled,
+        max_error_mapping: worst.map(|(_, mapping, _)| mapping),
+        max_error_residual_s: worst.map(|(.., r)| r).unwrap_or_default(),
     })
 }
 
@@ -157,6 +211,7 @@ pub fn render(result: &TunerErrorResult) -> String {
         "Avg err",
         "Max err",
         "#sampled",
+        "Max-err term",
     ]);
     for r in &result.rows {
         t.row(vec![
@@ -167,6 +222,10 @@ pub fn render(result: &TunerErrorResult) -> String {
             format!("{:.2}%", 100.0 * r.avg_error),
             format!("{:.2}%", 100.0 * r.max_error),
             r.sampled.to_string(),
+            {
+                let (term, share) = r.dominant_residual();
+                format!("{term} ({:.0}% of residual)", 100.0 * share)
+            },
         ]);
     }
     format!(
@@ -194,6 +253,18 @@ mod tests {
         assert!(row.degradation < 1.15, "degradation {}", row.degradation);
         assert!(row.avg_error < 0.35, "avg error {}", row.avg_error);
         assert!(row.sampled > 0);
+        // The attribution closes: the seven residuals sum to the total
+        // model-minus-sim gap of the max-error candidate.
+        let m = row.max_error_mapping.unwrap();
+        let model = analytical_cost(&p, &w, &m).unwrap();
+        let sim = estimate_cost(&p, &w, &m).unwrap().time;
+        assert_eq!(row.max_error_residual_s, residual(&model, &sim));
+        assert_eq!(
+            relative_error(model.total_s(), sim.total_s()),
+            row.max_error
+        );
+        let gap: f64 = terms(&row.max_error_residual_s).iter().map(|t| t.1).sum();
+        assert!((gap - (model.total_s() - sim.total_s())).abs() < 1e-12);
     }
 
     #[test]
@@ -208,6 +279,12 @@ mod tests {
                 avg_error: 0.03,
                 max_error: 0.1,
                 sampled: 10,
+                max_error_mapping: None,
+                max_error_residual_s: TimeBreakdown {
+                    kernel_lut_s: -0.09,
+                    kernel_index_s: -0.01,
+                    ..TimeBreakdown::default()
+                },
             }],
             overall_avg_error: 0.03,
             overall_max_error: 0.1,
@@ -216,5 +293,6 @@ mod tests {
         let s = render(&result);
         assert!(s.contains("Auto-tuner quality"));
         assert!(s.contains("3.00%"));
+        assert!(s.contains("kernel_lut (90% of residual)"));
     }
 }

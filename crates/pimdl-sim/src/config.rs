@@ -139,6 +139,61 @@ impl LocalMemModel {
     }
 }
 
+/// Greatest common divisor (Euclid). `gcd(0, n) = n`.
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// DRAM row-buffer parameters of the bank behind a PE
+/// ([`PlatformConfig::mem_hierarchy`]).
+///
+/// Eq. 8 prices local-memory traffic purely by bandwidth; real banks
+/// additionally pay a row-activation latency each time a streamed tile
+/// opens a DRAM row, and misaligned tiles straddle *extra* rows ("layout
+/// crossing"). These are the two terms the `pim_mapper`-style hierarchical
+/// model adds ([`crate::cost::row_times_s`]).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct MemHierarchy {
+    /// Row-buffer size of the bank behind the PE's global buffer (bytes).
+    pub row_buffer_bytes: usize,
+    /// Latency of one row activation (precharge + activate), seconds.
+    pub row_activation_s: f64,
+}
+
+impl MemHierarchy {
+    /// Row traffic of `loads` streamed transfers of a `tile_bytes` tile, as
+    /// `(compulsory_rows, crossing_rows)`.
+    ///
+    /// With tiles laid out back to back, consecutive tile start offsets
+    /// within a row cycle with period `R / gcd(T, R)`; averaged over one
+    /// period a `T`-byte tile touches `(T + R − gcd(T, R)) / R` rows. We
+    /// split that into the *compulsory* part `max(T, R)/R` (the rows any
+    /// placement must open: at least one per load, at least `T/R` by
+    /// volume) and the *crossing* excess `(min(T, R) − gcd(T, R))/R`, which
+    /// is zero exactly when tile and row sizes nest (`T | R` or `R | T`)
+    /// and positive otherwise.
+    pub fn row_traffic(&self, loads: f64, tile_bytes: f64) -> (f64, f64) {
+        if loads <= 0.0 || tile_bytes <= 0.0 {
+            return (0.0, 0.0);
+        }
+        let r = self.row_buffer_bytes as f64;
+        let g = gcd(tile_bytes as u64, self.row_buffer_bytes as u64) as f64;
+        let compulsory = (tile_bytes / r).max(1.0);
+        let crossing = (tile_bytes.min(r) - g) / r;
+        (loads * compulsory, loads * crossing)
+    }
+
+    /// Activation time of `bytes` streamed through fully used rows with no
+    /// crossing: the volume floor under every [`Self::row_traffic`] split
+    /// of the same bytes, whatever the tiling.
+    pub fn volume_floor_s(&self, bytes: f64) -> f64 {
+        bytes / self.row_buffer_bytes as f64 * self.row_activation_s
+    }
+}
+
 fn default_mram_bytes() -> usize {
     64 * 1024 * 1024
 }
@@ -319,6 +374,20 @@ impl PlatformConfig {
     pub fn per_pe_gops(&self) -> f64 {
         self.peak_gops / self.num_pes as f64
     }
+
+    /// DRAM row constants of the product's banks: DDR4-class behind UPMEM
+    /// DPUs (2 KiB rows, ~45 ns tRC), HBM2/GDDR6-class behind the
+    /// MAC-style PIMs (8 KiB effective rows, ~15 ns).
+    pub fn mem_hierarchy(&self) -> MemHierarchy {
+        let (row_buffer_bytes, row_activation_s) = match self.kind {
+            PlatformKind::Upmem => (2048, 45e-9),
+            PlatformKind::HbmPim | PlatformKind::Aim => (8192, 15e-9),
+        };
+        MemHierarchy {
+            row_buffer_bytes,
+            row_activation_s,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -386,6 +455,59 @@ mod tests {
         assert!(many_small > few_big);
         // The tuner-visible time ignores access count, so it is cheaper.
         assert!(m.ideal_time_s(total, 64.0) < many_small);
+    }
+
+    #[test]
+    fn gcd_basics() {
+        assert_eq!(gcd(12, 18), 6);
+        assert_eq!(gcd(7, 13), 1);
+        assert_eq!(gcd(0, 5), 5);
+        assert_eq!(gcd(2048, 768), 256);
+    }
+
+    #[test]
+    fn row_traffic_gcd_periodic_analysis() {
+        let h = PlatformConfig::upmem().mem_hierarchy();
+        assert_eq!(h.row_buffer_bytes, 2048);
+        // Tile divides row: exactly one row per load, zero crossing.
+        let (comp, cross) = h.row_traffic(10.0, 256.0);
+        assert_eq!(comp, 10.0);
+        assert_eq!(cross, 0.0);
+        // Row divides tile: T/R rows per load, zero crossing.
+        let (comp, cross) = h.row_traffic(4.0, 8192.0);
+        assert_eq!(comp, 16.0);
+        assert_eq!(cross, 0.0);
+        // Misaligned (T = 3R/4): gcd = R/4, total rows per load must equal
+        // (T + R − g)/R = 1.5, split 1.0 compulsory + 0.5 crossing.
+        let (comp, cross) = h.row_traffic(2.0, 1536.0);
+        assert!((comp - 2.0).abs() < 1e-12);
+        assert!((cross - 1.0).abs() < 1e-12);
+        // Degenerate inputs are silent zeros.
+        assert_eq!(h.row_traffic(0.0, 64.0), (0.0, 0.0));
+        assert_eq!(h.row_traffic(3.0, 0.0), (0.0, 0.0));
+    }
+
+    #[test]
+    fn crossing_penalizes_misaligned_tiles() {
+        // Same data volume, one tile size nesting with the 2 KiB row and
+        // one straddling it: the straddler must pay a crossing term.
+        let h = PlatformConfig::upmem().mem_hierarchy();
+        let (_, aligned) = h.row_traffic(12.0, 512.0);
+        let (_, misaligned) = h.row_traffic(12.0, 384.0);
+        assert_eq!(aligned, 0.0);
+        assert!(misaligned > 0.0);
+    }
+
+    #[test]
+    fn volume_floor_is_below_every_row_split() {
+        for p in PlatformConfig::all() {
+            let h = p.mem_hierarchy();
+            for tile in [1.0, 48.0, 384.0, 2048.0, 3000.0, 8192.0, 65536.0] {
+                let (comp, cross) = h.row_traffic(7.0, tile);
+                let rows_s = (comp + cross) * h.row_activation_s;
+                assert!(h.volume_floor_s(7.0 * tile) <= rows_s * (1.0 + 1e-12));
+            }
+        }
     }
 
     #[test]

@@ -1,20 +1,29 @@
-//! The simulator's latency model for one LUT kernel launch.
+//! The one derivation of every latency term of a LUT kernel launch.
 //!
 //! Follows the two-step dataflow of §5.2: **sub-LUT partition** (host↔PIM
-//! transfers, Eqs. 3–5) then **micro-kernel execution** on every PE
-//! (Eqs. 6–10). On top of the analytical formulas the simulator models three
-//! second-order effects the auto-tuner's model does not see:
+//! transfers, Eqs. 3–5: [`sub_lut_times`]) then **micro-kernel execution**
+//! on every PE (Eqs. 6–10: [`stream_counts`], [`reduce_time_s`]), plus the
+//! two DRAM-row terms of the hierarchical model ([`row_times_s`]). The
+//! tile-size, trip-count and use-mask pieces those are composed from are
+//! public, so the auto-tuner's analytical model and its branch-and-bound
+//! lower bounds (`pimdl_tuner::{model, bnb}`) call the same functions at
+//! their own arguments instead of re-deriving them.
+//!
+//! What stays different between simulator and model is only how a stream
+//! is *priced*. The simulator ([`cost_with_repeat`]) adds two second-order
+//! effects an offline model cannot see:
 //!
 //! 1. per-access instruction/DMA overhead on local-memory transfers,
-//! 2. index-stream row-hit reuse on fine-grain gathers (data-dependent),
-//! 3. loop-overhead stalls when the innermost reduce loop is short.
+//! 2. index-stream row-hit reuse on fine-grain gathers (data-dependent).
 //!
 //! These produce the small, systematic model-vs-measured error reported in
-//! §6.6 (avg 3.44 %, max 13.73 % on real hardware).
+//! §6.6 (avg 3.44 %, max 13.73 % on real hardware). Short-loop reduce
+//! stalls are *not* among them: the model profiles `t_single-reduce` per
+//! inner-loop width, i.e. shares [`reduce_time_s`].
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::{PlatformConfig, TransferPattern};
+use crate::config::{MemHierarchy, PlatformConfig, TransferPattern};
 use crate::mapping::{LoadScheme, LutWorkload, Mapping};
 use crate::Result;
 
@@ -103,82 +112,117 @@ pub struct CostReport {
     pub repeat_fraction: f64,
 }
 
-/// Host↔PIM transfer times of the sub-LUT partition (Eqs. 3–5). They
-/// depend only on the **P1** pair `(N_s-tile, F_s-tile)`, never on the
-/// micro-kernel; the simulator and the tuner's analytical model both
-/// take them from [`sub_lut_times`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SubLutTimes {
-    /// Index tile send time (`t_sub_index`).
-    pub index_s: f64,
-    /// LUT tile send time (`t_sub_lut`).
-    pub lut_s: f64,
-    /// Output fetch time (`t_sub_output`).
-    pub output_s: f64,
-    /// Index bytes the host sends in total (one copy per PE, or per PE
-    /// group on command-driven products).
-    pub index_total_bytes: u64,
+/// A **P1** pair `(N_s-tile, F_s-tile)`.
+pub type Pair = (usize, usize);
+
+/// Bytes of an index tile of `rows × cbs` entries: the s-tile at
+/// `(N_s, CB)`, the m-tile at `(N_m, CB_m)`.
+#[inline]
+pub fn index_tile_bytes(w: &LutWorkload, rows: usize, cbs: usize) -> usize {
+    rows * cbs * w.index_elem_bytes()
 }
 
-impl SubLutTimes {
-    /// `t_sub-lut` (Eq. 3).
-    pub fn total_s(&self) -> f64 {
-        self.index_s + self.lut_s + self.output_s
+/// Bytes of an f32 output tile of `rows × feats`: the s-tile at
+/// `(N_s, F_s)`, the m-tile at `(N_m, F_m)`.
+pub fn output_tile_bytes(rows: usize, feats: usize) -> usize {
+    rows * feats * 4
+}
+
+/// Bytes of an INT8 LUT tile holding all `CT` candidates of `cbs × feats`:
+/// the sub-LUT at `(CB, F_s)`, a coarse-grain chunk at `(cb_load, f_load)`.
+pub fn lut_tile_bytes(w: &LutWorkload, cbs: usize, feats: usize) -> usize {
+    cbs * w.ct * feats
+}
+
+/// Entries one PE gathers and accumulates, `N_s·CB·F_s`: the reduce count
+/// (`RCount`) and, at one byte each, the fine-grain LUT volume.
+pub fn gathered_entries(w: &LutWorkload, (n_stile, f_stile): Pair) -> usize {
+    n_stile * w.cb * f_stile
+}
+
+/// On-chip LUT buffer a load scheme needs (the part of
+/// [`Mapping::wram_usage`] beside the index and output m-tiles).
+#[inline]
+pub fn lut_buffer_bytes(w: &LutWorkload, f_stile: usize, scheme: LoadScheme) -> usize {
+    match scheme {
+        LoadScheme::Static => lut_tile_bytes(w, w.cb, f_stile),
+        LoadScheme::CoarseGrain { cb_load, f_load } => lut_tile_bytes(w, cb_load, f_load),
+        LoadScheme::FineGrain { f_load, threads } => f_load * threads,
     }
 }
 
-/// Evaluates Eqs. 3–5 for one (already validated) mapping.
-pub fn sub_lut_times(platform: &PlatformConfig, w: &LutWorkload, m: &Mapping) -> SubLutTimes {
-    let num_pes = platform.num_pes as u64;
-    let (stile_idx, stile_lut, stile_out) = m.stile_sizes(w);
-    let ht = &platform.host_transfer;
+/// Micro-kernel trip counts `(T_n, T_f, T_cb)` of m-tiles
+/// `(N_m, F_m, CB_m)` inside `pair`.
+pub fn trip_counts(w: &LutWorkload, pair: Pair, mtiles: (usize, usize, usize)) -> (u64, u64, u64) {
+    let trips = |dim: usize, tile: usize| (dim / tile) as u64;
+    (
+        trips(pair.0, mtiles.0),
+        trips(pair.1, mtiles.1),
+        trips(w.cb, mtiles.2),
+    )
+}
 
+/// Loop dims `(n, f, cb)` an index m-tile depends on
+/// ([`crate::TraversalOrder::load_count`]).
+pub const INDEX_USES: (bool, bool, bool) = (true, false, true);
+/// Loop dims an output m-tile depends on.
+pub const OUTPUT_USES: (bool, bool, bool) = (true, true, false);
+/// Loop dims a LUT chunk depends on.
+pub const LUT_USES: (bool, bool, bool) = (false, true, true);
+
+/// Index bytes the host sends in total: one s-tile copy per PE, or — on
+/// command-driven products, which receive indices inside the instruction
+/// stream (§6.7) — one per PE group.
+pub fn index_total_bytes(platform: &PlatformConfig, w: &LutWorkload, pair: Pair) -> u64 {
+    let copies = if platform.command_driven_indices {
+        w.n / pair.0
+    } else {
+        platform.num_pes
+    };
+    (index_tile_bytes(w, pair.0, w.cb) * copies) as u64
+}
+
+/// Host↔PIM transfer times of the sub-LUT partition (Eqs. 3–5) for one
+/// (Eq. 5-legal) pair: the three `sub_*` terms, every kernel term zero.
+/// They depend only on the **P1** pair, never on the micro-kernel.
+#[inline]
+pub fn sub_lut_times(platform: &PlatformConfig, w: &LutWorkload, pair: Pair) -> TimeBreakdown {
+    let num_pes = platform.num_pes as u64;
+    let stile_idx = index_tile_bytes(w, pair.0, w.cb) as f64;
+    let stile_lut = lut_tile_bytes(w, w.cb, pair.1) as u64;
+    let stile_out = output_tile_bytes(pair.0, pair.1) as u64;
+    let ht = &platform.host_transfer;
     // Index tiles are shared by all PEs in a group (F/F_s of them); LUT
     // tiles are shared by all groups (N/N_s of them). Reuse > 1 lets the
     // host broadcast.
-    let idx_pattern = if m.pes_per_group(w) > 1 {
-        TransferPattern::ToPimBroadcast
-    } else {
-        TransferPattern::ToPimDistinct
+    let to_pim = |sharers: usize| {
+        if sharers > 1 {
+            TransferPattern::ToPimBroadcast
+        } else {
+            TransferPattern::ToPimDistinct
+        }
     };
-    let lut_pattern = if m.groups(w) > 1 {
-        TransferPattern::ToPimBroadcast
-    } else {
-        TransferPattern::ToPimDistinct
-    };
-    // Command-driven products receive indices inside the instruction
-    // stream: one copy per PE group instead of one per PE (§6.7).
-    let index_total_bytes = if platform.command_driven_indices {
-        stile_idx * m.groups(w) as u64
-    } else {
-        stile_idx * num_pes
-    };
-    SubLutTimes {
-        index_s: ht.transfer_time_s(idx_pattern, index_total_bytes as f64, stile_idx as f64),
-        lut_s: ht.transfer_time_s(lut_pattern, (stile_lut * num_pes) as f64, stile_lut as f64),
-        output_s: ht.transfer_time_s(
-            TransferPattern::FromPim,
-            (stile_out * num_pes) as f64,
-            stile_out as f64,
-        ),
-        index_total_bytes,
+    let index_total = index_total_bytes(platform, w, pair) as f64;
+    let (lut_total, out_total) = ((stile_lut * num_pes) as f64, (stile_out * num_pes) as f64);
+    TimeBreakdown {
+        sub_index_s: ht.transfer_time_s(to_pim(w.f / pair.1), index_total, stile_idx),
+        sub_lut_s: ht.transfer_time_s(to_pim(w.n / pair.0), lut_total, stile_lut as f64),
+        sub_output_s: ht.transfer_time_s(TransferPattern::FromPim, out_total, stile_out as f64),
+        ..TimeBreakdown::default()
     }
 }
 
-/// Per-PE reduce time (`t_reduce`, Eq. 10) of one `(N_s-tile, F_s-tile)`
-/// pair: its `RCount` reduce operations at the profiled single-reduce
-/// rate, stretched by the loop-overhead stall of an innermost loop
-/// `f_mtile` long. The simulator, the tuner's analytical model and its
-/// branch-and-bound lower bound all take the term from here.
+/// Per-PE reduce time (`t_reduce`, Eq. 10) of one pair: its `RCount`
+/// reduce operations at the profiled single-reduce rate, stretched by the
+/// loop-overhead stall of an innermost loop `f_mtile` long.
 pub fn reduce_time_s(
     platform: &PlatformConfig,
     w: &LutWorkload,
-    (n_stile, f_stile): (usize, usize),
+    pair: Pair,
     f_mtile: usize,
 ) -> f64 {
-    let reduce_ops = (n_stile * w.cb * f_stile) as f64;
     let stall = 1.0 + REDUCE_LOOP_OVERHEAD / f_mtile as f64;
-    reduce_ops * platform.single_reduce_s * stall
+    gathered_entries(w, pair) as f64 * platform.single_reduce_s * stall
 }
 
 /// Per-PE stream counts of one micro-kernel (Eqs. 7–9): how often each
@@ -201,39 +245,65 @@ pub struct StreamCounts {
     pub lut_access_bytes: u64,
 }
 
+impl StreamCounts {
+    /// The three local-memory streams — index, output (loaded and stored
+    /// per eviction), LUT — as `(transfers, bytes each)`.
+    pub fn streams(&self) -> [(f64, f64); 3] {
+        [
+            (self.index_loads as f64, self.index_mtile_bytes as f64),
+            (
+                2.0 * self.output_loads as f64,
+                self.output_mtile_bytes as f64,
+            ),
+            (self.lut_accesses as f64, self.lut_access_bytes as f64),
+        ]
+    }
+}
+
 /// Derives the stream counts of one (already validated) mapping.
 pub fn stream_counts(w: &LutWorkload, m: &Mapping) -> StreamCounts {
     let k = &m.kernel;
     let trips = m.trip_counts(w);
     let (lut_accesses, lut_access_bytes) = match k.load_scheme {
-        LoadScheme::Static => (1, w.cb * w.ct * m.f_stile),
+        LoadScheme::Static => (1, lut_tile_bytes(w, w.cb, m.f_stile)),
         LoadScheme::CoarseGrain { cb_load, f_load } => {
             let chunks_per_mtile = ((k.cb_mtile / cb_load) * (k.f_mtile / f_load)) as u64;
             // The buffer holds one chunk. With a single chunk per MTile the
             // chunk survives iterations that keep (f, cb) fixed; multiple
             // chunks thrash the buffer and reload every iteration.
             let accesses = if chunks_per_mtile == 1 {
-                k.traversal.load_count(trips, (false, true, true))
+                k.traversal.load_count(trips, LUT_USES)
             } else {
                 trips.0 * trips.1 * trips.2 * chunks_per_mtile
             };
-            (accesses, cb_load * w.ct * f_load)
+            (accesses, lut_tile_bytes(w, cb_load, f_load))
         }
         // One access of f_load bytes per (row, codebook, f-chunk).
         LoadScheme::FineGrain { f_load, .. } => {
-            ((m.n_stile * w.cb * (m.f_stile / f_load)) as u64, f_load)
+            ((gathered_entries(w, m.pair()) / f_load) as u64, f_load)
         }
     };
     StreamCounts {
-        // Index MTiles: used by (n, cb).
-        index_loads: k.traversal.load_count(trips, (true, false, true)),
-        index_mtile_bytes: (k.n_mtile * k.cb_mtile * w.index_elem_bytes()) as u64,
-        // Output MTiles: used by (n, f); loaded and stored per eviction.
-        output_loads: k.traversal.load_count(trips, (true, true, false)),
-        output_mtile_bytes: (k.n_mtile * k.f_mtile * 4) as u64,
+        index_loads: k.traversal.load_count(trips, INDEX_USES),
+        index_mtile_bytes: index_tile_bytes(w, k.n_mtile, k.cb_mtile) as u64,
+        // Loaded and stored per eviction.
+        output_loads: k.traversal.load_count(trips, OUTPUT_USES),
+        output_mtile_bytes: output_tile_bytes(k.n_mtile, k.f_mtile) as u64,
         lut_accesses,
         lut_access_bytes: lut_access_bytes as u64,
     }
+}
+
+/// The two DRAM-row terms of the hierarchical model, summed over the
+/// three streams: `(row_activation_s, crossing_s)`.
+pub fn row_times_s(hier: &MemHierarchy, sc: &StreamCounts) -> (f64, f64) {
+    let (mut row_activation_s, mut crossing_s) = (0.0, 0.0);
+    for (loads, tile) in sc.streams() {
+        let (compulsory, crossing) = hier.row_traffic(loads, tile);
+        row_activation_s += compulsory * hier.row_activation_s;
+        crossing_s += crossing * hier.row_activation_s;
+    }
+    (row_activation_s, crossing_s)
 }
 
 /// Estimates the cost of a kernel launch without data, using the *expected*
@@ -267,28 +337,20 @@ pub fn cost_with_repeat(
     let m = mapping;
     let k = &m.kernel;
     let num_pes = platform.num_pes as u64;
+    let pair = m.pair();
 
     // ---- Step 1: sub-LUT partition (Eqs. 3–5) ----
-    let sub = sub_lut_times(platform, w, m);
+    let sub = sub_lut_times(platform, w, pair);
     let (_, stile_lut, stile_out) = m.stile_sizes(w);
 
     // ---- Step 2: micro-kernel execution (Eqs. 6–10) ----
     let sc = stream_counts(w, m);
     let lm = &platform.local_mem;
-
-    let index_mtile = sc.index_mtile_bytes as f64;
-    let kernel_index_s = lm.sim_time_s(
-        sc.index_loads as f64 * index_mtile,
-        index_mtile,
-        sc.index_loads,
-    );
-
-    let output_mtile = sc.output_mtile_bytes as f64;
-    let kernel_output_s = lm.sim_time_s(
-        2.0 * sc.output_loads as f64 * output_mtile,
-        output_mtile,
-        2 * sc.output_loads,
-    );
+    // Index and output streams pay the per-access overhead on every
+    // transfer; the LUT stream is priced below, after the reuse discount.
+    let [kernel_index_s, kernel_output_s, _] = sc
+        .streams()
+        .map(|(xfers, tile)| lm.sim_time_s(xfers * tile, tile, xfers as u64));
 
     // LUT loads: only fine-grain gathers see index-repeat reuse.
     let (lut_accesses, effective_overhead_s, effective_repeat) = match k.load_scheme {
@@ -310,17 +372,14 @@ pub fn cost_with_repeat(
         + lut_accesses as f64 * effective_overhead_s;
 
     // Reduce: N_s × CB × F_s accumulations with short-loop stalls.
-    let reduce_ops = (m.n_stile * w.cb * m.f_stile) as u64;
-    let kernel_reduce_s = reduce_time_s(platform, w, (m.n_stile, m.f_stile), k.f_mtile);
+    let kernel_reduce_s = reduce_time_s(platform, w, pair, k.f_mtile);
 
     let time = TimeBreakdown {
-        sub_index_s: sub.index_s,
-        sub_lut_s: sub.lut_s,
-        sub_output_s: sub.output_s,
         kernel_index_s,
         kernel_lut_s,
         kernel_output_s,
         kernel_reduce_s,
+        ..sub
     };
     Ok(CostReport {
         time,
@@ -330,10 +389,10 @@ pub fn cost_with_repeat(
             lut_bytes,
             output_loads: sc.output_loads,
             output_stores: sc.output_loads,
-            reduce_ops,
+            reduce_ops: gathered_entries(w, pair) as u64,
         },
         wram_bytes: m.wram_usage(w),
-        host_pim_bytes: sub.index_total_bytes + (stile_lut + stile_out) * num_pes,
+        host_pim_bytes: index_total_bytes(platform, w, pair) + (stile_lut + stile_out) * num_pes,
         lut_stage_bytes: stile_lut * num_pes,
         repeat_fraction: effective_repeat,
     })

@@ -13,10 +13,11 @@
 //!
 //! The simulator executes the LUT micro-kernel **functionally** (every PE
 //! really gathers and accumulates its tile — [`exec::run_lut_kernel`]) and
-//! layers a cycle-cost model on the same code path ([`cost`]). The cost
-//! model intentionally includes second-order effects the auto-tuner's
-//! analytical model omits (per-access instruction overhead, index-stream
-//! row-hit correlation, short-inner-loop stalls), which is what produces the
+//! layers a cycle-cost model on the same code path ([`cost`]). [`cost`] is
+//! also the one place every latency term is derived: the auto-tuner's
+//! analytical model prices the same stream counts without the two
+//! second-order effects the simulator adds (per-access instruction
+//! overhead, index-stream row-hit correlation), which is what produces the
 //! small model-vs-measured gap the paper reports in §6.6.
 
 #![warn(missing_docs)]
@@ -34,7 +35,7 @@ pub mod mapping;
 pub mod net;
 pub mod trace;
 
-pub use config::{LocalMemModel, PlatformConfig, PlatformKind, TransferModel};
+pub use config::{LocalMemModel, MemHierarchy, PlatformConfig, PlatformKind, TransferModel};
 pub use cost::{CostReport, TimeBreakdown};
 pub use error::SimError;
 pub use mapping::{LoadScheme, LutWorkload, Mapping, MicroKernel, TraversalOrder};

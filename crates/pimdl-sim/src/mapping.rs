@@ -5,7 +5,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::config::PlatformConfig;
-use crate::{Result, SimError};
+use crate::{cost, Result, SimError};
 
 /// Shape of one LUT operator workload (Table 2: `N`, `CB`, `CT`, `F`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -146,6 +146,14 @@ impl TraversalOrder {
             Some(pos) => dims[..=pos].iter().map(|&d| trip(d)).product(),
         }
     }
+
+    /// The fewest loads any order achieves ([`Self::load_count`] minimised
+    /// over [`Self::all`]): the trips of the loops the tile depends on,
+    /// multiplied — an order with those loops outermost revisits nothing.
+    pub fn fewest_loads(trips: (u64, u64, u64), uses: (bool, bool, bool)) -> u64 {
+        let used = |uses: bool, trip: u64| if uses { trip } else { 1 };
+        used(uses.0, trips.0) * used(uses.1, trips.1) * used(uses.2, trips.2)
+    }
 }
 
 impl std::fmt::Display for TraversalOrder {
@@ -226,6 +234,11 @@ pub struct Mapping {
 }
 
 impl Mapping {
+    /// The **P1** pair `(N_s-tile, F_s-tile)`.
+    pub fn pair(&self) -> cost::Pair {
+        (self.n_stile, self.f_stile)
+    }
+
     /// Number of PE groups (`N / N_s-tile`).
     pub fn groups(&self, w: &LutWorkload) -> usize {
         w.n / self.n_stile
@@ -334,32 +347,25 @@ impl Mapping {
     /// MTile + the LUT buffer of the chosen load scheme.
     pub fn wram_usage(&self, w: &LutWorkload) -> usize {
         let k = &self.kernel;
-        let idx = k.n_mtile * k.cb_mtile * w.index_elem_bytes();
-        let out = k.n_mtile * k.f_mtile * 4;
-        let lut = match k.load_scheme {
-            LoadScheme::Static => w.cb * w.ct * self.f_stile,
-            LoadScheme::CoarseGrain { cb_load, f_load } => cb_load * w.ct * f_load,
-            LoadScheme::FineGrain { f_load, threads } => f_load * threads,
-        };
-        idx + out + lut
+        cost::index_tile_bytes(w, k.n_mtile, k.cb_mtile)
+            + cost::output_tile_bytes(k.n_mtile, k.f_mtile)
+            + cost::lut_buffer_bytes(w, self.f_stile, k.load_scheme)
     }
 
     /// Sub-LUT tile sizes in bytes: `(index, lut, output)` per PE
     /// (Table 2 `STileSize_x`).
     pub fn stile_sizes(&self, w: &LutWorkload) -> (u64, u64, u64) {
-        let idx = (self.n_stile * w.cb * w.index_elem_bytes()) as u64;
-        let lut = (w.cb * w.ct * self.f_stile) as u64;
-        let out = (self.n_stile * self.f_stile * 4) as u64;
-        (idx, lut, out)
+        (
+            cost::index_tile_bytes(w, self.n_stile, w.cb) as u64,
+            cost::lut_tile_bytes(w, w.cb, self.f_stile) as u64,
+            cost::output_tile_bytes(self.n_stile, self.f_stile) as u64,
+        )
     }
 
     /// Micro-kernel trip counts `(T_n, T_f, T_cb)`.
     pub fn trip_counts(&self, w: &LutWorkload) -> (u64, u64, u64) {
-        (
-            (self.n_stile / self.kernel.n_mtile) as u64,
-            (self.f_stile / self.kernel.f_mtile) as u64,
-            (w.cb / self.kernel.cb_mtile) as u64,
-        )
+        let k = &self.kernel;
+        cost::trip_counts(w, self.pair(), (k.n_mtile, k.f_mtile, k.cb_mtile))
     }
 }
 
@@ -570,6 +576,26 @@ mod tests {
             TraversalOrder::Fnc.load_count((2, 4, 1), (true, false, true)),
             8 // tile changes with N, revisited across F
         );
+    }
+
+    #[test]
+    fn fewest_loads_is_the_minimum_over_all_orders() {
+        for uses in [
+            (true, false, true),
+            (true, true, false),
+            (false, true, true),
+        ] {
+            for code in 0..4u64.pow(3) {
+                let trips = (1 + code % 4, 1 + code / 4 % 4, 1 + code / 16);
+                let min = TraversalOrder::all().map(|t| t.load_count(trips, uses));
+                let min = min.into_iter().min().unwrap();
+                assert_eq!(
+                    TraversalOrder::fewest_loads(trips, uses),
+                    min,
+                    "{trips:?} {uses:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use pimdl_sim::config::PlatformConfig;
 use pimdl_sim::{LutWorkload, Mapping};
 use serde::{Deserialize, Serialize};
 
-use crate::bnb::pair_bests;
+use crate::bnb::{pair_bests, prunes};
 use crate::model::HierBreakdown;
 use crate::{Result, TuneError};
 
@@ -318,13 +318,17 @@ fn dfs(
     if bits + sfx.max_bits[depth] < bits_floor - BITS_EPS {
         return; // even the richest completion misses the floor
     }
-    if let Some((best_latency, _)) = best {
-        if latency + sfx.min_latency[depth] >= *best_latency {
-            return; // cannot beat the incumbent
-        }
+    // The suffix minima are summed in another order than the plan's own
+    // total, so the cut takes the search's rounding guard and a complete
+    // plan replaces the incumbent only when strictly better.
+    let incumbent = best.as_ref().map(|(best_latency, _)| *best_latency);
+    if prunes(latency + sfx.min_latency[depth], incumbent) {
+        return; // cannot beat the incumbent
     }
     if depth == per_op.len() {
-        *best = Some((latency, stack.clone()));
+        if incumbent.is_none_or(|best_latency| latency < best_latency) {
+            *best = Some((latency, stack.clone()));
+        }
         return;
     }
     for (i, c) in per_op[depth].iter().enumerate() {
@@ -566,6 +570,117 @@ mod tests {
                 }
                 (Ok(_), Err(e)) => panic!("global feasible but per-layer failed: {e}"),
             }
+        }
+    }
+
+    /// Minimum total latency over the full product of the per-operator
+    /// frontiers under `opts`' budget and floor — totals accumulated in
+    /// operator order, like the DFS and `plan_of` do.
+    fn brute_force(per_op: &[Vec<Cand>], opts: &AllocOptions) -> Option<f64> {
+        let mut best: Option<f64> = None;
+        let mut picks = vec![0usize; per_op.len()];
+        'product: while per_op.iter().all(|c| !c.is_empty()) {
+            let (mut latency, mut bytes, mut bits) = (0.0, 0usize, 0.0);
+            for (cands, &pick) in per_op.iter().zip(&picks) {
+                latency += cands[pick].latency_s;
+                bytes += cands[pick].per_pe_bytes;
+                bits += cands[pick].code_bits;
+            }
+            let feasible = bytes <= opts.budget_bytes && bits >= opts.min_code_bits - BITS_EPS;
+            if feasible && best.is_none_or(|b| latency < b) {
+                best = Some(latency);
+            }
+            for (pick, cands) in picks.iter_mut().zip(per_op).rev() {
+                *pick += 1;
+                if *pick < cands.len() {
+                    continue 'product;
+                }
+                *pick = 0;
+            }
+            break;
+        }
+        best
+    }
+
+    /// `allocate_per_layer` must agree with [`brute_force`] bit for bit,
+    /// or both must find nothing feasible.
+    fn assert_matches_brute_force(ops: &[OpShape], opts: &AllocOptions) {
+        let p = small_platform();
+        let per_op: Vec<Vec<Cand>> = ops
+            .iter()
+            .map(|op| op_candidates(&p, op, 32, opts))
+            .collect();
+        match (
+            allocate_per_layer(&p, ops, 32, opts),
+            brute_force(&per_op, opts),
+        ) {
+            (Ok(plan), Some(best)) => {
+                assert_eq!(plan.total_latency_s.to_bits(), best.to_bits());
+                assert!(plan.total_per_pe_bytes <= opts.budget_bytes);
+                assert!(plan.total_code_bits >= opts.min_code_bits - BITS_EPS);
+            }
+            (Err(TuneError::NoLegalMapping { .. }), None) => {}
+            (plan, best) => panic!("DFS {plan:?} vs brute force {best:?}"),
+        }
+    }
+
+    #[test]
+    fn suffix_bound_rounding_cannot_lose_the_optimum() {
+        // Found by the property below: the suffix minima sum in another
+        // order than a plan's own total, and an unguarded `>=` cut dropped
+        // a plan one ulp better than the incumbent.
+        let op = |name: &str, in_dim, count| OpShape {
+            name: name.to_string(),
+            in_dim,
+            out_dim: 32,
+            count,
+        };
+        let opts = AllocOptions {
+            budget_bytes: 76800,
+            min_code_bits: 103.68,
+            v_choices: vec![2, 8],
+            ct_choices: vec![8, 64],
+        };
+        assert_matches_brute_force(
+            &[op("op0", 32, 1), op("op1", 64, 2), op("op2", 32, 1)],
+            &opts,
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The allocator against brute force on ≤ 3 operators with small
+        /// `(V, CT)` menus, budgets from infeasible to slack and floors
+        /// from none to above the reference.
+        #[test]
+        fn dfs_plan_matches_brute_force_over_frontier_product(
+            n_ops in 1usize..4,
+            dims in proptest::prelude::any::<u64>(),
+            v_mask in 1usize..8,
+            ct_mask in 1usize..8,
+            budget_kib in 1usize..96,
+            floor_pct in 0usize..120,
+        ) {
+            let dim = |i: usize| [32usize, 64, 96, 128][(dims >> (2 * i)) as usize % 4];
+            let ops: Vec<OpShape> = (0..n_ops)
+                .map(|i| OpShape {
+                    name: format!("op{i}"),
+                    in_dim: dim(2 * i),
+                    out_dim: dim(2 * i + 1),
+                    count: 1 + i % 2,
+                })
+                .collect();
+            let menu = |mask: usize, all: [usize; 3]| -> Vec<usize> {
+                (0..3).filter(|b| mask >> b & 1 == 1).map(|b| all[b]).collect()
+            };
+            let opts = AllocOptions {
+                budget_bytes: budget_kib << 10,
+                min_code_bits: reference_code_bits(&ops, 4, 16) * floor_pct as f64 / 100.0,
+                v_choices: menu(v_mask, [2, 4, 8]),
+                ct_choices: menu(ct_mask, [8, 16, 64]),
+            };
+            assert_matches_brute_force(&ops, &opts);
         }
     }
 

@@ -9,40 +9,28 @@
 //! materialised list ([`crate::space::kernel_candidates`]) exactly (the
 //! proptest oracle in `tests/properties.rs` asserts bit-identical totals).
 //!
-//! # Lower-bound derivation (DESIGN.md §12)
+//! # Lower bounds
 //!
-//! With the P1 pair fixed, `t_sub-lut` is exact. Every remaining term of
-//! the hierarchical model is bounded from below by combining two
-//! monotonicities of the Eq. 8 bandwidth curve: total streamed bytes can
-//! only grow (revisits multiply, never divide), and effective bandwidth
-//! only improves with access granularity. Per term:
-//!
-//! * **reduce** — `RCount` is fixed by the pair; the short-loop stall
-//!   `1 + OV/F_m` is minimized by the largest legal `F_m = F_s` until
-//!   `F_m` is assigned, after which it is exact.
-//! * **index / output** — streamed bytes are at least the s-tile's own
-//!   footprint (the best traversal loads each tile exactly once), and the
-//!   access granularity is at most the largest still-assignable m-tile, so
-//!   `ideal_time(min_bytes, max_granularity)` is admissible. Once the
-//!   trips and traversal are fixed the term is exact.
-//! * **LUT** — the minimum over the still-legal load schemes of each
-//!   scheme's own bound (static: one full-table load, exact; coarse: at
-//!   least `CB·CT·F_s` bytes at a chunk no larger than WRAM or the m-tile;
-//!   fine: exactly `N_s·CB·F_s` bytes at granularity at most `F_m`).
-//! * **row activation** — total streamed bytes divided by the row size is
-//!   a volume floor on rows opened; crossing is bounded by zero.
-//!
-//! Pruning uses a `1 − 1e-12` relative guard so float rounding in the
+//! With the P1 pair fixed, `t_sub-lut` is exact. Every other bound is a
+//! `pimdl_sim::cost` term function evaluated at the subtree's most
+//! favourable argument — unset m-tiles at their largest, an unset
+//! traversal at its fewest loads, each LUT class at its cheapest member,
+//! the row terms at their volume floor — so admissibility is by
+//! construction; DESIGN.md §12.2 names the corner per term. Pruning uses a
+//! `1 − 1e-12` relative guard, the only slack, so float rounding in the
 //! bound arithmetic can never discard a subtree whose true cost ties or
 //! beats the incumbent — exactness is preserved bit for bit.
 
 use pimdl_sim::config::PlatformConfig;
-use pimdl_sim::cost::reduce_time_s;
-use pimdl_sim::{LoadScheme, LutWorkload, Mapping, MicroKernel, TraversalOrder};
+use pimdl_sim::cost::{
+    gathered_entries, index_tile_bytes, lut_tile_bytes, output_tile_bytes, reduce_time_s,
+    sub_lut_times, trip_counts, INDEX_USES, OUTPUT_USES,
+};
+use pimdl_sim::{LutWorkload, Mapping, TraversalOrder};
 
-use crate::model::{hierarchical_cost_with, sub_lut_time_s, HierBreakdown, MemHierarchy};
+use crate::model::{hierarchical_cost, HierBreakdown};
 use crate::space::{
-    leaf_kernels, legal_pairs, mapping_of, static_fits, Partial, SchemeClass, Tiling, FINE_THREADS,
+    leaf_kernels, legal_pairs, mapping_of, Partial, SchemeClass, Tiling, FINE_THREADS,
 };
 use crate::{Result, TuneError};
 
@@ -83,12 +71,11 @@ impl Incumbent {
     /// strictly better, so of equal-cost candidates the first offered wins.
     pub(crate) fn offer(
         &mut self,
-        hier: &MemHierarchy,
         platform: &PlatformConfig,
         workload: &LutWorkload,
         mapping: Mapping,
     ) {
-        let Ok(scored) = hierarchical_cost_with(hier, platform, workload, &mapping) else {
+        let Ok(scored) = hierarchical_cost(platform, workload, &mapping) else {
             return;
         };
         self.evaluated += 1;
@@ -117,42 +104,58 @@ impl Incumbent {
 struct PairCtx<'a> {
     platform: &'a PlatformConfig,
     w: &'a LutWorkload,
-    hier: &'a MemHierarchy,
     n_stile: usize,
     f_stile: usize,
+    /// `t_sub-lut` (Eqs. 3–5): exact for the pair.
     sub_lut_s: f64,
+    /// Row-activation floor of the pair's streams (crossing floors at 0).
+    rowact_lb: f64,
     /// `CB·CT·F_s`: static scheme's buffer and the coarse volume floor.
     lut_stile_bytes: usize,
+    /// Smallest LUT buffer any scheme needs.
+    min_lut_buffer: usize,
     static_feasible: bool,
     coarse_feasible: bool,
 }
 
 impl<'a> PairCtx<'a> {
-    /// The context of P1 pair `(n_stile, f_stile)`. `t_sub-lut` depends
-    /// only on the pair, so any kernel prices it.
+    /// The context of P1 pair `(n_stile, f_stile)`.
     fn new(
         platform: &'a PlatformConfig,
         w: &'a LutWorkload,
-        hier: &'a MemHierarchy,
-        (n_stile, f_stile): (usize, usize),
+        pair @ (n_stile, f_stile): (usize, usize),
     ) -> Self {
-        let probe = mapping_of(n_stile, f_stile, probe_kernel());
-        let lut_stile_bytes = w.cb * w.ct * f_stile;
+        // Smallest buffer per class: the sub-LUT itself (static), a
+        // one-entry chunk (coarse), a single-feature gather per thread.
+        let lut_stile_bytes = lut_tile_bytes(w, w.cb, f_stile);
+        let min_chunk_bytes = lut_tile_bytes(w, 1, 1);
+        let static_feasible = lut_stile_bytes <= platform.wram_bytes;
+        let coarse_feasible = min_chunk_bytes <= platform.wram_bytes;
+        // Row activation at its volume floor: each s-tile streamed once
+        // (the output loaded and stored) plus the leanest LUT volume.
+        let mut lut_floor = gathered_entries(w, pair);
+        if static_feasible || coarse_feasible {
+            lut_floor = lut_floor.min(lut_stile_bytes);
+        }
+        let stream_bytes = index_tile_bytes(w, n_stile, w.cb) as f64
+            + 2.0 * output_tile_bytes(n_stile, f_stile) as f64
+            + lut_floor as f64;
         PairCtx {
             platform,
             w,
-            hier,
             n_stile,
             f_stile,
-            sub_lut_s: sub_lut_time_s(platform, w, &probe),
+            sub_lut_s: sub_lut_times(platform, w, pair).sub_lut_total_s(),
+            rowact_lb: platform.mem_hierarchy().volume_floor_s(stream_bytes),
             lut_stile_bytes,
-            static_feasible: static_fits(w, platform, f_stile),
-            coarse_feasible: w.ct <= platform.wram_bytes,
+            min_lut_buffer: FINE_THREADS.min(min_chunk_bytes).min(lut_stile_bytes),
+            static_feasible,
+            coarse_feasible,
         }
     }
 
     /// Admissible lower bound on the hierarchical total of every
-    /// completion of `p` (see the module docs for the derivation).
+    /// completion of `p` (DESIGN.md §12.2).
     fn bound(&self, p: Partial) -> f64 {
         let (non_lut, lut_lb) = self.bound_parts(p);
         non_lut + lut_lb
@@ -161,115 +164,70 @@ impl<'a> PairCtx<'a> {
     /// [`Self::bound`] split as `(everything-but-LUT, LUT-term bound)`, so
     /// the leaf level can swap in a scheme-class-specific LUT bound.
     fn bound_parts(&self, p: Partial) -> (f64, f64) {
-        let w = self.w;
-        let lm = &self.platform.local_mem;
-        let elem = w.index_elem_bytes();
+        let (w, lm) = (self.w, &self.platform.local_mem);
+        let pair = (self.n_stile, self.f_stile);
+        // The corner: unset m-tiles at their largest (fewest trips, best
+        // granularity, least stall), an unset traversal at each stream's
+        // own fewest loads.
         let n_m = p.n_m.unwrap_or(self.n_stile);
         let f_m = p.f_m.unwrap_or(self.f_stile);
         let cb_m = p.cb_m.unwrap_or(w.cb);
-
-        // Reduce: count exact, stall minimized by the largest legal F_m.
-        let reduce_lb = reduce_time_s(self.platform, w, (self.n_stile, self.f_stile), f_m);
-
-        let index_floor = (self.n_stile * w.cb * elem) as f64;
-        let output_floor = (self.n_stile * self.f_stile * 4) as f64;
-        let (index_lb, output_lb) = if p.cb_m.is_some() {
-            // Trips are fully determined; min loads over the (possibly
-            // still free) traversal choice are exact products.
-            let trips = (
-                (self.n_stile / n_m) as u64,
-                (self.f_stile / f_m) as u64,
-                (w.cb / cb_m) as u64,
-            );
-            let index_tile = (n_m * cb_m * elem) as f64;
-            let output_tile = (n_m * f_m * 4) as f64;
-            let (index_loads, output_loads) = match p.traversal {
-                Some(t) => (
-                    t.load_count(trips, (true, false, true)),
-                    t.load_count(trips, (true, true, false)),
-                ),
-                None => {
-                    let mut idx = u64::MAX;
-                    let mut out = u64::MAX;
-                    for t in TraversalOrder::all() {
-                        idx = idx.min(t.load_count(trips, (true, false, true)));
-                        out = out.min(t.load_count(trips, (true, true, false)));
-                    }
-                    (idx, out)
-                }
-            };
-            (
-                lm.ideal_time_s(index_loads as f64 * index_tile, index_tile),
-                lm.ideal_time_s(2.0 * output_loads as f64 * output_tile, output_tile),
-            )
-        } else {
-            // Volume floor at the best still-assignable granularity.
-            let index_gran = (n_m * cb_m * elem) as f64;
-            let output_gran = (n_m * f_m * 4) as f64;
-            (
-                lm.ideal_time_s(index_floor, index_gran),
-                lm.ideal_time_s(2.0 * output_floor, output_gran),
-            )
+        let trips = trip_counts(w, pair, (n_m, f_m, cb_m));
+        let loads = |uses| match p.traversal {
+            Some(order) => order.load_count(trips, uses) as f64,
+            None => TraversalOrder::fewest_loads(trips, uses) as f64,
         };
+        let index_tile = index_tile_bytes(w, n_m, cb_m) as f64;
+        let output_tile = output_tile_bytes(n_m, f_m) as f64;
+        let index_lb = lm.ideal_time_s(loads(INDEX_USES) * index_tile, index_tile);
+        let output_lb = lm.ideal_time_s(2.0 * loads(OUTPUT_USES) * output_tile, output_tile);
+        let reduce_lb = reduce_time_s(self.platform, w, pair, f_m);
 
         // LUT: minimum over the still-legal scheme classes.
         let mut lut_lb = self.lut_class_lb(SchemeClass::Fine, f_m, cb_m);
-        let mut lut_bytes_floor = (self.n_stile * w.cb * self.f_stile) as f64;
         for (class, feasible) in [
             (SchemeClass::Static, self.static_feasible),
             (SchemeClass::Coarse, self.coarse_feasible),
         ] {
             if feasible {
                 lut_lb = lut_lb.min(self.lut_class_lb(class, f_m, cb_m));
-                lut_bytes_floor = lut_bytes_floor.min(self.lut_stile_bytes as f64);
             }
         }
-
-        // Row activation: volume floor over all three streams; crossing
-        // is bounded by zero.
-        let stream_bytes = index_floor + 2.0 * output_floor + lut_bytes_floor;
-        let rowact_lb =
-            stream_bytes / self.hier.row_buffer_bytes as f64 * self.hier.row_activation_s;
-
         (
-            self.sub_lut_s + index_lb + output_lb + reduce_lb + rowact_lb,
+            self.sub_lut_s + index_lb + output_lb + reduce_lb + self.rowact_lb,
             lut_lb,
         )
     }
 
     /// Lower bound on the LUT term of every `class` leaf whose m-tiles are
-    /// at most `(f_m, cb_m)` (module docs, **LUT**).
+    /// at most `(f_m, cb_m)`: the class's least volume at its coarsest
+    /// access (DESIGN.md §12.2, **LUT**).
     fn lut_class_lb(&self, class: SchemeClass, f_m: usize, cb_m: usize) -> f64 {
-        let lm = &self.platform.local_mem;
-        let lut_floor = self.lut_stile_bytes as f64;
-        match class {
-            SchemeClass::Static => lm.ideal_time_s(lut_floor, lut_floor),
-            SchemeClass::Coarse => {
-                let chunk_max = (cb_m * self.w.ct * f_m).min(self.platform.wram_bytes);
-                lm.ideal_time_s(lut_floor, chunk_max as f64)
-            }
-            SchemeClass::Fine => {
-                let fine_total = self.n_stile * self.w.cb * self.f_stile;
-                lm.ideal_time_s(fine_total as f64, f_m as f64)
-            }
-        }
+        let (bytes, access) = match class {
+            SchemeClass::Static => (self.lut_stile_bytes, self.lut_stile_bytes),
+            SchemeClass::Coarse => (
+                self.lut_stile_bytes,
+                lut_tile_bytes(self.w, cb_m, f_m).min(self.platform.wram_bytes),
+            ),
+            SchemeClass::Fine => (gathered_entries(self.w, (self.n_stile, self.f_stile)), f_m),
+        };
+        (self.platform.local_mem).ideal_time_s(bytes as f64, access as f64)
     }
 
     /// Structural WRAM cut, decidable once the three m-tiles are set: even
-    /// the smallest scheme buffer (a fine-grain single-feature gather)
-    /// does not fit beside the index and output tiles.
+    /// the smallest scheme buffer does not fit beside the index and output
+    /// tiles.
     fn overflows_wram(&self, p: Partial) -> bool {
         let (Some(n_m), Some(f_m), Some(cb_m), None) = (p.n_m, p.f_m, p.cb_m, p.traversal) else {
             return false;
         };
-        let tiles_bytes = n_m * cb_m * self.w.index_elem_bytes() + n_m * f_m * 4;
-        let min_buf = FINE_THREADS.min(self.w.ct).min(self.lut_stile_bytes);
-        tiles_bytes + min_buf > self.platform.wram_bytes
+        let tiles_bytes = index_tile_bytes(self.w, n_m, cb_m) + output_tile_bytes(n_m, f_m);
+        tiles_bytes + self.min_lut_buffer > self.platform.wram_bytes
     }
 }
 
 /// Should the subtree bounded by `lb` be cut against `incumbent`?
-fn prunes(lb: f64, incumbent: Option<f64>) -> bool {
+pub(crate) fn prunes(lb: f64, incumbent: Option<f64>) -> bool {
     match incumbent {
         Some(best) => lb * PRUNE_GUARD > best,
         None => false,
@@ -293,7 +251,6 @@ fn sort_children<T>(children: &mut [(f64, T)]) {
 pub fn search(platform: &PlatformConfig, workload: &LutWorkload) -> Result<BnbOutcome> {
     let pairs = legal_pairs(workload, platform)?;
 
-    let hier = MemHierarchy::for_platform(platform);
     let mut incumbent = Incumbent::default();
     let mut pruned_subtrees = 0usize;
 
@@ -301,7 +258,7 @@ pub fn search(platform: &PlatformConfig, workload: &LutWorkload) -> Result<BnbOu
     let mut roots: Vec<(f64, PairCtx)> = pairs
         .into_iter()
         .map(|pair| {
-            let ctx = PairCtx::new(platform, workload, &hier, pair);
+            let ctx = PairCtx::new(platform, workload, pair);
             (ctx.bound(Partial::default()), ctx)
         })
         .collect();
@@ -357,10 +314,9 @@ pub struct PairBest {
 /// Returns [`TuneError::NoLegalMapping`] if Eq. 5 has no solution.
 pub fn pair_bests(platform: &PlatformConfig, workload: &LutWorkload) -> Result<Vec<PairBest>> {
     let pairs = legal_pairs(workload, platform)?;
-    let hier = MemHierarchy::for_platform(platform);
     let mut out = Vec::with_capacity(pairs.len());
     for (n_s, f_s) in pairs {
-        let ctx = PairCtx::new(platform, workload, &hier, (n_s, f_s));
+        let ctx = PairCtx::new(platform, workload, (n_s, f_s));
         let mut incumbent = Incumbent::default();
         descend(&ctx, Partial::default(), &mut incumbent, &mut 0);
         if let Some((mapping, predicted)) = incumbent.best {
@@ -374,21 +330,6 @@ pub fn pair_bests(platform: &PlatformConfig, workload: &LutWorkload) -> Result<V
         }
     }
     Ok(out)
-}
-
-/// Placeholder micro-kernel for pair-level probes: `sub_lut_time_s` and
-/// `stile_sizes` never read the kernel fields.
-fn probe_kernel() -> MicroKernel {
-    MicroKernel {
-        n_mtile: 1,
-        f_mtile: 1,
-        cb_mtile: 1,
-        traversal: TraversalOrder::Nfc,
-        load_scheme: LoadScheme::FineGrain {
-            f_load: 1,
-            threads: FINE_THREADS,
-        },
-    }
 }
 
 /// Depth-first descent below `node` within one P1 pair: bound the children
@@ -436,7 +377,98 @@ fn score_leaves(
         }
         for kernel in leaf_kernels(class, ctx.w, ctx.platform, ctx.f_stile, tiling) {
             let mapping = mapping_of(ctx.n_stile, ctx.f_stile, kernel);
-            incumbent.offer(ctx.hier, ctx.platform, ctx.w, mapping);
+            incumbent.offer(ctx.platform, ctx.w, mapping);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::space::sub_lut_candidates;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Admissibility, directly: along random root-to-leaf paths of the
+        /// search tree, every node's bound (after the prune guard) is at
+        /// most the hierarchical cost of every legal leaf reached, each
+        /// class gate is at most every leaf of its class, and the
+        /// structural WRAM cut only fires above leaves that are all illegal.
+        #[test]
+        fn bounds_are_admissible_along_random_paths(
+            n_idx in 0usize..5,
+            cb_idx in 0usize..3,
+            ct_idx in 0usize..4,
+            f_idx in 0usize..4,
+            pes_idx in 0usize..3,
+            wram_idx in 0usize..4,
+            mac in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let w = LutWorkload::new(
+                [16, 24, 32, 48, 64][n_idx],
+                [2, 4, 8][cb_idx],
+                [8, 16, 64, 512][ct_idx],
+                [8, 16, 24, 32][f_idx],
+            )
+            .unwrap();
+            // Both row-constant arms, two- and one-byte indices, and WRAMs
+            // that move scheme feasibility and trip the structural cut.
+            let mut p = if mac { PlatformConfig::aim() } else { PlatformConfig::upmem() };
+            p.num_pes = [4, 8, 16][pes_idx];
+            p.wram_bytes = [96, 1024, 4096, 65536][wram_idx];
+
+            let mut state = seed | 1;
+            let mut pick = |len: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % len as u64) as usize
+            };
+            for (n_s, f_s) in sub_lut_candidates(&w, &p) {
+                let ctx = PairCtx::new(&p, &w, (n_s, f_s));
+                for _ in 0..4 {
+                    let mut path = vec![Partial::default()];
+                    let mut overflows = false;
+                    loop {
+                        let node = path[path.len() - 1];
+                        let children = node.children(&w, n_s, f_s);
+                        if children.is_empty() {
+                            break;
+                        }
+                        let child = children[pick(children.len())];
+                        overflows |= ctx.overflows_wram(child);
+                        path.push(child);
+                    }
+                    let leaf_node = path[path.len() - 1];
+                    let tiling @ (_, f_m, cb_m, _) = leaf_node.complete().unwrap();
+                    let (non_lut, _) = ctx.bound_parts(leaf_node);
+                    for class in SchemeClass::ALL {
+                        let gate = non_lut + ctx.lut_class_lb(class, f_m, cb_m);
+                        for kernel in leaf_kernels(class, &w, &p, f_s, tiling) {
+                            let mapping = mapping_of(n_s, f_s, kernel);
+                            let Ok(leaf) = hierarchical_cost(&p, &w, &mapping) else {
+                                continue;
+                            };
+                            prop_assert!(!overflows, "WRAM cut above legal {mapping:?}");
+                            let total = leaf.total_s();
+                            prop_assert!(
+                                gate * PRUNE_GUARD <= total,
+                                "{class:?} gate {gate} > {total} for {mapping:?}"
+                            );
+                            for node in &path {
+                                let lb = ctx.bound(*node);
+                                prop_assert!(
+                                    lb * PRUNE_GUARD <= total,
+                                    "bound {lb} of {node:?} > {total} for {mapping:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -9,10 +9,11 @@
 //! * **P4** LUT load scheme (static / coarse-grain / fine-grain),
 //!
 //! — scoring each candidate with the **analytical model** of Eqs. 3–10
-//! ([`model`]). The analytical model deliberately knows less than the
-//! simulator (no per-access overheads, no index-repeat reuse, no short-loop
-//! stalls): comparing its predictions against `pimdl_sim::cost` reproduces
-//! the §6.6 model-error analysis.
+//! ([`model`]): an idealised pricing of the cost terms `pimdl_sim::cost`
+//! derives. It deliberately knows less than the simulator (no per-access
+//! overheads, no index-repeat reuse): comparing its predictions against
+//! `pimdl_sim::cost`, term by term, reproduces the §6.6 model-error
+//! analysis.
 //!
 //! # Example
 //!
@@ -41,9 +42,7 @@ pub mod space;
 pub mod tuner;
 
 pub use error::TuneError;
-pub use model::{
-    analytical_cost, hierarchical_cost, AnalyticalBreakdown, HierBreakdown, MemHierarchy,
-};
+pub use model::{analytical_cost, hierarchical_cost, HierBreakdown};
 pub use tuner::{tune, tune_with_options, SearchStrategy, TuneOptions, TuningResult};
 
 /// Crate-wide result alias.

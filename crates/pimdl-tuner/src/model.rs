@@ -1,52 +1,29 @@
-//! The analytical latency model of Eqs. 3–10.
+//! The analytical latency model of Eqs. 3–10: an idealised *pricing* of
+//! the terms `pimdl_sim::cost` derives, not a second derivation.
 //!
-//! Structurally identical to `pimdl_sim::cost`, but idealized the way a
-//! profiling-based model must be:
+//! Stream counts, tile bytes, the sub-LUT transfers (Eq. 4 — the paper
+//! profiles those directly) and the reduce term (Eq. 10 at a
+//! `t_single-reduce` *profiled per inner-loop width*, so the short-loop
+//! stall curve is in the profile) are the simulator's own functions. The
+//! model differs only where a profiling-based model must:
 //!
 //! * local-memory time is `bytes / profiled-bandwidth(access size)` (Eq. 8)
 //!   with no per-access overhead term,
 //! * fine-grain gathers assume no index-repeat reuse (data-dependent and
-//!   unknowable offline),
-//! * reduce time is `RCount × t_single-reduce(F_m-tile)` (Eq. 10), where
-//!   the per-reduce latency is *profiled per inner-loop width* — the paper
-//!   notes the on-chip bandwidth depends on the instruction count, so the
-//!   profile captures the short-loop stall curve.
+//!   unknowable offline); pricing them at full count partially offsets the
+//!   per-access overheads the model also cannot see, keeping scheme
+//!   selection balanced (§6.6).
 //!
-//! Host↔PIM transfers (Eq. 4) are shared with the simulator — the paper
-//! profiles those directly, so the model gets them right.
+//! Both predictions come back as a [`TimeBreakdown`], the simulator's own
+//! type, so model and "measurement" compare term by term.
 
 use serde::{Deserialize, Serialize};
 
-use pimdl_sim::config::{PlatformConfig, PlatformKind};
-use pimdl_sim::cost::{reduce_time_s, stream_counts, sub_lut_times, StreamCounts};
-use pimdl_sim::{LutWorkload, Mapping};
+use pimdl_sim::config::PlatformConfig;
+use pimdl_sim::cost::{reduce_time_s, row_times_s, stream_counts, sub_lut_times, StreamCounts};
+use pimdl_sim::{LutWorkload, Mapping, TimeBreakdown};
 
 use crate::Result;
-
-/// Predicted latency breakdown (all seconds), mirroring
-/// [`pimdl_sim::TimeBreakdown`] but produced by the analytical model.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct AnalyticalBreakdown {
-    /// Predicted `t_sub-lut` (Eq. 3).
-    pub sub_lut_s: f64,
-    /// Predicted `t_micro-kernel` (Eq. 6).
-    pub micro_kernel_s: f64,
-    /// Predicted index-load component.
-    pub kernel_index_s: f64,
-    /// Predicted LUT-load component.
-    pub kernel_lut_s: f64,
-    /// Predicted output load/store component.
-    pub kernel_output_s: f64,
-    /// Predicted reduce component (Eq. 10).
-    pub kernel_reduce_s: f64,
-}
-
-impl AnalyticalBreakdown {
-    /// Predicted end-to-end latency.
-    pub fn total_s(&self) -> f64 {
-        self.sub_lut_s + self.micro_kernel_s
-    }
-}
 
 /// Evaluates the analytical model for one mapping.
 ///
@@ -57,7 +34,7 @@ pub fn analytical_cost(
     platform: &PlatformConfig,
     workload: &LutWorkload,
     mapping: &Mapping,
-) -> Result<AnalyticalBreakdown> {
+) -> Result<TimeBreakdown> {
     mapping.validate(workload, platform)?;
     let sc = stream_counts(workload, mapping);
     Ok(analytical(platform, workload, mapping, &sc))
@@ -70,127 +47,27 @@ fn analytical(
     w: &LutWorkload,
     m: &Mapping,
     sc: &StreamCounts,
-) -> AnalyticalBreakdown {
-    let k = &m.kernel;
-
-    // ---- Eq. 3–4: sub-LUT partition (shared with the simulator). ----
-    let sub_lut_s = sub_lut_time_s(platform, w, m);
-
-    // ---- Eq. 6–10: micro-kernel (idealized: bandwidth only, and
-    // repeat-blind on purpose — the data-dependent reuse rate of
-    // fine-grain gathers is unknowable offline, and pricing them at full
-    // count partially offsets the per-access overheads the model also
-    // cannot see, keeping scheme selection balanced, §6.6). ----
+) -> TimeBreakdown {
     let lm = &platform.local_mem;
-    let [kernel_index_s, kernel_output_s, kernel_lut_s] =
-        streams(sc).map(|(loads, tile)| lm.ideal_time_s(loads * tile, tile));
-
-    // Profiled per-width reduce rate: t_single-reduce measured at the
-    // kernel's inner-loop length includes the loop-overhead amortization.
-    let kernel_reduce_s = reduce_time_s(platform, w, (m.n_stile, m.f_stile), k.f_mtile);
-
-    AnalyticalBreakdown {
-        sub_lut_s,
-        micro_kernel_s: kernel_index_s + kernel_lut_s + kernel_output_s + kernel_reduce_s,
+    let [kernel_index_s, kernel_output_s, kernel_lut_s] = sc
+        .streams()
+        .map(|(loads, tile)| lm.ideal_time_s(loads * tile, tile));
+    TimeBreakdown {
         kernel_index_s,
         kernel_lut_s,
         kernel_output_s,
-        kernel_reduce_s,
-    }
-}
-
-/// The micro-kernel's three local-memory streams — index, output
-/// (loaded and stored per eviction), LUT — as `(transfers, bytes each)`.
-fn streams(sc: &StreamCounts) -> [(f64, f64); 3] {
-    [
-        (sc.index_loads as f64, sc.index_mtile_bytes as f64),
-        (2.0 * sc.output_loads as f64, sc.output_mtile_bytes as f64),
-        (sc.lut_accesses as f64, sc.lut_access_bytes as f64),
-    ]
-}
-
-/// The sub-LUT partition time (Eqs. 3–4) of a mapping. Depends only on the
-/// **P1** pair `(N_s-tile, F_s-tile)`, never on the micro-kernel, so the
-/// branch-and-bound search evaluates it exactly at the root of each pair's
-/// subtree. [`analytical_cost`] calls this same function, keeping the two
-/// bit-identical.
-pub fn sub_lut_time_s(platform: &PlatformConfig, w: &LutWorkload, m: &Mapping) -> f64 {
-    sub_lut_times(platform, w, m).total_s()
-}
-
-/// Greatest common divisor (Euclid). `gcd(0, n) = n`.
-pub fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
-
-/// DRAM row-buffer parameters of the PE-buffer → global-buffer → row-buffer
-/// hierarchy, derived per platform kind.
-///
-/// The analytical model (Eq. 8) prices local-memory traffic purely by
-/// bandwidth; real banks additionally pay a row-activation latency each
-/// time a streamed tile opens a DRAM row, and misaligned tiles straddle
-/// *extra* rows ("layout crossing"). These are the two terms the
-/// `pim_mapper`-style hierarchical model adds; [`hierarchical_cost`]
-/// computes them via GCD-periodic crossing-tile analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MemHierarchy {
-    /// Row-buffer size of the bank behind the PE's global buffer (bytes).
-    pub row_buffer_bytes: usize,
-    /// Latency of one row activation (precharge + activate), seconds.
-    pub row_activation_s: f64,
-}
-
-impl MemHierarchy {
-    /// Hierarchy constants for a platform: DDR4-class banks behind UPMEM
-    /// DPUs (2 KiB rows, ~45 ns tRC), HBM2/GDDR6-class banks for the
-    /// MAC-style PIMs (8 KiB effective rows, ~15 ns).
-    pub fn for_platform(platform: &PlatformConfig) -> Self {
-        match platform.kind {
-            PlatformKind::Upmem => MemHierarchy {
-                row_buffer_bytes: 2048,
-                row_activation_s: 45e-9,
-            },
-            PlatformKind::HbmPim | PlatformKind::Aim => MemHierarchy {
-                row_buffer_bytes: 8192,
-                row_activation_s: 15e-9,
-            },
-        }
-    }
-
-    /// Row traffic of `loads` streamed transfers of a `tile_bytes` tile, as
-    /// `(compulsory_rows, crossing_rows)`.
-    ///
-    /// With tiles laid out back to back, consecutive tile start offsets
-    /// within a row cycle with period `R / gcd(T, R)`; averaged over one
-    /// period a `T`-byte tile touches `(T + R − gcd(T, R)) / R` rows. We
-    /// split that into the *compulsory* part `max(T, R)/R` (the rows any
-    /// placement must open: at least one per load, at least `T/R` by
-    /// volume) and the *crossing* excess `(min(T, R) − gcd(T, R))/R`, which
-    /// is zero exactly when tile and row sizes nest (`T | R` or `R | T`)
-    /// and positive otherwise.
-    pub fn row_traffic(&self, loads: f64, tile_bytes: f64) -> (f64, f64) {
-        if loads <= 0.0 || tile_bytes <= 0.0 {
-            return (0.0, 0.0);
-        }
-        let r = self.row_buffer_bytes as f64;
-        let g = gcd(tile_bytes as u64, self.row_buffer_bytes as u64) as f64;
-        let compulsory = (tile_bytes / r).max(1.0);
-        let crossing = (tile_bytes.min(r) - g) / r;
-        (loads * compulsory, loads * crossing)
+        kernel_reduce_s: reduce_time_s(platform, w, m.pair(), m.kernel.f_mtile),
+        ..sub_lut_times(platform, w, m.pair())
     }
 }
 
 /// Hierarchical prediction: the flat analytical breakdown plus the
-/// row-activation and layout-crossing terms of [`MemHierarchy`].
+/// row-activation and layout-crossing terms of
+/// [`pimdl_sim::config::MemHierarchy`].
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct HierBreakdown {
     /// The flat analytical model (Eqs. 3–10), unchanged.
-    pub base: AnalyticalBreakdown,
+    pub base: TimeBreakdown,
     /// Compulsory row-activation time for all streamed micro-kernel
     /// traffic (index, output, LUT chunks).
     pub row_activation_s: f64,
@@ -218,39 +95,11 @@ pub fn hierarchical_cost(
     workload: &LutWorkload,
     mapping: &Mapping,
 ) -> Result<HierBreakdown> {
-    hierarchical_cost_with(
-        &MemHierarchy::for_platform(platform),
-        platform,
-        workload,
-        mapping,
-    )
-}
-
-/// [`hierarchical_cost`] with an explicit hierarchy (lets the search reuse
-/// one derivation; passing [`MemHierarchy::for_platform`] is identical).
-///
-/// # Errors
-///
-/// Returns a wrapped [`pimdl_sim::SimError`] if the mapping is illegal.
-pub fn hierarchical_cost_with(
-    hier: &MemHierarchy,
-    platform: &PlatformConfig,
-    workload: &LutWorkload,
-    mapping: &Mapping,
-) -> Result<HierBreakdown> {
     mapping.validate(workload, platform)?;
     let sc = stream_counts(workload, mapping);
-    let base = analytical(platform, workload, mapping, &sc);
-    let mut row_activation_s = 0.0;
-    let mut crossing_s = 0.0;
-    for (loads, tile) in streams(&sc) {
-        let (compulsory, crossing) = hier.row_traffic(loads, tile);
-        row_activation_s += compulsory * hier.row_activation_s;
-        crossing_s += crossing * hier.row_activation_s;
-    }
-
+    let (row_activation_s, crossing_s) = row_times_s(&platform.mem_hierarchy(), &sc);
     Ok(HierBreakdown {
-        base,
+        base: analytical(platform, workload, mapping, &sc),
         row_activation_s,
         crossing_s,
     })
@@ -345,7 +194,14 @@ mod tests {
         let m = mapping(LoadScheme::Static);
         let pred = analytical_cost(&p, &w, &m).unwrap();
         let sim = estimate_cost(&p, &w, &m).unwrap();
-        assert!((pred.sub_lut_s - sim.time.sub_lut_total_s()).abs() < 1e-12);
+        assert_eq!(
+            (pred.sub_index_s, pred.sub_lut_s, pred.sub_output_s),
+            (
+                sim.time.sub_index_s,
+                sim.time.sub_lut_s,
+                sim.time.sub_output_s
+            )
+        );
     }
 
     #[test]
@@ -362,38 +218,6 @@ mod tests {
         // index-repeat reuse.
         let sim = estimate_cost(&p, &w, &m).unwrap();
         assert!((pred.kernel_reduce_s - sim.time.kernel_reduce_s).abs() < 1e-15);
-    }
-
-    #[test]
-    fn gcd_basics() {
-        assert_eq!(gcd(12, 18), 6);
-        assert_eq!(gcd(7, 13), 1);
-        assert_eq!(gcd(0, 5), 5);
-        assert_eq!(gcd(2048, 768), 256);
-    }
-
-    #[test]
-    fn row_traffic_gcd_periodic_analysis() {
-        let h = MemHierarchy {
-            row_buffer_bytes: 2048,
-            row_activation_s: 45e-9,
-        };
-        // Tile divides row: exactly one row per load, zero crossing.
-        let (comp, cross) = h.row_traffic(10.0, 256.0);
-        assert_eq!(comp, 10.0);
-        assert_eq!(cross, 0.0);
-        // Row divides tile: T/R rows per load, zero crossing.
-        let (comp, cross) = h.row_traffic(4.0, 8192.0);
-        assert_eq!(comp, 16.0);
-        assert_eq!(cross, 0.0);
-        // Misaligned (T = 3R/4): gcd = R/4, total rows per load must equal
-        // (T + R − g)/R = 1.5, split 1.0 compulsory + 0.5 crossing.
-        let (comp, cross) = h.row_traffic(2.0, 1536.0);
-        assert!((comp - 2.0).abs() < 1e-12);
-        assert!((cross - 1.0).abs() < 1e-12);
-        // Degenerate inputs are silent zeros.
-        assert_eq!(h.row_traffic(0.0, 64.0), (0.0, 0.0));
-        assert_eq!(h.row_traffic(3.0, 0.0), (0.0, 0.0));
     }
 
     #[test]
@@ -431,17 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn crossing_penalizes_misaligned_tiles() {
-        // Same data volume, one tile size nesting with the 2 KiB row and
-        // one straddling it: the straddler must pay a crossing term.
-        let h = MemHierarchy::for_platform(&platform(16));
-        let (_, aligned) = h.row_traffic(12.0, 512.0);
-        let (_, misaligned) = h.row_traffic(12.0, 384.0);
-        assert_eq!(aligned, 0.0);
-        assert!(misaligned > 0.0);
-    }
-
-    #[test]
     fn relative_error_basics() {
         assert_eq!(relative_error(1.0, 1.0), 0.0);
         assert!((relative_error(0.9, 1.0) - 0.1).abs() < 1e-12);
@@ -456,7 +269,7 @@ mod tests {
         let pred = analytical_cost(&p, &w, &m).unwrap();
         let parts =
             pred.kernel_index_s + pred.kernel_lut_s + pred.kernel_output_s + pred.kernel_reduce_s;
-        assert!((pred.micro_kernel_s - parts).abs() < 1e-15);
-        assert!((pred.total_s() - (pred.sub_lut_s + pred.micro_kernel_s)).abs() < 1e-15);
+        assert_eq!(pred.micro_kernel_total_s(), parts);
+        assert_eq!(pred.total_s(), pred.sub_lut_total_s() + parts);
     }
 }

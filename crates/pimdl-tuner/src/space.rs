@@ -1,6 +1,7 @@
 //! Enumeration of the mapping search space (P1–P4).
 
 use pimdl_sim::config::PlatformConfig;
+use pimdl_sim::cost::lut_buffer_bytes;
 use pimdl_sim::{LoadScheme, LutWorkload, Mapping, MicroKernel, TraversalOrder};
 
 use crate::{Result, TuneError};
@@ -149,15 +150,6 @@ impl SchemeClass {
         [SchemeClass::Static, SchemeClass::Coarse, SchemeClass::Fine];
 }
 
-/// Can the static scheme hold the whole sub-LUT (`CB·CT·F_s`) on chip?
-pub(crate) fn static_fits(
-    workload: &LutWorkload,
-    platform: &PlatformConfig,
-    f_stile: usize,
-) -> bool {
-    workload.cb * workload.ct * f_stile <= platform.wram_bytes
-}
-
 /// The leaves of one scheme class under a complete tiling: ❶ static, if the
 /// sub-LUT fits; ❷ coarse-grain, every `cb_load × f_load` chunk dividing
 /// the m-tiles that fits; ❸ fine-grain, every `f_load` dividing `F_m`.
@@ -175,8 +167,9 @@ pub(crate) fn leaf_kernels(
         traversal,
         load_scheme,
     };
+    let fits = |scheme| lut_buffer_bytes(workload, f_stile, scheme) <= platform.wram_bytes;
     match class {
-        SchemeClass::Static => static_fits(workload, platform, f_stile)
+        SchemeClass::Static => fits(LoadScheme::Static)
             .then(|| kernel(LoadScheme::Static))
             .into_iter()
             .collect(),
@@ -185,8 +178,9 @@ pub(crate) fn leaf_kernels(
             let mut out = Vec::new();
             for cb_load in tile_candidates(cb_m) {
                 for &f_load in &f_loads {
-                    if cb_load * workload.ct * f_load <= platform.wram_bytes {
-                        out.push(kernel(LoadScheme::CoarseGrain { cb_load, f_load }));
+                    let scheme = LoadScheme::CoarseGrain { cb_load, f_load };
+                    if fits(scheme) {
+                        out.push(kernel(scheme));
                     }
                 }
             }

@@ -18,7 +18,7 @@ use pimdl_sim::config::PlatformConfig;
 use pimdl_sim::{LutWorkload, Mapping};
 
 use crate::bnb::Incumbent;
-use crate::model::{AnalyticalBreakdown, HierBreakdown, MemHierarchy};
+use crate::model::HierBreakdown;
 use crate::space::{kernel_candidates, legal_pairs, mapping_of};
 use crate::Result;
 
@@ -55,10 +55,8 @@ impl TuneOptions {
 pub struct TuningResult {
     /// The best mapping found.
     pub mapping: Mapping,
-    /// Flat analytical prediction (Eqs. 3–10) for the best mapping.
-    pub predicted: AnalyticalBreakdown,
-    /// Hierarchical prediction (flat + row-activation + crossing) — the
-    /// objective the search minimized.
+    /// Hierarchical prediction (flat Eqs. 3–10 in `base` + row-activation
+    /// + crossing) — the objective the search minimized.
     pub hierarchical: HierBreakdown,
     /// Predicted end-to-end latency under the hierarchical model
     /// (seconds); equals `hierarchical.total_s()`.
@@ -97,7 +95,6 @@ pub fn tune_with_options(
     };
     Ok(TuningResult {
         mapping,
-        predicted: hierarchical.base,
         hierarchical,
         predicted_total_s: hierarchical.total_s(),
         evaluated,
@@ -111,11 +108,10 @@ fn tune_exhaustive(
     platform: &PlatformConfig,
     workload: &LutWorkload,
 ) -> Result<(Mapping, HierBreakdown, usize)> {
-    let hier = MemHierarchy::for_platform(platform);
     let mut incumbent = Incumbent::default();
     for (n_s, f_s) in legal_pairs(workload, platform)? {
         for kernel in kernel_candidates(workload, platform, n_s, f_s) {
-            incumbent.offer(&hier, platform, workload, mapping_of(n_s, f_s, kernel));
+            incumbent.offer(platform, workload, mapping_of(n_s, f_s, kernel));
         }
     }
     incumbent.into_best(workload)
@@ -143,7 +139,6 @@ mod tests {
         assert!(result.predicted_total_s > 0.0);
         assert!(result.evaluated > 0);
         assert_eq!(result.predicted_total_s, result.hierarchical.total_s());
-        assert_eq!(result.predicted, result.hierarchical.base);
     }
 
     #[test]

@@ -130,6 +130,22 @@ cargo run --offline --release -p pimdl-bench --bin reproduce -- bench_kernels --
 echo "==> reproduce tuner --quick"
 cargo run --offline --release -p pimdl-bench --bin reproduce -- tuner --quick
 
+# Results gate: these twelve artefacts are pure functions of the cost
+# model and the tuner (no wall-clock field, ~4 s in total), so the committed
+# results/*.json must regenerate byte for byte. A cost-term or search-order
+# change that moves a figure fails here and has to re-commit the file (and
+# the EXPERIMENTS.md digits printed from it) on purpose.
+echo "==> results gate: regenerate and cmp against results/"
+gate_dir=$(mktemp -d)
+trap 'rm -rf "${gate_dir}"' EXIT
+for exp in table1 fig3 fig4 fig10 fig11 fig12 fig13 fig14 fig15 scaling \
+    discussion tuner-error; do
+    cargo run --offline --release -q -p pimdl-bench --bin reproduce -- \
+        "${exp}" --json "${gate_dir}" > /dev/null
+    artefact="${exp//-/_}.json"
+    cmp "${gate_dir}/${artefact}" "results/${artefact}"
+done
+
 # The benchmark package (bench/, a workspace of its own) compiles against
 # these crates' public API and is otherwise only built by the acceptance
 # pipeline: lint it and run its unit tests plus the <= 15 s smoke
