@@ -2,7 +2,7 @@
 //!
 //! Policy (see DESIGN.md): every entry names one lint, one file, one
 //! enclosing function, one callee, and a non-empty `justification`
-//! explaining why the site is provably infallible or must panic. Entries
+//! stating why the site is provably infallible or must panic. Entries
 //! that go unused or lack a justification are themselves hard findings, so
 //! the list can only shrink or stay honest.
 //!
@@ -180,6 +180,19 @@ pub fn suffix_match(path: &str, pat: &str) -> bool {
             .is_some_and(|prefix| prefix.ends_with('/'))
 }
 
+/// Whether `path` is inside a configured scope: an entry ending in `.rs`
+/// is a component-guarded suffix ([`suffix_match`]), anything else a
+/// directory matched as a substring (`crates/pimdl-serve/src`).
+pub fn in_scope(path: &str, scope: &[String]) -> bool {
+    scope.iter().any(|p| {
+        if p.ends_with(".rs") {
+            suffix_match(path, p)
+        } else {
+            path.contains(p.as_str())
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,12 +234,12 @@ justification = ""
     #[test]
     fn line_window_limits_what_an_entry_excuses() {
         let list = AllowList::parse(
-            "[[allow]]\nlint = \"L6-LOCKSET\"\nfile = \"m.rs\"\nfunc = \"*\"\n\
-             callee = \"S::count\"\nlines = \"10-20\"\njustification = \"racy counter\"\n",
+            "[[allow]]\nlint = \"L2-PANIC\"\nfile = \"m.rs\"\nfunc = \"*\"\n\
+             callee = \"expect\"\nlines = \"10-20\"\njustification = \"infallible here\"\n",
         );
         assert!(list.errors.is_empty(), "{:?}", list.errors);
-        assert!(list.permits("L6-LOCKSET", "a/m.rs", Some("f"), "S::count", 15));
-        assert!(!list.permits("L6-LOCKSET", "a/m.rs", Some("f"), "S::count", 42));
+        assert!(list.permits("L2-PANIC", "a/m.rs", Some("f"), "expect", 15));
+        assert!(!list.permits("L2-PANIC", "a/m.rs", Some("f"), "expect", 42));
         let single = AllowList::parse(
             "[[allow]]\nlint = \"X\"\nfile = \"m.rs\"\nfunc = \"*\"\ncallee = \"c\"\n\
              lines = \"7\"\njustification = \"j\"\n",

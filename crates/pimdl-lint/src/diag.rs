@@ -1,5 +1,6 @@
-//! Diagnostics, the report aggregate, and hand-rolled JSON encoding (the
-//! crate is std-only by design: the gate must build with zero deps).
+//! Diagnostics, the report aggregate, and the hand-rolled JSON encoding
+//! of the inventory (the crate is std-only by design: the gate must build
+//! with zero deps).
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -118,109 +119,6 @@ impl Report {
         out
     }
 
-    /// Machine-readable report.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"diagnostics\": [");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"lint\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
-                json_str(&d.lint),
-                json_str(&d.file),
-                d.line,
-                json_str(&d.message),
-            );
-        }
-        if !self.diagnostics.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"unsafe_inventory\": [");
-        for (i, s) in self.unsafe_inventory.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"file\": {}, \"line\": {}, \"context\": {}, \"documented\": {}}}",
-                json_str(&s.file),
-                s.line,
-                json_str(&s.context),
-                s.documented,
-            );
-        }
-        if !self.unsafe_inventory.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"lock_inventory\": [");
-        for (i, g) in self.lock_inventory.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let members: Vec<String> = g.members.iter().map(|m| json_str(m)).collect();
-            let _ = write!(
-                out,
-                "\n    {{\"lock\": {}, \"kind\": {}, \"members\": [{}]}}",
-                json_str(&g.display),
-                json_str(&g.kind),
-                members.join(", "),
-            );
-        }
-        if !self.lock_inventory.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"pass_stats\": [");
-        for (i, p) in self.pass_stats.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"pass\": {}, \"findings\": {}, \"micros\": {}}}",
-                json_str(&p.name),
-                p.findings,
-                p.micros,
-            );
-        }
-        if !self.pass_stats.is_empty() {
-            out.push_str("\n  ");
-        }
-        let _ = write!(
-            out,
-            "],\n  \"files_scanned\": {},\n  \"findings\": {}\n}}\n",
-            self.files_scanned,
-            self.diagnostics.len(),
-        );
-        out
-    }
-
-    /// GitHub Actions workflow annotations (`--format github`): one
-    /// `::error` command per finding, which the Actions runner turns into
-    /// inline PR annotations.
-    pub fn render_github(&self) -> String {
-        let mut out = String::new();
-        for d in &self.diagnostics {
-            // Annotation properties use the commands escaping rules.
-            let _ = writeln!(
-                out,
-                "::error file={},line={},title={}::{}",
-                gh_prop(&d.file),
-                d.line,
-                gh_prop(&d.lint),
-                gh_msg(&d.message),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "pimdl-lint: {} file(s) scanned, {} finding(s)",
-            self.files_scanned,
-            self.diagnostics.len(),
-        );
-        out
-    }
-
     /// The drift-reviewable inventory file (`results/lint_inventory.json`):
     /// unsafe sites, resolved lock identities, and taint source/sink
     /// counts — no diagnostics.
@@ -272,22 +170,6 @@ impl Report {
     }
 }
 
-/// Escapes a GitHub Actions annotation *property* (file, title).
-fn gh_prop(s: &str) -> String {
-    s.replace('%', "%25")
-        .replace('\r', "%0D")
-        .replace('\n', "%0A")
-        .replace(':', "%3A")
-        .replace(',', "%2C")
-}
-
-/// Escapes a GitHub Actions annotation *message*.
-fn gh_msg(s: &str) -> String {
-    s.replace('%', "%25")
-        .replace('\r', "%0D")
-        .replace('\n', "%0A")
-}
-
 /// JSON string literal with escaping.
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -314,20 +196,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_escapes_and_shapes() {
-        let mut r = Report {
-            files_scanned: 2,
-            ..Report::default()
-        };
-        r.diagnostics.push(Diagnostic::new(
-            "L2-PANIC",
-            Path::new("a/b.rs"),
-            7,
-            "say \"no\"",
-        ));
-        let json = r.render_json();
-        assert!(json.contains(r#""lint": "L2-PANIC""#));
+    fn inventory_json_escapes_and_counts() {
+        let mut r = Report::default();
+        r.unsafe_inventory.push(UnsafeSite {
+            file: "a/b.rs".to_string(),
+            line: 7,
+            context: "fn say \"no\"".to_string(),
+            documented: true,
+        });
+        let json = r.render_inventory_json();
+        assert!(json.contains(r#""file": "a/b.rs", "line": 7"#));
         assert!(json.contains(r#"\"no\""#));
-        assert!(json.contains(r#""findings": 1"#));
+        assert!(json.contains(r#""unsafe_count": 1"#));
     }
 }

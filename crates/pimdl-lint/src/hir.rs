@@ -1,6 +1,6 @@
 //! Per-file item model above the token stream: struct definitions with
 //! parsed field types, impl blocks, and function signatures (receiver
-//! kind, typed parameters, constructor detection). This is the "HIR" the
+//! kind, typed parameters). This is the "HIR" the
 //! resolution layer (`resolve.rs`) builds its symbol table from — still
 //! token-derived, no rustc, but enough structure to give locks and
 //! atomics stable identities (`Type::field`) instead of bare receiver
@@ -8,6 +8,7 @@
 
 use crate::lexer::{Tok, TokKind};
 use crate::model::SourceFile;
+use crate::passes::{is_arrow, skip_angle};
 
 /// A parsed type expression, reduced to a path tail plus generic
 /// arguments: `std::sync::Arc<Mutex<Vec<T>>>` becomes
@@ -105,7 +106,6 @@ pub struct FieldDef {
 #[derive(Debug, Clone)]
 pub struct StructDef {
     pub name: String,
-    pub line: u32,
     pub fields: Vec<FieldDef>,
 }
 
@@ -127,9 +127,6 @@ pub struct FnSig {
     pub self_kind: SelfKind,
     /// Typed value parameters (`name: Type`), patterns skipped.
     pub params: Vec<(String, Type)>,
-    /// Whether the return type mentions `Self` or the impl type — the
-    /// constructor heuristic for immutable-after-spawn analysis.
-    pub ret_self: bool,
 }
 
 /// Everything hir-level extracted from one file.
@@ -142,7 +139,6 @@ pub struct FileHir {
 
 /// Builds the per-file item model.
 pub fn build(file: &SourceFile) -> FileHir {
-    let toks = &file.tokens;
     let mut out = FileHir {
         structs: collect_structs(file),
         sigs: Vec::with_capacity(file.fns().len()),
@@ -155,7 +151,7 @@ pub fn build(file: &SourceFile) -> FileHir {
             .min_by_key(|(s, e, _)| e - s)
             .map(|(_, _, name)| name.clone());
         out.sigs
-            .push(parse_sig(toks, span.fn_tok, span.body_start, impl_ty));
+            .push(parse_sig(file, span.fn_tok, span.body_start, impl_ty));
     }
     out
 }
@@ -170,8 +166,7 @@ fn collect_impls(file: &SourceFile) -> Vec<(usize, usize, String)> {
             continue;
         }
         // Skip generics after `impl`.
-        let mut j = idx + 1;
-        j = skip_angle_group(toks, j);
+        let mut j = skip_angle_group(file, idx + 1);
         // Scan to the body `{`, remembering the last path-tail ident seen
         // at angle depth 0 — for `impl Trait for Type` that is `Type`'s
         // tail, for an inherent impl it is the type's tail.
@@ -204,8 +199,7 @@ fn collect_impls(file: &SourceFile) -> Vec<(usize, usize, String)> {
         if j >= toks.len() || !toks[j].is_punct('{') || ty_name.is_empty() {
             continue;
         }
-        let close = matching_close(toks, j);
-        out.push((j, close, ty_name));
+        out.push((j, file.skip_balanced(j) - 1, ty_name));
     }
     out
 }
@@ -221,7 +215,7 @@ fn collect_structs(file: &SourceFile) -> Vec<StructDef> {
         let Some(name) = toks.get(idx + 1).and_then(|t| t.ident()) else {
             continue;
         };
-        let mut j = skip_angle_group(toks, idx + 2);
+        let mut j = skip_angle_group(file, idx + 2);
         // Skip a `where` clause up to the body.
         let mut depth = 0i32;
         while j < toks.len() {
@@ -237,12 +231,10 @@ fn collect_structs(file: &SourceFile) -> Vec<StructDef> {
         }
         let mut def = StructDef {
             name: name.to_string(),
-            line: toks[idx].line,
             fields: Vec::new(),
         };
         if j < toks.len() && toks[j].is_punct('{') {
-            let close = matching_close(toks, j);
-            parse_fields(toks, j + 1, close, &mut def.fields);
+            parse_fields(file, j + 1, file.skip_balanced(j) - 1, &mut def.fields);
         }
         out.push(def);
     }
@@ -250,7 +242,8 @@ fn collect_structs(file: &SourceFile) -> Vec<StructDef> {
 }
 
 /// Parses `name: Type,` pairs between `start` and `end` (exclusive).
-fn parse_fields(toks: &[Tok], start: usize, end: usize, out: &mut Vec<FieldDef>) {
+fn parse_fields(file: &SourceFile, start: usize, end: usize, out: &mut Vec<FieldDef>) {
+    let toks = &file.tokens;
     let mut i = start;
     while i < end {
         // Skip attributes on the field (`#[...]` tokens were not stripped
@@ -258,7 +251,7 @@ fn parse_fields(toks: &[Tok], start: usize, end: usize, out: &mut Vec<FieldDef>)
         if toks[i].is_punct('#') {
             i += 1;
             if i < end && toks[i].is_punct('[') {
-                i = skip_balanced(toks, i, '[', ']');
+                i = file.skip_balanced(i);
             }
             continue;
         }
@@ -269,7 +262,7 @@ fn parse_fields(toks: &[Tok], start: usize, end: usize, out: &mut Vec<FieldDef>)
         if ident == "pub" {
             i += 1;
             if i < end && toks[i].is_punct('(') {
-                i = skip_balanced(toks, i, '(', ')');
+                i = file.skip_balanced(i);
             }
             continue;
         }
@@ -285,7 +278,7 @@ fn parse_fields(toks: &[Tok], start: usize, end: usize, out: &mut Vec<FieldDef>)
         let mut depth = 0i32;
         while k < end {
             match &toks[k].kind {
-                TokKind::Punct('<') if !is_arrow(toks, k) => depth += 1,
+                TokKind::Punct('<') => depth += 1,
                 TokKind::Punct('>') if depth > 0 && !is_arrow(toks, k) => depth -= 1,
                 TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
                 TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
@@ -294,7 +287,7 @@ fn parse_fields(toks: &[Tok], start: usize, end: usize, out: &mut Vec<FieldDef>)
             }
             k += 1;
         }
-        let (ty, _) = parse_type(toks, ty_start, k);
+        let (ty, _) = parse_type(file, ty_start, k);
         out.push(FieldDef {
             name: ident.to_string(),
             ty,
@@ -304,14 +297,10 @@ fn parse_fields(toks: &[Tok], start: usize, end: usize, out: &mut Vec<FieldDef>)
     }
 }
 
-/// Whether the `<`/`>` punct at `k` is half of a `->` arrow.
-fn is_arrow(toks: &[Tok], k: usize) -> bool {
-    toks[k].is_punct('>') && k > 0 && toks[k - 1].is_punct('-')
-}
-
 /// Parses a type expression from `[start, end)`; returns the type and the
 /// index one past it (a `+` bound list consumes only the first bound).
-pub fn parse_type(toks: &[Tok], start: usize, end: usize) -> (Type, usize) {
+pub fn parse_type(file: &SourceFile, start: usize, end: usize) -> (Type, usize) {
+    let toks = &file.tokens;
     let mut i = start;
     // Strip prefixes that don't change identity.
     while i < end {
@@ -328,7 +317,7 @@ pub fn parse_type(toks: &[Tok], start: usize, end: usize) -> (Type, usize) {
     match &toks[i].kind {
         TokKind::Punct('*') => {
             // `*const T` / `*mut T`.
-            let (inner, next) = parse_type(toks, i + 1, end);
+            let (inner, next) = parse_type(file, i + 1, end);
             (
                 Type {
                     name: "*ptr".to_string(),
@@ -338,11 +327,11 @@ pub fn parse_type(toks: &[Tok], start: usize, end: usize) -> (Type, usize) {
             )
         }
         TokKind::Punct('(') => {
-            let close = skip_balanced(toks, i, '(', ')') - 1;
+            let close = file.skip_balanced(i) - 1;
             let mut args = Vec::new();
             let mut k = i + 1;
             while k < close {
-                let (t, next) = parse_type(toks, k, close);
+                let (t, next) = parse_type(file, k, close);
                 args.push(t);
                 k = skip_to_comma(toks, next, close) + 1;
             }
@@ -361,8 +350,8 @@ pub fn parse_type(toks: &[Tok], start: usize, end: usize) -> (Type, usize) {
             }
         }
         TokKind::Punct('[') => {
-            let close = skip_balanced(toks, i, '[', ']') - 1;
-            let (inner, _) = parse_type(toks, i + 1, close);
+            let close = file.skip_balanced(i) - 1;
+            let (inner, _) = parse_type(file, i + 1, close);
             (
                 Type {
                     name: "[slice]".to_string(),
@@ -388,23 +377,23 @@ pub fn parse_type(toks: &[Tok], start: usize, end: usize) -> (Type, usize) {
             }
             if name.starts_with("Fn") && k < end && toks[k].is_punct('(') {
                 // `Fn(args) -> Ret` sugar: skip it whole.
-                k = skip_balanced(toks, k, '(', ')');
+                k = file.skip_balanced(k);
                 if k + 1 < end && toks[k].is_punct('-') && toks[k + 1].is_punct('>') {
-                    let (_, next) = parse_type(toks, k + 2, end);
+                    let (_, next) = parse_type(file, k + 2, end);
                     k = next;
                 }
                 return (Type::leaf("Fn"), k);
             }
             let mut args = Vec::new();
             if k < end && toks[k].is_punct('<') {
-                let close = skip_angle(toks, k, end);
+                let close = skip_angle(file, k, end);
                 let mut a = k + 1;
                 while a < close {
                     if toks[a].kind == TokKind::Lifetime {
                         a = skip_to_comma(toks, a + 1, close) + 1;
                         continue;
                     }
-                    let (t, next) = parse_type(toks, a, close);
+                    let (t, next) = parse_type(file, a, close);
                     args.push(t);
                     a = skip_to_comma(toks, next, close) + 1;
                 }
@@ -416,69 +405,11 @@ pub fn parse_type(toks: &[Tok], start: usize, end: usize) -> (Type, usize) {
     }
 }
 
-/// Index of the `}` matching the `{` at `open_idx` (or the last token).
-fn matching_close(toks: &[Tok], open_idx: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = open_idx;
-    while j < toks.len() {
-        if toks[j].is_punct('{') {
-            depth += 1;
-        } else if toks[j].is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-        j += 1;
-    }
-    toks.len().saturating_sub(1)
-}
-
-/// Index one past the balanced group opened at `open_idx`.
-fn skip_balanced(toks: &[Tok], open_idx: usize, open: char, close: char) -> usize {
-    let mut depth = 0i32;
-    let mut j = open_idx;
-    while j < toks.len() {
-        if toks[j].is_punct(open) {
-            depth += 1;
-        } else if toks[j].is_punct(close) {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    toks.len()
-}
-
-/// Index of the `>` matching the `<` at `open_idx` (arrow-aware), capped
-/// at `end`.
-fn skip_angle(toks: &[Tok], open_idx: usize, end: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = open_idx;
-    while j < end {
-        match &toks[j].kind {
-            TokKind::Punct('<') if !is_arrow(toks, j) => depth += 1,
-            TokKind::Punct('>') if !is_arrow(toks, j) => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            TokKind::Punct('(') => j = skip_balanced(toks, j, '(', ')') - 1,
-            TokKind::Punct('[') => j = skip_balanced(toks, j, '[', ']') - 1,
-            _ => {}
-        }
-        j += 1;
-    }
-    end
-}
-
 /// If `j` sits on `<`, index one past the matching `>`; otherwise `j`.
-fn skip_angle_group(toks: &[Tok], j: usize) -> usize {
+fn skip_angle_group(file: &SourceFile, j: usize) -> usize {
+    let toks = &file.tokens;
     if j < toks.len() && toks[j].is_punct('<') {
-        skip_angle(toks, j, toks.len()) + 1
+        skip_angle(file, j, toks.len()) + 1
     } else {
         j
     }
@@ -490,7 +421,7 @@ fn skip_to_comma(toks: &[Tok], from: usize, end: usize) -> usize {
     let mut j = from;
     while j < end {
         match &toks[j].kind {
-            TokKind::Punct('<') if !is_arrow(toks, j) => depth += 1,
+            TokKind::Punct('<') => depth += 1,
             TokKind::Punct('>') if depth > 0 && !is_arrow(toks, j) => depth -= 1,
             TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
             TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
@@ -503,23 +434,27 @@ fn skip_to_comma(toks: &[Tok], from: usize, end: usize) -> usize {
 }
 
 /// Parses the signature between the `fn` keyword and the body `{`.
-fn parse_sig(toks: &[Tok], fn_tok: usize, body_start: usize, impl_ty: Option<String>) -> FnSig {
+fn parse_sig(
+    file: &SourceFile,
+    fn_tok: usize,
+    body_start: usize,
+    impl_ty: Option<String>,
+) -> FnSig {
+    let toks = &file.tokens;
     let mut sig = FnSig {
         impl_ty,
         self_kind: SelfKind::None,
         params: Vec::new(),
-        ret_self: false,
     };
     // Find the parameter list `(` (skipping `fn name <generics>`).
-    let mut j = fn_tok + 2;
-    j = skip_angle_group(toks, j);
+    let mut j = skip_angle_group(file, fn_tok + 2);
     while j < body_start && !toks[j].is_punct('(') {
         j += 1;
     }
     if j >= body_start {
         return sig;
     }
-    let close = skip_balanced(toks, j, '(', ')') - 1;
+    let close = file.skip_balanced(j) - 1;
     let mut k = j + 1;
     let mut first = true;
     while k < close {
@@ -547,30 +482,12 @@ fn parse_sig(toks: &[Tok], fn_tok: usize, body_start: usize, impl_ty: Option<Str
             if toks.get(p + 1).is_some_and(|t| t.is_punct(':'))
                 && !toks.get(p + 2).is_some_and(|t| t.is_punct(':'))
             {
-                let (ty, _) = parse_type(toks, p + 2, item_end);
+                let (ty, _) = parse_type(file, p + 2, item_end);
                 sig.params.push((name.to_string(), ty));
             }
         }
         first = false;
         k = item_end + 1;
-    }
-    // Return type: `-> ... {` — constructor if it names Self/impl type.
-    let mut r = close + 1;
-    while r + 1 < body_start {
-        if toks[r].is_punct('-') && toks[r + 1].is_punct('>') {
-            for t in &toks[r + 2..body_start] {
-                if let Some(s) = t.ident() {
-                    if s == "Self" || sig.impl_ty.as_deref() == Some(s) {
-                        sig.ret_self = true;
-                    }
-                    if s == "where" {
-                        break;
-                    }
-                }
-            }
-            break;
-        }
-        r += 1;
     }
     sig
 }
@@ -626,12 +543,10 @@ fn free(pool: &Mutex<u64>) {}
             .collect();
         let new = by_name.iter().find(|(n, _)| *n == "new").unwrap().1;
         assert_eq!(new.impl_ty.as_deref(), Some("W"));
-        assert!(new.ret_self);
         assert_eq!(new.self_kind, SelfKind::None);
         assert_eq!(new.params[0].0, "n");
         let get = by_name.iter().find(|(n, _)| *n == "get").unwrap().1;
         assert_eq!(get.self_kind, SelfKind::Ref);
-        assert!(!get.ret_self);
         let set = by_name.iter().find(|(n, _)| *n == "set").unwrap().1;
         assert_eq!(set.self_kind, SelfKind::RefMut);
         let drop_fn = by_name.iter().find(|(n, _)| *n == "drop").unwrap().1;

@@ -1,40 +1,28 @@
 //! pimdl-lint — the workspace static-analysis gate.
 //!
-//! Eight passes over every crate's source, built on a comment/string-aware
+//! Seven passes over every crate's source, built on a comment/string-aware
 //! token scanner (no rustc, no deps, fully offline). The token-level
-//! passes run first; the concurrency passes run over a *resolution layer*
-//! ([`resolve`]) that builds a per-crate symbol table, resolves lock and
-//! atomic identities through fields, `Arc::clone`, and constructors, and
-//! emits per-function event streams over a method-resolved call graph:
+//! passes run first; the concurrency and dataflow passes run over a
+//! *resolution layer* ([`resolve`]) that builds a per-crate symbol table,
+//! resolves lock and atomic identities through fields, `Arc::clone`, and
+//! constructors, and emits per-function event streams over a
+//! method-resolved call graph:
 //!
-//! * **L1-SAFETY** — every `unsafe` site needs a `// SAFETY:` comment (or
-//!   doc `# Safety` section) and is recorded in an inventory.
-//! * **L2-PANIC** — `unwrap()/expect()/panic!`-family forbidden in
-//!   non-test code of the serving hot-path modules unless excused by a
-//!   justified `lint-allow.toml` entry.
-//! * **L3-ATOMIC** — `load(Ordering::Relaxed)` of an atomic published
-//!   with `Release`/`AcqRel` (or `fence(Release)` + Relaxed store) is a
-//!   suspect publication read, unless a `fence(Acquire)` follows it.
-//! * **L4-LOCK-ORDER** — lock-acquisition orders on resolved lock
-//!   identities are propagated through the call graph; cycles fail.
-//! * **L5-SYSCALL** — `asm!`/`syscall*` invocations only in the reactor's
-//!   syscall shim.
-//! * **L6-LOCKSET** — lockset race heuristic: a shared struct field
-//!   written under a lock but read with no lock held is a finding.
-//! * **L7-TAINT** — untrusted-input dataflow: wire-decoded values
-//!   (frame/HTTP lengths and counts) reaching allocations, slice
-//!   indexing, loop bounds, or narrowing casts without a sanitizer whose
-//!   bound is *proved* by interval abstract interpretation ([`passes::range`]).
-//! * **L8-OVERFLOW** — `+`/`*`/`<<` on a tainted `u8`/`u16`/`u32` whose
-//!   proved interval exceeds the operand type's range: the release-mode
-//!   wrap fabricates an attacker-steered value before any bounds check.
+//! * **L1-SAFETY** — every `unsafe` site carries a `// SAFETY:` comment.
+//! * **L2-PANIC** — no `unwrap()/expect()/panic!` on serving hot paths.
+//! * **L3-ATOMIC** — no `Relaxed` load of a `Release`-published atomic.
+//! * **L4-LOCK-ORDER** — no cycle in the cross-function lock graph.
+//! * **L5-SYSCALL** — raw syscalls only in the reactor's shim.
+//! * **L7-TAINT** — no wire-decoded value at an allocation, index, loop
+//!   bound, or narrowing cast without a proved bound ([`passes::range`]).
+//! * **L8-OVERFLOW** — no `+`/`*`/`<<` on a wire-decoded `u8`/`u16`/`u32`
+//!   whose proved interval can wrap.
 //!
-//! See DESIGN.md ("Static analysis") for each pass's known approximations
-//! and the allowlist policy, or run `pimdl-lint --explain <CODE>`.
+//! DESIGN.md §10 ("Static analysis") is the full account: what each pass
+//! checks, its known approximations, and the allowlist policy.
 
 pub mod allow;
 pub mod diag;
-pub mod explain;
 pub mod hir;
 pub mod lexer;
 pub mod model;
@@ -47,17 +35,15 @@ use allow::AllowList;
 use diag::{Diagnostic, Report};
 use model::SourceFile;
 
-/// Pass configuration: which files are hot paths (L2), which may hold
-/// raw syscalls (L5), which concurrent modules the lockset race
-/// heuristic (L6) covers, and which protocol modules the taint pass
-/// (L7) treats as untrusted-input sources. Paths are component-guarded
-/// suffixes; L6/L7 entries without a `.rs` suffix match as directory
-/// substrings.
+/// Pass configuration: which sources are hot paths (L2), which may hold
+/// raw syscalls (L5), and which protocol modules the taint pass (L7/L8)
+/// treats as untrusted-input sources. One matching rule for all three
+/// ([`allow::in_scope`]): an entry ending in `.rs` is a component-guarded
+/// path suffix, anything else a directory matched as a substring.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
     pub hot_paths: Vec<String>,
     pub syscall_files: Vec<String>,
-    pub lockset_paths: Vec<String>,
     pub taint_paths: Vec<String>,
 }
 
@@ -65,25 +51,9 @@ impl Default for LintConfig {
     fn default() -> Self {
         LintConfig {
             hot_paths: [
-                "crates/pimdl-serve/src/reactor.rs",
-                "crates/pimdl-serve/src/conn.rs",
-                "crates/pimdl-serve/src/server.rs",
-                "crates/pimdl-serve/src/shard.rs",
-                "crates/pimdl-serve/src/batcher.rs",
-                "crates/pimdl-serve/src/admission.rs",
-                "crates/pimdl-serve/src/http.rs",
-                "crates/pimdl-serve/src/registry.rs",
-                "crates/pimdl-serve/src/fabric.rs",
-                "crates/pimdl-serve/src/supervisor.rs",
+                "crates/pimdl-serve/src",
+                "crates/pimdl-tuner/src",
                 "crates/pimdl-tensor/src/pool.rs",
-                "crates/pimdl-tuner/src/lib.rs",
-                "crates/pimdl-tuner/src/model.rs",
-                "crates/pimdl-tuner/src/space.rs",
-                "crates/pimdl-tuner/src/tuner.rs",
-                "crates/pimdl-tuner/src/bnb.rs",
-                "crates/pimdl-tuner/src/alloc.rs",
-                "crates/pimdl-tuner/src/ktile.rs",
-                "crates/pimdl-tuner/src/error.rs",
                 // The cost terms the tuner's model and bounds are made of.
                 "crates/pimdl-sim/src/cost.rs",
                 "crates/pimdl-sim/src/config.rs",
@@ -91,10 +61,6 @@ impl Default for LintConfig {
             .map(String::from)
             .to_vec(),
             syscall_files: vec!["crates/pimdl-serve/src/reactor.rs".to_string()],
-            lockset_paths: vec![
-                "crates/pimdl-serve/src".to_string(),
-                "crates/pimdl-tensor/src/pool.rs".to_string(),
-            ],
             taint_paths: [
                 "crates/pimdl-serve/src/http.rs",
                 "crates/pimdl-serve/src/codec.rs",
@@ -173,7 +139,7 @@ pub fn run_lints(files: &[SourceFile], allow: &AllowList, cfg: &LintConfig) -> R
                 e.decl_line,
                 format!(
                     "entry ({} {} {} {}) has no justification — every exemption \
-                     must explain why the site is sound",
+                     must say why the site is sound",
                     e.lint, e.file, e.func, e.callee
                 ),
             ));
@@ -201,7 +167,7 @@ pub fn run_lints(files: &[SourceFile], allow: &AllowList, cfg: &LintConfig) -> R
     timed("L2-PANIC", &mut report, &mut |r| {
         for file in files {
             let path = file.path.display().to_string().replace('\\', "/");
-            if cfg.hot_paths.iter().any(|p| allow::suffix_match(&path, p)) {
+            if allow::in_scope(&path, &cfg.hot_paths) {
                 passes::panic_path::run(file, allow, r);
             }
         }
@@ -237,19 +203,9 @@ pub fn run_lints(files: &[SourceFile], allow: &AllowList, cfg: &LintConfig) -> R
     timed("L4-LOCK-ORDER", &mut report, &mut |r| {
         passes::lock_order::run(&ws, r);
     });
-    timed("L6-LOCKSET", &mut report, &mut |r| {
-        passes::lockset::run(&ws, allow, &cfg.lockset_paths, r);
-    });
-    // L7 and L8 share one dataflow engine: the interprocedural fixpoint
-    // and reporting walk run under L7's clock; L8 drains the overflow
-    // findings that walk stashed.
-    let mut taint_engine = passes::taint::Engine::new(&ws, files, &cfg.taint_paths);
-    timed("L7-TAINT", &mut report, &mut |r| {
-        taint_engine.fixpoint();
-        taint_engine.report(allow, r);
-    });
-    timed("L8-OVERFLOW", &mut report, &mut |r| {
-        taint_engine.report_l8(allow, r);
+    // L7 and L8 are one dataflow: a single fixpoint and reporting walk.
+    timed("L7-TAINT+L8-OVERFLOW", &mut report, &mut |r| {
+        passes::taint::run(&ws, files, &cfg.taint_paths, allow, r);
     });
 
     // Stale exemptions are findings: the allowlist may only shrink.

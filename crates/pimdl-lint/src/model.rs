@@ -1,6 +1,7 @@
 //! Per-file source model shared by every pass: the token stream, comment
-//! map, attribute spans, `#[cfg(test)]`/`#[test]` regions, and enclosing
-//! function spans, all computed once per file.
+//! map, attribute spans, `#[cfg(test)]`/`#[test]` regions, function
+//! spans, and the structural index (matching closers, enclosing blocks,
+//! owning functions), all computed once per file.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -20,6 +21,17 @@ pub struct SourceFile {
     test_tok: Vec<bool>,
     /// Function spans, in source order (outer functions before nested ones).
     fns: Vec<FnSpan>,
+    /// For each `(`/`[`/`{` token, the index of its matching closer;
+    /// `tokens.len()` for unmatched openers and every other token.
+    close_of: Vec<usize>,
+    /// For each token, the innermost open `{` containing it.
+    encl_block: Vec<Option<usize>>,
+    /// For each token, the index (into `fns`) of the innermost fn whose
+    /// body contains it.
+    owner: Vec<Option<usize>>,
+    /// Per fn, the `(fn_tok, end)` token ranges of the fn items nested
+    /// inside it (the walkers analyze those as functions of their own).
+    nested: Vec<Vec<(usize, usize)>>,
     /// Comment text accumulated per line (a line may carry several).
     comment_by_line: HashMap<u32, String>,
     /// Lines that contain at least one non-attribute code token.
@@ -50,6 +62,17 @@ impl SourceFile {
         let close_of = match_braces(&tokens);
         let test_tok = mark_test_regions(&tokens, &attr_tok, &close_of);
         let fns = find_fns(&tokens, &close_of);
+        let encl_block = enclosing_blocks(&tokens);
+        let owner = owner_map(&fns, tokens.len());
+        let nested = fns
+            .iter()
+            .map(|outer| {
+                fns.iter()
+                    .filter(|f| f.fn_tok > outer.fn_tok && f.end <= outer.end)
+                    .map(|f| (f.fn_tok, f.end))
+                    .collect()
+            })
+            .collect();
 
         let mut comment_by_line: HashMap<u32, String> = HashMap::new();
         let mut comment_only_capable: HashMap<u32, bool> = HashMap::new();
@@ -73,6 +96,10 @@ impl SourceFile {
             attr_tok,
             test_tok,
             fns,
+            close_of,
+            encl_block,
+            owner,
+            nested,
             comment_by_line,
             code_lines,
             comment_only_capable,
@@ -98,21 +125,41 @@ impl SourceFile {
 
     /// Name of the innermost function whose body contains token `idx`.
     pub fn enclosing_fn(&self, idx: usize) -> Option<&str> {
-        let mut best: Option<&FnSpan> = None;
-        for f in &self.fns {
-            if f.body_start < idx && idx < f.end {
-                best = match best {
-                    Some(b) if b.end - b.body_start <= f.end - f.body_start => Some(b),
-                    _ => Some(f),
-                };
-            }
-        }
-        best.map(|f| f.name.as_str())
+        self.owner(idx).map(|fi| self.fns[fi].name.as_str())
     }
 
     /// All modeled function spans, in source order.
     pub fn fns(&self) -> &[FnSpan] {
         &self.fns
+    }
+
+    /// Index of the closer matching the `(`/`[`/`{` at `open`;
+    /// `tokens.len()` when the group never closes.
+    pub fn close_of(&self, open: usize) -> usize {
+        self.close_of
+            .get(open)
+            .copied()
+            .unwrap_or(self.tokens.len())
+    }
+
+    /// Index one past the balanced group opened at `open`.
+    pub fn skip_balanced(&self, open: usize) -> usize {
+        (self.close_of(open) + 1).min(self.tokens.len())
+    }
+
+    /// The innermost open `{` containing token `idx`.
+    pub fn enclosing_block(&self, idx: usize) -> Option<usize> {
+        self.encl_block.get(idx).copied().flatten()
+    }
+
+    /// Index (into `fns()`) of the innermost fn whose body contains `idx`.
+    pub fn owner(&self, idx: usize) -> Option<usize> {
+        self.owner.get(idx).copied().flatten()
+    }
+
+    /// `(fn_tok, end)` ranges of the fn items nested inside `fns()[fn_idx]`.
+    pub fn nested_fns(&self, fn_idx: usize) -> &[(usize, usize)] {
+        &self.nested[fn_idx]
     }
 
     /// Whether a `// SAFETY:` (or doc `# Safety`) comment immediately
@@ -201,31 +248,68 @@ fn mark_attributes(tokens: &[Tok]) -> Vec<bool> {
     marked
 }
 
-/// For each `{` token index, the index of its matching `}`.
-fn match_braces(tokens: &[Tok]) -> HashMap<usize, usize> {
-    let mut map = HashMap::new();
-    let mut stack = Vec::new();
+/// For each `(`/`[`/`{` token index, the index of its matching closer
+/// (`tokens.len()` everywhere else). Each bracket kind nests on its own
+/// stack, so a stray closer of one kind never unbalances another.
+fn match_braces(tokens: &[Tok]) -> Vec<usize> {
+    let mut close_of = vec![tokens.len(); tokens.len()];
+    let mut stacks: [Vec<usize>; 3] = Default::default();
+    let kind = |c: char| match c {
+        '(' | ')' => 0,
+        '[' | ']' => 1,
+        _ => 2,
+    };
     for (i, t) in tokens.iter().enumerate() {
+        match t.kind {
+            TokKind::Punct(c @ ('(' | '[' | '{')) => stacks[kind(c)].push(i),
+            TokKind::Punct(c @ (')' | ']' | '}')) => {
+                if let Some(open) = stacks[kind(c)].pop() {
+                    close_of[open] = i;
+                }
+            }
+            _ => {}
+        }
+    }
+    close_of
+}
+
+/// For each token index, the innermost open `{` containing it.
+fn enclosing_blocks(tokens: &[Tok]) -> Vec<Option<usize>> {
+    let mut out = vec![None; tokens.len()];
+    let mut stack: Vec<usize> = Vec::new();
+    for (i, t) in tokens.iter().enumerate() {
+        out[i] = stack.last().copied();
         if t.is_punct('{') {
             stack.push(i);
         } else if t.is_punct('}') {
-            if let Some(open) = stack.pop() {
-                map.insert(open, i);
+            stack.pop();
+        }
+    }
+    out
+}
+
+/// For each of `n` tokens, the index of the innermost fn whose body
+/// contains it (the smallest span wins, the first on a tie).
+fn owner_map(fns: &[FnSpan], n: usize) -> Vec<Option<usize>> {
+    let mut out: Vec<Option<usize>> = vec![None; n];
+    let mut best: Vec<usize> = vec![usize::MAX; n];
+    for (fi, f) in fns.iter().enumerate() {
+        let size = f.end - f.body_start;
+        for i in (f.body_start + 1)..f.end.saturating_sub(1).min(n) {
+            if size < best[i] {
+                best[i] = size;
+                out[i] = Some(fi);
             }
         }
     }
-    map
+    out
 }
 
 /// Marks tokens covered by test-only items: an attribute group containing
 /// the ident `test` (and not `not`, so `#[cfg(not(test))]` code stays
 /// linted) applies to the item whose body `{...}` follows it, or up to the
 /// terminating `;` for body-less items.
-fn mark_test_regions(
-    tokens: &[Tok],
-    attr_tok: &[bool],
-    close_of: &HashMap<usize, usize>,
-) -> Vec<bool> {
+fn mark_test_regions(tokens: &[Tok], attr_tok: &[bool], close_of: &[usize]) -> Vec<bool> {
     let mut marked = vec![false; tokens.len()];
     let mut i = 0usize;
     while i < tokens.len() {
@@ -262,7 +346,7 @@ fn mark_test_regions(
                     k += 1;
                 }
                 let end = if k < tokens.len() && tokens[k].is_punct('{') {
-                    close_of.get(&k).copied().unwrap_or(tokens.len() - 1)
+                    close_of[k].min(tokens.len() - 1)
                 } else {
                     k.min(tokens.len() - 1)
                 };
@@ -279,7 +363,7 @@ fn mark_test_regions(
 }
 
 /// Finds every `fn NAME` item and the token range of its body.
-fn find_fns(tokens: &[Tok], close_of: &HashMap<usize, usize>) -> Vec<FnSpan> {
+fn find_fns(tokens: &[Tok], close_of: &[usize]) -> Vec<FnSpan> {
     let mut fns = Vec::new();
     for i in 0..tokens.len() {
         if tokens[i].ident() != Some("fn") {
@@ -307,7 +391,7 @@ fn find_fns(tokens: &[Tok], close_of: &HashMap<usize, usize>) -> Vec<FnSpan> {
             k += 1;
         }
         let (body_start, end) = match body_start {
-            Some(b) => (b, close_of.get(&b).copied().unwrap_or(tokens.len() - 1) + 1),
+            Some(b) => (b, close_of[b].min(tokens.len() - 1) + 1),
             None => (k.min(tokens.len()), k.min(tokens.len())),
         };
         fns.push(FnSpan {

@@ -4,7 +4,7 @@
 //! through `std` types, so the unsafe surface that talks to the kernel
 //! stays in one reviewed file.
 
-use crate::allow::suffix_match;
+use crate::allow::in_scope;
 use crate::diag::{Diagnostic, Report};
 use crate::model::SourceFile;
 use crate::passes::is_macro_call;
@@ -12,9 +12,8 @@ use crate::passes::is_macro_call;
 pub const LINT: &str = "L5-SYSCALL";
 
 pub fn run(file: &SourceFile, allowed_files: &[String], report: &mut Report) {
-    let path = file.path.display().to_string();
-    let path_norm = path.replace('\\', "/");
-    if allowed_files.iter().any(|p| suffix_match(&path_norm, p)) {
+    let path = file.path.display().to_string().replace('\\', "/");
+    if in_scope(&path, allowed_files) {
         return;
     }
     for (idx, tok) in file.tokens.iter().enumerate() {

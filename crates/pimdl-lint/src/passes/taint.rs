@@ -38,13 +38,14 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use crate::allow::{suffix_match, AllowList};
+use crate::allow::{in_scope, AllowList};
 use crate::diag::{Diagnostic, Report};
 use crate::hir::SelfKind;
 use crate::lexer::{Tok, TokKind};
 use crate::model::SourceFile;
 use crate::passes::range::{self, cast_bound, Ival, Width};
-use crate::resolve::{match_braces, Event, Workspace};
+use crate::passes::{is_arrow, is_macro_call, path_sep, peek_arith_op, skip_angle, stmt_end};
+use crate::resolve::{Event, Workspace};
 
 pub const ALLOC: &str = "L7-ALLOC";
 pub const INDEX: &str = "L7-INDEX";
@@ -86,20 +87,6 @@ const KEYWORDS: [&str; 26] = [
     "as", "fn", "pub", "use", "mod", "impl", "struct", "enum", "trait", "where", "move", "ref",
     "mut", "unsafe", "dyn",
 ];
-
-/// Whether `path` is inside the configured taint scope (same semantics
-/// as the lockset scope: `.rs` entries are component-guarded suffixes,
-/// directory entries substring prefixes). Sources are only recognized
-/// inside the scope; sinks fire wherever the taint reaches.
-fn in_scope(path: &str, scope: &[String]) -> bool {
-    scope.iter().any(|p| {
-        if p.ends_with(".rs") {
-            suffix_match(path, p)
-        } else {
-            path.contains(p.as_str())
-        }
-    })
-}
 
 /// Where a tainted value came from, threaded through propagation so the
 /// diagnostic can name the original wire read.
@@ -247,210 +234,85 @@ struct FnCtx<'a> {
     /// Flattened resolved callees, for the fixpoint relevance gate.
     callees: Vec<usize>,
     /// Token ranges of nested `fn` items (walked as their own functions).
-    nested: Vec<(usize, usize)>,
-    /// `{` -> `}` map for guard-kill scoping.
-    close_of: HashMap<usize, usize>,
+    nested: &'a [(usize, usize)],
     sources_active: bool,
     params: &'a [String],
     name: &'a str,
     path: &'a str,
 }
 
-/// The shared L7/L8 engine: `new` builds per-function contexts,
-/// `fixpoint` runs the interprocedural summary iteration, `report`
-/// replays the in-scope functions for L7 diagnostics (stashing L8
-/// findings), and `report_l8` drains the stash — so each pass gets its
-/// own wall-clock line while the dataflow runs once.
-pub struct Engine<'a> {
-    ws: &'a Workspace,
-    ctxs: Vec<Option<FnCtx<'a>>>,
-    summaries: Vec<Summary>,
-    /// (ctx index, finding) stash filled by `report`, drained by `report_l8`.
-    l8: Vec<(usize, Finding)>,
-}
-
-impl<'a> Engine<'a> {
-    pub fn new(ws: &'a Workspace, files: &'a [SourceFile], scope: &'a [String]) -> Engine<'a> {
-        // Build per-function contexts once. Functions without a body or
-        // in test regions are skipped entirely (decoding in tests is the
-        // test's business); nested fns are analyzed as their own entries.
-        let mut ctxs: Vec<Option<FnCtx>> = Vec::with_capacity(ws.fns.len());
-        for f in &ws.fns {
-            let file = &files[f.file_idx];
-            let span = &file.fns()[f.span_idx];
-            if span.body_start >= span.end || file.in_test(span.fn_tok) {
-                ctxs.push(None);
-                continue;
-            }
-            let mut calls: HashMap<usize, Vec<usize>> = HashMap::new();
-            for e in &f.events {
-                if let Event::Call { targets, tok, .. } = e {
-                    calls
-                        .entry(*tok)
-                        .or_default()
-                        .extend(targets.iter().copied());
-                }
-            }
-            let callees: Vec<usize> = calls.values().flatten().copied().collect();
-            let nested: Vec<(usize, usize)> = file
-                .fns()
-                .iter()
-                .enumerate()
-                .filter(|(si, s)| *si != f.span_idx && s.fn_tok > span.fn_tok && s.end <= span.end)
-                .map(|(_, s)| (s.fn_tok, s.end))
-                .collect();
-            ctxs.push(Some(FnCtx {
-                file,
-                start: span.body_start + 1,
-                end: span.end.saturating_sub(1),
-                calls,
-                callees,
-                nested,
-                close_of: match_braces(&file.tokens),
-                sources_active: in_scope(&f.file, scope),
-                params: &f.params,
-                name: &f.name,
-                path: &f.file,
-            }));
+/// The shared L7/L8 dataflow, run once: builds the per-function
+/// contexts, iterates the interprocedural summaries to fixpoint, then
+/// replays the in-scope functions and reports their L7-* and
+/// L8-OVERFLOW findings.
+pub fn run(
+    ws: &Workspace,
+    files: &[SourceFile],
+    scope: &[String],
+    allow: &AllowList,
+    report: &mut Report,
+) {
+    // Functions without a body or in test regions are skipped entirely
+    // (decoding in tests is the test's business); nested fns are
+    // analyzed as their own entries.
+    let mut ctxs: Vec<Option<FnCtx>> = Vec::with_capacity(ws.fns.len());
+    for f in &ws.fns {
+        let file = &files[f.file_idx];
+        let span = &file.fns()[f.span_idx];
+        if span.body_start >= span.end || file.in_test(span.fn_tok) {
+            ctxs.push(None);
+            continue;
         }
-        let summaries = ws
-            .fns
-            .iter()
-            .map(|f| Summary::new(f.params.len()))
-            .collect();
-        Engine {
-            ws,
-            ctxs,
-            summaries,
-            l8: Vec::new(),
+        let mut calls: HashMap<usize, Vec<usize>> = HashMap::new();
+        for e in &f.events {
+            if let Event::Call { targets, tok, .. } = e {
+                calls
+                    .entry(*tok)
+                    .or_default()
+                    .extend(targets.iter().copied());
+            }
         }
+        let callees: Vec<usize> = calls.values().flatten().copied().collect();
+        ctxs.push(Some(FnCtx {
+            file,
+            start: span.body_start + 1,
+            end: span.end.saturating_sub(1),
+            calls,
+            callees,
+            nested: file.nested_fns(f.span_idx),
+            sources_active: in_scope(&f.file, scope),
+            params: &f.params,
+            name: &f.name,
+            path: &f.file,
+        }));
     }
+    let summaries = fixpoint(ws, &ctxs);
 
-    /// Caller→callee fixpoint: each round analyzes every function with
-    /// the current summaries; argument facts are pushed into callee
-    /// parameter slots and return facts recorded. Taint slots go
-    /// None→Some and intervals widen after two growths, so this
-    /// terminates.
-    pub fn fixpoint(&mut self) {
-        let Engine {
-            ws,
-            ctxs,
-            summaries,
-            ..
-        } = self;
-        loop {
-            let mut changed = false;
-            for (gi, ctx) in ctxs.iter().enumerate() {
-                let Some(ctx) = ctx else { continue };
-                // Relevance gate: a function can only produce or forward
-                // taint if it hosts sources, received a tainted parameter,
-                // or calls something whose return is tainted. Everything
-                // else is skipped — this is what keeps the fixpoint cheap
-                // on a workspace where taint lives in a handful of files.
-                let relevant = ctx.sources_active
-                    || summaries[gi].params.iter().any(|p| p.is_some())
-                    || ctx.callees.iter().any(|&g| summaries[g].ret.is_some());
-                if !relevant {
-                    continue;
-                }
-                let (ret, pushes) = {
-                    let mut a = Analyzer::new(ctx, ws, &*summaries, gi, false);
-                    a.walk_fn();
-                    (a.ret_val.take(), std::mem::take(&mut a.pushes))
-                };
-                if let Some(rv) = ret {
-                    if rv.taint.is_some() {
-                        let sm = &mut summaries[gi];
-                        if join_slot(
-                            &mut sm.ret,
-                            &mut sm.ret_iv,
-                            &mut sm.ret_w,
-                            &mut sm.ret_grow,
-                            &rv,
-                        ) {
-                            changed = true;
-                        }
-                    }
-                }
-                for (g, p, v) in pushes {
-                    let sm = &mut summaries[g];
-                    if p >= sm.params.len() {
-                        continue;
-                    }
-                    let (params, ivs, ws_, grows) = (
-                        &mut sm.params,
-                        &mut sm.param_ivs,
-                        &mut sm.param_ws,
-                        &mut sm.param_grow,
-                    );
-                    if join_slot(&mut params[p], &mut ivs[p], &mut ws_[p], &mut grows[p], &v) {
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
+    // Reporting round: same analysis, findings kept. Only in-scope
+    // functions report — the scope files ARE the trust boundary, and
+    // the lint enforces that they validate wire values before handing
+    // them downstream; sinks past the boundary are out of scope by
+    // design (documented FN, DESIGN.md §10).
+    let mut source_sites: BTreeSet<(&str, u32)> = BTreeSet::new();
+    let mut sink_sites: BTreeSet<(&str, u32)> = BTreeSet::new();
+    let mut seen: BTreeSet<(&str, u32, &'static str)> = BTreeSet::new();
+    for (gi, ctx) in ctxs.iter().enumerate() {
+        let Some(ctx) = ctx else { continue };
+        if !ctx.sources_active {
+            continue;
         }
-    }
-
-    /// Reporting round: same analysis, findings kept. Only in-scope
-    /// functions report — the scope files ARE the trust boundary, and
-    /// the lint enforces that they validate wire values before handing
-    /// them downstream; sinks past the boundary are out of scope by
-    /// design (documented FN, DESIGN.md §10). L8 findings are stashed
-    /// for `report_l8`.
-    pub fn report(&mut self, allow: &AllowList, report: &mut Report) {
-        let Engine {
-            ws,
-            ctxs,
-            summaries,
-            l8,
-        } = self;
-        let mut source_sites: BTreeSet<(String, u32)> = BTreeSet::new();
-        let mut sink_sites: BTreeSet<(String, u32)> = BTreeSet::new();
-        let mut seen: BTreeSet<(String, u32, &'static str)> = BTreeSet::new();
-        for (gi, ctx) in ctxs.iter().enumerate() {
-            let Some(ctx) = ctx else { continue };
-            if !ctx.sources_active {
-                continue;
-            }
-            let mut a = Analyzer::new(ctx, ws, &*summaries, gi, true);
-            a.walk_fn();
-            for t in a.source_toks {
-                source_sites.insert((ctx.path.to_string(), ctx.file.tokens[t].line));
-            }
-            for t in a.sink_toks {
-                sink_sites.insert((ctx.path.to_string(), ctx.file.tokens[t].line));
-            }
-            for f in a.findings {
-                if !seen.insert((ctx.path.to_string(), f.line, f.code)) {
-                    continue;
-                }
-                if f.code == OVERFLOW {
-                    l8.push((gi, f));
-                    continue;
-                }
-                if allow.permits(f.code, ctx.path, Some(ctx.name), &f.callee, f.line) {
-                    continue;
-                }
-                report.diagnostics.push(Diagnostic::new(
-                    f.code,
-                    std::path::Path::new(ctx.path),
-                    f.line,
-                    f.message,
-                ));
-            }
+        let mut a = Analyzer::new(ctx, ws, &summaries, gi, true);
+        a.walk_fn();
+        for t in a.source_toks {
+            source_sites.insert((ctx.path, ctx.file.tokens[t].line));
         }
-        report.taint_sources = source_sites.len();
-        report.taint_sinks = sink_sites.len();
-    }
-
-    /// Drains the L8-OVERFLOW findings stashed by `report`.
-    pub fn report_l8(&mut self, allow: &AllowList, report: &mut Report) {
-        for (gi, f) in std::mem::take(&mut self.l8) {
-            let Some(ctx) = &self.ctxs[gi] else { continue };
-            if allow.permits(f.code, ctx.path, Some(ctx.name), &f.callee, f.line) {
+        for t in a.sink_toks {
+            sink_sites.insert((ctx.path, ctx.file.tokens[t].line));
+        }
+        for f in a.findings {
+            if !seen.insert((ctx.path, f.line, f.code))
+                || allow.permits(f.code, ctx.path, Some(ctx.name), &f.callee, f.line)
+            {
                 continue;
             }
             report.diagnostics.push(Diagnostic::new(
@@ -459,6 +321,70 @@ impl<'a> Engine<'a> {
                 f.line,
                 f.message,
             ));
+        }
+    }
+    report.taint_sources = source_sites.len();
+    report.taint_sinks = sink_sites.len();
+}
+
+/// Caller→callee fixpoint: each round analyzes every function with the
+/// current summaries; argument facts are pushed into callee parameter
+/// slots and return facts recorded. Taint slots go None→Some and
+/// intervals widen after two growths, so this terminates.
+fn fixpoint(ws: &Workspace, ctxs: &[Option<FnCtx>]) -> Vec<Summary> {
+    let mut summaries: Vec<Summary> = ws
+        .fns
+        .iter()
+        .map(|f| Summary::new(f.params.len()))
+        .collect();
+    loop {
+        let mut changed = false;
+        for (gi, ctx) in ctxs.iter().enumerate() {
+            let Some(ctx) = ctx else { continue };
+            // Relevance gate: a function can only produce or forward
+            // taint if it hosts sources, received a tainted parameter,
+            // or calls something whose return is tainted. Everything
+            // else is skipped — this is what keeps the fixpoint cheap
+            // on a workspace where taint lives in a handful of files.
+            let relevant = ctx.sources_active
+                || summaries[gi].params.iter().any(|p| p.is_some())
+                || ctx.callees.iter().any(|&g| summaries[g].ret.is_some());
+            if !relevant {
+                continue;
+            }
+            let (ret, pushes) = {
+                let mut a = Analyzer::new(ctx, ws, &summaries, gi, false);
+                a.walk_fn();
+                (a.ret_val.take(), std::mem::take(&mut a.pushes))
+            };
+            if let Some(rv) = ret {
+                if rv.taint.is_some() {
+                    let sm = &mut summaries[gi];
+                    changed |= join_slot(
+                        &mut sm.ret,
+                        &mut sm.ret_iv,
+                        &mut sm.ret_w,
+                        &mut sm.ret_grow,
+                        &rv,
+                    );
+                }
+            }
+            for (g, p, v) in pushes {
+                let sm = &mut summaries[g];
+                if p >= sm.params.len() {
+                    continue;
+                }
+                changed |= join_slot(
+                    &mut sm.params[p],
+                    &mut sm.param_ivs[p],
+                    &mut sm.param_ws[p],
+                    &mut sm.param_grow[p],
+                    &v,
+                );
+            }
+        }
+        if !changed {
+            return summaries;
         }
     }
 }
@@ -611,8 +537,8 @@ impl<'a> Analyzer<'a> {
                             e
                         }
                         n if KEYWORDS.contains(&n) => i + 1,
-                        "vec" if self.is_macro(i) => self.handle_macro(i),
-                        _ if self.is_macro(i) => self.skip_macro(i),
+                        "vec" if is_macro_call(self.toks(), i) => self.handle_macro(i),
+                        _ if is_macro_call(self.toks(), i) => self.skip_macro(i),
                         _ => self.eval_stmt_chain(i),
                     };
                 }
@@ -659,10 +585,6 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    fn is_macro(&self, i: usize) -> bool {
-        self.toks().get(i + 1).is_some_and(|t| t.is_punct('!'))
-    }
-
     /// `x = ..` or `x op= ..` on a bare ident (not `==`, not `=>`).
     fn is_assignment(&self, i: usize) -> bool {
         let toks = self.toks();
@@ -685,7 +607,7 @@ impl<'a> Analyzer<'a> {
     fn handle_macro(&mut self, i: usize) -> usize {
         let toks = self.toks();
         if toks.get(i + 2).is_some_and(|t| t.is_punct('[')) {
-            let close = skip_group(toks, i + 2, '[', ']');
+            let close = self.ctx.file.skip_balanced(i + 2);
             // Find the `;` separating element from count, at depth 1.
             let mut d = 0i32;
             for j in i + 2..close.saturating_sub(1) {
@@ -727,9 +649,7 @@ impl<'a> Analyzer<'a> {
     fn skip_macro(&self, i: usize) -> usize {
         let toks = self.toks();
         match toks.get(i + 2).map(|t| &t.kind) {
-            Some(TokKind::Punct('(')) => skip_group(toks, i + 2, '(', ')'),
-            Some(TokKind::Punct('[')) => skip_group(toks, i + 2, '[', ']'),
-            Some(TokKind::Punct('{')) => skip_group(toks, i + 2, '{', '}'),
+            Some(TokKind::Punct('(' | '[' | '{')) => self.ctx.file.skip_balanced(i + 2),
             _ => i + 2,
         }
     }
@@ -765,7 +685,7 @@ impl<'a> Analyzer<'a> {
                 }
             }
             if toks.get(p + 1).is_some_and(|t| t.is_punct('(')) {
-                let close = skip_group(toks, p + 1, '(', ')');
+                let close = self.ctx.file.skip_balanced(p + 1);
                 let mut inner: Vec<String> = Vec::new();
                 let mut k = p + 2;
                 while k + 1 < close {
@@ -792,7 +712,7 @@ impl<'a> Analyzer<'a> {
             }
         } else if toks.get(j).is_some_and(|t| t.is_punct('(')) {
             // Flat tuple `let (a, b) = ..`: bind every name.
-            let close = skip_group(toks, j, '(', ')');
+            let close = self.ctx.file.skip_balanced(j);
             let mut k = j + 1;
             while k + 1 < close {
                 match toks[k].ident() {
@@ -817,8 +737,8 @@ impl<'a> Analyzer<'a> {
         let mut k = j + 1;
         while k < end {
             match &toks[k].kind {
-                TokKind::Punct('<') if !arrow_half(toks, k) => d += 1,
-                TokKind::Punct('>') if d > 0 && !arrow_half(toks, k) => d -= 1,
+                TokKind::Punct('<') => d += 1,
+                TokKind::Punct('>') if d > 0 && !is_arrow(toks, k) => d -= 1,
                 TokKind::Punct('(') | TokKind::Punct('[') => d += 1,
                 TokKind::Punct(')') | TokKind::Punct(']') => d -= 1,
                 TokKind::Punct('=')
@@ -860,27 +780,25 @@ impl<'a> Analyzer<'a> {
             return if_idx + 1;
         };
         self.eval_expr(if_idx + 1, brace);
-        if let Some(&close) = self.ctx.close_of.get(&brace) {
-            if block_diverges(toks, brace, close) {
-                // Split the condition on top-level `||`: every disjunct
-                // that is a plain upper-bound comparison refines its
-                // variable once the guard block is behind us. A bound
-                // that folds to a number caps the interval (taint
-                // retained — the sinks check the proof); anything
-                // constant-like but unfoldable kills the taint.
-                for (cs, ce) in split_on_or(toks, if_idx + 1, brace) {
-                    if let Some((name, bs, be)) = upper_bound_guard(toks, cs, ce, &self.vars) {
-                        let q = std::mem::replace(&mut self.quiet, true);
-                        let b = self.eval_arith(bs, be);
-                        self.quiet = q;
-                        let refine =
-                            if b.taint.is_none() && (b.iv.hi < u128::MAX || b.sym.is_some()) {
-                                Refine::Bound(b.iv.hi, b.sym)
-                            } else {
-                                Refine::Kill
-                            };
-                        self.refines.push((close, name, refine));
-                    }
+        let close = self.ctx.file.close_of(brace);
+        if close < toks.len() && block_diverges(toks, brace, close) {
+            // Split the condition on top-level `||`: every disjunct that
+            // is a plain upper-bound comparison refines its variable once
+            // the guard block is behind us. A bound that folds to a
+            // number caps the interval (taint retained — the sinks check
+            // the proof); anything constant-like but unfoldable kills the
+            // taint.
+            for (cs, ce) in split_on_or(toks, if_idx + 1, brace) {
+                if let Some((name, bs, be)) = upper_bound_guard(toks, cs, ce, &self.vars) {
+                    let q = std::mem::replace(&mut self.quiet, true);
+                    let b = self.eval_arith(bs, be);
+                    self.quiet = q;
+                    let refine = if b.taint.is_none() && (b.iv.hi < u128::MAX || b.sym.is_some()) {
+                        Refine::Bound(b.iv.hi, b.sym)
+                    } else {
+                        Refine::Kill
+                    };
+                    self.refines.push((close, name, refine));
                 }
             }
         }
@@ -1033,8 +951,8 @@ impl<'a> Analyzer<'a> {
                             se
                         }
                         n if KEYWORDS.contains(&n) => i + 1,
-                        "vec" if self.is_macro(i) => self.handle_macro(i),
-                        _ if self.is_macro(i) => self.skip_macro(i),
+                        "vec" if is_macro_call(self.toks(), i) => self.handle_macro(i),
+                        _ if is_macro_call(self.toks(), i) => self.skip_macro(i),
                         _ if self.is_assignment(i) => self.eval_stmt_chain(i),
                         _ => {
                             let (v, next) = self.eval_chain(i);
@@ -1138,14 +1056,14 @@ impl<'a> Analyzer<'a> {
                 })
             }
             TokKind::Punct('(') => {
-                let close = skip_group(toks, *pos, '(', ')');
+                let close = self.ctx.file.skip_balanced(*pos);
                 let v = self.eval_arith(*pos + 1, close.saturating_sub(1));
                 let (v, next) = self.chain_tail(v, close);
                 *pos = next.max(close);
                 Some(v)
             }
             TokKind::Punct('[') => {
-                let close = skip_group(toks, *pos, '[', ']');
+                let close = self.ctx.file.skip_balanced(*pos);
                 let taint = self.eval_expr(*pos + 1, close.saturating_sub(1));
                 let (v, next) = self.chain_tail(
                     Val {
@@ -1171,7 +1089,7 @@ impl<'a> Analyzer<'a> {
                 Some(v)
             }
             TokKind::Ident(name) => {
-                if KEYWORDS.contains(&name.as_str()) || self.is_macro(*pos) {
+                if KEYWORDS.contains(&name.as_str()) || is_macro_call(toks, *pos) {
                     return None; // Statement-shaped: let eval_expr handle it.
                 }
                 let (v, next) = self.eval_chain(*pos);
@@ -1270,9 +1188,9 @@ impl<'a> Analyzer<'a> {
             let head = name.to_string();
             let mut last = name.to_string();
             while path_sep(toks, cur) {
-                if toks.get(cur + 1).is_some_and(|t| t.is_punct('<')) {
+                if toks.get(cur + 2).is_some_and(|t| t.is_punct('<')) {
                     // Turbofish `::<T>`.
-                    cur = skip_angle(toks, cur + 1) + 1;
+                    cur = skip_angle(self.ctx.file, cur + 2, toks.len()) + 1;
                     continue;
                 }
                 match toks.get(cur + 2).and_then(|t| t.ident()) {
@@ -1284,7 +1202,7 @@ impl<'a> Analyzer<'a> {
                 }
             }
             if toks.get(cur).is_some_and(|t| t.is_punct('(')) {
-                let close = skip_group(toks, cur, '(', ')');
+                let close = self.ctx.file.skip_balanced(cur);
                 val = self.handle_call(&last, base, base, cur, close, Val::unknown(), true);
                 cur = close;
             } else {
@@ -1312,7 +1230,7 @@ impl<'a> Analyzer<'a> {
             }
         } else if toks.get(cur).is_some_and(|t| t.is_punct('(')) {
             // Free call `f(..)`.
-            let close = skip_group(toks, cur, '(', ')');
+            let close = self.ctx.file.skip_balanced(cur);
             val = self.handle_call(name, base, base, cur, close, Val::unknown(), false);
             cur = close;
         } else {
@@ -1337,7 +1255,7 @@ impl<'a> Analyzer<'a> {
             match &t.kind {
                 TokKind::Punct('?') => cur += 1,
                 TokKind::Punct('[') => {
-                    let close = skip_group(toks, cur, '[', ']');
+                    let close = self.ctx.file.skip_balanced(cur);
                     if range_has_ident(toks, cur + 1, close - 1) {
                         self.sink_toks.insert(cur);
                     }
@@ -1361,7 +1279,7 @@ impl<'a> Analyzer<'a> {
                                 // Turbofish `.parse::<u16>()`.
                                 if path_sep(toks, open) {
                                     open = if toks.get(open + 2).is_some_and(|t| t.is_punct('<')) {
-                                        skip_angle(toks, open + 2) + 1
+                                        skip_angle(self.ctx.file, open + 2, toks.len()) + 1
                                     } else {
                                         open + 2
                                     };
@@ -1372,7 +1290,7 @@ impl<'a> Analyzer<'a> {
                             }
                             if toks.get(open).is_some_and(|t| t.is_punct('(')) {
                                 let seg = seg.clone();
-                                let close = skip_group(toks, open, '(', ')');
+                                let close = self.ctx.file.skip_balanced(open);
                                 val = self
                                     .handle_call(&seg, seg_idx, seg_idx, open, close, val, false);
                                 cur = close;
@@ -1782,51 +1700,9 @@ impl<'a> Analyzer<'a> {
         None
     }
 
-    /// One past the statement: the `;` at depth 0, or the enclosing
-    /// block's end.
+    /// End of the statement starting at `from`, capped at the body's end.
     fn stmt_end(&self, from: usize) -> usize {
-        let toks = self.toks();
-        let mut d = 0i32;
-        let mut j = from;
-        while j < self.ctx.end {
-            match &toks[j].kind {
-                TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => d += 1,
-                TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => {
-                    if d == 0 {
-                        return j;
-                    }
-                    d -= 1;
-                }
-                TokKind::Punct(';') if d == 0 => return j,
-                _ => {}
-            }
-            j += 1;
-        }
-        self.ctx.end
-    }
-}
-
-/// The arithmetic operator at `pos` (binding power, marker, token
-/// count); `«`/`»` stand in for the two-token `<<`/`>>`. Comparison,
-/// range, and boolean operators are deliberately absent — hitting one
-/// ends the arithmetic parse.
-fn peek_arith_op(toks: &[Tok], pos: usize, e: usize) -> Option<(u8, char, usize)> {
-    if pos >= e {
-        return None;
-    }
-    let two = |c: char| toks.get(pos + 1).is_some_and(|t| t.is_punct(c));
-    match &toks[pos].kind {
-        TokKind::Punct('*') => Some((6, '*', 1)),
-        TokKind::Punct('/') => Some((6, '/', 1)),
-        TokKind::Punct('%') => Some((6, '%', 1)),
-        TokKind::Punct('+') => Some((5, '+', 1)),
-        TokKind::Punct('-') => Some((5, '-', 1)),
-        TokKind::Punct('<') if two('<') => Some((4, '«', 2)),
-        TokKind::Punct('>') if two('>') => Some((4, '»', 2)),
-        TokKind::Punct('&') if !two('&') => Some((3, '&', 1)),
-        TokKind::Punct('^') => Some((2, '^', 1)),
-        TokKind::Punct('|') if !two('|') => Some((1, '|', 1)),
-        _ => None,
+        stmt_end(self.toks(), from, self.ctx.end, false)
     }
 }
 
@@ -1857,54 +1733,6 @@ fn is_chain_seg(toks: &[Tok], i: usize) -> bool {
     toks[p1].is_punct(':') && p1.checked_sub(1).is_some_and(|p2| toks[p2].is_punct(':'))
 }
 
-/// `toks[i], toks[i+1]` are `::`.
-fn path_sep(toks: &[Tok], i: usize) -> bool {
-    toks.get(i).is_some_and(|t| t.is_punct(':')) && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-}
-
-fn arrow_half(toks: &[Tok], i: usize) -> bool {
-    toks[i].is_punct('>') && i > 0 && toks[i - 1].is_punct('-')
-}
-
-/// One past the group opened at `open_idx`.
-fn skip_group(toks: &[Tok], open_idx: usize, open: char, close: char) -> usize {
-    let mut depth = 0i32;
-    let mut j = open_idx;
-    while j < toks.len() {
-        if toks[j].is_punct(open) {
-            depth += 1;
-        } else if toks[j].is_punct(close) {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    toks.len()
-}
-
-/// Index of the `>` closing the `<` at `open_idx` (arrow-aware).
-fn skip_angle(toks: &[Tok], open_idx: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = open_idx;
-    while j < toks.len() {
-        match &toks[j].kind {
-            TokKind::Punct('<') if !arrow_half(toks, j) => depth += 1,
-            TokKind::Punct('>') if !arrow_half(toks, j) => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            TokKind::Punct('(') => j = skip_group(toks, j, '(', ')') - 1,
-            _ => {}
-        }
-        j += 1;
-    }
-    toks.len().saturating_sub(1)
-}
-
 /// Splits `[s, e)` at top-level commas.
 fn split_args(toks: &[Tok], s: usize, e: usize) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
@@ -1915,8 +1743,8 @@ fn split_args(toks: &[Tok], s: usize, e: usize) -> Vec<(usize, usize)> {
         match &toks[j].kind {
             TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => d += 1,
             TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => d -= 1,
-            TokKind::Punct('<') if !arrow_half(toks, j) => d += 1,
-            TokKind::Punct('>') if d > 0 && !arrow_half(toks, j) => d -= 1,
+            TokKind::Punct('<') => d += 1,
+            TokKind::Punct('>') if d > 0 && !is_arrow(toks, j) => d -= 1,
             TokKind::Punct(',') if d == 0 => {
                 if start < j {
                     out.push((start, j));

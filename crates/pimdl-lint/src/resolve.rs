@@ -1,5 +1,6 @@
 //! Resolution layer: turns the per-file token streams + HIR into a
-//! workspace-level model the concurrency passes (L3v2/L4v2/L6) consume.
+//! workspace-level model the concurrency passes (L3/L4) and the taint
+//! engine (L7/L8) consume.
 //!
 //! * **Symbol table** — structs keyed `crate::Name`, their fields with
 //!   parsed guard types, and a method table `crate::Ty::m -> fn`.
@@ -12,19 +13,20 @@
 //!   operands, so a lock created in `new()` and cloned into a twin struct
 //!   keeps one identity.
 //! * **Per-function events** — in source order: lock acquisitions with
-//!   guard scopes, resolved calls, struct-field accesses (read/write),
-//!   atomic operations with their `Ordering`, and `fence(..)` calls.
+//!   guard scopes, resolved calls, atomic operations with their
+//!   `Ordering`, and `fence(..)` calls.
 //!
 //! Known approximations are documented in DESIGN.md §10: closure
-//! parameters are untyped (accesses through them are invisible),
+//! parameters are untyped (chains through them do not resolve),
 //! destructuring `let` patterns do not bind, and free-call fallback
 //! resolution is by name over free functions only.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::hir::{self, FieldDef, FileHir, SelfKind, Type};
 use crate::lexer::{Tok, TokKind};
 use crate::model::SourceFile;
+use crate::passes::{is_arrow, is_macro_call, path_sep, peek_arith_op, stmt_end};
 
 /// What a resolved lock/atomic identity is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,16 +188,6 @@ pub enum Event {
         line: u32,
         tok: usize,
     },
-    /// Read or write of a struct field (`st` is the struct key).
-    Access {
-        st: String,
-        field: String,
-        line: u32,
-        tok: usize,
-        write: bool,
-        via_self: bool,
-        in_test: bool,
-    },
     /// Atomic operation with an explicit `Ordering::X` argument.
     Atomic {
         id: u32,
@@ -218,7 +210,6 @@ impl Event {
         match self {
             Event::Acquire { tok, .. }
             | Event::Call { tok, .. }
-            | Event::Access { tok, .. }
             | Event::Atomic { tok, .. }
             | Event::Fence { tok, .. } => *tok,
         }
@@ -236,8 +227,6 @@ pub struct FnEvents {
     pub name: String,
     pub krate: String,
     pub self_kind: SelfKind,
-    /// Constructor heuristic: returns `Self`/the impl type.
-    pub ret_self: bool,
     /// Index into the `files` slice `build` was called with.
     pub file_idx: usize,
     /// Index into that file's `fns()` span list.
@@ -265,12 +254,10 @@ impl FnEvents {
     }
 }
 
-/// One struct definition with its defining site.
-#[derive(Debug)]
-pub struct StructInfo {
-    pub file: String,
-    pub line: u32,
-    pub fields: Vec<FieldDef>,
+/// One struct definition with its defining file.
+struct StructInfo {
+    file: String,
+    fields: Vec<FieldDef>,
 }
 
 /// The resolved workspace model.
@@ -285,11 +272,6 @@ pub struct Workspace {
     /// `passes::range` — a guard against `MAX_X` can only narrow a value
     /// numerically if `MAX_X` resolves here.
     pub consts: HashMap<String, u128>,
-    /// Structs keyed `crate::Name`.
-    pub structs: BTreeMap<String, StructInfo>,
-    /// Struct keys reachable from more than one thread (under
-    /// `Arc`/`Mutex`/`RwLock` somewhere, transitively through fields).
-    pub shared: BTreeSet<String>,
 }
 
 /// Crate a path belongs to: the component after `crates/`, else the root
@@ -360,7 +342,6 @@ pub fn build(files: &[SourceFile]) -> Workspace {
                 .push(krate.clone());
             sym.structs.entry(key).or_insert_with(|| StructInfo {
                 file: path.clone(),
-                line: s.line,
                 fields: s.fields.clone(),
             });
         }
@@ -386,70 +367,7 @@ pub fn build(files: &[SourceFile]) -> Workspace {
         v.dedup();
     }
 
-    // Pass 2: sharedness — any known struct under Arc/Mutex/RwLock in a
-    // field or parameter type, or constructed inside `Arc::new`/
-    // `Mutex::new`, then closed transitively through field types.
-    let mut shared: BTreeSet<String> = BTreeSet::new();
-    for (file, h) in files.iter().zip(&hirs) {
-        let path = file.path.display().to_string().replace('\\', "/");
-        let krate = crate_of(&path);
-        for s in &h.structs {
-            for f in &s.fields {
-                mark_shared_in(&f.ty, false, &krate, &sym, &mut shared);
-            }
-        }
-        for sig in &h.sigs {
-            for (_, ty) in &sig.params {
-                mark_shared_in(ty, false, &krate, &sym, &mut shared);
-            }
-        }
-        // `Arc::new(Ty ...)` / `Mutex::new(Ty ...)` in bodies.
-        let toks = &file.tokens;
-        for i in 0..toks.len() {
-            if !matches!(toks[i].ident(), Some("Arc" | "Rc" | "Mutex" | "RwLock")) {
-                continue;
-            }
-            if !(path_sep(toks, i + 1)
-                && toks.get(i + 3).is_some_and(|t| t.ident() == Some("new"))
-                && toks.get(i + 4).is_some_and(|t| t.is_punct('(')))
-            {
-                continue;
-            }
-            let mut j = i + 5;
-            while toks
-                .get(j)
-                .is_some_and(|t| t.is_punct('&') || t.ident() == Some("mut"))
-            {
-                j += 1;
-            }
-            if let Some(name) = toks.get(j).and_then(|t| t.ident()) {
-                if let Some(key) = sym.resolve_struct(name, &krate) {
-                    shared.insert(key);
-                }
-            }
-        }
-    }
-    loop {
-        let mut grew = false;
-        for key in shared.clone() {
-            let Some(info) = sym.structs.get(&key) else {
-                continue;
-            };
-            let krate = crate_of(&info.file);
-            let mut add = BTreeSet::new();
-            for f in &info.fields {
-                mark_shared_in(&f.ty, true, &krate, &sym, &mut add);
-            }
-            for k in add {
-                grew |= shared.insert(k);
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-
-    // Pass 3: walk every function body, emitting events.
+    // Pass 2: walk every function body, emitting events.
     let mut ids = Identities::default();
     let mut fns: Vec<FnEvents> = Vec::new();
     for &(fi, si) in &fn_meta {
@@ -473,9 +391,6 @@ pub fn build(files: &[SourceFile]) -> Workspace {
             pending: Vec::new(),
             guard_acq: HashMap::new(),
             events: Vec::new(),
-            close_of: match_braces(&file.tokens),
-            encl_block: enclosing_blocks(&file.tokens),
-            owner: owner_map(file),
             my_fn: si,
         };
         for (pname, pty) in &sig.params {
@@ -491,7 +406,6 @@ pub fn build(files: &[SourceFile]) -> Workspace {
             name: span.name.clone(),
             krate,
             self_kind: sig.self_kind,
-            ret_self: sig.ret_self,
             file_idx: fi,
             span_idx: si,
             params: sig.params.iter().map(|(n, _)| n.clone()).collect(),
@@ -499,14 +413,10 @@ pub fn build(files: &[SourceFile]) -> Workspace {
         });
     }
 
-    // Pass 4: resolve call targets (walker stored callee descriptors).
-    // Calls were resolved inline against `sym`, so nothing to do here.
     ids.finalize();
     Workspace {
         fns,
         ids,
-        structs: sym.structs,
-        shared,
         consts: build_consts(files),
     }
 }
@@ -544,7 +454,7 @@ fn build_consts(files: &[SourceFile]) -> HashMap<String, u128> {
             while j < toks.len() {
                 match &toks[j].kind {
                     TokKind::Punct('<') if !(j > 0 && toks[j - 1].is_punct('<')) => d += 1,
-                    TokKind::Punct('>') if !(j > 0 && toks[j - 1].is_punct('-')) => {
+                    TokKind::Punct('>') if !is_arrow(toks, j) => {
                         d -= 1;
                         if d < 0 {
                             break;
@@ -639,18 +549,17 @@ struct ConstParser<'a> {
 
 impl ConstParser<'_> {
     /// Precedence climbing; `min_bp` is the lowest binding power this
-    /// level may consume (Rust order: `* / %` > `+ -` > `<< >>` > `&` >
-    /// `^` > `|`).
+    /// level may consume.
     fn expr(&mut self, min_bp: u8) -> Option<u128> {
         let mut lhs = self.atom()?;
         loop {
-            let Some((bp, op)) = self.peek_op() else {
+            let Some((bp, op, width)) = peek_arith_op(self.toks, self.pos, self.end) else {
                 return Some(lhs);
             };
             if bp < min_bp {
                 return Some(lhs);
             }
-            self.pos += if matches!(op, '«' | '»') { 2 } else { 1 };
+            self.pos += width;
             let rhs = self.expr(bp + 1)?;
             lhs = match op {
                 '+' => lhs.checked_add(rhs)?,
@@ -665,28 +574,6 @@ impl ConstParser<'_> {
                 '|' => lhs | rhs,
                 _ => return None,
             };
-        }
-    }
-
-    /// The operator at `pos`, if any, as (binding power, marker) —
-    /// `«`/`»` stand in for the two-token `<<`/`>>`.
-    fn peek_op(&self) -> Option<(u8, char)> {
-        if self.pos >= self.end {
-            return None;
-        }
-        let two = |c: char| self.toks.get(self.pos + 1).is_some_and(|t| t.is_punct(c));
-        match &self.toks[self.pos].kind {
-            TokKind::Punct('*') => Some((6, '*')),
-            TokKind::Punct('/') => Some((6, '/')),
-            TokKind::Punct('%') => Some((6, '%')),
-            TokKind::Punct('+') => Some((5, '+')),
-            TokKind::Punct('-') => Some((5, '-')),
-            TokKind::Punct('<') if two('<') => Some((4, '«')),
-            TokKind::Punct('>') if two('>') => Some((4, '»')),
-            TokKind::Punct('&') if !two('&') => Some((3, '&')),
-            TokKind::Punct('^') => Some((2, '^')),
-            TokKind::Punct('|') if !two('|') => Some((1, '|')),
-            _ => None,
         }
     }
 
@@ -771,34 +658,6 @@ fn mask_bits(bits: u32) -> u128 {
     }
 }
 
-/// Marks known structs in `ty` shared. With `always`, every known struct
-/// in the tree counts (transitive closure from an already-shared owner);
-/// otherwise only subtrees under an `Arc`/`Mutex`/`RwLock` node.
-fn mark_shared_in(ty: &Type, always: bool, krate: &str, sym: &Symbols, out: &mut BTreeSet<String>) {
-    let here = always || matches!(ty.name.as_str(), "Arc" | "Rc" | "Mutex" | "RwLock");
-    if here {
-        collect_known(ty, krate, sym, out);
-        return;
-    }
-    for a in &ty.args {
-        mark_shared_in(a, always, krate, sym, out);
-    }
-}
-
-fn collect_known(ty: &Type, krate: &str, sym: &Symbols, out: &mut BTreeSet<String>) {
-    if let Some(key) = sym.resolve_struct(&ty.name, krate) {
-        out.insert(key);
-    }
-    for a in &ty.args {
-        collect_known(a, krate, sym, out);
-    }
-}
-
-/// Whether tokens `i`,`i+1` are the two `:` puncts of a `::`.
-fn path_sep(toks: &[Tok], i: usize) -> bool {
-    toks.get(i).is_some_and(|t| t.is_punct(':')) && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-}
-
 /// What a local name is bound to.
 #[derive(Debug, Clone)]
 enum Binding {
@@ -818,37 +677,6 @@ enum Res {
     Atomic(u32),
     Unknown,
 }
-
-const MUT_METHODS: &[&str] = &[
-    "push",
-    "pop",
-    "insert",
-    "remove",
-    "clear",
-    "extend",
-    "append",
-    "drain",
-    "truncate",
-    "take",
-    "replace",
-    "set",
-    "push_str",
-    "get_mut",
-    "iter_mut",
-    "sort",
-    "sort_by",
-    "sort_by_key",
-    "sort_unstable",
-    "retain",
-    "fill",
-    "resize",
-    "push_back",
-    "push_front",
-    "pop_back",
-    "pop_front",
-    "entry",
-    "get_or_insert_with",
-];
 
 const ATOMIC_METHODS: &[&str] = &[
     "load",
@@ -889,9 +717,7 @@ struct Walker<'a> {
     /// Guard-binding name -> index of its Acquire event (for `drop(g)`).
     guard_acq: HashMap<String, usize>,
     events: Vec<Event>,
-    close_of: HashMap<usize, usize>,
-    encl_block: Vec<Option<usize>>,
-    owner: Vec<Option<usize>>,
+    /// Index of this fn in `file.fns()`; nested fns' tokens are not its.
     my_fn: usize,
 }
 
@@ -959,7 +785,7 @@ impl<'a> Walker<'a> {
         let mut i = start;
         while i < end {
             self.apply_pending(i);
-            if self.owner[i] != Some(self.my_fn) || self.file.in_attr(i) {
+            if self.file.owner(i) != Some(self.my_fn) || self.file.in_attr(i) {
                 i += 1;
                 continue;
             }
@@ -984,7 +810,7 @@ impl<'a> Walker<'a> {
                 .toks
                 .get(i.wrapping_sub(1))
                 .is_some_and(|t| t.ident() == Some("fn"));
-            if prev_is_seg || prev_is_fn || is_macro_name(self.toks, i) {
+            if prev_is_seg || prev_is_fn || is_macro_call(self.toks, i) {
                 i += 1;
                 continue;
             }
@@ -1068,7 +894,7 @@ impl<'a> Walker<'a> {
         }
         // Flat tuple pattern `(a, b, ..)`.
         if toks.get(j).is_some_and(|t| t.is_punct('(')) {
-            let close = skip_balanced(toks, j, '(', ')') - 1;
+            let close = self.file.skip_balanced(j) - 1;
             let mut names = Vec::new();
             let mut k = j + 1;
             while k < close {
@@ -1091,7 +917,7 @@ impl<'a> Walker<'a> {
             {
                 return;
             }
-            let iclose = skip_balanced(toks, close + 2, '(', ')') - 1;
+            let iclose = self.file.skip_balanced(close + 2) - 1;
             let mut k = close + 3;
             let mut exprs = Vec::new();
             while k < iclose && exprs.len() < names.len() {
@@ -1127,8 +953,8 @@ impl<'a> Walker<'a> {
             let mut m = ty_start;
             while m < end {
                 match &toks[m].kind {
-                    TokKind::Punct('<') if !prev_is_dash(toks, m) => d += 1,
-                    TokKind::Punct('>') if d > 0 && !prev_is_dash(toks, m) => d -= 1,
+                    TokKind::Punct('<') => d += 1,
+                    TokKind::Punct('>') if d > 0 && !is_arrow(toks, m) => d -= 1,
                     TokKind::Punct('(') | TokKind::Punct('[') => d += 1,
                     TokKind::Punct(')') | TokKind::Punct(']') => d -= 1,
                     TokKind::Punct('=') | TokKind::Punct(';') if d == 0 => break,
@@ -1137,7 +963,7 @@ impl<'a> Walker<'a> {
                 m += 1;
             }
             if m < end && toks[m].is_punct('=') {
-                annot = Some(hir::parse_type(toks, ty_start, m).0);
+                annot = Some(hir::parse_type(self.file, ty_start, m).0);
                 k = m;
             } else {
                 return;
@@ -1202,7 +1028,7 @@ impl<'a> Walker<'a> {
             && toks.get(s + 3).is_some_and(|t| t.ident() == Some("clone"))
             && toks.get(s + 4).is_some_and(|t| t.is_punct('('))
         {
-            let close = skip_balanced(toks, s + 4, '(', ')') - 1;
+            let close = self.file.skip_balanced(s + 4) - 1;
             return self.classify_init(name, s + 5, close, None);
         }
         // 3. Trailing `.clone()` aliases the prefix.
@@ -1261,7 +1087,7 @@ impl<'a> Walker<'a> {
         }
         // 6. Plain chain: whatever it resolves to.
         if toks[s].ident().is_some() {
-            let (res, chain_end, _) = self.resolve_chain(s, false);
+            let (res, chain_end) = self.resolve_chain(s, false);
             if chain_end >= end || toks.get(chain_end).is_some_and(|t| t.is_punct('?')) {
                 match res {
                     Res::Lock { id, inner } => return Binding::Lock { id, inner },
@@ -1292,14 +1118,12 @@ impl<'a> Walker<'a> {
     }
 
     /// Resolves and (with `emit`) records the events of the chain whose
-    /// base ident sits at `base`. Returns the final result, the index one
-    /// past the chain, and the last Access event index (for write patching).
-    fn resolve_chain(&mut self, base: usize, emit: bool) -> (Res, usize, Option<usize>) {
+    /// base ident sits at `base`. Returns the final result and the index
+    /// one past the chain.
+    fn resolve_chain(&mut self, base: usize, emit: bool) -> (Res, usize) {
         let toks = self.toks;
         let name = toks[base].ident().unwrap_or("");
         let mut last_name = name.to_string();
-        let mut via_self = name == "self";
-        let mut last_access: Option<usize> = None;
 
         // Base resolution.
         let mut res: Res;
@@ -1324,17 +1148,17 @@ impl<'a> Walker<'a> {
                 Binding::Opaque => Res::Unknown,
             };
         } else if name == "fence" && toks.get(cur).is_some_and(|t| t.is_punct('(')) {
-            let close = skip_balanced(toks, cur, '(', ')');
+            let close = self.file.skip_balanced(cur);
             if emit {
                 self.emit_fence(base, cur, close - 1);
             }
-            return (Res::Unknown, close, None);
+            return (Res::Unknown, close);
         } else if path_sep(toks, cur) {
             // Path base: `Ty::m(..)`, `Self::m(..)`, or `module::f(..)`.
             return self.resolve_path(base, emit);
         } else if toks.get(cur).is_some_and(|t| t.is_punct('(')) {
             // Free call `f(..)`.
-            let close = skip_balanced(toks, cur, '(', ')');
+            let close = self.file.skip_balanced(cur);
             if emit && name != "drop" {
                 let targets = self.sym.free.get(name).cloned().unwrap_or_default();
                 if !targets.is_empty() {
@@ -1352,7 +1176,7 @@ impl<'a> Walker<'a> {
                 if emit {
                     self.scan_struct_literal(&st, cur);
                 }
-                return (Res::Struct(st), cur, None);
+                return (Res::Struct(st), cur);
             }
             res = Res::Struct(st);
         } else {
@@ -1362,7 +1186,7 @@ impl<'a> Walker<'a> {
         // Fold `.seg` / `[..]` segments.
         while let Some(t) = toks.get(cur) {
             if t.is_punct('[') {
-                cur = skip_balanced(toks, cur, '[', ']');
+                cur = self.file.skip_balanced(cur);
                 continue;
             }
             if t.is_punct('?') {
@@ -1382,7 +1206,7 @@ impl<'a> Walker<'a> {
             if toks.get(seg_idx + 1).is_some_and(|t| t.is_punct('(')) {
                 // Method segment.
                 let open = seg_idx + 1;
-                let close = skip_balanced(toks, open, '(', ')');
+                let close = self.file.skip_balanced(open);
                 let zero_arg = toks.get(open + 1).is_some_and(|t| t.is_punct(')'));
                 match seg {
                     "lock" | "read" | "write" if zero_arg => {
@@ -1391,8 +1215,7 @@ impl<'a> Walker<'a> {
                             _ => (self.intern_local(&last_name, IdKind::Unknown), None),
                         };
                         if emit {
-                            let held_until =
-                                guard_scope_end(toks, seg_idx, &self.close_of, &self.encl_block);
+                            let held_until = guard_scope_end(self.file, seg_idx);
                             self.events.push(Event::Acquire {
                                 lock,
                                 line: toks[seg_idx].line,
@@ -1421,30 +1244,18 @@ impl<'a> Walker<'a> {
                         if let (Some(id), true) = (id, emit) {
                             self.emit_atomic(id, seg, seg_idx, open, close - 1);
                         }
-                        last_access = None;
                         res = Res::Unknown;
                     }
                     m => {
-                        if emit {
-                            if MUT_METHODS.contains(&m) {
-                                if let Some(idx) = last_access {
-                                    if let Event::Access { write, .. } = &mut self.events[idx] {
-                                        *write = true;
-                                    }
-                                }
-                            }
-                            if let Res::Struct(st) = &res {
-                                let mk = format!("{st}::{m}");
-                                if let Some(targets) = self.sym.methods.get(&mk) {
-                                    self.events.push(Event::Call {
-                                        targets: targets.clone(),
-                                        line: toks[seg_idx].line,
-                                        tok: seg_idx,
-                                    });
-                                }
+                        if let (Res::Struct(st), true) = (&res, emit) {
+                            if let Some(targets) = self.sym.methods.get(&format!("{st}::{m}")) {
+                                self.events.push(Event::Call {
+                                    targets: targets.clone(),
+                                    line: toks[seg_idx].line,
+                                    tok: seg_idx,
+                                });
                             }
                         }
-                        last_access = None;
                         res = Res::Unknown;
                     }
                 }
@@ -1462,11 +1273,9 @@ impl<'a> Walker<'a> {
             res = match st_key {
                 Some(st) => match self.sym.field(&st, seg).cloned() {
                     Some(fd) => {
-                        if let Some(kind) = fd.ty.guard_kind() {
-                            let id = self.intern_field(&st, &fd);
-                            let _ = kind;
+                        if fd.ty.guard_kind().is_some() {
                             Res::Lock {
-                                id,
+                                id: self.intern_field(&st, &fd),
                                 inner: self.inner_struct_of(&fd.ty),
                             }
                         } else if fd.ty.is_atomic() {
@@ -1474,18 +1283,6 @@ impl<'a> Walker<'a> {
                         } else if fd.ty.is_sync_primitive() {
                             Res::Unknown
                         } else {
-                            if emit && !self.file.in_attr(seg_idx) {
-                                self.events.push(Event::Access {
-                                    st: st.clone(),
-                                    field: seg.to_string(),
-                                    line: toks[seg_idx].line,
-                                    tok: seg_idx,
-                                    write: false,
-                                    via_self,
-                                    in_test: self.file.in_test(seg_idx),
-                                });
-                                last_access = Some(self.events.len() - 1);
-                            }
                             match self
                                 .sym
                                 .resolve_struct(&fd.ty.innermost().name, &self.krate)
@@ -1499,58 +1296,15 @@ impl<'a> Walker<'a> {
                 },
                 None => Res::Unknown,
             };
-            via_self = false;
             last_name = seg.to_string();
             cur = seg_idx + 1;
         }
 
-        // Terminal write detection: `CHAIN = ..` / `CHAIN += ..` /
-        // `&mut CHAIN`.
-        if emit {
-            if let Some(idx) = last_access {
-                let assigned = toks.get(cur).is_some_and(|t| t.is_punct('='))
-                    && !toks.get(cur + 1).is_some_and(|t| t.is_punct('='))
-                    && !toks.get(cur.wrapping_sub(1)).is_some_and(|t| {
-                        matches!(
-                            t.kind,
-                            TokKind::Punct('=')
-                                | TokKind::Punct('<')
-                                | TokKind::Punct('>')
-                                | TokKind::Punct('!')
-                        )
-                    });
-                let compound = matches!(
-                    toks.get(cur).map(|t| &t.kind),
-                    Some(
-                        TokKind::Punct('+')
-                            | TokKind::Punct('-')
-                            | TokKind::Punct('*')
-                            | TokKind::Punct('/')
-                            | TokKind::Punct('%')
-                            | TokKind::Punct('&')
-                            | TokKind::Punct('|')
-                            | TokKind::Punct('^')
-                    )
-                ) && toks.get(cur + 1).is_some_and(|t| t.is_punct('='));
-                let mut_borrow = base >= 2
-                    && toks[base - 1].ident() == Some("mut")
-                    && toks[base - 2].is_punct('&');
-                let deref_write = base >= 1
-                    && toks[base - 1].is_punct('*')
-                    && toks.get(cur).is_some_and(|t| t.is_punct('='))
-                    && !toks.get(cur + 1).is_some_and(|t| t.is_punct('='));
-                if assigned || compound || mut_borrow || deref_write {
-                    if let Event::Access { write, .. } = &mut self.events[idx] {
-                        *write = true;
-                    }
-                }
-            }
-        }
-        (res, cur, last_access)
+        (res, cur)
     }
 
     /// `Ty::m(..)` / `Self::m(..)` / `module::f(..)` bases.
-    fn resolve_path(&mut self, base: usize, emit: bool) -> (Res, usize, Option<usize>) {
+    fn resolve_path(&mut self, base: usize, emit: bool) -> (Res, usize) {
         let toks = self.toks;
         let head = toks[base].ident().unwrap_or("");
         // Walk the path: base :: seg :: seg ...
@@ -1570,14 +1324,14 @@ impl<'a> Walker<'a> {
         let after = cur + 1;
         let is_call = toks.get(after).is_some_and(|t| t.is_punct('('));
         if !is_call {
-            return (Res::Unknown, after, None);
+            return (Res::Unknown, after);
         }
-        let close = skip_balanced(toks, after, '(', ')');
+        let close = self.file.skip_balanced(after);
         if last == "fence" {
             if emit {
                 self.emit_fence(cur, after, close - 1);
             }
-            return (Res::Unknown, close, None);
+            return (Res::Unknown, close);
         }
         let head_struct = if head == "Self" {
             self.impl_key.clone()
@@ -1616,7 +1370,7 @@ impl<'a> Walker<'a> {
         // Constructor returns the type only if some target is a ctor; the
         // common `Ty::new(..)` case. Keep the Struct result regardless —
         // mis-typing a non-Self return only makes later lookups miss.
-        (ret, close, None)
+        (ret, close)
     }
 
     fn emit_fence(&mut self, at: usize, open: usize, close: usize) {
@@ -1666,7 +1420,7 @@ impl<'a> Walker<'a> {
     /// `SimHandle::state` and `SimPoller::state` one lock.
     fn scan_struct_literal(&mut self, st: &str, open: usize) {
         let toks = self.toks;
-        let close = self.close_of.get(&open).copied().unwrap_or(toks.len());
+        let close = self.file.close_of(open);
         let mut i = open + 1;
         while i < close {
             let Some(name) = toks[i].ident() else {
@@ -1751,14 +1505,6 @@ fn orderings_in(toks: &[Tok], open: usize, close: usize) -> Vec<String> {
     out
 }
 
-fn is_macro_name(toks: &[Tok], idx: usize) -> bool {
-    toks.get(idx + 1).is_some_and(|t| t.is_punct('!'))
-}
-
-fn prev_is_dash(toks: &[Tok], k: usize) -> bool {
-    k > 0 && toks[k - 1].is_punct('-')
-}
-
 /// Base ident of the chain containing the method ident at `seg_idx`:
 /// walks back over `.`-separated segments and one trailing group each.
 fn chain_base(toks: &[Tok], seg_idx: usize) -> Option<usize> {
@@ -1797,50 +1543,6 @@ fn chain_base(toks: &[Tok], seg_idx: usize) -> Option<usize> {
     }
 }
 
-/// One past the balanced group opened at `open_idx`.
-fn skip_balanced(toks: &[Tok], open_idx: usize, open: char, close: char) -> usize {
-    let mut depth = 0i32;
-    let mut j = open_idx;
-    while j < toks.len() {
-        if toks[j].is_punct(open) {
-            depth += 1;
-        } else if toks[j].is_punct(close) {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    toks.len()
-}
-
-/// End of an init expression starting at `from`: the `;` at depth 0
-/// (braces counted), or for `if let`/`while let` conditions the body `{`
-/// at paren depth 0.
-fn stmt_end(toks: &[Tok], from: usize, cap: usize, in_cond: bool) -> usize {
-    let mut depth = 0i32;
-    let mut j = from;
-    while j < cap {
-        match &toks[j].kind {
-            TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
-            TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-            TokKind::Punct('{') if in_cond && depth == 0 => return j,
-            TokKind::Punct('{') => depth += 1,
-            TokKind::Punct('}') => {
-                depth -= 1;
-                if depth < 0 {
-                    return j;
-                }
-            }
-            TokKind::Punct(';') if depth == 0 => return j,
-            _ => {}
-        }
-        j += 1;
-    }
-    cap
-}
-
 /// End (exclusive) of a comma-separated element starting at `from`.
 fn element_end(toks: &[Tok], from: usize, cap: usize) -> usize {
     let mut depth = 0i32;
@@ -1849,8 +1551,8 @@ fn element_end(toks: &[Tok], from: usize, cap: usize) -> usize {
         match &toks[j].kind {
             TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => depth += 1,
             TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => depth -= 1,
-            TokKind::Punct('<') if !prev_is_dash(toks, j) => depth += 1,
-            TokKind::Punct('>') if depth > 0 && !prev_is_dash(toks, j) => depth -= 1,
+            TokKind::Punct('<') => depth += 1,
+            TokKind::Punct('>') if depth > 0 && !is_arrow(toks, j) => depth -= 1,
             TokKind::Punct(',') if depth == 0 => return j,
             _ => {}
         }
@@ -1859,64 +1561,11 @@ fn element_end(toks: &[Tok], from: usize, cap: usize) -> usize {
     cap
 }
 
-/// For each `{` token index, its matching `}` index.
-pub(crate) fn match_braces(tokens: &[Tok]) -> HashMap<usize, usize> {
-    let mut map = HashMap::new();
-    let mut stack = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if t.is_punct('{') {
-            stack.push(i);
-        } else if t.is_punct('}') {
-            if let Some(open) = stack.pop() {
-                map.insert(open, i);
-            }
-        }
-    }
-    map
-}
-
-/// For each token index, the innermost open `{` containing it.
-pub(crate) fn enclosing_blocks(tokens: &[Tok]) -> Vec<Option<usize>> {
-    let mut out = vec![None; tokens.len()];
-    let mut stack: Vec<usize> = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        out[i] = stack.last().copied();
-        if t.is_punct('{') {
-            stack.push(i);
-        } else if t.is_punct('}') {
-            stack.pop();
-        }
-    }
-    out
-}
-
-/// For each token, the index (into `file.fns()`) of the innermost fn
-/// whose body contains it.
-fn owner_map(file: &SourceFile) -> Vec<Option<usize>> {
-    let n = file.tokens.len();
-    let mut out: Vec<Option<usize>> = vec![None; n];
-    let mut best: Vec<usize> = vec![usize::MAX; n];
-    for (fi, f) in file.fns().iter().enumerate() {
-        let size = f.end - f.body_start;
-        for i in (f.body_start + 1)..f.end.saturating_sub(1).min(n) {
-            if size < best[i] {
-                best[i] = size;
-                out[i] = Some(fi);
-            }
-        }
-    }
-    out
-}
-
 /// Token index one past which the guard acquired at `idx` is dead:
 /// `let`-bound, assigned, or condition-head acquisitions live to the end
 /// of the enclosing block; bare statements die at their `;`.
-pub(crate) fn guard_scope_end(
-    tokens: &[Tok],
-    idx: usize,
-    close_of: &HashMap<usize, usize>,
-    encl_block: &[Option<usize>],
-) -> usize {
+fn guard_scope_end(file: &SourceFile, idx: usize) -> usize {
+    let tokens = &file.tokens;
     let mut head = 0usize;
     let mut depth = 0i32;
     for j in (0..idx).rev() {
@@ -1948,9 +1597,9 @@ pub(crate) fn guard_scope_end(
         _ => false,
     };
     if block_scoped {
-        return encl_block[idx]
-            .and_then(|open| close_of.get(&open).copied())
-            .unwrap_or(tokens.len());
+        return file
+            .enclosing_block(idx)
+            .map_or(tokens.len(), |open| file.close_of(open));
     }
     let mut depth = 0i32;
     for (j, t) in tokens.iter().enumerate().skip(idx) {
@@ -2054,35 +1703,36 @@ fn two() { let pair = Mutex::new(0u32); let g = pair.lock().unwrap(); }
         assert_ne!(ws.ids.canon(l1), ws.ids.canon(l2));
     }
 
+    /// Indices of the `Call` events of `f`, in source order.
+    fn call_events(f: &FnEvents) -> Vec<usize> {
+        (0..f.events.len())
+            .filter(|&i| matches!(f.events[i], Event::Call { .. }))
+            .collect()
+    }
+
     #[test]
     fn guard_acquired_inside_wrapper_call_lives_to_block_end() {
         // The `lock_recover(x.lock(), ..)` idiom: the acquisition sits
         // inside an enclosing call's argument list, but the guard binds
         // to the `let` and must be held for the rest of the block.
         let src = r#"
-struct S { m: Mutex<u64>, plain: u64 }
+struct S { m: Mutex<u64> }
 impl S {
+    fn touch(&self) {}
     fn locked(&self) {
-        let mut g = recover(self.m.lock(), &self.plain);
+        let mut g = recover(self.m.lock(), 0);
         if *g > 0 {
-            let x = self.plain;
+            self.touch();
         }
-        self.plain += 1;
+        self.touch();
     }
 }
 "#;
         let ws = ws_of(src);
         let f = fn_by_name(&ws, "locked");
-        let accesses: Vec<usize> = f
-            .events
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| {
-                matches!(e, Event::Access { field, .. } if field == "plain").then_some(i)
-            })
-            .collect();
-        assert_eq!(accesses.len(), 3, "{:?}", f.events);
-        for &i in &accesses {
+        let calls = call_events(f);
+        assert_eq!(calls.len(), 2, "{:?}", f.events);
+        for &i in &calls {
             assert!(
                 !f.held_at(i).is_empty(),
                 "guard must span the whole block, lost at event {i}: {:?}",
@@ -2092,46 +1742,28 @@ impl S {
     }
 
     #[test]
-    fn accesses_and_guard_scope_and_drop() {
+    fn guard_scope_ends_at_drop() {
         let src = r#"
-struct Inner { count: u64 }
-struct S { m: Mutex<Inner>, plain: u64 }
+struct S { m: Mutex<u64> }
 impl S {
+    fn touch(&self) {}
     fn locked(&self) {
         let mut g = self.m.lock().unwrap();
-        g.count += 1;
+        self.touch();
         drop(g);
-        let x = self.plain;
+        self.touch();
     }
 }
 "#;
         let ws = ws_of(src);
         let f = fn_by_name(&ws, "locked");
-        let acq = f
-            .events
-            .iter()
-            .position(|e| matches!(e, Event::Acquire { .. }))
-            .unwrap();
-        let count_access = f
-            .events
-            .iter()
-            .position(|e| matches!(e, Event::Access { field, .. } if field == "count"))
-            .unwrap();
-        let plain_access = f
-            .events
-            .iter()
-            .position(|e| matches!(e, Event::Access { field, .. } if field == "plain"))
-            .unwrap();
-        // count written under the guard, plain read after drop() unlocked.
-        assert!(matches!(
-            &f.events[count_access],
-            Event::Access { write: true, .. }
-        ));
-        assert!(!f.held_at(count_access).is_empty(), "guard held at count");
+        let calls = call_events(f);
+        assert_eq!(calls.len(), 2, "{:?}", f.events);
+        assert!(!f.held_at(calls[0]).is_empty(), "guard held at first call");
         assert!(
-            f.held_at(plain_access).is_empty(),
-            "drop(g) must end the guard before the plain read: acq={:?}",
-            f.events[acq]
+            f.held_at(calls[1]).is_empty(),
+            "drop(g) must end the guard before the second call: {:?}",
+            f.events
         );
     }
 
@@ -2188,22 +1820,6 @@ fn helper() {}
         if let Event::Call { targets, .. } = calls[1] {
             assert_eq!(ws.fns[targets[0]].name, "helper");
         }
-    }
-
-    #[test]
-    fn sharedness_marks_arc_wrapped_and_guarded_structs() {
-        let src = r#"
-struct FrontEnd { open: u64 }
-struct SimState { now: u64 }
-struct Local { x: u64 }
-struct Owner { state: Arc<Mutex<SimState>> }
-fn start() { let front = Mutex::new(FrontEnd { open: 0 }); }
-fn plain() { let l = Local { x: 0 }; }
-"#;
-        let ws = ws_of(src);
-        assert!(ws.shared.contains("demo::SimState"));
-        assert!(ws.shared.contains("demo::FrontEnd"));
-        assert!(!ws.shared.contains("demo::Local"));
     }
 
     #[test]

@@ -15,16 +15,14 @@ fn fixture(name: &str) -> PathBuf {
 }
 
 /// Lints one fixture. The L2 fixtures are configured as hot paths (the
-/// l4/l6 ones must not be: their `.lock().unwrap()` chains are lock
+/// l4 ones must not be: their `.lock().unwrap()` chains are lock
 /// material, not L2 material), `fixtures/reactor.rs` as the syscall
-/// shim, the l6 fixtures as the lockset scope, and the l7 fixtures as
-/// the taint scope, so L2/L5/L6/L7 apply to the corpus the way they
-/// apply to the real modules.
+/// shim, and the l7/l8 fixtures as the taint scope, so L2/L5/L7/L8 apply
+/// to the corpus the way they apply to the real modules.
 fn lint_fixture(name: &str, allow_toml: &str) -> pimdl_lint::diag::Report {
     let cfg = LintConfig {
         hot_paths: vec!["l2_bad.rs".to_string(), "l2_clean.rs".to_string()],
         syscall_files: vec!["fixtures/reactor.rs".to_string()],
-        lockset_paths: vec!["l6_bad.rs".to_string(), "l6_clean.rs".to_string()],
         taint_paths: vec![
             "l7_bad.rs".to_string(),
             "l7_clean.rs".to_string(),
@@ -52,7 +50,6 @@ fn bad_fixtures_fail_with_exactly_their_lint() {
         ("l4_bad.rs", "L4-LOCK-ORDER"),
         ("l4_alias_bad.rs", "L4-LOCK-ORDER"),
         ("l5_bad.rs", "L5-SYSCALL"),
-        ("l6_bad.rs", "L6-LOCKSET"),
         ("l8_bad.rs", "L8-OVERFLOW"),
     ] {
         let report = lint_fixture(name, "");
@@ -70,7 +67,6 @@ fn clean_fixtures_pass() {
         "l3_fence_clean.rs",
         "l4_clean.rs",
         "l4_alias_clean.rs",
-        "l6_clean.rs",
         "l7_clean.rs",
         "l8_clean.rs",
         "reactor.rs",
@@ -196,157 +192,98 @@ justification = ""
     assert!(lints_hit(&report).contains(&"LINT-ALLOW"));
 }
 
-/// Drives the shipped binary the way check.sh does: nonzero exit on every
-/// bad fixture, zero on the clean set, JSON mode parseable enough to
-/// carry the lint IDs.
+/// Drives the shipped binary the way check.sh does — no scope flags, the
+/// default configuration — on the fixtures whose pass needs no scope:
+/// exit 1 naming the lint on every bad one, 0 on the clean set, 2 on a
+/// usage error.
 #[test]
 fn binary_exit_codes_match_fixture_corpus() {
     let bin = env!("CARGO_BIN_EXE_pimdl-lint");
     for (name, lint) in [
         ("l1_bad.rs", "L1-SAFETY"),
-        ("l2_bad.rs", "L2-PANIC"),
         ("l3_bad.rs", "L3-ATOMIC"),
         ("l3_fence_bad.rs", "L3-ATOMIC"),
         ("l4_bad.rs", "L4-LOCK-ORDER"),
         ("l4_alias_bad.rs", "L4-LOCK-ORDER"),
         ("l5_bad.rs", "L5-SYSCALL"),
-        ("l6_bad.rs", "L6-LOCKSET"),
-        ("l7_bad.rs", "L7-ALLOC"),
-        ("l8_bad.rs", "L8-OVERFLOW"),
     ] {
         let out = Command::new(bin)
-            .args([
-                "--json",
-                "--hot",
-                "l2_bad.rs",
-                "--syscall-file",
-                "fixtures/reactor.rs",
-                "--lockset",
-                "l6_bad.rs",
-                "--taint",
-                "l7_bad.rs",
-                "--taint",
-                "l8_bad.rs",
-                "--file",
-            ])
+            .arg("--file")
             .arg(fixture(name))
             .output()
             .expect("binary runs");
         assert_eq!(out.status.code(), Some(1), "{name} must exit 1");
-        let json = String::from_utf8(out.stdout).expect("json is utf-8");
-        assert!(json.contains(lint), "{name} JSON names {lint}: {json}");
+        let text = String::from_utf8(out.stdout).expect("report is utf-8");
+        assert!(text.contains(lint), "{name} report names {lint}: {text}");
     }
 
     let mut clean = Command::new(bin);
-    clean.args([
-        "--hot",
-        "l2_clean.rs",
-        "--syscall-file",
-        "fixtures/reactor.rs",
-        "--lockset",
-        "l6_clean.rs",
-        "--taint",
-        "l7_clean.rs",
-        "--taint",
-        "l8_clean.rs",
-    ]);
     for name in [
         "l1_clean.rs",
-        "l2_clean.rs",
         "l3_clean.rs",
         "l3_fence_clean.rs",
         "l4_clean.rs",
         "l4_alias_clean.rs",
-        "l6_clean.rs",
-        "l7_clean.rs",
-        "l8_clean.rs",
-        "reactor.rs",
     ] {
         clean.arg("--file").arg(fixture(name));
     }
     let out = clean.output().expect("binary runs");
     assert_eq!(out.status.code(), Some(0), "clean corpus must exit 0");
+
+    let out = Command::new(bin)
+        .arg("--no-such-flag")
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "unknown flag is a usage error");
 }
 
-/// A windowed L6 allow entry excuses exactly its site: with the window
-/// over the bare read the fixture passes; with the window elsewhere the
-/// race is still reported and the entry is flagged stale.
+/// A windowed allow entry excuses exactly its site: with the window over
+/// the `expect` the fixture passes; with the window elsewhere the site is
+/// still reported and the entry is flagged stale.
 #[test]
-fn l6_allow_entry_with_line_window_excuses_only_its_site() {
+fn allow_entry_with_line_window_excuses_only_its_site() {
     let allow = r#"
 [[allow]]
-lint = "L6-LOCKSET"
-file = "l6_bad.rs"
+lint = "L2-PANIC"
+file = "l2_bad.rs"
 func = "*"
-callee = "Racy::hits"
-lines = "26-28"
-justification = "fixture test: counter staleness is benign here"
+callee = "unwrap"
+lines = "5"
+justification = "fixture test"
+
+[[allow]]
+lint = "L2-PANIC"
+file = "l2_bad.rs"
+func = "lookup"
+callee = "expect"
+lines = "8-10"
+justification = "fixture test: the key is inserted by the caller"
+
+[[allow]]
+lint = "L2-PANIC"
+file = "l2_bad.rs"
+func = "*"
+callee = "panic"
+justification = "fixture test"
 "#;
-    let report = lint_fixture("l6_bad.rs", allow);
+    let report = lint_fixture("l2_bad.rs", allow);
     assert!(
         !report.failed(),
-        "windowed entry excuses the read, got:\n{}",
+        "windowed entries excuse their sites, got:\n{}",
         report.render_human()
     );
 
-    let moved = allow.replace("26-28", "40-50");
-    let report = lint_fixture("l6_bad.rs", &moved);
+    let moved = allow.replace("8-10", "40-50");
+    let report = lint_fixture("l2_bad.rs", &moved);
     assert!(report.failed(), "a window that misses excuses nothing");
-    let lints = lints_hit(&report);
+    let got: Vec<(&str, u32)> = report
+        .diagnostics
+        .iter()
+        .map(|d| (d.lint.as_str(), d.line))
+        .collect();
     assert!(
-        lints.contains(&"L6-LOCKSET") && lints.contains(&"LINT-ALLOW"),
-        "race reported and entry stale: {lints:?}"
-    );
-}
-
-/// `--explain` prints the rationale for a known code and lists the known
-/// codes for an unknown one; `--format github` emits workflow commands.
-#[test]
-fn binary_explain_and_github_format() {
-    let bin = env!("CARGO_BIN_EXE_pimdl-lint");
-
-    let out = Command::new(bin)
-        .args(["--explain", "L6-LOCKSET"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(0));
-    let text = String::from_utf8(out.stdout).expect("utf-8");
-    assert!(text.contains("lockset") && text.contains("Allowlist policy"));
-
-    let out = Command::new(bin)
-        .args(["--explain", "L7-ALLOC"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(0));
-    let text = String::from_utf8(out.stdout).expect("utf-8");
-    assert!(text.contains("allocation") && text.contains("MAX_"));
-
-    let out = Command::new(bin)
-        .args(["--explain", "L8-OVERFLOW"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(0));
-    let text = String::from_utf8(out.stdout).expect("utf-8");
-    assert!(text.contains("checked_") && text.contains("wrap"));
-
-    let out = Command::new(bin)
-        .args(["--explain", "L9-NOPE"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2), "unknown code is a usage error");
-    let err = String::from_utf8(out.stderr).expect("utf-8");
-    assert!(err.contains("L6-LOCKSET"), "lists known codes: {err}");
-
-    let out = Command::new(bin)
-        .args(["--format", "github", "--hot", "l2_bad.rs", "--file"])
-        .arg(fixture("l2_bad.rs"))
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(1));
-    let text = String::from_utf8(out.stdout).expect("utf-8");
-    assert!(
-        text.contains("::error file=") && text.contains("title=L2-PANIC"),
-        "github annotations: {text}"
+        got.contains(&("L2-PANIC", 9)) && lints_hit(&report).contains(&"LINT-ALLOW"),
+        "site reported and entry stale: {got:?}"
     );
 }
 
@@ -359,8 +296,8 @@ fn binary_writes_inventory_json() {
     let out = Command::new(bin)
         .arg("--inventory")
         .arg(&path)
-        .args(["--lockset", "l6_clean.rs", "--file"])
-        .arg(fixture("l6_clean.rs"))
+        .arg("--file")
+        .arg(fixture("l4_clean.rs"))
         .arg("--file")
         .arg(fixture("l1_clean.rs"))
         .output()
@@ -369,7 +306,10 @@ fn binary_writes_inventory_json() {
     let json = std::fs::read_to_string(&path).expect("inventory written");
     let _ = std::fs::remove_file(&path);
     assert!(json.contains("\"unsafe_sites\""), "{json}");
-    assert!(json.contains("Guarded::m"), "lock identity listed: {json}");
+    assert!(
+        json.contains("State::queue"),
+        "lock identity listed: {json}"
+    );
     assert!(json.contains("\"taint_sources\""), "{json}");
     assert!(json.contains("\"taint_sinks\""), "{json}");
 }

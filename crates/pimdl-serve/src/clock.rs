@@ -7,7 +7,7 @@
 //! identical admission/batching/routing state machines run under either
 //! source.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::error::ServeError;
@@ -106,7 +106,7 @@ impl VirtualClock {
     /// Advances time to `t` (ignored if `t` is in the past — the clock is
     /// monotone).
     pub fn advance_to(&self, t: f64) {
-        let mut now = self.now_s.lock().expect("clock poisoned");
+        let mut now = self.now_s.lock().unwrap_or_else(PoisonError::into_inner);
         if t > *now {
             *now = t;
         }
@@ -115,12 +115,12 @@ impl VirtualClock {
 
 impl Clock for VirtualClock {
     fn now(&self) -> f64 {
-        *self.now_s.lock().expect("clock poisoned")
+        *self.now_s.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn sleep(&self, dur_s: f64) {
         if dur_s > 0.0 && dur_s.is_finite() {
-            let mut now = self.now_s.lock().expect("clock poisoned");
+            let mut now = self.now_s.lock().unwrap_or_else(PoisonError::into_inner);
             *now += dur_s;
         }
     }

@@ -116,14 +116,11 @@ impl Histogram {
         for (i, b) in self.buckets.iter().enumerate() {
             cum += b.load(Ordering::Relaxed);
             if cum >= rank {
-                return self
-                    .upper_bounds
-                    .get(i)
-                    .copied()
-                    .unwrap_or_else(|| *self.upper_bounds.last().expect("non-empty bounds"));
+                let bound = self.upper_bounds.get(i).or(self.upper_bounds.last());
+                return bound.copied().unwrap_or(0.0);
             }
         }
-        *self.upper_bounds.last().expect("non-empty bounds")
+        self.upper_bounds.last().copied().unwrap_or(0.0)
     }
 }
 

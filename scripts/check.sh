@@ -16,51 +16,14 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 # Static analysis: unsafe audit, panic-path, atomic-ordering, lock-order,
-# syscall-confinement, the lockset race heuristic, the L7 untrusted-
-# input taint pass, and the L8 interval-overflow pass over the whole
-# workspace (hard gate; exemptions live in lint-allow.toml and must
-# carry justifications). The human report ends with a per-pass
-# finding-count / wall-time summary; the unsafe-site, lock-identity, and
-# taint source/sink inventories land in results/lint_inventory.json for
-# drift review. Under GitHub Actions the findings come out as ::error
-# annotations instead. The wall-time budget (2x the pre-L7 baseline of
-# 1.4s) flags creeping pass cost without failing the gate.
-#
-# A content-hash cache skips the lint when nothing it reads has changed:
-# the key covers every .rs file under crates/ (the lint's scan set,
-# which includes its own sources and fixtures) plus lint-allow.toml.
-# LINT_NO_CACHE=1 forces a full run.
+# syscall-confinement, the L7 untrusted-input taint pass, and the L8
+# interval-overflow pass over the whole workspace (hard gate; exemptions
+# live in lint-allow.toml and must carry justifications). The report
+# ends with a per-pass finding-count / wall-time summary; the
+# unsafe-site, lock-identity, and taint source/sink inventories land in
+# results/lint_inventory.json for drift review.
 echo "==> pimdl-lint"
-LINT_FORMAT=human
-if [[ "${GITHUB_ACTIONS:-}" == "1" || "${GITHUB_ACTIONS:-}" == "true" ]]; then
-    LINT_FORMAT=github
-fi
-mkdir -p results
-LINT_CACHE=results/.lint_cache
-lint_hash=$(
-    {
-        find crates -name '*.rs' -print0 | sort -z | xargs -0 sha256sum
-        sha256sum lint-allow.toml
-    } | sha256sum | cut -d' ' -f1
-)
-if [[ "${LINT_NO_CACHE:-0}" != "1" && -f "${LINT_CACHE}" \
-      && -f results/lint_inventory.json \
-      && "$(cat "${LINT_CACHE}")" == "${lint_hash}" ]]; then
-    echo "pimdl-lint: clean at cached content hash ${lint_hash:0:12}" \
-        "(LINT_NO_CACHE=1 to force a run)"
-else
-    LINT_BUDGET_US="${LINT_BUDGET_US:-2800000}"
-    lint_start_ns=$(date +%s%N)
-    cargo run --offline -q -p pimdl-lint -- \
-        --format "${LINT_FORMAT}" --inventory results/lint_inventory.json
-    lint_elapsed_us=$(( ($(date +%s%N) - lint_start_ns) / 1000 ))
-    echo "pimdl-lint wall time: ${lint_elapsed_us}us (budget ${LINT_BUDGET_US}us)"
-    if (( lint_elapsed_us > LINT_BUDGET_US )); then
-        echo "WARNING: pimdl-lint exceeded its wall-time budget" \
-            "(${lint_elapsed_us}us > ${LINT_BUDGET_US}us)" >&2
-    fi
-    echo "${lint_hash}" > "${LINT_CACHE}"
-fi
+cargo run --offline -q -p pimdl-lint -- --inventory results/lint_inventory.json
 
 # Inventory drift gate: growth in the attack/audit surface (unsafe sites,
 # taint sinks) must arrive as an explicit diff to the committed
@@ -100,8 +63,10 @@ for crate in "${WORKSPACE_CRATES[@]}"; do
     cargo clippy --offline -p "${crate}" --all-targets -- -D warnings
 done
 
-for crate in pimdl-tensor pimdl-lutnn pimdl-sim pimdl-nn pimdl-engine pimdl-tuner \
-    pimdl-serve pimdl-lint; do
+# Every workspace crate's own suite. pimdl-bench's lib tests are the
+# `reproduce` experiments' unit tests (~85 s in a debug build, most of it
+# the calibrated serving-gap pins).
+for crate in "${WORKSPACE_CRATES[@]}"; do
     echo "==> cargo test -p ${crate} --offline"
     cargo test --offline -p "${crate}"
 done
