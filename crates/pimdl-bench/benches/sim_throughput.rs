@@ -5,13 +5,15 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use pimdl_sim::cost::estimate_cost;
+use pimdl_sim::cost::{estimate_cost, CostReport};
 use pimdl_sim::exec::{run_lut_kernel, LutKernelData};
 use pimdl_sim::interp::{interpret, PeOperands};
 use pimdl_sim::isa::compile;
 use pimdl_sim::mapping::{LoadScheme, MicroKernel};
 use pimdl_sim::{LutWorkload, Mapping, PlatformConfig, TraversalOrder};
 use pimdl_tensor::rng::DataRng;
+use pimdl_tensor::Matrix;
+use pimdl_tuner::tune;
 
 fn operands(w: &LutWorkload, seed: u64) -> (Vec<u16>, Vec<i8>) {
     let mut rng = DataRng::new(seed);
@@ -20,6 +22,26 @@ fn operands(w: &LutWorkload, seed: u64) -> (Vec<u16>, Vec<i8>) {
         .map(|_| (rng.index(255) as i32 - 127) as i8)
         .collect();
     (indices, table)
+}
+
+fn functional_run(
+    platform: &PlatformConfig,
+    w: &LutWorkload,
+    mapping: &Mapping,
+    indices: &[u16],
+    table: &[i8],
+) -> (Matrix, CostReport) {
+    run_lut_kernel(
+        black_box(platform),
+        black_box(w),
+        black_box(mapping),
+        LutKernelData {
+            indices,
+            table,
+            scale: 0.01,
+        },
+    )
+    .expect("run")
 }
 
 fn bench_sim(c: &mut Criterion) {
@@ -47,19 +69,7 @@ fn bench_sim(c: &mut Criterion) {
         };
         let (indices, table) = operands(&w, 5);
         group.bench_with_input(BenchmarkId::new("functional_run", n), &n, |b, _| {
-            b.iter(|| {
-                run_lut_kernel(
-                    black_box(&platform),
-                    black_box(&w),
-                    black_box(&mapping),
-                    LutKernelData {
-                        indices: &indices,
-                        table: &table,
-                        scale: 0.01,
-                    },
-                )
-                .expect("run")
-            })
+            b.iter(|| functional_run(&platform, &w, &mapping, &indices, &table))
         });
         group.bench_with_input(BenchmarkId::new("cost_estimate", n), &n, |b, _| {
             b.iter(|| estimate_cost(black_box(&platform), black_box(&w), black_box(&mapping)))
@@ -93,6 +103,16 @@ fn bench_sim(c: &mut Criterion) {
             })
         });
     }
+
+    // The shape the serving benchmark's `line_large` workload runs (one
+    // BERT-base FFN-row block on 64 PEs), at the mapping the serving path
+    // tunes for it.
+    let w = LutWorkload::new(32, 192, 16, 768).expect("shape");
+    let mapping = tune(&platform, &w).expect("tune").mapping;
+    let (indices, table) = operands(&w, 5);
+    group.bench_function("functional_run/line_large", |b| {
+        b.iter(|| functional_run(&platform, &w, &mapping, &indices, &table))
+    });
     group.finish();
 }
 

@@ -1,10 +1,16 @@
 //! Functional execution of the LUT micro-kernel on the simulated PEs.
 //!
-//! Every PE really performs its gather-accumulate over the INT8 tables, so
+//! The gather-accumulate over the INT8 tables is really performed, so
 //! simulated results are bit-checkable against the host reference
-//! (`pimdl_lutnn::lut::QuantLutTable::lookup`). The cost attached to a run
-//! comes from [`crate::cost`] evaluated with the *measured* index-repeat
-//! fraction, so functional execution and cost estimation share one model.
+//! (`pimdl_lutnn::lut::QuantLutTable::lookup`). [`run_lut_kernel`] gathers
+//! a PE group's members as one whole-width band — sound because validation
+//! makes them tile the band exactly and i32 adds are exact; the per-PE
+//! instruction stream is [`run_lut_kernel_compiled`]. The gather is this
+//! crate's own, not the host kernels': the serving stack's checksum compare
+//! is only a check while simulator and host reference are two
+//! implementations. The cost attached to a run comes from [`crate::cost`]
+//! evaluated with the *measured* index-repeat fraction, so functional
+//! execution and cost estimation share one model.
 
 use pimdl_tensor::Matrix;
 
@@ -44,9 +50,21 @@ pub fn measure_repeat_fraction(indices: &[u16], n: usize, cb: usize) -> f64 {
     repeats as f64 / ((n - 1) as u64 * cb as u64) as f64
 }
 
-/// The operand slices must have the workload's shape and every index must
-/// select one of the `CT` centroids.
+/// Largest `CB` whose worst-case sum (`CB` entries of magnitude 128) still
+/// fits the i32 accumulator both runners reduce into.
+const MAX_CB: usize = (i32::MAX / 128) as usize;
+
+/// `CB` must fit the i32 accumulator, the operand slices must have the
+/// workload's shape and every index must select one of the `CT` centroids.
 fn check_operands(w: &LutWorkload, data: LutKernelData<'_>) -> Result<()> {
+    if w.cb > MAX_CB {
+        return Err(SimError::WorkloadMismatch {
+            detail: format!(
+                "CB = {} overflows the i32 accumulator (at most {MAX_CB} INT8 entries per sum)",
+                w.cb
+            ),
+        });
+    }
     if data.indices.len() != w.n * w.cb {
         return Err(SimError::WorkloadMismatch {
             detail: format!(
@@ -73,18 +91,23 @@ fn check_operands(w: &LutWorkload, data: LutKernelData<'_>) -> Result<()> {
     Ok(())
 }
 
-/// Runs the LUT kernel functionally on every simulated PE and returns the
+/// Runs the LUT kernel functionally on the simulated PEs and returns the
 /// assembled `N x F` output together with the measured-cost report.
 ///
-/// PE `(group i, member j)` computes output rows
+/// PE `(group i, member j)` owns output rows
 /// `[i·N_s, (i+1)·N_s) x [j·F_s, (j+1)·F_s)` — the sub-LUT partition of
 /// Fig. 8-(a). No inter-PE communication occurs (limitation **L2** is
 /// respected by construction: neither `CT` nor `CB` is split across PEs).
+/// A group's members read the same index rows and disjoint column slices
+/// of the same table rows, so each group is gathered as one whole-width
+/// band (`gather_band`); [`run_lut_kernel_compiled`] executes the per-PE
+/// instruction stream.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::WorkloadMismatch`] if the operand slices disagree
-/// with the workload shape, or an illegal-mapping error from validation.
+/// with the workload shape or `CB` overflows the i32 accumulator, or an
+/// illegal-mapping error from validation.
 pub fn run_lut_kernel(
     platform: &PlatformConfig,
     workload: &LutWorkload,
@@ -96,45 +119,21 @@ pub fn run_lut_kernel(
     let repeat = measure_repeat_fraction(data.indices, w.n, w.cb);
     let report = cost_with_repeat(platform, w, mapping, repeat)?;
 
-    let per_group = mapping.pes_per_group(w);
-    let (n_s, f_s) = (mapping.n_stile, mapping.f_stile);
+    let n_s = mapping.n_stile;
 
     let mut output = Matrix::zeros(w.n, w.f);
     {
         // Parallel functional execution: bands of output rows are disjoint,
-        // one band per PE group; PEs within a group write disjoint column
-        // ranges of the band.
+        // one band per PE group. Validation (inside `cost_with_repeat`)
+        // guarantees the group's members tile the band's columns exactly,
+        // so the band is gathered whole-width.
         let cols = w.f;
         let bands: Vec<&mut [f32]> = output.as_mut_slice().chunks_mut(n_s * cols).collect();
         crossbeam::scope(|scope| {
             for (g, band) in bands.into_iter().enumerate() {
-                let indices = data.indices;
-                let table = data.table;
-                let scale = data.scale;
+                let idx = &data.indices[g * n_s * w.cb..(g + 1) * n_s * w.cb];
                 scope.spawn(move |_| {
-                    // Each group's band is computed by `per_group` logical
-                    // PEs; we execute them in sequence inside the band's
-                    // thread (their regions are disjoint columns).
-                    for j in 0..per_group {
-                        let col0 = j * f_s;
-                        for local_r in 0..n_s {
-                            let r = g * n_s + local_r;
-                            let idx_row = &indices[r * w.cb..(r + 1) * w.cb];
-                            let out_row =
-                                &mut band[local_r * cols + col0..local_r * cols + col0 + f_s];
-                            let mut acc = vec![0i32; f_s];
-                            for (cb, &k) in idx_row.iter().enumerate() {
-                                let trow = (cb * w.ct + k as usize) * w.f + col0;
-                                let entries = &table[trow..trow + f_s];
-                                for (a, &e) in acc.iter_mut().zip(entries) {
-                                    *a += e as i32;
-                                }
-                            }
-                            for (o, &a) in out_row.iter_mut().zip(&acc) {
-                                *o = a as f32 * scale;
-                            }
-                        }
-                    }
+                    gather_band(band, idx, data.table, (w.cb, w.ct, w.f), data.scale)
                 });
             }
         })
@@ -142,6 +141,100 @@ pub fn run_lut_kernel(
     }
 
     Ok((output, report))
+}
+
+/// Rows gathered per i32 tile: a constant, so a band's scratch is at most
+/// `BAND_ROW_TILE · F · 4` bytes whatever `N_s` is.
+const BAND_ROW_TILE: usize = 16;
+
+/// Gathers one PE group's `N_s × F` output band from its `N_s × CB` index
+/// rows: whole-width `i8 → i32` accumulation (exact and order-free), then
+/// one `acc as f32 * scale` per element. Dispatches to an AVX2 clone when
+/// available.
+fn gather_band(
+    band: &mut [f32],
+    idx: &[u16],
+    table: &[i8],
+    shape: (usize, usize, usize),
+    scale: f32,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: feature presence checked at runtime.
+        return unsafe { gather_band_avx2(band, idx, table, shape, scale) };
+    }
+    gather_band_body(band, idx, table, shape, scale);
+}
+
+/// AVX2-compiled clone of [`gather_band_body`].
+///
+/// # Safety
+///
+/// The body is safe code; `unsafe` comes only from `target_feature`. The
+/// caller must verify AVX2 support (`is_x86_feature_detected!`) before
+/// calling, or the compiled instructions fault on older CPUs.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gather_band_avx2(
+    band: &mut [f32],
+    idx: &[u16],
+    table: &[i8],
+    shape: (usize, usize, usize),
+    scale: f32,
+) {
+    gather_band_body(band, idx, table, shape, scale);
+}
+
+/// Portable body of [`gather_band`].
+#[inline(always)]
+fn gather_band_body(
+    band: &mut [f32],
+    idx: &[u16],
+    table: &[i8],
+    (cb, ct, f): (usize, usize, usize),
+    scale: f32,
+) {
+    let entry = |c: usize, irow: &[u16]| {
+        let o = (c * ct + irow[c] as usize) * f;
+        &table[o..o + f]
+    };
+    let mut acc = vec![0i32; BAND_ROW_TILE.min(band.len() / f) * f];
+    for (t, out_tile) in band.chunks_mut(BAND_ROW_TILE * f).enumerate() {
+        let acc = &mut acc[..out_tile.len()];
+        acc.fill(0);
+        let idx_tile = &idx[t * BAND_ROW_TILE * cb..][..out_tile.len() / f * cb];
+        // Codebooks outermost, 4-wide (integer addition is associative, so
+        // the unroll is exact), rows inner: each pass streams four table
+        // rows per index row into that row's accumulator.
+        let mut c = 0;
+        while c + 4 <= cb {
+            for (r, acc_row) in acc.chunks_exact_mut(f).enumerate() {
+                let irow = &idx_tile[r * cb..(r + 1) * cb];
+                let (e0, e1, e2, e3) = (
+                    entry(c, irow),
+                    entry(c + 1, irow),
+                    entry(c + 2, irow),
+                    entry(c + 3, irow),
+                );
+                for (j, a) in acc_row.iter_mut().enumerate() {
+                    *a += e0[j] as i32 + e1[j] as i32 + e2[j] as i32 + e3[j] as i32;
+                }
+            }
+            c += 4;
+        }
+        while c < cb {
+            for (r, acc_row) in acc.chunks_exact_mut(f).enumerate() {
+                let e = entry(c, &idx_tile[r * cb..(r + 1) * cb]);
+                for (a, &e) in acc_row.iter_mut().zip(e) {
+                    *a += e as i32;
+                }
+            }
+            c += 1;
+        }
+        for (o, &a) in out_tile.iter_mut().zip(acc.iter()) {
+            *o = a as f32 * scale;
+        }
+    }
 }
 
 /// Extracts PE `(group, member)`'s operands from the global workload data,
@@ -255,6 +348,32 @@ mod tests {
         (indices, table)
     }
 
+    /// Per-PE reference: the sub-LUT partition executed literally, member
+    /// by member — PE `(g, j)` gathers its own `N_s × F_s` tile.
+    fn per_pe_reference(w: &LutWorkload, m: &Mapping, data: LutKernelData<'_>) -> Matrix {
+        let (n_s, f_s) = (m.n_stile, m.f_stile);
+        let mut out = Matrix::zeros(w.n, w.f);
+        for g in 0..m.groups(w) {
+            for j in 0..m.pes_per_group(w) {
+                let col0 = j * f_s;
+                for r in g * n_s..(g + 1) * n_s {
+                    let idx_row = &data.indices[r * w.cb..(r + 1) * w.cb];
+                    let mut acc = vec![0i32; f_s];
+                    for (cb, &k) in idx_row.iter().enumerate() {
+                        let trow = (cb * w.ct + k as usize) * w.f + col0;
+                        for (a, &e) in acc.iter_mut().zip(&data.table[trow..trow + f_s]) {
+                            *a += e as i32;
+                        }
+                    }
+                    for (c, &a) in acc.iter().enumerate() {
+                        out.set(r, col0 + c, a as f32 * data.scale);
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// Host reference: plain gather-accumulate.
     fn reference(w: &LutWorkload, indices: &[u16], table: &[i8], scale: f32) -> Matrix {
         let mut out = Matrix::zeros(w.n, w.f);
@@ -283,7 +402,11 @@ mod tests {
         // 4 groups × 2 PEs = 8 PEs.
         let (out, report) = run_lut_kernel(&platform(8), &w, &mapping(), data).unwrap();
         let expected = reference(&w, &indices, &table, 0.05);
-        assert!(out.approx_eq(&expected, 1e-5));
+        assert_eq!(out.as_slice(), expected.as_slice());
+        assert_eq!(
+            out.as_slice(),
+            per_pe_reference(&w, &mapping(), data).as_slice()
+        );
         assert!(report.time.total_s() > 0.0);
     }
 
@@ -340,12 +463,20 @@ mod tests {
         let mut big = indices.clone();
         big[0] = 99;
 
-        // Short index slice, short table slice, index past CT: both
-        // runners refuse each with the same error.
-        for (indices, table) in [
-            (&indices[..10], &table[..]),
-            (&indices[..], &table[..10]),
-            (&big[..], &table[..]),
+        // One codebook more than the i32 accumulator can hold: refused
+        // before the slices are looked at, so empty ones reach the check.
+        let wide = LutWorkload {
+            cb: MAX_CB + 1,
+            ..w
+        };
+
+        // Short index slice, short table slice, index past CT, CB past the
+        // accumulator: both runners refuse each with the same error.
+        for (w, indices, table, needle) in [
+            (w, &indices[..10], &table[..], "index slice"),
+            (w, &indices[..], &table[..10], "table slice"),
+            (w, &big[..], &table[..], "index 99"),
+            (wide, &[][..], &[][..], "i32 accumulator"),
         ] {
             let data = LutKernelData {
                 indices,
@@ -353,7 +484,10 @@ mod tests {
                 scale: 1.0,
             };
             let direct = run_lut_kernel(&p, &w, &m, data).unwrap_err();
-            assert!(matches!(direct, SimError::WorkloadMismatch { .. }));
+            assert!(
+                matches!(&direct, SimError::WorkloadMismatch { detail } if detail.contains(needle)),
+                "{direct:?}"
+            );
             assert_eq!(
                 run_lut_kernel_compiled(&p, &w, &m, data).unwrap_err(),
                 direct
@@ -374,7 +508,7 @@ mod tests {
         let m = mapping();
         let (direct, _) = run_lut_kernel(&p, &w, &m, data).unwrap();
         let (compiled, stats) = run_lut_kernel_compiled(&p, &w, &m, data).unwrap();
-        assert!(compiled.approx_eq(&direct, 1e-5));
+        assert_eq!(compiled.as_slice(), direct.as_slice());
         assert_eq!(stats.len(), 8);
         // Deterministic reduce work is identical across PEs.
         for s in &stats {
@@ -416,7 +550,29 @@ mod tests {
                 },
             };
             let (out, _) = run_lut_kernel(&platform(pes), &w, &m, data).unwrap();
-            assert!(out.approx_eq(&base, 1e-5), "n_s={n_s} f_s={f_s}");
+            assert_eq!(out.as_slice(), base.as_slice(), "n_s={n_s} f_s={f_s}");
+            assert_eq!(
+                out.as_slice(),
+                per_pe_reference(&w, &m, data).as_slice(),
+                "n_s={n_s} f_s={f_s}"
+            );
         }
+    }
+
+    #[test]
+    fn portable_body_matches_dispatcher() {
+        // The dispatcher takes the AVX2 clone where the CPU has it; the
+        // portable body must produce the same bits. 19 rows = two row
+        // tiles, CB = 7 = one unrolled block + a 3-codebook tail, F = 37
+        // leaves vector tails at every width.
+        let w = LutWorkload::new(19, 7, 16, 37).unwrap();
+        let (indices, table) = random_operands(&w, 5);
+        let shape = (w.cb, w.ct, w.f);
+        let mut dispatched = vec![0.0f32; w.n * w.f];
+        gather_band(&mut dispatched, &indices, &table, shape, 0.03);
+        let mut portable = vec![0.0f32; w.n * w.f];
+        gather_band_body(&mut portable, &indices, &table, shape, 0.03);
+        assert_eq!(dispatched, portable);
+        assert_eq!(dispatched, reference(&w, &indices, &table, 0.03).as_slice());
     }
 }

@@ -11,8 +11,10 @@
 //! * **Samsung HBM-PIM** — 4 cubes, 512 FP16 MAC PEs, 2 TB/s per cube.
 //! * **SK-Hynix AiM** — 16 GDDR6 chips, 512 BF16 MAC PEs, 1 TB/s per chip.
 //!
-//! The simulator executes the LUT micro-kernel **functionally** (every PE
-//! really gathers and accumulates its tile — [`exec::run_lut_kernel`]) and
+//! The simulator executes the LUT micro-kernel **functionally** (every
+//! output element is really gathered and accumulated from the INT8 tables:
+//! band by band in [`exec::run_lut_kernel`], PE by PE through the compiled
+//! instruction stream in [`exec::run_lut_kernel_compiled`]) and
 //! layers a cycle-cost model on the same code path ([`cost`]). [`cost`] is
 //! also the one place every latency term is derived: the auto-tuner's
 //! analytical model prices the same stream counts without the two

@@ -4,6 +4,9 @@ use proptest::prelude::*;
 
 use pimdl_sim::config::TransferPattern;
 use pimdl_sim::cost::{cost_with_repeat, estimate_cost};
+use pimdl_sim::exec::{
+    measure_repeat_fraction, run_lut_kernel, run_lut_kernel_compiled, LutKernelData,
+};
 use pimdl_sim::interp::{interpret, PeOperands};
 use pimdl_sim::isa::compile;
 use pimdl_sim::mapping::MicroKernel;
@@ -217,5 +220,103 @@ proptest! {
         prop_assert_eq!(stats.lut_accesses, cost.accesses.lut_accesses);
         prop_assert_eq!(stats.lut_bytes, cost.accesses.lut_bytes);
         prop_assert_eq!(stats.reduce_ops, cost.accesses.reduce_ops);
+    }
+}
+
+/// `(groups, members, N_s, F_s, CB, CT)` corners of the direct executor's
+/// band kernel: 16-row tiles, codebooks unrolled 4-wide, whole-width
+/// vector adds.
+const BAND_CORNERS: [(usize, usize, usize, usize, usize, usize); 6] = [
+    // Every loop full: CB % 4 = 0, F = 32.
+    (2, 2, 4, 16, 4, 16),
+    // N_s = 1, CB % 4 = 1, F = 20 (no multiple of 8).
+    (4, 4, 1, 5, 5, 16),
+    // A single group of 17 rows (two row tiles), CB % 4 = 2, F = 24.
+    (1, 8, 17, 3, 6, 16),
+    // F_s = 1 on 64 PEs, CB % 4 = 3.
+    (8, 8, 3, 1, 7, 16),
+    // Two-byte index values, three row tiles (16 + 16 + 8), no unrolled
+    // block at all, F = 36 (past 32, no multiple of 8).
+    (2, 4, 40, 9, 3, 512),
+    // Exactly one row tile, F = 66.
+    (4, 2, 16, 33, 9, 2),
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On every band-kernel corner and one random shape per case, under a
+    /// random micro-kernel: `run_lut_kernel` ≡ the per-PE scalar reference
+    /// ≡ `run_lut_kernel_compiled`, bit for bit, and the report is the cost
+    /// model at the measured repeat fraction.
+    #[test]
+    fn direct_executor_is_bit_exact(
+        seed in any::<u64>(),
+        traversal in any_traversal(),
+        fine in any::<bool>(),
+        whole_mtile in any::<bool>(),
+        pes_pow in 2u32..7, g_pow in 0u32..7,
+        n_s in 1usize..41, f_s in 1usize..41, cb in 1usize..10,
+        ct in prop::sample::select(vec![2usize, 16, 512]),
+    ) {
+        // 4–64 PEs, split into groups × members at random.
+        let groups = 1usize << g_pow.min(pes_pow);
+        let random = (groups, (1usize << pes_pow) / groups, n_s, f_s, cb, ct);
+        for (groups, members, n_s, f_s, cb, ct) in BAND_CORNERS.into_iter().chain([random]) {
+            let w = LutWorkload::new(groups * n_s, cb, ct, members * f_s).unwrap();
+            let (n_m, f_m, cb_m) = if whole_mtile { (n_s, f_s, cb) } else { (1, 1, 1) };
+            let mapping = Mapping {
+                n_stile: n_s,
+                f_stile: f_s,
+                kernel: MicroKernel {
+                    n_mtile: n_m,
+                    f_mtile: f_m,
+                    cb_mtile: cb_m,
+                    traversal,
+                    load_scheme: if fine {
+                        LoadScheme::FineGrain { f_load: 1, threads: 8 }
+                    } else {
+                        LoadScheme::CoarseGrain { cb_load: 1, f_load: 1 }
+                    },
+                },
+            };
+            let mut platform = PlatformConfig::upmem();
+            platform.num_pes = groups * members;
+            prop_assert!((4..=64).contains(&platform.num_pes));
+            mapping.validate(&w, &platform).unwrap();
+
+            let mut rng = DataRng::new(seed);
+            let indices: Vec<u16> = (0..w.n * w.cb).map(|_| rng.index(w.ct) as u16).collect();
+            let table: Vec<i8> = (0..w.cb * w.ct * w.f)
+                .map(|_| (rng.index(256) as i32 - 128) as i8)
+                .collect();
+            let data = LutKernelData { indices: &indices, table: &table, scale: 0.037 };
+
+            let (out, report) = run_lut_kernel(&platform, &w, &mapping, data).unwrap();
+            let (compiled, _) = run_lut_kernel_compiled(&platform, &w, &mapping, data).unwrap();
+
+            // Per-PE reference: PE (g, j) reduces its own N_s × F_s tile,
+            // one scalar i32 sum per output element.
+            for g in 0..groups {
+                for j in 0..members {
+                    for r in g * n_s..(g + 1) * n_s {
+                        for col in j * f_s..(j + 1) * f_s {
+                            let acc: i32 = (0..cb)
+                                .map(|c| {
+                                    let k = indices[r * cb + c] as usize;
+                                    i32::from(table[(c * ct + k) * w.f + col])
+                                })
+                                .sum();
+                            let expected = (acc as f32 * data.scale).to_bits();
+                            prop_assert_eq!(out.get(r, col).to_bits(), expected);
+                            prop_assert_eq!(compiled.get(r, col).to_bits(), expected);
+                        }
+                    }
+                }
+            }
+
+            let repeat = measure_repeat_fraction(&indices, w.n, w.cb);
+            prop_assert_eq!(report, cost_with_repeat(&platform, &w, &mapping, repeat).unwrap());
+        }
     }
 }

@@ -95,7 +95,7 @@ proptest! {
                     acc += table[(cb * w.ct + k) * w.f + fcol] as i32;
                 }
                 let expected = acc as f32 * 0.5;
-                prop_assert!((out.get(r, fcol) - expected).abs() < 1e-5);
+                prop_assert_eq!(out.get(r, fcol).to_bits(), expected.to_bits());
             }
         }
 
