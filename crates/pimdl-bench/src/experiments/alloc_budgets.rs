@@ -1,23 +1,14 @@
-//! Auto-tuner v2 evaluation: branch-and-bound search effort versus the
-//! exhaustive oracle, and per-layer codebook capacity allocation versus the
-//! best global `(V, CT)` at equal capacity budgets (DESIGN.md §12).
+//! Extension experiment — per-layer codebook capacity allocation versus
+//! the best global `(V, CT)` at equal capacity budgets (DESIGN.md §12.3).
 //!
-//! Two sweeps:
-//!
-//! 1. **Search** — every linear operator of the model is tuned twice, by
-//!    branch-and-bound and by the exhaustive enumerator, recording wall
-//!    time, candidates evaluated, and whether the optima agree (they must:
-//!    the bound is admissible).
-//! 2. **Budgets** — for each per-PE capacity budget, the allocator picks
-//!    per-operator `(V, CT, mapping)` and the best *uniform* `(V, CT)` at
-//!    the same accuracy floor, then both plans serve through the
-//!    dynamic-batching DES on a platform whose local memory is clamped to
-//!    the budget. The recorded throughput pair is the tentpole headline:
-//!    heterogeneous allocation must never lose at equal budget.
-//!
-//! `reproduce tuner` writes the result as `BENCH_tuner.json`.
-
-use std::time::Instant;
+//! For each per-PE capacity budget, the allocator picks per-operator
+//! `(V, CT, mapping)` and the best *uniform* `(V, CT)` at the same
+//! accuracy floor, then both plans serve through the dynamic-batching DES
+//! on a platform whose local memory is clamped to the budget. The recorded
+//! throughput pair is the headline: heterogeneous allocation must never
+//! lose at equal budget. Every field is a pure function of the cost model
+//! and the tuner, so `results/alloc_budgets.json` is byte-gated by
+//! `scripts/check.sh` like the paper's figures.
 
 use serde::Serialize;
 
@@ -25,33 +16,12 @@ use pimdl_engine::perlayer::PerLayerServingConfig;
 use pimdl_engine::scheduler::{BatchScheduler, BatchingPolicy, Workload};
 use pimdl_engine::shapes::TransformerShape;
 use pimdl_engine::PimDlEngine;
-use pimdl_sim::{LutWorkload, PlatformConfig};
+use pimdl_sim::PlatformConfig;
 use pimdl_tuner::alloc::{
     allocate_global, allocate_per_layer, reference_code_bits, AllocOptions, OpShape,
 };
-use pimdl_tuner::{tune_with_options, TuneOptions};
 
 use crate::report::TextTable;
-
-/// One workload tuned by both search strategies.
-#[derive(Debug, Clone, Serialize)]
-pub struct SearchRow {
-    /// Operator label.
-    pub label: String,
-    /// Workload shape.
-    pub workload: LutWorkload,
-    /// Branch-and-bound wall time (s).
-    pub bnb_wall_s: f64,
-    /// Exhaustive wall time (s).
-    pub exhaustive_wall_s: f64,
-    /// Candidates the pruned search scored.
-    pub bnb_evaluated: usize,
-    /// Candidates the exhaustive enumerator scored.
-    pub exhaustive_evaluated: usize,
-    /// Whether both searches returned the same optimal predicted cost
-    /// (bit-identical f64) — must always be `true`.
-    pub same_optimum: bool,
-}
 
 /// One operator's allocated setting inside a budget row.
 #[derive(Debug, Clone, Serialize)]
@@ -87,26 +57,20 @@ pub struct BudgetRow {
     pub global_throughput_rps: f64,
 }
 
-/// Full tuner-evaluation result (`BENCH_tuner.json`).
+/// Full capacity-sweep result.
 #[derive(Debug, Clone, Serialize)]
-pub struct TunerSweepResult {
+pub struct AllocBudgetsResult {
     /// Model evaluated.
     pub model: String,
     /// Batch and sequence length of the serving point.
     pub batch: usize,
     /// Sequence length.
     pub seq_len: usize,
-    /// Search-effort comparison rows.
-    pub search: Vec<SearchRow>,
-    /// Total branch-and-bound wall time (s).
-    pub bnb_total_wall_s: f64,
-    /// Total exhaustive wall time (s).
-    pub exhaustive_total_wall_s: f64,
     /// Capacity-budget sweep rows.
     pub budgets: Vec<BudgetRow>,
 }
 
-/// Runs both sweeps for a model shape on a platform.
+/// Runs the capacity sweep for a model shape on a platform.
 ///
 /// `budgets_bytes` are per-PE LUT capacities; budgets too tight for any
 /// uniform plan are skipped (the heterogeneous plan may still fit, but the
@@ -121,39 +85,14 @@ pub fn run_with(
     batch: usize,
     seq_len: usize,
     budgets_bytes: &[usize],
-) -> Result<TunerSweepResult, Box<dyn std::error::Error>> {
+) -> Result<AllocBudgetsResult, Box<dyn std::error::Error>> {
     let n = batch * seq_len;
     let (v, ct) = (4usize, 16usize);
 
-    // Sweep 1: search effort, B&B vs exhaustive, same workloads.
-    let mut search = Vec::new();
-    let mut bnb_total_wall_s = 0.0;
-    let mut exhaustive_total_wall_s = 0.0;
-    for op in shape.linear_ops() {
-        let workload = LutWorkload::new(n, op.in_dim / v, ct, op.out_dim)?;
-        let t0 = Instant::now();
-        let bnb = tune_with_options(platform, &workload, TuneOptions::default())?;
-        let bnb_wall_s = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let oracle = tune_with_options(platform, &workload, TuneOptions::exhaustive_oracle())?;
-        let exhaustive_wall_s = t1.elapsed().as_secs_f64();
-        bnb_total_wall_s += bnb_wall_s;
-        exhaustive_total_wall_s += exhaustive_wall_s;
-        search.push(SearchRow {
-            label: format!("{} {}", shape.name, op.name),
-            workload,
-            bnb_wall_s,
-            exhaustive_wall_s,
-            bnb_evaluated: bnb.evaluated,
-            exhaustive_evaluated: oracle.evaluated,
-            same_optimum: bnb.predicted_total_s.to_bits() == oracle.predicted_total_s.to_bits(),
-        });
-    }
-
-    // Sweep 2: per-layer vs global allocation at equal budgets. CT is held
-    // to the paper's 16 so both plans run the identical host CCS; the
-    // allocator then spends the budget purely on per-operator V (and its
-    // mapping choice), which is the capacity/latency trade the DES prices.
+    // CT is held to the paper's 16 so both plans run the identical host
+    // CCS; the allocator then spends the budget purely on per-operator V
+    // (and its mapping choice), which is the capacity/latency trade the
+    // DES prices.
     let ops: Vec<OpShape> = shape
         .linear_ops()
         .iter()
@@ -220,24 +159,21 @@ pub fn run_with(
         });
     }
 
-    Ok(TunerSweepResult {
+    Ok(AllocBudgetsResult {
         model: shape.name.clone(),
         batch,
         seq_len,
-        search,
-        bnb_total_wall_s,
-        exhaustive_total_wall_s,
         budgets,
     })
 }
 
 /// Paper-scale run: BERT-base at batch 64 × seq 512 on UPMEM, budgets from
-/// 16 KiB to 1 MiB per PE.
+/// 1 MiB to 4 MiB per PE.
 ///
 /// # Errors
 ///
 /// Propagates tuner and engine errors.
-pub fn run() -> Result<TunerSweepResult, Box<dyn std::error::Error>> {
+pub fn run() -> Result<AllocBudgetsResult, Box<dyn std::error::Error>> {
     run_with(
         &PlatformConfig::upmem(),
         &TransformerShape::bert_base(),
@@ -252,7 +188,7 @@ pub fn run() -> Result<TunerSweepResult, Box<dyn std::error::Error>> {
 /// # Errors
 ///
 /// Propagates tuner and engine errors.
-pub fn run_quick() -> Result<TunerSweepResult, Box<dyn std::error::Error>> {
+pub fn run_quick() -> Result<AllocBudgetsResult, Box<dyn std::error::Error>> {
     let mut p = PlatformConfig::upmem();
     p.num_pes = 64;
     run_with(
@@ -264,31 +200,8 @@ pub fn run_quick() -> Result<TunerSweepResult, Box<dyn std::error::Error>> {
     )
 }
 
-/// Renders both sweeps as text tables.
-pub fn render(result: &TunerSweepResult) -> String {
-    let mut search = TextTable::new(vec![
-        "Workload",
-        "B&B wall",
-        "Exh wall",
-        "B&B eval",
-        "Exh eval",
-        "Pruned to",
-        "Same opt",
-    ]);
-    for r in &result.search {
-        search.row(vec![
-            r.label.clone(),
-            format!("{:.3} s", r.bnb_wall_s),
-            format!("{:.3} s", r.exhaustive_wall_s),
-            r.bnb_evaluated.to_string(),
-            r.exhaustive_evaluated.to_string(),
-            format!(
-                "{:.1}%",
-                100.0 * r.bnb_evaluated as f64 / r.exhaustive_evaluated.max(1) as f64
-            ),
-            if r.same_optimum { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
+/// Renders the sweep as a text table.
+pub fn render(result: &AllocBudgetsResult) -> String {
     let mut alloc = TextTable::new(vec![
         "Budget/PE",
         "Global (V,CT)",
@@ -314,15 +227,11 @@ pub fn render(result: &TunerSweepResult) -> String {
         ]);
     }
     format!(
-        "§12 — Auto-tuner v2 ({}, batch {} × seq {})\n\
-         Search: B&B total {:.2} s vs exhaustive {:.2} s\n\n{}\n\n\
-         Capacity allocation (CT = 16 held fixed; accuracy floor = global V=4 bits):\n\n{}",
+        "§12.3 — Capacity allocation ({}, batch {} × seq {}; CT = 16 held fixed; \
+         accuracy floor = global V=4 bits):\n\n{}",
         result.model,
         result.batch,
         result.seq_len,
-        result.bnb_total_wall_s,
-        result.exhaustive_total_wall_s,
-        search.render(),
         alloc.render()
     )
 }
@@ -332,19 +241,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_sweep_bnb_matches_oracle_and_per_layer_never_loses() {
+    fn per_layer_never_loses_at_equal_budget_and_wins_somewhere() {
         let result = run_quick().unwrap();
-        assert!(!result.search.is_empty());
-        for r in &result.search {
-            assert!(r.same_optimum, "{}: optima diverge", r.label);
-            assert!(
-                r.bnb_evaluated * 10 <= r.exhaustive_evaluated,
-                "{}: pruned {} of {}",
-                r.label,
-                r.bnb_evaluated,
-                r.exhaustive_evaluated
-            );
-        }
         assert!(!result.budgets.is_empty(), "no feasible budgets");
         for b in &result.budgets {
             assert!(
@@ -376,7 +274,7 @@ mod tests {
     fn render_structure() {
         let result = run_quick().unwrap();
         let s = render(&result);
-        assert!(s.contains("Auto-tuner v2"));
         assert!(s.contains("Capacity allocation"));
+        assert!(s.contains("DES per-layer"));
     }
 }

@@ -3,11 +3,10 @@
 //! and a `render(&result)` producing the text report.
 
 pub mod accuracy;
-pub mod bench_kernels;
+pub mod alloc_budgets;
 pub mod data_efficiency;
 pub mod discussion;
 pub mod elutnn_ablation;
-pub mod fabric;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;
@@ -19,7 +18,6 @@ pub mod fig4;
 pub mod scaling;
 pub mod serving;
 pub mod table1;
-pub mod tuner;
 pub mod tuner_error;
 
 use pimdl_sim::{LoadScheme, LutWorkload, MicroKernel, PlatformConfig};
@@ -43,7 +41,7 @@ pub(crate) fn is_sane(kernel: &MicroKernel) -> bool {
 /// thinned to at most `cap` (0 = all of them) by a uniform stride — a
 /// prefix would drop the large-tile candidates, which the enumeration
 /// generates last.
-pub fn sampled_kernels(
+pub(crate) fn sampled_kernels(
     workload: &LutWorkload,
     platform: &PlatformConfig,
     (n_s, f_s): (usize, usize),

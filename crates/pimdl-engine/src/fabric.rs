@@ -9,8 +9,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use pimdl_sim::NetworkModel;
-
 use crate::error::EngineError;
 use crate::Result;
 
@@ -30,21 +28,16 @@ pub struct FabricConfig {
     /// `TableReady` after a `LoadTable`) before declaring it dead and
     /// re-placing its tables (seconds). Must be finite and > 0.
     pub hello_timeout_s: f64,
-    /// Network cost model the DES charges per dispatched batch, typically
-    /// calibrated from measured loopback round trips
-    /// ([`NetworkModel::calibrate`]).
-    pub net: NetworkModel,
 }
 
 impl FabricConfig {
-    /// A small two-shard fabric with a generous worker timeout and a free
-    /// network — the starting point the examples and tests mutate.
+    /// A small two-shard fabric with a generous worker timeout — the
+    /// starting point the examples and tests mutate.
     pub fn example() -> Self {
         FabricConfig {
             num_shards: 2,
             vnodes: DEFAULT_VNODES,
             hello_timeout_s: 10.0,
-            net: NetworkModel::zero(),
         }
     }
 
@@ -53,9 +46,8 @@ impl FabricConfig {
     /// # Errors
     ///
     /// Returns [`EngineError::Config`] if `num_shards` or `vnodes` is
-    /// zero, `hello_timeout_s` is non-finite or non-positive (the
-    /// supervisor could never detect a silent worker), or the network
-    /// model fails [`NetworkModel::validate`].
+    /// zero, or `hello_timeout_s` is non-finite or non-positive (the
+    /// supervisor could never detect a silent worker).
     pub fn validate(&self) -> Result<()> {
         if self.num_shards == 0 {
             return Err(EngineError::Config {
@@ -75,9 +67,7 @@ impl FabricConfig {
                 ),
             });
         }
-        self.net.validate().map_err(|e| EngineError::Config {
-            detail: format!("fabric network model: {e}"),
-        })
+        Ok(())
     }
 }
 
@@ -117,13 +107,6 @@ mod tests {
             },
             FabricConfig {
                 hello_timeout_s: f64::INFINITY,
-                ..ok
-            },
-            FabricConfig {
-                net: NetworkModel {
-                    link_latency_s: -1e-6,
-                    per_byte_s: 0.0,
-                },
                 ..ok
             },
         ] {

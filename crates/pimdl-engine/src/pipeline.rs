@@ -320,55 +320,6 @@ impl PimDlEngine {
             energy,
         })
     }
-
-    /// Extension beyond the paper: estimates serving latency when the host
-    /// CCS of the *next* LUT operator overlaps the PIM execution of the
-    /// current one (the host and PIM are independent resources, so a
-    /// double-buffered index matrix hides the shorter of the two phases).
-    ///
-    /// The sequential engine of the paper charges `lut + ccs`; pipelined
-    /// steady state charges `max(lut, ccs)` per operator, keeping the first
-    /// CCS exposed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same errors as [`PimDlEngine::serve`].
-    pub fn serve_overlapped(
-        &self,
-        shape: &TransformerShape,
-        cfg: &ServingConfig,
-    ) -> Result<InferenceReport> {
-        let mut report = self.serve(shape, cfg)?;
-        let mut pipelined = 0.0;
-        let mut first_ccs = f64::INFINITY;
-        for lc in &report.per_linear {
-            let per_layer_lut = lc.lut_s / shape.layers as f64;
-            let per_layer_ccs = lc.ccs_s / shape.layers as f64;
-            pipelined += per_layer_lut.max(per_layer_ccs) * shape.layers as f64;
-            first_ccs = first_ccs.min(per_layer_ccs);
-        }
-        if !first_ccs.is_finite() {
-            first_ccs = 0.0;
-        }
-        let linear_s = pipelined + first_ccs + report.residency.staging_penalty_s;
-        report.total_s = linear_s + report.attention_s + report.other_s;
-        // Attribute the overlapped phase to `lut_s` and keep only the
-        // exposed pipeline-fill CCS; the breakdown still sums to the total.
-        report.lut_s = pipelined + report.residency.staging_penalty_s;
-        report.ccs_s = first_ccs;
-        report.energy = EnergyReport::from_window(
-            report.total_s,
-            self.platform.pim_power_w,
-            self.host.power_w,
-            report
-                .per_linear
-                .iter()
-                .map(|l| l.host_pim_bytes)
-                .sum::<u64>() as f64,
-            self.platform.transfer_energy_pj_per_byte,
-        );
-        Ok(report)
-    }
 }
 
 #[cfg(test)]
@@ -547,26 +498,6 @@ mod tests {
                 .total_s
         };
         assert!(t(8) <= t(64) * 1.01, "CT=8 {} vs CT=64 {}", t(8), t(64));
-    }
-
-    #[test]
-    fn overlapped_serving_is_faster_but_bounded() {
-        let engine = PimDlEngine::new(small_platform());
-        let shape = TransformerShape::tiny();
-        let cfg = tiny_cfg();
-        let seq = engine.serve(&shape, &cfg).unwrap();
-        let pipe = engine.serve_overlapped(&shape, &cfg).unwrap();
-        assert!(
-            pipe.total_s < seq.total_s,
-            "pipe {} seq {}",
-            pipe.total_s,
-            seq.total_s
-        );
-        // Overlap can hide at most the whole CCS phase.
-        assert!(pipe.total_s >= seq.total_s - seq.ccs_s - 1e-12);
-        // Breakdown remains consistent.
-        let sum = pipe.lut_s + pipe.ccs_s + pipe.attention_s + pipe.other_s;
-        assert!((pipe.total_s - sum).abs() < 1e-12);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use pimdl_sim::NetworkModel;
 use pimdl_tensor::rng::DataRng;
 
 use crate::error::EngineError;
@@ -239,29 +238,6 @@ pub struct ServingStats {
     pub batches: usize,
 }
 
-/// Per-batch network crossing of the shard fabric: an `Execute` frame
-/// out and an `ExecDone` frame back, priced by a [`NetworkModel`] over
-/// the batch's wire size (DESIGN.md §13).
-#[derive(Debug, Clone, Copy)]
-struct FabricNetCost {
-    net: NetworkModel,
-    /// Wire bytes each request contributes to the round trip (request
-    /// payload in the `Execute` frame plus its slice of the reply).
-    bytes_per_request: f64,
-    /// Fixed wire bytes per round trip (frame headers, CRCs, batch
-    /// metadata).
-    bytes_per_batch: f64,
-}
-
-impl FabricNetCost {
-    /// Round-trip cost of one dispatched batch of `batch` requests: two
-    /// link crossings plus the serialization term over the total bytes.
-    fn round_trip_s(&self, batch: usize) -> f64 {
-        2.0 * self.net.link_latency_s
-            + self.net.per_byte_s * (self.bytes_per_batch + self.bytes_per_request * batch as f64)
-    }
-}
-
 /// Per-request serving parameters of a scheduler; the batch dimension
 /// comes from the scheduler itself.
 #[derive(Debug, Clone)]
@@ -288,10 +264,6 @@ pub struct BatchScheduler<'a> {
     /// mean wake latency — to calibrate the DES against the real
     /// threaded runtime.
     dispatch_overhead_s: f64,
-    /// Per-batch network round-trip cost of the multi-process fabric;
-    /// `None` models the in-process runtime (shards are threads, no
-    /// socket crossing).
-    net: Option<FabricNetCost>,
     latency_cache: HashMap<usize, f64>,
 }
 
@@ -309,7 +281,6 @@ impl<'a> BatchScheduler<'a> {
             base: SchedulerBase::Uniform(base),
             policy,
             dispatch_overhead_s: 0.0,
-            net: None,
             latency_cache: HashMap::new(),
         }
     }
@@ -331,7 +302,6 @@ impl<'a> BatchScheduler<'a> {
             base: SchedulerBase::PerLayer(base),
             policy,
             dispatch_overhead_s: 0.0,
-            net: None,
             latency_cache: HashMap::new(),
         }
     }
@@ -356,50 +326,6 @@ impl<'a> BatchScheduler<'a> {
     /// The configured per-batch host dispatch overhead (seconds).
     pub fn dispatch_overhead_s(&self) -> f64 {
         self.dispatch_overhead_s
-    }
-
-    /// Charges every dispatched batch a network round trip (`Execute`
-    /// out, `ExecDone` back) priced by `net` over the batch's wire size:
-    /// `bytes_per_request` per carried request plus `bytes_per_batch` of
-    /// fixed framing. This is the fabric twin of
-    /// [`BatchScheduler::set_dispatch_overhead`]: set both from measured
-    /// values to calibrate the DES against the multi-process runtime.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Config`] for an invalid network model or
-    /// negative/non-finite byte estimates.
-    pub fn set_network_model(
-        &mut self,
-        net: NetworkModel,
-        bytes_per_request: f64,
-        bytes_per_batch: f64,
-    ) -> Result<()> {
-        net.validate().map_err(|e| EngineError::Config {
-            detail: format!("fabric network model: {e}"),
-        })?;
-        for (name, v) in [
-            ("bytes_per_request", bytes_per_request),
-            ("bytes_per_batch", bytes_per_batch),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(EngineError::Config {
-                    detail: format!("fabric network {name} must be finite and >= 0, got {v}"),
-                });
-            }
-        }
-        self.net = Some(FabricNetCost {
-            net,
-            bytes_per_request,
-            bytes_per_batch,
-        });
-        Ok(())
-    }
-
-    /// The modeled network round trip for a batch of `batch` requests
-    /// (zero until [`BatchScheduler::set_network_model`] is called).
-    pub fn network_round_trip_s(&self, batch: usize) -> f64 {
-        self.net.map_or(0.0, |n| n.round_trip_s(batch))
     }
 
     /// Engine latency of one batch of the given size (memoized — the
@@ -492,10 +418,7 @@ impl<'a> BatchScheduler<'a> {
 
             let batch_size = batch_end - i;
             let exec_s = self.batch_latency_s(batch_size)?;
-            let finish = actual_dispatch
-                + self.dispatch_overhead_s
-                + self.network_round_trip_s(batch_size)
-                + exec_s;
+            let finish = actual_dispatch + self.dispatch_overhead_s + exec_s;
             for &arr in &arrivals[i..batch_end] {
                 latencies.push(finish - arr);
             }
@@ -711,74 +634,6 @@ mod tests {
         assert!(sched.set_dispatch_overhead(-1e-6).is_err());
         assert!(sched.set_dispatch_overhead(f64::NAN).is_err());
         assert!(sched.set_dispatch_overhead(f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn network_model_charges_every_batch_round_trip() {
-        let (engine, shape) = setup();
-        let policy = BatchingPolicy {
-            max_batch: 8,
-            max_wait_s: 0.001,
-        };
-        let load = |sched: &mut BatchScheduler, single: f64| {
-            sched
-                .simulate(&Workload {
-                    rate_rps: 4.0 / single,
-                    duration_s: single * 100.0,
-                    seed: 7,
-                })
-                .unwrap()
-        };
-        let mut sched = BatchScheduler::new(&engine, &shape, base_cfg(), policy);
-        let single = sched.batch_latency_s(1).unwrap();
-        assert_eq!(sched.network_round_trip_s(4), 0.0);
-        let base = load(&mut sched, single);
-
-        // A free network is a no-op: the fabric DES degenerates to the
-        // in-process DES.
-        sched
-            .set_network_model(NetworkModel::zero(), 64.0, 16.0)
-            .unwrap();
-        let free = load(&mut sched, single);
-        assert_eq!(base.completed, free.completed);
-        assert!((base.mean_latency_s - free.mean_latency_s).abs() < 1e-15);
-
-        // A heavy link slows every batch; the cost grows with batch size.
-        let heavy = NetworkModel {
-            link_latency_s: 0.05 * single,
-            per_byte_s: 0.001 * single,
-        };
-        sched.set_network_model(heavy, 64.0, 16.0).unwrap();
-        assert!(sched.network_round_trip_s(8) > sched.network_round_trip_s(1));
-        let slow = load(&mut sched, single);
-        assert_eq!(base.completed, slow.completed);
-        assert!(slow.mean_latency_s > free.mean_latency_s);
-        // Every batch pays at least the fixed round trip once.
-        assert!(slow.mean_latency_s - free.mean_latency_s >= 2.0 * heavy.link_latency_s * 0.99);
-
-        // The per-layer path shares the same simulate() loop and hook.
-        let uniform = PerLayerServingConfig::uniform(&base_cfg(), &shape);
-        let mut p_sched = BatchScheduler::new_per_layer(&engine, &shape, uniform, policy);
-        p_sched.set_network_model(heavy, 64.0, 16.0).unwrap();
-        let p = load(&mut p_sched, single);
-        assert!(p.mean_latency_s > free.mean_latency_s);
-
-        assert!(sched
-            .set_network_model(
-                NetworkModel {
-                    link_latency_s: -1.0,
-                    per_byte_s: 0.0
-                },
-                1.0,
-                1.0
-            )
-            .is_err());
-        assert!(sched
-            .set_network_model(NetworkModel::zero(), f64::NAN, 1.0)
-            .is_err());
-        assert!(sched
-            .set_network_model(NetworkModel::zero(), 1.0, -2.0)
-            .is_err());
     }
 
     #[test]

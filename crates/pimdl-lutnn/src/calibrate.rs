@@ -1021,31 +1021,6 @@ pub fn convert_lutnn_baseline(
     Ok((LutClassifier::convert(&tuned, quantizers)?, stats))
 }
 
-/// Backwards-compatible alias: the clustering-only conversion used as an
-/// additional ablation in the examples and tests.
-///
-/// # Errors
-///
-/// Propagates collection, clustering, and conversion errors.
-pub fn convert_baseline(
-    model: &TransformerClassifier,
-    calib: &Dataset,
-    cfg: &CalibrationConfig,
-    rng: &mut DataRng,
-) -> Result<LutClassifier> {
-    let quantizers = init_quantizers(
-        model,
-        &calib.inputs,
-        cfg.v,
-        cfg.ct,
-        CentroidInit::KMeans,
-        cfg.kmeans_iters,
-        cfg.max_activation_rows,
-        rng,
-    )?;
-    LutClassifier::convert(model, quantizers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

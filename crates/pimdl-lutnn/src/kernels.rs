@@ -443,39 +443,8 @@ pub fn lut_linear_fused_tiled(
     tiling.validate()?;
     let mut out = Matrix::zeros(x.rows(), lut.f());
     if x.rows() > 0 && lut.f() > 0 {
-        fused_band_f32(x, cbs, lut, 0, out.as_mut_slice(), tiling);
+        fused_band_f32(x, cbs, lut, out.as_mut_slice(), tiling);
     }
-    Ok(out)
-}
-
-/// Pool-parallel [`lut_linear_fused`]: rows are partitioned into `threads`
-/// bands on the global [`WorkerPool`]. Identical output for any `threads`.
-///
-/// # Errors
-///
-/// Returns [`LutError::Config`] on shape mismatch or `threads == 0`.
-pub fn lut_linear_fused_parallel(
-    x: &Matrix,
-    cbs: &InterleavedCodebooks,
-    lut: &LutTable,
-    threads: usize,
-) -> Result<Matrix> {
-    check_fused_dims(x, cbs, (lut.cb(), lut.ct()), "lut_linear_fused_parallel")?;
-    if threads == 0 {
-        return Err(LutError::Config {
-            op: "lut_linear_fused_parallel",
-            detail: "thread count must be positive".to_string(),
-        });
-    }
-    let n = x.rows();
-    let mut out = Matrix::zeros(n, lut.f());
-    if n == 0 || lut.f() == 0 {
-        return Ok(out);
-    }
-    let rows_per = n.div_ceil(threads.min(n));
-    WorkerPool::global().run_row_bands(out.as_mut_slice(), lut.f(), rows_per, |first_row, band| {
-        fused_band_f32(x, cbs, lut, first_row, band, FusedTiling::default());
-    });
     Ok(out)
 }
 
@@ -562,8 +531,8 @@ pub fn lut_linear_fused_quant_parallel(
     Ok(out)
 }
 
-/// The fused f32 tile kernel for rows `first_row ..` of `x`, writing into a
-/// zero-initialized `band` (`rows × f`, row-major).
+/// The fused f32 tile kernel over every row of `x`, writing into a
+/// zero-initialized `out` (`rows × f`, row-major).
 ///
 /// Loop order inside one row tile: features are blocked, and within one
 /// feature block the codebook loop is outermost so one codebook's table
@@ -572,23 +541,22 @@ fn fused_band_f32(
     x: &Matrix,
     cbs: &InterleavedCodebooks,
     lut: &LutTable,
-    first_row: usize,
-    band: &mut [f32],
+    out: &mut [f32],
     tiling: FusedTiling,
 ) {
     let f = lut.f();
     let (cb, ct) = (cbs.cb(), cbs.ct());
-    let rows = band.len() / f;
+    let rows = out.len() / f;
     let table = lut.table().as_slice();
     let mut idx = vec![0u16; tiling.row_tile * cb];
     let mut dists = vec![0.0f32; ct];
     for t0 in (0..rows).step_by(tiling.row_tile) {
         let t1 = (t0 + tiling.row_tile).min(rows);
         let tile = &mut idx[..(t1 - t0) * cb];
-        cbs.encode_rows_into(x, first_row + t0, tile, &mut dists);
+        cbs.encode_rows_into(x, t0, tile, &mut dists);
         for j0 in (0..f).step_by(tiling.f_tile) {
             let j1 = (j0 + tiling.f_tile).min(f);
-            gather_block_f32(band, f, (t0, t1), (j0, j1), table, (cb, ct), tile);
+            gather_block_f32(out, f, (t0, t1), (j0, j1), table, (cb, ct), tile);
         }
     }
 }
@@ -927,13 +895,6 @@ mod tests {
         let cbs = pq.interleaved();
         let reference = lut_linear(&x, &pq, &lut).unwrap();
         assert_eq!(lut_linear_fused(&x, &cbs, &lut).unwrap(), reference);
-        for threads in [1, 2, 7, 64] {
-            assert_eq!(
-                lut_linear_fused_parallel(&x, &cbs, &lut, threads).unwrap(),
-                reference,
-                "threads={threads}"
-            );
-        }
     }
 
     #[test]
@@ -998,12 +959,6 @@ mod tests {
             lut_linear_fused(&empty, &cbs, &lut).unwrap().shape(),
             (0, 6)
         );
-        assert_eq!(
-            lut_linear_fused_parallel(&empty, &cbs, &lut, 4)
-                .unwrap()
-                .shape(),
-            (0, 6)
-        );
         // CT = 1: every index is 0.
         let centroids = Matrix::from_vec(2, 1, vec![0.5, -0.5]).unwrap();
         let pq1 = ProductQuantizer::from_centroids(centroids, 1, 1).unwrap();
@@ -1021,7 +976,6 @@ mod tests {
         let cbs = pq.interleaved();
         let bad_x = Matrix::zeros(2, 6);
         assert!(lut_linear_fused(&bad_x, &cbs, &lut).is_err());
-        assert!(lut_linear_fused_parallel(&x, &cbs, &lut, 0).is_err());
         let (other_pq, _, _) = setup(6, 8, 8, 6, 2, 8); // different CT
         assert!(lut_linear_fused(&x, &other_pq.interleaved(), &lut).is_err());
         let qlut = lut.quantize();

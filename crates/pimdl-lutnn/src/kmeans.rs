@@ -125,76 +125,6 @@ pub fn kmeans(
     })
 }
 
-/// Mini-batch k-means (Sculley 2010): each iteration samples `batch_size`
-/// points and moves their nearest centroids toward them with a per-centroid
-/// learning rate of `1 / count`. Far cheaper than Lloyd on large
-/// calibration sets at a small inertia cost; the per-layer activation
-/// matrices of a real calibration run (thousands of rows × hundreds of
-/// codebooks) are exactly that regime.
-///
-/// A final full assignment pass produces assignments/inertia consistent
-/// with the returned centroids.
-///
-/// # Errors
-///
-/// Returns [`LutError::Clustering`] on empty input or `k == 0`.
-pub fn kmeans_minibatch(
-    points: &Matrix,
-    k: usize,
-    iterations: usize,
-    batch_size: usize,
-    rng: &mut DataRng,
-) -> Result<KMeansResult> {
-    let n = points.rows();
-    let dim = points.cols();
-    if n == 0 || dim == 0 {
-        return Err(LutError::Clustering {
-            detail: format!("cannot cluster {n} points of dim {dim}"),
-        });
-    }
-    if k == 0 {
-        return Err(LutError::Clustering {
-            detail: "k must be positive".to_string(),
-        });
-    }
-    let batch_size = batch_size.clamp(1, n);
-    let mut centroids = kmeanspp_init(points, k, rng);
-    let mut counts = vec![1u64; k];
-
-    for _ in 0..iterations.max(1) {
-        for _ in 0..batch_size {
-            let i = rng.index(n);
-            let row = points.row(i);
-            // Single-point search: the online update mutates a centroid
-            // after every sample, so rows cannot be batched through
-            // `assign_nearest` here.
-            let (best, _) = nearest_row(&centroids, row);
-            counts[best] += 1;
-            let eta = 1.0 / counts[best] as f32;
-            let centroid = centroids.row_mut(best);
-            for (cv, &pv) in centroid.iter_mut().zip(row) {
-                *cv += eta * (pv - *cv);
-            }
-        }
-    }
-
-    // Final assignment pass against the converged centroids.
-    let mut assignments = vec![0usize; n];
-    let mut nearest = vec![(0usize, 0.0f32); n];
-    let mut inertia = 0.0;
-    assign_nearest(points, &centroids, &mut nearest);
-    for (assignment, &(best, best_d)) in assignments.iter_mut().zip(&nearest) {
-        *assignment = best;
-        inertia += best_d;
-    }
-    Ok(KMeansResult {
-        centroids,
-        assignments,
-        inertia,
-        iterations,
-    })
-}
-
 fn kmeanspp_init(points: &Matrix, k: usize, rng: &mut DataRng) -> Matrix {
     let n = points.rows();
     let dim = points.cols();
@@ -227,23 +157,6 @@ fn kmeanspp_init(points: &Matrix, k: usize, rng: &mut DataRng) -> Matrix {
         }
     }
     centroids
-}
-
-/// Nearest centroid of a single point under strict-`<` first-wins argmin.
-///
-/// Only the mini-batch online update uses this; every full assignment pass
-/// goes through [`assign_nearest`].
-fn nearest_row(centroids: &Matrix, row: &[f32]) -> (usize, f32) {
-    let mut best = 0;
-    let mut best_d = f32::INFINITY;
-    for c in 0..centroids.rows() {
-        let d = sq_dist(row, centroids.row(c));
-        if d < best_d {
-            best_d = d;
-            best = c;
-        }
-    }
-    (best, best_d)
 }
 
 fn farthest_point(points: &Matrix, centroids: &Matrix, assignments: &[usize]) -> usize {
@@ -355,51 +268,6 @@ mod tests {
                     assigned <= sq_dist(points.row(i), result.centroids.row(c)) + 1e-5,
                     "point {i} closer to centroid {c} than its assignment"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn minibatch_separates_two_blobs() {
-        let mut rng = DataRng::new(10);
-        let points = two_blob_points(&mut rng);
-        let result = kmeans_minibatch(&points, 2, 40, 32, &mut rng).unwrap();
-        let c0 = result.centroids.row(0);
-        let c1 = result.centroids.row(1);
-        let (neg, pos) = if c0[0] < 0.0 { (c0, c1) } else { (c1, c0) };
-        assert!((neg[0] + 5.0).abs() < 1.0 && (pos[0] - 5.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn minibatch_inertia_close_to_lloyd() {
-        let mut rng = DataRng::new(11);
-        let points = rng.normal_matrix(400, 4, 0.0, 1.0);
-        let lloyd = kmeans(&points, 8, 30, &mut DataRng::new(3)).unwrap();
-        let mb = kmeans_minibatch(&points, 8, 60, 64, &mut DataRng::new(3)).unwrap();
-        assert!(
-            mb.inertia <= lloyd.inertia * 1.4,
-            "mini-batch {} vs lloyd {}",
-            mb.inertia,
-            lloyd.inertia
-        );
-    }
-
-    #[test]
-    fn minibatch_rejects_bad_input() {
-        let mut rng = DataRng::new(12);
-        assert!(kmeans_minibatch(&Matrix::zeros(0, 2), 2, 5, 8, &mut rng).is_err());
-        assert!(kmeans_minibatch(&Matrix::zeros(4, 2), 0, 5, 8, &mut rng).is_err());
-    }
-
-    #[test]
-    fn minibatch_assignments_consistent() {
-        let mut rng = DataRng::new(13);
-        let points = rng.normal_matrix(60, 3, 0.0, 1.0);
-        let result = kmeans_minibatch(&points, 4, 20, 16, &mut rng).unwrap();
-        for i in 0..60 {
-            let assigned = sq_dist(points.row(i), result.centroids.row(result.assignments[i]));
-            for c in 0..4 {
-                assert!(assigned <= sq_dist(points.row(i), result.centroids.row(c)) + 1e-5);
             }
         }
     }

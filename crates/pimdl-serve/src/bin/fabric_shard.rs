@@ -7,34 +7,28 @@
 //! fabric_shard <addr> <shard_id> <speedup> <worker-spec-json>
 //! ```
 //!
-//! All logic lives in [`pimdl_serve::fabric::shard_worker_main`]; this
-//! binary only parses argv so integration tests can point
+//! All logic lives in [`pimdl_serve::fabric::worker_entry`]; this binary
+//! only maps its two failure classes to exit codes (2: malformed argv,
+//! 1: the worker failed) so integration tests can point
 //! `CARGO_BIN_EXE_fabric_shard` at a real process.
 
-use pimdl_serve::fabric::shard_worker_main;
+use pimdl_serve::fabric::worker_entry;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.len() != 5 {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.len() != 4 {
         eprintln!("usage: fabric_shard <addr> <shard_id> <speedup> <worker-spec-json>");
         std::process::exit(2);
     }
-    let shard_id: u32 = match args[2].parse() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("fabric_shard: bad shard id {:?}: {e}", args[2]);
+    match worker_entry(&args) {
+        Ok(Ok(())) => {}
+        Ok(Err(e)) => {
+            eprintln!("fabric_shard: {e}");
+            std::process::exit(1);
+        }
+        Err(usage) => {
+            eprintln!("fabric_shard: {usage}");
             std::process::exit(2);
         }
-    };
-    let speedup: f64 = match args[3].parse() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("fabric_shard: bad speedup {:?}: {e}", args[3]);
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = shard_worker_main(&args[1], shard_id, speedup, &args[4]) {
-        eprintln!("fabric_shard: {e}");
-        std::process::exit(1);
     }
 }

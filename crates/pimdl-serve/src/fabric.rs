@@ -1711,6 +1711,32 @@ pub fn shard_worker_main(addr: &str, shard_id: u32, speedup: f64, spec_json: &st
     }
 }
 
+/// Worker-process entry behind a worker argv: parses the four operands
+/// [`Runtime::serve_fabric`] appends to it — `<addr> <shard_id> <speedup>
+/// <worker-spec-json>` — and hands them to [`shard_worker_main`]. The
+/// `fabric_shard` binary and `serve_demo`'s self-exec worker mode call
+/// this.
+///
+/// # Errors
+///
+/// The outer `Err` is a malformed argv (a usage error: nothing was
+/// started); the inner result is the worker's own.
+pub fn worker_entry(args: &[String]) -> std::result::Result<Result<()>, String> {
+    let [addr, shard_id, speedup, spec_json] = args else {
+        return Err(format!(
+            "need <addr> <shard_id> <speedup> <worker-spec-json>, got {} operands",
+            args.len()
+        ));
+    };
+    let shard_id: u32 = shard_id
+        .parse()
+        .map_err(|e| format!("bad shard id {shard_id:?}: {e}"))?;
+    let speedup: f64 = speedup
+        .parse()
+        .map_err(|e| format!("bad speedup {speedup:?}: {e}"))?;
+    Ok(shard_worker_main(addr, shard_id, speedup, spec_json))
+}
+
 // ---------------------------------------------------------------------------
 // Loopback calibration
 // ---------------------------------------------------------------------------
@@ -1948,6 +1974,20 @@ mod tests {
         let back: WorkerSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back.platform, spec.platform);
         assert_eq!(back.lut, spec.lut);
+    }
+
+    #[test]
+    fn worker_entry_rejects_malformed_argv() {
+        let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert!(worker_entry(&argv(&["only-three", "args", "here"])).is_err());
+        assert!(worker_entry(&argv(&["127.0.0.1:1", "not-a-number", "1.0", "{}"])).is_err());
+        assert!(worker_entry(&argv(&["127.0.0.1:1", "0", "fast", "{}"])).is_err());
+        // A well-formed argv reaches the worker, whose own refusals (here
+        // a zero speedup, checked before anything connects) are its result.
+        assert!(matches!(
+            worker_entry(&argv(&["127.0.0.1:1", "0", "0", "{}"])),
+            Ok(Err(ServeError::Config { .. }))
+        ));
     }
 
     #[test]

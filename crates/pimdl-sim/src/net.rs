@@ -2,8 +2,9 @@
 //!
 //! When shard workers become separate OS processes (DESIGN.md §13), every
 //! dispatched batch crosses a socket twice: an `Execute` frame out and an
-//! `ExecDone` frame back. The serving DES prices that crossing with an
-//! affine model,
+//! `ExecDone` frame back. The fabric DES (`pimdl-serve`'s
+//! `SimShardEngine::with_network`) prices that crossing with an affine
+//! model,
 //!
 //! ```text
 //! frame_cost(bytes) = link_latency_s + per_byte_s * bytes
@@ -12,8 +13,9 @@
 //! calibrated from *measured* loopback round-trips at two frame sizes —
 //! the same philosophy as the dispatch-overhead calibration
 //! (`pimdl_engine::scheduler::HOST_DISPATCH_OVERHEAD_S`): the model's
-//! constants come from the real runtime, and a test pins the RT/DES gap
-//! across the process boundary.
+//! constants come from the real runtime. `pimdl-serve`'s
+//! `fabric_loopback` test checks that the fitted line predicts an
+//! intermediate frame size.
 
 use serde::{Deserialize, Serialize};
 

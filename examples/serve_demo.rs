@@ -51,19 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `serve_demo __fabric-shard <addr> <shard_id> <speedup> <spec-json>`.
     let raw: Vec<String> = std::env::args().collect();
     if raw.get(1).map(String::as_str) == Some(WORKER_SUBCOMMAND) {
-        if raw.len() != 6 {
-            return Err(format!(
-                "{WORKER_SUBCOMMAND} needs 4 operands, got {}",
-                raw.len() - 2
-            )
-            .into());
-        }
-        pimdl::serve::fabric::shard_worker_main(
-            &raw[2],
-            raw[3].parse()?,
-            raw[4].parse()?,
-            &raw[5],
-        )?;
+        pimdl::serve::fabric::worker_entry(&raw[2..])??;
         return Ok(());
     }
 

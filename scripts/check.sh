@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Pre-merge gate for the host kernels and serving runtime: formatting,
 # the pimdl-lint static-analysis passes, lints on every workspace crate,
-# the crate test suites, and a fast kernel-performance smoke, all offline
-# (see README.md, "Offline builds" and "Static analysis").
+# the crate test suites, the results/ byte gate, and the benchmark
+# package's own lints and tests, all offline (see README.md, "Offline
+# builds" and "Static analysis").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -84,27 +85,17 @@ done
 echo "==> cargo test -p pimdl --offline"
 cargo test --offline -p pimdl
 
-# Kernel-performance smoke: small shape, best-of-reps timing; the binary
-# exits non-zero if the fused kernel regresses below the scalar two-pass.
-echo "==> reproduce bench_kernels --smoke"
-cargo run --offline --release -p pimdl-bench --bin reproduce -- bench_kernels --smoke
-
-# Auto-tuner smoke: branch-and-bound vs the exhaustive oracle on a tiny
-# model plus the per-layer capacity sweep (the library tests assert the
-# optima match bit-for-bit; this exercises the CLI path end to end).
-echo "==> reproduce tuner --quick"
-cargo run --offline --release -p pimdl-bench --bin reproduce -- tuner --quick
-
-# Results gate: these twelve artefacts are pure functions of the cost
-# model and the tuner (no wall-clock field, ~4 s in total), so the committed
-# results/*.json must regenerate byte for byte. A cost-term or search-order
-# change that moves a figure fails here and has to re-commit the file (and
-# the EXPERIMENTS.md digits printed from it) on purpose.
+# Results gate: these thirteen artefacts are pure functions of the cost
+# model and the tuner (no wall-clock field; ~14 s in total, ~9 s of it the
+# alloc-budgets sweep), so the committed results/*.json must regenerate
+# byte for byte. A cost-term or search-order change that moves a figure
+# fails here and has to re-commit the file (and the EXPERIMENTS.md digits
+# printed from it) on purpose. It is also the CLI's end-to-end smoke.
 echo "==> results gate: regenerate and cmp against results/"
 gate_dir=$(mktemp -d)
 trap 'rm -rf "${gate_dir}"' EXIT
 for exp in table1 fig3 fig4 fig10 fig11 fig12 fig13 fig14 fig15 scaling \
-    discussion tuner-error; do
+    discussion tuner-error alloc-budgets; do
     cargo run --offline --release -q -p pimdl-bench --bin reproduce -- \
         "${exp}" --json "${gate_dir}" > /dev/null
     artefact="${exp//-/_}.json"

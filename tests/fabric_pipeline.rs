@@ -8,7 +8,7 @@
 //! re-replication to the consistent-hash successor, error-draining (never
 //! silent dropping) of terminally lost tables, hello-timeout eviction of
 //! silent shards, the quiescence/final-drain exit shared with the other
-//! server loops, and bit-identical reruns.
+//! server loops, the DES's network pricing, and bit-identical reruns.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -22,7 +22,7 @@ use pimdl::serve::{
     Clock, EventSource, FabricServerLoop, Frame, HashRing, Metrics, MetricsSnapshot, Runtime,
     ServeConfig, ShardState, SimPoller, SimShardEngine, TableState, VirtualClock,
 };
-use pimdl::sim::{LutWorkload, PlatformConfig};
+use pimdl::sim::{LutWorkload, NetworkModel, PlatformConfig};
 
 fn runtime(queue_capacity: usize) -> Runtime {
     let mut platform = PlatformConfig::upmem();
@@ -52,7 +52,10 @@ fn hello(shard_id: u32) -> Vec<u8> {
 }
 
 /// Everything one scripted fabric run produced.
+#[derive(Debug, PartialEq)]
 struct FabricRun {
+    /// Virtual time at which the loop went quiescent.
+    end_s: f64,
     snapshot: MetricsSnapshot,
     outputs: Vec<Vec<u8>>,
     shard_states: Vec<Option<ShardState>>,
@@ -65,14 +68,16 @@ struct FabricRun {
 /// Runs a scripted fabric scenario over `num_shards` simulated shards and
 /// `tables`, with `accept_errors` synthetic accept failures recorded on
 /// the reactor before the run (the counter must survive into the final
-/// snapshot). The script returns the client tokens whose outputs the
-/// caller wants back.
+/// snapshot). `net` prices the simulated shards' socket crossings
+/// (`None` leaves [`SimShardEngine`] at its default). The script returns
+/// the client tokens whose outputs the caller wants back.
 fn run_fabric(
     rt: &Runtime,
     num_shards: usize,
     hello_timeout_s: f64,
     tables: &[(String, u64)],
     accept_errors: u64,
+    net: Option<NetworkModel>,
     script: &dyn Fn(&mut SimPoller) -> Vec<Token>,
 ) -> FabricRun {
     let clock = Arc::new(VirtualClock::new());
@@ -83,6 +88,9 @@ fn run_fabric(
     }
     let conns = script(&mut poller);
     let mut engine = SimShardEngine::new(rt, poller.handle(), 0.01);
+    if let Some(net) = net {
+        engine = engine.with_network(net);
+    }
     let clock_dyn: Arc<dyn Clock> = Arc::clone(&clock) as Arc<dyn Clock>;
     let ready_latch = Arc::new(AtomicBool::new(false));
     let mut server = FabricServerLoop::new(
@@ -106,6 +114,7 @@ fn run_fabric(
         "all tables routable but the ready latch was never set"
     );
     FabricRun {
+        end_s: clock.now(),
         shard_states: (0..num_shards as u32).map(|s| sup.shard_state(s)).collect(),
         table_states: tables
             .iter()
@@ -172,7 +181,7 @@ fn run_shard_death_mid_batch() -> (FabricRun, BTreeMap<String, u64>) {
         }
     }
 
-    let run = run_fabric(&rt, 3, 10.0, &tables, 0, &|poller| {
+    let run = run_fabric(&rt, 3, 10.0, &tables, 0, None, &|poller| {
         let mut shard_conns = Vec::new();
         for s in 0..3u32 {
             let conn = poller.connect_at(0.0);
@@ -276,7 +285,7 @@ fn lone_shard_death_error_drains_lost_tables() {
     let t4 = rt.service_model().batch_service_s(4).unwrap();
     let tables = vec![("solo".to_string(), 7u64)];
 
-    let run = run_fabric(&rt, 1, 10.0, &tables, 0, &|poller| {
+    let run = run_fabric(&rt, 1, 10.0, &tables, 0, None, &|poller| {
         let shard = poller.connect_at(0.0);
         poller.send_at(0.0, shard, hello(0));
         let client = poller.connect_at(0.0);
@@ -329,7 +338,7 @@ fn silent_shard_is_timed_out_and_replaced() {
         .map(|(n, seed)| (n.as_str(), rt.build_replica(*seed).unwrap()))
         .collect();
 
-    let run = run_fabric(&rt, 2, 0.5, &tables, 0, &|poller| {
+    let run = run_fabric(&rt, 2, 0.5, &tables, 0, None, &|poller| {
         let s0 = poller.connect_at(0.0);
         poller.send_at(0.0, s0, hello(0));
         // Shard 1 connects but stays silent: no Hello ever arrives, so the
@@ -391,7 +400,7 @@ fn fabric_final_drain_and_accept_errors_reach_the_snapshot() {
     let w = rt.replica().workload();
     let tables = vec![("only".to_string(), 9u64)];
 
-    let run = run_fabric(&rt, 1, 10.0, &tables, 3, &|poller| {
+    let run = run_fabric(&rt, 1, 10.0, &tables, 3, None, &|poller| {
         let shard = poller.connect_at(0.0);
         poller.send_at(0.0, shard, hello(0));
         let client = poller.connect_at(0.0);
@@ -431,7 +440,7 @@ fn rejected_queries_cost_no_reference_gather() {
     let rt = runtime(4);
     let w = rt.replica().workload();
     let tables = vec![("t-0".to_string(), 100u64)];
-    let run = run_fabric(&rt, 1, 10.0, &tables, 0, &|poller| {
+    let run = run_fabric(&rt, 1, 10.0, &tables, 0, None, &|poller| {
         let shard = poller.connect_at(0.0);
         poller.send_at(0.0, shard, hello(0));
         // One write, so every query is handled before the first batch
@@ -466,4 +475,63 @@ fn rejected_queries_cost_no_reference_gather() {
         run.reference_gathers, 4,
         "one reference gather per enqueued request, none per refusal"
     );
+}
+
+/// The fabric DES prices both socket crossings of every shard round trip
+/// (DESIGN.md §13): a costly link delays the last completion of a burst, a
+/// free link is the default engine byte for byte, and a priced run repeats
+/// bit for bit.
+#[test]
+fn des_side_completes_and_prices_the_network() {
+    let rt = runtime(64);
+    let w = rt.replica().workload();
+    let tables: Vec<(String, u64)> = (0..2)
+        .map(|i| (format!("t-{i}"), 0xFA0 + i as u64))
+        .collect();
+    let burst = |net: Option<NetworkModel>| {
+        run_fabric(&rt, 2, 10.0, &tables, 0, net, &|poller| {
+            for s in 0..2u32 {
+                let conn = poller.connect_at(0.0);
+                poller.send_at(0.0, conn, hello(s));
+            }
+            let client = poller.connect_at(0.0);
+            for k in 0..24 {
+                // Every third query takes the default route.
+                let table = match k % 3 {
+                    0 => None,
+                    i => Some(tables[i - 1].0.as_str()),
+                };
+                poller.send_at(
+                    0.1,
+                    client,
+                    codec::encode_query_for(&format!("q-{k}"), &indices_for(w, k), table),
+                );
+            }
+            // Hang up right after the burst: the final drain still
+            // completes everything, and the virtual clock then stops at
+            // the last completion, so `end_s` is the burst's makespan.
+            poller.close_at(0.1 + 1e-4, client);
+            vec![client]
+        })
+    };
+    let slow = NetworkModel {
+        link_latency_s: 0.05,
+        per_byte_s: 1e-6,
+    };
+    let (default, free, priced) = (
+        burst(None),
+        burst(Some(NetworkModel::zero())),
+        burst(Some(slow)),
+    );
+    for run in [&default, &free, &priced] {
+        assert_eq!(run.snapshot.completed, 24);
+    }
+    assert_eq!(default, free, "a free network must be the default DES");
+    assert!(
+        priced.end_s > free.end_s,
+        "a costly network must delay the burst: {} vs {}",
+        priced.end_s,
+        free.end_s
+    );
+    assert_eq!(priced, burst(Some(slow)), "a priced rerun is bit-identical");
 }
