@@ -46,6 +46,9 @@ fn lut_model_roundtrips_through_json() {
     let json = serde_json::to_string(&model).expect("serialize");
     let restored: LutClassifier = serde_json::from_str(&json).expect("deserialize");
 
+    // Every scalar survives: `f32`s are written as their shortest decimal,
+    // which is injective, so equal text means equal bits.
+    assert_eq!(serde_json::to_string(&restored).expect("serialize"), json);
     assert_eq!(restored.hidden(), model.hidden());
     assert_eq!(restored.total_lut_bytes(), model.total_lut_bytes());
     for input in &inputs {
