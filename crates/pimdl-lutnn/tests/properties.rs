@@ -2,6 +2,11 @@
 
 use proptest::prelude::*;
 
+use pimdl_lutnn::calibrate::{
+    calibrate_elutnn, calibrate_lutnn_baseline, collect_activations, BaselineLutNnConfig,
+    CalibStats, CalibrationConfig, CentroidInit,
+};
+use pimdl_lutnn::convert::LutClassifier;
 use pimdl_lutnn::kernels::{
     lut_checksum_quant, lut_linear_fused, lut_linear_fused_quant, lut_linear_fused_quant_parallel,
     lut_linear_fused_quant_tiled, lut_linear_fused_tiled, FusedTiling, FUSED_F_TILE,
@@ -10,6 +15,9 @@ use pimdl_lutnn::kernels::{
 use pimdl_lutnn::kmeans::{kmeans, sq_dist};
 use pimdl_lutnn::lut::{LutTable, QuantLutTable};
 use pimdl_lutnn::pq::{IndexMatrix, ProductQuantizer};
+use pimdl_nn::data::{nlp_dataset, NlpTask};
+use pimdl_nn::train::{train, TrainConfig};
+use pimdl_nn::transformer::{InputKind, ModelConfig, TransformerClassifier};
 use pimdl_tensor::gemm;
 use pimdl_tensor::quant::QuantMatrix;
 use pimdl_tensor::rng::DataRng;
@@ -52,6 +60,152 @@ fn checksum_bit_identical_past_the_fused_tiles() {
     assert_eq!(got, want, "F > FUSED_F_TILE");
     let (got, want) = checksum_vs_lookup(2, FUSED_ROW_TILE + 9, 5, 3, 11);
     assert_eq!(got, want, "N > FUSED_ROW_TILE");
+}
+
+/// FNV-1a over the little-endian bytes of each value's bit pattern.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn f32s<'a>(&mut self, vs: impl IntoIterator<Item = &'a f32>) {
+        for v in vs {
+            self.u64(u64::from(v.to_bits()));
+        }
+    }
+
+    fn params(&mut self, model: &TransformerClassifier) {
+        model
+            .clone()
+            .visit_params(&mut |p| self.f32s(p.data.as_slice()));
+    }
+
+    fn calibrated(
+        mut self,
+        (model, quantizers, stats): (TransformerClassifier, Vec<ProductQuantizer>, CalibStats),
+    ) -> u64 {
+        self.params(&model);
+        for pq in &quantizers {
+            self.f32s(pq.centroids().as_slice());
+        }
+        self.f32s(&stats.losses);
+        self.f32s(&stats.recon_losses);
+        self.0
+    }
+}
+
+/// The six callers of the one encoder walk, to the bit: the digests were
+/// recorded before the walk was shared (five hand-kept copies of the block)
+/// and must never move without the `results/` accuracy artefacts moving too.
+#[test]
+fn encoder_walk_callers_are_bit_stable() {
+    let mut rng = DataRng::new(2024);
+    let ds = nlp_dataset(NlpTask::ContainsAnswer, 72, 12, 6, &mut rng);
+    let cfg = ModelConfig {
+        input: InputKind::Tokens { vocab: 12 },
+        hidden: 16,
+        heads: 2,
+        layers: 2,
+        ffn_dim: 32,
+        max_seq: 6,
+        classes: 2,
+    };
+    let mut model = TransformerClassifier::new(&cfg, &mut rng);
+    let stats = train(
+        &mut model,
+        &ds,
+        &TrainConfig {
+            epochs: 3,
+            batch_size: 8,
+            lr: 3e-3,
+            schedule: Default::default(),
+            seed: 1,
+        },
+    )
+    .unwrap();
+    let mut got = Vec::new();
+
+    let mut d = Digest::new();
+    d.f32s(&stats.epoch_losses);
+    d.f32s(&stats.epoch_accuracies);
+    d.params(&model);
+    got.push(("train", d.0));
+
+    // 10 sequences of 6 rows against a 40-row cap: the seventh is cut.
+    let mut d = Digest::new();
+    for acts in collect_activations(&model, &ds.inputs[..10], 40).unwrap() {
+        d.u64(acts.rows() as u64);
+        d.f32s(acts.as_slice());
+    }
+    got.push(("collect_activations", d.0));
+
+    let calib = ds.take(24);
+    let ecfg = CalibrationConfig {
+        v: 4,
+        ct: 8,
+        init: CentroidInit::KMeans,
+        kmeans_iters: 5,
+        beta: 1e-3,
+        lr: 2e-3,
+        epochs: 2,
+        batch_size: 8,
+        seed: 5,
+        max_activation_rows: 512,
+    };
+    let elut = calibrate_elutnn(&model, &calib, &ecfg).unwrap();
+    let lut_model = LutClassifier::convert(&elut.0, elut.1.clone()).unwrap();
+    got.push(("calibrate_elutnn", Digest::new().calibrated(elut)));
+
+    for (name, gumbel_noise) in [("baseline_gumbel", true), ("baseline_soft", false)] {
+        let bcfg = BaselineLutNnConfig {
+            v: 4,
+            ct: 8,
+            gumbel_noise,
+            lr: 2e-3,
+            epochs: 2,
+            seed: 5,
+            max_activation_rows: 512,
+            ..BaselineLutNnConfig::default()
+        };
+        let tuned = calibrate_lutnn_baseline(&model, &calib, &bcfg).unwrap();
+        got.push((name, Digest::new().calibrated(tuned)));
+    }
+
+    for (name, int8) in [("predict_f32", false), ("predict_int8", true)] {
+        let mut d = Digest::new();
+        for input in &ds.inputs[..8] {
+            d.f32s(lut_model.predict(input, int8).unwrap().as_slice());
+        }
+        got.push((name, d.0));
+    }
+
+    let mut d = Digest::new();
+    for row in lut_model.layer_diagnostics(&ds.inputs[..8]).unwrap() {
+        d.f32s(&[row.quantization_mse]);
+        d.u64(row.index_repeat_fraction.to_bits());
+        d.u64(row.lut_bytes as u64);
+    }
+    got.push(("layer_diagnostics", d.0));
+
+    let want: [(&str, u64); 8] = [
+        ("train", 0x67f3_286d_de03_6de2),
+        ("collect_activations", 0xb500_14e9_e724_ae21),
+        ("calibrate_elutnn", 0xe88a_3608_d7b2_d760),
+        ("baseline_gumbel", 0x9c27_c8fe_3145_dcfc),
+        ("baseline_soft", 0xfa5b_47eb_8a46_c281),
+        ("predict_f32", 0xe6b4_f1d4_bc20_6778),
+        ("predict_int8", 0xec29_1a2d_16e7_9a77),
+        ("layer_diagnostics", 0x4f30_a72f_bb62_c2f3),
+    ];
+    assert_eq!(got, want, "got {got:#x?}");
 }
 
 proptest! {
