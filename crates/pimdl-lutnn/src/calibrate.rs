@@ -30,6 +30,12 @@
 //!   centroids and weights — the "direct gradient propagation" property the
 //!   paper highlights.
 //!
+//! Neither algorithm has a model of its own: the transformer's forward and
+//! backward are `pimdl_nn::transformer`'s one encoder walk, and an algorithm
+//! is the hook that walk applies at each linear (`SteOp`, `SoftOp`).
+//! [`collect_activations`] is the same walk with a hook that records each
+//! linear's input and applies the dense layer.
+//!
 //! Following §6.2, centroids can be initialized randomly (the paper's
 //! setting) or by k-means on calibration activations
 //! ([`CentroidInit`]). [`convert_kmeans_only`] additionally exposes the
@@ -39,12 +45,12 @@ use pimdl_nn::data::Dataset;
 use pimdl_nn::embedding::SequenceInput;
 use pimdl_nn::loss::cross_entropy;
 use pimdl_nn::optim::Adam;
-use pimdl_nn::transformer::{EncoderBlock, TransformerClassifier};
+use pimdl_nn::transformer::{layer_index, walk_backward, walk_forward, TransformerClassifier};
 use pimdl_nn::Linear;
 use pimdl_tensor::rng::DataRng;
-use pimdl_tensor::{elementwise, gemm, norm, Matrix};
+use pimdl_tensor::{gemm, norm, Matrix};
 
-use crate::convert::{attention_arithmetic, LutClassifier};
+use crate::convert::LutClassifier;
 use crate::kmeans::sq_dist;
 use crate::pq::{IndexMatrix, ProductQuantizer};
 use crate::{LutError, Result};
@@ -178,48 +184,25 @@ pub fn collect_activations(
     inputs: &[SequenceInput],
     max_rows: usize,
 ) -> Result<Vec<Matrix>> {
-    let n_layers = 4 * model.num_blocks();
-    let mut collected: Vec<Vec<Matrix>> = vec![Vec::new(); n_layers];
-    let mut rows_so_far = vec![0usize; n_layers];
+    let mut collected: Vec<Vec<Matrix>> = vec![Vec::new(); 4 * model.num_blocks()];
 
     for input in inputs {
-        let (mut x, _) = model.embedding.forward(input)?;
-        for (b, block) in model.blocks.iter().enumerate() {
-            let hidden = block.attn.qkv.in_features();
-            let heads = block.attn.heads();
-            push_rows(&mut collected[b * 4], &mut rows_so_far[b * 4], &x, max_rows);
-            let (concat, attn_out) = attention_arithmetic(
-                &x,
-                hidden,
-                heads,
-                |x| Ok(block.attn.qkv.forward(x)?),
-                |c| Ok(block.attn.proj.forward(c)?),
-            )?;
-            push_rows(
-                &mut collected[b * 4 + 1],
-                &mut rows_so_far[b * 4 + 1],
-                &concat,
-                max_rows,
-            );
-            let res1 = x.add(&attn_out)?;
-            let (x1, _) = block.ln1.forward(&res1)?;
-            push_rows(
-                &mut collected[b * 4 + 2],
-                &mut rows_so_far[b * 4 + 2],
-                &x1,
-                max_rows,
-            );
-            let gelu_out = elementwise::gelu(&block.ffn1.forward(&x1)?);
-            push_rows(
-                &mut collected[b * 4 + 3],
-                &mut rows_so_far[b * 4 + 3],
-                &gelu_out,
-                max_rows,
-            );
-            let ffn2_out = block.ffn2.forward(&gelu_out)?;
-            let res2 = x1.add(&ffn2_out)?;
-            x = block.ln2.forward(&res2)?.0;
-        }
+        // The walk with the dense linear at every site, recording its input.
+        walk_forward(
+            &model.embedding,
+            &model.blocks,
+            &model.head,
+            input,
+            |b, kind, x| {
+                let store = &mut collected[layer_index(b, kind)];
+                let have: usize = store.iter().map(Matrix::rows).sum();
+                let take = max_rows.saturating_sub(have).min(x.rows());
+                if take > 0 {
+                    store.push(x.submatrix(0, 0, take, x.cols())?);
+                }
+                Ok::<_, LutError>((model.blocks[b].linear(kind).forward(x)?, ()))
+            },
+        )?;
     }
 
     collected
@@ -236,19 +219,6 @@ pub fn collect_activations(
             Ok(Matrix::vcat(&refs)?)
         })
         .collect()
-}
-
-fn push_rows(store: &mut Vec<Matrix>, rows_so_far: &mut usize, m: &Matrix, max_rows: usize) {
-    if *rows_so_far >= max_rows {
-        return;
-    }
-    let take = (max_rows - *rows_so_far).min(m.rows());
-    if take == m.rows() {
-        store.push(m.clone());
-    } else if let Ok(sub) = m.submatrix(0, 0, take, m.cols()) {
-        store.push(sub);
-    }
-    *rows_so_far += take;
 }
 
 /// Initializes one [`ProductQuantizer`] per convertible layer.
@@ -324,7 +294,7 @@ pub fn init_quantizers_per_op(
                     let mean = acts.mean();
                     let var = acts.map(|x| (x - mean) * (x - mean)).mean().max(1e-8);
                     let std = var.sqrt();
-                    if acts.cols() % v != 0 || v == 0 {
+                    if v == 0 || acts.cols() % v != 0 {
                         return Err(LutError::Config {
                             op: "init_quantizers",
                             detail: format!("V = {v} does not divide H = {}", acts.cols()),
@@ -369,11 +339,13 @@ pub fn convert_kmeans_only(
 }
 
 // ---------------------------------------------------------------------------
-// Generic instrumented forward/backward over a quantized-linear operator
+// The linear hook of the encoder walk during calibration
 // ---------------------------------------------------------------------------
 
 /// One quantized-linear strategy: how a layer's input is approximated
-/// during calibration and how gradients reach centroids/inputs.
+/// during calibration and how gradients reach centroids/inputs. The
+/// training loop applies it at every `(block, kind)` site of
+/// [`walk_forward`] / [`walk_backward`].
 trait QuantOp {
     type Cache;
 
@@ -395,16 +367,6 @@ trait QuantOp {
         dy: &Matrix,
         aux_loss: &mut f32,
     ) -> Result<Matrix>;
-}
-
-fn accumulate_bias_grad(linear: &mut Linear, dy: &Matrix) {
-    let mut db = Matrix::zeros(1, dy.cols());
-    for r in 0..dy.rows() {
-        for (acc, v) in db.row_mut(0).iter_mut().zip(dy.row(r)) {
-            *acc += v;
-        }
-    }
-    linear.bias.accumulate_grad(&db);
 }
 
 // ----- eLUT-NN: hard assignment + STE + reconstruction loss -----
@@ -452,7 +414,7 @@ impl QuantOp for SteOp {
         // Model-loss path (Â is the effective layer input).
         let dw_model = gemm::matmul(&cache.x_hat.transpose(), dy)?;
         linear.weight.accumulate_grad(&dw_model);
-        accumulate_bias_grad(linear, dy);
+        linear.backward_bias(dy);
         let dx_hat_model = gemm::matmul(dy, &linear.weight.data.transpose())?;
 
         // Reconstruction term: E = (Â − A)·W (Eq. 1).
@@ -571,7 +533,6 @@ impl QuantOp for SoftOp {
     }
 
     #[allow(clippy::needless_range_loop)]
-    #[allow(clippy::needless_range_loop)]
     fn backward(
         &self,
         linear: &mut Linear,
@@ -583,7 +544,7 @@ impl QuantOp for SoftOp {
     ) -> Result<Matrix> {
         let dw = gemm::matmul(&cache.x_soft.transpose(), dy)?;
         linear.weight.accumulate_grad(&dw);
-        accumulate_bias_grad(linear, dy);
+        linear.backward_bias(dy);
         let dx_soft = gemm::matmul(dy, &linear.weight.data.transpose())?;
 
         let (n, v, ct, cb) = (cache.x.rows(), pq.v(), pq.ct(), pq.cb());
@@ -630,164 +591,12 @@ impl QuantOp for SoftOp {
     }
 }
 
-// ----- Generic block plumbing -----
-
-struct GenBlockCache<C> {
-    qkv_c: C,
-    proj_c: C,
-    ffn1_c: C,
-    ffn2_c: C,
-    q: Matrix,
-    k: Matrix,
-    v: Matrix,
-    probs: Vec<Matrix>,
-    ln1_cache: norm::LayerNormCache,
-    ln2_cache: norm::LayerNormCache,
-    ffn1_pre: Matrix,
-}
-
-fn gen_block_forward<O: QuantOp>(
-    op: &O,
-    block: &EncoderBlock,
-    pqs: &[ProductQuantizer],
-    x: &Matrix,
-) -> Result<(Matrix, GenBlockCache<O::Cache>)> {
-    let hidden = block.attn.qkv.in_features();
-    let heads = block.attn.heads();
-    let dk = hidden / heads;
-    let scale = 1.0 / (dk as f32).sqrt();
-    let n = x.rows();
-
-    let (qkv_out, qkv_c) = op.forward(&block.attn.qkv, &pqs[0], x)?;
-    let q = qkv_out.submatrix(0, 0, n, hidden)?;
-    let k = qkv_out.submatrix(0, hidden, n, hidden)?;
-    let v = qkv_out.submatrix(0, 2 * hidden, n, hidden)?;
-    let mut concat = Matrix::zeros(n, hidden);
-    let mut probs = Vec::with_capacity(heads);
-    for head in 0..heads {
-        let qh = q.submatrix(0, head * dk, n, dk)?;
-        let kh = k.submatrix(0, head * dk, n, dk)?;
-        let vh = v.submatrix(0, head * dk, n, dk)?;
-        let scores = gemm::matmul(&qh, &kh.transpose())?.scale(scale);
-        let p = norm::softmax(&scores);
-        let oh = gemm::matmul(&p, &vh)?;
-        concat.set_submatrix(0, head * dk, &oh)?;
-        probs.push(p);
-    }
-    let (proj_out, proj_c) = op.forward(&block.attn.proj, &pqs[1], &concat)?;
-    let res1 = x.add(&proj_out)?;
-    let (x1, ln1_cache) = block.ln1.forward(&res1)?;
-
-    let (ffn1_pre, ffn1_c) = op.forward(&block.ffn1, &pqs[2], &x1)?;
-    let gelu_out = elementwise::gelu(&ffn1_pre);
-    let (ffn2_out, ffn2_c) = op.forward(&block.ffn2, &pqs[3], &gelu_out)?;
-    let res2 = x1.add(&ffn2_out)?;
-    let (x2, ln2_cache) = block.ln2.forward(&res2)?;
-
-    Ok((
-        x2,
-        GenBlockCache {
-            qkv_c,
-            proj_c,
-            ffn1_c,
-            ffn2_c,
-            q,
-            k,
-            v,
-            probs,
-            ln1_cache,
-            ln2_cache,
-            ffn1_pre,
-        },
-    ))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn gen_block_backward<O: QuantOp>(
-    op: &O,
-    block: &mut EncoderBlock,
-    pqs: &[ProductQuantizer],
-    centroid_grads: &mut [Matrix],
-    cache: &GenBlockCache<O::Cache>,
-    dy: &Matrix,
-    aux_loss: &mut f32,
-) -> Result<Matrix> {
-    let hidden = block.attn.qkv.in_features();
-    let heads = block.attn.heads();
-    let dk = hidden / heads;
-    let scale = 1.0 / (dk as f32).sqrt();
-    let n = dy.rows();
-
-    let d_res2 = block.ln2.backward(&cache.ln2_cache, dy)?;
-    let d_gelu_out = op.backward(
-        &mut block.ffn2,
-        &pqs[3],
-        &mut centroid_grads[3],
-        &cache.ffn2_c,
-        &d_res2,
-        aux_loss,
-    )?;
-    let d_ffn1_pre = d_gelu_out.hadamard(&elementwise::gelu_grad(&cache.ffn1_pre))?;
-    let dx1_ffn = op.backward(
-        &mut block.ffn1,
-        &pqs[2],
-        &mut centroid_grads[2],
-        &cache.ffn1_c,
-        &d_ffn1_pre,
-        aux_loss,
-    )?;
-    let dx1 = d_res2.add(&dx1_ffn)?;
-    let d_res1 = block.ln1.backward(&cache.ln1_cache, &dx1)?;
-
-    // Attention backward.
-    let dconcat = op.backward(
-        &mut block.attn.proj,
-        &pqs[1],
-        &mut centroid_grads[1],
-        &cache.proj_c,
-        &d_res1,
-        aux_loss,
-    )?;
-    let mut dqkv = Matrix::zeros(n, 3 * hidden);
-    for head in 0..heads {
-        let qh = cache.q.submatrix(0, head * dk, n, dk)?;
-        let kh = cache.k.submatrix(0, head * dk, n, dk)?;
-        let vh = cache.v.submatrix(0, head * dk, n, dk)?;
-        let p = &cache.probs[head];
-        let doh = dconcat.submatrix(0, head * dk, n, dk)?;
-
-        let dvh = gemm::matmul(&p.transpose(), &doh)?;
-        let dp = gemm::matmul(&doh, &vh.transpose())?;
-        let mut ds = Matrix::zeros(n, n);
-        for i in 0..n {
-            let p_row = p.row(i);
-            let dp_row = dp.row(i);
-            let dot: f32 = p_row.iter().zip(dp_row).map(|(a, b)| a * b).sum();
-            for j in 0..n {
-                ds.set(i, j, p_row[j] * (dp_row[j] - dot));
-            }
-        }
-        let ds = ds.scale(scale);
-        let dqh = gemm::matmul(&ds, &kh)?;
-        let dkh = gemm::matmul(&ds.transpose(), &qh)?;
-        dqkv.set_submatrix(0, head * dk, &dqh)?;
-        dqkv.set_submatrix(0, hidden + head * dk, &dkh)?;
-        dqkv.set_submatrix(0, 2 * hidden + head * dk, &dvh)?;
-    }
-    let dx_attn = op.backward(
-        &mut block.attn.qkv,
-        &pqs[0],
-        &mut centroid_grads[0],
-        &cache.qkv_c,
-        &dqkv,
-        aux_loss,
-    )?;
-    Ok(d_res1.add(&dx_attn)?)
-}
-
 // ---------------------------------------------------------------------------
-// Generic training loop
+// Training loop
 // ---------------------------------------------------------------------------
+
+// Its own epoch / batch / Adam loop rather than `pimdl_nn::train`: it also
+// steps the centroid groups, and the baseline freezes the model weights.
 
 #[allow(clippy::too_many_arguments)]
 fn calibrate_with_op<O: QuantOp>(
@@ -803,7 +612,6 @@ fn calibrate_with_op<O: QuantOp>(
 ) -> Result<(TransformerClassifier, Vec<ProductQuantizer>, CalibStats)> {
     let mut rng = DataRng::new(seed);
     let mut model = model.clone();
-    let n_blocks = model.num_blocks();
 
     let mut opt = Adam::new(lr);
     let mut order: Vec<usize> = (0..calib.len()).collect();
@@ -825,51 +633,33 @@ fn calibrate_with_op<O: QuantOp>(
                 .collect();
 
             for &i in batch {
-                let input = &calib.inputs[i];
-                let label = calib.labels[i];
-
-                let (mut x, emb_cache) = model.embedding.forward(input)?;
-                let mut block_caches = Vec::with_capacity(n_blocks);
-                for (b, block) in model.blocks.iter().enumerate() {
-                    let (next, cache) =
-                        gen_block_forward(op, block, &quantizers[b * 4..b * 4 + 4], &x)?;
-                    block_caches.push(cache);
-                    x = next;
-                }
-                let seq_len = x.rows();
-                let hidden = model.hidden();
-                let mut pooled = Matrix::zeros(1, hidden);
-                for r in 0..seq_len {
-                    for (acc, v) in pooled.row_mut(0).iter_mut().zip(x.row(r)) {
-                        *acc += v / seq_len as f32;
-                    }
-                }
-                let logits = model.head.forward(&pooled)?;
-                let ce = cross_entropy(&logits, &[label])?;
+                let (logits, cache) = walk_forward(
+                    &model.embedding,
+                    &model.blocks,
+                    &model.head,
+                    &calib.inputs[i],
+                    |b, kind, x| {
+                        let linear = model.blocks[b].linear(kind);
+                        op.forward(linear, &quantizers[layer_index(b, kind)], x)
+                    },
+                )?;
+                let ce = cross_entropy(&logits, &[calib.labels[i]])?;
                 epoch_loss += ce.loss;
 
                 let dlogits = ce.dlogits.scale(1.0 / batch.len() as f32);
-                let d_pooled = model.head.backward(&pooled, &dlogits)?;
-                let mut dx = Matrix::zeros(seq_len, hidden);
-                for r in 0..seq_len {
-                    for (v, g) in dx.row_mut(r).iter_mut().zip(d_pooled.row(0)) {
-                        *v = g / seq_len as f32;
-                    }
-                }
                 let mut aux = 0.0;
-                for (b, block) in model.blocks.iter_mut().enumerate().rev() {
-                    dx = gen_block_backward(
-                        op,
-                        block,
-                        &quantizers[b * 4..b * 4 + 4],
-                        &mut centroid_grads[b * 4..b * 4 + 4],
-                        &block_caches[b],
-                        &dx,
+                walk_backward(&mut model, &cache, &dlogits, |linear, b, kind, site, dy| {
+                    let l = layer_index(b, kind);
+                    op.backward(
+                        linear,
+                        &quantizers[l],
+                        &mut centroid_grads[l],
+                        &site.hook,
+                        dy,
                         &mut aux,
-                    )?;
-                }
+                    )
+                })?;
                 epoch_aux += aux;
-                model.embedding.backward(&emb_cache, &dx)?;
             }
 
             opt.begin_step();
@@ -1146,6 +936,47 @@ mod tests {
             &mut rng,
         );
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn zero_sub_vector_length_is_a_config_error_for_both_inits() {
+        let (model, ds, _, mut rng) = trained_model_and_data(12);
+        for init in [CentroidInit::Random, CentroidInit::KMeans] {
+            let err =
+                init_quantizers(&model, &ds.inputs[..4], 0, 8, init, 5, 512, &mut rng).unwrap_err();
+            assert!(matches!(err, LutError::Config { .. }), "{init:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn empty_sequence_is_one_error_at_every_entry_point() {
+        let (model, ds, _, mut rng) = trained_model_and_data(11);
+        let empty = SequenceInput::Tokens(vec![]);
+        let want = LutError::Tensor(model.forward(&empty).unwrap_err());
+        assert!(
+            want.to_string().contains("model_forward") && want.to_string().contains("empty"),
+            "{want}"
+        );
+
+        let lut_model = convert_kmeans_only(&model, &ds.take(8), 4, 8, 5, 512, &mut rng).unwrap();
+        let mut calib = ds.take(8);
+        calib.inputs[3] = empty.clone();
+        for int8 in [false, true] {
+            assert_eq!(lut_model.predict(&empty, int8).unwrap_err(), want);
+            assert_eq!(lut_accuracy(&lut_model, &calib, int8).unwrap_err(), want);
+        }
+        assert_eq!(
+            collect_activations(&model, &calib.inputs, 512).unwrap_err(),
+            want
+        );
+        assert_eq!(
+            calibrate_elutnn(&model, &calib, &CalibrationConfig::default()).unwrap_err(),
+            want
+        );
+        assert_eq!(
+            calibrate_lutnn_baseline(&model, &calib, &BaselineLutNnConfig::default()).unwrap_err(),
+            want
+        );
     }
 
     #[test]

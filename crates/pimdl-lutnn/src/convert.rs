@@ -3,66 +3,23 @@
 //!
 //! [`LutLinear`] is the converted form of one `pimdl_nn::Linear`:
 //! codebooks + look-up tables + bias. [`LutClassifier`] is the converted
-//! form of a whole [`TransformerClassifier`]: embedding, layer norms,
-//! attention arithmetic and the classification head are carried over
-//! unchanged; the four linear operators per block (fused QKV, O projection,
-//! FFN1, FFN2 — Fig. 6-(b)) run through LUTs.
+//! form of a whole [`TransformerClassifier`]: embedding, layer norms and the
+//! classification head are carried over unchanged; the four linear operators
+//! per block (fused QKV, O projection, FFN1, FFN2 — Fig. 6-(b)) run through
+//! LUTs. Inference and the per-layer diagnostics are callers of the one
+//! encoder walk, [`pimdl_nn::transformer::walk_forward`], with
+//! [`LutLinear::forward`] as the linear at every site.
 
 use pimdl_nn::embedding::{InputEmbedding, SequenceInput};
-use pimdl_nn::transformer::{LayerNorm, TransformerClassifier};
+use pimdl_nn::transformer::{walk_forward, BlockFrame, LayerNorm, TransformerClassifier};
 use pimdl_nn::Linear;
-use pimdl_tensor::{elementwise, norm, Matrix};
+use pimdl_tensor::Matrix;
 
 use crate::lut::{LutTable, QuantLutTable};
 use crate::pq::ProductQuantizer;
 use crate::{LutError, Result};
 
-/// Which of the four convertible operators of a block a layer index refers
-/// to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LayerKind {
-    /// Fused Q/K/V projection (`H -> 3H`).
-    Qkv,
-    /// Attention output projection (`H -> H`).
-    OProj,
-    /// First feed-forward layer (`H -> 4H`).
-    Ffn1,
-    /// Second feed-forward layer (`4H -> H`).
-    Ffn2,
-}
-
-impl LayerKind {
-    /// The four kinds in conversion order.
-    pub fn all() -> [LayerKind; 4] {
-        [
-            LayerKind::Qkv,
-            LayerKind::OProj,
-            LayerKind::Ffn1,
-            LayerKind::Ffn2,
-        ]
-    }
-
-    /// Display name used in reports (matches Fig. 11-(b) labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            LayerKind::Qkv => "QKV",
-            LayerKind::OProj => "O",
-            LayerKind::Ffn1 => "FFN1",
-            LayerKind::Ffn2 => "FFN2",
-        }
-    }
-}
-
-/// Flat index of a convertible layer: `block * 4 + kind`.
-pub fn layer_index(block: usize, kind: LayerKind) -> usize {
-    let k = match kind {
-        LayerKind::Qkv => 0,
-        LayerKind::OProj => 1,
-        LayerKind::Ffn1 => 2,
-        LayerKind::Ffn2 => 3,
-    };
-    block * 4 + k
-}
+pub use pimdl_nn::transformer::{layer_index, LayerKind};
 
 /// A linear layer converted to the LUT-NN form.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -168,86 +125,21 @@ pub struct LutBlock {
     heads: usize,
 }
 
-/// Shared attention arithmetic: applies `qkv_apply` to `x`, runs per-head
-/// scaled-dot-product attention, and returns `(proj_input, attn_out)` where
-/// `attn_out = proj_apply(proj_input)`.
-///
-/// Both the exact activation-collection path and the LUT inference path use
-/// this function, so they cannot drift apart.
-///
-/// # Errors
-///
-/// Propagates shape errors from the supplied linear applications.
-pub fn attention_arithmetic<Q, P>(
-    x: &Matrix,
-    hidden: usize,
-    heads: usize,
-    qkv_apply: Q,
-    proj_apply: P,
-) -> Result<(Matrix, Matrix)>
-where
-    Q: FnOnce(&Matrix) -> Result<Matrix>,
-    P: FnOnce(&Matrix) -> Result<Matrix>,
-{
-    if hidden == 0 || heads == 0 || !hidden.is_multiple_of(heads) {
-        return Err(LutError::Config {
-            op: "attention_arithmetic",
-            detail: format!("hidden {hidden} not divisible by heads {heads}"),
-        });
+impl LutBlock {
+    /// The converted linear at `kind`.
+    pub fn linear(&self, kind: LayerKind) -> &LutLinear {
+        match kind {
+            LayerKind::Qkv => &self.qkv,
+            LayerKind::OProj => &self.proj,
+            LayerKind::Ffn1 => &self.ffn1,
+            LayerKind::Ffn2 => &self.ffn2,
+        }
     }
-    let n = x.rows();
-    let dk = hidden / heads;
-    let scale = 1.0 / (dk as f32).sqrt();
-    let qkv_out = qkv_apply(x)?;
-    if qkv_out.shape() != (n, 3 * hidden) {
-        return Err(LutError::Config {
-            op: "attention_arithmetic",
-            detail: format!(
-                "qkv output {}x{} != {n}x{}",
-                qkv_out.rows(),
-                qkv_out.cols(),
-                3 * hidden
-            ),
-        });
-    }
-    let q = qkv_out.submatrix(0, 0, n, hidden)?;
-    let k = qkv_out.submatrix(0, hidden, n, hidden)?;
-    let v = qkv_out.submatrix(0, 2 * hidden, n, hidden)?;
-    let mut concat = Matrix::zeros(n, hidden);
-    for head in 0..heads {
-        let qh = q.submatrix(0, head * dk, n, dk)?;
-        let kh = k.submatrix(0, head * dk, n, dk)?;
-        let vh = v.submatrix(0, head * dk, n, dk)?;
-        let scores = pimdl_tensor::gemm::matmul(&qh, &kh.transpose())?.scale(scale);
-        let p = norm::softmax(&scores);
-        let oh = pimdl_tensor::gemm::matmul(&p, &vh)?;
-        concat.set_submatrix(0, head * dk, &oh)?;
-    }
-    let out = proj_apply(&concat)?;
-    Ok((concat, out))
 }
 
-impl LutBlock {
-    /// Forward pass of the converted block.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors.
-    pub fn forward(&self, x: &Matrix, int8: bool) -> Result<Matrix> {
-        let hidden = self.qkv.in_features();
-        let (_, attn_out) = attention_arithmetic(
-            x,
-            hidden,
-            self.heads,
-            |x| self.qkv.forward(x, int8),
-            |c| self.proj.forward(c, int8),
-        )?;
-        let res1 = x.add(&attn_out)?;
-        let (x1, _) = self.ln1.forward(&res1)?;
-        let ffn1_out = elementwise::gelu(&self.ffn1.forward(&x1, int8)?);
-        let ffn2_out = self.ffn2.forward(&ffn1_out, int8)?;
-        let res2 = x1.add(&ffn2_out)?;
-        Ok(self.ln2.forward(&res2)?.0)
+impl BlockFrame for LutBlock {
+    fn frame(&self) -> (usize, &LayerNorm, &LayerNorm) {
+        (self.heads, &self.ln1, &self.ln2)
     }
 }
 
@@ -319,24 +211,35 @@ impl LutClassifier {
         self.hidden
     }
 
+    /// The walk with every linear run through its LUTs; `observe` sees each
+    /// layer's flat index, operator and input first.
+    fn walk(
+        &self,
+        input: &SequenceInput,
+        int8: bool,
+        mut observe: impl FnMut(usize, &LutLinear, &Matrix) -> Result<()>,
+    ) -> Result<Matrix> {
+        let (logits, _) = walk_forward(
+            &self.embedding,
+            &self.blocks,
+            &self.head,
+            input,
+            |b, kind, x| {
+                let ll = self.blocks[b].linear(kind);
+                observe(layer_index(b, kind), ll, x)?;
+                Ok::<_, LutError>((ll.forward(x, int8)?, ()))
+            },
+        )?;
+        Ok(logits)
+    }
+
     /// Forward pass producing logits (`1 x classes`).
     ///
     /// # Errors
     ///
-    /// Propagates shape errors.
+    /// Propagates shape errors; an empty sequence is one.
     pub fn predict(&self, input: &SequenceInput, int8: bool) -> Result<Matrix> {
-        let (mut x, _) = self.embedding.forward(input)?;
-        for block in &self.blocks {
-            x = block.forward(&x, int8)?;
-        }
-        let n = x.rows().max(1);
-        let mut pooled = Matrix::zeros(1, self.hidden);
-        for r in 0..x.rows() {
-            for (acc, v) in pooled.row_mut(0).iter_mut().zip(x.row(r)) {
-                *acc += v / n as f32;
-            }
-        }
-        Ok(self.head.forward(&pooled)?)
+        self.walk(input, int8, |_, _, _| Ok(()))
     }
 
     /// Total INT8 LUT storage across all layers, in bytes — the memory the
@@ -400,47 +303,19 @@ impl LutClassifier {
         };
 
         for input in inputs {
-            let (mut x, _) = self.embedding.forward(input)?;
-            for (b, block) in self.blocks.iter().enumerate() {
-                let hidden = block.qkv.in_features();
-                probe(b * 4, &block.qkv, &x)?;
-                let (concat, attn_out) = attention_arithmetic(
-                    &x,
-                    hidden,
-                    block.heads,
-                    |x| block.qkv.forward(x, false),
-                    |c| block.proj.forward(c, false),
-                )?;
-                probe(b * 4 + 1, &block.proj, &concat)?;
-                let res1 = x.add(&attn_out)?;
-                let (x1, _) = block.ln1.forward(&res1)?;
-                probe(b * 4 + 2, &block.ffn1, &x1)?;
-                let gelu_out = elementwise::gelu(&block.ffn1.forward(&x1, false)?);
-                probe(b * 4 + 3, &block.ffn2, &gelu_out)?;
-                let ffn2_out = block.ffn2.forward(&gelu_out, false)?;
-                let res2 = x1.add(&ffn2_out)?;
-                x = block.ln2.forward(&res2)?.0;
-            }
+            self.walk(input, false, &mut probe)?;
         }
 
         let mut out = Vec::with_capacity(n_layers);
         for (b, block) in self.blocks.iter().enumerate() {
-            for (k, (kind, ll)) in [
-                ("QKV", &block.qkv),
-                ("O", &block.proj),
-                ("FFN1", &block.ffn1),
-                ("FFN2", &block.ffn2),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let layer = b * 4 + k;
+            for kind in LayerKind::all() {
+                let layer = layer_index(b, kind);
                 out.push(LayerDiagnostics {
                     block: b,
-                    operator: kind,
+                    operator: kind.name(),
                     quantization_mse: (sse[layer] / elems[layer].max(1) as f64) as f32,
                     index_repeat_fraction: repeats[layer] as f64 / transitions[layer].max(1) as f64,
-                    lut_bytes: ll.quant_lut().size_bytes(),
+                    lut_bytes: block.linear(kind).quant_lut().size_bytes(),
                 });
             }
         }
@@ -594,39 +469,6 @@ mod tests {
             assert_eq!(logits.shape(), (1, 3));
             assert!(logits.iter().all(|v| v.is_finite()));
         }
-    }
-
-    #[test]
-    fn attention_arithmetic_matches_nn_module() {
-        // The shared attention arithmetic must agree with
-        // pimdl_nn::attention::MultiHeadAttention exactly when fed the same
-        // dense linears.
-        let mut rng = DataRng::new(6);
-        let mha = pimdl_nn::attention::MultiHeadAttention::new(8, 2, &mut rng);
-        let x = rng.normal_matrix(5, 8, 0.0, 1.0);
-        let (expected, _) = mha.forward(&x).unwrap();
-        let (_, actual) = attention_arithmetic(
-            &x,
-            8,
-            2,
-            |x| Ok(mha.qkv.forward(x)?),
-            |c| Ok(mha.proj.forward(c)?),
-        )
-        .unwrap();
-        assert!(actual.approx_eq(&expected, 1e-5));
-    }
-
-    #[test]
-    fn attention_arithmetic_validates() {
-        let x = Matrix::zeros(2, 8);
-        assert!(
-            attention_arithmetic(&x, 8, 3, |_| Ok(Matrix::zeros(2, 24)), |c| Ok(c.clone()))
-                .is_err()
-        );
-        assert!(
-            attention_arithmetic(&x, 8, 2, |_| Ok(Matrix::zeros(2, 10)), |c| Ok(c.clone()))
-                .is_err()
-        );
     }
 
     #[test]

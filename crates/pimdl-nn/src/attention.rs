@@ -10,6 +10,7 @@ use pimdl_tensor::{gemm, norm, Matrix, Result, TensorError};
 
 use crate::linear::Linear;
 use crate::param::Param;
+use crate::transformer::{LayerKind, SiteCache};
 
 /// Multi-head self-attention over a single sequence.
 ///
@@ -36,17 +37,132 @@ pub struct MultiHeadAttention {
     hidden: usize,
 }
 
-/// Intermediate activations saved by [`MultiHeadAttention::forward`] for the
-/// backward pass.
+/// Intermediate activations saved by the attention half of the walk for its
+/// backward pass; `C` is what the linear hook kept per site (nothing for
+/// the dense model).
 #[derive(Debug, Clone)]
-pub struct AttentionCache {
-    x: Matrix,
+pub struct AttentionCache<C = ()> {
+    pub(crate) qkv: SiteCache<C>,
+    proj: SiteCache<C>,
     q: Matrix,
     k: Matrix,
     v: Matrix,
     /// Per-head softmax probability matrices (`seq x seq` each).
     probs: Vec<Matrix>,
-    concat: Matrix,
+}
+
+/// The attention half of the encoder walk (see [`crate::transformer`]):
+/// `apply(Qkv, x)`, per-head scaled-dot-product softmax over the result's
+/// three `H`-wide slices, `apply(OProj, concat)`.
+///
+/// `heads` may come from a deserialised artefact and `apply` from any
+/// caller, so both are checked here.
+pub(crate) fn attention_forward<C, E: From<TensorError>>(
+    heads: usize,
+    x: Matrix,
+    mut apply: impl FnMut(LayerKind, &Matrix) -> Result<(Matrix, C), E>,
+) -> Result<(Matrix, AttentionCache<C>), E> {
+    let (n, h) = x.shape();
+    if h == 0 || heads == 0 || !h.is_multiple_of(heads) {
+        return Err(TensorError::InvalidDimension {
+            op: "attention_forward",
+            detail: format!("hidden {h} not divisible by heads {heads}"),
+        }
+        .into());
+    }
+    let dk = h / heads;
+    let scale = 1.0 / (dk as f32).sqrt();
+
+    let (qkv_out, qkv) = SiteCache::apply(x, |x| apply(LayerKind::Qkv, x))?;
+    if qkv_out.shape() != (n, 3 * h) {
+        return Err(TensorError::ShapeMismatch {
+            op: "attention_forward",
+            lhs: qkv_out.shape(),
+            rhs: (n, 3 * h),
+        }
+        .into());
+    }
+    let q = qkv_out.submatrix(0, 0, n, h)?;
+    let k = qkv_out.submatrix(0, h, n, h)?;
+    let v = qkv_out.submatrix(0, 2 * h, n, h)?;
+
+    let mut concat = Matrix::zeros(n, h);
+    let mut probs = Vec::with_capacity(heads);
+    for head in 0..heads {
+        let qh = q.submatrix(0, head * dk, n, dk)?;
+        let kh = k.submatrix(0, head * dk, n, dk)?;
+        let vh = v.submatrix(0, head * dk, n, dk)?;
+        let scores = gemm::matmul(&qh, &kh.transpose())?.scale(scale);
+        let p = norm::softmax(&scores);
+        let oh = gemm::matmul(&p, &vh)?;
+        concat.set_submatrix(0, head * dk, &oh)?;
+        probs.push(p);
+    }
+    let (out, proj) = SiteCache::apply(concat, |c| apply(LayerKind::OProj, c))?;
+    let cache = AttentionCache {
+        qkv,
+        proj,
+        q,
+        k,
+        v,
+        probs,
+    };
+    Ok((out, cache))
+}
+
+/// Backward of [`attention_forward`]: `back(OProj, ..)` turns `dy` into the
+/// gradient of the concatenated heads, the per-head softmax backward turns
+/// that into the gradient of the fused QKV output, and `back(Qkv, ..)`
+/// returns `dX`.
+pub(crate) fn attention_backward<C, E: From<TensorError>>(
+    heads: usize,
+    cache: &AttentionCache<C>,
+    dy: &Matrix,
+    mut back: impl FnMut(LayerKind, &SiteCache<C>, &Matrix) -> Result<Matrix, E>,
+) -> Result<Matrix, E> {
+    let (n, h) = cache.qkv.input.shape();
+    if dy.shape() != (n, h) {
+        return Err(TensorError::ShapeMismatch {
+            op: "attention_backward",
+            lhs: dy.shape(),
+            rhs: (n, h),
+        }
+        .into());
+    }
+    let dk = h / heads;
+    let scale = 1.0 / (dk as f32).sqrt();
+
+    let dconcat = back(LayerKind::OProj, &cache.proj, dy)?;
+
+    let mut dqkv = Matrix::zeros(n, 3 * h);
+    for head in 0..heads {
+        let qh = cache.q.submatrix(0, head * dk, n, dk)?;
+        let kh = cache.k.submatrix(0, head * dk, n, dk)?;
+        let vh = cache.v.submatrix(0, head * dk, n, dk)?;
+        let p = &cache.probs[head];
+        let doh = dconcat.submatrix(0, head * dk, n, dk)?;
+
+        let dvh = gemm::matmul(&p.transpose(), &doh)?;
+        let dp = gemm::matmul(&doh, &vh.transpose())?;
+        // Softmax backward per row: dS_i = P_i ⊙ (dP_i − ⟨dP_i, P_i⟩).
+        let mut ds = Matrix::zeros(n, n);
+        for i in 0..n {
+            let p_row = p.row(i);
+            let dp_row = dp.row(i);
+            let dot: f32 = p_row.iter().zip(dp_row).map(|(a, b)| a * b).sum();
+            for j in 0..n {
+                ds.set(i, j, p_row[j] * (dp_row[j] - dot));
+            }
+        }
+        let ds = ds.scale(scale);
+        let dqh = gemm::matmul(&ds, &kh)?;
+        let dkh = gemm::matmul(&ds.transpose(), &qh)?;
+
+        dqkv.set_submatrix(0, head * dk, &dqh)?;
+        dqkv.set_submatrix(0, h + head * dk, &dkh)?;
+        dqkv.set_submatrix(0, 2 * h + head * dk, &dvh)?;
+    }
+    back(LayerKind::Qkv, &cache.qkv, &dqkv)
 }
 
 impl MultiHeadAttention {
@@ -82,55 +198,34 @@ impl MultiHeadAttention {
         self.hidden / self.heads
     }
 
+    /// The projection the walk applies at `kind`: the fused QKV, or the
+    /// output projection.
+    pub(crate) fn linear(&self, kind: LayerKind) -> &Linear {
+        match kind {
+            LayerKind::Qkv => &self.qkv,
+            _ => &self.proj,
+        }
+    }
+
+    /// Mutable [`Self::linear`].
+    pub(crate) fn linear_mut(&mut self, kind: LayerKind) -> &mut Linear {
+        match kind {
+            LayerKind::Qkv => &mut self.qkv,
+            _ => &mut self.proj,
+        }
+    }
+
     /// Forward pass over one sequence `x: seq x H`.
     ///
     /// Returns the output and the cache needed by [`Self::backward`].
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::ShapeMismatch`] if `x.cols() != hidden`.
+    /// Returns a shape error if `x.cols() != hidden`.
     pub fn forward(&self, x: &Matrix) -> Result<(Matrix, AttentionCache)> {
-        if x.cols() != self.hidden {
-            return Err(TensorError::ShapeMismatch {
-                op: "attention_forward",
-                lhs: x.shape(),
-                rhs: (x.rows(), self.hidden),
-            });
-        }
-        let n = x.rows();
-        let h = self.hidden;
-        let dk = self.head_dim();
-        let scale = 1.0 / (dk as f32).sqrt();
-
-        let qkv_out = self.qkv.forward(x)?;
-        let q = qkv_out.submatrix(0, 0, n, h)?;
-        let k = qkv_out.submatrix(0, h, n, h)?;
-        let v = qkv_out.submatrix(0, 2 * h, n, h)?;
-
-        let mut concat = Matrix::zeros(n, h);
-        let mut probs = Vec::with_capacity(self.heads);
-        for head in 0..self.heads {
-            let qh = q.submatrix(0, head * dk, n, dk)?;
-            let kh = k.submatrix(0, head * dk, n, dk)?;
-            let vh = v.submatrix(0, head * dk, n, dk)?;
-            let scores = gemm::matmul(&qh, &kh.transpose())?.scale(scale);
-            let p = norm::softmax(&scores);
-            let oh = gemm::matmul(&p, &vh)?;
-            concat.set_submatrix(0, head * dk, &oh)?;
-            probs.push(p);
-        }
-        let out = self.proj.forward(&concat)?;
-        Ok((
-            out,
-            AttentionCache {
-                x: x.clone(),
-                q,
-                k,
-                v,
-                probs,
-                concat,
-            },
-        ))
+        attention_forward(self.heads, x.clone(), |kind, x| {
+            Ok((self.linear(kind).forward(x)?, ()))
+        })
     }
 
     /// Backward pass: accumulates parameter gradients and returns `dX`.
@@ -139,49 +234,9 @@ impl MultiHeadAttention {
     ///
     /// Returns a shape error if `dy` does not match the cached shapes.
     pub fn backward(&mut self, cache: &AttentionCache, dy: &Matrix) -> Result<Matrix> {
-        let n = cache.x.rows();
-        let h = self.hidden;
-        let dk = self.head_dim();
-        let scale = 1.0 / (dk as f32).sqrt();
-        if dy.shape() != (n, h) {
-            return Err(TensorError::ShapeMismatch {
-                op: "attention_backward",
-                lhs: dy.shape(),
-                rhs: (n, h),
-            });
-        }
-
-        let dconcat = self.proj.backward(&cache.concat, dy)?;
-
-        let mut dqkv = Matrix::zeros(n, 3 * h);
-        for head in 0..self.heads {
-            let qh = cache.q.submatrix(0, head * dk, n, dk)?;
-            let kh = cache.k.submatrix(0, head * dk, n, dk)?;
-            let vh = cache.v.submatrix(0, head * dk, n, dk)?;
-            let p = &cache.probs[head];
-            let doh = dconcat.submatrix(0, head * dk, n, dk)?;
-
-            let dvh = gemm::matmul(&p.transpose(), &doh)?;
-            let dp = gemm::matmul(&doh, &vh.transpose())?;
-            // Softmax backward per row: dS_i = P_i ⊙ (dP_i − ⟨dP_i, P_i⟩).
-            let mut ds = Matrix::zeros(n, n);
-            for i in 0..n {
-                let p_row = p.row(i);
-                let dp_row = dp.row(i);
-                let dot: f32 = p_row.iter().zip(dp_row).map(|(a, b)| a * b).sum();
-                for j in 0..n {
-                    ds.set(i, j, p_row[j] * (dp_row[j] - dot));
-                }
-            }
-            let ds = ds.scale(scale);
-            let dqh = gemm::matmul(&ds, &kh)?;
-            let dkh = gemm::matmul(&ds.transpose(), &qh)?;
-
-            dqkv.set_submatrix(0, head * dk, &dqh)?;
-            dqkv.set_submatrix(0, h + head * dk, &dkh)?;
-            dqkv.set_submatrix(0, 2 * h + head * dk, &dvh)?;
-        }
-        self.qkv.backward(&cache.x, &dqkv)
+        attention_backward(self.heads, cache, dy, |kind, site, dy| {
+            self.linear_mut(kind).backward(&site.input, dy)
+        })
     }
 
     /// Visits parameters in stable order: qkv weight/bias, proj weight/bias.
@@ -233,6 +288,24 @@ mod tests {
         let mut rng = DataRng::new(2);
         let mha = MultiHeadAttention::new(8, 2, &mut rng);
         assert!(mha.forward(&Matrix::zeros(3, 6)).is_err());
+    }
+
+    #[test]
+    fn walk_validates_head_count_and_qkv_width() {
+        // Neither comes from `MultiHeadAttention::new` for every caller of
+        // the walk: `heads` may be read from an artefact, the QKV
+        // application is the caller's hook.
+        let x = Matrix::zeros(2, 8);
+        let qkv_of = |width: usize| {
+            move |_: LayerKind, x: &Matrix| {
+                Ok::<_, TensorError>((Matrix::zeros(x.rows(), width), ()))
+            }
+        };
+        assert!(attention_forward(2, x.clone(), qkv_of(24)).is_ok());
+        for heads in [0, 3] {
+            assert!(attention_forward(heads, x.clone(), qkv_of(24)).is_err());
+        }
+        assert!(attention_forward(2, x, qkv_of(10)).is_err());
     }
 
     #[test]

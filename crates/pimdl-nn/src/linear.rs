@@ -96,6 +96,13 @@ impl Linear {
     pub fn backward(&mut self, x: &Matrix, dy: &Matrix) -> Result<Matrix> {
         let dw = gemm::matmul(&x.transpose(), dy)?;
         self.weight.accumulate_grad(&dw);
+        self.backward_bias(dy);
+        gemm::matmul(dy, &self.weight.data.transpose())
+    }
+
+    /// The bias half of [`Self::backward`], `db = colsum(dY)`, on its own for
+    /// estimators that derive `dW` and `dX` from a substituted input.
+    pub fn backward_bias(&mut self, dy: &Matrix) {
         let mut db = Matrix::zeros(1, dy.cols());
         for r in 0..dy.rows() {
             for (acc, v) in db.row_mut(0).iter_mut().zip(dy.row(r)) {
@@ -103,7 +110,6 @@ impl Linear {
             }
         }
         self.bias.accumulate_grad(&db);
-        gemm::matmul(dy, &self.weight.data.transpose())
     }
 
     /// Visits the layer's parameters in a stable order (weight, then bias).

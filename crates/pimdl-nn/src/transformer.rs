@@ -10,14 +10,94 @@
 //! followed by mean pooling and a linear classification head. The four
 //! linear layers per block — fused QKV, output projection, FFN1, FFN2 — are
 //! exactly the operators PIM-DL converts to LUT-NN.
+//!
+//! # The one walk
+//!
+//! That dataflow is written once, forward ([`walk_forward`]) and backward
+//! ([`walk_backward`]), generically over *how the linear at
+//! `(block, `[`LayerKind`]`)` is applied and what it keeps for its own
+//! backward*. The dense model below is one caller (`y = linear.forward(x)`,
+//! nothing kept, `dx = linear.backward(x, dy)`); eLUT-NN and baseline
+//! calibration, activation capture, LUT inference and per-layer diagnostics
+//! in `pimdl-lutnn` are the other five. The walk keeps each linear's input
+//! itself ([`SiteCache`]), by move, so no caller clones one to remember it.
 
 use pimdl_tensor::rng::DataRng;
 use pimdl_tensor::{elementwise, norm, Matrix, Result, TensorError};
 
-use crate::attention::{AttentionCache, MultiHeadAttention};
+use crate::attention::{attention_backward, attention_forward, AttentionCache, MultiHeadAttention};
 use crate::embedding::{EmbeddingCache, InputEmbedding, SequenceInput};
 use crate::linear::Linear;
 use crate::param::Param;
+
+/// Which of a block's four convertible linear operators a position names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum LayerKind {
+    /// Fused Q/K/V projection (`H -> 3H`).
+    Qkv,
+    /// Attention output projection (`H -> H`).
+    OProj,
+    /// First feed-forward layer (`H -> 4H`).
+    Ffn1,
+    /// Second feed-forward layer (`4H -> H`).
+    Ffn2,
+}
+
+impl LayerKind {
+    /// The four kinds in dataflow (and conversion) order.
+    pub fn all() -> [LayerKind; 4] {
+        [
+            LayerKind::Qkv,
+            LayerKind::OProj,
+            LayerKind::Ffn1,
+            LayerKind::Ffn2,
+        ]
+    }
+
+    /// Display name used in reports (matches Fig. 11-(b) labels).
+    pub fn name(self) -> &'static str {
+        match self {
+            LayerKind::Qkv => "QKV",
+            LayerKind::OProj => "O",
+            LayerKind::Ffn1 => "FFN1",
+            LayerKind::Ffn2 => "FFN2",
+        }
+    }
+}
+
+/// Flat index of a convertible layer: `block * 4 + kind`.
+pub fn layer_index(block: usize, kind: LayerKind) -> usize {
+    block * 4 + kind as usize
+}
+
+/// What the forward walk keeps at one linear: the input it handed to the
+/// hook and whatever the hook returned for its own backward.
+#[derive(Debug, Clone)]
+pub struct SiteCache<C = ()> {
+    /// The linear's input activations.
+    pub input: Matrix,
+    /// The hook's own saved state.
+    pub hook: C,
+}
+
+impl<C> SiteCache<C> {
+    /// Applies the linear to `input` and keeps both.
+    pub(crate) fn apply<E>(
+        input: Matrix,
+        linear: impl FnOnce(&Matrix) -> Result<(Matrix, C), E>,
+    ) -> Result<(Matrix, Self), E> {
+        let (y, hook) = linear(&input)?;
+        Ok((y, SiteCache { input, hook }))
+    }
+}
+
+/// What the walk reads from a block directly. The four linears are reached
+/// through the hook instead, because a converted block owns LUT operators
+/// where the dense block owns [`Linear`]s.
+pub trait BlockFrame {
+    /// `(attention head count, post-attention norm, post-FFN norm)`.
+    fn frame(&self) -> (usize, &LayerNorm, &LayerNorm);
+}
 
 /// Learned layer normalization (`gamma`, `beta` over the hidden dim).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -83,15 +163,73 @@ pub struct EncoderBlock {
     pub ln2: LayerNorm,
 }
 
-/// Cache for one block's forward pass.
+/// Cache for one block's forward pass; `C` is what the linear hook kept per
+/// site (nothing for the dense model).
 #[derive(Debug, Clone)]
-pub struct BlockCache {
-    attn_cache: AttentionCache,
+pub struct BlockCache<C = ()> {
+    attn: AttentionCache<C>,
     ln1_cache: norm::LayerNormCache,
-    x1: Matrix,
+    ffn1: SiteCache<C>,
     ffn1_pre: Matrix,
-    gelu_out: Matrix,
+    ffn2: SiteCache<C>,
     ln2_cache: norm::LayerNormCache,
+}
+
+impl BlockFrame for EncoderBlock {
+    fn frame(&self) -> (usize, &LayerNorm, &LayerNorm) {
+        (self.attn.heads(), &self.ln1, &self.ln2)
+    }
+}
+
+/// One block of the walk: attention, residual, norm, FFN1, GELU, FFN2,
+/// residual, norm.
+fn block_forward<B: BlockFrame, C, E: From<TensorError>>(
+    block: &B,
+    x: Matrix,
+    mut apply: impl FnMut(LayerKind, &Matrix) -> Result<(Matrix, C), E>,
+) -> Result<(Matrix, BlockCache<C>), E> {
+    let (heads, ln1, ln2) = block.frame();
+    let (attn_out, attn) = attention_forward(heads, x, &mut apply)?;
+    let res1 = attn.qkv.input.add(&attn_out)?;
+    let (x1, ln1_cache) = ln1.forward(&res1)?;
+
+    let (ffn1_pre, ffn1) = SiteCache::apply(x1, |x| apply(LayerKind::Ffn1, x))?;
+    let gelu_out = elementwise::gelu(&ffn1_pre);
+    let (ffn2_out, ffn2) = SiteCache::apply(gelu_out, |x| apply(LayerKind::Ffn2, x))?;
+    let res2 = ffn1.input.add(&ffn2_out)?;
+    let (x2, ln2_cache) = ln2.forward(&res2)?;
+
+    let cache = BlockCache {
+        attn,
+        ln1_cache,
+        ffn1,
+        ffn1_pre,
+        ffn2,
+        ln2_cache,
+    };
+    Ok((x2, cache))
+}
+
+/// Backward of [`block_forward`]. Only a dense-weight block is ever trained,
+/// so the walk resolves the [`Linear`] at each site and hands it to `back`.
+fn block_backward<C, E: From<TensorError>>(
+    block: &mut EncoderBlock,
+    cache: &BlockCache<C>,
+    dy: &Matrix,
+    mut back: impl FnMut(&mut Linear, LayerKind, &SiteCache<C>, &Matrix) -> Result<Matrix, E>,
+) -> Result<Matrix, E> {
+    let d_res2 = block.ln2.backward(&cache.ln2_cache, dy)?;
+    let d_gelu_out = back(&mut block.ffn2, LayerKind::Ffn2, &cache.ffn2, &d_res2)?;
+    let d_ffn1_pre = d_gelu_out.hadamard(&elementwise::gelu_grad(&cache.ffn1_pre))?;
+    let dx1_ffn = back(&mut block.ffn1, LayerKind::Ffn1, &cache.ffn1, &d_ffn1_pre)?;
+    let dx1 = d_res2.add(&dx1_ffn)?;
+
+    let d_res1 = block.ln1.backward(&cache.ln1_cache, &dx1)?;
+    let heads = block.attn.heads();
+    let dx_attn = attention_backward(heads, &cache.attn, &d_res1, |kind, site, dy| {
+        back(block.attn.linear_mut(kind), kind, site, dy)
+    })?;
+    Ok(d_res1.add(&dx_attn)?)
 }
 
 impl EncoderBlock {
@@ -106,33 +244,24 @@ impl EncoderBlock {
         }
     }
 
+    /// The dense linear at `kind`.
+    pub fn linear(&self, kind: LayerKind) -> &Linear {
+        match kind {
+            LayerKind::Qkv | LayerKind::OProj => self.attn.linear(kind),
+            LayerKind::Ffn1 => &self.ffn1,
+            LayerKind::Ffn2 => &self.ffn2,
+        }
+    }
+
     /// Forward pass over a sequence `x: seq x hidden`.
     ///
     /// # Errors
     ///
     /// Propagates shape errors from the constituent operators.
     pub fn forward(&self, x: &Matrix) -> Result<(Matrix, BlockCache)> {
-        let (attn_out, attn_cache) = self.attn.forward(x)?;
-        let res1 = x.add(&attn_out)?;
-        let (x1, ln1_cache) = self.ln1.forward(&res1)?;
-
-        let ffn1_pre = self.ffn1.forward(&x1)?;
-        let gelu_out = elementwise::gelu(&ffn1_pre);
-        let ffn2_out = self.ffn2.forward(&gelu_out)?;
-        let res2 = x1.add(&ffn2_out)?;
-        let (x2, ln2_cache) = self.ln2.forward(&res2)?;
-
-        Ok((
-            x2,
-            BlockCache {
-                attn_cache,
-                ln1_cache,
-                x1,
-                ffn1_pre,
-                gelu_out,
-                ln2_cache,
-            },
-        ))
+        block_forward(self, x.clone(), |kind, x| {
+            Ok((self.linear(kind).forward(x)?, ()))
+        })
     }
 
     /// Backward pass; accumulates all parameter grads and returns `dX`.
@@ -141,15 +270,9 @@ impl EncoderBlock {
     ///
     /// Propagates shape errors from the constituent operators.
     pub fn backward(&mut self, cache: &BlockCache, dy: &Matrix) -> Result<Matrix> {
-        let d_res2 = self.ln2.backward(&cache.ln2_cache, dy)?;
-        let d_gelu_out = self.ffn2.backward(&cache.gelu_out, &d_res2)?;
-        let d_ffn1_pre = d_gelu_out.hadamard(&elementwise::gelu_grad(&cache.ffn1_pre))?;
-        let dx1_ffn = self.ffn1.backward(&cache.x1, &d_ffn1_pre)?;
-        let dx1 = d_res2.add(&dx1_ffn)?;
-
-        let d_res1 = self.ln1.backward(&cache.ln1_cache, &dx1)?;
-        let dx_attn = self.attn.backward(&cache.attn_cache, &d_res1)?;
-        d_res1.add(&dx_attn)
+        block_backward(self, cache, dy, |linear, _, site, dy| {
+            linear.backward(&site.input, dy)
+        })
     }
 
     /// Visits parameters in stable order: attention, ln1, ffn1, ffn2, ln2.
@@ -236,13 +359,95 @@ pub struct TransformerClassifier {
     hidden: usize,
 }
 
-/// Cache for one sequence's forward pass through the whole model.
+/// Cache for one sequence's forward pass through the whole model; `C` is
+/// what the linear hook kept per site (nothing for the dense model).
 #[derive(Debug, Clone)]
-pub struct ModelCache {
+pub struct ModelCache<C = ()> {
     emb_cache: EmbeddingCache,
-    block_caches: Vec<BlockCache>,
+    block_caches: Vec<BlockCache<C>>,
     pooled_input: Matrix,
     seq_len: usize,
+}
+
+/// The whole model's forward dataflow: embedding → every block → mean-pool →
+/// head, with `apply(block, kind, x)` standing for each of the `4 × blocks`
+/// linears. Returns the logits (`1 x classes`) and the cache
+/// [`walk_backward`] needs.
+///
+/// # Errors
+///
+/// `InvalidDimension { op: "model_forward", .. }` on an empty sequence, for
+/// every caller alike; a head count that does not divide the hidden width or
+/// a QKV application of the wrong width; whatever `apply` returns.
+pub fn walk_forward<B: BlockFrame, C, E: From<TensorError>>(
+    embedding: &InputEmbedding,
+    blocks: &[B],
+    head: &Linear,
+    input: &SequenceInput,
+    mut apply: impl FnMut(usize, LayerKind, &Matrix) -> Result<(Matrix, C), E>,
+) -> Result<(Matrix, ModelCache<C>), E> {
+    if input.is_empty() {
+        return Err(TensorError::InvalidDimension {
+            op: "model_forward",
+            detail: "empty sequence".to_string(),
+        }
+        .into());
+    }
+    let (mut x, emb_cache) = embedding.forward(input)?;
+    let mut block_caches = Vec::with_capacity(blocks.len());
+    for (b, block) in blocks.iter().enumerate() {
+        let (next, cache) = block_forward(block, x, |kind, x| apply(b, kind, x))?;
+        block_caches.push(cache);
+        x = next;
+    }
+    let seq_len = x.rows();
+    // Mean pooling over positions.
+    let mut pooled = Matrix::zeros(1, x.cols());
+    for r in 0..seq_len {
+        for (acc, v) in pooled.row_mut(0).iter_mut().zip(x.row(r)) {
+            *acc += v / seq_len as f32;
+        }
+    }
+    let logits = head.forward(&pooled)?;
+    let cache = ModelCache {
+        emb_cache,
+        block_caches,
+        pooled_input: pooled,
+        seq_len,
+    };
+    Ok((logits, cache))
+}
+
+/// Backward of [`walk_forward`] given `dlogits` (`1 x classes`): accumulates
+/// the head, layer-norm and embedding gradients itself and calls
+/// `back(linear, block, kind, site, dy)` — which returns that linear's `dX`
+/// — for each of the `4 × blocks` linears, last block first.
+///
+/// # Errors
+///
+/// Propagates shape errors and whatever `back` returns.
+pub fn walk_backward<C, E: From<TensorError>>(
+    model: &mut TransformerClassifier,
+    cache: &ModelCache<C>,
+    dlogits: &Matrix,
+    mut back: impl FnMut(&mut Linear, usize, LayerKind, &SiteCache<C>, &Matrix) -> Result<Matrix, E>,
+) -> Result<(), E> {
+    let d_pooled = model.head.backward(&cache.pooled_input, dlogits)?;
+    // Mean-pool backward: broadcast divided gradient to every position.
+    let n = cache.seq_len;
+    let mut dx = Matrix::zeros(n, d_pooled.cols());
+    for r in 0..n {
+        for (v, g) in dx.row_mut(r).iter_mut().zip(d_pooled.row(0)) {
+            *v = g / n as f32;
+        }
+    }
+    let blocks = model.blocks.iter_mut().zip(&cache.block_caches);
+    for (b, (block, bcache)) in blocks.enumerate().rev() {
+        dx = block_backward(block, bcache, &dx, |linear, kind, site, dy| {
+            back(linear, b, kind, site, dy)
+        })?;
+    }
+    Ok(model.embedding.backward(&cache.emb_cache, &dx)?)
 }
 
 impl TransformerClassifier {
@@ -284,37 +489,13 @@ impl TransformerClassifier {
     ///
     /// Propagates embedding/shape errors.
     pub fn forward(&self, input: &SequenceInput) -> Result<(Matrix, ModelCache)> {
-        if input.is_empty() {
-            return Err(TensorError::InvalidDimension {
-                op: "model_forward",
-                detail: "empty sequence".to_string(),
-            });
-        }
-        let (mut x, emb_cache) = self.embedding.forward(input)?;
-        let mut block_caches = Vec::with_capacity(self.blocks.len());
-        for block in &self.blocks {
-            let (next, cache) = block.forward(&x)?;
-            block_caches.push(cache);
-            x = next;
-        }
-        let seq_len = x.rows();
-        // Mean pooling over positions.
-        let mut pooled = Matrix::zeros(1, self.hidden);
-        for r in 0..seq_len {
-            for (acc, v) in pooled.row_mut(0).iter_mut().zip(x.row(r)) {
-                *acc += v / seq_len as f32;
-            }
-        }
-        let logits = self.head.forward(&pooled)?;
-        Ok((
-            logits,
-            ModelCache {
-                emb_cache,
-                block_caches,
-                pooled_input: pooled,
-                seq_len,
-            },
-        ))
+        walk_forward(
+            &self.embedding,
+            &self.blocks,
+            &self.head,
+            input,
+            |b, kind, x| Ok((self.blocks[b].linear(kind).forward(x)?, ())),
+        )
     }
 
     /// Logits only (no cache), for inference/eval paths.
@@ -334,19 +515,9 @@ impl TransformerClassifier {
     ///
     /// Propagates shape errors.
     pub fn backward(&mut self, cache: &ModelCache, dlogits: &Matrix) -> Result<()> {
-        let d_pooled = self.head.backward(&cache.pooled_input, dlogits)?;
-        // Mean-pool backward: broadcast divided gradient to every position.
-        let n = cache.seq_len;
-        let mut dx = Matrix::zeros(n, self.hidden);
-        for r in 0..n {
-            for (v, g) in dx.row_mut(r).iter_mut().zip(d_pooled.row(0)) {
-                *v = g / n as f32;
-            }
-        }
-        for (block, bcache) in self.blocks.iter_mut().zip(cache.block_caches.iter()).rev() {
-            dx = block.backward(bcache, &dx)?;
-        }
-        self.embedding.backward(&cache.emb_cache, &dx)
+        walk_backward(self, cache, dlogits, |linear, _, _, site, dy| {
+            linear.backward(&site.input, dy)
+        })
     }
 
     /// Visits all parameters in a stable order (embedding, blocks in order,

@@ -39,5 +39,6 @@ pub mod rng;
 pub use error::TensorError;
 pub use matrix::Matrix;
 
-/// Crate-wide result alias with [`TensorError`] as the error type.
-pub type Result<T> = std::result::Result<T, TensorError>;
+/// Crate-wide result alias with [`TensorError`] as the default error type
+/// (code generic over an error that wraps it names its own).
+pub type Result<T, E = TensorError> = std::result::Result<T, E>;

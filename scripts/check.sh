@@ -85,17 +85,28 @@ done
 echo "==> cargo test -p pimdl --offline"
 cargo test --offline -p pimdl
 
-# Results gate: these thirteen artefacts are pure functions of the cost
-# model and the tuner (no wall-clock field; ~14 s in total, ~9 s of it the
-# alloc-budgets sweep), so the committed results/*.json must regenerate
-# byte for byte. A cost-term or search-order change that moves a figure
-# fails here and has to re-commit the file (and the EXPERIMENTS.md digits
-# printed from it) on purpose. It is also the CLI's end-to-end smoke.
+# The vendored serde stand-ins are not default members; their own tests pin
+# the JSON number encoding every results/*.json below depends on.
+echo "==> cargo test -p serde -p serde_json --offline"
+cargo test --offline -p serde -p serde_json
+
+# Results gate: these seventeen artefacts are deterministic functions of
+# the code (no wall-clock field), so the committed results/*.json must
+# regenerate byte for byte. Thirteen are pure functions of the cost model
+# and the tuner (~14 s, ~9 s of it the alloc-budgets sweep): a cost-term or
+# search-order change that moves a figure fails here. Four are the
+# algorithm side — table4, table5, elutnn-ablation, data-efficiency train,
+# calibrate and score small models from fixed seeds (~80 s release: 56 + 14
+# + 4 + 6) — so a change to the encoder walk, a calibration estimator or a
+# kernel under them that moves one float fails here. Either way the file
+# (and the EXPERIMENTS.md digits printed from it) is re-committed on
+# purpose. It is also the CLI's end-to-end smoke.
 echo "==> results gate: regenerate and cmp against results/"
 gate_dir=$(mktemp -d)
 trap 'rm -rf "${gate_dir}"' EXIT
 for exp in table1 fig3 fig4 fig10 fig11 fig12 fig13 fig14 fig15 scaling \
-    discussion tuner-error alloc-budgets; do
+    discussion tuner-error alloc-budgets \
+    table4 table5 elutnn-ablation data-efficiency; do
     cargo run --offline --release -q -p pimdl-bench --bin reproduce -- \
         "${exp}" --json "${gate_dir}" > /dev/null
     artefact="${exp//-/_}.json"

@@ -89,3 +89,19 @@ fn tampered_artifact_fails_closed() {
     assert!(result.is_err());
     let _ = inputs;
 }
+
+#[test]
+fn bad_head_count_in_artifact_is_an_error() {
+    // `heads` is plain data in the artifact: zero must not divide, and a
+    // count that does not divide the hidden width must not mis-slice.
+    let (model, inputs) = converted_model();
+    let json = serde_json::to_string(&model).expect("serialize");
+    assert!(json.contains("\"heads\":2"));
+    for heads in [0, 3] {
+        let edited = json.replace("\"heads\":2", &format!("\"heads\":{heads}"));
+        let restored: LutClassifier = serde_json::from_str(&edited).expect("well-formed");
+        for int8 in [false, true] {
+            assert!(restored.predict(&inputs[0], int8).is_err(), "heads={heads}");
+        }
+    }
+}
