@@ -27,9 +27,24 @@ fn bench_ccs(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("inner_product", ct), &ct, |b, _| {
             b.iter(|| pq.encode_via_inner_product(black_box(&x)).expect("encode"))
         });
-        // The production layout: centroid-interleaved lanes + unrolled V.
+        // The production layout: eight codebooks per vector, one per lane,
+        // V unrolled, per-lane running best.
         let cbs = pq.interleaved();
         group.bench_with_input(BenchmarkId::new("interleaved", ct), &ct, |b, _| {
+            b.iter(|| cbs.encode(black_box(&x)).expect("encode"))
+        });
+    }
+
+    // The BERT-base encodes the benchmark ledger times
+    // (`lutnn.kernels.ccs_rows_per_s` is the H = 768 one): 256 rows,
+    // V = 4, CT = 16, synthetic centroids as in `bench/src/offline.rs`.
+    for h in [768usize, 3072] {
+        let centroids = rng.normal_matrix(h / 4 * 16, 4, 0.0, 1.0);
+        let cbs = ProductQuantizer::from_centroids(centroids, 4, 16)
+            .expect("centroids")
+            .interleaved();
+        let x = rng.normal_matrix(256, h, 0.0, 1.0);
+        group.bench_with_input(BenchmarkId::new("interleaved_bert_base", h), &h, |b, _| {
             b.iter(|| cbs.encode(black_box(&x)).expect("encode"))
         });
     }

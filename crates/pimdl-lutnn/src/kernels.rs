@@ -1,5 +1,5 @@
-//! Optimized host kernels for LUT-NN inference: interleaved centroid
-//! layouts, unrolled distance kernels, and the fused CCS+LUT operator.
+//! Optimized host kernels for LUT-NN inference: the codebook-interleaved
+//! centroid layout, lane-parallel CCS, and the fused CCS+LUT operator.
 //!
 //! The hot path of LUT-NN serving is host-side closest-centroid search (CCS)
 //! feeding the LUT gather (paper §3.3, Fig. 11). The reference operators in
@@ -8,17 +8,20 @@
 //! materializes a full [`IndexMatrix`] between two passes over memory. This
 //! module provides the production layout and kernels:
 //!
-//! * [`InterleavedCodebooks`] — codebook-major, **centroid-interleaved**
-//!   centroid storage: within one codebook, dimension `d` of all `CT`
-//!   centroids is contiguous (`data[(cb·V + d)·CT + k]`), so the inner CCS
-//!   loop over candidate centroids streams unit-stride and autovectorizes.
-//!   Distance kernels are monomorphized for V ∈ {1, 2, 4, 8, 16} (fully
-//!   unrolled over `V`) with a lane-wise generic fallback.
+//! * [`InterleavedCodebooks`] — **codebook-interleaved** centroid storage:
+//!   the same `(k, d)` component of eight consecutive codebooks is
+//!   contiguous (`data[(((c / 8)·CT + k)·V + d)·8 + c % 8]`), so CCS searches
+//!   eight codebooks per vector op, one per lane, each lane keeping its own
+//!   running best: no horizontal argmin and no distance scratch. The body is
+//!   monomorphized for V ∈ {1, 2, 4, 8, 16} (fully unrolled over `V`) and
+//!   runs at runtime length for any other `V`.
 //! * [`lut_linear_fused`] / [`lut_linear_fused_quant`] — encode a tile of
 //!   rows and immediately gather/accumulate it into the output, tiled over
 //!   rows ([`FUSED_ROW_TILE`]) and output features ([`FUSED_F_TILE`]) so the
 //!   active LUT slice stays cache-resident. The intermediate index matrix is
-//!   never materialized beyond one row tile.
+//!   never materialized beyond one row tile. The INT8 gather sums eight
+//!   codebooks per pass into an i16 tile in runs too short to wrap, widening
+//!   each run into the i32 tile.
 //! * `*_parallel` variants — partition rows across the persistent
 //!   [`WorkerPool`], not per-call spawned threads.
 //! * [`lut_checksum_quant`] — the fused INT8 gather driven by precomputed
@@ -29,9 +32,14 @@
 //! operators exactly, bit for bit. Distances accumulate in the same order as
 //! [`sq_dist`](crate::kmeans::sq_dist) (dimension-ascending, starting from
 //! `+0.0`, and `0.0 + x == x` bitwise because squared terms are never
-//! `-0.0`), argmin keeps the reference first-wins strict `<` tie-break, and
-//! the fused gather accumulates codebooks in ascending order per output
-//! element, so row/feature tiling cannot reassociate any float sum. The
+//! `-0.0`); each lane's running best starts at `(+inf, 0)` and is replaced
+//! only under strict `acc < best_d` for `k` ascending, which is the
+//! reference's first-wins tie-break and leaves a NaN distance unselected
+//! exactly as the reference does. The fused f32 gather accumulates codebooks
+//! in ascending order per output element, so row/feature tiling cannot
+//! reassociate any float sum; the INT8 gather's i16 runs and i32 tile hold
+//! exact integer sums (no partial sum can leave its type's range, see
+//! `I16_RUN`), so only the unchanged `acc as f32 * scale` rounds. The
 //! property tests in `tests/properties.rs` assert exact equality.
 
 use pimdl_tensor::pool::WorkerPool;
@@ -47,16 +55,19 @@ use crate::{LutError, Result};
 /// `R` rows touching a feature block reads each codebook's candidate slice
 /// at most once (up to `CT` entries) instead of once per row, so larger
 /// tiles asymptotically reduce table traffic by `R / CT`. 256 rows keeps
-/// the tile's output block (`256 × FUSED_F_TILE × 4 B`) L2-resident at the
-/// serving shapes while capturing nearly all of that reuse.
+/// the tile's output block (`256 × FUSED_F_TILE × 4 B`; for INT8 tables the
+/// hot block is the `× 2 B` i16 staging tile) L2-resident at the serving
+/// shapes while capturing nearly all of that reuse.
 pub const FUSED_ROW_TILE: usize = 256;
 
 /// Output features processed per fused tile.
 ///
 /// At the serving shape (F = 768, f32 tables) the tile's output block is
-/// `256 × 768 × 4 B = 768 KiB` — L2-resident, revisited once per codebook —
-/// so F up to 768 runs unblocked; wider FFN-style tables split into 768-wide
-/// blocks to keep that bound.
+/// `256 × 768 × 4 B = 768 KiB` — L2-resident, revisited once per
+/// eight-codebook pass — so F up to 768 runs unblocked; wider FFN-style
+/// tables split into 768-wide blocks to keep that bound. The INT8 kernel
+/// revisits its 384 KiB i16 staging tile (2 B per element) at that rate and
+/// its 768 KiB i32 tile only once per 128 codebooks.
 pub const FUSED_F_TILE: usize = 768;
 
 /// Tile sizes of the fused CCS+LUT kernels, selectable at runtime.
@@ -104,11 +115,18 @@ impl FusedTiling {
     }
 }
 
-/// Codebook-major, centroid-interleaved centroid storage.
+/// Codebooks searched side by side by one CCS step: the `f32` lanes of one
+/// AVX2 register. The layout pads `CB` up to a multiple of this.
+const CCS_LANES: usize = 8;
+
+/// Codebook-interleaved centroid storage: eight codebooks side by side.
 ///
-/// For codebook `cb`, dimension `d`, centroid `k`, the value lives at
-/// `data[(cb * v + d) * ct + k]`: all `CT` candidates' `d`-th components are
-/// contiguous ("lanes"), which is the layout the distance kernels stream.
+/// For codebook `c`, centroid `k`, dimension `d`, the value lives at
+/// `data[(((c / 8) * ct + k) * v + d) * 8 + c % 8]`: the same `(k, d)`
+/// component of [`CCS_LANES`] consecutive codebooks is contiguous, so one
+/// vector op advances eight independent searches and each lane keeps its own
+/// running best. The last block is zero-padded; its dead lanes are computed
+/// and discarded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InterleavedCodebooks {
     v: usize,
@@ -139,11 +157,12 @@ impl InterleavedCodebooks {
             "centroid rows not a multiple of ct"
         );
         let cb = centroids.rows() / ct;
-        let mut data = vec![0.0f32; cb * v * ct];
+        let mut data = vec![0.0f32; cb.div_ceil(CCS_LANES) * ct * v * CCS_LANES];
         for c in 0..cb {
+            let (block, lane) = (c / CCS_LANES, c % CCS_LANES);
             for k in 0..ct {
                 for (d, &val) in centroids.row(c * ct + k).iter().enumerate() {
-                    data[(c * v + d) * ct + k] = val;
+                    data[((block * ct + k) * v + d) * CCS_LANES + lane] = val;
                 }
             }
         }
@@ -170,26 +189,6 @@ impl InterleavedCodebooks {
         self.cb * self.v
     }
 
-    /// Squared L2 distances from `sub` to every centroid of codebook `cb`,
-    /// written into `out[..ct]`. Dispatches to an unrolled kernel for the
-    /// paper's sub-vector lengths, with a lane-wise generic fallback.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sub.len() != v` or `out.len() != ct`.
-    #[inline(always)]
-    pub fn dists_into(&self, cb: usize, sub: &[f32], out: &mut [f32]) {
-        let lanes = &self.data[cb * self.v * self.ct..(cb + 1) * self.v * self.ct];
-        match self.v {
-            1 => dists_unrolled::<1>(lanes, self.ct, sub, out),
-            2 => dists_unrolled::<2>(lanes, self.ct, sub, out),
-            4 => dists_unrolled::<4>(lanes, self.ct, sub, out),
-            8 => dists_unrolled::<8>(lanes, self.ct, sub, out),
-            16 => dists_unrolled::<16>(lanes, self.ct, sub, out),
-            _ => dists_generic(lanes, self.ct, sub, out),
-        }
-    }
-
     /// CCS over the interleaved layout: bit-identical indices to
     /// [`ProductQuantizer::encode`].
     ///
@@ -200,8 +199,7 @@ impl InterleavedCodebooks {
         self.check_input(x, "InterleavedCodebooks::encode")?;
         let n = x.rows();
         let mut data = vec![0u16; n * self.cb];
-        let mut dists = vec![0.0f32; self.ct];
-        self.encode_rows_into(x, 0, &mut data, &mut dists);
+        self.encode_rows_into(x, 0, &mut data);
         IndexMatrix::from_vec(n, self.cb, data)
     }
 
@@ -228,26 +226,25 @@ impl InterleavedCodebooks {
         let rows_per = n.div_ceil(threads.min(n));
         let mut data = vec![0u16; n * self.cb];
         WorkerPool::global().run_row_bands(&mut data, self.cb, rows_per, |first_row, band| {
-            let mut dists = vec![0.0f32; self.ct];
-            self.encode_rows_into(x, first_row, band, &mut dists);
+            self.encode_rows_into(x, first_row, band);
         });
         IndexMatrix::from_vec(n, self.cb, data)
     }
 
     /// Encodes rows `first_row ..` of `x` into `band` (one `cb`-wide index
-    /// row per activation row). `dists` is `ct`-length scratch.
+    /// row per activation row).
     ///
     /// Dispatches once to an AVX2-compiled clone of the same body when the
     /// CPU supports it: element-wise float ops are IEEE-identical at any
     /// vector width (FMA contraction is *not* enabled), so the wider kernel
     /// stays bit-exact.
-    fn encode_rows_into(&self, x: &Matrix, first_row: usize, band: &mut [u16], dists: &mut [f32]) {
+    fn encode_rows_into(&self, x: &Matrix, first_row: usize, band: &mut [u16]) {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: feature presence checked at runtime.
-            return unsafe { self.encode_rows_avx2(x, first_row, band, dists) };
+            return unsafe { self.encode_rows_avx2(x, first_row, band) };
         }
-        self.encode_rows_body(x, first_row, band, dists);
+        self.encode_rows_body(x, first_row, band);
     }
 
     /// AVX2-compiled clone of [`Self::encode_rows_body`].
@@ -259,24 +256,78 @@ impl InterleavedCodebooks {
     /// before calling, or the compiled instructions fault on older CPUs.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn encode_rows_avx2(
+    unsafe fn encode_rows_avx2(&self, x: &Matrix, first_row: usize, band: &mut [u16]) {
+        self.encode_rows_body(x, first_row, band);
+    }
+
+    /// Monomorphizes [`Self::encode_rows_lanes`] for the paper's sub-vector
+    /// lengths (its `V` loops then unroll and the transposed sub-vectors
+    /// live in registers); any other `V` runs the same body at runtime
+    /// length.
+    #[inline(always)]
+    fn encode_rows_body(&self, x: &Matrix, first_row: usize, band: &mut [u16]) {
+        match self.v {
+            1 => self.encode_rows_lanes(x, first_row, band, &mut [[0.0; CCS_LANES]; 1]),
+            2 => self.encode_rows_lanes(x, first_row, band, &mut [[0.0; CCS_LANES]; 2]),
+            4 => self.encode_rows_lanes(x, first_row, band, &mut [[0.0; CCS_LANES]; 4]),
+            8 => self.encode_rows_lanes(x, first_row, band, &mut [[0.0; CCS_LANES]; 8]),
+            16 => self.encode_rows_lanes(x, first_row, band, &mut [[0.0; CCS_LANES]; 16]),
+            v => self.encode_rows_lanes(x, first_row, band, &mut vec![[0.0; CCS_LANES]; v]),
+        }
+    }
+
+    /// CCS of each row, [`CCS_LANES`] codebooks at a time. `xt` (`V` rows)
+    /// holds the block's sub-vectors transposed: `xt[d][lane]` is dimension
+    /// `d` of codebook `lane`'s sub-vector.
+    ///
+    /// Per lane this is the reference search verbatim: for `k` ascending the
+    /// distance accumulates dimension-ascending from `+0.0`, and the running
+    /// best — starting at `(+inf, 0)` — is replaced only under strict
+    /// `acc < best_d`. First-wins ties and NaN distances (never selected)
+    /// therefore fall out as in [`ProductQuantizer::encode`], with no
+    /// cross-lane step anywhere. A tail block transposes and stores only its
+    /// live lanes; the others hold stale sub-vectors against zero padding
+    /// and are dropped.
+    #[inline(always)]
+    fn encode_rows_lanes(
         &self,
         x: &Matrix,
         first_row: usize,
         band: &mut [u16],
-        dists: &mut [f32],
+        xt: &mut [[f32; CCS_LANES]],
     ) {
-        self.encode_rows_body(x, first_row, band, dists);
-    }
-
-    #[inline(always)]
-    fn encode_rows_body(&self, x: &Matrix, first_row: usize, band: &mut [u16], dists: &mut [f32]) {
+        let v = xt.len();
+        let block_len = self.ct * v * CCS_LANES;
         for (local, idx_row) in band.chunks_mut(self.cb).enumerate() {
             let row = x.row(first_row + local);
-            for (c, slot) in idx_row.iter_mut().enumerate() {
-                let sub = &row[c * self.v..(c + 1) * self.v];
-                self.dists_into(c, sub, dists);
-                *slot = argmin(dists) as u16;
+            for (b, slots) in idx_row.chunks_mut(CCS_LANES).enumerate() {
+                let block = &self.data[b * block_len..(b + 1) * block_len];
+                let subs = &row[b * CCS_LANES * v..][..slots.len() * v];
+                for lane in 0..slots.len() {
+                    for (d, xd) in xt.iter_mut().enumerate() {
+                        xd[lane] = subs[lane * v + d];
+                    }
+                }
+                let mut best_d = [f32::INFINITY; CCS_LANES];
+                let mut best_k = [0u32; CCS_LANES];
+                for k in 0..self.ct {
+                    let centroid = &block[k * v * CCS_LANES..(k + 1) * v * CCS_LANES];
+                    let mut acc = [0.0f32; CCS_LANES];
+                    for (xd, cd) in xt.iter().zip(centroid.chunks_exact(CCS_LANES)) {
+                        for lane in 0..CCS_LANES {
+                            let diff = xd[lane] - cd[lane];
+                            acc[lane] += diff * diff;
+                        }
+                    }
+                    for lane in 0..CCS_LANES {
+                        let better = acc[lane] < best_d[lane];
+                        best_d[lane] = if better { acc[lane] } else { best_d[lane] };
+                        best_k[lane] = if better { k as u32 } else { best_k[lane] };
+                    }
+                }
+                for (slot, &k) in slots.iter_mut().zip(&best_k) {
+                    *slot = k as u16;
+                }
             }
         }
     }
@@ -289,6 +340,22 @@ impl InterleavedCodebooks {
             });
         }
         Ok(())
+    }
+}
+
+/// Squared L2 distances from `sub` to each of the `ct` centroids held
+/// dimension-major in `lanes` (`lanes[d * ct + k]`), written into `out`:
+/// the k-means assignment's distance step. Dispatches to an unrolled kernel
+/// for the paper's sub-vector lengths, with a lane-wise generic fallback.
+#[inline(always)]
+fn dists_into(lanes: &[f32], ct: usize, sub: &[f32], dists: &mut [f32]) {
+    match sub.len() {
+        1 => dists_unrolled::<1>(lanes, ct, sub, dists),
+        2 => dists_unrolled::<2>(lanes, ct, sub, dists),
+        4 => dists_unrolled::<4>(lanes, ct, sub, dists),
+        8 => dists_unrolled::<8>(lanes, ct, sub, dists),
+        16 => dists_unrolled::<16>(lanes, ct, sub, dists),
+        _ => dists_generic(lanes, ct, sub, dists),
     }
 }
 
@@ -348,10 +415,13 @@ fn argmin(dists: &[f32]) -> usize {
 /// Nearest centroid of `points.row(i)`-style slices for flat row-major
 /// centroid sets, as `(index, squared distance)` pairs for each point row.
 ///
-/// This is the k-means assignment step (one "codebook" of `k` centroids of
-/// length `dim`), shared with CCS so calibration does not re-implement the
-/// search. Rows are partitioned across the global [`WorkerPool`] when the
-/// problem is large enough to amortize dispatch.
+/// This is the k-means assignment step: *one* codebook of `k` centroids of
+/// length `dim`, so the eight-codebook lanes of [`InterleavedCodebooks`]
+/// would be seven-eighths padding. It streams the transposed centroid
+/// matrix (`lanes[d * k + j]`, centroid-contiguous) instead and reduces each
+/// point's `k` distances with the same first-wins strict `<`. Rows are
+/// partitioned across the global [`WorkerPool`] when the problem is large
+/// enough to amortize dispatch.
 ///
 /// # Panics
 ///
@@ -367,7 +437,8 @@ pub fn assign_nearest(points: &Matrix, centroids: &Matrix, out: &mut [(usize, f3
     if n == 0 {
         return;
     }
-    let lanes = InterleavedCodebooks::from_centroid_rows(centroids, dim, k);
+    let lanes = centroids.transpose();
+    let lanes = lanes.as_slice();
     // Only fan out when the assignment is big enough to amortize pool
     // dispatch; the partition below never changes results, only wall time.
     let work = n * k * dim.max(1);
@@ -379,7 +450,7 @@ pub fn assign_nearest(points: &Matrix, centroids: &Matrix, out: &mut [(usize, f3
     WorkerPool::global().run_row_bands(out, 1, chunk_rows, |first_row, band| {
         let mut dists = vec![0.0f32; k];
         for (local, slot) in band.iter_mut().enumerate() {
-            lanes.dists_into(0, points.row(first_row + local), &mut dists);
+            dists_into(lanes, k, points.row(first_row + local), &mut dists);
             let best = argmin(&dists);
             *slot = (best, dists[best]);
         }
@@ -548,12 +619,13 @@ fn fused_band_f32(
     let (cb, ct) = (cbs.cb(), cbs.ct());
     let rows = out.len() / f;
     let table = lut.table().as_slice();
-    let mut idx = vec![0u16; tiling.row_tile * cb];
-    let mut dists = vec![0.0f32; ct];
+    // Scratch follows the rows present, not the requested tile: any positive
+    // `row_tile` is legal and must not size an allocation.
+    let mut idx = vec![0u16; tiling.row_tile.min(rows) * cb];
     for t0 in (0..rows).step_by(tiling.row_tile) {
         let t1 = (t0 + tiling.row_tile).min(rows);
         let tile = &mut idx[..(t1 - t0) * cb];
-        cbs.encode_rows_into(x, t0, tile, &mut dists);
+        cbs.encode_rows_into(x, t0, tile);
         for j0 in (0..f).step_by(tiling.f_tile) {
             let j1 = (j0 + tiling.f_tile).min(f);
             gather_block_f32(out, f, (t0, t1), (j0, j1), table, (cb, ct), tile);
@@ -664,7 +736,8 @@ fn gather_block_f32_body(
 }
 
 /// The fused INT8 tile kernel: same structure as [`fused_band_f32`] with an
-/// i32 accumulator tile and one dequantizing multiply per output element.
+/// i32 accumulator tile (and the i16 tile [`gather_block_quant`] stages
+/// through) and one dequantizing multiply per output element.
 fn fused_band_quant(
     x: &Matrix,
     cbs: &InterleavedCodebooks,
@@ -678,19 +751,21 @@ fn fused_band_quant(
     let rows = band.len() / f;
     let codes = qlut.table().codes();
     let scale = qlut.table().scale();
-    let mut idx = vec![0u16; tiling.row_tile * cb];
-    let mut dists = vec![0.0f32; ct];
-    let mut acc = vec![0i32; tiling.row_tile * tiling.f_tile.min(f.max(1))];
+    // Scratch follows the rows and features present, not the requested tile.
+    let tile_rows = tiling.row_tile.min(rows);
+    let mut idx = vec![0u16; tile_rows * cb];
+    let mut acc = vec![0i32; tile_rows * tiling.f_tile.min(f)];
+    let mut stage = vec![0i16; acc.len()];
     for t0 in (0..rows).step_by(tiling.row_tile) {
         let t1 = (t0 + tiling.row_tile).min(rows);
         let tile = &mut idx[..(t1 - t0) * cb];
-        cbs.encode_rows_into(x, first_row + t0, tile, &mut dists);
+        cbs.encode_rows_into(x, first_row + t0, tile);
         for j0 in (0..f).step_by(tiling.f_tile) {
             let j1 = (j0 + tiling.f_tile).min(f);
             let jb = j1 - j0;
             let acc_tile = &mut acc[..(t1 - t0) * jb];
-            acc_tile.fill(0);
-            gather_block_quant(acc_tile, jb, (t0, t1), j0, codes, f, (cb, ct), tile);
+            let stage = &mut stage[..(t1 - t0) * jb];
+            gather_block_quant(acc_tile, stage, jb, j0, codes, f, (cb, ct), tile);
             for r in t0..t1 {
                 let acc_row = &acc_tile[(r - t0) * jb..(r - t0 + 1) * jb];
                 let out_row = &mut band[r * f + j0..r * f + j1];
@@ -731,15 +806,16 @@ pub fn lut_checksum_quant(n: usize, indices: &[u16], qlut: &QuantLutTable) -> Re
     // scratch within the fused kernel's L2 budget.
     let row_tile = (FUSED_ROW_TILE * FUSED_F_TILE / f.max(1)).clamp(1, FUSED_ROW_TILE);
     let mut acc = vec![0i32; row_tile.min(n) * f];
+    let mut stage = vec![0i16; acc.len()];
     // -0.0 is the additive identity `Iterator::sum` folds from, so empty
     // and all-negative-zero outputs reduce to the same bits too.
     let mut sum = -0.0f64;
     for t0 in (0..n).step_by(row_tile) {
         let t1 = (t0 + row_tile).min(n);
         let acc_tile = &mut acc[..(t1 - t0) * f];
-        acc_tile.fill(0);
+        let stage = &mut stage[..(t1 - t0) * f];
         let tile = &indices[t0 * cb..t1 * cb];
-        gather_block_quant(acc_tile, f, (t0, t1), 0, codes, f, (cb, ct), tile);
+        gather_block_quant(acc_tile, stage, f, 0, codes, f, (cb, ct), tile);
         for &a in acc_tile.iter() {
             sum += f64::from(a as f32 * scale);
         }
@@ -747,15 +823,33 @@ pub fn lut_checksum_quant(n: usize, indices: &[u16], qlut: &QuantLutTable) -> Re
     Ok(sum)
 }
 
-/// One feature block of the fused INT8 gather: widening i8 → i32
-/// accumulation into the tile accumulator, 4-wide over codebooks (integer
-/// addition is associative, so the unroll is exact by construction).
-/// Dispatches to an AVX2 clone when available.
+/// Codebooks summed per pass of the INT8 gather, so each i16 accumulator is
+/// loaded and stored once per eight table entries: eight i8 codes sum to at
+/// most `8 · 128 = 1024` in magnitude, well inside an i16.
+const GATHER_UNROLL: usize = 8;
+
+/// Most codebooks one i16 accumulator run may sum before it is widened into
+/// the i32 tile: `128 · |-128| = 16 384 < 2^15`, so no run can wrap whatever
+/// the codes are (`QuantMatrix::from_codes` admits -128). A multiple of
+/// [`GATHER_UNROLL`], so only a table's last run has a ragged tail.
+const I16_RUN: usize = 128;
+
+/// One feature block of the fused INT8 gather: overwrites `acc_tile`
+/// (`rows × jb`, row-major, rows as in `tile`) with the exact i32 sums of
+/// every codebook's selected entry slice `[j0, j0 + jb)`.
+///
+/// Entries are accumulated [`GATHER_UNROLL`] codebooks per pass into the
+/// i16 `stage` tile — twice the lanes of an i32 add per vector op — in runs
+/// of at most [`I16_RUN`] codebooks, each finished run widened into
+/// `acc_tile`. Integer addition is associative and no partial sum leaves its
+/// type's range, so the result is exact by construction. Codebooks stay
+/// outermost and rows inner, which keeps a pass's table slices L1-resident
+/// across the row tile. Dispatches to an AVX2 clone when available.
 #[allow(clippy::too_many_arguments)]
 fn gather_block_quant(
     acc_tile: &mut [i32],
+    stage: &mut [i16],
     jb: usize,
-    (t0, t1): (usize, usize),
     j0: usize,
     codes: &[i8],
     f: usize,
@@ -766,10 +860,10 @@ fn gather_block_quant(
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: feature presence checked at runtime.
         return unsafe {
-            gather_block_quant_avx2(acc_tile, jb, (t0, t1), j0, codes, f, (cb, ct), tile)
+            gather_block_quant_avx2(acc_tile, stage, jb, j0, codes, f, (cb, ct), tile)
         };
     }
-    gather_block_quant_body(acc_tile, jb, (t0, t1), j0, codes, f, (cb, ct), tile);
+    gather_block_quant_body(acc_tile, stage, jb, j0, codes, f, (cb, ct), tile);
 }
 
 /// AVX2-compiled clone of [`gather_block_quant_body`].
@@ -784,59 +878,60 @@ fn gather_block_quant(
 #[allow(clippy::too_many_arguments)]
 unsafe fn gather_block_quant_avx2(
     acc_tile: &mut [i32],
+    stage: &mut [i16],
     jb: usize,
-    rt: (usize, usize),
     j0: usize,
     codes: &[i8],
     f: usize,
     shape: (usize, usize),
     tile: &[u16],
 ) {
-    gather_block_quant_body(acc_tile, jb, rt, j0, codes, f, shape, tile);
+    gather_block_quant_body(acc_tile, stage, jb, j0, codes, f, shape, tile);
 }
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn gather_block_quant_body(
     acc_tile: &mut [i32],
+    stage: &mut [i16],
     jb: usize,
-    (t0, t1): (usize, usize),
     j0: usize,
     codes: &[i8],
     f: usize,
     (cb, ct): (usize, usize),
     tile: &[u16],
 ) {
-    let mut c = 0;
-    while c + 4 <= cb {
-        for r in t0..t1 {
-            let irow = &tile[(r - t0) * cb..(r - t0 + 1) * cb];
-            let o0 = ((c * ct) + irow[c] as usize) * f + j0;
-            let o1 = (((c + 1) * ct) + irow[c + 1] as usize) * f + j0;
-            let o2 = (((c + 2) * ct) + irow[c + 2] as usize) * f + j0;
-            let o3 = (((c + 3) * ct) + irow[c + 3] as usize) * f + j0;
-            let e0 = &codes[o0..o0 + jb];
-            let e1 = &codes[o1..o1 + jb];
-            let e2 = &codes[o2..o2 + jb];
-            let e3 = &codes[o3..o3 + jb];
-            let acc_row = &mut acc_tile[(r - t0) * jb..(r - t0 + 1) * jb];
-            for j in 0..jb {
-                acc_row[j] += e0[j] as i32 + e1[j] as i32 + e2[j] as i32 + e3[j] as i32;
+    assert_eq!(acc_tile.len(), stage.len());
+    let entry = |c: usize, irow: &[u16]| {
+        let o = (c * ct + irow[c] as usize) * f + j0;
+        &codes[o..o + jb]
+    };
+    acc_tile.fill(0);
+    for run in (0..cb).step_by(I16_RUN) {
+        let run_end = (run + I16_RUN).min(cb);
+        stage.fill(0);
+        let mut c = run;
+        while c + GATHER_UNROLL <= run_end {
+            for (r, irow) in tile.chunks_exact(cb).enumerate() {
+                let stage_row = &mut stage[r * jb..(r + 1) * jb];
+                let e: [&[i8]; GATHER_UNROLL] = std::array::from_fn(|i| entry(c + i, irow));
+                for (j, s) in stage_row.iter_mut().enumerate() {
+                    *s += e.iter().map(|e| e[j] as i16).sum::<i16>();
+                }
             }
+            c += GATHER_UNROLL;
         }
-        c += 4;
-    }
-    while c < cb {
-        let base = c * ct;
-        for r in t0..t1 {
-            let k = tile[(r - t0) * cb + c] as usize;
-            let entry = &codes[(base + k) * f + j0..(base + k) * f + j0 + jb];
-            let acc_row = &mut acc_tile[(r - t0) * jb..(r - t0 + 1) * jb];
-            for (a, &e) in acc_row.iter_mut().zip(entry) {
-                *a += e as i32;
+        while c < run_end {
+            for (r, irow) in tile.chunks_exact(cb).enumerate() {
+                for (s, &e) in stage[r * jb..(r + 1) * jb].iter_mut().zip(entry(c, irow)) {
+                    *s += e as i16;
+                }
             }
+            c += 1;
         }
-        c += 1;
+        for (a, &s) in acc_tile.iter_mut().zip(stage.iter()) {
+            *a += s as i32;
+        }
     }
 }
 
@@ -947,6 +1042,116 @@ mod tests {
         assert!(lut_linear_fused_quant_tiled(&x, &cbs, &qlut, zero_f).is_err());
         assert_eq!(FusedTiling::default().row_tile, FUSED_ROW_TILE);
         assert_eq!(FusedTiling::default().f_tile, FUSED_F_TILE);
+    }
+
+    #[test]
+    fn oversized_tiling_is_one_tile() {
+        // Any positive tile is legal, so scratch must follow the rows and
+        // features present: sized from the request, the first tiling below
+        // asks the allocator for terabytes and aborts the process.
+        let (pq, lut, x) = setup(11, 3, 16, 21, 4, 16);
+        let cbs = pq.interleaved();
+        let qlut = lut.quantize();
+        let reference = lut_linear_fused(&x, &cbs, &lut).unwrap();
+        let qreference = lut_linear_fused_quant(&x, &cbs, &qlut).unwrap();
+        for (row_tile, f_tile) in [(1 << 40, 8), (usize::MAX, usize::MAX)] {
+            let tiling = FusedTiling { row_tile, f_tile };
+            assert_eq!(
+                lut_linear_fused_tiled(&x, &cbs, &lut, tiling).unwrap(),
+                reference,
+                "{tiling:?}"
+            );
+            assert_eq!(
+                lut_linear_fused_quant_tiled(&x, &cbs, &qlut, tiling).unwrap(),
+                qreference,
+                "{tiling:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn portable_bodies_match_dispatchers() {
+        // Each dispatcher takes its AVX2 clone where the CPU has it; the
+        // portable body must produce the same bits on the same operands.
+        // CCS: CB = 11 is one full lane block + a 3-lane tail, under a
+        // monomorphized V (4) and the runtime-V arm (3).
+        for v in [4, 3] {
+            let (pq, _, x) = setup(12 + v as u64, 5, 11 * v, 8, v, 16);
+            let cbs = pq.interleaved();
+            let mut dispatched = vec![0u16; 5 * 11];
+            cbs.encode_rows_into(&x, 0, &mut dispatched);
+            let mut portable = vec![0u16; 5 * 11];
+            cbs.encode_rows_body(&x, 0, &mut portable);
+            assert_eq!(dispatched, portable, "v={v}");
+            assert_eq!(dispatched, pq.encode(&x).unwrap().as_slice(), "v={v}");
+        }
+
+        // Gathers: 5 rows, CB = 131 (one full i16 run, then a run that is
+        // all ragged tail), F = 37 (vector tails at every width), gathering
+        // the feature block [3, 37).
+        let (rows, cb, ct, f, j0) = (5usize, 131usize, 4usize, 37usize, 3usize);
+        let jb = f - j0;
+        let mut rng = DataRng::new(14);
+        let tile: Vec<u16> = (0..rows * cb).map(|_| rng.index(ct) as u16).collect();
+
+        let codes: Vec<i8> = (0..cb * ct * f)
+            .map(|_| (rng.index(256) as i32 - 128) as i8)
+            .collect();
+        let mut dispatched = vec![7i32; rows * jb];
+        let mut stage = vec![7i16; rows * jb];
+        gather_block_quant(
+            &mut dispatched,
+            &mut stage,
+            jb,
+            j0,
+            &codes,
+            f,
+            (cb, ct),
+            &tile,
+        );
+        let mut portable = vec![-7i32; rows * jb];
+        gather_block_quant_body(
+            &mut portable,
+            &mut stage,
+            jb,
+            j0,
+            &codes,
+            f,
+            (cb, ct),
+            &tile,
+        );
+        assert_eq!(dispatched, portable);
+        for (r, irow) in tile.chunks_exact(cb).enumerate() {
+            for j in 0..jb {
+                let want: i32 = (0..cb)
+                    .map(|c| i32::from(codes[(c * ct + irow[c] as usize) * f + j0 + j]))
+                    .sum();
+                assert_eq!(dispatched[r * jb + j], want, "row {r} col {j}");
+            }
+        }
+
+        let table = rng.normal_matrix(cb * ct, f, 0.0, 1.0);
+        let mut dispatched = vec![0.0f32; rows * f];
+        gather_block_f32(
+            &mut dispatched,
+            f,
+            (0, rows),
+            (j0, f),
+            table.as_slice(),
+            (cb, ct),
+            &tile,
+        );
+        let mut portable = vec![0.0f32; rows * f];
+        gather_block_f32_body(
+            &mut portable,
+            f,
+            (0, rows),
+            (j0, f),
+            table.as_slice(),
+            (cb, ct),
+            &tile,
+        );
+        assert_eq!(dispatched, portable);
     }
 
     #[test]

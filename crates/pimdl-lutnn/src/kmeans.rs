@@ -68,8 +68,8 @@ pub fn kmeans(
 
     for iter in 0..max_iters.max(1) {
         iterations = iter + 1;
-        // Assignment step — the shared CCS kernel (interleaved distance
-        // lanes, pool-parallel on large inputs).
+        // Assignment step — the K-contiguous distance kernel + first-wins
+        // argmin in `kernels`, pool-parallel on large inputs.
         assign_nearest(points, &centroids, &mut nearest);
         let mut new_inertia = 0.0;
         for (assignment, &(best, best_d)) in assignments.iter_mut().zip(&nearest) {

@@ -340,9 +340,10 @@ impl ProductQuantizer {
     /// persistent worker pool. CCS is the host-side hot path of LUT-NN
     /// serving, and it is embarrassingly parallel over rows.
     ///
-    /// This re-lays the centroids into the interleaved layout on every call;
-    /// hot callers should hold an [`InterleavedCodebooks`] (see
-    /// [`Self::interleaved`]) and call its encode methods directly.
+    /// This re-lays the centroids into the eight-codebooks-per-vector
+    /// layout on every call; hot callers should hold an
+    /// [`InterleavedCodebooks`] (see [`Self::interleaved`]) and call its
+    /// encode methods directly.
     ///
     /// # Errors
     ///
@@ -358,9 +359,9 @@ impl ProductQuantizer {
         self.interleaved().encode_parallel(x, threads)
     }
 
-    /// Re-lays the centroids into the cache-friendly
-    /// [`InterleavedCodebooks`] layout used by the optimized CCS and fused
-    /// kernels.
+    /// Re-lays the centroids into the [`InterleavedCodebooks`] layout —
+    /// eight consecutive codebooks side by side, one per vector lane — used
+    /// by the optimized CCS and fused kernels.
     pub fn interleaved(&self) -> InterleavedCodebooks {
         InterleavedCodebooks::from_quantizer(self)
     }

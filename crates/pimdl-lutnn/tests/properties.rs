@@ -62,6 +62,59 @@ fn checksum_bit_identical_past_the_fused_tiles() {
     assert_eq!(got, want, "N > FUSED_ROW_TILE");
 }
 
+/// The INT8 gather's seams — the 8-codebook pass, the 128-codebook i16 run
+/// — under tables that drive every partial sum to its extreme: all +127,
+/// all -128 (which `QuantMatrix::from_codes` admits) and alternating sign.
+/// In this debug build an i16 or i32 wrap panics, so the run bound is
+/// checked here, not only the result.
+#[test]
+fn saturated_tables_at_the_gather_seams() {
+    let (n, v, ct) = (3usize, 1usize, 2usize);
+    let mut rng = DataRng::new(77);
+    for cb in [7usize, 8, 9, 127, 128, 129, 257] {
+        let pq = ProductQuantizer::from_centroids(rng.normal_matrix(cb * ct, v, 0.0, 1.0), v, ct)
+            .unwrap();
+        let cbs = pq.interleaved();
+        let x = rng.normal_matrix(n, cb * v, 0.0, 1.0);
+        let idx = pq.encode(&x).unwrap();
+        for f in [1usize, 15, 16, 17, 66] {
+            type Fill = fn(usize) -> i8;
+            let fills: [(&str, Fill); 3] = [
+                ("+127", |_| 127),
+                ("-128", |_| -128),
+                ("alternating", |i| if i % 2 == 0 { 127 } else { -128 }),
+            ];
+            for (name, fill) in fills {
+                let codes = (0..cb * ct * f).map(fill).collect();
+                let table = QuantMatrix::from_codes(cb * ct, f, 0.05, codes).unwrap();
+                let qlut = QuantLutTable::from_parts(cb, ct, f, table).unwrap();
+                let reference = qlut.lookup(&idx).unwrap();
+                let fused = lut_linear_fused_quant(&x, &cbs, &qlut).unwrap();
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fused), bits(&reference), "CB {cb} F {f} {name}");
+                let want: f64 = reference.as_slice().iter().map(|&v| f64::from(v)).sum();
+                let got = lut_checksum_quant(n, idx.as_slice(), &qlut).unwrap();
+                assert_eq!(got.to_bits(), want.to_bits(), "CB {cb} F {f} {name}");
+            }
+        }
+    }
+}
+
+/// Plants the values a distance cannot order — NaN, both infinities, and
+/// magnitudes whose squares overflow — at seed-chosen places in `x`, and
+/// makes its first row all NaN.
+fn plant_specials(x: &mut Matrix, rng: &mut DataRng) {
+    let (n, h) = x.shape();
+    if n == 0 {
+        return;
+    }
+    for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e30, -1e30] {
+        x.set(rng.index(n), rng.index(h), special);
+    }
+    x.row_mut(0).fill(f32::NAN);
+}
+
 /// FNV-1a over the little-endian bytes of each value's bit pattern.
 struct Digest(u64);
 
@@ -332,16 +385,19 @@ proptest! {
 
     /// The fused kernel is *bit-identical* to the two-pass reference
     /// `lookup(encode(x))` — f32 and INT8 — over random shapes including
-    /// n = 0, V = 1, CT = 1, and tie-prone grid-snapped inputs.
+    /// n = 0, V = 1, CT = 1, tie-prone grid-snapped inputs, and inputs
+    /// holding NaN, infinities and overflowing magnitudes; CB spans full
+    /// eight-codebook blocks, the tail block and both together.
     #[test]
     fn fused_matches_two_pass_exactly(
         seed in any::<u64>(),
         n in 0usize..7,
-        cb in 1usize..4,
+        cb in 1usize..20,
         v in 1usize..5,
         ct in 1usize..9,
         f in 1usize..10,
         ties in any::<bool>(),
+        specials in any::<bool>(),
     ) {
         let h = cb * v;
         let mut rng = DataRng::new(seed);
@@ -350,6 +406,9 @@ proptest! {
         if ties {
             centroids = snap_to_grid(&centroids, 1.0);
             x = snap_to_grid(&x, 1.0);
+        }
+        if specials {
+            plant_specials(&mut x, &mut rng);
         }
         let pq = ProductQuantizer::from_centroids(centroids, v, ct).unwrap();
         let weight = rng.normal_matrix(h, f, 0.0, 0.5);
@@ -402,15 +461,19 @@ proptest! {
 
     /// The interleaved-layout CCS picks identical indices to the row-major
     /// reference encode — same strict-`<` first-wins tie-break — including
-    /// on tie-prone snapped inputs and degenerate V = 1 / CT = 1 / n = 0.
+    /// on tie-prone snapped inputs, degenerate V = 1 / CT = 1 / n = 0, and
+    /// sub-vectors whose every distance is NaN or +inf (index 0, as the
+    /// reference's `d < best_d` never fires); CB spans full eight-codebook
+    /// blocks, the tail block and both together.
     #[test]
     fn interleaved_encode_matches_row_major(
         seed in any::<u64>(),
         n in 0usize..8,
-        cb in 1usize..4,
+        cb in 1usize..20,
         v in 1usize..5,
         ct in 1usize..9,
         ties in any::<bool>(),
+        specials in any::<bool>(),
     ) {
         let h = cb * v;
         let mut rng = DataRng::new(seed);
@@ -419,6 +482,9 @@ proptest! {
         if ties {
             centroids = snap_to_grid(&centroids, 1.0);
             x = snap_to_grid(&x, 1.0);
+        }
+        if specials {
+            plant_specials(&mut x, &mut rng);
         }
         let pq = ProductQuantizer::from_centroids(centroids, v, ct).unwrap();
         let cbs = pq.interleaved();

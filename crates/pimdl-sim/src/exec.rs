@@ -4,7 +4,9 @@
 //! simulated results are bit-checkable against the host reference
 //! (`pimdl_lutnn::lut::QuantLutTable::lookup`). [`run_lut_kernel`] gathers
 //! a PE group's members as one whole-width band — sound because validation
-//! makes them tile the band exactly and i32 adds are exact; the per-PE
+//! makes them tile the band exactly and integer adds are exact: entries are
+//! summed eight codebooks per pass into an i16 tile, in runs short enough
+//! that no i16 can wrap, each run widened into the i32 tile. The per-PE
 //! instruction stream is [`run_lut_kernel_compiled`]. The gather is this
 //! crate's own, not the host kernels': the serving stack's checksum compare
 //! is only a check while simulator and host reference are two
@@ -143,14 +145,24 @@ pub fn run_lut_kernel(
     Ok((output, report))
 }
 
-/// Rows gathered per i32 tile: a constant, so a band's scratch is at most
-/// `BAND_ROW_TILE · F · 4` bytes whatever `N_s` is.
+/// Rows gathered per accumulator tile: a constant, so a band's scratch is at
+/// most `BAND_ROW_TILE · F · 6` bytes (an i32 and an i16 tile) whatever
+/// `N_s` is.
 const BAND_ROW_TILE: usize = 16;
 
+/// Codebooks summed per pass, so each i16 accumulator is loaded and stored
+/// once per eight table entries (`8 · 128 = 1024` fits an i16 with room).
+const CB_UNROLL: usize = 8;
+
+/// Most codebooks one i16 run may sum before it is widened into the i32
+/// tile: `128 · |-128| = 16 384 < 2^15`, whatever the codes are. A multiple
+/// of [`CB_UNROLL`], so only the last run has a ragged tail.
+const I16_RUN: usize = 128;
+
 /// Gathers one PE group's `N_s × F` output band from its `N_s × CB` index
-/// rows: whole-width `i8 → i32` accumulation (exact and order-free), then
-/// one `acc as f32 * scale` per element. Dispatches to an AVX2 clone when
-/// available.
+/// rows: whole-width `i8 → i16 → i32` accumulation (exact and order-free),
+/// then one `acc as f32 * scale` per element. Dispatches to an AVX2 clone
+/// when available.
 fn gather_band(
     band: &mut [f32],
     idx: &[u16],
@@ -199,37 +211,43 @@ fn gather_band_body(
         &table[o..o + f]
     };
     let mut acc = vec![0i32; BAND_ROW_TILE.min(band.len() / f) * f];
+    let mut stage = vec![0i16; acc.len()];
     for (t, out_tile) in band.chunks_mut(BAND_ROW_TILE * f).enumerate() {
         let acc = &mut acc[..out_tile.len()];
+        let stage = &mut stage[..out_tile.len()];
         acc.fill(0);
         let idx_tile = &idx[t * BAND_ROW_TILE * cb..][..out_tile.len() / f * cb];
-        // Codebooks outermost, 4-wide (integer addition is associative, so
-        // the unroll is exact), rows inner: each pass streams four table
-        // rows per index row into that row's accumulator.
-        let mut c = 0;
-        while c + 4 <= cb {
-            for (r, acc_row) in acc.chunks_exact_mut(f).enumerate() {
-                let irow = &idx_tile[r * cb..(r + 1) * cb];
-                let (e0, e1, e2, e3) = (
-                    entry(c, irow),
-                    entry(c + 1, irow),
-                    entry(c + 2, irow),
-                    entry(c + 3, irow),
-                );
-                for (j, a) in acc_row.iter_mut().enumerate() {
-                    *a += e0[j] as i32 + e1[j] as i32 + e2[j] as i32 + e3[j] as i32;
+        // Codebooks outermost, rows inner: each pass streams eight table
+        // rows per index row into that row's i16 accumulator — sixteen
+        // lanes per AVX2 add — and each run of at most `I16_RUN` codebooks
+        // is widened into the i32 tile before it could wrap. Integer
+        // addition is associative, so unroll and staging are exact.
+        for run in (0..cb).step_by(I16_RUN) {
+            let run_end = (run + I16_RUN).min(cb);
+            stage.fill(0);
+            let mut c = run;
+            while c + CB_UNROLL <= run_end {
+                for (r, stage_row) in stage.chunks_exact_mut(f).enumerate() {
+                    let irow = &idx_tile[r * cb..(r + 1) * cb];
+                    let e: [&[i8]; CB_UNROLL] = std::array::from_fn(|i| entry(c + i, irow));
+                    for (j, s) in stage_row.iter_mut().enumerate() {
+                        *s += e.iter().map(|e| e[j] as i16).sum::<i16>();
+                    }
                 }
+                c += CB_UNROLL;
             }
-            c += 4;
-        }
-        while c < cb {
-            for (r, acc_row) in acc.chunks_exact_mut(f).enumerate() {
-                let e = entry(c, &idx_tile[r * cb..(r + 1) * cb]);
-                for (a, &e) in acc_row.iter_mut().zip(e) {
-                    *a += e as i32;
+            while c < run_end {
+                for (r, stage_row) in stage.chunks_exact_mut(f).enumerate() {
+                    let e = entry(c, &idx_tile[r * cb..(r + 1) * cb]);
+                    for (s, &e) in stage_row.iter_mut().zip(e) {
+                        *s += e as i16;
+                    }
                 }
+                c += 1;
             }
-            c += 1;
+            for (a, &s) in acc.iter_mut().zip(stage.iter()) {
+                *a += s as i32;
+            }
         }
         for (o, &a) in out_tile.iter_mut().zip(acc.iter()) {
             *o = a as f32 * scale;
@@ -563,9 +581,9 @@ mod tests {
     fn portable_body_matches_dispatcher() {
         // The dispatcher takes the AVX2 clone where the CPU has it; the
         // portable body must produce the same bits. 19 rows = two row
-        // tiles, CB = 7 = one unrolled block + a 3-codebook tail, F = 37
-        // leaves vector tails at every width.
-        let w = LutWorkload::new(19, 7, 16, 37).unwrap();
+        // tiles, CB = 139 = one full i16 run, then one eight-codebook pass
+        // + a 3-codebook tail, F = 37 leaves vector tails at every width.
+        let w = LutWorkload::new(19, 139, 16, 37).unwrap();
         let (indices, table) = random_operands(&w, 5);
         let shape = (w.cb, w.ct, w.f);
         let mut dispatched = vec![0.0f32; w.n * w.f];

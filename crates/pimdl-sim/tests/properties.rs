@@ -224,29 +224,33 @@ proptest! {
 }
 
 /// `(groups, members, N_s, F_s, CB, CT)` corners of the direct executor's
-/// band kernel: 16-row tiles, codebooks unrolled 4-wide, whole-width
-/// vector adds.
-const BAND_CORNERS: [(usize, usize, usize, usize, usize, usize); 6] = [
-    // Every loop full: CB % 4 = 0, F = 32.
+/// band kernel: 16-row tiles, codebooks summed eight per pass into i16 runs
+/// of at most 128, whole-width vector adds.
+const BAND_CORNERS: [(usize, usize, usize, usize, usize, usize); 7] = [
+    // CB = 4: below one eight-codebook pass, F = 32.
     (2, 2, 4, 16, 4, 16),
-    // N_s = 1, CB % 4 = 1, F = 20 (no multiple of 8).
+    // N_s = 1, CB = 5, F = 20 (no multiple of 8).
     (4, 4, 1, 5, 5, 16),
-    // A single group of 17 rows (two row tiles), CB % 4 = 2, F = 24.
+    // A single group of 17 rows (two row tiles), CB = 6, F = 24.
     (1, 8, 17, 3, 6, 16),
-    // F_s = 1 on 64 PEs, CB % 4 = 3.
+    // F_s = 1 on 64 PEs, CB = 7: the longest all-tail run.
     (8, 8, 3, 1, 7, 16),
-    // Two-byte index values, three row tiles (16 + 16 + 8), no unrolled
-    // block at all, F = 36 (past 32, no multiple of 8).
+    // Two-byte index values, three row tiles (16 + 16 + 8), F = 36 (past
+    // 32, no multiple of 8).
     (2, 4, 40, 9, 3, 512),
-    // Exactly one row tile, F = 66.
+    // Exactly one row tile, one full pass + a one-codebook tail, F = 66.
     (4, 2, 16, 33, 9, 2),
+    // One full i16 run of 128 codebooks, then a run that is a single tail
+    // codebook; F = 18 (one vector + a remainder), two row tiles.
+    (2, 2, 17, 9, 129, 16),
 ];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// On every band-kernel corner and one random shape per case, under a
-    /// random micro-kernel: `run_lut_kernel` ≡ the per-PE scalar reference
+    /// random micro-kernel and a random or saturated (all +127 / all -128)
+    /// table: `run_lut_kernel` ≡ the per-PE scalar reference
     /// ≡ `run_lut_kernel_compiled`, bit for bit, and the report is the cost
     /// model at the measured repeat fraction.
     #[test]
@@ -258,6 +262,7 @@ proptest! {
         pes_pow in 2u32..7, g_pow in 0u32..7,
         n_s in 1usize..41, f_s in 1usize..41, cb in 1usize..10,
         ct in prop::sample::select(vec![2usize, 16, 512]),
+        saturate in prop::sample::select(vec![None, Some(127i8), Some(-128i8)]),
     ) {
         // 4–64 PEs, split into groups × members at random.
         let groups = 1usize << g_pow.min(pes_pow);
@@ -287,8 +292,9 @@ proptest! {
 
             let mut rng = DataRng::new(seed);
             let indices: Vec<u16> = (0..w.n * w.cb).map(|_| rng.index(w.ct) as u16).collect();
+            // A saturated table drives every i16 run to its extreme.
             let table: Vec<i8> = (0..w.cb * w.ct * w.f)
-                .map(|_| (rng.index(256) as i32 - 128) as i8)
+                .map(|_| saturate.unwrap_or((rng.index(256) as i32 - 128) as i8))
                 .collect();
             let data = LutKernelData { indices: &indices, table: &table, scale: 0.037 };
 

@@ -33,6 +33,15 @@
 //!   `n · f · 4`. Otherwise every unroll pass streams it from DRAM:
 //!   `n · f · 4 · ⌈cb / 8⌉`.
 //!
+//!   This term describes the f32 kernel exactly and the INT8 kernel
+//!   conservatively. The INT8 gather also keeps 8 table slices in flight
+//!   per pass (it did 4 before it staged through i16), but the tile it
+//!   revisits once per pass is the i16 staging tile — `R · Fb · 2` bytes,
+//!   half the modelled block — with the `R · Fb · 4` i32 tile touched only
+//!   once per run of 128 codebooks. The model is deliberately not retuned
+//!   for that: for INT8 it over-states the resident set, so a tiling it
+//!   calls cache-resident is.
+//!
 //! The tension is real: the table term wants `R` large, the cache residency
 //! constraint wants `R · Fb` small, and the index term wants `Fb` large —
 //! so the optimum moves with the cache size, which is exactly what the
