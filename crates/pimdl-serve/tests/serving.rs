@@ -8,7 +8,7 @@
 
 use pimdl_engine::scheduler::BatchingPolicy;
 use pimdl_engine::shapes::TransformerShape;
-use pimdl_serve::{OpenLoop, Outcome, Runtime, ServeConfig};
+use pimdl_serve::{OpenLoop, Outcome, RequestRecord, Runtime, ServeConfig};
 use pimdl_sim::PlatformConfig;
 
 fn platform() -> PlatformConfig {
@@ -311,4 +311,87 @@ fn degenerate_configs_are_rejected_up_front() {
             f64::NAN
         )
         .is_err());
+}
+
+/// FNV-1a over every field of every ledger record, floats by their bits.
+fn ledger_digest(records: &[RequestRecord]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for r in records {
+        eat(r.id);
+        eat(r.arrival_s.to_bits());
+        match r.outcome {
+            Outcome::Completed {
+                latency_s,
+                shard,
+                batch_size,
+                correct,
+            } => {
+                eat(0);
+                eat(latency_s.to_bits());
+                eat(shard as u64);
+                eat(batch_size as u64);
+                eat(u64::from(correct));
+            }
+            Outcome::Rejected { at_s } => {
+                eat(1);
+                eat(at_s.to_bits());
+            }
+            Outcome::DeadlineExceeded { at_s } => {
+                eat(2);
+                eat(at_s.to_bits());
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn virtual_ledgers_are_pinned() {
+    // The virtual-clock ledgers of four loads, digested bit for bit. A
+    // change to the driver, the pipeline, the batcher or the cost model
+    // that moves one record's time by one ulp fails here; re-record only
+    // for a change that means to move them.
+    let single = 1.0 / single_rate(&runtime(ServeConfig::example()));
+    let run = |cfg: ServeConfig, rate_x: f64, num_requests: usize, seed: u64| {
+        let load = OpenLoop {
+            rate_rps: rate_x / single,
+            num_requests,
+            seed,
+        };
+        let report = runtime(cfg).run_virtual(&load).unwrap();
+        assert!(report.conserves(num_requests));
+        report
+    };
+
+    let light = run(ServeConfig::example(), 0.3, 200, 11);
+    assert_eq!(ledger_digest(&light.records), 0xb4ba_cc59_da47_b334);
+
+    let mut cfg = ServeConfig::example();
+    cfg.queue_capacity = 1000;
+    let heavy = run(cfg, 12.0, 500, 5);
+    assert_eq!(ledger_digest(&heavy.records), 0xad47_0d65_5f2d_e9cc);
+
+    let mut cfg = ServeConfig::example();
+    cfg.deadline_s = 3.0 * single;
+    let mid = run(cfg, 6.0, 600, 9);
+    assert_eq!(ledger_digest(&mid.records), 0x0f23_43ad_ae45_56ef);
+
+    let mut cfg = ServeConfig::example();
+    cfg.queue_capacity = 8;
+    cfg.deadline_s = 1.5 * single;
+    let overload = run(cfg, 40.0, 600, 3);
+    assert_eq!(
+        (
+            overload.completed(),
+            overload.rejected(),
+            overload.deadline_exceeded()
+        ),
+        (124, 448, 28)
+    );
+    assert_eq!(ledger_digest(&overload.records), 0x780e_0900_99c1_7828);
 }
