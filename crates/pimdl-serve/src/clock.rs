@@ -89,9 +89,11 @@ impl Clock for RealClock {
 
 /// A manually advanced clock for deterministic tests.
 ///
-/// `sleep` advances time immediately (single-threaded driver semantics):
-/// the deterministic event loop in [`crate::runtime::Runtime::run_virtual`]
-/// is the only waiter, so there is nothing to block on.
+/// [`crate::reactor::SimPoller::wait`] advances it to the next scripted
+/// instant or timeout — under [`crate::runtime::Runtime::run_virtual`] as
+/// under the scripted server tests. `sleep` advances time immediately: the
+/// one thread driving the loop is the only waiter, so there is nothing to
+/// block on.
 #[derive(Debug, Default)]
 pub struct VirtualClock {
     now_s: Mutex<f64>,

@@ -249,8 +249,8 @@ pub struct MetricsSnapshot {
     pub p99_latency_s: f64,
     /// Mean dispatched batch size.
     pub mean_batch: f64,
-    /// Event-source counters of the run's reactor (all zero for drivers
-    /// without one, e.g. the deterministic virtual event loop).
+    /// Event-source counters of the run's reactor (all zero in a snapshot
+    /// taken without one).
     #[serde(default)]
     pub reactor: ReactorStatsSnapshot,
 }

@@ -1,21 +1,26 @@
 //! The serving runtime: admission → continuous batching → shard dispatch.
 //!
 //! The policy — shed, refill, flush, dispatch, deliver — is written once,
-//! in `server.rs`'s crate-private `LinePipeline`. The drivers here give it
-//! arrivals, a clock, and somewhere for terminal outcomes to go:
+//! in `server.rs`'s crate-private `LinePipeline`, and the event loop once,
+//! in `conn::drive`. The two open-loop runs here are that loop under a
+//! front with no connections, whose arrivals come from a feed and whose
+//! terminal outcomes go into the ledger; they differ only in the (event
+//! source, clock, executor, feed) they hand it:
 //!
-//! * [`Runtime::run_virtual`] — a single-threaded discrete-event loop: the
-//!   pre-generated arrival list, a [`crate::clock::VirtualClock`] advanced
-//!   to the next event, outcomes into the ledger. Bit-for-bit
-//!   deterministic per seed; this is what the latency/batching assertions
-//!   test.
+//! * [`Runtime::run_virtual`] — a [`crate::reactor::SimPoller`] scripted
+//!   with one `WAKE_ARRIVAL` per pre-generated arrival, a
+//!   [`crate::clock::VirtualClock`] only the poller advances, and a
+//!   [`SimExecutor`] scheduling completions on the same script. One
+//!   thread, no sleeps, bit-for-bit deterministic per seed; this is what
+//!   the latency/batching assertions test, and it sheds, flushes and
+//!   wakes by the rules every server does.
 //! * [`Runtime::run_threaded`] — real threads: an open-loop load generator
-//!   sending arrivals over a channel, the connection core's event loop
-//!   (`conn::drive`) parked on a socket-less reactor, and one worker
-//!   thread per shard (the [`ThreadedExecutor`] the network front ends
-//!   use). A clock speedup compresses simulated service times into short
-//!   real sleeps. Tests assert interleaving-independent invariants
-//!   (conservation, metrics/ledger consistency).
+//!   sending arrivals over a channel, the loop parked on a socket-less
+//!   [`EpollPoller`], and one worker thread per shard (the
+//!   [`ThreadedExecutor`] the network front ends use). A clock speedup
+//!   compresses simulated service times into short real sleeps. Tests
+//!   assert interleaving-independent invariants (conservation,
+//!   metrics/ledger consistency).
 //!
 //! The line-protocol front end ([`Runtime::serve`]) runs the same pipeline
 //! with arrivals off a socket and outcomes encoded as reply lines; the
@@ -42,10 +47,10 @@ use crate::conn::{self, ConnState, Conns, Front};
 use crate::error::ServeError;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::reactor::{
-    EpollPoller, EventSource, Token, WAKE_ARRIVAL, WAKE_COMPLETION, WAKE_SHUTDOWN,
+    EpollPoller, EventSource, SimPoller, Token, WAKE_ARRIVAL, WAKE_COMPLETION, WAKE_SHUTDOWN,
 };
 use crate::request::{Outcome, Request, RequestRecord};
-use crate::server::{LinePipeline, SimExecutor, ThreadedExecutor};
+use crate::server::{BatchExecutor, LinePipeline, SimExecutor, ThreadedExecutor};
 use crate::shard::{ReplicaModel, ServiceModel};
 use crate::Result;
 
@@ -245,15 +250,34 @@ fn record(req: &Request, outcome: Outcome) -> RequestRecord {
     }
 }
 
-/// `run_threaded`'s front on the connection core: no connections, arrivals
-/// over a channel from the load generator, terminal outcomes into the
-/// ledger.
+/// Where a [`LedgerFront`]'s arrivals come from.
+#[derive(Debug)]
+enum Feed {
+    /// The pre-generated list in arrival order; a request is released once
+    /// the clock has reached its `arrival_s` (the script wakes the loop
+    /// there with one `WAKE_ARRIVAL` each).
+    Scripted(std::iter::Peekable<std::vec::IntoIter<Request>>),
+    /// The load generator's channel: whatever it sent since the last step.
+    Channel(mpsc::Receiver<Request>),
+}
+
+impl Feed {
+    fn next_due(&mut self, now: f64) -> Option<Request> {
+        match self {
+            Feed::Scripted(list) => list.next_if(|r| r.arrival_s <= now),
+            Feed::Channel(rx) => rx.try_recv().ok(),
+        }
+    }
+}
+
+/// The open-loop runs' front on the connection core: no connections,
+/// arrivals from a [`Feed`], terminal outcomes into the ledger.
 #[derive(Debug)]
 struct LedgerFront<'a> {
     pipeline: LinePipeline<'a>,
-    clock: Arc<RealClock>,
+    clock: Arc<dyn Clock>,
     metrics: Arc<Metrics>,
-    arrivals: mpsc::Receiver<Request>,
+    feed: Feed,
     records: Vec<RequestRecord>,
 }
 
@@ -263,10 +287,10 @@ impl ConnState for () {
     fn feed(&mut self, _bytes: &[u8]) {}
 }
 
-impl Front<ThreadedExecutor> for LedgerFront<'_> {
+impl<'e> Front<dyn BatchExecutor + 'e> for LedgerFront<'_> {
     type Conn = ();
 
-    fn next_timeout(&self, executor: &ThreadedExecutor) -> Option<f64> {
+    fn next_timeout(&self, executor: &(dyn BatchExecutor + 'e)) -> Option<f64> {
         self.pipeline.next_timeout(self.clock.now(), executor)
     }
 
@@ -275,23 +299,27 @@ impl Front<ThreadedExecutor> for LedgerFront<'_> {
     fn readable(
         &mut self,
         _conns: &mut Conns<'_, ()>,
-        _executor: &mut ThreadedExecutor,
+        _executor: &mut (dyn BatchExecutor + 'e),
         _t: Token,
         _eof: bool,
     ) -> Result<()> {
         Ok(())
     }
 
-    /// Books what the shard workers finished, admits what the generator
-    /// sent since the last step, and pumps; `draining` (the generator's
-    /// `WAKE_SHUTDOWN`, sent after its last request) flushes partial
-    /// batches as soon as a shard frees up.
-    fn step(&mut self, conns: &mut Conns<'_, ()>, executor: &mut ThreadedExecutor) -> Result<bool> {
+    /// Books what the shards finished, admits what has arrived since the
+    /// last step, and pumps; `draining` (the generator's `WAKE_SHUTDOWN`,
+    /// sent after its last request) flushes partial batches as soon as a
+    /// shard frees up.
+    fn step(
+        &mut self,
+        conns: &mut Conns<'_, ()>,
+        executor: &mut (dyn BatchExecutor + 'e),
+    ) -> Result<bool> {
         let records = &mut self.records;
         let mut sink = |req: Request, outcome: Outcome| records.push(record(&req, outcome));
         let mut progress = self.pipeline.deliver(executor, &mut sink);
         let now = self.clock.now();
-        for req in self.arrivals.try_iter() {
+        while let Some(req) = self.feed.next_due(now) {
             progress = true;
             self.metrics.record_submitted();
             if let Err(back) = self.pipeline.admit(req) {
@@ -304,7 +332,7 @@ impl Front<ThreadedExecutor> for LedgerFront<'_> {
         Ok(progress)
     }
 
-    fn idle(&self, executor: &ThreadedExecutor) -> bool {
+    fn idle(&self, executor: &(dyn BatchExecutor + 'e)) -> bool {
         self.pipeline.idle(executor)
     }
 }
@@ -394,8 +422,34 @@ impl Runtime {
         )
     }
 
-    /// Runs the load through the deterministic single-threaded event loop
-    /// on a virtual clock. Identical seeds give bit-identical reports.
+    /// Both open-loop runs: a [`LedgerFront`] over `feed` on the connection
+    /// core, until `source` says the run is over.
+    fn run_ledger(
+        &self,
+        source: &mut dyn EventSource,
+        clock: Arc<dyn Clock>,
+        executor: &mut dyn BatchExecutor,
+        metrics: &Arc<Metrics>,
+        feed: Feed,
+    ) -> Result<ServeReport> {
+        let mut front = LedgerFront {
+            pipeline: LinePipeline::new(self, Arc::clone(metrics))?,
+            clock,
+            metrics: Arc::clone(metrics),
+            feed,
+            records: Vec::new(),
+        };
+        conn::drive(source, &mut front, executor)?;
+        Ok(ServeReport {
+            records: front.records,
+            metrics: metrics.snapshot_with_reactor(source.stats().snapshot()),
+            makespan_s: front.clock.now(),
+        })
+    }
+
+    /// Runs the load through the connection core on a scripted source and
+    /// a virtual clock: single-threaded, no sleeps, and identical seeds
+    /// give bit-identical reports.
     ///
     /// # Errors
     ///
@@ -404,84 +458,32 @@ impl Runtime {
         load.validate()?;
         let clock = Arc::new(VirtualClock::new());
         let metrics = Arc::new(Metrics::new(self.cfg.policy.max_batch));
-        let deadline_rel = self.cfg.deadline_s;
+        let mut poller = SimPoller::new(Arc::clone(&clock));
+        let sim = poller.handle();
 
-        let arrivals = Self::arrival_times(load);
+        // The script is one arrival wake per request. Nothing asks for
+        // shutdown: the run ends when the script and the pipeline are both
+        // exhausted, so the last partial batch waits out its window like
+        // every other.
         let mut payload_rng = Self::payload_rng(load);
-        let requests: Vec<Request> = arrivals
-            .iter()
+        let requests: Vec<Request> = Self::arrival_times(load)
+            .into_iter()
             .enumerate()
-            .map(|(i, &t)| {
+            .map(|(i, t)| {
+                sim.wake_at(t, WAKE_ARRIVAL);
                 self.replica
-                    .make_request(i as u64, t, t + deadline_rel, &mut payload_rng)
+                    .make_request(i as u64, t, t + self.cfg.deadline_s, &mut payload_rng)
             })
             .collect::<Result<_>>()?;
 
-        let mut pipeline = LinePipeline::new(self, Arc::clone(&metrics))?;
-        let mut executor = SimExecutor::detached(
+        let mut executor = SimExecutor::new(
             Arc::clone(&clock),
+            sim,
             Arc::clone(&metrics),
             self.cfg.num_shards,
         );
-        let mut records: Vec<RequestRecord> = Vec::with_capacity(requests.len());
-        let mut sink = |req: Request, outcome: Outcome| records.push(record(&req, outcome));
-        let mut next_arrival = 0usize;
-
-        let max_iters = 1_000_000 + requests.len() * 64;
-        for _ in 0..max_iters {
-            // What makes this driver the discrete-event simulation: the
-            // clock jumps to the next event strictly after the current
-            // time — an arrival, a completion (which is also when a busy
-            // shard frees up), the flush deadline, or the earliest request
-            // deadline (for shed timing). Anything at or before `now` was
-            // already handled by the previous iteration's pump, so past
-            // times must not pin the clock.
-            let now0 = clock.now();
-            let timers = pipeline.timers();
-            let arrival = requests.get(next_arrival).map(|r| r.arrival_s);
-            let t_next = arrival
-                .into_iter()
-                .chain(executor.finish_times())
-                .chain(timers.flush_s)
-                .chain(timers.queue_deadline_s)
-                .chain(timers.batch_deadline_s)
-                .filter(|&t| t > now0)
-                .fold(f64::INFINITY, f64::min);
-            if t_next.is_infinite() {
-                break; // quiescent: everything terminated
-            }
-            clock.advance_to(t_next);
-            let now = clock.now();
-
-            pipeline.deliver(&mut executor, &mut sink);
-            while let Some(req) = requests.get(next_arrival).filter(|r| r.arrival_s <= now) {
-                next_arrival += 1;
-                metrics.record_submitted();
-                if let Err(back) = pipeline.admit(req.clone()) {
-                    sink(back, Outcome::Rejected { at_s: now });
-                }
-            }
-            pipeline.pump(now, false, &mut executor, &mut sink)?;
-
-            if next_arrival >= requests.len() && pipeline.idle(&executor) {
-                break;
-            }
-        }
-
-        if records.len() != requests.len() {
-            return Err(ServeError::Config {
-                detail: format!(
-                    "event loop stalled: {} of {} requests terminated",
-                    records.len(),
-                    requests.len()
-                ),
-            });
-        }
-        Ok(ServeReport {
-            records,
-            metrics: metrics.snapshot(),
-            makespan_s: clock.now(),
-        })
+        let feed = Feed::Scripted(requests.into_iter().peekable());
+        self.run_ledger(&mut poller, clock, &mut executor, &metrics, feed)
     }
 
     /// Runs the load on real threads: an open-loop generator, the
@@ -528,13 +530,6 @@ impl Runtime {
             self.cfg.num_shards,
         );
         let (arrivals_tx, arrivals_rx) = mpsc::channel::<Request>();
-        let mut front = LedgerFront {
-            pipeline: LinePipeline::new(self, Arc::clone(&metrics))?,
-            clock: Arc::clone(&clock),
-            metrics: Arc::clone(&metrics),
-            arrivals: arrivals_rx,
-            records: Vec::with_capacity(load.num_requests),
-        };
 
         let run = std::thread::scope(|s| {
             // Load generator: open-loop Poisson arrivals, then shutdown.
@@ -553,15 +548,12 @@ impl Runtime {
                 }
                 wake_shutdown.wake();
             });
-            conn::drive(&mut poller, &mut front, &mut executor)
+            let feed = Feed::Channel(arrivals_rx);
+            self.run_ledger(&mut poller, clock.clone(), &mut executor, &metrics, feed)
         });
         let stop = executor.shutdown();
-        run?;
+        let report = run?;
         stop?;
-        Ok(ServeReport {
-            records: front.records,
-            metrics: metrics.snapshot_with_reactor(poller.stats().snapshot()),
-            makespan_s: clock.now(),
-        })
+        Ok(report)
     }
 }

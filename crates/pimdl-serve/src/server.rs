@@ -14,8 +14,9 @@
 //!   shard worker threads ([`Runtime::serve`] / [`Runtime::serve_http`]
 //!   wire this up and return a [`ServeHandle`]);
 //! * [`crate::reactor::SimPoller`] + [`SimExecutor`] — scripted
-//!   connections and inline execution on a [`VirtualClock`], advanced
-//!   tick by tick by the deterministic tests.
+//!   connections (or, under [`Runtime::run_virtual`], scripted arrivals)
+//!   and inline execution on a [`VirtualClock`] the poller advances from
+//!   one scripted instant or timeout to the next.
 //!
 //! Idle costs nothing: with no pending work the loop's wait has no
 //! timeout, so it burns zero wakeups until a socket, a shard completion,
@@ -109,10 +110,8 @@ fn sort_done(done: &mut [BatchDone]) {
 #[derive(Debug)]
 pub struct SimExecutor {
     clock: Arc<VirtualClock>,
-    /// Where completion wakes are scheduled; `None` under
-    /// [`Runtime::run_virtual`], which advances the clock itself from
-    /// [`SimExecutor::finish_times`].
-    sim: Option<SimHandle>,
+    /// Where completion wakes are scheduled.
+    sim: SimHandle,
     metrics: Arc<Metrics>,
     pending: Vec<BatchDone>,
     busy: Vec<bool>,
@@ -128,30 +127,12 @@ impl SimExecutor {
         num_shards: usize,
     ) -> Self {
         SimExecutor {
-            sim: Some(sim),
-            ..Self::detached(clock, metrics, num_shards)
-        }
-    }
-
-    /// An executor no poller listens to: nothing is scheduled, the driver
-    /// reads the completion times off [`SimExecutor::finish_times`].
-    pub(crate) fn detached(
-        clock: Arc<VirtualClock>,
-        metrics: Arc<Metrics>,
-        num_shards: usize,
-    ) -> Self {
-        SimExecutor {
             clock,
-            sim: None,
+            sim,
             metrics,
             pending: Vec::new(),
             busy: vec![false; num_shards],
         }
-    }
-
-    /// Completion time of every batch in flight.
-    pub(crate) fn finish_times(&self) -> impl Iterator<Item = f64> + '_ {
-        self.pending.iter().map(|b| b.finish_s)
     }
 }
 
@@ -173,9 +154,7 @@ impl BatchExecutor for SimExecutor {
             finish_s,
             results: batch.into_iter().zip(flags).collect(),
         });
-        if let Some(sim) = &self.sim {
-            sim.wake_at(finish_s, WAKE_COMPLETION);
-        }
+        self.sim.wake_at(finish_s, WAKE_COMPLETION);
         Ok(())
     }
 
@@ -434,18 +413,6 @@ impl<'a> Router<'a> {
 // LinePipeline — admission → continuous batching → routing, once
 // ---------------------------------------------------------------------------
 
-/// The timed obligations of a [`LinePipeline`], raw: each driver applies
-/// its own wake rule to them.
-#[derive(Debug)]
-pub(crate) struct Timers {
-    /// When the pending partial batch's wait window closes.
-    pub(crate) flush_s: Option<f64>,
-    /// Earliest finite deadline in the admission queue.
-    pub(crate) queue_deadline_s: Option<f64>,
-    /// Earliest finite deadline in the pending batch.
-    pub(crate) batch_deadline_s: Option<f64>,
-}
-
 /// The serving policy every single-model driver runs: a bounded
 /// [`AdmissionQueue`] feeding a [`ContinuousBatcher`] feeding the
 /// [`Router`]. The drivers differ in where arrivals and time come from
@@ -496,24 +463,14 @@ impl<'a> LinePipeline<'a> {
         admitted
     }
 
-    /// What is timed right now (`None`: nothing of that kind pending).
-    pub(crate) fn timers(&self) -> Timers {
-        Timers {
-            flush_s: self.batcher.flush_deadline_s(),
-            queue_deadline_s: self.queue.min_deadline_s(),
-            batch_deadline_s: self.batcher.min_deadline_s(),
-        }
-    }
-
-    /// Relative timeout of a reactor-parked driver's next wait: the flush
-    /// window (while a shard could take the batch) or a hair past the
-    /// earliest deadline.
+    /// Relative timeout of the driver's next wait: the flush window (while
+    /// a shard could take the batch) or a hair past the earliest deadline
+    /// in the queue or the pending batch.
     pub(crate) fn next_timeout(&self, now: f64, executor: &dyn BatchExecutor) -> Option<f64> {
-        let timers = self.timers();
         let mut wake = WakeAt::never();
-        wake.at(flush_window(executor, timers.flush_s));
-        wake.after(timers.queue_deadline_s);
-        wake.after(timers.batch_deadline_s);
+        wake.at(flush_window(executor, self.batcher.flush_deadline_s()));
+        wake.after(self.queue.min_deadline_s());
+        wake.after(self.batcher.min_deadline_s());
         wake.timeout(now)
     }
 
@@ -1339,6 +1296,7 @@ impl<'e> Front<dyn BatchExecutor + 'e> for HttpServerLoop<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::SimPoller;
     use pimdl_engine::shapes::TransformerShape;
     use pimdl_sim::PlatformConfig;
     use pimdl_tensor::rng::DataRng;
@@ -1363,8 +1321,9 @@ mod tests {
         (build(cfg), s1)
     }
 
-    /// The pipeline with no socket, thread or poller around it: a
-    /// handle-less [`SimExecutor`] on a clock the test advances by hand.
+    /// The pipeline with no socket, thread or event loop around it: a
+    /// [`SimExecutor`] whose completion wakes nobody waits for, on a clock
+    /// the test advances by hand.
     struct Rig<'a> {
         rt: &'a Runtime,
         clock: Arc<VirtualClock>,
@@ -1382,8 +1341,9 @@ mod tests {
             Rig {
                 rt,
                 pipeline: LinePipeline::new(rt, Arc::clone(&metrics)).unwrap(),
-                executor: SimExecutor::detached(
+                executor: SimExecutor::new(
                     Arc::clone(&clock),
+                    SimPoller::new(Arc::clone(&clock)).handle(),
                     Arc::clone(&metrics),
                     rt.config().num_shards,
                 ),
