@@ -24,13 +24,6 @@ use crate::pipeline::{PimDlEngine, ServingConfig};
 use crate::shapes::TransformerShape;
 use crate::Result;
 
-/// Default per-batch host dispatch overhead (seconds) for the serving
-/// DES: the cost of waking a parked shard worker and handing it the
-/// batch. Measured against the reactor runtime's wake-latency stats
-/// (`pimdl-serve` reports the observed mean per run); ~30 µs is a
-/// typical Linux futex/epoll wake plus scheduling on an unloaded host.
-pub const HOST_DISPATCH_OVERHEAD_S: f64 = 30e-6;
-
 /// Batching policy of the serving front end.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BatchingPolicy {
@@ -257,13 +250,6 @@ pub struct BatchScheduler<'a> {
     /// comes from the scheduler.
     base: SchedulerBase,
     policy: BatchingPolicy,
-    /// Fixed host-side cost added to every batch dispatch (seconds):
-    /// waking the shard worker and handing over the batch. Zero by
-    /// default (pure engine model); set to a measured value — e.g.
-    /// [`HOST_DISPATCH_OVERHEAD_S`] or the reactor runtime's observed
-    /// mean wake latency — to calibrate the DES against the real
-    /// threaded runtime.
-    dispatch_overhead_s: f64,
     latency_cache: HashMap<usize, f64>,
 }
 
@@ -280,7 +266,6 @@ impl<'a> BatchScheduler<'a> {
             shape,
             base: SchedulerBase::Uniform(base),
             policy,
-            dispatch_overhead_s: 0.0,
             latency_cache: HashMap::new(),
         }
     }
@@ -301,31 +286,8 @@ impl<'a> BatchScheduler<'a> {
             shape,
             base: SchedulerBase::PerLayer(base),
             policy,
-            dispatch_overhead_s: 0.0,
             latency_cache: HashMap::new(),
         }
-    }
-
-    /// Sets the per-batch host dispatch overhead (see
-    /// [`HOST_DISPATCH_OVERHEAD_S`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Config`] for a negative or non-finite
-    /// overhead.
-    pub fn set_dispatch_overhead(&mut self, overhead_s: f64) -> Result<()> {
-        if !overhead_s.is_finite() || overhead_s < 0.0 {
-            return Err(EngineError::Config {
-                detail: format!("dispatch overhead must be finite and >= 0, got {overhead_s}"),
-            });
-        }
-        self.dispatch_overhead_s = overhead_s;
-        Ok(())
-    }
-
-    /// The configured per-batch host dispatch overhead (seconds).
-    pub fn dispatch_overhead_s(&self) -> f64 {
-        self.dispatch_overhead_s
     }
 
     /// Engine latency of one batch of the given size (memoized — the
@@ -418,7 +380,7 @@ impl<'a> BatchScheduler<'a> {
 
             let batch_size = batch_end - i;
             let exec_s = self.batch_latency_s(batch_size)?;
-            let finish = actual_dispatch + self.dispatch_overhead_s + exec_s;
+            let finish = actual_dispatch + exec_s;
             for &arr in &arrivals[i..batch_end] {
                 latencies.push(finish - arr);
             }
@@ -592,48 +554,6 @@ mod tests {
         );
         // p95 under overload far exceeds p50 (queueing tail).
         assert!(stats.p95_latency_s > stats.p50_latency_s);
-    }
-
-    #[test]
-    fn dispatch_overhead_slows_every_batch_monotonically() {
-        let (engine, shape) = setup();
-        let policy = BatchingPolicy {
-            max_batch: 8,
-            max_wait_s: 0.001,
-        };
-        let load = |sched: &mut BatchScheduler, single: f64| {
-            sched
-                .simulate(&Workload {
-                    rate_rps: 4.0 / single,
-                    duration_s: single * 100.0,
-                    seed: 7,
-                })
-                .unwrap()
-        };
-        let mut sched = BatchScheduler::new(&engine, &shape, base_cfg(), policy);
-        let single = sched.batch_latency_s(1).unwrap();
-        assert_eq!(sched.dispatch_overhead_s(), 0.0);
-        let base = load(&mut sched, single);
-
-        sched
-            .set_dispatch_overhead(HOST_DISPATCH_OVERHEAD_S)
-            .unwrap();
-        let small = load(&mut sched, single);
-        // A heavy-handed overhead to make the ordering unambiguous.
-        sched.set_dispatch_overhead(0.25 * single).unwrap();
-        let big = load(&mut sched, single);
-
-        assert_eq!(base.completed, small.completed);
-        assert!(small.mean_latency_s >= base.mean_latency_s);
-        assert!(big.mean_latency_s > small.mean_latency_s);
-        assert!(big.p95_latency_s >= small.p95_latency_s);
-        // Each batch pays the overhead exactly once: the serialized drain
-        // grows by at least (batches * overhead) worth of latency mass.
-        assert!(big.mean_latency_s - base.mean_latency_s >= 0.25 * single * 0.99);
-
-        assert!(sched.set_dispatch_overhead(-1e-6).is_err());
-        assert!(sched.set_dispatch_overhead(f64::NAN).is_err());
-        assert!(sched.set_dispatch_overhead(f64::INFINITY).is_err());
     }
 
     #[test]

@@ -291,50 +291,6 @@ impl ProductQuantizer {
         IndexMatrix::from_vec(n, self.cb, data)
     }
 
-    /// CCS via the inner-product formulation the paper uses on the host:
-    /// `argmin ||a - c||² = argmin (||c||² - 2 a·c)`.
-    ///
-    /// Produces identical indices to [`Self::encode`] up to floating-point
-    /// tie-breaking; exists so the cost models and tests can exercise the
-    /// GEMM-shaped CCS kernel (`3·N·H·CT` ops, §3.3).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LutError::Config`] if `x.cols() != hidden()`.
-    pub fn encode_via_inner_product(&self, x: &Matrix) -> Result<IndexMatrix> {
-        if x.cols() != self.hidden() {
-            return Err(LutError::Config {
-                op: "ProductQuantizer::encode_via_inner_product",
-                detail: format!("input width {} != H = {}", x.cols(), self.hidden()),
-            });
-        }
-        // Precompute ||c||² per centroid.
-        let norms: Vec<f32> = (0..self.cb * self.ct)
-            .map(|i| self.centroids.row(i).iter().map(|v| v * v).sum())
-            .collect();
-        let n = x.rows();
-        let mut data = Vec::with_capacity(n * self.cb);
-        for r in 0..n {
-            let row = x.row(r);
-            for col in 0..self.cb {
-                let sub = &row[col * self.v..(col + 1) * self.v];
-                let mut best = 0usize;
-                let mut best_score = f32::INFINITY;
-                for k in 0..self.ct {
-                    let c = self.centroids.row(col * self.ct + k);
-                    let dot: f32 = sub.iter().zip(c).map(|(a, b)| a * b).sum();
-                    let score = norms[col * self.ct + k] - 2.0 * dot;
-                    if score < best_score {
-                        best_score = score;
-                        best = k;
-                    }
-                }
-                data.push(best as u16);
-            }
-        }
-        IndexMatrix::from_vec(n, self.cb, data)
-    }
-
     /// Multi-threaded CCS: identical results to [`Self::encode`], with
     /// activation rows partitioned across `threads` bands executed on the
     /// persistent worker pool. CCS is the host-side hot path of LUT-NN
@@ -525,26 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn inner_product_encoding_matches_l2() {
-        let (pq, acts, mut rng) = quantizer(6, 64, 8, 2, 8);
-        let fresh = rng.normal_matrix(16, 8, 0.0, 1.0);
-        for x in [&acts, &fresh] {
-            let a = pq.encode(x).unwrap();
-            let b = pq.encode_via_inner_product(x).unwrap();
-            // Ties can break differently; verify distances are equal instead
-            // of indices.
-            for r in 0..x.rows() {
-                for cb in 0..pq.cb() {
-                    let sub = &x.row(r)[cb * 2..cb * 2 + 2];
-                    let da = sq_dist(sub, pq.centroid(cb, a.get(r, cb) as usize));
-                    let db = sq_dist(sub, pq.centroid(cb, b.get(r, cb) as usize));
-                    assert!((da - db).abs() < 1e-5, "row {r} cb {cb}: {da} vs {db}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn parallel_encode_matches_serial() {
         let (pq, acts, mut rng) = quantizer(20, 64, 8, 2, 8);
         let fresh = rng.normal_matrix(37, 8, 0.0, 1.0); // non-divisible row count
@@ -569,7 +505,6 @@ mod tests {
     fn encode_rejects_wrong_width() {
         let (pq, _, _) = quantizer(7, 16, 8, 2, 4);
         assert!(pq.encode(&Matrix::zeros(2, 6)).is_err());
-        assert!(pq.encode_via_inner_product(&Matrix::zeros(2, 6)).is_err());
         let idx = IndexMatrix::from_vec(2, 3, vec![0; 6]).unwrap();
         assert!(pq.decode(&idx).is_err());
     }

@@ -29,7 +29,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -940,28 +940,6 @@ fn raw_fd<T: std::os::fd::AsRawFd>(t: &T) -> i32 {
     t.as_raw_fd()
 }
 
-/// Parks an otherwise-idle poller for `window` of real time and reports
-/// the observed wakeups per second — the "idle shards burn no wakeups"
-/// measurement `reproduce serving` prints. A waker is registered but never
-/// fired, mirroring a shard worker that has nothing to report; a correct
-/// reactor therefore measures exactly 0.
-///
-/// # Errors
-///
-/// Propagates poller construction/wait failures.
-pub fn idle_wakeup_rate(window: Duration) -> Result<f64> {
-    let mut poller = EpollPoller::new(1.0)?;
-    let _idle_shard = poller.waker(WAKE_COMPLETION);
-    let mut out = Vec::new();
-    let start = Instant::now();
-    while start.elapsed() < window {
-        let left = window.saturating_sub(start.elapsed());
-        poller.wait(Some(left.as_secs_f64()), &mut out)?;
-    }
-    let stats = poller.stats.snapshot();
-    Ok(stats.wakeups as f64 / window.as_secs_f64().max(1e-9))
-}
-
 // ---------------------------------------------------------------------------
 // SimPoller
 // ---------------------------------------------------------------------------
@@ -1342,6 +1320,7 @@ impl EventSource for SimPoller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn epoll_wake_tokens_are_remembered_across_park() {
@@ -1401,8 +1380,23 @@ mod tests {
 
     #[test]
     fn idle_poller_observes_zero_wakeups() {
-        let rate = idle_wakeup_rate(Duration::from_millis(20)).unwrap();
-        assert_eq!(rate, 0.0, "an idle reactor must not wake");
+        // A waker is registered but never fired — a shard worker with
+        // nothing to report — and the poller parks for 20 ms of real time:
+        // a correct reactor wakes exactly zero times.
+        let window = Duration::from_millis(20);
+        let mut poller = EpollPoller::new(1.0).unwrap();
+        let _idle_shard = poller.waker(WAKE_COMPLETION);
+        let mut out = Vec::new();
+        let start = Instant::now();
+        while start.elapsed() < window {
+            let left = window.saturating_sub(start.elapsed());
+            poller.wait(Some(left.as_secs_f64()), &mut out).unwrap();
+        }
+        assert_eq!(
+            poller.stats.snapshot().wakeups,
+            0,
+            "an idle reactor must not wake"
+        );
     }
 
     #[test]

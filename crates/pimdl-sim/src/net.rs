@@ -10,10 +10,8 @@
 //! frame_cost(bytes) = link_latency_s + per_byte_s * bytes
 //! ```
 //!
-//! calibrated from *measured* loopback round-trips at two frame sizes —
-//! the same philosophy as the dispatch-overhead calibration
-//! (`pimdl_engine::scheduler::HOST_DISPATCH_OVERHEAD_S`): the model's
-//! constants come from the real runtime. `pimdl-serve`'s
+//! calibrated from *measured* loopback round-trips at two frame sizes:
+//! the model's constants come from the real runtime. `pimdl-serve`'s
 //! `fabric_loopback` test checks that the fitted line predicts an
 //! intermediate frame size.
 

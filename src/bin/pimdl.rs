@@ -52,7 +52,7 @@ type CliError = Box<dyn std::error::Error>;
 fn run() -> Result<(), CliError> {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else {
-        return Err("usage: pimdl <platforms|tune|serve|trace> [flags]".into());
+        return Err("usage: pimdl <platforms|tune|serve|trace|compile|export> [flags]".into());
     };
     let flags = parse_flags(args)?;
     match cmd.as_str() {
