@@ -4,13 +4,11 @@
 //! one global `(V, CT)`. The per-layer capacity allocator
 //! (`pimdl_tuner::alloc`) instead emits one setting — and optionally a
 //! pinned mapping — per operator; [`PerLayerServingConfig`] carries that
-//! plan into the engine. Configs load from JSON ([`from_json`]) and are
-//! validated against the model shape and platform before serving: an
+//! plan into the engine. Configs are serde types (they load from JSON) and
+//! are validated against the model shape and platform before serving: an
 //! unsupported `V`, a `V` not dividing its operator's input width, or a
 //! summed LUT footprint overflowing the capacity budget are all rejected
 //! up front rather than surfacing as nonsense deep in the cost model.
-//!
-//! [`from_json`]: PerLayerServingConfig::from_json
 
 use serde::{Deserialize, Serialize};
 
@@ -98,18 +96,6 @@ impl PerLayerServingConfig {
                 })
                 .collect(),
         }
-    }
-
-    /// Parses a config from JSON (serde), without validation — call
-    /// [`Self::validate`] with the target shape and platform next.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Config`] on malformed JSON.
-    pub fn from_json(json: &str) -> Result<Self> {
-        serde_json::from_str(json).map_err(|e| EngineError::Config {
-            detail: format!("per-layer config JSON: {e}"),
-        })
     }
 
     /// Validates the config against a model shape and platform: batch
@@ -359,19 +345,16 @@ mod tests {
         let platform = small_platform();
         let cfg = uniform_cfg(&shape);
         let json = serde_json::to_string(&cfg).unwrap();
-        let parsed = PerLayerServingConfig::from_json(&json).unwrap();
+        let parsed: PerLayerServingConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed, cfg);
         parsed.validate(&shape, &platform).unwrap();
-
-        // Malformed JSON is a Config error, not a panic.
-        assert!(PerLayerServingConfig::from_json("{not json").is_err());
 
         // A JSON config with V outside the supported set parses but fails
         // validation.
         let mut bad = cfg.clone();
         bad.ops[0].v = 5;
         let bad_json = serde_json::to_string(&bad).unwrap();
-        let parsed = PerLayerServingConfig::from_json(&bad_json).unwrap();
+        let parsed: PerLayerServingConfig = serde_json::from_str(&bad_json).unwrap();
         assert!(parsed.validate(&shape, &platform).is_err());
     }
 

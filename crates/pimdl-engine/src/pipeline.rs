@@ -119,16 +119,6 @@ pub struct InferenceReport {
 }
 
 impl InferenceReport {
-    /// Fraction of total latency spent in LUT-NN inference (CCS + LUT) —
-    /// the Fig. 11-(a) "LUT" + "CCS" share.
-    pub fn lutnn_fraction(&self) -> f64 {
-        if self.total_s <= 0.0 {
-            0.0
-        } else {
-            (self.lut_s + self.ccs_s) / self.total_s
-        }
-    }
-
     /// Throughput in sequences per second for the given batch.
     pub fn throughput(&self, batch: usize) -> f64 {
         if self.total_s <= 0.0 {
@@ -393,7 +383,7 @@ mod tests {
             ct: 16,
         };
         let report = engine.serve(&TransformerShape::bert_base(), &cfg).unwrap();
-        let frac = report.lutnn_fraction();
+        let frac = (report.lut_s + report.ccs_s) / report.total_s;
         assert!((0.5..1.0).contains(&frac), "LUT-NN fraction {frac}");
     }
 

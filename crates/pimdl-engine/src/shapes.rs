@@ -150,18 +150,6 @@ impl TransformerShape {
         // each), softmax matrix (read+write).
         4 * (n * ffn + 2 * n * h + 2 * 2 * n * h + 2 * softmax)
     }
-
-    /// Total model weight bytes at the given element size (for GEMM-based
-    /// baselines that must stream weights).
-    pub fn weight_bytes(&self, elem_bytes: usize) -> u64 {
-        let per_layer: u64 = self
-            .linear_ops()
-            .iter()
-            .map(|op| (op.in_dim * op.out_dim) as u64)
-            .sum();
-        per_layer * self.layers as u64 * elem_bytes as u64
-        // attention score path has no weights; embeddings excluded
-    }
 }
 
 #[cfg(test)]
@@ -216,15 +204,6 @@ mod tests {
                 assert!(ffn2.in_dim >= op.in_dim);
             }
         }
-    }
-
-    #[test]
-    fn weight_bytes_positive_and_scale_with_elem_size() {
-        let s = TransformerShape::bert_base();
-        assert_eq!(s.weight_bytes(4), 2 * s.weight_bytes(2));
-        // BERT-base encoder ≈ 85 M params → ~340 MB at f32.
-        let mb = s.weight_bytes(4) as f64 / 1e6;
-        assert!((300.0..400.0).contains(&mb), "mb={mb}");
     }
 
     #[test]

@@ -61,7 +61,7 @@ proptest! {
             .map(|e| e.staging_s)
             .sum();
         prop_assert!((penalty - p.staging_penalty_s).abs() < 1e-15);
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&p.utilization()));
+        prop_assert!(p.used_bytes <= p.capacity_bytes);
 
         // Half the capacity ⇒ penalty does not decrease.
         platform.mram_bytes = cap_kib * 512;

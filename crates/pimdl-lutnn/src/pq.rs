@@ -92,12 +92,6 @@ impl IndexMatrix {
         })
     }
 
-    /// Size in bytes when transferred as one byte per index (`CT ≤ 256`,
-    /// the paper's INT8 index setting) .
-    pub fn size_bytes_u8(&self) -> usize {
-        self.data.len()
-    }
-
     /// All indices in row-major order.
     pub fn as_slice(&self) -> &[u16] {
         &self.data
@@ -514,7 +508,6 @@ mod tests {
         let idx = IndexMatrix::from_vec(2, 3, vec![0, 1, 2, 3, 4, 5]).unwrap();
         assert_eq!(idx.get(1, 2), 5);
         assert_eq!(idx.row(0), &[0, 1, 2]);
-        assert_eq!(idx.size_bytes_u8(), 6);
         let slice = idx.row_slice(1, 1).unwrap();
         assert_eq!(slice.row(0), &[3, 4, 5]);
         assert!(idx.row_slice(1, 2).is_err());

@@ -43,11 +43,6 @@ impl RooflineMachine {
     pub fn attainable_gops(&self, ai: f64) -> f64 {
         (ai * self.mem_bw_gbps).min(self.peak_gops)
     }
-
-    /// Whether a kernel of this intensity is memory-bound on this machine.
-    pub fn is_memory_bound(&self, ai: f64) -> bool {
-        ai < self.ridge_point()
-    }
 }
 
 /// Effective bytes of memory traffic per gathered INT8 table entry
@@ -180,7 +175,7 @@ mod tests {
         let m = RooflineMachine::XEON_4210_DUAL;
         for p in fig4_points() {
             assert!(
-                m.is_memory_bound(p.ai),
+                p.ai < m.ridge_point(),
                 "{} {} not memory bound",
                 p.model,
                 p.operator

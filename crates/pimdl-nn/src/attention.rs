@@ -193,11 +193,6 @@ impl MultiHeadAttention {
         self.hidden
     }
 
-    /// Per-head dimension `H / heads`.
-    pub fn head_dim(&self) -> usize {
-        self.hidden / self.heads
-    }
-
     /// The projection the walk applies at `kind`: the fused QKV, or the
     /// output projection.
     pub(crate) fn linear(&self, kind: LayerKind) -> &Linear {
@@ -260,7 +255,6 @@ mod tests {
         let mut rng = DataRng::new(0);
         let mha = MultiHeadAttention::new(12, 3, &mut rng);
         assert_eq!(mha.heads(), 3);
-        assert_eq!(mha.head_dim(), 4);
         let x = rng.normal_matrix(7, 12, 0.0, 1.0);
         let (y, cache) = mha.forward(&x).unwrap();
         assert_eq!(y.shape(), (7, 12));

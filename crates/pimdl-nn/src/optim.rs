@@ -123,30 +123,6 @@ impl Adam {
     }
 }
 
-/// Scales `grads` in place so their global L2 norm does not exceed
-/// `max_norm`; returns the pre-clip norm.
-///
-/// Deep post-norm transformers occasionally spike gradients early in
-/// training; clipping keeps Adam's second-moment estimates sane.
-pub fn clip_grad_norm(grads: &mut [&mut [f32]], max_norm: f32) -> f32 {
-    let mut sq = 0.0f64;
-    for g in grads.iter() {
-        for &v in g.iter() {
-            sq += f64::from(v) * f64::from(v);
-        }
-    }
-    let norm = (sq.sqrt()) as f32;
-    if norm > max_norm && norm > 0.0 {
-        let scale = max_norm / norm;
-        for g in grads.iter_mut() {
-            for v in g.iter_mut() {
-                *v *= scale;
-            }
-        }
-    }
-    norm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,38 +202,6 @@ mod tests {
         opt.step(0, &mut x, &[1.0, 1.0]);
         let mut y = [0.0_f32];
         opt.step(0, &mut y, &[1.0]);
-    }
-
-    #[test]
-    fn clip_leaves_small_gradients_alone() {
-        let mut a = vec![0.3f32, -0.4];
-        let mut slices: Vec<&mut [f32]> = vec![&mut a];
-        let norm = clip_grad_norm(&mut slices, 1.0);
-        assert!((norm - 0.5).abs() < 1e-6);
-        assert_eq!(a, vec![0.3, -0.4]);
-    }
-
-    #[test]
-    fn clip_scales_large_gradients_to_max_norm() {
-        let mut a = vec![3.0f32, 0.0];
-        let mut b = vec![0.0f32, 4.0];
-        {
-            let mut slices: Vec<&mut [f32]> = vec![&mut a, &mut b];
-            let norm = clip_grad_norm(&mut slices, 1.0);
-            assert!((norm - 5.0).abs() < 1e-5);
-        }
-        // Post-clip norm is 1.
-        let post = (a.iter().chain(b.iter()).map(|v| v * v).sum::<f32>()).sqrt();
-        assert!((post - 1.0).abs() < 1e-5);
-        assert!((a[0] - 0.6).abs() < 1e-5);
-        assert!((b[1] - 0.8).abs() < 1e-5);
-    }
-
-    #[test]
-    fn clip_handles_zero_gradients() {
-        let mut a = vec![0.0f32; 4];
-        let mut slices: Vec<&mut [f32]> = vec![&mut a];
-        assert_eq!(clip_grad_norm(&mut slices, 1.0), 0.0);
     }
 
     #[test]

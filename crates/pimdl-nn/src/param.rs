@@ -58,28 +58,6 @@ impl Param {
     }
 }
 
-/// A mutable view of one parameter handed to the optimizer.
-#[derive(Debug)]
-pub struct ParamMut<'a> {
-    /// The parameter value as a flat slice.
-    pub data: &'a mut [f32],
-    /// The gradient as a flat slice of the same length.
-    pub grad: &'a [f32],
-}
-
-impl Param {
-    /// Borrows the parameter as an optimizer-facing view.
-    pub fn as_param_mut(&mut self) -> ParamMut<'_> {
-        // Split borrows: data mutable, grad shared. Safe because they are
-        // distinct fields.
-        let Param { data, grad } = self;
-        ParamMut {
-            data: data.as_mut_slice(),
-            grad: grad.as_slice(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,16 +86,5 @@ mod tests {
     fn accumulate_wrong_shape_panics() {
         let mut p = Param::new(Matrix::zeros(1, 2));
         p.accumulate_grad(&Matrix::zeros(2, 1));
-    }
-
-    #[test]
-    fn param_mut_views_both_fields() {
-        let mut p = Param::new(Matrix::full(1, 2, 1.0));
-        p.accumulate_grad(&Matrix::full(1, 2, 0.5));
-        let view = p.as_param_mut();
-        assert_eq!(view.data, &[1.0, 1.0]);
-        assert_eq!(view.grad, &[0.5, 0.5]);
-        view.data[0] = 9.0;
-        assert_eq!(p.data.get(0, 0), 9.0);
     }
 }

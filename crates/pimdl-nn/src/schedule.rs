@@ -26,15 +26,6 @@ pub enum Schedule {
 }
 
 impl Schedule {
-    /// The BERT-style default: 10 % warmup, decay to 10 % of base.
-    pub fn warmup_cosine(total_steps: u64) -> Schedule {
-        Schedule::WarmupCosine {
-            warmup_steps: (total_steps / 10).max(1),
-            total_steps: total_steps.max(1),
-            floor: 0.1,
-        }
-    }
-
     /// Learning-rate multiplier at optimizer step `step` (1-based).
     pub fn multiplier(&self, step: u64) -> f32 {
         match *self {
@@ -105,25 +96,12 @@ mod tests {
     }
 
     #[test]
-    fn default_recipe_shape() {
-        let s = Schedule::warmup_cosine(200);
-        if let Schedule::WarmupCosine {
-            warmup_steps,
-            total_steps,
-            floor,
-        } = s
-        {
-            assert_eq!(warmup_steps, 20);
-            assert_eq!(total_steps, 200);
-            assert!((floor - 0.1).abs() < 1e-6);
-        } else {
-            panic!("expected WarmupCosine");
-        }
-    }
-
-    #[test]
     fn degenerate_horizons_are_safe() {
-        let s = Schedule::warmup_cosine(0);
+        let s = Schedule::WarmupCosine {
+            warmup_steps: 1,
+            total_steps: 1,
+            floor: 0.1,
+        };
         assert!(s.multiplier(1).is_finite());
         let s = Schedule::WarmupCosine {
             warmup_steps: 5,

@@ -50,11 +50,6 @@ impl TrainStats {
     pub fn final_loss(&self) -> Option<f32> {
         self.epoch_losses.last().copied()
     }
-
-    /// Accuracy of the final epoch (`None` if no epochs ran).
-    pub fn final_accuracy(&self) -> Option<f32> {
-        self.epoch_accuracies.last().copied()
-    }
 }
 
 /// Trains `model` on `dataset` with Adam + cross-entropy.

@@ -332,19 +332,6 @@ impl ModelConfig {
             classes,
         }
     }
-
-    /// A small patch model (ViT-style) for tests.
-    pub fn tiny_vision(input_dim: usize, classes: usize) -> Self {
-        ModelConfig {
-            input: InputKind::Patches { input_dim },
-            hidden: 32,
-            heads: 4,
-            layers: 2,
-            ffn_dim: 64,
-            max_seq: 16,
-            classes,
-        }
-    }
 }
 
 /// A transformer encoder classifier (embedding → blocks → mean-pool → head).
@@ -695,7 +682,10 @@ mod tests {
 
     #[test]
     fn vision_model_forward() {
-        let cfg = ModelConfig::tiny_vision(12, 4);
+        let cfg = ModelConfig {
+            input: InputKind::Patches { input_dim: 12 },
+            ..ModelConfig::tiny(8, 4)
+        };
         let mut rng = DataRng::new(7);
         let model = TransformerClassifier::new(&cfg, &mut rng);
         let input = SequenceInput::Patches(rng.normal_matrix(9, 12, 0.0, 1.0));

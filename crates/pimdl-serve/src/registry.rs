@@ -358,14 +358,6 @@ impl FairBatcher {
         min
     }
 
-    /// Jobs queued for `model` across every tenant.
-    pub fn queued_for_model(&self, model: &str) -> usize {
-        self.tenants
-            .values()
-            .map(|t| t.queues.get(model).map_or(0, VecDeque::len))
-            .sum()
-    }
-
     /// Whether a batch should flush at `now`: some model could fill a full
     /// batch, or the oldest queued job has waited out the window.
     pub fn ready(&self, now: f64) -> bool {
@@ -679,7 +671,7 @@ mod tests {
             b.admit(j).unwrap();
         }
         assert!(b.ready(1.0), "full batch flushes immediately");
-        assert_eq!(b.queued_for_model("m"), 4);
+        assert_eq!(b.queued_total(), 4);
     }
 
     #[test]

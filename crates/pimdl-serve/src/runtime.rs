@@ -262,6 +262,7 @@ enum Feed {
 }
 
 impl Feed {
+    /// The next request that has arrived by `now`, if any.
     fn next_due(&mut self, now: f64) -> Option<Request> {
         match self {
             Feed::Scripted(list) => list.next_if(|r| r.arrival_s <= now),

@@ -297,19 +297,6 @@ impl ShardManager {
         self.busy_until_s.len()
     }
 
-    /// Whether any shard is idle at `now`.
-    pub fn any_free(&self, now: f64) -> bool {
-        self.busy_until_s.iter().any(|&b| b <= now)
-    }
-
-    /// Earliest time any shard frees up.
-    pub fn earliest_free_s(&self) -> f64 {
-        self.busy_until_s
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// The shard with the smallest busy-until horizon (lowest id on ties).
     pub fn least_loaded(&self) -> usize {
         let mut best = 0;
@@ -527,9 +514,6 @@ mod tests {
         assert_eq!(t2.shard, 2);
         // shard 2 frees first
         assert_eq!(m.least_loaded(), 2);
-        assert_eq!(m.earliest_free_s(), 1.0);
-        assert!(!m.any_free(0.5));
-        assert!(m.any_free(1.0));
         assert_eq!(m.dispatch_counts(), &[1, 1, 1]);
     }
 

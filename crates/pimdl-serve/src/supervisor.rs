@@ -408,16 +408,6 @@ impl Supervisor {
         self.tables.get(table).map(|t| t.state)
     }
 
-    /// A table's deterministic build seed.
-    pub fn seed_of(&self, table: &str) -> Option<u64> {
-        self.tables.get(table).map(|t| t.seed)
-    }
-
-    /// Registered table names, sorted.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.keys().cloned().collect()
-    }
-
     /// Live (`Ready`) shard connection tokens, in shard-id order.
     pub fn live_tokens(&self) -> Vec<Token> {
         self.shards
@@ -573,7 +563,7 @@ mod tests {
         }
         for o in &orders {
             assert_eq!(o.shard, 1, "successor must be the surviving shard");
-            assert_eq!(sup.seed_of(&o.table), Some(o.seed), "seed preserved");
+            assert_eq!(sup.tables[&o.table].seed, o.seed, "seed preserved");
             sup.on_table_ready(1, &o.table, 3.0).unwrap();
         }
         assert!(sup.all_tables_ready(), "all tables re-replicated");

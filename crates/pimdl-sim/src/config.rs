@@ -370,11 +370,6 @@ impl PlatformConfig {
         [Self::upmem(), Self::hbm_pim(), Self::aim()]
     }
 
-    /// Per-PE arithmetic throughput in GOP/s.
-    pub fn per_pe_gops(&self) -> f64 {
-        self.peak_gops / self.num_pes as f64
-    }
-
     /// DRAM row constants of the product's banks: DDR4-class behind UPMEM
     /// DPUs (2 KiB rows, ~45 ns tRC), HBM2/GDDR6-class behind the
     /// MAC-style PIMs (8 KiB effective rows, ~15 ns).
@@ -513,7 +508,7 @@ mod tests {
     #[test]
     fn per_pe_gops_consistent() {
         let upmem = PlatformConfig::upmem();
-        let per_pe = upmem.per_pe_gops();
+        let per_pe = upmem.peak_gops / upmem.num_pes as f64;
         assert!((per_pe - 0.342).abs() < 0.01, "per_pe={per_pe}");
         // single_reduce_s is slower than the rated 1/per-PE-throughput
         // (WRAM access + address generation per accumulate) but within the

@@ -6,9 +6,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::PlatformConfig;
-use crate::cost::CostReport;
-
 /// Energy consumed by one kernel (or an aggregate of kernels), in joules.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct EnergyReport {
@@ -51,52 +48,9 @@ impl EnergyReport {
     }
 }
 
-/// Energy of one simulated kernel launch on a platform.
-pub fn kernel_energy(platform: &PlatformConfig, report: &CostReport) -> EnergyReport {
-    EnergyReport::from_window(
-        report.time.total_s(),
-        platform.pim_power_w,
-        platform.host_power_w,
-        report.host_pim_bytes as f64,
-        platform.transfer_energy_pj_per_byte,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::estimate_cost;
-    use crate::mapping::{LoadScheme, LutWorkload, Mapping, MicroKernel, TraversalOrder};
-
-    fn sample_report() -> (PlatformConfig, CostReport) {
-        let mut p = PlatformConfig::upmem();
-        p.num_pes = 16;
-        let w = LutWorkload::new(64, 8, 16, 32).unwrap();
-        let m = Mapping {
-            n_stile: 16,
-            f_stile: 8,
-            kernel: MicroKernel {
-                n_mtile: 4,
-                f_mtile: 4,
-                cb_mtile: 4,
-                traversal: TraversalOrder::Nfc,
-                load_scheme: LoadScheme::Static,
-            },
-        };
-        let r = estimate_cost(&p, &w, &m).unwrap();
-        (p, r)
-    }
-
-    #[test]
-    fn kernel_energy_positive_components() {
-        let (p, r) = sample_report();
-        let e = kernel_energy(&p, &r);
-        assert!(e.pim_j > 0.0);
-        assert!(e.host_j > 0.0);
-        assert!(e.transfer_j > 0.0);
-        assert!((e.total_j() - (e.pim_j + e.host_j + e.transfer_j)).abs() < 1e-15);
-    }
-
     #[test]
     fn energy_scales_linearly_with_time() {
         let e1 = EnergyReport::from_window(1.0, 100.0, 50.0, 0.0, 0.0);

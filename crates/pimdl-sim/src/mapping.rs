@@ -369,21 +369,6 @@ impl Mapping {
     }
 }
 
-/// A convenient default micro-kernel for a workload: fine-grain loads,
-/// modest tiles, output-stationary traversal.
-pub fn default_kernel(w: &LutWorkload, n_stile: usize, f_stile: usize) -> MicroKernel {
-    MicroKernel {
-        n_mtile: n_stile.min(8),
-        f_mtile: f_stile.min(8),
-        cb_mtile: w.cb.min(8),
-        traversal: TraversalOrder::Nfc,
-        load_scheme: LoadScheme::FineGrain {
-            f_load: f_stile.min(8),
-            threads: 16,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -608,18 +593,6 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), 6);
-    }
-
-    #[test]
-    fn default_kernel_is_legal_for_its_partition() {
-        let w = LutWorkload::new(1024, 16, 16, 256).unwrap();
-        let m = Mapping {
-            n_stile: 64,
-            f_stile: 16,
-            kernel: default_kernel(&w, 64, 16),
-        };
-        // 16 groups × 16 per group = 256 PEs.
-        m.validate(&w, &platform_with_pes(256)).unwrap();
     }
 
     #[test]

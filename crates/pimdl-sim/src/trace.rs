@@ -30,12 +30,6 @@ pub struct PeVariation {
 }
 
 impl PeVariation {
-    /// Ideal hardware: every PE identical.
-    pub const IDEAL: PeVariation = PeVariation {
-        amplitude: 0.0,
-        seed: 0,
-    };
-
     /// Speed factor (≥ 1.0) of PE `i`.
     pub fn factor(&self, pe: usize) -> f64 {
         if self.amplitude <= 0.0 {
@@ -177,7 +171,11 @@ mod tests {
     #[test]
     fn ideal_hardware_is_perfectly_balanced() {
         let (p, w, m) = setup();
-        let trace = trace_kernel(&p, &w, &m, 0.0, PeVariation::IDEAL).unwrap();
+        let ideal = PeVariation {
+            amplitude: 0.0,
+            seed: 0,
+        };
+        let trace = trace_kernel(&p, &w, &m, 0.0, ideal).unwrap();
         assert_eq!(trace.entries.len(), 16);
         assert!((trace.min_kernel_s - trace.max_kernel_s).abs() < 1e-18);
         assert_eq!(trace.imbalance, 0.0);

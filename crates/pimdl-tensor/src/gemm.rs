@@ -1,19 +1,15 @@
 //! General matrix multiplication kernels.
 //!
-//! Three kernels with identical semantics:
+//! Two kernels with identical semantics:
 //!
 //! * [`matmul`] — reference triple loop (i-k-j order so the inner loop is a
 //!   contiguous AXPY; this is the correctness oracle).
-//! * [`matmul_blocked`] — cache-blocked variant.
 //! * [`matmul_parallel`] — row-partitioned multi-threaded variant built on
 //!   the persistent [`WorkerPool`](crate::pool::WorkerPool).
 //!
 //! All PIM-DL LUT results in this workspace are validated against [`matmul`].
 
 use crate::{Matrix, Result, TensorError};
-
-/// Default cache block edge for [`matmul_blocked`].
-pub const DEFAULT_BLOCK: usize = 64;
 
 fn check_shapes(a: &Matrix, b: &Matrix, op: &'static str) -> Result<()> {
     if a.cols() != b.rows() {
@@ -58,50 +54,6 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
             let b_row = b.row(p);
             for j in 0..n {
                 c_row[j] += a_ip * b_row[j];
-            }
-        }
-    }
-    Ok(c)
-}
-
-/// Cache-blocked GEMM with block edge `block`.
-///
-/// Produces results identical to [`matmul`] up to floating-point association
-/// (the accumulation order within a row differs; tests use a small tolerance).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `A.cols != B.rows`, or
-/// [`TensorError::InvalidDimension`] if `block == 0`.
-#[allow(clippy::needless_range_loop)]
-pub fn matmul_blocked(a: &Matrix, b: &Matrix, block: usize) -> Result<Matrix> {
-    check_shapes(a, b, "matmul_blocked")?;
-    if block == 0 {
-        return Err(TensorError::InvalidDimension {
-            op: "matmul_blocked",
-            detail: "block size must be positive".to_string(),
-        });
-    }
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut c = Matrix::zeros(m, n);
-    for i0 in (0..m).step_by(block) {
-        let i1 = (i0 + block).min(m);
-        for p0 in (0..k).step_by(block) {
-            let p1 = (p0 + block).min(k);
-            for j0 in (0..n).step_by(block) {
-                let j1 = (j0 + block).min(n);
-                for i in i0..i1 {
-                    let a_row = a.row(i);
-                    let c_row = c.row_mut(i);
-                    for p in p0..p1 {
-                        let a_ip = a_row[p];
-                        let b_row = b.row(p);
-                        for j in j0..j1 {
-                            c_row[j] += a_ip * b_row[j];
-                        }
-                    }
-                }
             }
         }
     }
@@ -269,23 +221,6 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         assert!(matmul(&a, &b).is_err());
-    }
-
-    #[test]
-    fn blocked_matches_reference() {
-        let a = random(33, 47, 2);
-        let b = random(47, 29, 3);
-        let reference = matmul(&a, &b).unwrap();
-        for block in [1, 7, 16, 64, 128] {
-            let c = matmul_blocked(&a, &b, block).unwrap();
-            assert!(c.approx_eq(&reference, 1e-4), "block={block}");
-        }
-    }
-
-    #[test]
-    fn blocked_rejects_zero_block() {
-        let a = Matrix::zeros(2, 2);
-        assert!(matmul_blocked(&a, &a, 0).is_err());
     }
 
     #[test]

@@ -149,28 +149,11 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics if the index is out of bounds. Use [`Matrix::try_get`] for a
-    /// fallible variant.
+    /// Panics if the index is out of bounds.
     #[inline]
     pub fn get(&self, row: usize, col: usize) -> f32 {
         debug_assert!(row < self.rows && col < self.cols);
         self.data[row * self.cols + col]
-    }
-
-    /// Returns the element at `(row, col)`, or an error if out of bounds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if `row >= rows` or
-    /// `col >= cols`.
-    pub fn try_get(&self, row: usize, col: usize) -> Result<f32> {
-        if row >= self.rows || col >= self.cols {
-            return Err(TensorError::IndexOutOfBounds {
-                index: (row, col),
-                shape: self.shape(),
-            });
-        }
-        Ok(self.get(row, col))
     }
 
     /// Sets the element at `(row, col)` to `value`.
@@ -204,16 +187,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copies column `c` into a fresh `Vec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= cols`.
-    pub fn col_to_vec(&self, c: usize) -> Vec<f32> {
-        assert!(c < self.cols, "column {c} out of bounds ({})", self.cols);
-        (0..self.rows).map(|r| self.get(r, c)).collect()
-    }
-
     /// Views the whole matrix as a flat row-major slice.
     pub fn as_slice(&self) -> &[f32] {
         &self.data
@@ -222,11 +195,6 @@ impl Matrix {
     /// Views the whole matrix as a flat mutable row-major slice.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix and returns the underlying row-major `Vec`.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Iterates over all elements in row-major order.
@@ -561,8 +529,6 @@ mod tests {
         let mut m = Matrix::zeros(2, 2);
         m.set(0, 1, 5.0);
         assert_eq!(m.get(0, 1), 5.0);
-        assert_eq!(m.try_get(0, 1).unwrap(), 5.0);
-        assert!(m.try_get(2, 0).is_err());
     }
 
     #[test]
@@ -670,12 +636,6 @@ mod tests {
         assert!(Matrix::hcat(&[&a, &Matrix::zeros(2, 2)]).is_err());
         assert!(Matrix::vcat(&[]).is_err());
         assert!(Matrix::hcat(&[]).is_err());
-    }
-
-    #[test]
-    fn col_to_vec_extracts_column() {
-        let m = Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32);
-        assert_eq!(m.col_to_vec(1), vec![1.0, 3.0, 5.0]);
     }
 
     #[test]

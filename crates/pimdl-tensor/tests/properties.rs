@@ -40,20 +40,18 @@ proptest! {
         prop_assert!(lhs.approx_eq(&rhs, 1e-3));
     }
 
-    /// Blocked and parallel GEMM agree with the reference for arbitrary
-    /// shapes, block sizes, and thread counts.
+    /// Parallel GEMM is bit-identical to the reference for arbitrary
+    /// shapes and thread counts.
     #[test]
     fn gemm_variants_agree(
         seed in any::<u64>(),
         m in 1usize..20, k in 1usize..20, n in 1usize..20,
-        block in 1usize..24, threads in 1usize..9,
+        threads in 1usize..9,
     ) {
         let mut rng = DataRng::new(seed);
         let a = rng.uniform_matrix(m, k, -2.0, 2.0);
         let b = rng.uniform_matrix(k, n, -2.0, 2.0);
         let reference = gemm::matmul(&a, &b).unwrap();
-        let blocked = gemm::matmul_blocked(&a, &b, block).unwrap();
-        prop_assert!(blocked.approx_eq(&reference, 1e-3));
         let parallel = gemm::matmul_parallel(&a, &b, threads).unwrap();
         prop_assert_eq!(parallel, reference);
     }

@@ -65,8 +65,9 @@ for crate in "${WORKSPACE_CRATES[@]}"; do
 done
 
 # Every workspace crate's own suite. pimdl-bench's lib tests are the
-# `reproduce` experiments' unit tests (~85 s in a debug build, most of it
-# the calibrated serving-gap pins).
+# `reproduce` experiments' unit tests (~65 s in a debug build on two
+# cores, ~58 s of it `data_efficiency::tests::small_budget_favors_elutnn`;
+# the serving comparison is ~1 s).
 for crate in "${WORKSPACE_CRATES[@]}"; do
     echo "==> cargo test -p ${crate} --offline"
     cargo test --offline -p "${crate}"
@@ -90,27 +91,41 @@ cargo test --offline -p pimdl
 echo "==> cargo test -p serde -p serde_json --offline"
 cargo test --offline -p serde -p serde_json
 
-# Results gate: these seventeen artefacts are deterministic functions of
-# the code (no wall-clock field), so the committed results/*.json must
-# regenerate byte for byte. Thirteen are pure functions of the cost model
-# and the tuner (~14 s, ~9 s of it the alloc-budgets sweep): a cost-term or
-# search-order change that moves a figure fails here. Four are the
-# algorithm side — table4, table5, elutnn-ablation, data-efficiency train,
-# calibrate and score small models from fixed seeds (~80 s release: 56 + 14
-# + 4 + 6) — so a change to the encoder walk, a calibration estimator or a
-# kernel under them that moves one float fails here. Either way the file
-# (and the EXPERIMENTS.md digits printed from it) is re-committed on
-# purpose. It is also the CLI's end-to-end smoke.
+# Results gate: the nineteen artefacts `reproduce all` writes are
+# deterministic functions of the code (no wall-clock field), so the
+# committed results/*.json must regenerate byte for byte. Thirteen are pure
+# functions of the cost model and the tuner (~14 s, ~9 s of it the
+# alloc-budgets sweep): a cost-term or search-order change that moves a
+# figure fails here. Four are the algorithm side — table4, table5,
+# elutnn-ablation, data-efficiency train, calibrate and score small models
+# from fixed seeds (~80 s release: 56 + 14 + 4 + 6) — so a change to the
+# encoder walk, a calibration estimator or a kernel under them that moves
+# one float fails here. Two are `serving` (~1 s): the DES load curve and
+# the same sweep through `Runtime::run_virtual`, so a change to the
+# connection core, the line pipeline, the batcher or the scheduler that
+# moves one record fails here. Either way the file (and the EXPERIMENTS.md
+# digits printed from it) is re-committed on purpose. It is also the CLI's
+# end-to-end smoke.
 echo "==> results gate: regenerate and cmp against results/"
 gate_dir=$(mktemp -d)
 trap 'rm -rf "${gate_dir}"' EXIT
 for exp in table1 fig3 fig4 fig10 fig11 fig12 fig13 fig14 fig15 scaling \
     discussion tuner-error alloc-budgets \
-    table4 table5 elutnn-ablation data-efficiency; do
+    table4 table5 elutnn-ablation data-efficiency serving; do
     cargo run --offline --release -q -p pimdl-bench --bin reproduce -- \
         "${exp}" --json "${gate_dir}" > /dev/null
-    artefact="${exp//-/_}.json"
-    cmp "${gate_dir}/${artefact}" "results/${artefact}"
+done
+# Every artefact written is compared, and every committed one must have
+# been written: an ungated results/*.json cannot reappear.
+for fresh in "${gate_dir}"/*.json; do
+    cmp "${fresh}" "results/$(basename "${fresh}")"
+done
+for committed in results/*.json; do
+    name=$(basename "${committed}")
+    if [[ "${name}" != lint_inventory.json && ! -e "${gate_dir}/${name}" ]]; then
+        echo "ERROR: results/${name} is not regenerated by the results gate" >&2
+        exit 1
+    fi
 done
 
 # The benchmark package (bench/, a workspace of its own) compiles against
