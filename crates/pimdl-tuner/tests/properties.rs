@@ -4,6 +4,9 @@ use proptest::prelude::*;
 
 use pimdl_sim::cost::estimate_cost;
 use pimdl_sim::{LoadScheme, LutWorkload, PlatformConfig};
+use pimdl_tuner::alloc::{
+    allocate_global, allocate_per_layer, reference_code_bits, AllocOptions, OpShape,
+};
 use pimdl_tuner::model::{analytical_cost, relative_error};
 use pimdl_tuner::space::{
     divisors, kernel_candidates, mapping_of, sub_lut_candidates, tile_candidates,
@@ -114,4 +117,80 @@ proptest! {
             (o, b) => prop_assert!(false, "strategies disagree: {o:?} vs {b:?}"),
         }
     }
+}
+
+/// FNV-1a over the bytes of `text`.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// One layer's four linear operators of a transformer with hidden size
+/// `h` and FFN size `ffn`, each repeated `layers` times.
+fn layer_ops(h: usize, ffn: usize, layers: usize) -> Vec<OpShape> {
+    [
+        ("QKV", h, 3 * h),
+        ("O", h, h),
+        ("FFN1", h, ffn),
+        ("FFN2", ffn, h),
+    ]
+    .into_iter()
+    .map(|(name, in_dim, out_dim)| OpShape {
+        name: name.to_string(),
+        in_dim,
+        out_dim,
+        count: layers,
+    })
+    .collect()
+}
+
+/// Digest of both allocators' answers to one request at `budget` bytes
+/// per PE, CT held at 16 and the floor at the uniform `(4, 16)` setting.
+/// `{:?}` prints every `f64` so that it round-trips, so equal text means
+/// equal bits.
+fn plans_digest(platform: &PlatformConfig, ops: &[OpShape], n: usize, budget: usize) -> u64 {
+    let mut opts = AllocOptions::with_budget(budget);
+    opts.ct_choices = vec![16];
+    opts.min_code_bits = reference_code_bits(ops, 4, 16);
+    let mut platform = platform.clone();
+    platform.mram_bytes = budget;
+    fnv1a(&format!(
+        "{:?}\n{:?}",
+        allocate_per_layer(&platform, ops, n, &opts),
+        allocate_global(&platform, ops, n, &opts)
+    ))
+}
+
+/// Every plan both allocators return, pinned by digest: the benchmark's
+/// request (BERT-base's four operators × 12 layers, batch 64 × seq 512 on
+/// UPMEM, 2 MiB per PE) and the quick `alloc-budgets` sweep (the tiny
+/// shape on 64 PEs, batch 4 × seq 32, three budgets). A search change
+/// that moves one mapping, one prediction bit or the candidate count
+/// fails here.
+#[test]
+fn alloc_plans_are_pinned() {
+    let mut small = PlatformConfig::upmem();
+    small.num_pes = 64;
+    let digests = [
+        plans_digest(
+            &PlatformConfig::upmem(),
+            &layer_ops(768, 3072, 12),
+            64 * 512,
+            2 << 20,
+        ),
+        plans_digest(&small, &layer_ops(64, 256, 2), 4 * 32, 4 << 10),
+        plans_digest(&small, &layer_ops(64, 256, 2), 4 * 32, 16 << 10),
+        plans_digest(&small, &layer_ops(64, 256, 2), 4 * 32, 64 << 10),
+    ];
+    assert_eq!(
+        digests,
+        [
+            0xfc91_7f6d_e0c7_8f8e,
+            0x673e_8750_fbb3_77d5,
+            0xb138_055a_8a15_1af8,
+            0x90a3_a077_440c_e5eb,
+        ],
+        "{digests:#018x?}"
+    );
 }
