@@ -4,11 +4,15 @@
 //! this module instead treats per-PE LUT capacity as a budget to be *spent
 //! where it buys the most latency*. For every linear operator of a
 //! transformer layer it enumerates the legal `(V, CT)` settings, asks the
-//! branch-and-bound search ([`crate::bnb::pair_bests`]) for the best
-//! mapping inside every P1 pair, and keeps the Pareto frontier over
-//! (per-PE LUT bytes, predicted latency). A small exact DFS — bounded the
-//! same way as the mapping search — then picks one candidate per operator
-//! minimizing total predicted PIM latency subject to
+//! branch-and-bound search ([`crate::bnb::pair_frontier`]) for the P1
+//! pairs on the (per-PE LUT bytes, predicted latency) frontier with their
+//! best mappings, and keeps the Pareto frontier of those across settings
+//! (bits join the two axes there). The pair search never returns a point
+//! this filter would drop for a leaner pair of the same setting, so
+//! searching only the frontier leaves the candidate list unchanged. A
+//! small exact DFS — bounded the same way as the mapping search — then
+//! picks one candidate per operator minimizing total predicted PIM
+//! latency subject to
 //!
 //! * a **capacity budget**: the summed per-PE LUT residency across all
 //!   layers must fit `budget_bytes`, and
@@ -26,7 +30,7 @@ use pimdl_sim::config::PlatformConfig;
 use pimdl_sim::{LutWorkload, Mapping};
 use serde::{Deserialize, Serialize};
 
-use crate::bnb::{pair_bests, prunes};
+use crate::bnb::{pair_frontier, prunes};
 use crate::model::HierBreakdown;
 use crate::{Result, TuneError};
 
@@ -200,7 +204,7 @@ fn op_candidates(
             let Ok(w) = LutWorkload::new(n_tokens, cb, ct, op.out_dim) else {
                 continue;
             };
-            let Ok(points) = pair_bests(platform, &w) else {
+            let Ok(points) = pair_frontier(platform, &w) else {
                 continue;
             };
             let bits = cb as f64 * (ct as f64).log2() * op.count as f64;

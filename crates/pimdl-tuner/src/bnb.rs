@@ -59,12 +59,20 @@ pub struct BnbOutcome {
 #[derive(Debug, Default)]
 pub(crate) struct Incumbent {
     best: Option<(Mapping, HierBreakdown)>,
+    /// A total found outside this search (by the leaner P1 pairs of
+    /// [`pair_frontier`]) that a candidate must also beat strictly.
+    bar: Option<f64>,
     evaluated: usize,
 }
 
 impl Incumbent {
+    /// The total to beat: the smaller of the bar and the own best.
     fn total_s(&self) -> Option<f64> {
-        self.best.as_ref().map(|(_, b)| b.total_s())
+        let own = self.best.as_ref().map(|(_, b)| b.total_s());
+        match (own, self.bar) {
+            (Some(own), Some(bar)) => Some(own.min(bar)),
+            (own, bar) => own.or(bar),
+        }
     }
 
     /// Scores `mapping` if it is legal; it replaces the incumbent only when
@@ -286,10 +294,11 @@ pub fn search(platform: &PlatformConfig, workload: &LutWorkload) -> Result<BnbOu
     })
 }
 
-/// The per-pair optimum of one P1 pair: a raw point on the pair's
-/// capacity ↔ latency tradeoff (larger `F_s-tile` replicates more LUT
-/// bytes per PE but buys more N-parallelism). The per-layer capacity
-/// allocator ([`crate::alloc`]) consumes the Pareto frontier of these.
+/// The optimum of one P1 pair on the capacity ↔ latency frontier: larger
+/// `F_s-tile` replicates more LUT bytes per PE but buys more
+/// N-parallelism, and [`pair_frontier`] keeps a pair only where that
+/// buys a strictly faster optimum. The per-layer capacity allocator
+/// ([`crate::alloc`]) consumes these.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PairBest {
     /// `N_s-tile` of the pair.
@@ -304,25 +313,37 @@ pub struct PairBest {
     pub predicted: HierBreakdown,
 }
 
-/// Branch-and-bound optimum *within each* legal P1 pair (no cross-pair
-/// pruning — every pair's own best is needed, not just the global one).
-/// Pairs with no legal kernel are omitted; the result is empty only when
-/// Eq. 5 has no solution at all.
+/// The P1 pairs on the (per-PE LUT bytes, latency) Pareto frontier, each
+/// with its branch-and-bound optimum. Pairs are walked in ascending
+/// `F_s-tile`, so per-PE bytes rise strictly; a pair is kept only if its
+/// optimum beats, strictly, the best total of the leaner pairs before it.
+/// That total is the descent's bar: a pair whose root bound is over it is
+/// skipped, and its subtrees are cut against it. The bar prunes only
+/// subtrees holding no leaf better than it, so every kept pair gets the
+/// optimum, and the winner among ties, that a search of the pair alone
+/// finds.
 ///
 /// # Errors
 ///
 /// Returns [`TuneError::NoLegalMapping`] if Eq. 5 has no solution.
-pub fn pair_bests(platform: &PlatformConfig, workload: &LutWorkload) -> Result<Vec<PairBest>> {
-    let pairs = legal_pairs(workload, platform)?;
-    let mut out = Vec::with_capacity(pairs.len());
-    for (n_s, f_s) in pairs {
-        let ctx = PairCtx::new(platform, workload, (n_s, f_s));
-        let mut incumbent = Incumbent::default();
+pub fn pair_frontier(platform: &PlatformConfig, workload: &LutWorkload) -> Result<Vec<PairBest>> {
+    let mut out = Vec::new();
+    let mut bar = None;
+    for pair @ (n_stile, f_stile) in legal_pairs(workload, platform)? {
+        let ctx = PairCtx::new(platform, workload, pair);
+        if prunes(ctx.bound(Partial::default()), bar) {
+            continue;
+        }
+        let mut incumbent = Incumbent {
+            bar,
+            ..Incumbent::default()
+        };
         descend(&ctx, Partial::default(), &mut incumbent, &mut 0);
         if let Some((mapping, predicted)) = incumbent.best {
+            bar = Some(predicted.total_s());
             out.push(PairBest {
-                n_stile: n_s,
-                f_stile: f_s,
+                n_stile,
+                f_stile,
                 per_pe_lut_bytes: ctx.lut_stile_bytes,
                 mapping,
                 predicted,
@@ -385,11 +406,111 @@ fn score_leaves(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::sub_lut_candidates;
+    use crate::space::{kernel_candidates, sub_lut_candidates};
     use proptest::prelude::*;
+
+    /// A small workload and platform from menu indices `(n, cb, ct, f,
+    /// pes, wram)`: both row-constant arms (`mac`), two- and one-byte
+    /// indices, and WRAMs that move scheme feasibility and trip the
+    /// structural cut.
+    fn small_case(
+        (n, cb, ct, f, pes, wram): (usize, usize, usize, usize, usize, usize),
+        mac: bool,
+    ) -> (LutWorkload, PlatformConfig) {
+        let w = LutWorkload::new(
+            [16, 24, 32, 48, 64][n],
+            [2, 4, 8][cb],
+            [8, 16, 64, 512][ct],
+            [8, 16, 24, 32][f],
+        )
+        .unwrap();
+        let mut p = if mac {
+            PlatformConfig::aim()
+        } else {
+            PlatformConfig::upmem()
+        };
+        p.num_pes = [4, 8, 16][pes];
+        p.wram_bytes = [96, 1024, 4096, 65536][wram];
+        (w, p)
+    }
+
+    /// `pair_frontier`'s walk relies on per-PE bytes rising strictly along
+    /// `legal_pairs`, on every menu shape and PE count.
+    #[test]
+    fn legal_pairs_ascend_in_per_pe_bytes() {
+        for n in 0..5 {
+            for cb in 0..3 {
+                for ct in 0..4 {
+                    for f in 0..4 {
+                        for pes in 0..3 {
+                            let (w, p) = small_case((n, cb, ct, f, pes, 0), false);
+                            let Ok(pairs) = legal_pairs(&w, &p) else {
+                                continue;
+                            };
+                            let bytes: Vec<usize> = pairs
+                                .into_iter()
+                                .map(|pair| PairCtx::new(&p, &w, pair).lut_stile_bytes)
+                                .collect();
+                            assert!(bytes.windows(2).all(|b| b[0] < b[1]), "{w:?}: {bytes:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The frontier against an oracle that searches nothing: each
+        /// legal pair's optimum by the strictly-better fold over the
+        /// materialised candidates, a pair kept iff it beats, strictly,
+        /// every pair kept before it in `legal_pairs` order.
+        #[test]
+        fn pair_frontier_matches_exhaustive_frontier(
+            n_idx in 0usize..5,
+            cb_idx in 0usize..3,
+            ct_idx in 0usize..4,
+            f_idx in 0usize..4,
+            pes_idx in 0usize..3,
+            wram_idx in 0usize..4,
+            mac in any::<bool>(),
+        ) {
+            let (w, p) = small_case((n_idx, cb_idx, ct_idx, f_idx, pes_idx, wram_idx), mac);
+            let Ok(pairs) = legal_pairs(&w, &p) else {
+                prop_assert!(pair_frontier(&p, &w).is_err());
+                return Ok(());
+            };
+            let mut oracle: Vec<(Mapping, f64)> = Vec::new();
+            for (n_s, f_s) in pairs {
+                let mut incumbent = Incumbent::default();
+                for kernel in kernel_candidates(&w, &p, n_s, f_s) {
+                    incumbent.offer(&p, &w, mapping_of(n_s, f_s, kernel));
+                }
+                let Some((mapping, predicted)) = incumbent.best else {
+                    continue;
+                };
+                if oracle.iter().all(|&(_, kept)| predicted.total_s() < kept) {
+                    oracle.push((mapping, predicted.total_s()));
+                }
+            }
+            let frontier: Vec<(Mapping, u64)> = pair_frontier(&p, &w)
+                .unwrap()
+                .into_iter()
+                .map(|b| (b.mapping, b.predicted.total_s().to_bits()))
+                .collect();
+            let oracle: Vec<(Mapping, u64)> =
+                oracle.into_iter().map(|(m, total)| (m, total.to_bits())).collect();
+            prop_assert_eq!(
+                &frontier,
+                &oracle,
+                "{:?} on {} PEs: {:?} != {:?}",
+                w,
+                p.num_pes,
+                frontier,
+                oracle
+            );
+        }
 
         /// Admissibility, directly: along random root-to-leaf paths of the
         /// search tree, every node's bound (after the prune guard) is at
@@ -407,18 +528,7 @@ mod tests {
             mac in any::<bool>(),
             seed in any::<u64>(),
         ) {
-            let w = LutWorkload::new(
-                [16, 24, 32, 48, 64][n_idx],
-                [2, 4, 8][cb_idx],
-                [8, 16, 64, 512][ct_idx],
-                [8, 16, 24, 32][f_idx],
-            )
-            .unwrap();
-            // Both row-constant arms, two- and one-byte indices, and WRAMs
-            // that move scheme feasibility and trip the structural cut.
-            let mut p = if mac { PlatformConfig::aim() } else { PlatformConfig::upmem() };
-            p.num_pes = [4, 8, 16][pes_idx];
-            p.wram_bytes = [96, 1024, 4096, 65536][wram_idx];
+            let (w, p) = small_case((n_idx, cb_idx, ct_idx, f_idx, pes_idx, wram_idx), mac);
 
             let mut state = seed | 1;
             let mut pick = |len: usize| {
