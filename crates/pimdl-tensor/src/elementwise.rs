@@ -1,21 +1,11 @@
 //! Element-wise operators.
 //!
 //! These are the "PIM-friendly" memory-bound operators the paper's
-//! PIM-enabled baseline systems already offload (ReLU, residual add, GELU,
-//! bias add). The PIM-DL engine keeps them either on the host or on the PIM
-//! depending on the platform's functional support.
+//! PIM-enabled baseline systems already offload (here GELU and bias add).
+//! The PIM-DL engine keeps them either on the host or on the PIM depending
+//! on the platform's functional support.
 
 use crate::{Matrix, Result, TensorError};
-
-/// Rectified linear unit, applied element-wise.
-pub fn relu(x: &Matrix) -> Matrix {
-    x.map(|v| v.max(0.0))
-}
-
-/// Derivative of [`relu`] evaluated at `x` (1 where `x > 0`, else 0).
-pub fn relu_grad(x: &Matrix) -> Matrix {
-    x.map(|v| if v > 0.0 { 1.0 } else { 0.0 })
-}
 
 /// Gaussian error linear unit (tanh approximation, as used by BERT/ViT).
 pub fn gelu(x: &Matrix) -> Matrix {
@@ -40,16 +30,6 @@ pub fn gelu_grad(x: &Matrix) -> Matrix {
     })
 }
 
-/// Residual addition `x + y` (alias of [`Matrix::add`] named for the
-/// operator-graph vocabulary).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-pub fn residual_add(x: &Matrix, y: &Matrix) -> Result<Matrix> {
-    x.add(y)
-}
-
 /// Adds a bias row-vector to every row of `x`.
 ///
 /// # Errors
@@ -72,27 +52,9 @@ pub fn bias_add(x: &Matrix, bias: &[f32]) -> Result<Matrix> {
     Ok(out)
 }
 
-/// Counts the floating-point operations an element-wise operator of this
-/// size performs (one op per element).
-pub fn elementwise_flops(rows: usize, cols: usize) -> u64 {
-    rows as u64 * cols as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn relu_clamps_negatives() {
-        let x = Matrix::from_vec(1, 4, vec![-2.0, -0.5, 0.0, 3.0]).unwrap();
-        assert_eq!(relu(&x).row(0), &[0.0, 0.0, 0.0, 3.0]);
-    }
-
-    #[test]
-    fn relu_grad_indicator() {
-        let x = Matrix::from_vec(1, 3, vec![-1.0, 0.0, 2.0]).unwrap();
-        assert_eq!(relu_grad(&x).row(0), &[0.0, 0.0, 1.0]);
-    }
 
     #[test]
     fn gelu_known_points() {
@@ -131,17 +93,5 @@ mod tests {
     fn bias_add_shape_mismatch() {
         let x = Matrix::zeros(2, 2);
         assert!(bias_add(&x, &[1.0]).is_err());
-    }
-
-    #[test]
-    fn residual_is_add() {
-        let x = Matrix::full(2, 2, 1.0);
-        let y = Matrix::full(2, 2, 2.0);
-        assert_eq!(residual_add(&x, &y).unwrap(), Matrix::full(2, 2, 3.0));
-    }
-
-    #[test]
-    fn flops_product() {
-        assert_eq!(elementwise_flops(3, 4), 12);
     }
 }

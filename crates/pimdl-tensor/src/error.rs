@@ -24,13 +24,6 @@ pub enum TensorError {
         /// Explanation of what was wrong with the dimension.
         detail: String,
     },
-    /// An index was out of bounds.
-    IndexOutOfBounds {
-        /// The offending index, `(row, col)`.
-        index: (usize, usize),
-        /// The matrix shape, `(rows, cols)`.
-        shape: (usize, usize),
-    },
 }
 
 impl fmt::Display for TensorError {
@@ -44,11 +37,6 @@ impl fmt::Display for TensorError {
             TensorError::InvalidDimension { op, detail } => {
                 write!(f, "invalid dimension in {op}: {detail}")
             }
-            TensorError::IndexOutOfBounds { index, shape } => write!(
-                f,
-                "index ({}, {}) out of bounds for {}x{} matrix",
-                index.0, index.1, shape.0, shape.1
-            ),
         }
     }
 }
@@ -80,16 +68,6 @@ mod tests {
         };
         assert!(err.to_string().contains("split"));
         assert!(err.to_string().contains("7 not divisible by 2"));
-    }
-
-    #[test]
-    fn display_index_out_of_bounds() {
-        let err = TensorError::IndexOutOfBounds {
-            index: (5, 0),
-            shape: (2, 2),
-        };
-        assert!(err.to_string().contains("(5, 0)"));
-        assert!(err.to_string().contains("2x2"));
     }
 
     #[test]

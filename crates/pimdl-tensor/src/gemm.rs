@@ -168,24 +168,6 @@ pub fn matmul_quant(
     Ok(c)
 }
 
-/// `y = A · x` for a dense matrix and a vector.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `A.cols != x.len()`.
-pub fn matvec(a: &Matrix, x: &[f32]) -> Result<Vec<f32>> {
-    if a.cols() != x.len() {
-        return Err(TensorError::ShapeMismatch {
-            op: "matvec",
-            lhs: a.shape(),
-            rhs: (x.len(), 1),
-        });
-    }
-    Ok((0..a.rows())
-        .map(|i| a.row(i).iter().zip(x).map(|(&a_ij, &x_j)| a_ij * x_j).sum())
-        .collect())
-}
-
 /// Number of floating-point operations a GEMM of these shapes performs
 /// (`2 * m * k * n`; multiply + add).
 pub fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
@@ -280,24 +262,6 @@ mod tests {
         let c = matmul_quant(&qa, &qb).unwrap();
         let exact = matmul(&a, &b).unwrap();
         assert!(c.approx_eq(&exact, 1e-6));
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = random(6, 4, 6);
-        let x: Vec<f32> = (0..4).map(|i| i as f32).collect();
-        let y = matvec(&a, &x).unwrap();
-        let xm = Matrix::from_vec(4, 1, x).unwrap();
-        let ym = matmul(&a, &xm).unwrap();
-        for (i, &v) in y.iter().enumerate() {
-            assert!((v - ym.get(i, 0)).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn matvec_shape_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        assert!(matvec(&a, &[1.0, 2.0]).is_err());
     }
 
     #[test]

@@ -84,23 +84,6 @@ impl DataRng {
         self.uniform_matrix(fan_out, fan_in, -bound, bound)
     }
 
-    /// Chooses `k` distinct indices from `[0, n)` (reservoir sampling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > n`.
-    pub fn choose_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "cannot choose {k} distinct indices from {n}");
-        let mut reservoir: Vec<usize> = (0..k).collect();
-        for i in k..n {
-            let j = self.inner.gen_range(0..=i);
-            if j < k {
-                reservoir[j] = i;
-            }
-        }
-        reservoir
-    }
-
     /// Shuffles a slice in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -112,12 +95,6 @@ impl DataRng {
     /// Samples from an arbitrary `rand` distribution.
     pub fn sample<T, D: Distribution<T>>(&mut self, dist: &D) -> T {
         dist.sample(&mut self.inner)
-    }
-
-    /// Forks a child generator whose stream is independent of later draws
-    /// from `self`.
-    pub fn fork(&mut self) -> DataRng {
-        DataRng::new(self.inner.gen())
     }
 }
 
@@ -156,26 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn choose_indices_distinct_and_in_range() {
-        let mut rng = DataRng::new(3);
-        let picked = rng.choose_indices(100, 10);
-        assert_eq!(picked.len(), 10);
-        let mut sorted = picked.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 10);
-        assert!(picked.iter().all(|&i| i < 100));
-    }
-
-    #[test]
-    fn choose_all_indices() {
-        let mut rng = DataRng::new(4);
-        let mut picked = rng.choose_indices(5, 5);
-        picked.sort_unstable();
-        assert_eq!(picked, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
     fn shuffle_is_permutation() {
         let mut rng = DataRng::new(5);
         let mut items: Vec<u32> = (0..50).collect();
@@ -191,16 +148,5 @@ mod tests {
         let w = rng.xavier_matrix(64, 64);
         let bound = (6.0 / 128.0_f32).sqrt();
         assert!(w.max_abs() <= bound);
-    }
-
-    #[test]
-    fn fork_produces_independent_stream() {
-        let mut parent = DataRng::new(9);
-        let mut child = parent.fork();
-        let a = child.uniform(0.0, 1.0);
-        let b = parent.uniform(0.0, 1.0);
-        // No panic and both in range is the contract; values are unrelated.
-        assert!((0.0..1.0).contains(&a));
-        assert!((0.0..1.0).contains(&b));
     }
 }
