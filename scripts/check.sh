@@ -94,7 +94,7 @@ cargo test --offline -p serde -p serde_json
 # Results gate: the nineteen artefacts `reproduce all` writes are
 # deterministic functions of the code (no wall-clock field), so the
 # committed results/*.json must regenerate byte for byte. Thirteen are pure
-# functions of the cost model and the tuner (~14 s, ~9 s of it the
+# functions of the cost model and the tuner (~5 s release, ~2 s of it the
 # alloc-budgets sweep): a cost-term or search-order change that moves a
 # figure fails here. Four are the algorithm side — table4, table5,
 # elutnn-ablation, data-efficiency train, calibrate and score small models
