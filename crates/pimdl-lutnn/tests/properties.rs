@@ -261,6 +261,47 @@ fn encoder_walk_callers_are_bit_stable() {
     assert_eq!(got, want, "got {got:#x?}");
 }
 
+/// One eLUT-NN conversion at the benchmark's `calibrate` shape — hidden 32
+/// over 4 heads, 4 layers, FFN 64, 8 tokens of a 16-word vocabulary, V 4,
+/// CT 8, random model and centroid init, 48 sequences, 2 epochs — to the
+/// bit. At this width the GEMMs run full 32-column blocks, a 96-wide QKV
+/// and a 64-wide FFN, which the hidden-16 digests above never reach.
+#[test]
+fn calibrate_workload_shape_is_bit_stable() {
+    let mut rng = DataRng::new(26);
+    let calib = nlp_dataset(NlpTask::ContainsAnswer, 48, 16, 8, &mut rng);
+    let cfg = ModelConfig {
+        input: InputKind::Tokens { vocab: 16 },
+        hidden: 32,
+        heads: 4,
+        layers: 4,
+        ffn_dim: 64,
+        max_seq: 8,
+        classes: NlpTask::ContainsAnswer.classes(),
+    };
+    let model = TransformerClassifier::new(&cfg, &mut rng);
+    let ecfg = CalibrationConfig {
+        v: 4,
+        ct: 8,
+        init: CentroidInit::Random,
+        kmeans_iters: 0,
+        beta: 1e-3,
+        lr: 2e-3,
+        epochs: 2,
+        batch_size: 8,
+        seed: 7,
+        max_activation_rows: 4096,
+    };
+    let tuned = calibrate_elutnn(&model, &calib, &ecfg).unwrap();
+    let lut_model = LutClassifier::convert(&tuned.0, tuned.1.clone()).unwrap();
+    let mut d = Digest::new();
+    for input in &calib.inputs[..16] {
+        d.f32s(lut_model.predict(input, true).unwrap().as_slice());
+    }
+    let got = Digest(d.0).calibrated(tuned);
+    assert_eq!(got, 0xf5f9_3420_5073_6375, "got {got:#x}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
