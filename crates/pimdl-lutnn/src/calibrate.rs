@@ -357,12 +357,15 @@ trait QuantOp {
     ) -> Result<(Matrix, Self::Cache)>;
 
     /// Accumulates weight/bias/centroid gradients; returns `dX` and adds
-    /// any auxiliary loss (reconstruction) to `aux_loss`.
+    /// any auxiliary loss (reconstruction) to `aux_loss`. `x` is the
+    /// layer input [`Self::forward`] saw, which the walk keeps.
+    #[allow(clippy::too_many_arguments)]
     fn backward(
         &self,
         linear: &mut Linear,
         pq: &ProductQuantizer,
         centroid_grad: &mut Matrix,
+        x: &Matrix,
         cache: &Self::Cache,
         dy: &Matrix,
         aux_loss: &mut f32,
@@ -376,7 +379,6 @@ struct SteOp {
 }
 
 struct SteCache {
-    x: Matrix,
     x_hat: Matrix,
     indices: IndexMatrix,
 }
@@ -392,14 +394,7 @@ impl QuantOp for SteOp {
     ) -> Result<(Matrix, SteCache)> {
         let (x_hat, indices) = pq.snap(x)?;
         let y = linear.forward(&x_hat)?;
-        Ok((
-            y,
-            SteCache {
-                x: x.clone(),
-                x_hat,
-                indices,
-            },
-        ))
+        Ok((y, SteCache { x_hat, indices }))
     }
 
     fn backward(
@@ -407,23 +402,23 @@ impl QuantOp for SteOp {
         linear: &mut Linear,
         pq: &ProductQuantizer,
         centroid_grad: &mut Matrix,
+        x: &Matrix,
         cache: &SteCache,
         dy: &Matrix,
         aux_loss: &mut f32,
     ) -> Result<Matrix> {
         // Model-loss path (Â is the effective layer input).
-        let dw_model = gemm::matmul(&cache.x_hat.transpose(), dy)?;
+        let dw_model = gemm::matmul_tn(&cache.x_hat, dy)?;
         linear.weight.accumulate_grad(&dw_model);
         linear.backward_bias(dy);
-        let dx_hat_model = gemm::matmul(dy, &linear.weight.data.transpose())?;
+        let dx_hat_model = gemm::matmul_nt(dy, &linear.weight.data)?;
 
         // Reconstruction term: E = (Â − A)·W (Eq. 1).
-        let diff = cache.x_hat.sub(&cache.x)?;
+        let diff = cache.x_hat.sub(x)?;
         let e = gemm::matmul(&diff, &linear.weight.data)?;
         *aux_loss += self.beta * e.frobenius_sq();
-        let dx_hat_recon =
-            gemm::matmul(&e, &linear.weight.data.transpose())?.scale(2.0 * self.beta);
-        let dw_recon = gemm::matmul(&diff.transpose(), &e)?.scale(2.0 * self.beta);
+        let dx_hat_recon = gemm::matmul_nt(&e, &linear.weight.data)?.scale(2.0 * self.beta);
+        let dw_recon = gemm::matmul_tn(&diff, &e)?.scale(2.0 * self.beta);
         linear.weight.accumulate_grad(&dw_recon);
 
         // Centroid gradients: scatter dÂ (model + recon) onto assigned
@@ -471,7 +466,6 @@ impl SoftOp {
 }
 
 struct SoftCache {
-    x: Matrix,
     x_soft: Matrix,
     /// Soft assignment weights, `(n, cb*ct)` row-major.
     weights: Matrix,
@@ -522,14 +516,7 @@ impl QuantOp for SoftOp {
             }
         }
         let y = linear.forward(&x_soft)?;
-        Ok((
-            y,
-            SoftCache {
-                x: x.clone(),
-                x_soft,
-                weights,
-            },
-        ))
+        Ok((y, SoftCache { x_soft, weights }))
     }
 
     #[allow(clippy::needless_range_loop)]
@@ -538,20 +525,21 @@ impl QuantOp for SoftOp {
         linear: &mut Linear,
         pq: &ProductQuantizer,
         centroid_grad: &mut Matrix,
+        x: &Matrix,
         cache: &SoftCache,
         dy: &Matrix,
         _aux_loss: &mut f32,
     ) -> Result<Matrix> {
-        let dw = gemm::matmul(&cache.x_soft.transpose(), dy)?;
+        let dw = gemm::matmul_tn(&cache.x_soft, dy)?;
         linear.weight.accumulate_grad(&dw);
         linear.backward_bias(dy);
-        let dx_soft = gemm::matmul(dy, &linear.weight.data.transpose())?;
+        let dx_soft = gemm::matmul_nt(dy, &linear.weight.data)?;
 
-        let (n, v, ct, cb) = (cache.x.rows(), pq.v(), pq.ct(), pq.cb());
-        let mut dx = Matrix::zeros(n, cache.x.cols());
+        let (n, v, ct, cb) = (x.rows(), pq.v(), pq.ct(), pq.cb());
+        let mut dx = Matrix::zeros(n, x.cols());
         for r in 0..n {
             for c in 0..cb {
-                let sub = &cache.x.row(r)[c * v..(c + 1) * v];
+                let sub = &x.row(r)[c * v..(c + 1) * v];
                 let d_soft_sub = &dx_soft.row(r)[c * v..(c + 1) * v];
                 // Path 1: through the convex combination (w fixed).
                 // dc_k += w_k · dâ; dw_k = dâ · c_k.
@@ -654,6 +642,7 @@ fn calibrate_with_op<O: QuantOp>(
                         linear,
                         &quantizers[l],
                         &mut centroid_grads[l],
+                        &site.input,
                         &site.hook,
                         dy,
                         &mut aux,
@@ -666,17 +655,15 @@ fn calibrate_with_op<O: QuantOp>(
             let mut idx = 0;
             model.visit_params(&mut |p| {
                 if train_weights {
-                    let grad = p.grad.as_slice().to_vec();
-                    opt.step(idx, p.data.as_mut_slice(), &grad);
+                    opt.step(idx, p.data.as_mut_slice(), p.grad.as_slice());
                 }
                 idx += 1;
             });
-            for (qi, pq) in quantizers.iter_mut().enumerate() {
-                let grad = centroid_grads[qi].as_slice().to_vec();
+            for (qi, (pq, grad)) in quantizers.iter_mut().zip(&centroid_grads).enumerate() {
                 opt.step(
                     n_model_params + qi,
                     pq.centroids_mut().as_mut_slice(),
-                    &grad,
+                    grad.as_slice(),
                 );
             }
         }
@@ -1157,7 +1144,15 @@ mod tests {
         let mut centroid_grad = Matrix::zeros(pq.cb() * pq.ct(), pq.v());
         let mut aux = 0.0;
         let dx = op
-            .backward(&mut linear, &pq, &mut centroid_grad, &cache, &dy, &mut aux)
+            .backward(
+                &mut linear,
+                &pq,
+                &mut centroid_grad,
+                &x,
+                &cache,
+                &dy,
+                &mut aux,
+            )
             .unwrap();
 
         let loss = |pq: &ProductQuantizer, x: &Matrix| -> f32 {
@@ -1217,6 +1212,7 @@ mod tests {
                 &mut linear,
                 &pq,
                 &mut centroid_grad,
+                &x,
                 &cache,
                 &dy,
                 &mut recon,

@@ -365,11 +365,16 @@ impl ProductQuantizer {
     /// Encode-then-decode: snaps every sub-vector of `x` to its nearest
     /// centroid. Returns `(Â, indices)`.
     ///
+    /// Encodes through [`InterleavedCodebooks::encode`], whose indices are
+    /// bit-identical to [`Self::encode`]'s (the kernels' contract); the
+    /// re-lay costs `CB · CT · V` copies against the search's `N` times
+    /// that.
+    ///
     /// # Errors
     ///
     /// Returns [`LutError::Config`] on width mismatch.
     pub fn snap(&self, x: &Matrix) -> Result<(Matrix, IndexMatrix)> {
-        let indices = self.encode(x)?;
+        let indices = self.interleaved().encode(x)?;
         let approx = self.decode(&indices)?;
         Ok((approx, indices))
     }

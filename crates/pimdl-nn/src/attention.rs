@@ -92,7 +92,7 @@ pub(crate) fn attention_forward<C, E: From<TensorError>>(
         let qh = q.submatrix(0, head * dk, n, dk)?;
         let kh = k.submatrix(0, head * dk, n, dk)?;
         let vh = v.submatrix(0, head * dk, n, dk)?;
-        let scores = gemm::matmul(&qh, &kh.transpose())?.scale(scale);
+        let scores = gemm::matmul_nt(&qh, &kh)?.scale(scale);
         let p = norm::softmax(&scores);
         let oh = gemm::matmul(&p, &vh)?;
         concat.set_submatrix(0, head * dk, &oh)?;
@@ -142,8 +142,8 @@ pub(crate) fn attention_backward<C, E: From<TensorError>>(
         let p = &cache.probs[head];
         let doh = dconcat.submatrix(0, head * dk, n, dk)?;
 
-        let dvh = gemm::matmul(&p.transpose(), &doh)?;
-        let dp = gemm::matmul(&doh, &vh.transpose())?;
+        let dvh = gemm::matmul_tn(p, &doh)?;
+        let dp = gemm::matmul_nt(&doh, &vh)?;
         // Softmax backward per row: dS_i = P_i ⊙ (dP_i − ⟨dP_i, P_i⟩).
         let mut ds = Matrix::zeros(n, n);
         for i in 0..n {
@@ -156,7 +156,7 @@ pub(crate) fn attention_backward<C, E: From<TensorError>>(
         }
         let ds = ds.scale(scale);
         let dqh = gemm::matmul(&ds, &kh)?;
-        let dkh = gemm::matmul(&ds.transpose(), &qh)?;
+        let dkh = gemm::matmul_tn(&ds, &qh)?;
 
         dqkv.set_submatrix(0, head * dk, &dqh)?;
         dqkv.set_submatrix(0, h + head * dk, &dkh)?;

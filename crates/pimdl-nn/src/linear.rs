@@ -94,10 +94,10 @@ impl Linear {
     ///
     /// Returns a shape error if `x`/`dy` are inconsistent with the layer.
     pub fn backward(&mut self, x: &Matrix, dy: &Matrix) -> Result<Matrix> {
-        let dw = gemm::matmul(&x.transpose(), dy)?;
+        let dw = gemm::matmul_tn(x, dy)?;
         self.weight.accumulate_grad(&dw);
         self.backward_bias(dy);
-        gemm::matmul(dy, &self.weight.data.transpose())
+        gemm::matmul_nt(dy, &self.weight.data)
     }
 
     /// The bias half of [`Self::backward`], `db = colsum(dY)`, on its own for

@@ -95,8 +95,7 @@ pub fn train(
             opt.lr = cfg.lr * cfg.schedule.multiplier(opt.timestep());
             let mut idx = 0;
             model.visit_params(&mut |p| {
-                let grad = p.grad.as_slice().to_vec();
-                opt.step(idx, p.data.as_mut_slice(), &grad);
+                opt.step(idx, p.data.as_mut_slice(), p.grad.as_slice());
                 idx += 1;
             });
         }

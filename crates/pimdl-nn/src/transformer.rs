@@ -171,6 +171,8 @@ pub struct BlockCache<C = ()> {
     ln1_cache: norm::LayerNormCache,
     ffn1: SiteCache<C>,
     ffn1_pre: Matrix,
+    /// GELU's `tanh` at `ffn1_pre`, kept for its derivative.
+    ffn1_tanh: Matrix,
     ffn2: SiteCache<C>,
     ln2_cache: norm::LayerNormCache,
 }
@@ -194,7 +196,7 @@ fn block_forward<B: BlockFrame, C, E: From<TensorError>>(
     let (x1, ln1_cache) = ln1.forward(&res1)?;
 
     let (ffn1_pre, ffn1) = SiteCache::apply(x1, |x| apply(LayerKind::Ffn1, x))?;
-    let gelu_out = elementwise::gelu(&ffn1_pre);
+    let (gelu_out, ffn1_tanh) = elementwise::gelu_forward(&ffn1_pre);
     let (ffn2_out, ffn2) = SiteCache::apply(gelu_out, |x| apply(LayerKind::Ffn2, x))?;
     let res2 = ffn1.input.add(&ffn2_out)?;
     let (x2, ln2_cache) = ln2.forward(&res2)?;
@@ -204,6 +206,7 @@ fn block_forward<B: BlockFrame, C, E: From<TensorError>>(
         ln1_cache,
         ffn1,
         ffn1_pre,
+        ffn1_tanh,
         ffn2,
         ln2_cache,
     };
@@ -220,7 +223,7 @@ fn block_backward<C, E: From<TensorError>>(
 ) -> Result<Matrix, E> {
     let d_res2 = block.ln2.backward(&cache.ln2_cache, dy)?;
     let d_gelu_out = back(&mut block.ffn2, LayerKind::Ffn2, &cache.ffn2, &d_res2)?;
-    let d_ffn1_pre = d_gelu_out.hadamard(&elementwise::gelu_grad(&cache.ffn1_pre))?;
+    let d_ffn1_pre = elementwise::gelu_backward(&cache.ffn1_pre, &cache.ffn1_tanh, &d_gelu_out)?;
     let dx1_ffn = back(&mut block.ffn1, LayerKind::Ffn1, &cache.ffn1, &d_ffn1_pre)?;
     let dx1 = d_res2.add(&dx1_ffn)?;
 

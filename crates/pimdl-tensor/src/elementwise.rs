@@ -7,27 +7,51 @@
 
 use crate::{Matrix, Result, TensorError};
 
-/// Gaussian error linear unit (tanh approximation, as used by BERT/ViT).
-pub fn gelu(x: &Matrix) -> Matrix {
-    x.map(gelu_scalar)
+const SQRT_2_OVER_PI: f32 = 0.797_884_6;
+const GELU_CUBIC: f32 = 0.044_715;
+
+/// Gaussian error linear unit (tanh approximation, as used by BERT/ViT),
+/// element-wise. Returns `(GELU(x), t)` with
+/// `t = tanh(√(2/π)·(x + 0.044715·x³))`, the one transcendental both
+/// GELU and its derivative need; [`gelu_backward`] takes it back instead
+/// of recomputing it.
+pub fn gelu_forward(x: &Matrix) -> (Matrix, Matrix) {
+    let t = x.map(|v| (SQRT_2_OVER_PI * (v + GELU_CUBIC * v * v * v)).tanh());
+    let mut y = x.clone();
+    for (v, &t) in y.iter_mut().zip(t.iter()) {
+        *v = 0.5 * *v * (1.0 + t);
+    }
+    (y, t)
 }
 
-/// Scalar GELU (tanh approximation).
-#[inline]
-pub fn gelu_scalar(v: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * v * (1.0 + (SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v)).tanh())
-}
-
-/// Derivative of the tanh-approximated GELU, element-wise.
-pub fn gelu_grad(x: &Matrix) -> Matrix {
-    x.map(|v| {
-        const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-        let inner = SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v);
-        let t = inner.tanh();
-        let sech2 = 1.0 - t * t;
-        0.5 * (1.0 + t) + 0.5 * v * sech2 * SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044_715 * v * v)
-    })
+/// `dy ⊙ GELU'(x)`, given the `t` that [`gelu_forward`] returned for `x`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] unless `x`, `t` and `dy` share
+/// one shape.
+pub fn gelu_backward(x: &Matrix, t: &Matrix, dy: &Matrix) -> Result<Matrix> {
+    for other in [t, dy] {
+        if other.shape() != x.shape() {
+            return Err(TensorError::ShapeMismatch {
+                op: "gelu_backward",
+                lhs: x.shape(),
+                rhs: other.shape(),
+            });
+        }
+    }
+    let data = x
+        .iter()
+        .zip(t.iter())
+        .zip(dy.iter())
+        .map(|((&v, &t), &g)| {
+            let sech2 = 1.0 - t * t;
+            let grad = 0.5 * (1.0 + t)
+                + 0.5 * v * sech2 * SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_CUBIC * v * v);
+            g * grad
+        })
+        .collect();
+    Matrix::from_vec(x.rows(), x.cols(), data)
 }
 
 /// Adds a bias row-vector to every row of `x`.
@@ -59,27 +83,33 @@ mod tests {
     #[test]
     fn gelu_known_points() {
         // GELU(0) = 0; GELU is ~linear for large positive, ~0 for large negative.
-        assert_eq!(gelu_scalar(0.0), 0.0);
-        assert!((gelu_scalar(5.0) - 5.0).abs() < 1e-3);
-        assert!(gelu_scalar(-5.0).abs() < 1e-3);
+        let x = Matrix::from_vec(1, 4, vec![0.0, 5.0, -5.0, 1.0]).unwrap();
+        let (y, _) = gelu_forward(&x);
+        assert_eq!(y.get(0, 0), 0.0);
+        assert!((y.get(0, 1) - 5.0).abs() < 1e-3);
+        assert!(y.get(0, 2).abs() < 1e-3);
         // Known value: GELU(1) ≈ 0.8412 (tanh approximation).
-        assert!((gelu_scalar(1.0) - 0.8412).abs() < 1e-3);
+        assert!((y.get(0, 3) - 0.8412).abs() < 1e-3);
     }
 
     #[test]
     fn gelu_grad_matches_finite_difference() {
         let xs = [-2.0_f32, -0.7, 0.0, 0.3, 1.5, 3.0];
         let x = Matrix::from_vec(1, xs.len(), xs.to_vec()).unwrap();
-        let g = gelu_grad(&x);
+        let (_, t) = gelu_forward(&x);
+        let g = gelu_backward(&x, &t, &Matrix::full(1, xs.len(), 1.0)).unwrap();
         let h = 1e-3_f32;
+        let (up, _) = gelu_forward(&x.map(|v| v + h));
+        let (down, _) = gelu_forward(&x.map(|v| v - h));
         for (i, &v) in xs.iter().enumerate() {
-            let fd = (gelu_scalar(v + h) - gelu_scalar(v - h)) / (2.0 * h);
+            let fd = (up.get(0, i) - down.get(0, i)) / (2.0 * h);
             assert!(
                 (g.get(0, i) - fd).abs() < 1e-2,
                 "x={v}: analytic {} vs fd {fd}",
                 g.get(0, i)
             );
         }
+        assert!(gelu_backward(&x, &t, &Matrix::zeros(1, 2)).is_err());
     }
 
     #[test]
