@@ -11,7 +11,7 @@ use pimdl_tuner::model::{analytical_cost, relative_error};
 use pimdl_tuner::space::{
     divisors, kernel_candidates, mapping_of, sub_lut_candidates, tile_candidates,
 };
-use pimdl_tuner::{tune_with_options, TuneOptions};
+use pimdl_tuner::{bnb, tune_with_options, TuneOptions};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -190,6 +190,66 @@ fn alloc_plans_are_pinned() {
             0x673e_8750_fbb3_77d5,
             0xb138_055a_8a15_1af8,
             0x90a3_a077_440c_e5eb,
+        ],
+        "{digests:#018x?}"
+    );
+}
+
+/// Digest of both searches' answers on one workload: `bnb::search` (the
+/// mapping, every prediction bit, `evaluated`, `pruned_subtrees`) and every
+/// point of `bnb::pair_frontier`.
+fn searches_digest(platform: &PlatformConfig, workload: &LutWorkload) -> u64 {
+    fnv1a(&format!(
+        "{:?}\n{:?}",
+        bnb::search(platform, workload).unwrap(),
+        bnb::pair_frontier(platform, workload).unwrap()
+    ))
+}
+
+/// Both branch-and-bound searches, pinned by digest: BERT-base's four
+/// operators (V 4, CT 16) at batch 64 × seq 512 on all three platforms
+/// (both `mem_hierarchy()` arms, per-PE and command-driven indices), one
+/// `CT = 512` operator (two-byte indices) and one operator on a 2 KiB WRAM,
+/// where no pair's static sub-LUT fits. A change to the leaf price, a
+/// bound or the visit order that moves one mapping, one prediction bit or
+/// one count fails here.
+#[test]
+fn bnb_searches_are_pinned() {
+    let mut digests = Vec::new();
+    for platform in PlatformConfig::all() {
+        for op in layer_ops(768, 3072, 1) {
+            let w = LutWorkload::new(64 * 512, op.in_dim / 4, 16, op.out_dim).unwrap();
+            digests.push(searches_digest(&platform, &w));
+        }
+    }
+    let mut small = PlatformConfig::upmem();
+    small.num_pes = 64;
+    digests.push(searches_digest(
+        &small,
+        &LutWorkload::new(256, 16, 512, 64).unwrap(),
+    ));
+    small.wram_bytes = 2048;
+    digests.push(searches_digest(
+        &small,
+        &LutWorkload::new(256, 48, 64, 64).unwrap(),
+    ));
+    assert_eq!(
+        digests,
+        [
+            0x9854_2f90_51a4_1358,
+            0xd9d4_18bf_cca1_571c,
+            0xc6e3_adae_140e_52f4,
+            0xc10a_e368_44bd_ff8f,
+            0x6a72_1451_2cc4_435d,
+            0xe07f_3541_26f0_1852,
+            0x3272_3785_f89c_240c,
+            0x793e_ed42_1644_7cb0,
+            0x3435_98e1_ebcb_4ca2,
+            0x9c59_7fb3_cb1e_6c01,
+            0xc1a0_63a7_ecfd_6bf1,
+            0x7b5d_d85a_1270_2ecd,
+            0x7701_f179_4c8d_2bc8,
+            0xd3f5_55b3_7632_ec12,
         ],
         "{digests:#018x?}"
     );
