@@ -117,6 +117,7 @@ pub struct LocalMemModel {
 
 impl LocalMemModel {
     /// Effective bandwidth (GB/s) at the given access granularity.
+    #[inline]
     pub fn effective_gbps(&self, access_bytes: f64) -> f64 {
         if access_bytes <= 0.0 {
             return self.peak_gbps;
@@ -126,6 +127,7 @@ impl LocalMemModel {
 
     /// Idealized (tuner-visible) time for moving `total_bytes` in accesses
     /// of `access_bytes` each: pure bytes / profiled-bandwidth (Eq. 8).
+    #[inline]
     pub fn ideal_time_s(&self, total_bytes: f64, access_bytes: f64) -> f64 {
         if total_bytes <= 0.0 {
             return 0.0;
@@ -140,6 +142,7 @@ impl LocalMemModel {
 }
 
 /// Greatest common divisor (Euclid). `gcd(0, n) = n`.
+#[inline]
 fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         (a, b) = (b, a % b);
@@ -154,7 +157,7 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 /// additionally pay a row-activation latency each time a streamed tile
 /// opens a DRAM row, and misaligned tiles straddle *extra* rows ("layout
 /// crossing"). These are the two terms the `pim_mapper`-style hierarchical
-/// model adds ([`crate::cost::row_times_s`]).
+/// model adds ([`crate::cost::RowTimes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MemHierarchy {
     /// Row-buffer size of the bank behind the PE's global buffer (bytes).
@@ -175,6 +178,7 @@ impl MemHierarchy {
     /// volume) and the *crossing* excess `(min(T, R) − gcd(T, R))/R`, which
     /// is zero exactly when tile and row sizes nest (`T | R` or `R | T`)
     /// and positive otherwise.
+    #[inline]
     pub fn row_traffic(&self, loads: f64, tile_bytes: f64) -> (f64, f64) {
         if loads <= 0.0 || tile_bytes <= 0.0 {
             return (0.0, 0.0);

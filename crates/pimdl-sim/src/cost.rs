@@ -3,11 +3,15 @@
 //! Follows the two-step dataflow of §5.2: **sub-LUT partition** (host↔PIM
 //! transfers, Eqs. 3–5: [`sub_lut_times`]) then **micro-kernel execution**
 //! on every PE (Eqs. 6–10: [`stream_counts`], [`reduce_time_s`]), plus the
-//! two DRAM-row terms of the hierarchical model ([`row_times_s`]). The
+//! two DRAM-row terms of the hierarchical model ([`RowTimes`]). The
 //! tile-size, trip-count and use-mask pieces those are composed from are
 //! public, so the auto-tuner's analytical model and its branch-and-bound
 //! lower bounds (`pimdl_tuner::{model, bnb}`) call the same functions at
-//! their own arguments instead of re-deriving them.
+//! their own arguments instead of re-deriving them. [`stream_counts`] is
+//! itself two of them, [`tiling_streams`] and [`lut_stream`], because only
+//! the LUT stream depends on the load scheme: the tuner prices a tiling's
+//! other streams once and each of its load-scheme leaves by the LUT stream
+//! alone.
 //!
 //! What stays different between simulator and model is only how a stream
 //! is *priced*. The simulator ([`cost_with_repeat`]) adds two second-order
@@ -24,7 +28,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::config::{MemHierarchy, PlatformConfig, TransferPattern};
-use crate::mapping::{LoadScheme, LutWorkload, Mapping};
+use crate::mapping::{LoadScheme, LutWorkload, Mapping, MicroKernel, TraversalOrder};
 use crate::Result;
 
 /// Loop-overhead cycles charged per innermost reduce-loop execution,
@@ -53,6 +57,7 @@ pub struct TimeBreakdown {
 
 impl TimeBreakdown {
     /// Sub-LUT partition (host↔PIM) time, Eq. 3.
+    #[inline]
     pub fn sub_lut_total_s(&self) -> f64 {
         self.sub_index_s + self.sub_lut_s + self.sub_output_s
     }
@@ -64,11 +69,13 @@ impl TimeBreakdown {
     }
 
     /// Micro-kernel time, Eq. 6 (`t_transfer + t_reduce`).
+    #[inline]
     pub fn micro_kernel_total_s(&self) -> f64 {
         self.kernel_index_s + self.kernel_lut_s + self.kernel_output_s + self.kernel_reduce_s
     }
 
     /// End-to-end kernel latency.
+    #[inline]
     pub fn total_s(&self) -> f64 {
         self.sub_lut_total_s() + self.micro_kernel_total_s()
     }
@@ -124,18 +131,21 @@ pub fn index_tile_bytes(w: &LutWorkload, rows: usize, cbs: usize) -> usize {
 
 /// Bytes of an f32 output tile of `rows × feats`: the s-tile at
 /// `(N_s, F_s)`, the m-tile at `(N_m, F_m)`.
+#[inline]
 pub fn output_tile_bytes(rows: usize, feats: usize) -> usize {
     rows * feats * 4
 }
 
 /// Bytes of an INT8 LUT tile holding all `CT` candidates of `cbs × feats`:
 /// the sub-LUT at `(CB, F_s)`, a coarse-grain chunk at `(cb_load, f_load)`.
+#[inline]
 pub fn lut_tile_bytes(w: &LutWorkload, cbs: usize, feats: usize) -> usize {
     cbs * w.ct * feats
 }
 
 /// Entries one PE gathers and accumulates, `N_s·CB·F_s`: the reduce count
 /// (`RCount`) and, at one byte each, the fine-grain LUT volume.
+#[inline]
 pub fn gathered_entries(w: &LutWorkload, (n_stile, f_stile): Pair) -> usize {
     n_stile * w.cb * f_stile
 }
@@ -153,6 +163,7 @@ pub fn lut_buffer_bytes(w: &LutWorkload, f_stile: usize, scheme: LoadScheme) -> 
 
 /// Micro-kernel trip counts `(T_n, T_f, T_cb)` of m-tiles
 /// `(N_m, F_m, CB_m)` inside `pair`.
+#[inline]
 pub fn trip_counts(w: &LutWorkload, pair: Pair, mtiles: (usize, usize, usize)) -> (u64, u64, u64) {
     let trips = |dim: usize, tile: usize| (dim / tile) as u64;
     (
@@ -248,6 +259,7 @@ pub struct StreamCounts {
 impl StreamCounts {
     /// The three local-memory streams — index, output (loaded and stored
     /// per eviction), LUT — as `(transfers, bytes each)`.
+    #[inline]
     pub fn streams(&self) -> [(f64, f64); 3] {
         [
             (self.index_loads as f64, self.index_mtile_bytes as f64),
@@ -260,12 +272,39 @@ impl StreamCounts {
     }
 }
 
-/// Derives the stream counts of one (already validated) mapping.
-pub fn stream_counts(w: &LutWorkload, m: &Mapping) -> StreamCounts {
-    let k = &m.kernel;
-    let trips = m.trip_counts(w);
-    let (lut_accesses, lut_access_bytes) = match k.load_scheme {
-        LoadScheme::Static => (1, lut_tile_bytes(w, w.cb, m.f_stile)),
+/// The index and output streams of m-tiles `(N_m, F_m, CB_m)` walked in
+/// `traversal` order with trip counts `trips`: the part of
+/// [`StreamCounts`] no load scheme moves, with the LUT stream empty
+/// ([`lut_stream`] is the rest).
+pub fn tiling_streams(
+    w: &LutWorkload,
+    (n_mtile, f_mtile, cb_mtile): (usize, usize, usize),
+    traversal: TraversalOrder,
+    trips: (u64, u64, u64),
+) -> StreamCounts {
+    StreamCounts {
+        index_loads: traversal.load_count(trips, INDEX_USES),
+        index_mtile_bytes: index_tile_bytes(w, n_mtile, cb_mtile) as u64,
+        // Loaded and stored per eviction.
+        output_loads: traversal.load_count(trips, OUTPUT_USES),
+        output_mtile_bytes: output_tile_bytes(n_mtile, f_mtile) as u64,
+        lut_accesses: 0,
+        lut_access_bytes: 0,
+    }
+}
+
+/// The LUT stream of micro-kernel `k` inside `pair` with trip counts
+/// `trips`, as `(accesses, bytes each)`: the one stream the load scheme
+/// moves.
+#[inline]
+pub fn lut_stream(
+    w: &LutWorkload,
+    pair: Pair,
+    k: &MicroKernel,
+    trips: (u64, u64, u64),
+) -> (u64, u64) {
+    let (accesses, access_bytes) = match k.load_scheme {
+        LoadScheme::Static => (1, lut_tile_bytes(w, w.cb, pair.1)),
         LoadScheme::CoarseGrain { cb_load, f_load } => {
             let chunks_per_mtile = ((k.cb_mtile / cb_load) * (k.f_mtile / f_load)) as u64;
             // The buffer holds one chunk. With a single chunk per MTile the
@@ -280,30 +319,46 @@ pub fn stream_counts(w: &LutWorkload, m: &Mapping) -> StreamCounts {
         }
         // One access of f_load bytes per (row, codebook, f-chunk).
         LoadScheme::FineGrain { f_load, .. } => {
-            ((gathered_entries(w, m.pair()) / f_load) as u64, f_load)
+            ((gathered_entries(w, pair) / f_load) as u64, f_load)
         }
     };
+    (accesses, access_bytes as u64)
+}
+
+/// Derives the stream counts of one (already validated) mapping.
+pub fn stream_counts(w: &LutWorkload, m: &Mapping) -> StreamCounts {
+    let k = &m.kernel;
+    let trips = m.trip_counts(w);
+    let (lut_accesses, lut_access_bytes) = lut_stream(w, m.pair(), k, trips);
     StreamCounts {
-        index_loads: k.traversal.load_count(trips, INDEX_USES),
-        index_mtile_bytes: index_tile_bytes(w, k.n_mtile, k.cb_mtile) as u64,
-        // Loaded and stored per eviction.
-        output_loads: k.traversal.load_count(trips, OUTPUT_USES),
-        output_mtile_bytes: output_tile_bytes(k.n_mtile, k.f_mtile) as u64,
         lut_accesses,
-        lut_access_bytes: lut_access_bytes as u64,
+        lut_access_bytes,
+        ..tiling_streams(w, (k.n_mtile, k.f_mtile, k.cb_mtile), k.traversal, trips)
     }
 }
 
-/// The two DRAM-row terms of the hierarchical model, summed over the
-/// three streams: `(row_activation_s, crossing_s)`.
-pub fn row_times_s(hier: &MemHierarchy, sc: &StreamCounts) -> (f64, f64) {
-    let (mut row_activation_s, mut crossing_s) = (0.0, 0.0);
-    for (loads, tile) in sc.streams() {
+/// The two DRAM-row terms of the hierarchical model. They are summed from
+/// `+0.0` one stream at a time, in [`StreamCounts::streams`] order, so a
+/// partial sum (index and output) resumes with the LUT stream to exactly
+/// the bits of the whole.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct RowTimes {
+    /// Compulsory row-activation time of the streams added so far.
+    pub row_activation_s: f64,
+    /// Excess activation time of their tiles straddling row boundaries.
+    pub crossing_s: f64,
+}
+
+impl RowTimes {
+    /// The sum with one more `(transfers, bytes each)` stream added.
+    #[inline]
+    pub fn add(self, hier: &MemHierarchy, (loads, tile): (f64, f64)) -> RowTimes {
         let (compulsory, crossing) = hier.row_traffic(loads, tile);
-        row_activation_s += compulsory * hier.row_activation_s;
-        crossing_s += crossing * hier.row_activation_s;
+        RowTimes {
+            row_activation_s: self.row_activation_s + compulsory * hier.row_activation_s,
+            crossing_s: self.crossing_s + crossing * hier.row_activation_s,
+        }
     }
-    (row_activation_s, crossing_s)
 }
 
 /// Estimates the cost of a kernel launch without data, using the *expected*
@@ -401,7 +456,6 @@ pub fn cost_with_repeat(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::{MicroKernel, TraversalOrder};
 
     fn platform(pes: usize) -> PlatformConfig {
         let mut p = PlatformConfig::upmem();

@@ -126,6 +126,7 @@ impl TraversalOrder {
     /// iterate inside it; it reloads whenever a loop it depends on — or any
     /// loop *outside* such a loop — advances. Loops with a single
     /// iteration never change the tile and are ignored.
+    #[inline]
     pub fn load_count(self, trips: (u64, u64, u64), uses: (bool, bool, bool)) -> u64 {
         let trip = |d: LoopDim| match d {
             LoopDim::N => trips.0,

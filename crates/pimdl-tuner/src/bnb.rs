@@ -9,6 +9,12 @@
 //! materialised list ([`crate::space::kernel_candidates`]) exactly (the
 //! proptest oracle in `tests/properties.rs` asserts bit-identical totals).
 //!
+//! A leaf is priced as its tiling's exact price plus its LUT stream
+//! ([`crate::model::TilingPrice`]): under a complete tiling the descent
+//! computes everything the load scheme does not move once, then prices
+//! each P4 leaf by its WRAM fit and its LUT stream alone. That is the
+//! price `hierarchical_cost` returns after `Mapping::validate`, to the bit.
+//!
 //! # Lower bounds
 //!
 //! With the P1 pair fixed, `t_sub-lut` is exact. Every other bound is a
@@ -28,7 +34,7 @@ use pimdl_sim::cost::{
 };
 use pimdl_sim::{LutWorkload, Mapping, TraversalOrder};
 
-use crate::model::{hierarchical_cost, HierBreakdown};
+use crate::model::{HierBreakdown, TilingPrice};
 use crate::space::{
     leaf_kernels, legal_pairs, mapping_of, Partial, SchemeClass, Tiling, FINE_THREADS,
 };
@@ -53,58 +59,53 @@ pub struct BnbOutcome {
     pub pruned_subtrees: usize,
 }
 
-/// The best candidate offered so far and how many were scored: the one
-/// "strictly better" fold every search (the descent here, the reference
-/// enumeration in [`crate::tuner`]) runs its candidates through.
+/// The best candidate offered so far and how many were offered and
+/// scored: the one "strictly better" fold every search (the descent here,
+/// the reference enumeration in [`crate::tuner`]) runs its priced
+/// candidates through.
 #[derive(Debug, Default)]
 pub(crate) struct Incumbent {
     best: Option<(Mapping, HierBreakdown)>,
-    /// A total found outside this search (by the leaner P1 pairs of
-    /// [`pair_frontier`]) that a candidate must also beat strictly.
+    /// The total a candidate must beat strictly: the best's, or until a
+    /// candidate beats it, one found outside this search (by the leaner
+    /// P1 pairs of [`pair_frontier`]).
     bar: Option<f64>,
+    /// Candidates offered, legal or not.
+    offered: usize,
+    /// Legal candidates scored.
     evaluated: usize,
 }
 
 impl Incumbent {
-    /// The total to beat: the smaller of the bar and the own best.
-    fn total_s(&self) -> Option<f64> {
-        let own = self.best.as_ref().map(|(_, b)| b.total_s());
-        match (own, self.bar) {
-            (Some(own), Some(bar)) => Some(own.min(bar)),
-            (own, bar) => own.or(bar),
-        }
-    }
-
-    /// Scores `mapping` if it is legal; it replaces the incumbent only when
-    /// strictly better, so of equal-cost candidates the first offered wins.
-    pub(crate) fn offer(
-        &mut self,
-        platform: &PlatformConfig,
-        workload: &LutWorkload,
-        mapping: Mapping,
-    ) {
-        let Ok(scored) = hierarchical_cost(platform, workload, &mapping) else {
+    /// Takes `mapping` with its price, `None` if it is illegal; a legal one
+    /// replaces the incumbent only when strictly better, so of equal-cost
+    /// candidates the first offered wins.
+    pub(crate) fn offer(&mut self, mapping: Mapping, scored: Option<HierBreakdown>) {
+        self.offered += 1;
+        let Some(scored) = scored else {
             return;
         };
         self.evaluated += 1;
-        if self.total_s().is_none_or(|best| scored.total_s() < best) {
+        let total = scored.total_s();
+        if self.bar.is_none_or(|bar| total < bar) {
             self.best = Some((mapping, scored));
+            self.bar = Some(total);
         }
     }
 
     /// The winner, its prediction and the number of candidates scored.
     pub(crate) fn into_best(
         self,
+        platform: &PlatformConfig,
         workload: &LutWorkload,
     ) -> Result<(Mapping, HierBreakdown, usize)> {
-        let evaluated = self.evaluated;
         let (mapping, predicted) = self.best.ok_or_else(|| TuneError::NoLegalMapping {
             detail: format!(
-                "all {evaluated} scored candidates were illegal for ({}, {}, {}, {})",
-                workload.n, workload.cb, workload.ct, workload.f
+                "none of the {} candidates offered fits {} B of WRAM for ({}, {}, {}, {})",
+                self.offered, platform.wram_bytes, workload.n, workload.cb, workload.ct, workload.f
             ),
         })?;
-        Ok((mapping, predicted, evaluated))
+        Ok((mapping, predicted, self.evaluated))
     }
 }
 
@@ -273,7 +274,7 @@ pub fn search(platform: &PlatformConfig, workload: &LutWorkload) -> Result<BnbOu
     sort_children(&mut roots);
 
     for (lb, ctx) in &roots {
-        if prunes(*lb, incumbent.total_s()) {
+        if prunes(*lb, incumbent.bar) {
             pruned_subtrees += 1;
             continue;
         }
@@ -285,7 +286,7 @@ pub fn search(platform: &PlatformConfig, workload: &LutWorkload) -> Result<BnbOu
         );
     }
 
-    let (mapping, predicted, evaluated) = incumbent.into_best(workload)?;
+    let (mapping, predicted, evaluated) = incumbent.into_best(platform, workload)?;
     Ok(BnbOutcome {
         mapping,
         predicted,
@@ -340,7 +341,7 @@ pub fn pair_frontier(platform: &PlatformConfig, workload: &LutWorkload) -> Resul
         };
         descend(&ctx, Partial::default(), &mut incumbent, &mut 0);
         if let Some((mapping, predicted)) = incumbent.best {
-            bar = Some(predicted.total_s());
+            bar = incumbent.bar;
             out.push(PairBest {
                 n_stile,
                 f_stile,
@@ -367,7 +368,7 @@ fn descend(ctx: &PairCtx, node: Partial, incumbent: &mut Incumbent, pruned: &mut
         .collect();
     sort_children(&mut children);
     for (lb, child) in children {
-        if prunes(lb, incumbent.total_s()) || ctx.overflows_wram(child) {
+        if prunes(lb, incumbent.bar) || ctx.overflows_wram(child) {
             *pruned += 1;
             continue;
         }
@@ -375,7 +376,8 @@ fn descend(ctx: &PairCtx, node: Partial, incumbent: &mut Incumbent, pruned: &mut
     }
 }
 
-/// Scores the load-scheme leaves under a complete tiling, class by class.
+/// Scores the load-scheme leaves under a complete tiling, class by class:
+/// the tiling is priced once, each leaf by its LUT stream alone.
 fn score_leaves(
     ctx: &PairCtx,
     node: Partial,
@@ -387,8 +389,9 @@ fn score_leaves(
     // class's own LUT floor and gate the whole class on it before
     // enumerating its chunk factors (the classes dominate the leaf count).
     // Every gate compares against the incumbent on entry.
-    let on_entry = incumbent.total_s();
+    let on_entry = incumbent.bar;
     let (non_lut_lb, _) = ctx.bound_parts(node);
+    let price = TilingPrice::new(ctx.platform, ctx.w, (ctx.n_stile, ctx.f_stile), tiling);
     for class in SchemeClass::ALL {
         // Static is a single leaf: scoring it costs no more than bounding it.
         let gated = !matches!(class, SchemeClass::Static);
@@ -398,7 +401,7 @@ fn score_leaves(
         }
         for kernel in leaf_kernels(class, ctx.w, ctx.platform, ctx.f_stile, tiling) {
             let mapping = mapping_of(ctx.n_stile, ctx.f_stile, kernel);
-            incumbent.offer(ctx.platform, ctx.w, mapping);
+            incumbent.offer(mapping, price.leaf(kernel.load_scheme));
         }
     }
 }
@@ -406,6 +409,7 @@ fn score_leaves(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::hierarchical_cost;
     use crate::space::{kernel_candidates, sub_lut_candidates};
     use proptest::prelude::*;
 
@@ -432,6 +436,59 @@ mod tests {
         p.num_pes = [4, 8, 16][pes];
         p.wram_bytes = [96, 1024, 4096, 65536][wram];
         (w, p)
+    }
+
+    /// The hierarchical model priced whole, one mapping at a time:
+    /// `validate`, the three streams, their row terms summed from `+0.0`
+    /// in stream order, then the flat analytical terms. The oracle the
+    /// per-tiling leaf price must match bit for bit.
+    fn reference_cost(
+        p: &PlatformConfig,
+        w: &LutWorkload,
+        m: &Mapping,
+    ) -> pimdl_sim::Result<HierBreakdown> {
+        m.validate(w, p)?;
+        let sc = pimdl_sim::cost::stream_counts(w, m);
+        let hier = p.mem_hierarchy();
+        let (mut row_activation_s, mut crossing_s) = (0.0, 0.0);
+        for (loads, tile) in sc.streams() {
+            let (compulsory, crossing) = hier.row_traffic(loads, tile);
+            row_activation_s += compulsory * hier.row_activation_s;
+            crossing_s += crossing * hier.row_activation_s;
+        }
+        let lm = &p.local_mem;
+        let [kernel_index_s, kernel_output_s, kernel_lut_s] = sc
+            .streams()
+            .map(|(loads, tile)| lm.ideal_time_s(loads * tile, tile));
+        Ok(HierBreakdown {
+            base: pimdl_sim::TimeBreakdown {
+                kernel_index_s,
+                kernel_lut_s,
+                kernel_output_s,
+                kernel_reduce_s: reduce_time_s(p, w, m.pair(), m.kernel.f_mtile),
+                ..sub_lut_times(p, w, m.pair())
+            },
+            row_activation_s,
+            crossing_s,
+        })
+    }
+
+    /// Every field of a prediction and its total, as bits.
+    fn bits(h: &HierBreakdown) -> [u64; 10] {
+        let b = &h.base;
+        [
+            b.sub_index_s,
+            b.sub_lut_s,
+            b.sub_output_s,
+            b.kernel_index_s,
+            b.kernel_lut_s,
+            b.kernel_output_s,
+            b.kernel_reduce_s,
+            h.row_activation_s,
+            h.crossing_s,
+            h.total_s(),
+        ]
+        .map(f64::to_bits)
     }
 
     /// `pair_frontier`'s walk relies on per-PE bytes rising strictly along
@@ -462,6 +519,41 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
+        /// The leaf price against the whole-mapping oracle, on every
+        /// candidate of every legal pair: a leaf is priced exactly when
+        /// the oracle accepts it, and then to the bit on all nine fields
+        /// and the total; `hierarchical_cost` agrees with both.
+        #[test]
+        fn leaf_price_matches_whole_mapping_oracle(
+            n_idx in 0usize..5,
+            cb_idx in 0usize..3,
+            ct_idx in 0usize..4,
+            f_idx in 0usize..4,
+            pes_idx in 0usize..3,
+            wram_idx in 0usize..4,
+            mac in any::<bool>(),
+        ) {
+            let (w, p) = small_case((n_idx, cb_idx, ct_idx, f_idx, pes_idx, wram_idx), mac);
+            for pair @ (n_s, f_s) in sub_lut_candidates(&w, &p) {
+                for kernel in kernel_candidates(&w, &p, n_s, f_s) {
+                    let mapping = mapping_of(n_s, f_s, kernel);
+                    let tiling = (kernel.n_mtile, kernel.f_mtile, kernel.cb_mtile, kernel.traversal);
+                    let leaf = TilingPrice::new(&p, &w, pair, tiling).leaf(kernel.load_scheme);
+                    let oracle = reference_cost(&p, &w, &mapping).ok();
+                    let hier = hierarchical_cost(&p, &w, &mapping).ok();
+                    prop_assert_eq!(
+                        leaf.as_ref().map(bits),
+                        oracle.as_ref().map(bits),
+                        "{:?} on {:?}, {} B WRAM",
+                        mapping,
+                        p.kind,
+                        p.wram_bytes
+                    );
+                    prop_assert_eq!(hier.as_ref().map(bits), oracle.as_ref().map(bits));
+                }
+            }
+        }
+
         /// The frontier against an oracle that searches nothing: each
         /// legal pair's optimum by the strictly-better fold over the
         /// materialised candidates, a pair kept iff it beats, strictly,
@@ -485,7 +577,8 @@ mod tests {
             for (n_s, f_s) in pairs {
                 let mut incumbent = Incumbent::default();
                 for kernel in kernel_candidates(&w, &p, n_s, f_s) {
-                    incumbent.offer(&p, &w, mapping_of(n_s, f_s, kernel));
+                    let mapping = mapping_of(n_s, f_s, kernel);
+                    incumbent.offer(mapping, hierarchical_cost(&p, &w, &mapping).ok());
                 }
                 let Some((mapping, predicted)) = incumbent.best else {
                     continue;

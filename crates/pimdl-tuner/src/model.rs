@@ -16,13 +16,27 @@
 //!
 //! Both predictions come back as a [`TimeBreakdown`], the simulator's own
 //! type, so model and "measurement" compare term by term.
+//!
+//! A search prices a mapping in two parts. Everything but the LUT stream
+//! is a function of the complete tiling `(pair, N_m, F_m, CB_m,
+//! traversal)` alone, and dozens of load-scheme leaves share each tiling,
+//! so [`TilingPrice`] computes that part once. Each leaf is then its
+//! tiling's exact price plus its own LUT stream: one WRAM check, one
+//! [`lut_stream`], one LUT term, and the LUT row terms added last.
+//! [`hierarchical_cost`] is `validate` followed by the same price, so the
+//! model, branch-and-bound and the exhaustive reference share one
+//! derivation and agree bit for bit.
 
 use serde::{Deserialize, Serialize};
 
-use pimdl_sim::config::PlatformConfig;
-use pimdl_sim::cost::{reduce_time_s, row_times_s, stream_counts, sub_lut_times, StreamCounts};
-use pimdl_sim::{LutWorkload, Mapping, TimeBreakdown};
+use pimdl_sim::config::{LocalMemModel, MemHierarchy, PlatformConfig};
+use pimdl_sim::cost::{
+    index_tile_bytes, lut_buffer_bytes, lut_stream, output_tile_bytes, reduce_time_s,
+    stream_counts, sub_lut_times, tiling_streams, trip_counts, Pair, RowTimes, StreamCounts,
+};
+use pimdl_sim::{LoadScheme, LutWorkload, Mapping, MicroKernel, TimeBreakdown};
 
+use crate::space::{mapping_of, Tiling};
 use crate::Result;
 
 /// Evaluates the analytical model for one mapping.
@@ -37,27 +51,39 @@ pub fn analytical_cost(
 ) -> Result<TimeBreakdown> {
     mapping.validate(workload, platform)?;
     let sc = stream_counts(workload, mapping);
-    Ok(analytical(platform, workload, mapping, &sc))
+    Ok(analytical(
+        platform,
+        workload,
+        mapping.pair(),
+        mapping.kernel.f_mtile,
+        &sc,
+    ))
 }
 
-/// [`analytical_cost`] of a validated mapping whose stream counts are at
-/// hand (the hierarchical model prices the same streams again).
+/// One stream's local-memory time: `(transfers, bytes each)` at the
+/// profiled bandwidth of its access size (Eq. 8).
+fn stream_time_s(lm: &LocalMemModel, (loads, tile): (f64, f64)) -> f64 {
+    lm.ideal_time_s(loads * tile, tile)
+}
+
+/// [`analytical_cost`] of a validated mapping in `pair` with inner loop
+/// `f_mtile`, whose stream counts are at hand.
 fn analytical(
     platform: &PlatformConfig,
     w: &LutWorkload,
-    m: &Mapping,
+    pair: Pair,
+    f_mtile: usize,
     sc: &StreamCounts,
 ) -> TimeBreakdown {
     let lm = &platform.local_mem;
-    let [kernel_index_s, kernel_output_s, kernel_lut_s] = sc
-        .streams()
-        .map(|(loads, tile)| lm.ideal_time_s(loads * tile, tile));
+    let [kernel_index_s, kernel_output_s, kernel_lut_s] =
+        sc.streams().map(|stream| stream_time_s(lm, stream));
     TimeBreakdown {
         kernel_index_s,
         kernel_lut_s,
         kernel_output_s,
-        kernel_reduce_s: reduce_time_s(platform, w, m.pair(), m.kernel.f_mtile),
-        ..sub_lut_times(platform, w, m.pair())
+        kernel_reduce_s: reduce_time_s(platform, w, pair, f_mtile),
+        ..sub_lut_times(platform, w, pair)
     }
 }
 
@@ -96,13 +122,111 @@ pub fn hierarchical_cost(
     mapping: &Mapping,
 ) -> Result<HierBreakdown> {
     mapping.validate(workload, platform)?;
-    let sc = stream_counts(workload, mapping);
-    let (row_activation_s, crossing_s) = row_times_s(&platform.mem_hierarchy(), &sc);
-    Ok(HierBreakdown {
-        base: analytical(platform, workload, mapping, &sc),
-        row_activation_s,
-        crossing_s,
-    })
+    let k = &mapping.kernel;
+    let tiling = (k.n_mtile, k.f_mtile, k.cb_mtile, k.traversal);
+    Ok(TilingPrice::new(platform, workload, mapping.pair(), tiling).price(k.load_scheme))
+}
+
+/// Everything of a leaf's hierarchical price that its load scheme does not
+/// move, for one complete tiling of one P1 pair: the sub-LUT transfers,
+/// the reduce term, the index and output streams and their row terms.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TilingPrice<'a> {
+    platform: &'a PlatformConfig,
+    w: &'a LutWorkload,
+    pair: Pair,
+    tiling: Tiling,
+    trips: (u64, u64, u64),
+    /// The index and output streams; the LUT stream empty.
+    sc: StreamCounts,
+    hier: MemHierarchy,
+    /// Index plus output m-tile bytes: the WRAM beside the LUT buffer.
+    tiles_bytes: usize,
+    /// The flat breakdown with an empty LUT stream (`kernel_lut_s` zero).
+    base: TimeBreakdown,
+    /// The index and output row terms, summed in stream order.
+    rows: RowTimes,
+}
+
+impl<'a> TilingPrice<'a> {
+    /// The shared part of every leaf under `tiling` in `pair`.
+    pub(crate) fn new(
+        platform: &'a PlatformConfig,
+        w: &'a LutWorkload,
+        pair: Pair,
+        tiling @ (n_m, f_m, cb_m, traversal): Tiling,
+    ) -> Self {
+        let trips = trip_counts(w, pair, (n_m, f_m, cb_m));
+        let sc = tiling_streams(w, (n_m, f_m, cb_m), traversal, trips);
+        let hier = platform.mem_hierarchy();
+        let [index, output, _] = sc.streams();
+        TilingPrice {
+            platform,
+            w,
+            pair,
+            tiling,
+            trips,
+            sc,
+            hier,
+            tiles_bytes: index_tile_bytes(w, n_m, cb_m) + output_tile_bytes(n_m, f_m),
+            base: analytical(platform, w, pair, f_m, &sc),
+            rows: RowTimes::default().add(&hier, index).add(&hier, output),
+        }
+    }
+
+    /// The micro-kernel of the `scheme` leaf.
+    fn kernel(&self, load_scheme: LoadScheme) -> MicroKernel {
+        let (n_mtile, f_mtile, cb_mtile, traversal) = self.tiling;
+        MicroKernel {
+            n_mtile,
+            f_mtile,
+            cb_mtile,
+            traversal,
+            load_scheme,
+        }
+    }
+
+    /// The hierarchical price of the `scheme` leaf ([`space::leaf_kernels`]
+    /// builds it), or `None` if its LUT buffer does not fit WRAM beside the
+    /// m-tiles: the one condition of `Mapping::validate` that a leaf of a
+    /// legal pair's tiling does not meet by construction.
+    ///
+    /// [`space::leaf_kernels`]: crate::space::leaf_kernels
+    pub(crate) fn leaf(&self, scheme: LoadScheme) -> Option<HierBreakdown> {
+        let lut_buffer = lut_buffer_bytes(self.w, self.pair.1, scheme);
+        let fits = self.tiles_bytes + lut_buffer <= self.platform.wram_bytes;
+        debug_assert_eq!(
+            fits,
+            mapping_of(self.pair.0, self.pair.1, self.kernel(scheme))
+                .validate(self.w, self.platform)
+                .is_ok(),
+            "leaf price and Mapping::validate disagree on {scheme:?} under {:?}",
+            self.tiling
+        );
+        fits.then(|| self.price(scheme))
+    }
+
+    /// The `scheme` leaf's price: this tiling's plus its LUT stream, whose
+    /// row terms are added after the index and output ones.
+    fn price(&self, scheme: LoadScheme) -> HierBreakdown {
+        let (lut_accesses, lut_access_bytes) =
+            lut_stream(self.w, self.pair, &self.kernel(scheme), self.trips);
+        let sc = StreamCounts {
+            lut_accesses,
+            lut_access_bytes,
+            ..self.sc
+        };
+        let [.., lut] = sc.streams();
+        let rows = self.rows.add(&self.hier, lut);
+        HierBreakdown {
+            base: TimeBreakdown {
+                kernel_lut_s: stream_time_s(&self.platform.local_mem, lut),
+                ..self.base
+            },
+            row_activation_s: rows.row_activation_s,
+            crossing_s: rows.crossing_s,
+        }
+    }
 }
 
 /// Relative error of the analytical prediction against a simulated

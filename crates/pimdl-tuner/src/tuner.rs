@@ -18,7 +18,7 @@ use pimdl_sim::config::PlatformConfig;
 use pimdl_sim::{LutWorkload, Mapping};
 
 use crate::bnb::Incumbent;
-use crate::model::HierBreakdown;
+use crate::model::{hierarchical_cost, HierBreakdown};
 use crate::space::{kernel_candidates, legal_pairs, mapping_of};
 use crate::Result;
 
@@ -111,10 +111,14 @@ fn tune_exhaustive(
     let mut incumbent = Incumbent::default();
     for (n_s, f_s) in legal_pairs(workload, platform)? {
         for kernel in kernel_candidates(workload, platform, n_s, f_s) {
-            incumbent.offer(platform, workload, mapping_of(n_s, f_s, kernel));
+            let mapping = mapping_of(n_s, f_s, kernel);
+            incumbent.offer(
+                mapping,
+                hierarchical_cost(platform, workload, &mapping).ok(),
+            );
         }
     }
-    incumbent.into_best(workload)
+    incumbent.into_best(platform, workload)
 }
 
 #[cfg(test)]
@@ -246,6 +250,40 @@ mod tests {
             tune_with_options(&p, &w, TuneOptions::exhaustive_oracle()),
             Err(TuneError::NoLegalMapping { .. })
         ));
+    }
+
+    #[test]
+    fn no_legal_mapping_reports_the_candidates_offered() {
+        // 16 B of WRAM: even a 1-row, 1-feature, 1-codebook tiling needs
+        // 5 B of m-tiles beside the smallest LUT buffer (16 B: fine-grain,
+        // one feature per thread), so every candidate is illegal.
+        let mut p = platform(16);
+        p.wram_bytes = 16;
+        let w = LutWorkload::new(64, 8, 16, 32).unwrap();
+        let offered: usize = legal_pairs(&w, &p)
+            .unwrap()
+            .into_iter()
+            .map(|(n_s, f_s)| kernel_candidates(&w, &p, n_s, f_s).len())
+            .sum();
+        assert!(offered > 0);
+        let expected = format!(
+            "none of the {offered} candidates offered fits 16 B of WRAM for (64, 8, 16, 32)"
+        );
+        match tune_with_options(&p, &w, TuneOptions::exhaustive_oracle()) {
+            Err(TuneError::NoLegalMapping { detail }) => assert_eq!(detail, expected),
+            other => panic!("expected NoLegalMapping, got {other:?}"),
+        }
+        // Branch-and-bound cuts every tiling above its leaves (no scheme
+        // buffer fits beside its m-tiles), so it offers none.
+        match tune(&p, &w) {
+            Err(TuneError::NoLegalMapping { detail }) => {
+                assert!(
+                    detail.starts_with("none of the 0 candidates offered"),
+                    "{detail}"
+                )
+            }
+            other => panic!("expected NoLegalMapping, got {other:?}"),
+        }
     }
 
     #[test]
