@@ -94,9 +94,10 @@ cargo test --offline -p serde -p serde_json
 # Results gate: the nineteen artefacts `reproduce all` writes are
 # deterministic functions of the code (no wall-clock field), so the
 # committed results/*.json must regenerate byte for byte. Thirteen are pure
-# functions of the cost model and the tuner (~5 s release, ~2 s of it the
-# alloc-budgets sweep): a cost-term or search-order change that moves a
-# figure fails here. Four are the algorithm side — table4, table5,
+# functions of the cost model and the tuner (~3 s release, ~1.1 s of it
+# tuner-error, ~0.6 s the alloc-budgets sweep): a cost-term or
+# search-order change that moves a figure fails here. Four are the
+# algorithm side — table4, table5,
 # elutnn-ablation, data-efficiency train, calibrate and score small models
 # from fixed seeds (~56 s release: 39 + 10 + 3 + 4) — so a change to the
 # encoder walk, a calibration estimator or a kernel under them that moves
