@@ -15,6 +15,7 @@ use pimdl_nn::transformer::{walk_forward, BlockFrame, LayerNorm, TransformerClas
 use pimdl_nn::Linear;
 use pimdl_tensor::Matrix;
 
+use crate::kernels::{lut_linear_fused, lut_linear_fused_quant};
 use crate::lut::{LutTable, QuantLutTable};
 use crate::pq::ProductQuantizer;
 use crate::{LutError, Result};
@@ -83,20 +84,25 @@ impl LutLinear {
         &self.qlut
     }
 
-    /// LUT-NN forward: CCS + gather-accumulate + bias.
+    /// LUT-NN forward: CCS + gather-accumulate + bias, through the fused
+    /// host kernels (bit-identical to encode + lookup by their contract).
     ///
     /// With `int8 = true` the gather runs over the INT8 tables with i32
     /// accumulation (the UPMEM deployment); otherwise over the `f32` tables.
     ///
     /// # Errors
     ///
-    /// Propagates shape errors.
+    /// Propagates shape errors. Both tables are checked against their
+    /// entries whichever one is read, so a deserialized artefact with an
+    /// inconsistent table fails in either mode.
     pub fn forward(&self, x: &Matrix, int8: bool) -> Result<Matrix> {
-        let indices = self.pq.encode(x)?;
+        self.lut.check_shape("LutLinear::forward")?;
+        self.qlut.check_shape("LutLinear::forward")?;
+        let cbs = self.pq.interleaved();
         let mut y = if int8 {
-            self.qlut.lookup(&indices)?
+            lut_linear_fused_quant(x, &cbs, &self.qlut)?
         } else {
-            self.lut.lookup(&indices)?
+            lut_linear_fused(x, &cbs, &self.lut)?
         };
         for r in 0..y.rows() {
             for (v, b) in y.row_mut(r).iter_mut().zip(&self.bias) {

@@ -19,14 +19,16 @@
 //!   rows and immediately gather/accumulate it into the output, tiled over
 //!   rows ([`FUSED_ROW_TILE`]) and output features ([`FUSED_F_TILE`]) so the
 //!   active LUT slice stays cache-resident. The intermediate index matrix is
-//!   never materialized beyond one row tile. The INT8 gather sums eight
-//!   codebooks per pass into an i16 tile in runs too short to wrap, widening
-//!   each run into the i32 tile.
+//!   never materialized beyond one row tile. The INT8 gather is the one
+//!   [`pimdl_tensor::quant::lut_gather`] the simulated PEs also run.
 //! * `*_parallel` variants — partition rows across the persistent
 //!   [`WorkerPool`], not per-call spawned threads.
-//! * [`lut_checksum_quant`] — the fused INT8 gather driven by precomputed
+//! * [`lut_checksum_quant`] — the same INT8 gather driven by precomputed
 //!   indices and reduced straight to the `f64` output sum: the host
-//!   reference `pimdl-serve` verifies every simulated-PE result against.
+//!   reference `pimdl-serve` compares every simulated-PE result against.
+//!   Both sides share the gather, so that compare checks the mapping, band
+//!   assembly and dequantization; the gather itself is checked against the
+//!   reference [`QuantLutTable::lookup`] and `pimdl_sim::interp`.
 //!
 //! **Bit-exactness contract**: every kernel here reproduces the reference
 //! operators exactly, bit for bit. Distances accumulate in the same order as
@@ -37,12 +39,13 @@
 //! reference's first-wins tie-break and leaves a NaN distance unselected
 //! exactly as the reference does. The fused f32 gather accumulates codebooks
 //! in ascending order per output element, so row/feature tiling cannot
-//! reassociate any float sum; the INT8 gather's i16 runs and i32 tile hold
-//! exact integer sums (no partial sum can leave its type's range, see
-//! `I16_RUN`), so only the unchanged `acc as f32 * scale` rounds. The
-//! property tests in `tests/properties.rs` assert exact equality.
+//! reassociate any float sum; the INT8 gather's sums are exact integers (no
+//! partial sum can leave its type's range, see `lut_gather`), so only the
+//! unchanged `acc as f32 * scale` rounds. The property tests in
+//! `tests/properties.rs` assert exact equality.
 
 use pimdl_tensor::pool::WorkerPool;
+use pimdl_tensor::quant::lut_gather;
 use pimdl_tensor::Matrix;
 
 use crate::lut::{validate_indices, LutTable, QuantLutTable};
@@ -493,7 +496,7 @@ fn check_fused_dims(
 /// # Errors
 ///
 /// Returns [`LutError::Config`] if `x`'s width or the table's `CB`/`CT`
-/// disagree with `cbs`.
+/// disagree with `cbs`, or the table's dimensions with its entries.
 pub fn lut_linear_fused(x: &Matrix, cbs: &InterleavedCodebooks, lut: &LutTable) -> Result<Matrix> {
     lut_linear_fused_tiled(x, cbs, lut, FusedTiling::default())
 }
@@ -510,6 +513,7 @@ pub fn lut_linear_fused_tiled(
     lut: &LutTable,
     tiling: FusedTiling,
 ) -> Result<Matrix> {
+    lut.check_shape("lut_linear_fused_tiled")?;
     check_fused_dims(x, cbs, (lut.cb(), lut.ct()), "lut_linear_fused_tiled")?;
     tiling.validate()?;
     let mut out = Matrix::zeros(x.rows(), lut.f());
@@ -548,6 +552,7 @@ pub fn lut_linear_fused_quant_tiled(
     qlut: &QuantLutTable,
     tiling: FusedTiling,
 ) -> Result<Matrix> {
+    qlut.check_shape("lut_linear_fused_quant_tiled")?;
     check_fused_dims(
         x,
         cbs,
@@ -573,6 +578,7 @@ pub fn lut_linear_fused_quant_parallel(
     qlut: &QuantLutTable,
     threads: usize,
 ) -> Result<Matrix> {
+    qlut.check_shape("lut_linear_fused_quant_parallel")?;
     check_fused_dims(
         x,
         cbs,
@@ -736,8 +742,8 @@ fn gather_block_f32_body(
 }
 
 /// The fused INT8 tile kernel: same structure as [`fused_band_f32`] with an
-/// i32 accumulator tile (and the i16 tile [`gather_block_quant`] stages
-/// through) and one dequantizing multiply per output element.
+/// i32 accumulator tile (and the i16 tile [`lut_gather`] stages through)
+/// and one dequantizing multiply per output element.
 fn fused_band_quant(
     x: &Matrix,
     cbs: &InterleavedCodebooks,
@@ -765,7 +771,7 @@ fn fused_band_quant(
             let jb = j1 - j0;
             let acc_tile = &mut acc[..(t1 - t0) * jb];
             let stage = &mut stage[..(t1 - t0) * jb];
-            gather_block_quant(acc_tile, stage, jb, j0, codes, f, (cb, ct), tile);
+            lut_gather(acc_tile, stage, codes, (cb, ct, f), (j0, jb), tile);
             for r in t0..t1 {
                 let acc_row = &acc_tile[(r - t0) * jb..(r - t0 + 1) * jb];
                 let out_row = &mut band[r * f + j0..r * f + j1];
@@ -783,14 +789,16 @@ fn fused_band_quant(
 /// Bit-identical to summing `qlut.lookup(..)`'s output as `f64` in
 /// row-major order, without building the [`IndexMatrix`] or the `n × F`
 /// output: each row tile is gathered into an i32 scratch by the same
-/// [`gather_block_quant`] the fused kernel uses, dequantized with the same
+/// [`lut_gather`] the fused kernel uses, dequantized with the same
 /// `acc as f32 * scale`, and folded into one running `f64`.
 ///
 /// # Errors
 ///
-/// Returns [`LutError::Config`] if `indices.len() != n * CB` or an index
-/// reaches `CT`; nothing is gathered in either case.
+/// Returns [`LutError::Config`] if `indices.len() != n * CB`, an index
+/// reaches `CT`, or the table's dimensions disagree with its codes or
+/// overflow the i32 accumulator; nothing is gathered in any case.
 pub fn lut_checksum_quant(n: usize, indices: &[u16], qlut: &QuantLutTable) -> Result<f64> {
+    qlut.check_shape("lut_checksum_quant")?;
     let (cb, ct, f) = (qlut.cb(), qlut.ct(), qlut.f());
     if n.checked_mul(cb) != Some(indices.len()) {
         return Err(LutError::Config {
@@ -815,124 +823,12 @@ pub fn lut_checksum_quant(n: usize, indices: &[u16], qlut: &QuantLutTable) -> Re
         let acc_tile = &mut acc[..(t1 - t0) * f];
         let stage = &mut stage[..(t1 - t0) * f];
         let tile = &indices[t0 * cb..t1 * cb];
-        gather_block_quant(acc_tile, stage, f, 0, codes, f, (cb, ct), tile);
+        lut_gather(acc_tile, stage, codes, (cb, ct, f), (0, f), tile);
         for &a in acc_tile.iter() {
             sum += f64::from(a as f32 * scale);
         }
     }
     Ok(sum)
-}
-
-/// Codebooks summed per pass of the INT8 gather, so each i16 accumulator is
-/// loaded and stored once per eight table entries: eight i8 codes sum to at
-/// most `8 · 128 = 1024` in magnitude, well inside an i16.
-const GATHER_UNROLL: usize = 8;
-
-/// Most codebooks one i16 accumulator run may sum before it is widened into
-/// the i32 tile: `128 · |-128| = 16 384 < 2^15`, so no run can wrap whatever
-/// the codes are (`QuantMatrix::from_codes` admits -128). A multiple of
-/// [`GATHER_UNROLL`], so only a table's last run has a ragged tail.
-const I16_RUN: usize = 128;
-
-/// One feature block of the fused INT8 gather: overwrites `acc_tile`
-/// (`rows × jb`, row-major, rows as in `tile`) with the exact i32 sums of
-/// every codebook's selected entry slice `[j0, j0 + jb)`.
-///
-/// Entries are accumulated [`GATHER_UNROLL`] codebooks per pass into the
-/// i16 `stage` tile — twice the lanes of an i32 add per vector op — in runs
-/// of at most [`I16_RUN`] codebooks, each finished run widened into
-/// `acc_tile`. Integer addition is associative and no partial sum leaves its
-/// type's range, so the result is exact by construction. Codebooks stay
-/// outermost and rows inner, which keeps a pass's table slices L1-resident
-/// across the row tile. Dispatches to an AVX2 clone when available.
-#[allow(clippy::too_many_arguments)]
-fn gather_block_quant(
-    acc_tile: &mut [i32],
-    stage: &mut [i16],
-    jb: usize,
-    j0: usize,
-    codes: &[i8],
-    f: usize,
-    (cb, ct): (usize, usize),
-    tile: &[u16],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: feature presence checked at runtime.
-        return unsafe {
-            gather_block_quant_avx2(acc_tile, stage, jb, j0, codes, f, (cb, ct), tile)
-        };
-    }
-    gather_block_quant_body(acc_tile, stage, jb, j0, codes, f, (cb, ct), tile);
-}
-
-/// AVX2-compiled clone of [`gather_block_quant_body`].
-///
-/// # Safety
-///
-/// The body is safe code; `unsafe` comes only from `target_feature`. The
-/// caller must verify AVX2 support (`is_x86_feature_detected!`) before
-/// calling, or the compiled instructions fault on older CPUs.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn gather_block_quant_avx2(
-    acc_tile: &mut [i32],
-    stage: &mut [i16],
-    jb: usize,
-    j0: usize,
-    codes: &[i8],
-    f: usize,
-    shape: (usize, usize),
-    tile: &[u16],
-) {
-    gather_block_quant_body(acc_tile, stage, jb, j0, codes, f, shape, tile);
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn gather_block_quant_body(
-    acc_tile: &mut [i32],
-    stage: &mut [i16],
-    jb: usize,
-    j0: usize,
-    codes: &[i8],
-    f: usize,
-    (cb, ct): (usize, usize),
-    tile: &[u16],
-) {
-    assert_eq!(acc_tile.len(), stage.len());
-    let entry = |c: usize, irow: &[u16]| {
-        let o = (c * ct + irow[c] as usize) * f + j0;
-        &codes[o..o + jb]
-    };
-    acc_tile.fill(0);
-    for run in (0..cb).step_by(I16_RUN) {
-        let run_end = (run + I16_RUN).min(cb);
-        stage.fill(0);
-        let mut c = run;
-        while c + GATHER_UNROLL <= run_end {
-            for (r, irow) in tile.chunks_exact(cb).enumerate() {
-                let stage_row = &mut stage[r * jb..(r + 1) * jb];
-                let e: [&[i8]; GATHER_UNROLL] = std::array::from_fn(|i| entry(c + i, irow));
-                for (j, s) in stage_row.iter_mut().enumerate() {
-                    *s += e.iter().map(|e| e[j] as i16).sum::<i16>();
-                }
-            }
-            c += GATHER_UNROLL;
-        }
-        while c < run_end {
-            for (r, irow) in tile.chunks_exact(cb).enumerate() {
-                for (s, &e) in stage[r * jb..(r + 1) * jb].iter_mut().zip(entry(c, irow)) {
-                    *s += e as i16;
-                }
-            }
-            c += 1;
-        }
-        for (a, &s) in acc_tile.iter_mut().zip(stage.iter()) {
-            *a += s as i32;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1086,50 +982,11 @@ mod tests {
             assert_eq!(dispatched, pq.encode(&x).unwrap().as_slice(), "v={v}");
         }
 
-        // Gathers: 5 rows, CB = 131 (one full i16 run, then a run that is
-        // all ragged tail), F = 37 (vector tails at every width), gathering
-        // the feature block [3, 37).
+        // The f32 gather: 5 rows, CB = 131, F = 37 (vector tails at every
+        // width), gathering the feature block [3, 37).
         let (rows, cb, ct, f, j0) = (5usize, 131usize, 4usize, 37usize, 3usize);
-        let jb = f - j0;
         let mut rng = DataRng::new(14);
         let tile: Vec<u16> = (0..rows * cb).map(|_| rng.index(ct) as u16).collect();
-
-        let codes: Vec<i8> = (0..cb * ct * f)
-            .map(|_| (rng.index(256) as i32 - 128) as i8)
-            .collect();
-        let mut dispatched = vec![7i32; rows * jb];
-        let mut stage = vec![7i16; rows * jb];
-        gather_block_quant(
-            &mut dispatched,
-            &mut stage,
-            jb,
-            j0,
-            &codes,
-            f,
-            (cb, ct),
-            &tile,
-        );
-        let mut portable = vec![-7i32; rows * jb];
-        gather_block_quant_body(
-            &mut portable,
-            &mut stage,
-            jb,
-            j0,
-            &codes,
-            f,
-            (cb, ct),
-            &tile,
-        );
-        assert_eq!(dispatched, portable);
-        for (r, irow) in tile.chunks_exact(cb).enumerate() {
-            for j in 0..jb {
-                let want: i32 = (0..cb)
-                    .map(|c| i32::from(codes[(c * ct + irow[c] as usize) * f + j0 + j]))
-                    .sum();
-                assert_eq!(dispatched[r * jb + j], want, "row {r} col {j}");
-            }
-        }
-
         let table = rng.normal_matrix(cb * ct, f, 0.0, 1.0);
         let mut dispatched = vec![0.0f32; rows * f];
         gather_block_f32(

@@ -11,7 +11,7 @@
 //! `lookup(encode(x)) == decode(encode(x)) · W` — the LUT path computes the
 //! same result as multiplying the snapped activation by the weight.
 
-use pimdl_tensor::quant::QuantMatrix;
+use pimdl_tensor::quant::{QuantMatrix, MAX_CB};
 use pimdl_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -85,6 +85,13 @@ impl LutTable {
         &self.table
     }
 
+    /// Checks that `CB`, `CT` and `F` describe the table matrix (see
+    /// [`check_table_shape`]).
+    pub(crate) fn check_shape(&self, op: &'static str) -> Result<()> {
+        let dims = (self.cb, self.ct, self.f);
+        check_table_shape(op, dims, self.table.shape(), self.table.len())
+    }
+
     /// Borrows the `F`-length entry for codebook `cb`, centroid `ct`.
     ///
     /// # Panics
@@ -101,9 +108,10 @@ impl LutTable {
     ///
     /// # Errors
     ///
-    /// Returns [`LutError::Config`] if `indices.cols() != cb()` or an index
-    /// exceeds `CT`.
+    /// Returns [`LutError::Config`] if `indices.cols() != cb()`, an index
+    /// exceeds `CT` or the table's dimensions disagree with its entries.
     pub fn lookup(&self, indices: &IndexMatrix) -> Result<Matrix> {
+        self.check_shape("LutTable::lookup")?;
         if indices.cols() != self.cb {
             return Err(LutError::Config {
                 op: "LutTable::lookup",
@@ -176,13 +184,33 @@ impl QuantLutTable {
         &self.table
     }
 
-    /// Integer gather-accumulate followed by one dequantization per output.
+    /// Checks that `CB`, `CT` and `F` describe the code matrix (see
+    /// [`check_table_shape`]) and that `CB ≤` [`MAX_CB`], so no i32 sum of
+    /// the gather can wrap.
+    pub(crate) fn check_shape(&self, op: &'static str) -> Result<()> {
+        if self.cb > MAX_CB {
+            return Err(LutError::Config {
+                op,
+                detail: format!(
+                    "CB = {} overflows the i32 accumulator (at most {MAX_CB} INT8 entries per sum)",
+                    self.cb
+                ),
+            });
+        }
+        let dims = (self.cb, self.ct, self.f);
+        check_table_shape(op, dims, self.table.shape(), self.table.codes().len())
+    }
+
+    /// Integer gather-accumulate followed by one dequantization per output:
+    /// the plain scalar loop, kept as the oracle the shared gather
+    /// (`pimdl_tensor::quant::lut_gather`) is tested against.
     ///
     /// # Errors
     ///
-    /// Returns [`LutError::Config`] on index-shape mismatch or out-of-range
-    /// indices.
+    /// Returns [`LutError::Config`] on index-shape mismatch, out-of-range
+    /// indices or a table whose dimensions disagree with its codes.
     pub fn lookup(&self, indices: &IndexMatrix) -> Result<Matrix> {
+        self.check_shape("QuantLutTable::lookup")?;
         if indices.cols() != self.cb {
             return Err(LutError::Config {
                 op: "QuantLutTable::lookup",
@@ -219,7 +247,8 @@ impl QuantLutTable {
     /// # Errors
     ///
     /// Returns [`LutError::Config`] if the code matrix shape is not
-    /// `(cb*ct) x f` or `ct` is 0 / exceeds `u16` (unindexable).
+    /// `(cb*ct) x f`, `cb` exceeds [`MAX_CB`] or `ct` is 0 / exceeds `u16`
+    /// (unindexable).
     pub fn from_parts(cb: usize, ct: usize, f: usize, table: QuantMatrix) -> Result<Self> {
         if ct == 0 || ct > u16::MAX as usize {
             return Err(LutError::Config {
@@ -227,23 +256,35 @@ impl QuantLutTable {
                 detail: format!("ct={ct} out of range"),
             });
         }
-        if table.shape() != (cb * ct, f) {
-            return Err(LutError::Config {
-                op: "QuantLutTable::from_parts",
-                detail: format!(
-                    "code matrix {}x{} inconsistent with cb={cb}, ct={ct}, f={f}",
-                    table.rows(),
-                    table.cols()
-                ),
-            });
-        }
-        Ok(QuantLutTable { cb, ct, f, table })
+        let qlut = QuantLutTable { cb, ct, f, table };
+        qlut.check_shape("QuantLutTable::from_parts")?;
+        Ok(qlut)
     }
 
     /// Storage footprint in bytes (one byte per table entry).
     pub fn size_bytes(&self) -> usize {
         self.table.size_bytes()
     }
+}
+
+/// A table's `CB`, `CT` and `F` must describe its `(CB·CT) × F` entry matrix
+/// of `len` entries. Serde skips the constructors, so an edited artefact is
+/// refused here, before any gather slices by those dimensions.
+fn check_table_shape(
+    op: &'static str,
+    (cb, ct, f): (usize, usize, usize),
+    (rows, cols): (usize, usize),
+    len: usize,
+) -> Result<()> {
+    if cb.checked_mul(ct) == Some(rows) && cols == f && rows.checked_mul(cols) == Some(len) {
+        return Ok(());
+    }
+    Err(LutError::Config {
+        op,
+        detail: format!(
+            "table {rows}x{cols} ({len} entries) inconsistent with cb={cb}, ct={ct}, f={f}"
+        ),
+    })
 }
 
 /// Checks index range in one pre-pass so the lookup hot loops can be
@@ -416,6 +457,20 @@ mod tests {
             qlut.table().clone()
         )
         .is_err());
+        // `CB` up to the i32 accumulator's bound is legal, one more is not
+        // (F = 0 keeps the tables empty).
+        let empty = |rows| QuantMatrix::from_codes(rows, 0, 1.0, Vec::new()).unwrap();
+        assert!(QuantLutTable::from_parts(MAX_CB, 1, 0, empty(MAX_CB)).is_ok());
+        assert!(QuantLutTable::from_parts(MAX_CB + 1, 1, 0, empty(MAX_CB + 1)).is_err());
+        // A deserialized table skips `from_parts`: `CB · CT` past `usize`
+        // is refused, not wrapped.
+        let huge = QuantLutTable {
+            cb: 4,
+            ct: usize::MAX / 2,
+            f: 0,
+            table: empty(0),
+        };
+        assert!(huge.check_shape("test").is_err());
     }
 
     #[test]

@@ -5,9 +5,12 @@
 //! shard ([`ShardManager`]), their service time comes from the engine's
 //! end-to-end cost model ([`ServiceModel`]), and their *results* come from
 //! `pimdl_sim`'s functional LUT execution, verified bit-for-bit against a
-//! host reference checksum carried by each request — the fused INT8 gather
-//! of `pimdl_lutnn::kernels` over the same row-major table the simulated
-//! PEs read.
+//! host reference checksum carried by each request — `lut_checksum_quant`
+//! over the same row-major table the simulated PEs read. Both sides run the
+//! one INT8 gather (`pimdl_tensor::quant::lut_gather`), so the compare checks
+//! the tuned mapping, the band assembly and the dequantization; the gather
+//! itself is held to the scalar `QuantLutTable::lookup` and the ISA
+//! interpreter by the root `tests/properties.rs`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -190,8 +193,8 @@ impl ReplicaModel {
         self.reference_gathers.load(Ordering::Relaxed)
     }
 
-    /// Host-reference output checksum: the fused INT8 gather over the
-    /// replica's table (the same INT32 accumulate and dequantization the
+    /// Host-reference output checksum: the shared INT8 gather over the
+    /// replica's table (the same i32 accumulate and dequantization the
     /// simulated PEs perform), summed over the output in row-major order
     /// so the comparison is exact, not approximate.
     ///

@@ -5,6 +5,13 @@
 //! ≤ 0.1 % accuracy drop", §6.3). [`QuantMatrix`] is the storage format the
 //! simulator transfers and the PEs gather from; accumulation happens in i32
 //! and is dequantized once per output element, mirroring the UPMEM kernel.
+//!
+//! [`lut_gather`] is that accumulation, written once: the simulated
+//! PEs (`pimdl_sim::exec`) and the host kernels (`pimdl_lutnn::kernels`)
+//! both call it and each applies its own `acc as f32 * scale`. Entries are
+//! summed eight codebooks per pass into an i16 tile, in runs short enough
+//! that no i16 can wrap ([`MAX_CB`] bounds the i32 sum), each run widened
+//! into the i32 tile; integer sums are exact, so staging changes no bit.
 
 use serde::{Deserialize, Serialize};
 
@@ -174,6 +181,119 @@ impl QuantMatrix {
     }
 }
 
+/// Largest codebook count `CB` whose worst-case sum (`CB` INT8 entries of
+/// magnitude 128) still fits the i32 accumulator of [`lut_gather`].
+pub const MAX_CB: usize = (i32::MAX / 128) as usize;
+
+/// Codebooks summed per pass, so each i16 accumulator is loaded and stored
+/// once per eight table entries: eight i8 codes sum to at most
+/// `8 · 128 = 1024` in magnitude, well inside an i16.
+const GATHER_UNROLL: usize = 8;
+
+/// Most codebooks one i16 accumulator run may sum before it is widened into
+/// the i32 tile: `128 · |-128| = 16 384 < 2^15`, so no run can wrap whatever
+/// the codes are ([`QuantMatrix::from_codes`] admits -128). A multiple of
+/// [`GATHER_UNROLL`], so only a table's last run has a ragged tail.
+const I16_RUN: usize = 128;
+
+/// The INT8 LUT gather: overwrites `acc` (`rows × jb`, row-major, one row
+/// per `CB`-wide row of `idx_tile`) with the exact i32 sums of every
+/// codebook's selected entry slice `[j0, j0 + jb)` of the row-major
+/// `(CB·CT) × F` table `codes`. `stage` is i16 scratch of `acc`'s length.
+///
+/// Entries are accumulated [`GATHER_UNROLL`] codebooks per pass into the
+/// i16 `stage` tile — twice the lanes of an i32 add per vector op — in runs
+/// of at most [`I16_RUN`] codebooks, each finished run widened into `acc`.
+/// Integer addition is associative and no partial sum leaves its type's
+/// range while `CB ≤` [`MAX_CB`], so the result is exact by construction.
+/// Codebooks stay outermost and rows inner, which keeps a pass's table
+/// slices L1-resident across the row tile. Dispatches to an AVX2 clone when
+/// available.
+///
+/// # Panics
+///
+/// Panics if `acc` and `stage` differ in length or an index selects an
+/// entry past the end of `codes`; callers validate shapes and indices first.
+pub fn lut_gather(
+    acc: &mut [i32],
+    stage: &mut [i16],
+    codes: &[i8],
+    shape: (usize, usize, usize),
+    cols: (usize, usize),
+    idx_tile: &[u16],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: feature presence checked at runtime.
+        return unsafe { lut_gather_avx2(acc, stage, codes, shape, cols, idx_tile) };
+    }
+    lut_gather_body(acc, stage, codes, shape, cols, idx_tile);
+}
+
+/// AVX2-compiled clone of [`lut_gather_body`].
+///
+/// # Safety
+///
+/// The body is safe code; `unsafe` comes only from `target_feature`. The
+/// caller must verify AVX2 support (`is_x86_feature_detected!`) before
+/// calling, or the compiled instructions fault on older CPUs.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn lut_gather_avx2(
+    acc: &mut [i32],
+    stage: &mut [i16],
+    codes: &[i8],
+    shape: (usize, usize, usize),
+    cols: (usize, usize),
+    idx_tile: &[u16],
+) {
+    lut_gather_body(acc, stage, codes, shape, cols, idx_tile);
+}
+
+/// Portable body of [`lut_gather`].
+#[inline(always)]
+fn lut_gather_body(
+    acc: &mut [i32],
+    stage: &mut [i16],
+    codes: &[i8],
+    (cb, ct, f): (usize, usize, usize),
+    (j0, jb): (usize, usize),
+    idx_tile: &[u16],
+) {
+    assert_eq!(acc.len(), stage.len());
+    let entry = |c: usize, irow: &[u16]| {
+        let o = (c * ct + irow[c] as usize) * f + j0;
+        &codes[o..o + jb]
+    };
+    acc.fill(0);
+    for run in (0..cb).step_by(I16_RUN) {
+        let run_end = (run + I16_RUN).min(cb);
+        stage.fill(0);
+        let mut c = run;
+        while c + GATHER_UNROLL <= run_end {
+            for (r, irow) in idx_tile.chunks_exact(cb).enumerate() {
+                let stage_row = &mut stage[r * jb..(r + 1) * jb];
+                let e: [&[i8]; GATHER_UNROLL] = std::array::from_fn(|i| entry(c + i, irow));
+                for (j, s) in stage_row.iter_mut().enumerate() {
+                    *s += e.iter().map(|e| e[j] as i16).sum::<i16>();
+                }
+            }
+            c += GATHER_UNROLL;
+        }
+        while c < run_end {
+            for (r, irow) in idx_tile.chunks_exact(cb).enumerate() {
+                for (s, &e) in stage[r * jb..(r + 1) * jb].iter_mut().zip(entry(c, irow)) {
+                    *s += e as i16;
+                }
+            }
+            c += 1;
+        }
+        for (a, &s) in acc.iter_mut().zip(stage.iter()) {
+            *a += s as i32;
+        }
+    }
+}
+
 /// Number of bytes one element of the given datatype occupies.
 ///
 /// This is the datatype vocabulary of the platform configs (FP32 host
@@ -284,6 +404,50 @@ mod tests {
     fn size_bytes_is_element_count() {
         let q = QuantMatrix::quantize(&Matrix::zeros(4, 5));
         assert_eq!(q.size_bytes(), 20);
+    }
+
+    #[test]
+    fn lut_gather_matches_portable_body_and_scalar_oracle() {
+        // The dispatcher takes the AVX2 clone where the CPU has it; the
+        // portable body and a scalar i32 sum must give the same bits. CB
+        // straddles the 8-codebook pass (7, 8, 9) and the 128-codebook i16
+        // run (127-129, 257); 5 rows gather the block [3, 37) of F = 37,
+        // off every vector width. Saturated codes drive each partial sum to
+        // its extreme, so in a debug build an i16 wrap panics here.
+        let (rows, ct, f, j0) = (5usize, 4usize, 37usize, 3usize);
+        let jb = f - j0;
+        let mut rng = DataRng::new(14);
+        for cb in [7usize, 8, 9, 127, 128, 129, 257] {
+            let idx: Vec<u16> = (0..rows * cb).map(|_| rng.index(ct) as u16).collect();
+            let len = cb * ct * f;
+            let fills: [Vec<i8>; 4] = [
+                vec![127; len],
+                vec![-128; len],
+                (0..len)
+                    .map(|i| if i % 2 == 0 { 127 } else { -128 })
+                    .collect(),
+                (0..len)
+                    .map(|_| (rng.index(256) as i32 - 128) as i8)
+                    .collect(),
+            ];
+            for codes in &fills {
+                let shape = (cb, ct, f);
+                let mut stage = vec![7i16; rows * jb];
+                let mut dispatched = vec![7i32; rows * jb];
+                lut_gather(&mut dispatched, &mut stage, codes, shape, (j0, jb), &idx);
+                let mut portable = vec![-7i32; rows * jb];
+                lut_gather_body(&mut portable, &mut stage, codes, shape, (j0, jb), &idx);
+                assert_eq!(dispatched, portable, "cb={cb}");
+                for (r, irow) in idx.chunks_exact(cb).enumerate() {
+                    for j in 0..jb {
+                        let want: i32 = (0..cb)
+                            .map(|c| i32::from(codes[(c * ct + irow[c] as usize) * f + j0 + j]))
+                            .sum();
+                        assert_eq!(dispatched[r * jb + j], want, "cb={cb} row {r} col {j}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -105,3 +105,39 @@ fn bad_head_count_in_artifact_is_an_error() {
         }
     }
 }
+
+/// `json` with the `"field":N` of the first `"table":{..}` object bumped to
+/// `N + 1`.
+fn bump_table_dim(json: &str, table: &str, field: &str) -> String {
+    let at = json
+        .find(&format!("\"{table}\":{{"))
+        .expect("table present");
+    let key = format!("\"{field}\":");
+    let start = at + json[at..].find(&key).expect("field present") + key.len();
+    let end = start
+        + json[start..]
+            .find(|c: char| !c.is_ascii_digit())
+            .expect("digits");
+    let n: usize = json[start..end].parse().expect("a count");
+    format!("{}{}{}", &json[..start], n + 1, &json[end..])
+}
+
+#[test]
+fn table_dims_disagreeing_with_codes_are_an_error() {
+    // A table's `cb` / `f` are plain data in the artifact, next to the
+    // entries they describe: an edit must fail closed in both modes, not
+    // mis-slice or silently misread a gather.
+    let (model, inputs) = converted_model();
+    let json = serde_json::to_string(&model).expect("serialize");
+    for (table, field) in [("lut", "f"), ("qlut", "cb")] {
+        let edited = bump_table_dim(&json, table, field);
+        assert_ne!(edited, json);
+        let restored: LutClassifier = serde_json::from_str(&edited).expect("well-formed");
+        for int8 in [false, true] {
+            assert!(
+                restored.predict(&inputs[0], int8).is_err(),
+                "{table}.{field} int8={int8}"
+            );
+        }
+    }
+}

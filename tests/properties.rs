@@ -3,20 +3,24 @@
 //! execution matches the host reference for every legal partition; the
 //! partition is always perfectly load-balanced; the tuner's pick is always
 //! legal; a served replica's simulated output sums to the host kernel's
-//! reference checksum under any tuned mapping.
+//! reference checksum under any tuned mapping, and equals the reference
+//! lookup and the interpreted per-PE instruction stream to the bit.
 
 use proptest::prelude::*;
 
 use pimdl::engine::pipeline::PimDlEngine;
 use pimdl::lutnn::lut::LutTable;
-use pimdl::lutnn::pq::ProductQuantizer;
+use pimdl::lutnn::pq::{IndexMatrix, ProductQuantizer};
 use pimdl::serve::ReplicaModel;
 use pimdl::sim::cost::{cost_with_repeat, estimate_cost};
-use pimdl::sim::exec::{measure_repeat_fraction, run_lut_kernel, LutKernelData};
+use pimdl::sim::exec::{
+    measure_repeat_fraction, run_lut_kernel, run_lut_kernel_compiled, LutKernelData,
+};
 use pimdl::sim::mapping::MicroKernel;
 use pimdl::sim::{LoadScheme, LutWorkload, Mapping, PlatformConfig, TraversalOrder};
 use pimdl::tensor::gemm;
 use pimdl::tensor::rng::DataRng;
+use pimdl::tensor::Matrix;
 use pimdl::tuner::{tune, tune_with_options, TuneOptions};
 
 proptest! {
@@ -174,7 +178,11 @@ proptest! {
     /// Model / simulator / kernel triple: under whatever mapping the tuner
     /// picks for a random workload, the simulated PEs' output sums to the
     /// host kernel's reference checksum bit for bit, and one flipped bit of
-    /// that checksum is caught. (Bit 63 is left out: `-0.0 == 0.0`.)
+    /// that checksum is caught. (Bit 63 is left out: `-0.0 == 0.0`.) Both
+    /// sides of that compare run the one shared INT8 gather, so the output
+    /// is also held, element by element, to the two implementations that do
+    /// not: the reference `QuantLutTable::lookup` and the compiled per-PE
+    /// instruction stream `pimdl_sim::interp` executes.
     #[test]
     fn replica_execution_matches_reference_checksum(
         seed in 0u64..1000,
@@ -188,13 +196,28 @@ proptest! {
         let w = LutWorkload::new(1 << n_pow, cb, 1 << ct_pow, 1 << f_pow).unwrap();
         let mut platform = PlatformConfig::upmem();
         platform.num_pes = 1 << pes_pow;
-        if let Ok(replica) = ReplicaModel::build(&PimDlEngine::new(platform), w, seed) {
+        let engine = PimDlEngine::new(platform.clone());
+        if let Ok(replica) = ReplicaModel::build(&engine, w, seed) {
             let mut req = replica
                 .make_request(0, 0.0, f64::INFINITY, &mut DataRng::new(seed + 1))
                 .unwrap();
             prop_assert!(replica.execute(&req).unwrap());
             req.expected_checksum = f64::from_bits(req.expected_checksum.to_bits() ^ (1 << bit));
             prop_assert!(!replica.execute(&req).unwrap());
+
+            let mapping = engine.mapping_for(&w).unwrap();
+            let table = replica.table();
+            let data = LutKernelData {
+                indices: &req.indices,
+                table: table.table().codes(),
+                scale: table.table().scale(),
+            };
+            let bits = |m: &Matrix| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let (simulated, _) = run_lut_kernel(&platform, &w, &mapping, data).unwrap();
+            let indices = IndexMatrix::from_vec(w.n, w.cb, req.indices.clone()).unwrap();
+            prop_assert_eq!(bits(&simulated), bits(&table.lookup(&indices).unwrap()));
+            let (interpreted, _) = run_lut_kernel_compiled(&platform, &w, &mapping, data).unwrap();
+            prop_assert_eq!(bits(&simulated), bits(&interpreted));
         }
     }
 }
