@@ -93,11 +93,13 @@ impl LutLinear {
     /// # Errors
     ///
     /// Propagates shape errors. Both tables are checked against their
-    /// entries whichever one is read, so a deserialized artefact with an
-    /// inconsistent table fails in either mode.
+    /// entries whichever one is read, and the quantizer against its
+    /// centroids and the tables' `cb`, so a deserialized artefact with an
+    /// inconsistent table or quantizer fails in either mode.
     pub fn forward(&self, x: &Matrix, int8: bool) -> Result<Matrix> {
         self.lut.check_shape("LutLinear::forward")?;
         self.qlut.check_shape("LutLinear::forward")?;
+        self.pq.check_shape("LutLinear::forward", self.lut.cb())?;
         let cbs = self.pq.interleaved();
         let mut y = if int8 {
             lut_linear_fused_quant(x, &cbs, &self.qlut)?

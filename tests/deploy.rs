@@ -129,7 +129,7 @@ fn table_dims_disagreeing_with_codes_are_an_error() {
     // mis-slice or silently misread a gather.
     let (model, inputs) = converted_model();
     let json = serde_json::to_string(&model).expect("serialize");
-    for (table, field) in [("lut", "f"), ("qlut", "cb")] {
+    for (table, field) in [("lut", "f"), ("qlut", "cb"), ("pq", "v"), ("pq", "ct")] {
         let edited = bump_table_dim(&json, table, field);
         assert_ne!(edited, json);
         let restored: LutClassifier = serde_json::from_str(&edited).expect("well-formed");
