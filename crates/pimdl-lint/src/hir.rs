@@ -6,9 +6,10 @@
 //! atomics stable identities (`Type::field`) instead of bare receiver
 //! names.
 
-use crate::lexer::{Tok, TokKind};
+use crate::cursor::{element_end, elements};
+use crate::lexer::TokKind;
 use crate::model::SourceFile;
-use crate::passes::{is_arrow, skip_angle};
+use crate::passes::skip_angle;
 
 /// A parsed type expression, reduced to a path tail plus generic
 /// arguments: `std::sync::Arc<Mutex<Vec<T>>>` becomes
@@ -273,21 +274,8 @@ fn parse_fields(file: &SourceFile, start: usize, end: usize, out: &mut Vec<Field
             continue;
         }
         // `name : TYPE` up to the comma at depth 0.
-        let ty_start = i + 2;
-        let mut k = ty_start;
-        let mut depth = 0i32;
-        while k < end {
-            match &toks[k].kind {
-                TokKind::Punct('<') => depth += 1,
-                TokKind::Punct('>') if depth > 0 && !is_arrow(toks, k) => depth -= 1,
-                TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
-                TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-                TokKind::Punct(',') if depth == 0 => break,
-                _ => {}
-            }
-            k += 1;
-        }
-        let (ty, _) = parse_type(file, ty_start, k);
+        let k = element_end(toks, i + 2, end);
+        let (ty, _) = parse_type(file, i + 2, k);
         out.push(FieldDef {
             name: ident.to_string(),
             ty,
@@ -333,7 +321,7 @@ pub fn parse_type(file: &SourceFile, start: usize, end: usize) -> (Type, usize) 
             while k < close {
                 let (t, next) = parse_type(file, k, close);
                 args.push(t);
-                k = skip_to_comma(toks, next, close) + 1;
+                k = element_end(toks, next, close) + 1;
             }
             if args.len() == 1 {
                 // Parenthesized grouping, e.g. `*const (dyn Fn() + Sync)`.
@@ -390,12 +378,12 @@ pub fn parse_type(file: &SourceFile, start: usize, end: usize) -> (Type, usize) 
                 let mut a = k + 1;
                 while a < close {
                     if toks[a].kind == TokKind::Lifetime {
-                        a = skip_to_comma(toks, a + 1, close) + 1;
+                        a = element_end(toks, a + 1, close) + 1;
                         continue;
                     }
                     let (t, next) = parse_type(file, a, close);
                     args.push(t);
-                    a = skip_to_comma(toks, next, close) + 1;
+                    a = element_end(toks, next, close) + 1;
                 }
                 k = close + 1;
             }
@@ -413,24 +401,6 @@ fn skip_angle_group(file: &SourceFile, j: usize) -> usize {
     } else {
         j
     }
-}
-
-/// Next `,` at depth 0 in `[from, end)`, or `end`.
-fn skip_to_comma(toks: &[Tok], from: usize, end: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = from;
-    while j < end {
-        match &toks[j].kind {
-            TokKind::Punct('<') => depth += 1,
-            TokKind::Punct('>') if depth > 0 && !is_arrow(toks, j) => depth -= 1,
-            TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
-            TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-            TokKind::Punct(',') if depth == 0 => return j,
-            _ => {}
-        }
-        j += 1;
-    }
-    end
 }
 
 /// Parses the signature between the `fn` keyword and the body `{`.
@@ -455,10 +425,7 @@ fn parse_sig(
         return sig;
     }
     let close = file.skip_balanced(j) - 1;
-    let mut k = j + 1;
-    let mut first = true;
-    while k < close {
-        let item_end = skip_to_comma(toks, k, close);
+    for (n, (k, item_end)) in elements(toks, j + 1, close).into_iter().enumerate() {
         let mut p = k;
         while p < item_end && (toks[p].is_punct('&') || toks[p].kind == TokKind::Lifetime) {
             p += 1;
@@ -468,7 +435,7 @@ fn parse_sig(
             is_mut = true;
             p += 1;
         }
-        if first && p < item_end && toks[p].ident() == Some("self") {
+        if n == 0 && p < item_end && toks[p].ident() == Some("self") {
             sig.self_kind = if toks[k].is_punct('&') {
                 if is_mut {
                     SelfKind::RefMut
@@ -486,8 +453,6 @@ fn parse_sig(
                 sig.params.push((name.to_string(), ty));
             }
         }
-        first = false;
-        k = item_end + 1;
     }
     sig
 }

@@ -40,6 +40,15 @@ impl Tok {
         }
     }
 
+    /// A token with no numeric value.
+    fn plain(kind: TokKind, line: u32) -> Tok {
+        Tok {
+            kind,
+            line,
+            num: None,
+        }
+    }
+
     /// Whether this token is the punct `c`.
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct(c)
@@ -117,71 +126,35 @@ pub fn lex(source: &str) -> Lexed {
                     text: bytes[start..i].iter().collect(),
                 });
             }
-            '"' => {
-                let end = skip_string(&bytes, i);
+            '"' | 'r' | 'b' if c == '"' || starts_string_prefix(&bytes, i) => {
+                let end = if c == '"' {
+                    skip_quoted(&bytes, i + 1, '"')
+                } else {
+                    skip_prefixed_string(&bytes, i)
+                };
                 line += count_lines(&bytes[i..end]);
-                out.tokens.push(Tok {
-                    kind: TokKind::Literal,
-                    line,
-                    num: None,
-                });
-                i = end;
-            }
-            'r' | 'b' if starts_string_prefix(&bytes, i) => {
-                let (end, _) = skip_prefixed_string(&bytes, i);
-                line += count_lines(&bytes[i..end]);
-                out.tokens.push(Tok {
-                    kind: TokKind::Literal,
-                    line,
-                    num: None,
-                });
+                out.tokens.push(Tok::plain(TokKind::Literal, line));
                 i = end;
             }
             '\'' => {
                 // Lifetime (`'a`) vs char literal (`'a'`, `'\n'`).
                 if i + 1 < n
                     && (bytes[i + 1].is_alphabetic() || bytes[i + 1] == '_')
-                    && bytes[i + 1] != '\\'
                     && !(i + 2 < n && bytes[i + 2] == '\'')
                 {
-                    let mut j = i + 1;
-                    while j < n && (bytes[j].is_alphanumeric() || bytes[j] == '_') {
-                        j += 1;
-                    }
-                    out.tokens.push(Tok {
-                        kind: TokKind::Lifetime,
-                        line,
-                        num: None,
-                    });
-                    i = j;
+                    out.tokens.push(Tok::plain(TokKind::Lifetime, line));
+                    i = word_end(&bytes, i + 1);
                 } else {
-                    let mut j = i + 1;
-                    while j < n && bytes[j] != '\'' {
-                        if bytes[j] == '\\' {
-                            j += 1;
-                        }
-                        j += 1;
-                    }
-                    out.tokens.push(Tok {
-                        kind: TokKind::Literal,
-                        line,
-                        num: None,
-                    });
-                    i = (j + 1).min(n);
+                    out.tokens.push(Tok::plain(TokKind::Literal, line));
+                    i = skip_quoted(&bytes, i + 1, '\'');
                 }
             }
             c if c.is_ascii_digit() => {
-                let mut j = i + 1;
-                while j < n && (bytes[j].is_alphanumeric() || bytes[j] == '_') {
-                    j += 1;
-                }
+                let mut j = word_end(&bytes, i + 1);
                 // Fractional part only when a digit follows the dot, so
                 // `0..n` stays two puncts and `1.5` stays one literal.
                 if j + 1 < n && bytes[j] == '.' && bytes[j + 1].is_ascii_digit() {
-                    j += 1;
-                    while j < n && (bytes[j].is_alphanumeric() || bytes[j] == '_') {
-                        j += 1;
-                    }
+                    j = word_end(&bytes, j + 1);
                 }
                 let text: String = bytes[i..j].iter().collect();
                 out.tokens.push(Tok {
@@ -192,28 +165,29 @@ pub fn lex(source: &str) -> Lexed {
                 i = j;
             }
             c if c.is_alphabetic() || c == '_' => {
-                let mut j = i + 1;
-                while j < n && (bytes[j].is_alphanumeric() || bytes[j] == '_') {
-                    j += 1;
-                }
-                out.tokens.push(Tok {
-                    kind: TokKind::Ident(bytes[i..j].iter().collect()),
+                let j = word_end(&bytes, i + 1);
+                out.tokens.push(Tok::plain(
+                    TokKind::Ident(bytes[i..j].iter().collect()),
                     line,
-                    num: None,
-                });
+                ));
                 i = j;
             }
             c => {
-                out.tokens.push(Tok {
-                    kind: TokKind::Punct(c),
-                    line,
-                    num: None,
-                });
+                out.tokens.push(Tok::plain(TokKind::Punct(c), line));
                 i += 1;
             }
         }
     }
     out
+}
+
+/// Index of the first char at or after `j` that cannot continue an
+/// identifier.
+fn word_end(bytes: &[char], mut j: usize) -> usize {
+    while j < bytes.len() && (bytes[j].is_alphanumeric() || bytes[j] == '_') {
+        j += 1;
+    }
+    j
 }
 
 /// Parses an integer literal's value: decimal, `0x`/`0o`/`0b` radix
@@ -272,23 +246,22 @@ fn starts_string_prefix(bytes: &[char], i: usize) -> bool {
     }
 }
 
-/// Skips a plain `"..."` string starting at `i`; returns the index past the
-/// closing quote.
-fn skip_string(bytes: &[char], i: usize) -> usize {
-    let n = bytes.len();
-    let mut j = i + 1;
-    while j < n && bytes[j] != '"' {
+/// Index past the closing `q` of a quoted literal whose body starts at
+/// `from`, honoring backslash escapes (the end of input if unterminated).
+fn skip_quoted(bytes: &[char], from: usize, q: char) -> usize {
+    let mut j = from;
+    while j < bytes.len() && bytes[j] != q {
         if bytes[j] == '\\' {
             j += 1;
         }
         j += 1;
     }
-    (j + 1).min(n)
+    (j + 1).min(bytes.len())
 }
 
 /// Skips a prefixed (`r`, `b`, `br`) string or byte-char literal starting
-/// at `i`; returns `(end_index, consumed_any)`.
-fn skip_prefixed_string(bytes: &[char], i: usize) -> (usize, bool) {
+/// at `i`; returns the index past it.
+fn skip_prefixed_string(bytes: &[char], i: usize) -> usize {
     let n = bytes.len();
     let mut j = i;
     let mut raw = false;
@@ -300,17 +273,10 @@ fn skip_prefixed_string(bytes: &[char], i: usize) -> (usize, bool) {
     }
     if j < n && bytes[j] == '\'' {
         // b'x' byte-char literal.
-        let mut k = j + 1;
-        while k < n && bytes[k] != '\'' {
-            if bytes[k] == '\\' {
-                k += 1;
-            }
-            k += 1;
-        }
-        return ((k + 1).min(n), true);
+        return skip_quoted(bytes, j + 1, '\'');
     }
     if !raw {
-        return (skip_string(bytes, j), true);
+        return skip_quoted(bytes, j + 1, '"');
     }
     let mut hashes = 0usize;
     while j < n && bytes[j] == '#' {
@@ -318,7 +284,7 @@ fn skip_prefixed_string(bytes: &[char], i: usize) -> (usize, bool) {
         j += 1;
     }
     if j >= n || bytes[j] != '"' {
-        return (j, false);
+        return j;
     }
     j += 1;
     while j < n {
@@ -330,12 +296,12 @@ fn skip_prefixed_string(bytes: &[char], i: usize) -> (usize, bool) {
                 k += 1;
             }
             if seen == hashes {
-                return (k, true);
+                return k;
             }
         }
         j += 1;
     }
-    (n, true)
+    n
 }
 
 #[cfg(test)]

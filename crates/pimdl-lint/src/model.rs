@@ -331,20 +331,7 @@ fn mark_test_regions(tokens: &[Tok], attr_tok: &[bool], close_of: &[usize]) -> V
                 j += 1;
             }
             if has_test && !has_not {
-                // Find the item body: first `{` at bracket/paren depth 0,
-                // or give up at a bare `;`.
-                let mut k = j;
-                let mut depth = 0i32;
-                while k < tokens.len() {
-                    match &tokens[k].kind {
-                        TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
-                        TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-                        TokKind::Punct('{') if depth == 0 => break,
-                        TokKind::Punct(';') if depth == 0 => break,
-                        _ => {}
-                    }
-                    k += 1;
-                }
+                let k = item_open(tokens, j, tokens.len());
                 let end = if k < tokens.len() && tokens[k].is_punct('{') {
                     close_of[k].min(tokens.len() - 1)
                 } else {
@@ -362,6 +349,21 @@ fn mark_test_regions(tokens: &[Tok], attr_tok: &[bool], close_of: &[usize]) -> V
     marked
 }
 
+/// Index of the first `{` or `;` outside every `()`/`[]` group in
+/// `[from, end)` — an item's body or its end — or `end`.
+pub(crate) fn item_open(tokens: &[Tok], from: usize, end: usize) -> usize {
+    let mut depth = 0i32;
+    for (k, t) in tokens.iter().enumerate().take(end).skip(from) {
+        match &t.kind {
+            TokKind::Punct('(' | '[') => depth += 1,
+            TokKind::Punct(')' | ']') => depth -= 1,
+            TokKind::Punct('{' | ';') if depth == 0 => return k,
+            _ => {}
+        }
+    }
+    end
+}
+
 /// Finds every `fn NAME` item and the token range of its body.
 fn find_fns(tokens: &[Tok], close_of: &[usize]) -> Vec<FnSpan> {
     let mut fns = Vec::new();
@@ -372,27 +374,12 @@ fn find_fns(tokens: &[Tok], close_of: &[usize]) -> Vec<FnSpan> {
         let Some(name) = tokens.get(i + 1).and_then(|t| t.ident()) else {
             continue;
         };
-        // Walk to the body `{` at paren/bracket/angle-free depth 0, or the
-        // `;` of a body-less declaration.
-        let mut k = i + 2;
-        let mut depth = 0i32;
-        let mut body_start = None;
-        while k < tokens.len() {
-            match &tokens[k].kind {
-                TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
-                TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-                TokKind::Punct('{') if depth == 0 => {
-                    body_start = Some(k);
-                    break;
-                }
-                TokKind::Punct(';') if depth == 0 => break,
-                _ => {}
-            }
-            k += 1;
-        }
-        let (body_start, end) = match body_start {
-            Some(b) => (b, close_of[b].min(tokens.len() - 1) + 1),
-            None => (k.min(tokens.len()), k.min(tokens.len())),
+        // The body `{`, or the `;` of a body-less declaration.
+        let k = item_open(tokens, i + 2, tokens.len());
+        let (body_start, end) = if k < tokens.len() && tokens[k].is_punct('{') {
+            (k, close_of[k].min(tokens.len() - 1) + 1)
+        } else {
+            (k, k)
         };
         fns.push(FnSpan {
             name: name.to_string(),

@@ -39,12 +39,13 @@
 use std::collections::{BTreeSet, HashMap};
 
 use crate::allow::{in_scope, AllowList};
+use crate::cursor::{self, Pat, Seg, KEYWORDS};
 use crate::diag::{Diagnostic, Report};
 use crate::hir::SelfKind;
 use crate::lexer::{Tok, TokKind};
-use crate::model::SourceFile;
+use crate::model::{item_open, SourceFile};
 use crate::passes::range::{self, cast_bound, Ival, Width};
-use crate::passes::{is_arrow, is_macro_call, path_sep, peek_arith_op, skip_angle, stmt_end};
+use crate::passes::{is_macro_call, peek_arith_op, stmt_end};
 use crate::resolve::{Event, Workspace};
 
 pub const ALLOC: &str = "L7-ALLOC";
@@ -81,13 +82,6 @@ const ALLOC_SINKS: [&str; 5] = [
     "resize_with",
 ];
 
-/// Statement/expression keywords that never start a value chain.
-const KEYWORDS: [&str; 26] = [
-    "let", "if", "else", "for", "while", "loop", "match", "return", "break", "continue", "in",
-    "as", "fn", "pub", "use", "mod", "impl", "struct", "enum", "trait", "where", "move", "ref",
-    "mut", "unsafe", "dyn",
-];
-
 /// Where a tainted value came from, threaded through propagation so the
 /// diagnostic can name the original wire read.
 #[derive(Debug, Clone)]
@@ -117,8 +111,13 @@ struct Val {
 
 impl Val {
     fn unknown() -> Val {
+        Val::tainted(None)
+    }
+
+    /// A value of unknown magnitude carrying `taint`.
+    fn tainted(taint: Option<Taint>) -> Val {
         Val {
-            taint: None,
+            taint,
             iv: Ival::TOP,
             w: None,
             sym: None,
@@ -127,10 +126,8 @@ impl Val {
 
     fn constant(v: u128) -> Val {
         Val {
-            taint: None,
             iv: Ival::point(v),
-            w: None,
-            sym: None,
+            ..Val::unknown()
         }
     }
 }
@@ -140,68 +137,47 @@ impl Val {
 /// and which of its parameters do callers pass wire-derived data into.
 #[derive(Debug, Clone)]
 struct Summary {
-    ret: Option<Taint>,
-    ret_iv: Ival,
-    ret_w: Option<Width>,
-    ret_grow: u8,
-    params: Vec<Option<Taint>>,
-    param_ivs: Vec<Ival>,
-    param_ws: Vec<Option<Width>>,
-    param_grow: Vec<u8>,
+    ret: Slot,
+    params: Vec<Slot>,
 }
 
-impl Summary {
-    fn new(nparams: usize) -> Summary {
-        Summary {
-            ret: None,
-            ret_iv: Ival::TOP,
-            ret_w: None,
-            ret_grow: 0,
-            params: vec![None; nparams],
-            param_ivs: vec![Ival::TOP; nparams],
-            param_ws: vec![None; nparams],
-            param_grow: vec![0; nparams],
+/// One summary fact: the join of the tainted values seen there (`None`
+/// until the first), and how often its interval grew.
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    val: Option<Val>,
+    grow: u8,
+}
+
+impl Slot {
+    /// Joins a tainted observation `v`. The first observation sets
+    /// interval and width outright; later ones plain-join for two
+    /// growths, then widen, so cross-round joins terminate. Returns
+    /// whether anything grew (drives the fixpoint `changed` flag).
+    fn join(&mut self, v: &Val) -> bool {
+        let Some(cur) = &mut self.val else {
+            self.val = Some(Val {
+                sym: None,
+                ..v.clone()
+            });
+            return true;
+        };
+        let joined = if self.grow >= 2 {
+            cur.iv.widen(&cur.iv.join(&v.iv))
+        } else {
+            cur.iv.join(&v.iv)
+        };
+        let w = match (cur.w, v.w) {
+            (Some(a), Some(b)) => Some(a.wider(b)),
+            _ => None,
+        };
+        if joined != cur.iv {
+            self.grow = self.grow.saturating_add(1);
         }
+        let changed = joined != cur.iv || w != cur.w;
+        (cur.iv, cur.w) = (joined, w);
+        changed
     }
-}
-
-/// Joins a tainted observation `v` into one summary slot. The first
-/// observation sets interval and width outright; later ones plain-join
-/// for two growths, then widen, so cross-round joins terminate. Returns
-/// whether anything grew (drives the fixpoint `changed` flag).
-fn join_slot(
-    taint: &mut Option<Taint>,
-    iv: &mut Ival,
-    w: &mut Option<Width>,
-    grow: &mut u8,
-    v: &Val,
-) -> bool {
-    if taint.is_none() {
-        *taint = v.taint.clone();
-        *iv = v.iv;
-        *w = v.w;
-        return true;
-    }
-    let mut changed = false;
-    let joined = if *grow >= 2 {
-        iv.widen(&iv.join(&v.iv))
-    } else {
-        iv.join(&v.iv)
-    };
-    if joined != *iv {
-        *iv = joined;
-        *grow = grow.saturating_add(1);
-        changed = true;
-    }
-    let nw = match (*w, v.w) {
-        (Some(a), Some(b)) => Some(a.wider(b)),
-        _ => None,
-    };
-    if nw != *w {
-        *w = nw;
-        changed = true;
-    }
-    changed
 }
 
 /// One finding, pre-diagnostic (so the fixpoint rounds stay silent).
@@ -233,8 +209,8 @@ struct FnCtx<'a> {
     calls: HashMap<usize, Vec<usize>>,
     /// Flattened resolved callees, for the fixpoint relevance gate.
     callees: Vec<usize>,
-    /// Token ranges of nested `fn` items (walked as their own functions).
-    nested: &'a [(usize, usize)],
+    /// Index of this fn in `file.fns()`.
+    fn_idx: usize,
     sources_active: bool,
     params: &'a [String],
     name: &'a str,
@@ -279,7 +255,7 @@ pub fn run(
             end: span.end.saturating_sub(1),
             calls,
             callees,
-            nested: file.nested_fns(f.span_idx),
+            fn_idx: f.span_idx,
             sources_active: in_scope(&f.file, scope),
             params: &f.params,
             name: &f.name,
@@ -335,7 +311,10 @@ fn fixpoint(ws: &Workspace, ctxs: &[Option<FnCtx>]) -> Vec<Summary> {
     let mut summaries: Vec<Summary> = ws
         .fns
         .iter()
-        .map(|f| Summary::new(f.params.len()))
+        .map(|f| Summary {
+            ret: Slot::default(),
+            params: vec![Slot::default(); f.params.len()],
+        })
         .collect();
     loop {
         let mut changed = false;
@@ -347,8 +326,8 @@ fn fixpoint(ws: &Workspace, ctxs: &[Option<FnCtx>]) -> Vec<Summary> {
             // else is skipped — this is what keeps the fixpoint cheap
             // on a workspace where taint lives in a handful of files.
             let relevant = ctx.sources_active
-                || summaries[gi].params.iter().any(|p| p.is_some())
-                || ctx.callees.iter().any(|&g| summaries[g].ret.is_some());
+                || summaries[gi].params.iter().any(|p| p.val.is_some())
+                || ctx.callees.iter().any(|&g| summaries[g].ret.val.is_some());
             if !relevant {
                 continue;
             }
@@ -357,30 +336,13 @@ fn fixpoint(ws: &Workspace, ctxs: &[Option<FnCtx>]) -> Vec<Summary> {
                 a.walk_fn();
                 (a.ret_val.take(), std::mem::take(&mut a.pushes))
             };
-            if let Some(rv) = ret {
-                if rv.taint.is_some() {
-                    let sm = &mut summaries[gi];
-                    changed |= join_slot(
-                        &mut sm.ret,
-                        &mut sm.ret_iv,
-                        &mut sm.ret_w,
-                        &mut sm.ret_grow,
-                        &rv,
-                    );
-                }
+            if let Some(rv) = ret.filter(|rv| rv.taint.is_some()) {
+                changed |= summaries[gi].ret.join(&rv);
             }
             for (g, p, v) in pushes {
-                let sm = &mut summaries[g];
-                if p >= sm.params.len() {
-                    continue;
+                if let Some(slot) = summaries[g].params.get_mut(p) {
+                    changed |= slot.join(&v);
                 }
-                changed |= join_slot(
-                    &mut sm.params[p],
-                    &mut sm.param_ivs[p],
-                    &mut sm.param_ws[p],
-                    &mut sm.param_grow[p],
-                    &v,
-                );
             }
         }
         if !changed {
@@ -420,18 +382,9 @@ impl<'a> Analyzer<'a> {
         reporting: bool,
     ) -> Analyzer<'a> {
         let mut vars = HashMap::new();
-        let sm = &summaries[gi];
-        for (pi, pname) in ctx.params.iter().enumerate() {
-            if let Some(t) = sm.params.get(pi).and_then(|t| t.clone()) {
-                vars.insert(
-                    pname.clone(),
-                    Val {
-                        taint: Some(t),
-                        iv: sm.param_ivs[pi],
-                        w: sm.param_ws[pi],
-                        sym: None,
-                    },
-                );
+        for (slot, pname) in summaries[gi].params.iter().zip(ctx.params) {
+            if let Some(v) = &slot.val {
+                vars.insert(pname.clone(), v.clone());
             }
         }
         Analyzer {
@@ -492,58 +445,29 @@ impl<'a> Analyzer<'a> {
         let mut i = self.ctx.start;
         while i < end {
             self.apply_refines(i);
-            if let Some(&(_, ne)) = self.ctx.nested.iter().find(|&&(ns, ne)| ns <= i && i < ne) {
-                i = ne;
+            if let Some(next) = cursor::foreign(self.ctx.file, self.ctx.fn_idx, i) {
+                i = next;
                 stmt_start = i;
                 continue;
             }
-            if self.ctx.file.in_attr(i) || self.ctx.file.in_test(i) {
+            if self.ctx.file.in_test(i) {
                 i += 1;
                 continue;
             }
-            let t = &self.toks()[i];
-            match &t.kind {
-                TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => {
-                    depth += 1;
-                    i += 1;
+            match &self.toks()[i].kind {
+                TokKind::Punct('(' | '[' | '{') => depth += 1,
+                // Blocks entered via handle_if/handle_for leave their `}`
+                // unmatched here; clamp so `;` boundary detection stays at
+                // depth 0 afterwards.
+                TokKind::Punct(')' | ']' | '}') => depth = (depth - 1).max(0),
+                TokKind::Punct(';') if depth == 0 => stmt_start = i + 1,
+                TokKind::Ident(_) => {
+                    i = self.stmt(i).0;
+                    continue;
                 }
-                TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => {
-                    // Blocks entered via handle_if/handle_for leave their
-                    // `}` unmatched here; clamp so `;` boundary detection
-                    // stays at depth 0 afterwards.
-                    depth = (depth - 1).max(0);
-                    i += 1;
-                }
-                TokKind::Punct(';') => {
-                    if depth == 0 {
-                        stmt_start = i + 1;
-                    }
-                    i += 1;
-                }
-                TokKind::Ident(name) => {
-                    if is_chain_seg(self.toks(), i) {
-                        i += 1;
-                        continue;
-                    }
-                    i = match name.as_str() {
-                        "let" => self.handle_let(i),
-                        "if" => self.handle_if(i),
-                        "for" => self.handle_for(i),
-                        "while" | "match" => self.eval_head(i + 1),
-                        "return" => {
-                            let e = self.stmt_end(i + 1);
-                            let v = self.eval_arith(i + 1, e);
-                            self.note_ret(v);
-                            e
-                        }
-                        n if KEYWORDS.contains(&n) => i + 1,
-                        "vec" if is_macro_call(self.toks(), i) => self.handle_macro(i),
-                        _ if is_macro_call(self.toks(), i) => self.skip_macro(i),
-                        _ => self.eval_stmt_chain(i),
-                    };
-                }
-                _ => i += 1,
+                _ => {}
             }
+            i += 1;
         }
         // Tail expression: whatever follows the last top-level `;` is the
         // function's return value (approximate — covers the `Ok(..)` tail
@@ -552,6 +476,39 @@ impl<'a> Analyzer<'a> {
             let v = self.eval_arith(stmt_start, end);
             self.note_ret(v);
         }
+    }
+
+    /// The statement form at the ident `i`, run through its handler:
+    /// returns where the walk resumes and, for a plain value chain, its
+    /// value. Block expressions (`match` arms, `if`/`for` bodies inside a
+    /// `let` init) carry full statements, so `walk_fn` and `eval_expr`
+    /// share this one dispatch.
+    fn stmt(&mut self, i: usize) -> (usize, Option<Val>) {
+        let toks = self.toks();
+        let next = match toks[i].ident().unwrap_or("") {
+            _ if is_chain_seg(toks, i) => i + 1,
+            "let" => self.handle_let(i),
+            "if" => self.handle_if(i),
+            "for" => self.handle_for(i),
+            "while" | "match" => self.eval_head(i + 1),
+            "return" => {
+                let e = self.stmt_end(i + 1);
+                let v = self.eval_arith(i + 1, e);
+                self.note_ret(v);
+                e
+            }
+            n if KEYWORDS.contains(&n) => i + 1,
+            "vec" if is_macro_call(toks, i) => self.handle_macro(i),
+            _ if is_macro_call(toks, i) => self.skip_macro(i),
+            _ => match cursor::assignment(toks, i) {
+                Some((op, rhs)) => self.assign(i, op, rhs),
+                None => {
+                    let (v, next) = self.eval_chain(i);
+                    return (next.max(i + 1), Some(v));
+                }
+            },
+        };
+        (next.max(i + 1), None)
     }
 
     fn apply_refines(&mut self, now: usize) {
@@ -583,23 +540,6 @@ impl<'a> Analyzer<'a> {
                 k += 1;
             }
         }
-    }
-
-    /// `x = ..` or `x op= ..` on a bare ident (not `==`, not `=>`).
-    fn is_assignment(&self, i: usize) -> bool {
-        let toks = self.toks();
-        let Some(t1) = toks.get(i + 1) else {
-            return false;
-        };
-        if t1.is_punct('=') {
-            return !toks
-                .get(i + 2)
-                .is_some_and(|t| t.is_punct('=') || t.is_punct('>'));
-        }
-        matches!(
-            t1.kind,
-            TokKind::Punct('+' | '-' | '*' | '/' | '%' | '&' | '|' | '^')
-        ) && toks.get(i + 2).is_some_and(|t| t.is_punct('='))
     }
 
     /// `vec![elem; len]` is an allocation sink; every other macro body is
@@ -664,99 +604,22 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// `let [mut] PAT [: TY] = INIT ;` — binds the pattern's single
-    /// ident (plain, `Some(x)`-style, or flat tuples) to the init value.
+    /// `let PAT [: TY] = INIT` binds the pattern's names — a plain name,
+    /// a single-name `Variant(x)`, or every name of a flat tuple — to the
+    /// initializer's value.
     fn handle_let(&mut self, let_idx: usize) -> usize {
-        let toks = self.toks();
-        let end = self.ctx.end;
-        let mut j = let_idx + 1;
-        if toks.get(j).is_some_and(|t| t.ident() == Some("mut")) {
-            j += 1;
+        let l = cursor::let_head(self.ctx.file, let_idx, self.ctx.end);
+        if !l.has_init(self.toks()) {
+            return l.eq;
         }
-        let mut names: Vec<String> = Vec::new();
-        if let Some(n) = toks.get(j).and_then(|t| t.ident()) {
-            // `Variant ( [mut] x )` single-binding pattern (walk over a
-            // path prefix like `Frame::Execute`).
-            let mut p = j;
-            while path_sep(toks, p + 1) {
-                match toks.get(p + 2).and_then(|t| t.ident()) {
-                    Some(_) => p += 2,
-                    None => break,
-                }
-            }
-            if toks.get(p + 1).is_some_and(|t| t.is_punct('(')) {
-                let close = self.ctx.file.skip_balanced(p + 1);
-                let mut inner: Vec<String> = Vec::new();
-                let mut k = p + 2;
-                while k + 1 < close {
-                    match toks[k].ident() {
-                        Some("mut") => k += 1,
-                        Some(x) => {
-                            inner.push(x.to_string());
-                            k += 1;
-                            if toks.get(k).is_some_and(|t| t.is_punct(',')) {
-                                k += 1;
-                            } else {
-                                break;
-                            }
-                        }
-                        None => break,
-                    }
-                }
-                if inner.len() == 1 && k + 1 >= close {
-                    names = inner;
-                }
-                j = close - 1;
-            } else {
-                names.push(n.to_string());
-            }
-        } else if toks.get(j).is_some_and(|t| t.is_punct('(')) {
-            // Flat tuple `let (a, b) = ..`: bind every name.
-            let close = self.ctx.file.skip_balanced(j);
-            let mut k = j + 1;
-            while k + 1 < close {
-                match toks[k].ident() {
-                    Some("mut") => k += 1,
-                    Some(x) => {
-                        names.push(x.to_string());
-                        k += 1;
-                        if toks.get(k).is_some_and(|t| t.is_punct(',')) {
-                            k += 1;
-                        }
-                    }
-                    None => {
-                        names.clear();
-                        break;
-                    }
-                }
-            }
-            j = close - 1;
-        }
-        // Find `=` at depth 0 (skipping the type annotation).
-        let mut d = 0i32;
-        let mut k = j + 1;
-        while k < end {
-            match &toks[k].kind {
-                TokKind::Punct('<') => d += 1,
-                TokKind::Punct('>') if d > 0 && !is_arrow(toks, k) => d -= 1,
-                TokKind::Punct('(') | TokKind::Punct('[') => d += 1,
-                TokKind::Punct(')') | TokKind::Punct(']') => d -= 1,
-                TokKind::Punct('=')
-                    if d == 0 && !toks.get(k + 1).is_some_and(|t| t.is_punct('=')) =>
-                {
-                    break
-                }
-                TokKind::Punct(';') | TokKind::Punct('{') if d == 0 => return k,
-                _ => {}
-            }
-            k += 1;
-        }
-        if k >= end {
-            return end;
-        }
-        let init_start = k + 1;
-        let init_end = self.stmt_end(init_start);
-        let v = self.eval_arith(init_start, init_end);
+        let names = match l.pat {
+            Pat::Name(name) => vec![name],
+            Pat::Variant(Some(names)) if names.len() == 1 => names,
+            Pat::Tuple(Some(names)) => names,
+            _ => Vec::new(),
+        };
+        let init_end = self.stmt_end(l.eq + 1);
+        let v = self.eval_arith(l.eq + 1, init_end);
         for name in names {
             self.vars.insert(name, v.clone());
         }
@@ -815,49 +678,28 @@ impl<'a> Analyzer<'a> {
         let Some(in_idx) = (for_idx + 1..brace).find(|&j| toks[j].ident() == Some("in")) else {
             return brace + 1;
         };
-        // Top-level `..` / `..=` split.
-        let mut d = 0i32;
-        let mut dots = None;
-        for j in in_idx + 1..brace.saturating_sub(1) {
-            match &toks[j].kind {
-                TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => d += 1,
-                TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => d -= 1,
-                TokKind::Punct('.') if d == 0 && toks[j + 1].is_punct('.') => {
-                    dots = Some(j);
-                    break;
-                }
-                _ => {}
-            }
+        let Some((dots, upper)) = range_dots(toks, in_idx + 1, brace) else {
+            self.eval_expr(in_idx + 1, brace);
+            return brace + 1;
+        };
+        self.eval_expr(in_idx + 1, dots);
+        if range_has_ident(toks, upper, brace) {
+            self.sink_toks.insert(for_idx);
         }
-        match dots {
-            Some(j) => {
-                self.eval_expr(in_idx + 1, j);
-                let mut us = j + 2;
-                if toks.get(us).is_some_and(|t| t.is_punct('=')) {
-                    us += 1;
-                }
-                if range_has_ident(toks, us, brace) {
-                    self.sink_toks.insert(for_idx);
-                }
-                let v = self.eval_arith(us, brace);
-                if let Some(t) = v.taint.clone() {
-                    if !self.proved(&v) {
-                        self.finding(
-                            LOOP,
-                            toks[for_idx].line,
-                            "for",
-                            format!(
-                                "loop upper bound flows from untrusted input ({}){} — reject \
-                                 counts above a named MAX_* bound before iterating",
-                                t.describe(),
-                                self.range_note(&v),
-                            ),
-                        );
-                    }
-                }
-            }
-            None => {
-                self.eval_expr(in_idx + 1, brace);
+        let v = self.eval_arith(upper, brace);
+        if let Some(t) = v.taint.clone() {
+            if !self.proved(&v) {
+                self.finding(
+                    LOOP,
+                    toks[for_idx].line,
+                    "for",
+                    format!(
+                        "loop upper bound flows from untrusted input ({}){} — reject \
+                         counts above a named MAX_* bound before iterating",
+                        t.describe(),
+                        self.range_note(&v),
+                    ),
+                );
             }
         }
         brace + 1
@@ -872,100 +714,42 @@ impl<'a> Analyzer<'a> {
         brace + 1
     }
 
-    /// A statement beginning with an ident chain: plain assignments
-    /// (`x = ..`, `x += ..`) update the abstract state; everything else
-    /// is an expression evaluated for sinks.
-    fn eval_stmt_chain(&mut self, i: usize) -> usize {
+    /// `x = RHS` rebinds `x`; `x op= RHS` applies the operator's transfer
+    /// function, so `total += len` accumulation runs through the L8 check.
+    fn assign(&mut self, i: usize, op: Option<char>, rhs: usize) -> usize {
         let toks = self.toks();
-        let bare = toks[i].ident().is_some()
-            && !toks
-                .get(i + 1)
-                .is_some_and(|t| t.is_punct('.') || t.is_punct('[') || t.is_punct(':'));
-        if bare {
-            let name = toks[i].ident().unwrap_or("").to_string();
-            // `x = RHS` (not `==`, `=>`).
-            if toks.get(i + 1).is_some_and(|t| t.is_punct('='))
-                && !toks
-                    .get(i + 2)
-                    .is_some_and(|t| t.is_punct('=') || t.is_punct('>'))
-            {
-                let e = self.stmt_end(i + 2);
-                let v = self.eval_arith(i + 2, e);
-                self.vars.insert(name, v);
-                return e;
-            }
-            // `x op= RHS` applies the operator transfer function, so
-            // `total += len` accumulation runs through the L8 check.
-            if let Some(op) = toks.get(i + 1).and_then(|t| match t.kind {
-                TokKind::Punct(c @ ('+' | '-' | '*' | '/' | '%' | '&' | '|' | '^')) => Some(c),
-                _ => None,
-            }) {
-                if toks.get(i + 2).is_some_and(|t| t.is_punct('=')) {
-                    let e = self.stmt_end(i + 3);
-                    let rhs = self.eval_arith(i + 3, e);
-                    let cur = self.vars.get(&name).cloned().unwrap_or_else(Val::unknown);
-                    let v = self.apply_op(op, cur, rhs, toks[i + 1].line);
-                    self.vars.insert(name, v);
-                    return e;
-                }
-            }
+        let name = toks[i].ident().unwrap_or("").to_string();
+        let e = self.stmt_end(rhs);
+        let mut v = self.eval_arith(rhs, e);
+        if let Some(op) = op {
+            let cur = self.vars.get(&name).cloned().unwrap_or_else(Val::unknown);
+            v = self.apply_op(op, cur, v, toks[i + 1].line);
         }
-        let (_, next) = self.eval_chain(i);
-        next.max(i + 1)
+        self.vars.insert(name, v);
+        e
     }
 
-    /// Scans `[s, e)` left to right, evaluating every chain; returns the
-    /// first taint found (provenance of the whole expression). Block
-    /// expressions (`match` arms, `if`/`for` bodies inside a `let` init)
-    /// carry full statements, so the statement keywords dispatch to the
-    /// same handlers the top-level walker uses.
+    /// Scans `[s, e)` left to right, running every statement and chain;
+    /// returns the first chain taint found (provenance of the whole
+    /// expression).
     fn eval_expr(&mut self, s: usize, e: usize) -> Option<Taint> {
         let mut out: Option<Taint> = None;
         let mut i = s;
         while i < e {
             self.apply_refines(i);
-            if let Some(&(_, ne)) = self.ctx.nested.iter().find(|&&(ns, ne)| ns <= i && i < ne) {
-                i = ne;
+            if let Some(next) = cursor::foreign(self.ctx.file, self.ctx.fn_idx, i) {
+                i = next;
                 continue;
             }
-            if self.ctx.file.in_attr(i) {
+            if self.toks()[i].ident().is_none() {
                 i += 1;
                 continue;
             }
-            let t = &self.toks()[i];
-            match &t.kind {
-                TokKind::Ident(name) => {
-                    if is_chain_seg(self.toks(), i) {
-                        i += 1;
-                        continue;
-                    }
-                    let next = match name.as_str() {
-                        "let" => self.handle_let(i),
-                        "if" => self.handle_if(i),
-                        "for" => self.handle_for(i),
-                        "while" | "match" => self.eval_head(i + 1),
-                        "return" => {
-                            let se = self.stmt_end(i + 1);
-                            let v = self.eval_arith(i + 1, se);
-                            self.note_ret(v);
-                            se
-                        }
-                        n if KEYWORDS.contains(&n) => i + 1,
-                        "vec" if is_macro_call(self.toks(), i) => self.handle_macro(i),
-                        _ if is_macro_call(self.toks(), i) => self.skip_macro(i),
-                        _ if self.is_assignment(i) => self.eval_stmt_chain(i),
-                        _ => {
-                            let (v, next) = self.eval_chain(i);
-                            if out.is_none() {
-                                out = v.taint;
-                            }
-                            next
-                        }
-                    };
-                    i = next.max(i + 1);
-                }
-                _ => i += 1,
+            let (next, v) = self.stmt(i);
+            if out.is_none() {
+                out = v.and_then(|v| v.taint);
             }
+            i = next;
         }
         out
     }
@@ -987,22 +771,9 @@ impl<'a> Analyzer<'a> {
                 // Trailing structure (comparison, `..`, struct literal):
                 // scan the rest for sinks; the interval no longer applies.
                 let rest = self.eval_expr(pos, e);
-                Val {
-                    taint: v.taint.or(rest),
-                    iv: Ival::TOP,
-                    w: None,
-                    sym: None,
-                }
+                Val::tainted(v.taint.or(rest))
             }
-            None => {
-                let taint = self.eval_expr(s, e);
-                Val {
-                    taint,
-                    iv: Ival::TOP,
-                    w: None,
-                    sym: None,
-                }
-            }
+            None => Val::tainted(self.eval_expr(s, e)),
         }
     }
 
@@ -1049,10 +820,8 @@ impl<'a> Analyzer<'a> {
                 let v = self.parse_atom(pos, e)?;
                 // Negation leaves the unsigned domain; keep the taint.
                 Some(Val {
-                    taint: v.taint,
-                    iv: Ival::TOP,
                     w: v.w,
-                    sym: None,
+                    ..Val::tainted(v.taint)
                 })
             }
             TokKind::Punct('(') => {
@@ -1065,24 +834,14 @@ impl<'a> Analyzer<'a> {
             TokKind::Punct('[') => {
                 let close = self.ctx.file.skip_balanced(*pos);
                 let taint = self.eval_expr(*pos + 1, close.saturating_sub(1));
-                let (v, next) = self.chain_tail(
-                    Val {
-                        taint,
-                        iv: Ival::TOP,
-                        w: None,
-                        sym: None,
-                    },
-                    close,
-                );
+                let (v, next) = self.chain_tail(Val::tainted(taint), close);
                 *pos = next.max(close);
                 Some(v)
             }
             TokKind::Literal => {
                 let v = Val {
-                    taint: None,
                     iv: toks[*pos].num.map(Ival::point).unwrap_or(Ival::TOP),
-                    w: None,
-                    sym: None,
+                    ..Val::unknown()
                 };
                 let (v, next) = self.chain_tail(v, *pos + 1);
                 *pos = next.max(*pos + 1);
@@ -1179,216 +938,115 @@ impl<'a> Analyzer<'a> {
     fn eval_chain(&mut self, base: usize) -> (Val, usize) {
         let toks = self.toks();
         let name = toks[base].ident().unwrap_or("");
-        let mut cur = base + 1;
-        let val;
-
-        if path_sep(toks, cur) {
-            // Path `A::b::c` — the resolver records path calls at the
-            // *head* token.
-            let head = name.to_string();
-            let mut last = name.to_string();
-            while path_sep(toks, cur) {
-                if toks.get(cur + 2).is_some_and(|t| t.is_punct('<')) {
-                    // Turbofish `::<T>`.
-                    cur = skip_angle(self.ctx.file, cur + 2, toks.len()) + 1;
-                    continue;
-                }
-                match toks.get(cur + 2).and_then(|t| t.ident()) {
-                    Some(s) => {
-                        last = s.to_string();
-                        cur += 3;
-                    }
-                    None => break,
-                }
+        let head = cursor::head(self.ctx.file, base);
+        let last = toks[head.last].ident().unwrap_or("");
+        let val = if let Some(open) = head.call {
+            // The resolver records path calls at the *head* token.
+            let close = self.ctx.file.skip_balanced(open);
+            let v = self.handle_call(last, base, base, open, close, Val::unknown(), head.path);
+            return self.chain_tail(v, close);
+        } else if head.path {
+            // Path constant: `u32::MAX`, `Limits::CAP`, `Ordering::..`.
+            match (Width::of_type(name), last) {
+                (Some(w), "MAX") => Val {
+                    iv: Ival::point(w.max()),
+                    w: Some(w),
+                    ..Val::unknown()
+                },
+                (Some(w), "MIN") => Val {
+                    iv: Ival::point(0),
+                    w: Some(w),
+                    ..Val::unknown()
+                },
+                _ => self.constant(last).unwrap_or_else(Val::unknown),
             }
-            if toks.get(cur).is_some_and(|t| t.is_punct('(')) {
-                let close = self.ctx.file.skip_balanced(cur);
-                val = self.handle_call(&last, base, base, cur, close, Val::unknown(), true);
-                cur = close;
-            } else {
-                // Path constant: `u32::MAX`, `Limits::CAP`, `Ordering::..`.
-                val = match (Width::of_type(&head), last.as_str()) {
-                    (Some(w), "MAX") => Val {
-                        taint: None,
-                        iv: Ival::point(w.max()),
-                        w: Some(w),
-                        sym: None,
-                    },
-                    (Some(w), "MIN") => Val {
-                        taint: None,
-                        iv: Ival::point(0),
-                        w: Some(w),
-                        sym: None,
-                    },
-                    _ => self
-                        .ws
-                        .consts
-                        .get(&last)
-                        .map(|&v| Val::constant(v))
-                        .unwrap_or_else(Val::unknown),
-                };
-            }
-        } else if toks.get(cur).is_some_and(|t| t.is_punct('(')) {
-            // Free call `f(..)`.
-            let close = self.ctx.file.skip_balanced(cur);
-            val = self.handle_call(name, base, base, cur, close, Val::unknown(), false);
-            cur = close;
         } else {
-            val = self
-                .vars
-                .get(name)
-                .cloned()
-                .or_else(|| self.ws.consts.get(name).map(|&v| Val::constant(v)))
-                .unwrap_or_else(Val::unknown);
-        }
-        self.chain_tail(val, cur)
+            let local = self.vars.get(name).cloned();
+            local
+                .or_else(|| self.constant(name))
+                .unwrap_or_else(Val::unknown)
+        };
+        self.chain_tail(val, head.next)
+    }
+
+    /// The workspace const `name`, as a value.
+    fn constant(&self, name: &str) -> Option<Val> {
+        self.ws.consts.get(name).map(|&v| Val::constant(v))
     }
 
     /// The postfix tail shared by ident chains and parenthesized atoms:
     /// `?`, indexing, `.seg`/`.m(..)` segments, and `as` casts.
     fn chain_tail(&mut self, mut val: Val, mut cur: usize) -> (Val, usize) {
         let toks = self.toks();
-        while let Some(t) = toks.get(cur) {
-            if cur >= self.ctx.end {
-                break;
+        while let Some((seg, next)) = cursor::postfix(self.ctx.file, cur, self.ctx.end) {
+            match seg {
+                Seg::Try => {}
+                Seg::Index(open) => {
+                    if range_has_ident(toks, open + 1, next - 1) {
+                        self.sink_toks.insert(open);
+                    }
+                    self.index_sink(open + 1, next - 1, toks[open].line);
+                    // The element of a tainted container is tainted; its
+                    // magnitude is unknown.
+                    val = Val::tainted(val.taint);
+                }
+                // A field of a tainted value stays tainted; its magnitude
+                // is unknown.
+                Seg::Field(_) => val = Val::tainted(val.taint),
+                Seg::Method(seg, open) => {
+                    let m = toks[seg].ident().unwrap_or("");
+                    val = self.handle_call(m, seg, seg, open, next, val, false);
+                }
+                Seg::Cast(ty) => {
+                    val = self.cast(val, toks[ty].ident().unwrap_or(""), toks[cur].line)
+                }
             }
-            match &t.kind {
-                TokKind::Punct('?') => cur += 1,
-                TokKind::Punct('[') => {
-                    let close = self.ctx.file.skip_balanced(cur);
-                    if range_has_ident(toks, cur + 1, close - 1) {
-                        self.sink_toks.insert(cur);
-                    }
-                    self.index_sink(cur + 1, close - 1, toks[cur].line);
-                    // The element of a tainted container is tainted;
-                    // its magnitude is unknown.
-                    val = Val {
-                        taint: val.taint,
-                        iv: Ival::TOP,
-                        w: None,
-                        sym: None,
-                    };
-                    cur = close;
-                }
-                TokKind::Punct('.') => {
-                    let seg_idx = cur + 1;
-                    match toks.get(seg_idx).map(|t| &t.kind) {
-                        Some(TokKind::Ident(seg)) => {
-                            let mut open = seg_idx + 1;
-                            if toks.get(open).is_some_and(|t| t.is_punct(':')) {
-                                // Turbofish `.parse::<u16>()`.
-                                if path_sep(toks, open) {
-                                    open = if toks.get(open + 2).is_some_and(|t| t.is_punct('<')) {
-                                        skip_angle(self.ctx.file, open + 2, toks.len()) + 1
-                                    } else {
-                                        open + 2
-                                    };
-                                } else {
-                                    cur = seg_idx + 1;
-                                    continue;
-                                }
-                            }
-                            if toks.get(open).is_some_and(|t| t.is_punct('(')) {
-                                let seg = seg.clone();
-                                let close = self.ctx.file.skip_balanced(open);
-                                val = self
-                                    .handle_call(&seg, seg_idx, seg_idx, open, close, val, false);
-                                cur = close;
-                            } else {
-                                // Field access: a field of a tainted value
-                                // stays tainted; its magnitude is unknown.
-                                val = Val {
-                                    taint: val.taint,
-                                    iv: Ival::TOP,
-                                    w: None,
-                                    sym: None,
-                                };
-                                cur = seg_idx + 1;
-                            }
-                        }
-                        Some(TokKind::Literal) => {
-                            // Tuple access `.0`: value unknown, taint kept.
-                            val.iv = Ival::TOP;
-                            val.w = None;
-                            val.sym = None;
-                            cur = seg_idx + 1;
-                        }
-                        _ => break,
-                    }
-                }
-                TokKind::Ident(k) if k == "as" => {
-                    let Some(ty) = toks.get(cur + 1).and_then(|t| t.ident()) else {
-                        break;
-                    };
-                    if let Some(t) = val.taint.clone() {
-                        if val.sym.is_none() && cast_bound(ty).is_some_and(|b| val.iv.hi > b) {
-                            self.finding(
-                                TRUNC,
-                                toks[cur].line,
-                                "as",
-                                format!(
-                                    "narrowing `as {ty}` cast of untrusted input ({}){} wraps \
-                                     silently — use `try_into()` and handle the error",
-                                    t.describe(),
-                                    self.range_note(&val),
-                                ),
-                            );
-                        }
-                    }
-                    if let Some(w) = Width::of_type(ty) {
-                        if val.iv.hi > w.max() {
-                            val.sym = None; // A wrapped value outruns its bound.
-                        }
-                        val.iv = range::cast(&val.iv, w);
-                        val.w = Some(w);
-                    } else {
-                        match cast_bound(ty) {
-                            Some(b) if val.iv.hi <= b => val.w = None, // Fits signed.
-                            Some(_) => {
-                                val.iv = Ival::TOP;
-                                val.w = None;
-                                val.sym = None;
-                            }
-                            None => val.w = None, // u128/f64/pointer: lossless or non-integer.
-                        }
-                    }
-                    cur += 2;
-                }
-                _ => break,
-            }
+            cur = next;
         }
         (val, cur)
+    }
+
+    /// An `as ty` cast: an L7-TRUNC sink when a tainted interval exceeds
+    /// a narrow target, then the interval and width of the target type.
+    fn cast(&mut self, mut val: Val, ty: &str, line: u32) -> Val {
+        if let Some(t) = val.taint.clone() {
+            if val.sym.is_none() && cast_bound(ty).is_some_and(|b| val.iv.hi > b) {
+                self.finding(
+                    TRUNC,
+                    line,
+                    "as",
+                    format!(
+                        "narrowing `as {ty}` cast of untrusted input ({}){} wraps \
+                         silently — use `try_into()` and handle the error",
+                        t.describe(),
+                        self.range_note(&val),
+                    ),
+                );
+            }
+        }
+        if let Some(w) = Width::of_type(ty) {
+            if val.iv.hi > w.max() {
+                val.sym = None; // A wrapped value outruns its bound.
+            }
+            val.iv = range::cast(&val.iv, w);
+            val.w = Some(w);
+        } else {
+            match cast_bound(ty) {
+                Some(b) if val.iv.hi <= b => val.w = None, // Fits signed.
+                Some(_) => val = Val::tainted(val.taint),
+                None => val.w = None, // u128/f64/pointer: lossless or non-integer.
+            }
+        }
+        val
     }
 
     /// An indexing group interior `[s, e)`: splits a top-level `..` /
     /// `..=` range and checks each endpoint as an L7-INDEX sink.
     fn index_sink(&mut self, s: usize, e: usize, line: u32) {
-        let toks = self.toks();
-        let mut parts: Vec<(usize, usize)> = Vec::new();
-        let mut d = 0i32;
-        let mut dots = None;
-        for j in s..e.saturating_sub(1) {
-            match &toks[j].kind {
-                TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => d += 1,
-                TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => d -= 1,
-                TokKind::Punct('.') if d == 0 && toks[j + 1].is_punct('.') => {
-                    dots = Some(j);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        match dots {
-            Some(j) => {
-                parts.push((s, j));
-                let mut us = j + 2;
-                if toks.get(us).is_some_and(|t| t.is_punct('=')) {
-                    us += 1;
-                }
-                parts.push((us, e));
-            }
-            None => parts.push((s, e)),
-        }
+        let parts = match range_dots(self.toks(), s, e) {
+            Some((dots, upper)) => vec![(s, dots), (upper, e)],
+            None => vec![(s, e)],
+        };
         for (ps, pe) in parts {
             if ps >= pe {
                 continue;
@@ -1429,7 +1087,7 @@ impl<'a> Analyzer<'a> {
         path_call: bool,
     ) -> Val {
         let toks = self.toks();
-        let args = split_args(toks, open + 1, close - 1);
+        let args = cursor::elements(toks, open + 1, close - 1);
         // Sanitizers first: they bound (or kill) the receiver's taint,
         // and their arguments are bounds, not payloads.
         if CLAMP_SANITIZERS.contains(&m) {
@@ -1443,10 +1101,9 @@ impl<'a> Analyzer<'a> {
             // value fits its type: taint dies, the width bounds the
             // interval.
             return Val {
-                taint: None,
                 iv: recv.w.map(|w| Ival::new(0, w.max())).unwrap_or(Ival::TOP),
                 w: recv.w,
-                sym: None,
+                ..Val::unknown()
             };
         }
 
@@ -1454,12 +1111,7 @@ impl<'a> Analyzer<'a> {
 
         // The default call result: unknown value, receiver taint flows
         // through (a method of wire data computes wire data).
-        let mut out = Val {
-            taint: recv.taint.clone(),
-            iv: Ival::TOP,
-            w: None,
-            sym: None,
-        };
+        let mut out = Val::tainted(recv.taint.clone());
         if self.ctx.sources_active && SOURCES.contains(&m) {
             self.source_toks.insert(name_tok);
             let w = source_width(toks, name_tok, open, path_call);
@@ -1477,13 +1129,8 @@ impl<'a> Analyzer<'a> {
         if let Some(targets) = self.ctx.calls.get(&call_tok) {
             for &g in targets {
                 if out.taint.is_none() {
-                    if let Some(rt) = self.summaries[g].ret.clone() {
-                        out = Val {
-                            taint: Some(rt),
-                            iv: self.summaries[g].ret_iv,
-                            w: self.summaries[g].ret_w,
-                            sym: None,
-                        };
+                    if let Some(rv) = &self.summaries[g].ret.val {
+                        out = rv.clone();
                     }
                 }
                 let callee = &self.ws.fns[g];
@@ -1637,32 +1284,22 @@ impl<'a> Analyzer<'a> {
             .clone()
             .or_else(|| bval.and_then(|b| b.sym.clone()));
         let bound_tainted = bval.is_some_and(|b| b.taint.is_some());
-        let bounded = !bound_tainted && bval.is_some_and(|b| b.iv.hi < u128::MAX);
-        let syntactic = !bound_tainted
+        let proved = bval.is_some_and(|b| b.iv.hi < u128::MAX) || sym.is_some();
+        let taint = if !bound_tainted && proved {
+            recv.taint
+        } else if !bound_tainted
             && args
                 .get(bound_idx)
-                .is_some_and(|&(s, e)| const_bound_arg(toks, s, e, &self.vars));
-        if bounded || (sym.is_some() && !bound_tainted) {
-            return Val {
-                taint: recv.taint,
-                iv,
-                w: recv.w,
-                sym,
-            };
-        }
-        if syntactic {
-            return Val {
-                taint: None,
-                iv,
-                w: recv.w,
-                sym,
-            };
-        }
-        // Unproved bound: `.min(other_tainted)` keeps the smaller taint.
+                .is_some_and(|&(s, e)| const_like(toks, s, e, &self.vars, false))
+        {
+            None
+        } else {
+            // Unproved bound: `.min(other_tainted)` keeps the smaller taint.
+            let arg_taint = || arg_vals.iter().find_map(|v| v.taint.clone());
+            recv.taint.or_else(arg_taint)
+        };
         Val {
-            taint: recv
-                .taint
-                .or_else(|| arg_vals.iter().find_map(|v| v.taint.clone())),
+            taint,
             iv,
             w: recv.w,
             sym,
@@ -1684,20 +1321,8 @@ impl<'a> Analyzer<'a> {
     /// struct literal — good enough for `if`/`for`/`while`/`match` heads,
     /// where the walker treats a struct-literal `{` identically).
     fn find_block_open(&self, from: usize) -> Option<usize> {
-        let toks = self.toks();
-        let mut d = 0i32;
-        let mut j = from;
-        while j < self.ctx.end {
-            match &toks[j].kind {
-                TokKind::Punct('(') | TokKind::Punct('[') => d += 1,
-                TokKind::Punct(')') | TokKind::Punct(']') => d -= 1,
-                TokKind::Punct('{') if d == 0 => return Some(j),
-                TokKind::Punct(';') if d == 0 => return None,
-                _ => {}
-            }
-            j += 1;
-        }
-        None
+        let k = item_open(self.toks(), from, self.ctx.end);
+        (k < self.ctx.end && self.toks()[k].is_punct('{')).then_some(k)
     }
 
     /// End of the statement starting at `from`, capped at the body's end.
@@ -1733,82 +1358,26 @@ fn is_chain_seg(toks: &[Tok], i: usize) -> bool {
     toks[p1].is_punct(':') && p1.checked_sub(1).is_some_and(|p2| toks[p2].is_punct(':'))
 }
 
-/// Splits `[s, e)` at top-level commas.
-fn split_args(toks: &[Tok], s: usize, e: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut d = 0i32;
-    let mut start = s;
-    let mut j = s;
-    while j < e {
-        match &toks[j].kind {
-            TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => d += 1,
-            TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => d -= 1,
-            TokKind::Punct('<') => d += 1,
-            TokKind::Punct('>') if d > 0 && !is_arrow(toks, j) => d -= 1,
-            TokKind::Punct(',') if d == 0 => {
-                if start < j {
-                    out.push((start, j));
-                }
-                start = j + 1;
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    if start < e {
-        out.push((start, e));
-    }
-    out
-}
-
 fn range_has_ident(toks: &[Tok], s: usize, e: usize) -> bool {
     toks[s.min(toks.len())..e.min(toks.len())]
         .iter()
         .any(|t| t.ident().is_some())
 }
 
-/// Whether `[s, e)` is a constant-like bound for *guard* recognition:
-/// it must contain an anchor (a literal, an UPPER_SNAKE const, a
-/// `len()` call, or an ident naming a max/limit/cap) and no
-/// currently-tainted ident.
-fn const_like(toks: &[Tok], s: usize, e: usize, vars: &HashMap<String, Val>) -> bool {
-    let mut anchor = false;
-    for t in &toks[s.min(toks.len())..e.min(toks.len())] {
-        match &t.kind {
-            TokKind::Literal => anchor = true,
-            TokKind::Ident(id) => {
-                if vars.get(id).is_some_and(|v| v.taint.is_some()) {
-                    return false;
-                }
-                let upper = id.len() > 1
-                    && id
-                        .chars()
-                        .all(|c| c.is_ascii_uppercase() || c == '_' || c.is_ascii_digit())
-                    && id.chars().any(|c| c.is_ascii_uppercase());
-                let lower = id.to_ascii_lowercase();
-                if upper
-                    || id == "len"
-                    || lower.contains("max")
-                    || lower.contains("limit")
-                    || lower.contains("cap")
-                {
-                    anchor = true;
-                }
-            }
-            _ => {}
-        }
-    }
-    anchor
-}
-
-/// The tightened matcher for `.min(..)`/`.clamp(..)` bound arguments:
-/// like `const_like`, but a *bare* lowercase ident does not anchor just
-/// because its name mentions max/limit/cap — `.min(cap_hint)` with an
-/// unvalidated parameter is not a clamp. A field or path segment
-/// (preceded by `.`/`::`) with such a name still anchors
-/// (`limits.max_body_bytes`), as do literals, UPPER_SNAKE consts, and
-/// `len`.
-fn const_bound_arg(toks: &[Tok], s: usize, e: usize, vars: &HashMap<String, Val>) -> bool {
+/// Whether `[s, e)` is a constant-like bound: it must contain an anchor
+/// (a literal, an UPPER_SNAKE const, a `len()` call, or an ident naming
+/// a max/limit/cap) and no currently-tainted ident. Guards pass
+/// `bare_names`; the `.min(..)`/`.clamp(..)` matcher does not, so there
+/// a max/limit/cap name only anchors as a field or path segment
+/// (`limits.max_body_bytes`) — `.min(cap_hint)` with an unvalidated
+/// parameter is not a clamp.
+fn const_like(
+    toks: &[Tok],
+    s: usize,
+    e: usize,
+    vars: &HashMap<String, Val>,
+    bare_names: bool,
+) -> bool {
     let mut anchor = false;
     for i in s.min(toks.len())..e.min(toks.len()) {
         match &toks[i].kind {
@@ -1823,14 +1392,9 @@ fn const_bound_arg(toks: &[Tok], s: usize, e: usize, vars: &HashMap<String, Val>
                         .all(|c| c.is_ascii_uppercase() || c == '_' || c.is_ascii_digit())
                     && id.chars().any(|c| c.is_ascii_uppercase());
                 let lower = id.to_ascii_lowercase();
-                let is_segment = i > 0 && (toks[i - 1].is_punct('.') || toks[i - 1].is_punct(':'));
-                if upper
-                    || id == "len"
-                    || (is_segment
-                        && (lower.contains("max")
-                            || lower.contains("limit")
-                            || lower.contains("cap")))
-                {
+                let named = ["max", "limit", "cap"].iter().any(|w| lower.contains(w));
+                let segment = i > 0 && (toks[i - 1].is_punct('.') || toks[i - 1].is_punct(':'));
+                if upper || id == "len" || (named && (bare_names || segment)) {
                     anchor = true;
                 }
             }
@@ -1838,6 +1402,24 @@ fn const_bound_arg(toks: &[Tok], s: usize, e: usize, vars: &HashMap<String, Val>
         }
     }
     anchor
+}
+
+/// The top-level `..` / `..=` of a range in `[s, e)`: the index of its
+/// first `.` and of the upper bound's first token.
+fn range_dots(toks: &[Tok], s: usize, e: usize) -> Option<(usize, usize)> {
+    let mut d = 0i32;
+    for j in s..e.saturating_sub(1) {
+        match &toks[j].kind {
+            TokKind::Punct('(' | '[' | '{') => d += 1,
+            TokKind::Punct(')' | ']' | '}') => d -= 1,
+            TokKind::Punct('.') if d == 0 && toks[j + 1].is_punct('.') => {
+                let eq = toks.get(j + 2).is_some_and(|t| t.is_punct('='));
+                return Some((j, j + 2 + usize::from(eq)));
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Whether the block `{ .. }` opened at `brace` diverges (contains an
@@ -1889,7 +1471,7 @@ fn upper_bound_guard(
             } else {
                 s + 2
             };
-            if bs < e && const_like(toks, bs, e, vars) {
+            if bs < e && const_like(toks, bs, e, vars, true) {
                 return Some((name.to_string(), bs, e));
             }
         }
@@ -1905,7 +1487,7 @@ fn upper_bound_guard(
             };
             if toks.get(cmp_at).is_some_and(|t| t.is_punct('<'))
                 && cmp_at > s
-                && const_like(toks, s, cmp_at, vars)
+                && const_like(toks, s, cmp_at, vars, true)
                 && !toks.get(e - 2).is_some_and(|t| t.is_punct('.'))
             {
                 return Some((name.to_string(), s, cmp_at));

@@ -16,17 +16,21 @@
 //!   guard scopes, resolved calls, atomic operations with their
 //!   `Ordering`, and `fence(..)` calls.
 //!
-//! Known approximations are documented in DESIGN.md §10: closure
-//! parameters are untyped (chains through them do not resolve),
-//! destructuring `let` patterns do not bind, and free-call fallback
-//! resolution is by name over free functions only.
+//! The statement syntax (`let` heads, assignments, chain heads and
+//! segments) comes from [`crate::cursor`], shared with the taint walker;
+//! what a binding or a chain means is decided here. Known approximations
+//! are documented in DESIGN.md §10: closure parameters are untyped
+//! (chains through them do not resolve), destructuring `let` patterns do
+//! not bind, generic calls (`f::<T>(..)`) stay unresolved, and free-call
+//! fallback resolution is by name over free functions only.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
+use crate::cursor::{self, Pat, Seg, KEYWORDS};
 use crate::hir::{self, FieldDef, FileHir, SelfKind, Type};
 use crate::lexer::{Tok, TokKind};
 use crate::model::SourceFile;
-use crate::passes::{is_arrow, is_macro_call, path_sep, peek_arith_op, stmt_end};
+use crate::passes::{is_macro_call, path_sep, peek_arith_op, prev_segment, stmt_end};
 
 /// What a resolved lock/atomic identity is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -287,6 +291,7 @@ pub fn crate_of(path: &str) -> String {
 }
 
 /// Symbol tables shared by every function walker.
+#[derive(Default)]
 struct Symbols {
     /// `crate::Name -> struct`.
     structs: BTreeMap<String, StructInfo>,
@@ -322,12 +327,7 @@ impl Symbols {
 
 pub fn build(files: &[SourceFile]) -> Workspace {
     let hirs: Vec<FileHir> = files.iter().map(hir::build).collect();
-    let mut sym = Symbols {
-        structs: BTreeMap::new(),
-        crates_of: HashMap::new(),
-        methods: HashMap::new(),
-        free: HashMap::new(),
-    };
+    let mut sym = Symbols::default();
 
     // Pass 1: symbol tables + the global fn list (indices are stable).
     let mut fn_meta: Vec<(usize, usize)> = Vec::new(); // (file idx, fn idx)
@@ -394,7 +394,10 @@ pub fn build(files: &[SourceFile]) -> Workspace {
             my_fn: si,
         };
         for (pname, pty) in &sig.params {
-            w.seed_param(pname, pty);
+            let b = w.of_type(pname, pty);
+            if !matches!(b, Bind::Unknown) {
+                w.locals.insert(pname.clone(), b);
+            }
         }
         if span.body_start < span.end {
             w.walk(span.body_start + 1, span.end.saturating_sub(1));
@@ -436,62 +439,16 @@ fn build_consts(files: &[SourceFile]) -> HashMap<String, u128> {
             if toks[i].ident() != Some("const") || file.in_attr(i) {
                 continue;
             }
-            let Some(name) = toks.get(i + 1).and_then(|t| t.ident()) else {
-                continue;
-            };
-            // `const fn f()` and `const { .. }` blocks are not items;
-            // `const N:` inside a generic list is caught by the abort
-            // conditions below (its `>` closes before any `=`).
-            if name == "fn" || !toks.get(i + 2).is_some_and(|t| t.is_punct(':')) {
+            // `const NAME: TY = EXPR;` has the shape of a `let` head;
+            // `const fn`, `const { .. }` and `*const T` do not.
+            let l = cursor::let_head(file, i, toks.len());
+            if !toks.get(l.pat_end).is_some_and(|t| t.is_punct(':')) || !l.has_init(toks) {
                 continue;
             }
-            if toks.get(i + 3).is_some_and(|t| t.is_punct(':')) {
-                continue; // `::` — a path, not a type annotation.
-            }
-            let mut j = i + 3;
-            let mut d = 0i32;
-            let mut eq = None;
-            while j < toks.len() {
-                match &toks[j].kind {
-                    TokKind::Punct('<') if !(j > 0 && toks[j - 1].is_punct('<')) => d += 1,
-                    TokKind::Punct('>') if !is_arrow(toks, j) => {
-                        d -= 1;
-                        if d < 0 {
-                            break;
-                        }
-                    }
-                    TokKind::Punct('(') | TokKind::Punct('[') => d += 1,
-                    TokKind::Punct(')') | TokKind::Punct(']') => {
-                        d -= 1;
-                        if d < 0 {
-                            break;
-                        }
-                    }
-                    TokKind::Punct(';') | TokKind::Punct('{') if d == 0 => break,
-                    TokKind::Punct('=') if d == 0 => {
-                        if !toks.get(j + 1).is_some_and(|t| t.is_punct('=')) {
-                            eq = Some(j);
-                        }
-                        break;
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            let Some(eq) = eq else { continue };
-            let mut k = eq + 1;
-            let mut d = 0i32;
-            while k < toks.len() {
-                match &toks[k].kind {
-                    TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => d += 1,
-                    TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => d -= 1,
-                    TokKind::Punct(';') if d == 0 => break,
-                    _ => {}
-                }
-                k += 1;
-            }
-            if eq + 1 < k {
-                decls.push((name.to_string(), fi, eq + 1, k));
+            let Pat::Name(name) = l.pat else { continue };
+            let end = stmt_end(toks, l.eq + 1, toks.len(), false);
+            if l.eq + 1 < end {
+                decls.push((name, fi, l.eq + 1, end));
             }
         }
     }
@@ -658,23 +615,13 @@ fn mask_bits(bits: u32) -> u128 {
     }
 }
 
-/// What a local name is bound to.
+/// What a local name is bound to, and what a chain folds to.
 #[derive(Debug, Clone)]
-enum Binding {
+enum Bind {
     Lock { id: u32, inner: Option<String> },
     Guard { lock: u32, inner: Option<String> },
     Atomic(u32),
     Struct(String),
-    Opaque,
-}
-
-/// Intermediate result while folding a `.`-chain left to right.
-#[derive(Debug, Clone)]
-enum Res {
-    Struct(String),
-    Lock { id: u32, inner: Option<String> },
-    Guard { lock: u32, inner: Option<String> },
-    Atomic(u32),
     Unknown,
 }
 
@@ -694,13 +641,6 @@ const ATOMIC_METHODS: &[&str] = &[
     "fetch_update",
 ];
 
-const KEYWORDS: &[&str] = &[
-    "let", "if", "else", "while", "for", "loop", "match", "return", "break", "continue", "fn",
-    "struct", "enum", "impl", "trait", "mod", "use", "pub", "unsafe", "move", "ref", "mut", "as",
-    "in", "where", "type", "const", "static", "dyn", "async", "await", "crate", "super", "box",
-    "yield", "true", "false",
-];
-
 struct Walker<'a> {
     file: &'a SourceFile,
     toks: &'a [Tok],
@@ -710,10 +650,10 @@ struct Walker<'a> {
     krate: String,
     /// Resolved `crate::Ty` of the enclosing impl, if any.
     impl_key: Option<String>,
-    locals: HashMap<String, Binding>,
+    locals: HashMap<String, Bind>,
     /// Bindings applied once the cursor passes `apply_at`:
     /// `(apply_at, name, binding, init_start, init_end)`.
-    pending: Vec<(usize, String, Binding, usize, usize)>,
+    pending: Vec<(usize, String, Bind, usize, usize)>,
     /// Guard-binding name -> index of its Acquire event (for `drop(g)`).
     guard_acq: HashMap<String, usize>,
     events: Vec<Event>,
@@ -722,22 +662,21 @@ struct Walker<'a> {
 }
 
 impl<'a> Walker<'a> {
-    fn seed_param(&mut self, name: &str, ty: &Type) {
-        let b = if ty.is_atomic() {
-            let id = self.intern_aname(name);
-            Binding::Atomic(id)
+    /// What a value of type `ty` named `name` is: an atomic, a lock, a
+    /// known struct, or unknown.
+    fn of_type(&mut self, name: &str, ty: &Type) -> Bind {
+        if ty.is_atomic() {
+            Bind::Atomic(self.intern_aname(name))
         } else if let Some(kind) = ty.guard_kind() {
             let id = self.intern_local(name, lock_kind(kind));
-            Binding::Lock {
+            Bind::Lock {
                 id,
                 inner: self.inner_struct_of(ty),
             }
-        } else if let Some(st) = self.sym.resolve_struct(&ty.innermost().name, &self.krate) {
-            Binding::Struct(st)
         } else {
-            return;
-        };
-        self.locals.insert(name.to_string(), b);
+            let st = self.sym.resolve_struct(&ty.innermost().name, &self.krate);
+            st.map_or(Bind::Unknown, Bind::Struct)
+        }
     }
 
     /// The struct key guarded by a lock type, if resolvable.
@@ -782,14 +721,15 @@ impl<'a> Walker<'a> {
 
     /// Main token loop over `[start, end)`.
     fn walk(&mut self, start: usize, end: usize) {
+        let toks = self.toks;
         let mut i = start;
         while i < end {
             self.apply_pending(i);
-            if self.file.owner(i) != Some(self.my_fn) || self.file.in_attr(i) {
-                i += 1;
+            if let Some(next) = cursor::foreign(self.file, self.my_fn, i) {
+                i = next;
                 continue;
             }
-            let Some(name) = self.toks[i].ident() else {
+            let Some(name) = toks[i].ident() else {
                 i += 1;
                 continue;
             };
@@ -798,29 +738,23 @@ impl<'a> Walker<'a> {
                 i += 1;
                 continue;
             }
-            if KEYWORDS.contains(&name) {
-                i += 1;
-                continue;
-            }
-            // Skip path continuations, method/field segments, macro names,
-            // and the name in a nested `fn` signature.
-            let prev = i.checked_sub(1).map(|j| &self.toks[j].kind);
-            let prev_is_seg = matches!(prev, Some(TokKind::Punct('.')) | Some(TokKind::Punct(':')));
-            let prev_is_fn = self
-                .toks
-                .get(i.wrapping_sub(1))
-                .is_some_and(|t| t.ident() == Some("fn"));
-            if prev_is_seg || prev_is_fn || is_macro_call(self.toks, i) {
+            // Skip keywords, path continuations, method/field segments
+            // and macro names.
+            let prev = i.checked_sub(1).map(|j| &toks[j].kind);
+            if KEYWORDS.contains(&name)
+                || matches!(prev, Some(TokKind::Punct('.' | ':')))
+                || is_macro_call(toks, i)
+            {
                 i += 1;
                 continue;
             }
             // `drop(g)` ends a guard's scope early.
             if name == "drop"
-                && self.toks.get(i + 1).is_some_and(|t| t.is_punct('('))
-                && self.toks.get(i + 3).is_some_and(|t| t.is_punct(')'))
+                && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
+                && toks.get(i + 3).is_some_and(|t| t.is_punct(')'))
             {
-                if let Some(g) = self.toks.get(i + 2).and_then(|t| t.ident()) {
-                    if matches!(self.locals.get(g), Some(Binding::Guard { .. })) {
+                if let Some(g) = toks.get(i + 2).and_then(|t| t.ident()) {
+                    if matches!(self.locals.get(g), Some(Bind::Guard { .. })) {
                         if let Some(&ev) = self.guard_acq.get(g) {
                             if let Event::Acquire { held_until, .. } = &mut self.events[ev] {
                                 *held_until = i;
@@ -835,18 +769,9 @@ impl<'a> Walker<'a> {
                 continue;
             }
             // Assignment rebinding at a statement head: `g = CHAIN;`.
-            let at_stmt_head = matches!(
-                prev,
-                None | Some(TokKind::Punct(';'))
-                    | Some(TokKind::Punct('{'))
-                    | Some(TokKind::Punct('}'))
-            );
-            if at_stmt_head
-                && self.toks.get(i + 1).is_some_and(|t| t.is_punct('='))
-                && !self.toks.get(i + 2).is_some_and(|t| t.is_punct('='))
-            {
-                let init_start = i + 2;
-                let init_end = stmt_end(self.toks, init_start, end, false);
+            let at_stmt_head = matches!(prev, None | Some(TokKind::Punct(';' | '{' | '}')));
+            if let (true, Some((None, init_start))) = (at_stmt_head, cursor::assignment(toks, i)) {
+                let init_end = stmt_end(toks, init_start, end, false);
                 let b = self.classify_init(name, init_start, init_end, None);
                 self.pending
                     .push((init_end, name.to_string(), b, init_start, init_end));
@@ -862,7 +787,7 @@ impl<'a> Walker<'a> {
     fn apply_pending(&mut self, now: usize) {
         while let Some(pos) = self.pending.iter().position(|(at, ..)| *at <= now) {
             let (_, name, b, init_start, init_end) = self.pending.remove(pos);
-            if let Binding::Guard { .. } = &b {
+            if let Bind::Guard { .. } = &b {
                 // Associate the binding with the Acquire its init emitted.
                 let acq = self
                     .events
@@ -872,7 +797,7 @@ impl<'a> Walker<'a> {
                     self.guard_acq.insert(name.clone(), idx);
                 }
             }
-            if matches!(b, Binding::Opaque) {
+            if matches!(b, Bind::Unknown) {
                 self.locals.remove(&name);
             } else {
                 self.locals.insert(name, b);
@@ -880,105 +805,45 @@ impl<'a> Walker<'a> {
         }
     }
 
-    /// Parses `let [mut] NAME [: TY] = INIT ;` (plus the flat-tuple form)
-    /// and queues the binding. Pattern lets (`let Some(x) = ..`) bind
-    /// nothing.
+    /// Queues the binding of `let [mut] NAME [: TY] = INIT;`, and of a flat
+    /// tuple `let (a, b) = (x, y);` element by element. Other patterns
+    /// (`let Some(x) = ..`) bind nothing.
     fn handle_let(&mut self, let_idx: usize, end: usize) {
         let toks = self.toks;
-        let in_cond = toks
-            .get(let_idx.wrapping_sub(1))
-            .is_some_and(|t| matches!(t.ident(), Some("if" | "while")));
-        let mut j = let_idx + 1;
-        if toks.get(j).is_some_and(|t| t.ident() == Some("mut")) {
-            j += 1;
+        let l = cursor::let_head(self.file, let_idx, end);
+        if !l.has_init(toks) {
+            return;
         }
-        // Flat tuple pattern `(a, b, ..)`.
-        if toks.get(j).is_some_and(|t| t.is_punct('(')) {
-            let close = self.file.skip_balanced(j) - 1;
-            let mut names = Vec::new();
-            let mut k = j + 1;
-            while k < close {
-                if toks[k].ident() == Some("mut") {
-                    k += 1;
-                    continue;
-                }
-                match toks[k].ident() {
-                    Some(n)
-                        if toks.get(k + 1).is_some_and(|t| t.is_punct(',')) || k + 1 == close =>
-                    {
-                        names.push(n.to_string());
-                        k += 2;
+        match l.pat {
+            Pat::Name(name) => {
+                let annot = match l.eq - l.pat_end {
+                    0 => None,
+                    _ if toks[l.pat_end].is_punct(':') => {
+                        Some(hir::parse_type(self.file, l.pat_end + 1, l.eq).0)
                     }
-                    _ => return, // not a flat tuple of idents
-                }
+                    _ => return,
+                };
+                let in_cond = toks
+                    .get(let_idx.wrapping_sub(1))
+                    .is_some_and(|t| matches!(t.ident(), Some("if" | "while")));
+                let init_end = stmt_end(toks, l.eq + 1, end, in_cond);
+                let b = self.classify_init(&name, l.eq + 1, init_end, annot.as_ref());
+                self.pending.push((init_end, name, b, l.eq + 1, init_end));
             }
-            if !toks.get(close + 1).is_some_and(|t| t.is_punct('='))
-                || !toks.get(close + 2).is_some_and(|t| t.is_punct('('))
+            Pat::Tuple(Some(names))
+                if l.eq == l.pat_end && toks.get(l.eq + 1).is_some_and(|t| t.is_punct('(')) =>
             {
-                return;
-            }
-            let iclose = self.file.skip_balanced(close + 2) - 1;
-            let mut k = close + 3;
-            let mut exprs = Vec::new();
-            while k < iclose && exprs.len() < names.len() {
-                let e = element_end(toks, k, iclose);
-                exprs.push((k, e));
-                k = e + 1;
-            }
-            if exprs.len() == names.len() {
-                for (n, (s, e)) in names.into_iter().zip(exprs) {
-                    let b = self.classify_init(&n, s, e, None);
-                    self.pending.push((iclose + 1, n, b, s, e));
+                let iclose = self.file.skip_balanced(l.eq + 1) - 1;
+                let exprs = cursor::elements(toks, l.eq + 2, iclose);
+                if exprs.len() == names.len() {
+                    for (n, (s, e)) in names.into_iter().zip(exprs) {
+                        let b = self.classify_init(&n, s, e, None);
+                        self.pending.push((iclose + 1, n, b, s, e));
+                    }
                 }
             }
-            return;
+            _ => {}
         }
-        let Some(name) = toks.get(j).and_then(|t| t.ident()) else {
-            return;
-        };
-        // Enum/struct patterns (`Some(x)`, `State { .. }`) bind nothing here.
-        if toks
-            .get(j + 1)
-            .is_some_and(|t| t.is_punct('(') || t.is_punct('{'))
-            || path_sep(toks, j + 1)
-        {
-            return;
-        }
-        let mut annot = None;
-        let mut k = j + 1;
-        if toks.get(k).is_some_and(|t| t.is_punct(':')) {
-            // Annotation up to the `=` at depth 0.
-            let mut d = 0i32;
-            let ty_start = k + 1;
-            let mut m = ty_start;
-            while m < end {
-                match &toks[m].kind {
-                    TokKind::Punct('<') => d += 1,
-                    TokKind::Punct('>') if d > 0 && !is_arrow(toks, m) => d -= 1,
-                    TokKind::Punct('(') | TokKind::Punct('[') => d += 1,
-                    TokKind::Punct(')') | TokKind::Punct(']') => d -= 1,
-                    TokKind::Punct('=') | TokKind::Punct(';') if d == 0 => break,
-                    _ => {}
-                }
-                m += 1;
-            }
-            if m < end && toks[m].is_punct('=') {
-                annot = Some(hir::parse_type(self.file, ty_start, m).0);
-                k = m;
-            } else {
-                return;
-            }
-        }
-        if !toks.get(k).is_some_and(|t| t.is_punct('='))
-            || toks.get(k + 1).is_some_and(|t| t.is_punct('='))
-        {
-            return;
-        }
-        let init_start = k + 1;
-        let init_end = stmt_end(toks, init_start, end, in_cond);
-        let b = self.classify_init(name, init_start, init_end, annot.as_ref());
-        self.pending
-            .push((init_end, name.to_string(), b, init_start, init_end));
     }
 
     /// Classifies what `[start, end)` evaluates to for binding purposes.
@@ -988,7 +853,7 @@ impl<'a> Walker<'a> {
         start: usize,
         end: usize,
         annot: Option<&Type>,
-    ) -> Binding {
+    ) -> Bind {
         let toks = self.toks;
         // 1. A zero-arg `.lock()/.read()/.write()` anywhere in the init
         //    makes this a guard binding (covers `lock_recover(x.lock(), s)`).
@@ -999,15 +864,19 @@ impl<'a> Walker<'a> {
                 && toks.get(m + 1).is_some_and(|t| t.is_punct('('))
                 && toks.get(m + 2).is_some_and(|t| t.is_punct(')'))
             {
-                if let Some(base) = chain_base(toks, m) {
-                    if let Res::Guard { lock, inner } = self.resolve_chain(base, false).0 {
-                        return Binding::Guard { lock, inner };
+                let mut base = Some(m);
+                while let Some(b) = base.filter(|&b| toks[b - 1].is_punct('.')) {
+                    base = prev_segment(toks, b);
+                }
+                if let Some(base) = base {
+                    if let Bind::Guard { lock, inner } = self.resolve_chain(base, false).0 {
+                        return Bind::Guard { lock, inner };
                     }
                 }
                 // Unresolvable receiver: per-function fallback identity.
-                let recv = crate::passes::receiver_name(toks, m);
-                let id = self.intern_local(recv.as_deref().unwrap_or(name), IdKind::Unknown);
-                return Binding::Guard {
+                let recv = prev_segment(toks, m).and_then(|k| toks[k].ident());
+                let id = self.intern_local(recv.unwrap_or(name), IdKind::Unknown);
+                return Bind::Guard {
                     lock: id,
                     inner: None,
                 };
@@ -1020,7 +889,7 @@ impl<'a> Walker<'a> {
             s += 1;
         }
         if s >= end {
-            return Binding::Opaque;
+            return Bind::Unknown;
         }
         // 2. `Arc::clone(&x)` / `Rc::clone(&x)` aliases x.
         if matches!(toks[s].ident(), Some("Arc" | "Rc"))
@@ -1051,24 +920,18 @@ impl<'a> Walker<'a> {
             }
             match id {
                 "Mutex" | "RwLock" => {
-                    let kind = lock_kind(id);
                     let key = format!("fresh:{}:{m}", self.fnkey);
                     let (f, _) = self.site_here();
-                    let fid = self.ids.intern(
-                        &key,
-                        &format!("{name} (local {})", id.to_lowercase()),
-                        kind,
-                        &f,
-                        toks[m].line,
-                    );
-                    return Binding::Lock {
+                    let display = format!("{name} (local {})", id.to_lowercase());
+                    let fid = self
+                        .ids
+                        .intern(&key, &display, lock_kind(id), &f, toks[m].line);
+                    return Bind::Lock {
                         id: fid,
                         inner: None,
                     };
                 }
-                a if a.starts_with("Atomic") => {
-                    return Binding::Atomic(self.intern_aname(name));
-                }
+                a if a.starts_with("Atomic") => return Bind::Atomic(self.intern_aname(name)),
                 _ => {}
             }
         }
@@ -1081,84 +944,49 @@ impl<'a> Walker<'a> {
             };
             if let Some(st) = st {
                 if toks.get(s + 1).is_some_and(|t| t.is_punct('{')) || path_sep(toks, s + 1) {
-                    return Binding::Struct(st);
+                    return Bind::Struct(st);
                 }
             }
         }
         // 6. Plain chain: whatever it resolves to.
         if toks[s].ident().is_some() {
             let (res, chain_end) = self.resolve_chain(s, false);
-            if chain_end >= end || toks.get(chain_end).is_some_and(|t| t.is_punct('?')) {
-                match res {
-                    Res::Lock { id, inner } => return Binding::Lock { id, inner },
-                    Res::Guard { lock, inner } => return Binding::Guard { lock, inner },
-                    Res::Atomic(id) => return Binding::Atomic(id),
-                    Res::Struct(st) => return Binding::Struct(st),
-                    Res::Unknown => {}
-                }
+            let whole = chain_end >= end || toks.get(chain_end).is_some_and(|t| t.is_punct('?'));
+            if whole && !matches!(res, Bind::Unknown) {
+                return res;
             }
         }
         // 7. Fall back to the annotation.
-        if let Some(ty) = annot {
-            if ty.is_atomic() {
-                return Binding::Atomic(self.intern_aname(name));
-            }
-            if let Some(kind) = ty.guard_kind() {
-                let id = self.intern_local(name, lock_kind(kind));
-                return Binding::Lock {
-                    id,
-                    inner: self.inner_struct_of(ty),
-                };
-            }
-            if let Some(st) = self.sym.resolve_struct(&ty.innermost().name, &self.krate) {
-                return Binding::Struct(st);
-            }
+        match annot {
+            Some(ty) => self.of_type(name, ty),
+            None => Bind::Unknown,
         }
-        Binding::Opaque
     }
 
     /// Resolves and (with `emit`) records the events of the chain whose
     /// base ident sits at `base`. Returns the final result and the index
     /// one past the chain.
-    fn resolve_chain(&mut self, base: usize, emit: bool) -> (Res, usize) {
+    fn resolve_chain(&mut self, base: usize, emit: bool) -> (Bind, usize) {
         let toks = self.toks;
         let name = toks[base].ident().unwrap_or("");
+        let head = cursor::head(self.file, base);
         let mut last_name = name.to_string();
-
-        // Base resolution.
-        let mut res: Res;
         let mut cur = base + 1;
-        if name == "self" {
-            res = match &self.impl_key {
-                Some(k) => Res::Struct(k.clone()),
-                None => Res::Unknown,
-            };
+        let mut res = if name == "self" {
+            self.impl_key.clone().map_or(Bind::Unknown, Bind::Struct)
         } else if let Some(b) = self.locals.get(name) {
-            res = match b {
-                Binding::Lock { id, inner } => Res::Lock {
-                    id: *id,
-                    inner: inner.clone(),
-                },
-                Binding::Guard { lock, inner } => Res::Guard {
-                    lock: *lock,
-                    inner: inner.clone(),
-                },
-                Binding::Atomic(id) => Res::Atomic(*id),
-                Binding::Struct(st) => Res::Struct(st.clone()),
-                Binding::Opaque => Res::Unknown,
-            };
-        } else if name == "fence" && toks.get(cur).is_some_and(|t| t.is_punct('(')) {
+            b.clone()
+        } else if name == "fence" && head.call.is_some() {
             let close = self.file.skip_balanced(cur);
             if emit {
                 self.emit_fence(base, cur, close - 1);
             }
-            return (Res::Unknown, close);
-        } else if path_sep(toks, cur) {
+            return (Bind::Unknown, close);
+        } else if head.path {
             // Path base: `Ty::m(..)`, `Self::m(..)`, or `module::f(..)`.
-            return self.resolve_path(base, emit);
-        } else if toks.get(cur).is_some_and(|t| t.is_punct('(')) {
+            return self.resolve_path(base, &head, emit);
+        } else if let Some(open) = head.call {
             // Free call `f(..)`.
-            let close = self.file.skip_balanced(cur);
             if emit && name != "drop" {
                 let targets = self.sym.free.get(name).cloned().unwrap_or_default();
                 if !targets.is_empty() {
@@ -1169,178 +997,158 @@ impl<'a> Walker<'a> {
                     });
                 }
             }
-            res = Res::Unknown;
-            cur = close;
+            cur = self.file.skip_balanced(open);
+            Bind::Unknown
         } else if let Some(st) = self.sym.resolve_struct(name, &self.krate) {
             if toks.get(cur).is_some_and(|t| t.is_punct('{')) && !self.in_pattern_position(base) {
                 if emit {
                     self.scan_struct_literal(&st, cur);
                 }
-                return (Res::Struct(st), cur);
+                return (Bind::Struct(st), cur);
             }
-            res = Res::Struct(st);
+            Bind::Struct(st)
         } else {
-            res = Res::Unknown;
-        }
+            Bind::Unknown
+        };
 
-        // Fold `.seg` / `[..]` segments.
-        while let Some(t) = toks.get(cur) {
-            if t.is_punct('[') {
-                cur = self.file.skip_balanced(cur);
-                continue;
-            }
-            if t.is_punct('?') {
-                cur += 1;
-                continue;
-            }
-            if !t.is_punct('.') {
-                break;
-            }
-            let seg_idx = cur + 1;
-            let Some(seg) = toks.get(seg_idx).and_then(|t| t.ident()) else {
-                // Tuple-field access `x.0` or similar.
-                res = Res::Unknown;
-                cur = seg_idx + 1;
-                continue;
-            };
-            if toks.get(seg_idx + 1).is_some_and(|t| t.is_punct('(')) {
-                // Method segment.
-                let open = seg_idx + 1;
-                let close = self.file.skip_balanced(open);
-                let zero_arg = toks.get(open + 1).is_some_and(|t| t.is_punct(')'));
-                match seg {
-                    "lock" | "read" | "write" if zero_arg => {
-                        let (lock, inner) = match &res {
-                            Res::Lock { id, inner } => (*id, inner.clone()),
-                            _ => (self.intern_local(&last_name, IdKind::Unknown), None),
-                        };
-                        if emit {
-                            let held_until = guard_scope_end(self.file, seg_idx);
-                            self.events.push(Event::Acquire {
-                                lock,
-                                line: toks[seg_idx].line,
-                                tok: seg_idx,
-                                held_until,
-                            });
-                        }
-                        res = Res::Guard { lock, inner };
-                    }
-                    "unwrap" | "expect" | "unwrap_or_else" => {
-                        if !matches!(res, Res::Guard { .. }) {
-                            res = Res::Unknown;
-                        }
-                    }
-                    "clone" => {}
-                    m if ATOMIC_METHODS.contains(&m) => {
-                        let id = match &res {
-                            Res::Atomic(id) => Some(*id),
-                            Res::Unknown | Res::Struct(_) => {
-                                let has_ord =
-                                    (open..close).any(|x| toks[x].ident() == Some("Ordering"));
-                                has_ord.then(|| self.intern_aname(&last_name))
-                            }
-                            _ => None,
-                        };
-                        if let (Some(id), true) = (id, emit) {
-                            self.emit_atomic(id, seg, seg_idx, open, close - 1);
-                        }
-                        res = Res::Unknown;
-                    }
-                    m => {
-                        if let (Res::Struct(st), true) = (&res, emit) {
-                            if let Some(targets) = self.sym.methods.get(&format!("{st}::{m}")) {
-                                self.events.push(Event::Call {
-                                    targets: targets.clone(),
-                                    line: toks[seg_idx].line,
-                                    tok: seg_idx,
-                                });
-                            }
-                        }
-                        res = Res::Unknown;
-                    }
+        // Fold the `.field` / `.m(..)` / `[..]` / `?` segments.
+        while let Some((seg, next)) = cursor::postfix(self.file, cur, toks.len()) {
+            match seg {
+                Seg::Try | Seg::Index(_) => {}
+                Seg::Cast(_) => break,
+                Seg::Method(seg_idx, open) => {
+                    res = self.method(res, &last_name, seg_idx, open, next, emit);
                 }
-                cur = close;
-                continue;
-            }
-            // Field segment.
-            let st_key = match &res {
-                Res::Struct(st) => Some(st.clone()),
-                Res::Guard {
-                    inner: Some(st), ..
-                } => Some(st.clone()),
-                _ => None,
-            };
-            res = match st_key {
-                Some(st) => match self.sym.field(&st, seg).cloned() {
-                    Some(fd) => {
-                        if fd.ty.guard_kind().is_some() {
-                            Res::Lock {
-                                id: self.intern_field(&st, &fd),
-                                inner: self.inner_struct_of(&fd.ty),
-                            }
-                        } else if fd.ty.is_atomic() {
-                            Res::Atomic(self.intern_field(&st, &fd))
-                        } else if fd.ty.is_sync_primitive() {
-                            Res::Unknown
-                        } else {
-                            match self
-                                .sym
-                                .resolve_struct(&fd.ty.innermost().name, &self.krate)
-                            {
-                                Some(inner_st) => Res::Struct(inner_st),
-                                None => Res::Unknown,
-                            }
-                        }
+                Seg::Field(seg_idx) => match toks[seg_idx].ident() {
+                    Some(seg) => {
+                        res = self.field(&res, seg);
+                        last_name = seg.to_string();
                     }
-                    None => Res::Unknown,
+                    // Tuple-field access `x.0`.
+                    None => res = Bind::Unknown,
                 },
-                None => Res::Unknown,
-            };
-            last_name = seg.to_string();
-            cur = seg_idx + 1;
+            }
+            cur = next;
         }
-
         (res, cur)
     }
 
-    /// `Ty::m(..)` / `Self::m(..)` / `module::f(..)` bases.
-    fn resolve_path(&mut self, base: usize, emit: bool) -> (Res, usize) {
+    /// One `.m(..)` segment over `res` (`recv` names the receiver): guard
+    /// acquisitions, atomic operations, and resolved method calls.
+    fn method(
+        &mut self,
+        res: Bind,
+        recv: &str,
+        seg_idx: usize,
+        open: usize,
+        close: usize,
+        emit: bool,
+    ) -> Bind {
         let toks = self.toks;
-        let head = toks[base].ident().unwrap_or("");
-        // Walk the path: base :: seg :: seg ...
-        let mut cur = base;
-        let mut last = head.to_string();
-        let mut segs = vec![head.to_string()];
-        while path_sep(toks, cur + 1) {
-            match toks.get(cur + 3).and_then(|t| t.ident()) {
-                Some(s) => {
-                    last = s.to_string();
-                    segs.push(last.clone());
-                    cur += 3;
+        let m = toks[seg_idx].ident().unwrap_or("");
+        let zero_arg = toks.get(open + 1).is_some_and(|t| t.is_punct(')'));
+        match m {
+            "lock" | "read" | "write" if zero_arg => {
+                let (lock, inner) = match res {
+                    Bind::Lock { id, inner } => (id, inner),
+                    _ => (self.intern_local(recv, IdKind::Unknown), None),
+                };
+                if emit {
+                    let held_until = guard_scope_end(self.file, seg_idx);
+                    self.events.push(Event::Acquire {
+                        lock,
+                        line: toks[seg_idx].line,
+                        tok: seg_idx,
+                        held_until,
+                    });
                 }
-                None => break,
+                Bind::Guard { lock, inner }
+            }
+            "unwrap" | "expect" | "unwrap_or_else" if matches!(res, Bind::Guard { .. }) => res,
+            "unwrap" | "expect" | "unwrap_or_else" => Bind::Unknown,
+            "clone" => res,
+            m if ATOMIC_METHODS.contains(&m) => {
+                let id = match res {
+                    Bind::Atomic(id) => Some(id),
+                    Bind::Unknown | Bind::Struct(_) => {
+                        let has_ord = (open..close).any(|x| toks[x].ident() == Some("Ordering"));
+                        has_ord.then(|| self.intern_aname(recv))
+                    }
+                    _ => None,
+                };
+                if let (Some(id), true) = (id, emit) {
+                    self.emit_atomic(id, m, seg_idx, open, close - 1);
+                }
+                Bind::Unknown
+            }
+            m => {
+                if let (Bind::Struct(st), true) = (&res, emit) {
+                    if let Some(targets) = self.sym.methods.get(&format!("{st}::{m}")) {
+                        self.events.push(Event::Call {
+                            targets: targets.clone(),
+                            line: toks[seg_idx].line,
+                            tok: seg_idx,
+                        });
+                    }
+                }
+                Bind::Unknown
             }
         }
-        let after = cur + 1;
-        let is_call = toks.get(after).is_some_and(|t| t.is_punct('('));
-        if !is_call {
-            return (Res::Unknown, after);
+    }
+
+    /// The `.field` segment `seg` of a struct (or of a guard's struct).
+    fn field(&mut self, res: &Bind, seg: &str) -> Bind {
+        let st = match res {
+            Bind::Struct(st)
+            | Bind::Guard {
+                inner: Some(st), ..
+            } => st,
+            _ => return Bind::Unknown,
+        };
+        let Some(fd) = self.sym.field(st, seg).cloned() else {
+            return Bind::Unknown;
+        };
+        if fd.ty.guard_kind().is_some() {
+            Bind::Lock {
+                id: self.intern_field(st, &fd),
+                inner: self.inner_struct_of(&fd.ty),
+            }
+        } else if fd.ty.is_atomic() {
+            Bind::Atomic(self.intern_field(st, &fd))
+        } else if fd.ty.is_sync_primitive() {
+            Bind::Unknown
+        } else {
+            let inner = self
+                .sym
+                .resolve_struct(&fd.ty.innermost().name, &self.krate);
+            inner.map_or(Bind::Unknown, Bind::Struct)
         }
-        let close = self.file.skip_balanced(after);
+    }
+
+    /// `Ty::m(..)` / `Self::m(..)` / `module::f(..)` bases.
+    fn resolve_path(&mut self, base: usize, head: &cursor::Head, emit: bool) -> (Bind, usize) {
+        let toks = self.toks;
+        let first = toks[base].ident().unwrap_or("");
+        let last = toks[head.last].ident().unwrap_or("");
+        // A generic path (`f::<T>(..)`, `Vec::<T>::new()`) stays unresolved.
+        let Some(open) = head.call.filter(|_| !head.generic) else {
+            return (Bind::Unknown, head.next);
+        };
+        let close = self.file.skip_balanced(open);
         if last == "fence" {
             if emit {
-                self.emit_fence(cur, after, close - 1);
+                self.emit_fence(head.last, open, close - 1);
             }
-            return (Res::Unknown, close);
+            return (Bind::Unknown, close);
         }
-        let head_struct = if head == "Self" {
+        let head_struct = if first == "Self" {
             self.impl_key.clone()
         } else {
-            self.sym.resolve_struct(head, &self.krate)
+            self.sym.resolve_struct(first, &self.krate)
         };
-        let mut ret = Res::Unknown;
+        let mut ret = Bind::Unknown;
         let targets: Vec<usize> = match &head_struct {
-            Some(st) if segs.len() == 2 => {
+            Some(st) if head.segs == 2 => {
                 let t = self
                     .sym
                     .methods
@@ -1348,15 +1156,15 @@ impl<'a> Walker<'a> {
                     .cloned()
                     .unwrap_or_default();
                 if !t.is_empty() {
-                    ret = Res::Struct(st.clone());
+                    ret = Bind::Struct(st.clone());
                 }
                 t
             }
             Some(_) => Vec::new(),
             // Type-like heads we don't know stay unresolved (std types);
             // lowercase module paths fall back to free functions by name.
-            None if head.chars().next().is_some_and(char::is_lowercase) => {
-                self.sym.free.get(&last).cloned().unwrap_or_default()
+            None if first.chars().next().is_some_and(char::is_lowercase) => {
+                self.sym.free.get(last).cloned().unwrap_or_default()
             }
             None => Vec::new(),
         };
@@ -1442,7 +1250,7 @@ impl<'a> Walker<'a> {
             let interesting = fd.ty.guard_kind().is_some() || fd.ty.is_atomic();
             if toks.get(i + 1).is_some_and(|t| t.is_punct(':')) && !path_sep(toks, i + 1) {
                 let expr_start = i + 2;
-                let expr_end = element_end(toks, expr_start, close);
+                let expr_end = cursor::element_end(toks, expr_start, close);
                 if interesting {
                     let fid = self.intern_field(st, &fd);
                     if let Some(id) = self.value_id(expr_start, expr_end) {
@@ -1458,7 +1266,7 @@ impl<'a> Walker<'a> {
                 // Shorthand `field,` — union with the same-named local.
                 let fid = self.intern_field(st, &fd);
                 let id = match self.locals.get(name) {
-                    Some(Binding::Lock { id, .. }) | Some(Binding::Atomic(id)) => Some(*id),
+                    Some(Bind::Lock { id, .. }) | Some(Bind::Atomic(id)) => Some(*id),
                     _ => None,
                 };
                 if let Some(id) = id {
@@ -1474,7 +1282,7 @@ impl<'a> Walker<'a> {
     /// The lock/atomic identity of a value expression, if it has one.
     fn value_id(&mut self, start: usize, end: usize) -> Option<u32> {
         match self.classify_init("<expr>", start, end, None) {
-            Binding::Lock { id, .. } | Binding::Atomic(id) => Some(id),
+            Bind::Lock { id, .. } | Bind::Atomic(id) => Some(id),
             _ => None,
         }
     }
@@ -1503,62 +1311,6 @@ fn orderings_in(toks: &[Tok], open: usize, close: usize) -> Vec<String> {
         }
     }
     out
-}
-
-/// Base ident of the chain containing the method ident at `seg_idx`:
-/// walks back over `.`-separated segments and one trailing group each.
-fn chain_base(toks: &[Tok], seg_idx: usize) -> Option<usize> {
-    let mut j = seg_idx;
-    loop {
-        if j == 0 || !toks[j - 1].is_punct('.') {
-            return toks[j].ident().map(|_| j);
-        }
-        let mut k = j - 2;
-        // Skip a trailing `)`/`]` group of the previous segment.
-        while toks
-            .get(k)
-            .is_some_and(|t| t.is_punct(')') || t.is_punct(']'))
-        {
-            let (open, close) = if toks[k].is_punct(']') {
-                ('[', ']')
-            } else {
-                ('(', ')')
-            };
-            let mut depth = 0i32;
-            loop {
-                if toks[k].is_punct(close) {
-                    depth += 1;
-                } else if toks[k].is_punct(open) {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                k = k.checked_sub(1)?;
-            }
-            k = k.checked_sub(1)?;
-        }
-        toks.get(k).and_then(|t| t.ident())?;
-        j = k;
-    }
-}
-
-/// End (exclusive) of a comma-separated element starting at `from`.
-fn element_end(toks: &[Tok], from: usize, cap: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = from;
-    while j < cap {
-        match &toks[j].kind {
-            TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => depth += 1,
-            TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => depth -= 1,
-            TokKind::Punct('<') => depth += 1,
-            TokKind::Punct('>') if depth > 0 && !is_arrow(toks, j) => depth -= 1,
-            TokKind::Punct(',') if depth == 0 => return j,
-            _ => {}
-        }
-        j += 1;
-    }
-    cap
 }
 
 /// Token index one past which the guard acquired at `idx` is dead:

@@ -20,34 +20,30 @@ const REACTOR: &str = "crates/pimdl-serve/src/reactor.rs";
 const CONN: &str = "crates/pimdl-serve/src/conn.rs";
 
 /// One seeded bug: `file`'s real text, with `append` added at the end,
-/// linted under the path `lint_as`, must report `code` and nothing else,
-/// with every string in `names` appearing in the messages.
+/// must report `code` and nothing else, with every string in `names`
+/// appearing in the messages.
 struct Case {
     file: &'static str,
-    lint_as: &'static str,
     append: &'static str,
     code: &'static str,
     names: &'static [&'static str],
 }
 
-const CASES: [Case; 7] = [
+const CASES: [Case; 6] = [
     Case {
         file: REACTOR,
-        lint_as: REACTOR,
         append: "fn seeded(p: *const u8) -> u8 { unsafe { *p } }\n",
         code: "L1-SAFETY",
         names: &["fn seeded"],
     },
     Case {
         file: CONN,
-        lint_as: CONN,
         append: "fn seeded(x: Option<u8>) -> u8 { x.unwrap() }\n",
         code: "L2-PANIC",
         names: &[".unwrap() in fn seeded"],
     },
     Case {
         file: SERVER,
-        lint_as: SERVER,
         append: "impl ThreadedExecutor {\n    fn seeded(&self) -> usize { \
                  self.inflight.load(Ordering::Relaxed) }\n}\n",
         code: "L3-ATOMIC",
@@ -55,7 +51,6 @@ const CASES: [Case; 7] = [
     },
     Case {
         file: SERVER,
-        lint_as: SERVER,
         append: "impl ThreadedExecutor {\n    \
                  fn seeded_a(&self) { let d = self.done.lock(); let e = self.error.lock(); }\n    \
                  fn seeded_b(&self) { let e = self.error.lock(); let d = self.done.lock(); }\n}\n",
@@ -66,17 +61,8 @@ const CASES: [Case; 7] = [
             "fn seeded_a",
         ],
     },
-    // The syscall shim's own text under any other name is a violation.
-    Case {
-        file: REACTOR,
-        lint_as: "crates/pimdl-serve/src/not_the_reactor.rs",
-        append: "",
-        code: "L5-SYSCALL",
-        names: &["`asm!` invocation", "raw syscall call"],
-    },
     Case {
         file: FABRIC,
-        lint_as: FABRIC,
         append: "fn seeded(c: &mut Cursor<'_>) -> std::result::Result<Vec<u8>, FrameError> {\n    \
                  let n = c.u32()? as usize;\n    Ok(Vec::<u8>::with_capacity(n))\n}\n",
         code: "L7-ALLOC",
@@ -84,7 +70,6 @@ const CASES: [Case; 7] = [
     },
     Case {
         file: FABRIC,
-        lint_as: FABRIC,
         append: "fn seeded(c: &mut Cursor<'_>) -> std::result::Result<u32, FrameError> {\n    \
                  let k = c.u32()?;\n    Ok(k * 2)\n}\n",
         code: "L8-OVERFLOW",
@@ -117,7 +102,7 @@ fn each_kept_pass_fires_on_a_bug_seeded_into_the_real_sources() {
         );
 
         let seeded_from = source.lines().count() as u32;
-        let report = lint_in_memory(case.lint_as, &(source + case.append));
+        let report = lint_in_memory(case.file, &(source + case.append));
         let mut codes: Vec<&str> = report.diagnostics.iter().map(|d| d.lint.as_str()).collect();
         codes.dedup();
         assert_eq!(
@@ -128,14 +113,12 @@ fn each_kept_pass_fires_on_a_bug_seeded_into_the_real_sources() {
             case.file,
             report.render_human()
         );
-        if !case.append.is_empty() {
-            assert!(
-                report.diagnostics.iter().all(|d| d.line > seeded_from),
-                "{}: every finding sits in the seeded lines:\n{}",
-                case.code,
-                report.render_human()
-            );
-        }
+        assert!(
+            report.diagnostics.iter().all(|d| d.line > seeded_from),
+            "{}: every finding sits in the seeded lines:\n{}",
+            case.code,
+            report.render_human()
+        );
         let text = report.render_human();
         for name in case.names {
             assert!(text.contains(name), "{} names `{name}`:\n{text}", case.code);
