@@ -17,12 +17,12 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 # Static analysis: unsafe audit, panic-path, atomic-ordering, lock-order,
-# syscall-confinement, the L7 untrusted-input taint pass, and the L8
-# interval-overflow pass over the whole workspace (hard gate; exemptions
-# live in lint-allow.toml and must carry justifications). The report
-# ends with a per-pass finding-count / wall-time summary; the
-# unsafe-site, lock-identity, and taint source/sink inventories land in
-# results/lint_inventory.json for drift review.
+# the L7 untrusted-input taint pass, and the L8 interval-overflow pass
+# over the whole workspace (hard gate; exemptions live in lint-allow.toml
+# and must carry justifications). The report ends with a per-pass
+# finding-count / wall-time summary; the unsafe-site, lock-identity, and
+# taint source/sink inventories land in results/lint_inventory.json for
+# drift review.
 echo "==> pimdl-lint"
 cargo run --offline -q -p pimdl-lint -- --inventory results/lint_inventory.json
 
