@@ -408,3 +408,84 @@ fn virtual_ledgers_are_pinned() {
         }
     }
 }
+
+/// FNV-1a over a stream of 64-bit words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in words {
+        for b in v.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn line_large_gathers_are_pinned() {
+    // Both host gathers of a `line_large`-shaped request (n 32, CB 192,
+    // CT 16, F 768), digested bit for bit: the reference checksum
+    // (`checksum_of`) and every output element of the simulated-PE kernel
+    // (`run_lut_kernel`), over the serving replica's seeded table and over
+    // a saturated one whose columns sum to the INT8 extremes. Integer sums
+    // are exact, so a gather rewrite must not move either digest.
+    use pimdl_engine::pipeline::PimDlEngine;
+    use pimdl_lutnn::kernels::lut_checksum_quant;
+    use pimdl_lutnn::lut::QuantLutTable;
+    use pimdl_serve::ReplicaModel;
+    use pimdl_sim::exec::{run_lut_kernel, LutKernelData};
+    use pimdl_sim::LutWorkload;
+    use pimdl_tensor::quant::QuantMatrix;
+    use pimdl_tensor::rng::DataRng;
+
+    let w = LutWorkload {
+        n: 32,
+        cb: 192,
+        ct: 16,
+        f: 768,
+    };
+    let engine = PimDlEngine::new(platform());
+    let mapping = engine.mapping_for(&w).unwrap();
+    let replica = ReplicaModel::build(&engine, w, ServeConfig::example().table_seed).unwrap();
+    let saturated = {
+        let codes = (0..w.cb * w.ct * w.f)
+            .map(|i| {
+                let (k, j) = (i / w.f % w.ct, i % w.f);
+                match j % 3 {
+                    0 => -128,
+                    1 => 127,
+                    _ if k % 2 == 0 => 127,
+                    _ => -127,
+                }
+            })
+            .collect();
+        let qm = QuantMatrix::from_codes(w.cb * w.ct, w.f, 0.05, codes).unwrap();
+        QuantLutTable::from_parts(w.cb, w.ct, w.f, qm).unwrap()
+    };
+    let mut sums = Vec::new();
+    let mut outputs = Vec::new();
+    for seed in 1..=3u64 {
+        let mut rng = DataRng::new(seed);
+        let req = replica.make_request(seed, 0.0, 1.0, &mut rng).unwrap();
+        sums.push(req.expected_checksum.to_bits());
+        sums.push(replica.checksum_of(&req.indices).unwrap().to_bits());
+        sums.push(
+            lut_checksum_quant(w.n, &req.indices, &saturated)
+                .unwrap()
+                .to_bits(),
+        );
+        for table in [replica.table(), &saturated] {
+            let data = LutKernelData {
+                indices: &req.indices,
+                table: table.table().codes(),
+                scale: table.table().scale(),
+            };
+            let (out, _) = run_lut_kernel(engine.platform(), &w, &mapping, data).unwrap();
+            outputs.extend(out.as_slice().iter().map(|v| u64::from(v.to_bits())));
+        }
+    }
+    assert_eq!(sums[0], sums[1], "request checksum is checksum_of's");
+    assert_eq!(
+        (fnv(sums), fnv(outputs)),
+        (0x8248_f54f_a2b9_ec50, 0x391c_c780_96e0_f3dd)
+    );
+}
