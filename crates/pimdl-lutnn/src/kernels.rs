@@ -20,7 +20,8 @@
 //!   rows ([`FUSED_ROW_TILE`]) and output features ([`FUSED_F_TILE`]) so the
 //!   active LUT slice stays cache-resident. The intermediate index matrix is
 //!   never materialized beyond one row tile. The INT8 gather is the one
-//!   [`pimdl_tensor::quant::lut_gather`] the simulated PEs also run.
+//!   [`pimdl_tensor::quant::lut_gather`] the simulated PEs also run, on its
+//!   widest arm the CPU has (AVX-512BW, AVX2 or portable).
 //! * `*_parallel` variants — partition rows across the persistent
 //!   [`WorkerPool`], not per-call spawned threads.
 //! * [`lut_checksum_quant`] — the same INT8 gather driven by precomputed

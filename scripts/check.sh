@@ -73,6 +73,12 @@ for crate in "${WORKSPACE_CRATES[@]}"; do
     cargo test --offline -p "${crate}"
 done
 
+# The INT8 gather's oracle test again in optimised code: it calls each
+# arm (AVX-512BW, AVX2, portable) the CPU has. The debug run above catches
+# an i16 wrap, but release vectorises differently.
+echo "==> cargo test --release -p pimdl-tensor --offline"
+cargo test --release --offline -p pimdl-tensor
+
 # The root package's integration suites. Reactor end-to-end: the
 # deterministic SimPoller pipeline (1k scripted requests, bit-identical
 # across runs). HTTP front end: the scripted conformance corpus (status
