@@ -89,7 +89,7 @@ impl LutTable {
     /// [`check_table_shape`]).
     pub(crate) fn check_shape(&self, op: &'static str) -> Result<()> {
         let dims = (self.cb, self.ct, self.f);
-        check_table_shape(op, dims, self.table.shape(), self.table.len())
+        check_table_shape(op, dims, self.table.shape())
     }
 
     /// Borrows the `F`-length entry for codebook `cb`, centroid `ct`.
@@ -198,7 +198,7 @@ impl QuantLutTable {
             });
         }
         let dims = (self.cb, self.ct, self.f);
-        check_table_shape(op, dims, self.table.shape(), self.table.codes().len())
+        check_table_shape(op, dims, self.table.shape())
     }
 
     /// Integer gather-accumulate followed by one dequantization per output:
@@ -267,23 +267,21 @@ impl QuantLutTable {
     }
 }
 
-/// A table's `CB`, `CT` and `F` must describe its `(CB·CT) × F` entry matrix
-/// of `len` entries. Serde skips the constructors, so an edited artefact is
-/// refused here, before any gather slices by those dimensions.
+/// A table's `CB`, `CT` and `F` must describe its `(CB·CT) × F` entry
+/// matrix (whose own shape the matrix's deserializer checks). Serde skips
+/// the table's constructor, so an edited artefact is refused here, before
+/// any gather slices by those dimensions.
 fn check_table_shape(
     op: &'static str,
     (cb, ct, f): (usize, usize, usize),
     (rows, cols): (usize, usize),
-    len: usize,
 ) -> Result<()> {
-    if cb.checked_mul(ct) == Some(rows) && cols == f && rows.checked_mul(cols) == Some(len) {
+    if cb.checked_mul(ct) == Some(rows) && cols == f {
         return Ok(());
     }
     Err(LutError::Config {
         op,
-        detail: format!(
-            "table {rows}x{cols} ({len} entries) inconsistent with cb={cb}, ct={ct}, f={f}"
-        ),
+        detail: format!("table {rows}x{cols} inconsistent with cb={cb}, ct={ct}, f={f}"),
     })
 }
 

@@ -4,8 +4,8 @@
 //! (the discrete-event simulator): a batch flushes when it reaches
 //! `max_batch` requests, or when the **oldest** pending request has waited
 //! `max_wait_s` since its arrival. The batcher is a pure state machine —
-//! time enters only through `now` arguments — so both the deterministic
-//! virtual-clock driver and the threaded runtime run the identical logic.
+//! time enters only through `now` arguments — so the virtual-clock runs
+//! and the real-socket servers run the identical logic.
 
 use pimdl_engine::scheduler::BatchingPolicy;
 

@@ -1286,10 +1286,12 @@ impl<'a> FabricServerLoop<'a> {
             let Some((shard, token)) = self.sup.route(table) else {
                 if self.sup.table_state(table) == Some(TableState::Lost) {
                     // No shard can ever serve this again: error-respond
-                    // rather than strand the clients.
+                    // rather than strand the clients, and book each as
+                    // refused so the ledger still closes.
                     while let Some(item) = self.queues.get_mut(table).and_then(VecDeque::pop_front)
                     {
                         self.queued_total -= 1;
+                        self.metrics.record_rejected();
                         let bytes = codec::encode_error(&item.tag, ErrorKind::Shutdown);
                         self.respond_to_pending(conns, &item, bytes);
                         progress = true;

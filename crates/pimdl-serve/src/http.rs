@@ -19,7 +19,7 @@
 //! lenient where real clients vary (bare-LF line endings, case-insensitive
 //! header names, whitespace around `Content-Length`).
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 
 use crate::error::ServeError;
@@ -616,19 +616,7 @@ impl HttpClient {
         headers: &[(&str, &str)],
         body: &[u8],
     ) -> Result<ClientResponse> {
-        let mut msg = format!("{method} {target} HTTP/1.1\r\nHost: pimdl\r\n");
-        for (n, v) in headers {
-            msg.push_str(&format!("{n}: {v}\r\n"));
-        }
-        if !body.is_empty() || method == "POST" {
-            msg.push_str(&format!("Content-Length: {}\r\n", body.len()));
-        }
-        msg.push_str("\r\n");
-        let mut bytes = msg.into_bytes();
-        bytes.extend_from_slice(body);
-        self.writer
-            .write_all(&bytes)
-            .map_err(ServeError::from_io("send request"))?;
+        self.send(method, target, headers, body)?;
         self.read_response()
     }
 
@@ -660,102 +648,110 @@ impl HttpClient {
             .map_err(ServeError::from_io("send request"))
     }
 
-    fn read_line(&mut self) -> Result<String> {
-        let mut line = String::new();
-        let n = self
-            .reader
-            .read_line(&mut line)
-            .map_err(ServeError::from_io("read response line"))?;
-        if n == 0 {
-            return Err(ServeError::Io {
-                detail: "server closed the connection".to_string(),
-            });
-        }
-        Ok(line.trim_end_matches(['\r', '\n']).to_string())
-    }
-
     /// Blocks for the next pipelined response.
     ///
     /// # Errors
     ///
-    /// Fails on EOF, malformed status/header lines, or bad chunk framing.
+    /// As [`read_response`].
     pub fn read_response(&mut self) -> Result<ClientResponse> {
-        let status_line = self.read_line()?;
-        let status: u16 = status_line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| ServeError::Io {
-                detail: format!("malformed status line: {status_line:?}"),
-            })?;
-        let mut headers = Vec::new();
-        let mut content_length: Option<usize> = None;
-        let mut chunked = false;
+        read_response(&mut self.reader)
+    }
+}
+
+fn read_line(reader: &mut impl BufRead) -> Result<String> {
+    let mut line = String::new();
+    let n = reader
+        .read_line(&mut line)
+        .map_err(ServeError::from_io("read response line"))?;
+    if n == 0 {
+        return Err(ServeError::Io {
+            detail: "server closed the connection".to_string(),
+        });
+    }
+    Ok(line.trim_end_matches(['\r', '\n']).to_string())
+}
+
+/// Reads one response off `reader` — a socket, or bytes a test captured
+/// (`&[u8]` is a [`BufRead`]).
+///
+/// # Errors
+///
+/// Fails on EOF, malformed status/header lines, or bad chunk framing.
+pub fn read_response(reader: &mut impl BufRead) -> Result<ClientResponse> {
+    let status_line = read_line(reader)?;
+    let status: u16 = status_line
+        .split(' ')
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| ServeError::Io {
+            detail: format!("malformed status line: {status_line:?}"),
+        })?;
+    let mut headers = Vec::new();
+    let mut content_length: Option<usize> = None;
+    let mut chunked = false;
+    loop {
+        let line = read_line(reader)?;
+        if line.is_empty() {
+            break;
+        }
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(ServeError::Io {
+                detail: format!("malformed response header: {line:?}"),
+            });
+        };
+        let name = name.trim().to_ascii_lowercase();
+        let value = value.trim().to_string();
+        if name == "content-length" {
+            content_length = value.parse().ok();
+        }
+        if name == "transfer-encoding" && value.eq_ignore_ascii_case("chunked") {
+            chunked = true;
+        }
+        headers.push((name, value));
+    }
+    let mut body = Vec::new();
+    if chunked {
         loop {
-            let line = self.read_line()?;
-            if line.is_empty() {
+            let size_line = read_line(reader)?;
+            let size = usize::from_str_radix(size_line.trim(), 16).map_err(|_| ServeError::Io {
+                detail: format!("bad chunk size: {size_line:?}"),
+            })?;
+            if size > MAX_CLIENT_CHUNK_BYTES {
+                return Err(ServeError::Io {
+                    detail: format!("chunk of {size} bytes exceeds MAX_CLIENT_CHUNK_BYTES"),
+                });
+            }
+            let mut chunk = vec![0u8; size + 2]; // data + CRLF
+            reader
+                .read_exact(&mut chunk)
+                .map_err(ServeError::from_io("read chunk"))?;
+            if size == 0 {
                 break;
             }
-            let Some((name, value)) = line.split_once(':') else {
+            chunk.truncate(size);
+            body.extend_from_slice(&chunk);
+            if body.len() > MAX_CLIENT_BODY_BYTES {
                 return Err(ServeError::Io {
-                    detail: format!("malformed response header: {line:?}"),
-                });
-            };
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim().to_string();
-            if name == "content-length" {
-                content_length = value.parse().ok();
-            }
-            if name == "transfer-encoding" && value.eq_ignore_ascii_case("chunked") {
-                chunked = true;
-            }
-            headers.push((name, value));
-        }
-        let mut body = Vec::new();
-        if chunked {
-            loop {
-                let size_line = self.read_line()?;
-                let size =
-                    usize::from_str_radix(size_line.trim(), 16).map_err(|_| ServeError::Io {
-                        detail: format!("bad chunk size: {size_line:?}"),
-                    })?;
-                if size > MAX_CLIENT_CHUNK_BYTES {
-                    return Err(ServeError::Io {
-                        detail: format!("chunk of {size} bytes exceeds MAX_CLIENT_CHUNK_BYTES"),
-                    });
-                }
-                let mut chunk = vec![0u8; size + 2]; // data + CRLF
-                self.reader
-                    .read_exact(&mut chunk)
-                    .map_err(ServeError::from_io("read chunk"))?;
-                if size == 0 {
-                    break;
-                }
-                chunk.truncate(size);
-                body.extend_from_slice(&chunk);
-                if body.len() > MAX_CLIENT_BODY_BYTES {
-                    return Err(ServeError::Io {
-                        detail: "chunked body exceeds MAX_CLIENT_BODY_BYTES".to_string(),
-                    });
-                }
-            }
-        } else if let Some(len) = content_length {
-            if len > MAX_CLIENT_BODY_BYTES {
-                return Err(ServeError::Io {
-                    detail: format!("body of {len} bytes exceeds MAX_CLIENT_BODY_BYTES"),
+                    detail: "chunked body exceeds MAX_CLIENT_BODY_BYTES".to_string(),
                 });
             }
-            body = vec![0u8; len];
-            self.reader
-                .read_exact(&mut body)
-                .map_err(ServeError::from_io("read body"))?;
         }
-        Ok(ClientResponse {
-            status,
-            headers,
-            body,
-        })
+    } else if let Some(len) = content_length {
+        if len > MAX_CLIENT_BODY_BYTES {
+            return Err(ServeError::Io {
+                detail: format!("body of {len} bytes exceeds MAX_CLIENT_BODY_BYTES"),
+            });
+        }
+        body = vec![0u8; len];
+        reader
+            .read_exact(&mut body)
+            .map_err(ServeError::from_io("read body"))?;
     }
+    Ok(ClientResponse {
+        status,
+        headers,
+        body,
+    })
 }
 
 #[cfg(test)]

@@ -159,7 +159,7 @@ impl Metrics {
         self.submitted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One request was load-shed at admission.
+    /// One request was refused without service.
     pub fn record_rejected(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
@@ -229,7 +229,7 @@ pub struct MetricsSnapshot {
     pub submitted: u64,
     /// Requests served to completion.
     pub completed: u64,
-    /// Requests load-shed at admission (queue full).
+    /// Requests refused without service (queue full, quota, lost table).
     pub rejected: u64,
     /// Requests shed on deadline before dispatch.
     pub deadline_exceeded: u64,

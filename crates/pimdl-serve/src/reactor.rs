@@ -620,9 +620,9 @@ pub struct EpollPoller {
 }
 
 impl EpollPoller {
-    /// A poller with no registered sockets (pure wake-token parking, as
-    /// used by the threaded runtime's batcher). `speedup` maps simulated
-    /// seconds to real time for `wait` timeouts.
+    /// A poller with only its wake pipe registered; [`EpollPoller::listen`]
+    /// adds the listener. `speedup` maps simulated seconds to real time
+    /// for `wait` timeouts.
     ///
     /// # Errors
     ///
@@ -991,7 +991,6 @@ struct SimConn {
     output: Vec<u8>,
     peer_closed: bool,
     want_write: bool,
-    writable_pending: bool,
     open: bool,
 }
 
@@ -1156,20 +1155,16 @@ impl EventSource for SimPoller {
             return Ok(());
         }
 
-        // 2. Connections with armed writable interest and room to write.
-        let writable: Vec<u64> = st
-            .conns
-            .iter()
-            .filter(|(_, c)| c.open && c.want_write && c.writable_pending)
-            .map(|(&t, _)| t)
-            .collect();
-        if !writable.is_empty() {
-            for t in writable {
-                if let Some(c) = st.conns.get_mut(&t) {
-                    c.writable_pending = false;
-                    out.push(IoEvent::Writable(Token(t)));
-                }
-            }
+        // 2. Connections with armed writable interest: level-triggered,
+        // like epoll, so each wait reports them until interest is dropped
+        // (the simulated peer always has room for another capped write).
+        out.extend(
+            st.conns
+                .iter()
+                .filter(|(_, c)| c.open && c.want_write)
+                .map(|(&t, _)| IoEvent::Writable(Token(t))),
+        );
+        if !out.is_empty() {
             return Ok(());
         }
 
@@ -1289,9 +1284,6 @@ impl EventSource for SimPoller {
         let mut st = lock_recover(self.state.lock(), &self.stats);
         if let Some(c) = st.conns.get_mut(&conn.0) {
             c.want_write = on;
-            if on {
-                c.writable_pending = true;
-            }
         }
         Ok(())
     }
@@ -1504,12 +1496,15 @@ mod tests {
         let mut out = Vec::new();
         p.wait(None, &mut out).unwrap();
         p.set_write_cap(Some(3));
-        assert_eq!(p.write(c, b"abcdef").unwrap(), 3);
+        assert_eq!(p.write(c, b"abcdefghi").unwrap(), 3);
         p.set_writable_interest(c, true).unwrap();
-        p.wait(Some(1.0), &mut out).unwrap();
-        assert_eq!(out, vec![IoEvent::Writable(c)]);
-        assert_eq!(p.write(c, b"def").unwrap(), 3);
-        assert_eq!(p.output_of(c), b"abcdef");
+        // Level-triggered: writable again on every wait until disarmed.
+        for rest in [&b"defghi"[..], b"ghi"] {
+            p.wait(Some(1.0), &mut out).unwrap();
+            assert_eq!(out, vec![IoEvent::Writable(c)]);
+            assert_eq!(p.write(c, rest).unwrap(), 3);
+        }
+        assert_eq!(p.output_of(c), b"abcdefghi");
     }
 
     #[test]

@@ -2,39 +2,30 @@
 //!
 //! The policy — shed, refill, flush, dispatch, deliver — is written once,
 //! in `server.rs`'s crate-private `LinePipeline`, and the event loop once,
-//! in `conn::drive`. The two open-loop runs here are that loop under a
-//! front with no connections, whose arrivals come from a feed and whose
-//! terminal outcomes go into the ledger; they differ only in the (event
-//! source, clock, executor, feed) they hand it:
-//!
-//! * [`Runtime::run_virtual`] — a [`crate::reactor::SimPoller`] scripted
-//!   with one `WAKE_ARRIVAL` per pre-generated arrival, a
-//!   [`crate::clock::VirtualClock`] only the poller advances, and a
-//!   [`SimExecutor`] scheduling completions on the same script. One
-//!   thread, no sleeps, bit-for-bit deterministic per seed; this is what
-//!   the latency/batching assertions test, and it sheds, flushes and
-//!   wakes by the rules every server does.
-//! * [`Runtime::run_threaded`] — real threads: an open-loop load generator
-//!   sending arrivals over a channel, the loop parked on a socket-less
-//!   [`EpollPoller`], and one worker thread per shard (the
-//!   [`ThreadedExecutor`] the network front ends use). A clock speedup
-//!   compresses simulated service times into short real sleeps. Tests
-//!   assert interleaving-independent invariants (conservation,
-//!   metrics/ledger consistency).
+//! in `conn::drive`. [`Runtime::run_virtual`] is that loop under a front
+//! with no connections: a [`crate::reactor::SimPoller`] scripted with one
+//! `WAKE_ARRIVAL` per pre-generated arrival, a
+//! [`crate::clock::VirtualClock`] only the poller advances, and a
+//! [`SimExecutor`] scheduling completions on the same script; terminal
+//! outcomes go into the ledger. One thread, no sleeps, bit-for-bit
+//! deterministic per seed; this is what the latency/batching assertions
+//! test, and it sheds, flushes and wakes by the rules every server does.
 //!
 //! The line-protocol front end ([`Runtime::serve`]) runs the same pipeline
-//! with arrivals off a socket and outcomes encoded as reply lines; the
-//! HTTP and fabric front ends ([`Runtime::serve_http`],
-//! [`Runtime::serve_fabric`]) batch per model and per process, on the
-//! same connection core.
+//! with arrivals off a socket and outcomes encoded as reply lines, on real
+//! shard worker threads ([`crate::ThreadedExecutor`]); the HTTP and fabric
+//! front ends ([`Runtime::serve_http`], [`Runtime::serve_fabric`]) batch
+//! per model and per process, on the same connection core.
 //!
-//! All drivers uphold the conservation invariant: every generated request
-//! terminates in exactly one of `Completed`, `Rejected`, or
+//! Every driver upholds the conservation invariant: every submitted
+//! request terminates in exactly one of `Completed`, `Rejected`, or
 //! `DeadlineExceeded` — nothing is ever silently dropped. Deadlines cover
 //! time-to-dispatch: a request shed before its batch leaves the front end
 //! is `DeadlineExceeded`; once dispatched it runs to completion.
 
-use std::sync::{mpsc, Arc};
+use std::iter::Peekable;
+use std::sync::Arc;
+use std::vec;
 
 use pimdl_engine::pipeline::{PimDlEngine, ServingConfig};
 use pimdl_engine::scheduler::BatchingPolicy;
@@ -42,15 +33,13 @@ use pimdl_engine::shapes::TransformerShape;
 use pimdl_sim::{LutWorkload, PlatformConfig};
 use pimdl_tensor::rng::DataRng;
 
-use crate::clock::{Clock, RealClock, VirtualClock};
+use crate::clock::{Clock, VirtualClock};
 use crate::conn::{self, ConnState, Conns, Front};
 use crate::error::ServeError;
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::reactor::{
-    EpollPoller, EventSource, SimPoller, Token, WAKE_ARRIVAL, WAKE_COMPLETION, WAKE_SHUTDOWN,
-};
+use crate::reactor::{EventSource, SimPoller, Token, WAKE_ARRIVAL};
 use crate::request::{Outcome, Request, RequestRecord};
-use crate::server::{BatchExecutor, LinePipeline, SimExecutor, ThreadedExecutor};
+use crate::server::{BatchExecutor, LinePipeline, SimExecutor};
 use crate::shard::{ReplicaModel, ServiceModel};
 use crate::Result;
 
@@ -250,35 +239,18 @@ fn record(req: &Request, outcome: Outcome) -> RequestRecord {
     }
 }
 
-/// Where a [`LedgerFront`]'s arrivals come from.
-#[derive(Debug)]
-enum Feed {
-    /// The pre-generated list in arrival order; a request is released once
-    /// the clock has reached its `arrival_s` (the script wakes the loop
-    /// there with one `WAKE_ARRIVAL` each).
-    Scripted(std::iter::Peekable<std::vec::IntoIter<Request>>),
-    /// The load generator's channel: whatever it sent since the last step.
-    Channel(mpsc::Receiver<Request>),
-}
-
-impl Feed {
-    /// The next request that has arrived by `now`, if any.
-    fn next_due(&mut self, now: f64) -> Option<Request> {
-        match self {
-            Feed::Scripted(list) => list.next_if(|r| r.arrival_s <= now),
-            Feed::Channel(rx) => rx.try_recv().ok(),
-        }
-    }
-}
-
-/// The open-loop runs' front on the connection core: no connections,
-/// arrivals from a [`Feed`], terminal outcomes into the ledger.
+/// [`Runtime::run_virtual`]'s front on the connection core: no
+/// connections, arrivals from the pre-generated list, terminal outcomes
+/// into the ledger.
 #[derive(Debug)]
 struct LedgerFront<'a> {
     pipeline: LinePipeline<'a>,
-    clock: Arc<dyn Clock>,
+    clock: Arc<VirtualClock>,
     metrics: Arc<Metrics>,
-    feed: Feed,
+    /// The requests in arrival order; one is released once the clock has
+    /// reached its `arrival_s` (the script wakes the loop there with one
+    /// `WAKE_ARRIVAL` each).
+    arrivals: Peekable<vec::IntoIter<Request>>,
     records: Vec<RequestRecord>,
 }
 
@@ -308,9 +280,7 @@ impl<'e> Front<dyn BatchExecutor + 'e> for LedgerFront<'_> {
     }
 
     /// Books what the shards finished, admits what has arrived since the
-    /// last step, and pumps; `draining` (the generator's `WAKE_SHUTDOWN`,
-    /// sent after its last request) flushes partial batches as soon as a
-    /// shard frees up.
+    /// last step, and pumps.
     fn step(
         &mut self,
         conns: &mut Conns<'_, ()>,
@@ -320,7 +290,7 @@ impl<'e> Front<dyn BatchExecutor + 'e> for LedgerFront<'_> {
         let mut sink = |req: Request, outcome: Outcome| records.push(record(&req, outcome));
         let mut progress = self.pipeline.deliver(executor, &mut sink);
         let now = self.clock.now();
-        while let Some(req) = self.feed.next_due(now) {
+        while let Some(req) = self.arrivals.next_if(|r| r.arrival_s <= now) {
             progress = true;
             self.metrics.record_submitted();
             if let Err(back) = self.pipeline.admit(req) {
@@ -415,39 +385,6 @@ impl Runtime {
         arrivals
     }
 
-    fn payload_rng(load: &OpenLoop) -> DataRng {
-        DataRng::new(
-            load.seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(1),
-        )
-    }
-
-    /// Both open-loop runs: a [`LedgerFront`] over `feed` on the connection
-    /// core, until `source` says the run is over.
-    fn run_ledger(
-        &self,
-        source: &mut dyn EventSource,
-        clock: Arc<dyn Clock>,
-        executor: &mut dyn BatchExecutor,
-        metrics: &Arc<Metrics>,
-        feed: Feed,
-    ) -> Result<ServeReport> {
-        let mut front = LedgerFront {
-            pipeline: LinePipeline::new(self, Arc::clone(metrics))?,
-            clock,
-            metrics: Arc::clone(metrics),
-            feed,
-            records: Vec::new(),
-        };
-        conn::drive(source, &mut front, executor)?;
-        Ok(ServeReport {
-            records: front.records,
-            metrics: metrics.snapshot_with_reactor(source.stats().snapshot()),
-            makespan_s: front.clock.now(),
-        })
-    }
-
     /// Runs the load through the connection core on a scripted source and
     /// a virtual clock: single-threaded, no sleeps, and identical seeds
     /// give bit-identical reports.
@@ -466,7 +403,11 @@ impl Runtime {
         // shutdown: the run ends when the script and the pipeline are both
         // exhausted, so the last partial batch waits out its window like
         // every other.
-        let mut payload_rng = Self::payload_rng(load);
+        let mut payload_rng = DataRng::new(
+            load.seed
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(1),
+        );
         let requests: Vec<Request> = Self::arrival_times(load)
             .into_iter()
             .enumerate()
@@ -483,78 +424,18 @@ impl Runtime {
             Arc::clone(&metrics),
             self.cfg.num_shards,
         );
-        let feed = Feed::Scripted(requests.into_iter().peekable());
-        self.run_ledger(&mut poller, clock, &mut executor, &metrics, feed)
-    }
-
-    /// Runs the load on real threads: an open-loop generator, the
-    /// connection core's event loop on the calling thread, and one worker
-    /// per shard (the network front ends' [`ThreadedExecutor`]). `speedup`
-    /// compresses simulated seconds into real time (`1.0` = real time).
-    ///
-    /// # Errors
-    ///
-    /// Load validation, clock configuration, engine, or simulator
-    /// failures.
-    pub fn run_threaded(&self, load: &OpenLoop, speedup: f64) -> Result<ServeReport> {
-        load.validate()?;
-        // Payloads (indices + reference checksums) are generated before the
-        // clock starts: the reference computation is a simulation artifact,
-        // and at high clock speedups its real cost would otherwise stretch
-        // the open-loop arrival schedule by whole simulated seconds.
-        let payloads: Vec<Request> = {
-            let mut payload_rng = Self::payload_rng(load);
-            (0..load.num_requests)
-                .map(|i| {
-                    self.replica
-                        .make_request(i as u64, 0.0, 0.0, &mut payload_rng)
-                })
-                .collect::<Result<_>>()?
+        let mut front = LedgerFront {
+            pipeline: LinePipeline::new(self, Arc::clone(&metrics))?,
+            clock,
+            metrics: Arc::clone(&metrics),
+            arrivals: requests.into_iter().peekable(),
+            records: Vec::new(),
         };
-        let arrivals = Self::arrival_times(load);
-        let deadline_rel = self.cfg.deadline_s;
-        let clock = Arc::new(RealClock::accelerated(speedup)?);
-        let metrics = Arc::new(Metrics::new(self.cfg.policy.max_batch));
-
-        // The loop parks on a poller with no sockets: the generator wakes
-        // it with WAKE_ARRIVAL, shard workers with WAKE_COMPLETION, and
-        // with nothing timed pending it parks indefinitely. Wake tokens
-        // are remembered by the poller's pipe, so a send just before the
-        // park cannot be lost.
-        let mut poller = EpollPoller::new(speedup)?;
-        let (wake_arrival, wake_shutdown) =
-            (poller.waker(WAKE_ARRIVAL), poller.waker(WAKE_SHUTDOWN));
-        let mut executor = ThreadedExecutor::new(
-            Arc::clone(&clock),
-            Arc::clone(&metrics),
-            poller.waker(WAKE_COMPLETION),
-            self.cfg.num_shards,
-        );
-        let (arrivals_tx, arrivals_rx) = mpsc::channel::<Request>();
-
-        let run = std::thread::scope(|s| {
-            // Load generator: open-loop Poisson arrivals, then shutdown.
-            let gen_clock = &*clock;
-            s.spawn(move || {
-                for (target, payload) in arrivals.into_iter().zip(payloads) {
-                    gen_clock.sleep(target - gen_clock.now());
-                    let arrival = gen_clock.now();
-                    // The receiver outlives this thread; a send cannot fail.
-                    let _ = arrivals_tx.send(Request {
-                        arrival_s: arrival,
-                        deadline_s: arrival + deadline_rel,
-                        ..payload
-                    });
-                    wake_arrival.wake();
-                }
-                wake_shutdown.wake();
-            });
-            let feed = Feed::Channel(arrivals_rx);
-            self.run_ledger(&mut poller, clock.clone(), &mut executor, &metrics, feed)
-        });
-        let stop = executor.shutdown();
-        let report = run?;
-        stop?;
-        Ok(report)
+        conn::drive(&mut poller, &mut front, &mut executor)?;
+        Ok(ServeReport {
+            records: front.records,
+            metrics: metrics.snapshot_with_reactor(poller.stats().snapshot()),
+            makespan_s: front.clock.now(),
+        })
     }
 }

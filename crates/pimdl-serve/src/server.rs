@@ -4,7 +4,7 @@
 //! Each is a codec plus its admission and batching state — accepted
 //! connections feed the `LinePipeline` ([`AdmissionQueue`] →
 //! [`ContinuousBatcher`] → [`ShardManager`] routing; also what
-//! [`Runtime::run_virtual`] and [`Runtime::run_threaded`] run) or, for
+//! [`Runtime::run_virtual`] runs) or, for
 //! HTTP, the [`FairBatcher`] over a [`ModelRegistry`] → the same routing →
 //! a [`BatchExecutor`]. The event loop, the transport path and
 //! the reactor-thread spawner are `conn.rs`'s, written once against
@@ -801,7 +801,7 @@ impl Runtime {
     /// thread: an [`crate::EpollPoller`] owns the listener and every
     /// accepted connection, and a [`ThreadedExecutor`] runs one worker per
     /// shard. `speedup` compresses simulated service seconds into real
-    /// time (`1.0` = real time), exactly as in [`Runtime::run_threaded`].
+    /// time (`1.0` = real time; see [`RealClock::accelerated`]).
     ///
     /// # Errors
     ///

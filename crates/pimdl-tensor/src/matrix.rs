@@ -1,4 +1,4 @@
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::{Result, TensorError};
 
@@ -20,7 +20,7 @@ use crate::{Result, TensorError};
 /// assert_eq!(m.get(1, 1), 2.0);
 /// assert_eq!(m.row(1), &[1.0, 2.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -81,14 +81,10 @@ impl Matrix {
     ///
     /// Returns [`TensorError::InvalidDimension`] if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Result<Self> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(TensorError::InvalidDimension {
                 op: "Matrix::from_vec",
-                detail: format!(
-                    "data length {} does not equal rows*cols = {}",
-                    data.len(),
-                    rows * cols
-                ),
+                detail: format!("data length {} does not fit {rows}x{cols}", data.len()),
             });
         }
         Ok(Matrix { rows, cols, data })
@@ -445,6 +441,30 @@ impl Matrix {
                 .map(|(&a, &b)| f(a, b))
                 .collect(),
         })
+    }
+}
+
+/// Field `name` of a serialized `owner`.
+pub(crate) fn de_field<'v>(
+    v: &'v Value,
+    owner: &str,
+    name: &str,
+) -> std::result::Result<&'v Value, DeError> {
+    v.get(name)
+        .ok_or_else(|| DeError::new(format!("missing field {name} for {owner}")))
+}
+
+/// Deserializes through [`Matrix::from_vec`], so a shape that disagrees
+/// with the data is an error, not a later out-of-bounds panic.
+impl Deserialize for Matrix {
+    fn serde_from_value(v: &Value) -> std::result::Result<Self, DeError> {
+        let field = |name| de_field(v, "Matrix", name);
+        Matrix::from_vec(
+            usize::serde_from_value(field("rows")?)?,
+            usize::serde_from_value(field("cols")?)?,
+            Vec::serde_from_value(field("data")?)?,
+        )
+        .map_err(|e| DeError::new(e.to_string()))
     }
 }
 

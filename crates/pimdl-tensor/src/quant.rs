@@ -16,8 +16,9 @@
 //! and one body is compiled three ways, picked at run time: AVX-512BW,
 //! AVX2, portable.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
+use crate::matrix::de_field;
 use crate::{Matrix, Result, TensorError};
 
 /// A symmetrically quantized INT8 matrix with a single `f32` scale.
@@ -36,12 +37,27 @@ use crate::{Matrix, Result, TensorError};
 /// assert!(back.approx_eq(&m, 0.01));
 /// # Ok::<(), pimdl_tensor::TensorError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QuantMatrix {
     rows: usize,
     cols: usize,
     scale: f32,
     codes: Vec<i8>,
+}
+
+/// Deserializes through [`QuantMatrix::from_codes`], so a shape that
+/// disagrees with the codes (or a bad scale) is an error.
+impl Deserialize for QuantMatrix {
+    fn serde_from_value(v: &Value) -> std::result::Result<Self, DeError> {
+        let field = |name| de_field(v, "QuantMatrix", name);
+        QuantMatrix::from_codes(
+            usize::serde_from_value(field("rows")?)?,
+            usize::serde_from_value(field("cols")?)?,
+            f32::serde_from_value(field("scale")?)?,
+            Vec::serde_from_value(field("codes")?)?,
+        )
+        .map_err(|e| DeError::new(e.to_string()))
+    }
 }
 
 impl QuantMatrix {
@@ -87,7 +103,7 @@ impl QuantMatrix {
     /// Returns [`TensorError::InvalidDimension`] if `codes.len() != rows *
     /// cols` or if `scale` is not positive and finite.
     pub fn from_codes(rows: usize, cols: usize, scale: f32, codes: Vec<i8>) -> Result<Self> {
-        if codes.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(codes.len()) {
             return Err(TensorError::InvalidDimension {
                 op: "QuantMatrix::from_codes",
                 detail: format!(

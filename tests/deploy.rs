@@ -106,12 +106,12 @@ fn bad_head_count_in_artifact_is_an_error() {
     }
 }
 
-/// `json` with the `"field":N` of the first `"table":{..}` object bumped to
-/// `N + 1`.
-fn bump_table_dim(json: &str, table: &str, field: &str) -> String {
+/// `json` with the first `"field":N` inside the first `"owner":{..}`
+/// object bumped to `N + 1`.
+fn bump_table_dim(json: &str, owner: &str, field: &str) -> String {
     let at = json
-        .find(&format!("\"{table}\":{{"))
-        .expect("table present");
+        .find(&format!("\"{owner}\":{{"))
+        .expect("owner present");
     let key = format!("\"{field}\":");
     let start = at + json[at..].find(&key).expect("field present") + key.len();
     let end = start
@@ -139,5 +139,21 @@ fn table_dims_disagreeing_with_codes_are_an_error() {
                 "{table}.{field} int8={int8}"
             );
         }
+    }
+}
+
+#[test]
+fn matrix_shapes_disagreeing_with_data_fail_to_load() {
+    // Every serialized matrix's `rows` / `cols` are checked against its
+    // entries on load: an edited width of a centroid matrix, of the f32 and
+    // INT8 tables, and of a `Param` (the embedding's) is a load error, not
+    // a later out-of-bounds panic in a row slice.
+    let (model, _) = converted_model();
+    let json = serde_json::to_string(&model).expect("serialize");
+    for owner in ["centroids", "lut", "qlut", "data"] {
+        let edited = bump_table_dim(&json, owner, "cols");
+        assert_ne!(edited, json);
+        let restored = serde_json::from_str::<LutClassifier>(&edited);
+        assert!(restored.is_err(), "{owner}.cols");
     }
 }
