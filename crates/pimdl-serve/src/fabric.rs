@@ -1649,6 +1649,9 @@ pub fn shard_worker_main(addr: &str, shard_id: u32, speedup: f64, spec_json: &st
     let spec: WorkerSpec = serde_json::from_str(spec_json).map_err(|e| ServeError::Config {
         detail: format!("decode worker spec: {e}"),
     })?;
+    spec.platform.validate().map_err(|e| ServeError::Config {
+        detail: format!("worker spec: {e}"),
+    })?;
     let engine = PimDlEngine::new(spec.platform);
     let mut stream =
         TcpStream::connect(addr).map_err(ServeError::from_io("connect fabric front end"))?;
@@ -1976,6 +1979,23 @@ mod tests {
         let back: WorkerSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back.platform, spec.platform);
         assert_eq!(back.lut, spec.lut);
+    }
+
+    #[test]
+    fn worker_refuses_an_out_of_range_platform_before_connecting() {
+        let spec = WorkerSpec {
+            platform: PlatformConfig::upmem(),
+            lut: LutWorkload::new(8, 8, 16, 32).unwrap(),
+        };
+        let json = serde_json::to_string(&spec)
+            .unwrap()
+            .replace("\"num_pes\":1024", &format!("\"num_pes\":{}", usize::MAX));
+        // Port 1 refuses connections: only a refusal before connecting is
+        // a Config error naming the field.
+        match shard_worker_main("127.0.0.1:1", 0, 1.0, &json) {
+            Err(ServeError::Config { detail }) => assert!(detail.contains("num_pes"), "{detail}"),
+            other => panic!("expected a platform refusal, got {other:?}"),
+        }
     }
 
     #[test]

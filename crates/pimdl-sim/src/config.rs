@@ -10,6 +10,8 @@
 use pimdl_tensor::quant::DType;
 use serde::{Deserialize, Serialize};
 
+use crate::{Result, SimError};
+
 /// Which commodity product a configuration models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PlatformKind {
@@ -198,6 +200,11 @@ impl MemHierarchy {
     }
 }
 
+/// Largest PE count a platform may declare ([`PlatformConfig::validate`]):
+/// a thousand times the largest modelled product, and small enough that the
+/// tuner's trial division over its divisors (Eq. 5) stays instant.
+pub const MAX_PES: usize = 1 << 20;
+
 fn default_mram_bytes() -> usize {
     64 * 1024 * 1024
 }
@@ -374,6 +381,71 @@ impl PlatformConfig {
         [Self::upmem(), Self::hbm_pim(), Self::aim()]
     }
 
+    /// Checks a configuration read from outside (a `--platform` file, a
+    /// fabric worker's spec): every rate, size and time finite, the
+    /// physical ones positive, the overheads and energies not negative,
+    /// and `1 ≤ num_pes ≤` [`MAX_PES`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidPlatform`] naming the first field out of
+    /// range.
+    pub fn validate(&self) -> Result<()> {
+        let (ht, lm) = (&self.host_transfer, &self.local_mem);
+        let positive = [
+            ("pe_freq_mhz", self.pe_freq_mhz),
+            ("host_transfer.to_pim_peak_gbps", ht.to_pim_peak_gbps),
+            ("host_transfer.broadcast_peak_gbps", ht.broadcast_peak_gbps),
+            ("host_transfer.from_pim_peak_gbps", ht.from_pim_peak_gbps),
+            ("local_mem.peak_gbps", lm.peak_gbps),
+            ("single_reduce_s", self.single_reduce_s),
+            ("peak_internal_bw_gbps", self.peak_internal_bw_gbps),
+            ("peak_gops", self.peak_gops),
+        ];
+        let non_negative = [
+            (
+                "host_transfer.half_saturation_bytes",
+                ht.half_saturation_bytes,
+            ),
+            ("host_transfer.fixed_latency_s", ht.fixed_latency_s),
+            ("local_mem.half_saturation_bytes", lm.half_saturation_bytes),
+            ("local_mem.access_overhead_s", lm.access_overhead_s),
+            ("pim_power_w", self.pim_power_w),
+            ("host_power_w", self.host_power_w),
+            (
+                "transfer_energy_pj_per_byte",
+                self.transfer_energy_pj_per_byte,
+            ),
+        ];
+        let invalid = |field: &str, value: &dyn std::fmt::Display, range: &str| {
+            Err(SimError::InvalidPlatform {
+                detail: format!("{field} = {value}, expected {range}"),
+            })
+        };
+        for (field, value) in positive {
+            if !(value.is_finite() && value > 0.0) {
+                return invalid(field, &value, "a finite value > 0");
+            }
+        }
+        for (field, value) in non_negative {
+            if !(value.is_finite() && value >= 0.0) {
+                return invalid(field, &value, "a finite value >= 0");
+            }
+        }
+        if !(1..=MAX_PES).contains(&self.num_pes) {
+            return invalid("num_pes", &self.num_pes, &format!("1..={MAX_PES}"));
+        }
+        for (field, value) in [
+            ("wram_bytes", self.wram_bytes),
+            ("mram_bytes", self.mram_bytes),
+        ] {
+            if value == 0 {
+                return invalid(field, &value, "> 0");
+            }
+        }
+        Ok(())
+    }
+
     /// DRAM row constants of the product's banks: DDR4-class behind UPMEM
     /// DPUs (2 KiB rows, ~45 ns tRC), HBM2/GDDR6-class behind the
     /// MAC-style PIMs (8 KiB effective rows, ~15 ns).
@@ -407,6 +479,16 @@ mod tests {
         let aim = PlatformConfig::aim();
         assert!((aim.peak_gops - 16000.0).abs() < 1.0);
         assert_eq!(aim.pim_dtype, DType::Bf16);
+    }
+
+    #[test]
+    fn built_in_platforms_validate() {
+        for p in [PlatformConfig::upmem_adder_only()]
+            .into_iter()
+            .chain(PlatformConfig::all())
+        {
+            assert_eq!(p.validate(), Ok(()), "{:?}", p.kind);
+        }
     }
 
     #[test]

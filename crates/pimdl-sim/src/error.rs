@@ -21,6 +21,12 @@ pub enum SimError {
         /// Explanation of the failure.
         detail: String,
     },
+    /// A platform configuration read from outside is out of range
+    /// ([`crate::PlatformConfig::validate`]).
+    InvalidPlatform {
+        /// The offending field and why.
+        detail: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -29,6 +35,7 @@ impl fmt::Display for SimError {
             SimError::IllegalMapping { detail } => write!(f, "illegal mapping: {detail}"),
             SimError::WorkloadMismatch { detail } => write!(f, "workload mismatch: {detail}"),
             SimError::Execution { detail } => write!(f, "execution failed: {detail}"),
+            SimError::InvalidPlatform { detail } => write!(f, "invalid platform: {detail}"),
         }
     }
 }
@@ -50,6 +57,9 @@ mod tests {
         assert!(SimError::Execution { detail: "z".into() }
             .to_string()
             .contains("execution"));
+        assert!(SimError::InvalidPlatform { detail: "p".into() }
+            .to_string()
+            .contains("platform"));
     }
 
     #[test]

@@ -22,7 +22,10 @@
 //! traversal)` alone, and dozens of load-scheme leaves share each tiling,
 //! so [`TilingPrice`] computes that part once. Each leaf is then its
 //! tiling's exact price plus its own LUT stream: one WRAM check, one
-//! [`lut_stream`], one LUT term, and the LUT row terms added last.
+//! [`lut_stream`], one LUT term, and the LUT row terms added last. Most
+//! of those leaves are coarse-grain, and they share far fewer chunk sizes
+//! `cb_load·f_load`, which alone fix a multi-chunk leaf's stream: the
+//! branch-and-bound prices each size once per tiling ([`crate::bnb`]).
 //! [`hierarchical_cost`] is `validate` followed by the same price, so the
 //! model, branch-and-bound and the exhaustive reference share one
 //! derivation and agree bit for bit.
@@ -34,9 +37,9 @@ use pimdl_sim::cost::{
     index_tile_bytes, lut_buffer_bytes, lut_stream, output_tile_bytes, reduce_time_s,
     stream_counts, sub_lut_times, tiling_streams, trip_counts, Pair, RowTimes, StreamCounts,
 };
-use pimdl_sim::{LoadScheme, LutWorkload, Mapping, MicroKernel, TimeBreakdown};
+use pimdl_sim::{LoadScheme, LutWorkload, Mapping, TimeBreakdown};
 
-use crate::space::{mapping_of, Tiling};
+use crate::space::{kernel_of, mapping_of, Tiling};
 use crate::Result;
 
 /// Evaluates the analytical model for one mapping.
@@ -174,30 +177,18 @@ impl<'a> TilingPrice<'a> {
         }
     }
 
-    /// The micro-kernel of the `scheme` leaf.
-    fn kernel(&self, load_scheme: LoadScheme) -> MicroKernel {
-        let (n_mtile, f_mtile, cb_mtile, traversal) = self.tiling;
-        MicroKernel {
-            n_mtile,
-            f_mtile,
-            cb_mtile,
-            traversal,
-            load_scheme,
-        }
-    }
-
-    /// The hierarchical price of the `scheme` leaf ([`space::leaf_kernels`]
-    /// builds it), or `None` if its LUT buffer does not fit WRAM beside the
+    /// The hierarchical price of the `scheme` leaf ([`space::leaf_schemes`]
+    /// enumerates it), or `None` if its LUT buffer does not fit WRAM beside the
     /// m-tiles: the one condition of `Mapping::validate` that a leaf of a
     /// legal pair's tiling does not meet by construction.
     ///
-    /// [`space::leaf_kernels`]: crate::space::leaf_kernels
+    /// [`space::leaf_schemes`]: crate::space::leaf_schemes
     pub(crate) fn leaf(&self, scheme: LoadScheme) -> Option<HierBreakdown> {
         let lut_buffer = lut_buffer_bytes(self.w, self.pair.1, scheme);
         let fits = self.tiles_bytes + lut_buffer <= self.platform.wram_bytes;
         debug_assert_eq!(
             fits,
-            mapping_of(self.pair.0, self.pair.1, self.kernel(scheme))
+            mapping_of(self.pair.0, self.pair.1, kernel_of(self.tiling, scheme))
                 .validate(self.w, self.platform)
                 .is_ok(),
             "leaf price and Mapping::validate disagree on {scheme:?} under {:?}",
@@ -209,8 +200,12 @@ impl<'a> TilingPrice<'a> {
     /// The `scheme` leaf's price: this tiling's plus its LUT stream, whose
     /// row terms are added after the index and output ones.
     fn price(&self, scheme: LoadScheme) -> HierBreakdown {
-        let (lut_accesses, lut_access_bytes) =
-            lut_stream(self.w, self.pair, &self.kernel(scheme), self.trips);
+        let (lut_accesses, lut_access_bytes) = lut_stream(
+            self.w,
+            self.pair,
+            &kernel_of(self.tiling, scheme),
+            self.trips,
+        );
         let sc = StreamCounts {
             lut_accesses,
             lut_access_bytes,

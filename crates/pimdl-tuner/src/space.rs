@@ -13,38 +13,63 @@ const MAX_DIVISORS: usize = 24;
 /// All divisors of `n`, ascending.
 pub fn divisors(n: usize) -> Vec<usize> {
     let mut out = Vec::new();
-    let mut high = Vec::new();
+    // `d <= n / d` rather than `d * d <= n`: no overflow near `usize::MAX`.
     let mut d = 1;
-    while d * d <= n {
+    while d <= n / d {
         if n.is_multiple_of(d) {
             out.push(d);
-            if d != n / d {
-                high.push(n / d);
-            }
         }
         d += 1;
     }
-    high.reverse();
-    out.extend(high);
+    for i in (0..out.len()).rev() {
+        let high = n / out[i];
+        if high != out[i] {
+            out.push(high);
+        }
+    }
     out
 }
 
 /// Tiling-factor candidates for a dimension: all divisors when few, the
 /// power-of-two divisors (plus the dimension itself) otherwise.
 pub fn tile_candidates(dim: usize) -> Vec<usize> {
-    let all = divisors(dim);
-    if all.len() <= MAX_DIVISORS {
-        return all;
+    let mut menu = divisors(dim);
+    if menu.len() > MAX_DIVISORS {
+        menu.retain(|&d| d.is_power_of_two() || d == dim);
     }
-    let mut out: Vec<usize> = all
-        .iter()
-        .copied()
-        .filter(|d| d.is_power_of_two())
-        .collect();
-    if !out.contains(&dim) {
-        out.push(dim);
+    menu
+}
+
+/// The tiling-factor menus one search reads, built once up front: the
+/// [`tile_candidates`] of every dimension it branches on (`N_s`, `F_s`,
+/// `CB`) or enumerates a leaf's chunks under (each `F_m` and `CB_m`).
+#[derive(Debug)]
+pub(crate) struct Menus {
+    /// `(dim, tile_candidates(dim))`, ascending in `dim`.
+    menus: Vec<(usize, Vec<usize>)>,
+}
+
+impl Menus {
+    /// The menus of a search over the P1 `pairs` of `w`.
+    pub(crate) fn new(w: &LutWorkload, pairs: &[(usize, usize)]) -> Self {
+        let mut dims = tile_candidates(w.cb);
+        dims.push(w.cb);
+        for &(n_stile, f_stile) in pairs {
+            dims.extend([n_stile, f_stile]);
+            dims.extend(tile_candidates(f_stile));
+        }
+        dims.sort_unstable();
+        dims.dedup();
+        let menus = dims.into_iter().map(|d| (d, tile_candidates(d))).collect();
+        Menus { menus }
     }
-    out
+
+    /// [`tile_candidates`] of `dim`, which [`Self::new`] built.
+    pub(crate) fn of(&self, dim: usize) -> &[usize] {
+        let found = self.menus.binary_search_by_key(&dim, |&(d, _)| d);
+        debug_assert!(found.is_ok(), "no menu built for dimension {dim}");
+        found.map_or(&[], |i| &self.menus[i].1)
+    }
 }
 
 /// Legal sub-LUT tiling factors (**P1**): every `(N_s-tile, F_s-tile)` pair
@@ -88,7 +113,7 @@ pub(crate) const FINE_THREADS: usize = 16;
 /// A node of the micro-kernel search tree below one P1 pair: the levels
 /// assigned so far, in branching order — **P2** `N_m` → `F_m` → `CB_m`,
 /// then the **P3** traversal. The **P4** load schemes are the leaves under
-/// a complete assignment ([`leaf_kernels`]).
+/// a complete assignment ([`leaf_schemes`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Partial {
     pub(crate) n_m: Option<usize>,
@@ -106,33 +131,36 @@ impl Partial {
         Some((self.n_m?, self.f_m?, self.cb_m?, self.traversal?))
     }
 
-    /// One child per entry of the first unset level's menu, in menu order
-    /// (none once the assignment is complete).
-    pub(crate) fn children(self, w: &LutWorkload, n_stile: usize, f_stile: usize) -> Vec<Partial> {
-        if self.n_m.is_none() {
-            self.branch(tile_candidates(n_stile), |c, t| c.n_m = Some(t))
-        } else if self.f_m.is_none() {
-            self.branch(tile_candidates(f_stile), |c, t| c.f_m = Some(t))
-        } else if self.cb_m.is_none() {
-            self.branch(tile_candidates(w.cb), |c, t| c.cb_m = Some(t))
-        } else if self.traversal.is_none() {
-            self.branch(TraversalOrder::all(), |c, t| c.traversal = Some(t))
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn branch<T>(
+    /// Visits one child per entry of the first unset level's menu, in menu
+    /// order (none once the assignment is complete).
+    pub(crate) fn children(
         self,
-        menu: impl IntoIterator<Item = T>,
-        set: fn(&mut Partial, T),
-    ) -> Vec<Partial> {
-        let child = |choice| {
-            let mut child = self;
-            set(&mut child, choice);
-            child
+        menus: &Menus,
+        w: &LutWorkload,
+        (n_stile, f_stile): (usize, usize),
+        mut visit: impl FnMut(Partial),
+    ) {
+        let mut branch = |menu: &[usize], set: fn(&mut Partial, usize)| {
+            for &choice in menu {
+                let mut child = self;
+                set(&mut child, choice);
+                visit(child);
+            }
         };
-        menu.into_iter().map(child).collect()
+        if self.n_m.is_none() {
+            branch(menus.of(n_stile), |c, t| c.n_m = Some(t));
+        } else if self.f_m.is_none() {
+            branch(menus.of(f_stile), |c, t| c.f_m = Some(t));
+        } else if self.cb_m.is_none() {
+            branch(menus.of(w.cb), |c, t| c.cb_m = Some(t));
+        } else if self.traversal.is_none() {
+            for order in TraversalOrder::all() {
+                visit(Partial {
+                    traversal: Some(order),
+                    ..self
+                });
+            }
+        }
     }
 }
 
@@ -150,51 +178,60 @@ impl SchemeClass {
         [SchemeClass::Static, SchemeClass::Coarse, SchemeClass::Fine];
 }
 
-/// The leaves of one scheme class under a complete tiling: ❶ static, if the
-/// sub-LUT fits; ❷ coarse-grain, every `cb_load × f_load` chunk dividing
-/// the m-tiles that fits; ❸ fine-grain, every `f_load` dividing `F_m`.
-pub(crate) fn leaf_kernels(
+/// The micro-kernel of the `load_scheme` leaf under `tiling`.
+pub(crate) fn kernel_of(
+    (n_mtile, f_mtile, cb_mtile, traversal): Tiling,
+    load_scheme: LoadScheme,
+) -> MicroKernel {
+    MicroKernel {
+        n_mtile,
+        f_mtile,
+        cb_mtile,
+        traversal,
+        load_scheme,
+    }
+}
+
+/// Visits the leaves of one scheme class under a complete tiling, in
+/// enumeration order: ❶ static, if the sub-LUT fits; ❷ coarse-grain, every
+/// `cb_load × f_load` chunk dividing the m-tiles that fits; ❸ fine-grain,
+/// every `f_load` dividing `F_m`. The one leaf enumeration: the exhaustive
+/// list ([`kernel_candidates`]) and the branch-and-bound leaf level
+/// (`bnb::score_leaves`) both walk it.
+pub(crate) fn leaf_schemes(
     class: SchemeClass,
+    menus: &Menus,
     workload: &LutWorkload,
     platform: &PlatformConfig,
     f_stile: usize,
-    (n_m, f_m, cb_m, traversal): Tiling,
-) -> Vec<MicroKernel> {
-    let kernel = |load_scheme| MicroKernel {
-        n_mtile: n_m,
-        f_mtile: f_m,
-        cb_mtile: cb_m,
-        traversal,
-        load_scheme,
-    };
+    (_, f_m, cb_m, _): Tiling,
+    mut visit: impl FnMut(LoadScheme),
+) {
     let fits = |scheme| lut_buffer_bytes(workload, f_stile, scheme) <= platform.wram_bytes;
     match class {
-        SchemeClass::Static => fits(LoadScheme::Static)
-            .then(|| kernel(LoadScheme::Static))
-            .into_iter()
-            .collect(),
+        SchemeClass::Static => {
+            if fits(LoadScheme::Static) {
+                visit(LoadScheme::Static);
+            }
+        }
         SchemeClass::Coarse => {
-            let f_loads = tile_candidates(f_m);
-            let mut out = Vec::new();
-            for cb_load in tile_candidates(cb_m) {
-                for &f_load in &f_loads {
+            for &cb_load in menus.of(cb_m) {
+                for &f_load in menus.of(f_m) {
                     let scheme = LoadScheme::CoarseGrain { cb_load, f_load };
                     if fits(scheme) {
-                        out.push(kernel(scheme));
+                        visit(scheme);
                     }
                 }
             }
-            out
         }
-        SchemeClass::Fine => tile_candidates(f_m)
-            .into_iter()
-            .map(|f_load| {
-                kernel(LoadScheme::FineGrain {
+        SchemeClass::Fine => {
+            for &f_load in menus.of(f_m) {
+                visit(LoadScheme::FineGrain {
                     f_load,
                     threads: FINE_THREADS,
-                })
-            })
-            .collect(),
+                });
+            }
+        }
     }
 }
 
@@ -208,16 +245,24 @@ pub fn kernel_candidates(
     n_stile: usize,
     f_stile: usize,
 ) -> Vec<MicroKernel> {
+    let pair = (n_stile, f_stile);
+    let menus = Menus::new(workload, &[pair]);
     let mut kernels = Vec::new();
     let mut stack = vec![Partial::default()];
     while let Some(node) = stack.pop() {
         match node.complete() {
             Some(tiling) => {
                 for class in SchemeClass::ALL {
-                    kernels.extend(leaf_kernels(class, workload, platform, f_stile, tiling));
+                    leaf_schemes(class, &menus, workload, platform, f_stile, tiling, |s| {
+                        kernels.push(kernel_of(tiling, s));
+                    });
                 }
             }
-            None => stack.extend(node.children(workload, n_stile, f_stile).into_iter().rev()),
+            None => {
+                let first = stack.len();
+                node.children(&menus, workload, pair, |child| stack.push(child));
+                stack[first..].reverse();
+            }
         }
     }
     kernels

@@ -102,7 +102,9 @@ fn flag_platform(flags: &HashMap<String, String>) -> Result<PlatformConfig, CliE
         // is `PlatformConfig`'s serde form; dump one with `pimdl export`).
         Some(path) if path.ends_with(".json") => {
             let body = std::fs::read_to_string(path)?;
-            Ok(serde_json::from_str(&body)?)
+            let platform: PlatformConfig = serde_json::from_str(&body)?;
+            platform.validate()?;
+            Ok(platform)
         }
         Some(other) => Err(format!(
             "unknown platform {other} (expected upmem|hbm-pim|aim|upmem-adder-only|<file.json>)"

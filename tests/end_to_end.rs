@@ -161,3 +161,35 @@ fn facade_exports() {
     let _ = pimdl::engine::shapes::TransformerShape::tiny();
     let _ = pimdl::tensor::Matrix::zeros(1, 1);
 }
+
+/// `pimdl --platform file.json` loads through `PlatformConfig::validate`:
+/// a file declaring 2^64 − 1 PEs is refused, with the field named, before
+/// any search runs.
+#[test]
+fn cli_refuses_an_out_of_range_platform_file() {
+    let json = serde_json::to_string(&PlatformConfig::upmem())
+        .unwrap()
+        .replace("\"num_pes\":1024", &format!("\"num_pes\":{}", usize::MAX));
+    let path = std::env::temp_dir().join(format!("pimdl-huge-pes-{}.json", std::process::id()));
+    std::fs::write(&path, json).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_pimdl"))
+        .args([
+            "tune",
+            "--n",
+            "64",
+            "--cb",
+            "8",
+            "--ct",
+            "16",
+            "--f",
+            "32",
+            "--platform",
+        ])
+        .arg(&path)
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains("num_pes"), "{stderr}");
+}
