@@ -1652,6 +1652,9 @@ pub fn shard_worker_main(addr: &str, shard_id: u32, speedup: f64, spec_json: &st
     spec.platform.validate().map_err(|e| ServeError::Config {
         detail: format!("worker spec: {e}"),
     })?;
+    ReplicaModel::check_workload(&spec.lut).map_err(|e| ServeError::Config {
+        detail: format!("worker spec: {e}"),
+    })?;
     let engine = PimDlEngine::new(spec.platform);
     let mut stream =
         TcpStream::connect(addr).map_err(ServeError::from_io("connect fabric front end"))?;
@@ -1995,6 +1998,33 @@ mod tests {
         match shard_worker_main("127.0.0.1:1", 0, 1.0, &json) {
             Err(ServeError::Config { detail }) => assert!(detail.contains("num_pes"), "{detail}"),
             other => panic!("expected a platform refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn worker_refuses_a_zero_lut_dimension_before_connecting() {
+        let spec = WorkerSpec {
+            platform: PlatformConfig::upmem(),
+            lut: LutWorkload::new(8, 8, 16, 32).unwrap(),
+        };
+        let json = serde_json::to_string(&spec).unwrap();
+        for (field, old) in [("n", 8), ("cb", 8), ("ct", 16), ("f", 32)] {
+            let edited = json.replacen(&format!("\"{field}\":{old}"), &format!("\"{field}\":0"), 1);
+            assert_ne!(edited, json, "{field}");
+            // Port 1 refuses connections: a Config error is a refusal
+            // before connecting.
+            match shard_worker_main("127.0.0.1:1", 0, 1.0, &edited) {
+                Err(ServeError::Config { detail }) => {
+                    assert!(detail.contains("zero dimension"), "{detail}")
+                }
+                other => panic!("{field} = 0: expected a spec refusal, got {other:?}"),
+            }
+        }
+        // A shape that loads but is too large to build is refused there too.
+        let wide = json.replacen("\"f\":32", &format!("\"f\":{}", 1u64 << 40), 1);
+        match shard_worker_main("127.0.0.1:1", 0, 1.0, &wide) {
+            Err(ServeError::Config { detail }) => assert!(detail.contains("table"), "{detail}"),
+            other => panic!("expected a spec refusal, got {other:?}"),
         }
     }
 

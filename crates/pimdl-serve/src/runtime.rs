@@ -102,7 +102,7 @@ impl ServeConfig {
     pub fn validate(&self) -> Result<()> {
         self.policy.validate()?;
         self.base.validate()?;
-        LutWorkload::new(self.lut.n, self.lut.cb, self.lut.ct, self.lut.f)?;
+        self.lut.validate()?;
         if self.num_shards == 0 {
             return Err(ServeError::Config {
                 detail: "num_shards must be >= 1".to_string(),

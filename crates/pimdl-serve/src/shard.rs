@@ -45,16 +45,51 @@ pub struct ReplicaModel {
     reference_gathers: AtomicU64,
 }
 
+/// Largest table (`CB·CT·F` INT8 bytes), query index list (`N·CB` u16s)
+/// or query output (`N·F` f32s) a replica holds, in bytes. Every served
+/// shape is far below it (`line_large`'s table is 2.4 MB); a shape above it
+/// is refused before anything is allocated or tuned.
+const MAX_REPLICA_BYTES: usize = 16 << 20;
+
 impl ReplicaModel {
+    /// Refuses a workload shape no replica is built for: one that fails
+    /// [`LutWorkload::validate`], whose `CT` a u16 index cannot address, or
+    /// whose table or one query's indices or output exceed
+    /// [`MAX_REPLICA_BYTES`].
+    pub(crate) fn check_workload(w: &LutWorkload) -> Result<()> {
+        w.validate()?;
+        let too_big = |what: &str, bytes: Option<usize>| match bytes {
+            Some(b) if b <= MAX_REPLICA_BYTES => Ok(()),
+            _ => Err(ServeError::Config {
+                detail: format!(
+                    "workload ({}, {}, {}, {}): {what} exceeds {MAX_REPLICA_BYTES} bytes",
+                    w.n, w.cb, w.ct, w.f
+                ),
+            }),
+        };
+        if w.ct > usize::from(u16::MAX) + 1 {
+            return Err(ServeError::Config {
+                detail: format!("workload CT {} exceeds the u16 index range", w.ct),
+            });
+        }
+        let bytes =
+            |a: usize, b: usize, c: usize| a.checked_mul(b).and_then(|ab| ab.checked_mul(c));
+        too_big("the table", bytes(w.cb, w.ct, w.f))?;
+        too_big("a query's indices", bytes(w.n, w.cb, 2))?;
+        too_big("a query's output", bytes(w.n, w.f, 4))
+    }
+
     /// Builds a replica for the per-request `workload` shape: tunes a
     /// mapping on the engine's platform and synthesizes a deterministic
     /// INT8 table from `seed`.
     ///
     /// # Errors
     ///
-    /// Propagates tuner failures (no legal mapping for the workload on the
-    /// platform) and rejects table shapes the LUT types cannot index.
+    /// Refuses a shape [`Self::check_workload`] refuses, propagates tuner
+    /// failures (no legal mapping for the workload on the platform) and
+    /// rejects table shapes the LUT types cannot index.
     pub fn build(engine: &PimDlEngine, workload: LutWorkload, seed: u64) -> Result<Self> {
+        Self::check_workload(&workload)?;
         let mapping = engine.mapping_for(&workload)?;
         let mut rng = DataRng::new(seed);
         let codes: Vec<i8> = (0..workload.cb * workload.ct * workload.f)

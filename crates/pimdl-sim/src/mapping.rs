@@ -2,13 +2,13 @@
 //! micro-kernel tiling, traversal orders, and LUT load schemes
 //! (paper §5.2–§5.3, Table 2).
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::config::PlatformConfig;
 use crate::{cost, Result, SimError};
 
 /// Shape of one LUT operator workload (Table 2: `N`, `CB`, `CT`, `F`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct LutWorkload {
     /// Input index row count `N` (activation rows).
     pub n: usize,
@@ -25,14 +25,37 @@ impl LutWorkload {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::WorkloadMismatch`] if any dimension is zero.
+    /// Returns [`SimError::WorkloadMismatch`] if any dimension is zero, or
+    /// if the index, LUT or output bytes (`N·CB`, `CB·CT·F`, `N·F·4`)
+    /// overflow `usize`.
     pub fn new(n: usize, cb: usize, ct: usize, f: usize) -> Result<Self> {
         if n == 0 || cb == 0 || ct == 0 || f == 0 {
             return Err(SimError::WorkloadMismatch {
                 detail: format!("zero dimension in workload ({n}, {cb}, {ct}, {f})"),
             });
         }
-        Ok(LutWorkload { n, cb, ct, f })
+        let w = LutWorkload { n, cb, ct, f };
+        let index = n
+            .checked_mul(cb)
+            .and_then(|x| x.checked_mul(w.index_elem_bytes()));
+        let lut = cb.checked_mul(ct).and_then(|x| x.checked_mul(f));
+        let output = n.checked_mul(f).and_then(|x| x.checked_mul(4));
+        if index.is_none() || lut.is_none() || output.is_none() {
+            return Err(SimError::WorkloadMismatch {
+                detail: format!("workload ({n}, {cb}, {ct}, {f}) overflows the address space"),
+            });
+        }
+        Ok(w)
+    }
+
+    /// [`Self::new`]'s checks on a shape built some other way (a struct
+    /// literal).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::new`].
+    pub fn validate(&self) -> Result<()> {
+        LutWorkload::new(self.n, self.cb, self.ct, self.f).map(|_| ())
     }
 
     /// Bytes of one index element (1 for `CT ≤ 256`, else 2).
@@ -62,6 +85,21 @@ impl LutWorkload {
     /// Reduce (accumulate) operation count: `N × CB × F`.
     pub fn reduce_ops(&self) -> u64 {
         self.n as u64 * self.cb as u64 * self.f as u64
+    }
+}
+
+/// Deserializes through [`LutWorkload::new`], so a zero or overflowing
+/// dimension is refused on load, not divided by later.
+impl Deserialize for LutWorkload {
+    fn serde_from_value(v: &Value) -> std::result::Result<Self, DeError> {
+        let dim = |name| {
+            let field = v
+                .get(name)
+                .ok_or_else(|| DeError::new(format!("missing field {name} for LutWorkload")))?;
+            usize::serde_from_value(field)
+        };
+        LutWorkload::new(dim("n")?, dim("cb")?, dim("ct")?, dim("f")?)
+            .map_err(|e| DeError::new(e.to_string()))
     }
 }
 
@@ -410,6 +448,41 @@ mod tests {
         assert_eq!(w.output_bytes(), 64 * 32 * 4);
         assert_eq!(w.reduce_ops(), 64 * 8 * 32);
         assert!(LutWorkload::new(0, 8, 16, 32).is_err());
+    }
+
+    #[test]
+    fn workload_loads_only_through_new() {
+        let json = serde_json::to_string(&workload()).unwrap();
+        assert_eq!(
+            serde_json::from_str::<LutWorkload>(&json).unwrap(),
+            workload()
+        );
+        let huge = usize::MAX / 2;
+        for (field, old, value) in [("n", 64, 0), ("f", 32, 0), ("cb", 8, huge)] {
+            let edited = json.replace(
+                &format!("\"{field}\":{old}"),
+                &format!("\"{field}\":{value}"),
+            );
+            assert_ne!(edited, json);
+            assert!(
+                serde_json::from_str::<LutWorkload>(&edited).is_err(),
+                "{edited}"
+            );
+        }
+        // Each of the three byte counts on its own.
+        for (n, cb, ct, f) in [(huge, 4, 1, 1), (1, huge, 4, 1), (1, 1, 1, huge)] {
+            assert!(
+                LutWorkload::new(n, cb, ct, f).is_err(),
+                "{:?}",
+                (n, cb, ct, f)
+            );
+        }
+        let literal = LutWorkload {
+            cb: 0,
+            ..workload()
+        };
+        assert!(literal.validate().is_err());
+        workload().validate().unwrap();
     }
 
     #[test]

@@ -14,12 +14,18 @@
 //! computes everything the load scheme does not move once, then prices
 //! each P4 leaf by its WRAM fit and its LUT stream alone. That is the
 //! price `hierarchical_cost` returns after `Mapping::validate`, to the bit.
-//! A multi-chunk coarse leaf's stream, and so its price, depends on its
-//! chunk size `cb_load·f_load` alone, so each size is priced once per
-//! tiling: a repeat would price to the same bits and cannot beat the
-//! strictly-better incumbent, so it is counted and not priced. Below the
-//! root the descent allocates nothing: the tiling menus are built once per
-//! search, and children and chunk sizes go to two reused buffers.
+//! Two kinds of leaf are counted and not priced, because neither can beat
+//! the strictly-better incumbent. A leaf whose **floor** is over the bar:
+//! each gated leaf kind (the single-chunk coarse leaf, the multi-chunk
+//! coarse leaves, the fine leaves) floors at the tiling's exact non-LUT
+//! price plus its true LUT volume at its coarsest access, and most leaves
+//! a search reaches are over it. And a repeated chunk size: a multi-chunk
+//! coarse leaf's stream, and so its price, depends on `cb_load·f_load`
+//! alone, so each size is priced once per tiling. Either way the leaf is
+//! still offered and scored, so the visit order and every count are those
+//! of a search that priced it. Below the root the descent allocates
+//! nothing: the tiling menus are built once per search, and children and
+//! chunk sizes go to two reused buffers.
 //!
 //! # Lower bounds
 //!
@@ -28,7 +34,8 @@
 //! favourable argument — unset m-tiles at their largest, an unset
 //! traversal at its fewest loads, each LUT class at its cheapest member,
 //! the row terms at their volume floor — so admissibility is by
-//! construction; DESIGN.md §12.2 names the corner per term. Pruning uses a
+//! construction; DESIGN.md §12.2 names the corner per term, and the leaf
+//! floors (one per leaf kind under a complete tiling). Pruning uses a
 //! `1 − 1e-12` relative guard, the only slack, so float rounding in the
 //! bound arithmetic can never discard a subtree whose true cost ties or
 //! beats the incumbent — exactness is preserved bit for bit.
@@ -36,7 +43,7 @@
 use pimdl_sim::config::PlatformConfig;
 use pimdl_sim::cost::{
     gathered_entries, index_tile_bytes, lut_tile_bytes, output_tile_bytes, reduce_time_s,
-    sub_lut_times, trip_counts, INDEX_USES, OUTPUT_USES,
+    sub_lut_times, trip_counts, INDEX_USES, LUT_USES, OUTPUT_USES,
 };
 use pimdl_sim::{LoadScheme, LutWorkload, Mapping, TraversalOrder};
 
@@ -59,9 +66,11 @@ pub struct BnbOutcome {
     pub mapping: Mapping,
     /// Hierarchical prediction for it.
     pub predicted: HierBreakdown,
-    /// Leaf candidates actually scored (the pruning headline: compare
-    /// against the exhaustive enumerator's `evaluated`). A coarse leaf
-    /// resolved from its chunk size's price counts as scored.
+    /// Legal leaf candidates scored (the pruning headline: compare
+    /// against the exhaustive enumerator's `evaluated`): every legal leaf
+    /// of a class the class gate let through, whether priced or counted
+    /// without a price (its floor over the bar, or its chunk size already
+    /// priced under the tiling).
     pub evaluated: usize,
     /// Subtrees cut by the bound before reaching any leaf.
     pub pruned_subtrees: usize,
@@ -101,9 +110,8 @@ impl Incumbent {
         }
     }
 
-    /// Counts a candidate priced to the bits of one already offered (legal
-    /// iff `fits`) without taking it: it cannot beat the bar that candidate
-    /// left, so [`Self::offer`] would have dropped it too.
+    /// Counts a candidate known not to beat the bar (legal iff `fits`)
+    /// without taking it: [`Self::offer`] would have dropped it too.
     fn count_tie(&mut self, fits: bool) {
         self.offered += 1;
         self.evaluated += usize::from(fits);
@@ -278,6 +286,9 @@ struct Walk {
     chunks: Vec<(usize, bool)>,
     incumbent: Incumbent,
     pruned_subtrees: usize,
+    /// Legal leaves priced; every other scored leaf was counted without a
+    /// price.
+    priced: usize,
 }
 
 impl Walk {
@@ -288,6 +299,7 @@ impl Walk {
             chunks: Vec::new(),
             incumbent: Incumbent::default(),
             pruned_subtrees: 0,
+            priced: 0,
         }
     }
 }
@@ -299,8 +311,17 @@ impl Walk {
 ///
 /// # Errors
 ///
-/// Returns [`TuneError::NoLegalMapping`] if no candidate validates.
+/// Returns [`TuneError::Sim`] if the workload has a zero or overflowing
+/// dimension, and [`TuneError::NoLegalMapping`] if no candidate validates.
 pub fn search(platform: &PlatformConfig, workload: &LutWorkload) -> Result<BnbOutcome> {
+    search_priced(platform, workload).map(|(outcome, _)| outcome)
+}
+
+/// [`search`] and the number of legal leaves it priced.
+pub(crate) fn search_priced(
+    platform: &PlatformConfig,
+    workload: &LutWorkload,
+) -> Result<(BnbOutcome, usize)> {
     let pairs = legal_pairs(workload, platform)?;
     let mut walk = Walk::new(workload, &pairs);
 
@@ -323,12 +344,13 @@ pub fn search(platform: &PlatformConfig, workload: &LutWorkload) -> Result<BnbOu
     }
 
     let (mapping, predicted, evaluated) = walk.incumbent.into_best(platform, workload)?;
-    Ok(BnbOutcome {
+    let outcome = BnbOutcome {
         mapping,
         predicted,
         evaluated,
         pruned_subtrees: walk.pruned_subtrees,
-    })
+    };
+    Ok((outcome, walk.priced))
 }
 
 /// The optimum of one P1 pair on the capacity ↔ latency frontier: larger
@@ -362,7 +384,8 @@ pub struct PairBest {
 ///
 /// # Errors
 ///
-/// Returns [`TuneError::NoLegalMapping`] if Eq. 5 has no solution.
+/// Returns [`TuneError::Sim`] if the workload has a zero or overflowing
+/// dimension, and [`TuneError::NoLegalMapping`] if Eq. 5 has no solution.
 pub fn pair_frontier(platform: &PlatformConfig, workload: &LutWorkload) -> Result<Vec<PairBest>> {
     let pairs = legal_pairs(workload, platform)?;
     let mut walk = Walk::new(workload, &pairs);
@@ -419,32 +442,100 @@ fn descend(ctx: &PairCtx, node: Partial, walk: &mut Walk) {
     walk.frontier.truncate(first);
 }
 
+/// Floors on the total of every gated leaf under one complete tiling,
+/// each the tiling's exact non-LUT price plus a LUT stream of its kind's
+/// true volume (DESIGN.md §12.2, **leaf floors**).
+#[derive(Debug, Clone, Copy)]
+struct LeafFloors {
+    /// The single-chunk coarse leaf (`cb_load·f_load = CB_m·F_m`): its own
+    /// stream, so exact in everything but the LUT row terms.
+    single_chunk: f64,
+    /// Every multi-chunk coarse leaf: `T_n·CB·CT·F_s` bytes, whatever the
+    /// chunk size, at the largest chunk that fits beside the m-tiles.
+    multi_chunk: f64,
+    /// Every fine leaf: `gathered_entries` bytes at `f_load = F_m`.
+    fine: f64,
+}
+
+impl LeafFloors {
+    /// The floors under `tiling`, whose shared price is `price`. A kind
+    /// with no leaf that fits beside the m-tiles floors at infinity.
+    fn new(ctx: &PairCtx, price: &TilingPrice, (_, f_m, cb_m, traversal): Tiling) -> Self {
+        let trips = price.trips();
+        let room = price.lut_room();
+        let chunk = lut_tile_bytes(ctx.w, cb_m, f_m);
+        let single_chunk = if chunk <= room {
+            let loads = traversal.load_count(trips, LUT_USES);
+            price.floor_s(loads as f64 * chunk as f64, chunk as f64)
+        } else {
+            f64::INFINITY
+        };
+        let largest = chunk.min(room);
+        let multi_chunk = if largest >= lut_tile_bytes(ctx.w, 1, 1) {
+            let bytes = trips.0 as f64 * ctx.lut_stile_bytes as f64;
+            price.floor_s(bytes, largest as f64)
+        } else {
+            f64::INFINITY
+        };
+        let gathered = gathered_entries(ctx.w, (ctx.n_stile, ctx.f_stile));
+        LeafFloors {
+            single_chunk,
+            multi_chunk,
+            fine: price.floor_s(gathered as f64, f_m as f64),
+        }
+    }
+
+    /// The floor of the `scheme` leaf under `tiling`; the static leaf,
+    /// whose price is as cheap as a floor, floors at minus infinity.
+    fn of(&self, scheme: LoadScheme, (_, f_m, cb_m, _): Tiling) -> f64 {
+        match scheme {
+            LoadScheme::Static => f64::NEG_INFINITY,
+            LoadScheme::CoarseGrain { cb_load, f_load } if (cb_load, f_load) == (cb_m, f_m) => {
+                self.single_chunk
+            }
+            LoadScheme::CoarseGrain { .. } => self.multi_chunk,
+            LoadScheme::FineGrain { .. } => self.fine,
+        }
+    }
+}
+
 /// Scores the load-scheme leaves under a complete tiling, class by class:
-/// the tiling is priced once, each leaf by its LUT stream alone, and each
-/// coarse chunk size once.
+/// the tiling is priced once, each leaf by its LUT stream alone, each
+/// coarse chunk size once, and a leaf its floor puts over the bar not at
+/// all.
 fn score_leaves(ctx: &PairCtx, node: Partial, tiling @ (_, f_m, cb_m, _): Tiling, walk: &mut Walk) {
-    // Everything but the LUT term is exact at this depth; swap in each
-    // class's own LUT floor and gate the whole class on it before
-    // enumerating its chunk factors (the classes dominate the leaf count).
-    // Every gate compares against the incumbent on entry.
+    // Two tiers. The class gate (the node bound with each class's own LUT
+    // bound swapped in, against the incumbent on entry) cuts a whole class
+    // as a subtree, so it is part of the visit order and of
+    // `pruned_subtrees`. The leaf floors (exact non-LUT price, true LUT
+    // volume, against the bar of the moment) only decide whether a leaf
+    // of a class let through is priced or counted.
     let on_entry = walk.incumbent.bar;
     let (non_lut_lb, _) = ctx.bound_parts(node);
     let pair = (ctx.n_stile, ctx.f_stile);
     let price = TilingPrice::new(ctx.platform, ctx.w, pair, tiling);
+    let floors = LeafFloors::new(ctx, &price, tiling);
     let Walk {
         menus,
         chunks,
         incumbent,
         pruned_subtrees,
+        priced,
         ..
     } = walk;
-    // A multi-chunk coarse leaf's LUT stream, WRAM fit and so its whole
-    // price depend on `cb_load·f_load` alone, so a chunk size already
-    // priced under this tiling prices to the same bits and cannot beat the
-    // bar. The single-chunk leaf, whose stream depends on the traversal, is
-    // the only leaf of its size.
+    // A leaf that cannot beat the bar is counted as offered, and as scored
+    // if it fits, without a price: `offer` would have dropped it. Two kinds
+    // are known not to: a leaf whose floor is over the bar, and a
+    // multi-chunk coarse leaf whose chunk size `cb_load·f_load` was already
+    // priced under this tiling (its LUT stream, WRAM fit and so its whole
+    // price depend on that size alone, so it prices to the same bits). The
+    // single-chunk leaf, whose stream depends on the traversal, is the only
+    // leaf of its size.
     chunks.clear();
     let mut score = |scheme| {
+        if prunes(floors.of(scheme, tiling), incumbent.bar) {
+            return incumbent.count_tie(price.fits(scheme));
+        }
         let size = match scheme {
             LoadScheme::CoarseGrain { cb_load, f_load } => Some(cb_load * f_load),
             _ => None,
@@ -455,6 +546,7 @@ fn score_leaves(ctx: &PairCtx, node: Partial, tiling @ (_, f_m, cb_m, _): Tiling
             }
         }
         let leaf = price.leaf(scheme);
+        *priced += usize::from(leaf.is_some());
         if let Some(size) = size {
             chunks.push((size, leaf.is_some()));
         }
@@ -564,6 +656,82 @@ mod tests {
             h.total_s(),
         ]
         .map(f64::to_bits)
+    }
+
+    /// Admissibility on one `small_case`, along four random root-to-leaf
+    /// paths per legal pair drawn from `seed`: every node's bound (after
+    /// the prune guard) is at most the hierarchical cost of every legal leaf
+    /// reached, each class gate is at most every leaf of its class, each
+    /// leaf floor (single-chunk coarse, multi-chunk coarse, fine) is at most
+    /// every leaf of its kind, and the structural WRAM cut only fires above
+    /// leaves that are all illegal.
+    fn admissible_along_random_paths(
+        case: (usize, usize, usize, usize, usize, usize),
+        mac: bool,
+        seed: u64,
+    ) -> std::result::Result<(), TestCaseError> {
+        let (w, p) = small_case(case, mac);
+        let mut state = seed | 1;
+        let mut pick = |len: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % len as u64) as usize
+        };
+        let pairs = sub_lut_candidates(&w, &p);
+        let menus = Menus::new(&w, &pairs);
+        for pair @ (n_s, f_s) in pairs {
+            let ctx = PairCtx::new(&p, &w, pair);
+            for _ in 0..4 {
+                let mut path = vec![Partial::default()];
+                let mut overflows = false;
+                loop {
+                    let node = path[path.len() - 1];
+                    let mut children = Vec::new();
+                    node.children(&menus, &w, pair, |child| children.push(child));
+                    if children.is_empty() {
+                        break;
+                    }
+                    let child = children[pick(children.len())];
+                    overflows |= ctx.overflows_wram(child);
+                    path.push(child);
+                }
+                let leaf_node = path[path.len() - 1];
+                let tiling @ (_, f_m, cb_m, _) = leaf_node.complete().unwrap();
+                let (non_lut, _) = ctx.bound_parts(leaf_node);
+                let floors = LeafFloors::new(&ctx, &TilingPrice::new(&p, &w, pair, tiling), tiling);
+                for class in SchemeClass::ALL {
+                    let gate = non_lut + ctx.lut_class_lb(class, f_m, cb_m);
+                    let mut schemes = Vec::new();
+                    leaf_schemes(class, &menus, &w, &p, f_s, tiling, |s| schemes.push(s));
+                    for scheme in schemes {
+                        let mapping = mapping_of(n_s, f_s, kernel_of(tiling, scheme));
+                        let Ok(leaf) = hierarchical_cost(&p, &w, &mapping) else {
+                            continue;
+                        };
+                        prop_assert!(!overflows, "WRAM cut above legal {mapping:?}");
+                        let total = leaf.total_s();
+                        prop_assert!(
+                            gate * PRUNE_GUARD <= total,
+                            "{class:?} gate {gate} > {total} for {mapping:?}"
+                        );
+                        let floor = floors.of(scheme, tiling);
+                        prop_assert!(
+                            floor * PRUNE_GUARD <= total,
+                            "leaf floor {floor} > {total} for {mapping:?} ({floors:?})"
+                        );
+                        for node in &path {
+                            let lb = ctx.bound(*node);
+                            prop_assert!(
+                                lb * PRUNE_GUARD <= total,
+                                "bound {lb} of {node:?} > {total} for {mapping:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// `pair_frontier`'s walk relies on per-PE bytes rising strictly along
@@ -697,10 +865,7 @@ mod tests {
         }
 
         /// Admissibility, directly: along random root-to-leaf paths of the
-        /// search tree, every node's bound (after the prune guard) is at
-        /// most the hierarchical cost of every legal leaf reached, each
-        /// class gate is at most every leaf of its class, and the
-        /// structural WRAM cut only fires above leaves that are all illegal.
+        /// search tree ([`admissible_along_random_paths`]).
         #[test]
         fn bounds_are_admissible_along_random_paths(
             n_idx in 0usize..5,
@@ -712,67 +877,29 @@ mod tests {
             mac in any::<bool>(),
             seed in any::<u64>(),
         ) {
-            let (w, p) = small_case((n_idx, cb_idx, ct_idx, f_idx, pes_idx, wram_idx), mac);
-
-            let mut state = seed | 1;
-            let mut pick = |len: usize| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state % len as u64) as usize
-            };
-            let pairs = sub_lut_candidates(&w, &p);
-            let menus = Menus::new(&w, &pairs);
-            for (n_s, f_s) in pairs {
-                let ctx = PairCtx::new(&p, &w, (n_s, f_s));
-                for _ in 0..4 {
-                    let mut path = vec![Partial::default()];
-                    let mut overflows = false;
-                    loop {
-                        let node = path[path.len() - 1];
-                        let mut children = Vec::new();
-                        node.children(&menus, &w, (n_s, f_s), |child| children.push(child));
-                        if children.is_empty() {
-                            break;
-                        }
-                        let child = children[pick(children.len())];
-                        overflows |= ctx.overflows_wram(child);
-                        path.push(child);
-                    }
-                    let leaf_node = path[path.len() - 1];
-                    let tiling @ (_, f_m, cb_m, _) = leaf_node.complete().unwrap();
-                    let (non_lut, _) = ctx.bound_parts(leaf_node);
-                    for class in SchemeClass::ALL {
-                        let gate = non_lut + ctx.lut_class_lb(class, f_m, cb_m);
-                        let mut schemes = Vec::new();
-                        leaf_schemes(class, &menus, &w, &p, f_s, tiling, |s| schemes.push(s));
-                        for scheme in schemes {
-                            let mapping = mapping_of(n_s, f_s, kernel_of(tiling, scheme));
-                            let Ok(leaf) = hierarchical_cost(&p, &w, &mapping) else {
-                                continue;
-                            };
-                            prop_assert!(!overflows, "WRAM cut above legal {mapping:?}");
-                            let total = leaf.total_s();
-                            prop_assert!(
-                                gate * PRUNE_GUARD <= total,
-                                "{class:?} gate {gate} > {total} for {mapping:?}"
-                            );
-                            for node in &path {
-                                let lb = ctx.bound(*node);
-                                prop_assert!(
-                                    lb * PRUNE_GUARD <= total,
-                                    "bound {lb} of {node:?} > {total} for {mapping:?}"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
+            admissible_along_random_paths((n_idx, cb_idx, ct_idx, f_idx, pes_idx, wram_idx), mac, seed)?;
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        /// [`bounds_are_admissible_along_random_paths`] on 1,000 cases: the
+        /// long pass `scripts/check.sh` runs with `--ignored`.
+        #[test]
+        #[ignore = "long admissibility pass: ~1,000 small spaces"]
+        fn bounds_are_admissible_along_random_paths_wide(
+            n_idx in 0usize..5,
+            cb_idx in 0usize..3,
+            ct_idx in 0usize..4,
+            f_idx in 0usize..4,
+            pes_idx in 0usize..3,
+            wram_idx in 0usize..4,
+            mac in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            admissible_along_random_paths((n_idx, cb_idx, ct_idx, f_idx, pes_idx, wram_idx), mac, seed)?;
+        }
 
         /// `tests/properties.rs`'s `bnb_cost_bit_identical_to_exhaustive`
         /// over the wider menu of `small_case`: both row-constant arms,

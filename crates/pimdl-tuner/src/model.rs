@@ -25,7 +25,9 @@
 //! [`lut_stream`], one LUT term, and the LUT row terms added last. Most
 //! of those leaves are coarse-grain, and they share far fewer chunk sizes
 //! `cb_load·f_load`, which alone fix a multi-chunk leaf's stream: the
-//! branch-and-bound prices each size once per tiling ([`crate::bnb`]).
+//! branch-and-bound prices each size once per tiling, and a leaf not at
+//! all when [`TilingPrice::floor_s`] of its true LUT volume is already over
+//! the incumbent ([`crate::bnb`]).
 //! [`hierarchical_cost`] is `validate` followed by the same price, so the
 //! model, branch-and-bound and the exhaustive reference share one
 //! derivation and agree bit for bit.
@@ -184,6 +186,12 @@ impl<'a> TilingPrice<'a> {
     ///
     /// [`space::leaf_schemes`]: crate::space::leaf_schemes
     pub(crate) fn leaf(&self, scheme: LoadScheme) -> Option<HierBreakdown> {
+        self.fits(scheme).then(|| self.price(scheme))
+    }
+
+    /// Whether the `scheme` leaf's LUT buffer fits WRAM beside the m-tiles:
+    /// its legality, without its price.
+    pub(crate) fn fits(&self, scheme: LoadScheme) -> bool {
         let lut_buffer = lut_buffer_bytes(self.w, self.pair.1, scheme);
         let fits = self.tiles_bytes + lut_buffer <= self.platform.wram_bytes;
         debug_assert_eq!(
@@ -194,7 +202,30 @@ impl<'a> TilingPrice<'a> {
             "leaf price and Mapping::validate disagree on {scheme:?} under {:?}",
             self.tiling
         );
-        fits.then(|| self.price(scheme))
+        fits
+    }
+
+    /// Trip counts `(T_n, T_f, T_cb)` of the tiling.
+    pub(crate) fn trips(&self) -> (u64, u64, u64) {
+        self.trips
+    }
+
+    /// WRAM bytes left beside the index and output m-tiles: the largest
+    /// LUT buffer a leaf of this tiling may hold.
+    pub(crate) fn lut_room(&self) -> usize {
+        self.platform.wram_bytes.saturating_sub(self.tiles_bytes)
+    }
+
+    /// A floor on the price of every leaf whose LUT stream moves `bytes` in
+    /// accesses of at most `access` bytes: this tiling's exact price, the
+    /// LUT term at that access (bandwidth only grows with the access) and
+    /// the LUT row terms at their volume floor.
+    pub(crate) fn floor_s(&self, bytes: f64, access: f64) -> f64 {
+        self.base.total_s()
+            + self.rows.row_activation_s
+            + self.rows.crossing_s
+            + self.platform.local_mem.ideal_time_s(bytes, access)
+            + self.hier.volume_floor_s(bytes)
     }
 
     /// The `scheme` leaf's price: this tiling's plus its LUT stream, whose

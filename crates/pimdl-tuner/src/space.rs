@@ -89,12 +89,15 @@ pub fn sub_lut_candidates(
     out
 }
 
-/// [`sub_lut_candidates`], or the error every search reports when Eq. 5
-/// has no solution.
+/// [`sub_lut_candidates`], or the error every search reports when the
+/// workload fails [`LutWorkload::validate`] (a struct literal with a zero
+/// dimension, which every trip count would divide by) or Eq. 5 has no
+/// solution.
 pub(crate) fn legal_pairs(
     workload: &LutWorkload,
     platform: &PlatformConfig,
 ) -> Result<Vec<(usize, usize)>> {
+    workload.validate()?;
     let pairs = sub_lut_candidates(workload, platform);
     if pairs.is_empty() {
         return Err(TuneError::NoLegalMapping {

@@ -79,8 +79,10 @@ pub fn tune(platform: &PlatformConfig, workload: &LutWorkload) -> Result<TuningR
 ///
 /// # Errors
 ///
-/// Returns [`TuneError::NoLegalMapping`](crate::TuneError::NoLegalMapping)
-/// if no candidate validates.
+/// Returns [`TuneError::Sim`](crate::TuneError::Sim) if the workload has a
+/// zero or overflowing dimension, and
+/// [`TuneError::NoLegalMapping`](crate::TuneError::NoLegalMapping) if no
+/// candidate validates.
 pub fn tune_with_options(
     platform: &PlatformConfig,
     workload: &LutWorkload,
@@ -208,15 +210,17 @@ mod tests {
         // against the incumbent on entry), and `tune_sim`'s exact
         // `tuner.bnb.evaluated` rides on it: a drift must fail here. Of
         // the five legal pairs, `frontier` are on the capacity ↔ latency
-        // frontier, and its last point is the global winner.
+        // frontier, and its last point is the global winner. `priced`
+        // counts the legal leaves the search priced rather than counted;
+        // before the leaf floors it was 52, 65 and 58.
         let p = platform(16);
-        for (shape, (n_s, f_s, cb_m), evaluated, pruned, frontier) in [
-            ((64, 8, 16, 32), (16, 8, 8), 106, 19, 3),
-            ((128, 16, 16, 64), (32, 16, 16), 161, 22, 3),
-            ((64, 4, 64, 48), (32, 6, 4), 82, 19, 2),
+        for (shape, (n_s, f_s, cb_m), evaluated, pruned, priced, frontier) in [
+            ((64, 8, 16, 32), (16, 8, 8), 106, 19, 48, 3),
+            ((128, 16, 16, 64), (32, 16, 16), 161, 22, 60, 3),
+            ((64, 4, 64, 48), (32, 6, 4), 82, 19, 54, 2),
         ] {
             let w = LutWorkload::new(shape.0, shape.1, shape.2, shape.3).unwrap();
-            let out = crate::bnb::search(&p, &w).unwrap();
+            let (out, leaves_priced) = crate::bnb::search_priced(&p, &w).unwrap();
             // Every winner is the whole s-tile, N→F→CB, static LUT.
             let kernel = pimdl_sim::MicroKernel {
                 n_mtile: n_s,
@@ -227,8 +231,8 @@ mod tests {
             };
             assert_eq!(out.mapping, mapping_of(n_s, f_s, kernel), "{shape:?}");
             assert_eq!(
-                (out.evaluated, out.pruned_subtrees),
-                (evaluated, pruned),
+                (out.evaluated, out.pruned_subtrees, leaves_priced),
+                (evaluated, pruned, priced),
                 "{shape:?}"
             );
             assert_eq!(legal_pairs(&w, &p).unwrap().len(), 5, "{shape:?}");
@@ -250,6 +254,35 @@ mod tests {
             tune_with_options(&p, &w, TuneOptions::exhaustive_oracle()),
             Err(TuneError::NoLegalMapping { .. })
         ));
+    }
+
+    #[test]
+    fn a_zero_dimension_is_refused_by_every_search() {
+        // A struct literal skips `LutWorkload::new`; each entry point
+        // refuses it before a trip count divides by it.
+        let p = platform(16);
+        let good = LutWorkload::new(64, 8, 16, 32).unwrap();
+        for w in [
+            LutWorkload { n: 0, ..good },
+            LutWorkload { cb: 0, ..good },
+            LutWorkload { ct: 0, ..good },
+            LutWorkload { f: 0, ..good },
+        ] {
+            let refused = |r: Result<()>| {
+                matches!(
+                    r,
+                    Err(TuneError::Sim(pimdl_sim::SimError::WorkloadMismatch { .. }))
+                )
+            };
+            assert!(refused(tune(&p, &w).map(|_| ())), "{w:?}");
+            let exhaustive = tune_with_options(&p, &w, TuneOptions::exhaustive_oracle());
+            assert!(refused(exhaustive.map(|_| ())), "{w:?}");
+            assert!(refused(crate::bnb::search(&p, &w).map(|_| ())), "{w:?}");
+            assert!(
+                refused(crate::bnb::pair_frontier(&p, &w).map(|_| ())),
+                "{w:?}"
+            );
+        }
     }
 
     #[test]

@@ -75,7 +75,8 @@ done
 
 # The tuner's long oracle pass: the #[ignore]d branch-and-bound against
 # exhaustive search on ~1,000 small mapping spaces, both row-constant arms,
-# CT up to 512 and WRAM down to 96 B (~11 s in a debug build).
+# CT up to 512 and WRAM down to 96 B, and the bounds' and leaf floors'
+# admissibility along random paths of ~1,000 more (~12 s in a debug build).
 echo "==> cargo test -p pimdl-tuner --offline (long oracle pass)"
 cargo test --offline -p pimdl-tuner --lib -- --ignored
 
@@ -113,8 +114,8 @@ cargo test --offline -p serde -p serde_json
 # Results gate: the nineteen artefacts `reproduce all` writes are
 # deterministic functions of the code (no wall-clock field), so the
 # committed results/*.json must regenerate byte for byte. Thirteen are pure
-# functions of the cost model and the tuner (~2.8 s release on a two-core
-# box, ~1.5 s of it tuner-error, ~0.6 s the alloc-budgets sweep): a cost-term or
+# functions of the cost model and the tuner (~1.9 s release on a two-core
+# box, ~1.3 s of it tuner-error, ~0.2 s the alloc-budgets sweep): a cost-term or
 # search-order change that moves a figure fails here. Four are the
 # algorithm side — table4, table5,
 # elutnn-ablation, data-efficiency train, calibrate and score small models
