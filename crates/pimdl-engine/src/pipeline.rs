@@ -21,12 +21,20 @@ use crate::residency::{plan, OperatorFootprint, ResidencyPlan};
 use crate::shapes::TransformerShape;
 use crate::{EngineError, Result};
 
+/// Longest `seq_len` a [`ServingConfig`] accepts. The evaluation models run
+/// 512 tokens; at this cap and a batch of
+/// [`MAX_BATCH`](crate::scheduler::MAX_BATCH) every count the host model
+/// multiplies out (attention scores `batch·heads·seq²`, attention FLOPs)
+/// stays far inside 64 bits.
+pub const MAX_SEQ_LEN: usize = 1 << 16;
+
 /// Serving-time configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServingConfig {
     /// Batch size.
     pub batch: usize,
-    /// Sequence length (tokens per sequence / patches per image).
+    /// Sequence length (tokens per sequence / patches per image), at most
+    /// [`MAX_SEQ_LEN`].
     pub seq_len: usize,
     /// LUT-NN sub-vector length `V`.
     pub v: usize,
@@ -52,7 +60,8 @@ impl ServingConfig {
     ///
     /// Returns [`EngineError::Config`] if any field is zero — degenerate
     /// configs would otherwise surface as divisions by zero or empty
-    /// workloads deep inside the cost model.
+    /// workloads deep inside the cost model — or `seq_len` exceeds
+    /// [`MAX_SEQ_LEN`].
     pub fn new(batch: usize, seq_len: usize, v: usize, ct: usize) -> Result<Self> {
         let cfg = ServingConfig {
             batch,
@@ -68,11 +77,20 @@ impl ServingConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Config`] if any field is zero.
+    /// Returns [`EngineError::Config`] if any field is zero or `seq_len`
+    /// exceeds [`MAX_SEQ_LEN`].
     pub fn validate(&self) -> Result<()> {
         if self.batch == 0 || self.seq_len == 0 || self.v == 0 || self.ct == 0 {
             return Err(EngineError::Config {
                 detail: format!("zero field in serving config {self:?}"),
+            });
+        }
+        if self.seq_len > MAX_SEQ_LEN {
+            return Err(EngineError::Config {
+                detail: format!(
+                    "serving config seq_len must be <= {MAX_SEQ_LEN}, got {}",
+                    self.seq_len
+                ),
             });
         }
         Ok(())

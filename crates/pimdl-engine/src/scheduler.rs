@@ -24,6 +24,12 @@ use crate::pipeline::{PimDlEngine, ServingConfig};
 use crate::shapes::TransformerShape;
 use crate::Result;
 
+/// Largest `max_batch` a [`BatchingPolicy`] accepts. A server prices every
+/// batch size up to its `max_batch` before it serves (four tuner searches
+/// each), and a fabric worker takes a batch as one frame of at most 1,024
+/// requests; every shipped configuration batches at most 64.
+pub const MAX_BATCH: usize = 1024;
+
 /// Batching policy of the serving front end.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BatchingPolicy {
@@ -48,10 +54,10 @@ impl BatchingPolicy {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Config`] for `max_batch == 0` or a negative
-    /// or non-finite `max_wait_s` — either would make the batch window
-    /// meaningless (a batcher could never fill a batch, or would wait
-    /// forever / in the past).
+    /// Returns [`EngineError::Config`] for `max_batch` outside
+    /// `1..=MAX_BATCH` or a negative or non-finite `max_wait_s` — either
+    /// would make the batch window meaningless (a batcher could never fill
+    /// a batch, or would wait forever / in the past).
     pub fn new(max_batch: usize, max_wait_s: f64) -> Result<Self> {
         let policy = BatchingPolicy {
             max_batch,
@@ -65,12 +71,15 @@ impl BatchingPolicy {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Config`] if `max_batch == 0` or `max_wait_s`
-    /// is negative or non-finite.
+    /// Returns [`EngineError::Config`] if `max_batch` is outside
+    /// `1..=MAX_BATCH` or `max_wait_s` is negative or non-finite.
     pub fn validate(&self) -> Result<()> {
-        if self.max_batch == 0 {
+        if !(1..=MAX_BATCH).contains(&self.max_batch) {
             return Err(EngineError::Config {
-                detail: "batching policy max_batch must be >= 1".to_string(),
+                detail: format!(
+                    "batching policy max_batch must be in 1..={MAX_BATCH}, got {}",
+                    self.max_batch
+                ),
             });
         }
         if !self.max_wait_s.is_finite() || self.max_wait_s < 0.0 {
@@ -559,6 +568,8 @@ mod tests {
     #[test]
     fn degenerate_policy_is_rejected() {
         assert!(BatchingPolicy::new(0, 0.01).is_err());
+        assert!(BatchingPolicy::new(MAX_BATCH, 0.01).is_ok());
+        assert!(BatchingPolicy::new(MAX_BATCH + 1, 0.01).is_err());
         assert!(BatchingPolicy::new(8, -0.5).is_err());
         assert!(BatchingPolicy::new(8, f64::NAN).is_err());
         assert!(BatchingPolicy::new(8, f64::INFINITY).is_err());

@@ -75,9 +75,11 @@ pub const FRAME_VERSION: u8 = 1;
 /// Hard per-frame payload cap (1 MiB): bounds decoder buffering against
 /// corrupt or hostile length fields.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 20;
-/// Cap on the request count in an `Execute` frame; batching policies top
-/// out far below this, so a larger count is a corrupt or hostile frame.
+/// Cap on the request count in an `Execute` frame; a batch is at most
+/// [`pimdl_engine::scheduler::MAX_BATCH`] requests, so a larger count is a
+/// corrupt or hostile frame.
 pub const MAX_EXECUTE_REQUESTS: usize = 1024;
+const _: () = assert!(pimdl_engine::scheduler::MAX_BATCH <= MAX_EXECUTE_REQUESTS);
 /// Cap on the per-request index count in an `Execute` frame (the full
 /// `u16` index space — indices address LUT rows and travel as `u16`).
 pub const MAX_REQUEST_INDICES: usize = 1 << 16;

@@ -43,6 +43,11 @@ use crate::server::{BatchExecutor, LinePipeline, SimExecutor};
 use crate::shard::{ReplicaModel, ServiceModel};
 use crate::Result;
 
+/// Largest `num_shards` a [`ServeConfig`] accepts: each shard is a worker
+/// thread under [`Runtime::serve`], and every shipped configuration runs at
+/// most 4.
+pub const MAX_SHARDS: usize = 64;
+
 /// Static configuration of a serving runtime.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
@@ -52,7 +57,8 @@ pub struct ServeConfig {
     /// Per-request serving parameters; the `batch` field is overridden by
     /// the batcher per dispatch.
     pub base: ServingConfig,
-    /// Model replicas (shards) the batches route across.
+    /// Model replicas (shards) the batches route across, at most
+    /// [`MAX_SHARDS`].
     pub num_shards: usize,
     /// Admission queue capacity (arrivals beyond it are `Rejected`).
     pub queue_capacity: usize,
@@ -103,9 +109,12 @@ impl ServeConfig {
         self.policy.validate()?;
         self.base.validate()?;
         self.lut.validate()?;
-        if self.num_shards == 0 {
+        if !(1..=MAX_SHARDS).contains(&self.num_shards) {
             return Err(ServeError::Config {
-                detail: "num_shards must be >= 1".to_string(),
+                detail: format!(
+                    "num_shards must be in 1..={MAX_SHARDS}, got {}",
+                    self.num_shards
+                ),
             });
         }
         if self.queue_capacity == 0 {

@@ -28,6 +28,7 @@ use pimdl_tensor::rng::DataRng;
 
 use crate::error::ServeError;
 use crate::request::Request;
+use crate::runtime::MAX_SHARDS;
 use crate::Result;
 
 /// One model replica: the quantized LUT every request on a shard queries,
@@ -316,11 +317,12 @@ impl ShardManager {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Config`] for zero shards.
+    /// Returns [`ServeError::Config`] for zero shards or more than
+    /// [`MAX_SHARDS`].
     pub fn new(num_shards: usize) -> Result<Self> {
-        if num_shards == 0 {
+        if !(1..=MAX_SHARDS).contains(&num_shards) {
             return Err(ServeError::Config {
-                detail: "shard manager needs at least one shard".to_string(),
+                detail: format!("shard manager needs 1..={MAX_SHARDS} shards, got {num_shards}"),
             });
         }
         Ok(ShardManager {

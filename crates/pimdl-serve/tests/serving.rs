@@ -13,6 +13,7 @@ use std::sync::Arc;
 use pimdl_engine::scheduler::BatchingPolicy;
 use pimdl_engine::shapes::TransformerShape;
 use pimdl_serve::reactor::{Waker, WAKE_COMPLETION, WAKE_SHUTDOWN};
+use pimdl_serve::runtime::MAX_SHARDS;
 use pimdl_serve::{
     EpollPoller, EventSource, Metrics, OpenLoop, Outcome, RealClock, RequestRecord, Runtime,
     ServeConfig, ServerLoop, ThreadedExecutor,
@@ -280,6 +281,10 @@ fn degenerate_configs_are_rejected_up_front() {
     let mut cfg = ServeConfig::example();
     cfg.num_shards = 0;
     assert!(Runtime::new(platform(), shape.clone(), cfg).is_err());
+    cfg.num_shards = MAX_SHARDS;
+    assert!(cfg.validate().is_ok());
+    cfg.num_shards = MAX_SHARDS + 1;
+    assert!(cfg.validate().is_err());
 
     let mut cfg = ServeConfig::example();
     cfg.queue_capacity = 0;

@@ -49,8 +49,8 @@ use pimdl_sim::{LoadScheme, LutWorkload, Mapping, TraversalOrder};
 
 use crate::model::{HierBreakdown, TilingPrice};
 use crate::space::{
-    kernel_of, leaf_schemes, legal_pairs, mapping_of, Menus, Partial, SchemeClass, Tiling,
-    FINE_THREADS,
+    coarse_leaf_counts, kernel_of, leaf_schemes, legal_pairs, mapping_of, Menus, Partial,
+    SchemeClass, Tiling, FINE_THREADS,
 };
 use crate::{Result, TuneError};
 
@@ -110,11 +110,12 @@ impl Incumbent {
         }
     }
 
-    /// Counts a candidate known not to beat the bar (legal iff `fits`)
-    /// without taking it: [`Self::offer`] would have dropped it too.
-    fn count_tie(&mut self, fits: bool) {
-        self.offered += 1;
-        self.evaluated += usize::from(fits);
+    /// Counts `offered` candidates known not to beat the bar, `fits` of
+    /// them legal, without taking any: [`Self::offer`] would have dropped
+    /// them too.
+    fn count(&mut self, offered: usize, fits: usize) {
+        self.offered += offered;
+        self.evaluated += fits;
     }
 
     /// The winner, its prediction and the number of candidates scored.
@@ -273,22 +274,33 @@ fn sort_children<T>(children: &mut [(f64, T)]) {
     children.sort_by(|a, b| a.0.total_cmp(&b.0));
 }
 
+/// What the leaf level of one search did with the leaves it scored.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct LeafWork {
+    /// Legal leaves priced; every other scored leaf was counted without a
+    /// price.
+    pub(crate) priced: usize,
+    /// Leaves visited one at a time, priced or not; the multi-chunk coarse
+    /// leaves of a class their floor rules out on entry are counted in
+    /// closed form instead.
+    pub(crate) walked: usize,
+}
+
 /// The state of one search, threaded through the descent: the menus it
 /// branches on, built once, and two scratch buffers it reuses, so that
 /// below the root the walk allocates nothing.
 struct Walk {
     menus: Menus,
     /// The bounded children of every node on the current path, each
-    /// node's run sorted best-first, above its parent's.
-    frontier: Vec<(f64, Partial)>,
+    /// node's run sorted best-first, above its parent's: `(bound,
+    /// (non-LUT part of the bound, child))`.
+    frontier: Vec<(f64, (f64, Partial))>,
     /// Coarse chunk sizes `cb_load·f_load` priced under the current tiling,
     /// each with whether its leaf fits.
     chunks: Vec<(usize, bool)>,
     incumbent: Incumbent,
     pruned_subtrees: usize,
-    /// Legal leaves priced; every other scored leaf was counted without a
-    /// price.
-    priced: usize,
+    leaves: LeafWork,
 }
 
 impl Walk {
@@ -299,7 +311,7 @@ impl Walk {
             chunks: Vec::new(),
             incumbent: Incumbent::default(),
             pruned_subtrees: 0,
-            priced: 0,
+            leaves: LeafWork::default(),
         }
     }
 }
@@ -317,11 +329,12 @@ pub fn search(platform: &PlatformConfig, workload: &LutWorkload) -> Result<BnbOu
     search_priced(platform, workload).map(|(outcome, _)| outcome)
 }
 
-/// [`search`] and the number of legal leaves it priced.
+/// [`search`] and what its leaf level did: the legal leaves it priced and
+/// the leaves it walked one at a time.
 pub(crate) fn search_priced(
     platform: &PlatformConfig,
     workload: &LutWorkload,
-) -> Result<(BnbOutcome, usize)> {
+) -> Result<(BnbOutcome, LeafWork)> {
     let pairs = legal_pairs(workload, platform)?;
     let mut walk = Walk::new(workload, &pairs);
 
@@ -350,7 +363,7 @@ pub(crate) fn search_priced(
         evaluated,
         pruned_subtrees: walk.pruned_subtrees,
     };
-    Ok((outcome, walk.priced))
+    Ok((outcome, walk.leaves))
 }
 
 /// The optimum of one P1 pair on the capacity ↔ latency frontier: larger
@@ -415,29 +428,33 @@ pub fn pair_frontier(platform: &PlatformConfig, workload: &LutWorkload) -> Resul
     Ok(out)
 }
 
-/// Depth-first descent below `node` within one P1 pair: bound the children
-/// of the first unset level, visit them best-first and cut those the
-/// incumbent already beats; under a complete tiling, score the P4 leaves.
+/// Depth-first descent below the incomplete `node` within one P1 pair:
+/// bound the children of the first unset level, visit them best-first and
+/// cut those the incumbent already beats; under a complete tiling, score
+/// the P4 leaves.
 fn descend(ctx: &PairCtx, node: Partial, walk: &mut Walk) {
-    if let Some(tiling) = node.complete() {
-        return score_leaves(ctx, node, tiling, walk);
-    }
     // This node's children go on top of the frontier; every descent below
     // one of them pushes above them and truncates back before returning.
+    // Each keeps its bound's non-LUT part, which its class gates reuse
+    // once the tiling is complete.
     let first = walk.frontier.len();
     let frontier = &mut walk.frontier;
     node.children(&walk.menus, ctx.w, (ctx.n_stile, ctx.f_stile), |child| {
-        frontier.push((ctx.bound(child), child));
+        let (non_lut_lb, lut_lb) = ctx.bound_parts(child);
+        frontier.push((non_lut_lb + lut_lb, (non_lut_lb, child)));
     });
     let last = walk.frontier.len();
     sort_children(&mut walk.frontier[first..]);
     for i in first..last {
-        let (lb, child) = walk.frontier[i];
+        let (lb, (non_lut_lb, child)) = walk.frontier[i];
         if prunes(lb, walk.incumbent.bar) || ctx.overflows_wram(child) {
             walk.pruned_subtrees += 1;
             continue;
         }
-        descend(ctx, child, walk);
+        match child.complete() {
+            Some(tiling) => score_leaves(ctx, non_lut_lb, tiling, walk),
+            None => descend(ctx, child, walk),
+        }
     }
     walk.frontier.truncate(first);
 }
@@ -501,9 +518,16 @@ impl LeafFloors {
 
 /// Scores the load-scheme leaves under a complete tiling, class by class:
 /// the tiling is priced once, each leaf by its LUT stream alone, each
-/// coarse chunk size once, and a leaf its floor puts over the bar not at
-/// all.
-fn score_leaves(ctx: &PairCtx, node: Partial, tiling @ (_, f_m, cb_m, _): Tiling, walk: &mut Walk) {
+/// coarse chunk size once, a leaf its floor puts over the bar not at all,
+/// and the multi-chunk coarse leaves, when their floor is over the bar on
+/// entry to the class, not one by one. `non_lut_lb` is the non-LUT part of
+/// the tiling's node bound.
+fn score_leaves(
+    ctx: &PairCtx,
+    non_lut_lb: f64,
+    tiling @ (_, f_m, cb_m, _): Tiling,
+    walk: &mut Walk,
+) {
     // Two tiers. The class gate (the node bound with each class's own LUT
     // bound swapped in, against the incumbent on entry) cuts a whole class
     // as a subtree, so it is part of the visit order and of
@@ -511,7 +535,6 @@ fn score_leaves(ctx: &PairCtx, node: Partial, tiling @ (_, f_m, cb_m, _): Tiling
     // volume, against the bar of the moment) only decide whether a leaf
     // of a class let through is priced or counted.
     let on_entry = walk.incumbent.bar;
-    let (non_lut_lb, _) = ctx.bound_parts(node);
     let pair = (ctx.n_stile, ctx.f_stile);
     let price = TilingPrice::new(ctx.platform, ctx.w, pair, tiling);
     let floors = LeafFloors::new(ctx, &price, tiling);
@@ -520,38 +543,10 @@ fn score_leaves(ctx: &PairCtx, node: Partial, tiling @ (_, f_m, cb_m, _): Tiling
         chunks,
         incumbent,
         pruned_subtrees,
-        priced,
+        leaves,
         ..
     } = walk;
-    // A leaf that cannot beat the bar is counted as offered, and as scored
-    // if it fits, without a price: `offer` would have dropped it. Two kinds
-    // are known not to: a leaf whose floor is over the bar, and a
-    // multi-chunk coarse leaf whose chunk size `cb_load·f_load` was already
-    // priced under this tiling (its LUT stream, WRAM fit and so its whole
-    // price depend on that size alone, so it prices to the same bits). The
-    // single-chunk leaf, whose stream depends on the traversal, is the only
-    // leaf of its size.
     chunks.clear();
-    let mut score = |scheme| {
-        if prunes(floors.of(scheme, tiling), incumbent.bar) {
-            return incumbent.count_tie(price.fits(scheme));
-        }
-        let size = match scheme {
-            LoadScheme::CoarseGrain { cb_load, f_load } => Some(cb_load * f_load),
-            _ => None,
-        };
-        if let Some(size) = size {
-            if let Some(&(_, fits)) = chunks.iter().find(|&&(seen, _)| seen == size) {
-                return incumbent.count_tie(fits);
-            }
-        }
-        let leaf = price.leaf(scheme);
-        *priced += usize::from(leaf.is_some());
-        if let Some(size) = size {
-            chunks.push((size, leaf.is_some()));
-        }
-        incumbent.offer(mapping_of(pair.0, pair.1, kernel_of(tiling, scheme)), leaf);
-    };
     for class in SchemeClass::ALL {
         // Static is a single leaf: scoring it costs no more than bounding it.
         let gated = !matches!(class, SchemeClass::Static);
@@ -559,16 +554,101 @@ fn score_leaves(ctx: &PairCtx, node: Partial, tiling @ (_, f_m, cb_m, _): Tiling
             *pruned_subtrees += 1;
             continue;
         }
+        // The bar only falls, so multi-chunk coarse leaves whose floor is
+        // over it on entry stay over it: each would be counted below, so
+        // they are counted at once. The single-chunk leaf `(CB_m, F_m)`,
+        // the last of the class, is still scored.
+        let ruled_out =
+            matches!(class, SchemeClass::Coarse) && prunes(floors.multi_chunk, incumbent.bar);
+        let single_offered = ruled_out && count_multi_chunk(ctx, menus, &price, tiling, incumbent);
+        // A leaf that cannot beat the bar is counted as offered, and as
+        // scored if it fits, without a price: `offer` would have dropped
+        // it. Two kinds are known not to: a leaf whose floor is over the
+        // bar, and a multi-chunk coarse leaf whose chunk size
+        // `cb_load·f_load` was already priced under this tiling (its LUT
+        // stream, WRAM fit and so its whole price depend on that size
+        // alone, so it prices to the same bits). The single-chunk leaf,
+        // whose stream depends on the traversal, is the only leaf of its
+        // size.
+        let mut score = |scheme| {
+            leaves.walked += 1;
+            if prunes(floors.of(scheme, tiling), incumbent.bar) {
+                return incumbent.count(1, usize::from(price.fits(scheme)));
+            }
+            let size = match scheme {
+                LoadScheme::CoarseGrain { cb_load, f_load } => Some(cb_load * f_load),
+                _ => None,
+            };
+            if let Some(size) = size {
+                if let Some(&(_, fits)) = chunks.iter().find(|&&(seen, _)| seen == size) {
+                    return incumbent.count(1, usize::from(fits));
+                }
+            }
+            let leaf = price.leaf(scheme);
+            leaves.priced += usize::from(leaf.is_some());
+            if let Some(size) = size {
+                chunks.push((size, leaf.is_some()));
+            }
+            incumbent.offer(mapping_of(pair.0, pair.1, kernel_of(tiling, scheme)), leaf);
+        };
+        if single_offered {
+            score(LoadScheme::CoarseGrain {
+                cb_load: cb_m,
+                f_load: f_m,
+            });
+        } else if !ruled_out {
+            leaf_schemes(
+                class,
+                menus,
+                ctx.w,
+                ctx.platform,
+                ctx.f_stile,
+                tiling,
+                &mut score,
+            );
+        }
+    }
+}
+
+/// Counts, without walking them, the multi-chunk coarse leaves under
+/// `tiling` as [`leaf_schemes`] offers them (offered; scored if they fit
+/// beside the m-tiles), all known not to beat the bar. Returns whether the
+/// single-chunk leaf is offered too, for the caller to score. A debug
+/// build still walks the class, checks the counts against it and asks
+/// [`TilingPrice::fits`] about every leaf, so `fits`' own check against
+/// `Mapping::validate` sees each one.
+fn count_multi_chunk(
+    ctx: &PairCtx,
+    menus: &Menus,
+    price: &TilingPrice,
+    tiling @ (_, f_m, cb_m, _): Tiling,
+    incumbent: &mut Incumbent,
+) -> bool {
+    let room = price.lut_room();
+    let (offered, fits) = coarse_leaf_counts(menus, ctx.w, ctx.platform, tiling, room);
+    if cfg!(debug_assertions) {
+        let mut walked = (0, 0);
         leaf_schemes(
-            class,
+            SchemeClass::Coarse,
             menus,
             ctx.w,
             ctx.platform,
             ctx.f_stile,
             tiling,
-            &mut score,
+            |scheme| {
+                walked.0 += 1;
+                walked.1 += usize::from(price.fits(scheme));
+            },
         );
+        debug_assert_eq!(walked, (offered, fits), "coarse leaves under {tiling:?}");
     }
+    let single = lut_tile_bytes(ctx.w, cb_m, f_m);
+    let single_offered = single <= ctx.platform.wram_bytes;
+    incumbent.count(
+        offered - usize::from(single_offered),
+        fits - usize::from(single <= room),
+    );
+    single_offered
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Enumeration of the mapping search space (P1–P4).
 
 use pimdl_sim::config::PlatformConfig;
-use pimdl_sim::cost::lut_buffer_bytes;
+use pimdl_sim::cost::{lut_buffer_bytes, lut_tile_bytes};
 use pimdl_sim::{LoadScheme, LutWorkload, Mapping, MicroKernel, TraversalOrder};
 
 use crate::{Result, TuneError};
@@ -238,6 +238,33 @@ pub(crate) fn leaf_schemes(
     }
 }
 
+/// The coarse-grain leaves [`leaf_schemes`] visits under a complete tiling
+/// of a `platform`, counted without visiting them: `(offered, fits)`, the
+/// chunks whose buffer fits the platform's WRAM, and of those, the ones
+/// whose buffer is at most `room` bytes. A chunk's buffer `cb_load·CT·f_load`
+/// grows with `f_load` along the ascending `F_m` menu, so each `cb_load`
+/// counts by binary search.
+pub(crate) fn coarse_leaf_counts(
+    menus: &Menus,
+    workload: &LutWorkload,
+    platform: &PlatformConfig,
+    (_, f_m, cb_m, _): Tiling,
+    room: usize,
+) -> (usize, usize) {
+    let f_loads = menus.of(f_m);
+    let mut counts = (0, 0);
+    for &cb_load in menus.of(cb_m) {
+        let offered = f_loads.partition_point(|&f_load| {
+            lut_tile_bytes(workload, cb_load, f_load) <= platform.wram_bytes
+        });
+        let fits = f_loads[..offered]
+            .partition_point(|&f_load| lut_tile_bytes(workload, cb_load, f_load) <= room);
+        counts.0 += offered;
+        counts.1 += fits;
+    }
+    counts
+}
+
 /// Micro-kernel candidates (**P2** + **P3** + **P4**) for a fixed sub-LUT
 /// partition: the search tree materialised depth-first in menu order. Only
 /// structurally legal kernels are returned; WRAM capacity is checked by
@@ -283,6 +310,7 @@ pub fn mapping_of(n_stile: usize, f_stile: usize, kernel: MicroKernel) -> Mappin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn platform(pes: usize) -> PlatformConfig {
         let mut p = PlatformConfig::upmem();
@@ -358,6 +386,91 @@ mod tests {
         assert!(kernels
             .iter()
             .all(|k| !matches!(k.load_scheme, LoadScheme::Static)));
+    }
+
+    /// [`coarse_leaf_counts`] against counting [`leaf_schemes`]' coarse
+    /// walk, on the menus of a `(1, cb, ct, f)` workload at m-tiles picked
+    /// from them, a WRAM at `wram_pct` % of the largest chunk, and rooms
+    /// from 0 to past the WRAM; at `ct` and at `CT = 512`.
+    fn coarse_counts_match_the_walk(
+        (cb, ct, f): (usize, usize, usize),
+        (cb_pick, f_pick): (usize, usize),
+        wram_pct: usize,
+    ) -> std::result::Result<(), TestCaseError> {
+        for ct in [ct, 512] {
+            let w = LutWorkload::new(1, cb, ct, f).unwrap();
+            let menus = Menus::new(&w, &[(1, f)]);
+            let (cbs, fs) = (menus.of(cb), menus.of(f));
+            let tiling = (
+                1,
+                fs[f_pick % fs.len()],
+                cbs[cb_pick % cbs.len()],
+                TraversalOrder::Nfc,
+            );
+            let mut p = platform(1);
+            p.wram_bytes = lut_tile_bytes(&w, tiling.2, tiling.1) * wram_pct / 100;
+            let wram = p.wram_bytes;
+            for room in [
+                0,
+                1,
+                wram / 2,
+                wram.saturating_sub(1),
+                wram,
+                wram + 1,
+                2 * wram + 7,
+            ] {
+                let mut walked = (0, 0);
+                leaf_schemes(SchemeClass::Coarse, &menus, &w, &p, f, tiling, |s| {
+                    walked.0 += 1;
+                    walked.1 += usize::from(lut_buffer_bytes(&w, f, s) <= room);
+                });
+                prop_assert_eq!(
+                    coarse_leaf_counts(&menus, &w, &p, tiling, room),
+                    walked,
+                    "{:?} under {:?}, {} B WRAM, {} B room",
+                    w,
+                    tiling,
+                    wram,
+                    room
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn coarse_leaf_counts_match_the_enumeration(
+            cb in 1usize..=1024,
+            ct in 1usize..=64,
+            f in 1usize..=3072,
+            cb_pick in 0usize..64,
+            f_pick in 0usize..64,
+            wram_pct in 0usize..=250,
+        ) {
+            coarse_counts_match_the_walk((cb, ct, f), (cb_pick, f_pick), wram_pct)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        /// [`coarse_leaf_counts_match_the_enumeration`] on 1,000 cases: the
+        /// long pass `scripts/check.sh` runs with `--ignored`.
+        #[test]
+        #[ignore = "long leaf-count pass: ~1,000 menus"]
+        fn coarse_leaf_counts_match_the_enumeration_wide(
+            cb in 1usize..=1024,
+            ct in 1usize..=64,
+            f in 1usize..=3072,
+            cb_pick in 0usize..64,
+            f_pick in 0usize..64,
+            wram_pct in 0usize..=250,
+        ) {
+            coarse_counts_match_the_walk((cb, ct, f), (cb_pick, f_pick), wram_pct)?;
+        }
     }
 
     #[test]

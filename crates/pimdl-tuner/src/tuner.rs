@@ -212,15 +212,16 @@ mod tests {
         // the five legal pairs, `frontier` are on the capacity ↔ latency
         // frontier, and its last point is the global winner. `priced`
         // counts the legal leaves the search priced rather than counted;
-        // before the leaf floors it was 52, 65 and 58.
+        // before the leaf floors it was 52, 65 and 58. `walked` counts the
+        // leaves visited one at a time: here every scored leaf.
         let p = platform(16);
-        for (shape, (n_s, f_s, cb_m), evaluated, pruned, priced, frontier) in [
-            ((64, 8, 16, 32), (16, 8, 8), 106, 19, 48, 3),
-            ((128, 16, 16, 64), (32, 16, 16), 161, 22, 60, 3),
-            ((64, 4, 64, 48), (32, 6, 4), 82, 19, 54, 2),
+        for (shape, (n_s, f_s, cb_m), evaluated, pruned, priced, walked, frontier) in [
+            ((64, 8, 16, 32), (16, 8, 8), 106, 19, 48, 106, 3),
+            ((128, 16, 16, 64), (32, 16, 16), 161, 22, 60, 161, 3),
+            ((64, 4, 64, 48), (32, 6, 4), 82, 19, 54, 82, 2),
         ] {
             let w = LutWorkload::new(shape.0, shape.1, shape.2, shape.3).unwrap();
-            let (out, leaves_priced) = crate::bnb::search_priced(&p, &w).unwrap();
+            let (out, leaves) = crate::bnb::search_priced(&p, &w).unwrap();
             // Every winner is the whole s-tile, N→F→CB, static LUT.
             let kernel = pimdl_sim::MicroKernel {
                 n_mtile: n_s,
@@ -231,8 +232,13 @@ mod tests {
             };
             assert_eq!(out.mapping, mapping_of(n_s, f_s, kernel), "{shape:?}");
             assert_eq!(
-                (out.evaluated, out.pruned_subtrees, leaves_priced),
-                (evaluated, pruned, priced),
+                (
+                    out.evaluated,
+                    out.pruned_subtrees,
+                    leaves.priced,
+                    leaves.walked
+                ),
+                (evaluated, pruned, priced, walked),
                 "{shape:?}"
             );
             assert_eq!(legal_pairs(&w, &p).unwrap().len(), 5, "{shape:?}");
@@ -240,6 +246,21 @@ mod tests {
             assert_eq!(points.len(), frontier, "{shape:?}");
             assert_eq!(points[frontier - 1].mapping, out.mapping, "{shape:?}");
         }
+        // At `tune_sim`'s size (BERT-base's FFN1, batch 64 × seq 512, the
+        // full UPMEM) most tilings' multi-chunk coarse leaves are over the
+        // bar on entry and counted in closed form: the search walks 2,411
+        // leaves one at a time, and walked all 41,493 before.
+        let w = LutWorkload::new(64 * 512, 768 / 4, 16, 3072).unwrap();
+        let (out, leaves) = crate::bnb::search_priced(&PlatformConfig::upmem(), &w).unwrap();
+        assert_eq!(
+            (
+                out.evaluated,
+                out.pruned_subtrees,
+                leaves.priced,
+                leaves.walked
+            ),
+            (40_844, 1_382, 524, 2_411)
+        );
     }
 
     #[test]

@@ -75,8 +75,10 @@ done
 
 # The tuner's long oracle pass: the #[ignore]d branch-and-bound against
 # exhaustive search on ~1,000 small mapping spaces, both row-constant arms,
-# CT up to 512 and WRAM down to 96 B, and the bounds' and leaf floors'
-# admissibility along random paths of ~1,000 more (~12 s in a debug build).
+# CT up to 512 and WRAM down to 96 B, the bounds' and leaf floors'
+# admissibility along random paths of ~1,000 more, and the closed-form
+# coarse leaf count against the enumeration on ~1,000 random menus (~13 s
+# in a debug build on two cores).
 echo "==> cargo test -p pimdl-tuner --offline (long oracle pass)"
 cargo test --offline -p pimdl-tuner --lib -- --ignored
 
