@@ -195,7 +195,7 @@ pub fn run_vs_runtime(
         v: 4,
         ct: 16,
     };
-    // Smaller than the DES-only default (64): the runtime prewarms its cost
+    // Smaller than the DES-only default (64): the runtime prices its cost
     // model for every batch size up to max_batch, and both sides must share
     // the policy for the comparison to mean anything.
     let policy = BatchingPolicy {

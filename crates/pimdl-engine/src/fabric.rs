@@ -17,12 +17,23 @@ use crate::Result;
 /// the ring stays trivially cheap to rebuild on membership change.
 pub const DEFAULT_VNODES: usize = 32;
 
+/// Largest `vnodes` a [`FabricConfig`] accepts: the supervisor hashes
+/// `num_shards × vnodes` ring points whenever it rebuilds the ring.
+pub const MAX_VNODES: usize = 1024;
+
+/// Largest shard count a serving configuration accepts, in-process or
+/// fabric: a shard is a worker thread under `pimdl-serve`'s line and HTTP
+/// front ends and a worker process under its fabric, and every shipped
+/// configuration runs at most 4.
+pub const MAX_SHARDS: usize = 64;
+
 /// Configuration of the multi-process shard fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FabricConfig {
-    /// Worker processes to place tables on. Must be >= 1.
+    /// Worker processes to place tables on, in `1..=MAX_SHARDS`.
     pub num_shards: usize,
-    /// Virtual nodes per shard on the consistent-hash ring. Must be >= 1.
+    /// Virtual nodes per shard on the consistent-hash ring, in
+    /// `1..=MAX_VNODES`.
     pub vnodes: usize,
     /// How long the supervisor waits for a worker's `Hello` (and for a
     /// `TableReady` after a `LoadTable`) before declaring it dead and
@@ -45,19 +56,20 @@ impl FabricConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Config`] if `num_shards` or `vnodes` is
-    /// zero, or `hello_timeout_s` is non-finite or non-positive (the
-    /// supervisor could never detect a silent worker).
+    /// Returns [`EngineError::Config`] if `num_shards` is outside
+    /// `1..=MAX_SHARDS` or `vnodes` outside `1..=MAX_VNODES`, or
+    /// `hello_timeout_s` is non-finite or non-positive (the supervisor
+    /// could never detect a silent worker).
     pub fn validate(&self) -> Result<()> {
-        if self.num_shards == 0 {
-            return Err(EngineError::Config {
-                detail: "fabric num_shards must be >= 1".to_string(),
-            });
-        }
-        if self.vnodes == 0 {
-            return Err(EngineError::Config {
-                detail: "fabric vnodes must be >= 1".to_string(),
-            });
+        for (name, value, max) in [
+            ("num_shards", self.num_shards, MAX_SHARDS),
+            ("vnodes", self.vnodes, MAX_VNODES),
+        ] {
+            if !(1..=max).contains(&value) {
+                return Err(EngineError::Config {
+                    detail: format!("fabric {name} must be in 1..={max}, got {value}"),
+                });
+            }
         }
         if !self.hello_timeout_s.is_finite() || self.hello_timeout_s <= 0.0 {
             return Err(EngineError::Config {
@@ -93,6 +105,14 @@ mod tests {
                 ..ok
             },
             FabricConfig { vnodes: 0, ..ok },
+            FabricConfig {
+                num_shards: MAX_SHARDS + 1,
+                ..ok
+            },
+            FabricConfig {
+                vnodes: MAX_VNODES + 1,
+                ..ok
+            },
             FabricConfig {
                 hello_timeout_s: 0.0,
                 ..ok

@@ -2,7 +2,8 @@
 //! a toy; these prove it still resolves the workspace's *real* types:
 //! each case reads a real source file, checks it lints clean under the
 //! default configuration, then seeds one bug that names real items
-//! (`ThreadedExecutor::{done, error, inflight}`, `fabric::Cursor`) and
+//! (`ReactorStats::polls`, `PipeWakeSink::pending`, `SimHandle::state`,
+//! `fabric::Cursor`) and
 //! asserts exactly the expected code fires on the seeded lines. A
 //! refactor of the resolver or the dataflow walker that silently stops
 //! seeing those items fails here, not in production.
@@ -14,7 +15,6 @@ use pimdl_lint::diag::Report;
 use pimdl_lint::model::SourceFile;
 use pimdl_lint::{run_lints, LintConfig};
 
-const SERVER: &str = "crates/pimdl-serve/src/server.rs";
 const FABRIC: &str = "crates/pimdl-serve/src/fabric.rs";
 const REACTOR: &str = "crates/pimdl-serve/src/reactor.rs";
 const CONN: &str = "crates/pimdl-serve/src/conn.rs";
@@ -43,23 +43,21 @@ const CASES: [Case; 6] = [
         names: &[".unwrap() in fn seeded"],
     },
     Case {
-        file: SERVER,
-        append: "impl ThreadedExecutor {\n    fn seeded(&self) -> usize { \
-                 self.inflight.load(Ordering::Relaxed) }\n}\n",
+        file: REACTOR,
+        append: "impl ReactorStats {\n    \
+                 fn seeded_publish(&self) { self.polls.store(1, Ordering::Release); }\n    \
+                 fn seeded_read(&self) -> u64 { self.polls.load(Ordering::Relaxed) }\n}\n",
         code: "L3-ATOMIC",
-        names: &["`ThreadedExecutor::inflight`", "AcqRel"],
+        names: &["`ReactorStats::polls`", "Release by `store`"],
     },
     Case {
-        file: SERVER,
-        append: "impl ThreadedExecutor {\n    \
-                 fn seeded_a(&self) { let d = self.done.lock(); let e = self.error.lock(); }\n    \
-                 fn seeded_b(&self) { let e = self.error.lock(); let d = self.done.lock(); }\n}\n",
+        file: REACTOR,
+        append: "fn seeded_a(p: &PipeWakeSink, h: &SimHandle) \
+                 { let a = p.pending.lock(); let b = h.state.lock(); }\n\
+                 fn seeded_b(p: &PipeWakeSink, h: &SimHandle) \
+                 { let b = h.state.lock(); let a = p.pending.lock(); }\n",
         code: "L4-LOCK-ORDER",
-        names: &[
-            "ThreadedExecutor::done",
-            "ThreadedExecutor::error",
-            "fn seeded_a",
-        ],
+        names: &["PipeWakeSink::pending", "SimHandle::state", "fn seeded_a"],
     },
     Case {
         file: FABRIC,

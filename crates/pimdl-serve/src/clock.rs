@@ -28,7 +28,7 @@ pub trait Clock: Send + Sync + std::fmt::Debug {
 /// With `speedup = 1.0` simulated and real seconds coincide; tests use
 /// large speedups so cost-model service times in the milliseconds range
 /// run in microseconds of wall time.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct RealClock {
     origin: Instant,
     speedup: f64,

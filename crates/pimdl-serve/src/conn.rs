@@ -15,23 +15,24 @@
 //! * [`drive`] is the loop contract: quiescence only on a scripted
 //!   source, re-park on a spurious empty batch, `WAKE_SHUTDOWN` →
 //!   `stop_accepting` → drain, spurious-wake accounting, and the exit-time
-//!   re-drain. The protocols plug in through [`Front`].
-//! * [`spawn_reactor`] builds the epoll poller, clock and metrics of a
-//!   network front end and runs a loop on a dedicated thread.
+//!   re-step. The protocols plug in through [`Front`].
+//! * [`spawn_reactor`] builds the epoll poller, clock, metrics and
+//!   completion waker of a network front end and runs a loop on a
+//!   dedicated thread.
 
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::sync::Arc;
 
-use crate::clock::{Clock, RealClock};
+use crate::clock::RealClock;
 use crate::error::ServeError;
 use crate::fabric::MAX_FRAME_PAYLOAD;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::reactor::{
-    EpollPoller, EventSource, IoEvent, ReadResult, Token, WAKE_COMPLETION, WAKE_SHUTDOWN,
+    EpollPoller, EventSource, IoEvent, ReadResult, Token, Waker, WAKE_COMPLETION, WAKE_SHUTDOWN,
 };
 use crate::runtime::Runtime;
-use crate::server::{ServeHandle, ThreadedExecutor};
+use crate::server::ServeHandle;
 use crate::Result;
 
 /// Cap on one connection's unsent output. A peer that stops reading is
@@ -254,7 +255,7 @@ impl<'s, S: ConnState> Conns<'s, S> {
 // ---------------------------------------------------------------------------
 
 /// What a protocol front end plugs into [`drive`]. `B` is whatever
-/// executes its batches (a [`crate::BatchExecutor`] or a
+/// executes its batches (in-process [`crate::Shards`] or a
 /// [`crate::FabricShardEngine`]).
 pub(crate) trait Front<B: ?Sized> {
     /// The protocol's per-connection state.
@@ -360,11 +361,14 @@ pub(crate) fn drive<B: ?Sized, F: Front<B>>(
         }
         if (conns.draining || quiescent)
             && front.idle(backend)
-            // A backend publishes a completion *before* it stops counting
-            // the batch in flight, so one can land between `step` and the
-            // `idle` check. Step once more; if anything surfaced, its
-            // responses were just queued — go round again instead of
-            // exiting with them unwritten.
+            // `idle` is the front's own count of queued and in-flight work,
+            // and a step can leave work behind that the count does not
+            // cover: a fabric supervisor deadline that passed while the
+            // step ran, or a simulated fabric reply that the step's own
+            // sends made due at once. (In-process shards leave nothing: a
+            // batch is in flight until the loop drains its completion.)
+            // Step once more; if anything moved, go round again instead of
+            // exiting with it unserved.
             && !front.step(&mut conns, backend)?
         {
             front.exit(&mut conns, backend);
@@ -381,30 +385,28 @@ pub(crate) fn drive<B: ?Sized, F: Front<B>>(
 #[derive(Debug)]
 pub(crate) struct Reactor {
     pub(crate) poller: EpollPoller,
-    pub(crate) clock: Arc<dyn Clock>,
+    pub(crate) clock: Arc<RealClock>,
     pub(crate) metrics: Arc<Metrics>,
-    /// One worker thread per in-process shard, completing onto `poller`.
-    pub(crate) executor: ThreadedExecutor,
+    /// `poller`'s [`WAKE_COMPLETION`] waker, for in-process shard threads.
+    pub(crate) completion: Waker,
 }
 
 /// Serves `listener` from a dedicated thread named `name`: an
 /// [`EpollPoller`] owns the listener and every accepted connection, the
-/// clock compresses simulated seconds by `speedup`, `workers` shard
-/// threads stand by (none for the fabric, whose shards are processes),
-/// and `body` runs a server loop to completion. The handle's shutdown
-/// returns the run's metrics with the reactor's stats attached.
+/// clock compresses simulated seconds by `speedup`, and `body` runs a
+/// server loop to completion. The handle's shutdown returns the run's
+/// metrics with the reactor's stats attached.
 ///
 /// # Errors
 ///
 /// Poller construction, listener registration, or thread spawn failures
-/// (clock validation, `body`'s own errors and shard execution errors
+/// (clock validation and `body`'s own errors, execution errors among them,
 /// surface at shutdown).
 pub(crate) fn spawn_reactor<F>(
     rt: &Arc<Runtime>,
     name: &str,
     listener: TcpListener,
     speedup: f64,
-    workers: usize,
     body: F,
 ) -> Result<ServeHandle>
 where
@@ -421,24 +423,13 @@ where
     let join = std::thread::Builder::new()
         .name(name.to_string())
         .spawn(move || -> Result<MetricsSnapshot> {
-            let clock = Arc::new(RealClock::accelerated(speedup)?);
-            let metrics = Arc::new(Metrics::new(rt.config().policy.max_batch));
-            let executor = ThreadedExecutor::new(
-                Arc::clone(&clock),
-                Arc::clone(&metrics),
-                completion,
-                workers,
-            );
             let mut reactor = Reactor {
                 poller,
-                clock,
-                metrics,
-                executor,
+                clock: Arc::new(RealClock::accelerated(speedup)?),
+                metrics: Arc::new(Metrics::new(rt.config().policy.max_batch)),
+                completion,
             };
-            let run = body(&rt, &mut reactor);
-            let stop = reactor.executor.shutdown();
-            run?;
-            stop?;
+            body(&rt, &mut reactor)?;
             let stats = reactor.poller.stats().snapshot();
             Ok(reactor.metrics.snapshot_with_reactor(stats))
         })

@@ -1607,7 +1607,7 @@ impl Runtime {
                 .with_ready_flag(ready_flag)
                 .run(&mut r.poller, &mut ProcessShardEngine)
         };
-        match conn::spawn_reactor(self, "pimdl-serve-fabric", listener, speedup, 0, run) {
+        match conn::spawn_reactor(self, "pimdl-serve-fabric", listener, speedup, run) {
             Ok(reactor) => Ok(FabricHandle {
                 reactor,
                 children: Mutex::new(children),

@@ -11,15 +11,18 @@
 //! * **Continuous batching** ([`batcher`]) — the engine scheduler's
 //!   [`pimdl_engine::scheduler::BatchingPolicy`] semantics (flush at
 //!   `max_batch`, or when the oldest request has waited `max_wait_s`) as a
-//!   pure state machine. Queue, batcher and router are composed once (the
+//!   pure state machine. Queue and batcher are composed once (the
 //!   shed → refill → flush → dispatch step in [`server`]) and driven by a
-//!   socket, by real threads, or by a deterministic virtual clock
-//!   ([`clock`]).
+//!   socket or by a deterministic virtual clock ([`clock`]).
 //! * **DIMM sharding** ([`shard`]) — model replicas across groups of
 //!   simulated PIM DIMMs; batches route to the least-loaded shard, service
-//!   times come from the engine's end-to-end cost model, and results come
-//!   from `pimdl_sim`'s functional LUT execution, verified against a host
-//!   reference checksum carried by every request.
+//!   times come from a table priced once by the engine's end-to-end cost
+//!   model, and results come from `pimdl_sim`'s functional LUT execution,
+//!   verified against a host reference checksum carried by every request.
+//!   [`Shards`] is the serving loop's book of its in-process shards; it
+//!   runs each batch inline on the virtual clock, or on the shard's own
+//!   worker thread, which shares nothing with the loop but its channels
+//!   and the completion waker.
 //! * **Metrics** ([`metrics`]) — lock-free counters and fixed-bucket
 //!   histograms (latency p50/p95/p99, batch-size distribution, peak queue
 //!   depth, shed counts), snapshotted at shutdown.
@@ -89,11 +92,8 @@ pub use reactor::{
 pub use registry::{AdmitRefusal, FairBatcher, ModelRegistry, TaggedJob};
 pub use request::{Outcome, Request, RequestRecord};
 pub use runtime::{OpenLoop, Runtime, ServeConfig, ServeReport};
-pub use server::{
-    BatchExecutor, HttpConfig, HttpServerLoop, ServeHandle, ServerLoop, SimExecutor,
-    ThreadedExecutor,
-};
-pub use shard::{DispatchTicket, ReplicaModel, ServiceModel, ShardManager};
+pub use server::{HttpConfig, HttpServerLoop, ServeHandle, ServerLoop};
+pub use shard::{DispatchTicket, ReplicaModel, ServiceModel, ShardManager, Shards};
 pub use supervisor::{HashRing, LoadOrder, ShardState, Supervisor, TableState};
 
 /// Crate-wide result alias.

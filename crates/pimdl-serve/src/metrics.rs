@@ -181,10 +181,9 @@ impl Metrics {
         self.batch_size.record(size as f64);
     }
 
-    /// One shard worker woke to process a batch. A reactor-parked runtime
-    /// wakes a shard exactly once per dispatched batch, so
-    /// `shard_wakeups == batches` is the no-spurious-wakeups invariant the
-    /// pipeline tests pin.
+    /// One shard was handed a batch, which wakes it exactly once: the
+    /// serving loop books this at dispatch, so `shard_wakeups == batches`
+    /// is the no-spurious-wakeups invariant the pipeline tests pin.
     pub fn record_shard_wakeup(&self) {
         self.shard_wakeups.fetch_add(1, Ordering::Relaxed);
     }

@@ -5,15 +5,15 @@
 //! in `conn::drive`. [`Runtime::run_virtual`] is that loop under a front
 //! with no connections: a [`crate::reactor::SimPoller`] scripted with one
 //! `WAKE_ARRIVAL` per pre-generated arrival, a
-//! [`crate::clock::VirtualClock`] only the poller advances, and a
-//! [`SimExecutor`] scheduling completions on the same script; terminal
-//! outcomes go into the ledger. One thread, no sleeps, bit-for-bit
+//! [`crate::clock::VirtualClock`] only the poller advances, and
+//! [`Shards::simulated`] scheduling completions on the same script;
+//! terminal outcomes go into the ledger. One thread, no sleeps, bit-for-bit
 //! deterministic per seed; this is what the latency/batching assertions
 //! test, and it sheds, flushes and wakes by the rules every server does.
 //!
 //! The line-protocol front end ([`Runtime::serve`]) runs the same pipeline
 //! with arrivals off a socket and outcomes encoded as reply lines, on real
-//! shard worker threads ([`crate::ThreadedExecutor`]); the HTTP and fabric
+//! shard worker threads ([`Shards::threaded`]); the HTTP and fabric
 //! front ends ([`Runtime::serve_http`], [`Runtime::serve_fabric`]) batch
 //! per model and per process, on the same connection core.
 //!
@@ -39,14 +39,11 @@ use crate::error::ServeError;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::reactor::{EventSource, SimPoller, Token, WAKE_ARRIVAL};
 use crate::request::{Outcome, Request, RequestRecord};
-use crate::server::{BatchExecutor, LinePipeline, SimExecutor};
-use crate::shard::{ReplicaModel, ServiceModel};
+use crate::server::LinePipeline;
+use crate::shard::{ReplicaModel, ServiceModel, Shards};
 use crate::Result;
 
-/// Largest `num_shards` a [`ServeConfig`] accepts: each shard is a worker
-/// thread under [`Runtime::serve`], and every shipped configuration runs at
-/// most 4.
-pub const MAX_SHARDS: usize = 64;
+pub use pimdl_engine::fabric::MAX_SHARDS;
 
 /// Static configuration of a serving runtime.
 #[derive(Debug, Clone, Copy)]
@@ -252,8 +249,8 @@ fn record(req: &Request, outcome: Outcome) -> RequestRecord {
 /// connections, arrivals from the pre-generated list, terminal outcomes
 /// into the ledger.
 #[derive(Debug)]
-struct LedgerFront<'a> {
-    pipeline: LinePipeline<'a>,
+struct LedgerFront {
+    pipeline: LinePipeline,
     clock: Arc<VirtualClock>,
     metrics: Arc<Metrics>,
     /// The requests in arrival order; one is released once the clock has
@@ -269,11 +266,11 @@ impl ConnState for () {
     fn feed(&mut self, _bytes: &[u8]) {}
 }
 
-impl<'e> Front<dyn BatchExecutor + 'e> for LedgerFront<'_> {
+impl<'s> Front<Shards<'s>> for LedgerFront {
     type Conn = ();
 
-    fn next_timeout(&self, executor: &(dyn BatchExecutor + 'e)) -> Option<f64> {
-        self.pipeline.next_timeout(self.clock.now(), executor)
+    fn next_timeout(&self, shards: &Shards<'s>) -> Option<f64> {
+        self.pipeline.next_timeout(self.clock.now(), shards)
     }
 
     fn accept(&self) {}
@@ -281,7 +278,7 @@ impl<'e> Front<dyn BatchExecutor + 'e> for LedgerFront<'_> {
     fn readable(
         &mut self,
         _conns: &mut Conns<'_, ()>,
-        _executor: &mut (dyn BatchExecutor + 'e),
+        _shards: &mut Shards<'s>,
         _t: Token,
         _eof: bool,
     ) -> Result<()> {
@@ -290,14 +287,10 @@ impl<'e> Front<dyn BatchExecutor + 'e> for LedgerFront<'_> {
 
     /// Books what the shards finished, admits what has arrived since the
     /// last step, and pumps.
-    fn step(
-        &mut self,
-        conns: &mut Conns<'_, ()>,
-        executor: &mut (dyn BatchExecutor + 'e),
-    ) -> Result<bool> {
+    fn step(&mut self, conns: &mut Conns<'_, ()>, shards: &mut Shards<'s>) -> Result<bool> {
         let records = &mut self.records;
         let mut sink = |req: Request, outcome: Outcome| records.push(record(&req, outcome));
-        let mut progress = self.pipeline.deliver(executor, &mut sink);
+        let mut progress = self.pipeline.deliver(shards, &mut sink)?;
         let now = self.clock.now();
         while let Some(req) = self.arrivals.next_if(|r| r.arrival_s <= now) {
             progress = true;
@@ -306,21 +299,19 @@ impl<'e> Front<dyn BatchExecutor + 'e> for LedgerFront<'_> {
                 sink(back, Outcome::Rejected { at_s: now });
             }
         }
-        progress |= self
-            .pipeline
-            .pump(now, conns.draining, executor, &mut sink)?;
+        progress |= self.pipeline.pump(now, conns.draining, shards, &mut sink)?;
         Ok(progress)
     }
 
-    fn idle(&self, executor: &(dyn BatchExecutor + 'e)) -> bool {
-        self.pipeline.idle(executor)
+    fn idle(&self, shards: &Shards<'s>) -> bool {
+        self.pipeline.idle(shards)
     }
 }
 
 impl Runtime {
-    /// Builds a runtime: tunes the replica's mapping, validates the
-    /// configuration, and pre-warms the cost model for every batch size up
-    /// to `max_batch` (so the serving hot path never runs the tuner).
+    /// Builds a runtime: validates the configuration, tunes the replica's
+    /// mapping, and prices every batch size up to `max_batch` into the
+    /// service table (so the serving hot path never runs the tuner).
     ///
     /// # Errors
     ///
@@ -333,8 +324,7 @@ impl Runtime {
         cfg.validate()?;
         let engine = PimDlEngine::new(platform);
         let replica = Arc::new(ReplicaModel::build(&engine, cfg.lut, cfg.table_seed)?);
-        let service = ServiceModel::new(engine, shape, cfg.base)?;
-        service.prewarm(cfg.policy.max_batch)?;
+        let service = ServiceModel::new(engine, shape, cfg.base, cfg.policy.max_batch)?;
         Ok(Runtime {
             cfg,
             service,
@@ -359,8 +349,8 @@ impl Runtime {
         &self.replica
     }
 
-    /// The replica behind its shared handle (what the executors and the
-    /// model registry hold).
+    /// The replica behind its shared handle (what the line front end's
+    /// batches and the model registry hold).
     pub fn replica_arc(&self) -> Arc<ReplicaModel> {
         Arc::clone(&self.replica)
     }
@@ -427,12 +417,7 @@ impl Runtime {
             })
             .collect::<Result<_>>()?;
 
-        let mut executor = SimExecutor::new(
-            Arc::clone(&clock),
-            sim,
-            Arc::clone(&metrics),
-            self.cfg.num_shards,
-        );
+        let mut shards = Shards::simulated(self, Arc::clone(&clock), sim)?;
         let mut front = LedgerFront {
             pipeline: LinePipeline::new(self, Arc::clone(&metrics))?,
             clock,
@@ -440,7 +425,7 @@ impl Runtime {
             arrivals: requests.into_iter().peekable(),
             records: Vec::new(),
         };
-        conn::drive(&mut poller, &mut front, &mut executor)?;
+        conn::drive(&mut poller, &mut front, &mut shards)?;
         Ok(ServeReport {
             records: front.records,
             metrics: metrics.snapshot_with_reactor(poller.stats().snapshot()),

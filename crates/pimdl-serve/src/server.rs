@@ -3,20 +3,20 @@
 //!
 //! Each is a codec plus its admission and batching state — accepted
 //! connections feed the `LinePipeline` ([`AdmissionQueue`] →
-//! [`ContinuousBatcher`] → [`ShardManager`] routing; also what
+//! [`ContinuousBatcher`] → [`Shards`]; also what
 //! [`Runtime::run_virtual`] runs) or, for
-//! HTTP, the [`FairBatcher`] over a [`ModelRegistry`] → the same routing →
-//! a [`BatchExecutor`]. The event loop, the transport path and
+//! HTTP, the [`FairBatcher`] over a [`ModelRegistry`] → the same
+//! [`Shards`]. The event loop, the transport path and
 //! the reactor-thread spawner are `conn.rs`'s, written once against
 //! [`EventSource`], so the identical byte-for-byte pipeline runs under:
 //!
-//! * [`crate::EpollPoller`] + [`ThreadedExecutor`] — real sockets, real
-//!   shard worker threads ([`Runtime::serve`] / [`Runtime::serve_http`]
+//! * [`crate::EpollPoller`] + [`Shards::threaded`] — real sockets, one
+//!   worker thread per shard ([`Runtime::serve`] / [`Runtime::serve_http`]
 //!   wire this up and return a [`ServeHandle`]);
-//! * [`crate::reactor::SimPoller`] + [`SimExecutor`] — scripted
+//! * [`crate::reactor::SimPoller`] + [`Shards::simulated`] — scripted
 //!   connections (or, under [`Runtime::run_virtual`], scripted arrivals)
-//!   and inline execution on a [`VirtualClock`] the poller advances from
-//!   one scripted instant or timeout to the next.
+//!   and inline execution on a [`crate::VirtualClock`] the poller advances
+//!   from one scripted instant or timeout to the next.
 //!
 //! Idle costs nothing: with no pending work the loop's wait has no
 //! timeout, so it burns zero wakeups until a socket, a shard completion,
@@ -24,389 +24,29 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 
 use crate::admission::AdmissionQueue;
 use crate::batcher::ContinuousBatcher;
-use crate::clock::{Clock, RealClock, VirtualClock};
+use crate::clock::Clock;
 use crate::codec::{self, ErrorKind, LineBuffer};
 use crate::conn::{self, ConnState, Conns, Front, Reactor, WakeAt};
 use crate::error::ServeError;
 use crate::http::{self, HttpLimits, HttpParser, HttpRequest, Route};
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::reactor::{EventSource, SimHandle, Token, Waker, WAKE_COMPLETION};
+use crate::reactor::{EventSource, Token, Waker};
 use crate::registry::{AdmitRefusal, FairBatcher, ModelRegistry, TaggedJob};
 use crate::request::{Outcome, Request};
 use crate::runtime::{Runtime, ServeConfig};
-use crate::shard::{ReplicaModel, ServiceModel, ShardManager};
+use crate::shard::{ReplicaModel, Shards};
 use crate::Result;
 use pimdl_engine::scheduler::TenantQuota;
-
-/// One finished batch, as reported by a [`BatchExecutor`].
-#[derive(Debug)]
-pub struct BatchDone {
-    /// Shard that executed the batch.
-    pub shard: usize,
-    /// Completion time (simulated seconds).
-    pub finish_s: f64,
-    /// The batch's requests paired with their functional-correctness
-    /// flags, in dispatch order.
-    pub results: Vec<(Request, bool)>,
-}
-
-/// Executes dispatched batches on shard replicas.
-///
-/// The serving loop owns routing (which shard, what service time); the
-/// executor owns *how* the batch runs — on real worker threads
-/// ([`ThreadedExecutor`]) or inline with a scheduled virtual completion
-/// ([`SimExecutor`]).
-pub trait BatchExecutor: std::fmt::Debug {
-    /// Hands a batch to `shard` with the cost model's `service_s`,
-    /// executing against `model`'s table (the registry's resident model
-    /// for the batch, or the runtime's single replica for the legacy line
-    /// protocol). The shard must be free (see
-    /// [`BatchExecutor::free_shards`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the shard's worker is gone or execution fails fatally.
-    fn submit(
-        &mut self,
-        shard: usize,
-        service_s: f64,
-        model: &Arc<ReplicaModel>,
-        batch: Vec<Request>,
-    ) -> Result<()>;
-
-    /// Takes every batch that has completed, sorted by
-    /// `(finish_s, shard)` so downstream bookkeeping is deterministic.
-    fn drain(&mut self) -> Vec<BatchDone>;
-
-    /// Per-shard availability (`true` = can take a batch now).
-    fn free_shards(&self) -> Vec<bool>;
-
-    /// Batches submitted but not yet drained.
-    fn in_flight(&self) -> usize;
-}
-
-fn sort_done(done: &mut [BatchDone]) {
-    done.sort_by(|a, b| {
-        a.finish_s
-            .total_cmp(&b.finish_s)
-            .then(a.shard.cmp(&b.shard))
-    });
-}
-
-// ---------------------------------------------------------------------------
-// SimExecutor
-// ---------------------------------------------------------------------------
-
-/// Deterministic executor for the simulated transport: batches execute
-/// functionally at submit time, completion is scheduled on the
-/// [`crate::reactor::SimPoller`] script at `now + service_s`, and
-/// [`BatchExecutor::drain`] releases results once the virtual clock
-/// reaches them.
-#[derive(Debug)]
-pub struct SimExecutor {
-    clock: Arc<VirtualClock>,
-    /// Where completion wakes are scheduled.
-    sim: SimHandle,
-    metrics: Arc<Metrics>,
-    pending: Vec<BatchDone>,
-    busy: Vec<bool>,
-}
-
-impl SimExecutor {
-    /// An executor over `num_shards` simulated shards, scheduling
-    /// completion wakes through `sim`.
-    pub fn new(
-        clock: Arc<VirtualClock>,
-        sim: SimHandle,
-        metrics: Arc<Metrics>,
-        num_shards: usize,
-    ) -> Self {
-        SimExecutor {
-            clock,
-            sim,
-            metrics,
-            pending: Vec::new(),
-            busy: vec![false; num_shards],
-        }
-    }
-}
-
-impl BatchExecutor for SimExecutor {
-    fn submit(
-        &mut self,
-        shard: usize,
-        service_s: f64,
-        model: &Arc<ReplicaModel>,
-        batch: Vec<Request>,
-    ) -> Result<()> {
-        debug_assert!(!self.busy[shard], "submit to a busy shard");
-        self.busy[shard] = true;
-        self.metrics.record_shard_wakeup();
-        let flags = model.execute_batch(&batch)?;
-        let finish_s = self.clock.now() + service_s;
-        self.pending.push(BatchDone {
-            shard,
-            finish_s,
-            results: batch.into_iter().zip(flags).collect(),
-        });
-        self.sim.wake_at(finish_s, WAKE_COMPLETION);
-        Ok(())
-    }
-
-    fn drain(&mut self) -> Vec<BatchDone> {
-        let now = self.clock.now();
-        let mut done = Vec::new();
-        let mut still = Vec::new();
-        for b in self.pending.drain(..) {
-            if b.finish_s <= now {
-                self.busy[b.shard] = false;
-                done.push(b);
-            } else {
-                still.push(b);
-            }
-        }
-        self.pending = still;
-        sort_done(&mut done);
-        done
-    }
-
-    fn free_shards(&self) -> Vec<bool> {
-        self.busy.iter().map(|&b| !b).collect()
-    }
-
-    fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ThreadedExecutor
-// ---------------------------------------------------------------------------
-
-struct WorkMsg {
-    service_s: f64,
-    model: Arc<ReplicaModel>,
-    batch: Vec<Request>,
-}
-
-/// Real shard workers: one thread per shard, each parked on a depth-1
-/// channel. A worker wakes exactly once per dispatched batch, executes it
-/// functionally, sleeps out the cost-model service time on the
-/// accelerated clock, and fires the serving loop's completion wake token.
-#[derive(Debug)]
-pub struct ThreadedExecutor {
-    txs: Vec<mpsc::SyncSender<WorkMsg>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    busy: Arc<Vec<AtomicBool>>,
-    inflight: Arc<AtomicUsize>,
-    done: Arc<Mutex<Vec<BatchDone>>>,
-    error: Arc<Mutex<Option<ServeError>>>,
-}
-
-impl std::fmt::Debug for WorkMsg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkMsg")
-            .field("service_s", &self.service_s)
-            .field("batch", &self.batch.len())
-            .finish()
-    }
-}
-
-impl ThreadedExecutor {
-    /// Spawns one worker per shard. `completion` is the serving loop's
-    /// [`WAKE_COMPLETION`] waker. Each dispatched batch carries the model
-    /// it executes against, so one worker pool serves every registered
-    /// model.
-    pub fn new(
-        clock: Arc<RealClock>,
-        metrics: Arc<Metrics>,
-        completion: Waker,
-        num_shards: usize,
-    ) -> Self {
-        let busy: Arc<Vec<AtomicBool>> =
-            Arc::new((0..num_shards).map(|_| AtomicBool::new(false)).collect());
-        let inflight = Arc::new(AtomicUsize::new(0));
-        let done: Arc<Mutex<Vec<BatchDone>>> = Arc::new(Mutex::new(Vec::new()));
-        let error: Arc<Mutex<Option<ServeError>>> = Arc::new(Mutex::new(None));
-        let mut txs = Vec::with_capacity(num_shards);
-        let mut workers = Vec::with_capacity(num_shards);
-        for sid in 0..num_shards {
-            let (tx, rx) = mpsc::sync_channel::<WorkMsg>(1);
-            txs.push(tx);
-            let (clock, metrics, completion) =
-                (Arc::clone(&clock), Arc::clone(&metrics), completion.clone());
-            let (busy, inflight, done, error) = (
-                Arc::clone(&busy),
-                Arc::clone(&inflight),
-                Arc::clone(&done),
-                Arc::clone(&error),
-            );
-            workers.push(std::thread::spawn(move || {
-                for msg in rx.iter() {
-                    metrics.record_shard_wakeup();
-                    let t_recv = clock.now();
-                    let flags = match msg.model.execute_batch(&msg.batch) {
-                        Ok(flags) => flags,
-                        Err(e) => {
-                            *error
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(e);
-                            vec![false; msg.batch.len()]
-                        }
-                    };
-                    // The host-side functional check overlaps the modeled
-                    // service time rather than adding to it.
-                    clock.sleep(msg.service_s - (clock.now() - t_recv));
-                    let finish_s = clock.now();
-                    done.lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push(BatchDone {
-                            shard: sid,
-                            finish_s,
-                            results: msg.batch.into_iter().zip(flags).collect(),
-                        });
-                    busy[sid].store(false, Ordering::Release);
-                    inflight.fetch_sub(1, Ordering::AcqRel);
-                    completion.wake();
-                }
-            }));
-        }
-        ThreadedExecutor {
-            txs,
-            workers,
-            busy,
-            inflight,
-            done,
-            error,
-        }
-    }
-
-    /// Joins every worker and propagates any stashed execution error.
-    ///
-    /// # Errors
-    ///
-    /// The first shard execution error of the run, if any.
-    pub fn shutdown(mut self) -> Result<()> {
-        self.txs.clear(); // closes every worker channel
-        for w in self.workers.drain(..) {
-            w.join().map_err(|_| ServeError::Io {
-                detail: "shard worker panicked".to_string(),
-            })?;
-        }
-        let stashed = self
-            .error
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        match stashed {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-}
-
-impl BatchExecutor for ThreadedExecutor {
-    fn submit(
-        &mut self,
-        shard: usize,
-        service_s: f64,
-        model: &Arc<ReplicaModel>,
-        batch: Vec<Request>,
-    ) -> Result<()> {
-        self.busy[shard].store(true, Ordering::Release);
-        self.inflight.fetch_add(1, Ordering::AcqRel);
-        // The shard was free, so its depth-1 channel is empty: the send
-        // cannot block.
-        self.txs[shard]
-            .send(WorkMsg {
-                service_s,
-                model: Arc::clone(model),
-                batch,
-            })
-            .map_err(|_| ServeError::Io {
-                detail: format!("shard {shard} worker is gone"),
-            })
-    }
-
-    fn drain(&mut self) -> Vec<BatchDone> {
-        let mut done = std::mem::take(
-            &mut *self
-                .done
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-        sort_done(&mut done);
-        done
-    }
-
-    fn free_shards(&self) -> Vec<bool> {
-        self.busy
-            .iter()
-            .map(|b| !b.load(Ordering::Acquire))
-            .collect()
-    }
-
-    fn in_flight(&self) -> usize {
-        self.inflight.load(Ordering::Acquire)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Routing shared by the line and HTTP front ends
-// ---------------------------------------------------------------------------
 
 /// The flush window of a non-empty batch counts only while a shard could
 /// absorb it — with every shard busy the completion wake is the real
 /// signal, and a timed wait would spin on a ready batch.
-fn flush_window(executor: &dyn BatchExecutor, flush_deadline_s: Option<f64>) -> Option<f64> {
-    flush_deadline_s.filter(|_| executor.free_shards().iter().any(|&f| f))
-}
-
-/// Where batches go: the per-shard load book and the cost model that
-/// prices a batch.
-#[derive(Debug)]
-struct Router<'a> {
-    shards: ShardManager,
-    service: &'a ServiceModel,
-}
-
-impl<'a> Router<'a> {
-    fn new(rt: &'a Runtime) -> Result<Self> {
-        Ok(Router {
-            shards: ShardManager::new(rt.config().num_shards)?,
-            service: rt.service_model(),
-        })
-    }
-
-    /// Dispatches the batch `take` yields to the least-loaded free shard:
-    /// prices it with the cost model, books it and hands it to the
-    /// executor. `take` runs only once a shard is known to be free.
-    /// Returns whether a batch left.
-    fn dispatch_next(
-        &mut self,
-        metrics: &Metrics,
-        executor: &mut dyn BatchExecutor,
-        now: f64,
-        take: impl FnOnce() -> Result<Option<(Arc<ReplicaModel>, Vec<Request>)>>,
-    ) -> Result<bool> {
-        let Some(sid) = self.shards.least_loaded_among(&executor.free_shards()) else {
-            return Ok(false);
-        };
-        let Some((model, batch)) = take()? else {
-            return Ok(false);
-        };
-        let service_s = self.service.batch_service_s(batch.len())?;
-        self.shards.dispatch_to(sid, now, service_s);
-        self.shards.record_wakeup(sid);
-        metrics.record_batch(batch.len());
-        executor.submit(sid, service_s, &model, batch)?;
-        Ok(true)
-    }
+fn flush_window(shards: &Shards<'_>, flush_deadline_s: Option<f64>) -> Option<f64> {
+    flush_deadline_s.filter(|_| shards.any_free())
 }
 
 // ---------------------------------------------------------------------------
@@ -415,34 +55,32 @@ impl<'a> Router<'a> {
 
 /// The serving policy every single-model driver runs: a bounded
 /// [`AdmissionQueue`] feeding a [`ContinuousBatcher`] feeding the
-/// [`Router`]. The drivers differ in where arrivals and time come from
+/// [`Shards`]. The drivers differ in where arrivals and time come from
 /// and in what a terminal outcome turns into (the `sink`); the order of
 /// shedding, refilling, flushing and dispatching, and which metric each
 /// transition records, are decided here.
 #[derive(Debug)]
-pub(crate) struct LinePipeline<'a> {
+pub(crate) struct LinePipeline {
     replica: Arc<ReplicaModel>,
     metrics: Arc<Metrics>,
     queue: AdmissionQueue,
     batcher: ContinuousBatcher,
-    router: Router<'a>,
 }
 
-impl<'a> LinePipeline<'a> {
-    /// `rt`'s queue capacity, batching policy, shard count and replica,
-    /// recording into `metrics`.
+impl LinePipeline {
+    /// `rt`'s queue capacity, batching policy and replica, recording into
+    /// `metrics`.
     ///
     /// # Errors
     ///
-    /// Configuration validation of the queue/batcher/shard state machines.
-    pub(crate) fn new(rt: &'a Runtime, metrics: Arc<Metrics>) -> Result<Self> {
+    /// Configuration validation of the queue and batcher state machines.
+    pub(crate) fn new(rt: &Runtime, metrics: Arc<Metrics>) -> Result<Self> {
         let cfg = rt.config();
         Ok(LinePipeline {
             replica: rt.replica_arc(),
             metrics,
             queue: AdmissionQueue::new(cfg.queue_capacity)?,
             batcher: ContinuousBatcher::new(cfg.policy)?,
-            router: Router::new(rt)?,
         })
     }
 
@@ -466,9 +104,9 @@ impl<'a> LinePipeline<'a> {
     /// Relative timeout of the driver's next wait: the flush window (while
     /// a shard could take the batch) or a hair past the earliest deadline
     /// in the queue or the pending batch.
-    pub(crate) fn next_timeout(&self, now: f64, executor: &dyn BatchExecutor) -> Option<f64> {
+    pub(crate) fn next_timeout(&self, now: f64, shards: &Shards<'_>) -> Option<f64> {
         let mut wake = WakeAt::never();
-        wake.at(flush_window(executor, self.batcher.flush_deadline_s()));
+        wake.at(flush_window(shards, self.batcher.flush_deadline_s()));
         wake.after(self.queue.min_deadline_s());
         wake.after(self.batcher.min_deadline_s());
         wake.timeout(now)
@@ -477,13 +115,17 @@ impl<'a> LinePipeline<'a> {
     /// Hands every request of every finished batch to `sink` as
     /// `Completed`, in `(finish_s, shard)` order. Returns whether a batch
     /// had finished.
+    ///
+    /// # Errors
+    ///
+    /// An execution error of a finished batch.
     pub(crate) fn deliver(
         &self,
-        executor: &mut dyn BatchExecutor,
+        shards: &mut Shards<'_>,
         sink: &mut impl FnMut(Request, Outcome),
-    ) -> bool {
+    ) -> Result<bool> {
         let mut progress = false;
-        for done in executor.drain() {
+        for done in shards.drain()? {
             progress = true;
             let batch_size = done.results.len();
             for (req, correct) in done.results {
@@ -498,7 +140,7 @@ impl<'a> LinePipeline<'a> {
                 sink(req, outcome);
             }
         }
-        progress
+        Ok(progress)
     }
 
     /// Shed → refill → flush → dispatch, repeated while a shard absorbs a
@@ -510,12 +152,12 @@ impl<'a> LinePipeline<'a> {
     ///
     /// # Errors
     ///
-    /// Cost-model and executor failures.
+    /// Cost-model and dispatch failures.
     pub(crate) fn pump(
         &mut self,
         now: f64,
         draining: bool,
-        executor: &mut dyn BatchExecutor,
+        shards: &mut Shards<'_>,
         sink: &mut impl FnMut(Request, Outcome),
     ) -> Result<bool> {
         let mut progress = false;
@@ -537,11 +179,7 @@ impl<'a> LinePipeline<'a> {
             let flush = self.batcher.ready(now) || (draining && !self.batcher.is_empty());
             let (replica, batcher) = (&self.replica, &mut self.batcher);
             let take = || Ok(Some((Arc::clone(replica), batcher.take())));
-            if flush
-                && self
-                    .router
-                    .dispatch_next(&self.metrics, executor, now, take)?
-            {
+            if flush && shards.dispatch_next(&self.metrics, now, take)? {
                 progress = true;
                 continue; // another batch may fit another shard
             }
@@ -550,8 +188,8 @@ impl<'a> LinePipeline<'a> {
     }
 
     /// Whether nothing is queued, pending or in flight.
-    pub(crate) fn idle(&self, executor: &dyn BatchExecutor) -> bool {
-        self.queue.is_empty() && self.batcher.is_empty() && executor.in_flight() == 0
+    pub(crate) fn idle(&self, shards: &Shards<'_>) -> bool {
+        self.queue.is_empty() && self.batcher.is_empty() && shards.in_flight() == 0
     }
 }
 
@@ -571,25 +209,25 @@ impl ConnState for LineBuffer {
 /// `LinePipeline`, run by the shared connection core on any
 /// [`EventSource`].
 #[derive(Debug)]
-pub struct ServerLoop<'a> {
+pub struct ServerLoop {
     deadline_s: f64,
     replica: Arc<ReplicaModel>,
     clock: Arc<dyn Clock>,
     metrics: Arc<Metrics>,
-    pipeline: LinePipeline<'a>,
+    pipeline: LinePipeline,
     /// request id → (connection token, client tag) of admitted requests.
     route: HashMap<u64, (Token, String)>,
     next_id: u64,
 }
 
-impl<'a> ServerLoop<'a> {
+impl ServerLoop {
     /// A loop over `rt`'s pipeline, measuring time on `clock` and
     /// recording into `metrics`.
     ///
     /// # Errors
     ///
-    /// Configuration validation of the queue/batcher/shard state machines.
-    pub fn new(rt: &'a Runtime, clock: Arc<dyn Clock>, metrics: Arc<Metrics>) -> Result<Self> {
+    /// Configuration validation of the queue and batcher state machines.
+    pub fn new(rt: &Runtime, clock: Arc<dyn Clock>, metrics: Arc<Metrics>) -> Result<Self> {
         Ok(ServerLoop {
             deadline_s: rt.config().deadline_s,
             replica: rt.replica_arc(),
@@ -601,26 +239,17 @@ impl<'a> ServerLoop<'a> {
         })
     }
 
-    /// The shard router (exposed so tests can check per-shard dispatch and
-    /// wakeup accounting after a run).
-    pub fn shards(&self) -> &ShardManager {
-        &self.pipeline.router.shards
-    }
-
-    /// Runs until shutdown (a [`crate::reactor::WAKE_SHUTDOWN`] token
-    /// followed by a full drain) or — for the simulated transport — until
-    /// the script is exhausted and no work remains.
+    /// Runs on `shards` until shutdown (a
+    /// [`crate::reactor::WAKE_SHUTDOWN`] token followed by a full drain)
+    /// or — for the simulated transport — until the script is exhausted
+    /// and no work remains.
     ///
     /// # Errors
     ///
-    /// Poller failures and fatal executor failures. Per-connection I/O
-    /// errors only drop that connection.
-    pub fn run(
-        &mut self,
-        source: &mut dyn EventSource,
-        executor: &mut dyn BatchExecutor,
-    ) -> Result<()> {
-        conn::drive(source, self, executor)
+    /// Poller failures, dispatch failures and execution errors.
+    /// Per-connection I/O errors only drop that connection.
+    pub fn run(&mut self, source: &mut dyn EventSource, shards: &mut Shards<'_>) -> Result<()> {
+        conn::drive(source, self, shards)
     }
 
     /// Parses and admits (or refuses) one query line.
@@ -677,11 +306,11 @@ impl<'a> ServerLoop<'a> {
     }
 }
 
-impl<'e> Front<dyn BatchExecutor + 'e> for ServerLoop<'_> {
+impl<'s> Front<Shards<'s>> for ServerLoop {
     type Conn = LineBuffer;
 
-    fn next_timeout(&self, executor: &(dyn BatchExecutor + 'e)) -> Option<f64> {
-        self.pipeline.next_timeout(self.clock.now(), executor)
+    fn next_timeout(&self, shards: &Shards<'s>) -> Option<f64> {
+        self.pipeline.next_timeout(self.clock.now(), shards)
     }
 
     fn accept(&self) -> LineBuffer {
@@ -692,7 +321,7 @@ impl<'e> Front<dyn BatchExecutor + 'e> for ServerLoop<'_> {
     fn readable(
         &mut self,
         conns: &mut Conns<'_, LineBuffer>,
-        _executor: &mut (dyn BatchExecutor + 'e),
+        _shards: &mut Shards<'s>,
         t: Token,
         _eof: bool,
     ) -> Result<()> {
@@ -716,11 +345,7 @@ impl<'e> Front<dyn BatchExecutor + 'e> for ServerLoop<'_> {
     /// with one reply line on the connection that submitted the request
     /// (if its route is still known), settling what that connection is
     /// owed.
-    fn step(
-        &mut self,
-        conns: &mut Conns<'_, LineBuffer>,
-        executor: &mut (dyn BatchExecutor + 'e),
-    ) -> Result<bool> {
+    fn step(&mut self, conns: &mut Conns<'_, LineBuffer>, shards: &mut Shards<'s>) -> Result<bool> {
         let (route, draining) = (&mut self.route, conns.draining);
         let mut sink = |req: Request, outcome: Outcome| {
             if let Some((t, tag)) = route.remove(&req.id) {
@@ -735,14 +360,14 @@ impl<'e> Front<dyn BatchExecutor + 'e> for ServerLoop<'_> {
                 conns.send(t, &line);
             }
         };
-        let delivered = self.pipeline.deliver(executor, &mut sink);
+        let delivered = self.pipeline.deliver(shards, &mut sink)?;
         let now = self.clock.now();
-        let pumped = self.pipeline.pump(now, draining, executor, &mut sink)?;
+        let pumped = self.pipeline.pump(now, draining, shards, &mut sink)?;
         Ok(delivered || pumped)
     }
 
-    fn idle(&self, executor: &(dyn BatchExecutor + 'e)) -> bool {
-        self.pipeline.idle(executor)
+    fn idle(&self, shards: &Shards<'s>) -> bool {
+        self.pipeline.idle(shards)
     }
 }
 
@@ -799,7 +424,7 @@ impl ServeHandle {
 impl Runtime {
     /// Serves the line protocol on `listener` from a dedicated reactor
     /// thread: an [`crate::EpollPoller`] owns the listener and every
-    /// accepted connection, and a [`ThreadedExecutor`] runs one worker per
+    /// accepted connection, and [`Shards::threaded`] runs one worker per
     /// shard. `speedup` compresses simulated service seconds into real
     /// time (`1.0` = real time; see [`RealClock::accelerated`]).
     ///
@@ -807,12 +432,12 @@ impl Runtime {
     ///
     /// Poller construction, listener registration, or clock validation.
     pub fn serve(self: &Arc<Self>, listener: TcpListener, speedup: f64) -> Result<ServeHandle> {
-        let workers = self.config().num_shards;
         let run = |rt: &Runtime, r: &mut Reactor| {
-            ServerLoop::new(rt, Arc::clone(&r.clock), Arc::clone(&r.metrics))?
-                .run(&mut r.poller, &mut r.executor)
+            let mut shards = Shards::threaded(rt, &r.clock, r.completion.clone())?;
+            let (clock, metrics) = (Arc::clone(&r.clock), Arc::clone(&r.metrics));
+            ServerLoop::new(rt, clock, metrics)?.run(&mut r.poller, &mut shards)
         };
-        conn::spawn_reactor(self, "pimdl-serve-reactor", listener, speedup, workers, run)
+        conn::spawn_reactor(self, "pimdl-serve-reactor", listener, speedup, run)
     }
 
     /// Serves HTTP/1.1 on `listener` from a dedicated reactor thread:
@@ -831,13 +456,12 @@ impl Runtime {
         http: HttpConfig,
         registry: ModelRegistry,
     ) -> Result<ServeHandle> {
-        let workers = self.config().num_shards;
         let run = move |rt: &Runtime, r: &mut Reactor| {
+            let mut shards = Shards::threaded(rt, &r.clock, r.completion.clone())?;
             let (clock, metrics) = (Arc::clone(&r.clock), Arc::clone(&r.metrics));
-            HttpServerLoop::new(rt, http, registry, clock, metrics)?
-                .run(&mut r.poller, &mut r.executor)
+            HttpServerLoop::new(rt, http, registry, clock, metrics)?.run(&mut r.poller, &mut shards)
         };
-        conn::spawn_reactor(self, "pimdl-serve-http", listener, speedup, workers, run)
+        conn::spawn_reactor(self, "pimdl-serve-http", listener, speedup, run)
     }
 }
 
@@ -917,30 +541,28 @@ struct HttpRouteEntry {
 /// the identical state machine runs under the real poller and the
 /// deterministic simulated one.
 #[derive(Debug)]
-pub struct HttpServerLoop<'a> {
+pub struct HttpServerLoop {
     cfg: ServeConfig,
     http: HttpConfig,
     registry: ModelRegistry,
     clock: Arc<dyn Clock>,
     metrics: Arc<Metrics>,
     batcher: FairBatcher,
-    router: Router<'a>,
     /// request id → response routing of admitted infer requests.
     route: HashMap<u64, HttpRouteEntry>,
     next_id: u64,
 }
 
-impl<'a> HttpServerLoop<'a> {
+impl HttpServerLoop {
     /// A loop serving `registry`'s models through `rt`'s pipeline
     /// configuration, measuring time on `clock` and recording into
     /// `metrics`.
     ///
     /// # Errors
     ///
-    /// An empty registry, or configuration validation of the fair batcher
-    /// and shard router.
+    /// An empty registry, or configuration validation of the fair batcher.
     pub fn new(
-        rt: &'a Runtime,
+        rt: &Runtime,
         http: HttpConfig,
         registry: ModelRegistry,
         clock: Arc<dyn Clock>,
@@ -965,32 +587,22 @@ impl<'a> HttpServerLoop<'a> {
             clock,
             metrics,
             batcher,
-            router: Router::new(rt)?,
             route: HashMap::new(),
             next_id: 0,
         })
     }
 
-    /// The shard router (exposed so tests can check per-shard dispatch and
-    /// wakeup accounting after a run).
-    pub fn shards(&self) -> &ShardManager {
-        &self.router.shards
-    }
-
-    /// Runs until shutdown (a [`crate::reactor::WAKE_SHUTDOWN`] token
-    /// followed by a full drain) or — for the simulated transport — until
-    /// the script is exhausted and no work remains.
+    /// Runs on `shards` until shutdown (a
+    /// [`crate::reactor::WAKE_SHUTDOWN`] token followed by a full drain)
+    /// or — for the simulated transport — until the script is exhausted
+    /// and no work remains.
     ///
     /// # Errors
     ///
-    /// Poller failures and fatal executor failures. Per-connection I/O
-    /// errors only drop that connection.
-    pub fn run(
-        &mut self,
-        source: &mut dyn EventSource,
-        executor: &mut dyn BatchExecutor,
-    ) -> Result<()> {
-        conn::drive(source, self, executor)
+    /// Poller failures, dispatch failures and execution errors.
+    /// Per-connection I/O errors only drop that connection.
+    pub fn run(&mut self, source: &mut dyn EventSource, shards: &mut Shards<'_>) -> Result<()> {
+        conn::drive(source, self, shards)
     }
 
     /// Routes and answers one parsed request.
@@ -1174,14 +786,14 @@ impl<'a> HttpServerLoop<'a> {
     }
 }
 
-impl<'e> Front<dyn BatchExecutor + 'e> for HttpServerLoop<'_> {
+impl<'s> Front<Shards<'s>> for HttpServerLoop {
     type Conn = HttpConn;
 
     /// The earliest timed obligation: the flush window or a queued
     /// request's deadline.
-    fn next_timeout(&self, executor: &(dyn BatchExecutor + 'e)) -> Option<f64> {
+    fn next_timeout(&self, shards: &Shards<'s>) -> Option<f64> {
         let mut wake = WakeAt::never();
-        wake.at(flush_window(executor, self.batcher.flush_deadline_s()));
+        wake.at(flush_window(shards, self.batcher.flush_deadline_s()));
         wake.after(self.batcher.min_deadline_s());
         wake.timeout(self.clock.now())
     }
@@ -1200,7 +812,7 @@ impl<'e> Front<dyn BatchExecutor + 'e> for HttpServerLoop<'_> {
     fn readable(
         &mut self,
         conns: &mut Conns<'_, HttpConn>,
-        _executor: &mut (dyn BatchExecutor + 'e),
+        _shards: &mut Shards<'s>,
         t: Token,
         _eof: bool,
     ) -> Result<()> {
@@ -1232,13 +844,9 @@ impl<'e> Front<dyn BatchExecutor + 'e> for HttpServerLoop<'_> {
     /// Delivers every finished batch (completion latency, the tenant's
     /// quota slot, the JSON result in pipeline order), then shed →
     /// dispatch while a shard can absorb work.
-    fn step(
-        &mut self,
-        conns: &mut Conns<'_, HttpConn>,
-        executor: &mut (dyn BatchExecutor + 'e),
-    ) -> Result<bool> {
+    fn step(&mut self, conns: &mut Conns<'_, HttpConn>, shards: &mut Shards<'s>) -> Result<bool> {
         let mut progress = false;
-        for done in executor.drain() {
+        for done in shards.drain()? {
             progress = true;
             for (req, correct) in done.results {
                 self.metrics.record_completed(done.finish_s - req.arrival_s);
@@ -1276,11 +884,7 @@ impl<'e> Front<dyn BatchExecutor + 'e> for HttpServerLoop<'_> {
                 let batch = jobs.into_iter().map(|j| j.request).collect();
                 Ok(Some((Arc::clone(model), batch)))
             };
-            if flush
-                && self
-                    .router
-                    .dispatch_next(&self.metrics, executor, now, take)?
-            {
+            if flush && shards.dispatch_next(&self.metrics, now, take)? {
                 progress = true;
                 continue; // another batch may fit another shard
             }
@@ -1288,14 +892,15 @@ impl<'e> Front<dyn BatchExecutor + 'e> for HttpServerLoop<'_> {
         }
     }
 
-    fn idle(&self, executor: &(dyn BatchExecutor + 'e)) -> bool {
-        self.batcher.is_empty() && executor.in_flight() == 0
+    fn idle(&self, shards: &Shards<'s>) -> bool {
+        self.batcher.is_empty() && shards.in_flight() == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::VirtualClock;
     use crate::reactor::SimPoller;
     use pimdl_engine::shapes::TransformerShape;
     use pimdl_sim::PlatformConfig;
@@ -1321,15 +926,15 @@ mod tests {
         (build(cfg), s1)
     }
 
-    /// The pipeline with no socket, thread or event loop around it: a
-    /// [`SimExecutor`] whose completion wakes nobody waits for, on a clock
-    /// the test advances by hand.
+    /// The pipeline with no socket, thread or event loop around it:
+    /// simulated [`Shards`] whose completion wakes nobody waits for, on a
+    /// clock the test advances by hand.
     struct Rig<'a> {
         rt: &'a Runtime,
         clock: Arc<VirtualClock>,
         metrics: Arc<Metrics>,
-        pipeline: LinePipeline<'a>,
-        executor: SimExecutor,
+        pipeline: LinePipeline,
+        shards: Shards<'a>,
         rng: DataRng,
         seen: Seen,
     }
@@ -1341,12 +946,12 @@ mod tests {
             Rig {
                 rt,
                 pipeline: LinePipeline::new(rt, Arc::clone(&metrics)).unwrap(),
-                executor: SimExecutor::new(
+                shards: Shards::simulated(
+                    rt,
                     Arc::clone(&clock),
                     SimPoller::new(Arc::clone(&clock)).handle(),
-                    Arc::clone(&metrics),
-                    rt.config().num_shards,
-                ),
+                )
+                .unwrap(),
                 clock,
                 metrics,
                 rng: DataRng::new(5),
@@ -1369,10 +974,10 @@ mod tests {
             self.clock.advance_to(t);
             let seen = &mut self.seen;
             let mut sink = |req: Request, outcome: Outcome| seen.push((req.id, outcome));
-            let delivered = self.pipeline.deliver(&mut self.executor, &mut sink);
+            let delivered = self.pipeline.deliver(&mut self.shards, &mut sink).unwrap();
             let pumped = self
                 .pipeline
-                .pump(t, draining, &mut self.executor, &mut sink)
+                .pump(t, draining, &mut self.shards, &mut sink)
                 .unwrap();
             delivered || pumped
         }
@@ -1402,7 +1007,7 @@ mod tests {
             rig.seen,
             [(0, Outcome::DeadlineExceeded { at_s: 2.0 * s1 })]
         );
-        assert_eq!(rig.executor.in_flight(), 1);
+        assert_eq!(rig.shards.in_flight(), 1);
         rig.step_at(4.0 * s1, false);
         assert_eq!(rig.completions(), [(1, 0, 1)]);
         assert_eq!(rig.seen.len(), 2, "each request reached the sink once");
@@ -1419,7 +1024,7 @@ mod tests {
             rig.seen[2],
             (2, Outcome::DeadlineExceeded { at_s: 4.2 * s1 })
         );
-        assert!(rig.pipeline.idle(&rig.executor));
+        assert!(rig.pipeline.idle(&rig.shards));
         let snap = rig.metrics.snapshot();
         assert_eq!((snap.deadline_exceeded, snap.batches), (2, 1));
     }
@@ -1431,15 +1036,15 @@ mod tests {
         let mut rig = Rig::new(&rt);
         rig.admit(0, f64::INFINITY).unwrap();
         assert!(!rig.step_at(0.9 * window, false), "held inside the window");
-        assert_eq!(rig.executor.in_flight(), 0);
+        assert_eq!(rig.shards.in_flight(), 0);
         assert!(rig.step_at(window, false), "leaves when the window closes");
-        assert_eq!(rig.executor.in_flight(), 1);
+        assert_eq!(rig.shards.in_flight(), 1);
 
         // Draining: a lone request leaves at once.
         rig.step_at(2.0 * s1, false);
         rig.admit(1, f64::INFINITY).unwrap();
         assert!(rig.step_at(2.0 * s1, true));
-        assert_eq!(rig.executor.in_flight(), 1);
+        assert_eq!(rig.shards.in_flight(), 1);
 
         // Draining with a backlog: the queue empties into full batches
         // first; only what is left over goes as a partial one.
@@ -1470,17 +1075,16 @@ mod tests {
         let now = 2.0 * window;
         assert!(now < rt.service_model().batch_service_s(4).unwrap());
         assert!(!rig.step_at(now, false));
-        assert_eq!(rig.executor.in_flight(), 1);
-        let timeout = rig.pipeline.next_timeout(now, &rig.executor).unwrap();
+        assert_eq!(rig.shards.in_flight(), 1);
+        let timeout = rig.pipeline.next_timeout(now, &rig.shards).unwrap();
         assert!(timeout > 10.0 * s1 - now && timeout < 10.0 * s1);
 
         // Once the shard is free the closed window is due immediately.
         rig.clock.advance_to(9.0 * s1);
-        rig.pipeline.deliver(&mut rig.executor, &mut |_, _| ());
-        assert_eq!(
-            rig.pipeline.next_timeout(9.0 * s1, &rig.executor),
-            Some(0.0)
-        );
+        rig.pipeline
+            .deliver(&mut rig.shards, &mut |_, _| ())
+            .unwrap();
+        assert_eq!(rig.pipeline.next_timeout(9.0 * s1, &rig.shards), Some(0.0));
     }
 
     #[test]
@@ -1492,11 +1096,11 @@ mod tests {
         }
         assert!(rig.step_at(0.0, false));
         assert_eq!(
-            rig.executor.in_flight(),
+            rig.shards.in_flight(),
             2,
             "two ready batches, two free shards"
         );
-        assert_eq!(rig.pipeline.router.shards.dispatch_counts(), [1, 1]);
+        assert_eq!(rig.shards.manager().dispatch_counts(), [1, 1]);
 
         // A ninth request rides alone once a shard is free again. Delivery
         // is in (finish_s, shard) order, each request tagged with the
@@ -1510,7 +1114,7 @@ mod tests {
             .chain([(8, 0, 1)])
             .collect();
         assert_eq!(rig.completions(), expected);
-        assert!(rig.pipeline.idle(&rig.executor));
+        assert!(rig.pipeline.idle(&rig.shards));
     }
 
     #[test]

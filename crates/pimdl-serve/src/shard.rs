@@ -1,4 +1,5 @@
-//! Model replicas, the shard router, and cost-model service times.
+//! Model replicas, the least-loaded router, cost-model service times, and
+//! the in-process shards the line and HTTP front ends dispatch to.
 //!
 //! A *shard* is one group of simulated PIM DIMMs holding a full replica of
 //! the served model ([`ReplicaModel`]): batches route to the least-loaded
@@ -10,13 +11,15 @@
 //! one INT8 gather (`pimdl_tensor::quant::lut_gather`), so the compare checks
 //! the tuned mapping, the band assembly and the dequantization; the gather
 //! itself is held to the scalar `QuantLutTable::lookup` and the ISA
-//! interpreter by the root `tests/properties.rs`.
+//! interpreter by the root `tests/properties.rs`. [`Shards`] is the serving
+//! loop's book of those shards and the one place a batch is handed to one.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Arc};
+use std::thread::{self, JoinHandle};
 
 use pimdl_engine::pipeline::{PimDlEngine, ServingConfig};
+use pimdl_engine::scheduler::MAX_BATCH;
 use pimdl_engine::shapes::TransformerShape;
 use pimdl_lutnn::kernels::lut_checksum_quant;
 use pimdl_lutnn::lut::QuantLutTable;
@@ -26,9 +29,12 @@ use pimdl_tensor::pool::WorkerPool;
 use pimdl_tensor::quant::QuantMatrix;
 use pimdl_tensor::rng::DataRng;
 
+use crate::clock::{Clock, RealClock, VirtualClock};
 use crate::error::ServeError;
+use crate::metrics::Metrics;
+use crate::reactor::{SimHandle, Waker, WAKE_COMPLETION};
 use crate::request::Request;
-use crate::runtime::MAX_SHARDS;
+use crate::runtime::{Runtime, MAX_SHARDS};
 use crate::Result;
 
 /// One model replica: the quantized LUT every request on a shard queries,
@@ -398,33 +404,47 @@ impl ShardManager {
     }
 }
 
-/// Memoized batch service times from the engine's end-to-end cost model.
-///
-/// Shared read-only across threads (`&self` methods; the memo table is
-/// behind a mutex).
+/// Batch service times from the engine's end-to-end cost model, priced
+/// once per batch size when the model is built, so dispatch only reads a
+/// table.
 #[derive(Debug)]
 pub struct ServiceModel {
     engine: PimDlEngine,
-    shape: TransformerShape,
-    base: ServingConfig,
-    cache: Mutex<HashMap<usize, f64>>,
+    /// Service seconds of a batch of `b` requests, at index `b - 1`.
+    batch_s: Vec<f64>,
 }
 
 impl ServiceModel {
     /// A service model for `shape` with per-request parameters `base`
-    /// (whose `batch` field is overridden per dispatched batch).
+    /// (whose `batch` field is overridden per batch size), pricing every
+    /// batch size in `1..=max_batch`.
     ///
     /// # Errors
     ///
-    /// Returns the base config's validation error.
-    pub fn new(engine: PimDlEngine, shape: TransformerShape, base: ServingConfig) -> Result<Self> {
+    /// Returns the base config's validation error, [`ServeError::Config`]
+    /// for a `max_batch` outside `1..=MAX_BATCH`, and engine errors.
+    pub fn new(
+        engine: PimDlEngine,
+        shape: TransformerShape,
+        base: ServingConfig,
+        max_batch: usize,
+    ) -> Result<Self> {
         base.validate()?;
-        Ok(ServiceModel {
-            engine,
-            shape,
-            base,
-            cache: Mutex::new(HashMap::new()),
-        })
+        if !(1..=MAX_BATCH).contains(&max_batch) {
+            return Err(ServeError::Config {
+                detail: format!(
+                    "service model max_batch must be in 1..={MAX_BATCH}, got {max_batch}"
+                ),
+            });
+        }
+        let batch_s = (1..=max_batch)
+            .map(|batch| {
+                Ok(engine
+                    .serve(&shape, &ServingConfig { batch, ..base })?
+                    .total_s)
+            })
+            .collect::<Result<_>>()?;
+        Ok(ServiceModel { engine, batch_s })
     }
 
     /// The engine backing the cost model.
@@ -436,48 +456,274 @@ impl ServiceModel {
     ///
     /// # Errors
     ///
-    /// Rejects `batch == 0`; propagates engine errors on cache misses.
+    /// Returns [`ServeError::Config`] for a batch of 0 or one past the
+    /// model's `max_batch`.
     pub fn batch_service_s(&self, batch: usize) -> Result<f64> {
-        if batch == 0 {
-            return Err(ServeError::Config {
-                detail: "batch service time of an empty batch".to_string(),
-            });
-        }
-        if let Some(&t) = self
-            .cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&batch)
-        {
-            return Ok(t);
-        }
-        let cfg = ServingConfig { batch, ..self.base };
-        let t = self.engine.serve(&self.shape, &cfg)?.total_s;
-        self.cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(batch, t);
-        Ok(t)
+        batch
+            .checked_sub(1)
+            .and_then(|i| self.batch_s.get(i))
+            .copied()
+            .ok_or_else(|| ServeError::Config {
+                detail: format!(
+                    "no service time for a batch of {batch} (priced 1..={})",
+                    self.batch_s.len()
+                ),
+            })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Shards — the in-process shards under the line and HTTP front ends
+// ---------------------------------------------------------------------------
+
+/// What a shard reports for a batch: `(shard, finish_s, batch, flags or
+/// error)`.
+type Finished = (usize, f64, Vec<Request>, Result<Vec<bool>>);
+
+/// What a shard thread is handed: the batch's service time, the model it
+/// executes against, and the batch.
+type Work = (f64, Arc<ReplicaModel>, Vec<Request>);
+
+/// A finished batch, as the front ends deliver it.
+#[derive(Debug)]
+pub(crate) struct Done {
+    pub(crate) shard: usize,
+    /// Completion time (simulated seconds).
+    pub(crate) finish_s: f64,
+    /// The batch's requests paired with their correctness flags, in
+    /// dispatch order.
+    pub(crate) results: Vec<(Request, bool)>,
+}
+
+/// How [`Shards`] runs a batch; its constructor fixes it.
+#[derive(Debug)]
+enum Exec {
+    /// Inline at dispatch, the completion due on the
+    /// [`crate::reactor::SimPoller`] script at `now + service_s`.
+    Simulated {
+        clock: Arc<VirtualClock>,
+        sim: SimHandle,
+        pending: Vec<Finished>,
+    },
+    /// On the shard's worker thread, which reports on `done`.
+    Threaded {
+        work: Vec<mpsc::SyncSender<Work>>,
+        done: mpsc::Receiver<Finished>,
+        workers: Vec<JoinHandle<()>>,
+    },
+}
+
+/// The in-process shards the line and HTTP front ends dispatch to, with
+/// the serving loop's whole book of them: the [`ShardManager`] horizon and
+/// counts, which shards are free, how many batches are out, and the
+/// finished batches not yet delivered.
+///
+/// The book is the loop's alone. Under [`Shards::threaded`] a shard thread
+/// gets its work on its own channel and reports on the one completion
+/// channel; those channels and the completion [`Waker`] are all that cross
+/// to it. A shard is free again only once the loop has drained its
+/// completion, so nothing can finish unseen between a drain and an idle
+/// check.
+#[derive(Debug)]
+pub struct Shards<'a> {
+    service: &'a ServiceModel,
+    book: ShardManager,
+    free: Vec<bool>,
+    in_flight: usize,
+    exec: Exec,
+}
+
+impl<'a> Shards<'a> {
+    fn new(rt: &'a Runtime, exec: Exec) -> Result<Self> {
+        let n = rt.config().num_shards;
+        Ok(Shards {
+            service: rt.service_model(),
+            book: ShardManager::new(n)?,
+            free: vec![true; n],
+            in_flight: 0,
+            exec,
+        })
     }
 
-    /// Computes and caches service times for every batch size up to
-    /// `max_batch`, so later lookups on the serving hot path never run the
-    /// tuner.
+    /// `rt`'s shards on the virtual clock: a batch executes at dispatch,
+    /// and its completion is scheduled through `sim` at `now + service_s`
+    /// and delivered once the clock reaches it.
     ///
     /// # Errors
     ///
-    /// Propagates engine errors.
-    pub fn prewarm(&self, max_batch: usize) -> Result<()> {
-        for b in 1..=max_batch.max(1) {
-            self.batch_service_s(b)?;
+    /// Shard-count validation.
+    pub fn simulated(rt: &'a Runtime, clock: Arc<VirtualClock>, sim: SimHandle) -> Result<Self> {
+        let pending = Vec::new();
+        Self::new(
+            rt,
+            Exec::Simulated {
+                clock,
+                sim,
+                pending,
+            },
+        )
+    }
+
+    /// `rt`'s shards on one worker thread each, parked on a depth-1
+    /// channel. A worker wakes once per batch, executes it, sleeps out the
+    /// rest of the cost-model service time on `clock`, reports, and fires
+    /// `completion` (the loop's [`WAKE_COMPLETION`] waker). The threads are
+    /// joined on drop, each after the batch it is running.
+    ///
+    /// # Errors
+    ///
+    /// Shard-count validation.
+    pub fn threaded(rt: &'a Runtime, clock: &RealClock, completion: Waker) -> Result<Self> {
+        let (report, done) = mpsc::channel::<Finished>();
+        let (mut work, mut workers) = (Vec::new(), Vec::new());
+        for shard in 0..rt.config().num_shards {
+            let (tx, rx) = mpsc::sync_channel::<Work>(1);
+            let (clock, report, completion) = (*clock, report.clone(), completion.clone());
+            workers.push(thread::spawn(move || {
+                for (service_s, model, batch) in rx {
+                    let t_recv = clock.now();
+                    let flags = model.execute_batch(&batch);
+                    // The host-side functional check overlaps the modeled
+                    // service time rather than adding to it.
+                    clock.sleep(service_s - (clock.now() - t_recv));
+                    if report.send((shard, clock.now(), batch, flags)).is_err() {
+                        return;
+                    }
+                    completion.wake();
+                }
+            }));
+            work.push(tx);
         }
-        Ok(())
+        Self::new(
+            rt,
+            Exec::Threaded {
+                work,
+                done,
+                workers,
+            },
+        )
+    }
+
+    /// The routing book: per-shard horizon, dispatch and wakeup counts.
+    pub fn manager(&self) -> &ShardManager {
+        &self.book
+    }
+
+    /// Batches dispatched and not yet drained.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight
+    }
+
+    /// Whether some shard could take a batch now.
+    pub(crate) fn any_free(&self) -> bool {
+        self.free.contains(&true)
+    }
+
+    /// Dispatches the batch `take` yields to the least-loaded free shard:
+    /// prices it from the service table, books it and hands it to the
+    /// shard. `take` runs only once a shard is known to be free. Returns
+    /// whether a batch left.
+    ///
+    /// # Errors
+    ///
+    /// `take`'s errors, a batch size the service table does not price, or
+    /// a shard thread that is gone.
+    pub(crate) fn dispatch_next(
+        &mut self,
+        metrics: &Metrics,
+        now: f64,
+        take: impl FnOnce() -> Result<Option<(Arc<ReplicaModel>, Vec<Request>)>>,
+    ) -> Result<bool> {
+        let Some(shard) = self.book.least_loaded_among(&self.free) else {
+            return Ok(false);
+        };
+        let Some((model, batch)) = take()? else {
+            return Ok(false);
+        };
+        let service_s = self.service.batch_service_s(batch.len())?;
+        self.book.dispatch_to(shard, now, service_s);
+        self.book.record_wakeup(shard);
+        metrics.record_batch(batch.len());
+        metrics.record_shard_wakeup();
+        self.free[shard] = false;
+        self.in_flight += 1;
+        match &mut self.exec {
+            Exec::Simulated {
+                clock,
+                sim,
+                pending,
+            } => {
+                let flags = model.execute_batch(&batch);
+                let finish_s = clock.now() + service_s;
+                pending.push((shard, finish_s, batch, flags));
+                sim.wake_at(finish_s, WAKE_COMPLETION);
+            }
+            // The shard was free, so its depth-1 channel is empty: the send
+            // cannot block.
+            Exec::Threaded { work, .. } => {
+                work[shard]
+                    .send((service_s, model, batch))
+                    .map_err(|_| ServeError::Io {
+                        detail: format!("shard {shard} worker is gone"),
+                    })?;
+            }
+        }
+        Ok(true)
+    }
+
+    /// Takes every batch that has finished (on the virtual clock: whose
+    /// completion time it has reached), in `(finish_s, shard)` order, and
+    /// frees their shards.
+    ///
+    /// # Errors
+    ///
+    /// The first execution error among them, in that order: an execution
+    /// error fails the run at the drain that collects it.
+    pub(crate) fn drain(&mut self) -> Result<Vec<Done>> {
+        let mut finished: Vec<Finished> = match &mut self.exec {
+            Exec::Simulated { clock, pending, .. } => {
+                let now = clock.now();
+                let (due, still) = pending.drain(..).partition(|f| f.1 <= now);
+                *pending = still;
+                due
+            }
+            Exec::Threaded { done, .. } => done.try_iter().collect(),
+        };
+        finished.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        let mut out = Vec::with_capacity(finished.len());
+        for (shard, finish_s, batch, flags) in finished {
+            self.free[shard] = true;
+            self.in_flight -= 1;
+            let results = batch.into_iter().zip(flags?).collect();
+            out.push(Done {
+                shard,
+                finish_s,
+                results,
+            });
+        }
+        Ok(out)
+    }
+}
+
+impl Drop for Shards<'_> {
+    /// Closes every work channel and joins the shard threads.
+    fn drop(&mut self) {
+        if let Exec::Threaded { work, workers, .. } = &mut self.exec {
+            work.clear();
+            for w in workers.drain(..) {
+                // A worker that panicked has already reported through the
+                // panic hook; there is no run left to fail.
+                let _ = w.join();
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::{EpollPoller, EventSource, IoEvent, SimPoller};
+    use crate::runtime::ServeConfig;
     use pimdl_sim::PlatformConfig;
 
     fn engine() -> PimDlEngine {
@@ -575,24 +821,74 @@ mod tests {
             v: 4,
             ct: 16,
         };
-        let m = ServiceModel::new(engine(), TransformerShape::tiny(), base).unwrap();
-        m.prewarm(4).unwrap();
+        let m = ServiceModel::new(engine(), TransformerShape::tiny(), base, 4).unwrap();
         let t1 = m.batch_service_s(1).unwrap();
         let t4 = m.batch_service_s(4).unwrap();
         assert!(t1 > 0.0);
         // Amortization: a batch of 4 is cheaper than 4 singles.
         assert!(t4 < 4.0 * t1, "t4 {t4} vs 4*t1 {}", 4.0 * t1);
-        assert!(m.batch_service_s(0).is_err());
-        assert!(ServiceModel::new(
-            engine(),
-            TransformerShape::tiny(),
-            ServingConfig {
-                batch: 1,
-                seq_len: 0,
-                v: 4,
-                ct: 16
-            }
-        )
-        .is_err());
+        // Only the priced sizes have a service time.
+        for outside in [0, 5] {
+            let err = m.batch_service_s(outside).unwrap_err();
+            assert!(matches!(err, ServeError::Config { .. }), "{err}");
+        }
+        let bad_base = ServingConfig { seq_len: 0, ..base };
+        assert!(ServiceModel::new(engine(), TransformerShape::tiny(), bad_base, 4).is_err());
+        for max_batch in [0, MAX_BATCH + 1] {
+            assert!(
+                ServiceModel::new(engine(), TransformerShape::tiny(), base, max_batch).is_err()
+            );
+        }
+    }
+
+    /// Dispatches, as a one-request batch, a query one index short of
+    /// `rt`'s workload: it leaves, and only its execution can fail.
+    fn dispatch_malformed(rt: &Runtime, shards: &mut Shards<'_>) {
+        let w = rt.replica().workload();
+        let req = Request {
+            id: 0,
+            arrival_s: 0.0,
+            deadline_s: f64::INFINITY,
+            indices: vec![0; w.n * w.cb - 1],
+            expected_checksum: 0.0,
+        };
+        let metrics = Metrics::new(rt.config().policy.max_batch);
+        let take = || Ok(Some((rt.replica_arc(), vec![req])));
+        assert!(shards.dispatch_next(&metrics, 0.0, take).unwrap());
+        assert_eq!(shards.in_flight(), 1);
+    }
+
+    #[test]
+    fn an_execution_error_fails_the_drain_that_collects_it_in_both_modes() {
+        let mut platform = PlatformConfig::upmem();
+        platform.num_pes = 64;
+        let rt = Runtime::new(platform, TransformerShape::tiny(), ServeConfig::example()).unwrap();
+        let mismatch = |e: ServeError| assert!(matches!(e, ServeError::Sim(_)), "{e}");
+
+        // Simulated: the batch runs at dispatch, but its error surfaces only
+        // at the drain that reaches its completion time.
+        let clock = Arc::new(VirtualClock::new());
+        let sim = SimPoller::new(Arc::clone(&clock));
+        let mut shards = Shards::simulated(&rt, Arc::clone(&clock), sim.handle()).unwrap();
+        dispatch_malformed(&rt, &mut shards);
+        assert!(shards.drain().unwrap().is_empty(), "not due yet");
+        clock.advance_to(rt.service_model().batch_service_s(1).unwrap());
+        mismatch(shards.drain().unwrap_err());
+        assert_eq!(shards.in_flight(), 0);
+
+        // Threaded: the shard reports the error and wakes the loop, and the
+        // drain after the wake fails.
+        let mut poller = EpollPoller::new(1e6).unwrap();
+        let clock = RealClock::accelerated(1e6).unwrap();
+        let mut shards = Shards::threaded(&rt, &clock, poller.waker(WAKE_COMPLETION)).unwrap();
+        dispatch_malformed(&rt, &mut shards);
+        let mut events = Vec::new();
+        poller.wait(Some(60e6), &mut events).unwrap();
+        assert!(
+            events.contains(&IoEvent::Wake(WAKE_COMPLETION)),
+            "{events:?}"
+        );
+        mismatch(shards.drain().unwrap_err());
+        assert_eq!(shards.in_flight(), 0);
     }
 }

@@ -173,8 +173,8 @@ impl Supervisor {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Config`] for zero shards/vnodes, a
-    /// non-finite or non-positive timeout, empty table sets, or duplicate
+    /// Returns [`ServeError::Config`] for zero shards/vnodes, more shards
+    /// than `u32` ids, a non-finite or non-positive timeout, empty table sets, or duplicate
     /// table names.
     pub fn new(
         num_shards: usize,
@@ -198,9 +198,12 @@ impl Supervisor {
                 detail: "supervisor needs at least one table".to_string(),
             });
         }
+        let count = u32::try_from(num_shards).map_err(|_| ServeError::Config {
+            detail: format!("supervisor shard count {num_shards} exceeds the u32 shard ids"),
+        })?;
         let mut ring = HashRing::new(vnodes);
         let mut shards = BTreeMap::new();
-        for id in 0..num_shards as u32 {
+        for id in 0..count {
             ring.add_shard(id);
             shards.insert(
                 id,

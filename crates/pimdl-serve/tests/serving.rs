@@ -3,7 +3,7 @@
 //! loop, with exact batching/latency/shedding behavior, pinned ledgers and
 //! configuration validation. The headline acceptance test runs the real
 //! multi-threaded runtime instead: the epoll reactor on loopback and one
-//! worker thread per shard. The other real-socket runs are `loopback.rs`'s.
+//! worker thread per shard ([`Shards::threaded`]). The other real-socket runs are `loopback.rs`'s.
 
 mod line_clients;
 
@@ -16,7 +16,7 @@ use pimdl_serve::reactor::{Waker, WAKE_COMPLETION, WAKE_SHUTDOWN};
 use pimdl_serve::runtime::MAX_SHARDS;
 use pimdl_serve::{
     EpollPoller, EventSource, Metrics, OpenLoop, Outcome, RealClock, RequestRecord, Runtime,
-    ServeConfig, ServerLoop, ThreadedExecutor,
+    ServeConfig, ServerLoop, Shards,
 };
 use pimdl_sim::PlatformConfig;
 
@@ -71,19 +71,13 @@ fn acceptance_threaded_1000_requests_two_shards_zero_lost() {
         let server = s.spawn(|| {
             let clock = Arc::new(RealClock::accelerated(speedup).unwrap());
             let metrics = Arc::new(Metrics::new(cfg.policy.max_batch));
-            let mut workers = ThreadedExecutor::new(
-                Arc::clone(&clock),
-                Arc::clone(&metrics),
-                completion,
-                cfg.num_shards,
-            );
+            let mut shards = Shards::threaded(&rt, &clock, completion).unwrap();
             let mut server = ServerLoop::new(&rt, clock, Arc::clone(&metrics)).unwrap();
-            let run = server.run(&mut poller, &mut workers);
-            workers.shutdown().unwrap();
-            run.unwrap();
+            server.run(&mut poller, &mut shards).unwrap();
+            assert_eq!(shards.in_flight(), 0, "a batch in flight at exit");
             (
                 metrics.snapshot(),
-                server.shards().dispatch_counts().to_vec(),
+                shards.manager().dispatch_counts().to_vec(),
             )
         });
         let kinds = {

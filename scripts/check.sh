@@ -27,11 +27,11 @@ echo "==> pimdl-lint"
 cargo run --offline -q -p pimdl-lint -- --inventory results/lint_inventory.json
 
 # Inventory drift gate: growth in the attack/audit surface (unsafe sites,
-# taint sinks) must arrive as an explicit diff to the committed
-# results/lint_inventory.json baseline, not a silent regeneration. The
-# gate fails when the fresh inventory shows more unsafe sites or taint
-# sinks than HEAD's copy; re-committing the regenerated file (after
-# reviewing the new sites) is the only way through.
+# taint sinks, shared locks) must arrive as an explicit diff to the
+# committed results/lint_inventory.json baseline, not a silent
+# regeneration. The gate fails when the fresh inventory shows more unsafe
+# sites, taint sinks or lock identities than HEAD's copy; re-committing the
+# regenerated file (after reviewing the new sites) is the only way through.
 echo "==> lint inventory drift gate"
 if git cat-file -e HEAD:results/lint_inventory.json 2>/dev/null; then
     python3 - <(git show HEAD:results/lint_inventory.json) \
@@ -42,7 +42,7 @@ import sys
 base = json.load(open(sys.argv[1]))
 cur = json.load(open(sys.argv[2]))
 fail = False
-for key in ("unsafe_count", "taint_sinks"):
+for key in ("unsafe_count", "taint_sinks", "lock_count"):
     b, c = int(base.get(key, 0)), int(cur.get(key, 0))
     if c > b:
         print(

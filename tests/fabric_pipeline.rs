@@ -223,8 +223,7 @@ fn des_side_completes_and_prices_the_network() {
     let w = rt.replica().workload();
     let burst = |net: Option<NetworkModel>| {
         let front = Front::Fabric {
-            shards: 2,
-            hello_timeout_s: 10.0,
+            fabric: FabricConfig::example(),
             tables: tables(&["t-0", "t-1"], 0xFA0),
             net,
         };

@@ -1,5 +1,5 @@
 //! Deterministic conformance and fairness tests of the HTTP/1.1 front end
-//! (`HttpServerLoop` on `SimExecutor`) through the SimPoller harness in
+//! (`HttpServerLoop` on simulated `Shards`) through the SimPoller harness in
 //! `sim/`: scripted connections carry raw HTTP bytes through the full
 //! parse → route → admit → weighted-fair batch → execute → respond
 //! pipeline, and the seeded schedule explorer splits, delays and cuts

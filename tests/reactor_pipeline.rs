@@ -1,5 +1,5 @@
 //! Deterministic end-to-end tests of the line-protocol front end
-//! (`ServerLoop` on `SimExecutor`) through the SimPoller harness in
+//! (`ServerLoop` on simulated `Shards`) through the SimPoller harness in
 //! `sim/`: the 1000-query overload transcript, the seeded schedule
 //! explorer, and this front's run of the final-drain and
 //! refuse-before-paying scenarios all three fronts share.

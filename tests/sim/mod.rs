@@ -1,7 +1,7 @@
 //! The SimPoller harness under `tests/{reactor,http,fabric}_pipeline.rs`:
 //! one runtime builder, one payload generator, one reply parser per wire
 //! format, one run driver over the three server loops (`ServerLoop` and
-//! `HttpServerLoop` on `SimExecutor`, `FabricServerLoop` on
+//! `HttpServerLoop` on simulated `Shards`, `FabricServerLoop` on
 //! `SimShardEngine`), the checks every schedule must pass, the scenarios
 //! the three fronts share, and the seeded schedule explorer.
 //!
@@ -22,9 +22,9 @@ use pimdl::serve::codec::{self, ErrorKind, ServerMsg};
 use pimdl::serve::http::{self, ClientResponse};
 use pimdl::serve::reactor::Token;
 use pimdl::serve::{
-    BatchExecutor, Clock, EventSource, FabricServerLoop, Frame, HttpConfig, HttpServerLoop,
-    Metrics, MetricsSnapshot, ModelRegistry, ReplicaModel, Runtime, ServeConfig, ServerLoop,
-    ShardManager, ShardState, SimExecutor, SimPoller, SimShardEngine, TableState, VirtualClock,
+    Clock, EventSource, FabricServerLoop, Frame, HttpConfig, HttpServerLoop, Metrics,
+    MetricsSnapshot, ModelRegistry, ReplicaModel, Runtime, ServeConfig, ServerLoop, ShardState,
+    Shards, SimPoller, SimShardEngine, TableState, VirtualClock,
 };
 use pimdl::sim::{LutWorkload, NetworkModel, PlatformConfig};
 use proptest::TestRng;
@@ -90,20 +90,19 @@ pub fn tables(names: &[&str], seed0: u64) -> Vec<(String, u64)> {
 /// Which server loop a run drives.
 #[derive(Debug, Clone)]
 pub enum Front {
-    /// `ServerLoop` on `SimExecutor`.
+    /// `ServerLoop` on simulated `Shards`.
     Line,
-    /// `HttpServerLoop` on `SimExecutor`, serving `models` (name, table
+    /// `HttpServerLoop` on simulated `Shards`, serving `models` (name, table
     /// seed); the first is the default route.
     Http {
         cfg: HttpConfig,
         models: Vec<(String, u64)>,
     },
-    /// `FabricServerLoop` on `SimShardEngine` over `shards` workers,
+    /// `FabricServerLoop` on `SimShardEngine` over `fabric`'s workers,
     /// serving `tables` (name, seed; the first is the default route).
     /// `net` prices the workers' socket crossings.
     Fabric {
-        shards: usize,
-        hello_timeout_s: f64,
+        fabric: FabricConfig,
         tables: Vec<(String, u64)>,
         net: Option<NetworkModel>,
     },
@@ -116,11 +115,15 @@ impl Front {
         Front::Http { cfg, models }
     }
 
-    /// The fabric front with a free network.
+    /// The fabric front over `shards` workers with a free network.
     pub fn fabric(shards: usize, hello_timeout_s: f64, tables: Vec<(String, u64)>) -> Self {
-        Front::Fabric {
-            shards,
+        let fabric = FabricConfig {
+            num_shards: shards,
             hello_timeout_s,
+            ..FabricConfig::example()
+        };
+        Front::Fabric {
+            fabric,
             tables,
             net: None,
         }
@@ -289,7 +292,7 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
         poller: &poller,
         http: matches!(front, Front::Http { .. }),
         shards: match front {
-            Front::Fabric { shards, .. } => *shards,
+            Front::Fabric { fabric, .. } => fabric.num_shards,
             _ => 0,
         },
         models: &models,
@@ -309,8 +312,7 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
     let (mut shard_states, mut table_states) = (Vec::new(), Vec::new());
     let (mut all_ready, mut any_lost) = (false, false);
     let gathers = if let Front::Fabric {
-        shards,
-        hello_timeout_s,
+        fabric,
         tables,
         net,
     } = front
@@ -319,13 +321,11 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
         if let Some(net) = net {
             engine = engine.with_network(*net);
         }
-        let mut fabric = FabricConfig::example();
-        fabric.num_shards = *shards;
-        fabric.hello_timeout_s = *hello_timeout_s;
         let latch = Arc::new(AtomicBool::new(false));
-        let mut server = FabricServerLoop::new(rt, fabric, tables, clock_dyn, Arc::clone(&metrics))
-            .unwrap()
-            .with_ready_flag(Arc::clone(&latch));
+        let mut server =
+            FabricServerLoop::new(rt, *fabric, tables, clock_dyn, Arc::clone(&metrics))
+                .unwrap()
+                .with_ready_flag(Arc::clone(&latch));
         server.run(&mut poller, &mut engine).unwrap();
         assert_eq!(server.queued(), 0, "quiescent exit with queued work");
         let sup = server.supervisor();
@@ -335,7 +335,9 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
             !sup.all_tables_ready() || latch.load(Ordering::Relaxed),
             "all tables routable but the ready latch was never set"
         );
-        shard_states = (0..*shards as u32).map(|s| sup.shard_state(s)).collect();
+        shard_states = (0..fabric.num_shards as u32)
+            .map(|s| sup.shard_state(s))
+            .collect();
         table_states = tables
             .iter()
             .map(|(n, _)| (n.clone(), sup.table_state(n)))
@@ -344,14 +346,8 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
         any_lost = sup.any_table_lost();
         server.reference_gathers()
     } else {
-        let mut executor = SimExecutor::new(
-            Arc::clone(&clock),
-            poller.handle(),
-            Arc::clone(&metrics),
-            rt.config().num_shards,
-        );
-        let counts = |m: &ShardManager| (m.dispatch_counts().to_vec(), m.wakeup_counts().to_vec());
-        (dispatches, wakeups) = if let Front::Http { cfg, .. } = front {
+        let mut shards = Shards::simulated(rt, Arc::clone(&clock), poller.handle()).unwrap();
+        if let Front::Http { cfg, .. } = front {
             let mut registry = ModelRegistry::new();
             for (name, model) in &models {
                 registry.register(name, Arc::clone(model)).unwrap();
@@ -359,14 +355,17 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
             let mut server =
                 HttpServerLoop::new(rt, cfg.clone(), registry, clock_dyn, Arc::clone(&metrics))
                     .unwrap();
-            server.run(&mut poller, &mut executor).unwrap();
-            counts(server.shards())
+            server.run(&mut poller, &mut shards).unwrap();
         } else {
             let mut server = ServerLoop::new(rt, clock_dyn, Arc::clone(&metrics)).unwrap();
-            server.run(&mut poller, &mut executor).unwrap();
-            counts(server.shards())
-        };
-        assert_eq!(executor.in_flight(), 0, "a batch in flight at exit");
+            server.run(&mut poller, &mut shards).unwrap();
+        }
+        assert_eq!(shards.in_flight(), 0, "a batch in flight at exit");
+        let book = shards.manager();
+        (dispatches, wakeups) = (
+            book.dispatch_counts().to_vec(),
+            book.wakeup_counts().to_vec(),
+        );
         gathers() - before
     };
     let end = Run {
