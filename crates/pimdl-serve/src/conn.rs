@@ -426,7 +426,7 @@ where
             let mut reactor = Reactor {
                 poller,
                 clock: Arc::new(RealClock::accelerated(speedup)?),
-                metrics: Arc::new(Metrics::new(rt.config().policy.max_batch)),
+                metrics: Arc::new(Metrics::new()),
                 completion,
             };
             body(&rt, &mut reactor)?;

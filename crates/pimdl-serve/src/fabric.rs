@@ -1338,7 +1338,6 @@ impl<'a> FabricServerLoop<'a> {
                 requests: items.iter().map(|p| p.req.clone()).collect(),
             };
             self.metrics.record_batch(items.len());
-            self.metrics.record_shard_wakeup();
             self.inflight
                 .insert(batch_id, InflightBatch { shard, items });
             self.send_frame(conns, engine, token, &frame)?;

@@ -1,5 +1,5 @@
-//! Lock-free serving metrics: atomic counters plus fixed-bucket latency
-//! and batch-size histograms, snapshotted at shutdown.
+//! Lock-free serving metrics: atomic counters plus a fixed-bucket latency
+//! histogram, snapshotted at shutdown.
 //!
 //! All recorders take `&self` and use only atomics, so the generator,
 //! batcher, and shard workers share one [`Metrics`] without locking on the
@@ -53,11 +53,6 @@ impl Histogram {
         }
         bounds.push(1e3);
         Histogram::new(bounds)
-    }
-
-    /// Unit-width buckets `1, 2, …, max` (for batch sizes).
-    pub fn linear_counts(max: usize) -> Self {
-        Histogram::new((1..=max.max(1)).map(|i| i as f64).collect())
     }
 
     /// Records one observation.
@@ -132,25 +127,31 @@ pub struct Metrics {
     rejected: AtomicU64,
     deadline_exceeded: AtomicU64,
     batches: AtomicU64,
-    shard_wakeups: AtomicU64,
+    /// Requests summed over every dispatched batch (read only for the
+    /// mean batch size).
+    batched: AtomicU64,
     queue_depth_peak: AtomicU64,
     latency: Histogram,
-    batch_size: Histogram,
+}
+
+impl Default for Metrics {
+    fn default() -> Self {
+        Metrics::new()
+    }
 }
 
 impl Metrics {
-    /// A fresh registry; `max_batch` sizes the batch-size histogram.
-    pub fn new(max_batch: usize) -> Self {
+    /// A fresh registry.
+    pub fn new() -> Self {
         Metrics {
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            shard_wakeups: AtomicU64::new(0),
+            batched: AtomicU64::new(0),
             queue_depth_peak: AtomicU64::new(0),
             latency: Histogram::log_time(),
-            batch_size: Histogram::linear_counts(max_batch),
         }
     }
 
@@ -178,14 +179,7 @@ impl Metrics {
     /// One batch of `size` requests was dispatched.
     pub fn record_batch(&self, size: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_size.record(size as f64);
-    }
-
-    /// One shard was handed a batch, which wakes it exactly once: the
-    /// serving loop books this at dispatch, so `shard_wakeups == batches`
-    /// is the no-spurious-wakeups invariant the pipeline tests pin.
-    pub fn record_shard_wakeup(&self) {
-        self.shard_wakeups.fetch_add(1, Ordering::Relaxed);
+        self.batched.fetch_add(size as u64, Ordering::Relaxed);
     }
 
     /// Updates the peak queue depth.
@@ -203,19 +197,24 @@ impl Metrics {
     /// Snapshot with the event source's [`ReactorStatsSnapshot`] attached
     /// (reactor-backed drivers pass their poller's stats at shutdown).
     pub fn snapshot_with_reactor(&self, reactor: ReactorStatsSnapshot) -> MetricsSnapshot {
+        let batches = self.batches.load(Ordering::Relaxed);
+        // Exact: a sum of integer sizes is exact in `f64` far past any run.
+        let mean_batch = match batches {
+            0 => 0.0,
+            n => self.batched.load(Ordering::Relaxed) as f64 / n as f64,
+        };
         MetricsSnapshot {
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            shard_wakeups: self.shard_wakeups.load(Ordering::Relaxed),
+            batches,
             queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
             mean_latency_s: self.latency.mean(),
             p50_latency_s: self.latency.quantile(0.50),
             p95_latency_s: self.latency.quantile(0.95),
             p99_latency_s: self.latency.quantile(0.99),
-            mean_batch: self.batch_size.mean(),
+            mean_batch,
             reactor,
         }
     }
@@ -234,8 +233,6 @@ pub struct MetricsSnapshot {
     pub deadline_exceeded: u64,
     /// Batches dispatched to shards.
     pub batches: u64,
-    /// Shard worker wakeups (equals `batches` when no wakeup is spurious).
-    pub shard_wakeups: u64,
     /// Peak admission-queue depth observed.
     pub queue_depth_peak: u64,
     /// Mean end-to-end latency (seconds).
@@ -264,7 +261,6 @@ impl MetricsSnapshot {
              \x20 rejected           {}\n\
              \x20 deadline exceeded  {}\n\
              \x20 batches            {} (mean size {:.2})\n\
-             \x20 shard wakeups      {}\n\
              \x20 peak queue depth   {}\n\
              \x20 latency mean/p50/p95/p99  {:.3e} / {:.3e} / {:.3e} / {:.3e} s\n\
              \x20 reactor polls/wakeups/spurious  {} / {} / {}\n\
@@ -276,7 +272,6 @@ impl MetricsSnapshot {
             self.deadline_exceeded,
             self.batches,
             self.mean_batch,
-            self.shard_wakeups,
             self.queue_depth_peak,
             self.mean_latency_s,
             self.p50_latency_s,
@@ -301,7 +296,7 @@ impl MetricsSnapshot {
                 "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
             ));
         };
-        let counters: [(&str, &str, u64); 6] = [
+        let counters: [(&str, &str, u64); 5] = [
             (
                 "pimdl_requests_submitted_total",
                 "Requests that entered the front end.",
@@ -326,11 +321,6 @@ impl MetricsSnapshot {
                 "pimdl_batches_total",
                 "Batches dispatched to shards.",
                 self.batches,
-            ),
-            (
-                "pimdl_shard_wakeups_total",
-                "Shard worker wakeups.",
-                self.shard_wakeups,
             ),
         ];
         for (name, help, v) in counters {
@@ -462,7 +452,7 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_reflects_recorders() {
-        let m = Metrics::new(8);
+        let m = Metrics::new();
         m.record_submitted();
         m.record_submitted();
         m.record_submitted();
@@ -486,7 +476,7 @@ mod tests {
 
     #[test]
     fn prometheus_text_is_well_formed() {
-        let m = Metrics::new(4);
+        let m = Metrics::new();
         m.record_submitted();
         m.record_completed(0.002);
         let text = m.snapshot().render_prometheus();

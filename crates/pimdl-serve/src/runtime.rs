@@ -394,7 +394,7 @@ impl Runtime {
     pub fn run_virtual(&self, load: &OpenLoop) -> Result<ServeReport> {
         load.validate()?;
         let clock = Arc::new(VirtualClock::new());
-        let metrics = Arc::new(Metrics::new(self.cfg.policy.max_batch));
+        let metrics = Arc::new(Metrics::new());
         let mut poller = SimPoller::new(Arc::clone(&clock));
         let sim = poller.handle();
 

@@ -942,7 +942,7 @@ mod tests {
     impl<'a> Rig<'a> {
         fn new(rt: &'a Runtime) -> Self {
             let clock = Arc::new(VirtualClock::new());
-            let metrics = Arc::new(Metrics::new(rt.config().policy.max_batch));
+            let metrics = Arc::new(Metrics::new());
             Rig {
                 rt,
                 pipeline: LinePipeline::new(rt, Arc::clone(&metrics)).unwrap(),

@@ -14,6 +14,7 @@
 //! interpreter by the root `tests/properties.rs`. [`Shards`] is the serving
 //! loop's book of those shards and the one place a batch is handed to one.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
@@ -24,7 +25,7 @@ use pimdl_engine::shapes::TransformerShape;
 use pimdl_lutnn::kernels::lut_checksum_quant;
 use pimdl_lutnn::lut::QuantLutTable;
 use pimdl_sim::exec::{run_lut_kernel, LutKernelData};
-use pimdl_sim::{LutWorkload, Mapping, PlatformConfig};
+use pimdl_sim::{LutWorkload, Mapping, PlatformConfig, SimError};
 use pimdl_tensor::pool::WorkerPool;
 use pimdl_tensor::quant::QuantMatrix;
 use pimdl_tensor::rng::DataRng;
@@ -315,7 +316,6 @@ pub struct DispatchTicket {
 pub struct ShardManager {
     busy_until_s: Vec<f64>,
     dispatched: Vec<u64>,
-    wakeups: Vec<u64>,
 }
 
 impl ShardManager {
@@ -334,7 +334,6 @@ impl ShardManager {
         Ok(ShardManager {
             busy_until_s: vec![0.0; num_shards],
             dispatched: vec![0; num_shards],
-            wakeups: vec![0; num_shards],
         })
     }
 
@@ -392,16 +391,6 @@ impl ShardManager {
         &self.dispatched
     }
 
-    /// Records one wakeup of `shard` (delivered through its reactor wake
-    /// token). In a spurious-free run `wakeup_counts == dispatch_counts`.
-    pub fn record_wakeup(&mut self, shard: usize) {
-        self.wakeups[shard] += 1;
-    }
-
-    /// Wake-token deliveries per shard.
-    pub fn wakeup_counts(&self) -> &[u64] {
-        &self.wakeups
-    }
 }
 
 /// Batch service times from the engine's end-to-end cost model, priced
@@ -483,6 +472,25 @@ type Finished = (usize, f64, Vec<Request>, Result<Vec<bool>>);
 /// What a shard thread is handed: the batch's service time, the model it
 /// executes against, and the batch.
 type Work = (f64, Arc<ReplicaModel>, Vec<Request>);
+
+/// How a shard thread runs a batch.
+type Execute = fn(&ReplicaModel, &[Request]) -> Result<Vec<bool>>;
+
+/// Runs `execute` on shard `shard`'s thread, turning a panic into the
+/// batch's execution error: a thread that unwound would never report its
+/// batch, so the shard would stay busy and the drain wait for it forever.
+fn caught(shard: usize, execute: impl FnOnce() -> Result<Vec<bool>>) -> Result<Vec<bool>> {
+    panic::catch_unwind(AssertUnwindSafe(execute)).unwrap_or_else(|payload| {
+        let what = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("a non-text payload");
+        Err(ServeError::Sim(SimError::Execution {
+            detail: format!("shard {shard} panicked executing a batch: {what}"),
+        }))
+    })
+}
 
 /// A finished batch, as the front ends deliver it.
 #[derive(Debug)]
@@ -567,13 +575,26 @@ impl<'a> Shards<'a> {
     /// `rt`'s shards on one worker thread each, parked on a depth-1
     /// channel. A worker wakes once per batch, executes it, sleeps out the
     /// rest of the cost-model service time on `clock`, reports, and fires
-    /// `completion` (the loop's [`WAKE_COMPLETION`] waker). The threads are
-    /// joined on drop, each after the batch it is running.
+    /// `completion` (the loop's [`WAKE_COMPLETION`] waker). A batch whose
+    /// execution panics is reported as that batch's execution error, and
+    /// the thread lives on. The threads are joined on drop, each after the
+    /// batch it is running.
     ///
     /// # Errors
     ///
     /// Shard-count validation.
     pub fn threaded(rt: &'a Runtime, clock: &RealClock, completion: Waker) -> Result<Self> {
+        Self::threaded_with(rt, clock, completion, ReplicaModel::execute_batch)
+    }
+
+    /// [`Shards::threaded`] with the shard threads running batches through
+    /// `execute`.
+    fn threaded_with(
+        rt: &'a Runtime,
+        clock: &RealClock,
+        completion: Waker,
+        execute: Execute,
+    ) -> Result<Self> {
         let (report, done) = mpsc::channel::<Finished>();
         let (mut work, mut workers) = (Vec::new(), Vec::new());
         for shard in 0..rt.config().num_shards {
@@ -582,7 +603,7 @@ impl<'a> Shards<'a> {
             workers.push(thread::spawn(move || {
                 for (service_s, model, batch) in rx {
                     let t_recv = clock.now();
-                    let flags = model.execute_batch(&batch);
+                    let flags = caught(shard, || execute(&model, &batch));
                     // The host-side functional check overlaps the modeled
                     // service time rather than adding to it.
                     clock.sleep(service_s - (clock.now() - t_recv));
@@ -604,7 +625,7 @@ impl<'a> Shards<'a> {
         )
     }
 
-    /// The routing book: per-shard horizon, dispatch and wakeup counts.
+    /// The routing book: per-shard horizon and dispatch counts.
     pub fn manager(&self) -> &ShardManager {
         &self.book
     }
@@ -642,9 +663,7 @@ impl<'a> Shards<'a> {
         };
         let service_s = self.service.batch_service_s(batch.len())?;
         self.book.dispatch_to(shard, now, service_s);
-        self.book.record_wakeup(shard);
         metrics.record_batch(batch.len());
-        metrics.record_shard_wakeup();
         self.free[shard] = false;
         self.in_flight += 1;
         match &mut self.exec {
@@ -841,28 +860,50 @@ mod tests {
         }
     }
 
-    /// Dispatches, as a one-request batch, a query one index short of
-    /// `rt`'s workload: it leaves, and only its execution can fail.
-    fn dispatch_malformed(rt: &Runtime, shards: &mut Shards<'_>) {
-        let w = rt.replica().workload();
-        let req = Request {
-            id: 0,
-            arrival_s: 0.0,
-            deadline_s: f64::INFINITY,
-            indices: vec![0; w.n * w.cb - 1],
-            expected_checksum: 0.0,
-        };
-        let metrics = Metrics::new(rt.config().policy.max_batch);
+    /// Dispatches `req` as a one-request batch; it leaves, and only its
+    /// execution can fail.
+    fn dispatch_one(rt: &Runtime, shards: &mut Shards<'_>, req: Request) {
+        let metrics = Metrics::new();
         let take = || Ok(Some((rt.replica_arc(), vec![req])));
         assert!(shards.dispatch_next(&metrics, 0.0, take).unwrap());
         assert_eq!(shards.in_flight(), 1);
     }
 
-    #[test]
-    fn an_execution_error_fails_the_drain_that_collects_it_in_both_modes() {
+    /// A query one index short of `rt`'s workload.
+    fn malformed(rt: &Runtime) -> Request {
+        let w = rt.replica().workload();
+        Request {
+            id: 0,
+            arrival_s: 0.0,
+            deadline_s: f64::INFINITY,
+            indices: vec![0; w.n * w.cb - 1],
+            expected_checksum: 0.0,
+        }
+    }
+
+    fn example_runtime(num_shards: usize) -> Runtime {
         let mut platform = PlatformConfig::upmem();
         platform.num_pes = 64;
-        let rt = Runtime::new(platform, TransformerShape::tiny(), ServeConfig::example()).unwrap();
+        let cfg = ServeConfig {
+            num_shards,
+            ..ServeConfig::example()
+        };
+        Runtime::new(platform, TransformerShape::tiny(), cfg).unwrap()
+    }
+
+    /// Waits for a shard thread's completion wake on `poller`.
+    fn await_completion(poller: &mut EpollPoller) {
+        let mut events = Vec::new();
+        poller.wait(Some(60e6), &mut events).unwrap();
+        assert!(
+            events.contains(&IoEvent::Wake(WAKE_COMPLETION)),
+            "{events:?}"
+        );
+    }
+
+    #[test]
+    fn an_execution_error_fails_the_drain_that_collects_it_in_both_modes() {
+        let rt = example_runtime(2);
         let mismatch = |e: ServeError| assert!(matches!(e, ServeError::Sim(_)), "{e}");
 
         // Simulated: the batch runs at dispatch, but its error surfaces only
@@ -870,7 +911,7 @@ mod tests {
         let clock = Arc::new(VirtualClock::new());
         let sim = SimPoller::new(Arc::clone(&clock));
         let mut shards = Shards::simulated(&rt, Arc::clone(&clock), sim.handle()).unwrap();
-        dispatch_malformed(&rt, &mut shards);
+        dispatch_one(&rt, &mut shards, malformed(&rt));
         assert!(shards.drain().unwrap().is_empty(), "not due yet");
         clock.advance_to(rt.service_model().batch_service_s(1).unwrap());
         mismatch(shards.drain().unwrap_err());
@@ -881,14 +922,36 @@ mod tests {
         let mut poller = EpollPoller::new(1e6).unwrap();
         let clock = RealClock::accelerated(1e6).unwrap();
         let mut shards = Shards::threaded(&rt, &clock, poller.waker(WAKE_COMPLETION)).unwrap();
-        dispatch_malformed(&rt, &mut shards);
-        let mut events = Vec::new();
-        poller.wait(Some(60e6), &mut events).unwrap();
-        assert!(
-            events.contains(&IoEvent::Wake(WAKE_COMPLETION)),
-            "{events:?}"
-        );
+        dispatch_one(&rt, &mut shards, malformed(&rt));
+        await_completion(&mut poller);
         mismatch(shards.drain().unwrap_err());
         assert_eq!(shards.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_panicking_batch_fails_the_drain_and_the_shard_thread_lives_on() {
+        let rt = example_runtime(1);
+        let mut rng = DataRng::new(3);
+        let mut poller = EpollPoller::new(1e6).unwrap();
+        let clock = RealClock::accelerated(1e6).unwrap();
+        let panics: Execute = |_, _| panic!("injected shard fault");
+        let mut shards =
+            Shards::threaded_with(&rt, &clock, poller.waker(WAKE_COMPLETION), panics).unwrap();
+        // Twice on the one shard: the thread that caught the first panic is
+        // still there to catch the second.
+        for id in 0..2 {
+            let req = rt.replica().make_request(id, 0.0, f64::INFINITY, &mut rng);
+            dispatch_one(&rt, &mut shards, req.unwrap());
+            assert_eq!(shards.manager().dispatch_counts()[0], id + 1);
+            await_completion(&mut poller);
+            let err = shards.drain().unwrap_err();
+            assert!(
+                matches!(&err, ServeError::Sim(SimError::Execution { detail })
+                    if detail.contains("shard 0 panicked") && detail.contains("injected shard fault")),
+                "{err}"
+            );
+            assert_eq!(shards.in_flight(), 0);
+            assert!(shards.any_free());
+        }
     }
 }

@@ -132,7 +132,6 @@ fn http_loopback_two_tenants_two_models_match_oracle() {
 
     // The reactor actually carried the traffic.
     assert_eq!(snap.reactor.accepts as usize, NUM_CLIENTS + 1);
-    assert_eq!(snap.shard_wakeups, snap.batches);
     assert!(snap.batches >= total.div_ceil(4));
     assert!(snap.reactor.reads > 0 && snap.reactor.writes > 0);
 }

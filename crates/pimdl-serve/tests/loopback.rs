@@ -42,7 +42,6 @@ fn serve_and_query(rt: &Arc<Runtime>, clients: usize, per_client: usize) -> [u64
     );
     // The reactor actually carried the traffic.
     assert_eq!(snap.reactor.accepts as usize, clients);
-    assert_eq!(snap.shard_wakeups, snap.batches);
     assert!(snap.reactor.reads > 0 && snap.reactor.writes > 0);
     kinds
 }

@@ -94,7 +94,7 @@ proptest! {
         num in 1usize..300,
     ) {
         let mut queue = AdmissionQueue::new(capacity).unwrap();
-        let metrics = Metrics::new(4);
+        let metrics = Metrics::new();
         let mut rng = proptest::TestRng::deterministic(&format!("admit-{seed}"));
 
         let mut admitted: Vec<u64> = Vec::new();

@@ -105,8 +105,9 @@ fn check_operands(w: &LutWorkload, data: LutKernelData<'_>) -> Result<()> {
 /// # Errors
 ///
 /// Returns [`SimError::WorkloadMismatch`] if the operand slices disagree
-/// with the workload shape or `CB` overflows the i32 accumulator, or an
-/// illegal-mapping error from validation.
+/// with the workload shape or `CB` overflows the i32 accumulator, an
+/// illegal-mapping error from validation, or [`SimError::Execution`] if a
+/// PE group's thread panicked.
 pub fn run_lut_kernel(
     platform: &PlatformConfig,
     workload: &LutWorkload,
@@ -136,7 +137,9 @@ pub fn run_lut_kernel(
                 });
             }
         })
-        .expect("simulated PE panicked");
+        .map_err(|_| SimError::Execution {
+            detail: "a simulated PE group panicked".to_string(),
+        })?;
     }
 
     Ok((output, report))

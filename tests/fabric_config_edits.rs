@@ -87,7 +87,7 @@ enum Edit {
 fn run(rt: &Runtime, fabric: FabricConfig) -> Edit {
     let tables = tables(&["t-0", "t-1"], 40);
     let clock = Arc::new(VirtualClock::new());
-    let metrics = Arc::new(Metrics::new(rt.config().policy.max_batch));
+    let metrics = Arc::new(Metrics::new());
     if let Err(e) = FabricServerLoop::new(rt, fabric, &tables, clock, metrics) {
         return Edit::Refused(e);
     }

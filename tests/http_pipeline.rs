@@ -108,7 +108,6 @@ fn conformance_corpus_scripted_statuses() {
     assert_eq!(run.snapshot.submitted, 1);
     assert_eq!(run.snapshot.completed, 1);
     assert_eq!(run.snapshot.rejected, 0);
-    assert_eq!(run.snapshot.shard_wakeups, run.snapshot.batches);
     assert_eq!(run.snapshot.reactor.accepts, 6);
 }
 
@@ -135,8 +134,6 @@ fn pipelined_infers_answer_in_order_across_models() {
     // Batches are model-uniform, so the 12 alternating requests cannot
     // ride in fewer than 2 model-pure batches.
     assert!(run.snapshot.batches >= 2);
-    assert_eq!(run.snapshot.shard_wakeups, run.snapshot.batches);
-    assert_eq!(run.dispatches, run.wakeups);
 }
 
 #[test]
@@ -273,8 +270,6 @@ fn weighted_fair_sharing_holds_under_overload() {
     );
 
     // Reactor invariants carry over to the HTTP front end.
-    assert_eq!(run.snapshot.shard_wakeups, run.snapshot.batches);
-    assert_eq!(run.dispatches, run.wakeups);
     assert_eq!(run.snapshot.reactor.spurious_wakeups, 0);
 }
 

@@ -263,9 +263,8 @@ pub struct Run {
     pub snapshot: MetricsSnapshot,
     /// Each client's received bytes, in connect order.
     pub outputs: Vec<Vec<u8>>,
-    /// Per-shard dispatches and wakeups (in-process shards).
+    /// Per-shard dispatches (in-process shards).
     pub dispatches: Vec<u64>,
-    pub wakeups: Vec<u64>,
     /// Reference gathers the front end ran.
     pub gathers: u64,
     /// The fabric's end state: each worker's and each table's.
@@ -280,7 +279,7 @@ pub struct Run {
 pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
     let clock = Arc::new(VirtualClock::new());
     let mut poller = SimPoller::new(Arc::clone(&clock));
-    let metrics = Arc::new(Metrics::new(rt.config().policy.max_batch));
+    let metrics = Arc::new(Metrics::new());
     let models: Vec<(String, Arc<ReplicaModel>)> = match front {
         Front::Line => vec![(String::new(), rt.replica_arc())],
         Front::Http { models, .. } | Front::Fabric { tables: models, .. } => models
@@ -308,7 +307,7 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
     };
     let before = gathers();
     let clock_dyn: Arc<dyn Clock> = Arc::clone(&clock) as Arc<dyn Clock>;
-    let (mut dispatches, mut wakeups) = (Vec::new(), Vec::new());
+    let mut dispatches = Vec::new();
     let (mut shard_states, mut table_states) = (Vec::new(), Vec::new());
     let (mut all_ready, mut any_lost) = (false, false);
     let gathers = if let Front::Fabric {
@@ -361,11 +360,7 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
             server.run(&mut poller, &mut shards).unwrap();
         }
         assert_eq!(shards.in_flight(), 0, "a batch in flight at exit");
-        let book = shards.manager();
-        (dispatches, wakeups) = (
-            book.dispatch_counts().to_vec(),
-            book.wakeup_counts().to_vec(),
-        );
+        dispatches = shards.manager().dispatch_counts().to_vec();
         gathers() - before
     };
     let end = Run {
@@ -373,7 +368,6 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
         snapshot: metrics.snapshot_with_reactor(poller.stats().snapshot()),
         outputs: clients.iter().map(|(t, _)| poller.output_of(*t)).collect(),
         dispatches,
-        wakeups,
         gathers,
         shard_states,
         table_states,
@@ -424,7 +418,7 @@ const HTTP_REFUSALS: [u16; 4] = [403, 429, 503, 504];
 
 /// What every schedule must satisfy: every submitted request terminated
 /// exactly once (`submitted == completed + rejected + deadline_exceeded`),
-/// one shard wakeup per batch, and on each client connection every owed
+/// and on each client connection every owed
 /// request answered exactly once — no tag twice, none unanswered, nothing
 /// unasked — with every result carrying the client-side oracle's checksum,
 /// flagged correct. A well-formed query is refused only as rejected or
@@ -434,8 +428,6 @@ fn check(run: &Run, http: bool, clients: &[(Token, Vec<Owed>)]) {
     let s = &run.snapshot;
     let terminal = s.completed + s.rejected + s.deadline_exceeded;
     assert_eq!(s.submitted, terminal, "ledger does not close: {s:?}");
-    assert_eq!(s.shard_wakeups, s.batches);
-    assert_eq!(run.dispatches, run.wakeups);
     for (out, (_, owed)) in run.outputs.iter().zip(clients) {
         if http {
             let got = responses(out);
