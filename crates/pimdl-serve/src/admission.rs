@@ -1,11 +1,11 @@
 //! Bounded admission queue with explicit load shedding.
 //!
-//! The front end never blocks a client and never grows without bound:
-//! a full queue rejects immediately ([`crate::request::Outcome::Rejected`]),
-//! and queued requests whose deadline passes before dispatch are shed
-//! ([`crate::request::Outcome::DeadlineExceeded`]). This is the
-//! backpressure half of the runtime — the batcher only drains this queue
-//! when a shard can actually absorb the work.
+//! A full queue rejects immediately, and queued requests whose deadline
+//! passes are shed. No front end uses it: the line front's admission moved
+//! onto [`crate::FairBatcher`], the one policy every front runs. It stays
+//! public because the benchmark's replay (`bench/src/replay.rs`) times it,
+//! and as the reference the one policy is held to in a differential test;
+//! the benchmark change that stops timing it deletes it.
 
 use std::collections::VecDeque;
 
@@ -38,11 +38,6 @@ impl AdmissionQueue {
         })
     }
 
-    /// Queue capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Requests currently queued.
     pub fn len(&self) -> usize {
         self.queue.len()
@@ -53,12 +48,6 @@ impl AdmissionQueue {
         self.queue.is_empty()
     }
 
-    /// Whether [`Self::try_admit`] would refuse: lets the caller skip
-    /// building a request it could only have rejected.
-    pub fn is_full(&self) -> bool {
-        self.queue.len() >= self.capacity
-    }
-
     /// Admits `req`, or hands it back if the queue is full (the caller
     /// records the rejection).
     ///
@@ -66,7 +55,7 @@ impl AdmissionQueue {
     ///
     /// The rejected request itself.
     pub fn try_admit(&mut self, req: Request) -> std::result::Result<(), Request> {
-        if self.is_full() {
+        if self.queue.len() >= self.capacity {
             return Err(req);
         }
         self.queue.push_back(req);

@@ -1,11 +1,14 @@
-//! Continuous batcher: the flush state machine of the serving loop.
+//! Continuous batcher: a single batch's flush state machine.
 //!
 //! Reuses the [`BatchingPolicy`] semantics of `pimdl_engine::scheduler`
 //! (the discrete-event simulator): a batch flushes when it reaches
 //! `max_batch` requests, or when the **oldest** pending request has waited
-//! `max_wait_s` since its arrival. The batcher is a pure state machine —
-//! time enters only through `now` arguments — so the virtual-clock runs
-//! and the real-socket servers run the identical logic.
+//! `max_wait_s` since its arrival. No front end uses it: the line front's
+//! batching moved onto [`crate::FairBatcher`], the one policy every front
+//! runs. It stays public because the benchmark's replay
+//! (`bench/src/replay.rs`) times it, and as the reference the one policy
+//! is held to in a differential test; the benchmark change that stops
+//! timing it deletes it.
 
 use pimdl_engine::scheduler::BatchingPolicy;
 
@@ -34,11 +37,6 @@ impl ContinuousBatcher {
         })
     }
 
-    /// The batching policy.
-    pub fn policy(&self) -> BatchingPolicy {
-        self.policy
-    }
-
     /// Pending request count.
     pub fn len(&self) -> usize {
         self.pending.len()
@@ -54,8 +52,8 @@ impl ContinuousBatcher {
         self.pending.len() >= self.policy.max_batch
     }
 
-    /// Adds a request (callers must not push past `max_batch`; the runtime
-    /// only refills while `!is_full()`).
+    /// Adds a request (callers must not push past `max_batch`: push only
+    /// while `!is_full()`).
     pub fn push(&mut self, req: Request) {
         debug_assert!(!self.is_full(), "batcher overfilled");
         self.pending.push(req);

@@ -9,7 +9,10 @@
 //! consistent-hash [`crate::supervisor::Supervisor`]; a dead worker
 //! (EOF — which covers `kill -9` — or a protocol timeout) has its tables
 //! re-replicated to the consistent-hash successor while its queued and
-//! in-flight requests are re-routed rather than dropped.
+//! in-flight requests are re-routed rather than dropped. Queries queue
+//! and batch under the one policy every front end runs
+//! ([`crate::FairBatcher`], keyed by table); the loop adds routing to a
+//! table's resident shard and `Execute` framing.
 //!
 //! [`FabricServerLoop`] is the third codec on the crate's connection core
 //! (`conn.rs`: the event loop, the transport path and the reactor-thread
@@ -34,7 +37,7 @@
 //! `Ok(None)` forever — the stream is no longer framed, so the connection
 //! must be closed, never re-parsed.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -55,6 +58,7 @@ use crate::conn::{self, ConnState, Conns, Front, WakeAt};
 use crate::error::ServeError;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::reactor::{EventSource, SimHandle, Token, WAKE_COMPLETION};
+use crate::registry::{FairBatcher, TaggedJob};
 use crate::request::Request;
 use crate::runtime::Runtime;
 use crate::server::{fallback_tag, ServeHandle};
@@ -730,20 +734,11 @@ fn valid_table_name(name: &str) -> bool {
 // FabricServerLoop
 // ---------------------------------------------------------------------------
 
-/// A queued query: the validated request plus where its response goes.
-#[derive(Debug)]
-struct PendingReq {
-    req: Request,
-    conn: Token,
-    tag: String,
-    table: String,
-}
-
 /// A batch dispatched to a shard and not yet acknowledged.
 #[derive(Debug)]
 struct InflightBatch {
     shard: u32,
-    items: Vec<PendingReq>,
+    jobs: Vec<TaggedJob>,
 }
 
 #[derive(Debug)]
@@ -789,14 +784,17 @@ impl ConnState for ConnKind {
 /// state machine runs under the real poller and the deterministic
 /// simulated one.
 ///
-/// Queries queue per table (FIFO, bounded by the runtime's
-/// `queue_capacity` across all tables) and dispatch as batches of up to
-/// `max_batch` when full, when the oldest has waited `max_wait_s`, or on
-/// drain — but only to a table's resident shard, at most one in-flight
-/// batch per shard. A dead shard's in-flight batches are re-queued at the
-/// front of their table queues (zero lost requests) while the supervisor
-/// re-replicates its tables to the consistent-hash successor; queries for
-/// terminally lost tables are error-responded, never silently dropped.
+/// Queries are admitted and batched by the one policy every front runs, a
+/// [`FairBatcher`] keyed by table with one implicit tenant (bounded by the
+/// runtime's `queue_capacity` across all tables; a batch of up to
+/// `max_batch` leaves when full, when the oldest has waited `max_wait_s`,
+/// or on drain). What the loop adds is routing and framing: a table's
+/// batch leaves only for its resident shard, at most one in-flight batch
+/// per shard, as an `Execute` frame. A dead shard's in-flight batches are
+/// re-queued at the front of their tables' queues (zero lost requests)
+/// while the supervisor re-replicates its tables to the consistent-hash
+/// successor; queries for terminally lost tables are error-responded,
+/// never silently dropped.
 #[derive(Debug)]
 pub struct FabricServerLoop<'a> {
     cfg: crate::runtime::ServeConfig,
@@ -806,9 +804,11 @@ pub struct FabricServerLoop<'a> {
     sup: Supervisor,
     /// Host-side oracle replicas (one per table) for request validation
     /// and reference checksums.
-    oracles: BTreeMap<String, Arc<ReplicaModel>>,
-    queues: BTreeMap<String, VecDeque<PendingReq>>,
-    queued_total: usize,
+    oracles: Arc<BTreeMap<String, Arc<ReplicaModel>>>,
+    batcher: FairBatcher,
+    /// request id → (client connection, tag) of every queued or in-flight
+    /// query.
+    routes: HashMap<u64, (Token, String)>,
     inflight: BTreeMap<u64, InflightBatch>,
     /// Shard connections that failed I/O and await death bookkeeping.
     pending_dead: Vec<Token>,
@@ -865,15 +865,16 @@ impl<'a> FabricServerLoop<'a> {
             clock.now(),
             tables,
         )?;
+        let cfg = *rt.config();
         Ok(FabricServerLoop {
-            cfg: *rt.config(),
+            batcher: FairBatcher::one_tenant(cfg.policy, cfg.queue_capacity)?,
+            cfg,
             service: rt.service_model(),
             clock,
             metrics,
             sup,
-            oracles,
-            queues: BTreeMap::new(),
-            queued_total: 0,
+            oracles: Arc::new(oracles),
+            routes: HashMap::new(),
             inflight: BTreeMap::new(),
             pending_dead: Vec::new(),
             next_batch_id: 0,
@@ -900,7 +901,7 @@ impl<'a> FabricServerLoop<'a> {
 
     /// Queries currently queued across all tables.
     pub fn queued(&self) -> usize {
-        self.queued_total
+        self.batcher.queued_total()
     }
 
     /// Reference gathers the front end's oracles have run, over all tables
@@ -940,19 +941,16 @@ impl<'e> Front<dyn FabricShardEngine + 'e> for FabricServerLoop<'_> {
     /// supervisor's protocol deadlines.
     fn next_timeout(&self, _engine: &(dyn FabricShardEngine + 'e)) -> Option<f64> {
         let mut wake = WakeAt::never();
-        for (table, q) in &self.queues {
-            let Some(front) = q.front() else { continue };
+        for table in self.oracles.keys() {
             if self
                 .sup
                 .route(table)
                 .is_some_and(|(shard, _)| !self.shard_busy(shard))
             {
-                wake.at(Some(front.req.arrival_s + self.cfg.policy.max_wait_s));
-            }
-            for p in q {
-                wake.after(Some(p.req.deadline_s));
+                wake.at(self.batcher.flush_deadline_key(table));
             }
         }
+        wake.after(self.batcher.min_deadline_s());
         wake.after(self.sup.next_deadline_s());
         wake.timeout(self.clock.now())
     }
@@ -1020,7 +1018,7 @@ impl<'e> Front<dyn FabricShardEngine + 'e> for FabricServerLoop<'_> {
     }
 
     fn idle(&self, _engine: &(dyn FabricShardEngine + 'e)) -> bool {
-        self.queued_total == 0 && self.inflight.is_empty()
+        self.batcher.is_empty() && self.inflight.is_empty()
     }
 
     /// Best-effort `Shutdown` frames to every live shard on exit.
@@ -1098,26 +1096,30 @@ impl<'a> FabricServerLoop<'a> {
             return Ok(());
         }
         self.metrics.record_submitted();
-        if self.queued_total >= self.cfg.queue_capacity {
+        // Refuse before paying: the reference gather is the request's most
+        // expensive step and runs only for a query the batcher will take.
+        let refused = match self.batcher.refusal_for("") {
+            Some(_) => true,
+            None => {
+                let request =
+                    oracle.request_from_valid(id, now, now + self.cfg.deadline_s, q.indices)?;
+                let job = TaggedJob {
+                    request,
+                    tenant: String::new(),
+                    model: table,
+                };
+                self.batcher.admit(job).is_err()
+            }
+        };
+        if refused {
             self.metrics.record_rejected();
             self.send(conns, t, &codec::encode_error(&q.tag, ErrorKind::Rejected));
             return Ok(());
         }
-        // Refused requests never get here: the reference gather is the
-        // request's most expensive step.
-        let req = oracle.request_from_valid(id, now, now + self.cfg.deadline_s, q.indices)?;
         conns.owe(t);
-        self.queues
-            .entry(table.clone())
-            .or_default()
-            .push_back(PendingReq {
-                req,
-                conn: t,
-                tag: q.tag,
-                table,
-            });
-        self.queued_total += 1;
-        self.metrics.observe_queue_depth(self.queued_total);
+        self.routes.insert(id, (t, q.tag));
+        self.metrics
+            .observe_queue_depth(self.batcher.queued_total());
         Ok(())
     }
 
@@ -1181,7 +1183,7 @@ impl<'a> FabricServerLoop<'a> {
                 let valid = self
                     .inflight
                     .get(&batch_id)
-                    .is_some_and(|b| b.shard == shard && b.items.len() == flags.len());
+                    .is_some_and(|b| b.shard == shard && b.jobs.len() == flags.len());
                 if !valid {
                     self.conn_failed(conns, t);
                     return Ok(());
@@ -1189,14 +1191,14 @@ impl<'a> FabricServerLoop<'a> {
                 let Some(batch) = self.inflight.remove(&batch_id) else {
                     return Ok(());
                 };
-                for (item, correct) in batch.items.into_iter().zip(flags) {
-                    self.metrics.record_completed(now - item.req.arrival_s);
-                    let bytes = codec::encode_result(
-                        &item.tag,
-                        correct,
-                        item.req.expected_checksum.to_bits(),
-                    );
-                    self.respond_to_pending(conns, &item, bytes);
+                for (job, correct) in batch.jobs.into_iter().zip(flags) {
+                    let req = job.request;
+                    self.metrics.record_completed(now - req.arrival_s);
+                    self.batcher.release(&job.tenant);
+                    let bits = req.expected_checksum.to_bits();
+                    self.answer(conns, req.id, |tag| {
+                        codec::encode_result(tag, correct, bits)
+                    });
                 }
             }
             Frame::LoadTable { .. } | Frame::Execute { .. } | Frame::Shutdown => {
@@ -1261,8 +1263,9 @@ impl<'a> FabricServerLoop<'a> {
     }
 
     /// Sheds expired queued requests, error-drains lost tables, and
-    /// dispatches due batches to free resident shards. Returns whether
-    /// anything moved.
+    /// dispatches each table's batch the batcher says is due (or any, on
+    /// drain) to the table's resident shard while that shard is free.
+    /// Returns whether anything moved.
     fn pump(
         &mut self,
         conns: &mut Conns<'_, ConnKind>,
@@ -1270,76 +1273,48 @@ impl<'a> FabricServerLoop<'a> {
     ) -> Result<bool> {
         let now = self.clock.now();
         let mut progress = false;
-        let tables: Vec<String> = self.queues.keys().cloned().collect();
-        for table in &tables {
-            // Deadline shedding (strict `now > deadline`, as everywhere).
-            while let Some(q) = self.queues.get_mut(table) {
-                let Some(pos) = q.iter().position(|p| p.req.expired(now)) else {
-                    break;
-                };
-                let Some(item) = q.remove(pos) else { break };
-                self.queued_total -= 1;
-                self.metrics.record_deadline_exceeded();
-                let bytes = codec::encode_error(&item.tag, ErrorKind::Deadline);
-                self.respond_to_pending(conns, &item, bytes);
-                progress = true;
-            }
-
+        for job in self.batcher.shed_expired(now) {
+            progress = true;
+            self.metrics.record_deadline_exceeded();
+            self.answer(conns, job.request.id, |tag| {
+                codec::encode_error(tag, ErrorKind::Deadline)
+            });
+        }
+        let oracles = Arc::clone(&self.oracles);
+        for table in oracles.keys() {
             let Some((shard, token)) = self.sup.route(table) else {
                 if self.sup.table_state(table) == Some(TableState::Lost) {
                     // No shard can ever serve this again: error-respond
                     // rather than strand the clients, and book each as
                     // refused so the ledger still closes.
-                    while let Some(item) = self.queues.get_mut(table).and_then(VecDeque::pop_front)
-                    {
-                        self.queued_total -= 1;
-                        self.metrics.record_rejected();
-                        let bytes = codec::encode_error(&item.tag, ErrorKind::Shutdown);
-                        self.respond_to_pending(conns, &item, bytes);
+                    for job in self.batcher.drain_key(table) {
                         progress = true;
+                        self.metrics.record_rejected();
+                        self.answer(conns, job.request.id, |tag| {
+                            codec::encode_error(tag, ErrorKind::Shutdown)
+                        });
                     }
                 }
                 continue;
             };
-            if self.shard_busy(shard) {
+            if self.shard_busy(shard) || !(conns.draining || self.batcher.ready_key(table, now)) {
                 continue;
             }
-            let (q_len, oldest_arrival) = match self.queues.get(table) {
-                Some(q) => match q.front() {
-                    Some(front) => (q.len(), front.req.arrival_s),
-                    None => continue,
-                },
-                None => continue,
+            let Some(jobs) = self.batcher.take_key(table) else {
+                continue;
             };
-            let max_batch = self.cfg.policy.max_batch;
-            let due = q_len >= max_batch
-                || now + 1e-12 >= oldest_arrival + self.cfg.policy.max_wait_s
-                || conns.draining;
-            if !due {
-                continue;
-            }
-            let n = q_len.min(max_batch);
-            let mut items = Vec::with_capacity(n);
-            if let Some(q) = self.queues.get_mut(table) {
-                for _ in 0..n {
-                    if let Some(item) = q.pop_front() {
-                        items.push(item);
-                    }
-                }
-            }
-            self.queued_total -= items.len();
-            let service_s = self.service.batch_service_s(items.len())?;
+            let service_s = self.service.batch_service_s(jobs.len())?;
             let batch_id = self.next_batch_id;
             self.next_batch_id += 1;
             let frame = Frame::Execute {
                 batch_id,
                 service_s,
                 table: table.clone(),
-                requests: items.iter().map(|p| p.req.clone()).collect(),
+                requests: jobs.iter().map(|j| j.request.clone()).collect(),
             };
-            self.metrics.record_batch(items.len());
+            self.metrics.record_batch(jobs.len());
             self.inflight
-                .insert(batch_id, InflightBatch { shard, items });
+                .insert(batch_id, InflightBatch { shard, jobs });
             self.send_frame(conns, engine, token, &frame)?;
             progress = true;
         }
@@ -1347,8 +1322,8 @@ impl<'a> FabricServerLoop<'a> {
     }
 
     /// Death bookkeeping for one shard: the supervisor re-places its
-    /// tables, its in-flight batches re-queue at the *front* of their
-    /// table queues (zero lost requests, original order preserved, no
+    /// tables, its in-flight batches go back to the *front* of their
+    /// tables' queues (zero lost requests, original order preserved, no
     /// double submission accounting), and re-replication orders go out to
     /// ready successors.
     fn shard_died(
@@ -1369,19 +1344,15 @@ impl<'a> FabricServerLoop<'a> {
             .filter(|(_, b)| b.shard == shard)
             .map(|(&id, _)| id)
             .collect();
-        // Re-queue newest batch first so the oldest batch ends up at the
-        // very front of its queue.
+        // Re-queue newest batch first, each last job first, so the oldest
+        // batch ends up at the very front of its queue.
         ids.sort_unstable();
         for id in ids.into_iter().rev() {
             let Some(batch) = self.inflight.remove(&id) else {
                 continue;
             };
-            for item in batch.items.into_iter().rev() {
-                self.queues
-                    .entry(item.table.clone())
-                    .or_default()
-                    .push_front(item);
-                self.queued_total += 1;
+            for job in batch.jobs.into_iter().rev() {
+                self.batcher.requeue_front(job);
             }
         }
         for o in orders {
@@ -1423,18 +1394,20 @@ impl<'a> FabricServerLoop<'a> {
         }
     }
 
-    /// Delivers a response for a tracked (queued or in-flight) request to
-    /// its client connection, settling what it is owed. Responses to
-    /// connections that have since dropped are discarded — the work was
-    /// still executed and counted.
-    fn respond_to_pending(
+    /// Answers the tracked (queued or in-flight) query `id` on its client
+    /// connection with the line `encode` makes of its tag, settling what
+    /// the connection is owed. Responses to connections that have since
+    /// dropped are discarded — the work was still executed and counted.
+    fn answer(
         &mut self,
         conns: &mut Conns<'_, ConnKind>,
-        item: &PendingReq,
-        bytes: Vec<u8>,
+        id: u64,
+        encode: impl FnOnce(&str) -> Vec<u8>,
     ) {
-        conns.settle(item.conn);
-        self.send(conns, item.conn, &bytes);
+        if let Some((conn, tag)) = self.routes.remove(&id) {
+            conns.settle(conn);
+            self.send(conns, conn, &encode(&tag));
+        }
     }
 }
 

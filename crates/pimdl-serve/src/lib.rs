@@ -4,16 +4,19 @@
 //!
 //! The runtime composes four pieces:
 //!
-//! * **Admission** ([`admission`]) — a bounded FIFO with explicit load
-//!   shedding: a full queue rejects on arrival, and per-request deadlines
-//!   shed queued work that can no longer be served in time. Nothing blocks
-//!   the client and nothing is silently dropped.
-//! * **Continuous batching** ([`batcher`]) — the engine scheduler's
-//!   [`pimdl_engine::scheduler::BatchingPolicy`] semantics (flush at
-//!   `max_batch`, or when the oldest request has waited `max_wait_s`) as a
-//!   pure state machine. Queue and batcher are composed once (the
-//!   shed → refill → flush → dispatch step in [`server`]) and driven by a
-//!   socket or by a deterministic virtual clock ([`clock`]).
+//! * **Admission and batching** ([`registry`]) — one policy under every
+//!   front end, [`FairBatcher`]: a bounded queue with explicit load
+//!   shedding (a full queue rejects on arrival, and per-request deadlines
+//!   shed queued work that can no longer be served in time; nothing
+//!   blocks the client and nothing is silently dropped), and the engine
+//!   scheduler's [`pimdl_engine::scheduler::BatchingPolicy`] semantics
+//!   (flush at `max_batch`, or when the oldest request has waited
+//!   `max_wait_s`) as a pure state machine, weighted-fair across tenants.
+//!   It is driven once (the admit → shed → flush → dispatch → deliver
+//!   step in [`server`]) by a socket or by a deterministic virtual clock
+//!   ([`clock`]). [`admission`] and [`batcher`], the queue and batcher it
+//!   replaced, remain only as the benchmark's and a differential test's
+//!   reference.
 //! * **DIMM sharding** ([`shard`]) — model replicas across groups of
 //!   simulated PIM DIMMs; batches route to the least-loaded shard, service
 //!   times come from a table priced once by the engine's end-to-end cost
@@ -23,9 +26,9 @@
 //!   runs each batch inline on the virtual clock, or on the shard's own
 //!   worker thread, which shares nothing with the loop but its channels
 //!   and the completion waker.
-//! * **Metrics** ([`metrics`]) — lock-free counters and fixed-bucket
-//!   histograms (latency p50/p95/p99, batch-size distribution, peak queue
-//!   depth, shed counts), snapshotted at shutdown.
+//! * **Metrics** ([`metrics`]) — lock-free counters and a fixed-bucket
+//!   latency histogram (p50/p95/p99, mean batch size, peak queue depth,
+//!   shed counts), snapshotted at shutdown.
 //!
 //! The network front ends ([`server`], [`fabric`]) are three codecs —
 //! line protocol, HTTP/1.1, shard-fabric frames — over one crate-private

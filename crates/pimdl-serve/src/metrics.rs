@@ -28,6 +28,12 @@ pub struct Histogram {
     sum_bits: AtomicU64,
 }
 
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram::log_time()
+    }
+}
+
 impl Histogram {
     /// A histogram over the given ascending upper bounds.
     pub fn new(upper_bounds: Vec<f64>) -> Self {
@@ -43,7 +49,8 @@ impl Histogram {
         }
     }
 
-    /// Log-spaced time buckets: five per decade from 1 µs to 1000 s.
+    /// Log-spaced time buckets: five per decade from 1 µs to 1000 s (also
+    /// the default).
     pub fn log_time() -> Self {
         let mut bounds = Vec::new();
         for decade in -6..3i32 {
@@ -120,7 +127,7 @@ impl Histogram {
 }
 
 /// Shared metrics registry of one serving run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Metrics {
     submitted: AtomicU64,
     completed: AtomicU64,
@@ -134,25 +141,10 @@ pub struct Metrics {
     latency: Histogram,
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics::new()
-    }
-}
-
 impl Metrics {
     /// A fresh registry.
     pub fn new() -> Self {
-        Metrics {
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched: AtomicU64::new(0),
-            queue_depth_peak: AtomicU64::new(0),
-            latency: Histogram::log_time(),
-        }
+        Metrics::default()
     }
 
     /// One request entered the front end.

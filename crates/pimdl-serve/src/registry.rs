@@ -1,12 +1,15 @@
-//! Multi-tenant model registry and weighted-fair batching.
+//! Multi-tenant model registry and the one admission-and-batching policy.
 //!
-//! Two pieces sit between the HTTP front end and the shard executors:
+//! Two pieces sit between the front ends and the shards that execute:
 //!
 //! * [`ModelRegistry`] — named calibrated [`ReplicaModel`]s resident
 //!   concurrently; the infer route picks one by name and every dispatched
 //!   batch executes against exactly one registered table.
-//! * [`FairBatcher`] — per-tenant FIFO queues scheduled by **stride
-//!   scheduling**: each tenant holds an integer `pass`, advanced by
+//! * [`FairBatcher`] — the admission and batching policy of every front
+//!   end: a bounded queue, deadline shedding, and a flush on size or on
+//!   the oldest job's window. Jobs queue per key, a (model or table,
+//!   tenant) pair, and tenants are scheduled by **stride scheduling**:
+//!   each holds an integer `pass`, advanced by
 //!   `TENANT_STRIDE_SCALE / weight` per scheduled request, and the batcher
 //!   always serves the smallest pass (ties break on tenant name, so the
 //!   schedule is deterministic). A weight-3 tenant therefore gets 3x the
@@ -19,6 +22,15 @@
 //! that model. Admission enforces [`TenantQuota::max_in_flight`] (HTTP
 //! 429) per tenant and a global queued-job capacity (HTTP 503) before any
 //! job enters a queue.
+//!
+//! The HTTP front names its tenants and models. The line front and the
+//! shard fabric run the same policy with one implicit tenant of weight 1
+//! whose quota never binds ([`FairBatcher::one_tenant`]), so the global
+//! capacity is their only refusal; the line front's one model and the
+//! implicit tenant are the empty name, which allocates nothing. The fabric
+//! keys by table and asks per key ([`FairBatcher::ready_key`],
+//! [`FairBatcher::take_key`]), because a table can leave only for its
+//! resident shard, and only while that shard is free.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -70,6 +82,14 @@ impl ModelRegistry {
         }
         self.models.insert(name.to_string(), replica);
         Ok(())
+    }
+
+    /// A registry of `replica` alone, under the empty name: the line
+    /// front's one model, which its queries never name.
+    pub(crate) fn one(replica: Arc<ReplicaModel>) -> Self {
+        ModelRegistry {
+            models: BTreeMap::from([(String::new(), replica)]),
+        }
     }
 
     /// The replica registered under `name`.
@@ -125,8 +145,7 @@ struct TenantState {
     pass: u64,
     /// Admitted-but-unfinished jobs (queued here plus dispatched).
     in_flight: usize,
-    /// Per-model FIFO queues (model-uniform batches pop from one of them).
-    queues: BTreeMap<String, VecDeque<TaggedJob>>,
+    /// Jobs queued here, over every model.
     queued: usize,
 }
 
@@ -136,23 +155,62 @@ impl TenantState {
             quota,
             pass: 0,
             in_flight: 0,
-            queues: BTreeMap::new(),
             queued: 0,
         }
     }
+
+    /// `n` of the tenant's queued jobs left without running.
+    fn forget(&mut self, n: usize) {
+        self.queued -= n;
+        self.in_flight = self.in_flight.saturating_sub(n);
+    }
 }
 
-/// Weighted-fair, model-uniform continuous batcher over per-tenant queues.
+/// One model's queues: a FIFO per tenant.
+#[derive(Debug, Default)]
+struct ModelQueues {
+    /// Jobs queued for the model, over every tenant.
+    queued: usize,
+    by_tenant: BTreeMap<String, VecDeque<TaggedJob>>,
+}
+
+impl ModelQueues {
+    /// Queues `job` at the back of its tenant's FIFO, or at the front.
+    fn push(&mut self, job: TaggedJob, front: bool) {
+        self.queued += 1;
+        match self.by_tenant.get_mut(&job.tenant) {
+            Some(q) if front => q.push_front(job),
+            Some(q) => q.push_back(job),
+            None => {
+                let tenant = job.tenant.clone();
+                self.by_tenant.insert(tenant, VecDeque::from([job]));
+            }
+        }
+    }
+
+    /// When the model's oldest queued job has waited `max_wait_s`.
+    fn flush_deadline_s(&self, max_wait_s: f64) -> Option<f64> {
+        let oldest = self.by_tenant.values().filter_map(VecDeque::front);
+        oldest
+            .map(|j| j.request.arrival_s)
+            .reduce(f64::min)
+            .map(|a| a + max_wait_s)
+    }
+}
+
+/// Weighted-fair, model-uniform continuous batcher over per-key queues.
 ///
-/// Pure state machine like [`crate::batcher::ContinuousBatcher`]: time
-/// enters only through `now` arguments, so the identical schedule runs
-/// under the real poller and the deterministic simulated one.
+/// Pure state machine: time enters only through `now` arguments, so the
+/// identical schedule runs under the real poller and the deterministic
+/// simulated one. A key's queue is created by its first job and kept, so
+/// admission allocates nothing once every key has been seen.
 #[derive(Debug)]
 pub struct FairBatcher {
     policy: BatchingPolicy,
     capacity: usize,
     default_quota: Option<TenantQuota>,
     tenants: BTreeMap<String, TenantState>,
+    models: BTreeMap<String, ModelQueues>,
     /// Global virtual time: the pass of the most recently scheduled
     /// request. A tenant going from idle to active restarts at this value
     /// (not its stale old pass), so sleeping does not bank priority and
@@ -205,17 +263,28 @@ impl FairBatcher {
             capacity,
             default_quota,
             tenants: map,
+            models: BTreeMap::new(),
             global_pass: 0,
             queued_total: 0,
         })
     }
 
-    /// The flush policy.
-    pub fn policy(&self) -> BatchingPolicy {
-        self.policy
+    /// The batcher of a front with one implicit tenant (the line front and
+    /// the fabric): weight 1 and an in-flight quota no run can reach, so
+    /// `capacity` is its only refusal. Its jobs name the tenant `""`.
+    ///
+    /// # Errors
+    ///
+    /// As [`FairBatcher::new`].
+    pub(crate) fn one_tenant(policy: BatchingPolicy, capacity: usize) -> Result<Self> {
+        let never_binds = TenantQuota {
+            weight: 1,
+            max_in_flight: usize::MAX,
+        };
+        Self::new(policy, capacity, &[], Some(never_binds))
     }
 
-    /// Jobs queued across every tenant.
+    /// Jobs queued across every key.
     pub fn queued_total(&self) -> usize {
         self.queued_total
     }
@@ -225,14 +294,6 @@ impl FairBatcher {
         self.queued_total == 0
     }
 
-    /// The quota governing `tenant` (configured or default).
-    pub fn quota_of(&self, tenant: &str) -> Option<TenantQuota> {
-        self.tenants
-            .get(tenant)
-            .map(|t| t.quota)
-            .or(self.default_quota)
-    }
-
     /// A tenant's admitted-but-unfinished job count.
     pub fn in_flight_of(&self, tenant: &str) -> usize {
         self.tenants.get(tenant).map_or(0, |t| t.in_flight)
@@ -240,10 +301,13 @@ impl FairBatcher {
 
     /// Why [`Self::admit`] would refuse a job of `tenant` right now (`None`
     /// if it would be admitted): lets the caller skip building a job it
-    /// could only have bounced.
+    /// could only have bounced. The capacity counts every queued job, the
+    /// batch being formed included.
     pub fn refusal_for(&self, tenant: &str) -> Option<AdmitRefusal> {
-        let Some(quota) = self.quota_of(tenant) else {
-            return Some(AdmitRefusal::UnknownTenant);
+        let quota = match (self.tenants.get(tenant), self.default_quota) {
+            (Some(t), _) => t.quota,
+            (None, Some(q)) => q,
+            (None, None) => return Some(AdmitRefusal::UnknownTenant),
         };
         if self.in_flight_of(tenant) >= quota.max_in_flight {
             return Some(AdmitRefusal::QuotaExceeded);
@@ -251,46 +315,59 @@ impl FairBatcher {
         (self.queued_total >= self.capacity).then_some(AdmitRefusal::QueueFull)
     }
 
-    /// Admits `job` into its tenant's queue, or hands it back with the
-    /// refusal reason (the caller maps it to an HTTP status and records
-    /// the rejection).
+    /// Admits `job` into its key's queue, or hands it back with the
+    /// refusal reason (the caller answers it and records the rejection).
     ///
     /// # Errors
     ///
     /// The refused job and why: unknown tenant, per-tenant quota, or
     /// global capacity.
     pub fn admit(&mut self, job: TaggedJob) -> std::result::Result<(), (TaggedJob, AdmitRefusal)> {
-        if !self.tenants.contains_key(&job.tenant) {
-            let Some(default) = self.default_quota else {
-                return Err((job, AdmitRefusal::UnknownTenant));
-            };
-            self.tenants
-                .insert(job.tenant.clone(), TenantState::new(default));
-        }
         if let Some(refusal) = self.refusal_for(&job.tenant) {
             return Err((job, refusal));
         }
-        let global_pass = self.global_pass;
-        let Some(t) = self.tenants.get_mut(&job.tenant) else {
-            return Err((job, AdmitRefusal::UnknownTenant));
-        };
-        if t.queued == 0 {
-            // Idle → active: rejoin at the current virtual time.
-            t.pass = t.pass.max(global_pass);
+        if let Some(t) = self.tenants.get_mut(&job.tenant) {
+            t.in_flight += 1;
+        } else if let Some(quota) = self.default_quota {
+            let mut t = TenantState::new(quota);
+            t.in_flight = 1;
+            self.tenants.insert(job.tenant.clone(), t);
         }
-        t.in_flight += 1;
-        t.queued += 1;
-        self.queued_total += 1;
-        t.queues
-            .entry(job.model.clone())
-            .or_default()
-            .push_back(job);
+        self.enqueue(job, false);
         Ok(())
     }
 
+    /// Puts a job taken in a batch that never ran (its shard died) back at
+    /// the front of its key's queue, so it leaves again ahead of newer
+    /// arrivals; requeue a batch last job first to keep its order. The job
+    /// keeps the in-flight slot it was admitted with, and no capacity check
+    /// applies: it was admitted once.
+    pub fn requeue_front(&mut self, job: TaggedJob) {
+        self.enqueue(job, true);
+    }
+
+    fn enqueue(&mut self, job: TaggedJob, front: bool) {
+        if let Some(t) = self.tenants.get_mut(&job.tenant) {
+            if t.queued == 0 {
+                // Idle → active: rejoin at the current virtual time.
+                t.pass = t.pass.max(self.global_pass);
+            }
+            t.queued += 1;
+        }
+        self.queued_total += 1;
+        match self.models.get_mut(&job.model) {
+            Some(mq) => mq.push(job, front),
+            None => {
+                let (model, mut mq) = (job.model.clone(), ModelQueues::default());
+                mq.push(job, front);
+                self.models.insert(model, mq);
+            }
+        }
+    }
+
     /// Releases one in-flight slot of `tenant` (its job completed after
-    /// dispatch). Queued jobs removed by [`FairBatcher::shed_expired`]
-    /// release their slot there.
+    /// dispatch). Queued jobs removed by [`FairBatcher::shed_expired`] or
+    /// [`FairBatcher::drain_key`] release their slot there.
     pub fn release(&mut self, tenant: &str) {
         if let Some(t) = self.tenants.get_mut(tenant) {
             t.in_flight = t.in_flight.saturating_sub(1);
@@ -298,152 +375,169 @@ impl FairBatcher {
     }
 
     /// Removes and returns every queued job whose deadline has passed at
-    /// `now` (their in-flight slots are released here).
+    /// `now` (their in-flight slots are released here), in id order.
     pub fn shed_expired(&mut self, now: f64) -> Vec<TaggedJob> {
         let mut shed = Vec::new();
-        for t in self.tenants.values_mut() {
-            for q in t.queues.values_mut() {
-                q.retain(|j| {
-                    if j.request.expired(now) {
-                        shed.push(j.clone());
-                        false
-                    } else {
-                        true
+        for mq in self.models.values_mut() {
+            for (tenant, q) in &mut mq.by_tenant {
+                if !q.iter().any(|j| j.request.expired(now)) {
+                    continue;
+                }
+                // One turn through the queue keeps the survivors in order
+                // and in place.
+                let before = shed.len();
+                for _ in 0..q.len() {
+                    match q.pop_front() {
+                        Some(j) if j.request.expired(now) => shed.push(j),
+                        Some(j) => q.push_back(j),
+                        None => break,
                     }
-                });
+                }
+                let dropped = shed.len() - before;
+                mq.queued -= dropped;
+                self.queued_total -= dropped;
+                if let Some(t) = self.tenants.get_mut(tenant) {
+                    t.forget(dropped);
+                }
             }
-            let remaining: usize = t.queues.values().map(VecDeque::len).sum();
-            let dropped = t.queued - remaining;
-            t.queued = remaining;
-            t.in_flight = t.in_flight.saturating_sub(dropped);
         }
-        self.queued_total = self.tenants.values().map(|t| t.queued).sum();
-        // Deterministic shed order regardless of tenant-map iteration.
         shed.sort_by_key(|j| j.request.id);
         shed
+    }
+
+    /// Removes and returns every job queued for `model` (their in-flight
+    /// slots are released here), tenant by tenant in FIFO order: what a
+    /// caller answers once no shard will ever serve the model again.
+    pub fn drain_key(&mut self, model: &str) -> Vec<TaggedJob> {
+        let mut out = Vec::new();
+        if let Some(mq) = self.models.get_mut(model) {
+            for (tenant, q) in &mut mq.by_tenant {
+                if let Some(t) = self.tenants.get_mut(tenant) {
+                    t.forget(q.len());
+                }
+                out.extend(q.drain(..));
+            }
+            self.queued_total -= mq.queued;
+            mq.queued = 0;
+        }
+        out
     }
 
     /// Absolute time the oldest queued job forces a flush
     /// (`oldest arrival + max_wait_s`); `None` when empty.
     pub fn flush_deadline_s(&self) -> Option<f64> {
-        self.oldest_arrival_s().map(|a| a + self.policy.max_wait_s)
+        let w = self.policy.max_wait_s;
+        let each = self.models.values().filter_map(|mq| mq.flush_deadline_s(w));
+        each.reduce(f64::min)
     }
 
-    fn oldest_arrival_s(&self) -> Option<f64> {
-        let mut oldest: Option<f64> = None;
-        for t in self.tenants.values() {
-            for q in t.queues.values() {
-                if let Some(j) = q.front() {
-                    let a = j.request.arrival_s;
-                    oldest = Some(oldest.map_or(a, |o: f64| o.min(a)));
-                }
-            }
-        }
-        oldest
+    /// [`FairBatcher::flush_deadline_s`] of `model`'s jobs alone.
+    pub fn flush_deadline_key(&self, model: &str) -> Option<f64> {
+        let mq = self.models.get(model)?;
+        mq.flush_deadline_s(self.policy.max_wait_s)
     }
 
     /// Earliest finite request deadline among queued jobs.
     pub fn min_deadline_s(&self) -> Option<f64> {
-        let mut min: Option<f64> = None;
-        for t in self.tenants.values() {
-            for q in t.queues.values() {
-                for j in q {
-                    if j.request.deadline_s.is_finite() {
-                        let d = j.request.deadline_s;
-                        min = Some(min.map_or(d, |m: f64| m.min(d)));
-                    }
-                }
-            }
-        }
-        min
+        self.models
+            .values()
+            .flat_map(|mq| mq.by_tenant.values().flatten())
+            .map(|j| j.request.deadline_s)
+            .filter(|d| d.is_finite())
+            .reduce(f64::min)
     }
 
     /// Whether a batch should flush at `now`: some model could fill a full
     /// batch, or the oldest queued job has waited out the window.
     pub fn ready(&self, now: f64) -> bool {
-        if self.queued_total == 0 {
-            return false;
-        }
-        if self.flush_deadline_s().is_some_and(|d| now >= d) {
-            return true;
-        }
-        let mut per_model: BTreeMap<&str, usize> = BTreeMap::new();
-        for t in self.tenants.values() {
-            for (m, q) in &t.queues {
-                *per_model.entry(m.as_str()).or_default() += q.len();
-            }
-        }
-        per_model.values().any(|&n| n >= self.policy.max_batch)
+        self.models.values().any(|mq| self.due(mq, now))
     }
 
-    /// The next tenant in stride order restricted to tenants with queued
-    /// jobs for `model` (`None` for any model = unrestricted): smallest
-    /// pass, ties on name.
-    fn next_tenant(&self, model: Option<&str>) -> Option<(String, f64)> {
-        let mut best: Option<(&str, u64, f64)> = None;
+    /// [`FairBatcher::ready`] for `model`'s jobs alone.
+    pub fn ready_key(&self, model: &str, now: f64) -> bool {
+        self.models.get(model).is_some_and(|mq| self.due(mq, now))
+    }
+
+    fn due(&self, mq: &ModelQueues, now: f64) -> bool {
+        mq.queued >= self.policy.max_batch
+            || mq
+                .flush_deadline_s(self.policy.max_wait_s)
+                .is_some_and(|d| now >= d)
+    }
+
+    /// The model the lead (smallest-pass, ties on name) tenant's oldest
+    /// job targets — what the next batch will execute against.
+    fn lead_model(&self) -> Option<&str> {
+        let mut lead: Option<(&str, u64)> = None;
         for (name, t) in &self.tenants {
-            let front_arrival = match model {
-                Some(m) => t.queues.get(m).and_then(VecDeque::front),
-                None => t
-                    .queues
-                    .values()
-                    .filter_map(VecDeque::front)
-                    .min_by(|a, b| a.request.arrival_s.total_cmp(&b.request.arrival_s)),
+            // Strict `<` over name order keeps the first tenant on ties.
+            if t.queued > 0 && lead.is_none_or(|(_, p)| t.pass < p) {
+                lead = Some((name, t.pass));
             }
-            .map(|j| j.request.arrival_s);
-            let Some(arrival) = front_arrival else {
+        }
+        let (lead, _) = lead?;
+        let mut oldest: Option<(&str, f64)> = None;
+        for (model, mq) in &self.models {
+            let Some(j) = mq.by_tenant.get(lead).and_then(VecDeque::front) else {
                 continue;
             };
-            // BTreeMap iterates in name order, so strict `<` keeps the
-            // lexicographically-first tenant on pass ties.
-            if best.is_none_or(|(_, p, _)| t.pass < p) {
-                best = Some((name, t.pass, arrival));
+            let a = j.request.arrival_s;
+            if oldest.is_none_or(|(_, o)| a.total_cmp(&o).is_lt()) {
+                oldest = Some((model, a));
             }
         }
-        best.map(|(n, _, a)| (n.to_string(), a))
+        oldest.map(|(m, _)| m)
     }
 
-    /// The model the lead (smallest-pass) tenant's oldest job targets —
-    /// what the next batch will execute against.
-    fn lead_model(&self) -> Option<String> {
-        let (lead, _) = self.next_tenant(None)?;
-        let t = self.tenants.get(&lead)?;
-        t.queues
-            .iter()
-            .filter_map(|(m, q)| q.front().map(|j| (m, j.request.arrival_s)))
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(b.0)))
-            .map(|(m, _)| m.clone())
-    }
-
-    /// Forms the next model-uniform batch in stride order: the lead tenant
-    /// defines the model, then up to `max_batch` jobs are popped from the
-    /// smallest-pass tenants holding jobs for that model, each pop
-    /// charging its tenant one stride. Returns the model name and the
-    /// jobs; `None` when nothing is queued.
-    pub fn take_batch(&mut self) -> Option<(String, Vec<TaggedJob>)> {
-        let model = self.lead_model()?;
+    /// Forms the next batch for `model` in stride order: up to `max_batch`
+    /// jobs popped from the smallest-pass tenants holding jobs for it,
+    /// each pop charging its tenant one stride. `None` when none is
+    /// queued.
+    pub fn take_key(&mut self, model: &str) -> Option<Vec<TaggedJob>> {
+        let FairBatcher {
+            policy,
+            tenants,
+            models,
+            global_pass,
+            queued_total,
+            ..
+        } = self;
+        let mq = models.get_mut(model)?;
         let mut batch = Vec::new();
-        while batch.len() < self.policy.max_batch {
-            let Some((name, _)) = self.next_tenant(Some(&model)) else {
+        while batch.len() < policy.max_batch {
+            let mut next: Option<(u64, &str, &mut VecDeque<TaggedJob>)> = None;
+            for (name, q) in &mut mq.by_tenant {
+                let pass = tenants.get(name).map_or(u64::MAX, |t| t.pass);
+                // Strict `<` over name order keeps the first tenant on ties.
+                if !q.is_empty() && next.as_ref().is_none_or(|n| pass < n.0) {
+                    next = Some((pass, name, q));
+                }
+            }
+            let Some(job) = next.and_then(|(_, name, q)| {
+                let t = tenants.get_mut(name)?;
+                let job = q.pop_front()?;
+                t.queued -= 1;
+                *global_pass = (*global_pass).max(t.pass);
+                t.pass = t.pass.saturating_add(t.quota.stride());
+                Some(job)
+            }) else {
                 break;
             };
-            let Some(t) = self.tenants.get_mut(&name) else {
-                break;
-            };
-            let Some(job) = t.queues.get_mut(&model).and_then(VecDeque::pop_front) else {
-                break;
-            };
-            t.queued -= 1;
-            self.queued_total -= 1;
-            self.global_pass = self.global_pass.max(t.pass);
-            t.pass = t.pass.saturating_add(t.quota.stride());
+            mq.queued -= 1;
+            *queued_total -= 1;
             batch.push(job);
         }
-        if batch.is_empty() {
-            None
-        } else {
-            Some((model, batch))
-        }
+        (!batch.is_empty()).then_some(batch)
+    }
+
+    /// Forms the next model-uniform batch in stride order: the lead
+    /// tenant's oldest job picks the model, then
+    /// [`FairBatcher::take_key`] fills it. Returns the model name and the
+    /// jobs; `None` when nothing is queued.
+    pub fn take_batch(&mut self) -> Option<(String, Vec<TaggedJob>)> {
+        let model = self.lead_model()?.to_string();
+        let jobs = self.take_key(&model)?;
+        Some((model, jobs))
     }
 }
 

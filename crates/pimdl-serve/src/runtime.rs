@@ -1,7 +1,8 @@
 //! The serving runtime: admission → continuous batching → shard dispatch.
 //!
-//! The policy — shed, refill, flush, dispatch, deliver — is written once,
-//! in `server.rs`'s crate-private `LinePipeline`, and the event loop once,
+//! The policy — admit, shed, flush, dispatch, deliver — is written once,
+//! in `server.rs`'s crate-private `Pipeline` over the one batcher
+//! ([`crate::FairBatcher`]), and the event loop once,
 //! in `conn::drive`. [`Runtime::run_virtual`] is that loop under a front
 //! with no connections: a [`crate::reactor::SimPoller`] scripted with one
 //! `WAKE_ARRIVAL` per pre-generated arrival, a
@@ -13,9 +14,10 @@
 //!
 //! The line-protocol front end ([`Runtime::serve`]) runs the same pipeline
 //! with arrivals off a socket and outcomes encoded as reply lines, on real
-//! shard worker threads ([`Shards::threaded`]); the HTTP and fabric
-//! front ends ([`Runtime::serve_http`], [`Runtime::serve_fabric`]) batch
-//! per model and per process, on the same connection core.
+//! shard worker threads ([`Shards::threaded`]); the HTTP front end
+//! ([`Runtime::serve_http`]) runs it per tenant and model, and the fabric
+//! ([`Runtime::serve_fabric`]) runs the same batcher per table, on the
+//! same connection core.
 //!
 //! Every driver upholds the conservation invariant: every submitted
 //! request terminates in exactly one of `Completed`, `Rejected`, or
@@ -39,7 +41,7 @@ use crate::error::ServeError;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::reactor::{EventSource, SimPoller, Token, WAKE_ARRIVAL};
 use crate::request::{Outcome, Request, RequestRecord};
-use crate::server::LinePipeline;
+use crate::server::Pipeline;
 use crate::shard::{ReplicaModel, ServiceModel, Shards};
 use crate::Result;
 
@@ -236,12 +238,14 @@ pub struct Runtime {
     replica: Arc<ReplicaModel>,
 }
 
-/// The ledger entry of a request that just reached `outcome`.
-fn record(req: &Request, outcome: Outcome) -> RequestRecord {
-    RequestRecord {
-        id: req.id,
-        arrival_s: req.arrival_s,
-        outcome,
+/// A pipeline sink booking each request's terminal outcome into `records`.
+fn ledger(records: &mut Vec<RequestRecord>) -> impl FnMut(Request, (), Outcome) + '_ {
+    |req, (), outcome| {
+        records.push(RequestRecord {
+            id: req.id,
+            arrival_s: req.arrival_s,
+            outcome,
+        });
     }
 }
 
@@ -250,7 +254,7 @@ fn record(req: &Request, outcome: Outcome) -> RequestRecord {
 /// into the ledger.
 #[derive(Debug)]
 struct LedgerFront {
-    pipeline: LinePipeline,
+    pipeline: Pipeline<()>,
     clock: Arc<VirtualClock>,
     metrics: Arc<Metrics>,
     /// The requests in arrival order; one is released once the clock has
@@ -288,17 +292,23 @@ impl<'s> Front<Shards<'s>> for LedgerFront {
     /// Books what the shards finished, admits what has arrived since the
     /// last step, and pumps.
     fn step(&mut self, conns: &mut Conns<'_, ()>, shards: &mut Shards<'s>) -> Result<bool> {
-        let records = &mut self.records;
-        let mut sink = |req: Request, outcome: Outcome| records.push(record(&req, outcome));
-        let mut progress = self.pipeline.deliver(shards, &mut sink)?;
+        let mut progress = self
+            .pipeline
+            .deliver(shards, &mut ledger(&mut self.records))?;
         let now = self.clock.now();
         while let Some(req) = self.arrivals.next_if(|r| r.arrival_s <= now) {
             progress = true;
             self.metrics.record_submitted();
-            if let Err(back) = self.pipeline.admit(req) {
-                sink(back, Outcome::Rejected { at_s: now });
+            let rejected = RequestRecord {
+                id: req.id,
+                arrival_s: req.arrival_s,
+                outcome: Outcome::Rejected { at_s: now },
+            };
+            if self.pipeline.admit(("", ""), (), || Ok(req))?.is_some() {
+                self.records.push(rejected);
             }
         }
+        let mut sink = ledger(&mut self.records);
         progress |= self.pipeline.pump(now, conns.draining, shards, &mut sink)?;
         Ok(progress)
     }
@@ -419,7 +429,7 @@ impl Runtime {
 
         let mut shards = Shards::simulated(self, Arc::clone(&clock), sim)?;
         let mut front = LedgerFront {
-            pipeline: LinePipeline::new(self, Arc::clone(&metrics))?,
+            pipeline: Pipeline::line(self, Arc::clone(&metrics))?,
             clock,
             metrics: Arc::clone(&metrics),
             arrivals: requests.into_iter().peekable(),

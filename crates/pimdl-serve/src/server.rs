@@ -1,13 +1,13 @@
 //! The batching front ends over the shared connection core: the line
 //! protocol ([`ServerLoop`]) and HTTP/1.1 ([`HttpServerLoop`]).
 //!
-//! Each is a codec plus its admission and batching state — accepted
-//! connections feed the `LinePipeline` ([`AdmissionQueue`] →
-//! [`ContinuousBatcher`] → [`Shards`]; also what
-//! [`Runtime::run_virtual`] runs) or, for
-//! HTTP, the [`FairBatcher`] over a [`ModelRegistry`] → the same
-//! [`Shards`]. The event loop, the transport path and
-//! the reactor-thread spawner are `conn.rs`'s, written once against
+//! Each is a codec over one `Pipeline`: the one admission-and-batching
+//! policy, a [`FairBatcher`] over a [`ModelRegistry`], feeding [`Shards`]
+//! (also what [`Runtime::run_virtual`] runs). HTTP names its tenants and
+//! models; the line front has one implicit tenant and one model, so its
+//! queue capacity is its only refusal. A front differs only in the sink
+//! its outcomes go to. The event loop, the transport path and the
+//! reactor-thread spawner are `conn.rs`'s, written once against
 //! [`EventSource`], so the identical byte-for-byte pipeline runs under:
 //!
 //! * [`crate::EpollPoller`] + [`Shards::threaded`] — real sockets, one
@@ -26,8 +26,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 
-use crate::admission::AdmissionQueue;
-use crate::batcher::ContinuousBatcher;
 use crate::clock::Clock;
 use crate::codec::{self, ErrorKind, LineBuffer};
 use crate::conn::{self, ConnState, Conns, Front, Reactor, WakeAt};
@@ -37,92 +35,134 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::reactor::{EventSource, Token, Waker};
 use crate::registry::{AdmitRefusal, FairBatcher, ModelRegistry, TaggedJob};
 use crate::request::{Outcome, Request};
-use crate::runtime::{Runtime, ServeConfig};
+use crate::runtime::Runtime;
 use crate::shard::{ReplicaModel, Shards};
 use crate::Result;
 use pimdl_engine::scheduler::TenantQuota;
 
-/// The flush window of a non-empty batch counts only while a shard could
-/// absorb it — with every shard busy the completion wake is the real
-/// signal, and a timed wait would spin on a ready batch.
-fn flush_window(shards: &Shards<'_>, flush_deadline_s: Option<f64>) -> Option<f64> {
-    flush_deadline_s.filter(|_| shards.any_free())
-}
-
 // ---------------------------------------------------------------------------
-// LinePipeline — admission → continuous batching → routing, once
+// Pipeline — admission → batching → dispatch → delivery, once
 // ---------------------------------------------------------------------------
 
-/// The serving policy every single-model driver runs: a bounded
-/// [`AdmissionQueue`] feeding a [`ContinuousBatcher`] feeding the
-/// [`Shards`]. The drivers differ in where arrivals and time come from
-/// and in what a terminal outcome turns into (the `sink`); the order of
-/// shedding, refilling, flushing and dispatching, and which metric each
+/// The serving policy of every front on in-process [`Shards`]: the line
+/// front, the HTTP front and [`Runtime::run_virtual`]'s ledger. A
+/// [`FairBatcher`] over `models` feeds the shards, and each admitted
+/// request's outcome is bound for an `R` (a connection and tag, an HTTP
+/// response slot, nothing). The fronts differ in where arrivals and time
+/// come from and in what an outcome turns into (the `sink`); the order of
+/// delivering, shedding, flushing and dispatching, and which metric each
 /// transition records, are decided here.
 #[derive(Debug)]
-pub(crate) struct LinePipeline {
-    replica: Arc<ReplicaModel>,
+pub(crate) struct Pipeline<R> {
+    models: ModelRegistry,
     metrics: Arc<Metrics>,
-    queue: AdmissionQueue,
-    batcher: ContinuousBatcher,
+    batcher: FairBatcher,
+    /// request id → (tenant, destination) of every admitted request not
+    /// yet answered.
+    routes: HashMap<u64, (String, R)>,
 }
 
-impl LinePipeline {
-    /// `rt`'s queue capacity, batching policy and replica, recording into
+impl<R> Pipeline<R> {
+    /// A pipeline batching under `batcher` for `models`, recording into
     /// `metrics`.
+    pub(crate) fn new(models: ModelRegistry, batcher: FairBatcher, metrics: Arc<Metrics>) -> Self {
+        Pipeline {
+            models,
+            metrics,
+            batcher,
+            routes: HashMap::new(),
+        }
+    }
+
+    /// `rt`'s replica behind one implicit tenant, under `rt`'s policy and
+    /// queue capacity: the line front's and the ledger's pipeline.
     ///
     /// # Errors
     ///
-    /// Configuration validation of the queue and batcher state machines.
-    pub(crate) fn new(rt: &Runtime, metrics: Arc<Metrics>) -> Result<Self> {
+    /// Configuration validation of the batcher.
+    pub(crate) fn line(rt: &Runtime, metrics: Arc<Metrics>) -> Result<Self> {
         let cfg = rt.config();
-        Ok(LinePipeline {
-            replica: rt.replica_arc(),
+        let batcher = FairBatcher::one_tenant(cfg.policy, cfg.queue_capacity)?;
+        Ok(Self::new(
+            ModelRegistry::one(rt.replica_arc()),
+            batcher,
             metrics,
-            queue: AdmissionQueue::new(cfg.queue_capacity)?,
-            batcher: ContinuousBatcher::new(cfg.policy)?,
-        })
+        ))
     }
 
-    /// Whether [`LinePipeline::admit`] would take a request now — asked
-    /// first by a caller whose request is expensive to build.
-    pub(crate) fn has_room(&self) -> bool {
-        !self.queue.is_full()
+    /// The model registered under `name`.
+    pub(crate) fn model(&self, name: &str) -> Option<&Arc<ReplicaModel>> {
+        self.models.get(name)
     }
 
-    /// Queues `req`, or hands it back (counted as rejected) when the
-    /// queue is full.
-    pub(crate) fn admit(&mut self, req: Request) -> std::result::Result<(), Request> {
-        let admitted = self.queue.try_admit(req);
-        if admitted.is_err() {
-            self.metrics.record_rejected();
-        }
-        self.metrics.observe_queue_depth(self.queue.len());
-        admitted
+    /// Queues the request `build` makes for `tenant` and `model` (the line
+    /// front's implicit ones are the empty name, which allocates nothing),
+    /// its outcome bound for `to`. When a job of `tenant` would be refused
+    /// now, nothing is built (the reference gather is a request's most
+    /// expensive step), the rejection is counted, and `to` comes back with
+    /// the reason.
+    ///
+    /// # Errors
+    ///
+    /// `build`'s errors.
+    pub(crate) fn admit(
+        &mut self,
+        (tenant, model): (&str, &str),
+        to: R,
+        build: impl FnOnce() -> Result<Request>,
+    ) -> Result<Option<(R, AdmitRefusal)>> {
+        let refusal = match self.batcher.refusal_for(tenant) {
+            Some(why) => why,
+            None => {
+                let request = build()?;
+                let id = request.id;
+                let (tenant, model) = (tenant.to_string(), model.to_string());
+                let job = TaggedJob {
+                    request,
+                    tenant: tenant.clone(),
+                    model,
+                };
+                match self.batcher.admit(job) {
+                    Ok(()) => {
+                        self.metrics
+                            .observe_queue_depth(self.batcher.queued_total());
+                        self.routes.insert(id, (tenant, to));
+                        return Ok(None);
+                    }
+                    Err((_, why)) => why,
+                }
+            }
+        };
+        self.metrics.record_rejected();
+        Ok(Some((to, refusal)))
     }
 
-    /// Relative timeout of the driver's next wait: the flush window (while
-    /// a shard could take the batch) or a hair past the earliest deadline
-    /// in the queue or the pending batch.
+    /// Relative timeout of the driver's next wait: the flush window or a
+    /// hair past the earliest deadline queued. The window counts only while
+    /// a shard could absorb the batch — with every shard busy the
+    /// completion wake is the real signal, and a timed wait would spin on a
+    /// ready batch.
     pub(crate) fn next_timeout(&self, now: f64, shards: &Shards<'_>) -> Option<f64> {
         let mut wake = WakeAt::never();
-        wake.at(flush_window(shards, self.batcher.flush_deadline_s()));
-        wake.after(self.queue.min_deadline_s());
+        wake.at(self
+            .batcher
+            .flush_deadline_s()
+            .filter(|_| shards.any_free()));
         wake.after(self.batcher.min_deadline_s());
         wake.timeout(now)
     }
 
     /// Hands every request of every finished batch to `sink` as
-    /// `Completed`, in `(finish_s, shard)` order. Returns whether a batch
-    /// had finished.
+    /// `Completed`, in `(finish_s, shard)` order, releasing its tenant's
+    /// slot. Returns whether a batch had finished.
     ///
     /// # Errors
     ///
     /// An execution error of a finished batch.
     pub(crate) fn deliver(
-        &self,
+        &mut self,
         shards: &mut Shards<'_>,
-        sink: &mut impl FnMut(Request, Outcome),
+        sink: &mut impl FnMut(Request, R, Outcome),
     ) -> Result<bool> {
         let mut progress = false;
         for done in shards.drain()? {
@@ -131,54 +171,63 @@ impl LinePipeline {
             for (req, correct) in done.results {
                 let latency_s = done.finish_s - req.arrival_s;
                 self.metrics.record_completed(latency_s);
-                let outcome = Outcome::Completed {
-                    latency_s,
-                    shard: done.shard,
-                    batch_size,
-                    correct,
-                };
-                sink(req, outcome);
+                if let Some((tenant, to)) = self.routes.remove(&req.id) {
+                    self.batcher.release(&tenant);
+                    let outcome = Outcome::Completed {
+                        latency_s,
+                        shard: done.shard,
+                        batch_size,
+                        correct,
+                    };
+                    sink(req, to, outcome);
+                }
             }
         }
         Ok(progress)
     }
 
-    /// Shed → refill → flush → dispatch, repeated while a shard absorbs a
-    /// batch. Expired requests reach `sink` as `DeadlineExceeded` and are
-    /// shed before the refill, so none is ever dispatched; `draining`
-    /// flushes a partial batch without waiting out its window (the refill
-    /// runs first, so a batch is partial only once the queue behind it is
-    /// empty). Returns whether anything moved.
+    /// Shed → flush → dispatch, repeated while a shard absorbs a batch.
+    /// Expired requests reach `sink` as `DeadlineExceeded` before any
+    /// batch forms, so none is ever dispatched; `draining` flushes a
+    /// partial batch without waiting out its window (full batches leave
+    /// first, so a batch is partial only once nothing is queued behind
+    /// it). Returns whether anything moved.
     ///
     /// # Errors
     ///
-    /// Cost-model and dispatch failures.
+    /// Dispatch failures, and a batch for a model the registry lacks.
     pub(crate) fn pump(
         &mut self,
         now: f64,
         draining: bool,
         shards: &mut Shards<'_>,
-        sink: &mut impl FnMut(Request, Outcome),
+        sink: &mut impl FnMut(Request, R, Outcome),
     ) -> Result<bool> {
         let mut progress = false;
         loop {
-            let mut shed = self.queue.shed_expired(now);
-            shed.extend(self.batcher.shed_expired(now));
-            for r in shed {
+            for job in self.batcher.shed_expired(now) {
                 progress = true;
                 self.metrics.record_deadline_exceeded();
-                sink(r, Outcome::DeadlineExceeded { at_s: now });
-            }
-            while !self.batcher.is_full() {
-                match self.queue.pop() {
-                    Some(r) => self.batcher.push(r),
-                    None => break,
+                if let Some((_, to)) = self.routes.remove(&job.request.id) {
+                    sink(job.request, to, Outcome::DeadlineExceeded { at_s: now });
                 }
             }
-            self.metrics.observe_queue_depth(self.queue.len());
+            self.metrics
+                .observe_queue_depth(self.batcher.queued_total());
             let flush = self.batcher.ready(now) || (draining && !self.batcher.is_empty());
-            let (replica, batcher) = (&self.replica, &mut self.batcher);
-            let take = || Ok(Some((Arc::clone(replica), batcher.take())));
+            let (models, batcher) = (&self.models, &mut self.batcher);
+            let take = || {
+                let Some((name, jobs)) = batcher.take_batch() else {
+                    return Ok(None);
+                };
+                // Admission verified the model; a miss here is a registry
+                // invariant violation, not a client error.
+                let model = models.get(&name).ok_or_else(|| ServeError::Config {
+                    detail: format!("batch for unregistered model {name:?}"),
+                })?;
+                let batch = jobs.into_iter().map(|j| j.request).collect();
+                Ok(Some((Arc::clone(model), batch)))
+            };
             if flush && shards.dispatch_next(&self.metrics, now, take)? {
                 progress = true;
                 continue; // another batch may fit another shard
@@ -187,9 +236,9 @@ impl LinePipeline {
         }
     }
 
-    /// Whether nothing is queued, pending or in flight.
+    /// Whether nothing is queued or in flight.
     pub(crate) fn idle(&self, shards: &Shards<'_>) -> bool {
-        self.queue.is_empty() && self.batcher.is_empty() && shards.in_flight() == 0
+        self.batcher.is_empty() && shards.in_flight() == 0
     }
 }
 
@@ -205,18 +254,16 @@ impl ConnState for LineBuffer {
     }
 }
 
-/// The line-protocol front end: the codec and the reply routing over a
-/// `LinePipeline`, run by the shared connection core on any
-/// [`EventSource`].
+/// The line-protocol front end: the codec over a `Pipeline` whose
+/// outcomes go to (connection token, client tag), run by the shared
+/// connection core on any [`EventSource`].
 #[derive(Debug)]
 pub struct ServerLoop {
     deadline_s: f64,
     replica: Arc<ReplicaModel>,
     clock: Arc<dyn Clock>,
     metrics: Arc<Metrics>,
-    pipeline: LinePipeline,
-    /// request id → (connection token, client tag) of admitted requests.
-    route: HashMap<u64, (Token, String)>,
+    pipeline: Pipeline<(Token, String)>,
     next_id: u64,
 }
 
@@ -226,15 +273,14 @@ impl ServerLoop {
     ///
     /// # Errors
     ///
-    /// Configuration validation of the queue and batcher state machines.
+    /// Configuration validation of the batcher.
     pub fn new(rt: &Runtime, clock: Arc<dyn Clock>, metrics: Arc<Metrics>) -> Result<Self> {
         Ok(ServerLoop {
             deadline_s: rt.config().deadline_s,
             replica: rt.replica_arc(),
             clock,
-            pipeline: LinePipeline::new(rt, Arc::clone(&metrics))?,
+            pipeline: Pipeline::line(rt, Arc::clone(&metrics))?,
             metrics,
-            route: HashMap::new(),
             next_id: 0,
         })
     }
@@ -284,23 +330,13 @@ impl ServerLoop {
         let id = self.next_id;
         self.next_id += 1;
         self.metrics.record_submitted();
-        let admitted = if self.pipeline.has_room() {
-            let deadline_s = now + self.deadline_s;
-            let req = self
-                .replica
-                .request_from_valid(id, now, deadline_s, query.indices)?;
-            self.pipeline.admit(req).is_ok()
-        } else {
-            // Refused before paying: the reference gather is the request's
-            // most expensive step, so no request is built for a full queue.
-            self.metrics.record_rejected();
-            false
-        };
-        if admitted {
-            self.route.insert(id, (t, query.tag));
-            conns.owe(t);
-        } else {
-            conns.send(t, &codec::encode_error(&query.tag, ErrorKind::Rejected));
+        let (replica, deadline_s) = (&self.replica, now + self.deadline_s);
+        let build = || replica.request_from_valid(id, now, deadline_s, query.indices);
+        match self.pipeline.admit(("", ""), (t, query.tag), build)? {
+            None => conns.owe(t),
+            Some(((t, tag), _)) => {
+                conns.send(t, &codec::encode_error(&tag, ErrorKind::Rejected));
+            }
         }
         Ok(())
     }
@@ -342,23 +378,20 @@ impl<'s> Front<Shards<'s>> for ServerLoop {
     }
 
     /// Runs the pipeline with a sink that answers each terminal outcome
-    /// with one reply line on the connection that submitted the request
-    /// (if its route is still known), settling what that connection is
-    /// owed.
+    /// with one reply line on the connection that submitted the request,
+    /// settling what that connection is owed.
     fn step(&mut self, conns: &mut Conns<'_, LineBuffer>, shards: &mut Shards<'s>) -> Result<bool> {
-        let (route, draining) = (&mut self.route, conns.draining);
-        let mut sink = |req: Request, outcome: Outcome| {
-            if let Some((t, tag)) = route.remove(&req.id) {
-                let line = match outcome {
-                    Outcome::Completed { correct, .. } => {
-                        codec::encode_result(&tag, correct, req.expected_checksum.to_bits())
-                    }
-                    // The pipeline's only other terminal outcome is a shed.
-                    _ => codec::encode_error(&tag, ErrorKind::Deadline),
-                };
-                conns.settle(t);
-                conns.send(t, &line);
-            }
+        let draining = conns.draining;
+        let mut sink = |req: Request, (t, tag): (Token, String), outcome: Outcome| {
+            let line = match outcome {
+                Outcome::Completed { correct, .. } => {
+                    codec::encode_result(&tag, correct, req.expected_checksum.to_bits())
+                }
+                // The pipeline's only other terminal outcome is a shed.
+                _ => codec::encode_error(&tag, ErrorKind::Deadline),
+            };
+            conns.settle(t);
+            conns.send(t, &line);
         };
         let delivered = self.pipeline.deliver(shards, &mut sink)?;
         let now = self.clock.now();
@@ -526,12 +559,11 @@ impl ConnState for HttpConn {
     }
 }
 
-/// Where an admitted infer request's response goes, and who to charge.
+/// Where an admitted infer request's response goes.
 #[derive(Debug)]
-struct HttpRouteEntry {
+pub(crate) struct HttpRoute {
     conn: Token,
     seq: u64,
-    tenant: String,
     keep_alive: bool,
 }
 
@@ -542,14 +574,11 @@ struct HttpRouteEntry {
 /// deterministic simulated one.
 #[derive(Debug)]
 pub struct HttpServerLoop {
-    cfg: ServeConfig,
-    http: HttpConfig,
-    registry: ModelRegistry,
+    deadline_s: f64,
+    limits: HttpLimits,
     clock: Arc<dyn Clock>,
     metrics: Arc<Metrics>,
-    batcher: FairBatcher,
-    /// request id → response routing of admitted infer requests.
-    route: HashMap<u64, HttpRouteEntry>,
+    pipeline: Pipeline<HttpRoute>,
     next_id: u64,
 }
 
@@ -573,7 +602,7 @@ impl HttpServerLoop {
                 detail: "HTTP front end needs at least one registered model".to_string(),
             });
         }
-        let cfg = *rt.config();
+        let cfg = rt.config();
         let batcher = FairBatcher::new(
             cfg.policy,
             cfg.queue_capacity,
@@ -581,13 +610,11 @@ impl HttpServerLoop {
             http.default_quota,
         )?;
         Ok(HttpServerLoop {
-            cfg,
-            http,
-            registry,
+            deadline_s: cfg.deadline_s,
+            limits: http.limits,
             clock,
+            pipeline: Pipeline::new(registry, batcher, Arc::clone(&metrics)),
             metrics,
-            batcher,
-            route: HashMap::new(),
             next_id: 0,
         })
     }
@@ -622,7 +649,7 @@ impl HttpServerLoop {
             seq
         };
         match http::route(&req.method, &req.target) {
-            Route::Healthz => self.respond_text(conns, t, seq, keep, 200, b"ok\n"),
+            Route::Healthz => Self::respond_text(conns, t, seq, keep, 200, b"ok\n"),
             Route::Metrics => {
                 // Live snapshot, streamed chunked: the body length isn't
                 // known before rendering, and chunked framing exercises the
@@ -634,12 +661,12 @@ impl HttpServerLoop {
                 let mut bytes = http::encode_chunked_head(200, "text/plain; version=0.0.4", keep);
                 bytes.extend_from_slice(&http::encode_chunk(text.as_bytes()));
                 bytes.extend_from_slice(http::CHUNKED_END);
-                self.enqueue_response(conns, t, seq, bytes, !keep);
+                Self::enqueue_response(conns, t, seq, bytes, !keep);
             }
             Route::MethodNotAllowed => {
-                self.respond_text(conns, t, seq, keep, 405, b"method not allowed\n");
+                Self::respond_text(conns, t, seq, keep, 405, b"method not allowed\n");
             }
-            Route::NotFound => self.respond_text(conns, t, seq, keep, 404, b"not found\n"),
+            Route::NotFound => Self::respond_text(conns, t, seq, keep, 404, b"not found\n"),
             Route::Infer { model } => self.handle_infer(conns, t, seq, keep, req, &model)?,
         }
         Ok(())
@@ -655,65 +682,43 @@ impl HttpServerLoop {
         req: &HttpRequest,
         model: &str,
     ) -> Result<()> {
-        let refuse = |this: &mut Self, conns: &mut Conns<'_, HttpConn>, status: u16, msg: &str| {
-            this.respond_text(conns, t, seq, keep, status, format!("{msg}\n").as_bytes());
+        let refuse = |conns: &mut Conns<'_, HttpConn>, status: u16, msg: &str| {
+            Self::respond_text(conns, t, seq, keep, status, format!("{msg}\n").as_bytes());
         };
-        let Some(replica) = self.registry.get(model).map(Arc::clone) else {
-            refuse(self, conns, 404, &format!("unknown model {model:?}"));
+        let Some(replica) = self.pipeline.model(model).map(Arc::clone) else {
+            refuse(conns, 404, &format!("unknown model {model:?}"));
             return Ok(());
         };
         if conns.draining {
-            refuse(self, conns, 503, "draining");
+            refuse(conns, 503, "draining");
             return Ok(());
         }
         let indices = match http::parse_infer_body(&req.body) {
             Ok(indices) => indices,
             Err(detail) => {
-                refuse(self, conns, 400, &detail);
+                refuse(conns, 400, &detail);
                 return Ok(());
             }
         };
         if let Err(e) = replica.validate_indices(&indices) {
-            refuse(self, conns, 400, &format!("invalid infer payload: {e}"));
+            refuse(conns, 400, &format!("invalid infer payload: {e}"));
             return Ok(());
         }
-        let tenant = req.header("x-tenant").unwrap_or("anonymous").to_string();
+        let tenant = req.header("x-tenant").unwrap_or("anonymous");
         let now = self.clock.now();
         let id = self.next_id;
         self.next_id += 1;
         self.metrics.record_submitted();
-        // Refuse before paying: the reference gather is the request's most
-        // expensive step and runs only for a job the batcher will take.
-        let refusal = match self.batcher.refusal_for(&tenant) {
-            Some(refusal) => Some(refusal),
-            None => {
-                let request =
-                    replica.request_from_valid(id, now, now + self.cfg.deadline_s, indices)?;
-                let job = TaggedJob {
-                    request,
-                    tenant: tenant.clone(),
-                    model: model.to_string(),
-                };
-                self.batcher.admit(job).err().map(|(_, refusal)| refusal)
-            }
+        let deadline_s = now + self.deadline_s;
+        let build = || replica.request_from_valid(id, now, deadline_s, indices);
+        let to = HttpRoute {
+            conn: t,
+            seq,
+            keep_alive: keep,
         };
-        match refusal {
-            None => {
-                self.metrics
-                    .observe_queue_depth(self.batcher.queued_total());
-                self.route.insert(
-                    id,
-                    HttpRouteEntry {
-                        conn: t,
-                        seq,
-                        tenant,
-                        keep_alive: keep,
-                    },
-                );
-                conns.owe(t);
-            }
-            Some(refusal) => {
-                self.metrics.record_rejected();
+        match self.pipeline.admit((tenant, model), to, build)? {
+            None => conns.owe(t),
+            Some((_, refusal)) => {
                 let (status, msg) = match refusal {
                     AdmitRefusal::UnknownTenant => (403, format!("unknown tenant {tenant:?}")),
                     AdmitRefusal::QuotaExceeded => {
@@ -721,31 +726,29 @@ impl HttpServerLoop {
                     }
                     AdmitRefusal::QueueFull => (503, "queue full".to_string()),
                 };
-                refuse(self, conns, status, &msg);
+                refuse(conns, status, &msg);
             }
         }
         Ok(())
     }
 
-    /// Answers an admitted infer request whose route entry was just taken,
-    /// settling what its connection is owed.
+    /// Answers an admitted infer request, settling what its connection is
+    /// owed.
     fn answer(
-        &mut self,
         conns: &mut Conns<'_, HttpConn>,
-        entry: &HttpRouteEntry,
+        to: &HttpRoute,
         status: u16,
         content_type: &str,
         body: &[u8],
     ) {
-        conns.settle(entry.conn);
-        let bytes = http::encode_response(status, content_type, body, entry.keep_alive);
-        self.enqueue_response(conns, entry.conn, entry.seq, bytes, !entry.keep_alive);
+        conns.settle(to.conn);
+        let bytes = http::encode_response(status, content_type, body, to.keep_alive);
+        Self::enqueue_response(conns, to.conn, to.seq, bytes, !to.keep_alive);
     }
 
     /// Answers `seq` with a plain-text body; `keep == false` also marks the
     /// connection for close after it.
     fn respond_text(
-        &mut self,
         conns: &mut Conns<'_, HttpConn>,
         t: Token,
         seq: u64,
@@ -754,14 +757,13 @@ impl HttpServerLoop {
         body: &[u8],
     ) {
         let bytes = http::encode_response(status, TEXT_PLAIN, body, keep);
-        self.enqueue_response(conns, t, seq, bytes, !keep);
+        Self::enqueue_response(conns, t, seq, bytes, !keep);
     }
 
     /// Parks `bytes` as the response for `seq` and emits every response
     /// the in-order cursor has reached. `close_after` marks the connection
     /// for close once this response (and everything before it) flushes.
     fn enqueue_response(
-        &mut self,
         conns: &mut Conns<'_, HttpConn>,
         t: Token,
         seq: u64,
@@ -792,15 +794,12 @@ impl<'s> Front<Shards<'s>> for HttpServerLoop {
     /// The earliest timed obligation: the flush window or a queued
     /// request's deadline.
     fn next_timeout(&self, shards: &Shards<'s>) -> Option<f64> {
-        let mut wake = WakeAt::never();
-        wake.at(flush_window(shards, self.batcher.flush_deadline_s()));
-        wake.after(self.batcher.min_deadline_s());
-        wake.timeout(self.clock.now())
+        self.pipeline.next_timeout(self.clock.now(), shards)
     }
 
     fn accept(&self) -> HttpConn {
         HttpConn {
-            parser: HttpParser::new(self.http.limits),
+            parser: HttpParser::new(self.limits),
             ready: BTreeMap::new(),
             next_seq: 0,
             next_flush: 0,
@@ -833,7 +832,7 @@ impl<'s> Front<Shards<'s>> for HttpServerLoop {
                     let seq = state.next_seq;
                     state.next_seq += 1;
                     let body = format!("{}\n", e.detail);
-                    self.respond_text(conns, t, seq, false, e.status, body.as_bytes());
+                    Self::respond_text(conns, t, seq, false, e.status, body.as_bytes());
                     break;
                 }
             }
@@ -841,59 +840,26 @@ impl<'s> Front<Shards<'s>> for HttpServerLoop {
         Ok(())
     }
 
-    /// Delivers every finished batch (completion latency, the tenant's
-    /// quota slot, the JSON result in pipeline order), then shed →
-    /// dispatch while a shard can absorb work.
+    /// Runs the pipeline with a sink that answers each terminal outcome in
+    /// pipeline order: the JSON result, or 504 for a shed.
     fn step(&mut self, conns: &mut Conns<'_, HttpConn>, shards: &mut Shards<'s>) -> Result<bool> {
-        let mut progress = false;
-        for done in shards.drain()? {
-            progress = true;
-            for (req, correct) in done.results {
-                self.metrics.record_completed(done.finish_s - req.arrival_s);
-                if let Some(entry) = self.route.remove(&req.id) {
-                    // Quota releases even when the connection is gone —
-                    // otherwise a dropped client would leak its slots.
-                    self.batcher.release(&entry.tenant);
-                    let body = http::infer_result_body(correct, req.expected_checksum.to_bits());
-                    self.answer(conns, &entry, 200, "application/json", &body);
-                }
+        let draining = conns.draining;
+        let mut sink = |req: Request, to: HttpRoute, outcome: Outcome| match outcome {
+            Outcome::Completed { correct, .. } => {
+                let body = http::infer_result_body(correct, req.expected_checksum.to_bits());
+                Self::answer(conns, &to, 200, "application/json", &body);
             }
-        }
+            // The pipeline's only other terminal outcome is a shed.
+            _ => Self::answer(conns, &to, 504, TEXT_PLAIN, b"deadline exceeded\n"),
+        };
+        let delivered = self.pipeline.deliver(shards, &mut sink)?;
         let now = self.clock.now();
-        loop {
-            for job in self.batcher.shed_expired(now) {
-                progress = true;
-                self.metrics.record_deadline_exceeded();
-                if let Some(entry) = self.route.remove(&job.request.id) {
-                    self.answer(conns, &entry, 504, TEXT_PLAIN, b"deadline exceeded\n");
-                }
-            }
-            self.metrics
-                .observe_queue_depth(self.batcher.queued_total());
-            let flush = self.batcher.ready(now) || (conns.draining && !self.batcher.is_empty());
-            let (registry, batcher) = (&self.registry, &mut self.batcher);
-            let take = || {
-                let Some((name, jobs)) = batcher.take_batch() else {
-                    return Ok(None);
-                };
-                // Admission verified the model; a miss here is a registry
-                // invariant violation, not a client error.
-                let model = registry.get(&name).ok_or_else(|| ServeError::Config {
-                    detail: format!("batch for unregistered model {name:?}"),
-                })?;
-                let batch = jobs.into_iter().map(|j| j.request).collect();
-                Ok(Some((Arc::clone(model), batch)))
-            };
-            if flush && shards.dispatch_next(&self.metrics, now, take)? {
-                progress = true;
-                continue; // another batch may fit another shard
-            }
-            return Ok(progress);
-        }
+        let pumped = self.pipeline.pump(now, draining, shards, &mut sink)?;
+        Ok(delivered || pumped)
     }
 
     fn idle(&self, shards: &Shards<'s>) -> bool {
-        self.batcher.is_empty() && shards.in_flight() == 0
+        self.pipeline.idle(shards)
     }
 }
 
@@ -902,6 +868,7 @@ mod tests {
     use super::*;
     use crate::clock::VirtualClock;
     use crate::reactor::SimPoller;
+    use crate::runtime::ServeConfig;
     use pimdl_engine::shapes::TransformerShape;
     use pimdl_sim::PlatformConfig;
     use pimdl_tensor::rng::DataRng;
@@ -933,7 +900,7 @@ mod tests {
         rt: &'a Runtime,
         clock: Arc<VirtualClock>,
         metrics: Arc<Metrics>,
-        pipeline: LinePipeline,
+        pipeline: Pipeline<()>,
         shards: Shards<'a>,
         rng: DataRng,
         seen: Seen,
@@ -945,7 +912,7 @@ mod tests {
             let metrics = Arc::new(Metrics::new());
             Rig {
                 rt,
-                pipeline: LinePipeline::new(rt, Arc::clone(&metrics)).unwrap(),
+                pipeline: Pipeline::line(rt, Arc::clone(&metrics)).unwrap(),
                 shards: Shards::simulated(
                     rt,
                     Arc::clone(&clock),
@@ -960,20 +927,19 @@ mod tests {
         }
 
         /// Admits request `id`, arriving now, with the given deadline.
-        fn admit(&mut self, id: u64, deadline_s: f64) -> std::result::Result<(), Request> {
+        fn admit(&mut self, id: u64, deadline_s: f64) {
             let now = self.clock.now();
-            let req = self
-                .rt
-                .replica()
-                .make_request(id, now, deadline_s, &mut self.rng);
-            self.pipeline.admit(req.unwrap())
+            let replica = self.rt.replica();
+            let req = replica.make_request(id, now, deadline_s, &mut self.rng);
+            let refused = self.pipeline.admit(("", ""), (), || req).unwrap();
+            assert_eq!(refused, None, "request {id} refused");
         }
 
         /// Advances the clock to `t`, then delivers and pumps there.
         fn step_at(&mut self, t: f64, draining: bool) -> bool {
             self.clock.advance_to(t);
             let seen = &mut self.seen;
-            let mut sink = |req: Request, outcome: Outcome| seen.push((req.id, outcome));
+            let mut sink = |req: Request, (): (), outcome: Outcome| seen.push((req.id, outcome));
             let delivered = self.pipeline.deliver(&mut self.shards, &mut sink).unwrap();
             let pumped = self
                 .pipeline
@@ -998,8 +964,8 @@ mod tests {
     fn expired_request_is_shed_before_the_refill_and_never_dispatched() {
         let (rt, s1) = runtime(1, 8);
         let mut rig = Rig::new(&rt);
-        rig.admit(0, s1).unwrap();
-        rig.admit(1, f64::INFINITY).unwrap();
+        rig.admit(0, s1);
+        rig.admit(1, f64::INFINITY);
         // Past request 0's deadline and past the flush window: it is shed
         // out of the queue, and only request 1 reaches the batch that leaves.
         assert!(rig.step_at(2.0 * s1, false));
@@ -1012,9 +978,9 @@ mod tests {
         assert_eq!(rig.completions(), [(1, 0, 1)]);
         assert_eq!(rig.seen.len(), 2, "each request reached the sink once");
 
-        // A request already in the pending batch is shed there, at the
-        // strict `now > deadline`, and the emptied batch goes nowhere.
-        rig.admit(2, 4.125 * s1).unwrap();
+        // A lone request waiting out its window is shed at the strict
+        // `now > deadline`, and nothing leaves.
+        rig.admit(2, 4.125 * s1);
         assert!(
             !rig.step_at(4.125 * s1, false),
             "not expired at its deadline"
@@ -1034,7 +1000,7 @@ mod tests {
         let (rt, s1) = runtime(2, 16);
         let window = rt.config().policy.max_wait_s;
         let mut rig = Rig::new(&rt);
-        rig.admit(0, f64::INFINITY).unwrap();
+        rig.admit(0, f64::INFINITY);
         assert!(!rig.step_at(0.9 * window, false), "held inside the window");
         assert_eq!(rig.shards.in_flight(), 0);
         assert!(rig.step_at(window, false), "leaves when the window closes");
@@ -1042,7 +1008,7 @@ mod tests {
 
         // Draining: a lone request leaves at once.
         rig.step_at(2.0 * s1, false);
-        rig.admit(1, f64::INFINITY).unwrap();
+        rig.admit(1, f64::INFINITY);
         assert!(rig.step_at(2.0 * s1, true));
         assert_eq!(rig.shards.in_flight(), 1);
 
@@ -1050,7 +1016,7 @@ mod tests {
         // first; only what is left over goes as a partial one.
         rig.step_at(4.0 * s1, false);
         for id in 2..8 {
-            rig.admit(id, f64::INFINITY).unwrap();
+            rig.admit(id, f64::INFINITY);
         }
         assert!(rig.step_at(4.0 * s1, true));
         rig.step_at(9.0 * s1, false);
@@ -1064,10 +1030,10 @@ mod tests {
         let window = rt.config().policy.max_wait_s;
         let mut rig = Rig::new(&rt);
         for id in 0..4 {
-            rig.admit(id, f64::INFINITY).unwrap();
+            rig.admit(id, f64::INFINITY);
         }
         assert!(rig.step_at(0.0, false), "a full batch leaves at once");
-        rig.admit(4, 10.0 * s1).unwrap();
+        rig.admit(4, 10.0 * s1);
 
         // The window has closed and the batch is ready, but the one shard
         // is busy: nothing leaves, and the next wake is the deadline (a
@@ -1082,7 +1048,7 @@ mod tests {
         // Once the shard is free the closed window is due immediately.
         rig.clock.advance_to(9.0 * s1);
         rig.pipeline
-            .deliver(&mut rig.shards, &mut |_, _| ())
+            .deliver(&mut rig.shards, &mut |_, (), _| ())
             .unwrap();
         assert_eq!(rig.pipeline.next_timeout(9.0 * s1, &rig.shards), Some(0.0));
     }
@@ -1092,7 +1058,7 @@ mod tests {
         let (rt, s1) = runtime(2, 16);
         let mut rig = Rig::new(&rt);
         for id in 0..8 {
-            rig.admit(id, f64::INFINITY).unwrap();
+            rig.admit(id, f64::INFINITY);
         }
         assert!(rig.step_at(0.0, false));
         assert_eq!(
@@ -1105,7 +1071,7 @@ mod tests {
         // A ninth request rides alone once a shard is free again. Delivery
         // is in (finish_s, shard) order, each request tagged with the
         // shard and size of the batch it rode in.
-        rig.admit(8, f64::INFINITY).unwrap();
+        rig.admit(8, f64::INFINITY);
         rig.step_at(20.0 * s1, false);
         rig.step_at(40.0 * s1, false);
         let expected: Vec<(u64, usize, usize)> = (0..4)
@@ -1118,17 +1084,30 @@ mod tests {
     }
 
     #[test]
-    fn full_queue_hands_the_request_back_and_counts_one_rejection() {
-        let (rt, _) = runtime(1, 2);
+    fn a_full_queue_refuses_before_building_and_counts_the_batch_being_formed() {
+        let (rt, s1) = runtime(1, 2);
+        let window = rt.config().policy.max_wait_s;
         let mut rig = Rig::new(&rt);
-        rig.admit(0, f64::INFINITY).unwrap();
-        assert!(rig.pipeline.has_room());
-        rig.admit(1, f64::INFINITY).unwrap();
-        assert!(!rig.pipeline.has_room());
-        let back = rig.admit(2, f64::INFINITY).unwrap_err();
-        assert_eq!(back.id, 2);
+        let refuse = |rig: &mut Rig<'_>| {
+            let build = || panic!("a refused request is never built");
+            let refused = rig.pipeline.admit(("", ""), (), build).unwrap();
+            assert_eq!(refused, Some(((), AdmitRefusal::QueueFull)));
+        };
+        rig.admit(0, f64::INFINITY);
+        rig.admit(1, f64::INFINITY);
+        refuse(&mut rig);
+        // The pair waits out its window as the batch being formed, and it
+        // still counts against the bound until it leaves.
+        assert!(!rig.step_at(0.5 * window, false));
+        refuse(&mut rig);
+        assert!(rig.step_at(window, false));
+        assert_eq!(rig.shards.in_flight(), 1);
+        rig.admit(2, f64::INFINITY);
         let snap = rig.metrics.snapshot();
-        assert_eq!((snap.rejected, snap.queue_depth_peak), (1, 2));
-        assert!(rig.seen.is_empty(), "a rejection is the caller's to report");
+        assert_eq!((snap.rejected, snap.queue_depth_peak), (2, 2));
+        rig.step_at(10.0 * s1, true);
+        rig.step_at(20.0 * s1, false);
+        assert_eq!(rig.completions(), [(0, 0, 2), (1, 0, 2), (2, 0, 1)]);
+        assert!(rig.pipeline.idle(&rig.shards));
     }
 }
