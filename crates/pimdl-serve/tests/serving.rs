@@ -136,8 +136,11 @@ fn virtual_overload_sheds_on_deadline_and_rejects_on_queue_full() {
     // queueing without bound — and still account for every request.
     let probe = runtime(ServeConfig::example());
     let single = 1.0 / single_rate(&probe);
+    // Twelve queued requests in all: three batches of four, the one being
+    // formed counted too. A shorter bound lets every queued request leave
+    // before a deadline of 1.5 service times.
     let mut cfg = ServeConfig::example();
-    cfg.queue_capacity = 8;
+    cfg.queue_capacity = 12;
     cfg.deadline_s = 1.5 * single;
     let rt = runtime(cfg);
     let n = 600;
@@ -163,7 +166,7 @@ fn virtual_overload_sheds_on_deadline_and_rejects_on_queue_full() {
         report.metrics
     );
     // The queue never grew past its bound.
-    assert!(report.metrics.queue_depth_peak <= 8);
+    assert!(report.metrics.queue_depth_peak <= 12);
 }
 
 #[test]
@@ -372,8 +375,11 @@ fn virtual_ledgers_are_pinned() {
     let mid = run(cfg, 6.0, 600, 9);
     assert_eq!(ledger_digest(&mid.records), 0x0f23_43ad_ae45_56ef);
 
+    // A bound of 12 counts what 8 did before the line front moved onto the
+    // one batching policy: 8 queued plus the batch of 4 being formed,
+    // which the old count left out. Every record held.
     let mut cfg = ServeConfig::example();
-    cfg.queue_capacity = 8;
+    cfg.queue_capacity = 12;
     cfg.deadline_s = 1.5 * single;
     let overload = run(cfg, 40.0, 600, 3);
     assert_eq!(
