@@ -242,6 +242,11 @@ impl<'s, S: ConnState> Conns<'s, S> {
         }
     }
 
+    /// Whether some connection still has output its peer has not taken.
+    fn unflushed(&self) -> bool {
+        self.table.values().any(|c| !c.out.is_empty())
+    }
+
     /// Closes and forgets a connection (idempotent). Requests it has in
     /// flight still execute and are counted; their responses are dropped.
     pub(crate) fn close(&mut self, t: Token) {
@@ -359,7 +364,11 @@ pub(crate) fn drive<B: ?Sized, F: Front<B>>(
         if had_wake && !progress {
             stats.record_spurious_wakeup();
         }
-        if (conns.draining || quiescent)
+        // A drain also waits for every reply to be written: exiting drops
+        // the connections, and with them whatever a slow reader has not
+        // taken yet. A peer that stops reading holds the drain until its
+        // write fails or its backlog passes the output cap.
+        if ((conns.draining && !conns.unflushed()) || quiescent)
             && front.idle(backend)
             // `idle` is the front's own count of queued and in-flight work,
             // and a step can leave work behind that the count does not

@@ -20,7 +20,7 @@ use pimdl::engine::fabric::FabricConfig;
 use pimdl::engine::shapes::TransformerShape;
 use pimdl::serve::codec::{self, ErrorKind, ServerMsg};
 use pimdl::serve::http::{self, ClientResponse};
-use pimdl::serve::reactor::Token;
+use pimdl::serve::reactor::{Token, WAKE_SHUTDOWN};
 use pimdl::serve::{
     Clock, EventSource, FabricServerLoop, Frame, HttpConfig, HttpServerLoop, Metrics,
     MetricsSnapshot, ModelRegistry, ReplicaModel, Runtime, ServeConfig, ServerLoop, ShardState,
@@ -131,12 +131,13 @@ impl Front {
 }
 
 /// One reply a client connection is owed: matched by tag on the line
-/// protocol and by position over HTTP, and carrying `oracle`'s checksum
-/// bits if it is a result.
+/// protocol and by position over HTTP, carrying `oracle`'s checksum bits
+/// if it is a result, and sent complete at `sent_s`.
 #[derive(Debug, Clone)]
 pub struct Owed {
     tag: String,
     oracle: Option<u64>,
+    sent_s: f64,
 }
 
 /// A schedule under construction: client connections, whose output the
@@ -149,6 +150,8 @@ pub struct Script<'a> {
     /// Route name → the replica that computes its client-side oracle.
     models: &'a [(String, Arc<ReplicaModel>)],
     clients: Vec<(Token, Vec<Owed>)>,
+    /// When the loop is asked to shut down, if it is.
+    shutdown_s: Option<f64>,
 }
 
 impl<'a> Script<'a> {
@@ -200,6 +203,7 @@ impl<'a> Script<'a> {
             Owed {
                 tag,
                 oracle: oracle.map(f64::to_bits),
+                sent_s: f64::NAN,
             },
         )
     }
@@ -214,6 +218,7 @@ impl<'a> Script<'a> {
         owed: impl IntoIterator<Item = Owed>,
     ) {
         self.poller.send_at(at, self.clients[c].0, bytes);
+        let owed = owed.into_iter().map(|o| Owed { sent_s: at, ..o });
         self.clients[c].1.extend(owed);
     }
 
@@ -244,6 +249,7 @@ impl<'a> Script<'a> {
         let owed = Owed {
             tag: String::new(),
             oracle: None,
+            sent_s: at,
         };
         self.send(at, c, bytes, [owed]);
     }
@@ -251,6 +257,14 @@ impl<'a> Script<'a> {
     /// Client `c` hangs up at `at`.
     pub fn close(&self, at: f64, c: usize) {
         self.poller.close_at(at, self.clients[c].0);
+    }
+
+    /// The loop is asked to shut down at `at`: it stops accepting, refuses
+    /// what arrives from then on, flushes what it holds and exits once
+    /// nothing is queued or in flight.
+    pub fn shutdown_at(&mut self, at: f64) {
+        self.poller.handle().wake_at(at, WAKE_SHUTDOWN);
+        self.shutdown_s = Some(at);
     }
 }
 
@@ -296,9 +310,10 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
         },
         models: &models,
         clients: Vec::new(),
+        shutdown_s: None,
     };
     script(&mut s);
-    let clients = s.clients;
+    let (clients, shutdown_s) = (s.clients, s.shutdown_s);
     let gathers = || {
         models
             .iter()
@@ -374,7 +389,12 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
         all_ready,
         any_lost,
     };
-    check(&end, matches!(front, Front::Http { .. }), &clients);
+    check(
+        &end,
+        matches!(front, Front::Http { .. }),
+        &clients,
+        shutdown_s,
+    );
     end
 }
 
@@ -418,20 +438,30 @@ const HTTP_REFUSALS: [u16; 4] = [403, 429, 503, 504];
 
 /// What every schedule must satisfy: every submitted request terminated
 /// exactly once (`submitted == completed + rejected + deadline_exceeded`),
-/// and on each client connection every owed
-/// request answered exactly once — no tag twice, none unanswered, nothing
-/// unasked — with every result carrying the client-side oracle's checksum,
-/// flagged correct. A well-formed query is refused only as rejected or
-/// shed (on the line protocol also as `shutdown` once a fabric table is
-/// lost; over HTTP with one of [`HTTP_REFUSALS`]).
-fn check(run: &Run, http: bool, clients: &[(Token, Vec<Owed>)]) {
+/// and on each client connection every owed request answered exactly once
+/// — no tag twice, none unanswered, nothing unasked — with every result
+/// carrying the client-side oracle's checksum, flagged correct. A
+/// well-formed query is refused only as rejected or shed (on the line
+/// protocol also as `shutdown` once a fabric table is lost; over HTTP with
+/// one of [`HTTP_REFUSALS`]). A request sent complete at or after the
+/// shutdown instant may also be refused as `shutdown` (HTTP 503), or go
+/// unanswered because the loop has exited; every one sent before it is
+/// still answered.
+fn check(run: &Run, http: bool, clients: &[(Token, Vec<Owed>)], shutdown_s: Option<f64>) {
     let s = &run.snapshot;
     let terminal = s.completed + s.rejected + s.deadline_exceeded;
     assert_eq!(s.submitted, terminal, "ledger does not close: {s:?}");
+    let late = |o: &Owed| shutdown_s.is_some_and(|t| o.sent_s >= t);
     for (out, (_, owed)) in run.outputs.iter().zip(clients) {
         if http {
             let got = responses(out);
-            assert_eq!(got.len(), owed.len(), "one response per complete request");
+            let before = owed.iter().filter(|o| !late(o)).count();
+            assert!(
+                (before..=owed.len()).contains(&got.len()),
+                "{} responses to {} requests, {before} sent before the shutdown",
+                got.len(),
+                owed.len()
+            );
             for (r, o) in got.iter().zip(owed) {
                 let Some(want) = o.oracle else { continue };
                 if r.status == 200 {
@@ -447,16 +477,23 @@ fn check(run: &Run, http: bool, clients: &[(Token, Vec<Owed>)]) {
             }
         } else {
             let got = lines(out);
-            let want: BTreeMap<&str, Option<u64>> =
-                owed.iter().map(|o| (o.tag.as_str(), o.oracle)).collect();
+            let want: BTreeMap<&str, &Owed> = owed.iter().map(|o| (o.tag.as_str(), o)).collect();
+            let unanswered: Vec<&str> = want
+                .iter()
+                .filter(|(tag, o)| !late(o) && !got.contains_key(**tag))
+                .map(|(tag, _)| *tag)
+                .collect();
+            let unasked: Vec<&String> = got
+                .keys()
+                .filter(|tag| !want.contains_key(tag.as_str()))
+                .collect();
             assert!(
-                got.keys().map(String::as_str).eq(want.keys().copied()),
-                "answered tags {:?} differ from owed {:?}",
-                got.keys().collect::<Vec<_>>(),
-                want.keys().collect::<Vec<_>>()
+                unanswered.is_empty() && unasked.is_empty(),
+                "owed tags {unanswered:?} unanswered, tags {unasked:?} answered unasked"
             );
             for (tag, msg) in &got {
-                let Some(oracle) = want[tag.as_str()] else {
+                let o = want[tag.as_str()];
+                let Some(oracle) = o.oracle else {
                     continue;
                 };
                 match msg {
@@ -470,7 +507,7 @@ fn check(run: &Run, http: bool, clients: &[(Token, Vec<Owed>)]) {
                     }
                     ServerMsg::Error { kind, .. } => assert!(
                         matches!(kind, ErrorKind::Rejected | ErrorKind::Deadline)
-                            || (*kind == ErrorKind::Shutdown && run.any_lost),
+                            || (*kind == ErrorKind::Shutdown && (run.any_lost || late(o))),
                         "{tag}: a well-formed query refused with {kind:?}"
                     ),
                 }
@@ -565,8 +602,9 @@ impl Drop for OnFailure<'_> {
 }
 
 /// Seeded schedule exploration: schedules `0..cases` of `kind`'s loop,
-/// each generated from `TestRng::deterministic("<kind>-<seed>")`, run
-/// twice and checked (see [`run`] and [`replay`]).
+/// each generated from `TestRng::deterministic("<kind>-<seed>")`, a
+/// quarter of them with a shutdown at a random instant of the traffic,
+/// run twice and checked (see [`run`] and [`replay`]).
 pub fn explore(kind: Kind, cases: u64) {
     let t1 = runtime(64, f64::INFINITY)
         .service_model()
@@ -595,6 +633,13 @@ pub fn explore(kind: Kind, cases: u64) {
         replay(&rt, &front, &|s| {
             let mut rng = TestRng::deterministic(&format!("{name}-script"));
             schedule(s, &mut rng, t1, deadline_s);
+            // Drawn apart, so the schedule above is the same with or
+            // without a shutdown.
+            let mut rng = TestRng::deterministic(&format!("{name}-shutdown"));
+            if rng.below(4) == 0 {
+                let start = if s.shards > 0 { 0.1 } else { 0.001 };
+                s.shutdown_at(start + 24.0 * t1 * rng.unit_f64());
+            }
         });
     }
 }
