@@ -1,13 +1,18 @@
 //! Property-based tests of the front-end building blocks the reactor
 //! loop is built on: the continuous batcher's dispatch invariants under
-//! random arrival patterns, and the admission queue's backpressure
-//! contract (the bound is never exceeded; every rejection is counted in
-//! the metrics exactly once).
+//! random arrival patterns, the admission queue's backpressure contract
+//! (the bound is never exceeded; every rejection is counted in the
+//! metrics exactly once), and the one batching policy every front runs
+//! held against that queue-plus-batcher pair on a single key.
 
 use proptest::prelude::*;
 
-use pimdl_engine::scheduler::BatchingPolicy;
-use pimdl_serve::{AdmissionQueue, ContinuousBatcher, Metrics, Request};
+use pimdl_engine::scheduler::{BatchingPolicy, TenantQuota};
+use pimdl_serve::{AdmissionQueue, ContinuousBatcher, FairBatcher, Metrics, Request, TaggedJob};
+
+/// What a pump did, in order: `(true, ids)` a batch left, `(false, ids)`
+/// requests were shed (sorted by id).
+type Event = (bool, Vec<u64>);
 
 /// A minimal request: the batcher and queue only look at the id and the
 /// time fields, never at the payload.
@@ -135,5 +140,95 @@ proptest! {
         prop_assert_eq!(snap.submitted, num as u64);
         prop_assert_eq!(snap.rejected, rejected);
         prop_assert_eq!(snap.completed, 0);
+    }
+
+    /// The one policy against the line front's former pair on one key: an
+    /// `AdmissionQueue` feeding a `ContinuousBatcher`, pumped the way the
+    /// line front pumped them (shed the queue, then the pending batch;
+    /// refill; flush when ready, or when draining and non-empty), against
+    /// a `FairBatcher` with one tenant whose quota never binds. Random
+    /// scripts admit (finite and infinite deadlines), advance the clock,
+    /// shed with every shard busy, and take with one shard free. Until the
+    /// unified batcher first refuses, both shed the same requests and
+    /// dispatch the same batches in the same order; throughout, it
+    /// refuses exactly when `queued >= capacity`.
+    #[test]
+    fn one_policy_matches_the_queue_and_batcher_it_replaced(
+        seed in 0u64..10_000,
+        max_batch in 1usize..7,
+        capacity in 1usize..24,
+        steps in 1usize..160,
+    ) {
+        let window = 0.004;
+        let policy = BatchingPolicy { max_batch, max_wait_s: window };
+        let mut queue = AdmissionQueue::new(capacity).unwrap();
+        let mut batcher = ContinuousBatcher::new(policy).unwrap();
+        let never_binds = TenantQuota { weight: 1, max_in_flight: usize::MAX };
+        let mut fair = FairBatcher::new(policy, capacity, &[], Some(never_binds)).unwrap();
+        let mut rng = proptest::TestRng::deterministic(&format!("one-policy-{seed}"));
+        let job = |request: Request| TaggedJob {
+            request,
+            tenant: String::new(),
+            model: String::new(),
+        };
+
+        let (mut want, mut got): (Vec<Event>, Vec<Event>) = Default::default();
+        let mut comparable = true;
+        let (mut now, mut next_id) = (0.0f64, 0u64);
+        for _ in 0..steps {
+            match rng.below(8) {
+                // Admit, arriving now.
+                0..=3 => {
+                    let deadline = match rng.below(3) {
+                        0 => f64::INFINITY,
+                        _ => now + 3.0 * window * rng.unit_f64(),
+                    };
+                    let r = req(next_id, now, deadline);
+                    next_id += 1;
+                    let full = fair.queued_total() >= capacity;
+                    let refused = fair.admit(job(r.clone())).is_err();
+                    prop_assert_eq!(refused, full, "refusal must be exactly queued >= capacity");
+                    prop_assert!(fair.queued_total() <= capacity);
+                    comparable &= !refused;
+                    let _ = queue.try_admit(r);
+                }
+                // Advance the clock.
+                4 | 5 => now += 2.0 * window * rng.unit_f64(),
+                // Pump with every shard busy (shed only), or with one free.
+                pump => {
+                    let free = pump == 7;
+                    let draining = rng.below(4) == 0;
+                    let mut shed: Vec<u64> = queue.shed_expired(now).iter().map(|r| r.id).collect();
+                    shed.extend(batcher.shed_expired(now).iter().map(|r| r.id));
+                    shed.sort_unstable();
+                    while !batcher.is_full() {
+                        match queue.pop() {
+                            Some(r) => batcher.push(r),
+                            None => break,
+                        }
+                    }
+                    if !shed.is_empty() {
+                        want.push((false, shed));
+                    }
+                    if free && (batcher.ready(now) || (draining && !batcher.is_empty())) {
+                        want.push((true, batcher.take().iter().map(|r| r.id).collect()));
+                    }
+
+                    let shed: Vec<u64> = fair.shed_expired(now).iter().map(|j| j.request.id).collect();
+                    if !shed.is_empty() {
+                        got.push((false, shed));
+                    }
+                    if free && (fair.ready(now) || (draining && !fair.is_empty())) {
+                        let (model, jobs) = fair.take_batch().unwrap();
+                        prop_assert_eq!(model, "");
+                        prop_assert!(jobs.len() <= max_batch);
+                        got.push((true, jobs.iter().map(|j| j.request.id).collect()));
+                    }
+                }
+            }
+            if comparable {
+                prop_assert_eq!(&got, &want, "the one policy diverged from the pair");
+            }
+        }
     }
 }
