@@ -25,11 +25,11 @@
 //!
 //! The HTTP front names its tenants and models. The line front and the
 //! shard fabric run the same policy with one implicit tenant of weight 1
-//! whose quota never binds ([`FairBatcher::one_tenant`]), so the global
+//! whose quota never binds (`FairBatcher::one_tenant`), so the global
 //! capacity is their only refusal; the line front's one model and the
 //! implicit tenant are the empty name, which allocates nothing. The fabric
-//! keys by table and asks per key ([`FairBatcher::ready_key`],
-//! [`FairBatcher::take_key`]), because a table can leave only for its
+//! keys by table and asks per key (`FairBatcher::ready_key`,
+//! `FairBatcher::take_key`), because a table can leave only for its
 //! resident shard, and only while that shard is free.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -342,7 +342,7 @@ impl FairBatcher {
     /// arrivals; requeue a batch last job first to keep its order. The job
     /// keeps the in-flight slot it was admitted with, and no capacity check
     /// applies: it was admitted once.
-    pub fn requeue_front(&mut self, job: TaggedJob) {
+    pub(crate) fn requeue_front(&mut self, job: TaggedJob) {
         self.enqueue(job, true);
     }
 
@@ -367,7 +367,7 @@ impl FairBatcher {
 
     /// Releases one in-flight slot of `tenant` (its job completed after
     /// dispatch). Queued jobs removed by [`FairBatcher::shed_expired`] or
-    /// [`FairBatcher::drain_key`] release their slot there.
+    /// `FairBatcher::drain_key` release their slot there.
     pub fn release(&mut self, tenant: &str) {
         if let Some(t) = self.tenants.get_mut(tenant) {
             t.in_flight = t.in_flight.saturating_sub(1);
@@ -408,7 +408,7 @@ impl FairBatcher {
     /// Removes and returns every job queued for `model` (their in-flight
     /// slots are released here), tenant by tenant in FIFO order: what a
     /// caller answers once no shard will ever serve the model again.
-    pub fn drain_key(&mut self, model: &str) -> Vec<TaggedJob> {
+    pub(crate) fn drain_key(&mut self, model: &str) -> Vec<TaggedJob> {
         let mut out = Vec::new();
         if let Some(mq) = self.models.get_mut(model) {
             for (tenant, q) in &mut mq.by_tenant {
@@ -432,7 +432,7 @@ impl FairBatcher {
     }
 
     /// [`FairBatcher::flush_deadline_s`] of `model`'s jobs alone.
-    pub fn flush_deadline_key(&self, model: &str) -> Option<f64> {
+    pub(crate) fn flush_deadline_key(&self, model: &str) -> Option<f64> {
         let mq = self.models.get(model)?;
         mq.flush_deadline_s(self.policy.max_wait_s)
     }
@@ -454,7 +454,7 @@ impl FairBatcher {
     }
 
     /// [`FairBatcher::ready`] for `model`'s jobs alone.
-    pub fn ready_key(&self, model: &str, now: f64) -> bool {
+    pub(crate) fn ready_key(&self, model: &str, now: f64) -> bool {
         self.models.get(model).is_some_and(|mq| self.due(mq, now))
     }
 
@@ -493,7 +493,7 @@ impl FairBatcher {
     /// jobs popped from the smallest-pass tenants holding jobs for it,
     /// each pop charging its tenant one stride. `None` when none is
     /// queued.
-    pub fn take_key(&mut self, model: &str) -> Option<Vec<TaggedJob>> {
+    pub(crate) fn take_key(&mut self, model: &str) -> Option<Vec<TaggedJob>> {
         let FairBatcher {
             policy,
             tenants,
@@ -532,7 +532,7 @@ impl FairBatcher {
 
     /// Forms the next model-uniform batch in stride order: the lead
     /// tenant's oldest job picks the model, then
-    /// [`FairBatcher::take_key`] fills it. Returns the model name and the
+    /// `FairBatcher::take_key` fills it. Returns the model name and the
     /// jobs; `None` when nothing is queued.
     pub fn take_batch(&mut self) -> Option<(String, Vec<TaggedJob>)> {
         let model = self.lead_model()?.to_string();

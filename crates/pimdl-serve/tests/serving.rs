@@ -375,9 +375,8 @@ fn virtual_ledgers_are_pinned() {
     let mid = run(cfg, 6.0, 600, 9);
     assert_eq!(ledger_digest(&mid.records), 0x0f23_43ad_ae45_56ef);
 
-    // A bound of 12 counts what 8 did before the line front moved onto the
-    // one batching policy: 8 queued plus the batch of 4 being formed,
-    // which the old count left out. Every record held.
+    // The bound counts the batch being formed: 12 is a batch of 4 being
+    // formed with 8 queued behind it, enough to shed on this deadline.
     let mut cfg = ServeConfig::example();
     cfg.queue_capacity = 12;
     cfg.deadline_s = 1.5 * single;
