@@ -1,11 +1,11 @@
 //! Bounded admission queue with explicit load shedding.
 //!
 //! A full queue rejects immediately, and queued requests whose deadline
-//! passes are shed. No front end uses it: the line front's admission moved
-//! onto [`crate::FairBatcher`], the one policy every front runs. It stays
-//! public because the benchmark's replay (`bench/src/replay.rs`) times it,
-//! and as the reference the one policy is held to in a differential test;
-//! the benchmark change that stops timing it deletes it.
+//! passes are shed. No front end uses it: every front admits through
+//! [`crate::FairBatcher`]. It stays public because the benchmark's replay
+//! (`bench/src/replay.rs`) times it, and it is the reference that policy is
+//! held to in a differential test; the benchmark change that stops timing
+//! it deletes it.
 
 use std::collections::VecDeque;
 

@@ -3,12 +3,11 @@
 //! Reuses the [`BatchingPolicy`] semantics of `pimdl_engine::scheduler`
 //! (the discrete-event simulator): a batch flushes when it reaches
 //! `max_batch` requests, or when the **oldest** pending request has waited
-//! `max_wait_s` since its arrival. No front end uses it: the line front's
-//! batching moved onto [`crate::FairBatcher`], the one policy every front
-//! runs. It stays public because the benchmark's replay
-//! (`bench/src/replay.rs`) times it, and as the reference the one policy
-//! is held to in a differential test; the benchmark change that stops
-//! timing it deletes it.
+//! `max_wait_s` since its arrival. No front end uses it: every front
+//! batches through [`crate::FairBatcher`]. It stays public because the
+//! benchmark's replay (`bench/src/replay.rs`) times it, and it is the
+//! reference that policy is held to in a differential test; the benchmark
+//! change that stops timing it deletes it.
 
 use pimdl_engine::scheduler::BatchingPolicy;
 

@@ -225,7 +225,8 @@ pub struct MetricsSnapshot {
     pub deadline_exceeded: u64,
     /// Batches dispatched to shards.
     pub batches: u64,
-    /// Peak admission-queue depth observed.
+    /// Peak queue depth observed: every queued request, the batch being
+    /// formed included.
     pub queue_depth_peak: u64,
     /// Mean end-to-end latency (seconds).
     pub mean_latency_s: f64,
