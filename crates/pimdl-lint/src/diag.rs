@@ -54,13 +54,16 @@ pub struct PassStat {
     pub micros: u128,
 }
 
-/// One resolved lock identity: its canonical display name, kind, and the
-/// identity keys (with declaration sites) the union-find merged into it.
-#[derive(Debug, Clone)]
-pub struct LockGroup {
-    pub display: String,
+/// One site the lock census counts: a struct field whose type is or wraps
+/// a lock (`site` is `Ty::field`), or a `let` that constructs one
+/// (`let name`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LockSite {
+    pub file: String,
+    pub line: u32,
+    pub site: String,
+    /// `Mutex` or `RwLock`.
     pub kind: String,
-    pub members: Vec<String>,
 }
 
 /// Aggregate result of a lint run.
@@ -68,7 +71,7 @@ pub struct LockGroup {
 pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     pub unsafe_inventory: Vec<UnsafeSite>,
-    pub lock_inventory: Vec<LockGroup>,
+    pub lock_inventory: Vec<LockSite>,
     pub pass_stats: Vec<PassStat>,
     pub files_scanned: usize,
     /// Distinct (file, line) sites where L7 recognized a taint source.
@@ -88,6 +91,8 @@ impl Report {
         self.diagnostics
             .sort_by(|a, b| (&a.file, a.line, &a.lint).cmp(&(&b.file, b.line, &b.lint)));
         self.unsafe_inventory
+            .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+        self.lock_inventory
             .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     }
 
@@ -120,8 +125,8 @@ impl Report {
     }
 
     /// The drift-reviewable inventory file (`results/lint_inventory.json`):
-    /// unsafe sites, resolved lock identities, and taint source/sink
-    /// counts — no diagnostics.
+    /// unsafe sites, the lock census, and taint source/sink counts — no
+    /// diagnostics.
     pub fn render_inventory_json(&self) -> String {
         let mut out = String::from("{\n  \"unsafe_sites\": [");
         for (i, s) in self.unsafe_inventory.iter().enumerate() {
@@ -140,18 +145,18 @@ impl Report {
         if !self.unsafe_inventory.is_empty() {
             out.push_str("\n  ");
         }
-        out.push_str("],\n  \"lock_identities\": [");
-        for (i, g) in self.lock_inventory.iter().enumerate() {
+        out.push_str("],\n  \"lock_sites\": [");
+        for (i, l) in self.lock_inventory.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let members: Vec<String> = g.members.iter().map(|m| json_str(m)).collect();
             let _ = write!(
                 out,
-                "\n    {{\"lock\": {}, \"kind\": {}, \"members\": [{}]}}",
-                json_str(&g.display),
-                json_str(&g.kind),
-                members.join(", "),
+                "\n    {{\"file\": {}, \"line\": {}, \"site\": {}, \"kind\": {}}}",
+                json_str(&l.file),
+                l.line,
+                json_str(&l.site),
+                json_str(&l.kind),
             );
         }
         if !self.lock_inventory.is_empty() {

@@ -1,15 +1,15 @@
 //! Per-file item model above the token stream: struct definitions with
 //! parsed field types, impl blocks, and function signatures (receiver
 //! kind, typed parameters). This is the "HIR" the
-//! resolution layer (`resolve.rs`) builds its symbol table from — still
-//! token-derived, no rustc, but enough structure to give locks and
-//! atomics stable identities (`Type::field`) instead of bare receiver
-//! names.
+//! resolution layer (`resolve.rs`) builds its symbol table from, and the
+//! lock census (`passes::lock_census`) reads struct fields from — still
+//! token-derived, no rustc, but enough structure to resolve a method
+//! call through its receiver's type.
 
 use crate::cursor::{element_end, elements};
 use crate::lexer::TokKind;
 use crate::model::SourceFile;
-use crate::passes::skip_angle;
+use crate::passes::{is_arrow, skip_angle};
 
 /// A parsed type expression, reduced to a path tail plus generic
 /// arguments: `std::sync::Arc<Mutex<Vec<T>>>` becomes
@@ -41,8 +41,8 @@ impl Type {
     }
 
     /// Strips wrappers *and* containers (`Vec`, `Option`, slices, ...):
-    /// the innermost element type, used to classify `Arc<Vec<AtomicBool>>`
-    /// as atomic storage and `Vec<Shard>` as `Shard` storage.
+    /// the innermost element type, so a method called on an element of a
+    /// `Vec<Shard>` field resolves against `Shard`.
     pub fn innermost(&self) -> &Type {
         let mut t = self;
         loop {
@@ -59,38 +59,11 @@ impl Type {
         }
     }
 
-    /// `Some(Mutex | RwLock)` when this type (through wrappers) is a lock.
-    pub fn guard_kind(&self) -> Option<&'static str> {
-        match self.strip_wrappers().name.as_str() {
-            "Mutex" => Some("Mutex"),
-            "RwLock" => Some("RwLock"),
-            _ => None,
-        }
-    }
-
-    /// The `T` of `Mutex<T>` / `RwLock<T>` (through wrappers), if any.
-    pub fn guarded_inner(&self) -> Option<&Type> {
+    /// The `Mutex`/`RwLock` this type is, through smart-pointer
+    /// wrappers (`Arc<Mutex<T>>` gives the `Mutex<T>`).
+    pub fn lock(&self) -> Option<&Type> {
         let t = self.strip_wrappers();
-        if matches!(t.name.as_str(), "Mutex" | "RwLock") {
-            t.args.first()
-        } else {
-            None
-        }
-    }
-
-    /// Whether this is atomic storage: the innermost element type is an
-    /// `Atomic*` (so `AtomicU64`, `Arc<Vec<AtomicBool>>`, ... all count).
-    pub fn is_atomic(&self) -> bool {
-        self.innermost().name.starts_with("Atomic")
-    }
-
-    /// Whether this is a synchronization primitive itself (a lock, a
-    /// condvar, a once cell) rather than guarded data.
-    pub fn is_sync_primitive(&self) -> bool {
-        matches!(
-            self.strip_wrappers().name.as_str(),
-            "Mutex" | "RwLock" | "Condvar" | "OnceLock" | "Once" | "Barrier"
-        )
+        matches!(t.name.as_str(), "Mutex" | "RwLock").then_some(t)
     }
 }
 
@@ -107,6 +80,8 @@ pub struct FieldDef {
 #[derive(Debug, Clone)]
 pub struct StructDef {
     pub name: String,
+    /// Token index of the `struct` keyword.
+    pub tok: usize,
     pub fields: Vec<FieldDef>,
 }
 
@@ -157,8 +132,39 @@ pub fn build(file: &SourceFile) -> FileHir {
     out
 }
 
+/// Scans the header of an item from `from` (just past `impl` or a
+/// struct's name): skips a generic parameter list, then walks to the body
+/// `{` at angle depth 0, skipping `(..)` / `[..]` groups whole. Returns the
+/// idents seen at angle depth 0 before any `where`, and the body `{`
+/// (`None` for an item that ends at a `;` first).
+fn item_header(file: &SourceFile, from: usize) -> (Vec<usize>, Option<usize>) {
+    let toks = &file.tokens;
+    let mut j = skip_angle_group(file, from);
+    let (mut idents, mut depth, mut in_where) = (Vec::new(), 0i32, false);
+    while j < toks.len() {
+        match &toks[j].kind {
+            TokKind::Punct('<') => depth += 1,
+            TokKind::Punct('>') if depth > 0 && !is_arrow(toks, j) => depth -= 1,
+            TokKind::Punct('(' | '[') => j = file.skip_balanced(j) - 1,
+            TokKind::Punct('{') if depth == 0 => return (idents, Some(j)),
+            TokKind::Punct(';') if depth == 0 => break,
+            TokKind::Ident(s) if depth == 0 => {
+                in_where |= s == "where";
+                if !in_where {
+                    idents.push(j);
+                }
+            }
+            _ => {}
+        }
+        j += 1;
+    }
+    (idents, None)
+}
+
 /// Finds `impl [Trait for] Type { ... }` blocks: `(body_open, body_close,
-/// type_name)`.
+/// type_name)`. The type name is the last path-tail ident of the header —
+/// for `impl Trait for Type` that is `Type`'s tail, for an inherent impl
+/// the type's tail.
 fn collect_impls(file: &SourceFile) -> Vec<(usize, usize, String)> {
     let toks = &file.tokens;
     let mut out = Vec::new();
@@ -166,47 +172,28 @@ fn collect_impls(file: &SourceFile) -> Vec<(usize, usize, String)> {
         if toks[idx].ident() != Some("impl") || file.in_attr(idx) {
             continue;
         }
-        // Skip generics after `impl`.
-        let mut j = skip_angle_group(file, idx + 1);
-        // Scan to the body `{`, remembering the last path-tail ident seen
-        // at angle depth 0 — for `impl Trait for Type` that is `Type`'s
-        // tail, for an inherent impl it is the type's tail.
-        let mut ty_name = String::new();
-        let mut depth = 0i32;
-        while j < toks.len() {
-            match &toks[j].kind {
-                TokKind::Punct('<') => depth += 1,
-                TokKind::Punct('>') if depth > 0 => depth -= 1,
-                TokKind::Punct('{') if depth == 0 => break,
-                TokKind::Punct(';') if depth == 0 => break,
-                TokKind::Ident(s) if depth == 0 => {
-                    if s == "for" {
-                        ty_name.clear();
-                    } else if !matches!(
-                        s.as_str(),
-                        "dyn" | "mut" | "const" | "where" | "Send" | "Sync"
-                    ) && !toks.get(j + 1).is_some_and(|t| t.is_punct(':'))
-                    {
-                        // Path tail: keep the last segment (overwritten as
-                        // `a::b::C` unwinds). `where`-clause bounds are cut
-                        // off by the `:`-lookahead.
-                        ty_name = s.clone();
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        if j >= toks.len() || !toks[j].is_punct('{') || ty_name.is_empty() {
+        let (idents, Some(open)) = item_header(file, idx + 1) else {
             continue;
+        };
+        let mut ty_name = "";
+        for j in idents {
+            match toks[j].ident().unwrap_or("") {
+                "for" => ty_name = "",
+                "dyn" | "mut" | "const" | "Send" | "Sync" => {}
+                // A path segment (`a::b::C` keeps `C`).
+                _ if toks.get(j + 1).is_some_and(|t| t.is_punct(':')) => {}
+                s => ty_name = s,
+            }
         }
-        out.push((j, file.skip_balanced(j) - 1, ty_name));
+        if !ty_name.is_empty() {
+            out.push((open, file.skip_balanced(open) - 1, ty_name.to_string()));
+        }
     }
     out
 }
 
 /// Finds `struct Name { fields }` items and parses the field types.
-fn collect_structs(file: &SourceFile) -> Vec<StructDef> {
+pub fn collect_structs(file: &SourceFile) -> Vec<StructDef> {
     let toks = &file.tokens;
     let mut out = Vec::new();
     for idx in 0..toks.len() {
@@ -216,26 +203,18 @@ fn collect_structs(file: &SourceFile) -> Vec<StructDef> {
         let Some(name) = toks.get(idx + 1).and_then(|t| t.ident()) else {
             continue;
         };
-        let mut j = skip_angle_group(file, idx + 2);
-        // Skip a `where` clause up to the body.
-        let mut depth = 0i32;
-        while j < toks.len() {
-            match &toks[j].kind {
-                TokKind::Punct('<') => depth += 1,
-                TokKind::Punct('>') if depth > 0 => depth -= 1,
-                TokKind::Punct('{') | TokKind::Punct('(') | TokKind::Punct(';') if depth == 0 => {
-                    break
-                }
-                _ => {}
-            }
-            j += 1;
-        }
         let mut def = StructDef {
             name: name.to_string(),
+            tok: idx,
             fields: Vec::new(),
         };
-        if j < toks.len() && toks[j].is_punct('{') {
-            parse_fields(file, j + 1, file.skip_balanced(j) - 1, &mut def.fields);
+        if let (_, Some(open)) = item_header(file, idx + 2) {
+            parse_fields(
+                file,
+                open + 1,
+                file.skip_balanced(open) - 1,
+                &mut def.fields,
+            );
         }
         out.push(def);
     }
@@ -477,10 +456,13 @@ mod tests {
         assert_eq!(s.name, "S");
         let done = &s.fields[0];
         assert_eq!(done.name, "done");
-        assert_eq!(done.ty.guard_kind(), Some("Mutex"));
-        assert_eq!(done.ty.guarded_inner().unwrap().name, "Vec");
+        let lock = done.ty.lock().unwrap();
+        assert_eq!(
+            (lock.name.as_str(), lock.args[0].name.as_str()),
+            ("Mutex", "Vec")
+        );
         let busy = &s.fields[1];
-        assert!(busy.ty.is_atomic());
+        assert_eq!(busy.ty.innermost().name, "AtomicBool");
         assert_eq!(s.fields[2].ty.name, "usize");
         assert_eq!(s.fields[3].name, "cb");
     }
@@ -496,6 +478,9 @@ impl W {
 }
 impl Drop for W {
     fn drop(&mut self) {}
+}
+impl<F> std::fmt::Debug for Wrap<F> where F: Fn(u32) -> u32 {
+    fn fmt(&self) {}
 }
 fn free(pool: &Mutex<u64>) {}
 "#;
@@ -516,9 +501,14 @@ fn free(pool: &Mutex<u64>) {}
         assert_eq!(set.self_kind, SelfKind::RefMut);
         let drop_fn = by_name.iter().find(|(n, _)| *n == "drop").unwrap().1;
         assert_eq!(drop_fn.impl_ty.as_deref(), Some("W"));
+        let fmt = by_name.iter().find(|(n, _)| *n == "fmt").unwrap().1;
+        assert_eq!(fmt.impl_ty.as_deref(), Some("Wrap"), "where-clause idents");
         let free = by_name.iter().find(|(n, _)| *n == "free").unwrap().1;
         assert!(free.impl_ty.is_none());
-        assert_eq!(free.params[0].1.guard_kind(), Some("Mutex"));
+        assert_eq!(
+            free.params[0].1.lock().map(|t| t.name.as_str()),
+            Some("Mutex")
+        );
     }
 
     #[test]
@@ -526,7 +516,8 @@ fn free(pool: &Mutex<u64>) {}
         let (_, h) = hir_of("struct T { a: Arc<Vec<Shard>>, b: Condvar, c: Arc<RwLock<Map>> }");
         let s = &h.structs[0];
         assert_eq!(s.fields[0].ty.innermost().name, "Shard");
-        assert!(s.fields[1].ty.is_sync_primitive());
-        assert_eq!(s.fields[2].ty.guard_kind(), Some("RwLock"));
+        assert!(s.fields[1].ty.lock().is_none(), "a Condvar is not a lock");
+        let rw = s.fields[2].ty.lock().map(|t| t.name.as_str());
+        assert_eq!(rw, Some("RwLock"));
     }
 }

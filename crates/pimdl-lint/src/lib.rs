@@ -1,21 +1,23 @@
 //! pimdl-lint — the workspace static-analysis gate.
 //!
-//! Six passes over every crate's source, built on a comment/string-aware
-//! token scanner (no rustc, no deps, fully offline). The token-level
-//! passes run first; the concurrency and dataflow passes run over a
-//! *resolution layer* ([`resolve`]) that builds a per-crate symbol table,
-//! resolves lock and atomic identities through fields, `Arc::clone`, and
-//! constructors, and emits per-function event streams over a
+//! Five passes over every crate's source, built on a comment/string-aware
+//! token scanner (no rustc, no deps, fully offline). The token rules run
+//! per file; the dataflow passes run over a *resolution layer*
+//! ([`resolve`]) that builds a per-crate symbol table and a
 //! method-resolved call graph:
 //!
 //! * **L1-SAFETY** — every `unsafe` site carries a `// SAFETY:` comment.
 //! * **L2-PANIC** — no `unwrap()/expect()/panic!` on serving hot paths.
-//! * **L3-ATOMIC** — no `Relaxed` load of a `Release`-published atomic.
-//! * **L4-LOCK-ORDER** — no cycle in the cross-function lock graph.
+//! * **L3-ATOMIC** — no `Acquire`/`Release`/`AcqRel`/`SeqCst` ordering and
+//!   no `fence` in non-test code without a windowed allowlist entry.
 //! * **L7-TAINT** — no wire-decoded value at an allocation, index, loop
 //!   bound, or narrowing cast without a proved bound ([`passes::range`]).
 //! * **L8-OVERFLOW** — no `+`/`*`/`<<` on a wire-decoded `u8`/`u16`/`u32`
 //!   whose proved interval can wrap.
+//!
+//! Beside them, a lock census ([`passes::lock_census`]) lists every
+//! `Mutex`/`RwLock` field and constructing `let` for the inventory's
+//! `lock_count`, which `scripts/check.sh` holds against its baseline.
 //!
 //! The resolver and the L7/L8 dataflow walker read function bodies
 //! through one statement cursor (`cursor`), which returns syntax only.
@@ -134,18 +136,22 @@ pub fn run_lints(files: &[SourceFile], allow: &AllowList, cfg: &LintConfig) -> R
         ));
     }
     for e in &allow.entries {
-        if e.justification.trim().is_empty() {
-            report.diagnostics.push(Diagnostic::new(
-                "LINT-ALLOW",
-                Path::new("lint-allow.toml"),
-                e.decl_line,
-                format!(
-                    "entry ({} {} {} {}) has no justification — every exemption \
-                     must say why the site is sound",
-                    e.lint, e.file, e.func, e.callee
-                ),
-            ));
-        }
+        let problem = if e.justification.trim().is_empty() {
+            "has no justification — every exemption must say why the site is sound"
+        } else if e.lint == passes::memory_order::LINT && e.line_lo.is_none() {
+            "has no `lines` window — a memory-ordering exemption must pin its audited site"
+        } else {
+            continue;
+        };
+        report.diagnostics.push(Diagnostic::new(
+            "LINT-ALLOW",
+            Path::new("lint-allow.toml"),
+            e.decl_line,
+            format!(
+                "entry ({} {} {} {}) {problem}",
+                e.lint, e.file, e.func, e.callee
+            ),
+        ));
     }
 
     // Timed per-pass loops: each pass runs to completion over every file
@@ -175,7 +181,18 @@ pub fn run_lints(files: &[SourceFile], allow: &AllowList, cfg: &LintConfig) -> R
         }
     });
 
-    // Resolution layer: symbol table, lock/atomic identities, events.
+    timed("L3-ATOMIC", &mut report, &mut |r| {
+        for file in files {
+            passes::memory_order::run(file, allow, r);
+        }
+    });
+    timed("lock-census", &mut report, &mut |r| {
+        for file in files {
+            passes::lock_census::run(file, r);
+        }
+    });
+
+    // Resolution layer: symbol table, call graph, consts.
     let t0 = std::time::Instant::now();
     let ws = resolve::build(files);
     report.pass_stats.push(diag::PassStat {
@@ -183,23 +200,7 @@ pub fn run_lints(files: &[SourceFile], allow: &AllowList, cfg: &LintConfig) -> R
         findings: 0,
         micros: t0.elapsed().as_micros(),
     });
-    report.lock_inventory = ws
-        .ids
-        .lock_groups()
-        .into_iter()
-        .map(|(display, kind, members)| diag::LockGroup {
-            display,
-            kind: format!("{kind:?}"),
-            members,
-        })
-        .collect();
 
-    timed("L3-ATOMIC", &mut report, &mut |r| {
-        passes::atomic_order::run(&ws, r);
-    });
-    timed("L4-LOCK-ORDER", &mut report, &mut |r| {
-        passes::lock_order::run(&ws, r);
-    });
     // L7 and L8 are one dataflow: a single fixpoint and reporting walk.
     timed("L7-TAINT+L8-OVERFLOW", &mut report, &mut |r| {
         passes::taint::run(&ws, files, &cfg.taint_paths, allow, r);

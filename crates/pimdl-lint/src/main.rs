@@ -7,7 +7,7 @@
 //! With no `--file` arguments it scans the whole workspace (`src/`,
 //! `tests/`, `crates/*`; `vendor/` and fixture dirs excluded) against
 //! `<root>/lint-allow.toml` under the default [`LintConfig`].
-//! `--inventory` writes the unsafe-site, lock-identity, and taint
+//! `--inventory` writes the unsafe-site, lock-census, and taint
 //! source/sink inventories as JSON. Exit codes: 0 clean, 1 findings,
 //! 2 usage or I/O error.
 

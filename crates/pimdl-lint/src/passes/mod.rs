@@ -1,7 +1,7 @@
 //! The analysis passes and the token-walking helpers they share.
 
-pub mod atomic_order;
-pub mod lock_order;
+pub mod lock_census;
+pub mod memory_order;
 pub mod panic_path;
 pub mod range;
 pub mod taint;

@@ -46,7 +46,7 @@ use crate::lexer::{Tok, TokKind};
 use crate::model::{item_open, SourceFile};
 use crate::passes::range::{self, cast_bound, Ival, Width};
 use crate::passes::{is_macro_call, peek_arith_op, stmt_end};
-use crate::resolve::{Event, Workspace};
+use crate::resolve::Workspace;
 
 pub const ALLOC: &str = "L7-ALLOC";
 pub const INDEX: &str = "L7-INDEX";
@@ -240,13 +240,11 @@ pub fn run(
             continue;
         }
         let mut calls: HashMap<usize, Vec<usize>> = HashMap::new();
-        for e in &f.events {
-            if let Event::Call { targets, tok, .. } = e {
-                calls
-                    .entry(*tok)
-                    .or_default()
-                    .extend(targets.iter().copied());
-            }
+        for c in &f.calls {
+            calls
+                .entry(c.tok)
+                .or_default()
+                .extend(c.targets.iter().copied());
         }
         let callees: Vec<usize> = calls.values().flatten().copied().collect();
         ctxs.push(Some(FnCtx {

@@ -1,20 +1,13 @@
-//! Resolution layer: turns the per-file token streams + HIR into a
-//! workspace-level model the concurrency passes (L3/L4) and the taint
-//! engine (L7/L8) consume.
+//! Resolution layer: turns the per-file token streams + HIR into the
+//! workspace model the taint engine (L7/L8) consumes.
 //!
 //! * **Symbol table** — structs keyed `crate::Name`, their fields with
-//!   parsed guard types, and a method table `crate::Ty::m -> fn`.
-//! * **Lock/atomic identities** — a union-find over identity keys:
-//!   `field:crate::Ty::f` for struct fields, `local:file#i::name` for
-//!   per-function locals (so two locals named `guard` never merge), and
-//!   `aname:crate::name` for atomics that only ever appear as `&Atomic*`
-//!   parameters. `Arc::clone(&x)` / `.clone()` aliases and struct-literal
-//!   field inits (`SimHandle { state: self.state.clone() }`) union their
-//!   operands, so a lock created in `new()` and cloned into a twin struct
-//!   keeps one identity.
-//! * **Per-function events** — in source order: lock acquisitions with
-//!   guard scopes, resolved calls, atomic operations with their
-//!   `Ordering`, and `fence(..)` calls.
+//!   parsed types, and a method table `crate::Ty::m -> fn`.
+//! * **Call graph** — per function, in source order, every call that
+//!   resolves to workspace functions: `.m(..)` on a receiver whose struct
+//!   is known (`self`, a typed parameter or local, a field, a lock's
+//!   guard), `Ty::m(..)` / `Self::m(..)` paths, and free functions by name.
+//! * **Const table** — integer `const` items folded to values.
 //!
 //! The statement syntax (`let` heads, assignments, chain heads and
 //! segments) comes from [`crate::cursor`], shared with the taint walker;
@@ -32,204 +25,23 @@ use crate::lexer::{Tok, TokKind};
 use crate::model::SourceFile;
 use crate::passes::{is_macro_call, path_sep, peek_arith_op, prev_segment, stmt_end};
 
-/// What a resolved lock/atomic identity is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IdKind {
-    Mutex,
-    RwLock,
-    Atomic,
-    Unknown,
-}
-
-/// Union-find over identity keys with display names and provenance.
-#[derive(Debug, Default)]
-pub struct Identities {
-    by_key: HashMap<String, u32>,
-    keys: Vec<String>,
-    parent: Vec<u32>,
-    display: Vec<String>,
-    kind: Vec<IdKind>,
-    site: Vec<(String, u32)>,
-    /// Filled by `finalize`: fully-resolved root per id.
-    canon_of: Vec<u32>,
-}
-
-impl Identities {
-    pub fn intern(&mut self, key: &str, display: &str, kind: IdKind, file: &str, line: u32) -> u32 {
-        if let Some(&id) = self.by_key.get(key) {
-            if self.kind[id as usize] == IdKind::Unknown && kind != IdKind::Unknown {
-                self.kind[id as usize] = kind;
-            }
-            return id;
-        }
-        let id = self.keys.len() as u32;
-        self.by_key.insert(key.to_string(), id);
-        self.keys.push(key.to_string());
-        self.parent.push(id);
-        self.display.push(display.to_string());
-        self.kind.push(kind);
-        self.site.push((file.to_string(), line));
-        id
-    }
-
-    fn root(&mut self, mut a: u32) -> u32 {
-        while self.parent[a as usize] != a {
-            let gp = self.parent[self.parent[a as usize] as usize];
-            self.parent[a as usize] = gp;
-            a = gp;
-        }
-        a
-    }
-
-    pub fn union(&mut self, a: u32, b: u32) {
-        let (ra, rb) = (self.root(a), self.root(b));
-        if ra == rb {
-            return;
-        }
-        // Lower-priority root attaches to higher so finalize is stable.
-        if id_priority(&self.keys[ra as usize]) <= id_priority(&self.keys[rb as usize]) {
-            self.parent[rb as usize] = ra;
-        } else {
-            self.parent[ra as usize] = rb;
-        }
-    }
-
-    /// Resolves every id to its representative and picks canonical
-    /// displays (field-keyed ids win over locals).
-    pub fn finalize(&mut self) {
-        let n = self.keys.len();
-        self.canon_of = (0..n as u32).map(|i| self.root(i)).collect();
-        let mut best: HashMap<u32, u32> = HashMap::new();
-        for i in 0..n as u32 {
-            let r = self.canon_of[i as usize];
-            let e = best.entry(r).or_insert(i);
-            let (pe, pi) = (
-                id_priority(&self.keys[*e as usize]),
-                id_priority(&self.keys[i as usize]),
-            );
-            if (pi, &self.display[i as usize]) < (pe, &self.display[*e as usize]) {
-                *e = i;
-            }
-        }
-        for i in 0..n as u32 {
-            let r = self.canon_of[i as usize];
-            let b = best[&r];
-            self.canon_of[i as usize] = b;
-            if self.kind[b as usize] == IdKind::Unknown {
-                self.kind[b as usize] = self.kind[i as usize];
-            }
-        }
-    }
-
-    /// Canonical representative of `id` (call after `finalize`).
-    pub fn canon(&self, id: u32) -> u32 {
-        self.canon_of.get(id as usize).copied().unwrap_or(id)
-    }
-
-    pub fn display(&self, id: u32) -> &str {
-        &self.display[self.canon(id) as usize]
-    }
-
-    pub fn kind(&self, id: u32) -> IdKind {
-        self.kind[self.canon(id) as usize]
-    }
-
-    /// Lock identities grouped by canonical representative:
-    /// `(display, kind, members as key@file:line)`, deterministic order.
-    pub fn lock_groups(&self) -> Vec<(String, IdKind, Vec<String>)> {
-        let mut groups: BTreeMap<String, (IdKind, Vec<String>)> = BTreeMap::new();
-        for i in 0..self.keys.len() as u32 {
-            let c = self.canon(i);
-            let kind = self.kind[c as usize];
-            if !matches!(kind, IdKind::Mutex | IdKind::RwLock) {
-                continue;
-            }
-            let (file, line) = &self.site[i as usize];
-            groups
-                .entry(self.display[c as usize].clone())
-                .or_insert_with(|| (kind, Vec::new()))
-                .1
-                .push(format!("{}@{}:{}", self.keys[i as usize], file, line));
-        }
-        groups
-            .into_iter()
-            .map(|(d, (k, mut m))| {
-                m.sort();
-                (d, k, m)
-            })
-            .collect()
-    }
-}
-
-/// Display/merge priority of an identity key (lower wins).
-fn id_priority(key: &str) -> u8 {
-    if key.starts_with("field:") {
-        0
-    } else if key.starts_with("aname:") {
-        1
-    } else if key.starts_with("fresh:") {
-        2
-    } else {
-        3
-    }
-}
-
-/// One event inside a function body, in source order.
+/// A call that resolves to workspace functions.
 #[derive(Debug, Clone)]
-pub enum Event {
-    /// `.lock()` / `.read()` / `.write()` producing a guard held until
-    /// token `held_until` (exclusive).
-    Acquire {
-        lock: u32,
-        line: u32,
-        tok: usize,
-        held_until: usize,
-    },
-    /// Call that resolves to workspace functions (indices into
-    /// `Workspace::fns`).
-    Call {
-        targets: Vec<usize>,
-        line: u32,
-        tok: usize,
-    },
-    /// Atomic operation with an explicit `Ordering::X` argument.
-    Atomic {
-        id: u32,
-        method: String,
-        ordering: String,
-        line: u32,
-        tok: usize,
-        in_test: bool,
-    },
-    /// `fence(Ordering::X)`.
-    Fence {
-        ordering: String,
-        tok: usize,
-        in_test: bool,
-    },
+pub struct Call {
+    /// Indices into `Workspace::fns`.
+    pub targets: Vec<usize>,
+    /// The call's base ident (free or path call) or method name.
+    pub tok: usize,
 }
 
-impl Event {
-    pub fn tok(&self) -> usize {
-        match self {
-            Event::Acquire { tok, .. }
-            | Event::Call { tok, .. }
-            | Event::Atomic { tok, .. }
-            | Event::Fence { tok, .. } => *tok,
-        }
-    }
-}
-
-/// All events of one function plus the signature facts passes filter on.
+/// One function: its resolved calls plus the signature facts the taint
+/// pass reads.
 #[derive(Debug)]
-pub struct FnEvents {
+pub struct FnInfo {
     /// Unique key `file#index`.
     pub key: String,
-    /// Human name `file::fn`.
-    pub display: String,
     pub file: String,
     pub name: String,
-    pub krate: String,
     pub self_kind: SelfKind,
     /// Index into the `files` slice `build` was called with.
     pub file_idx: usize,
@@ -239,36 +51,14 @@ pub struct FnEvents {
     /// — positionally parallel to call-site arguments, which is what the
     /// taint pass needs to push caller facts into callees.
     pub params: Vec<String>,
-    pub events: Vec<Event>,
-}
-
-impl FnEvents {
-    /// Raw (non-canonical) lock ids held when event `idx` happens.
-    pub fn held_at(&self, idx: usize) -> Vec<u32> {
-        let at = self.events[idx].tok();
-        self.events[..idx]
-            .iter()
-            .filter_map(|e| match e {
-                Event::Acquire {
-                    lock, held_until, ..
-                } if *held_until > at => Some(*lock),
-                _ => None,
-            })
-            .collect()
-    }
-}
-
-/// One struct definition with its defining file.
-struct StructInfo {
-    file: String,
-    fields: Vec<FieldDef>,
+    /// Resolved calls, in source order.
+    pub calls: Vec<Call>,
 }
 
 /// The resolved workspace model.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    pub fns: Vec<FnEvents>,
-    pub ids: Identities,
+    pub fns: Vec<FnInfo>,
     /// Integer `const NAME: TY = ..;` values resolved across the
     /// workspace (bare name -> value). Simple arithmetic and references
     /// to other consts are folded; a name defined twice with different
@@ -293,8 +83,8 @@ pub fn crate_of(path: &str) -> String {
 /// Symbol tables shared by every function walker.
 #[derive(Default)]
 struct Symbols {
-    /// `crate::Name -> struct`.
-    structs: BTreeMap<String, StructInfo>,
+    /// `crate::Name -> fields`.
+    structs: BTreeMap<String, Vec<FieldDef>>,
     /// Bare name -> defining crates (for cross-crate fallback).
     crates_of: HashMap<String, Vec<String>>,
     /// `crate::Ty::m -> fn indices`.
@@ -317,11 +107,7 @@ impl Symbols {
     }
 
     fn field<'a>(&'a self, st: &str, field: &str) -> Option<&'a FieldDef> {
-        self.structs
-            .get(st)?
-            .fields
-            .iter()
-            .find(|f| f.name == field)
+        self.structs.get(st)?.iter().find(|f| f.name == field)
     }
 }
 
@@ -340,10 +126,7 @@ pub fn build(files: &[SourceFile]) -> Workspace {
                 .entry(s.name.clone())
                 .or_default()
                 .push(krate.clone());
-            sym.structs.entry(key).or_insert_with(|| StructInfo {
-                file: path.clone(),
-                fields: s.fields.clone(),
-            });
+            sym.structs.entry(key).or_insert_with(|| s.fields.clone());
         }
         for (si, (span, sig)) in file.fns().iter().zip(&h.sigs).enumerate() {
             let gidx = fn_meta.len();
@@ -367,34 +150,27 @@ pub fn build(files: &[SourceFile]) -> Workspace {
         v.dedup();
     }
 
-    // Pass 2: walk every function body, emitting events.
-    let mut ids = Identities::default();
-    let mut fns: Vec<FnEvents> = Vec::new();
+    // Pass 2: walk every function body, resolving its calls.
+    let mut fns: Vec<FnInfo> = Vec::new();
     for &(fi, si) in &fn_meta {
         let file = &files[fi];
-        let h = &hirs[fi];
         let path = file.path.display().to_string().replace('\\', "/");
         let span = &file.fns()[si];
-        let sig = &h.sigs[si];
+        let sig = &hirs[fi].sigs[si];
         let krate = crate_of(&path);
-        let key = format!("{path}#{si}");
-        let impl_key = sig.impl_ty.as_ref().map(|ty| format!("{krate}::{ty}"));
         let mut w = Walker {
             file,
             toks: &file.tokens,
             sym: &sym,
-            ids: &mut ids,
-            fnkey: key.clone(),
-            krate: krate.clone(),
-            impl_key,
+            impl_key: sig.impl_ty.as_ref().map(|ty| format!("{krate}::{ty}")),
+            krate,
             locals: HashMap::new(),
             pending: Vec::new(),
-            guard_acq: HashMap::new(),
-            events: Vec::new(),
+            calls: Vec::new(),
             my_fn: si,
         };
         for (pname, pty) in &sig.params {
-            let b = w.of_type(pname, pty);
+            let b = w.of_type(pty);
             if !matches!(b, Bind::Unknown) {
                 w.locals.insert(pname.clone(), b);
             }
@@ -402,24 +178,20 @@ pub fn build(files: &[SourceFile]) -> Workspace {
         if span.body_start < span.end {
             w.walk(span.body_start + 1, span.end.saturating_sub(1));
         }
-        fns.push(FnEvents {
-            key,
-            display: format!("{path}::{}", span.name),
+        fns.push(FnInfo {
+            key: format!("{path}#{si}"),
             file: path,
             name: span.name.clone(),
-            krate,
             self_kind: sig.self_kind,
             file_idx: fi,
             span_idx: si,
             params: sig.params.iter().map(|(n, _)| n.clone()).collect(),
-            events: w.events,
+            calls: w.calls,
         });
     }
 
-    ids.finalize();
     Workspace {
         fns,
-        ids,
         consts: build_consts(files),
     }
 }
@@ -618,105 +390,43 @@ fn mask_bits(bits: u32) -> u128 {
 /// What a local name is bound to, and what a chain folds to.
 #[derive(Debug, Clone)]
 enum Bind {
-    Lock { id: u32, inner: Option<String> },
-    Guard { lock: u32, inner: Option<String> },
-    Atomic(u32),
+    /// A `Mutex`/`RwLock` (through `Arc`/`Box`/..) and the struct it
+    /// guards, if known.
+    Lock(Option<String>),
+    /// A guard over a known struct (or the `LockResult` around one).
+    Guard(String),
     Struct(String),
     Unknown,
 }
-
-const ATOMIC_METHODS: &[&str] = &[
-    "load",
-    "store",
-    "swap",
-    "compare_exchange",
-    "compare_exchange_weak",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_min",
-    "fetch_max",
-    "fetch_update",
-];
 
 struct Walker<'a> {
     file: &'a SourceFile,
     toks: &'a [Tok],
     sym: &'a Symbols,
-    ids: &'a mut Identities,
-    fnkey: String,
     krate: String,
     /// Resolved `crate::Ty` of the enclosing impl, if any.
     impl_key: Option<String>,
     locals: HashMap<String, Bind>,
     /// Bindings applied once the cursor passes `apply_at`:
-    /// `(apply_at, name, binding, init_start, init_end)`.
-    pending: Vec<(usize, String, Bind, usize, usize)>,
-    /// Guard-binding name -> index of its Acquire event (for `drop(g)`).
-    guard_acq: HashMap<String, usize>,
-    events: Vec<Event>,
+    /// `(apply_at, name, binding)`.
+    pending: Vec<(usize, String, Bind)>,
+    calls: Vec<Call>,
     /// Index of this fn in `file.fns()`; nested fns' tokens are not its.
     my_fn: usize,
 }
 
 impl<'a> Walker<'a> {
-    /// What a value of type `ty` named `name` is: an atomic, a lock, a
-    /// known struct, or unknown.
-    fn of_type(&mut self, name: &str, ty: &Type) -> Bind {
-        if ty.is_atomic() {
-            Bind::Atomic(self.intern_aname(name))
-        } else if let Some(kind) = ty.guard_kind() {
-            let id = self.intern_local(name, lock_kind(kind));
-            Bind::Lock {
-                id,
-                inner: self.inner_struct_of(ty),
-            }
-        } else {
-            let st = self.sym.resolve_struct(&ty.innermost().name, &self.krate);
-            st.map_or(Bind::Unknown, Bind::Struct)
+    /// What a value of type `ty` is: a lock, a known struct, or unknown.
+    fn of_type(&self, ty: &Type) -> Bind {
+        match ty.lock() {
+            Some(lock) => Bind::Lock(lock.args.first().and_then(|t| self.struct_of(t))),
+            None => self.struct_of(ty).map_or(Bind::Unknown, Bind::Struct),
         }
     }
 
-    /// The struct key guarded by a lock type, if resolvable.
-    fn inner_struct_of(&self, ty: &Type) -> Option<String> {
-        let inner = ty.guarded_inner()?;
-        self.sym
-            .resolve_struct(&inner.innermost().name, &self.krate)
-    }
-
-    fn intern_local(&mut self, name: &str, kind: IdKind) -> u32 {
-        let key = format!("local:{}::{name}", self.fnkey);
-        let display = format!("{name} (local)");
-        let (f, l) = self.site_here();
-        self.ids.intern(&key, &display, kind, &f, l)
-    }
-
-    fn intern_aname(&mut self, name: &str) -> u32 {
-        let key = format!("aname:{}::{name}", self.krate);
-        let (f, l) = self.site_here();
-        self.ids.intern(&key, name, IdKind::Atomic, &f, l)
-    }
-
-    fn intern_field(&mut self, st: &str, field: &FieldDef) -> u32 {
-        let key = format!("field:{st}::{}", field.name);
-        let ty_name = st.rsplit("::").next().unwrap_or(st);
-        let display = format!("{ty_name}::{}", field.name);
-        let kind = match field.ty.guard_kind() {
-            Some(k) => lock_kind(k),
-            None if field.ty.is_atomic() => IdKind::Atomic,
-            None => IdKind::Unknown,
-        };
-        let info = self.sym.structs.get(st);
-        let (f, l) = info
-            .map(|i| (i.file.clone(), field.line))
-            .unwrap_or_else(|| self.site_here());
-        self.ids.intern(&key, &display, kind, &f, l)
-    }
-
-    fn site_here(&self) -> (String, u32) {
-        (self.file.path.display().to_string().replace('\\', "/"), 0)
+    /// The struct key of `ty`'s element type, if it is a known struct.
+    fn struct_of(&self, ty: &Type) -> Option<String> {
+        self.sym.resolve_struct(&ty.innermost().name, &self.krate)
     }
 
     /// Main token loop over `[start, end)`.
@@ -748,33 +458,12 @@ impl<'a> Walker<'a> {
                 i += 1;
                 continue;
             }
-            // `drop(g)` ends a guard's scope early.
-            if name == "drop"
-                && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
-                && toks.get(i + 3).is_some_and(|t| t.is_punct(')'))
-            {
-                if let Some(g) = toks.get(i + 2).and_then(|t| t.ident()) {
-                    if matches!(self.locals.get(g), Some(Bind::Guard { .. })) {
-                        if let Some(&ev) = self.guard_acq.get(g) {
-                            if let Event::Acquire { held_until, .. } = &mut self.events[ev] {
-                                *held_until = i;
-                            }
-                        }
-                        self.locals.remove(g);
-                        i += 4;
-                        continue;
-                    }
-                }
-                i += 1;
-                continue;
-            }
             // Assignment rebinding at a statement head: `g = CHAIN;`.
             let at_stmt_head = matches!(prev, None | Some(TokKind::Punct(';' | '{' | '}')));
             if let (true, Some((None, init_start))) = (at_stmt_head, cursor::assignment(toks, i)) {
                 let init_end = stmt_end(toks, init_start, end, false);
-                let b = self.classify_init(name, init_start, init_end, None);
-                self.pending
-                    .push((init_end, name.to_string(), b, init_start, init_end));
+                let b = self.classify_init(init_start, init_end, None);
+                self.pending.push((init_end, name.to_string(), b));
                 i += 2;
                 continue;
             }
@@ -786,17 +475,7 @@ impl<'a> Walker<'a> {
 
     fn apply_pending(&mut self, now: usize) {
         while let Some(pos) = self.pending.iter().position(|(at, ..)| *at <= now) {
-            let (_, name, b, init_start, init_end) = self.pending.remove(pos);
-            if let Bind::Guard { .. } = &b {
-                // Associate the binding with the Acquire its init emitted.
-                let acq = self
-                    .events
-                    .iter()
-                    .rposition(|e| matches!(e, Event::Acquire { tok, .. } if *tok >= init_start && *tok < init_end));
-                if let Some(idx) = acq {
-                    self.guard_acq.insert(name.clone(), idx);
-                }
-            }
+            let (_, name, b) = self.pending.remove(pos);
             if matches!(b, Bind::Unknown) {
                 self.locals.remove(&name);
             } else {
@@ -827,8 +506,8 @@ impl<'a> Walker<'a> {
                     .get(let_idx.wrapping_sub(1))
                     .is_some_and(|t| matches!(t.ident(), Some("if" | "while")));
                 let init_end = stmt_end(toks, l.eq + 1, end, in_cond);
-                let b = self.classify_init(&name, l.eq + 1, init_end, annot.as_ref());
-                self.pending.push((init_end, name, b, l.eq + 1, init_end));
+                let b = self.classify_init(l.eq + 1, init_end, annot.as_ref());
+                self.pending.push((init_end, name, b));
             }
             Pat::Tuple(Some(names))
                 if l.eq == l.pat_end && toks.get(l.eq + 1).is_some_and(|t| t.is_punct('(')) =>
@@ -837,8 +516,8 @@ impl<'a> Walker<'a> {
                 let exprs = cursor::elements(toks, l.eq + 2, iclose);
                 if exprs.len() == names.len() {
                     for (n, (s, e)) in names.into_iter().zip(exprs) {
-                        let b = self.classify_init(&n, s, e, None);
-                        self.pending.push((iclose + 1, n, b, s, e));
+                        let b = self.classify_init(s, e, None);
+                        self.pending.push((iclose + 1, n, b));
                     }
                 }
             }
@@ -847,40 +526,19 @@ impl<'a> Walker<'a> {
     }
 
     /// Classifies what `[start, end)` evaluates to for binding purposes.
-    fn classify_init(
-        &mut self,
-        name: &str,
-        start: usize,
-        end: usize,
-        annot: Option<&Type>,
-    ) -> Bind {
+    fn classify_init(&mut self, start: usize, end: usize, annot: Option<&Type>) -> Bind {
         let toks = self.toks;
         // 1. A zero-arg `.lock()/.read()/.write()` anywhere in the init
-        //    makes this a guard binding (covers `lock_recover(x.lock(), s)`).
-        for m in start..end {
-            if matches!(toks[m].ident(), Some("lock" | "read" | "write"))
-                && m > start
-                && toks[m - 1].is_punct('.')
-                && toks.get(m + 1).is_some_and(|t| t.is_punct('('))
-                && toks.get(m + 2).is_some_and(|t| t.is_punct(')'))
-            {
-                let mut base = Some(m);
-                while let Some(b) = base.filter(|&b| toks[b - 1].is_punct('.')) {
-                    base = prev_segment(toks, b);
-                }
-                if let Some(base) = base {
-                    if let Bind::Guard { lock, inner } = self.resolve_chain(base, false).0 {
-                        return Bind::Guard { lock, inner };
-                    }
-                }
-                // Unresolvable receiver: per-function fallback identity.
-                let recv = prev_segment(toks, m).and_then(|k| toks[k].ident());
-                let id = self.intern_local(recv.unwrap_or(name), IdKind::Unknown);
-                return Bind::Guard {
-                    lock: id,
-                    inner: None,
-                };
+        //    binds its guard (covers `lock_recover(x.lock(), s)`).
+        if let Some(m) = (start + 1..end).find(|&m| is_lock_call(toks, m)) {
+            let mut base = Some(m);
+            while let Some(b) = base.filter(|&b| toks[b - 1].is_punct('.')) {
+                base = prev_segment(toks, b);
             }
+            return match base.map(|b| self.resolve_chain(b, false).0) {
+                Some(guard @ Bind::Guard(_)) => guard,
+                _ => Bind::Unknown,
+            };
         }
         let mut s = start;
         while s < end
@@ -891,51 +549,16 @@ impl<'a> Walker<'a> {
         if s >= end {
             return Bind::Unknown;
         }
-        // 2. `Arc::clone(&x)` / `Rc::clone(&x)` aliases x.
+        // 2. `Arc::clone(&x)` / `Rc::clone(&x)` is `x`.
         if matches!(toks[s].ident(), Some("Arc" | "Rc"))
             && path_sep(toks, s + 1)
             && toks.get(s + 3).is_some_and(|t| t.ident() == Some("clone"))
             && toks.get(s + 4).is_some_and(|t| t.is_punct('('))
         {
             let close = self.file.skip_balanced(s + 4) - 1;
-            return self.classify_init(name, s + 5, close, None);
+            return self.classify_init(s + 5, close, None);
         }
-        // 3. Trailing `.clone()` aliases the prefix.
-        if end >= 4
-            && toks[end - 1].is_punct(')')
-            && toks[end - 2].is_punct('(')
-            && toks[end - 3].ident() == Some("clone")
-            && toks[end - 4].is_punct('.')
-        {
-            return self.classify_init(name, s, end - 4, None);
-        }
-        // 4. Fresh lock / atomic constructors.
-        for m in s..end.saturating_sub(3) {
-            let Some(id) = toks[m].ident() else { continue };
-            if !(path_sep(toks, m + 1)
-                && toks.get(m + 3).is_some_and(|t| t.ident() == Some("new"))
-                && toks.get(m + 4).is_some_and(|t| t.is_punct('(')))
-            {
-                continue;
-            }
-            match id {
-                "Mutex" | "RwLock" => {
-                    let key = format!("fresh:{}:{m}", self.fnkey);
-                    let (f, _) = self.site_here();
-                    let display = format!("{name} (local {})", id.to_lowercase());
-                    let fid = self
-                        .ids
-                        .intern(&key, &display, lock_kind(id), &f, toks[m].line);
-                    return Bind::Lock {
-                        id: fid,
-                        inner: None,
-                    };
-                }
-                a if a.starts_with("Atomic") => return Bind::Atomic(self.intern_aname(name)),
-                _ => {}
-            }
-        }
-        // 5. Known-struct construction: `Ty { .. }` / `Ty::m(..)` / `Self ..`.
+        // 3. Known-struct construction: `Ty { .. }` / `Ty::m(..)` / `Self ..`.
         if let Some(base) = toks[s].ident() {
             let st = if base == "Self" {
                 self.impl_key.clone()
@@ -948,7 +571,7 @@ impl<'a> Walker<'a> {
                 }
             }
         }
-        // 6. Plain chain: whatever it resolves to.
+        // 4. Plain chain: whatever it resolves to.
         if toks[s].ident().is_some() {
             let (res, chain_end) = self.resolve_chain(s, false);
             let whole = chain_end >= end || toks.get(chain_end).is_some_and(|t| t.is_punct('?'));
@@ -956,32 +579,22 @@ impl<'a> Walker<'a> {
                 return res;
             }
         }
-        // 7. Fall back to the annotation.
-        match annot {
-            Some(ty) => self.of_type(name, ty),
-            None => Bind::Unknown,
-        }
+        // 5. Fall back to the annotation.
+        annot.map_or(Bind::Unknown, |ty| self.of_type(ty))
     }
 
-    /// Resolves and (with `emit`) records the events of the chain whose
+    /// Resolves and (with `emit`) records the calls of the chain whose
     /// base ident sits at `base`. Returns the final result and the index
     /// one past the chain.
     fn resolve_chain(&mut self, base: usize, emit: bool) -> (Bind, usize) {
         let toks = self.toks;
         let name = toks[base].ident().unwrap_or("");
         let head = cursor::head(self.file, base);
-        let mut last_name = name.to_string();
         let mut cur = base + 1;
         let mut res = if name == "self" {
             self.impl_key.clone().map_or(Bind::Unknown, Bind::Struct)
         } else if let Some(b) = self.locals.get(name) {
             b.clone()
-        } else if name == "fence" && head.call.is_some() {
-            let close = self.file.skip_balanced(cur);
-            if emit {
-                self.emit_fence(base, cur, close - 1);
-            }
-            return (Bind::Unknown, close);
         } else if head.path {
             // Path base: `Ty::m(..)`, `Self::m(..)`, or `module::f(..)`.
             return self.resolve_path(base, &head, emit);
@@ -990,20 +603,13 @@ impl<'a> Walker<'a> {
             if emit && name != "drop" {
                 let targets = self.sym.free.get(name).cloned().unwrap_or_default();
                 if !targets.is_empty() {
-                    self.events.push(Event::Call {
-                        targets,
-                        line: toks[base].line,
-                        tok: base,
-                    });
+                    self.calls.push(Call { targets, tok: base });
                 }
             }
             cur = self.file.skip_balanced(open);
             Bind::Unknown
         } else if let Some(st) = self.sym.resolve_struct(name, &self.krate) {
             if toks.get(cur).is_some_and(|t| t.is_punct('{')) && !self.in_pattern_position(base) {
-                if emit {
-                    self.scan_struct_literal(&st, cur);
-                }
                 return (Bind::Struct(st), cur);
             }
             Bind::Struct(st)
@@ -1016,112 +622,49 @@ impl<'a> Walker<'a> {
             match seg {
                 Seg::Try | Seg::Index(_) => {}
                 Seg::Cast(_) => break,
-                Seg::Method(seg_idx, open) => {
-                    res = self.method(res, &last_name, seg_idx, open, next, emit);
-                }
-                Seg::Field(seg_idx) => match toks[seg_idx].ident() {
-                    Some(seg) => {
-                        res = self.field(&res, seg);
-                        last_name = seg.to_string();
-                    }
-                    // Tuple-field access `x.0`.
-                    None => res = Bind::Unknown,
-                },
+                Seg::Method(seg_idx, _) => res = self.method(res, seg_idx, emit),
+                Seg::Field(seg_idx) => res = self.field(&res, toks[seg_idx].ident()),
             }
             cur = next;
         }
         (res, cur)
     }
 
-    /// One `.m(..)` segment over `res` (`recv` names the receiver): guard
-    /// acquisitions, atomic operations, and resolved method calls.
-    fn method(
-        &mut self,
-        res: Bind,
-        recv: &str,
-        seg_idx: usize,
-        open: usize,
-        close: usize,
-        emit: bool,
-    ) -> Bind {
-        let toks = self.toks;
-        let m = toks[seg_idx].ident().unwrap_or("");
-        let zero_arg = toks.get(open + 1).is_some_and(|t| t.is_punct(')'));
-        match m {
-            "lock" | "read" | "write" if zero_arg => {
-                let (lock, inner) = match res {
-                    Bind::Lock { id, inner } => (id, inner),
-                    _ => (self.intern_local(recv, IdKind::Unknown), None),
-                };
+    /// One `.m(..)` segment over `res`: a lock's guard, or a method call
+    /// resolved through the receiver's struct.
+    fn method(&mut self, res: Bind, seg_idx: usize, emit: bool) -> Bind {
+        match (self.toks[seg_idx].ident().unwrap_or(""), res) {
+            (_, Bind::Lock(inner)) if is_lock_call(self.toks, seg_idx) => {
+                inner.map_or(Bind::Unknown, Bind::Guard)
+            }
+            (_, _) if is_lock_call(self.toks, seg_idx) => Bind::Unknown,
+            ("unwrap" | "expect" | "unwrap_or_else", guard @ Bind::Guard(_)) => guard,
+            ("unwrap" | "expect" | "unwrap_or_else", _) => Bind::Unknown,
+            ("clone", res) => res,
+            (m, Bind::Struct(st) | Bind::Guard(st)) => {
                 if emit {
-                    let held_until = guard_scope_end(self.file, seg_idx);
-                    self.events.push(Event::Acquire {
-                        lock,
-                        line: toks[seg_idx].line,
-                        tok: seg_idx,
-                        held_until,
-                    });
-                }
-                Bind::Guard { lock, inner }
-            }
-            "unwrap" | "expect" | "unwrap_or_else" if matches!(res, Bind::Guard { .. }) => res,
-            "unwrap" | "expect" | "unwrap_or_else" => Bind::Unknown,
-            "clone" => res,
-            m if ATOMIC_METHODS.contains(&m) => {
-                let id = match res {
-                    Bind::Atomic(id) => Some(id),
-                    Bind::Unknown | Bind::Struct(_) => {
-                        let has_ord = (open..close).any(|x| toks[x].ident() == Some("Ordering"));
-                        has_ord.then(|| self.intern_aname(recv))
-                    }
-                    _ => None,
-                };
-                if let (Some(id), true) = (id, emit) {
-                    self.emit_atomic(id, m, seg_idx, open, close - 1);
-                }
-                Bind::Unknown
-            }
-            m => {
-                if let (Bind::Struct(st), true) = (&res, emit) {
                     if let Some(targets) = self.sym.methods.get(&format!("{st}::{m}")) {
-                        self.events.push(Event::Call {
+                        self.calls.push(Call {
                             targets: targets.clone(),
-                            line: toks[seg_idx].line,
                             tok: seg_idx,
                         });
                     }
                 }
                 Bind::Unknown
             }
+            _ => Bind::Unknown,
         }
     }
 
-    /// The `.field` segment `seg` of a struct (or of a guard's struct).
-    fn field(&mut self, res: &Bind, seg: &str) -> Bind {
-        let st = match res {
-            Bind::Struct(st)
-            | Bind::Guard {
-                inner: Some(st), ..
-            } => st,
-            _ => return Bind::Unknown,
-        };
-        let Some(fd) = self.sym.field(st, seg).cloned() else {
+    /// The `.field` segment `seg` (`None` for a tuple index) of a struct
+    /// or of a guard's struct.
+    fn field(&self, res: &Bind, seg: Option<&str>) -> Bind {
+        let (Bind::Struct(st) | Bind::Guard(st)) = res else {
             return Bind::Unknown;
         };
-        if fd.ty.guard_kind().is_some() {
-            Bind::Lock {
-                id: self.intern_field(st, &fd),
-                inner: self.inner_struct_of(&fd.ty),
-            }
-        } else if fd.ty.is_atomic() {
-            Bind::Atomic(self.intern_field(st, &fd))
-        } else if fd.ty.is_sync_primitive() {
-            Bind::Unknown
-        } else {
-            let inner = self
-                .sym
-                .resolve_struct(&fd.ty.innermost().name, &self.krate);
-            inner.map_or(Bind::Unknown, Bind::Struct)
+        match seg.and_then(|seg| self.sym.field(st, seg)) {
+            Some(fd) => self.of_type(&fd.ty),
+            None => Bind::Unknown,
         }
     }
 
@@ -1135,12 +678,6 @@ impl<'a> Walker<'a> {
             return (Bind::Unknown, head.next);
         };
         let close = self.file.skip_balanced(open);
-        if last == "fence" {
-            if emit {
-                self.emit_fence(head.last, open, close - 1);
-            }
-            return (Bind::Unknown, close);
-        }
         let head_struct = if first == "Self" {
             self.impl_key.clone()
         } else {
@@ -1169,41 +706,12 @@ impl<'a> Walker<'a> {
             None => Vec::new(),
         };
         if emit && !targets.is_empty() {
-            self.events.push(Event::Call {
-                targets,
-                line: toks[base].line,
-                tok: base,
-            });
+            self.calls.push(Call { targets, tok: base });
         }
         // Constructor returns the type only if some target is a ctor; the
         // common `Ty::new(..)` case. Keep the Struct result regardless —
         // mis-typing a non-Self return only makes later lookups miss.
         (ret, close)
-    }
-
-    fn emit_fence(&mut self, at: usize, open: usize, close: usize) {
-        let in_test = self.file.in_test(at);
-        for ord in orderings_in(self.toks, open, close) {
-            self.events.push(Event::Fence {
-                ordering: ord,
-                tok: at,
-                in_test,
-            });
-        }
-    }
-
-    fn emit_atomic(&mut self, id: u32, method: &str, at: usize, open: usize, close: usize) {
-        let in_test = self.file.in_test(at);
-        for ord in orderings_in(self.toks, open, close) {
-            self.events.push(Event::Atomic {
-                id,
-                method: method.to_string(),
-                ordering: ord,
-                line: self.toks[at].line,
-                tok: at,
-                in_test,
-            });
-        }
     }
 
     /// Whether the known-struct ident at `base` sits in pattern position
@@ -1222,154 +730,15 @@ impl<'a> Walker<'a> {
         }
         false
     }
-
-    /// Unions lock/atomic-typed field inits of a struct literal with the
-    /// field identity: `SimHandle { state: self.state.clone() }` makes
-    /// `SimHandle::state` and `SimPoller::state` one lock.
-    fn scan_struct_literal(&mut self, st: &str, open: usize) {
-        let toks = self.toks;
-        let close = self.file.close_of(open);
-        let mut i = open + 1;
-        while i < close {
-            let Some(name) = toks[i].ident() else {
-                i += 1;
-                continue;
-            };
-            // Only depth-1 field positions: previous token is `{` or `,`.
-            let prev_ok = toks
-                .get(i.wrapping_sub(1))
-                .is_some_and(|t| t.is_punct('{') || t.is_punct(','));
-            if !prev_ok {
-                i += 1;
-                continue;
-            }
-            let Some(fd) = self.sym.field(st, name).cloned() else {
-                i += 1;
-                continue;
-            };
-            let interesting = fd.ty.guard_kind().is_some() || fd.ty.is_atomic();
-            if toks.get(i + 1).is_some_and(|t| t.is_punct(':')) && !path_sep(toks, i + 1) {
-                let expr_start = i + 2;
-                let expr_end = cursor::element_end(toks, expr_start, close);
-                if interesting {
-                    let fid = self.intern_field(st, &fd);
-                    if let Some(id) = self.value_id(expr_start, expr_end) {
-                        self.ids.union(fid, id);
-                    }
-                }
-                i = expr_end + 1;
-            } else if interesting
-                && toks
-                    .get(i + 1)
-                    .is_some_and(|t| t.is_punct(',') || t.is_punct('}'))
-            {
-                // Shorthand `field,` — union with the same-named local.
-                let fid = self.intern_field(st, &fd);
-                let id = match self.locals.get(name) {
-                    Some(Bind::Lock { id, .. }) | Some(Bind::Atomic(id)) => Some(*id),
-                    _ => None,
-                };
-                if let Some(id) = id {
-                    self.ids.union(fid, id);
-                }
-                i += 2;
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// The lock/atomic identity of a value expression, if it has one.
-    fn value_id(&mut self, start: usize, end: usize) -> Option<u32> {
-        match self.classify_init("<expr>", start, end, None) {
-            Bind::Lock { id, .. } | Bind::Atomic(id) => Some(id),
-            _ => None,
-        }
-    }
 }
 
-fn lock_kind(k: &str) -> IdKind {
-    if k == "RwLock" {
-        IdKind::RwLock
-    } else {
-        IdKind::Mutex
-    }
-}
-
-/// Every `Ordering::X` argument between `open` and `close` (inclusive).
-fn orderings_in(toks: &[Tok], open: usize, close: usize) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut i = open;
-    while i + 3 <= close {
-        if toks[i].ident() == Some("Ordering") && path_sep(toks, i + 1) {
-            if let Some(o) = toks.get(i + 3).and_then(|t| t.ident()) {
-                out.push(o.to_string());
-            }
-            i += 4;
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Token index one past which the guard acquired at `idx` is dead:
-/// `let`-bound, assigned, or condition-head acquisitions live to the end
-/// of the enclosing block; bare statements die at their `;`.
-fn guard_scope_end(file: &SourceFile, idx: usize) -> usize {
-    let tokens = &file.tokens;
-    let mut head = 0usize;
-    let mut depth = 0i32;
-    for j in (0..idx).rev() {
-        match &tokens[j].kind {
-            TokKind::Punct(')') | TokKind::Punct(']') => depth += 1,
-            // An unmatched opener means the acquisition sits inside an
-            // enclosing call's argument list (`helper(x.lock(), ..)`);
-            // the statement head is further back at that context's depth.
-            TokKind::Punct('(') | TokKind::Punct('[') => depth = (depth - 1).max(0),
-            TokKind::Punct(';') | TokKind::Punct('{') | TokKind::Punct('}') if depth == 0 => {
-                head = j + 1;
-                break;
-            }
-            _ => {}
-        }
-    }
-    let block_scoped = match tokens.get(head).map(|t| &t.kind) {
-        Some(TokKind::Ident(s))
-            if matches!(s.as_str(), "let" | "if" | "while" | "for" | "match") =>
-        {
-            true
-        }
-        Some(TokKind::Ident(_))
-            if tokens.get(head + 1).is_some_and(|t| t.is_punct('='))
-                && !tokens.get(head + 2).is_some_and(|t| t.is_punct('=')) =>
-        {
-            true
-        }
-        _ => false,
-    };
-    if block_scoped {
-        return file
-            .enclosing_block(idx)
-            .map_or(tokens.len(), |open| file.close_of(open));
-    }
-    let mut depth = 0i32;
-    for (j, t) in tokens.iter().enumerate().skip(idx) {
-        match &t.kind {
-            TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => depth += 1,
-            // Leaving an enclosing argument list: back to statement depth.
-            TokKind::Punct(')') | TokKind::Punct(']') => depth = (depth - 1).max(0),
-            TokKind::Punct('}') => {
-                depth -= 1;
-                if depth < 0 {
-                    return j;
-                }
-            }
-            TokKind::Punct(';') if depth == 0 => return j,
-            _ => {}
-        }
-    }
-    tokens.len()
+/// Whether the ident at `m` is a zero-argument `.lock()` / `.read()` /
+/// `.write()` call.
+fn is_lock_call(toks: &[Tok], m: usize) -> bool {
+    matches!(toks[m].ident(), Some("lock" | "read" | "write"))
+        && toks[m - 1].is_punct('.')
+        && toks.get(m + 1).is_some_and(|t| t.is_punct('('))
+        && toks.get(m + 2).is_some_and(|t| t.is_punct(')'))
 }
 
 #[cfg(test)]
@@ -1381,171 +750,63 @@ mod tests {
         build(&[f])
     }
 
-    fn fn_by_name<'a>(ws: &'a Workspace, name: &str) -> &'a FnEvents {
+    fn fn_by_name<'a>(ws: &'a Workspace, name: &str) -> &'a FnInfo {
         ws.fns.iter().find(|f| f.name == name).unwrap()
+    }
+
+    /// The names of the functions `name`'s calls resolve to, in order.
+    fn callees(ws: &Workspace, name: &str) -> Vec<String> {
+        fn_by_name(ws, name)
+            .calls
+            .iter()
+            .flat_map(|c| c.targets.iter().map(|&t| ws.fns[t].name.clone()))
+            .collect()
     }
 
     #[test]
     fn field_locks_resolve_through_self_and_params() {
+        // A guard over a known struct resolves that struct's fields and
+        // methods, whether the lock is reached through `self` or a
+        // typed parameter.
         let src = r#"
-struct State { queue: Mutex<Vec<u32>>, stats: Mutex<u64> }
+struct Queue { items: Vec<u32> }
+impl Queue { fn push(&mut self, v: u32) {} }
+struct State { queue: Mutex<Queue>, inner: Arc<RwLock<Inner>> }
+struct Inner { queue: Queue }
 impl State {
-    fn via_self(&self) { let g = self.queue.lock().unwrap(); }
+    fn via_self(&self) { self.queue.lock().unwrap().push(1); }
 }
-fn via_param(s: &State) { let g = s.queue.lock().unwrap(); }
+fn via_param(s: &State) {
+    let mut g = s.inner.write().unwrap();
+    g.queue.push(2);
+}
 "#;
         let ws = ws_of(src);
-        let a = fn_by_name(&ws, "via_self");
-        let b = fn_by_name(&ws, "via_param");
-        let la = match a.events[0] {
-            Event::Acquire { lock, .. } => lock,
-            _ => panic!("expected acquire"),
-        };
-        let lb = match b.events[0] {
-            Event::Acquire { lock, .. } => lock,
-            _ => panic!("expected acquire"),
-        };
-        assert_eq!(ws.ids.canon(la), ws.ids.canon(lb));
-        assert_eq!(ws.ids.display(la), "State::queue");
-        assert_eq!(ws.ids.kind(la), IdKind::Mutex);
-    }
-
-    #[test]
-    fn arc_clones_and_ctor_literals_merge_same_named_locals_stay_apart() {
-        let src = r#"
-struct Hub { m: Arc<Mutex<u32>> }
-struct Twin { m: Arc<Mutex<u32>> }
-impl Hub {
-    fn twin(&self) -> Twin { Twin { m: Arc::clone(&self.m) } }
-}
-fn use_clone(h: &Hub) {
-    let mm = Arc::clone(&h.m);
-    let g = mm.lock().unwrap();
-}
-fn one() { let pair = Mutex::new(0u32); let g = pair.lock().unwrap(); }
-fn two() { let pair = Mutex::new(0u32); let g = pair.lock().unwrap(); }
-"#;
-        let ws = ws_of(src);
-        // Twin::m and Hub::m merged through the ctor literal.
-        let groups = ws.ids.lock_groups();
-        let merged = groups
-            .iter()
-            .find(|(_, _, members)| members.iter().any(|m| m.contains("Hub::m")))
-            .expect("Hub::m group");
-        assert!(
-            merged.2.iter().any(|m| m.contains("Twin::m")),
-            "ctor literal must union Twin::m with Hub::m: {groups:?}"
-        );
-        // use_clone's acquisition is the same lock as the field.
-        let uc = fn_by_name(&ws, "use_clone");
-        let l = match uc.events[0] {
-            Event::Acquire { lock, .. } => lock,
-            _ => panic!("expected acquire"),
-        };
-        assert_eq!(ws.ids.display(l), "Hub::m");
-        // Same-named fresh locals in different fns stay distinct.
-        let l1 = match fn_by_name(&ws, "one").events[0] {
-            Event::Acquire { lock, .. } => lock,
-            _ => panic!(),
-        };
-        let l2 = match fn_by_name(&ws, "two").events[0] {
-            Event::Acquire { lock, .. } => lock,
-            _ => panic!(),
-        };
-        assert_ne!(ws.ids.canon(l1), ws.ids.canon(l2));
-    }
-
-    /// Indices of the `Call` events of `f`, in source order.
-    fn call_events(f: &FnEvents) -> Vec<usize> {
-        (0..f.events.len())
-            .filter(|&i| matches!(f.events[i], Event::Call { .. }))
-            .collect()
+        assert_eq!(callees(&ws, "via_self"), ["push"]);
+        assert_eq!(callees(&ws, "via_param"), ["push"]);
     }
 
     #[test]
     fn guard_acquired_inside_wrapper_call_lives_to_block_end() {
         // The `lock_recover(x.lock(), ..)` idiom: the acquisition sits
         // inside an enclosing call's argument list, but the guard binds
-        // to the `let` and must be held for the rest of the block.
+        // to the `let` for the rest of the block.
         let src = r#"
-struct S { m: Mutex<u64> }
+struct Inner { n: u64 }
+impl Inner { fn touch(&self) {} }
+struct S { m: Mutex<Inner> }
 impl S {
-    fn touch(&self) {}
     fn locked(&self) {
         let mut g = recover(self.m.lock(), 0);
-        if *g > 0 {
-            self.touch();
+        if g.n > 0 {
+            g.touch();
         }
-        self.touch();
+        g.touch();
     }
 }
 "#;
         let ws = ws_of(src);
-        let f = fn_by_name(&ws, "locked");
-        let calls = call_events(f);
-        assert_eq!(calls.len(), 2, "{:?}", f.events);
-        for &i in &calls {
-            assert!(
-                !f.held_at(i).is_empty(),
-                "guard must span the whole block, lost at event {i}: {:?}",
-                f.events
-            );
-        }
-    }
-
-    #[test]
-    fn guard_scope_ends_at_drop() {
-        let src = r#"
-struct S { m: Mutex<u64> }
-impl S {
-    fn touch(&self) {}
-    fn locked(&self) {
-        let mut g = self.m.lock().unwrap();
-        self.touch();
-        drop(g);
-        self.touch();
-    }
-}
-"#;
-        let ws = ws_of(src);
-        let f = fn_by_name(&ws, "locked");
-        let calls = call_events(f);
-        assert_eq!(calls.len(), 2, "{:?}", f.events);
-        assert!(!f.held_at(calls[0]).is_empty(), "guard held at first call");
-        assert!(
-            f.held_at(calls[1]).is_empty(),
-            "drop(g) must end the guard before the second call: {:?}",
-            f.events
-        );
-    }
-
-    #[test]
-    fn atomics_and_fences_emit_events() {
-        let src = r#"
-struct C { flag: AtomicBool }
-impl C {
-    fn publish(&self) {
-        fence(Ordering::Release);
-        self.flag.store(true, Ordering::Relaxed);
-    }
-}
-fn read_param(ready: &AtomicBool) -> bool { ready.load(Ordering::Relaxed) }
-"#;
-        let ws = ws_of(src);
-        let p = fn_by_name(&ws, "publish");
-        assert!(matches!(
-            &p.events[0],
-            Event::Fence { ordering, .. } if ordering == "Release"
-        ));
-        assert!(matches!(
-            &p.events[1],
-            Event::Atomic { method, ordering, .. } if method == "store" && ordering == "Relaxed"
-        ));
-        let r = fn_by_name(&ws, "read_param");
-        assert!(matches!(
-            &r.events[0],
-            Event::Atomic { method, .. } if method == "load"
-        ));
+        assert_eq!(callees(&ws, "locked"), ["touch", "touch"]);
     }
 
     #[test]
@@ -1553,50 +814,33 @@ fn read_param(ready: &AtomicBool) -> bool { ready.load(Ordering::Relaxed) }
         let src = r#"
 struct S { m: Mutex<u32> }
 impl S {
-    fn outer(&self) { self.inner(); helper(); }
+    fn outer(&self) { self.inner(); helper(); S::make(); }
     fn inner(&self) { let g = self.m.lock().unwrap(); }
+    fn make() -> S { S { m: Mutex::new(0) } }
 }
 fn helper() {}
 "#;
         let ws = ws_of(src);
-        let outer = fn_by_name(&ws, "outer");
-        let calls: Vec<&Event> = outer
-            .events
-            .iter()
-            .filter(|e| matches!(e, Event::Call { .. }))
-            .collect();
-        assert_eq!(calls.len(), 2);
-        if let Event::Call { targets, .. } = calls[0] {
-            assert_eq!(ws.fns[targets[0]].name, "inner");
-        }
-        if let Event::Call { targets, .. } = calls[1] {
-            assert_eq!(ws.fns[targets[0]].name, "helper");
-        }
+        assert_eq!(callees(&ws, "outer"), ["inner", "helper", "make"]);
+        assert!(callees(&ws, "inner").is_empty());
     }
 
     #[test]
     fn tuple_let_pairs_clones_elementwise() {
         let src = r#"
-struct E { done: Arc<Mutex<u32>>, busy: Arc<Mutex<u32>> }
+struct Done;
+impl Done { fn finish(&self) {} }
+struct Busy;
+impl Busy { fn mark(&self) {} }
+struct E { done: Arc<Done>, busy: Busy }
 fn spawn(e: &E) {
-    let (d, b) = (Arc::clone(&e.done), Arc::clone(&e.busy));
-    let g = d.lock().unwrap();
-    let h = b.lock().unwrap();
+    let (d, b) = (Arc::clone(&e.done), e.busy.clone());
+    d.finish();
+    b.mark();
 }
 "#;
         let ws = ws_of(src);
-        let f = fn_by_name(&ws, "spawn");
-        let locks: Vec<u32> = f
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Acquire { lock, .. } => Some(*lock),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(locks.len(), 2);
-        assert_eq!(ws.ids.display(locks[0]), "E::done");
-        assert_eq!(ws.ids.display(locks[1]), "E::busy");
+        assert_eq!(callees(&ws, "spawn"), ["finish", "mark"]);
     }
 
     #[test]

@@ -14,11 +14,9 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Lints one fixture. The L2 fixtures are configured as hot paths (the
-/// l4 ones must not be: their `.lock().unwrap()` chains are lock
-/// material, not L2 material) and the l7/l8 fixtures as the taint scope,
-/// so L2/L7/L8 apply to the corpus the way they apply to the real
-/// modules.
+/// Lints one fixture. The L2 fixtures are configured as hot paths and
+/// the l7/l8 fixtures as the taint scope, so L2/L7/L8 apply to the
+/// corpus the way they apply to the real modules.
 fn lint_fixture(name: &str, allow_toml: &str) -> pimdl_lint::diag::Report {
     let cfg = LintConfig {
         hot_paths: vec!["l2_bad.rs".to_string(), "l2_clean.rs".to_string()],
@@ -47,8 +45,8 @@ fn bad_fixtures_fail_with_exactly_their_lint() {
         ("l2_bad.rs", "L2-PANIC"),
         ("l3_bad.rs", "L3-ATOMIC"),
         ("l3_fence_bad.rs", "L3-ATOMIC"),
-        ("l4_bad.rs", "L4-LOCK-ORDER"),
-        ("l4_alias_bad.rs", "L4-LOCK-ORDER"),
+        ("l3_allowed.rs", "L3-ATOMIC"),
+        ("l3_fence_allowed.rs", "L3-ATOMIC"),
         ("l8_bad.rs", "L8-OVERFLOW"),
     ] {
         let report = lint_fixture(name, "");
@@ -62,10 +60,9 @@ fn clean_fixtures_pass() {
     for name in [
         "l1_clean.rs",
         "l2_clean.rs",
-        "l3_clean.rs",
-        "l3_fence_clean.rs",
-        "l4_clean.rs",
-        "l4_alias_clean.rs",
+        "l3_relaxed_clean.rs",
+        "l3_test_seqcst_clean.rs",
+        "locks.rs",
         "l7_clean.rs",
         "l8_clean.rs",
     ] {
@@ -226,8 +223,6 @@ fn binary_exit_codes_match_fixture_corpus() {
         ("l1_bad.rs", "L1-SAFETY"),
         ("l3_bad.rs", "L3-ATOMIC"),
         ("l3_fence_bad.rs", "L3-ATOMIC"),
-        ("l4_bad.rs", "L4-LOCK-ORDER"),
-        ("l4_alias_bad.rs", "L4-LOCK-ORDER"),
     ] {
         let out = Command::new(bin)
             .arg("--file")
@@ -242,10 +237,9 @@ fn binary_exit_codes_match_fixture_corpus() {
     let mut clean = Command::new(bin);
     for name in [
         "l1_clean.rs",
-        "l3_clean.rs",
-        "l3_fence_clean.rs",
-        "l4_clean.rs",
-        "l4_alias_clean.rs",
+        "l3_relaxed_clean.rs",
+        "l3_test_seqcst_clean.rs",
+        "locks.rs",
     ] {
         clean.arg("--file").arg(fixture(name));
     }
@@ -309,7 +303,81 @@ justification = "fixture test"
     );
 }
 
-/// `--inventory` writes the unsafe-site and lock-identity inventories.
+/// An L3 site passes only with a justified entry whose `lines` window
+/// covers it: the two allowlist fixtures fail bare, pass with windowed
+/// entries, and an entry without a window is itself a finding.
+#[test]
+fn l3_sites_pass_only_with_windowed_justified_entries() {
+    l3_allowlist_case("l3_allowed.rs", &[("Release", 8), ("Acquire", 12)]);
+    l3_allowlist_case("l3_fence_allowed.rs", &[("fence", 9), ("fence", 15)]);
+}
+
+/// `name` reports L3 on exactly `sites` (callee, line) with no entries,
+/// passes with one windowed entry per site, and fails on the hygiene
+/// check with the same entries unwindowed.
+fn l3_allowlist_case(name: &str, sites: &[(&str, u32)]) {
+    let entries = |windowed: bool| -> String {
+        sites
+            .iter()
+            .map(|(callee, line)| {
+                let lines = if windowed {
+                    format!("lines = \"{line}\"\n")
+                } else {
+                    String::new()
+                };
+                format!(
+                    "[[allow]]\nlint = \"L3-ATOMIC\"\nfile = \"{name}\"\nfunc = \"*\"\n\
+                     callee = \"{callee}\"\n{lines}justification = \"fixture test\"\n"
+                )
+            })
+            .collect()
+    };
+    let bare = lint_fixture(name, "");
+    let got: Vec<(&str, u32)> = bare
+        .diagnostics
+        .iter()
+        .map(|d| (d.lint.as_str(), d.line))
+        .collect();
+    let want: Vec<(&str, u32)> = sites.iter().map(|&(_, l)| ("L3-ATOMIC", l)).collect();
+    assert_eq!(got, want, "{name} without entries");
+
+    let report = lint_fixture(name, &entries(true));
+    assert!(
+        !report.failed(),
+        "{name} with windowed entries:\n{}",
+        report.render_human()
+    );
+
+    let report = lint_fixture(name, &entries(false));
+    assert_eq!(
+        lints_hit(&report),
+        vec!["LINT-ALLOW"],
+        "{name}: an entry without a window is a finding:\n{}",
+        report.render_human()
+    );
+}
+
+/// The lock census counts each non-test lock field and each `let` that
+/// constructs a lock, and nothing else.
+#[test]
+fn lock_census_counts_lock_fields_and_constructing_lets() {
+    let report = lint_fixture("locks.rs", "");
+    let got: Vec<(&str, u32, &str)> = report
+        .lock_inventory
+        .iter()
+        .map(|l| (l.site.as_str(), l.line, l.kind.as_str()))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            ("Shared::queue", 8, "Mutex"),
+            ("Shared::table", 9, "RwLock"),
+            ("let table", 14, "RwLock"),
+        ]
+    );
+}
+
+/// `--inventory` writes the unsafe-site and lock-census inventories.
 #[test]
 fn binary_writes_inventory_json() {
     let bin = env!("CARGO_BIN_EXE_pimdl-lint");
@@ -319,7 +387,7 @@ fn binary_writes_inventory_json() {
         .arg("--inventory")
         .arg(&path)
         .arg("--file")
-        .arg(fixture("l4_clean.rs"))
+        .arg(fixture("locks.rs"))
         .arg("--file")
         .arg(fixture("l1_clean.rs"))
         .output()
@@ -329,8 +397,8 @@ fn binary_writes_inventory_json() {
     let _ = std::fs::remove_file(&path);
     assert!(json.contains("\"unsafe_sites\""), "{json}");
     assert!(
-        json.contains("State::queue"),
-        "lock identity listed: {json}"
+        json.contains("\"site\": \"Shared::queue\"") && json.contains("\"lock_count\": 3"),
+        "lock census listed: {json}"
     );
     assert!(json.contains("\"taint_sources\""), "{json}");
     assert!(json.contains("\"taint_sinks\""), "{json}");

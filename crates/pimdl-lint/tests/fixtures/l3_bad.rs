@@ -1,6 +1,6 @@
-//! L3 fixture: `ready` is published with `Release` but read with
-//! `Relaxed` — the load cannot see writes the store was meant to
-//! publish.
+//! L3 fixture: `ready` is published with `Release` (and read with
+//! `Relaxed`, which cannot see what the store publishes). The `Release`
+//! store has no allowlist entry, so it fails.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

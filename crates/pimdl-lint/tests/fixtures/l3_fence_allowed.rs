@@ -1,6 +1,7 @@
-//! L3 fixture: fence-to-fence synchronization done right — the Relaxed
-//! store is published with `fence(Release)` and the Relaxed load is
-//! followed by `fence(Acquire)`, which completes the pairing.
+//! L3 fixture: fence-to-fence synchronization — a Relaxed store after
+//! `fence(Release)`, a Relaxed load before `fence(Acquire)`. It fails
+//! until lint-allow.toml excuses both fences with a windowed, justified
+//! entry.
 
 use std::sync::atomic::{fence, AtomicBool, Ordering};
 

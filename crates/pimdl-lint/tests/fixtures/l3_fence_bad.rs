@@ -1,6 +1,6 @@
 //! L3 fixture: `flag` is published with `fence(Release)` followed by a
-//! Relaxed store, but read bare-Relaxed with no Acquire fence — the
-//! publication ordering is lost on the reader side.
+//! Relaxed store, but read bare-Relaxed with no Acquire fence. The fence
+//! has no allowlist entry, so it fails.
 
 use std::sync::atomic::{fence, AtomicBool, Ordering};
 

@@ -1,12 +1,12 @@
 //! Real-tree mutation pins. The fixture corpus proves each pass fires on
-//! a toy; these prove it still resolves the workspace's *real* types:
-//! each case reads a real source file, checks it lints clean under the
-//! default configuration, then seeds one bug that names real items
-//! (`ReactorStats::polls`, `PipeWakeSink::pending`, `SimHandle::state`,
-//! `fabric::Cursor`) and
-//! asserts exactly the expected code fires on the seeded lines. A
-//! refactor of the resolver or the dataflow walker that silently stops
-//! seeing those items fails here, not in production.
+//! a toy; these prove it still sees the workspace's *real* code: each
+//! case reads a real source file, checks it lints clean under the default
+//! configuration, then seeds one bug that names real items
+//! (`ReactorStats::polls`, `fabric::Cursor`) and asserts exactly the
+//! expected code fires on the seeded lines. A refactor of the resolver or
+//! the dataflow walker that silently stops seeing those items fails here,
+//! not in production. The lock census gets the same treatment: a seeded
+//! lock field in `reactor.rs` must grow `lock_count` by one.
 
 use std::path::PathBuf;
 
@@ -29,7 +29,7 @@ struct Case {
     names: &'static [&'static str],
 }
 
-const CASES: [Case; 6] = [
+const CASES: [Case; 5] = [
     Case {
         file: REACTOR,
         append: "fn seeded(p: *const u8) -> u8 { unsafe { *p } }\n",
@@ -45,19 +45,9 @@ const CASES: [Case; 6] = [
     Case {
         file: REACTOR,
         append: "impl ReactorStats {\n    \
-                 fn seeded_publish(&self) { self.polls.store(1, Ordering::Release); }\n    \
-                 fn seeded_read(&self) -> u64 { self.polls.load(Ordering::Relaxed) }\n}\n",
+                 fn seeded_publish(&self) { self.polls.store(1, Ordering::Release); }\n}\n",
         code: "L3-ATOMIC",
-        names: &["`ReactorStats::polls`", "Release by `store`"],
-    },
-    Case {
-        file: REACTOR,
-        append: "fn seeded_a(p: &PipeWakeSink, h: &SimHandle) \
-                 { let a = p.pending.lock(); let b = h.state.lock(); }\n\
-                 fn seeded_b(p: &PipeWakeSink, h: &SimHandle) \
-                 { let b = h.state.lock(); let a = p.pending.lock(); }\n",
-        code: "L4-LOCK-ORDER",
-        names: &["PipeWakeSink::pending", "SimHandle::state", "fn seeded_a"],
+        names: &["`Ordering::Release` in fn seeded_publish"],
     },
     Case {
         file: FABRIC,
@@ -122,4 +112,20 @@ fn each_kept_pass_fires_on_a_bug_seeded_into_the_real_sources() {
             assert!(text.contains(name), "{} names `{name}`:\n{text}", case.code);
         }
     }
+}
+
+#[test]
+fn a_lock_field_seeded_into_the_real_sources_grows_the_census() {
+    let source = read_real(REACTOR);
+    let before = lint_in_memory(REACTOR, &source).lock_inventory;
+    let seeded_at = source.lines().count() as u32 + 2;
+    let seeded = source + "\nstruct Seeded {\n    gate: Arc<Mutex<u64>>,\n}\n";
+    let after = lint_in_memory(REACTOR, &seeded).lock_inventory;
+    assert_eq!(after.len(), before.len() + 1, "{after:?}");
+    let new: Vec<(&str, u32)> = after
+        .iter()
+        .filter(|l| !before.contains(l))
+        .map(|l| (l.site.as_str(), l.line))
+        .collect();
+    assert_eq!(new, [("Seeded::gate", seeded_at + 1)]);
 }
