@@ -1,9 +1,11 @@
 //! Lock-free serving metrics: atomic counters plus a fixed-bucket latency
 //! histogram, snapshotted at shutdown.
 //!
-//! All recorders take `&self` and use only atomics, so the generator,
-//! batcher, and shard workers share one [`Metrics`] without locking on the
-//! hot path.
+//! One serving loop records into a [`Metrics`], on the loop's own thread:
+//! shard threads report their batches back to the loop and record nothing.
+//! Recorders take `&self` and use only `Relaxed` atomics, so the loop's
+//! parts (pipeline, shards, fabric pump) share one `Arc<Metrics>` with no
+//! `&mut` plumbing and no lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
