@@ -16,22 +16,23 @@ WORKSPACE_CRATES=(
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-# Static analysis: unsafe audit, panic-path, atomic-ordering, lock-order,
-# the L7 untrusted-input taint pass, and the L8 interval-overflow pass
-# over the whole workspace (hard gate; exemptions live in lint-allow.toml
-# and must carry justifications). The report ends with a per-pass
-# finding-count / wall-time summary; the unsafe-site, lock-identity, and
-# taint source/sink inventories land in results/lint_inventory.json for
+# Static analysis: unsafe audit, panic-path, the memory-ordering token
+# rule, the L7 untrusted-input taint pass, and the L8 interval-overflow
+# pass over the whole workspace (hard gate; exemptions live in
+# lint-allow.toml and must carry justifications). The report ends with a
+# per-pass finding-count / wall-time summary; the unsafe-site, lock, and
+# taint source/sink censuses land in results/lint_inventory.json for
 # drift review.
 echo "==> pimdl-lint"
 cargo run --offline -q -p pimdl-lint -- --inventory results/lint_inventory.json
 
 # Inventory drift gate: growth in the attack/audit surface (unsafe sites,
-# taint sinks, shared locks) must arrive as an explicit diff to the
-# committed results/lint_inventory.json baseline, not a silent
-# regeneration. The gate fails when the fresh inventory shows more unsafe
-# sites, taint sinks or lock identities than HEAD's copy; re-committing the
-# regenerated file (after reviewing the new sites) is the only way through.
+# taint sinks, locks) must arrive as an explicit diff to the committed
+# results/lint_inventory.json baseline, not a silent regeneration. The
+# gate fails when the fresh inventory shows more unsafe sites, taint sinks
+# or lock sites (lock fields and lock-constructing lets) than HEAD's copy;
+# re-committing the regenerated file (after reviewing the new sites, and
+# for a lock the order it is taken in) is the only way through.
 echo "==> lint inventory drift gate"
 if git cat-file -e HEAD:results/lint_inventory.json 2>/dev/null; then
     python3 - <(git show HEAD:results/lint_inventory.json) \
