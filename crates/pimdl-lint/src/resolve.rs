@@ -633,11 +633,13 @@ impl<'a> Walker<'a> {
     /// One `.m(..)` segment over `res`: a lock's guard, or a method call
     /// resolved through the receiver's struct.
     fn method(&mut self, res: Bind, seg_idx: usize, emit: bool) -> Bind {
+        if is_lock_call(self.toks, seg_idx) {
+            return match res {
+                Bind::Lock(Some(st)) => Bind::Guard(st),
+                _ => Bind::Unknown,
+            };
+        }
         match (self.toks[seg_idx].ident().unwrap_or(""), res) {
-            (_, Bind::Lock(inner)) if is_lock_call(self.toks, seg_idx) => {
-                inner.map_or(Bind::Unknown, Bind::Guard)
-            }
-            (_, _) if is_lock_call(self.toks, seg_idx) => Bind::Unknown,
             ("unwrap" | "expect" | "unwrap_or_else", guard @ Bind::Guard(_)) => guard,
             ("unwrap" | "expect" | "unwrap_or_else", _) => Bind::Unknown,
             ("clone", res) => res,
