@@ -193,7 +193,7 @@ fn collect_impls(file: &SourceFile) -> Vec<(usize, usize, String)> {
 }
 
 /// Finds `struct Name { fields }` items and parses the field types.
-pub fn collect_structs(file: &SourceFile) -> Vec<StructDef> {
+fn collect_structs(file: &SourceFile) -> Vec<StructDef> {
     let toks = &file.tokens;
     let mut out = Vec::new();
     for idx in 0..toks.len() {

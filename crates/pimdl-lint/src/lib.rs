@@ -186,19 +186,21 @@ pub fn run_lints(files: &[SourceFile], allow: &AllowList, cfg: &LintConfig) -> R
             passes::memory_order::run(file, allow, r);
         }
     });
-    timed("lock-census", &mut report, &mut |r| {
-        for file in files {
-            passes::lock_census::run(file, r);
-        }
-    });
 
-    // Resolution layer: symbol table, call graph, consts.
+    // Resolution layer: each file's item model (whose structs the lock
+    // census reads too), symbol table, call graph, consts.
     let t0 = std::time::Instant::now();
-    let ws = resolve::build(files);
+    let hirs: Vec<hir::FileHir> = files.iter().map(hir::build).collect();
+    let ws = resolve::build(files, &hirs);
     report.pass_stats.push(diag::PassStat {
         name: "resolve".to_string(),
         findings: 0,
         micros: t0.elapsed().as_micros(),
+    });
+    timed("lock-census", &mut report, &mut |r| {
+        for (file, h) in files.iter().zip(&hirs) {
+            passes::lock_census::run(file, h, r);
+        }
     });
 
     // L7 and L8 are one dataflow: a single fixpoint and reporting walk.

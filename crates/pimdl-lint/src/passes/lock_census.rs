@@ -8,13 +8,13 @@
 
 use crate::cursor::{self, Pat};
 use crate::diag::{LockSite, Report};
-use crate::hir;
+use crate::hir::FileHir;
 use crate::model::SourceFile;
 use crate::passes::{path_sep, stmt_end};
 
-pub fn run(file: &SourceFile, report: &mut Report) {
+pub fn run(file: &SourceFile, hir: &FileHir, report: &mut Report) {
     let path = file.path.display().to_string();
-    for s in hir::collect_structs(file) {
+    for s in &hir.structs {
         if file.in_test(s.tok) {
             continue;
         }

@@ -111,13 +111,14 @@ impl Symbols {
     }
 }
 
-pub fn build(files: &[SourceFile]) -> Workspace {
-    let hirs: Vec<FileHir> = files.iter().map(hir::build).collect();
+/// Resolves `files`, whose item models `hirs` are (one per file, in
+/// order).
+pub fn build(files: &[SourceFile], hirs: &[FileHir]) -> Workspace {
     let mut sym = Symbols::default();
 
     // Pass 1: symbol tables + the global fn list (indices are stable).
     let mut fn_meta: Vec<(usize, usize)> = Vec::new(); // (file idx, fn idx)
-    for (fi, (file, h)) in files.iter().zip(&hirs).enumerate() {
+    for (fi, (file, h)) in files.iter().zip(hirs).enumerate() {
         let path = file.path.display().to_string().replace('\\', "/");
         let krate = crate_of(&path);
         for s in &h.structs {
@@ -747,9 +748,13 @@ fn is_lock_call(toks: &[Tok], m: usize) -> bool {
 mod tests {
     use super::*;
 
+    fn build_all(files: &[SourceFile]) -> Workspace {
+        let hirs: Vec<FileHir> = files.iter().map(hir::build).collect();
+        build(files, &hirs)
+    }
+
     fn ws_of(src: &str) -> Workspace {
-        let f = SourceFile::parse("crates/demo/src/lib.rs", src);
-        build(&[f])
+        build_all(&[SourceFile::parse("crates/demo/src/lib.rs", src)])
     }
 
     fn fn_by_name<'a>(ws: &'a Workspace, name: &str) -> &'a FnInfo {
@@ -879,7 +884,7 @@ fn generic<const N: usize>(x: [u8; N]) {}
     fn const_table_drops_ambiguous_names() {
         let a = SourceFile::parse("crates/a/src/lib.rs", "const CAP: usize = 8;");
         let b = SourceFile::parse("crates/b/src/lib.rs", "const CAP: usize = 16;");
-        let ws = build(&[a, b]);
+        let ws = build_all(&[a, b]);
         assert_eq!(ws.consts.get("CAP"), None);
     }
 }

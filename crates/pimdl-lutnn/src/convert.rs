@@ -163,7 +163,6 @@ pub struct LutClassifier {
     pub blocks: Vec<LutBlock>,
     /// Classification head (kept exact: a single tiny GEMV per sequence).
     pub head: Linear,
-    hidden: usize,
 }
 
 impl LutClassifier {
@@ -210,13 +209,13 @@ impl LutClassifier {
             embedding: model.embedding.clone(),
             blocks,
             head: model.head.clone(),
-            hidden: model.hidden(),
         })
     }
 
-    /// Hidden dimension.
+    /// Hidden dimension: the head's input width, the one place the
+    /// artifact states it.
     pub fn hidden(&self) -> usize {
-        self.hidden
+        self.head.in_features()
     }
 
     /// The walk with every linear run through its LUTs; `observe` sees each

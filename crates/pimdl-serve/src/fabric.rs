@@ -39,7 +39,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::io::{Read as _, Write as _};
+use std::io::{Read, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -52,7 +52,7 @@ use pimdl_engine::fabric::FabricConfig;
 use pimdl_engine::pipeline::PimDlEngine;
 use pimdl_sim::{LutWorkload, NetworkModel, PlatformConfig};
 
-use crate::clock::Clock;
+use crate::clock::{Clock, RealClock};
 use crate::codec::{self, ErrorKind, LineBuffer};
 use crate::conn::{self, ConnState, Conns, Front, WakeAt};
 use crate::error::ServeError;
@@ -62,7 +62,7 @@ use crate::registry::{FairBatcher, TaggedJob};
 use crate::request::Request;
 use crate::runtime::Runtime;
 use crate::server::{fallback_tag, ServeHandle};
-use crate::shard::{ReplicaModel, ServiceModel};
+use crate::shard::{run_batch, ReplicaModel, ServiceModel};
 use crate::supervisor::{LoadOrder, Supervisor, TableState};
 use crate::Result;
 
@@ -187,8 +187,10 @@ pub enum Frame {
     Execute {
         /// Correlation id echoed in the matching [`Frame::ExecDone`].
         batch_id: u64,
-        /// Simulated service time of this batch (the worker sleeps it,
-        /// scaled by the runtime speedup).
+        /// Simulated service time of this batch. The worker's batch takes
+        /// the longer of it and the batch's execution (it sleeps only the
+        /// rest, on a clock scaled by the runtime speedup), as
+        /// [`SimShardEngine`] models it.
         service_s: f64,
         /// Target table.
         table: String,
@@ -234,7 +236,27 @@ impl Frame {
         }
     }
 
-    /// Encodes the frame (header + payload + CRC trailer), ready to write.
+    /// Payload bytes of the frame as [`Self::encode`] writes it.
+    fn payload_len(&self) -> usize {
+        match self {
+            Frame::Hello { .. } => 4,
+            Frame::LoadTable { table, .. } => 2 + table.len() + 8,
+            Frame::TableReady { table } => 2 + table.len(),
+            // batch id, service time, table, request count; per request
+            // its id, arrival, deadline, checksum, index count and indices.
+            Frame::Execute {
+                table, requests, ..
+            } => {
+                let reqs: usize = requests.iter().map(|r| 36 + 2 * r.indices.len()).sum();
+                8 + 8 + 2 + table.len() + 4 + reqs
+            }
+            Frame::ExecDone { flags, .. } => 8 + 4 + flags.len(),
+            Frame::Shutdown => 0,
+        }
+    }
+
+    /// Encodes the frame (header + payload + CRC trailer), ready to write,
+    /// into one buffer sized up front.
     ///
     /// # Errors
     ///
@@ -242,54 +264,53 @@ impl Frame {
     /// format's length fields, or the payload exceeds
     /// [`MAX_FRAME_PAYLOAD`].
     pub fn encode(&self) -> std::result::Result<Vec<u8>, FrameError> {
-        let mut payload = Vec::new();
+        let len = self.payload_len();
+        if len > MAX_FRAME_PAYLOAD {
+            return Err(FrameError::new(format!(
+                "payload of {len} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte cap"
+            )));
+        }
+        let mut out = Vec::with_capacity(HEADER_LEN + len + TRAILER_LEN);
+        out.extend_from_slice(&FRAME_MAGIC);
+        out.push(FRAME_VERSION);
+        out.push(self.kind());
+        out.extend_from_slice(&(len as u32).to_le_bytes());
         match self {
-            Frame::Hello { shard_id } => payload.extend_from_slice(&shard_id.to_le_bytes()),
+            Frame::Hello { shard_id } => out.extend_from_slice(&shard_id.to_le_bytes()),
             Frame::LoadTable { table, seed } => {
-                put_str(&mut payload, table)?;
-                payload.extend_from_slice(&seed.to_le_bytes());
+                put_str(&mut out, table)?;
+                out.extend_from_slice(&seed.to_le_bytes());
             }
-            Frame::TableReady { table } => put_str(&mut payload, table)?,
+            Frame::TableReady { table } => put_str(&mut out, table)?,
             Frame::Execute {
                 batch_id,
                 service_s,
                 table,
                 requests,
             } => {
-                payload.extend_from_slice(&batch_id.to_le_bytes());
-                payload.extend_from_slice(&service_s.to_bits().to_le_bytes());
-                put_str(&mut payload, table)?;
-                put_count(&mut payload, requests.len())?;
+                out.extend_from_slice(&batch_id.to_le_bytes());
+                out.extend_from_slice(&service_s.to_bits().to_le_bytes());
+                put_str(&mut out, table)?;
+                put_count(&mut out, requests.len())?;
                 for r in requests {
-                    payload.extend_from_slice(&r.id.to_le_bytes());
-                    payload.extend_from_slice(&r.arrival_s.to_bits().to_le_bytes());
-                    payload.extend_from_slice(&r.deadline_s.to_bits().to_le_bytes());
-                    payload.extend_from_slice(&r.expected_checksum.to_bits().to_le_bytes());
-                    put_count(&mut payload, r.indices.len())?;
+                    out.extend_from_slice(&r.id.to_le_bytes());
+                    out.extend_from_slice(&r.arrival_s.to_bits().to_le_bytes());
+                    out.extend_from_slice(&r.deadline_s.to_bits().to_le_bytes());
+                    out.extend_from_slice(&r.expected_checksum.to_bits().to_le_bytes());
+                    put_count(&mut out, r.indices.len())?;
                     for &i in &r.indices {
-                        payload.extend_from_slice(&i.to_le_bytes());
+                        out.extend_from_slice(&i.to_le_bytes());
                     }
                 }
             }
             Frame::ExecDone { batch_id, flags } => {
-                payload.extend_from_slice(&batch_id.to_le_bytes());
-                put_count(&mut payload, flags.len())?;
-                payload.extend(flags.iter().map(|&f| u8::from(f)));
+                out.extend_from_slice(&batch_id.to_le_bytes());
+                put_count(&mut out, flags.len())?;
+                out.extend(flags.iter().map(|&f| u8::from(f)));
             }
             Frame::Shutdown => {}
         }
-        if payload.len() > MAX_FRAME_PAYLOAD {
-            return Err(FrameError::new(format!(
-                "payload of {} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte cap",
-                payload.len()
-            )));
-        }
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
-        out.extend_from_slice(&FRAME_MAGIC);
-        out.push(FRAME_VERSION);
-        out.push(self.kind());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
+        debug_assert_eq!(out.len(), HEADER_LEN + len);
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
         Ok(out)
@@ -427,17 +448,25 @@ fn decode_payload(kind: u8, payload: &[u8]) -> std::result::Result<Frame, FrameE
     Ok(frame)
 }
 
-/// Incremental frame decoder: push transport chunks as they arrive, pop
-/// complete frames. Mirrors [`crate::HttpParser`]'s poisoning contract:
-/// the first framing violation yields exactly one `Err`, and every
-/// subsequent call returns `Ok(None)` — the caller must close the
-/// connection.
+/// Incremental frame decoder: push transport chunks as they arrive (or
+/// read them straight in with [`Self::read_from`]), pop complete frames.
+/// Mirrors [`crate::HttpParser`]'s poisoning contract: the first framing
+/// violation yields exactly one `Err`, and every subsequent call returns
+/// `Ok(None)` — the caller must close the connection.
+///
+/// Frames are parsed in place behind a read offset, as in [`LineBuffer`]:
+/// the unconsumed bytes move to the front only once the consumed ones are
+/// at least half of what is buffered, not after every frame.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    /// `buf[start..]` is buffered and not yet consumed by a frame.
     buf: Vec<u8>,
+    start: usize,
     poisoned: bool,
-    reported: bool,
 }
+
+/// Room [`FrameDecoder::read_from`] offers one read.
+const READ_CHUNK: usize = 16 * 1024;
 
 impl FrameDecoder {
     /// An empty decoder.
@@ -445,17 +474,45 @@ impl FrameDecoder {
         FrameDecoder::default()
     }
 
+    /// Drops the consumed bytes once they are at least half the buffer.
+    fn compact(&mut self) {
+        if self.start > 0 && self.start * 2 >= self.buf.len() {
+            self.buf.drain(..self.start);
+            self.start = 0;
+        }
+    }
+
     /// Appends transport bytes (ignored once poisoned — the stream is
     /// dead, buffering it would be unbounded).
     pub fn push(&mut self, bytes: &[u8]) {
         if !self.poisoned {
+            self.compact();
             self.buf.extend_from_slice(bytes);
         }
     }
 
+    /// One `read` from `src` straight into the buffer; returns its byte
+    /// count (0 at EOF). A poisoned decoder reads and drops the bytes.
+    ///
+    /// # Errors
+    ///
+    /// The read's own.
+    pub fn read_from(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
+        self.compact();
+        let filled = self.buf.len();
+        self.buf.resize(filled + READ_CHUNK, 0);
+        let got = src.read(&mut self.buf[filled..]);
+        let kept = match got {
+            Ok(n) if !self.poisoned => n,
+            _ => 0,
+        };
+        self.buf.truncate(filled + kept);
+        got
+    }
+
     /// Bytes buffered but not yet consumed by a complete frame.
     pub fn pending(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
     fn fail(
@@ -463,8 +520,8 @@ impl FrameDecoder {
         detail: impl Into<String>,
     ) -> std::result::Result<Option<Frame>, FrameError> {
         self.poisoned = true;
-        self.reported = true;
         self.buf.clear();
+        self.start = 0;
         Err(FrameError::new(detail))
     }
 
@@ -480,49 +537,46 @@ impl FrameDecoder {
         if self.poisoned {
             return Ok(None);
         }
-        if !self.buf.is_empty() && self.buf[0] != FRAME_MAGIC[0] {
-            return self.fail(format!("bad frame magic byte 0x{:02X}", self.buf[0]));
+        let buf = &self.buf[self.start..];
+        if !buf.is_empty() && buf[0] != FRAME_MAGIC[0] {
+            return self.fail(format!("bad frame magic byte 0x{:02X}", buf[0]));
         }
-        if self.buf.len() >= 2 && self.buf[1] != FRAME_MAGIC[1] {
-            return self.fail(format!("bad frame magic byte 0x{:02X}", self.buf[1]));
+        if buf.len() >= 2 && buf[1] != FRAME_MAGIC[1] {
+            return self.fail(format!("bad frame magic byte 0x{:02X}", buf[1]));
         }
-        if self.buf.len() < HEADER_LEN {
+        if buf.len() < HEADER_LEN {
             return Ok(None);
         }
-        let version = self.buf[2];
+        let version = buf[2];
         if version != FRAME_VERSION {
             return self.fail(format!(
                 "unsupported frame version {version} (expected {FRAME_VERSION})"
             ));
         }
-        let kind = self.buf[3];
-        let len = u32::from_le_bytes([self.buf[4], self.buf[5], self.buf[6], self.buf[7]]) as usize;
+        let kind = buf[3];
+        let len = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize;
         if len > MAX_FRAME_PAYLOAD {
             return self.fail(format!(
                 "frame payload of {len} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte cap"
             ));
         }
         let total = HEADER_LEN + len + TRAILER_LEN;
-        if self.buf.len() < total {
+        let Some(whole) = buf.get(..total) else {
             return Ok(None);
-        }
-        let crc_got = u32::from_le_bytes([
-            self.buf[HEADER_LEN + len],
-            self.buf[HEADER_LEN + len + 1],
-            self.buf[HEADER_LEN + len + 2],
-            self.buf[HEADER_LEN + len + 3],
-        ]);
-        let crc_want = crc32(&self.buf[..HEADER_LEN + len]);
+        };
+        let (body, crc) = whole.split_at(HEADER_LEN + len);
+        let crc_got = u32::from_le_bytes([crc[0], crc[1], crc[2], crc[3]]);
+        let crc_want = crc32(body);
         if crc_got != crc_want {
             return self.fail(format!(
                 "frame CRC mismatch (got 0x{crc_got:08X}, computed 0x{crc_want:08X})"
             ));
         }
-        let frame = match decode_payload(kind, &self.buf[HEADER_LEN..HEADER_LEN + len]) {
+        let frame = match decode_payload(kind, &body[HEADER_LEN..]) {
             Ok(f) => f,
             Err(e) => return self.fail(e.detail),
         };
-        self.buf.drain(..total);
+        self.start += total;
         Ok(Some(frame))
     }
 }
@@ -1602,10 +1656,19 @@ impl Runtime {
 /// wedging a worker).
 const MAX_WORKER_SLEEP_S: f64 = 60.0;
 
+/// The service time a worker honours for an `Execute` frame's
+/// `service_s`, in simulated seconds at `speedup`: NaN and negative values
+/// read as 0, and anything longer than [`MAX_WORKER_SLEEP_S`] real seconds
+/// (infinity included) as that cap.
+fn worker_service_s(service_s: f64, speedup: f64) -> f64 {
+    service_s.max(0.0).min(MAX_WORKER_SLEEP_S * speedup)
+}
+
 /// Entry point of a shard worker process: connects to the front end,
-/// sends `Hello`, then serves `LoadTable`/`Execute` frames (building
-/// replicas deterministically from their seeds and sleeping each batch's
-/// service time scaled by `speedup`) until `Shutdown` or EOF.
+/// sends `Hello`, then serves `LoadTable`/`Execute` frames until
+/// `Shutdown` or EOF. It builds replicas deterministically from their
+/// seeds and runs each batch under the one shard batch rule
+/// (`shard::run_batch`) on a clock `speedup` times real time.
 ///
 /// Blocking std-only I/O on purpose: the worker is a leaf process, and a
 /// blocked read *is* its idle state.
@@ -1615,11 +1678,7 @@ const MAX_WORKER_SLEEP_S: f64 = 60.0;
 /// Invalid arguments/spec, connection failures, framing violations, or
 /// execution failures. EOF from the front end is a clean exit.
 pub fn shard_worker_main(addr: &str, shard_id: u32, speedup: f64, spec_json: &str) -> Result<()> {
-    if !speedup.is_finite() || speedup <= 0.0 {
-        return Err(ServeError::Config {
-            detail: format!("worker speedup must be finite and > 0, got {speedup}"),
-        });
-    }
+    let clock = RealClock::accelerated(speedup)?;
     let spec: WorkerSpec = serde_json::from_str(spec_json).map_err(|e| ServeError::Config {
         detail: format!("decode worker spec: {e}"),
     })?;
@@ -1640,15 +1699,13 @@ pub fn shard_worker_main(addr: &str, shard_id: u32, speedup: f64, spec_json: &st
 
     let mut decoder = FrameDecoder::new();
     let mut replicas: BTreeMap<String, ReplicaModel> = BTreeMap::new();
-    let mut buf = [0u8; 16 * 1024];
     loop {
-        let n = stream
-            .read(&mut buf)
+        let n = decoder
+            .read_from(&mut stream)
             .map_err(ServeError::from_io("read fabric frame"))?;
         if n == 0 {
             return Ok(()); // front end went away: clean exit
         }
-        decoder.push(&buf[..n]);
         loop {
             match decoder.next_frame() {
                 Ok(None) => break,
@@ -1672,11 +1729,8 @@ pub fn shard_worker_main(addr: &str, shard_id: u32, speedup: f64, spec_json: &st
                             detail: format!("Execute for unloaded table {table:?}"),
                         });
                     };
-                    let flags = replica.execute_batch(&requests)?;
-                    if service_s.is_finite() && service_s > 0.0 {
-                        let real_s = (service_s / speedup).min(MAX_WORKER_SLEEP_S);
-                        std::thread::sleep(Duration::from_secs_f64(real_s));
-                    }
+                    let service_s = worker_service_s(service_s, speedup);
+                    let flags = run_batch(&clock, service_s, || replica.execute_batch(&requests))?;
                     let out = Frame::ExecDone { batch_id, flags }.encode()?;
                     stream
                         .write_all(&out)
@@ -1785,6 +1839,7 @@ pub fn measure_loopback_rtt(payload_bytes: usize, iters: usize) -> Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::VirtualClock;
 
     fn sample_frames() -> Vec<Frame> {
         vec![
@@ -1933,6 +1988,58 @@ mod tests {
         let mut d = FrameDecoder::new();
         d.push(&bytes);
         assert!(d.next_frame().unwrap_err().detail.contains("trailing"));
+    }
+
+    #[test]
+    fn a_frames_service_time_is_guarded_before_the_worker_sleeps_it() {
+        let speedup = 1e3;
+        let cap = MAX_WORKER_SLEEP_S * speedup;
+        for (service_s, slept) in [
+            (f64::NAN, 0.0),
+            (-1.0, 0.0),
+            (f64::NEG_INFINITY, 0.0),
+            (0.5, 0.5),
+            (2.0 * cap, cap),
+            (f64::INFINITY, cap),
+        ] {
+            let clock = VirtualClock::new();
+            run_batch(&clock, worker_service_s(service_s, speedup), || ());
+            assert_eq!(clock.now(), slept, "service_s {service_s}");
+        }
+    }
+
+    #[test]
+    fn frames_round_trip_in_one_push_and_a_byte_at_a_time_on_one_decoder() {
+        // One decoder throughout, so the read offset moves past whole
+        // frames, partial ones and the compaction between pushes.
+        let frames = sample_frames();
+        let wire: Vec<u8> = frames.iter().flat_map(|f| f.encode().unwrap()).collect();
+        let mut d = FrameDecoder::new();
+        let mut out = Vec::new();
+        d.push(&wire);
+        while let Some(f) = d.next_frame().unwrap() {
+            out.push(f);
+        }
+        assert_eq!(d.pending(), 0);
+        for &b in &wire {
+            d.push(&[b]);
+            while let Some(f) = d.next_frame().unwrap() {
+                out.push(f);
+            }
+        }
+        // Two at a time, then the rest read from a reader in one go.
+        for pair in wire.chunks(2) {
+            d.push(pair);
+            while let Some(f) = d.next_frame().unwrap() {
+                out.push(f);
+            }
+        }
+        assert_eq!(d.read_from(&mut &wire[..]).unwrap(), wire.len());
+        while let Some(f) = d.next_frame().unwrap() {
+            out.push(f);
+        }
+        assert_eq!(d.pending(), 0);
+        assert_eq!(out, [&frames[..], &frames, &frames, &frames].concat());
     }
 
     #[test]

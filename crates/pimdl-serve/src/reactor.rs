@@ -1168,68 +1168,75 @@ impl EventSource for SimPoller {
             return Ok(());
         }
 
-        // 3. Advance to the next scripted instant within the timeout.
+        // 3. Advance to the next scripted instant within the timeout. An
+        // instant can yield nothing (its bytes or hang-up land on a
+        // connection the loop has closed); untimed, go on to the next one,
+        // since an empty untimed wait must mean the script is exhausted.
         let deadline_s = timeout_s.map(|t| self.clock.now() + t.max(0.0));
-        let next_at = st.script.peek().map(|e| e.at_s);
-        let due = match (next_at, deadline_s) {
-            (Some(at), Some(d)) if at > d => None,
-            (Some(at), _) => Some(at),
-            (None, _) => None,
-        };
-        let Some(at) = due else {
-            match deadline_s {
-                Some(d) => {
-                    self.clock.advance_to(d);
-                    self.stats.record_timeout();
-                }
-                None => {
-                    // No script, no timeout: quiescent. The caller treats
-                    // an empty untimed wait as end-of-input.
-                    self.stats.record_timeout();
-                }
-            }
-            return Ok(());
-        };
-        self.clock.advance_to(at);
-        let now = self.clock.now();
-        while st.script.peek().is_some_and(|e| e.at_s <= now) {
-            let Some(ev) = st.script.pop() else { break };
-            match ev.kind {
-                ScriptKind::Connect { token } => {
-                    if st.accepting {
-                        st.conns.insert(
-                            token,
-                            SimConn {
-                                open: true,
-                                ..SimConn::default()
-                            },
-                        );
-                        self.stats.record_accept();
-                        out.push(IoEvent::Accepted(Token(token)));
+        loop {
+            let next_at = st.script.peek().map(|e| e.at_s);
+            let due = match (next_at, deadline_s) {
+                (Some(at), Some(d)) if at > d => None,
+                (Some(at), _) => Some(at),
+                (None, _) => None,
+            };
+            let Some(at) = due else {
+                match deadline_s {
+                    Some(d) => {
+                        self.clock.advance_to(d);
+                        self.stats.record_timeout();
+                    }
+                    None => {
+                        // No script, no timeout: quiescent. The caller treats
+                        // an empty untimed wait as end-of-input.
+                        self.stats.record_timeout();
                     }
                 }
-                ScriptKind::Deliver { token, bytes } => {
-                    if let Some(c) = st.conns.get_mut(&token) {
-                        if c.open {
-                            c.inbox.extend_from_slice(&bytes);
+                return Ok(());
+            };
+            self.clock.advance_to(at);
+            let now = self.clock.now();
+            while st.script.peek().is_some_and(|e| e.at_s <= now) {
+                let Some(ev) = st.script.pop() else { break };
+                match ev.kind {
+                    ScriptKind::Connect { token } => {
+                        if st.accepting {
+                            st.conns.insert(
+                                token,
+                                SimConn {
+                                    open: true,
+                                    ..SimConn::default()
+                                },
+                            );
+                            self.stats.record_accept();
+                            out.push(IoEvent::Accepted(Token(token)));
+                        }
+                    }
+                    ScriptKind::Deliver { token, bytes } => {
+                        if let Some(c) = st.conns.get_mut(&token) {
+                            if c.open {
+                                c.inbox.extend_from_slice(&bytes);
+                                out.push(IoEvent::Readable(Token(token)));
+                            }
+                        }
+                    }
+                    ScriptKind::PeerClose { token } => {
+                        if let Some(c) = st.conns.get_mut(&token) {
+                            c.peer_closed = true;
                             out.push(IoEvent::Readable(Token(token)));
                         }
                     }
-                }
-                ScriptKind::PeerClose { token } => {
-                    if let Some(c) = st.conns.get_mut(&token) {
-                        c.peer_closed = true;
-                        out.push(IoEvent::Readable(Token(token)));
+                    ScriptKind::Wake { token } => {
+                        self.stats.record_wakeups(1);
+                        self.stats.record_wake_latency(0.0);
+                        out.push(IoEvent::Wake(Token(token)));
                     }
                 }
-                ScriptKind::Wake { token } => {
-                    self.stats.record_wakeups(1);
-                    self.stats.record_wake_latency(0.0);
-                    out.push(IoEvent::Wake(Token(token)));
-                }
+            }
+            if !out.is_empty() || deadline_s.is_some() {
+                return Ok(());
             }
         }
-        Ok(())
     }
 
     fn waker(&self, token: Token) -> Waker {
@@ -1459,6 +1466,30 @@ mod tests {
         // Script exhausted: an untimed wait reports quiescence (empty).
         p.wait(None, &mut out).unwrap();
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn an_untimed_wait_passes_instants_that_land_on_closed_connections() {
+        // The loop closed `gone`, whose peer still writes: an untimed wait
+        // must not come back empty (read as quiescence) while `live`'s
+        // bytes are still scripted.
+        let clock = Arc::new(VirtualClock::new());
+        let mut p = SimPoller::new(clock.clone());
+        let (gone, live) = (p.connect_at(0.0), p.connect_at(0.0));
+        p.send_at(1.0, gone, b"late".to_vec());
+        p.send_at(2.0, gone, b"later".to_vec());
+        p.send_at(3.0, live, b"q".to_vec());
+        let mut out = Vec::new();
+        p.wait(None, &mut out).unwrap();
+        assert_eq!(out.len(), 2, "{out:?}");
+        p.close(gone);
+        // Timed, an empty instant still returns at once, as a timeout does.
+        p.wait(Some(10.0), &mut out).unwrap();
+        assert!(out.is_empty());
+        assert_eq!(clock.now(), 1.0);
+        p.wait(None, &mut out).unwrap();
+        assert_eq!(out, vec![IoEvent::Readable(live)]);
+        assert_eq!(clock.now(), 3.0);
     }
 
     #[test]

@@ -487,6 +487,20 @@ fn caught(shard: usize, execute: impl FnOnce() -> Result<Vec<bool>>) -> Result<V
     })
 }
 
+/// The batch rule of every real shard, an in-process shard thread's and a
+/// fabric worker process's alike: run the batch, then sleep out what is
+/// left of its modelled service time on `clock`. The host's functional
+/// check overlaps the simulated DIMMs' work rather than adding to it, so
+/// the batch takes `max(service_s, execution)`, which is `service_s`
+/// whenever the check is the faster, as `SimShardEngine` and
+/// [`Shards::simulated`] model it. A remainder `<= 0` sleeps nothing.
+pub(crate) fn run_batch<T>(clock: &impl Clock, service_s: f64, execute: impl FnOnce() -> T) -> T {
+    let t_recv = clock.now();
+    let out = execute();
+    clock.sleep(service_s - (clock.now() - t_recv));
+    out
+}
+
 /// A finished batch, as the front ends deliver it.
 #[derive(Debug)]
 pub(crate) struct Done {
@@ -569,7 +583,8 @@ impl<'a> Shards<'a> {
 
     /// `rt`'s shards on one worker thread each, parked on a depth-1
     /// channel. A worker wakes once per batch, executes it, sleeps out the
-    /// rest of the cost-model service time on `clock`, reports, and fires
+    /// rest of the cost-model service time on `clock` (`run_batch`, the
+    /// rule fabric workers follow too), reports, and fires
     /// `completion` (the loop's [`WAKE_COMPLETION`] waker). A batch whose
     /// execution panics is reported as that batch's execution error, and
     /// the thread lives on. The threads are joined on drop, each after the
@@ -597,11 +612,9 @@ impl<'a> Shards<'a> {
             let (clock, report, completion) = (*clock, report.clone(), completion.clone());
             workers.push(thread::spawn(move || {
                 for (service_s, model, batch) in rx {
-                    let t_recv = clock.now();
-                    let flags = caught(shard, || execute(&model, &batch));
-                    // The host-side functional check overlaps the modeled
-                    // service time rather than adding to it.
-                    clock.sleep(service_s - (clock.now() - t_recv));
+                    let flags = run_batch(&clock, service_s, || {
+                        caught(shard, || execute(&model, &batch))
+                    });
                     if report.send((shard, clock.now(), batch, flags)).is_err() {
                         return;
                     }
@@ -825,6 +838,27 @@ mod tests {
         assert_eq!(m.least_loaded_among(&[true, false]), Some(0));
         assert_eq!(m.least_loaded_among(&[false, false]), None);
         assert!(ShardManager::new(0).is_err());
+    }
+
+    #[test]
+    fn a_batch_takes_the_longer_of_its_service_time_and_its_execution() {
+        // Execution advancing the clock by `exec_s` stands in for the host
+        // check; the batch ends at `max(service, execution)`, with no sleep
+        // at all once execution is the longer.
+        for (service_s, exec_s, end_s) in [(3.0, 1.0, 3.0), (1.0, 3.0, 3.0), (2.0, 2.0, 2.0)] {
+            let clock = VirtualClock::new();
+            clock.advance_to(10.0);
+            let out = run_batch(&clock, service_s, || {
+                clock.sleep(exec_s);
+                7
+            });
+            assert_eq!(out, 7);
+            assert_eq!(
+                clock.now(),
+                10.0 + end_s,
+                "service {service_s}, exec {exec_s}"
+            );
+        }
     }
 
     #[test]

@@ -52,7 +52,9 @@ fn lut_model_roundtrips_through_json() {
     // Every scalar survives: `f32`s are written as their shortest decimal,
     // which is injective, so equal text means equal bits.
     assert_eq!(serde_json::to_string(&restored).expect("serialize"), json);
-    assert_eq!(restored.hidden(), model.hidden());
+    // The width is stated once, as the head's input width.
+    assert!(!json.contains("\"hidden\""), "a second copy of the width");
+    assert_eq!(restored.hidden(), model.head.in_features());
     assert_eq!(restored.total_lut_bytes(), model.total_lut_bytes());
     for input in &inputs {
         for int8 in [false, true] {
@@ -416,6 +418,16 @@ fn every_edit_of_the_artifact_is_an_error_or_a_model_that_predicts() {
     };
     walk.node(&root, "model");
     assert!(walk.out.len() > 1000, "{} edits", walk.out.len());
+    // Outside the named parts only the block list and the first block's
+    // head count are left to edit: the model has no scalar of its own
+    // (its width is the head's input width, edited under `model.head`).
+    let loose: Vec<&str> = walk
+        .out
+        .iter()
+        .filter(|e| matches!(e.part, Part::Whole) && !e.label.starts_with("model.blocks"))
+        .map(|e| e.label.as_str())
+        .collect();
+    assert!(loose.is_empty(), "edits outside every part: {loose:?}");
 
     let mut panicked = Vec::new();
     for edit in &walk.out {

@@ -7,8 +7,10 @@
 //! requests across a shard death, re-replication to the consistent-hash
 //! successor, error-draining (never silent dropping) of terminally lost
 //! tables, hello-timeout eviction of silent shards, the DES's network
-//! pricing, and — through the seeded explorer — worker death at every
-//! protocol state, late hellos and duplicate `TableReady`s.
+//! pricing, forged `ExecDone`s (an unknown batch, another shard's, a wrong
+//! flag count, a repeat), and — through the seeded explorer — worker death
+//! at every protocol state, late hellos, duplicate `TableReady`s and
+//! forged `ExecDone`s at random.
 
 mod sim;
 
@@ -266,13 +268,134 @@ fn des_side_completes_and_prices_the_network() {
     assert_eq!(priced, burst(Some(slow)), "a priced rerun is bit-identical");
 }
 
+/// What the worker holding the first table forges in an `ExecDone`.
+#[derive(Debug, Clone, Copy)]
+enum Forged {
+    /// Nothing: the honest run the others are measured against.
+    Nothing,
+    /// A batch id the loop never issued.
+    UnknownId,
+    /// The other shard's in-flight batch, with its right flag count.
+    OtherShardsId,
+    /// Its own in-flight batch with one flag short.
+    WrongFlagCount,
+    /// Its first batch again, after that was answered, while its second
+    /// is in flight.
+    Repeat,
+}
+
+/// Two shards, one table each (`a` before `b` in name order), four
+/// queries for `b` and eight for `a` sent at once: batch 0 (`a`) and
+/// batch 1 (`b`) leave together, batch 2 (`a`'s second) once batch 0 is
+/// answered. The worker holding `a` forges `forged` while it has a batch
+/// in flight. Returns the run and that worker's shard id.
+fn run_forged_exec_done(forged: Forged) -> (Run, u32) {
+    let rt = sim::runtime(64, f64::INFINITY);
+    let w = rt.replica().workload();
+    let t4 = rt.service_model().batch_service_s(4).unwrap();
+    // The first two names the ring puts on different shards.
+    let names: Vec<String> = (0..).map(|i| format!("t-{i}")).take(16).collect();
+    let owner = |t: &str| owner_of_first(2, &tables(&[t], 0));
+    let a = &names[0];
+    let b = names
+        .iter()
+        .find(|n| owner(n) != owner(a))
+        .expect("two owners");
+    let front = Front::fabric(2, 10.0, tables(&[a.as_str(), b.as_str()], 300));
+    let victim = owner(a);
+    let run = sim::run(&rt, &front, &|s| {
+        let conns = s.workers(0.0);
+        let client = s.connect(0.0);
+        let queries = (0..12).map(|k| {
+            let table = if k < 8 { a } else { b };
+            (format!("q{k}"), Some(table.as_str()), indices_for(w, k))
+        });
+        s.burst(0.1, client, queries);
+        let conn = conns[victim as usize];
+        let mid = 0.1 + 0.5 * t4;
+        match forged {
+            Forged::Nothing => {}
+            Forged::UnknownId => s.exec_done(mid, conn, 99, 4),
+            Forged::OtherShardsId => s.exec_done(mid, conn, 1, 4),
+            Forged::WrongFlagCount => s.exec_done(mid, conn, 0, 3),
+            Forged::Repeat => s.exec_done(mid + t4, conn, 0, 4),
+        }
+        s.close(5.0, client);
+    });
+    (run, victim)
+}
+
+/// A forged `ExecDone` fails its shard's connection and re-queues the
+/// batch that shard had in flight (one batch more than the honest run's
+/// three); the successor re-replicates the table and every query is
+/// answered exactly once, correctly (the harness's checks).
+fn forged_exec_done_fails_its_shard(forged: Forged) {
+    let (run, victim) = run_forged_exec_done(forged);
+    for (tag, msg) in sim::lines(&run.outputs[0]) {
+        assert!(
+            matches!(msg, ServerMsg::Result { .. }),
+            "{forged:?}: {tag} refused"
+        );
+    }
+    assert_eq!(run.snapshot.completed, 12, "{forged:?}");
+    assert!(run.all_ready && !run.any_lost, "{forged:?}");
+    let honest = matches!(forged, Forged::Nothing);
+    for (s, state) in run.shard_states.iter().enumerate() {
+        let dead = !honest && s as u32 == victim;
+        let want = if dead {
+            ShardState::Dead
+        } else {
+            ShardState::Ready
+        };
+        assert_eq!(*state, Some(want), "{forged:?}: shard {s}");
+    }
+    let batches = if honest { 3 } else { 4 };
+    assert_eq!(run.snapshot.batches, batches, "{forged:?}");
+}
+
+#[test]
+fn an_honest_worker_keeps_its_connection() {
+    forged_exec_done_fails_its_shard(Forged::Nothing);
+}
+
+#[test]
+fn an_exec_done_for_an_unknown_batch_fails_the_shard() {
+    forged_exec_done_fails_its_shard(Forged::UnknownId);
+}
+
+#[test]
+fn an_exec_done_for_another_shards_batch_fails_the_shard() {
+    forged_exec_done_fails_its_shard(Forged::OtherShardsId);
+}
+
+#[test]
+fn an_exec_done_with_the_wrong_flag_count_fails_the_shard() {
+    forged_exec_done_fails_its_shard(Forged::WrongFlagCount);
+}
+
+#[test]
+fn a_repeated_exec_done_fails_the_shard() {
+    forged_exec_done_fails_its_shard(Forged::Repeat);
+}
+
 #[test]
 fn explored_fabric_schedules_terminate_exactly_once() {
     sim::explore(Kind::Fabric, CASES);
 }
 
 #[test]
+fn explored_forged_exec_dones_terminate_exactly_once() {
+    sim::explore(Kind::FabricForged, CASES);
+}
+
+#[test]
 #[ignore = "long explorer pass, run by scripts/check.sh"]
 fn explored_fabric_schedules_long() {
     sim::explore(Kind::Fabric, LONG_CASES);
+}
+
+#[test]
+#[ignore = "long explorer pass, run by scripts/check.sh"]
+fn explored_forged_exec_dones_long() {
+    sim::explore(Kind::FabricForged, LONG_CASES);
 }

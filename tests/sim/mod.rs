@@ -254,6 +254,16 @@ impl<'a> Script<'a> {
         self.send(at, c, bytes, [owed]);
     }
 
+    /// Worker connection `conn` sends an `ExecDone` for `batch_id` with
+    /// `flags` flags, all set, at `at`, whatever batch it holds.
+    pub fn exec_done(&self, at: f64, conn: Token, batch_id: u64, flags: usize) {
+        let frame = Frame::ExecDone {
+            batch_id,
+            flags: vec![true; flags],
+        };
+        self.poller.send_at(at, conn, frame.encode().unwrap());
+    }
+
     /// Client `c` hangs up at `at`.
     pub fn close(&self, at: f64, c: usize) {
         self.poller.close_at(at, self.clients[c].0);
@@ -588,6 +598,8 @@ pub enum Kind {
     Line,
     Http,
     Fabric,
+    /// The fabric with one worker that also sends a forged `ExecDone`.
+    FabricForged,
 }
 
 /// Names the failing schedule when a check inside it panics.
@@ -604,7 +616,12 @@ impl Drop for OnFailure<'_> {
 /// Seeded schedule exploration: schedules `0..cases` of `kind`'s loop,
 /// each generated from `TestRng::deterministic("<kind>-<seed>")`, a
 /// quarter of them with a shutdown at a random instant of the traffic,
-/// run twice and checked (see [`run`] and [`replay`]).
+/// run twice and checked (see [`run`] and [`replay`]). Under
+/// [`Kind::FabricForged`] one worker that said `Hello` also sends an
+/// `ExecDone` at a random instant of the traffic, naming a batch id in
+/// `0..6` with one to four flags: an unknown batch, another shard's, its
+/// own with the wrong count, one already answered, or its own in flight
+/// (accepted early, and its real reply is then the repeat).
 pub fn explore(kind: Kind, cases: u64) {
     let t1 = runtime(64, f64::INFINITY)
         .service_model()
@@ -622,7 +639,7 @@ pub fn explore(kind: Kind, cases: u64) {
         let front = match kind {
             Kind::Line => Front::Line,
             Kind::Http => Front::http(HttpConfig::default(), &[("m-a", 101), ("m-b", 202)]),
-            Kind::Fabric => {
+            Kind::Fabric | Kind::FabricForged => {
                 let n = 1 + rng.below(3) as usize;
                 let shards = 1 + rng.below(3) as usize;
                 let tables = tables(&["t-0", "t-1", "t-2"][..n], 100);
@@ -632,7 +649,13 @@ pub fn explore(kind: Kind, cases: u64) {
         let rt = runtime(queue, deadline_s);
         replay(&rt, &front, &|s| {
             let mut rng = TestRng::deterministic(&format!("{name}-script"));
-            schedule(s, &mut rng, t1, deadline_s);
+            let workers = schedule(s, &mut rng, t1, deadline_s);
+            let mut rng = TestRng::deterministic(&format!("{name}-forged"));
+            if matches!(kind, Kind::FabricForged) && !workers.is_empty() {
+                let conn = workers[rng.below(workers.len() as u64) as usize];
+                let at = 0.1 + 24.0 * t1 * rng.unit_f64();
+                s.exec_done(at, conn, rng.below(6), 1 + rng.below(4) as usize);
+            }
             // Drawn apart, so the schedule above is the same with or
             // without a shutdown.
             let mut rng = TestRng::deterministic(&format!("{name}-shutdown"));
@@ -649,12 +672,14 @@ pub fn explore(kind: Kind, cases: u64) {
 /// `TableReady`; then clients whose requests arrive split at random byte
 /// boundaries, some back to back in bursts that overflow the queue,
 /// sometimes after a gap far beyond the deadline, sometimes cut off by a
-/// hang-up mid-request, all read through a slow reader.
-fn schedule(s: &mut Script, rng: &mut TestRng, t1: f64, deadline_s: f64) {
+/// hang-up mid-request, all read through a slow reader. Returns the
+/// worker connections that said `Hello` on time.
+fn schedule(s: &mut Script, rng: &mut TestRng, t1: f64, deadline_s: f64) -> Vec<Token> {
     let w = s.workload();
     let routes = s.routes();
     let start = if s.shards > 0 { 0.1 } else { 0.001 };
     let span = 24.0 * t1;
+    let mut workers = Vec::new();
     for id in 0..s.shards as u32 {
         let p = s.poller;
         match rng.below(8) {
@@ -674,6 +699,7 @@ fn schedule(s: &mut Script, rng: &mut TestRng, t1: f64, deadline_s: f64) {
             fault => {
                 let conn = p.connect_at(0.0);
                 p.send_at(0.0, conn, hello(id));
+                workers.push(conn);
                 match fault {
                     // EOF while loading.
                     4 => p.close_at(LOAD_DELAY_S * rng.unit_f64(), conn),
@@ -740,4 +766,5 @@ fn schedule(s: &mut Script, rng: &mut TestRng, t1: f64, deadline_s: f64) {
             s.close(t, c);
         }
     }
+    workers
 }
