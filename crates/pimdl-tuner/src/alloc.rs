@@ -123,9 +123,6 @@ pub struct AllocPlan {
     pub total_per_pe_bytes: usize,
     /// Σ `code_bits` (≥ the floor).
     pub total_code_bits: f64,
-    /// Candidate settings surviving Pareto filtering, summed over ops
-    /// (the DFS leaf-space size indicator reported by the benchmark).
-    pub candidates: usize,
 }
 
 /// One `(v, ct, frontier-point)` candidate for a single operator.
@@ -355,7 +352,7 @@ fn dfs(
     }
 }
 
-fn plan_of(ops: &[OpShape], per_op: &[Vec<Cand>], picks: &[usize], candidates: usize) -> AllocPlan {
+fn plan_of(ops: &[OpShape], per_op: &[Vec<Cand>], picks: &[usize]) -> AllocPlan {
     let mut choices = Vec::with_capacity(ops.len());
     let (mut latency, mut bytes, mut bits) = (0.0, 0usize, 0.0);
     for ((op, cands), &pick) in ops.iter().zip(per_op).zip(picks) {
@@ -380,7 +377,6 @@ fn plan_of(ops: &[OpShape], per_op: &[Vec<Cand>], picks: &[usize], candidates: u
         total_latency_s: latency,
         total_per_pe_bytes: bytes,
         total_code_bits: bits,
-        candidates,
     }
 }
 
@@ -404,7 +400,6 @@ pub fn allocate_per_layer(
         .iter()
         .map(|op| op_candidates(platform, op, n_tokens, opts))
         .collect();
-    let candidates = per_op.iter().map(Vec::len).sum();
     let picks = solve(&per_op, opts.budget_bytes, opts.min_code_bits).ok_or_else(|| {
         TuneError::NoLegalMapping {
             detail: format!(
@@ -413,7 +408,7 @@ pub fn allocate_per_layer(
             ),
         }
     })?;
-    Ok(plan_of(ops, &per_op, &picks, candidates))
+    Ok(plan_of(ops, &per_op, &picks))
 }
 
 /// Best *uniform* `(V, CT)` allocation — the paper's one-setting-per-model
@@ -431,7 +426,6 @@ pub fn allocate_global(
 ) -> Result<AllocPlan> {
     validate_request(ops, n_tokens, opts)?;
     let mut best: Option<AllocPlan> = None;
-    let mut candidates = 0usize;
     for &v in &opts.v_choices {
         if ops.iter().any(|op| op.in_dim % v != 0) {
             continue; // a uniform setting must be legal for every op
@@ -447,9 +441,8 @@ pub fn allocate_global(
                 .iter()
                 .map(|op| op_candidates(platform, op, n_tokens, &uniform))
                 .collect();
-            candidates += per_op.iter().map(Vec::len).sum::<usize>();
             if let Some(picks) = solve(&per_op, opts.budget_bytes, opts.min_code_bits) {
-                let plan = plan_of(ops, &per_op, &picks, 0);
+                let plan = plan_of(ops, &per_op, &picks);
                 let better = match &best {
                     None => true,
                     Some(b) => plan.total_latency_s < b.total_latency_s,
@@ -460,18 +453,12 @@ pub fn allocate_global(
             }
         }
     }
-    match best {
-        Some(mut plan) => {
-            plan.candidates = candidates;
-            Ok(plan)
-        }
-        None => Err(TuneError::NoLegalMapping {
-            detail: format!(
-                "no uniform (V, CT) fits {} bytes/PE at ≥ {:.0} code bits",
-                opts.budget_bytes, opts.min_code_bits
-            ),
-        }),
-    }
+    best.ok_or_else(|| TuneError::NoLegalMapping {
+        detail: format!(
+            "no uniform (V, CT) fits {} bytes/PE at ≥ {:.0} code bits",
+            opts.budget_bytes, opts.min_code_bits
+        ),
+    })
 }
 
 #[cfg(test)]
