@@ -9,7 +9,10 @@
 //! best mappings, and keeps the Pareto frontier of those across settings
 //! (bits join the two axes there). The pair search never returns a point
 //! this filter would drop for a leaner pair of the same setting, so
-//! searching only the frontier leaves the candidate list unchanged. A
+//! searching only the frontier leaves the candidate list unchanged. Nor
+//! does it walk pairs past the bytes a plan within the budget could give
+//! the operator (its byte cap, DESIGN.md §12.3): such a point is in no
+//! feasible plan and dominates none that is. A
 //! small exact DFS — bounded the same way as the mapping search — then
 //! picks one candidate per operator minimizing total predicted PIM
 //! latency subject to
@@ -27,11 +30,13 @@
 //! heterogeneous plan is never slower at equal budget and floor.
 
 use pimdl_sim::config::PlatformConfig;
+use pimdl_sim::cost::lut_tile_bytes;
 use pimdl_sim::{LutWorkload, Mapping};
 use serde::{Deserialize, Serialize};
 
 use crate::bnb::{pair_frontier, prunes};
 use crate::model::HierBreakdown;
+use crate::space::legal_pairs;
 use crate::{Result, TuneError};
 
 /// Sub-vector lengths the LUT-NN quantizer supports (product-quantization
@@ -182,40 +187,104 @@ fn validate_request(ops: &[OpShape], n_tokens: usize, opts: &AllocOptions) -> Re
     Ok(())
 }
 
+/// The settings of `op`'s `(V, CT)` menu that make a valid LUT workload,
+/// each with it, `V`-major.
+fn settings<'a>(
+    op: &'a OpShape,
+    n_tokens: usize,
+    opts: &'a AllocOptions,
+) -> impl Iterator<Item = (usize, usize, LutWorkload)> + 'a {
+    opts.v_choices
+        .iter()
+        .filter(|&&v| op.in_dim.is_multiple_of(v))
+        .flat_map(move |&v| {
+            opts.ct_choices.iter().filter_map(move |&ct| {
+                let w = LutWorkload::new(n_tokens, op.in_dim / v, ct, op.out_dim).ok()?;
+                Some((v, ct, w))
+            })
+        })
+}
+
+/// A lower bound on `op`'s bytes in any plan, found without a search: the
+/// leanest first legal pair's sub-LUT `CB·CT·F_s` over the menu, times
+/// `count`. Per-PE bytes rise strictly along `legal_pairs`, so no frontier
+/// point of a setting holds fewer than its first pair. `usize::MAX` when
+/// no setting has a legal pair or the product overflows: either way the
+/// operator fits no budget.
+fn lean_bytes(
+    platform: &PlatformConfig,
+    op: &OpShape,
+    n_tokens: usize,
+    opts: &AllocOptions,
+) -> usize {
+    settings(op, n_tokens, opts)
+        .filter_map(|(_, _, w)| {
+            let &(_, f_stile) = legal_pairs(&w, platform).ok()?.first()?;
+            Some(lut_tile_bytes(&w, w.cb, f_stile))
+        })
+        .min()
+        .map_or(usize::MAX, |bytes| bytes.saturating_mul(op.count))
+}
+
+/// Every operator's candidates ([`op_candidates`]), each capped at the
+/// per-PE bytes a feasible plan can give it: operator *i* gets at most
+/// `⌊(budget − Σ_{j≠i} lean_j) / count_i⌋`, where `lean_j` is
+/// [`lean_bytes`]. A point over its cap is in no plan within the budget,
+/// and it dominates only points with at least its bytes, so dropping it
+/// leaves every other candidate, their order and the plan unchanged.
+fn candidates(
+    platform: &PlatformConfig,
+    ops: &[OpShape],
+    n_tokens: usize,
+    opts: &AllocOptions,
+) -> Vec<Vec<Cand>> {
+    let lean: Vec<usize> = ops
+        .iter()
+        .map(|op| lean_bytes(platform, op, n_tokens, opts))
+        .collect();
+    ops.iter()
+        .enumerate()
+        .map(|(i, op)| {
+            let others = (lean.iter().enumerate())
+                .filter(|&(j, _)| j != i)
+                .fold(0usize, |sum, (_, &bytes)| sum.saturating_add(bytes));
+            let cap = opts.budget_bytes.saturating_sub(others) / op.count;
+            op_candidates(platform, op, n_tokens, opts, cap)
+        })
+        .collect()
+}
+
 /// All Pareto-optimal candidates for one operator across the `(v, ct)`
-/// menu. A candidate is kept unless another one is at least as good on
-/// latency, bytes, *and* bits simultaneously.
+/// menu whose per-PE bytes (of one instance) are at most `cap`. A
+/// candidate is kept unless another one is at least as good on latency,
+/// bytes, *and* bits simultaneously.
 fn op_candidates(
     platform: &PlatformConfig,
     op: &OpShape,
     n_tokens: usize,
     opts: &AllocOptions,
+    cap: usize,
 ) -> Vec<Cand> {
     let mut cands = Vec::new();
-    for &v in &opts.v_choices {
-        if !op.in_dim.is_multiple_of(v) {
+    for (v, ct, w) in settings(op, n_tokens, opts) {
+        let Ok(points) = pair_frontier(platform, &w, cap) else {
             continue;
-        }
-        let cb = op.in_dim / v;
-        for &ct in &opts.ct_choices {
-            let Ok(w) = LutWorkload::new(n_tokens, cb, ct, op.out_dim) else {
+        };
+        let bits = w.cb as f64 * (ct as f64).log2() * op.count as f64;
+        for p in points {
+            // Bytes past `usize` fit no budget.
+            let Some(per_pe_bytes) = p.per_pe_lut_bytes.checked_mul(op.count) else {
                 continue;
             };
-            let Ok(points) = pair_frontier(platform, &w) else {
-                continue;
-            };
-            let bits = cb as f64 * (ct as f64).log2() * op.count as f64;
-            for p in points {
-                cands.push(Cand {
-                    v,
-                    ct,
-                    mapping: p.mapping,
-                    predicted: p.predicted,
-                    latency_s: p.predicted.total_s() * op.count as f64,
-                    per_pe_bytes: p.per_pe_lut_bytes * op.count,
-                    code_bits: bits,
-                });
-            }
+            cands.push(Cand {
+                v,
+                ct,
+                mapping: p.mapping,
+                predicted: p.predicted,
+                latency_s: p.predicted.total_s() * op.count as f64,
+                per_pe_bytes,
+                code_bits: bits,
+            });
         }
     }
     // Pareto filter over (latency, bytes, −bits).
@@ -333,6 +402,10 @@ fn dfs(
         return;
     }
     for (i, c) in per_op[depth].iter().enumerate() {
+        // A byte sum past `usize` fits no budget.
+        let Some(bytes) = bytes.checked_add(c.per_pe_bytes) else {
+            continue;
+        };
         stack.push(i);
         dfs(
             per_op,
@@ -340,11 +413,7 @@ fn dfs(
             budget,
             bits_floor,
             depth + 1,
-            (
-                latency + c.latency_s,
-                bytes + c.per_pe_bytes,
-                bits + c.code_bits,
-            ),
+            (latency + c.latency_s, bytes, bits + c.code_bits),
             stack,
             best,
         );
@@ -358,7 +427,7 @@ fn plan_of(ops: &[OpShape], per_op: &[Vec<Cand>], picks: &[usize]) -> AllocPlan 
     for ((op, cands), &pick) in ops.iter().zip(per_op).zip(picks) {
         if let Some(c) = cands.get(pick) {
             latency += c.latency_s;
-            bytes += c.per_pe_bytes;
+            bytes = bytes.saturating_add(c.per_pe_bytes);
             bits += c.code_bits;
             choices.push(OpChoice {
                 name: op.name.clone(),
@@ -396,10 +465,7 @@ pub fn allocate_per_layer(
     opts: &AllocOptions,
 ) -> Result<AllocPlan> {
     validate_request(ops, n_tokens, opts)?;
-    let per_op: Vec<Vec<Cand>> = ops
-        .iter()
-        .map(|op| op_candidates(platform, op, n_tokens, opts))
-        .collect();
+    let per_op = candidates(platform, ops, n_tokens, opts);
     let picks = solve(&per_op, opts.budget_bytes, opts.min_code_bits).ok_or_else(|| {
         TuneError::NoLegalMapping {
             detail: format!(
@@ -437,10 +503,7 @@ pub fn allocate_global(
                 v_choices: vec![v],
                 ct_choices: vec![ct],
             };
-            let per_op: Vec<Vec<Cand>> = ops
-                .iter()
-                .map(|op| op_candidates(platform, op, n_tokens, &uniform))
-                .collect();
+            let per_op = candidates(platform, ops, n_tokens, &uniform);
             if let Some(picks) = solve(&per_op, opts.budget_bytes, opts.min_code_bits) {
                 let plan = plan_of(ops, &per_op, &picks);
                 let better = match &best {
@@ -599,7 +662,7 @@ mod tests {
         let p = small_platform();
         let per_op: Vec<Vec<Cand>> = ops
             .iter()
-            .map(|op| op_candidates(&p, op, 32, opts))
+            .map(|op| op_candidates(&p, op, 32, opts, usize::MAX))
             .collect();
         match (
             allocate_per_layer(&p, ops, 32, opts),
@@ -672,6 +735,182 @@ mod tests {
                 ct_choices: menu(ct_mask, [8, 16, 64]),
             };
             assert_matches_brute_force(&ops, &opts);
+        }
+    }
+
+    /// `allocate_global` solved over uncapped candidate lists: the
+    /// allocator as it was before the byte caps.
+    fn global_uncapped(ops: &[OpShape], opts: &AllocOptions) -> Option<AllocPlan> {
+        let p = small_platform();
+        let mut best: Option<AllocPlan> = None;
+        for &v in &opts.v_choices {
+            if ops.iter().any(|op| op.in_dim % v != 0) {
+                continue;
+            }
+            for &ct in &opts.ct_choices {
+                let uniform = AllocOptions {
+                    v_choices: vec![v],
+                    ct_choices: vec![ct],
+                    ..opts.clone()
+                };
+                let per_op: Vec<Vec<Cand>> = ops
+                    .iter()
+                    .map(|op| op_candidates(&p, op, 32, &uniform, usize::MAX))
+                    .collect();
+                if let Some(picks) = solve(&per_op, opts.budget_bytes, opts.min_code_bits) {
+                    let plan = plan_of(ops, &per_op, &picks);
+                    if best
+                        .as_ref()
+                        .is_none_or(|b| plan.total_latency_s < b.total_latency_s)
+                    {
+                        best = Some(plan);
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    /// A random request: up to three operators of widths 32–128 (counts 1
+    /// and 2), `V` and `CT` menus drawn from `{2, 4, 8}` and `{8, 16, 64}`,
+    /// a budget of `budget_kib` KiB and a floor at `floor_pct` % of the
+    /// uniform `(4, 16)` reference.
+    fn request(
+        n_ops: usize,
+        dims: u64,
+        (v_mask, ct_mask): (usize, usize),
+        budget_kib: usize,
+        floor_pct: usize,
+    ) -> (Vec<OpShape>, AllocOptions) {
+        let dim = |i: usize| [32usize, 64, 96, 128][(dims >> (2 * i)) as usize % 4];
+        let ops: Vec<OpShape> = (0..n_ops)
+            .map(|i| OpShape {
+                name: format!("op{i}"),
+                in_dim: dim(2 * i),
+                out_dim: dim(2 * i + 1),
+                count: 1 + i % 2,
+            })
+            .collect();
+        let menu = |mask: usize, all: [usize; 3]| -> Vec<usize> {
+            (0..3)
+                .filter(|b| mask >> b & 1 == 1)
+                .map(|b| all[b])
+                .collect()
+        };
+        let opts = AllocOptions {
+            budget_bytes: budget_kib << 10,
+            min_code_bits: reference_code_bits(&ops, 4, 16) * floor_pct as f64 / 100.0,
+            v_choices: menu(v_mask, [2, 4, 8]),
+            ct_choices: menu(ct_mask, [8, 16, 64]),
+        };
+        (ops, opts)
+    }
+
+    /// The capped `allocate_global` against [`global_uncapped`]: the same
+    /// plan, every field's bits (by `{:?}`), or both find nothing.
+    fn assert_global_matches_uncapped(ops: &[OpShape], opts: &AllocOptions) {
+        let capped = allocate_global(&small_platform(), ops, 32, opts);
+        match (&capped, global_uncapped(ops, opts)) {
+            (Ok(plan), Some(want)) => assert_eq!(format!("{plan:?}"), format!("{want:?}")),
+            (Err(TuneError::NoLegalMapping { .. }), None) => {}
+            (_, want) => panic!("capped {capped:?} vs uncapped {want:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The byte caps change no uniform plan ([`request`]'s requests).
+        #[test]
+        fn capped_global_plan_matches_uncapped(
+            n_ops in 1usize..4,
+            dims in proptest::prelude::any::<u64>(),
+            v_mask in 1usize..8,
+            ct_mask in 1usize..8,
+            budget_kib in 1usize..96,
+            floor_pct in 0usize..120,
+        ) {
+            let (ops, opts) = request(n_ops, dims, (v_mask, ct_mask), budget_kib, floor_pct);
+            assert_global_matches_uncapped(&ops, &opts);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1000))]
+
+        /// [`capped_global_plan_matches_uncapped`] on 1,000 cases: the long
+        /// pass `scripts/check.sh` runs with `--ignored`.
+        #[test]
+        #[ignore = "long allocator pass: ~1,000 uniform plans, capped and uncapped"]
+        fn capped_global_plan_matches_uncapped_wide(
+            n_ops in 1usize..4,
+            dims in proptest::prelude::any::<u64>(),
+            v_mask in 1usize..8,
+            ct_mask in 1usize..8,
+            budget_kib in 1usize..96,
+            floor_pct in 0usize..120,
+        ) {
+            let (ops, opts) = request(n_ops, dims, (v_mask, ct_mask), budget_kib, floor_pct);
+            assert_global_matches_uncapped(&ops, &opts);
+        }
+
+        /// `dfs_plan_matches_brute_force_over_frontier_product` on 1,000
+        /// cases: the per-layer plan under the caps against brute force
+        /// over the uncapped frontier product. The long pass
+        /// `scripts/check.sh` runs with `--ignored`.
+        #[test]
+        #[ignore = "long allocator pass: ~1,000 per-layer plans against brute force"]
+        fn dfs_plan_matches_brute_force_over_frontier_product_wide(
+            n_ops in 1usize..4,
+            dims in proptest::prelude::any::<u64>(),
+            v_mask in 1usize..8,
+            ct_mask in 1usize..8,
+            budget_kib in 1usize..96,
+            floor_pct in 0usize..120,
+        ) {
+            let (ops, opts) = request(n_ops, dims, (v_mask, ct_mask), budget_kib, floor_pct);
+            assert_matches_brute_force(&ops, &opts);
+        }
+    }
+
+    #[test]
+    fn byte_overflow_fits_no_budget() {
+        // `per_pe_lut_bytes × count` past `usize` wrapped in release
+        // builds, and this request got a plan of 3,072 bytes.
+        let p = small_platform();
+        let huge = vec![OpShape {
+            name: "x".to_string(),
+            in_dim: 64,
+            out_dim: 64,
+            count: usize::MAX / 64 + 7,
+        }];
+        let opts = AllocOptions::with_budget(1 << 20);
+        for allocate in [allocate_per_layer, allocate_global] {
+            let plan = allocate(&p, &huge, 64, &opts);
+            assert!(
+                matches!(plan, Err(TuneError::NoLegalMapping { .. })),
+                "{plan:?}"
+            );
+        }
+        // No plan reports more bytes than its budget, or a total that is
+        // not the sum of its choices, with counts and budgets up to where
+        // products and sums overflow.
+        for count in [1, usize::MAX / 4096, usize::MAX / 64 + 7, usize::MAX] {
+            for budget in [1 << 10, 1 << 20, usize::MAX / 2, usize::MAX] {
+                let mut ops = ops();
+                ops[1].count = count;
+                ops[2].count = count;
+                let opts = AllocOptions::with_budget(budget);
+                for allocate in [allocate_per_layer, allocate_global] {
+                    let Ok(plan) = allocate(&p, &ops, 64, &opts) else {
+                        continue;
+                    };
+                    let sum = (plan.choices.iter())
+                        .try_fold(0usize, |sum, c| sum.checked_add(c.per_pe_bytes));
+                    assert_eq!(sum, Some(plan.total_per_pe_bytes), "{count} x, {budget} B");
+                    assert!(plan.total_per_pe_bytes <= budget, "{count} x, {budget} B");
+                }
+            }
         }
     }
 

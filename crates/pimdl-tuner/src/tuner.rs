@@ -242,7 +242,7 @@ mod tests {
                 "{shape:?}"
             );
             assert_eq!(legal_pairs(&w, &p).unwrap().len(), 5, "{shape:?}");
-            let points = crate::bnb::pair_frontier(&p, &w).unwrap();
+            let points = crate::bnb::pair_frontier(&p, &w, usize::MAX).unwrap();
             assert_eq!(points.len(), frontier, "{shape:?}");
             assert_eq!(points[frontier - 1].mapping, out.mapping, "{shape:?}");
         }
@@ -300,7 +300,7 @@ mod tests {
             assert!(refused(exhaustive.map(|_| ())), "{w:?}");
             assert!(refused(crate::bnb::search(&p, &w).map(|_| ())), "{w:?}");
             assert!(
-                refused(crate::bnb::pair_frontier(&p, &w).map(|_| ())),
+                refused(crate::bnb::pair_frontier(&p, &w, usize::MAX).map(|_| ())),
                 "{w:?}"
             );
         }

@@ -109,7 +109,7 @@ fn float_edits(x: f64) -> Vec<f64> {
 /// a panic is not.
 fn exercise(platform: &PlatformConfig, w: &LutWorkload, baseline: &pimdl_sim::Mapping) {
     let tuned = tune(platform, w);
-    let _ = bnb::pair_frontier(platform, w);
+    let _ = bnb::pair_frontier(platform, w, usize::MAX);
     let _ = estimate_cost(platform, w, baseline);
     if let Ok(tuned) = tuned {
         let _ = estimate_cost(platform, w, &tuned.mapping);

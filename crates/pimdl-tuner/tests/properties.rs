@@ -201,7 +201,7 @@ fn searches_digest(platform: &PlatformConfig, workload: &LutWorkload) -> u64 {
     fnv1a(&format!(
         "{:?}\n{:?}",
         bnb::search(platform, workload).unwrap(),
-        bnb::pair_frontier(platform, workload).unwrap()
+        bnb::pair_frontier(platform, workload, usize::MAX).unwrap()
     ))
 }
 
