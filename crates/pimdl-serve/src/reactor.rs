@@ -1132,6 +1132,13 @@ impl SimPoller {
             .unwrap_or_default()
     }
 
+    /// Whether the loop holds `conn` open: accepted and not closed by the
+    /// loop since (a peer's hang-up alone does not close it).
+    pub fn is_open(&self, conn: Token) -> bool {
+        let st = lock_recover(self.state.lock(), &self.stats);
+        st.conns.get(&conn.0).is_some_and(|c| c.open)
+    }
+
     /// Caps single-write acceptance at `cap` bytes to exercise the
     /// partial-write path (the remainder arms writable interest and
     /// flushes on the next poll).

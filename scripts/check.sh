@@ -77,9 +77,12 @@ done
 # The tuner's long oracle pass: the #[ignore]d branch-and-bound against
 # exhaustive search on ~1,000 small mapping spaces, both row-constant arms,
 # CT up to 512 and WRAM down to 96 B, the bounds' and leaf floors'
-# admissibility along random paths of ~1,000 more, and the closed-form
-# coarse leaf count against the enumeration on ~1,000 random menus (~13 s
-# in a debug build on two cores).
+# admissibility along random paths of ~1,000 more, the closed-form
+# coarse leaf count against the enumeration on ~1,000 random menus, the
+# byte-capped pair frontier against the uncapped one's prefix on ~1,000
+# spaces, and the capped allocators against an uncapped allocate_global
+# and against brute force on ~1,000 requests each (~20 s in a debug build
+# on two cores).
 echo "==> cargo test -p pimdl-tuner --offline (long oracle pass)"
 cargo test --offline -p pimdl-tuner --lib -- --ignored
 
@@ -93,7 +96,8 @@ cargo test --release --offline -p pimdl-tensor
 # tests/{reactor,http,fabric}_pipeline.rs, share one harness (tests/sim/):
 # one run driver over the line, HTTP and fabric server loops, checks every
 # schedule must pass (each request answered exactly once, results equal to
-# the client-side oracle, a closed ledger, bit-identical replays), the
+# the client-side oracle, a closed ledger, bit-identical replays, an HTTP
+# `Connection: close` answered and then closed by the server), the
 # named scenarios (the 1k-query transcript, the HTTP conformance corpus,
 # weighted-fair sharing, shard death mid-batch, ...) and a seeded schedule
 # explorer. Plus deploy, end_to_end, failure_injection, pim_binary and the

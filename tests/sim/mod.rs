@@ -132,12 +132,14 @@ impl Front {
 
 /// One reply a client connection is owed: matched by tag on the line
 /// protocol and by position over HTTP, carrying `oracle`'s checksum bits
-/// if it is a result, and sent complete at `sent_s`.
+/// if it is a result, and sent complete at `sent_s`. `close`: the request
+/// carries `Connection: close`, so it is its connection's last.
 #[derive(Debug, Clone)]
 pub struct Owed {
     tag: String,
     oracle: Option<u64>,
     sent_s: f64,
+    close: bool,
 }
 
 /// A schedule under construction: client connections, whose output the
@@ -204,6 +206,28 @@ impl<'a> Script<'a> {
                 tag,
                 oracle: oracle.map(f64::to_bits),
                 sent_s: f64::NAN,
+                close: false,
+            },
+        )
+    }
+
+    /// [`Script::encode`] over HTTP with a `Connection: close` header: the
+    /// server answers it, then closes the connection.
+    pub fn encode_closing(
+        &self,
+        tag: &str,
+        route: Option<&str>,
+        indices: &[u16],
+    ) -> (Vec<u8>, Owed) {
+        assert!(self.http, "Connection: close is an HTTP header");
+        let (mut bytes, owed) = self.encode(tag, route, indices);
+        let headers = bytes.windows(2).position(|w| w == b"\r\n").unwrap() + 2;
+        bytes.splice(headers..headers, b"Connection: close\r\n".iter().copied());
+        (
+            bytes,
+            Owed {
+                close: true,
+                ..owed
             },
         )
     }
@@ -250,6 +274,7 @@ impl<'a> Script<'a> {
             tag: String::new(),
             oracle: None,
             sent_s: at,
+            close: false,
         };
         self.send(at, c, bytes, [owed]);
     }
@@ -287,6 +312,8 @@ pub struct Run {
     pub snapshot: MetricsSnapshot,
     /// Each client's received bytes, in connect order.
     pub outputs: Vec<Vec<u8>>,
+    /// Whether the loop still held each client's connection open at exit.
+    pub open: Vec<bool>,
     /// Per-shard dispatches (in-process shards).
     pub dispatches: Vec<u64>,
     /// Reference gathers the front end ran.
@@ -392,6 +419,7 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
         end_s: clock.now(),
         snapshot: metrics.snapshot_with_reactor(poller.stats().snapshot()),
         outputs: clients.iter().map(|(t, _)| poller.output_of(*t)).collect(),
+        open: clients.iter().map(|(t, _)| poller.is_open(*t)).collect(),
         dispatches,
         gathers,
         shard_states,
@@ -456,13 +484,15 @@ const HTTP_REFUSALS: [u16; 4] = [403, 429, 503, 504];
 /// one of [`HTTP_REFUSALS`]). A request sent complete at or after the
 /// shutdown instant may also be refused as `shutdown` (HTTP 503), or go
 /// unanswered because the loop has exited; every one sent before it is
-/// still answered.
+/// still answered. Over HTTP, a request carrying `Connection: close` sent
+/// before the shutdown is answered with a close-marked response, nothing
+/// follows it, and the server closes the connection.
 fn check(run: &Run, http: bool, clients: &[(Token, Vec<Owed>)], shutdown_s: Option<f64>) {
     let s = &run.snapshot;
     let terminal = s.completed + s.rejected + s.deadline_exceeded;
     assert_eq!(s.submitted, terminal, "ledger does not close: {s:?}");
     let late = |o: &Owed| shutdown_s.is_some_and(|t| o.sent_s >= t);
-    for (out, (_, owed)) in run.outputs.iter().zip(clients) {
+    for ((out, open), (_, owed)) in run.outputs.iter().zip(&run.open).zip(clients) {
         if http {
             let got = responses(out);
             let before = owed.iter().filter(|o| !late(o)).count();
@@ -484,6 +514,12 @@ fn check(run: &Run, http: bool, clients: &[(Token, Vec<Owed>)], shutdown_s: Opti
                         r.status
                     );
                 }
+            }
+            if owed.last().is_some_and(|o| o.close && !late(o)) {
+                assert_eq!(got.len(), owed.len(), "Connection: close unanswered");
+                let last = &got[got.len() - 1];
+                assert_eq!(last.header("connection"), Some("close"));
+                assert!(!open, "Connection: close answered, connection left open");
             }
         } else {
             let got = lines(out);
@@ -621,7 +657,9 @@ impl Drop for OnFailure<'_> {
 /// `ExecDone` at a random instant of the traffic, naming a batch id in
 /// `0..6` with one to four flags: an unknown batch, another shard's, its
 /// own with the wrong count, one already answered, or its own in flight
-/// (accepted early, and its real reply is then the repeat).
+/// (accepted early, and its real reply is then the repeat). Under
+/// [`Kind::Http`] some clients end on a `Connection: close` request, drawn
+/// from the `<kind>-<seed>-close` stream (see [`schedule`]).
 pub fn explore(kind: Kind, cases: u64) {
     let t1 = runtime(64, f64::INFINITY)
         .service_model()
@@ -649,7 +687,8 @@ pub fn explore(kind: Kind, cases: u64) {
         let rt = runtime(queue, deadline_s);
         replay(&rt, &front, &|s| {
             let mut rng = TestRng::deterministic(&format!("{name}-script"));
-            let workers = schedule(s, &mut rng, t1, deadline_s);
+            let mut close = TestRng::deterministic(&format!("{name}-close"));
+            let workers = schedule(s, &mut rng, &mut close, t1, deadline_s);
             let mut rng = TestRng::deterministic(&format!("{name}-forged"));
             if matches!(kind, Kind::FabricForged) && !workers.is_empty() {
                 let conn = workers[rng.below(workers.len() as u64) as usize];
@@ -672,9 +711,18 @@ pub fn explore(kind: Kind, cases: u64) {
 /// `TableReady`; then clients whose requests arrive split at random byte
 /// boundaries, some back to back in bursts that overflow the queue,
 /// sometimes after a gap far beyond the deadline, sometimes cut off by a
-/// hang-up mid-request, all read through a slow reader. Returns the
-/// worker connections that said `Hello` on time.
-fn schedule(s: &mut Script, rng: &mut TestRng, t1: f64, deadline_s: f64) -> Vec<Token> {
+/// hang-up mid-request, all read through a slow reader. Over HTTP, a third
+/// of the clients that are not cut off end on a request carrying
+/// `Connection: close`, drawn from `close` so the rest of the schedule
+/// does not depend on it; such a client does not hang up itself. Returns
+/// the worker connections that said `Hello` on time.
+fn schedule(
+    s: &mut Script,
+    rng: &mut TestRng,
+    close: &mut TestRng,
+    t1: f64,
+    deadline_s: f64,
+) -> Vec<Token> {
     let w = s.workload();
     let routes = s.routes();
     let start = if s.shards > 0 { 0.1 } else { 0.001 };
@@ -729,6 +777,7 @@ fn schedule(s: &mut Script, rng: &mut TestRng, t1: f64, deadline_s: f64) -> Vec<
         let mut t = start;
         let n = 1 + rng.below(16);
         let cut = (rng.below(3) == 0).then(|| rng.below(n));
+        let closing = s.http && cut.is_none() && close.below(3) == 0;
         // A bursty client sends back to back, overflowing the queue.
         let spread = if rng.below(3) == 0 { 0.0 } else { 2.0 * t1 };
         for k in 0..n {
@@ -742,7 +791,12 @@ fn schedule(s: &mut Script, rng: &mut TestRng, t1: f64, deadline_s: f64) -> Vec<
             let indices: Vec<u16> = (0..w.n * w.cb)
                 .map(|_| rng.below(w.ct as u64) as u16)
                 .collect();
-            let (bytes, owed) = s.encode(&format!("c{client}-q{k}"), route, &indices);
+            let tag = format!("c{client}-q{k}");
+            let (bytes, owed) = if closing && k + 1 == n {
+                s.encode_closing(&tag, route, &indices)
+            } else {
+                s.encode(&tag, route, &indices)
+            };
             if cut == Some(k) {
                 let end = 1 + rng.below(bytes.len() as u64 - 1) as usize;
                 s.send(t, c, bytes[..end].to_vec(), None);
@@ -762,7 +816,7 @@ fn schedule(s: &mut Script, rng: &mut TestRng, t1: f64, deadline_s: f64) -> Vec<
                 t += 0.01 * t1 * rng.unit_f64();
             }
         }
-        if cut.is_none() && rng.below(2) == 0 {
+        if cut.is_none() && rng.below(2) == 0 && !closing {
             s.close(t, c);
         }
     }
