@@ -81,7 +81,7 @@ done
 # coarse leaf count against the enumeration on ~1,000 random menus, the
 # byte-capped pair frontier against the uncapped one's prefix on ~1,000
 # spaces, and the capped allocators against an uncapped allocate_global
-# and against brute force on ~1,000 requests each (~20 s in a debug build
+# and against brute force on ~1,000 requests each (~17 s in a debug build
 # on two cores).
 echo "==> cargo test -p pimdl-tuner --offline (long oracle pass)"
 cargo test --offline -p pimdl-tuner --lib -- --ignored
