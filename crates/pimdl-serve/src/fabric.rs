@@ -1155,8 +1155,9 @@ impl<'a> FabricServerLoop<'a> {
         let refused = match self.batcher.refusal_for("") {
             Some(_) => true,
             None => {
+                let deadline_s = now + self.cfg.deadline_s;
                 let request =
-                    oracle.request_from_valid(id, now, now + self.cfg.deadline_s, q.indices)?;
+                    oracle.referenced(oracle.request_from_valid(id, now, deadline_s, q.indices))?;
                 let job = TaggedJob {
                     request,
                     tenant: String::new(),

@@ -22,7 +22,11 @@ pub struct Request {
     /// per-request [`pimdl_sim::LutWorkload`] shape).
     pub indices: Vec<u16>,
     /// Host-reference checksum of the query's output, used to verify the
-    /// simulated PIM execution bit-for-bit.
+    /// simulated PIM execution bit-for-bit. The line and HTTP fronts admit
+    /// a request with NaN here, which no output equals, and the shard its
+    /// batch runs on computes the reference just before the kernel; the
+    /// fabric front and [`crate::ReplicaModel::make_request`] compute it
+    /// when the request is built.
     pub expected_checksum: f64,
 }
 

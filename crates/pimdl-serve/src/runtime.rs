@@ -304,7 +304,7 @@ impl<'s> Front<Shards<'s>> for LedgerFront {
                 arrival_s: req.arrival_s,
                 outcome: Outcome::Rejected { at_s: now },
             };
-            if self.pipeline.admit(("", ""), (), || Ok(req))?.is_some() {
+            if self.pipeline.admit(("", ""), (), || req).is_some() {
                 self.records.push(rejected);
             }
         }
@@ -417,15 +417,17 @@ impl Runtime {
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(1),
         );
+        // Each request's reference is computed on the shard its batch is
+        // dispatched to, as under the servers.
         let requests: Vec<Request> = Self::arrival_times(load)
             .into_iter()
             .enumerate()
             .map(|(i, t)| {
                 sim.wake_at(t, WAKE_ARRIVAL);
                 self.replica
-                    .make_request(i as u64, t, t + self.cfg.deadline_s, &mut payload_rng)
+                    .random_request(i as u64, t, t + self.cfg.deadline_s, &mut payload_rng)
             })
-            .collect::<Result<_>>()?;
+            .collect();
 
         let mut shards = Shards::simulated(self, Arc::clone(&clock), sim)?;
         let mut front = LedgerFront {

@@ -98,23 +98,21 @@ impl<R> Pipeline<R> {
     /// Queues the request `build` makes for `tenant` and `model` (the line
     /// front's implicit ones are the empty name, which allocates nothing),
     /// its outcome bound for `to`. When a job of `tenant` would be refused
-    /// now, nothing is built (the reference gather is a request's most
-    /// expensive step), the rejection is counted, and `to` comes back with
-    /// the reason.
-    ///
-    /// # Errors
-    ///
-    /// `build`'s errors.
+    /// now, nothing is built, the rejection is counted, and `to` comes back
+    /// with the reason. Admission gathers nothing: a request's reference
+    /// checksum, its most expensive step, is computed on the shard its
+    /// batch is dispatched to (see [`Shards`]), so a refused or shed
+    /// request never pays for one.
     pub(crate) fn admit(
         &mut self,
         (tenant, model): (&str, &str),
         to: R,
-        build: impl FnOnce() -> Result<Request>,
-    ) -> Result<Option<(R, AdmitRefusal)>> {
+        build: impl FnOnce() -> Request,
+    ) -> Option<(R, AdmitRefusal)> {
         let refusal = match self.batcher.refusal_for(tenant) {
             Some(why) => why,
             None => {
-                let request = build()?;
+                let request = build();
                 let id = request.id;
                 let (tenant, model) = (tenant.to_string(), model.to_string());
                 let job = TaggedJob {
@@ -127,14 +125,14 @@ impl<R> Pipeline<R> {
                         self.metrics
                             .observe_queue_depth(self.batcher.queued_total());
                         self.routes.insert(id, (tenant, to));
-                        return Ok(None);
+                        return None;
                     }
                     Err((_, why)) => why,
                 }
             }
         };
         self.metrics.record_rejected();
-        Ok(Some((to, refusal)))
+        Some((to, refusal))
     }
 
     /// Relative timeout of the driver's next wait: the flush window or a
@@ -332,7 +330,7 @@ impl ServerLoop {
         self.metrics.record_submitted();
         let (replica, deadline_s) = (&self.replica, now + self.deadline_s);
         let build = || replica.request_from_valid(id, now, deadline_s, query.indices);
-        match self.pipeline.admit(("", ""), (t, query.tag), build)? {
+        match self.pipeline.admit(("", ""), (t, query.tag), build) {
             None => conns.owe(t),
             Some(((t, tag), _)) => {
                 conns.send(t, &codec::encode_error(&tag, ErrorKind::Rejected));
@@ -716,7 +714,7 @@ impl HttpServerLoop {
             seq,
             keep_alive: keep,
         };
-        match self.pipeline.admit((tenant, model), to, build)? {
+        match self.pipeline.admit((tenant, model), to, build) {
             None => conns.owe(t),
             Some((_, refusal)) => {
                 let (status, msg) = match refusal {
@@ -926,12 +924,13 @@ mod tests {
             }
         }
 
-        /// Admits request `id`, arriving now, with the given deadline.
+        /// Admits request `id`, arriving now, with the given deadline, as
+        /// the fronts do: with no reference checksum yet.
         fn admit(&mut self, id: u64, deadline_s: f64) {
             let now = self.clock.now();
             let replica = self.rt.replica();
-            let req = replica.make_request(id, now, deadline_s, &mut self.rng);
-            let refused = self.pipeline.admit(("", ""), (), || req).unwrap();
+            let req = replica.random_request(id, now, deadline_s, &mut self.rng);
+            let refused = self.pipeline.admit(("", ""), (), || req);
             assert_eq!(refused, None, "request {id} refused");
         }
 
@@ -993,6 +992,34 @@ mod tests {
         assert!(rig.pipeline.idle(&rig.shards));
         let snap = rig.metrics.snapshot();
         assert_eq!((snap.deadline_exceeded, snap.batches), (2, 1));
+    }
+
+    #[test]
+    fn a_reference_is_gathered_at_dispatch_once_and_never_for_a_shed_request() {
+        let (rt, s1) = runtime(1, 8);
+        let gathers = || rt.replica().reference_gathers();
+        let mut rig = Rig::new(&rt);
+        rig.admit(0, s1);
+        for id in 1..4 {
+            rig.admit(id, f64::INFINITY);
+        }
+        assert_eq!(gathers(), 0, "admission gathers nothing");
+        // Past request 0's deadline and the flush window: 0 is shed, and
+        // the other three leave as one batch, gathered at its dispatch.
+        assert!(rig.step_at(2.0 * s1, false));
+        assert_eq!(
+            rig.seen,
+            [(0, Outcome::DeadlineExceeded { at_s: 2.0 * s1 })]
+        );
+        assert_eq!(rig.shards.in_flight(), 1);
+        assert_eq!(gathers(), 3, "the batch's three, not the shed one");
+        rig.step_at(10.0 * s1, false);
+        assert_eq!(rig.completions(), [(1, 0, 3), (2, 0, 3), (3, 0, 3)]);
+        assert!(rig.seen.iter().all(|(_, o)| match o {
+            Outcome::Completed { correct, .. } => *correct,
+            _ => true,
+        }));
+        assert_eq!(gathers(), 3, "delivery gathers nothing");
     }
 
     #[test]
@@ -1090,7 +1117,7 @@ mod tests {
         let mut rig = Rig::new(&rt);
         let refuse = |rig: &mut Rig<'_>| {
             let build = || panic!("a refused request is never built");
-            let refused = rig.pipeline.admit(("", ""), (), build).unwrap();
+            let refused = rig.pipeline.admit(("", ""), (), build);
             assert_eq!(refused, Some(((), AdmitRefusal::QueueFull)));
         };
         rig.admit(0, f64::INFINITY);

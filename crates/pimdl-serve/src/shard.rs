@@ -6,8 +6,14 @@
 //! shard ([`ShardManager`]), their service time comes from the engine's
 //! end-to-end cost model ([`ServiceModel`]), and their *results* come from
 //! `pimdl_sim`'s functional LUT execution, verified bit-for-bit against a
-//! host reference checksum carried by each request — `lut_checksum_quant`
-//! over the same row-major table the simulated PEs read. Both sides run the
+//! host reference checksum — `lut_checksum_quant` over the same row-major
+//! table the simulated PEs read. [`Shards`] computes each request's
+//! reference on the shard, against the batch's own replica, just before
+//! the kernel: on the shard thread inside the batch's service time under
+//! [`Shards::threaded`], inline at dispatch under [`Shards::simulated`].
+//! The fronts admit a request with no reference, so the reactor thread
+//! never gathers; a fabric front still computes it at admission and ships
+//! it in the `Execute` frame. Both sides run the
 //! one INT8 gather (`pimdl_tensor::quant::lut_gather`), so the compare checks
 //! the tuned mapping, the band assembly and the dequantization; the gather
 //! itself is held to the scalar `QuantLutTable::lookup` and the ISA
@@ -146,6 +152,19 @@ impl ReplicaModel {
         deadline_s: f64,
         rng: &mut DataRng,
     ) -> Result<Request> {
+        self.referenced(self.random_request(id, arrival_s, deadline_s, rng))
+    }
+
+    /// [`Self::make_request`] without the reference: random in-range
+    /// indices, drawn from `rng` alike, and an unset checksum for the
+    /// shard to compute (see [`Self::request_from_valid`]).
+    pub(crate) fn random_request(
+        &self,
+        id: u64,
+        arrival_s: f64,
+        deadline_s: f64,
+        rng: &mut DataRng,
+    ) -> Request {
         let w = self.workload;
         let indices: Vec<u16> = (0..w.n * w.cb).map(|_| rng.index(w.ct) as u16).collect();
         self.request_from_valid(id, arrival_s, deadline_s, indices)
@@ -167,27 +186,41 @@ impl ReplicaModel {
         indices: Vec<u16>,
     ) -> Result<Request> {
         self.validate_indices(&indices)?;
-        self.request_from_valid(id, arrival_s, deadline_s, indices)
+        self.referenced(self.request_from_valid(id, arrival_s, deadline_s, indices))
     }
 
-    /// The expensive half of [`Self::request_from_indices`], for indices
-    /// that already passed [`Self::validate_indices`]: the server loops
-    /// validate, run their admission refusals, and only then pay for this.
+    /// A request for indices that already passed
+    /// [`Self::validate_indices`], with no reference yet: its
+    /// `expected_checksum` is NaN, which no output checksum equals, so it
+    /// fails closed until [`Shards`] computes the reference on the shard.
+    /// The in-process fronts build every request this way, after their
+    /// admission refusals, and gather nothing on the reactor thread.
     pub(crate) fn request_from_valid(
         &self,
         id: u64,
         arrival_s: f64,
         deadline_s: f64,
         indices: Vec<u16>,
-    ) -> Result<Request> {
-        let expected_checksum = self.reference_checksum(&indices)?;
-        Ok(Request {
+    ) -> Request {
+        Request {
             id,
             arrival_s,
             deadline_s,
             indices,
-            expected_checksum,
-        })
+            expected_checksum: f64::NAN,
+        }
+    }
+
+    /// `req` with its host-reference checksum computed in: the one gather
+    /// of a request, wherever it runs (on the shard for the in-process
+    /// fronts, at admission for the fabric front and the public builders).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::reference_checksum`].
+    pub(crate) fn referenced(&self, mut req: Request) -> Result<Request> {
+        req.expected_checksum = self.reference_checksum(&req.indices)?;
+        Ok(req)
     }
 
     /// Cheap admission check of a query against the replica's workload
@@ -231,7 +264,9 @@ impl ReplicaModel {
     }
 
     /// Reference gathers this replica has run: one per request that got as
-    /// far as its checksum, none for a request refused before it.
+    /// far as its checksum. Under the in-process fronts that is one per
+    /// dispatched request, counted on the shard; a refused or shed request
+    /// never gathers. Under the fabric front it is one per admission.
     pub fn reference_gathers(&self) -> u64 {
         self.reference_gathers.load(Ordering::Relaxed)
     }
@@ -255,7 +290,8 @@ impl ReplicaModel {
     }
 
     /// Executes a request's query functionally on the simulated PEs and
-    /// returns whether the output checksum matches the host reference.
+    /// returns whether the output checksum matches the host reference
+    /// (never, for a request whose reference is still unset).
     ///
     /// # Errors
     ///
@@ -475,6 +511,21 @@ type Work = (f64, Arc<ReplicaModel>, Vec<Request>);
 /// How a shard thread runs a batch.
 type Execute = fn(&ReplicaModel, &[Request]) -> Result<Vec<bool>>;
 
+/// The in-process shards' one execute path, in both [`Exec`] modes: each
+/// request's host reference computed into it against the batch's own
+/// `model`, then `execute`. A gather that fails is the batch's execution
+/// error, as a kernel failure is.
+fn check_batch(model: &ReplicaModel, batch: &mut [Request], execute: Execute) -> Result<Vec<bool>> {
+    for req in batch.iter_mut() {
+        req.expected_checksum = model.reference_checksum(&req.indices).map_err(|e| {
+            ServeError::Sim(SimError::Execution {
+                detail: e.to_string(),
+            })
+        })?;
+    }
+    execute(model, batch)
+}
+
 /// Runs `execute` on shard `shard`'s thread, turning a panic into the
 /// batch's execution error: a thread that unwound would never report its
 /// batch, so the shard would stay busy and the drain wait for it forever.
@@ -562,8 +613,8 @@ impl<'a> Shards<'a> {
         })
     }
 
-    /// `rt`'s shards on the virtual clock: a batch executes at dispatch,
-    /// and its completion is scheduled through `sim` at `now + service_s`
+    /// `rt`'s shards on the virtual clock: a batch is gathered and
+    /// executed at dispatch, and its completion is scheduled through `sim` at `now + service_s`
     /// and delivered once the clock reaches it.
     ///
     /// # Errors
@@ -582,9 +633,10 @@ impl<'a> Shards<'a> {
     }
 
     /// `rt`'s shards on one worker thread each, parked on a depth-1
-    /// channel. A worker wakes once per batch, executes it, sleeps out the
-    /// rest of the cost-model service time on `clock` (`run_batch`, the
-    /// rule fabric workers follow too), reports, and fires
+    /// channel. A worker wakes once per batch, gathers each request's
+    /// reference and executes the batch, sleeps out the rest of the
+    /// cost-model service time on `clock` (`run_batch`, the rule fabric
+    /// workers follow too), reports, and fires
     /// `completion` (the loop's [`WAKE_COMPLETION`] waker). A batch whose
     /// execution panics is reported as that batch's execution error, and
     /// the thread lives on. The threads are joined on drop, each after the
@@ -611,9 +663,9 @@ impl<'a> Shards<'a> {
             let (tx, rx) = mpsc::sync_channel::<Work>(1);
             let (clock, report, completion) = (*clock, report.clone(), completion.clone());
             workers.push(thread::spawn(move || {
-                for (service_s, model, batch) in rx {
+                for (service_s, model, mut batch) in rx {
                     let flags = run_batch(&clock, service_s, || {
-                        caught(shard, || execute(&model, &batch))
+                        caught(shard, || check_batch(&model, &mut batch, execute))
                     });
                     if report.send((shard, clock.now(), batch, flags)).is_err() {
                         return;
@@ -666,7 +718,7 @@ impl<'a> Shards<'a> {
         let Some(shard) = self.book.least_loaded_among(&self.free) else {
             return Ok(false);
         };
-        let Some((model, batch)) = take()? else {
+        let Some((model, mut batch)) = take()? else {
             return Ok(false);
         };
         let service_s = self.service.batch_service_s(batch.len())?;
@@ -680,7 +732,7 @@ impl<'a> Shards<'a> {
                 sim,
                 pending,
             } => {
-                let flags = model.execute_batch(&batch);
+                let flags = check_batch(&model, &mut batch, ReplicaModel::execute_batch);
                 let finish_s = clock.now() + service_s;
                 pending.push((shard, finish_s, batch, flags));
                 sim.wake_at(finish_s, WAKE_COMPLETION);
@@ -781,6 +833,22 @@ mod tests {
         let mut req = r.make_request(0, 0.0, f64::INFINITY, &mut rng).unwrap();
         req.expected_checksum += 1.0;
         assert!(!r.execute(&req).unwrap());
+    }
+
+    #[test]
+    fn a_request_without_its_reference_fails_closed() {
+        let r = replica();
+        let req = r.random_request(0, 0.0, f64::INFINITY, &mut DataRng::new(13));
+        assert!(req.expected_checksum.is_nan());
+        assert_eq!(
+            r.execute_batch(std::slice::from_ref(&req)).unwrap(),
+            [false]
+        );
+        assert_eq!(r.reference_gathers(), 0);
+        // The same request, its reference computed in, checks.
+        let req = r.referenced(req).unwrap();
+        assert_eq!(r.execute_batch(&[req]).unwrap(), [true]);
+        assert_eq!(r.reference_gathers(), 1);
     }
 
     #[test]
@@ -955,6 +1023,39 @@ mod tests {
         await_completion(&mut poller);
         mismatch(shards.drain().unwrap_err());
         assert_eq!(shards.in_flight(), 0);
+    }
+
+    #[test]
+    fn both_modes_gather_each_reference_on_the_shard() {
+        let rt = example_runtime(1);
+        let r = rt.replica();
+        let query = |id| r.random_request(id, 0.0, f64::INFINITY, &mut DataRng::new(id));
+        let checked = |done: Vec<Done>| {
+            let [done] = &done[..] else {
+                panic!("one batch finished, got {}", done.len())
+            };
+            let (req, correct) = &done.results[0];
+            assert!(correct, "request {}", req.id);
+            let want = r.checksum_of(&req.indices).unwrap();
+            assert_eq!(req.expected_checksum.to_bits(), want.to_bits());
+        };
+
+        let clock = Arc::new(VirtualClock::new());
+        let sim = SimPoller::new(Arc::clone(&clock));
+        let mut shards = Shards::simulated(&rt, Arc::clone(&clock), sim.handle()).unwrap();
+        dispatch_one(&rt, &mut shards, query(0));
+        assert_eq!(r.reference_gathers(), 1, "gathered inline at dispatch");
+        clock.advance_to(rt.service_model().batch_service_s(1).unwrap());
+        checked(shards.drain().unwrap());
+
+        let mut poller = EpollPoller::new(1e6).unwrap();
+        let clock = RealClock::accelerated(1e6).unwrap();
+        let mut shards = Shards::threaded(&rt, &clock, poller.waker(WAKE_COMPLETION)).unwrap();
+        dispatch_one(&rt, &mut shards, query(1));
+        await_completion(&mut poller);
+        checked(shards.drain().unwrap());
+        // Two shard gathers, and the two oracle checksums above.
+        assert_eq!(r.reference_gathers(), 4);
     }
 
     #[test]

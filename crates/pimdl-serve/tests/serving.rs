@@ -257,6 +257,47 @@ fn virtual_sharding_balances_load() {
 }
 
 #[test]
+fn virtual_runs_gather_each_reference_once_on_its_shard() {
+    // The reference checksum is gathered on the shard a request's batch is
+    // dispatched to, once: N requests with none refused or shed gather N
+    // times, and under overload only the completed ones gather.
+    let mut cfg = ServeConfig::example();
+    cfg.queue_capacity = 1000;
+    let rt = runtime(cfg);
+    let gathers = || rt.replica().reference_gathers();
+    let n = 300;
+    let report = rt
+        .run_virtual(&OpenLoop {
+            rate_rps: 2.0 * single_rate(&rt),
+            num_requests: n,
+            seed: 9,
+        })
+        .unwrap();
+    assert_eq!(report.completed(), n);
+    assert!(report.all_completed_correct());
+    assert_eq!(gathers(), n as u64, "one gather per request");
+
+    let mut cfg = ServeConfig::example();
+    cfg.queue_capacity = 12;
+    cfg.deadline_s = 1.5 / single_rate(&rt);
+    let rt = runtime(cfg);
+    let report = rt
+        .run_virtual(&OpenLoop {
+            rate_rps: 40.0 * single_rate(&rt),
+            num_requests: n,
+            seed: 3,
+        })
+        .unwrap();
+    assert!(report.rejected() > 0 && report.deadline_exceeded() > 0);
+    assert!(report.all_completed_correct());
+    assert_eq!(
+        rt.replica().reference_gathers(),
+        report.completed() as u64,
+        "a refused or shed request never gathers"
+    );
+}
+
+#[test]
 fn degenerate_configs_are_rejected_up_front() {
     let shape = TransformerShape::tiny();
     let mut cfg = ServeConfig::example();

@@ -185,7 +185,7 @@ fn quota_exceeded_tenant_gets_429_while_others_complete() {
     assert_eq!(run.snapshot.deadline_exceeded, 0);
     assert_eq!(
         run.gathers, 5,
-        "one reference gather per admitted infer, none per 429 or 403"
+        "one reference gather per dispatched infer, none per 429 or 403"
     );
 }
 

@@ -316,7 +316,8 @@ pub struct Run {
     pub open: Vec<bool>,
     /// Per-shard dispatches (in-process shards).
     pub dispatches: Vec<u64>,
-    /// Reference gathers the front end ran.
+    /// Reference gathers the run's replicas ran: on the shards for the
+    /// line and HTTP loops, at admission for the fabric front.
     pub gathers: u64,
     /// The fabric's end state: each worker's and each table's.
     pub shard_states: Vec<Option<ShardState>>,
@@ -427,12 +428,7 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
         all_ready,
         any_lost,
     };
-    check(
-        &end,
-        matches!(front, Front::Http { .. }),
-        &clients,
-        shutdown_s,
-    );
+    check(&end, front, &clients, shutdown_s);
     end
 }
 
@@ -486,11 +482,22 @@ const HTTP_REFUSALS: [u16; 4] = [403, 429, 503, 504];
 /// unanswered because the loop has exited; every one sent before it is
 /// still answered. Over HTTP, a request carrying `Connection: close` sent
 /// before the shutdown is answered with a close-marked response, nothing
-/// follows it, and the server closes the connection.
-fn check(run: &Run, http: bool, clients: &[(Token, Vec<Owed>)], shutdown_s: Option<f64>) {
+/// follows it, and the server closes the connection. On the line and HTTP
+/// loops a reference is gathered once per dispatched request, on its
+/// shard, and never for a refusal, a shed or a shutdown answer: nothing is
+/// in flight at exit and every dispatched request completes, so the
+/// gathers equal the completions.
+fn check(run: &Run, front: &Front, clients: &[(Token, Vec<Owed>)], shutdown_s: Option<f64>) {
     let s = &run.snapshot;
     let terminal = s.completed + s.rejected + s.deadline_exceeded;
     assert_eq!(s.submitted, terminal, "ledger does not close: {s:?}");
+    if !matches!(front, Front::Fabric { .. }) {
+        assert_eq!(
+            run.gathers, s.completed,
+            "one reference gather per dispatched request"
+        );
+    }
+    let http = matches!(front, Front::Http { .. });
     let late = |o: &Owed| shutdown_s.is_some_and(|t| o.sent_s >= t);
     for ((out, open), (_, owed)) in run.outputs.iter().zip(&run.open).zip(clients) {
         if http {
@@ -594,8 +601,9 @@ pub fn final_drain(front: Front) {
 /// Refuse before paying, on all three loops (`front` as for
 /// [`final_drain`]): a burst that overflows the 4-deep queue is rejected
 /// on the queue bound alone (`E rejected`, HTTP 503), and a query reaching
-/// past the codebook is refused unsubmitted (`E invalid`, HTTP 400) — the
-/// front end runs its reference gather only for the requests it admits.
+/// past the codebook is refused unsubmitted (`E invalid`, HTTP 400) — a
+/// reference is gathered only for a request that is dispatched (the line
+/// and HTTP loops, on its shard) or admitted (the fabric front).
 pub fn refuse_before_paying(front: Front) {
     let rt = runtime(4, f64::INFINITY);
     let w = rt.replica().workload();
@@ -625,7 +633,10 @@ pub fn refuse_before_paying(front: Front) {
     assert_eq!(snap.submitted, 10, "the malformed query is never submitted");
     assert_eq!(snap.rejected, 6, "4 fit the queue, the rest bounce");
     assert_eq!(snap.completed, 4);
-    assert_eq!(run.gathers, 4, "one gather per admission, none per refusal");
+    assert_eq!(
+        run.gathers, 4,
+        "one gather per dispatched request, none per refusal"
+    );
 }
 
 /// The loop the explorer drives.
