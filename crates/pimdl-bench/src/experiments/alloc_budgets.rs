@@ -17,9 +17,7 @@ use pimdl_engine::scheduler::{BatchScheduler, BatchingPolicy, Workload};
 use pimdl_engine::shapes::TransformerShape;
 use pimdl_engine::PimDlEngine;
 use pimdl_sim::PlatformConfig;
-use pimdl_tuner::alloc::{
-    allocate_global, allocate_per_layer, reference_code_bits, AllocOptions, OpShape,
-};
+use pimdl_tuner::alloc::{reference_code_bits, AllocOptions, FrontierTable, OpShape};
 
 use crate::report::TextTable;
 
@@ -110,11 +108,13 @@ pub fn run_with(
         opts.min_code_bits = reference_code_bits(&ops, v, ct);
         let mut budget_platform = platform.clone();
         budget_platform.mram_bytes = budget;
-        let global = match allocate_global(&budget_platform, &ops, n, &opts) {
+        // Both plans read one table of frontiers, searched once.
+        let table = FrontierTable::new(&budget_platform, &ops, n, &opts)?;
+        let global = match table.global() {
             Ok(plan) => plan,
             Err(_) => continue, // no uniform plan fits: nothing to compare
         };
-        let per_layer = allocate_per_layer(&budget_platform, &ops, n, &opts)?;
+        let per_layer = table.per_layer()?;
 
         let engine = PimDlEngine::new(budget_platform);
         let policy = BatchingPolicy {

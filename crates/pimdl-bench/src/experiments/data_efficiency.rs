@@ -44,7 +44,8 @@ pub struct DataEfficiencyResult {
     pub points: Vec<BudgetPoint>,
 }
 
-/// Runs the sweep.
+/// Runs the sweep at experiment scale: a four-layer model trained for
+/// 15 epochs.
 ///
 /// # Errors
 ///
@@ -53,6 +54,18 @@ pub fn run(
     budgets: &[usize],
     train_examples: usize,
     seed: u64,
+) -> Result<DataEfficiencyResult, Box<dyn std::error::Error>> {
+    run_with(budgets, train_examples, seed, 4, 15)
+}
+
+/// Runs the sweep with an explicit model depth and training budget
+/// (smaller settings for the unit tests).
+fn run_with(
+    budgets: &[usize],
+    train_examples: usize,
+    seed: u64,
+    layers: usize,
+    train_epochs: usize,
 ) -> Result<DataEfficiencyResult, Box<dyn std::error::Error>> {
     let task = NlpTask::ContainsAnswer;
     let mut rng = DataRng::new(seed);
@@ -63,7 +76,7 @@ pub fn run(
         input: InputKind::Tokens { vocab: 16 },
         hidden: 32,
         heads: 4,
-        layers: 4,
+        layers,
         ffn_dim: 64,
         max_seq: 8,
         classes: task.classes(),
@@ -73,7 +86,7 @@ pub fn run(
         &mut model,
         &ds,
         &TrainConfig {
-            epochs: 15,
+            epochs: train_epochs,
             batch_size: 16,
             lr: 3e-3,
             schedule: Default::default(),
@@ -159,9 +172,9 @@ pub fn render(result: &DataEfficiencyResult) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn small_budget_favors_elutnn() {
-        let r = run(&[32], 360, 9).unwrap();
+    /// eLUT-NN does not trail the baseline at a small calibration budget
+    /// and stays near the dense model, on `run_with`'s output.
+    fn assert_small_budget_favors_elutnn(r: &DataEfficiencyResult) {
         assert!(r.original > 0.8, "dense model failed: {}", r.original);
         let p = &r.points[0];
         assert!(
@@ -178,9 +191,26 @@ mod tests {
         );
     }
 
+    /// The claim on a one-layer model trained for 10 epochs on 120
+    /// examples, 32 calibration sequences: the smallest size tried at which
+    /// eLUT-NN still separates from the baseline (1.00 against 0.81).
+    #[test]
+    fn small_budget_favors_elutnn() {
+        assert_small_budget_favors_elutnn(&run_with(&[32], 120, 9, 1, 10).unwrap());
+    }
+
+    /// [`small_budget_favors_elutnn`] at experiment scale (four layers, 15
+    /// epochs, 360 examples): the long pass `scripts/check.sh` runs with
+    /// `--ignored`.
+    #[test]
+    #[ignore = "long accuracy pass: the four-layer model"]
+    fn small_budget_favors_elutnn_full() {
+        assert_small_budget_favors_elutnn(&run(&[32], 360, 9).unwrap());
+    }
+
     #[test]
     fn render_includes_budgets() {
-        let r = run(&[16, 48], 200, 10).unwrap();
+        let r = run_with(&[16, 48], 60, 10, 1, 1).unwrap();
         let s = render(&r);
         assert!(s.contains("16"));
         assert!(s.contains("48"));

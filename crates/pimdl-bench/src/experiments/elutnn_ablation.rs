@@ -212,9 +212,9 @@ pub fn render(result: &AblationResult) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn full_elutnn_beats_floor() {
-        let r = run_with(40, 21, 2, 8, 240).unwrap();
+    /// Full eLUT-NN is at least the no-fine-tuning floor and near the
+    /// dense model, on `run_with`'s output.
+    fn assert_full_elutnn_beats_floor(r: &AblationResult) {
         assert_eq!(r.variants.len(), 4);
         let acc = |name: &str| {
             r.variants
@@ -234,6 +234,23 @@ mod tests {
             "full {full} too far below original {}",
             r.original
         );
+    }
+
+    /// The claim on a one-layer model trained for 6 epochs on 160
+    /// examples, 24 calibration sequences (full 1.00 against a 0.57
+    /// floor).
+    #[test]
+    fn full_elutnn_beats_floor() {
+        assert_full_elutnn_beats_floor(&run_with(24, 21, 1, 6, 160).unwrap());
+    }
+
+    /// [`full_elutnn_beats_floor`] at its former size (two layers, 8
+    /// epochs, 240 examples, 40 sequences): the long pass
+    /// `scripts/check.sh` runs with `--ignored`.
+    #[test]
+    #[ignore = "long accuracy pass: the two-layer model"]
+    fn full_elutnn_beats_floor_full() {
+        assert_full_elutnn_beats_floor(&run_with(40, 21, 2, 8, 240).unwrap());
     }
 
     #[test]

@@ -34,7 +34,7 @@ use pimdl_sim::cost::lut_tile_bytes;
 use pimdl_sim::{LutWorkload, Mapping};
 use serde::{Deserialize, Serialize};
 
-use crate::bnb::{pair_frontier, prunes};
+use crate::bnb::{pair_frontier, prunes, PairBest};
 use crate::model::HierBreakdown;
 use crate::space::legal_pairs;
 use crate::{Result, TuneError};
@@ -205,85 +205,106 @@ fn settings<'a>(
         })
 }
 
-/// A lower bound on `op`'s bytes in any plan, found without a search: the
-/// leanest first legal pair's sub-LUT `CB·CT·F_s` over the menu, times
-/// `count`. Per-PE bytes rise strictly along `legal_pairs`, so no frontier
-/// point of a setting holds fewer than its first pair. `usize::MAX` when
-/// no setting has a legal pair or the product overflows: either way the
-/// operator fits no budget.
-fn lean_bytes(
+/// One operator's pair frontier at one `(V, CT)` setting of its menu.
+#[derive(Debug, Clone)]
+struct SettingFrontier {
+    v: usize,
+    ct: usize,
+    w: LutWorkload,
+    /// Code bits `CB·log2(CT)` × `count`.
+    code_bits: f64,
+    /// The sub-LUT `CB·CT·F_s` of the setting's leanest legal pair, found
+    /// without a search; `None` when Eq. 5 has no solution. Per-PE bytes
+    /// rise strictly along `legal_pairs`, so no frontier point of the
+    /// setting holds fewer.
+    lean: Option<usize>,
+    /// [`pair_frontier`] at the operator's byte cap (empty without a
+    /// legal pair).
+    points: Vec<PairBest>,
+}
+
+/// `op`'s settings ([`settings`]), each with its leanest pair's bytes and
+/// no frontier searched yet.
+fn setting_frontiers(
     platform: &PlatformConfig,
     op: &OpShape,
     n_tokens: usize,
     opts: &AllocOptions,
-) -> usize {
+) -> Vec<SettingFrontier> {
     settings(op, n_tokens, opts)
-        .filter_map(|(_, _, w)| {
-            let &(_, f_stile) = legal_pairs(&w, platform).ok()?.first()?;
-            Some(lut_tile_bytes(&w, w.cb, f_stile))
+        .map(|(v, ct, w)| {
+            let lean = legal_pairs(&w, platform).ok().and_then(|pairs| {
+                pairs
+                    .first()
+                    .map(|&(_, f_stile)| lut_tile_bytes(&w, w.cb, f_stile))
+            });
+            SettingFrontier {
+                v,
+                ct,
+                w,
+                code_bits: w.cb as f64 * (ct as f64).log2() * op.count as f64,
+                lean,
+                points: Vec::new(),
+            }
         })
+        .collect()
+}
+
+/// A lower bound on `op`'s bytes in any plan over `frontiers`: the leanest
+/// setting's [`SettingFrontier::lean`], times `count`. `usize::MAX` when no
+/// setting has a legal pair or the product overflows: either way the
+/// operator fits no budget.
+fn lean_bytes<'f>(op: &OpShape, frontiers: impl IntoIterator<Item = &'f SettingFrontier>) -> usize {
+    (frontiers.into_iter())
+        .filter_map(|f| f.lean)
         .min()
         .map_or(usize::MAX, |bytes| bytes.saturating_mul(op.count))
 }
 
-/// Every operator's candidates ([`op_candidates`]), each capped at the
-/// per-PE bytes a feasible plan can give it: operator *i* gets at most
-/// `⌊(budget − Σ_{j≠i} lean_j) / count_i⌋`, where `lean_j` is
-/// [`lean_bytes`]. A point over its cap is in no plan within the budget,
-/// and it dominates only points with at least its bytes, so dropping it
-/// leaves every other candidate, their order and the plan unchanged.
-fn candidates(
-    platform: &PlatformConfig,
-    ops: &[OpShape],
-    n_tokens: usize,
-    opts: &AllocOptions,
-) -> Vec<Vec<Cand>> {
-    let lean: Vec<usize> = ops
-        .iter()
-        .map(|op| lean_bytes(platform, op, n_tokens, opts))
-        .collect();
+/// The per-PE bytes (of one instance) a plan within `budget` can give each
+/// operator: operator *i* gets at most `⌊(budget − Σ_{j≠i} lean_j) /
+/// count_i⌋`, where `lean_j` is [`lean_bytes`]. A point over its cap is in
+/// no plan within the budget, and it dominates only points with at least
+/// its bytes, so dropping it leaves every other candidate, their order and
+/// the plan unchanged.
+fn byte_caps(ops: &[OpShape], budget: usize, lean: &[usize]) -> Vec<usize> {
     ops.iter()
         .enumerate()
         .map(|(i, op)| {
             let others = (lean.iter().enumerate())
                 .filter(|&(j, _)| j != i)
                 .fold(0usize, |sum, (_, &bytes)| sum.saturating_add(bytes));
-            let cap = opts.budget_bytes.saturating_sub(others) / op.count;
-            op_candidates(platform, op, n_tokens, opts, cap)
+            budget.saturating_sub(others) / op.count
         })
         .collect()
 }
 
-/// All Pareto-optimal candidates for one operator across the `(v, ct)`
-/// menu whose per-PE bytes (of one instance) are at most `cap`. A
-/// candidate is kept unless another one is at least as good on latency,
-/// bytes, *and* bits simultaneously.
-fn op_candidates(
-    platform: &PlatformConfig,
+/// All Pareto-optimal candidates for one operator over the frontier
+/// points of `frontiers` whose per-PE bytes (of one instance) are at most
+/// `cap`. A candidate is kept unless another one is at least as good on
+/// latency, bytes, *and* bits simultaneously.
+fn op_candidates<'f>(
     op: &OpShape,
-    n_tokens: usize,
-    opts: &AllocOptions,
+    frontiers: impl IntoIterator<Item = &'f SettingFrontier>,
     cap: usize,
 ) -> Vec<Cand> {
     let mut cands = Vec::new();
-    for (v, ct, w) in settings(op, n_tokens, opts) {
-        let Ok(points) = pair_frontier(platform, &w, cap) else {
-            continue;
-        };
-        let bits = w.cb as f64 * (ct as f64).log2() * op.count as f64;
-        for p in points {
+    for f in frontiers {
+        // A frontier's bytes rise along it, so the points within a cap
+        // are a prefix.
+        for p in f.points.iter().take_while(|p| p.per_pe_lut_bytes <= cap) {
             // Bytes past `usize` fit no budget.
             let Some(per_pe_bytes) = p.per_pe_lut_bytes.checked_mul(op.count) else {
                 continue;
             };
             cands.push(Cand {
-                v,
-                ct,
+                v: f.v,
+                ct: f.ct,
                 mapping: p.mapping,
                 predicted: p.predicted,
                 latency_s: p.predicted.total_s() * op.count as f64,
                 per_pe_bytes,
-                code_bits: bits,
+                code_bits: f.code_bits,
             });
         }
     }
@@ -449,9 +470,130 @@ fn plan_of(ops: &[OpShape], per_op: &[Vec<Cand>], picks: &[usize]) -> AllocPlan 
     }
 }
 
-/// Allocates a heterogeneous `(V, CT)` setting per operator minimizing
-/// total predicted PIM latency under the capacity budget and code-bits
-/// floor.
+/// Every operator's pair frontiers over the request's `(V, CT)` menu, each
+/// searched once, at the operator's per-layer byte cap ([`byte_caps`] over
+/// the whole menu). Both allocators read it. [`Self::per_layer`] takes the
+/// frontiers whole. [`Self::global`] takes, per uniform setting, each
+/// operator's frontier at that setting cut at the setting's own cap: a
+/// uniform setting's lean bytes are at least the menu-wide ones, so its
+/// cap is at most the per-layer cap, and the frontier a search at it
+/// returns is that prefix ([`pair_frontier`]'s capped-prefix property).
+/// The table shares frontiers, not candidates: the Pareto filter runs per
+/// menu, and a point another setting dominates is still a uniform
+/// candidate.
+#[derive(Debug, Clone)]
+pub struct FrontierTable<'r> {
+    ops: &'r [OpShape],
+    opts: &'r AllocOptions,
+    /// Per operator, its menu's settings in [`settings`] order.
+    frontiers: Vec<Vec<SettingFrontier>>,
+}
+
+impl<'r> FrontierTable<'r> {
+    /// Searches the frontiers of the request `(ops, n_tokens, opts)`.
+    ///
+    /// # Errors
+    ///
+    /// [`TuneError::InvalidConfig`] for malformed requests.
+    pub fn new(
+        platform: &PlatformConfig,
+        ops: &'r [OpShape],
+        n_tokens: usize,
+        opts: &'r AllocOptions,
+    ) -> Result<Self> {
+        validate_request(ops, n_tokens, opts)?;
+        let mut frontiers: Vec<Vec<SettingFrontier>> = ops
+            .iter()
+            .map(|op| setting_frontiers(platform, op, n_tokens, opts))
+            .collect();
+        let lean: Vec<usize> = (ops.iter().zip(&frontiers))
+            .map(|(op, menu)| lean_bytes(op, menu))
+            .collect();
+        let caps = byte_caps(ops, opts.budget_bytes, &lean);
+        for (menu, cap) in frontiers.iter_mut().zip(caps) {
+            for f in menu {
+                f.points = pair_frontier(platform, &f.w, cap).unwrap_or_default();
+            }
+        }
+        Ok(FrontierTable {
+            ops,
+            opts,
+            frontiers,
+        })
+    }
+
+    /// A heterogeneous `(V, CT)` setting per operator minimizing total
+    /// predicted PIM latency under the capacity budget and code-bits floor.
+    ///
+    /// # Errors
+    ///
+    /// [`TuneError::NoLegalMapping`] when no assignment satisfies budget
+    /// and floor simultaneously.
+    pub fn per_layer(&self) -> Result<AllocPlan> {
+        let per_op: Vec<Vec<Cand>> = (self.ops.iter().zip(&self.frontiers))
+            .map(|(op, menu)| op_candidates(op, menu, usize::MAX))
+            .collect();
+        let opts = self.opts;
+        let picks = solve(&per_op, opts.budget_bytes, opts.min_code_bits).ok_or_else(|| {
+            TuneError::NoLegalMapping {
+                detail: format!(
+                    "no per-layer (V, CT) assignment fits {} bytes/PE at ≥ {:.0} code bits",
+                    opts.budget_bytes, opts.min_code_bits
+                ),
+            }
+        })?;
+        Ok(plan_of(self.ops, &per_op, &picks))
+    }
+
+    /// The best *uniform* `(V, CT)` allocation — the paper's
+    /// one-setting-per-model baseline, solved with the same machinery for
+    /// a fair comparison (each operator still picks its own best mapping
+    /// and frontier point).
+    ///
+    /// # Errors
+    ///
+    /// [`TuneError::NoLegalMapping`] when no uniform setting satisfies
+    /// budget and floor simultaneously.
+    pub fn global(&self) -> Result<AllocPlan> {
+        let (ops, opts) = (self.ops, self.opts);
+        let mut best: Option<AllocPlan> = None;
+        for &v in &opts.v_choices {
+            if ops.iter().any(|op| op.in_dim % v != 0) {
+                continue; // a uniform setting must be legal for every op
+            }
+            for &ct in &opts.ct_choices {
+                let uniform: Vec<Option<&SettingFrontier>> = (self.frontiers.iter())
+                    .map(|menu| menu.iter().find(|f| (f.v, f.ct) == (v, ct)))
+                    .collect();
+                let lean: Vec<usize> = (ops.iter().zip(&uniform))
+                    .map(|(op, setting)| lean_bytes(op, *setting))
+                    .collect();
+                let caps = byte_caps(ops, opts.budget_bytes, &lean);
+                let per_op: Vec<Vec<Cand>> = (ops.iter().zip(uniform).zip(caps))
+                    .map(|((op, setting), cap)| op_candidates(op, setting, cap))
+                    .collect();
+                if let Some(picks) = solve(&per_op, opts.budget_bytes, opts.min_code_bits) {
+                    let plan = plan_of(ops, &per_op, &picks);
+                    if best
+                        .as_ref()
+                        .is_none_or(|b| plan.total_latency_s < b.total_latency_s)
+                    {
+                        best = Some(plan);
+                    }
+                }
+            }
+        }
+        best.ok_or_else(|| TuneError::NoLegalMapping {
+            detail: format!(
+                "no uniform (V, CT) fits {} bytes/PE at ≥ {:.0} code bits",
+                opts.budget_bytes, opts.min_code_bits
+            ),
+        })
+    }
+}
+
+/// [`FrontierTable::per_layer`] of a table searched for this request
+/// alone.
 ///
 /// # Errors
 ///
@@ -464,22 +606,10 @@ pub fn allocate_per_layer(
     n_tokens: usize,
     opts: &AllocOptions,
 ) -> Result<AllocPlan> {
-    validate_request(ops, n_tokens, opts)?;
-    let per_op = candidates(platform, ops, n_tokens, opts);
-    let picks = solve(&per_op, opts.budget_bytes, opts.min_code_bits).ok_or_else(|| {
-        TuneError::NoLegalMapping {
-            detail: format!(
-                "no per-layer (V, CT) assignment fits {} bytes/PE at ≥ {:.0} code bits",
-                opts.budget_bytes, opts.min_code_bits
-            ),
-        }
-    })?;
-    Ok(plan_of(ops, &per_op, &picks))
+    FrontierTable::new(platform, ops, n_tokens, opts)?.per_layer()
 }
 
-/// Best *uniform* `(V, CT)` allocation — the paper's one-setting-per-model
-/// baseline, solved with the same machinery for a fair comparison (each
-/// operator still picks its own best mapping and frontier point).
+/// [`FrontierTable::global`] of a table searched for this request alone.
 ///
 /// # Errors
 ///
@@ -490,38 +620,7 @@ pub fn allocate_global(
     n_tokens: usize,
     opts: &AllocOptions,
 ) -> Result<AllocPlan> {
-    validate_request(ops, n_tokens, opts)?;
-    let mut best: Option<AllocPlan> = None;
-    for &v in &opts.v_choices {
-        if ops.iter().any(|op| op.in_dim % v != 0) {
-            continue; // a uniform setting must be legal for every op
-        }
-        for &ct in &opts.ct_choices {
-            let uniform = AllocOptions {
-                budget_bytes: opts.budget_bytes,
-                min_code_bits: opts.min_code_bits,
-                v_choices: vec![v],
-                ct_choices: vec![ct],
-            };
-            let per_op = candidates(platform, ops, n_tokens, &uniform);
-            if let Some(picks) = solve(&per_op, opts.budget_bytes, opts.min_code_bits) {
-                let plan = plan_of(ops, &per_op, &picks);
-                let better = match &best {
-                    None => true,
-                    Some(b) => plan.total_latency_s < b.total_latency_s,
-                };
-                if better {
-                    best = Some(plan);
-                }
-            }
-        }
-    }
-    best.ok_or_else(|| TuneError::NoLegalMapping {
-        detail: format!(
-            "no uniform (V, CT) fits {} bytes/PE at ≥ {:.0} code bits",
-            opts.budget_bytes, opts.min_code_bits
-        ),
-    })
+    FrontierTable::new(platform, ops, n_tokens, opts)?.global()
 }
 
 #[cfg(test)]
@@ -627,6 +726,16 @@ mod tests {
         }
     }
 
+    /// `op`'s Pareto candidates over its whole menu at 32 tokens, every
+    /// frontier searched uncapped.
+    fn uncapped_candidates(p: &PlatformConfig, op: &OpShape, opts: &AllocOptions) -> Vec<Cand> {
+        let mut menu = setting_frontiers(p, op, 32, opts);
+        for f in &mut menu {
+            f.points = pair_frontier(p, &f.w, usize::MAX).unwrap_or_default();
+        }
+        op_candidates(op, &menu, usize::MAX)
+    }
+
     /// Minimum total latency over the full product of the per-operator
     /// frontiers under `opts`' budget and floor — totals accumulated in
     /// operator order, like the DFS and `plan_of` do.
@@ -662,7 +771,7 @@ mod tests {
         let p = small_platform();
         let per_op: Vec<Vec<Cand>> = ops
             .iter()
-            .map(|op| op_candidates(&p, op, 32, opts, usize::MAX))
+            .map(|op| uncapped_candidates(&p, op, opts))
             .collect();
         match (
             allocate_per_layer(&p, ops, 32, opts),
@@ -755,7 +864,7 @@ mod tests {
                 };
                 let per_op: Vec<Vec<Cand>> = ops
                     .iter()
-                    .map(|op| op_candidates(&p, op, 32, &uniform, usize::MAX))
+                    .map(|op| uncapped_candidates(&p, op, &uniform))
                     .collect();
                 if let Some(picks) = solve(&per_op, opts.budget_bytes, opts.min_code_bits) {
                     let plan = plan_of(ops, &per_op, &picks);

@@ -27,6 +27,17 @@
 //! nothing: the tiling menus are built once per search, and children and
 //! chunk sizes go to two reused buffers.
 //!
+//! Each term of a bound and of a leaf's price is computed once, at the
+//! level of the tree that fixes its inputs (DESIGN.md §12.1): the sub-LUT
+//! transfers, the static class's LUT bound and the branching menus per P1
+//! pair ([`PairCtx`]); trip counts, tile bytes, the reduce term, the other
+//! LUT class bounds, the LUT room and the coarse leaf counts per m-tile
+//! node ([`Node`], [`MTileNode`]), shared by its six traversal children
+//! and their leaves; the index and output streams per traversal, read by
+//! the child's bound and by its tiling's price alike. Each is the same
+//! function of the same inputs, summed in the same order, so every bound
+//! and price is the bits a from-scratch computation gives.
+//!
 //! # Lower bounds
 //!
 //! With the P1 pair fixed, `t_sub-lut` is exact. Every other bound is a
@@ -42,15 +53,15 @@
 
 use pimdl_sim::config::PlatformConfig;
 use pimdl_sim::cost::{
-    gathered_entries, index_tile_bytes, lut_tile_bytes, output_tile_bytes, reduce_time_s,
-    sub_lut_times, trip_counts, INDEX_USES, LUT_USES, OUTPUT_USES,
+    gathered_entries, index_tile_bytes, lut_tile_bytes, output_tile_bytes, INDEX_USES, LUT_USES,
+    OUTPUT_USES,
 };
 use pimdl_sim::{LoadScheme, LutWorkload, Mapping, TraversalOrder};
 
-use crate::model::{HierBreakdown, TilingPrice};
+use crate::model::{tile_loads, HierBreakdown, MTilePrice, PairPrice, TileStreams, TilingPrice};
 use crate::space::{
-    coarse_leaf_counts, kernel_of, leaf_schemes, legal_pairs, mapping_of, Menus, Partial,
-    SchemeClass, Tiling, FINE_THREADS,
+    coarse_leaf_counts, kernel_of, leaf_schemes, legal_pairs, mapping_of, ChunkMenus, Menus,
+    PairMenus, Partial, SchemeClass, Tiling, FINE_THREADS,
 };
 use crate::{Result, TuneError};
 
@@ -134,30 +145,43 @@ impl Incumbent {
     }
 }
 
-/// Per-pair search context: everything the bound function needs.
+/// Per-pair search context: the menus every node of the pair branches on,
+/// and the terms of the bound and of the leaf price that the P1 pair alone
+/// fixes, computed once per pair.
 struct PairCtx<'a> {
     platform: &'a PlatformConfig,
     w: &'a LutWorkload,
     n_stile: usize,
     f_stile: usize,
+    /// The search's menus, for the chunk menus of each m-tile node.
+    menus: &'a Menus,
+    /// The `N_m`, `F_m` and `CB_m` menus of the pair.
+    pair_menus: PairMenus<'a>,
+    /// The sub-LUT transfers every leaf's price starts from.
+    price: PairPrice<'a>,
     /// `t_sub-lut` (Eqs. 3–5): exact for the pair.
     sub_lut_s: f64,
     /// Row-activation floor of the pair's streams (crossing floors at 0).
     rowact_lb: f64,
     /// `CB·CT·F_s`: static scheme's buffer and the coarse volume floor.
     lut_stile_bytes: usize,
+    /// `N_s·CB·F_s`: the fine-grain LUT volume.
+    gathered: usize,
     /// Smallest LUT buffer any scheme needs.
     min_lut_buffer: usize,
+    /// The static class's LUT bound, whatever the m-tiles.
+    static_lb: f64,
     static_feasible: bool,
     coarse_feasible: bool,
 }
 
 impl<'a> PairCtx<'a> {
-    /// The context of P1 pair `(n_stile, f_stile)`.
+    /// The context of P1 pair `(n_stile, f_stile)` in a search over `menus`.
     fn new(
         platform: &'a PlatformConfig,
         w: &'a LutWorkload,
         pair @ (n_stile, f_stile): (usize, usize),
+        menus: &'a Menus,
     ) -> Self {
         // Smallest buffer per class: the sub-LUT itself (static), a
         // one-entry chunk (coarse), a single-feature gather per thread.
@@ -167,22 +191,30 @@ impl<'a> PairCtx<'a> {
         let coarse_feasible = min_chunk_bytes <= platform.wram_bytes;
         // Row activation at its volume floor: each s-tile streamed once
         // (the output loaded and stored) plus the leanest LUT volume.
-        let mut lut_floor = gathered_entries(w, pair);
+        let gathered = gathered_entries(w, pair);
+        let mut lut_floor = gathered;
         if static_feasible || coarse_feasible {
             lut_floor = lut_floor.min(lut_stile_bytes);
         }
         let stream_bytes = index_tile_bytes(w, n_stile, w.cb) as f64
             + 2.0 * output_tile_bytes(n_stile, f_stile) as f64
             + lut_floor as f64;
+        let price = PairPrice::new(platform, w, pair);
         PairCtx {
             platform,
             w,
             n_stile,
             f_stile,
-            sub_lut_s: sub_lut_times(platform, w, pair).sub_lut_total_s(),
+            menus,
+            pair_menus: menus.of_pair(w, pair),
+            price,
+            sub_lut_s: price.sub_lut.sub_lut_total_s(),
             rowact_lb: platform.mem_hierarchy().volume_floor_s(stream_bytes),
             lut_stile_bytes,
+            gathered,
             min_lut_buffer: FINE_THREADS.min(min_chunk_bytes).min(lut_stile_bytes),
+            static_lb: (platform.local_mem)
+                .ideal_time_s(lut_stile_bytes as f64, lut_stile_bytes as f64),
             static_feasible,
             coarse_feasible,
         }
@@ -195,69 +227,129 @@ impl<'a> PairCtx<'a> {
         non_lut + lut_lb
     }
 
-    /// [`Self::bound`] split as `(everything-but-LUT, LUT-term bound)`, so
-    /// the leaf level can swap in a scheme-class-specific LUT bound.
+    /// [`Self::bound`] split as `(everything-but-LUT, LUT-term bound)`, from
+    /// scratch: the terms of `p`'s m-tiles at the corner (unset m-tiles at
+    /// their largest: fewest trips, best granularity, least stall), then
+    /// its traversal's streams (an unset traversal at each stream's own
+    /// fewest loads).
     fn bound_parts(&self, p: Partial) -> (f64, f64) {
-        let (w, lm) = (self.w, &self.platform.local_mem);
-        let pair = (self.n_stile, self.f_stile);
-        // The corner: unset m-tiles at their largest (fewest trips, best
-        // granularity, least stall), an unset traversal at each stream's
-        // own fewest loads.
-        let n_m = p.n_m.unwrap_or(self.n_stile);
-        let f_m = p.f_m.unwrap_or(self.f_stile);
-        let cb_m = p.cb_m.unwrap_or(w.cb);
-        let trips = trip_counts(w, pair, (n_m, f_m, cb_m));
-        let loads = |uses| match p.traversal {
-            Some(order) => order.load_count(trips, uses) as f64,
-            None => TraversalOrder::fewest_loads(trips, uses) as f64,
-        };
-        let index_tile = index_tile_bytes(w, n_m, cb_m) as f64;
-        let output_tile = output_tile_bytes(n_m, f_m) as f64;
-        let index_lb = lm.ideal_time_s(loads(INDEX_USES) * index_tile, index_tile);
-        let output_lb = lm.ideal_time_s(2.0 * loads(OUTPUT_USES) * output_tile, output_tile);
-        let reduce_lb = reduce_time_s(self.platform, w, pair, f_m);
-
-        // LUT: minimum over the still-legal scheme classes.
-        let mut lut_lb = self.lut_class_lb(SchemeClass::Fine, f_m, cb_m);
-        for (class, feasible) in [
-            (SchemeClass::Static, self.static_feasible),
-            (SchemeClass::Coarse, self.coarse_feasible),
-        ] {
-            if feasible {
-                lut_lb = lut_lb.min(self.lut_class_lb(class, f_m, cb_m));
-            }
-        }
-        (
-            self.sub_lut_s + index_lb + output_lb + reduce_lb + self.rowact_lb,
-            lut_lb,
-        )
-    }
-
-    /// Lower bound on the LUT term of every `class` leaf whose m-tiles are
-    /// at most `(f_m, cb_m)`: the class's least volume at its coarsest
-    /// access (DESIGN.md §12.2, **LUT**).
-    fn lut_class_lb(&self, class: SchemeClass, f_m: usize, cb_m: usize) -> f64 {
-        let (bytes, access) = match class {
-            SchemeClass::Static => (self.lut_stile_bytes, self.lut_stile_bytes),
-            SchemeClass::Coarse => (
-                self.lut_stile_bytes,
-                lut_tile_bytes(self.w, cb_m, f_m).min(self.platform.wram_bytes),
+        let node = Node::new(
+            self,
+            (
+                p.n_m.unwrap_or(self.n_stile),
+                p.f_m.unwrap_or(self.f_stile),
+                p.cb_m.unwrap_or(self.w.cb),
             ),
-            SchemeClass::Fine => (gathered_entries(self.w, (self.n_stile, self.f_stile)), f_m),
-        };
-        (self.platform.local_mem).ideal_time_s(bytes as f64, access as f64)
+        );
+        (node.non_lut_lb(self, p.traversal).0, node.lut_lb)
     }
 
     /// Structural WRAM cut, decidable once the three m-tiles are set: even
     /// the smallest scheme buffer does not fit beside the index and output
     /// tiles.
     fn overflows_wram(&self, p: Partial) -> bool {
-        let (Some(n_m), Some(f_m), Some(cb_m), None) = (p.n_m, p.f_m, p.cb_m, p.traversal) else {
+        let Some((n_m, f_m, cb_m)) = p.mtiles() else {
             return false;
         };
         let tiles_bytes = index_tile_bytes(self.w, n_m, cb_m) + output_tile_bytes(n_m, f_m);
         tiles_bytes + self.min_lut_buffer > self.platform.wram_bytes
     }
+}
+
+/// The terms of the bound and of the leaf price that one node's m-tiles
+/// `(N_m, F_m, CB_m)` fix within its pair, whatever the traversal: trip
+/// counts, tile bytes, the reduce term, the LUT class bounds and the LUT
+/// room. At the traversal level they are computed once per m-tile node
+/// and read by its six children, their class gates, leaf floors and
+/// leaves.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    price: MTilePrice,
+    /// `CB_m·CT·F_m`: the single-chunk coarse leaf's buffer.
+    chunk: usize,
+    /// WRAM bytes left beside the index and output m-tiles: the largest
+    /// LUT buffer a leaf under the node may hold.
+    room: usize,
+    /// LUT bound of every coarse leaf under the node: the sub-LUT's volume
+    /// at the largest chunk (DESIGN.md §12.2, **LUT**).
+    coarse_lb: f64,
+    /// LUT bound of every fine leaf: the gathered volume at `f_load = F_m`.
+    fine_lb: f64,
+    /// The least LUT bound over the pair's feasible classes.
+    lut_lb: f64,
+}
+
+impl Node {
+    /// The terms of m-tiles `mtiles` in `ctx`'s pair.
+    fn new(ctx: &PairCtx, mtiles @ (_, f_m, cb_m): (usize, usize, usize)) -> Self {
+        let price = MTilePrice::new(&ctx.price, mtiles);
+        let lm = &ctx.platform.local_mem;
+        let chunk = lut_tile_bytes(ctx.w, cb_m, f_m);
+        let coarse_lb = lm.ideal_time_s(
+            ctx.lut_stile_bytes as f64,
+            chunk.min(ctx.platform.wram_bytes) as f64,
+        );
+        let fine_lb = lm.ideal_time_s(ctx.gathered as f64, f_m as f64);
+        // LUT: minimum over the still-legal scheme classes.
+        let mut lut_lb = fine_lb;
+        for (lb, feasible) in [
+            (ctx.static_lb, ctx.static_feasible),
+            (coarse_lb, ctx.coarse_feasible),
+        ] {
+            if feasible {
+                lut_lb = lut_lb.min(lb);
+            }
+        }
+        Node {
+            price,
+            chunk,
+            room: ctx.platform.wram_bytes.saturating_sub(price.tiles_bytes()),
+            coarse_lb,
+            fine_lb,
+            lut_lb,
+        }
+    }
+
+    /// The LUT bound of every `class` leaf under the node.
+    fn class_lb(&self, ctx: &PairCtx, class: SchemeClass) -> f64 {
+        match class {
+            SchemeClass::Static => ctx.static_lb,
+            SchemeClass::Coarse => self.coarse_lb,
+            SchemeClass::Fine => self.fine_lb,
+        }
+    }
+
+    /// The non-LUT part of the bound of the node's child walked in
+    /// `traversal` order, or of the node itself with each stream at its
+    /// fewest loads (`None`), with the index and output streams it read:
+    /// under a complete tiling they are its leaves' exact stream terms.
+    fn non_lut_lb(&self, ctx: &PairCtx, traversal: Option<TraversalOrder>) -> (f64, TileStreams) {
+        let trips = self.price.trips;
+        let loads = match traversal {
+            Some(order) => tile_loads(order, trips),
+            None => (
+                TraversalOrder::fewest_loads(trips, INDEX_USES),
+                TraversalOrder::fewest_loads(trips, OUTPUT_USES),
+            ),
+        };
+        let streams = self.price.streams(&ctx.platform.local_mem, loads);
+        let non_lut = ctx.sub_lut_s
+            + streams.index_s
+            + streams.output_s
+            + self.price.reduce_s
+            + ctx.rowact_lb;
+        (non_lut, streams)
+    }
+}
+
+/// An m-tile node at the traversal level: its [`Node`] terms, the chunk
+/// menus its leaves enumerate, and its coarse leaf counts once first
+/// needed. Its six tilings share all three.
+struct MTileNode<'m> {
+    terms: Node,
+    chunks: ChunkMenus<'m>,
+    /// [`coarse_leaf_counts`] at the node's LUT room.
+    coarse_counts: Option<(usize, usize)>,
 }
 
 /// Should the subtree bounded by `lb` be cut against `incumbent`?
@@ -286,34 +378,20 @@ pub(crate) struct LeafWork {
     pub(crate) walked: usize,
 }
 
-/// The state of one search, threaded through the descent: the menus it
-/// branches on, built once, and two scratch buffers it reuses, so that
-/// below the root the walk allocates nothing.
+/// The state of one search, threaded through the descent: two scratch
+/// buffers it reuses, so that below the root the walk allocates nothing
+/// (the menus it branches on are built once, beside it).
+#[derive(Default)]
 struct Walk {
-    menus: Menus,
     /// The bounded children of every node on the current path, each
-    /// node's run sorted best-first, above its parent's: `(bound,
-    /// (non-LUT part of the bound, child))`.
-    frontier: Vec<(f64, (f64, Partial))>,
+    /// node's run sorted best-first, above its parent's.
+    frontier: Vec<(f64, Partial)>,
     /// Coarse chunk sizes `cb_load·f_load` priced under the current tiling,
     /// each with whether its leaf fits.
     chunks: Vec<(usize, bool)>,
     incumbent: Incumbent,
     pruned_subtrees: usize,
     leaves: LeafWork,
-}
-
-impl Walk {
-    fn new(workload: &LutWorkload, pairs: &[(usize, usize)]) -> Self {
-        Walk {
-            menus: Menus::new(workload, pairs),
-            frontier: Vec::new(),
-            chunks: Vec::new(),
-            incumbent: Incumbent::default(),
-            pruned_subtrees: 0,
-            leaves: LeafWork::default(),
-        }
-    }
 }
 
 /// Branch-and-bound search for the mapping minimizing
@@ -336,13 +414,14 @@ pub(crate) fn search_priced(
     workload: &LutWorkload,
 ) -> Result<(BnbOutcome, LeafWork)> {
     let pairs = legal_pairs(workload, platform)?;
-    let mut walk = Walk::new(workload, &pairs);
+    let menus = Menus::new(workload, &pairs);
+    let mut walk = Walk::default();
 
     // Root level: order the P1 pairs by their pair-level bound.
     let mut roots: Vec<(f64, PairCtx)> = pairs
         .into_iter()
         .map(|pair| {
-            let ctx = PairCtx::new(platform, workload, pair);
+            let ctx = PairCtx::new(platform, workload, pair, &menus);
             (ctx.bound(Partial::default()), ctx)
         })
         .collect();
@@ -410,11 +489,12 @@ pub fn pair_frontier(
     pairs.truncate(pairs.partition_point(|&(_, f_stile)| {
         lut_tile_bytes(workload, workload.cb, f_stile) <= max_bytes
     }));
-    let mut walk = Walk::new(workload, &pairs);
+    let menus = Menus::new(workload, &pairs);
+    let mut walk = Walk::default();
     let mut out = Vec::new();
     let mut bar = None;
     for pair @ (n_stile, f_stile) in pairs {
-        let ctx = PairCtx::new(platform, workload, pair);
+        let ctx = PairCtx::new(platform, workload, pair, &menus);
         if prunes(ctx.bound(Partial::default()), bar) {
             continue;
         }
@@ -437,35 +517,64 @@ pub fn pair_frontier(
     Ok(out)
 }
 
-/// Depth-first descent below the incomplete `node` within one P1 pair:
-/// bound the children of the first unset level, visit them best-first and
-/// cut those the incumbent already beats; under a complete tiling, score
-/// the P4 leaves.
+/// Depth-first descent below the `node` of unset m-tiles within one P1
+/// pair: bound the children of the first unset level, visit them
+/// best-first and cut those the incumbent already beats; an m-tile node's
+/// traversals go to [`descend_traversals`].
 fn descend(ctx: &PairCtx, node: Partial, walk: &mut Walk) {
     // This node's children go on top of the frontier; every descent below
     // one of them pushes above them and truncates back before returning.
-    // Each keeps its bound's non-LUT part, which its class gates reuse
-    // once the tiling is complete.
     let first = walk.frontier.len();
     let frontier = &mut walk.frontier;
-    node.children(&walk.menus, ctx.w, (ctx.n_stile, ctx.f_stile), |child| {
-        let (non_lut_lb, lut_lb) = ctx.bound_parts(child);
-        frontier.push((non_lut_lb + lut_lb, (non_lut_lb, child)));
+    node.children(&ctx.pair_menus, |child| {
+        frontier.push((ctx.bound(child), child));
     });
     let last = walk.frontier.len();
     sort_children(&mut walk.frontier[first..]);
     for i in first..last {
-        let (lb, (non_lut_lb, child)) = walk.frontier[i];
+        let (lb, child) = walk.frontier[i];
         if prunes(lb, walk.incumbent.bar) || ctx.overflows_wram(child) {
             walk.pruned_subtrees += 1;
             continue;
         }
-        match child.complete() {
-            Some(tiling) => score_leaves(ctx, non_lut_lb, tiling, walk),
+        match child.mtiles() {
+            Some(mtiles) => descend_traversals(ctx, mtiles, walk),
             None => descend(ctx, child, walk),
         }
     }
     walk.frontier.truncate(first);
+}
+
+/// The traversal level below the m-tile node `mtiles`: its terms computed
+/// once, its six traversal children bounded from them, visited best-first
+/// and cut as [`descend`] cuts, and the P4 leaves under each scored.
+fn descend_traversals(
+    ctx: &PairCtx,
+    mtiles @ (_, f_m, cb_m): (usize, usize, usize),
+    walk: &mut Walk,
+) {
+    let mut node = MTileNode {
+        terms: Node::new(ctx, mtiles),
+        chunks: ctx.menus.of_mtiles(f_m, cb_m),
+        coarse_counts: None,
+    };
+    // Each child keeps its bound's non-LUT part, which its class gates
+    // reuse, and its streams, which its leaves' prices reuse.
+    let children = TraversalOrder::all().map(|order| {
+        let (non_lut_lb, streams) = node.terms.non_lut_lb(ctx, Some(order));
+        (non_lut_lb + node.terms.lut_lb, (non_lut_lb, order, streams))
+    });
+    // Sorted by index, in the order `sort_children` would put them: a
+    // child is a dozen words, and moving it would be most of the sort.
+    let mut best_first = [0, 1, 2, 3, 4, 5];
+    best_first.sort_by(|&a, &b| children[a].0.total_cmp(&children[b].0));
+    for (lb, child) in best_first.map(|i| children[i]) {
+        if prunes(lb, walk.incumbent.bar) {
+            walk.pruned_subtrees += 1;
+            continue;
+        }
+        score_leaves(ctx, &mut node, child, walk);
+    }
 }
 
 /// Floors on the total of every gated leaf under one complete tiling,
@@ -484,12 +593,12 @@ struct LeafFloors {
 }
 
 impl LeafFloors {
-    /// The floors under `tiling`, whose shared price is `price`. A kind
-    /// with no leaf that fits beside the m-tiles floors at infinity.
-    fn new(ctx: &PairCtx, price: &TilingPrice, (_, f_m, cb_m, traversal): Tiling) -> Self {
-        let trips = price.trips();
-        let room = price.lut_room();
-        let chunk = lut_tile_bytes(ctx.w, cb_m, f_m);
+    /// The floors under the tiling of `node` walked in `traversal` order,
+    /// whose shared price is `price`. A kind with no leaf that fits beside
+    /// the m-tiles floors at infinity.
+    fn new(ctx: &PairCtx, node: &Node, price: &TilingPrice, traversal: TraversalOrder) -> Self {
+        let (trips, (_, f_m, _)) = (node.price.trips, node.price.mtiles);
+        let (chunk, room) = (node.chunk, node.room);
         let single_chunk = if chunk <= room {
             let loads = traversal.load_count(trips, LUT_USES);
             price.floor_s(loads as f64 * chunk as f64, chunk as f64)
@@ -503,11 +612,10 @@ impl LeafFloors {
         } else {
             f64::INFINITY
         };
-        let gathered = gathered_entries(ctx.w, (ctx.n_stile, ctx.f_stile));
         LeafFloors {
             single_chunk,
             multi_chunk,
-            fine: price.floor_s(gathered as f64, f_m as f64),
+            fine: price.floor_s(ctx.gathered as f64, f_m as f64),
         }
     }
 
@@ -525,16 +633,17 @@ impl LeafFloors {
     }
 }
 
-/// Scores the load-scheme leaves under a complete tiling, class by class:
-/// the tiling is priced once, each leaf by its LUT stream alone, each
-/// coarse chunk size once, a leaf its floor puts over the bar not at all,
-/// and the multi-chunk coarse leaves, when their floor is over the bar on
-/// entry to the class, not one by one. `non_lut_lb` is the non-LUT part of
-/// the tiling's node bound.
+/// Scores the load-scheme leaves under the tiling of `node` walked in
+/// `traversal` order, class by class: the tiling is priced once from the
+/// node's terms and the traversal's `streams`, each leaf by its LUT stream
+/// alone, each coarse chunk size once, a leaf its floor puts over the bar
+/// not at all, and the multi-chunk coarse leaves, when their floor is over
+/// the bar on entry to the class, not one by one. `non_lut_lb` is the
+/// non-LUT part of the tiling's node bound.
 fn score_leaves(
     ctx: &PairCtx,
-    non_lut_lb: f64,
-    tiling @ (_, f_m, cb_m, _): Tiling,
+    node: &mut MTileNode,
+    (non_lut_lb, traversal, streams): (f64, TraversalOrder, TileStreams),
     walk: &mut Walk,
 ) {
     // Two tiers. The class gate (the node bound with each class's own LUT
@@ -545,10 +654,11 @@ fn score_leaves(
     // of a class let through is priced or counted.
     let on_entry = walk.incumbent.bar;
     let pair = (ctx.n_stile, ctx.f_stile);
-    let price = TilingPrice::new(ctx.platform, ctx.w, pair, tiling);
-    let floors = LeafFloors::new(ctx, &price, tiling);
+    let (n_m, f_m, cb_m) = node.terms.price.mtiles;
+    let tiling = (n_m, f_m, cb_m, traversal);
+    let price = TilingPrice::of(&ctx.price, &node.terms.price, traversal, &streams);
+    let floors = LeafFloors::new(ctx, &node.terms, &price, traversal);
     let Walk {
-        menus,
         chunks,
         incumbent,
         pruned_subtrees,
@@ -559,7 +669,7 @@ fn score_leaves(
     for class in SchemeClass::ALL {
         // Static is a single leaf: scoring it costs no more than bounding it.
         let gated = !matches!(class, SchemeClass::Static);
-        if gated && prunes(non_lut_lb + ctx.lut_class_lb(class, f_m, cb_m), on_entry) {
+        if gated && prunes(non_lut_lb + node.terms.class_lb(ctx, class), on_entry) {
             *pruned_subtrees += 1;
             continue;
         }
@@ -569,7 +679,7 @@ fn score_leaves(
         // the last of the class, is still scored.
         let ruled_out =
             matches!(class, SchemeClass::Coarse) && prunes(floors.multi_chunk, incumbent.bar);
-        let single_offered = ruled_out && count_multi_chunk(ctx, menus, &price, tiling, incumbent);
+        let single_offered = ruled_out && count_multi_chunk(ctx, node, &price, incumbent);
         // A leaf that cannot beat the bar is counted as offered, and as
         // scored if it fits, without a price: `offer` would have dropped
         // it. Two kinds are known not to: a leaf whose floor is over the
@@ -608,50 +718,51 @@ fn score_leaves(
         } else if !ruled_out {
             leaf_schemes(
                 class,
-                menus,
+                &node.chunks,
                 ctx.w,
                 ctx.platform,
                 ctx.f_stile,
-                tiling,
                 &mut score,
             );
         }
     }
 }
 
-/// Counts, without walking them, the multi-chunk coarse leaves under
-/// `tiling` as [`leaf_schemes`] offers them (offered; scored if they fit
-/// beside the m-tiles), all known not to beat the bar. Returns whether the
-/// single-chunk leaf is offered too, for the caller to score. A debug
+/// Counts, without walking them, the multi-chunk coarse leaves under the
+/// tiling `price` prices, as [`leaf_schemes`] offers them (offered; scored
+/// if they fit beside the m-tiles), all known not to beat the bar: from
+/// the node's coarse leaf counts, computed on first need. Returns whether
+/// the single-chunk leaf is offered too, for the caller to score. A debug
 /// build still walks the class, checks the counts against it and asks
 /// [`TilingPrice::fits`] about every leaf, so `fits`' own check against
 /// `Mapping::validate` sees each one.
 fn count_multi_chunk(
     ctx: &PairCtx,
-    menus: &Menus,
+    node: &mut MTileNode,
     price: &TilingPrice,
-    tiling @ (_, f_m, cb_m, _): Tiling,
     incumbent: &mut Incumbent,
 ) -> bool {
-    let room = price.lut_room();
-    let (offered, fits) = coarse_leaf_counts(menus, ctx.w, ctx.platform, tiling, room);
+    let room = node.terms.room;
+    let (offered, fits) = *node
+        .coarse_counts
+        .get_or_insert_with(|| coarse_leaf_counts(&node.chunks, ctx.w, ctx.platform, room));
     if cfg!(debug_assertions) {
         let mut walked = (0, 0);
         leaf_schemes(
             SchemeClass::Coarse,
-            menus,
+            &node.chunks,
             ctx.w,
             ctx.platform,
             ctx.f_stile,
-            tiling,
             |scheme| {
                 walked.0 += 1;
                 walked.1 += usize::from(price.fits(scheme));
             },
         );
-        debug_assert_eq!(walked, (offered, fits), "coarse leaves under {tiling:?}");
+        let mtiles = node.terms.price.mtiles;
+        debug_assert_eq!(walked, (offered, fits), "coarse leaves under {mtiles:?}");
     }
-    let single = lut_tile_bytes(ctx.w, cb_m, f_m);
+    let single = node.terms.chunk;
     let single_offered = single <= ctx.platform.wram_bytes;
     incumbent.count(
         offered - usize::from(single_offered),
@@ -666,6 +777,7 @@ mod tests {
     use crate::model::hierarchical_cost;
     use crate::space::{kernel_candidates, sub_lut_candidates};
     use crate::{tune_with_options, TuneOptions};
+    use pimdl_sim::cost::{reduce_time_s, sub_lut_times};
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -770,14 +882,14 @@ mod tests {
         let pairs = sub_lut_candidates(&w, &p);
         let menus = Menus::new(&w, &pairs);
         for pair @ (n_s, f_s) in pairs {
-            let ctx = PairCtx::new(&p, &w, pair);
+            let ctx = PairCtx::new(&p, &w, pair, &menus);
             for _ in 0..4 {
                 let mut path = vec![Partial::default()];
                 let mut overflows = false;
                 loop {
                     let node = path[path.len() - 1];
                     let mut children = Vec::new();
-                    node.children(&menus, &w, pair, |child| children.push(child));
+                    node.children(&ctx.pair_menus, |child| children.push(child));
                     if children.is_empty() {
                         break;
                     }
@@ -786,13 +898,16 @@ mod tests {
                     path.push(child);
                 }
                 let leaf_node = path[path.len() - 1];
-                let tiling @ (_, f_m, cb_m, _) = leaf_node.complete().unwrap();
+                let tiling @ (n_m, f_m, cb_m, traversal) = leaf_node.complete().unwrap();
                 let (non_lut, _) = ctx.bound_parts(leaf_node);
-                let floors = LeafFloors::new(&ctx, &TilingPrice::new(&p, &w, pair, tiling), tiling);
+                let node = Node::new(&ctx, (n_m, f_m, cb_m));
+                let price = TilingPrice::new(&p, &w, pair, tiling);
+                let floors = LeafFloors::new(&ctx, &node, &price, traversal);
+                let chunks = menus.of_mtiles(f_m, cb_m);
                 for class in SchemeClass::ALL {
-                    let gate = non_lut + ctx.lut_class_lb(class, f_m, cb_m);
+                    let gate = non_lut + node.class_lb(&ctx, class);
                     let mut schemes = Vec::new();
-                    leaf_schemes(class, &menus, &w, &p, f_s, tiling, |s| schemes.push(s));
+                    leaf_schemes(class, &chunks, &w, &p, f_s, |s| schemes.push(s));
                     for scheme in schemes {
                         let mapping = mapping_of(n_s, f_s, kernel_of(tiling, scheme));
                         let Ok(leaf) = hierarchical_cost(&p, &w, &mapping) else {
@@ -823,6 +938,106 @@ mod tests {
         Ok(())
     }
 
+    /// The shared terms against from-scratch ones on one `small_case`, over
+    /// the whole tree of every legal pair. At each m-tile node one [`Node`]
+    /// serves the node and its six traversal children, as in
+    /// [`descend_traversals`]: each one's bound from it must equal a
+    /// from-scratch [`PairCtx::bound_parts`] bit for bit. Under each child,
+    /// every leaf's price under the [`TilingPrice`] assembled from the
+    /// shared terms must equal `TilingPrice::new(..).leaf(..)` in legality
+    /// and every field's bits, and so must the leaf floors. The coarse
+    /// leaf counts the node memoises must equal the counts at the child's
+    /// own LUT room.
+    fn shared_terms_match_from_scratch(
+        case: (usize, usize, usize, usize, usize, usize),
+        mac: bool,
+    ) -> std::result::Result<(), TestCaseError> {
+        let (w, p) = small_case(case, mac);
+        let Ok(pairs) = legal_pairs(&w, &p) else {
+            return Ok(());
+        };
+        let menus = Menus::new(&w, &pairs);
+        let lm = &p.local_mem;
+        for pair @ (_, f_s) in pairs {
+            let ctx = PairCtx::new(&p, &w, pair, &menus);
+            let mut stack = vec![Partial::default()];
+            while let Some(node) = stack.pop() {
+                let mut children = Vec::new();
+                node.children(&ctx.pair_menus, |child| children.push(child));
+                let Some(mtiles @ (n_m, f_m, cb_m)) = node.mtiles() else {
+                    stack.extend(children);
+                    continue;
+                };
+                let shared = Node::new(&ctx, mtiles);
+                let chunks = menus.of_mtiles(f_m, cb_m);
+                let counts = coarse_leaf_counts(&chunks, &w, &p, shared.room);
+                let (non_lut, _) = shared.non_lut_lb(&ctx, None);
+                let scratch = ctx.bound_parts(node);
+                prop_assert_eq!(
+                    (non_lut.to_bits(), shared.lut_lb.to_bits()),
+                    (scratch.0.to_bits(), scratch.1.to_bits()),
+                    "{:?}",
+                    node
+                );
+                for child in children {
+                    let tiling @ (.., traversal) = child.complete().unwrap();
+                    let (non_lut, streams) = shared.non_lut_lb(&ctx, Some(traversal));
+                    let scratch = ctx.bound_parts(child);
+                    prop_assert_eq!(
+                        (non_lut.to_bits(), shared.lut_lb.to_bits()),
+                        (scratch.0.to_bits(), scratch.1.to_bits()),
+                        "{:?}",
+                        child
+                    );
+                    let price = TilingPrice::of(&ctx.price, &shared.price, traversal, &streams);
+                    let alone = TilingPrice::new(&p, &w, pair, tiling);
+                    let floors =
+                        |f: LeafFloors| [f.single_chunk, f.multi_chunk, f.fine].map(f64::to_bits);
+                    prop_assert_eq!(
+                        floors(LeafFloors::new(&ctx, &shared, &price, traversal)),
+                        floors(LeafFloors::new(
+                            &ctx,
+                            &Node::new(&ctx, mtiles),
+                            &alone,
+                            traversal
+                        )),
+                        "{:?}",
+                        tiling
+                    );
+                    let tiles = index_tile_bytes(&w, n_m, cb_m) + output_tile_bytes(n_m, f_m);
+                    let room = p.wram_bytes.saturating_sub(tiles);
+                    prop_assert_eq!(counts, coarse_leaf_counts(&chunks, &w, &p, room));
+                    for class in SchemeClass::ALL {
+                        let mut schemes = Vec::new();
+                        leaf_schemes(class, &chunks, &w, &p, f_s, |s| schemes.push(s));
+                        for scheme in schemes {
+                            prop_assert_eq!(
+                                price.leaf(scheme).as_ref().map(bits),
+                                alone.leaf(scheme).as_ref().map(bits),
+                                "{:?} under {:?}",
+                                scheme,
+                                tiling
+                            );
+                        }
+                    }
+                    prop_assert_eq!((streams.index_s.to_bits(), streams.output_s.to_bits()), {
+                        let sc = pimdl_sim::cost::tiling_streams(
+                            &w,
+                            mtiles,
+                            traversal,
+                            shared.price.trips,
+                        );
+                        let [index, output, _] = sc.streams();
+                        [index, output]
+                            .map(|(loads, tile)| lm.ideal_time_s(loads * tile, tile).to_bits())
+                            .into()
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// `pair_frontier`'s walk relies on per-PE bytes rising strictly along
     /// `legal_pairs`, on every menu shape and PE count.
     #[test]
@@ -838,7 +1053,7 @@ mod tests {
                             };
                             let bytes: Vec<usize> = pairs
                                 .into_iter()
-                                .map(|pair| PairCtx::new(&p, &w, pair).lut_stile_bytes)
+                                .map(|pair| lut_tile_bytes(&w, w.cb, pair.1))
                                 .collect();
                             assert!(bytes.windows(2).all(|b| b[0] < b[1]), "{w:?}: {bytes:?}");
                         }
@@ -943,6 +1158,21 @@ mod tests {
             }
         }
 
+        /// The terms an m-tile node shares with its six traversal children
+        /// against from-scratch ones ([`shared_terms_match_from_scratch`]).
+        #[test]
+        fn shared_terms_match_from_scratch_terms(
+            n_idx in 0usize..5,
+            cb_idx in 0usize..3,
+            ct_idx in 0usize..4,
+            f_idx in 0usize..4,
+            pes_idx in 0usize..3,
+            wram_idx in 0usize..4,
+            mac in any::<bool>(),
+        ) {
+            shared_terms_match_from_scratch((n_idx, cb_idx, ct_idx, f_idx, pes_idx, wram_idx), mac)?;
+        }
+
         /// The frontier against an oracle that searches nothing: each
         /// legal pair's optimum by the strictly-better fold over the
         /// materialised candidates, a pair kept iff it beats, strictly,
@@ -1045,6 +1275,22 @@ mod tests {
             seed in any::<u64>(),
         ) {
             admissible_along_random_paths((n_idx, cb_idx, ct_idx, f_idx, pes_idx, wram_idx), mac, seed)?;
+        }
+
+        /// [`shared_terms_match_from_scratch_terms`] on 1,000 cases: the
+        /// long pass `scripts/check.sh` runs with `--ignored`.
+        #[test]
+        #[ignore = "long shared-terms pass: ~1,000 small spaces, every node"]
+        fn shared_terms_match_from_scratch_terms_wide(
+            n_idx in 0usize..5,
+            cb_idx in 0usize..3,
+            ct_idx in 0usize..4,
+            f_idx in 0usize..4,
+            pes_idx in 0usize..3,
+            wram_idx in 0usize..4,
+            mac in any::<bool>(),
+        ) {
+            shared_terms_match_from_scratch((n_idx, cb_idx, ct_idx, f_idx, pes_idx, wram_idx), mac)?;
         }
 
         /// [`capped_pair_frontier_is_the_uncapped_prefix`] on 1,000 cases:

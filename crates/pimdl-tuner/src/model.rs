@@ -20,7 +20,12 @@
 //! A search prices a mapping in two parts. Everything but the LUT stream
 //! is a function of the complete tiling `(pair, N_m, F_m, CB_m,
 //! traversal)` alone, and dozens of load-scheme leaves share each tiling,
-//! so [`TilingPrice`] computes that part once. Each leaf is then its
+//! so [`TilingPrice`] computes that part once. It is assembled from terms
+//! computed at the level of the search tree that fixes their inputs: the
+//! sub-LUT transfers per P1 pair ([`PairPrice`]), the trip counts, tile
+//! bytes and reduce term per m-tile node ([`MTilePrice`]), the index and
+//! output streams per traversal ([`TileStreams`], which the
+//! branch-and-bound's bound reads too). Each leaf is then its
 //! tiling's exact price plus its own LUT stream: one WRAM check, one
 //! [`lut_stream`], one LUT term, and the LUT row terms added last. Most
 //! of those leaves are coarse-grain, and they share far fewer chunk sizes
@@ -37,9 +42,10 @@ use serde::{Deserialize, Serialize};
 use pimdl_sim::config::{LocalMemModel, MemHierarchy, PlatformConfig};
 use pimdl_sim::cost::{
     index_tile_bytes, lut_buffer_bytes, lut_stream, output_tile_bytes, reduce_time_s,
-    stream_counts, sub_lut_times, tiling_streams, trip_counts, Pair, RowTimes, StreamCounts,
+    stream_counts, sub_lut_times, trip_counts, Pair, RowTimes, StreamCounts, INDEX_USES,
+    OUTPUT_USES,
 };
-use pimdl_sim::{LoadScheme, LutWorkload, Mapping, TimeBreakdown};
+use pimdl_sim::{LoadScheme, LutWorkload, Mapping, TimeBreakdown, TraversalOrder};
 
 use crate::space::{kernel_of, mapping_of, Tiling};
 use crate::Result;
@@ -55,41 +61,24 @@ pub fn analytical_cost(
     mapping: &Mapping,
 ) -> Result<TimeBreakdown> {
     mapping.validate(workload, platform)?;
-    let sc = stream_counts(workload, mapping);
-    Ok(analytical(
-        platform,
-        workload,
-        mapping.pair(),
-        mapping.kernel.f_mtile,
-        &sc,
-    ))
+    let pair = mapping.pair();
+    let lm = &platform.local_mem;
+    let [kernel_index_s, kernel_output_s, kernel_lut_s] = stream_counts(workload, mapping)
+        .streams()
+        .map(|stream| stream_time_s(lm, stream));
+    Ok(TimeBreakdown {
+        kernel_index_s,
+        kernel_lut_s,
+        kernel_output_s,
+        kernel_reduce_s: reduce_time_s(platform, workload, pair, mapping.kernel.f_mtile),
+        ..sub_lut_times(platform, workload, pair)
+    })
 }
 
 /// One stream's local-memory time: `(transfers, bytes each)` at the
 /// profiled bandwidth of its access size (Eq. 8).
 fn stream_time_s(lm: &LocalMemModel, (loads, tile): (f64, f64)) -> f64 {
     lm.ideal_time_s(loads * tile, tile)
-}
-
-/// [`analytical_cost`] of a validated mapping in `pair` with inner loop
-/// `f_mtile`, whose stream counts are at hand.
-fn analytical(
-    platform: &PlatformConfig,
-    w: &LutWorkload,
-    pair: Pair,
-    f_mtile: usize,
-    sc: &StreamCounts,
-) -> TimeBreakdown {
-    let lm = &platform.local_mem;
-    let [kernel_index_s, kernel_output_s, kernel_lut_s] =
-        sc.streams().map(|stream| stream_time_s(lm, stream));
-    TimeBreakdown {
-        kernel_index_s,
-        kernel_lut_s,
-        kernel_output_s,
-        kernel_reduce_s: reduce_time_s(platform, w, pair, f_mtile),
-        ..sub_lut_times(platform, w, pair)
-    }
 }
 
 /// Hierarchical prediction: the flat analytical breakdown plus the
@@ -132,6 +121,112 @@ pub fn hierarchical_cost(
     Ok(TilingPrice::new(platform, workload, mapping.pair(), tiling).price(k.load_scheme))
 }
 
+/// The part of every leaf's price that its P1 pair alone fixes: the
+/// sub-LUT transfers (Eqs. 3–5) and the platform's row model.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PairPrice<'a> {
+    pub(crate) platform: &'a PlatformConfig,
+    pub(crate) w: &'a LutWorkload,
+    pub(crate) pair: Pair,
+    /// [`sub_lut_times`] of the pair: the three transfer terms, every
+    /// kernel term zero.
+    pub(crate) sub_lut: TimeBreakdown,
+    hier: MemHierarchy,
+}
+
+impl<'a> PairPrice<'a> {
+    /// The pair-fixed terms of `pair`.
+    pub(crate) fn new(platform: &'a PlatformConfig, w: &'a LutWorkload, pair: Pair) -> Self {
+        PairPrice {
+            platform,
+            w,
+            pair,
+            sub_lut: sub_lut_times(platform, w, pair),
+            hier: platform.mem_hierarchy(),
+        }
+    }
+}
+
+/// The part of every leaf's price that its m-tiles `(N_m, F_m, CB_m)` fix
+/// within one pair, whatever the traversal: trip counts, tile bytes and the
+/// reduce term.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MTilePrice {
+    pub(crate) mtiles: (usize, usize, usize),
+    /// Trip counts `(T_n, T_f, T_cb)`.
+    pub(crate) trips: (u64, u64, u64),
+    /// Bytes of one index m-tile.
+    index_tile: usize,
+    /// Bytes of one output m-tile.
+    output_tile: usize,
+    /// `t_reduce` (Eq. 10) at inner loop `F_m`.
+    pub(crate) reduce_s: f64,
+}
+
+impl MTilePrice {
+    /// The m-tile-fixed terms of `mtiles` in `pair`.
+    pub(crate) fn new(pair: &PairPrice, mtiles @ (n_m, f_m, cb_m): (usize, usize, usize)) -> Self {
+        MTilePrice {
+            mtiles,
+            trips: trip_counts(pair.w, pair.pair, mtiles),
+            index_tile: index_tile_bytes(pair.w, n_m, cb_m),
+            output_tile: output_tile_bytes(n_m, f_m),
+            reduce_s: reduce_time_s(pair.platform, pair.w, pair.pair, f_m),
+        }
+    }
+
+    /// Index plus output m-tile bytes: the WRAM beside the LUT buffer.
+    pub(crate) fn tiles_bytes(&self) -> usize {
+        self.index_tile + self.output_tile
+    }
+
+    /// The index and output streams of these m-tiles loaded `(index,
+    /// output)` times ([`tile_loads`], or any count a bound assumes), with
+    /// their local-memory times.
+    pub(crate) fn streams(
+        &self,
+        lm: &LocalMemModel,
+        (index_loads, output_loads): (u64, u64),
+    ) -> TileStreams {
+        let sc = StreamCounts {
+            index_loads,
+            index_mtile_bytes: self.index_tile as u64,
+            output_loads,
+            output_mtile_bytes: self.output_tile as u64,
+            lut_accesses: 0,
+            lut_access_bytes: 0,
+        };
+        let [index, output, _] = sc.streams();
+        TileStreams {
+            sc,
+            index_s: stream_time_s(lm, index),
+            output_s: stream_time_s(lm, output),
+        }
+    }
+}
+
+/// The `(index, output)` m-tile load counts of a walk in `traversal` order
+/// with trip counts `trips`.
+pub(crate) fn tile_loads(traversal: TraversalOrder, trips: (u64, u64, u64)) -> (u64, u64) {
+    (
+        traversal.load_count(trips, INDEX_USES),
+        traversal.load_count(trips, OUTPUT_USES),
+    )
+}
+
+/// The index and output streams of one tiling ([`MTilePrice::streams`]):
+/// the part of a leaf's price its traversal fixes, and the non-LUT stream
+/// terms of the branch-and-bound's bound.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TileStreams {
+    /// The index and output streams; the LUT stream empty.
+    sc: StreamCounts,
+    /// `kernel_index_s`.
+    pub(crate) index_s: f64,
+    /// `kernel_output_s`.
+    pub(crate) output_s: f64,
+}
+
 /// Everything of a leaf's hierarchical price that its load scheme does not
 /// move, for one complete tiling of one P1 pair: the sub-LUT transfers,
 /// the reduce term, the index and output streams and their row terms.
@@ -151,31 +246,58 @@ pub(crate) struct TilingPrice<'a> {
     base: TimeBreakdown,
     /// The index and output row terms, summed in stream order.
     rows: RowTimes,
+    /// `base`'s total plus `rows`' two terms: every leaf's price but its
+    /// LUT stream's.
+    non_lut_s: f64,
 }
 
 impl<'a> TilingPrice<'a> {
-    /// The shared part of every leaf under `tiling` in `pair`.
+    /// The shared part of every leaf under `tiling` in `pair`, from
+    /// scratch.
     pub(crate) fn new(
         platform: &'a PlatformConfig,
         w: &'a LutWorkload,
         pair: Pair,
-        tiling @ (n_m, f_m, cb_m, traversal): Tiling,
+        (n_m, f_m, cb_m, traversal): Tiling,
     ) -> Self {
-        let trips = trip_counts(w, pair, (n_m, f_m, cb_m));
-        let sc = tiling_streams(w, (n_m, f_m, cb_m), traversal, trips);
-        let hier = platform.mem_hierarchy();
-        let [index, output, _] = sc.streams();
+        let pair = PairPrice::new(platform, w, pair);
+        let mtiles = MTilePrice::new(&pair, (n_m, f_m, cb_m));
+        let streams = mtiles.streams(&platform.local_mem, tile_loads(traversal, mtiles.trips));
+        TilingPrice::of(&pair, &mtiles, traversal, &streams)
+    }
+
+    /// The shared part of every leaf under the tiling of `mtiles` walked in
+    /// `traversal` order, from the terms its pair, m-tiles and traversal
+    /// fix.
+    pub(crate) fn of(
+        pair: &PairPrice<'a>,
+        mtiles: &MTilePrice,
+        traversal: TraversalOrder,
+        streams: &TileStreams,
+    ) -> Self {
+        let (n_m, f_m, cb_m) = mtiles.mtiles;
+        let [index, output, _] = streams.sc.streams();
+        let base = TimeBreakdown {
+            kernel_index_s: streams.index_s,
+            kernel_output_s: streams.output_s,
+            kernel_reduce_s: mtiles.reduce_s,
+            ..pair.sub_lut
+        };
+        let rows = RowTimes::default()
+            .add(&pair.hier, index)
+            .add(&pair.hier, output);
         TilingPrice {
-            platform,
-            w,
-            pair,
-            tiling,
-            trips,
-            sc,
-            hier,
-            tiles_bytes: index_tile_bytes(w, n_m, cb_m) + output_tile_bytes(n_m, f_m),
-            base: analytical(platform, w, pair, f_m, &sc),
-            rows: RowTimes::default().add(&hier, index).add(&hier, output),
+            platform: pair.platform,
+            w: pair.w,
+            pair: pair.pair,
+            tiling: (n_m, f_m, cb_m, traversal),
+            trips: mtiles.trips,
+            sc: streams.sc,
+            hier: pair.hier,
+            tiles_bytes: mtiles.tiles_bytes(),
+            base,
+            rows,
+            non_lut_s: base.total_s() + rows.row_activation_s + rows.crossing_s,
         }
     }
 
@@ -205,25 +327,12 @@ impl<'a> TilingPrice<'a> {
         fits
     }
 
-    /// Trip counts `(T_n, T_f, T_cb)` of the tiling.
-    pub(crate) fn trips(&self) -> (u64, u64, u64) {
-        self.trips
-    }
-
-    /// WRAM bytes left beside the index and output m-tiles: the largest
-    /// LUT buffer a leaf of this tiling may hold.
-    pub(crate) fn lut_room(&self) -> usize {
-        self.platform.wram_bytes.saturating_sub(self.tiles_bytes)
-    }
-
     /// A floor on the price of every leaf whose LUT stream moves `bytes` in
     /// accesses of at most `access` bytes: this tiling's exact price, the
     /// LUT term at that access (bandwidth only grows with the access) and
     /// the LUT row terms at their volume floor.
     pub(crate) fn floor_s(&self, bytes: f64, access: f64) -> f64 {
-        self.base.total_s()
-            + self.rows.row_activation_s
-            + self.rows.crossing_s
+        self.non_lut_s
             + self.platform.local_mem.ideal_time_s(bytes, access)
             + self.hier.volume_floor_s(bytes)
     }

@@ -70,6 +70,45 @@ impl Menus {
         debug_assert!(found.is_ok(), "no menu built for dimension {dim}");
         found.map_or(&[], |i| &self.menus[i].1)
     }
+
+    /// The three menus every node below P1 pair `(n_stile, f_stile)`
+    /// branches on, looked up once per pair.
+    pub(crate) fn of_pair(
+        &self,
+        w: &LutWorkload,
+        (n_stile, f_stile): (usize, usize),
+    ) -> PairMenus<'_> {
+        PairMenus {
+            n_m: self.of(n_stile),
+            f_m: self.of(f_stile),
+            cb_m: self.of(w.cb),
+        }
+    }
+
+    /// The chunk menus of every coarse leaf under m-tiles `F_m`, `CB_m`,
+    /// looked up once per m-tile node.
+    pub(crate) fn of_mtiles(&self, f_m: usize, cb_m: usize) -> ChunkMenus<'_> {
+        ChunkMenus {
+            cb_loads: self.of(cb_m),
+            f_loads: self.of(f_m),
+        }
+    }
+}
+
+/// The `N_m`, `F_m` and `CB_m` menus of one P1 pair ([`Menus::of_pair`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PairMenus<'m> {
+    n_m: &'m [usize],
+    f_m: &'m [usize],
+    cb_m: &'m [usize],
+}
+
+/// The `cb_load` and `f_load` menus under one m-tile node
+/// ([`Menus::of_mtiles`]): the divisors of `CB_m` and of `F_m`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChunkMenus<'m> {
+    cb_loads: &'m [usize],
+    f_loads: &'m [usize],
 }
 
 /// Legal sub-LUT tiling factors (**P1**): every `(N_s-tile, F_s-tile)` pair
@@ -134,15 +173,18 @@ impl Partial {
         Some((self.n_m?, self.f_m?, self.cb_m?, self.traversal?))
     }
 
+    /// `(N_m, F_m, CB_m)` once the three m-tiles are set and the traversal
+    /// is not: the node whose children are the six traversals.
+    pub(crate) fn mtiles(self) -> Option<(usize, usize, usize)> {
+        match self.traversal {
+            None => Some((self.n_m?, self.f_m?, self.cb_m?)),
+            Some(_) => None,
+        }
+    }
+
     /// Visits one child per entry of the first unset level's menu, in menu
     /// order (none once the assignment is complete).
-    pub(crate) fn children(
-        self,
-        menus: &Menus,
-        w: &LutWorkload,
-        (n_stile, f_stile): (usize, usize),
-        mut visit: impl FnMut(Partial),
-    ) {
+    pub(crate) fn children(self, menus: &PairMenus, mut visit: impl FnMut(Partial)) {
         let mut branch = |menu: &[usize], set: fn(&mut Partial, usize)| {
             for &choice in menu {
                 let mut child = self;
@@ -151,11 +193,11 @@ impl Partial {
             }
         };
         if self.n_m.is_none() {
-            branch(menus.of(n_stile), |c, t| c.n_m = Some(t));
+            branch(menus.n_m, |c, t| c.n_m = Some(t));
         } else if self.f_m.is_none() {
-            branch(menus.of(f_stile), |c, t| c.f_m = Some(t));
+            branch(menus.f_m, |c, t| c.f_m = Some(t));
         } else if self.cb_m.is_none() {
-            branch(menus.of(w.cb), |c, t| c.cb_m = Some(t));
+            branch(menus.cb_m, |c, t| c.cb_m = Some(t));
         } else if self.traversal.is_none() {
             for order in TraversalOrder::all() {
                 visit(Partial {
@@ -195,19 +237,18 @@ pub(crate) fn kernel_of(
     }
 }
 
-/// Visits the leaves of one scheme class under a complete tiling, in
-/// enumeration order: ❶ static, if the sub-LUT fits; ❷ coarse-grain, every
-/// `cb_load × f_load` chunk dividing the m-tiles that fits; ❸ fine-grain,
-/// every `f_load` dividing `F_m`. The one leaf enumeration: the exhaustive
-/// list ([`kernel_candidates`]) and the branch-and-bound leaf level
-/// (`bnb::score_leaves`) both walk it.
+/// Visits the leaves of one scheme class under a complete tiling whose
+/// m-tiles' chunk menus are `menus`, in enumeration order: ❶ static, if the
+/// sub-LUT fits; ❷ coarse-grain, every `cb_load × f_load` chunk dividing
+/// the m-tiles that fits; ❸ fine-grain, every `f_load` dividing `F_m`. The
+/// one leaf enumeration: the exhaustive list ([`kernel_candidates`]) and
+/// the branch-and-bound leaf level (`bnb::score_leaves`) both walk it.
 pub(crate) fn leaf_schemes(
     class: SchemeClass,
-    menus: &Menus,
+    menus: &ChunkMenus,
     workload: &LutWorkload,
     platform: &PlatformConfig,
     f_stile: usize,
-    (_, f_m, cb_m, _): Tiling,
     mut visit: impl FnMut(LoadScheme),
 ) {
     let fits = |scheme| lut_buffer_bytes(workload, f_stile, scheme) <= platform.wram_bytes;
@@ -218,8 +259,8 @@ pub(crate) fn leaf_schemes(
             }
         }
         SchemeClass::Coarse => {
-            for &cb_load in menus.of(cb_m) {
-                for &f_load in menus.of(f_m) {
+            for &cb_load in menus.cb_loads {
+                for &f_load in menus.f_loads {
                     let scheme = LoadScheme::CoarseGrain { cb_load, f_load };
                     if fits(scheme) {
                         visit(scheme);
@@ -228,7 +269,7 @@ pub(crate) fn leaf_schemes(
             }
         }
         SchemeClass::Fine => {
-            for &f_load in menus.of(f_m) {
+            for &f_load in menus.f_loads {
                 visit(LoadScheme::FineGrain {
                     f_load,
                     threads: FINE_THREADS,
@@ -243,17 +284,17 @@ pub(crate) fn leaf_schemes(
 /// chunks whose buffer fits the platform's WRAM, and of those, the ones
 /// whose buffer is at most `room` bytes. A chunk's buffer `cb_load·CT·f_load`
 /// grows with `f_load` along the ascending `F_m` menu, so each `cb_load`
-/// counts by binary search.
+/// counts by binary search. Nothing here reads the traversal: the six
+/// tilings of one m-tile node share the counts.
 pub(crate) fn coarse_leaf_counts(
-    menus: &Menus,
+    menus: &ChunkMenus,
     workload: &LutWorkload,
     platform: &PlatformConfig,
-    (_, f_m, cb_m, _): Tiling,
     room: usize,
 ) -> (usize, usize) {
-    let f_loads = menus.of(f_m);
+    let f_loads = menus.f_loads;
     let mut counts = (0, 0);
-    for &cb_load in menus.of(cb_m) {
+    for &cb_load in menus.cb_loads {
         let offered = f_loads.partition_point(|&f_load| {
             lut_tile_bytes(workload, cb_load, f_load) <= platform.wram_bytes
         });
@@ -275,22 +316,23 @@ pub fn kernel_candidates(
     n_stile: usize,
     f_stile: usize,
 ) -> Vec<MicroKernel> {
-    let pair = (n_stile, f_stile);
-    let menus = Menus::new(workload, &[pair]);
+    let menus = Menus::new(workload, &[(n_stile, f_stile)]);
+    let pair_menus = menus.of_pair(workload, (n_stile, f_stile));
     let mut kernels = Vec::new();
     let mut stack = vec![Partial::default()];
     while let Some(node) = stack.pop() {
         match node.complete() {
-            Some(tiling) => {
+            Some(tiling @ (_, f_m, cb_m, _)) => {
+                let chunks = menus.of_mtiles(f_m, cb_m);
                 for class in SchemeClass::ALL {
-                    leaf_schemes(class, &menus, workload, platform, f_stile, tiling, |s| {
+                    leaf_schemes(class, &chunks, workload, platform, f_stile, |s| {
                         kernels.push(kernel_of(tiling, s));
                     });
                 }
             }
             None => {
                 let first = stack.len();
-                node.children(&menus, workload, pair, |child| stack.push(child));
+                node.children(&pair_menus, |child| stack.push(child));
                 stack[first..].reverse();
             }
         }
@@ -401,14 +443,10 @@ mod tests {
             let w = LutWorkload::new(1, cb, ct, f).unwrap();
             let menus = Menus::new(&w, &[(1, f)]);
             let (cbs, fs) = (menus.of(cb), menus.of(f));
-            let tiling = (
-                1,
-                fs[f_pick % fs.len()],
-                cbs[cb_pick % cbs.len()],
-                TraversalOrder::Nfc,
-            );
+            let (f_m, cb_m) = (fs[f_pick % fs.len()], cbs[cb_pick % cbs.len()]);
+            let chunks = menus.of_mtiles(f_m, cb_m);
             let mut p = platform(1);
-            p.wram_bytes = lut_tile_bytes(&w, tiling.2, tiling.1) * wram_pct / 100;
+            p.wram_bytes = lut_tile_bytes(&w, cb_m, f_m) * wram_pct / 100;
             let wram = p.wram_bytes;
             for room in [
                 0,
@@ -420,16 +458,16 @@ mod tests {
                 2 * wram + 7,
             ] {
                 let mut walked = (0, 0);
-                leaf_schemes(SchemeClass::Coarse, &menus, &w, &p, f, tiling, |s| {
+                leaf_schemes(SchemeClass::Coarse, &chunks, &w, &p, f, |s| {
                     walked.0 += 1;
                     walked.1 += usize::from(lut_buffer_bytes(&w, f, s) <= room);
                 });
                 prop_assert_eq!(
-                    coarse_leaf_counts(&menus, &w, &p, tiling, room),
+                    coarse_leaf_counts(&chunks, &w, &p, room),
                     walked,
-                    "{:?} under {:?}, {} B WRAM, {} B room",
+                    "{:?} under m-tiles {:?}, {} B WRAM, {} B room",
                     w,
-                    tiling,
+                    (f_m, cb_m),
                     wram,
                     room
                 );

@@ -66,9 +66,9 @@ for crate in "${WORKSPACE_CRATES[@]}"; do
 done
 
 # Every workspace crate's own suite. pimdl-bench's lib tests are the
-# `reproduce` experiments' unit tests (~40 s in a debug build on two
-# cores, ~33 s of it `data_efficiency::tests::small_budget_favors_elutnn`;
-# the serving comparison is ~1 s).
+# `reproduce` experiments' unit tests (~13 s in a debug build on two
+# cores; the accuracy claims run on one-layer models, and their
+# experiment-scale copies in the long accuracy pass below).
 for crate in "${WORKSPACE_CRATES[@]}"; do
     echo "==> cargo test -p ${crate} --offline"
     cargo test --offline -p "${crate}"
@@ -77,14 +77,24 @@ done
 # The tuner's long oracle pass: the #[ignore]d branch-and-bound against
 # exhaustive search on ~1,000 small mapping spaces, both row-constant arms,
 # CT up to 512 and WRAM down to 96 B, the bounds' and leaf floors'
-# admissibility along random paths of ~1,000 more, the closed-form
-# coarse leaf count against the enumeration on ~1,000 random menus, the
-# byte-capped pair frontier against the uncapped one's prefix on ~1,000
-# spaces, and the capped allocators against an uncapped allocate_global
-# and against brute force on ~1,000 requests each (~17 s in a debug build
-# on two cores).
+# admissibility along random paths of ~1,000 more, the terms an m-tile
+# node shares with its six traversal children against from-scratch ones
+# over every node of ~1,000 more (shared_terms_match_from_scratch_terms_wide),
+# the closed-form coarse leaf count against the enumeration on ~1,000
+# random menus, the byte-capped pair frontier against the uncapped one's
+# prefix on ~1,000 spaces, and the capped allocators against an uncapped
+# allocate_global and against brute force on ~1,000 requests each (~21 s
+# in a debug build on two cores).
 echo "==> cargo test -p pimdl-tuner --offline (long oracle pass)"
 cargo test --offline -p pimdl-tuner --lib -- --ignored
+
+# The long accuracy pass: the #[ignore]d experiment-scale copies of the
+# accuracy claims the lib suite above checks on small models,
+# data_efficiency's small_budget_favors_elutnn_full (the four-layer model)
+# and elutnn_ablation's full_elutnn_beats_floor_full (the two-layer one),
+# in a debug build as the suite runs them (~55 s on two cores).
+echo "==> cargo test -p pimdl-bench --offline (long accuracy pass)"
+cargo test --offline -p pimdl-bench --lib -- --ignored
 
 # The INT8 gather's oracle test again in optimised code: it calls each
 # arm (AVX-512BW, AVX2, portable) the CPU has. The debug run above catches
