@@ -328,11 +328,15 @@ pub fn render(result: &AccuracyResult) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn quick_nlp_subset_preserves_ordering() {
-        // One representative task end-to-end (the full table runs in the
-        // reproduce binary): eLUT-NN must not trail the baseline.
-        let cfg = AccuracyConfig::quick();
+    /// One representative task end-to-end at `AccuracyConfig::quick` with
+    /// `layers` encoder layers (the full table runs in the reproduce
+    /// binary): the dense model learns the task and eLUT-NN does not trail
+    /// the baseline.
+    fn assert_nlp_subset_preserves_ordering(layers: usize) {
+        let cfg = AccuracyConfig {
+            layers,
+            ..AccuracyConfig::quick()
+        };
         let mut rng = DataRng::new(3);
         let task = NlpTask::ContainsAnswer;
         let ds = nlp_dataset(
@@ -352,13 +356,28 @@ mod tests {
             classes: task.classes(),
         };
         let row = measure_task("QNLI", &model_cfg, ds, &cfg, &mut rng).unwrap();
-        assert!(row.original > 0.4);
+        assert!(row.original > 0.4, "original {}", row.original);
         assert!(
             row.elutnn >= row.baseline_lutnn - 0.1,
             "eLUT-NN {} vs baseline {}",
             row.elutnn,
             row.baseline_lutnn
         );
+    }
+
+    /// The claim on a one-layer model.
+    #[test]
+    fn quick_nlp_subset_preserves_ordering() {
+        assert_nlp_subset_preserves_ordering(1);
+    }
+
+    /// [`quick_nlp_subset_preserves_ordering`] at the quick configuration's
+    /// own four layers: the long pass `scripts/check.sh` runs with
+    /// `--ignored`.
+    #[test]
+    #[ignore = "long accuracy pass: the four-layer model"]
+    fn quick_nlp_subset_preserves_ordering_full() {
+        assert_nlp_subset_preserves_ordering(AccuracyConfig::quick().layers);
     }
 
     #[test]

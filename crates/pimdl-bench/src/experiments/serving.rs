@@ -11,7 +11,7 @@
 use serde::Serialize;
 
 use pimdl_engine::pipeline::{PimDlEngine, ServingConfig};
-use pimdl_engine::scheduler::{BatchScheduler, BatchingPolicy, ServingStats, Workload};
+use pimdl_engine::scheduler::{percentile, BatchScheduler, BatchingPolicy, ServingStats, Workload};
 use pimdl_engine::shapes::TransformerShape;
 use pimdl_serve::{MetricsSnapshot, OpenLoop, Outcome, Runtime, ServeConfig, ServeError};
 use pimdl_sim::{LutWorkload, PlatformConfig};
@@ -123,9 +123,11 @@ pub struct RuntimeLoadPoint {
     /// Discrete-event `BatchScheduler` statistics at this rate.
     pub sim: ServingStats,
     /// `pimdl-serve` runtime metrics at this rate. Its `p50_latency_s` /
-    /// `p95_latency_s` are histogram bucket edges (what `/metrics` would
-    /// report), not comparable with the DES's order statistics — the two
-    /// fields below are.
+    /// `p95_latency_s` / `p99_latency_s` are what `/metrics` would report:
+    /// the upper edge of the histogram bucket holding the nearest rank
+    /// `ceil(n·q)`, at most 1/64 above that order statistic. That is still
+    /// another rank rule from the DES's `round((n - 1)·p)`, which the two
+    /// fields below use.
     pub runtime: MetricsSnapshot,
     /// Median completed latency of the runtime's ledger, by the rank rule
     /// `BatchScheduler::simulate` uses.
@@ -154,15 +156,6 @@ pub struct RuntimeComparison {
     pub num_requests: usize,
     /// Per-rate points.
     pub points: Vec<RuntimeLoadPoint>,
-}
-
-/// The `p`-quantile of `sorted` by the rank rule of
-/// `BatchScheduler::simulate`: element `round((n - 1) * p)`.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    match sorted.len() {
-        0 => 0.0,
-        n => sorted[(((n - 1) as f64 * p).round() as usize).min(n - 1)],
-    }
 }
 
 /// Sweeps the offered arrival rate through the `pimdl-serve` runtime on
@@ -363,14 +356,6 @@ mod tests {
         let s = render_vs_runtime(&r);
         assert!(s.contains("discrete-event"));
         assert!(s.contains("virtual clock"));
-    }
-
-    #[test]
-    fn percentile_is_the_simulators_rank_rule() {
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        let v = [1.0, 2.0, 3.0, 4.0];
-        // round(3 * 0.5) = 2, round(3 * 0.95) = 3.
-        assert_eq!((percentile(&v, 0.5), percentile(&v, 0.95)), (3.0, 4.0));
     }
 
     #[test]

@@ -240,6 +240,16 @@ pub struct ServingStats {
     pub batches: usize,
 }
 
+/// The `p`-quantile of ascending `sorted` by the simulator's rank rule:
+/// element `round((n - 1) * p)` (0 when empty). [`BatchScheduler::simulate`]
+/// reads its percentiles this way, and so does anything compared with them.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    match sorted.len() {
+        0 => 0.0,
+        n => sorted[(((n - 1) as f64 * p).round() as usize).min(n - 1)],
+    }
+}
+
 /// Per-request serving parameters of a scheduler; the batch dimension
 /// comes from the scheduler itself.
 #[derive(Debug, Clone)]
@@ -401,14 +411,6 @@ impl<'a> BatchScheduler<'a> {
 
         latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let completed = latencies.len();
-        let percentile = |p: f64| -> f64 {
-            if latencies.is_empty() {
-                0.0
-            } else {
-                let idx = ((completed as f64 - 1.0) * p).round() as usize;
-                latencies[idx.min(completed - 1)]
-            }
-        };
         // The queue drains past the arrival horizon under overload; divide
         // by the drained makespan so throughput reflects work actually
         // sustained, not requests crammed into the arrival window.
@@ -418,8 +420,8 @@ impl<'a> BatchScheduler<'a> {
             throughput_rps: completed as f64 / makespan_s.max(1e-9),
             makespan_s,
             mean_latency_s: latencies.iter().sum::<f64>() / completed.max(1) as f64,
-            p50_latency_s: percentile(0.50),
-            p95_latency_s: percentile(0.95),
+            p50_latency_s: percentile(&latencies, 0.50),
+            p95_latency_s: percentile(&latencies, 0.95),
             mean_batch: batched_total as f64 / batches.max(1) as f64,
             batches,
         })
@@ -529,6 +531,14 @@ mod tests {
         assert!(stats.p50_latency_s <= stats.p95_latency_s);
         assert!(stats.mean_latency_s > 0.0);
         assert!(stats.batches > 0);
+    }
+
+    #[test]
+    fn percentile_is_the_simulators_rank_rule() {
+        assert_eq!(percentile(&[], 0.5), 0.0);
+        let v = [1.0, 2.0, 3.0, 4.0];
+        // round(3 * 0.5) = 2, round(3 * 0.95) = 3.
+        assert_eq!((percentile(&v, 0.5), percentile(&v, 0.95)), (3.0, 4.0));
     }
 
     #[test]

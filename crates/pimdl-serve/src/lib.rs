@@ -26,9 +26,12 @@
 //!   runs each batch inline on the virtual clock, or on the shard's own
 //!   worker thread, which shares nothing with the loop but its channels
 //!   and the completion waker.
-//! * **Metrics** ([`metrics`]) — lock-free counters and a fixed-bucket
-//!   latency histogram (p50/p95/p99, mean batch size, peak queue depth,
-//!   shed counts), snapshotted at shutdown.
+//! * **Metrics** ([`metrics`]) — lock-free counters and a log-linear
+//!   latency histogram (64 linear buckets per power of two, O(1) to
+//!   record; p50/p95/p99 by nearest rank, read as the bucket's upper edge,
+//!   so never below the true order statistic and at most 1/64 above it),
+//!   mean batch size, peak queue depth and shed counts, snapshotted at
+//!   shutdown.
 //!
 //! The network front ends ([`server`], [`fabric`]) are three codecs —
 //! line protocol, HTTP/1.1, shard-fabric frames — over one crate-private

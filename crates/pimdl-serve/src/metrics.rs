@@ -1,4 +1,4 @@
-//! Lock-free serving metrics: atomic counters plus a fixed-bucket latency
+//! Lock-free serving metrics: atomic counters plus a log-linear latency
 //! histogram, snapshotted at shutdown.
 //!
 //! One serving loop records into a [`Metrics`], on the loop's own thread:
@@ -13,21 +13,52 @@ use serde::{Deserialize, Serialize};
 
 use crate::reactor::ReactorStatsSnapshot;
 
-/// A fixed-bucket histogram with atomic counters.
+/// A fixed log-linear latency histogram with atomic counters: 64 linear
+/// sub-buckets per power of two over `[2^-20 s, 2^10 s)`, one underflow
+/// bucket below and one overflow bucket above (`+inf` and NaN included).
 ///
-/// Quantiles are read as the **upper bound** of the bucket holding the
-/// requested rank — a conservative (over-)estimate with relative error
-/// bounded by the bucket ratio.
+/// `record` finds its bucket in O(1): above `2^-20` the float's exponent
+/// and top six mantissa bits are the bucket index. Each bucket is
+/// half-open, `[lo, hi)`, with `hi ≤ lo · 65/64`. A quantile is read as
+/// the **upper edge** `hi` of the bucket holding the requested rank: at
+/// most 1/64 (1.56 %) above the order statistic it stands for and never
+/// below it, so an objective the snapshot reports as met is met by the
+/// requests themselves.
 #[derive(Debug)]
 pub struct Histogram {
-    /// Ascending upper bounds; values above the last bound land in an
-    /// overflow bucket.
-    upper_bounds: Vec<f64>,
-    /// `upper_bounds.len() + 1` counters (last = overflow).
-    buckets: Vec<AtomicU64>,
+    /// `LINEAR_BUCKETS + 2` counters: underflow, the linear buckets in
+    /// ascending order, overflow.
+    buckets: Box<[AtomicU64]>,
     count: AtomicU64,
     /// Running sum, stored as `f64` bits (CAS-updated).
     sum_bits: AtomicU64,
+}
+
+/// Mantissa bits below the six that pick the linear sub-bucket.
+const SUB_SHIFT: u32 = 52 - 6;
+/// `bits >> SUB_SHIFT` of the lowest finite edge, `2^-20`.
+const FIRST_KEY: u64 = (1023 - 20) << 6;
+/// Thirty octaves of 64 sub-buckets: `[2^-20, 2^10)`.
+const LINEAR_BUCKETS: u64 = 30 * 64;
+/// Lowest and highest finite edges, `2^-20` and `2^10` seconds.
+const MIN_S: f64 = f64::from_bits(FIRST_KEY << SUB_SHIFT);
+const MAX_S: f64 = f64::from_bits((FIRST_KEY + LINEAR_BUCKETS) << SUB_SHIFT);
+
+/// Bucket of `v`: 0 below `2^-20`, `LINEAR_BUCKETS + 1` at or above
+/// `2^10` and for NaN.
+fn bucket(v: f64) -> usize {
+    if v < MIN_S {
+        0
+    } else if v < MAX_S {
+        ((v.to_bits() >> SUB_SHIFT) - FIRST_KEY + 1) as usize
+    } else {
+        LINEAR_BUCKETS as usize + 1
+    }
+}
+
+/// Upper edge of bucket `i`; overflow reads the last finite edge, `2^10`.
+fn upper_edge(i: usize) -> f64 {
+    f64::from_bits((FIRST_KEY + (i as u64).min(LINEAR_BUCKETS)) << SUB_SHIFT)
 }
 
 impl Default for Histogram {
@@ -37,41 +68,18 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// A histogram over the given ascending upper bounds.
-    pub fn new(upper_bounds: Vec<f64>) -> Self {
-        debug_assert!(upper_bounds.windows(2).all(|w| w[0] < w[1]));
-        let buckets = (0..=upper_bounds.len())
-            .map(|_| AtomicU64::new(0))
-            .collect();
+    /// An empty histogram (also the default).
+    pub fn log_time() -> Self {
         Histogram {
-            upper_bounds,
-            buckets,
+            buckets: (0..LINEAR_BUCKETS + 2).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0.0f64.to_bits()),
         }
     }
 
-    /// Log-spaced time buckets: five per decade from 1 µs to 1000 s (also
-    /// the default).
-    pub fn log_time() -> Self {
-        let mut bounds = Vec::new();
-        for decade in -6..3i32 {
-            for step in 0..5 {
-                bounds.push(10f64.powf(f64::from(decade) + f64::from(step) / 5.0));
-            }
-        }
-        bounds.push(1e3);
-        Histogram::new(bounds)
-    }
-
     /// Records one observation.
     pub fn record(&self, v: f64) {
-        let idx = self
-            .upper_bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.upper_bounds.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         let mut cur = self.sum_bits.load(Ordering::Relaxed);
         loop {
@@ -108,8 +116,9 @@ impl Histogram {
         }
     }
 
-    /// Quantile `q ∈ [0, 1]` as the upper bound of the bucket holding that
-    /// rank (0 when empty; the last finite bound for overflow).
+    /// Quantile `q ∈ [0, 1]` by nearest rank (`ceil(n·q)`, at least 1),
+    /// read as the upper edge of the bucket holding that rank (0 when
+    /// empty).
     pub fn quantile(&self, q: f64) -> f64 {
         let n = self.count();
         if n == 0 {
@@ -117,14 +126,11 @@ impl Histogram {
         }
         let rank = ((n as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
         let mut cum = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
+        let i = self.buckets.iter().position(|b| {
             cum += b.load(Ordering::Relaxed);
-            if cum >= rank {
-                let bound = self.upper_bounds.get(i).or(self.upper_bounds.last());
-                return bound.copied().unwrap_or(0.0);
-            }
-        }
-        self.upper_bounds.last().copied().unwrap_or(0.0)
+            cum >= rank
+        });
+        upper_edge(i.unwrap_or(self.buckets.len() - 1))
     }
 }
 
@@ -232,11 +238,14 @@ pub struct MetricsSnapshot {
     pub queue_depth_peak: u64,
     /// Mean end-to-end latency (seconds).
     pub mean_latency_s: f64,
-    /// Median latency (bucket upper bound, seconds).
+    /// Median latency by nearest rank, read as the upper edge of its
+    /// histogram bucket: at most 1/64 above the order statistic (seconds).
     pub p50_latency_s: f64,
-    /// 95th-percentile latency (bucket upper bound, seconds).
+    /// 95th-percentile latency by nearest rank, read as the upper edge of its
+    /// histogram bucket: at most 1/64 above the order statistic (seconds).
     pub p95_latency_s: f64,
-    /// 99th-percentile latency (bucket upper bound, seconds).
+    /// 99th-percentile latency by nearest rank, read as the upper edge of its
+    /// histogram bucket: at most 1/64 above the order statistic (seconds).
     pub p99_latency_s: f64,
     /// Mean dispatched batch size.
     pub mean_batch: f64,
@@ -334,17 +343,17 @@ impl MetricsSnapshot {
             ),
             (
                 "pimdl_latency_p50_seconds",
-                "Median latency (bucket upper bound).",
+                "Median latency, nearest rank; upper bucket edge, at most 1/64 above the true value.",
                 self.p50_latency_s,
             ),
             (
                 "pimdl_latency_p95_seconds",
-                "95th-percentile latency (bucket upper bound).",
+                "95th-percentile latency, nearest rank; upper bucket edge, at most 1/64 above the true value.",
                 self.p95_latency_s,
             ),
             (
                 "pimdl_latency_p99_seconds",
-                "99th-percentile latency (bucket upper bound).",
+                "99th-percentile latency, nearest rank; upper bucket edge, at most 1/64 above the true value.",
                 self.p99_latency_s,
             ),
             (
@@ -420,21 +429,103 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
+    /// The quantile a histogram holding only `v` reports.
+    fn read_back(v: f64) -> f64 {
+        let h = Histogram::log_time();
+        h.record(v);
+        h.quantile(0.5)
+    }
+
     #[test]
-    fn histogram_counts_and_quantiles() {
-        let h = Histogram::new(vec![1.0, 2.0, 4.0]);
-        for v in [0.5, 0.7, 1.5, 3.0, 100.0] {
+    fn sketch_reads_at_most_one_sixty_fourth_above() {
+        // A geometric sweep from 1 µs to 1000 s, 0.1 % apart: each value
+        // alone reads back an edge in (v, v·65/64].
+        let mut v = 1e-6;
+        while v <= 1e3 {
+            let edge = upper_edge(bucket(v));
+            assert!(v < edge && edge <= v * 65.0 / 64.0, "{v} read {edge}");
+            v *= 1.001;
+        }
+        assert_eq!(read_back(0.25), 0.25 * 65.0 / 64.0);
+
+        // Many values in one histogram: every nearest rank reads within
+        // the same bound of its order statistic.
+        let h = Histogram::log_time();
+        let mut sorted = Vec::new();
+        let mut v = 1e-6;
+        while v <= 1e3 {
+            h.record(v);
+            sorted.push(v);
+            v *= 1.013;
+        }
+        let n = sorted.len() as f64;
+        for (k, &x) in sorted.iter().enumerate() {
+            let q = h.quantile((k as f64 + 0.5) / n);
+            assert!(
+                x < q && q <= x * 65.0 / 64.0,
+                "rank {} of {x} read {q}",
+                k + 1
+            );
+        }
+    }
+
+    #[test]
+    fn powers_of_two_and_sub_bucket_edges_land_in_the_bucket_above() {
+        for i in 0..LINEAR_BUCKETS as usize {
+            // `upper_edge(i)` is the lower edge of bucket `i + 1`.
+            let edge = upper_edge(i);
+            assert_eq!(bucket(edge), i + 1, "edge {edge}");
+            assert!(upper_edge(i + 1) > edge);
+            let below = f64::from_bits(edge.to_bits() - 1);
+            assert_eq!(bucket(below), i, "just below {edge}");
+        }
+        for k in -20..10 {
+            let p = 2f64.powi(k);
+            assert_eq!(read_back(p), p * 65.0 / 64.0, "2^{k}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_values_read_the_end_edges() {
+        let (first, last) = (2f64.powi(-20), 2f64.powi(10));
+        for v in [
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 2.0,
+            first * 0.99,
+        ] {
+            assert_eq!(read_back(v), first, "underflow {v}");
+        }
+        for v in [last, f64::INFINITY, f64::NAN, 1e9] {
+            assert_eq!(read_back(v), last, "overflow {v}");
+        }
+        let h = Histogram::log_time();
+        for v in [0.0, 0.001, f64::INFINITY] {
+            h.record(v);
+        }
+        assert_eq!(h.quantile(0.0), first);
+        assert_eq!(h.quantile(0.5), upper_edge(bucket(0.001)));
+        assert_eq!(h.quantile(1.0), last);
+    }
+
+    #[test]
+    fn count_sum_and_mean_are_exact() {
+        let h = Histogram::log_time();
+        let values = [0.5, 0.7, 1.5, 3.0, 100.0];
+        for v in values {
             h.record(v);
         }
         assert_eq!(h.count(), 5);
-        assert!((h.sum() - 105.7).abs() < 1e-9);
-        // rank 1..5 over buckets [2, 1, 1, 1(overflow)]
-        assert_eq!(h.quantile(0.0), 1.0);
-        assert_eq!(h.quantile(0.40), 1.0);
-        assert_eq!(h.quantile(0.60), 2.0);
-        assert_eq!(h.quantile(0.80), 4.0);
-        // overflow clamps to the last finite bound
-        assert_eq!(h.quantile(1.0), 4.0);
+        let sum = values.iter().fold(0.0, |acc, v| acc + v);
+        assert_eq!(h.sum().to_bits(), sum.to_bits());
+        assert_eq!(h.mean().to_bits(), (sum / 5.0).to_bits());
+        // Nearest rank: ranks 1..=5 are the values in order.
+        for (k, v) in values.iter().enumerate() {
+            let q = h.quantile((k as f64 + 0.5) / 5.0);
+            assert_eq!(q, upper_edge(bucket(*v)), "rank {}", k + 1);
+        }
     }
 
     #[test]

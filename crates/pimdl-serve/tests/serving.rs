@@ -16,7 +16,7 @@ use pimdl_serve::reactor::{Waker, WAKE_COMPLETION, WAKE_SHUTDOWN};
 use pimdl_serve::runtime::MAX_SHARDS;
 use pimdl_serve::{
     EpollPoller, EventSource, Metrics, OpenLoop, Outcome, RealClock, RequestRecord, Runtime,
-    ServeConfig, ServerLoop, Shards,
+    ServeConfig, ServeReport, ServerLoop, Shards,
 };
 use pimdl_sim::PlatformConfig;
 
@@ -223,7 +223,57 @@ fn virtual_heavy_load_flushes_on_max_batch() {
         "overload forms full batches: {}",
         report.metrics.mean_batch
     );
-    assert!(report.metrics.p95_latency_s >= report.metrics.p50_latency_s);
+    assert_quantiles_read_the_ledger(&report);
+
+    // Overload with a short queue and a tight deadline: the completed
+    // latencies crowd into a narrow band (before the log-linear sketch,
+    // all three quantiles read one bucket edge here).
+    let probe = runtime(ServeConfig::example());
+    let mut cfg = ServeConfig::example();
+    cfg.queue_capacity = 8;
+    cfg.deadline_s = 1.5 / single_rate(&probe);
+    let rt = runtime(cfg);
+    let report = rt
+        .run_virtual(&OpenLoop {
+            rate_rps: 40.0 * single_rate(&rt),
+            num_requests: 600,
+            seed: 3,
+        })
+        .unwrap();
+    assert!(report.conserves(600));
+    assert!(report.rejected() > 0, "a full queue rejects");
+    assert_quantiles_read_the_ledger(&report);
+}
+
+/// Holds each snapshot quantile to the ledger: with `x` the nearest-rank
+/// order statistic (`ceil(n·q)`) of the completed latencies, the snapshot
+/// reads `x ≤ q ≤ x·65/64`. Exact, because the pipeline records in the
+/// histogram the same `latency_s` it puts in the ledger.
+fn assert_quantiles_read_the_ledger(report: &ServeReport) {
+    let mut latencies: Vec<f64> = report
+        .records
+        .iter()
+        .filter_map(|r| match r.outcome {
+            Outcome::Completed { latency_s, .. } => Some(latency_s),
+            _ => None,
+        })
+        .collect();
+    latencies.sort_by(f64::total_cmp);
+    let n = latencies.len();
+    assert!(n > 0, "the run completes requests");
+    let m = &report.metrics;
+    for (q, read) in [
+        (0.50, m.p50_latency_s),
+        (0.95, m.p95_latency_s),
+        (0.99, m.p99_latency_s),
+    ] {
+        let x = latencies[((n as f64 * q).ceil() as usize).clamp(1, n) - 1];
+        assert!(
+            x <= read && read <= x * 65.0 / 64.0,
+            "p{}: snapshot {read} against ledger {x} ({n} completed)",
+            q * 100.0
+        );
+    }
 }
 
 #[test]

@@ -66,7 +66,7 @@ for crate in "${WORKSPACE_CRATES[@]}"; do
 done
 
 # Every workspace crate's own suite. pimdl-bench's lib tests are the
-# `reproduce` experiments' unit tests (~13 s in a debug build on two
+# `reproduce` experiments' unit tests (~10 s in a debug build on two
 # cores; the accuracy claims run on one-layer models, and their
 # experiment-scale copies in the long accuracy pass below).
 for crate in "${WORKSPACE_CRATES[@]}"; do
@@ -90,9 +90,10 @@ cargo test --offline -p pimdl-tuner --lib -- --ignored
 
 # The long accuracy pass: the #[ignore]d experiment-scale copies of the
 # accuracy claims the lib suite above checks on small models,
-# data_efficiency's small_budget_favors_elutnn_full (the four-layer model)
-# and elutnn_ablation's full_elutnn_beats_floor_full (the two-layer one),
-# in a debug build as the suite runs them (~55 s on two cores).
+# data_efficiency's small_budget_favors_elutnn_full (the four-layer model),
+# elutnn_ablation's full_elutnn_beats_floor_full (the two-layer one) and
+# accuracy's quick_nlp_subset_preserves_ordering_full (the four-layer
+# one), in a debug build as the suite runs them (~40 s on two cores).
 echo "==> cargo test -p pimdl-bench --offline (long accuracy pass)"
 cargo test --offline -p pimdl-bench --lib -- --ignored
 
@@ -141,8 +142,11 @@ cargo test --offline -p serde -p serde_json
 # one float fails here. Two are `serving` (~1 s): the DES load curve and
 # the same sweep through `Runtime::run_virtual`, so a change to the
 # connection core, the line pipeline, the batcher or the scheduler that
-# moves one record fails here. Either way the file (and the EXPERIMENTS.md
-# digits printed from it) is re-committed on purpose. It is also the CLI's
+# moves one record fails here, and so does a change to the metrics
+# sketch (`pimdl-serve`'s `metrics::Histogram`), whose p50/p95/p99 edges
+# serving_runtime.json stores as each point's `runtime.*_latency_s`.
+# Either way the file (and the EXPERIMENTS.md digits printed from it) is
+# re-committed on purpose. It is also the CLI's
 # end-to-end smoke.
 echo "==> results gate: regenerate and cmp against results/"
 gate_dir=$(mktemp -d)
