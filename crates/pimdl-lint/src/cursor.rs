@@ -1,6 +1,6 @@
 //! The statement-level syntax of a function body, written once under the
 //! two statement walkers: `resolve::Walker` (the call graph) and
-//! `taint::Analyzer` (the L7/L8 dataflow). Everything here returns syntax
+//! `taint::Analyzer` (the L7 dataflow). Everything here returns syntax
 //! only — token indices, names, ranges; what a binding or
 //! a chain *means* stays with each walker.
 

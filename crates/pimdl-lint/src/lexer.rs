@@ -21,31 +21,23 @@ pub enum TokKind {
     Lifetime,
 }
 
-/// A token plus its 1-based source line. Integer literals additionally
-/// carry their parsed value (`num`), which feeds the interval domain in
-/// `passes::range`; string/char/float literals leave it `None`.
+/// A token plus its 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tok {
     pub kind: TokKind,
     pub line: u32,
-    pub num: Option<u128>,
 }
 
 impl Tok {
+    fn new(kind: TokKind, line: u32) -> Tok {
+        Tok { kind, line }
+    }
+
     /// The identifier text, if this token is an ident.
     pub fn ident(&self) -> Option<&str> {
         match &self.kind {
             TokKind::Ident(s) => Some(s),
             _ => None,
-        }
-    }
-
-    /// A token with no numeric value.
-    fn plain(kind: TokKind, line: u32) -> Tok {
-        Tok {
-            kind,
-            line,
-            num: None,
         }
     }
 
@@ -133,7 +125,7 @@ pub fn lex(source: &str) -> Lexed {
                     skip_prefixed_string(&bytes, i)
                 };
                 line += count_lines(&bytes[i..end]);
-                out.tokens.push(Tok::plain(TokKind::Literal, line));
+                out.tokens.push(Tok::new(TokKind::Literal, line));
                 i = end;
             }
             '\'' => {
@@ -142,10 +134,10 @@ pub fn lex(source: &str) -> Lexed {
                     && (bytes[i + 1].is_alphabetic() || bytes[i + 1] == '_')
                     && !(i + 2 < n && bytes[i + 2] == '\'')
                 {
-                    out.tokens.push(Tok::plain(TokKind::Lifetime, line));
+                    out.tokens.push(Tok::new(TokKind::Lifetime, line));
                     i = word_end(&bytes, i + 1);
                 } else {
-                    out.tokens.push(Tok::plain(TokKind::Literal, line));
+                    out.tokens.push(Tok::new(TokKind::Literal, line));
                     i = skip_quoted(&bytes, i + 1, '\'');
                 }
             }
@@ -156,24 +148,17 @@ pub fn lex(source: &str) -> Lexed {
                 if j + 1 < n && bytes[j] == '.' && bytes[j + 1].is_ascii_digit() {
                     j = word_end(&bytes, j + 1);
                 }
-                let text: String = bytes[i..j].iter().collect();
-                out.tokens.push(Tok {
-                    kind: TokKind::Literal,
-                    line,
-                    num: parse_int_literal(&text),
-                });
+                out.tokens.push(Tok::new(TokKind::Literal, line));
                 i = j;
             }
             c if c.is_alphabetic() || c == '_' => {
                 let j = word_end(&bytes, i + 1);
-                out.tokens.push(Tok::plain(
-                    TokKind::Ident(bytes[i..j].iter().collect()),
-                    line,
-                ));
+                out.tokens
+                    .push(Tok::new(TokKind::Ident(bytes[i..j].iter().collect()), line));
                 i = j;
             }
             c => {
-                out.tokens.push(Tok::plain(TokKind::Punct(c), line));
+                out.tokens.push(Tok::new(TokKind::Punct(c), line));
                 i += 1;
             }
         }
@@ -188,47 +173,6 @@ fn word_end(bytes: &[char], mut j: usize) -> usize {
         j += 1;
     }
     j
-}
-
-/// Parses an integer literal's value: decimal, `0x`/`0o`/`0b` radix
-/// prefixes, `_` separators, and trailing type suffixes (`42u32`,
-/// `7usize`). Floats and out-of-range values yield `None` — the interval
-/// passes treat those as unknown.
-fn parse_int_literal(text: &str) -> Option<u128> {
-    let (radix, digits) = match text.as_bytes() {
-        [b'0', b'x' | b'X', rest @ ..] => (16, rest),
-        [b'0', b'o' | b'O', rest @ ..] => (8, rest),
-        [b'0', b'b' | b'B', rest @ ..] => (2, rest),
-        rest => (10, rest),
-    };
-    let mut value: u128 = 0;
-    let mut any = false;
-    let mut it = digits.iter().copied().peekable();
-    while let Some(b) = it.next() {
-        if b == b'_' {
-            continue;
-        }
-        let d = match (b as char).to_digit(radix) {
-            Some(d) => d,
-            None => {
-                // A type suffix (`u32`, `i64`, `usize`) ends the digits;
-                // `.`, `e`/`E` in decimal mean a float.
-                if radix == 10 && (b == b'.' || b == b'e' || b == b'E') {
-                    return None;
-                }
-                let rest: Vec<u8> = std::iter::once(b).chain(it).collect();
-                return match rest.as_slice() {
-                    s if s.starts_with(b"u") || s.starts_with(b"i") => any.then_some(value),
-                    _ => None,
-                };
-            }
-        };
-        any = true;
-        value = value
-            .checked_mul(radix as u128)?
-            .checked_add(u128::from(d))?;
-    }
-    any.then_some(value)
 }
 
 /// Whether position `i` starts a raw/byte string prefix (`r"`, `r#`, `b"`,
@@ -368,26 +312,6 @@ mod tests {
         let l = lex("for i in 0..total { let x = 1.5e3; }");
         let puncts = l.tokens.iter().filter(|t| t.is_punct('.')).count();
         assert_eq!(puncts, 2, "0..total keeps both dots: {:?}", l.tokens);
-    }
-
-    #[test]
-    fn integer_literals_carry_values() {
-        let l =
-            lex("let x = 1_024; let y = 0xFF_u32; let z = 1 << 20; let f = 1.5; let s = \"9\";");
-        let nums: Vec<Option<u128>> = l
-            .tokens
-            .iter()
-            .filter(|t| t.kind == TokKind::Literal)
-            .map(|t| t.num)
-            .collect();
-        assert_eq!(nums, [Some(1024), Some(255), Some(1), Some(20), None, None]);
-        assert_eq!(
-            lex("0b1010 0o17 42usize 99i64").tokens[..4]
-                .iter()
-                .map(|t| t.num)
-                .collect::<Vec<_>>(),
-            [Some(10), Some(15), Some(42), Some(99)]
-        );
     }
 
     #[test]

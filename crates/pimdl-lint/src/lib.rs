@@ -1,6 +1,6 @@
 //! pimdl-lint — the workspace static-analysis gate.
 //!
-//! Five passes over every crate's source, built on a comment/string-aware
+//! Four passes over every crate's source, built on a comment/string-aware
 //! token scanner (no rustc, no deps, fully offline). The token rules run
 //! per file; the dataflow passes run over a *resolution layer*
 //! ([`resolve`]) that builds a per-crate symbol table and a
@@ -11,15 +11,15 @@
 //! * **L3-ATOMIC** — no `Acquire`/`Release`/`AcqRel`/`SeqCst` ordering and
 //!   no `fence` in non-test code without a windowed allowlist entry.
 //! * **L7-TAINT** — no wire-decoded value at an allocation, index, loop
-//!   bound, or narrowing cast without a proved bound ([`passes::range`]).
-//! * **L8-OVERFLOW** — no `+`/`*`/`<<` on a wire-decoded `u8`/`u16`/`u32`
-//!   whose proved interval can wrap.
+//!   bound, or narrowing cast without a sanitizer: a `.min`/`.clamp`
+//!   against a constant-like bound, a bound-and-bail guard, or a checked
+//!   conversion ([`passes::taint`]).
 //!
 //! Beside them, a lock census ([`passes::lock_census`]) lists every
 //! `Mutex`/`RwLock` field and constructing `let` for the inventory's
 //! `lock_count`, which `scripts/check.sh` holds against its baseline.
 //!
-//! The resolver and the L7/L8 dataflow walker read function bodies
+//! The resolver and the L7 dataflow walker read function bodies
 //! through one statement cursor (`cursor`), which returns syntax only.
 //!
 //! DESIGN.md §10 ("Static analysis") is the full account: what each pass
@@ -42,7 +42,7 @@ use diag::{Diagnostic, Report};
 use model::SourceFile;
 
 /// Pass configuration: which sources are hot paths (L2), and which
-/// protocol modules the taint pass (L7/L8) treats as untrusted-input
+/// protocol modules the taint pass (L7) treats as untrusted-input
 /// sources. One matching rule for both ([`allow::in_scope`]): an entry
 /// ending in `.rs` is a component-guarded path suffix, anything else a
 /// directory matched as a substring.
@@ -188,7 +188,7 @@ pub fn run_lints(files: &[SourceFile], allow: &AllowList, cfg: &LintConfig) -> R
     });
 
     // Resolution layer: each file's item model (whose structs the lock
-    // census reads too), symbol table, call graph, consts.
+    // census reads too), symbol table, call graph.
     let t0 = std::time::Instant::now();
     let hirs: Vec<hir::FileHir> = files.iter().map(hir::build).collect();
     let ws = resolve::build(files, &hirs);
@@ -203,8 +203,7 @@ pub fn run_lints(files: &[SourceFile], allow: &AllowList, cfg: &LintConfig) -> R
         }
     });
 
-    // L7 and L8 are one dataflow: a single fixpoint and reporting walk.
-    timed("L7-TAINT+L8-OVERFLOW", &mut report, &mut |r| {
+    timed("L7-TAINT", &mut report, &mut |r| {
         passes::taint::run(&ws, files, &cfg.taint_paths, allow, r);
     });
 

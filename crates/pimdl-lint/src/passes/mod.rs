@@ -3,7 +3,6 @@
 pub mod lock_census;
 pub mod memory_order;
 pub mod panic_path;
-pub mod range;
 pub mod taint;
 pub mod unsafe_audit;
 
@@ -109,33 +108,6 @@ pub(crate) fn stmt_end(tokens: &[Tok], from: usize, cap: usize, in_cond: bool) -
         }
     }
     cap
-}
-
-/// The binary arithmetic operator at `pos` in `[.., end)` as (binding
-/// power, marker, token count) — Rust order `* / %` > `+ -` > `<< >>` >
-/// `&` > `^` > `|`; `«`/`»` stand in for the two-token `<<`/`>>`.
-/// Comparison, range, and boolean operators are deliberately absent:
-/// hitting one ends an arithmetic parse. The operator table is all the
-/// const folder (`resolve`, exact `u128`) and the interval evaluator
-/// (`taint`, saturating casts) share.
-pub(crate) fn peek_arith_op(tokens: &[Tok], pos: usize, end: usize) -> Option<(u8, char, usize)> {
-    if pos >= end {
-        return None;
-    }
-    let two = |c: char| tokens.get(pos + 1).is_some_and(|t| t.is_punct(c));
-    match &tokens[pos].kind {
-        TokKind::Punct('*') => Some((6, '*', 1)),
-        TokKind::Punct('/') => Some((6, '/', 1)),
-        TokKind::Punct('%') => Some((6, '%', 1)),
-        TokKind::Punct('+') => Some((5, '+', 1)),
-        TokKind::Punct('-') => Some((5, '-', 1)),
-        TokKind::Punct('<') if two('<') => Some((4, '«', 2)),
-        TokKind::Punct('>') if two('>') => Some((4, '»', 2)),
-        TokKind::Punct('&') if !two('&') => Some((3, '&', 1)),
-        TokKind::Punct('^') => Some((2, '^', 1)),
-        TokKind::Punct('|') if !two('|') => Some((1, '|', 1)),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! Resolution layer: turns the per-file token streams + HIR into the
-//! workspace model the taint engine (L7/L8) consumes.
+//! workspace model the taint pass (L7) consumes.
 //!
 //! * **Symbol table** — structs keyed `crate::Name`, their fields with
 //!   parsed types, and a method table `crate::Ty::m -> fn`.
@@ -7,7 +7,6 @@
 //!   resolves to workspace functions: `.m(..)` on a receiver whose struct
 //!   is known (`self`, a typed parameter or local, a field, a lock's
 //!   guard), `Ty::m(..)` / `Self::m(..)` paths, and free functions by name.
-//! * **Const table** — integer `const` items folded to values.
 //!
 //! The statement syntax (`let` heads, assignments, chain heads and
 //! segments) comes from [`crate::cursor`], shared with the taint walker;
@@ -17,13 +16,13 @@
 //! not bind, generic calls (`f::<T>(..)`) stay unresolved, and free-call
 //! fallback resolution is by name over free functions only.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 use crate::cursor::{self, Pat, Seg, KEYWORDS};
 use crate::hir::{self, FieldDef, FileHir, SelfKind, Type};
 use crate::lexer::{Tok, TokKind};
 use crate::model::SourceFile;
-use crate::passes::{is_macro_call, path_sep, peek_arith_op, prev_segment, stmt_end};
+use crate::passes::{is_macro_call, path_sep, prev_segment, stmt_end};
 
 /// A call that resolves to workspace functions.
 #[derive(Debug, Clone)]
@@ -59,13 +58,6 @@ pub struct FnInfo {
 #[derive(Debug, Default)]
 pub struct Workspace {
     pub fns: Vec<FnInfo>,
-    /// Integer `const NAME: TY = ..;` values resolved across the
-    /// workspace (bare name -> value). Simple arithmetic and references
-    /// to other consts are folded; a name defined twice with different
-    /// values is dropped as ambiguous. Feeds the interval domain in
-    /// `passes::range` — a guard against `MAX_X` can only narrow a value
-    /// numerically if `MAX_X` resolves here.
-    pub consts: HashMap<String, u128>,
 }
 
 /// Crate a path belongs to: the component after `crates/`, else the root
@@ -191,201 +183,7 @@ pub fn build(files: &[SourceFile], hirs: &[FileHir]) -> Workspace {
         });
     }
 
-    Workspace {
-        fns,
-        consts: build_consts(files),
-    }
-}
-
-/// Scans every `const NAME: TY = EXPR;` item (top-level or associated)
-/// and folds integer initializers — literals, `+ - * / % << >> | & ^`,
-/// parens, `as` casts (wrap-exact), `uN::MAX`, and references to other
-/// consts by bare name. Iterates a few rounds so const-to-const chains
-/// (`const B: usize = A;`) resolve; a name declared twice with different
-/// values is dropped as ambiguous rather than guessed.
-fn build_consts(files: &[SourceFile]) -> HashMap<String, u128> {
-    // (name, file idx, init token range).
-    let mut decls: Vec<(String, usize, usize, usize)> = Vec::new();
-    for (fi, file) in files.iter().enumerate() {
-        let toks = &file.tokens;
-        for i in 0..toks.len() {
-            if toks[i].ident() != Some("const") || file.in_attr(i) {
-                continue;
-            }
-            // `const NAME: TY = EXPR;` has the shape of a `let` head;
-            // `const fn`, `const { .. }` and `*const T` do not.
-            let l = cursor::let_head(file, i, toks.len());
-            if !toks.get(l.pat_end).is_some_and(|t| t.is_punct(':')) || !l.has_init(toks) {
-                continue;
-            }
-            let Pat::Name(name) = l.pat else { continue };
-            let end = stmt_end(toks, l.eq + 1, toks.len(), false);
-            if l.eq + 1 < end {
-                decls.push((name, fi, l.eq + 1, end));
-            }
-        }
-    }
-
-    let mut env: HashMap<String, u128> = HashMap::new();
-    let mut poisoned: HashSet<String> = HashSet::new();
-    for _ in 0..4 {
-        let mut changed = false;
-        for (name, fi, es, ee) in &decls {
-            if poisoned.contains(name) {
-                continue;
-            }
-            let Some(v) = const_expr(&files[*fi].tokens, *es, *ee, &env) else {
-                continue;
-            };
-            match env.get(name) {
-                None => {
-                    env.insert(name.clone(), v);
-                    changed = true;
-                }
-                Some(&old) if old != v => {
-                    env.remove(name);
-                    poisoned.insert(name.clone());
-                    changed = true;
-                }
-                _ => {}
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    env
-}
-
-/// Evaluates a const initializer over `[s, e)`; `None` on anything the
-/// folder does not model (calls, floats, negatives, unknown names).
-fn const_expr(toks: &[Tok], s: usize, e: usize, env: &HashMap<String, u128>) -> Option<u128> {
-    let mut p = ConstParser {
-        toks,
-        pos: s,
-        end: e,
-        env,
-    };
-    let v = p.expr(0)?;
-    (p.pos >= e).then_some(v)
-}
-
-struct ConstParser<'a> {
-    toks: &'a [Tok],
-    pos: usize,
-    end: usize,
-    env: &'a HashMap<String, u128>,
-}
-
-impl ConstParser<'_> {
-    /// Precedence climbing; `min_bp` is the lowest binding power this
-    /// level may consume.
-    fn expr(&mut self, min_bp: u8) -> Option<u128> {
-        let mut lhs = self.atom()?;
-        loop {
-            let Some((bp, op, width)) = peek_arith_op(self.toks, self.pos, self.end) else {
-                return Some(lhs);
-            };
-            if bp < min_bp {
-                return Some(lhs);
-            }
-            self.pos += width;
-            let rhs = self.expr(bp + 1)?;
-            lhs = match op {
-                '+' => lhs.checked_add(rhs)?,
-                '-' => lhs.checked_sub(rhs)?,
-                '*' => lhs.checked_mul(rhs)?,
-                '/' => lhs.checked_div(rhs)?,
-                '%' => lhs.checked_rem(rhs)?,
-                '«' => lhs.checked_shl(u32::try_from(rhs).ok()?)?,
-                '»' => lhs.checked_shr(u32::try_from(rhs).ok()?)?,
-                '&' => lhs & rhs,
-                '^' => lhs ^ rhs,
-                '|' => lhs | rhs,
-                _ => return None,
-            };
-        }
-    }
-
-    fn atom(&mut self) -> Option<u128> {
-        if self.pos >= self.end {
-            return None;
-        }
-        let mut v = match &self.toks[self.pos].kind {
-            TokKind::Literal => {
-                let v = self.toks[self.pos].num?;
-                self.pos += 1;
-                v
-            }
-            TokKind::Punct('(') => {
-                self.pos += 1;
-                let v = self.expr(0)?;
-                if !self.toks.get(self.pos).is_some_and(|t| t.is_punct(')')) {
-                    return None;
-                }
-                self.pos += 1;
-                v
-            }
-            TokKind::Ident(name) => {
-                // `uN::MAX` / `Ty::CONST` paths resolve by last segment;
-                // a bare name looks up the const table.
-                let mut head = name.clone();
-                let mut last = name.clone();
-                self.pos += 1;
-                while self.pos + 1 < self.end
-                    && self.toks[self.pos].is_punct(':')
-                    && self.toks[self.pos + 1].is_punct(':')
-                {
-                    let seg = self.toks.get(self.pos + 2).and_then(|t| t.ident())?;
-                    head = last;
-                    last = seg.to_string();
-                    self.pos += 3;
-                }
-                match (type_bits(&head), last.as_str()) {
-                    (Some(bits), "MAX") => mask_bits(bits),
-                    (Some(_), "MIN") => 0,
-                    _ => *self.env.get(&last)?,
-                }
-            }
-            _ => return None,
-        };
-        // `as uN` casts wrap exactly.
-        while self
-            .pos
-            .checked_add(1)
-            .filter(|&p| p < self.end)
-            .is_some_and(|_| self.toks[self.pos].ident() == Some("as"))
-        {
-            let ty = self.toks.get(self.pos + 1).and_then(|t| t.ident())?;
-            let bits = type_bits(ty)?;
-            if bits < 128 {
-                v &= mask_bits(bits);
-            }
-            self.pos += 2;
-        }
-        Some(v)
-    }
-}
-
-/// Bit width of an unsigned integer type name (`usize` counts as 64 —
-/// the lint targets 64-bit hosts).
-fn type_bits(name: &str) -> Option<u32> {
-    match name {
-        "u8" => Some(8),
-        "u16" => Some(16),
-        "u32" => Some(32),
-        "u64" | "usize" => Some(64),
-        "u128" => Some(128),
-        _ => None,
-    }
-}
-
-fn mask_bits(bits: u32) -> u128 {
-    if bits >= 128 {
-        u128::MAX
-    } else {
-        (1u128 << bits) - 1
-    }
+    Workspace { fns }
 }
 
 /// What a local name is bound to, and what a chain folds to.
@@ -848,43 +646,5 @@ fn spawn(e: &E) {
 "#;
         let ws = ws_of(src);
         assert_eq!(callees(&ws, "spawn"), ["finish", "mark"]);
-    }
-
-    #[test]
-    fn const_table_folds_integer_items() {
-        let src = r#"
-const HEADER_LEN: usize = 4 + 2;
-const MAX_BODY: usize = 16 * 1024 * 1024;
-const SHIFTED: u32 = 1 << 20;
-const CHAIN: usize = MAX_BODY / 2;
-const WIDE: u64 = u32::MAX as u64 + 1;
-const HEXY: u16 = 0xFF_u16 | 0x0F;
-pub struct Caps;
-impl Caps {
-    pub const LIMIT: usize = HEADER_LEN + 10;
-}
-const NOT_INT: &str = "nope";
-const FROM_CALL: u64 = compute();
-fn generic<const N: usize>(x: [u8; N]) {}
-"#;
-        let ws = ws_of(src);
-        assert_eq!(ws.consts.get("HEADER_LEN"), Some(&6));
-        assert_eq!(ws.consts.get("MAX_BODY"), Some(&(16 * 1024 * 1024)));
-        assert_eq!(ws.consts.get("SHIFTED"), Some(&(1 << 20)));
-        assert_eq!(ws.consts.get("CHAIN"), Some(&(8 * 1024 * 1024)));
-        assert_eq!(ws.consts.get("WIDE"), Some(&(1u128 << 32)));
-        assert_eq!(ws.consts.get("HEXY"), Some(&0xFF));
-        assert_eq!(ws.consts.get("LIMIT"), Some(&16));
-        assert_eq!(ws.consts.get("NOT_INT"), None);
-        assert_eq!(ws.consts.get("FROM_CALL"), None);
-        assert_eq!(ws.consts.get("N"), None);
-    }
-
-    #[test]
-    fn const_table_drops_ambiguous_names() {
-        let a = SourceFile::parse("crates/a/src/lib.rs", "const CAP: usize = 8;");
-        let b = SourceFile::parse("crates/b/src/lib.rs", "const CAP: usize = 16;");
-        let ws = build_all(&[a, b]);
-        assert_eq!(ws.consts.get("CAP"), None);
     }
 }

@@ -1,4 +1,4 @@
-//! L7/L8 seam fixture: one function per statement form the resolver and
+//! L7 seam fixture: one function per statement form the resolver and
 //! the dataflow walker both parse (loop heads, guards, struct literals,
 //! turbofish paths and methods, `let` patterns). The (code, line) set
 //! the pass reports here is pinned in tests/fixtures.rs, including the

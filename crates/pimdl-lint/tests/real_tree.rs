@@ -44,7 +44,7 @@ struct Case {
     names: &'static [&'static str],
 }
 
-const CASES: [Case; 8] = [
+const CASES: [Case; 7] = [
     Case {
         file: REACTOR,
         seed: Seed::Append("fn seeded(p: *const u8) -> u8 { unsafe { *p } }\n"),
@@ -74,15 +74,6 @@ const CASES: [Case; 8] = [
         ),
         want: &[("L7-ALLOC", 2)],
         names: &["`from_le_bytes` at crates/pimdl-serve/src/fabric.rs"],
-    },
-    Case {
-        file: FABRIC,
-        seed: Seed::Append(
-            "fn seeded(c: &mut Cursor<'_>) -> std::result::Result<u32, FrameError> {\n    \
-             let k = c.u32()?;\n    Ok(k * 2)\n}\n",
-        ),
-        want: &[("L8-OVERFLOW", 2)],
-        names: &["`u32` multiplication", "`from_le_bytes` at"],
     },
     // The `Execute` decoder without its request-count guard: the wire
     // count sizes the request vector and bounds the decode loop.
