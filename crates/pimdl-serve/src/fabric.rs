@@ -63,7 +63,7 @@ use crate::request::Request;
 use crate::runtime::Runtime;
 use crate::server::{fallback_tag, ServeHandle};
 use crate::shard::{run_batch, ReplicaModel, ServiceModel};
-use crate::supervisor::{LoadOrder, Supervisor, TableState};
+use crate::supervisor::{Cause, EventLog, LoadOrder, Supervisor, TableState};
 use crate::Result;
 
 // ---------------------------------------------------------------------------
@@ -864,8 +864,9 @@ pub struct FabricServerLoop<'a> {
     /// query.
     routes: HashMap<u64, (Token, String)>,
     inflight: BTreeMap<u64, InflightBatch>,
-    /// Shard connections that failed I/O and await death bookkeeping.
-    pending_dead: Vec<Token>,
+    /// Shard connections that failed and await death bookkeeping, each
+    /// with the cause of its first failure.
+    pending_dead: Vec<(Token, Cause)>,
     next_batch_id: u64,
     next_req_id: u64,
     default_table: String,
@@ -944,6 +945,14 @@ impl<'a> FabricServerLoop<'a> {
     #[must_use]
     pub fn with_ready_flag(mut self, flag: Arc<AtomicBool>) -> Self {
         self.all_ready = flag;
+        self
+    }
+
+    /// Logs the supervisor's transitions into `log`, which an observer
+    /// holds a clone of ([`FabricHandle::events`]).
+    #[must_use]
+    pub fn with_event_log(mut self, log: EventLog) -> Self {
+        self.sup.log_into(log);
         self
     }
 
@@ -1028,7 +1037,7 @@ impl<'e> Front<dyn FabricShardEngine + 'e> for FabricServerLoop<'_> {
                 if eof {
                     // EOF from a worker — including one that was
                     // `kill -9`ed mid-batch.
-                    self.conn_failed(conns, t);
+                    self.conn_failed(conns, t, Cause::Eof);
                 }
             }
             // A peer that never spoke: the table reaps it at EOF.
@@ -1038,7 +1047,7 @@ impl<'e> Front<dyn FabricShardEngine + 'e> for FabricServerLoop<'_> {
     }
 
     fn failed(&mut self, conns: &mut Conns<'_, ConnKind>, t: Token) {
-        self.conn_failed(conns, t);
+        self.conn_failed(conns, t, Cause::Eof);
     }
 
     /// Protocol timeouts, simulated replies, then death bookkeeping and
@@ -1051,7 +1060,7 @@ impl<'e> Front<dyn FabricShardEngine + 'e> for FabricServerLoop<'_> {
     ) -> Result<bool> {
         let mut progress = false;
         for shard in self.sup.expired(self.clock.now()) {
-            self.shard_died(conns, engine, shard)?;
+            self.shard_died(conns, engine, shard, Cause::Timeout)?;
             progress = true;
         }
         progress |= self.deliver_sim_replies(conns, engine)?;
@@ -1099,7 +1108,7 @@ impl<'a> FabricServerLoop<'a> {
                 Ok(Some(line)) => self.handle_query_line(conns, t, &line)?,
                 Ok(None) => return Ok(()),
                 Err(_) => {
-                    self.conn_failed(conns, t);
+                    self.conn_failed(conns, t, Cause::Protocol);
                     return Ok(());
                 }
             }
@@ -1194,7 +1203,7 @@ impl<'a> FabricServerLoop<'a> {
                 Ok(Some(frame)) => self.handle_shard_frame(conns, engine, t, frame)?,
                 Ok(None) => return Ok(()),
                 Err(_) => {
-                    self.conn_failed(conns, t);
+                    self.conn_failed(conns, t, Cause::Protocol);
                     return Ok(());
                 }
             }
@@ -1219,20 +1228,20 @@ impl<'a> FabricServerLoop<'a> {
                         self.send_load(conns, engine, &o)?;
                     }
                 }
-                Err(_) => self.conn_failed(conns, t),
+                Err(_) => self.conn_failed(conns, t, Cause::Protocol),
             },
             Frame::TableReady { table } => {
                 let Some(shard) = self.sup.shard_by_token(t) else {
-                    self.conn_failed(conns, t);
+                    self.conn_failed(conns, t, Cause::Protocol);
                     return Ok(());
                 };
                 if self.sup.on_table_ready(shard, &table, now).is_err() {
-                    self.conn_failed(conns, t);
+                    self.conn_failed(conns, t, Cause::Protocol);
                 }
             }
             Frame::ExecDone { batch_id, flags } => {
                 let Some(shard) = self.sup.shard_by_token(t) else {
-                    self.conn_failed(conns, t);
+                    self.conn_failed(conns, t, Cause::Protocol);
                     return Ok(());
                 };
                 let valid = self
@@ -1240,7 +1249,7 @@ impl<'a> FabricServerLoop<'a> {
                     .get(&batch_id)
                     .is_some_and(|b| b.shard == shard && b.jobs.len() == flags.len());
                 if !valid {
-                    self.conn_failed(conns, t);
+                    self.conn_failed(conns, t, Cause::Protocol);
                     return Ok(());
                 }
                 let Some(batch) = self.inflight.remove(&batch_id) else {
@@ -1257,7 +1266,7 @@ impl<'a> FabricServerLoop<'a> {
                 }
             }
             Frame::LoadTable { .. } | Frame::Execute { .. } | Frame::Shutdown => {
-                self.conn_failed(conns, t);
+                self.conn_failed(conns, t, Cause::Protocol);
             }
         }
         Ok(())
@@ -1386,9 +1395,10 @@ impl<'a> FabricServerLoop<'a> {
         conns: &mut Conns<'_, ConnKind>,
         engine: &mut dyn FabricShardEngine,
         shard: u32,
+        cause: Cause,
     ) -> Result<()> {
         let token = self.sup.token_of(shard);
-        let orders = self.sup.mark_dead(shard, self.clock.now());
+        let orders = self.sup.mark_dead(shard, self.clock.now(), cause);
         if let Some(t) = token {
             engine.forget(t);
             conns.close(t);
@@ -1423,21 +1433,22 @@ impl<'a> FabricServerLoop<'a> {
         engine: &mut dyn FabricShardEngine,
     ) -> Result<bool> {
         let mut progress = false;
-        while let Some(t) = self.pending_dead.pop() {
+        while let Some((t, cause)) = self.pending_dead.pop() {
             if let Some(shard) = self.sup.shard_by_token(t) {
-                self.shard_died(conns, engine, shard)?;
+                self.shard_died(conns, engine, shard, cause)?;
                 progress = true;
             }
         }
         Ok(progress)
     }
 
-    /// Fails a connection: shard connections queue for death bookkeeping,
-    /// everything else just closes (a no-op when the transport already
-    /// closed it on a write failure).
-    fn conn_failed(&mut self, conns: &mut Conns<'_, ConnKind>, t: Token) {
-        if self.sup.shard_by_token(t).is_some() && !self.pending_dead.contains(&t) {
-            self.pending_dead.push(t);
+    /// Fails a connection for `cause`: shard connections queue for death
+    /// bookkeeping, everything else just closes (a no-op when the
+    /// transport already closed it on a write failure).
+    fn conn_failed(&mut self, conns: &mut Conns<'_, ConnKind>, t: Token, cause: Cause) {
+        let queued = self.pending_dead.iter().any(|&(p, _)| p == t);
+        if self.sup.shard_by_token(t).is_some() && !queued {
+            self.pending_dead.push((t, cause));
         }
         conns.close(t);
     }
@@ -1445,7 +1456,7 @@ impl<'a> FabricServerLoop<'a> {
     /// Queues `bytes` on `t` and flushes as far as the transport allows.
     fn send(&mut self, conns: &mut Conns<'_, ConnKind>, t: Token, bytes: &[u8]) {
         if conns.send(t, bytes) {
-            self.conn_failed(conns, t);
+            self.conn_failed(conns, t, Cause::Eof);
         }
     }
 
@@ -1478,6 +1489,7 @@ pub struct FabricHandle {
     reactor: ServeHandle,
     children: Mutex<Vec<Child>>,
     all_ready: Arc<AtomicBool>,
+    events: EventLog,
 }
 
 impl FabricHandle {
@@ -1510,6 +1522,12 @@ impl FabricHandle {
             std::thread::sleep(Duration::from_millis(1));
         }
         Ok(())
+    }
+
+    /// The supervisor's transitions so far: each shard's and table's state
+    /// changes with their loop-clock times and causes.
+    pub fn events(&self) -> &EventLog {
+        &self.events
     }
 
     /// Kills worker `idx` with SIGKILL and reaps it — the fault-injection
@@ -1627,11 +1645,14 @@ impl Runtime {
 
         let all_ready = Arc::new(AtomicBool::new(false));
         let ready_flag = Arc::clone(&all_ready);
+        let events = EventLog::default();
+        let log = events.clone();
         // No in-process shard threads: the workers are the child processes.
         let run = move |rt: &Runtime, r: &mut conn::Reactor| {
             let (clock, metrics) = (Arc::clone(&r.clock), Arc::clone(&r.metrics));
             FabricServerLoop::new(rt, fabric, &tables, clock, metrics)?
                 .with_ready_flag(ready_flag)
+                .with_event_log(log)
                 .run(&mut r.poller, &mut ProcessShardEngine)
         };
         match conn::spawn_reactor(self, "pimdl-serve-fabric", listener, speedup, run) {
@@ -1639,6 +1660,7 @@ impl Runtime {
                 reactor,
                 children: Mutex::new(children),
                 all_ready,
+                events,
             }),
             Err(e) => {
                 kill_all(&mut children);

@@ -100,7 +100,10 @@ pub use request::{Outcome, Request, RequestRecord};
 pub use runtime::{OpenLoop, Runtime, ServeConfig, ServeReport};
 pub use server::{HttpConfig, HttpServerLoop, ServeHandle, ServerLoop};
 pub use shard::{DispatchTicket, ReplicaModel, ServiceModel, ShardManager, Shards};
-pub use supervisor::{HashRing, LoadOrder, ShardState, Supervisor, TableState};
+pub use supervisor::{
+    Cause, EventLog, HashRing, LoadOrder, ShardState, Supervisor, SupervisorEvent, TableState,
+    Transition,
+};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ServeError>;

@@ -29,8 +29,17 @@
 //! A `Lost` table (no live shard remains) is terminal until a new fabric
 //! is built; the loop error-responds its queued queries instead of
 //! dropping them.
+//!
+//! ## Event log
+//!
+//! Every transition above is appended to an [`EventLog`], a ring of the
+//! last [`EVENT_LOG_CAPACITY`] events, each with its time on the loop's
+//! clock and its [`Cause`]. The log only reads the clock the loop already
+//! passes in, so it changes no behaviour; [`crate::FabricHandle`] shares
+//! it with other threads.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::error::ServeError;
 use crate::reactor::Token;
@@ -128,6 +137,86 @@ pub enum TableState {
     Lost,
 }
 
+/// Why a shard or a table changed state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cause {
+    /// The worker's `Hello`: shard `Connecting → Ready`.
+    Hello,
+    /// The shard's `TableReady`: table `Loading(s) → Ready(s)`, on its
+    /// first load and on a re-replication alike.
+    TableReady,
+    /// The shard's connection reached EOF or failed an I/O operation:
+    /// shard `→ Dead`.
+    Eof,
+    /// The shard sent a frame that does not decode or that its state does
+    /// not allow, and the loop failed its connection: shard `→ Dead`.
+    Protocol,
+    /// A protocol deadline passed with no `Hello` (or, on a `Ready` shard,
+    /// with a load unconfirmed): shard `→ Dead`.
+    Timeout,
+    /// The table's owner died, so it is re-replicated on its
+    /// consistent-hash successor: table `→ Loading(successor)`.
+    OwnerDied,
+    /// The table's owner died and no live shard remains: table `→ Lost`.
+    NoLiveShard,
+}
+
+/// The state a shard or a table moved to.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Transition {
+    /// Shard `id` moved to the state.
+    Shard(u32, ShardState),
+    /// The named table moved to the state.
+    Table(String, TableState),
+}
+
+/// One entry of the supervisor's [`EventLog`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SupervisorEvent {
+    /// The loop-clock time of the transition.
+    pub at_s: f64,
+    /// What moved, and to which state.
+    pub to: Transition,
+    /// Why it moved.
+    pub cause: Cause,
+}
+
+/// Events the [`EventLog`] keeps; older ones are overwritten. A fabric
+/// logs a handful per worker death, so this covers many deaths.
+pub const EVENT_LOG_CAPACITY: usize = 256;
+
+/// The supervisor's transitions, newest last: a bounded ring shared by
+/// handle (clones read and write the same ring). Its lock is only ever
+/// taken alone, to append one event or to copy the ring out.
+#[derive(Debug, Clone, Default)]
+pub struct EventLog {
+    ring: Arc<Mutex<Ring>>,
+}
+
+#[derive(Debug, Default)]
+struct Ring {
+    events: VecDeque<SupervisorEvent>,
+    total: u64,
+}
+
+impl EventLog {
+    fn push(&self, at_s: f64, to: Transition, cause: Cause) {
+        let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
+        if ring.events.len() == EVENT_LOG_CAPACITY {
+            ring.events.pop_front();
+        }
+        ring.events.push_back(SupervisorEvent { at_s, to, cause });
+        ring.total += 1;
+    }
+
+    /// The kept events, oldest first, and the number of events ever
+    /// logged (more than the kept ones once the ring has wrapped).
+    pub fn read(&self) -> (Vec<SupervisorEvent>, u64) {
+        let ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
+        (ring.events.iter().cloned().collect(), ring.total)
+    }
+}
+
 #[derive(Debug)]
 struct ShardInfo {
     state: ShardState,
@@ -164,6 +253,7 @@ pub struct Supervisor {
     shards: BTreeMap<u32, ShardInfo>,
     tables: BTreeMap<String, TableInfo>,
     timeout_s: f64,
+    log: EventLog,
 }
 
 impl Supervisor {
@@ -237,7 +327,19 @@ impl Supervisor {
             shards,
             tables: table_map,
             timeout_s,
+            log: EventLog::default(),
         })
+    }
+
+    /// The log this supervisor appends its transitions to.
+    pub fn events(&self) -> &EventLog {
+        &self.log
+    }
+
+    /// Appends transitions to `log` from now on (one another thread
+    /// holds a clone of).
+    pub fn log_into(&mut self, log: EventLog) {
+        self.log = log;
     }
 
     /// A worker's `Hello`: binds its connection token and returns the
@@ -266,6 +368,8 @@ impl Supervisor {
         }
         info.state = ShardState::Ready;
         info.token = Some(token);
+        let to = Transition::Shard(shard, ShardState::Ready);
+        self.log.push(now, to, Cause::Hello);
         let orders = self.orders_for(shard);
         self.rearm_deadline(shard, now);
         Ok(orders)
@@ -291,17 +395,20 @@ impl Supervisor {
             });
         }
         info.state = TableState::Ready(shard);
+        let to = Transition::Table(table.to_string(), info.state);
+        self.log.push(now, to, Cause::TableReady);
         self.rearm_deadline(shard, now);
         Ok(())
     }
 
-    /// Declares a shard dead (EOF or deadline): its ring points leave,
+    /// Declares a shard dead for `cause` ([`Cause::Eof`],
+    /// [`Cause::Protocol`] or [`Cause::Timeout`]): its ring points leave,
     /// and every table it held or was loading is re-placed on its
     /// consistent-hash successor. Returns the load orders for successors
     /// that are already `Ready` — orders for still-`Connecting`
     /// successors are delivered by their own `on_hello`. Tables with no
     /// live shard left become [`TableState::Lost`].
-    pub fn mark_dead(&mut self, shard: u32, now: f64) -> Vec<LoadOrder> {
+    pub fn mark_dead(&mut self, shard: u32, now: f64, cause: Cause) -> Vec<LoadOrder> {
         let Some(info) = self.shards.get_mut(&shard) else {
             return Vec::new();
         };
@@ -312,6 +419,8 @@ impl Supervisor {
         info.token = None;
         info.deadline_s = f64::INFINITY;
         self.ring.remove_shard(shard);
+        let to = Transition::Shard(shard, ShardState::Dead);
+        self.log.push(now, to, cause);
 
         let mut orders = Vec::new();
         let names: Vec<String> = self.tables.keys().cloned().collect();
@@ -327,24 +436,23 @@ impl Supervisor {
                 continue;
             }
             let seed = t.seed;
-            match self.ring.owner_of(&name) {
-                Some(succ) => {
-                    if let Some(t) = self.tables.get_mut(&name) {
-                        t.state = TableState::Loading(succ);
-                    }
-                    if self.shards.get(&succ).map(|s| s.state) == Some(ShardState::Ready) {
-                        orders.push(LoadOrder {
-                            table: name.clone(),
-                            seed,
-                            shard: succ,
-                        });
-                        self.rearm_deadline(succ, now);
-                    }
-                }
-                None => {
-                    if let Some(t) = self.tables.get_mut(&name) {
-                        t.state = TableState::Lost;
-                    }
+            let (state, cause) = match self.ring.owner_of(&name) {
+                Some(succ) => (TableState::Loading(succ), Cause::OwnerDied),
+                None => (TableState::Lost, Cause::NoLiveShard),
+            };
+            if let Some(t) = self.tables.get_mut(&name) {
+                t.state = state;
+            }
+            self.log
+                .push(now, Transition::Table(name.clone(), state), cause);
+            if let TableState::Loading(succ) = state {
+                if self.shards.get(&succ).map(|s| s.state) == Some(ShardState::Ready) {
+                    orders.push(LoadOrder {
+                        table: name,
+                        seed,
+                        shard: succ,
+                    });
+                    self.rearm_deadline(succ, now);
                 }
             }
         }
@@ -556,7 +664,7 @@ mod tests {
             .collect();
         assert!(!dead.is_empty(), "shard 0 must own something");
 
-        let orders = sup.mark_dead(0, 2.0);
+        let orders = sup.mark_dead(0, 2.0, Cause::Eof);
         assert_eq!(sup.shard_state(0), Some(ShardState::Dead));
         let ordered: Vec<String> = orders.iter().map(|o| o.table.clone()).collect();
         for name in &dead {
@@ -570,15 +678,75 @@ mod tests {
             sup.on_table_ready(1, &o.table, 3.0).unwrap();
         }
         assert!(sup.all_tables_ready(), "all tables re-replicated");
-        assert!(sup.mark_dead(0, 4.0).is_empty(), "idempotent");
+        assert!(sup.mark_dead(0, 4.0, Cause::Eof).is_empty(), "idempotent");
 
         // Killing the last shard strands every table.
-        let orders = sup.mark_dead(1, 5.0);
+        let orders = sup.mark_dead(1, 5.0, Cause::Eof);
         assert!(orders.is_empty());
         assert!(sup.any_table_lost());
         for name in names {
             assert_eq!(sup.table_state(name), Some(TableState::Lost));
         }
+    }
+
+    #[test]
+    fn transitions_are_logged_with_their_times_and_causes() {
+        let mut sup = Supervisor::new(2, 8, 5.0, 0.0, &tables(&["t-a"])).unwrap();
+        let owner = sup.ring.owner_of("t-a").unwrap();
+        let other = 1 - owner;
+        sup.on_hello(owner, Token(7), 1.0).unwrap();
+        sup.on_table_ready(owner, "t-a", 1.5).unwrap();
+        sup.mark_dead(owner, 2.0, Cause::Eof);
+        sup.mark_dead(other, 6.0, Cause::Timeout);
+        let (events, total) = sup.events().read();
+        let got: Vec<(f64, Transition, Cause)> = events
+            .into_iter()
+            .map(|e| (e.at_s, e.to, e.cause))
+            .collect();
+        let table = |state| Transition::Table("t-a".to_string(), state);
+        assert_eq!(
+            got,
+            [
+                (
+                    1.0,
+                    Transition::Shard(owner, ShardState::Ready),
+                    Cause::Hello
+                ),
+                (1.5, table(TableState::Ready(owner)), Cause::TableReady),
+                (2.0, Transition::Shard(owner, ShardState::Dead), Cause::Eof),
+                (2.0, table(TableState::Loading(other)), Cause::OwnerDied),
+                (
+                    6.0,
+                    Transition::Shard(other, ShardState::Dead),
+                    Cause::Timeout
+                ),
+                (6.0, table(TableState::Lost), Cause::NoLiveShard),
+            ]
+        );
+        assert_eq!(total, 6);
+        // A repeated death and a refused Hello change nothing, so log nothing.
+        sup.mark_dead(owner, 7.0, Cause::Eof);
+        assert!(sup.on_hello(other, Token(8), 7.0).is_err());
+        assert_eq!(sup.events().read().1, 6);
+    }
+
+    #[test]
+    fn the_event_log_keeps_the_newest_events() {
+        let log = EventLog::default();
+        let shared = log.clone();
+        let n = EVENT_LOG_CAPACITY as u64 + 10;
+        for k in 0..n {
+            log.push(
+                k as f64,
+                Transition::Shard(0, ShardState::Ready),
+                Cause::Hello,
+            );
+        }
+        let (events, total) = shared.read();
+        assert_eq!(total, n);
+        assert_eq!(events.len(), EVENT_LOG_CAPACITY);
+        assert_eq!(events[0].at_s, 10.0, "the oldest ten were overwritten");
+        assert_eq!(events[EVENT_LOG_CAPACITY - 1].at_s, (n - 1) as f64);
     }
 
     #[test]
@@ -594,7 +762,7 @@ mod tests {
         for o in orders {
             sup.on_table_ready(0, &o.table, 2.0).unwrap();
         }
-        sup.mark_dead(1, 5.2);
+        sup.mark_dead(1, 5.2, Cause::Timeout);
         assert!(sup.expired(1e9).is_empty(), "nothing owed, nothing expires");
     }
 

@@ -15,7 +15,9 @@ use pimdl_engine::fabric::FabricConfig;
 use pimdl_engine::shapes::TransformerShape;
 use pimdl_serve::codec::ServerMsg;
 use pimdl_serve::fabric::measure_loopback_rtt;
-use pimdl_serve::{LineClient, Runtime, ServeConfig};
+use pimdl_serve::{
+    Cause, LineClient, Runtime, ServeConfig, ShardState, SupervisorEvent, TableState, Transition,
+};
 use pimdl_sim::{NetworkModel, PlatformConfig};
 use pimdl_tensor::rng::DataRng;
 
@@ -126,6 +128,22 @@ fn fabric_survives_kill9_with_zero_lost_requests() {
         }
     }
     assert!(expected.is_empty(), "unanswered queries: {expected:?}");
+
+    // The supervisor logged the kill once, as worker 0's EOF, and moved
+    // each table it held to a survivor.
+    let (events, _) = handle.events().read();
+    let deaths: Vec<&SupervisorEvent> = (events.iter())
+        .filter(|e| matches!(e.to, Transition::Shard(_, ShardState::Dead)))
+        .collect();
+    assert_eq!(deaths.len(), 1, "{events:?}");
+    assert_eq!(deaths[0].to, Transition::Shard(0, ShardState::Dead));
+    assert_eq!(deaths[0].cause, Cause::Eof);
+    for e in events.iter().filter(|e| e.cause == Cause::OwnerDied) {
+        assert!(
+            matches!(e.to, Transition::Table(_, TableState::Loading(s)) if s != 0),
+            "{e:?}"
+        );
+    }
 
     let snap = handle.shutdown().unwrap();
     assert_eq!(snap.submitted, 24);

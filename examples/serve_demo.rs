@@ -28,7 +28,8 @@
 //! each serving consistent-hash-placed LUT tables over the binary frame
 //! protocol, and one worker is SIGKILLed mid-run — the supervisor
 //! re-replicates its tables to the hash successor and every in-flight
-//! query still completes against its client-side oracle.
+//! query still completes against its client-side oracle. The
+//! supervisor's event log is printed as one JSON object per line.
 
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -39,7 +40,10 @@ use pimdl::engine::shapes::TransformerShape;
 use pimdl::serve::codec::{ErrorKind, ServerMsg};
 use pimdl::serve::http;
 use pimdl::serve::server::HttpConfig;
-use pimdl::serve::{HttpClient, LineClient, ModelRegistry, ReplicaModel, Runtime, ServeConfig};
+use pimdl::serve::{
+    HttpClient, LineClient, ModelRegistry, ReplicaModel, Runtime, ServeConfig, SupervisorEvent,
+    Transition,
+};
 use pimdl::sim::PlatformConfig;
 use pimdl::tensor::rng::DataRng;
 
@@ -294,6 +298,12 @@ fn run_fabric(
     for c in clients {
         ok += c.join().expect("client thread panicked")?;
     }
+    let (events, total) = handle.events().read();
+    println!("supervisor events ({total}, one JSON object per line):");
+    for e in &events {
+        println!("{}", event_json(e));
+    }
+    println!();
     let snap = handle.shutdown()?;
 
     println!("{}", snap.render());
@@ -306,6 +316,19 @@ fn run_fabric(
         snap.completed == (num_clients * per_client) as u64,
     );
     Ok(())
+}
+
+/// One supervisor event as a JSON object. Table names need no escaping:
+/// the fabric accepts only `[A-Za-z0-9._-]`.
+fn event_json(e: &SupervisorEvent) -> String {
+    let (subject, to) = match &e.to {
+        Transition::Shard(id, state) => (format!("\"shard\":{id}"), format!("{state:?}")),
+        Transition::Table(name, state) => (format!("\"table\":\"{name}\""), format!("{state:?}")),
+    };
+    format!(
+        "{{\"at_s\":{},{subject},\"to\":\"{to}\",\"cause\":\"{:?}\"}}",
+        e.at_s, e.cause
+    )
 }
 
 /// The `--http` mode: multi-tenant keep-alive inference over HTTP/1.1.

@@ -12,6 +12,8 @@
 // Each suite uses the part of the harness its front needs.
 #![allow(dead_code)]
 
+mod events;
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -22,7 +24,7 @@ use pimdl::serve::codec::{self, ErrorKind, ServerMsg};
 use pimdl::serve::http::{self, ClientResponse};
 use pimdl::serve::reactor::{Token, WAKE_SHUTDOWN};
 use pimdl::serve::{
-    Clock, EventSource, FabricServerLoop, Frame, HttpConfig, HttpServerLoop, Metrics,
+    Cause, Clock, EventSource, FabricServerLoop, Frame, HttpConfig, HttpServerLoop, Metrics,
     MetricsSnapshot, ModelRegistry, ReplicaModel, Runtime, ServeConfig, ServerLoop, ShardState,
     Shards, SimPoller, SimShardEngine, TableState, VirtualClock,
 };
@@ -154,6 +156,9 @@ pub struct Script<'a> {
     clients: Vec<(Token, Vec<Owed>)>,
     /// When the loop is asked to shut down, if it is.
     shutdown_s: Option<f64>,
+    /// The fabric worker faults, once the script says it lists them all:
+    /// the supervisor's event log must show each, and no other death.
+    faults: Option<Vec<events::Fault>>,
 }
 
 impl<'a> Script<'a> {
@@ -289,6 +294,20 @@ impl<'a> Script<'a> {
         self.poller.send_at(at, conn, frame.encode().unwrap());
     }
 
+    /// Fabric worker `shard` was scripted a fault at `at` that must kill
+    /// it for `cause`, if the loop still runs then. A script that records
+    /// one must record every fault: a worker that dies of anything else
+    /// fails the run.
+    pub fn fault(&mut self, shard: u32, cause: Cause, at: f64) {
+        self.faults
+            .get_or_insert_with(Vec::new)
+            .push(events::Fault {
+                shard,
+                cause,
+                at_s: at,
+            });
+    }
+
     /// Client `c` hangs up at `at`.
     pub fn close(&self, at: f64, c: usize) {
         self.poller.close_at(at, self.clients[c].0);
@@ -349,9 +368,10 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
         models: &models,
         clients: Vec::new(),
         shutdown_s: None,
+        faults: None,
     };
     script(&mut s);
-    let (clients, shutdown_s) = (s.clients, s.shutdown_s);
+    let (clients, shutdown_s, faults) = (s.clients, s.shutdown_s, s.faults);
     let gathers = || {
         models
             .iter()
@@ -363,6 +383,7 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
     let mut dispatches = Vec::new();
     let (mut shard_states, mut table_states) = (Vec::new(), Vec::new());
     let (mut all_ready, mut any_lost) = (false, false);
+    let mut supervisor_log = None;
     let gathers = if let Front::Fabric {
         fabric,
         tables,
@@ -396,6 +417,7 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
             .collect();
         all_ready = sup.all_tables_ready();
         any_lost = sup.any_table_lost();
+        supervisor_log = Some(sup.events().read());
         server.reference_gathers()
     } else {
         let mut shards = Shards::simulated(rt, Arc::clone(&clock), poller.handle()).unwrap();
@@ -429,6 +451,14 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
         any_lost,
     };
     check(&end, front, &clients, shutdown_s);
+    if let (Some((log, total)), Front::Fabric { fabric, tables, .. }) = (supervisor_log, front) {
+        let fleet = events::Fleet {
+            num_shards: fabric.num_shards,
+            vnodes: fabric.vnodes,
+            tables,
+        };
+        events::check(&log, total, &fleet, &end, faults.as_deref());
+    }
     end
 }
 
@@ -702,9 +732,13 @@ pub fn explore(kind: Kind, cases: u64) {
             let workers = schedule(s, &mut rng, &mut close, t1, deadline_s);
             let mut rng = TestRng::deterministic(&format!("{name}-forged"));
             if matches!(kind, Kind::FabricForged) && !workers.is_empty() {
-                let conn = workers[rng.below(workers.len() as u64) as usize];
+                let (shard, conn) = workers[rng.below(workers.len() as u64) as usize];
                 let at = 0.1 + 24.0 * t1 * rng.unit_f64();
                 s.exec_done(at, conn, rng.below(6), 1 + rng.below(4) as usize);
+                // An unknown or repeated `ExecDone` fails the worker now;
+                // one that names its in-flight batch makes the real reply
+                // the repeat.
+                s.fault(shard, Cause::Protocol, at);
             }
             // Drawn apart, so the schedule above is the same with or
             // without a shutdown.
@@ -725,53 +759,70 @@ pub fn explore(kind: Kind, cases: u64) {
 /// hang-up mid-request, all read through a slow reader. Over HTTP, a third
 /// of the clients that are not cut off end on a request carrying
 /// `Connection: close`, drawn from `close` so the rest of the schedule
-/// does not depend on it; such a client does not hang up itself. Returns
-/// the worker connections that said `Hello` on time.
+/// does not depend on it; such a client does not hang up itself. Each
+/// worker fault is recorded with the death it must cause. Returns the
+/// workers that said `Hello` on time, with their connections.
 fn schedule(
     s: &mut Script,
     rng: &mut TestRng,
     close: &mut TestRng,
     t1: f64,
     deadline_s: f64,
-) -> Vec<Token> {
+) -> Vec<(u32, Token)> {
     let w = s.workload();
     let routes = s.routes();
     let start = if s.shards > 0 { 0.1 } else { 0.001 };
     let span = 24.0 * t1;
     let mut workers = Vec::new();
+    // Every worker fault below is recorded, so a worker none is recorded
+    // for must stay alive.
+    s.faults.get_or_insert_with(Vec::new);
     for id in 0..s.shards as u32 {
         let p = s.poller;
         match rng.below(8) {
             // Never connects: evicted at the hello timeout.
-            0 => {}
-            // EOF before `Hello`.
-            1 => p.close_at(start * rng.unit_f64(), p.connect_at(0.0)),
+            0 => s.fault(id, Cause::Timeout, HELLO_TIMEOUT_S),
+            // EOF before `Hello`: the loop cannot tell whose connection
+            // ended, so only the hello timeout evicts it.
+            1 => {
+                p.close_at(start * rng.unit_f64(), p.connect_at(0.0));
+                s.fault(id, Cause::Timeout, HELLO_TIMEOUT_S);
+            }
             // EOF mid-frame.
             2 => {
                 let conn = p.connect_at(0.0);
                 let cut = 1 + rng.below(hello(id).len() as u64 - 1) as usize;
                 p.send_at(0.0, conn, hello(id)[..cut].to_vec());
                 p.close_at(0.001, conn);
+                s.fault(id, Cause::Timeout, HELLO_TIMEOUT_S);
             }
-            // `Hello` after the hello timeout.
-            3 => p.send_at(HELLO_TIMEOUT_S + 0.1, p.connect_at(0.0), hello(id)),
+            // `Hello` after the hello timeout: evicted at the timeout, and
+            // its late `Hello` is refused.
+            3 => {
+                p.send_at(HELLO_TIMEOUT_S + 0.1, p.connect_at(0.0), hello(id));
+                s.fault(id, Cause::Timeout, HELLO_TIMEOUT_S);
+            }
             fault => {
                 let conn = p.connect_at(0.0);
                 p.send_at(0.0, conn, hello(id));
-                workers.push(conn);
-                match fault {
+                workers.push((id, conn));
+                let at = match fault {
                     // EOF while loading.
-                    4 => p.close_at(LOAD_DELAY_S * rng.unit_f64(), conn),
+                    4 => LOAD_DELAY_S * rng.unit_f64(),
                     // EOF during the traffic, often mid-batch.
-                    5 => p.close_at(start + span * rng.unit_f64(), conn),
+                    5 => start + span * rng.unit_f64(),
                     // A duplicate (or unsolicited) `TableReady`.
                     6 => {
                         let table = routes[rng.below(routes.len() as u64) as usize].to_string();
                         let frame = Frame::TableReady { table }.encode().unwrap();
                         p.send_at(2.0 * LOAD_DELAY_S, conn, frame);
+                        s.fault(id, Cause::Protocol, 2.0 * LOAD_DELAY_S);
+                        continue;
                     }
-                    _ => {}
-                }
+                    _ => continue,
+                };
+                p.close_at(at, conn);
+                s.fault(id, Cause::Eof, at);
             }
         }
     }
