@@ -17,9 +17,9 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 # Static analysis: unsafe audit, panic-path, the memory-ordering token
-# rule, the L7 untrusted-input taint pass, and the L8 interval-overflow
-# pass over the whole workspace (hard gate; exemptions live in
-# lint-allow.toml and must carry justifications). The report ends with a
+# rule and the L7 untrusted-input taint pass over the whole workspace
+# (hard gate; exemptions live in lint-allow.toml and must carry
+# justifications). The report ends with a
 # per-pass finding-count / wall-time summary; the unsafe-site, lock, and
 # taint source/sink censuses land in results/lint_inventory.json for
 # drift review.
