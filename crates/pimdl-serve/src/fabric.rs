@@ -951,7 +951,7 @@ impl<'a> FabricServerLoop<'a> {
     /// Logs the supervisor's transitions into `log`, which an observer
     /// holds a clone of ([`FabricHandle::events`]).
     #[must_use]
-    pub fn with_event_log(mut self, log: EventLog) -> Self {
+    pub(crate) fn with_event_log(mut self, log: EventLog) -> Self {
         self.sup.log_into(log);
         self
     }

@@ -338,7 +338,7 @@ impl Supervisor {
 
     /// Appends transitions to `log` from now on (one another thread
     /// holds a clone of).
-    pub fn log_into(&mut self, log: EventLog) {
+    pub(crate) fn log_into(&mut self, log: EventLog) {
         self.log = log;
     }
 
