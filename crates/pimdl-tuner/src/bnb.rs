@@ -366,9 +366,15 @@ fn sort_children<T>(children: &mut [(f64, T)]) {
     children.sort_by(|a, b| a.0.total_cmp(&b.0));
 }
 
-/// What the leaf level of one search did with the leaves it scored.
+/// What one search did below the root: the children it bounded per level,
+/// the m-tile nodes it entered, and what its leaf level did with the
+/// leaves it scored.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct LeafWork {
+    /// Children bounded at the `N_m`, `F_m`, `CB_m` and traversal levels.
+    pub(crate) bounded: [usize; 4],
+    /// m-tile nodes entered: each bounds its six traversal children.
+    pub(crate) entered: usize,
     /// Legal leaves priced; every other scored leaf was counted without a
     /// price.
     pub(crate) priced: usize,
@@ -530,6 +536,8 @@ fn descend(ctx: &PairCtx, node: Partial, walk: &mut Walk) {
         frontier.push((ctx.bound(child), child));
     });
     let last = walk.frontier.len();
+    let level = usize::from(node.n_m.is_some()) + usize::from(node.f_m.is_some());
+    walk.leaves.bounded[level] += last - first;
     sort_children(&mut walk.frontier[first..]);
     for i in first..last {
         let (lb, child) = walk.frontier[i];
@@ -566,6 +574,8 @@ fn descend_traversals(
     });
     // Sorted by index, in the order `sort_children` would put them: a
     // child is a dozen words, and moving it would be most of the sort.
+    walk.leaves.entered += 1;
+    walk.leaves.bounded[3] += children.len();
     let mut best_first = [0, 1, 2, 3, 4, 5];
     best_first.sort_by(|&a, &b| children[a].0.total_cmp(&children[b].0));
     for (lb, child) in best_first.map(|i| children[i]) {

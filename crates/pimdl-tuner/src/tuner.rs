@@ -213,12 +213,33 @@ mod tests {
         // frontier, and its last point is the global winner. `priced`
         // counts the legal leaves the search priced rather than counted;
         // before the leaf floors it was 52, 65 and 58. `walked` counts the
-        // leaves visited one at a time: here every scored leaf.
+        // leaves visited one at a time: here every scored leaf. `bounded`
+        // counts the children bounded at the `N_m`, `F_m`, `CB_m` and
+        // traversal levels and `entered` the m-tile nodes entered, so a
+        // bound skipped or repeated fails here even if the pick survives.
         let p = platform(16);
-        for (shape, (n_s, f_s, cb_m), evaluated, pruned, priced, walked, frontier) in [
-            ((64, 8, 16, 32), (16, 8, 8), 106, 19, 48, 106, 3),
-            ((128, 16, 16, 64), (32, 16, 16), 161, 22, 60, 161, 3),
-            ((64, 4, 64, 48), (32, 6, 4), 82, 19, 54, 82, 2),
+        for (shape, (n_s, f_s, cb_m), evaluated, pruned, priced, walked, bounded, frontier) in [
+            (
+                (64, 8, 16, 32),
+                (16, 8, 8),
+                106,
+                19,
+                48,
+                106,
+                [5, 4, 4, 6],
+                3,
+            ),
+            (
+                (128, 16, 16, 64),
+                (32, 16, 16),
+                161,
+                22,
+                60,
+                161,
+                [6, 5, 5, 6],
+                3,
+            ),
+            ((64, 4, 64, 48), (32, 6, 4), 82, 19, 54, 82, [6, 4, 3, 6], 2),
         ] {
             let w = LutWorkload::new(shape.0, shape.1, shape.2, shape.3).unwrap();
             let (out, leaves) = crate::bnb::search_priced(&p, &w).unwrap();
@@ -236,9 +257,11 @@ mod tests {
                     out.evaluated,
                     out.pruned_subtrees,
                     leaves.priced,
-                    leaves.walked
+                    leaves.walked,
+                    leaves.bounded,
+                    leaves.entered
                 ),
-                (evaluated, pruned, priced, walked),
+                (evaluated, pruned, priced, walked, bounded, 1),
                 "{shape:?}"
             );
             assert_eq!(legal_pairs(&w, &p).unwrap().len(), 5, "{shape:?}");
@@ -249,7 +272,8 @@ mod tests {
         // At `tune_sim`'s size (BERT-base's FFN1, batch 64 × seq 512, the
         // full UPMEM) most tilings' multi-chunk coarse leaves are over the
         // bar on entry and counted in closed form: the search walks 2,411
-        // leaves one at a time, and walked all 41,493 before.
+        // leaves one at a time, and walked all 41,493 before. It enters 178
+        // of the 378 m-tile nodes it bounds.
         let w = LutWorkload::new(64 * 512, 768 / 4, 16, 3072).unwrap();
         let (out, leaves) = crate::bnb::search_priced(&PlatformConfig::upmem(), &w).unwrap();
         assert_eq!(
@@ -257,9 +281,11 @@ mod tests {
                 out.evaluated,
                 out.pruned_subtrees,
                 leaves.priced,
-                leaves.walked
+                leaves.walked,
+                leaves.bounded,
+                leaves.entered
             ),
-            (40_844, 1_382, 524, 2_411)
+            (40_844, 1_382, 524, 2_411, [11, 132, 378, 1_068], 178)
         );
     }
 
