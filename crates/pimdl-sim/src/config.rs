@@ -131,25 +131,31 @@ impl LocalMemModel {
     /// of `access_bytes` each: pure bytes / profiled-bandwidth (Eq. 8).
     #[inline]
     pub fn ideal_time_s(&self, total_bytes: f64, access_bytes: f64) -> f64 {
+        Self::time_at_s(total_bytes, self.bytes_per_s(access_bytes))
+    }
+
+    /// The Eq. 8 divisor at one access size, in bytes per second: a caller
+    /// that streams one access size many times computes it once and prices
+    /// each stream with [`Self::time_at_s`].
+    #[inline]
+    pub fn bytes_per_s(&self, access_bytes: f64) -> f64 {
+        self.effective_gbps(access_bytes).max(1e-9) * 1e9
+    }
+
+    /// [`Self::ideal_time_s`] of `total_bytes` at a rate [`Self::bytes_per_s`]
+    /// gave, to the same bits.
+    #[inline]
+    pub fn time_at_s(total_bytes: f64, bytes_per_s: f64) -> f64 {
         if total_bytes <= 0.0 {
             return 0.0;
         }
-        total_bytes / (self.effective_gbps(access_bytes).max(1e-9) * 1e9)
+        total_bytes / bytes_per_s
     }
 
     /// Simulator time: idealized time plus per-access overhead.
     pub fn sim_time_s(&self, total_bytes: f64, access_bytes: f64, accesses: u64) -> f64 {
         self.ideal_time_s(total_bytes, access_bytes) + accesses as f64 * self.access_overhead_s
     }
-}
-
-/// Greatest common divisor (Euclid). `gcd(0, n) = n`.
-#[inline]
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
 }
 
 /// DRAM row-buffer parameters of the bank behind a PE
@@ -159,44 +165,80 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 /// additionally pay a row-activation latency each time a streamed tile
 /// opens a DRAM row, and misaligned tiles straddle *extra* rows ("layout
 /// crossing"). These are the two terms the `pim_mapper`-style hierarchical
-/// model adds ([`crate::cost::RowTimes`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// model adds ([`crate::cost::RowTimes`]). The row buffer is a power of
+/// two by construction: it is held as its base-2 logarithm.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemHierarchy {
-    /// Row-buffer size of the bank behind the PE's global buffer (bytes).
-    pub row_buffer_bytes: usize,
+    /// `log2` of the row-buffer size of the bank behind the PE's global
+    /// buffer (bytes).
+    row_buffer_log2: u32,
     /// Latency of one row activation (precharge + activate), seconds.
     pub row_activation_s: f64,
 }
 
 impl MemHierarchy {
+    /// Row-buffer size in bytes, `2^row_buffer_log2`.
+    #[inline]
+    pub fn row_buffer_bytes(&self) -> usize {
+        1 << self.row_buffer_log2
+    }
+
     /// Row traffic of `loads` streamed transfers of a `tile_bytes` tile, as
-    /// `(compulsory_rows, crossing_rows)`.
-    ///
-    /// With tiles laid out back to back, consecutive tile start offsets
-    /// within a row cycle with period `R / gcd(T, R)`; averaged over one
-    /// period a `T`-byte tile touches `(T + R − gcd(T, R)) / R` rows. We
-    /// split that into the *compulsory* part `max(T, R)/R` (the rows any
-    /// placement must open: at least one per load, at least `T/R` by
-    /// volume) and the *crossing* excess `(min(T, R) − gcd(T, R))/R`, which
-    /// is zero exactly when tile and row sizes nest (`T | R` or `R | T`)
-    /// and positive otherwise.
+    /// `(compulsory_rows, crossing_rows)`: `loads` times
+    /// [`Self::rows_per_load`], and zero when either is not positive.
     #[inline]
     pub fn row_traffic(&self, loads: f64, tile_bytes: f64) -> (f64, f64) {
-        if loads <= 0.0 || tile_bytes <= 0.0 {
+        Self::scale_rows(loads, self.rows_per_load(tile_bytes))
+    }
+
+    /// `loads` transfers of a tile whose [`Self::rows_per_load`] are
+    /// `per_load`, as `(compulsory_rows, crossing_rows)`; zero when `loads`
+    /// is not positive.
+    #[inline]
+    pub fn scale_rows(loads: f64, (compulsory, crossing): (f64, f64)) -> (f64, f64) {
+        if loads <= 0.0 {
             return (0.0, 0.0);
         }
-        let r = self.row_buffer_bytes as f64;
-        let g = gcd(tile_bytes as u64, self.row_buffer_bytes as u64) as f64;
+        (loads * compulsory, loads * crossing)
+    }
+
+    /// Rows one transfer of a `tile_bytes` tile opens, as
+    /// `(compulsory_rows, crossing_rows)`, zero for a tile of no bytes: a
+    /// function of the tile alone, so a caller streaming one tile many
+    /// times computes it once.
+    ///
+    /// With tiles laid out back to back, consecutive tile start offsets
+    /// within a row of `R` bytes cycle with period `R / g`, where
+    /// `g = gcd(T, R)`; averaged over one period a `T`-byte tile touches
+    /// `(T + R − g) / R` rows. We split that into the *compulsory* part
+    /// `max(T, R)/R` (the rows any placement must open: at least one per
+    /// load, at least `T/R` by volume) and the *crossing* excess
+    /// `(min(T, R) − g)/R`, which is zero exactly when tile and row sizes
+    /// nest (`T | R` or `R | T`) and positive otherwise. `R` is a power of
+    /// two, so `g` is the largest power of two dividing both:
+    /// `2^min(tz(T), log2 R)` of the tile's whole bytes (`T` truncated to
+    /// an integer, saturating; a tile below one byte truncates to 0, whose
+    /// `gcd` with `R` is `R`).
+    #[inline]
+    pub fn rows_per_load(&self, tile_bytes: f64) -> (f64, f64) {
+        if tile_bytes <= 0.0 {
+            return (0.0, 0.0);
+        }
+        let r = self.row_buffer_bytes() as f64;
+        let twos = (tile_bytes as u64)
+            .trailing_zeros()
+            .min(self.row_buffer_log2);
+        let g = (1u64 << twos) as f64;
         let compulsory = (tile_bytes / r).max(1.0);
         let crossing = (tile_bytes.min(r) - g) / r;
-        (loads * compulsory, loads * crossing)
+        (compulsory, crossing)
     }
 
     /// Activation time of `bytes` streamed through fully used rows with no
     /// crossing: the volume floor under every [`Self::row_traffic`] split
     /// of the same bytes, whatever the tiling.
     pub fn volume_floor_s(&self, bytes: f64) -> f64 {
-        bytes / self.row_buffer_bytes as f64 * self.row_activation_s
+        bytes / self.row_buffer_bytes() as f64 * self.row_activation_s
     }
 }
 
@@ -450,12 +492,12 @@ impl PlatformConfig {
     /// DPUs (2 KiB rows, ~45 ns tRC), HBM2/GDDR6-class behind the
     /// MAC-style PIMs (8 KiB effective rows, ~15 ns).
     pub fn mem_hierarchy(&self) -> MemHierarchy {
-        let (row_buffer_bytes, row_activation_s) = match self.kind {
-            PlatformKind::Upmem => (2048, 45e-9),
-            PlatformKind::HbmPim | PlatformKind::Aim => (8192, 15e-9),
+        let (row_buffer_log2, row_activation_s) = match self.kind {
+            PlatformKind::Upmem => (11, 45e-9),
+            PlatformKind::HbmPim | PlatformKind::Aim => (13, 15e-9),
         };
         MemHierarchy {
-            row_buffer_bytes,
+            row_buffer_log2,
             row_activation_s,
         }
     }
@@ -538,6 +580,60 @@ mod tests {
         assert!(m.ideal_time_s(total, 64.0) < many_small);
     }
 
+    /// Greatest common divisor (Euclid). `gcd(0, n) = n`.
+    fn gcd(mut a: u64, mut b: u64) -> u64 {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    }
+
+    /// The periodic row analysis with Euclid's `gcd`, for any row size:
+    /// the oracle of [`MemHierarchy::row_traffic`]'s shift form.
+    fn euclid_row_traffic(h: &MemHierarchy, loads: f64, tile_bytes: f64) -> (f64, f64) {
+        if loads <= 0.0 || tile_bytes <= 0.0 {
+            return (0.0, 0.0);
+        }
+        let r = h.row_buffer_bytes() as f64;
+        let g = gcd(tile_bytes as u64, h.row_buffer_bytes() as u64) as f64;
+        let compulsory = (tile_bytes / r).max(1.0);
+        let crossing = (tile_bytes.min(r) - g) / r;
+        (loads * compulsory, loads * crossing)
+    }
+
+    #[test]
+    fn row_traffic_shift_matches_euclid() {
+        let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for p in PlatformConfig::all() {
+            let h = p.mem_hierarchy();
+            let r = h.row_buffer_bytes();
+            assert!(r.is_power_of_two(), "{:?}", p.kind);
+            let mut tiles: Vec<f64> = (1..=4 * r).map(|t| t as f64).collect();
+            // A seeded sample of large tiles, each with a random run of
+            // trailing zeros, then the edges: below one byte, past 2^64.
+            for _ in 0..4096 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let tile = (state >> 11) << (state % 24);
+                tiles.push(tile.max(1) as f64);
+            }
+            tiles.extend([0.25, 0.5, 0.999, 1.5, 2047.5, 1e19, 1.8e19, 1e25, f64::MAX]);
+            tiles.extend([0.0, -3.0, f64::INFINITY, f64::NAN]);
+            for tile in tiles {
+                for loads in [0.0, 1.0, 3.0, 1e6] {
+                    assert_eq!(
+                        bits(h.row_traffic(loads, tile)),
+                        bits(euclid_row_traffic(&h, loads, tile)),
+                        "{:?}: {loads} loads of {tile} B",
+                        p.kind
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn gcd_basics() {
         assert_eq!(gcd(12, 18), 6);
@@ -549,7 +645,7 @@ mod tests {
     #[test]
     fn row_traffic_gcd_periodic_analysis() {
         let h = PlatformConfig::upmem().mem_hierarchy();
-        assert_eq!(h.row_buffer_bytes, 2048);
+        assert_eq!(h.row_buffer_bytes(), 2048);
         // Tile divides row: exactly one row per load, zero crossing.
         let (comp, cross) = h.row_traffic(10.0, 256.0);
         assert_eq!(comp, 10.0);

@@ -165,12 +165,18 @@ pub fn lut_buffer_bytes(w: &LutWorkload, f_stile: usize, scheme: LoadScheme) -> 
 /// `(N_m, F_m, CB_m)` inside `pair`.
 #[inline]
 pub fn trip_counts(w: &LutWorkload, pair: Pair, mtiles: (usize, usize, usize)) -> (u64, u64, u64) {
-    let trips = |dim: usize, tile: usize| (dim / tile) as u64;
     (
-        trips(pair.0, mtiles.0),
-        trips(pair.1, mtiles.1),
-        trips(w.cb, mtiles.2),
+        trip_count(pair.0, mtiles.0),
+        trip_count(pair.1, mtiles.1),
+        trip_count(w.cb, mtiles.2),
     )
+}
+
+/// Trips of one micro-kernel loop: `dim` walked in m-tiles of `tile`
+/// ([`trip_counts`] per dimension).
+#[inline]
+pub fn trip_count(dim: usize, tile: usize) -> u64 {
+    (dim / tile) as u64
 }
 
 /// Loop dims `(n, f, cb)` an index m-tile depends on
@@ -353,7 +359,14 @@ impl RowTimes {
     /// The sum with one more `(transfers, bytes each)` stream added.
     #[inline]
     pub fn add(self, hier: &MemHierarchy, (loads, tile): (f64, f64)) -> RowTimes {
-        let (compulsory, crossing) = hier.row_traffic(loads, tile);
+        self.add_loads(hier, loads, hier.rows_per_load(tile))
+    }
+
+    /// [`Self::add`] of `loads` transfers of a tile whose
+    /// [`MemHierarchy::rows_per_load`] are `per_load`, to the same bits.
+    #[inline]
+    pub fn add_loads(self, hier: &MemHierarchy, loads: f64, per_load: (f64, f64)) -> RowTimes {
+        let (compulsory, crossing) = MemHierarchy::scale_rows(loads, per_load);
         RowTimes {
             row_activation_s: self.row_activation_s + compulsory * hier.row_activation_s,
             crossing_s: self.crossing_s + crossing * hier.row_activation_s,

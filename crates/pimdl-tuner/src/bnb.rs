@@ -27,12 +27,14 @@
 //! nothing: the tiling menus are built once per search, and children and
 //! chunk sizes go to two reused buffers.
 //!
-//! Each term of a bound and of a leaf's price is computed once, at the
-//! level of the tree that fixes its inputs (DESIGN.md §12.1): the sub-LUT
-//! transfers, the static class's LUT bound and the branching menus per P1
-//! pair ([`PairCtx`]); trip counts, tile bytes, the reduce term, the other
-//! LUT class bounds, the LUT room and the coarse leaf counts per m-tile
-//! node ([`Node`], [`MTileNode`]), shared by its six traversal children
+//! Each term of a bound and of a leaf's price is computed only when one of
+//! its own inputs changes (DESIGN.md §12.1): the sub-LUT transfers, the
+//! static class's LUT bound and the branching menus per P1 pair
+//! ([`PairCtx`]); trip counts, tile bytes and their Eq. 8 rates, the reduce
+//! term, the other LUT class bounds and the LUT room per node ([`Node`]),
+//! each child's derived from its parent's by recomputing only what its
+//! m-tile moves; the tiles' row terms per load and the coarse leaf counts
+//! per m-tile node ([`MTileNode`]), shared by its six traversal children
 //! and their leaves; the index and output streams per traversal, read by
 //! the child's bound and by its tiling's price alike. Each is the same
 //! function of the same inputs, summed in the same order, so every bound
@@ -58,7 +60,9 @@ use pimdl_sim::cost::{
 };
 use pimdl_sim::{LoadScheme, LutWorkload, Mapping, TraversalOrder};
 
-use crate::model::{tile_loads, HierBreakdown, MTilePrice, PairPrice, TileStreams, TilingPrice};
+use crate::model::{
+    tile_loads, HierBreakdown, MTilePrice, PairPrice, TileRows, TileStreams, TilingPrice,
+};
 use crate::space::{
     coarse_leaf_counts, kernel_of, leaf_schemes, legal_pairs, mapping_of, ChunkMenus, Menus,
     PairMenus, Partial, SchemeClass, Tiling, FINE_THREADS,
@@ -220,47 +224,59 @@ impl<'a> PairCtx<'a> {
         }
     }
 
-    /// Admissible lower bound on the hierarchical total of every
-    /// completion of `p` (DESIGN.md §12.2).
-    fn bound(&self, p: Partial) -> f64 {
-        let (non_lut, lut_lb) = self.bound_parts(p);
-        non_lut + lut_lb
+    /// The m-tiles of `p`'s corner: its unset m-tiles at their largest
+    /// (fewest trips, best granularity, least stall).
+    fn corner(&self, p: Partial) -> (usize, usize, usize) {
+        (
+            p.n_m.unwrap_or(self.n_stile),
+            p.f_m.unwrap_or(self.f_stile),
+            p.cb_m.unwrap_or(self.w.cb),
+        )
     }
 
-    /// [`Self::bound`] split as `(everything-but-LUT, LUT-term bound)`, from
-    /// scratch: the terms of `p`'s m-tiles at the corner (unset m-tiles at
-    /// their largest: fewest trips, best granularity, least stall), then
-    /// its traversal's streams (an unset traversal at each stream's own
-    /// fewest loads).
+    /// The terms of the pair's root, every m-tile at its corner, from
+    /// scratch: each node below derives its own from its parent's.
+    fn root(&self) -> Node {
+        Node::new(self, self.corner(Partial::default()))
+    }
+
+    /// `p`'s [`Node::bound`] split as `(everything-but-LUT, LUT-term
+    /// bound)`, from scratch: [`Node::new`] at `p`'s corner, then its
+    /// traversal's streams (an unset traversal at each stream's own fewest
+    /// loads). The oracle the derived nodes' bounds are held to.
+    #[cfg(test)]
     fn bound_parts(&self, p: Partial) -> (f64, f64) {
-        let node = Node::new(
-            self,
-            (
-                p.n_m.unwrap_or(self.n_stile),
-                p.f_m.unwrap_or(self.f_stile),
-                p.cb_m.unwrap_or(self.w.cb),
-            ),
-        );
+        let node = Node::new(self, self.corner(p));
         (node.non_lut_lb(self, p.traversal).0, node.lut_lb)
     }
 
-    /// Structural WRAM cut, decidable once the three m-tiles are set: even
-    /// the smallest scheme buffer does not fit beside the index and output
-    /// tiles.
-    fn overflows_wram(&self, p: Partial) -> bool {
-        let Some((n_m, f_m, cb_m)) = p.mtiles() else {
-            return false;
-        };
-        let tiles_bytes = index_tile_bytes(self.w, n_m, cb_m) + output_tile_bytes(n_m, f_m);
-        tiles_bytes + self.min_lut_buffer > self.platform.wram_bytes
+    /// Structural WRAM cut, decidable once the three m-tiles of `p` are set
+    /// (`node` holds their terms): even the smallest scheme buffer does not
+    /// fit beside the index and output tiles.
+    fn overflows_wram(&self, p: Partial, node: &Node) -> bool {
+        p.mtiles().is_some()
+            && node.price.tiles_bytes() + self.min_lut_buffer > self.platform.wram_bytes
+    }
+
+    /// The fine class's LUT bound at `F_m = f_m`: the gathered volume at
+    /// `f_load = F_m` (DESIGN.md §12.2, **LUT**).
+    fn fine_lb(&self, f_m: usize) -> f64 {
+        (self.platform.local_mem).ideal_time_s(self.gathered as f64, f_m as f64)
+    }
+
+    /// WRAM bytes left beside the index and output m-tiles `price` prices.
+    fn room(&self, price: &MTilePrice) -> usize {
+        self.platform.wram_bytes.saturating_sub(price.tiles_bytes())
     }
 }
 
 /// The terms of the bound and of the leaf price that one node's m-tiles
 /// `(N_m, F_m, CB_m)` fix within its pair, whatever the traversal: trip
-/// counts, tile bytes, the reduce term, the LUT class bounds and the LUT
-/// room. At the traversal level they are computed once per m-tile node
-/// and read by its six children, their class gates, leaf floors and
+/// counts, tile bytes and rates, the reduce term, the LUT class bounds and
+/// the LUT room. A node above the m-tile level holds them at its corner
+/// (its unset m-tiles at their largest) for its bound, and each child
+/// derives its own from them ([`Self::child`]). At the traversal level they
+/// are read by the node's six children, their class gates, leaf floors and
 /// leaves.
 #[derive(Debug, Clone, Copy)]
 struct Node {
@@ -280,16 +296,49 @@ struct Node {
 }
 
 impl Node {
-    /// The terms of m-tiles `mtiles` in `ctx`'s pair.
-    fn new(ctx: &PairCtx, mtiles @ (_, f_m, cb_m): (usize, usize, usize)) -> Self {
-        let price = MTilePrice::new(&ctx.price, mtiles);
-        let lm = &ctx.platform.local_mem;
+    /// The terms of m-tiles `mtiles` in `ctx`'s pair, from scratch.
+    fn new(ctx: &PairCtx, mtiles @ (_, f_m, _): (usize, usize, usize)) -> Self {
+        Node::with_chunk(ctx, MTilePrice::new(&ctx.price, mtiles), ctx.fine_lb(f_m))
+    }
+
+    /// The terms of the child at m-tiles `mtiles` (its corner) of the node
+    /// these are the terms of: only what the m-tile the child sets moves is
+    /// recomputed. An `N_m` child moves `T_n`, the index and output tiles
+    /// and so the room; an `F_m` child `T_f`, the output tile, the reduce
+    /// term, the fine bound and the chunk; a `CB_m` child `T_cb`, the index
+    /// tile and the chunk. A child whose choice is its parent's corner has
+    /// its parent's terms.
+    fn child(&self, ctx: &PairCtx, mtiles @ (n_m, f_m, cb_m): (usize, usize, usize)) -> Self {
+        let pair = &ctx.price;
+        let (corner_n, corner_f, corner_cb) = self.price.mtiles;
+        let node = if n_m != corner_n {
+            let price = self.price.with_n_m(pair, n_m);
+            Node {
+                price,
+                room: ctx.room(&price),
+                ..*self
+            }
+        } else if f_m != corner_f {
+            Node::with_chunk(ctx, self.price.with_f_m(pair, f_m), ctx.fine_lb(f_m))
+        } else if cb_m != corner_cb {
+            Node::with_chunk(ctx, self.price.with_cb_m(pair, cb_m), self.fine_lb)
+        } else {
+            *self
+        };
+        debug_assert_eq!(node.price.mtiles, mtiles);
+        node
+    }
+
+    /// The terms of m-tiles whose price is `price` and whose fine bound is
+    /// `fine_lb`: the chunk, the coarse bound, the least class bound and
+    /// the room.
+    fn with_chunk(ctx: &PairCtx, price: MTilePrice, fine_lb: f64) -> Self {
+        let (_, f_m, cb_m) = price.mtiles;
         let chunk = lut_tile_bytes(ctx.w, cb_m, f_m);
-        let coarse_lb = lm.ideal_time_s(
+        let coarse_lb = ctx.platform.local_mem.ideal_time_s(
             ctx.lut_stile_bytes as f64,
             chunk.min(ctx.platform.wram_bytes) as f64,
         );
-        let fine_lb = lm.ideal_time_s(ctx.gathered as f64, f_m as f64);
         // LUT: minimum over the still-legal scheme classes.
         let mut lut_lb = fine_lb;
         for (lb, feasible) in [
@@ -303,11 +352,18 @@ impl Node {
         Node {
             price,
             chunk,
-            room: ctx.platform.wram_bytes.saturating_sub(price.tiles_bytes()),
+            room: ctx.room(&price),
             coarse_lb,
             fine_lb,
             lut_lb,
         }
+    }
+
+    /// Admissible lower bound on the hierarchical total of every completion
+    /// of the node these are the corner terms of, its traversal unset
+    /// (DESIGN.md §12.2).
+    fn bound(&self, ctx: &PairCtx) -> f64 {
+        self.non_lut_lb(ctx, None).0 + self.lut_lb
     }
 
     /// The LUT bound of every `class` leaf under the node.
@@ -332,7 +388,7 @@ impl Node {
                 TraversalOrder::fewest_loads(trips, OUTPUT_USES),
             ),
         };
-        let streams = self.price.streams(&ctx.platform.local_mem, loads);
+        let streams = self.price.streams(loads);
         let non_lut = ctx.sub_lut_s
             + streams.index_s
             + streams.output_s
@@ -342,11 +398,12 @@ impl Node {
     }
 }
 
-/// An m-tile node at the traversal level: its [`Node`] terms, the chunk
-/// menus its leaves enumerate, and its coarse leaf counts once first
-/// needed. Its six tilings share all three.
+/// An m-tile node at the traversal level: its [`Node`] terms, its tiles'
+/// rows per load, the chunk menus its leaves enumerate, and its coarse leaf
+/// counts once first needed. Its six tilings share all four.
 struct MTileNode<'m> {
     terms: Node,
+    rows: TileRows,
     chunks: ChunkMenus<'m>,
     /// [`coarse_leaf_counts`] at the node's LUT room.
     coarse_counts: Option<(usize, usize)>,
@@ -384,14 +441,18 @@ pub(crate) struct LeafWork {
     pub(crate) walked: usize,
 }
 
-/// The state of one search, threaded through the descent: two scratch
+/// The state of one search, threaded through the descent: three scratch
 /// buffers it reuses, so that below the root the walk allocates nothing
 /// (the menus it branches on are built once, beside it).
 #[derive(Default)]
 struct Walk {
     /// The bounded children of every node on the current path, each
-    /// node's run sorted best-first, above its parent's.
-    frontier: Vec<(f64, Partial)>,
+    /// node's run above its parent's, in menu order: each with its corner
+    /// terms, which its own children derive theirs from.
+    children: Vec<(Partial, Node)>,
+    /// Each child's bound and its index in `children`, each node's run
+    /// sorted best-first: sorting these moves two words, not a node.
+    frontier: Vec<(f64, usize)>,
     /// Coarse chunk sizes `cb_load·f_load` priced under the current tiling,
     /// each with whether its leaf fits.
     chunks: Vec<(usize, bool)>,
@@ -424,21 +485,22 @@ pub(crate) fn search_priced(
     let mut walk = Walk::default();
 
     // Root level: order the P1 pairs by their pair-level bound.
-    let mut roots: Vec<(f64, PairCtx)> = pairs
+    let mut roots: Vec<(f64, (PairCtx, Node))> = pairs
         .into_iter()
         .map(|pair| {
             let ctx = PairCtx::new(platform, workload, pair, &menus);
-            (ctx.bound(Partial::default()), ctx)
+            let root = ctx.root();
+            (root.bound(&ctx), (ctx, root))
         })
         .collect();
     sort_children(&mut roots);
 
-    for (lb, ctx) in &roots {
+    for (lb, (ctx, root)) in &roots {
         if prunes(*lb, walk.incumbent.bar) {
             walk.pruned_subtrees += 1;
             continue;
         }
-        descend(ctx, Partial::default(), &mut walk);
+        descend(ctx, Partial::default(), root, &mut walk);
     }
 
     let (mapping, predicted, evaluated) = walk.incumbent.into_best(platform, workload)?;
@@ -501,14 +563,15 @@ pub fn pair_frontier(
     let mut bar = None;
     for pair @ (n_stile, f_stile) in pairs {
         let ctx = PairCtx::new(platform, workload, pair, &menus);
-        if prunes(ctx.bound(Partial::default()), bar) {
+        let root = ctx.root();
+        if prunes(root.bound(&ctx), bar) {
             continue;
         }
         walk.incumbent = Incumbent {
             bar,
             ..Incumbent::default()
         };
-        descend(&ctx, Partial::default(), &mut walk);
+        descend(&ctx, Partial::default(), &root, &mut walk);
         if let Some((mapping, predicted)) = walk.incumbent.best.take() {
             bar = walk.incumbent.bar;
             out.push(PairBest {
@@ -524,45 +587,52 @@ pub fn pair_frontier(
 }
 
 /// Depth-first descent below the `node` of unset m-tiles within one P1
-/// pair: bound the children of the first unset level, visit them
+/// pair, whose corner terms are `corner`: bound the children of the first
+/// unset level, each from terms derived from `corner`, visit them
 /// best-first and cut those the incumbent already beats; an m-tile node's
-/// traversals go to [`descend_traversals`].
-fn descend(ctx: &PairCtx, node: Partial, walk: &mut Walk) {
-    // This node's children go on top of the frontier; every descent below
-    // one of them pushes above them and truncates back before returning.
+/// traversals go to [`descend_traversals`] with the terms its bound read.
+fn descend(ctx: &PairCtx, node: Partial, corner: &Node, walk: &mut Walk) {
+    // This node's children go on top of the two buffers; every descent
+    // below one of them pushes above them and truncates back before
+    // returning.
     let first = walk.frontier.len();
-    let frontier = &mut walk.frontier;
+    let Walk {
+        children, frontier, ..
+    } = walk;
     node.children(&ctx.pair_menus, |child| {
-        frontier.push((ctx.bound(child), child));
+        let terms = corner.child(ctx, ctx.corner(child));
+        frontier.push((terms.bound(ctx), children.len()));
+        children.push((child, terms));
     });
     let last = walk.frontier.len();
     let level = usize::from(node.n_m.is_some()) + usize::from(node.f_m.is_some());
     walk.leaves.bounded[level] += last - first;
     sort_children(&mut walk.frontier[first..]);
     for i in first..last {
-        let (lb, child) = walk.frontier[i];
-        if prunes(lb, walk.incumbent.bar) || ctx.overflows_wram(child) {
+        let (lb, at) = walk.frontier[i];
+        let (child, terms) = walk.children[at];
+        if prunes(lb, walk.incumbent.bar) || ctx.overflows_wram(child, &terms) {
             walk.pruned_subtrees += 1;
             continue;
         }
         match child.mtiles() {
-            Some(mtiles) => descend_traversals(ctx, mtiles, walk),
-            None => descend(ctx, child, walk),
+            Some(_) => descend_traversals(ctx, terms, walk),
+            None => descend(ctx, child, &terms, walk),
         }
     }
     walk.frontier.truncate(first);
+    walk.children.truncate(first);
 }
 
-/// The traversal level below the m-tile node `mtiles`: its terms computed
-/// once, its six traversal children bounded from them, visited best-first
-/// and cut as [`descend`] cuts, and the P4 leaves under each scored.
-fn descend_traversals(
-    ctx: &PairCtx,
-    mtiles @ (_, f_m, cb_m): (usize, usize, usize),
-    walk: &mut Walk,
-) {
+/// The traversal level below the m-tile node whose terms are `terms`: its
+/// tiles' rows computed once, its six traversal children bounded from
+/// them, visited best-first and cut as [`descend`] cuts, and the P4 leaves
+/// under each scored.
+fn descend_traversals(ctx: &PairCtx, terms: Node, walk: &mut Walk) {
+    let (_, f_m, cb_m) = terms.price.mtiles;
     let mut node = MTileNode {
-        terms: Node::new(ctx, mtiles),
+        terms,
+        rows: terms.price.rows(&ctx.price),
         chunks: ctx.menus.of_mtiles(f_m, cb_m),
         coarse_counts: None,
     };
@@ -572,10 +642,10 @@ fn descend_traversals(
         let (non_lut_lb, streams) = node.terms.non_lut_lb(ctx, Some(order));
         (non_lut_lb + node.terms.lut_lb, (non_lut_lb, order, streams))
     });
-    // Sorted by index, in the order `sort_children` would put them: a
-    // child is a dozen words, and moving it would be most of the sort.
     walk.leaves.entered += 1;
     walk.leaves.bounded[3] += children.len();
+    // Sorted by index, in the order `sort_children` would put them: a
+    // child is a dozen words, and moving it would be most of the sort.
     let mut best_first = [0, 1, 2, 3, 4, 5];
     best_first.sort_by(|&a, &b| children[a].0.total_cmp(&children[b].0));
     for (lb, child) in best_first.map(|i| children[i]) {
@@ -666,7 +736,13 @@ fn score_leaves(
     let pair = (ctx.n_stile, ctx.f_stile);
     let (n_m, f_m, cb_m) = node.terms.price.mtiles;
     let tiling = (n_m, f_m, cb_m, traversal);
-    let price = TilingPrice::of(&ctx.price, &node.terms.price, traversal, &streams);
+    let price = TilingPrice::of(
+        &ctx.price,
+        &node.terms.price,
+        &node.rows,
+        traversal,
+        &streams,
+    );
     let floors = LeafFloors::new(ctx, &node.terms, &price, traversal);
     let Walk {
         chunks,
@@ -904,7 +980,7 @@ mod tests {
                         break;
                     }
                     let child = children[pick(children.len())];
-                    overflows |= ctx.overflows_wram(child);
+                    overflows |= ctx.overflows_wram(child, &Node::new(&ctx, ctx.corner(child)));
                     path.push(child);
                 }
                 let leaf_node = path[path.len() - 1];
@@ -935,7 +1011,8 @@ mod tests {
                             "leaf floor {floor} > {total} for {mapping:?} ({floors:?})"
                         );
                         for node in &path {
-                            let lb = ctx.bound(*node);
+                            let (non_lut, lut_lb) = ctx.bound_parts(*node);
+                            let lb = non_lut + lut_lb;
                             prop_assert!(
                                 lb * PRUNE_GUARD <= total,
                                 "bound {lb} of {node:?} > {total} for {mapping:?}"
@@ -948,16 +1025,22 @@ mod tests {
         Ok(())
     }
 
-    /// The shared terms against from-scratch ones on one `small_case`, over
-    /// the whole tree of every legal pair. At each m-tile node one [`Node`]
-    /// serves the node and its six traversal children, as in
-    /// [`descend_traversals`]: each one's bound from it must equal a
-    /// from-scratch [`PairCtx::bound_parts`] bit for bit. Under each child,
-    /// every leaf's price under the [`TilingPrice`] assembled from the
-    /// shared terms must equal `TilingPrice::new(..).leaf(..)` in legality
-    /// and every field's bits, and so must the leaf floors. The coarse
-    /// leaf counts the node memoises must equal the counts at the child's
-    /// own LUT room.
+    /// The shared and derived terms against from-scratch ones on one
+    /// `small_case`, over the whole tree of every legal pair. Each node's
+    /// corner terms are derived from its parent's as [`descend`] derives
+    /// them, and at every level (`N_m`, `F_m`, `CB_m`) each child's must
+    /// equal [`Node::new`] at its corner in every field (their `Debug`
+    /// forms, which print each float's shortest round-trip digits, so
+    /// equal forms are equal bits), and its bound a from-scratch
+    /// [`PairCtx::bound_parts`] bit for bit. A `CB_m` child's terms are the
+    /// ones [`descend_traversals`] receives, so they equal
+    /// `Node::new(mtiles)`. At each m-tile node they serve its six
+    /// traversal children: each one's bound from them must equal
+    /// `bound_parts` bit for bit. Under each child, every leaf's price
+    /// under the [`TilingPrice`] assembled from the shared terms must equal
+    /// `TilingPrice::new(..).leaf(..)` in legality and every field's bits,
+    /// and so must the leaf floors. The coarse leaf counts the node
+    /// memoises must equal the counts at the child's own LUT room.
     fn shared_terms_match_from_scratch(
         case: (usize, usize, usize, usize, usize, usize),
         mac: bool,
@@ -968,27 +1051,41 @@ mod tests {
         };
         let menus = Menus::new(&w, &pairs);
         let lm = &p.local_mem;
+        let sum = |(non_lut, lut_lb): (f64, f64)| (non_lut + lut_lb).to_bits();
         for pair @ (_, f_s) in pairs {
             let ctx = PairCtx::new(&p, &w, pair, &menus);
-            let mut stack = vec![Partial::default()];
-            while let Some(node) = stack.pop() {
+            let root = ctx.root();
+            prop_assert_eq!(
+                root.bound(&ctx).to_bits(),
+                sum(ctx.bound_parts(Partial::default()))
+            );
+            let mut stack = vec![(Partial::default(), root)];
+            while let Some((node, shared)) = stack.pop() {
                 let mut children = Vec::new();
                 node.children(&ctx.pair_menus, |child| children.push(child));
                 let Some(mtiles @ (n_m, f_m, cb_m)) = node.mtiles() else {
-                    stack.extend(children);
+                    for child in children {
+                        let corner = ctx.corner(child);
+                        let derived = shared.child(&ctx, corner);
+                        prop_assert_eq!(
+                            format!("{derived:?}"),
+                            format!("{:?}", Node::new(&ctx, corner)),
+                            "{:?}",
+                            child
+                        );
+                        prop_assert_eq!(
+                            derived.bound(&ctx).to_bits(),
+                            sum(ctx.bound_parts(child)),
+                            "{:?}",
+                            child
+                        );
+                        stack.push((child, derived));
+                    }
                     continue;
                 };
-                let shared = Node::new(&ctx, mtiles);
                 let chunks = menus.of_mtiles(f_m, cb_m);
                 let counts = coarse_leaf_counts(&chunks, &w, &p, shared.room);
-                let (non_lut, _) = shared.non_lut_lb(&ctx, None);
-                let scratch = ctx.bound_parts(node);
-                prop_assert_eq!(
-                    (non_lut.to_bits(), shared.lut_lb.to_bits()),
-                    (scratch.0.to_bits(), scratch.1.to_bits()),
-                    "{:?}",
-                    node
-                );
+                let rows = shared.price.rows(&ctx.price);
                 for child in children {
                     let tiling @ (.., traversal) = child.complete().unwrap();
                     let (non_lut, streams) = shared.non_lut_lb(&ctx, Some(traversal));
@@ -999,7 +1096,8 @@ mod tests {
                         "{:?}",
                         child
                     );
-                    let price = TilingPrice::of(&ctx.price, &shared.price, traversal, &streams);
+                    let price =
+                        TilingPrice::of(&ctx.price, &shared.price, &rows, traversal, &streams);
                     let alone = TilingPrice::new(&p, &w, pair, tiling);
                     let floors =
                         |f: LeafFloors| [f.single_chunk, f.multi_chunk, f.fine].map(f64::to_bits);

@@ -23,9 +23,11 @@
 //! so [`TilingPrice`] computes that part once. It is assembled from terms
 //! computed at the level of the search tree that fixes their inputs: the
 //! sub-LUT transfers per P1 pair ([`PairPrice`]), the trip counts, tile
-//! bytes and reduce term per m-tile node ([`MTilePrice`]), the index and
-//! output streams per traversal ([`TileStreams`], which the
-//! branch-and-bound's bound reads too). Each leaf is then its
+//! bytes, their Eq. 8 rates and the reduce term per node ([`MTilePrice`],
+//! a child's derived from its parent's), the tiles' rows per load per
+//! m-tile node ([`TileRows`]), the index and output streams per traversal
+//! ([`TileStreams`], which the branch-and-bound's bound reads too). Each
+//! leaf is then its
 //! tiling's exact price plus its own LUT stream: one WRAM check, one
 //! [`lut_stream`], one LUT term, and the LUT row terms added last. Most
 //! of those leaves are coarse-grain, and they share far fewer chunk sizes
@@ -42,8 +44,7 @@ use serde::{Deserialize, Serialize};
 use pimdl_sim::config::{LocalMemModel, MemHierarchy, PlatformConfig};
 use pimdl_sim::cost::{
     index_tile_bytes, lut_buffer_bytes, lut_stream, output_tile_bytes, reduce_time_s,
-    stream_counts, sub_lut_times, trip_counts, Pair, RowTimes, StreamCounts, INDEX_USES,
-    OUTPUT_USES,
+    stream_counts, sub_lut_times, trip_count, trip_counts, Pair, RowTimes, INDEX_USES, OUTPUT_USES,
 };
 use pimdl_sim::{LoadScheme, LutWorkload, Mapping, TimeBreakdown, TraversalOrder};
 
@@ -147,62 +148,137 @@ impl<'a> PairPrice<'a> {
     }
 }
 
+/// One m-tile's bytes and its Eq. 8 rate ([`LocalMemModel::bytes_per_s`]),
+/// computed together when the tile is fixed and read by every stream of
+/// it.
+#[derive(Debug, Clone, Copy)]
+struct Tile {
+    bytes: usize,
+    bytes_per_s: f64,
+}
+
+impl Tile {
+    fn new(lm: &LocalMemModel, bytes: usize) -> Self {
+        Tile {
+            bytes,
+            bytes_per_s: lm.bytes_per_s(bytes as f64),
+        }
+    }
+
+    /// The local-memory time of `loads` transfers of the tile: its
+    /// stream's [`stream_time_s`], to the bits.
+    fn time_s(&self, loads: f64) -> f64 {
+        LocalMemModel::time_at_s(loads * self.bytes as f64, self.bytes_per_s)
+    }
+}
+
 /// The part of every leaf's price that its m-tiles `(N_m, F_m, CB_m)` fix
-/// within one pair, whatever the traversal: trip counts, tile bytes and the
-/// reduce term.
+/// within one pair, whatever the traversal: trip counts, tile bytes with
+/// their Eq. 8 rates, and the reduce term. A child in the search tree
+/// derives its own from its parent's, recomputing only what the m-tile it
+/// sets moves ([`Self::with_n_m`], [`Self::with_f_m`], [`Self::with_cb_m`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MTilePrice {
     pub(crate) mtiles: (usize, usize, usize),
     /// Trip counts `(T_n, T_f, T_cb)`.
     pub(crate) trips: (u64, u64, u64),
-    /// Bytes of one index m-tile.
-    index_tile: usize,
-    /// Bytes of one output m-tile.
-    output_tile: usize,
+    /// One index m-tile.
+    index: Tile,
+    /// One output m-tile.
+    output: Tile,
     /// `t_reduce` (Eq. 10) at inner loop `F_m`.
     pub(crate) reduce_s: f64,
 }
 
 impl MTilePrice {
-    /// The m-tile-fixed terms of `mtiles` in `pair`.
+    /// The m-tile-fixed terms of `mtiles` in `pair`, from scratch.
     pub(crate) fn new(pair: &PairPrice, mtiles @ (n_m, f_m, cb_m): (usize, usize, usize)) -> Self {
+        let lm = &pair.platform.local_mem;
         MTilePrice {
             mtiles,
             trips: trip_counts(pair.w, pair.pair, mtiles),
-            index_tile: index_tile_bytes(pair.w, n_m, cb_m),
-            output_tile: output_tile_bytes(n_m, f_m),
+            index: Tile::new(lm, index_tile_bytes(pair.w, n_m, cb_m)),
+            output: Tile::new(lm, output_tile_bytes(n_m, f_m)),
             reduce_s: reduce_time_s(pair.platform, pair.w, pair.pair, f_m),
+        }
+    }
+
+    /// These terms with `N_m` set to `n_m`: `T_n` and the index and output
+    /// tiles move.
+    pub(crate) fn with_n_m(&self, pair: &PairPrice, n_m: usize) -> Self {
+        let (_, f_m, cb_m) = self.mtiles;
+        let lm = &pair.platform.local_mem;
+        MTilePrice {
+            mtiles: (n_m, f_m, cb_m),
+            trips: (trip_count(pair.pair.0, n_m), self.trips.1, self.trips.2),
+            index: Tile::new(lm, index_tile_bytes(pair.w, n_m, cb_m)),
+            output: Tile::new(lm, output_tile_bytes(n_m, f_m)),
+            ..*self
+        }
+    }
+
+    /// These terms with `F_m` set to `f_m`: `T_f`, the output tile and the
+    /// reduce term move.
+    pub(crate) fn with_f_m(&self, pair: &PairPrice, f_m: usize) -> Self {
+        let (n_m, _, cb_m) = self.mtiles;
+        MTilePrice {
+            mtiles: (n_m, f_m, cb_m),
+            trips: (self.trips.0, trip_count(pair.pair.1, f_m), self.trips.2),
+            output: Tile::new(&pair.platform.local_mem, output_tile_bytes(n_m, f_m)),
+            reduce_s: reduce_time_s(pair.platform, pair.w, pair.pair, f_m),
+            ..*self
+        }
+    }
+
+    /// These terms with `CB_m` set to `cb_m`: `T_cb` and the index tile
+    /// move.
+    pub(crate) fn with_cb_m(&self, pair: &PairPrice, cb_m: usize) -> Self {
+        let (n_m, f_m, _) = self.mtiles;
+        MTilePrice {
+            mtiles: (n_m, f_m, cb_m),
+            trips: (self.trips.0, self.trips.1, trip_count(pair.w.cb, cb_m)),
+            index: Tile::new(
+                &pair.platform.local_mem,
+                index_tile_bytes(pair.w, n_m, cb_m),
+            ),
+            ..*self
         }
     }
 
     /// Index plus output m-tile bytes: the WRAM beside the LUT buffer.
     pub(crate) fn tiles_bytes(&self) -> usize {
-        self.index_tile + self.output_tile
+        self.index.bytes + self.output.bytes
+    }
+
+    /// The index and output tiles' rows per load
+    /// ([`MemHierarchy::rows_per_load`]): read by every tiling of the
+    /// m-tiles and by no bound, so computed once the m-tiles are set.
+    pub(crate) fn rows(&self, pair: &PairPrice) -> TileRows {
+        TileRows {
+            index: pair.hier.rows_per_load(self.index.bytes as f64),
+            output: pair.hier.rows_per_load(self.output.bytes as f64),
+        }
     }
 
     /// The index and output streams of these m-tiles loaded `(index,
     /// output)` times ([`tile_loads`], or any count a bound assumes), with
     /// their local-memory times.
-    pub(crate) fn streams(
-        &self,
-        lm: &LocalMemModel,
-        (index_loads, output_loads): (u64, u64),
-    ) -> TileStreams {
-        let sc = StreamCounts {
-            index_loads,
-            index_mtile_bytes: self.index_tile as u64,
-            output_loads,
-            output_mtile_bytes: self.output_tile as u64,
-            lut_accesses: 0,
-            lut_access_bytes: 0,
-        };
-        let [index, output, _] = sc.streams();
+    pub(crate) fn streams(&self, loads @ (index_loads, output_loads): (u64, u64)) -> TileStreams {
         TileStreams {
-            sc,
-            index_s: stream_time_s(lm, index),
-            output_s: stream_time_s(lm, output),
+            loads,
+            index_s: self.index.time_s(index_loads as f64),
+            // Loaded and stored per eviction.
+            output_s: self.output.time_s(2.0 * output_loads as f64),
         }
     }
+}
+
+/// The `(compulsory, crossing)` rows one load of an index and of an output
+/// m-tile opens ([`MTilePrice::rows`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TileRows {
+    index: (f64, f64),
+    output: (f64, f64),
 }
 
 /// The `(index, output)` m-tile load counts of a walk in `traversal` order
@@ -219,8 +295,8 @@ pub(crate) fn tile_loads(traversal: TraversalOrder, trips: (u64, u64, u64)) -> (
 /// terms of the branch-and-bound's bound.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TileStreams {
-    /// The index and output streams; the LUT stream empty.
-    sc: StreamCounts,
+    /// The `(index, output)` m-tile loads.
+    loads: (u64, u64),
     /// `kernel_index_s`.
     pub(crate) index_s: f64,
     /// `kernel_output_s`.
@@ -237,8 +313,6 @@ pub(crate) struct TilingPrice<'a> {
     pair: Pair,
     tiling: Tiling,
     trips: (u64, u64, u64),
-    /// The index and output streams; the LUT stream empty.
-    sc: StreamCounts,
     hier: MemHierarchy,
     /// Index plus output m-tile bytes: the WRAM beside the LUT buffer.
     tiles_bytes: usize,
@@ -262,37 +336,38 @@ impl<'a> TilingPrice<'a> {
     ) -> Self {
         let pair = PairPrice::new(platform, w, pair);
         let mtiles = MTilePrice::new(&pair, (n_m, f_m, cb_m));
-        let streams = mtiles.streams(&platform.local_mem, tile_loads(traversal, mtiles.trips));
-        TilingPrice::of(&pair, &mtiles, traversal, &streams)
+        let streams = mtiles.streams(tile_loads(traversal, mtiles.trips));
+        TilingPrice::of(&pair, &mtiles, &mtiles.rows(&pair), traversal, &streams)
     }
 
-    /// The shared part of every leaf under the tiling of `mtiles` walked in
-    /// `traversal` order, from the terms its pair, m-tiles and traversal
-    /// fix.
+    /// The shared part of every leaf under the tiling of `mtiles`, whose
+    /// tiles' rows per load are `rows`, walked in `traversal` order, from
+    /// the terms its pair, m-tiles and traversal fix.
     pub(crate) fn of(
         pair: &PairPrice<'a>,
         mtiles: &MTilePrice,
+        rows: &TileRows,
         traversal: TraversalOrder,
         streams: &TileStreams,
     ) -> Self {
         let (n_m, f_m, cb_m) = mtiles.mtiles;
-        let [index, output, _] = streams.sc.streams();
+        let (index_loads, output_loads) = streams.loads;
         let base = TimeBreakdown {
             kernel_index_s: streams.index_s,
             kernel_output_s: streams.output_s,
             kernel_reduce_s: mtiles.reduce_s,
             ..pair.sub_lut
         };
+        // The streams of `StreamCounts::streams`, in its order.
         let rows = RowTimes::default()
-            .add(&pair.hier, index)
-            .add(&pair.hier, output);
+            .add_loads(&pair.hier, index_loads as f64, rows.index)
+            .add_loads(&pair.hier, 2.0 * output_loads as f64, rows.output);
         TilingPrice {
             platform: pair.platform,
             w: pair.w,
             pair: pair.pair,
             tiling: (n_m, f_m, cb_m, traversal),
             trips: mtiles.trips,
-            sc: streams.sc,
             hier: pair.hier,
             tiles_bytes: mtiles.tiles_bytes(),
             base,
@@ -346,12 +421,7 @@ impl<'a> TilingPrice<'a> {
             &kernel_of(self.tiling, scheme),
             self.trips,
         );
-        let sc = StreamCounts {
-            lut_accesses,
-            lut_access_bytes,
-            ..self.sc
-        };
-        let [.., lut] = sc.streams();
+        let lut = (lut_accesses as f64, lut_access_bytes as f64);
         let rows = self.rows.add(&self.hier, lut);
         HierBreakdown {
             base: TimeBreakdown {

@@ -33,7 +33,11 @@ pub fn divisors(n: usize) -> Vec<usize> {
 /// Tiling-factor candidates for a dimension: all divisors when few, the
 /// power-of-two divisors (plus the dimension itself) otherwise.
 pub fn tile_candidates(dim: usize) -> Vec<usize> {
-    let mut menu = divisors(dim);
+    capped(divisors(dim), dim)
+}
+
+/// `dim`'s ascending divisors `menu` as its [`tile_candidates`].
+fn capped(mut menu: Vec<usize>, dim: usize) -> Vec<usize> {
     if menu.len() > MAX_DIVISORS {
         menu.retain(|&d| d.is_power_of_two() || d == dim);
     }
@@ -50,17 +54,26 @@ pub(crate) struct Menus {
 }
 
 impl Menus {
-    /// The menus of a search over the P1 `pairs` of `w`.
+    /// The menus of a search over the P1 `pairs` of `w`. Every dimension
+    /// divides one of the workload's (`N_s` divides `N`; `F_s` and its
+    /// menu `F`; `CB` and its menu `CB`), so its divisors are that
+    /// dimension's that it is a multiple of: three trial divisions per
+    /// search, each menu a filter of one of them.
     pub(crate) fn new(w: &LutWorkload, pairs: &[(usize, usize)]) -> Self {
-        let mut dims = tile_candidates(w.cb);
-        dims.push(w.cb);
+        let (of_n, of_f, of_cb) = (divisors(w.n), divisors(w.f), divisors(w.cb));
+        let menu = |of: &[usize], dim: usize| {
+            let divisors = of.iter().copied().filter(|&d| dim.is_multiple_of(d));
+            capped(divisors.collect(), dim)
+        };
+        let mut dims: Vec<(usize, &[usize])> = Vec::new();
+        dims.extend(menu(&of_cb, w.cb).into_iter().map(|d| (d, &of_cb[..])));
         for &(n_stile, f_stile) in pairs {
-            dims.extend([n_stile, f_stile]);
-            dims.extend(tile_candidates(f_stile));
+            dims.extend([(n_stile, &of_n[..]), (f_stile, &of_f[..])]);
+            dims.extend(menu(&of_f, f_stile).into_iter().map(|d| (d, &of_f[..])));
         }
-        dims.sort_unstable();
-        dims.dedup();
-        let menus = dims.into_iter().map(|d| (d, tile_candidates(d))).collect();
+        dims.sort_unstable_by_key(|&(d, _)| d);
+        dims.dedup_by_key(|&mut (d, _)| d);
+        let menus = dims.into_iter().map(|(d, of)| (d, menu(of, d))).collect();
         Menus { menus }
     }
 
@@ -375,6 +388,31 @@ mod tests {
         // A highly composite number exceeds the cap → pow2 subset.
         let c = tile_candidates(720720);
         assert!(c.iter().all(|d| d.is_power_of_two() || *d == 720720));
+    }
+
+    #[test]
+    fn menus_are_the_tile_candidates_of_their_dimensions() {
+        // Filtered from the workload's divisor lists, each menu must be
+        // the trial-divided one; 720720 and 5040 pass the divisor cap.
+        for (n, cb, f) in [(64 * 512, 192, 3072), (720720, 5040, 720), (7, 1, 13)] {
+            let w = LutWorkload::new(n, cb, 16, f).unwrap();
+            let pairs: Vec<(usize, usize)> = divisors(n)
+                .into_iter()
+                .zip(divisors(f).into_iter().rev())
+                .collect();
+            let menus = Menus::new(&w, &pairs);
+            for &(dim, ref menu) in &menus.menus {
+                assert_eq!(menu, &tile_candidates(dim), "{dim} of {w:?}");
+            }
+            for (n_s, f_s) in pairs {
+                for dim in [n_s, f_s, cb] {
+                    assert_eq!(menus.of(dim), tile_candidates(dim), "{dim}");
+                }
+                for dim in tile_candidates(f_s).into_iter().chain(tile_candidates(cb)) {
+                    assert_eq!(menus.of(dim), tile_candidates(dim), "{dim}");
+                }
+            }
+        }
     }
 
     #[test]
