@@ -188,6 +188,9 @@ impl MemHierarchy {
     /// [`Self::rows_per_load`], and zero when either is not positive.
     #[inline]
     pub fn row_traffic(&self, loads: f64, tile_bytes: f64) -> (f64, f64) {
+        if tile_bytes <= 0.0 {
+            return (0.0, 0.0);
+        }
         Self::scale_rows(loads, self.rows_per_load(tile_bytes))
     }
 
@@ -622,7 +625,7 @@ mod tests {
             tiles.extend([0.25, 0.5, 0.999, 1.5, 2047.5, 1e19, 1.8e19, 1e25, f64::MAX]);
             tiles.extend([0.0, -3.0, f64::INFINITY, f64::NAN]);
             for tile in tiles {
-                for loads in [0.0, 1.0, 3.0, 1e6] {
+                for loads in [0.0, 1.0, 3.0, 1e6, f64::INFINITY] {
                     assert_eq!(
                         bits(h.row_traffic(loads, tile)),
                         bits(euclid_row_traffic(&h, loads, tile)),

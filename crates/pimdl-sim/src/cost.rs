@@ -359,14 +359,19 @@ impl RowTimes {
     /// The sum with one more `(transfers, bytes each)` stream added.
     #[inline]
     pub fn add(self, hier: &MemHierarchy, (loads, tile): (f64, f64)) -> RowTimes {
-        self.add_loads(hier, loads, hier.rows_per_load(tile))
+        self.add_rows(hier, hier.row_traffic(loads, tile))
     }
 
-    /// [`Self::add`] of `loads` transfers of a tile whose
+    /// [`Self::add`] of `loads` transfers of a tile of positive bytes whose
     /// [`MemHierarchy::rows_per_load`] are `per_load`, to the same bits.
     #[inline]
     pub fn add_loads(self, hier: &MemHierarchy, loads: f64, per_load: (f64, f64)) -> RowTimes {
-        let (compulsory, crossing) = MemHierarchy::scale_rows(loads, per_load);
+        self.add_rows(hier, MemHierarchy::scale_rows(loads, per_load))
+    }
+
+    /// The sum with one more stream's `(compulsory, crossing)` rows added.
+    #[inline]
+    fn add_rows(self, hier: &MemHierarchy, (compulsory, crossing): (f64, f64)) -> RowTimes {
         RowTimes {
             row_activation_s: self.row_activation_s + compulsory * hier.row_activation_s,
             crossing_s: self.crossing_s + crossing * hier.row_activation_s,

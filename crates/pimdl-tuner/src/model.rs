@@ -27,14 +27,13 @@
 //! a child's derived from its parent's), the tiles' rows per load per
 //! m-tile node ([`TileRows`]), the index and output streams per traversal
 //! ([`TileStreams`], which the branch-and-bound's bound reads too). Each
-//! leaf is then its
-//! tiling's exact price plus its own LUT stream: one WRAM check, one
-//! [`lut_stream`], one LUT term, and the LUT row terms added last. Most
-//! of those leaves are coarse-grain, and they share far fewer chunk sizes
-//! `cb_load·f_load`, which alone fix a multi-chunk leaf's stream: the
-//! branch-and-bound prices each size once per tiling, and a leaf not at
-//! all when [`TilingPrice::floor_s`] of its true LUT volume is already over
-//! the incumbent ([`crate::bnb`]).
+//! leaf is then its tiling's exact price plus its own LUT stream: one WRAM
+//! check, one [`lut_stream`], one LUT term, and the LUT row terms added
+//! last. Most of those leaves are coarse-grain, and they share far fewer
+//! chunk sizes `cb_load·f_load`, which alone fix a multi-chunk leaf's
+//! stream: the branch-and-bound prices each size once per tiling, and a
+//! leaf not at all when [`TilingPrice::floor_s`] of its true LUT volume is
+//! already over the incumbent ([`crate::bnb`]).
 //! [`hierarchical_cost`] is `validate` followed by the same price, so the
 //! model, branch-and-bound and the exhaustive reference share one
 //! derivation and agree bit for bit.
