@@ -77,14 +77,17 @@ done
 # The tuner's long oracle pass: the #[ignore]d branch-and-bound against
 # exhaustive search on ~1,000 small mapping spaces, both row-constant arms,
 # CT up to 512 and WRAM down to 96 B, the bounds' and leaf floors'
-# admissibility along random paths of ~1,000 more, the terms an m-tile
-# node shares with its six traversal children against from-scratch ones
-# over every node of ~1,000 more (shared_terms_match_from_scratch_terms_wide),
-# the closed-form coarse leaf count against the enumeration on ~1,000
-# random menus, the byte-capped pair frontier against the uncapped one's
-# prefix on ~1,000 spaces, and the capped allocators against an uncapped
-# allocate_global and against brute force on ~1,000 requests each (~21 s
-# in a debug build on two cores).
+# admissibility along random paths of ~1,000 more, the node each N_m,
+# F_m and CB_m child derives from its parent's against Node::new at its
+# corner and its bound against a from-scratch one, and the terms an
+# m-tile node shares with its six traversal children against from-scratch
+# ones, over every node of ~1,000 more
+# (shared_terms_match_from_scratch_terms_wide), the closed-form coarse
+# leaf count against the enumeration on ~1,000 random menus, the
+# byte-capped pair frontier against the uncapped one's prefix on ~1,000
+# spaces, and the capped allocators against an uncapped allocate_global
+# and against brute force on ~1,000 requests each (~26 s in a debug build
+# on two cores).
 echo "==> cargo test -p pimdl-tuner --offline (long oracle pass)"
 cargo test --offline -p pimdl-tuner --lib -- --ignored
 
