@@ -101,11 +101,13 @@ fn shard_death_mid_batch_loses_nothing_and_rereplicates() {
         run.table_states
     );
     assert!(!run.any_lost);
+    sim::pin("fabric shard death", &[&run], 0xDB50_FF50_752D_73F2);
 }
 
 #[test]
 fn fault_injection_runs_are_bit_identical() {
-    run_shard_death_mid_batch(sim::replay);
+    let (run, _) = run_shard_death_mid_batch(sim::replay);
+    sim::pin("fabric shard death", &[&run], 0xDB50_FF50_752D_73F2);
 }
 
 /// With a single shard there is no successor: its death makes every table
@@ -163,6 +165,7 @@ fn lone_shard_death_error_drains_lost_tables() {
         snap.submitted,
         snap.completed + snap.rejected + snap.deadline_exceeded
     );
+    sim::pin("fabric lone shard death", &[&run], 0x03C4_5877_B81C_D124);
 }
 
 /// A worker that connects but never says `Hello` (or never connects at
@@ -203,16 +206,23 @@ fn silent_shard_is_timed_out_and_replaced() {
         run.table_states
     );
     assert_eq!(run.snapshot.completed, 4);
+    sim::pin("fabric silent shard", &[&run], 0x6FB6_212F_2353_9101);
 }
 
 #[test]
 fn fabric_final_drain_and_accept_errors_reach_the_snapshot() {
-    sim::final_drain(Front::fabric(1, 10.0, tables(&["only"], 9)));
+    sim::final_drain(
+        Front::fabric(1, 10.0, tables(&["only"], 9)),
+        0x480A_4281_559B_A94E,
+    );
 }
 
 #[test]
 fn rejected_queries_cost_no_reference_gather() {
-    sim::refuse_before_paying(Front::fabric(1, 10.0, tables(&["only"], 9)));
+    sim::refuse_before_paying(
+        Front::fabric(1, 10.0, tables(&["only"], 9)),
+        0x9430_BFDE_251B_A4C3,
+    );
 }
 
 /// The fabric DES prices both socket crossings of every shard round trip
@@ -266,6 +276,7 @@ fn des_side_completes_and_prices_the_network() {
         free.end_s
     );
     assert_eq!(priced, burst(Some(slow)), "a priced rerun is bit-identical");
+    sim::pin("fabric network", &[&free, &priced], 0x9FF8_F38D_0FBA_7171);
 }
 
 /// What the worker holding the first table forges in an `ExecDone`.
@@ -329,7 +340,7 @@ fn run_forged_exec_done(forged: Forged) -> (Run, u32) {
 /// batch that shard had in flight (one batch more than the honest run's
 /// three); the successor re-replicates the table and every query is
 /// answered exactly once, correctly (the harness's checks).
-fn forged_exec_done_fails_its_shard(forged: Forged) {
+fn forged_exec_done_fails_its_shard(forged: Forged, pinned: u64) {
     let (run, victim) = run_forged_exec_done(forged);
     for (tag, msg) in sim::lines(&run.outputs[0]) {
         assert!(
@@ -351,51 +362,52 @@ fn forged_exec_done_fails_its_shard(forged: Forged) {
     }
     let batches = if honest { 3 } else { 4 };
     assert_eq!(run.snapshot.batches, batches, "{forged:?}");
+    sim::pin(&format!("{forged:?}"), &[&run], pinned);
 }
 
 #[test]
 fn an_honest_worker_keeps_its_connection() {
-    forged_exec_done_fails_its_shard(Forged::Nothing);
+    forged_exec_done_fails_its_shard(Forged::Nothing, 0x5DC6_BF3A_6C51_940C);
 }
 
 #[test]
 fn an_exec_done_for_an_unknown_batch_fails_the_shard() {
-    forged_exec_done_fails_its_shard(Forged::UnknownId);
+    forged_exec_done_fails_its_shard(Forged::UnknownId, 0x39DF_0C07_BF99_C9D8);
 }
 
 #[test]
 fn an_exec_done_for_another_shards_batch_fails_the_shard() {
-    forged_exec_done_fails_its_shard(Forged::OtherShardsId);
+    forged_exec_done_fails_its_shard(Forged::OtherShardsId, 0x39DF_0C07_BF99_C9D8);
 }
 
 #[test]
 fn an_exec_done_with_the_wrong_flag_count_fails_the_shard() {
-    forged_exec_done_fails_its_shard(Forged::WrongFlagCount);
+    forged_exec_done_fails_its_shard(Forged::WrongFlagCount, 0x39DF_0C07_BF99_C9D8);
 }
 
 #[test]
 fn a_repeated_exec_done_fails_the_shard() {
-    forged_exec_done_fails_its_shard(Forged::Repeat);
+    forged_exec_done_fails_its_shard(Forged::Repeat, 0x8AEB_82E8_8E1E_A0BD);
 }
 
 #[test]
 fn explored_fabric_schedules_terminate_exactly_once() {
-    sim::explore(Kind::Fabric, CASES);
+    sim::explore(Kind::Fabric, CASES, 0x2743_D54D_D0AD_7445);
 }
 
 #[test]
 fn explored_forged_exec_dones_terminate_exactly_once() {
-    sim::explore(Kind::FabricForged, CASES);
+    sim::explore(Kind::FabricForged, CASES, 0x228E_2C07_4E8B_172F);
 }
 
 #[test]
 #[ignore = "long explorer pass, run by scripts/check.sh"]
 fn explored_fabric_schedules_long() {
-    sim::explore(Kind::Fabric, LONG_CASES);
+    sim::explore(Kind::Fabric, LONG_CASES, 0xC446_1EA5_0BF9_3E53);
 }
 
 #[test]
 #[ignore = "long explorer pass, run by scripts/check.sh"]
 fn explored_forged_exec_dones_long() {
-    sim::explore(Kind::FabricForged, LONG_CASES);
+    sim::explore(Kind::FabricForged, LONG_CASES, 0x275D_3FA8_F9EB_70D2);
 }

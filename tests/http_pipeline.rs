@@ -109,6 +109,7 @@ fn conformance_corpus_scripted_statuses() {
     assert_eq!(run.snapshot.completed, 1);
     assert_eq!(run.snapshot.rejected, 0);
     assert_eq!(run.snapshot.reactor.accepts, 6);
+    sim::pin("http conformance", &[&run], 0xB28E_454F_D0D6_A797);
 }
 
 #[test]
@@ -134,6 +135,7 @@ fn pipelined_infers_answer_in_order_across_models() {
     // Batches are model-uniform, so the 12 alternating requests cannot
     // ride in fewer than 2 model-pure batches.
     assert!(run.snapshot.batches >= 2);
+    sim::pin("http pipelined", &[&run], 0x4EDB_4B75_EB06_8957);
 }
 
 #[test]
@@ -187,6 +189,7 @@ fn quota_exceeded_tenant_gets_429_while_others_complete() {
         run.gathers, 5,
         "one reference gather per dispatched infer, none per 429 or 403"
     );
+    sim::pin("http quota", &[&run], 0xC51C_148C_7DE0_AE86);
 }
 
 /// Overload scenario: two tenants with 3:1 weights flood their own
@@ -271,30 +274,38 @@ fn weighted_fair_sharing_holds_under_overload() {
 
     // Reactor invariants carry over to the HTTP front end.
     assert_eq!(run.snapshot.reactor.spurious_wakeups, 0);
+    sim::pin("http weighted fair", &[&run], 0x5DE6_8EBB_B58F_8493);
 }
 
 #[test]
 fn final_drain_and_accept_errors_reach_the_snapshot() {
-    sim::final_drain(Front::http(HttpConfig::default(), &[("m-a", 101)]));
+    sim::final_drain(
+        Front::http(HttpConfig::default(), &[("m-a", 101)]),
+        0xF248_40F9_7651_D241,
+    );
 }
 
 #[test]
 fn weighted_fair_runs_are_bit_identical() {
-    run_weighted_fair(sim::replay);
+    let (run, _, _) = run_weighted_fair(sim::replay);
+    sim::pin("http weighted fair", &[&run], 0x5DE6_8EBB_B58F_8493);
 }
 
 #[test]
 fn refused_infers_cost_no_reference_gather() {
-    sim::refuse_before_paying(Front::http(HttpConfig::default(), &[("m-a", 101)]));
+    sim::refuse_before_paying(
+        Front::http(HttpConfig::default(), &[("m-a", 101)]),
+        0xC1D3_6E67_8502_1793,
+    );
 }
 
 #[test]
 fn explored_http_schedules_terminate_exactly_once() {
-    sim::explore(Kind::Http, CASES);
+    sim::explore(Kind::Http, CASES, 0x8B80_58E1_074F_2EBB);
 }
 
 #[test]
 #[ignore = "long explorer pass, run by scripts/check.sh"]
 fn explored_http_schedules_long() {
-    sim::explore(Kind::Http, LONG_CASES);
+    sim::explore(Kind::Http, LONG_CASES, 0x6B4A_2008_55B8_4BCD);
 }

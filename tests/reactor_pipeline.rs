@@ -94,30 +94,35 @@ fn scripted_1000_requests_conserve_and_verify() {
     assert!(snap.reactor.reads >= snap.batches);
     assert!(snap.reactor.writes > 0);
     assert_eq!(snap.reactor.mean_wake_latency_s, 0.0);
+    sim::pin("line overload", &[&run], 0x71A3_5B5B_EC1B_F1F9);
 }
 
 #[test]
 fn two_consecutive_runs_are_bit_identical() {
-    run_overload(sim::replay);
+    sim::pin(
+        "line overload",
+        &[&run_overload(sim::replay)],
+        0x71A3_5B5B_EC1B_F1F9,
+    );
 }
 
 #[test]
 fn final_drain_and_accept_errors_reach_the_snapshot() {
-    sim::final_drain(Front::Line);
+    sim::final_drain(Front::Line, 0x75A4_9620_0E0B_3450);
 }
 
 #[test]
 fn rejected_requests_cost_no_reference_gather() {
-    sim::refuse_before_paying(Front::Line);
+    sim::refuse_before_paying(Front::Line, 0xCBF5_8008_AA3D_5015);
 }
 
 #[test]
 fn explored_line_schedules_terminate_exactly_once() {
-    sim::explore(Kind::Line, CASES);
+    sim::explore(Kind::Line, CASES, 0x2EF0_28F8_709F_6FFF);
 }
 
 #[test]
 #[ignore = "long explorer pass, run by scripts/check.sh"]
 fn explored_line_schedules_long() {
-    sim::explore(Kind::Line, LONG_CASES);
+    sim::explore(Kind::Line, LONG_CASES, 0xB47F_7A17_5F79_D9AB);
 }

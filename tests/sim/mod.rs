@@ -7,7 +7,10 @@
 //!
 //! A run is a pure function of its script: no sockets, no threads, and a
 //! virtual clock that moves only from one scripted instant or timeout to
-//! the next, so any schedule replays bit for bit.
+//! the next, so any schedule replays bit for bit. Every named scenario and
+//! every explorer pass folds its runs into one FNV-1a [`Digest`] and
+//! asserts it equals a pinned constant, so a change to any transcript
+//! fails the suite, and the failure prints the new digest.
 
 // Each suite uses the part of the harness its front needs.
 #![allow(dead_code)]
@@ -462,6 +465,64 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
     end
 }
 
+/// A 64-bit FNV-1a digest of scripted runs: what pins every SimPoller
+/// transcript, so a serving refactor that moves one byte of any run fails
+/// its suite.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xCBF2_9CE4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// A length-prefixed field, so adjacent fields cannot trade bytes.
+    fn field(&mut self, bytes: &[u8]) {
+        self.bytes(&(bytes.len() as u64).to_le_bytes());
+        self.bytes(bytes);
+    }
+
+    /// Folds in `run`: its end time's bits, the `Debug` of its snapshot,
+    /// every client's output and open flag, the per-shard dispatches, the
+    /// reference gathers, and the fabric's shard and table states.
+    pub fn fold(&mut self, run: &Run) {
+        self.field(&run.end_s.to_bits().to_le_bytes());
+        self.field(format!("{:?}", run.snapshot).as_bytes());
+        for out in &run.outputs {
+            self.field(out);
+        }
+        self.field(&run.open.iter().map(|&o| u8::from(o)).collect::<Vec<_>>());
+        self.field(format!("{:?}", run.dispatches).as_bytes());
+        self.field(&run.gathers.to_le_bytes());
+        self.field(format!("{:?}", run.shard_states).as_bytes());
+        self.field(format!("{:?}", run.table_states).as_bytes());
+    }
+
+    /// Asserts the digest equals the pinned `want`, printing what it is.
+    pub fn assert_pinned(self, what: &str, want: u64) {
+        assert_eq!(
+            self.0, want,
+            "{what}: transcript digest {:#018x}, pinned {want:#018x}",
+            self.0
+        );
+    }
+}
+
+/// Asserts `runs` fold into the pinned digest `want` (see [`Digest`]).
+pub fn pin(what: &str, runs: &[&Run], want: u64) {
+    let mut d = Digest::new();
+    for run in runs {
+        d.fold(run);
+    }
+    d.assert_pinned(what, want);
+}
+
 /// [`run`] or [`replay`], for the scenarios that are run both ways.
 pub type Driver = fn(&Runtime, &Front, &dyn Fn(&mut Script)) -> Run;
 
@@ -605,7 +666,7 @@ fn check(run: &Run, front: &Front, clients: &[(Token, Vec<Owed>)], shutdown_s: O
 /// wait window expires (final drain), the loop then exits on quiescence,
 /// and accept-error counters recorded on the reactor before the run
 /// survive into the final snapshot.
-pub fn final_drain(front: Front) {
+pub fn final_drain(front: Front, pinned: u64) {
     let rt = runtime(64, f64::INFINITY);
     let w = rt.replica().workload();
     let run = run(&rt, &front, &|s| {
@@ -626,6 +687,7 @@ pub fn final_drain(front: Front) {
     assert_eq!(snap.batches, 1, "one partial batch of two");
     assert_eq!(snap.reactor.accept_errors, 2);
     assert_eq!(run.all_ready, matches!(front, Front::Fabric { .. }));
+    pin("final drain", &[&run], pinned);
 }
 
 /// Refuse before paying, on all three loops (`front` as for
@@ -634,7 +696,7 @@ pub fn final_drain(front: Front) {
 /// past the codebook is refused unsubmitted (`E invalid`, HTTP 400) — a
 /// reference is gathered only for a request that is dispatched (the line
 /// and HTTP loops, on its shard) or admitted (the fabric front).
-pub fn refuse_before_paying(front: Front) {
+pub fn refuse_before_paying(front: Front, pinned: u64) {
     let rt = runtime(4, f64::INFINITY);
     let w = rt.replica().workload();
     let run = run(&rt, &front, &|s| {
@@ -667,6 +729,7 @@ pub fn refuse_before_paying(front: Front) {
         run.gathers, 4,
         "one gather per dispatched request, none per refusal"
     );
+    pin("refuse before paying", &[&run], pinned);
 }
 
 /// The loop the explorer drives.
@@ -700,12 +763,14 @@ impl Drop for OnFailure<'_> {
 /// own with the wrong count, one already answered, or its own in flight
 /// (accepted early, and its real reply is then the repeat). Under
 /// [`Kind::Http`] some clients end on a `Connection: close` request, drawn
-/// from the `<kind>-<seed>-close` stream (see [`schedule`]).
-pub fn explore(kind: Kind, cases: u64) {
+/// from the `<kind>-<seed>-close` stream (see [`schedule`]). Every run
+/// folds into one [`Digest`], which must equal `pinned`.
+pub fn explore(kind: Kind, cases: u64, pinned: u64) {
     let t1 = runtime(64, f64::INFINITY)
         .service_model()
         .batch_service_s(1)
         .unwrap();
+    let mut digest = Digest::new();
     for seed in 0..cases {
         let name = format!("{kind:?}-{seed}");
         let _named = OnFailure(&name);
@@ -726,7 +791,7 @@ pub fn explore(kind: Kind, cases: u64) {
             }
         };
         let rt = runtime(queue, deadline_s);
-        replay(&rt, &front, &|s| {
+        let run = replay(&rt, &front, &|s| {
             let mut rng = TestRng::deterministic(&format!("{name}-script"));
             let mut close = TestRng::deterministic(&format!("{name}-close"));
             let workers = schedule(s, &mut rng, &mut close, t1, deadline_s);
@@ -748,7 +813,9 @@ pub fn explore(kind: Kind, cases: u64) {
                 s.shutdown_at(start + 24.0 * t1 * rng.unit_f64());
             }
         });
+        digest.fold(&run);
     }
+    digest.assert_pinned(&format!("{kind:?} x {cases}"), pinned);
 }
 
 /// One random schedule: fabric workers that die before `Hello`, mid-frame,
