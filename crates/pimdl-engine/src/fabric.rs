@@ -12,14 +12,11 @@ use serde::{Deserialize, Serialize};
 use crate::error::EngineError;
 use crate::Result;
 
-/// Virtual nodes per shard on the consistent-hash ring. Enough to spread
-/// a handful of tables evenly over a handful of shards; small enough that
-/// the ring stays trivially cheap to rebuild on membership change.
+/// Virtual nodes per shard on the consistent-hash ring, a constant rather
+/// than an option. Enough to spread a handful of tables evenly over a
+/// handful of shards; small enough that the ring stays trivially cheap to
+/// rebuild on membership change.
 pub const DEFAULT_VNODES: usize = 32;
-
-/// Largest `vnodes` a [`FabricConfig`] accepts: the supervisor hashes
-/// `num_shards × vnodes` ring points whenever it rebuilds the ring.
-pub const MAX_VNODES: usize = 1024;
 
 /// Largest shard count a serving configuration accepts, in-process or
 /// fabric: a shard is a worker thread under `pimdl-serve`'s line and HTTP
@@ -30,11 +27,9 @@ pub const MAX_SHARDS: usize = 64;
 /// Configuration of the multi-process shard fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FabricConfig {
-    /// Worker processes to place tables on, in `1..=MAX_SHARDS`.
+    /// Worker processes to place tables on, in `1..=MAX_SHARDS`, each
+    /// with [`DEFAULT_VNODES`] points on the consistent-hash ring.
     pub num_shards: usize,
-    /// Virtual nodes per shard on the consistent-hash ring, in
-    /// `1..=MAX_VNODES`.
-    pub vnodes: usize,
     /// How long the supervisor waits for a worker's `Hello` (and for a
     /// `TableReady` after a `LoadTable`) before declaring it dead and
     /// re-placing its tables (seconds). Must be finite and > 0.
@@ -47,7 +42,6 @@ impl FabricConfig {
     pub fn example() -> Self {
         FabricConfig {
             num_shards: 2,
-            vnodes: DEFAULT_VNODES,
             hello_timeout_s: 10.0,
         }
     }
@@ -57,19 +51,16 @@ impl FabricConfig {
     /// # Errors
     ///
     /// Returns [`EngineError::Config`] if `num_shards` is outside
-    /// `1..=MAX_SHARDS` or `vnodes` outside `1..=MAX_VNODES`, or
-    /// `hello_timeout_s` is non-finite or non-positive (the supervisor
-    /// could never detect a silent worker).
+    /// `1..=MAX_SHARDS`, or `hello_timeout_s` is non-finite or
+    /// non-positive (the supervisor could never detect a silent worker).
     pub fn validate(&self) -> Result<()> {
-        for (name, value, max) in [
-            ("num_shards", self.num_shards, MAX_SHARDS),
-            ("vnodes", self.vnodes, MAX_VNODES),
-        ] {
-            if !(1..=max).contains(&value) {
-                return Err(EngineError::Config {
-                    detail: format!("fabric {name} must be in 1..={max}, got {value}"),
-                });
-            }
+        if !(1..=MAX_SHARDS).contains(&self.num_shards) {
+            return Err(EngineError::Config {
+                detail: format!(
+                    "fabric num_shards must be in 1..={MAX_SHARDS}, got {}",
+                    self.num_shards
+                ),
+            });
         }
         if !self.hello_timeout_s.is_finite() || self.hello_timeout_s <= 0.0 {
             return Err(EngineError::Config {
@@ -104,13 +95,8 @@ mod tests {
                 num_shards: 0,
                 ..ok
             },
-            FabricConfig { vnodes: 0, ..ok },
             FabricConfig {
                 num_shards: MAX_SHARDS + 1,
-                ..ok
-            },
-            FabricConfig {
-                vnodes: MAX_VNODES + 1,
                 ..ok
             },
             FabricConfig {

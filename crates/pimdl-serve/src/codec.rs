@@ -94,10 +94,12 @@ pub struct Query {
     pub table: Option<String>,
 }
 
-fn valid_tag(tag: &str) -> bool {
-    !tag.is_empty()
-        && tag.len() <= 64
-        && tag
+/// The one name rule of the crate: 1 to 64 bytes of `[A-Za-z0-9._-]`. A
+/// query tag, a table or model name (which travel in fabric frames,
+/// request paths and metrics labels) all follow it.
+pub(crate) fn valid_name(name: &str) -> bool {
+    (1..=64).contains(&name.len())
+        && name
             .bytes()
             .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'.')
 }
@@ -160,15 +162,13 @@ pub fn parse_query(line: &[u8]) -> Result<Query> {
             detail: format!("malformed query line: {}", preview(text)),
         });
     };
-    if !valid_tag(tag) {
+    if !valid_name(tag) {
         return Err(ServeError::Io {
             detail: format!("invalid query tag: {}", preview(tag)),
         });
     }
     let table = match parts.next() {
-        // Table names share the tag charset (they also travel in fabric
-        // frames and metrics labels).
-        Some(t) if valid_tag(t) => Some(t.to_string()),
+        Some(t) if valid_name(t) => Some(t.to_string()),
         Some(t) => {
             return Err(ServeError::Io {
                 detail: format!("invalid table name in query {tag}: {}", preview(t)),

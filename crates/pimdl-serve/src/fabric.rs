@@ -915,7 +915,6 @@ impl<'a> FabricServerLoop<'a> {
         }
         let sup = Supervisor::new(
             fabric.num_shards,
-            fabric.vnodes,
             fabric.hello_timeout_s,
             clock.now(),
             tables,

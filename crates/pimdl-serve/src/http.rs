@@ -22,6 +22,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 
+use crate::codec;
 use crate::error::ServeError;
 use crate::Result;
 
@@ -465,14 +466,6 @@ pub enum Route {
     NotFound,
 }
 
-fn valid_name(name: &str) -> bool {
-    !name.is_empty()
-        && name.len() <= 64
-        && name
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'.')
-}
-
 /// Routes a (method, target) pair. The query string is ignored.
 pub fn route(method: &str, target: &str) -> Route {
     let path = target.split(['?', '#']).next().unwrap_or(target);
@@ -486,7 +479,7 @@ pub fn route(method: &str, target: &str) -> Route {
             "GET" | "HEAD" => Route::Metrics,
             _ => Route::MethodNotAllowed,
         },
-        ["v1", "models", model, "infer"] if valid_name(model) => match method {
+        ["v1", "models", model, "infer"] if codec::valid_name(model) => match method {
             "POST" => Route::Infer {
                 model: (*model).to_string(),
             },

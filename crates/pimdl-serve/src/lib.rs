@@ -99,7 +99,7 @@ pub use registry::{AdmitRefusal, FairBatcher, ModelRegistry, TaggedJob};
 pub use request::{Outcome, Request, RequestRecord};
 pub use runtime::{OpenLoop, Runtime, ServeConfig, ServeReport};
 pub use server::{HttpConfig, HttpServerLoop, ServeHandle, ServerLoop};
-pub use shard::{DispatchTicket, ReplicaModel, ServiceModel, ShardManager, Shards};
+pub use shard::{ReplicaModel, ServiceModel, Shards};
 pub use supervisor::{
     Cause, EventLog, HashRing, LoadOrder, ShardState, Supervisor, SupervisorEvent, TableState,
     Transition,

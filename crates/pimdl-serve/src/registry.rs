@@ -37,6 +37,7 @@ use std::sync::Arc;
 
 use pimdl_engine::scheduler::{BatchingPolicy, TenantQuota};
 
+use crate::codec;
 use crate::error::ServeError;
 use crate::request::Request;
 use crate::shard::ReplicaModel;
@@ -46,14 +47,6 @@ use crate::Result;
 #[derive(Debug, Default)]
 pub struct ModelRegistry {
     models: BTreeMap<String, Arc<ReplicaModel>>,
-}
-
-fn valid_model_name(name: &str) -> bool {
-    !name.is_empty()
-        && name.len() <= 64
-        && name
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'.')
 }
 
 impl ModelRegistry {
@@ -70,7 +63,7 @@ impl ModelRegistry {
     /// `[A-Za-z0-9._-]{1,64}` only — it appears in request paths) or a
     /// duplicate registration.
     pub fn register(&mut self, name: &str, replica: Arc<ReplicaModel>) -> Result<()> {
-        if !valid_model_name(name) {
+        if !codec::valid_name(name) {
             return Err(ServeError::Config {
                 detail: format!("invalid model name {name:?} (want [A-Za-z0-9._-]{{1,64}})"),
             });

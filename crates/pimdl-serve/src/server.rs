@@ -409,12 +409,7 @@ pub(crate) fn fallback_tag(line: &[u8]) -> String {
     std::str::from_utf8(line)
         .ok()
         .and_then(|s| s.split(' ').nth(1))
-        .filter(|t| {
-            !t.is_empty()
-                && t.len() <= 64
-                && t.bytes()
-                    .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'.')
-        })
+        .filter(|t| codec::valid_name(t))
         .unwrap_or("-")
         .to_string()
 }
@@ -1093,7 +1088,7 @@ mod tests {
             2,
             "two ready batches, two free shards"
         );
-        assert_eq!(rig.shards.manager().dispatch_counts(), [1, 1]);
+        assert_eq!(rig.shards.dispatch_counts(), [1, 1]);
 
         // A ninth request rides alone once a shard is free again. Delivery
         // is in (finish_s, shard) order, each request tagged with the

@@ -1,9 +1,9 @@
-//! Model replicas, the least-loaded router, cost-model service times, and
-//! the in-process shards the line and HTTP front ends dispatch to.
+//! Model replicas, cost-model service times, and the in-process shards the
+//! line and HTTP front ends dispatch to.
 //!
 //! A *shard* is one group of simulated PIM DIMMs holding a full replica of
 //! the served model ([`ReplicaModel`]): batches route to the least-loaded
-//! shard ([`ShardManager`]), their service time comes from the engine's
+//! free shard ([`Shards`]), their service time comes from the engine's
 //! end-to-end cost model ([`ServiceModel`]), and their *results* come from
 //! `pimdl_sim`'s functional LUT execution, verified bit-for-bit against a
 //! host reference checksum — `lut_checksum_quant` over the same row-major
@@ -333,101 +333,6 @@ impl ReplicaModel {
     }
 }
 
-/// A dispatch decision: where a batch went and when it runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DispatchTicket {
-    /// Chosen shard.
-    pub shard: usize,
-    /// Service start (simulated seconds; `max(now, shard busy-until)`).
-    pub start_s: f64,
-    /// Service completion (simulated seconds).
-    pub finish_s: f64,
-}
-
-/// Least-loaded router over the shard replicas.
-///
-/// Tracks each shard's busy-until horizon as estimated by the cost model;
-/// ties break toward the lowest shard id, so routing is deterministic.
-#[derive(Debug)]
-pub struct ShardManager {
-    busy_until_s: Vec<f64>,
-    dispatched: Vec<u64>,
-}
-
-impl ShardManager {
-    /// A manager over `num_shards` replicas.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Config`] for zero shards or more than
-    /// [`MAX_SHARDS`].
-    pub fn new(num_shards: usize) -> Result<Self> {
-        if !(1..=MAX_SHARDS).contains(&num_shards) {
-            return Err(ServeError::Config {
-                detail: format!("shard manager needs 1..={MAX_SHARDS} shards, got {num_shards}"),
-            });
-        }
-        Ok(ShardManager {
-            busy_until_s: vec![0.0; num_shards],
-            dispatched: vec![0; num_shards],
-        })
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.busy_until_s.len()
-    }
-
-    /// The shard with the smallest busy-until horizon (lowest id on ties).
-    pub fn least_loaded(&self) -> usize {
-        let mut best = 0;
-        for (i, &b) in self.busy_until_s.iter().enumerate() {
-            if b < self.busy_until_s[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// Least-loaded shard among those marked `eligible` (`None` if no
-    /// shard is eligible).
-    pub fn least_loaded_among(&self, eligible: &[bool]) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, &b) in self.busy_until_s.iter().enumerate() {
-            if eligible.get(i).copied().unwrap_or(false)
-                && best.is_none_or(|j| b < self.busy_until_s[j])
-            {
-                best = Some(i);
-            }
-        }
-        best
-    }
-
-    /// Routes a batch to the least-loaded shard at `now`.
-    pub fn dispatch(&mut self, now: f64, service_s: f64) -> DispatchTicket {
-        let shard = self.least_loaded();
-        self.dispatch_to(shard, now, service_s)
-    }
-
-    /// Dispatches to a specific shard, updating its horizon.
-    pub fn dispatch_to(&mut self, shard: usize, now: f64, service_s: f64) -> DispatchTicket {
-        let start_s = now.max(self.busy_until_s[shard]);
-        let finish_s = start_s + service_s;
-        self.busy_until_s[shard] = finish_s;
-        self.dispatched[shard] += 1;
-        DispatchTicket {
-            shard,
-            start_s,
-            finish_s,
-        }
-    }
-
-    /// Batches dispatched per shard.
-    pub fn dispatch_counts(&self) -> &[u64] {
-        &self.dispatched
-    }
-}
-
 /// Batch service times from the engine's end-to-end cost model, priced
 /// once per batch size when the model is built, so dispatch only reads a
 /// table.
@@ -582,9 +487,11 @@ enum Exec {
 }
 
 /// The in-process shards the line and HTTP front ends dispatch to, with
-/// the serving loop's whole book of them: the [`ShardManager`] horizon and
-/// counts, which shards are free, how many batches are out, and the
-/// finished batches not yet delivered.
+/// the serving loop's whole book of them: each shard's busy-until horizon
+/// and dispatch count, which shards are free, how many batches are out,
+/// and the finished batches not yet delivered. A batch goes to the free
+/// shard with the earliest horizon, the lowest id on ties, so routing is
+/// deterministic.
 ///
 /// The book is the loop's alone. Under [`Shards::threaded`] a shard thread
 /// gets its work on its own channel and reports on the one completion
@@ -595,7 +502,10 @@ enum Exec {
 #[derive(Debug)]
 pub struct Shards<'a> {
     service: &'a ServiceModel,
-    book: ShardManager,
+    /// When each shard's last batch finishes, by the cost model.
+    busy_until_s: Vec<f64>,
+    /// Batches dispatched per shard.
+    dispatched: Vec<u64>,
     free: Vec<bool>,
     in_flight: usize,
     exec: Exec,
@@ -604,9 +514,15 @@ pub struct Shards<'a> {
 impl<'a> Shards<'a> {
     fn new(rt: &'a Runtime, exec: Exec) -> Result<Self> {
         let n = rt.config().num_shards;
+        if !(1..=MAX_SHARDS).contains(&n) {
+            return Err(ServeError::Config {
+                detail: format!("shards need 1..={MAX_SHARDS} shards, got {n}"),
+            });
+        }
         Ok(Shards {
             service: rt.service_model(),
-            book: ShardManager::new(n)?,
+            busy_until_s: vec![0.0; n],
+            dispatched: vec![0; n],
             free: vec![true; n],
             in_flight: 0,
             exec,
@@ -685,9 +601,9 @@ impl<'a> Shards<'a> {
         )
     }
 
-    /// The routing book: per-shard horizon and dispatch counts.
-    pub fn manager(&self) -> &ShardManager {
-        &self.book
+    /// Batches dispatched per shard.
+    pub fn dispatch_counts(&self) -> &[u64] {
+        &self.dispatched
     }
 
     /// Batches dispatched and not yet drained.
@@ -715,14 +631,21 @@ impl<'a> Shards<'a> {
         now: f64,
         take: impl FnOnce() -> Result<Option<(Arc<ReplicaModel>, Vec<Request>)>>,
     ) -> Result<bool> {
-        let Some(shard) = self.book.least_loaded_among(&self.free) else {
+        let mut shard = None;
+        for (i, &busy_until) in self.busy_until_s.iter().enumerate() {
+            if self.free[i] && shard.is_none_or(|j: usize| busy_until < self.busy_until_s[j]) {
+                shard = Some(i);
+            }
+        }
+        let Some(shard) = shard else {
             return Ok(false);
         };
         let Some((model, mut batch)) = take()? else {
             return Ok(false);
         };
         let service_s = self.service.batch_service_s(batch.len())?;
-        self.book.dispatch_to(shard, now, service_s);
+        self.busy_until_s[shard] = now.max(self.busy_until_s[shard]) + service_s;
+        self.dispatched[shard] += 1;
         metrics.record_batch(batch.len());
         self.free[shard] = false;
         self.in_flight += 1;
@@ -883,32 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn router_prefers_least_loaded_and_breaks_ties_low() {
-        let mut m = ShardManager::new(3).unwrap();
-        assert_eq!(m.least_loaded(), 0); // all idle: lowest id
-        let t0 = m.dispatch(0.0, 10.0);
-        assert_eq!(t0.shard, 0);
-        assert_eq!((t0.start_s, t0.finish_s), (0.0, 10.0));
-        let t1 = m.dispatch(0.0, 5.0);
-        assert_eq!(t1.shard, 1);
-        let t2 = m.dispatch(0.0, 1.0);
-        assert_eq!(t2.shard, 2);
-        // shard 2 frees first
-        assert_eq!(m.least_loaded(), 2);
-        assert_eq!(m.dispatch_counts(), &[1, 1, 1]);
-    }
-
-    #[test]
-    fn eligibility_mask_filters_routing() {
-        let mut m = ShardManager::new(2).unwrap();
-        m.dispatch_to(0, 0.0, 1.0);
-        assert_eq!(m.least_loaded_among(&[true, true]), Some(1));
-        assert_eq!(m.least_loaded_among(&[true, false]), Some(0));
-        assert_eq!(m.least_loaded_among(&[false, false]), None);
-        assert!(ShardManager::new(0).is_err());
-    }
-
-    #[test]
     fn a_batch_takes_the_longer_of_its_service_time_and_its_execution() {
         // Execution advancing the clock by `exec_s` stands in for the host
         // check; the batch ends at `max(service, execution)`, with no sleep
@@ -999,6 +896,43 @@ mod tests {
     }
 
     #[test]
+    fn router_prefers_least_loaded_and_breaks_ties_low() {
+        let rt = example_runtime(3);
+        let service = |b| rt.service_model().batch_service_s(b).unwrap();
+        assert!(service(1) < service(2) && service(2) < service(4));
+        let clock = Arc::new(VirtualClock::new());
+        let sim = SimPoller::new(Arc::clone(&clock));
+        let mut shards = Shards::simulated(&rt, Arc::clone(&clock), sim.handle()).unwrap();
+        let (metrics, mut rng) = (Metrics::new(), DataRng::new(4));
+        // Dispatches a batch of `size` now; the shard it went to, if any.
+        let mut dispatch = |shards: &mut Shards<'_>, size: usize| {
+            let before = shards.dispatch_counts().to_vec();
+            let batch = (0..size as u64)
+                .map(|id| {
+                    rt.replica()
+                        .random_request(id, 0.0, f64::INFINITY, &mut rng)
+                })
+                .collect();
+            let take = || Ok(Some((rt.replica_arc(), batch)));
+            let left = shards.dispatch_next(&metrics, clock.now(), take).unwrap();
+            left.then(|| (0..3).find(|&s| shards.dispatch_counts()[s] > before[s]))
+                .flatten()
+        };
+        // All idle: the lowest id first, then only the free ones.
+        assert_eq!(dispatch(&mut shards, 4), Some(0));
+        assert_eq!(dispatch(&mut shards, 1), Some(1));
+        assert_eq!(dispatch(&mut shards, 2), Some(2));
+        assert_eq!(dispatch(&mut shards, 1), None, "every shard is busy");
+        // All free again: the earliest horizon first.
+        clock.advance_to(service(4));
+        assert_eq!(shards.drain().unwrap().len(), 3);
+        assert_eq!(dispatch(&mut shards, 1), Some(1));
+        assert_eq!(dispatch(&mut shards, 1), Some(2));
+        assert_eq!(dispatch(&mut shards, 1), Some(0));
+        assert_eq!(shards.dispatch_counts(), [2, 2, 2]);
+    }
+
+    #[test]
     fn an_execution_error_fails_the_drain_that_collects_it_in_both_modes() {
         let rt = example_runtime(2);
         let mismatch = |e: ServeError| assert!(matches!(e, ServeError::Sim(_)), "{e}");
@@ -1072,7 +1006,7 @@ mod tests {
         for id in 0..2 {
             let req = rt.replica().make_request(id, 0.0, f64::INFINITY, &mut rng);
             dispatch_one(&rt, &mut shards, req.unwrap());
-            assert_eq!(shards.manager().dispatch_counts()[0], id + 1);
+            assert_eq!(shards.dispatch_counts()[0], id + 1);
             await_completion(&mut poller);
             let err = shards.drain().unwrap_err();
             assert!(

@@ -12,7 +12,7 @@
 //!
 //! ## Placement
 //!
-//! Each non-dead shard contributes `vnodes` points to a hash ring
+//! Each non-dead shard contributes [`DEFAULT_VNODES`] points to a hash ring
 //! (FNV-1a, 64-bit); a table lives on the shard owning the first ring
 //! point at or after the table's own hash. When a shard dies its points
 //! leave the ring, so every table it held moves to its consistent-hash
@@ -40,6 +40,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
+
+use pimdl_engine::fabric::DEFAULT_VNODES;
 
 use crate::error::ServeError;
 use crate::reactor::Token;
@@ -263,19 +265,18 @@ impl Supervisor {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Config`] for zero shards/vnodes, more shards
-    /// than `u32` ids, a non-finite or non-positive timeout, empty table sets, or duplicate
-    /// table names.
+    /// Returns [`ServeError::Config`] for zero shards, more shards than
+    /// `u32` ids, a non-finite or non-positive timeout, empty table sets, or
+    /// duplicate table names.
     pub fn new(
         num_shards: usize,
-        vnodes: usize,
         timeout_s: f64,
         now: f64,
         tables: &[(String, u64)],
     ) -> Result<Self> {
-        if num_shards == 0 || vnodes == 0 {
+        if num_shards == 0 {
             return Err(ServeError::Config {
-                detail: format!("supervisor needs >= 1 shard and vnode, got {num_shards}/{vnodes}"),
+                detail: "supervisor needs >= 1 shard".to_string(),
             });
         }
         if !timeout_s.is_finite() || timeout_s <= 0.0 {
@@ -291,7 +292,7 @@ impl Supervisor {
         let count = u32::try_from(num_shards).map_err(|_| ServeError::Config {
             detail: format!("supervisor shard count {num_shards} exceeds the u32 shard ids"),
         })?;
-        let mut ring = HashRing::new(vnodes);
+        let mut ring = HashRing::new(DEFAULT_VNODES);
         let mut shards = BTreeMap::new();
         for id in 0..count {
             ring.add_shard(id);
@@ -617,7 +618,7 @@ mod tests {
 
     #[test]
     fn hello_returns_owed_loads_and_table_ready_routes() {
-        let mut sup = Supervisor::new(2, 32, 5.0, 0.0, &tables(&["t-a", "t-b", "t-c"])).unwrap();
+        let mut sup = Supervisor::new(2, 5.0, 0.0, &tables(&["t-a", "t-b", "t-c"])).unwrap();
         assert!(sup.next_deadline_s().is_some());
         assert!(!sup.all_tables_ready());
 
@@ -648,7 +649,7 @@ mod tests {
     #[test]
     fn dead_shard_replicates_to_the_successor_and_orphans_go_lost() {
         let names = ["t-a", "t-b", "t-c", "t-d", "t-e", "t-f"];
-        let mut sup = Supervisor::new(2, 32, 5.0, 0.0, &tables(&names)).unwrap();
+        let mut sup = Supervisor::new(2, 5.0, 0.0, &tables(&names)).unwrap();
         for shard in 0..2u32 {
             let orders = sup.on_hello(shard, Token(100 + shard as u64), 1.0).unwrap();
             for o in orders {
@@ -691,7 +692,7 @@ mod tests {
 
     #[test]
     fn transitions_are_logged_with_their_times_and_causes() {
-        let mut sup = Supervisor::new(2, 8, 5.0, 0.0, &tables(&["t-a"])).unwrap();
+        let mut sup = Supervisor::new(2, 5.0, 0.0, &tables(&["t-a"])).unwrap();
         let owner = sup.ring.owner_of("t-a").unwrap();
         let other = 1 - owner;
         sup.on_hello(owner, Token(7), 1.0).unwrap();
@@ -751,7 +752,7 @@ mod tests {
 
     #[test]
     fn timeouts_expire_silent_shards() {
-        let mut sup = Supervisor::new(2, 8, 5.0, 0.0, &tables(&["t-a"])).unwrap();
+        let mut sup = Supervisor::new(2, 5.0, 0.0, &tables(&["t-a"])).unwrap();
         assert!(sup.expired(4.9).is_empty());
         assert_eq!(sup.expired(5.1), vec![0, 1], "both owe a Hello");
         // Shard 0 hello's; its deadline re-arms only if it owes loads.
@@ -768,12 +769,11 @@ mod tests {
 
     #[test]
     fn degenerate_supervisors_are_rejected() {
-        assert!(Supervisor::new(0, 8, 5.0, 0.0, &tables(&["t"])).is_err());
-        assert!(Supervisor::new(2, 0, 5.0, 0.0, &tables(&["t"])).is_err());
-        assert!(Supervisor::new(2, 8, 0.0, 0.0, &tables(&["t"])).is_err());
-        assert!(Supervisor::new(2, 8, f64::NAN, 0.0, &tables(&["t"])).is_err());
-        assert!(Supervisor::new(2, 8, 5.0, 0.0, &[]).is_err());
+        assert!(Supervisor::new(0, 5.0, 0.0, &tables(&["t"])).is_err());
+        assert!(Supervisor::new(2, 0.0, 0.0, &tables(&["t"])).is_err());
+        assert!(Supervisor::new(2, f64::NAN, 0.0, &tables(&["t"])).is_err());
+        assert!(Supervisor::new(2, 5.0, 0.0, &[]).is_err());
         let dup = vec![("t".to_string(), 1), ("t".to_string(), 2)];
-        assert!(Supervisor::new(2, 8, 5.0, 0.0, &dup).is_err());
+        assert!(Supervisor::new(2, 5.0, 0.0, &dup).is_err());
     }
 }

@@ -75,10 +75,7 @@ fn acceptance_threaded_1000_requests_two_shards_zero_lost() {
             let mut server = ServerLoop::new(&rt, clock, Arc::clone(&metrics)).unwrap();
             server.run(&mut poller, &mut shards).unwrap();
             assert_eq!(shards.in_flight(), 0, "a batch in flight at exit");
-            (
-                metrics.snapshot(),
-                shards.manager().dispatch_counts().to_vec(),
-            )
+            (metrics.snapshot(), shards.dispatch_counts().to_vec())
         });
         let kinds = {
             let _stop = ShutdownOnDrop(shutdown);

@@ -34,7 +34,7 @@
 use std::net::TcpListener;
 use std::sync::Arc;
 
-use pimdl::engine::fabric::FabricConfig;
+use pimdl::engine::fabric::{FabricConfig, DEFAULT_VNODES};
 use pimdl::engine::scheduler::TenantQuota;
 use pimdl::engine::shapes::TransformerShape;
 use pimdl::serve::codec::{ErrorKind, ServerMsg};
@@ -237,7 +237,7 @@ fn run_fabric(
         "fabric serving on {addr}: {num_shards} worker processes, {} tables \
          (consistent-hash placement, vnodes {})",
         tables.len(),
-        FabricConfig::example().vnodes,
+        DEFAULT_VNODES,
     );
     println!(
         "load: {num_clients} clients x {per_client} queries round-robined over the tables \

@@ -58,10 +58,6 @@ fn walk() -> Vec<(String, FabricConfig)> {
         let cfg = FabricConfig { num_shards, ..base };
         out.push((format!("num_shards = {num_shards}"), cfg));
     }
-    for vnodes in edits(base.vnodes) {
-        let cfg = FabricConfig { vnodes, ..base };
-        out.push((format!("vnodes = {vnodes}"), cfg));
-    }
     for hello_timeout_s in float_edits(base.hello_timeout_s) {
         let cfg = FabricConfig {
             hello_timeout_s,
@@ -135,17 +131,14 @@ fn every_fabric_config_edit_is_refused_or_serves_a_virtual_fabric() {
         }
     }
     assert!(failures.is_empty(), "{failures:#?}");
-    // Before their caps, 2^40 shards became 0 after a `u32` cast, 2^64 − 1
-    // shards looped over 2^32 − 1 ids, and 2^40 vnodes meant 2^40 ring
-    // points per shard, each formatted and hashed.
+    // Before their cap, 2^40 shards became 0 after a `u32` cast, and
+    // 2^64 − 1 shards looped over 2^32 − 1 ids.
     for capped in [
         "num_shards = 1099511627776",
         "num_shards = 18446744073709551615",
-        "vnodes = 1099511627776",
     ] {
         assert!(refused.contains(&capped), "{capped} was not refused");
     }
-    // 17 edits serve: 1 to 4 shards, 1 to 64 vnodes, and every finite
-    // positive timeout.
-    assert_eq!((edits.len(), edits.len() - refused.len()), (30, 17));
+    // 13 edits serve: 1 to 4 shards, and every finite positive timeout.
+    assert_eq!((edits.len(), edits.len() - refused.len()), (22, 13));
 }

@@ -14,7 +14,7 @@
 
 mod sim;
 
-use pimdl::engine::fabric::FabricConfig;
+use pimdl::engine::fabric::{FabricConfig, DEFAULT_VNODES};
 use pimdl::serve::codec::{ErrorKind, ServerMsg};
 use pimdl::serve::{HashRing, ShardState, TableState};
 use pimdl::sim::NetworkModel;
@@ -27,7 +27,7 @@ const LONG_CASES: u64 = 2000;
 /// The shard the loop's ring places `tables[0]` on, so scripts can pick
 /// their victim deterministically.
 fn owner_of_first(num_shards: u32, tables: &[(String, u64)]) -> u32 {
-    let mut ring = HashRing::new(FabricConfig::example().vnodes);
+    let mut ring = HashRing::new(DEFAULT_VNODES);
     for s in 0..num_shards {
         ring.add_shard(s);
     }

@@ -6,6 +6,7 @@
 
 use std::collections::BTreeMap;
 
+use pimdl::engine::fabric::DEFAULT_VNODES;
 use pimdl::serve::{Cause, HashRing, ShardState, SupervisorEvent, TableState, Transition};
 
 use super::Run;
@@ -20,10 +21,9 @@ pub struct Fault {
     pub at_s: f64,
 }
 
-/// The fabric a run served: its shards, ring and tables.
+/// The fabric a run served: its shards and tables.
 pub struct Fleet<'a> {
     pub num_shards: usize,
-    pub vnodes: usize,
     pub tables: &'a [(String, u64)],
 }
 
@@ -41,7 +41,7 @@ struct Reference {
 impl Reference {
     /// Every shard `Connecting`, every table `Loading` on its owner.
     fn new(fleet: &Fleet) -> Reference {
-        let mut ring = HashRing::new(fleet.vnodes);
+        let mut ring = HashRing::new(DEFAULT_VNODES);
         for s in 0..fleet.num_shards as u32 {
             ring.add_shard(s);
         }

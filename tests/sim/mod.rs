@@ -125,7 +125,6 @@ impl Front {
         let fabric = FabricConfig {
             num_shards: shards,
             hello_timeout_s,
-            ..FabricConfig::example()
         };
         Front::Fabric {
             fabric,
@@ -438,7 +437,7 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
             server.run(&mut poller, &mut shards).unwrap();
         }
         assert_eq!(shards.in_flight(), 0, "a batch in flight at exit");
-        dispatches = shards.manager().dispatch_counts().to_vec();
+        dispatches = shards.dispatch_counts().to_vec();
         gathers() - before
     };
     let end = Run {
@@ -457,7 +456,6 @@ pub fn run(rt: &Runtime, front: &Front, script: &dyn Fn(&mut Script)) -> Run {
     if let (Some((log, total)), Front::Fabric { fabric, tables, .. }) = (supervisor_log, front) {
         let fleet = events::Fleet {
             num_shards: fabric.num_shards,
-            vnodes: fabric.vnodes,
             tables,
         };
         events::check(&log, total, &fleet, &end, faults.as_deref());
