@@ -16,6 +16,10 @@
 //! The optional trailing `[table]` names the LUT table the query targets
 //! (the shard-fabric front end routes on it, DESIGN.md §13); queries
 //! without it go to the server's default table.
+//!
+//! A blank line (a bare `\n`, or `\r\n`) is skipped: the server sends no
+//! reply and owes none. Both line-protocol fronts, the line front and the
+//! fabric, read queries through the same code, so the rule is theirs alike.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -4,23 +4,32 @@
 //! reactor.
 //!
 //! The front end keeps the line protocol of [`crate::codec`] toward
-//! clients (now with an optional table token for routing) and speaks
+//! clients (with an optional table token for routing) and speaks
 //! [`Frame`]s toward shard workers. Tables are placed on shards by the
 //! consistent-hash [`crate::supervisor::Supervisor`]; a dead worker
 //! (EOF — which covers `kill -9` — or a protocol timeout) has its tables
 //! re-replicated to the consistent-hash successor while its queued and
-//! in-flight requests are re-routed rather than dropped. Queries queue
-//! and batch under the one policy every front end runs
-//! ([`crate::FairBatcher`], keyed by table); the loop adds routing to a
-//! table's resident shard and `Execute` framing.
+//! in-flight requests are re-routed rather than dropped.
 //!
-//! [`FabricServerLoop`] is the third codec on the crate's connection core
-//! (`conn.rs`: the event loop, the transport path and the reactor-thread
-//! spawner are shared with the line and HTTP front ends), so the same
-//! state machine runs under the deterministic [`crate::SimPoller`] (with
-//! [`SimShardEngine`] standing in for worker processes) and under the
-//! real epoll reactor with [`ProcessShardEngine`] and actual child
-//! processes spawned by [`Runtime::serve_fabric`].
+//! [`FabricServerLoop`] is a codec plus routing over the crate's one
+//! serving pipeline (`server::Pipeline`), as the line and HTTP fronts
+//! are: its tables are the pipeline's [`crate::ModelRegistry`], a client's
+//! query line is read, refused, validated and admitted by the code the
+//! line front runs (`server::LineProtocol`, which here also gathers the
+//! request's reference at admission), and expired queries are shed and
+//! finished ones completed and answered by the pipeline, under the one
+//! policy every front runs ([`crate::FairBatcher`], keyed by table). What
+//! the loop adds is routing a table's batch to its resident shard, the
+//! lost-table drain, re-queueing a dead shard's batches, `Execute`
+//! framing and the supervisor.
+//!
+//! It runs on the crate's connection core (`conn.rs`: the event loop, the
+//! transport path and the reactor-thread spawner are shared with the line
+//! and HTTP front ends), so the same state machine runs under the
+//! deterministic [`crate::SimPoller`] (with [`SimShardEngine`] standing in
+//! for worker processes) and under the real epoll reactor with
+//! [`ProcessShardEngine`] and actual child processes spawned by
+//! [`Runtime::serve_fabric`].
 //!
 //! ## Frame format
 //!
@@ -37,7 +46,7 @@
 //! `Ok(None)` forever — the stream is no longer framed, so the connection
 //! must be closed, never re-parsed.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -53,16 +62,16 @@ use pimdl_engine::pipeline::PimDlEngine;
 use pimdl_sim::{LutWorkload, NetworkModel, PlatformConfig};
 
 use crate::clock::{Clock, RealClock};
-use crate::codec::{self, ErrorKind, LineBuffer};
+use crate::codec::LineBuffer;
 use crate::conn::{self, ConnState, Conns, Front, WakeAt};
 use crate::error::ServeError;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::reactor::{EventSource, SimHandle, Token, WAKE_COMPLETION};
-use crate::registry::{FairBatcher, TaggedJob};
+use crate::registry::{FairBatcher, ModelRegistry, TaggedJob};
 use crate::request::Request;
 use crate::runtime::Runtime;
-use crate::server::{fallback_tag, ServeHandle};
-use crate::shard::{run_batch, ReplicaModel, ServiceModel};
+use crate::server::{answer, LineProtocol, Pipeline, ServeHandle};
+use crate::shard::{run_batch, Done, ReplicaModel, ServiceModel};
 use crate::supervisor::{Cause, EventLog, LoadOrder, Supervisor, TableState};
 use crate::Result;
 
@@ -648,7 +657,7 @@ pub struct SimShardEngine<'a> {
 
 impl<'a> SimShardEngine<'a> {
     /// An engine building replicas through `rt` (same engine and LUT
-    /// shape as the front end's oracles), delivering `TableReady` after
+    /// shape as the front end's tables), delivering `TableReady` after
     /// `load_delay_s` simulated seconds.
     pub fn new(rt: &'a Runtime, handle: SimHandle, load_delay_s: f64) -> Self {
         SimShardEngine {
@@ -776,14 +785,6 @@ pub struct WorkerSpec {
     pub lut: LutWorkload,
 }
 
-fn valid_table_name(name: &str) -> bool {
-    !name.is_empty()
-        && name.len() <= 64
-        && name
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'.')
-}
-
 // ---------------------------------------------------------------------------
 // FabricServerLoop
 // ---------------------------------------------------------------------------
@@ -803,6 +804,16 @@ pub(crate) enum ConnKind {
     Client(LineBuffer),
     /// Shard worker speaking frames.
     Shard { decoder: FrameDecoder },
+}
+
+impl ConnKind {
+    /// A client's line buffer.
+    fn client(&mut self) -> Option<&mut LineBuffer> {
+        match self {
+            ConnKind::Client(lines) => Some(lines),
+            _ => None,
+        }
+    }
 }
 
 impl ConnState for ConnKind {
@@ -838,9 +849,14 @@ impl ConnState for ConnKind {
 /// state machine runs under the real poller and the deterministic
 /// simulated one.
 ///
-/// Queries are admitted and batched by the one policy every front runs, a
-/// [`FairBatcher`] keyed by table with one implicit tenant (bounded by the
-/// runtime's `queue_capacity` across all tables; a batch of up to
+/// Clients speak the line protocol of the line front, through the same
+/// code (`server::LineProtocol`): the tables are the registry of its one
+/// `Pipeline`, a query names its table (or takes the first), and each
+/// query's reference is gathered at admission and shipped in its
+/// `Execute` frame. Admission, deadline shedding, completion and the reply
+/// lines are the pipeline's, under the one policy every front runs (a
+/// [`crate::FairBatcher`] keyed by table with one implicit tenant, bounded
+/// by the runtime's `queue_capacity` across all tables; a batch of up to
 /// `max_batch` leaves when full, when the oldest has waited `max_wait_s`,
 /// or on drain). What the loop adds is routing and framing: a table's
 /// batch leaves only for its resident shard, at most one in-flight batch
@@ -851,25 +867,16 @@ impl ConnState for ConnKind {
 /// never silently dropped.
 #[derive(Debug)]
 pub struct FabricServerLoop<'a> {
-    cfg: crate::runtime::ServeConfig,
     service: &'a ServiceModel,
     clock: Arc<dyn Clock>,
     metrics: Arc<Metrics>,
+    lines: LineProtocol,
     sup: Supervisor,
-    /// Host-side oracle replicas (one per table) for request validation
-    /// and reference checksums.
-    oracles: Arc<BTreeMap<String, Arc<ReplicaModel>>>,
-    batcher: FairBatcher,
-    /// request id → (client connection, tag) of every queued or in-flight
-    /// query.
-    routes: HashMap<u64, (Token, String)>,
     inflight: BTreeMap<u64, InflightBatch>,
     /// Shard connections that failed and await death bookkeeping, each
     /// with the cause of its first failure.
     pending_dead: Vec<(Token, Cause)>,
     next_batch_id: u64,
-    next_req_id: u64,
-    default_table: String,
     /// Latched `true` the first time every table routes (all workers
     /// hello'd and loaded). [`FabricHandle::wait_all_ready`] observes it.
     all_ready: Arc<AtomicBool>,
@@ -878,12 +885,12 @@ pub struct FabricServerLoop<'a> {
 impl<'a> FabricServerLoop<'a> {
     /// A loop serving `tables` (name, build-seed pairs; the first is the
     /// default route for queries without a table token) over `fabric`'s
-    /// shard fleet, using `rt` for oracles and service times.
+    /// shard fleet, using `rt` for the tables' replicas and service times.
     ///
     /// # Errors
     ///
     /// Fabric/supervisor configuration validation, invalid or duplicate
-    /// table names, or oracle replica construction failures.
+    /// table names, or replica construction failures.
     pub fn new(
         rt: &'a Runtime,
         fabric: FabricConfig,
@@ -897,21 +904,9 @@ impl<'a> FabricServerLoop<'a> {
                 detail: "fabric needs at least one table".to_string(),
             });
         };
-        let mut oracles = BTreeMap::new();
+        let mut models = ModelRegistry::new();
         for (name, seed) in tables {
-            if !valid_table_name(name) {
-                return Err(ServeError::Config {
-                    detail: format!("table name {name:?} must be 1-64 chars of [A-Za-z0-9._-]"),
-                });
-            }
-            if oracles
-                .insert(name.clone(), rt.build_replica(*seed)?)
-                .is_some()
-            {
-                return Err(ServeError::Config {
-                    detail: format!("duplicate fabric table {name:?}"),
-                });
-            }
+            models.register(name, rt.build_replica(*seed)?)?;
         }
         let sup = Supervisor::new(
             fabric.num_shards,
@@ -919,21 +914,19 @@ impl<'a> FabricServerLoop<'a> {
             clock.now(),
             tables,
         )?;
-        let cfg = *rt.config();
+        let cfg = rt.config();
+        let batcher = FairBatcher::one_tenant(cfg.policy, cfg.queue_capacity)?;
+        let pipeline = Pipeline::new(models, batcher, Arc::clone(&metrics));
+        let first = Some(first.clone());
         Ok(FabricServerLoop {
-            batcher: FairBatcher::one_tenant(cfg.policy, cfg.queue_capacity)?,
-            cfg,
             service: rt.service_model(),
+            lines: LineProtocol::new(pipeline, Arc::clone(&clock), cfg.deadline_s, first, true),
             clock,
             metrics,
             sup,
-            oracles: Arc::new(oracles),
-            routes: HashMap::new(),
             inflight: BTreeMap::new(),
             pending_dead: Vec::new(),
             next_batch_id: 0,
-            next_req_id: 0,
-            default_table: first.clone(),
             all_ready: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -963,13 +956,17 @@ impl<'a> FabricServerLoop<'a> {
 
     /// Queries currently queued across all tables.
     pub fn queued(&self) -> usize {
-        self.batcher.queued_total()
+        self.lines.pipeline.batcher().queued_total()
     }
 
-    /// Reference gathers the front end's oracles have run, over all tables
-    /// (see [`ReplicaModel::reference_gathers`]).
+    /// Reference gathers the front end's table replicas have run, over all
+    /// tables (see [`ReplicaModel::reference_gathers`]).
     pub fn reference_gathers(&self) -> u64 {
-        self.oracles.values().map(|o| o.reference_gathers()).sum()
+        let models = self
+            .sup
+            .table_names()
+            .filter_map(|t| self.lines.pipeline.model(t));
+        models.map(|m| m.reference_gathers()).sum()
     }
 
     /// Runs until shutdown (a [`crate::reactor::WAKE_SHUTDOWN`] token
@@ -1002,17 +999,18 @@ impl<'e> Front<dyn FabricShardEngine + 'e> for FabricServerLoop<'_> {
     /// could take the batch), queued-request deadlines, and the
     /// supervisor's protocol deadlines.
     fn next_timeout(&self, _engine: &(dyn FabricShardEngine + 'e)) -> Option<f64> {
+        let batcher = self.lines.pipeline.batcher();
         let mut wake = WakeAt::never();
-        for table in self.oracles.keys() {
+        for table in self.sup.table_names() {
             if self
                 .sup
                 .route(table)
                 .is_some_and(|(shard, _)| !self.shard_busy(shard))
             {
-                wake.at(self.batcher.flush_deadline_key(table));
+                wake.at(batcher.flush_deadline_key(table));
             }
         }
-        wake.after(self.batcher.min_deadline_s());
+        wake.after(batcher.min_deadline_s());
         wake.after(self.sup.next_deadline_s());
         wake.timeout(self.clock.now())
     }
@@ -1030,7 +1028,11 @@ impl<'e> Front<dyn FabricShardEngine + 'e> for FabricServerLoop<'_> {
         eof: bool,
     ) -> Result<()> {
         match conns.state_mut(t) {
-            Some(ConnKind::Client(_)) => self.pump_client_lines(conns, t)?,
+            Some(ConnKind::Client(_)) => {
+                let sup = &self.sup;
+                let lost = |table: &str| sup.table_state(table) == Some(TableState::Lost);
+                self.lines.read(conns, t, ConnKind::client, lost)?;
+            }
             Some(ConnKind::Shard { .. }) => {
                 self.pump_shard_frames(conns, engine, t)?;
                 if eof {
@@ -1080,7 +1082,7 @@ impl<'e> Front<dyn FabricShardEngine + 'e> for FabricServerLoop<'_> {
     }
 
     fn idle(&self, _engine: &(dyn FabricShardEngine + 'e)) -> bool {
-        self.batcher.is_empty() && self.inflight.is_empty()
+        self.lines.pipeline.batcher().is_empty() && self.inflight.is_empty()
     }
 
     /// Best-effort `Shutdown` frames to every live shard on exit.
@@ -1096,96 +1098,6 @@ impl<'e> Front<dyn FabricShardEngine + 'e> for FabricServerLoop<'_> {
 }
 
 impl<'a> FabricServerLoop<'a> {
-    /// Pops and serves every complete client line. An oversized line
-    /// (framing lost) drops the connection, as in `ServerLoop`.
-    fn pump_client_lines(&mut self, conns: &mut Conns<'_, ConnKind>, t: Token) -> Result<()> {
-        loop {
-            let Some(ConnKind::Client(lines)) = conns.state_mut(t) else {
-                return Ok(());
-            };
-            match lines.pop_line() {
-                Ok(Some(line)) => self.handle_query_line(conns, t, &line)?,
-                Ok(None) => return Ok(()),
-                Err(_) => {
-                    self.conn_failed(conns, t, Cause::Protocol);
-                    return Ok(());
-                }
-            }
-        }
-    }
-
-    /// One client query: parse, route to a table, validate against the
-    /// table's oracle, and enqueue — or refuse with an `E` line. Mirrors
-    /// `ServerLoop::handle_line`'s refusal order.
-    fn handle_query_line(
-        &mut self,
-        conns: &mut Conns<'_, ConnKind>,
-        t: Token,
-        line: &[u8],
-    ) -> Result<()> {
-        let q = match codec::parse_query(line) {
-            Ok(q) => q,
-            Err(_) => {
-                self.send(
-                    conns,
-                    t,
-                    &codec::encode_error(&fallback_tag(line), ErrorKind::Invalid),
-                );
-                return Ok(());
-            }
-        };
-        if conns.draining {
-            self.send(conns, t, &codec::encode_error(&q.tag, ErrorKind::Shutdown));
-            return Ok(());
-        }
-        let table = q
-            .table
-            .clone()
-            .unwrap_or_else(|| self.default_table.clone());
-        let Some(oracle) = self.oracles.get(&table) else {
-            self.send(conns, t, &codec::encode_error(&q.tag, ErrorKind::Invalid));
-            return Ok(());
-        };
-        if self.sup.table_state(&table) == Some(TableState::Lost) {
-            self.send(conns, t, &codec::encode_error(&q.tag, ErrorKind::Shutdown));
-            return Ok(());
-        }
-        let now = self.clock.now();
-        let id = self.next_req_id;
-        self.next_req_id += 1;
-        if oracle.validate_indices(&q.indices).is_err() {
-            self.send(conns, t, &codec::encode_error(&q.tag, ErrorKind::Invalid));
-            return Ok(());
-        }
-        self.metrics.record_submitted();
-        // Refuse before paying: the reference gather is the request's most
-        // expensive step and runs only for a query the batcher will take.
-        let refused = match self.batcher.refusal_for("") {
-            Some(_) => true,
-            None => {
-                let deadline_s = now + self.cfg.deadline_s;
-                let request =
-                    oracle.referenced(oracle.request_from_valid(id, now, deadline_s, q.indices))?;
-                let job = TaggedJob {
-                    request,
-                    tenant: String::new(),
-                    model: table,
-                };
-                self.batcher.admit(job).is_err()
-            }
-        };
-        if refused {
-            self.metrics.record_rejected();
-            self.send(conns, t, &codec::encode_error(&q.tag, ErrorKind::Rejected));
-            return Ok(());
-        }
-        conns.owe(t);
-        self.routes.insert(id, (t, q.tag));
-        self.metrics
-            .observe_queue_depth(self.batcher.queued_total());
-        Ok(())
-    }
-
     /// Pops and handles every complete shard frame. A framing violation
     /// poisons the decoder; the shard is treated as failed.
     fn pump_shard_frames(
@@ -1254,15 +1166,14 @@ impl<'a> FabricServerLoop<'a> {
                 let Some(batch) = self.inflight.remove(&batch_id) else {
                     return Ok(());
                 };
-                for (job, correct) in batch.jobs.into_iter().zip(flags) {
-                    let req = job.request;
-                    self.metrics.record_completed(now - req.arrival_s);
-                    self.batcher.release(&job.tenant);
-                    let bits = req.expected_checksum.to_bits();
-                    self.answer(conns, req.id, |tag| {
-                        codec::encode_result(tag, correct, bits)
-                    });
-                }
+                let requests = batch.jobs.into_iter().map(|j| j.request);
+                let done = Done {
+                    shard: shard as usize,
+                    finish_s: now,
+                    results: requests.zip(flags).collect(),
+                };
+                let mut sink = |req, to, outcome| answer(conns, req, to, outcome);
+                self.lines.pipeline.complete(done, &mut sink);
             }
             Frame::LoadTable { .. } | Frame::Execute { .. } | Frame::Shutdown => {
                 self.conn_failed(conns, t, Cause::Protocol);
@@ -1290,7 +1201,8 @@ impl<'a> FabricServerLoop<'a> {
     }
 
     /// Encodes and sends a frame to a shard connection, giving the engine
-    /// its interception hook first.
+    /// its interception hook first. A failed write queues the shard for
+    /// death bookkeeping.
     fn send_frame(
         &mut self,
         conns: &mut Conns<'_, ConnKind>,
@@ -1300,7 +1212,9 @@ impl<'a> FabricServerLoop<'a> {
     ) -> Result<()> {
         let bytes = frame.encode()?;
         engine.on_send(t, frame, self.clock.now())?;
-        self.send(conns, t, &bytes);
+        if conns.send(t, &bytes) {
+            self.conn_failed(conns, t, Cause::Eof);
+        }
         Ok(())
     }
 
@@ -1335,35 +1249,27 @@ impl<'a> FabricServerLoop<'a> {
         engine: &mut dyn FabricShardEngine,
     ) -> Result<bool> {
         let now = self.clock.now();
-        let mut progress = false;
-        for job in self.batcher.shed_expired(now) {
-            progress = true;
-            self.metrics.record_deadline_exceeded();
-            self.answer(conns, job.request.id, |tag| {
-                codec::encode_error(tag, ErrorKind::Deadline)
-            });
-        }
-        let oracles = Arc::clone(&self.oracles);
-        for table in oracles.keys() {
+        let pipeline = &mut self.lines.pipeline;
+        let mut progress = pipeline.shed(now, &mut |req, to, outcome| {
+            answer(conns, req, to, outcome);
+        });
+        let mut execute = Vec::new();
+        for table in self.sup.table_names() {
             let Some((shard, token)) = self.sup.route(table) else {
                 if self.sup.table_state(table) == Some(TableState::Lost) {
                     // No shard can ever serve this again: error-respond
-                    // rather than strand the clients, and book each as
-                    // refused so the ledger still closes.
-                    for job in self.batcher.drain_key(table) {
-                        progress = true;
-                        self.metrics.record_rejected();
-                        self.answer(conns, job.request.id, |tag| {
-                            codec::encode_error(tag, ErrorKind::Shutdown)
-                        });
-                    }
+                    // rather than strand the clients.
+                    progress |= pipeline.drain_key(table, now, &mut |req, to, outcome| {
+                        answer(conns, req, to, outcome);
+                    });
                 }
                 continue;
             };
-            if self.shard_busy(shard) || !(conns.draining || self.batcher.ready_key(table, now)) {
+            let busy = self.inflight.values().any(|b| b.shard == shard);
+            if busy || !(conns.draining || pipeline.batcher().ready_key(table, now)) {
                 continue;
             }
-            let Some(jobs) = self.batcher.take_key(table) else {
+            let Some(jobs) = pipeline.batcher_mut().take_key(table) else {
                 continue;
             };
             let service_s = self.service.batch_service_s(jobs.len())?;
@@ -1372,12 +1278,15 @@ impl<'a> FabricServerLoop<'a> {
             let frame = Frame::Execute {
                 batch_id,
                 service_s,
-                table: table.clone(),
+                table: table.to_string(),
                 requests: jobs.iter().map(|j| j.request.clone()).collect(),
             };
             self.metrics.record_batch(jobs.len());
             self.inflight
                 .insert(batch_id, InflightBatch { shard, jobs });
+            execute.push((token, frame));
+        }
+        for (token, frame) in execute {
             self.send_frame(conns, engine, token, &frame)?;
             progress = true;
         }
@@ -1416,7 +1325,7 @@ impl<'a> FabricServerLoop<'a> {
                 continue;
             };
             for job in batch.jobs.into_iter().rev() {
-                self.batcher.requeue_front(job);
+                self.lines.pipeline.batcher_mut().requeue_front(job);
             }
         }
         for o in orders {
@@ -1450,29 +1359,6 @@ impl<'a> FabricServerLoop<'a> {
             self.pending_dead.push((t, cause));
         }
         conns.close(t);
-    }
-
-    /// Queues `bytes` on `t` and flushes as far as the transport allows.
-    fn send(&mut self, conns: &mut Conns<'_, ConnKind>, t: Token, bytes: &[u8]) {
-        if conns.send(t, bytes) {
-            self.conn_failed(conns, t, Cause::Eof);
-        }
-    }
-
-    /// Answers the tracked (queued or in-flight) query `id` on its client
-    /// connection with the line `encode` makes of its tag, settling what
-    /// the connection is owed. Responses to connections that have since
-    /// dropped are discarded — the work was still executed and counted.
-    fn answer(
-        &mut self,
-        conns: &mut Conns<'_, ConnKind>,
-        id: u64,
-        encode: impl FnOnce(&str) -> Vec<u8>,
-    ) {
-        if let Some((conn, tag)) = self.routes.remove(&id) {
-            conns.settle(conn);
-            self.send(conns, conn, &encode(&tag));
-        }
     }
 }
 

@@ -14,13 +14,16 @@
 //!   `max_wait_s`) as a pure state machine, weighted-fair across tenants.
 //!   It is driven once (the admit → shed → flush → dispatch → deliver
 //!   step in [`server`]) by a socket or by a deterministic virtual clock
-//!   ([`clock`]). [`admission`] and [`batcher`], the queue and batcher it
-//!   replaced, remain only as the benchmark's and a differential test's
-//!   reference.
+//!   ([`clock`]), under every front: the shard fabric admits, sheds and
+//!   completes through the same code and adds only its dispatch of a
+//!   table's batch to the table's resident worker. [`admission`] and
+//!   [`batcher`], the queue and batcher it replaced, remain only as the
+//!   benchmark's and a differential test's reference.
 //! * **DIMM sharding** ([`shard`]) — model replicas across groups of
-//!   simulated PIM DIMMs; batches route to the least-loaded shard, service
-//!   times come from a table priced once by the engine's end-to-end cost
-//!   model, and results come from `pimdl_sim`'s functional LUT execution,
+//!   simulated PIM DIMMs; batches route to the least-loaded free shard,
+//!   service times come from a table priced once by the engine's
+//!   end-to-end cost model, and results come from `pimdl_sim`'s
+//!   functional LUT execution,
 //!   verified against a host reference checksum carried by every request.
 //!   [`Shards`] is the serving loop's book of its in-process shards; it
 //!   runs each batch inline on the virtual clock, or on the shard's own
@@ -38,7 +41,9 @@
 //! connection core (`conn.rs`): one event loop, one transport path with
 //! bounded per-connection output, one reactor-thread spawner, on the
 //! readiness [`reactor`] (real epoll, or a scripted source on the virtual
-//! clock for bit-deterministic tests).
+//! clock for bit-deterministic tests). The line front and the fabric read
+//! and answer the line protocol through one piece of code, so a query
+//! line means the same on both.
 //!
 //! # Example
 //!

@@ -304,7 +304,7 @@ impl<'s> Front<Shards<'s>> for LedgerFront {
                 arrival_s: req.arrival_s,
                 outcome: Outcome::Rejected { at_s: now },
             };
-            if self.pipeline.admit(("", ""), (), || req).is_some() {
+            if self.pipeline.admit(("", ""), (), || Ok(req))?.is_some() {
                 self.records.push(rejected);
             }
         }

@@ -6,7 +6,10 @@
 //! (also what [`Runtime::run_virtual`] runs). HTTP names its tenants and
 //! models; the line front has one implicit tenant and one model, so its
 //! queue capacity is its only refusal. A front differs only in the sink
-//! its outcomes go to. The event loop, the transport path and the
+//! its outcomes go to. The line protocol itself (`LineProtocol`: a query
+//! line in, a reply line out) is written once here for both line fronts,
+//! this one and [`crate::FabricServerLoop`], whose pipeline keeps its
+//! tables and sheds and completes through the same code. The event loop, the transport path and the
 //! reactor-thread spawner are `conn.rs`'s, written once against
 //! [`EventSource`], so the identical byte-for-byte pipeline runs under:
 //!
@@ -36,7 +39,7 @@ use crate::reactor::{EventSource, Token, Waker};
 use crate::registry::{AdmitRefusal, FairBatcher, ModelRegistry, TaggedJob};
 use crate::request::{Outcome, Request};
 use crate::runtime::Runtime;
-use crate::shard::{ReplicaModel, Shards};
+use crate::shard::{Done, ReplicaModel, Shards};
 use crate::Result;
 use pimdl_engine::scheduler::TenantQuota;
 
@@ -44,14 +47,17 @@ use pimdl_engine::scheduler::TenantQuota;
 // Pipeline — admission → batching → dispatch → delivery, once
 // ---------------------------------------------------------------------------
 
-/// The serving policy of every front on in-process [`Shards`]: the line
-/// front, the HTTP front and [`Runtime::run_virtual`]'s ledger. A
-/// [`FairBatcher`] over `models` feeds the shards, and each admitted
-/// request's outcome is bound for an `R` (a connection and tag, an HTTP
-/// response slot, nothing). The fronts differ in where arrivals and time
-/// come from and in what an outcome turns into (the `sink`); the order of
-/// delivering, shedding, flushing and dispatching, and which metric each
-/// transition records, are decided here.
+/// The serving policy of every front: the line front, the HTTP front and
+/// [`Runtime::run_virtual`]'s ledger on in-process [`Shards`], and the
+/// fabric on its worker processes. A [`FairBatcher`] over `models` feeds
+/// the shards, and each admitted request's outcome is bound for an `R` (a
+/// connection and tag, an HTTP response slot, nothing). The fronts differ
+/// in where arrivals and time come from and in what an outcome turns into
+/// (the `sink`); the order of delivering, shedding, flushing and
+/// dispatching, and which metric each transition records, are decided
+/// here. The fabric, whose tables leave only for their resident shards,
+/// runs its own dispatch over the bookkeeping halves of [`Pipeline::pump`]
+/// and [`Pipeline::deliver`] ([`Pipeline::shed`], [`Pipeline::complete`]).
 #[derive(Debug)]
 pub(crate) struct Pipeline<R> {
     models: ModelRegistry,
@@ -95,24 +101,39 @@ impl<R> Pipeline<R> {
         self.models.get(name)
     }
 
+    /// The batching policy, for a front that routes by key (the fabric).
+    pub(crate) fn batcher(&self) -> &FairBatcher {
+        &self.batcher
+    }
+
+    /// [`Pipeline::batcher`], to take a key's batch or put one back.
+    pub(crate) fn batcher_mut(&mut self) -> &mut FairBatcher {
+        &mut self.batcher
+    }
+
     /// Queues the request `build` makes for `tenant` and `model` (the line
     /// front's implicit ones are the empty name, which allocates nothing),
     /// its outcome bound for `to`. When a job of `tenant` would be refused
     /// now, nothing is built, the rejection is counted, and `to` comes back
-    /// with the reason. Admission gathers nothing: a request's reference
-    /// checksum, its most expensive step, is computed on the shard its
-    /// batch is dispatched to (see [`Shards`]), so a refused or shed
-    /// request never pays for one.
+    /// with the reason. Admission gathers nothing on the in-process fronts:
+    /// a request's reference checksum, its most expensive step, is computed
+    /// on the shard its batch is dispatched to (see [`Shards`]), so a
+    /// refused or shed request never pays for one. The fabric's `build`
+    /// gathers it, after the refusal.
+    ///
+    /// # Errors
+    ///
+    /// `build`'s.
     pub(crate) fn admit(
         &mut self,
         (tenant, model): (&str, &str),
         to: R,
-        build: impl FnOnce() -> Request,
-    ) -> Option<(R, AdmitRefusal)> {
+        build: impl FnOnce() -> Result<Request>,
+    ) -> Result<Option<(R, AdmitRefusal)>> {
         let refusal = match self.batcher.refusal_for(tenant) {
             Some(why) => why,
             None => {
-                let request = build();
+                let request = build()?;
                 let id = request.id;
                 let (tenant, model) = (tenant.to_string(), model.to_string());
                 let job = TaggedJob {
@@ -125,14 +146,14 @@ impl<R> Pipeline<R> {
                         self.metrics
                             .observe_queue_depth(self.batcher.queued_total());
                         self.routes.insert(id, (tenant, to));
-                        return None;
+                        return Ok(None);
                     }
                     Err((_, why)) => why,
                 }
             }
         };
         self.metrics.record_rejected();
-        Some((to, refusal))
+        Ok(Some((to, refusal)))
     }
 
     /// Relative timeout of the driver's next wait: the flush window or a
@@ -150,9 +171,9 @@ impl<R> Pipeline<R> {
         wake.timeout(now)
     }
 
-    /// Hands every request of every finished batch to `sink` as
-    /// `Completed`, in `(finish_s, shard)` order, releasing its tenant's
-    /// slot. Returns whether a batch had finished.
+    /// Completes every batch the shards have finished, in `(finish_s,
+    /// shard)` order (see [`Pipeline::complete`]). Returns whether a batch
+    /// had finished.
     ///
     /// # Errors
     ///
@@ -165,23 +186,67 @@ impl<R> Pipeline<R> {
         let mut progress = false;
         for done in shards.drain()? {
             progress = true;
-            let batch_size = done.results.len();
-            for (req, correct) in done.results {
-                let latency_s = done.finish_s - req.arrival_s;
-                self.metrics.record_completed(latency_s);
-                if let Some((tenant, to)) = self.routes.remove(&req.id) {
-                    self.batcher.release(&tenant);
-                    let outcome = Outcome::Completed {
-                        latency_s,
-                        shard: done.shard,
-                        batch_size,
-                        correct,
-                    };
-                    sink(req, to, outcome);
-                }
-            }
+            self.complete(done, sink);
         }
         Ok(progress)
+    }
+
+    /// Hands every request of the finished batch `done` to `sink` as
+    /// `Completed`, releasing its tenant's slot: the bookkeeping half of
+    /// [`Pipeline::deliver`], which the fabric calls on an `ExecDone`.
+    pub(crate) fn complete(&mut self, done: Done, sink: &mut impl FnMut(Request, R, Outcome)) {
+        let batch_size = done.results.len();
+        for (req, correct) in done.results {
+            let latency_s = done.finish_s - req.arrival_s;
+            self.metrics.record_completed(latency_s);
+            if let Some((tenant, to)) = self.routes.remove(&req.id) {
+                self.batcher.release(&tenant);
+                let outcome = Outcome::Completed {
+                    latency_s,
+                    shard: done.shard,
+                    batch_size,
+                    correct,
+                };
+                sink(req, to, outcome);
+            }
+        }
+    }
+
+    /// Hands every queued request whose deadline has passed at `now` to
+    /// `sink` as `DeadlineExceeded`: the bookkeeping half of
+    /// [`Pipeline::pump`], which the fabric calls before its own dispatch.
+    /// Returns whether any was shed.
+    pub(crate) fn shed(&mut self, now: f64, sink: &mut impl FnMut(Request, R, Outcome)) -> bool {
+        let mut progress = false;
+        for job in self.batcher.shed_expired(now) {
+            progress = true;
+            self.metrics.record_deadline_exceeded();
+            if let Some((_, to)) = self.routes.remove(&job.request.id) {
+                sink(job.request, to, Outcome::DeadlineExceeded { at_s: now });
+            }
+        }
+        progress
+    }
+
+    /// Hands every request queued for `model` to `sink` as `Rejected` at
+    /// `now`, each booked as refused so the ledger still closes: what the
+    /// fabric does once no shard can ever serve a table again. Returns
+    /// whether any was queued.
+    pub(crate) fn drain_key(
+        &mut self,
+        model: &str,
+        now: f64,
+        sink: &mut impl FnMut(Request, R, Outcome),
+    ) -> bool {
+        let mut progress = false;
+        for job in self.batcher.drain_key(model) {
+            progress = true;
+            self.metrics.record_rejected();
+            if let Some((_, to)) = self.routes.remove(&job.request.id) {
+                sink(job.request, to, Outcome::Rejected { at_s: now });
+            }
+        }
+        progress
     }
 
     /// Shed → flush → dispatch, repeated while a shard absorbs a batch.
@@ -203,13 +268,7 @@ impl<R> Pipeline<R> {
     ) -> Result<bool> {
         let mut progress = false;
         loop {
-            for job in self.batcher.shed_expired(now) {
-                progress = true;
-                self.metrics.record_deadline_exceeded();
-                if let Some((_, to)) = self.routes.remove(&job.request.id) {
-                    sink(job.request, to, Outcome::DeadlineExceeded { at_s: now });
-                }
-            }
+            progress |= self.shed(now, sink);
             self.metrics
                 .observe_queue_depth(self.batcher.queued_total());
             let flush = self.batcher.ready(now) || (draining && !self.batcher.is_empty());
@@ -241,6 +300,174 @@ impl<R> Pipeline<R> {
 }
 
 // ---------------------------------------------------------------------------
+// The line protocol, shared by ServerLoop and the fabric
+// ---------------------------------------------------------------------------
+
+/// The line protocol over a `Pipeline` whose outcomes go to (connection
+/// token, client tag): what the line front ([`ServerLoop`]) and the fabric
+/// front ([`crate::FabricServerLoop`]) share. Each query line is parsed,
+/// refused while draining, routed to a model, validated, counted
+/// submitted and admitted by [`LineProtocol::read`], and each admitted
+/// query's outcome becomes its reply line in [`answer`].
+#[derive(Debug)]
+pub(crate) struct LineProtocol {
+    pub(crate) pipeline: Pipeline<(Token, String)>,
+    clock: Arc<dyn Clock>,
+    deadline_s: f64,
+    next_id: u64,
+    /// Where a query naming no table goes: the fabric's first table.
+    /// `None` on the line front, which serves its one model whatever a
+    /// query names.
+    default_table: Option<String>,
+    /// Whether a request's reference is gathered at admission (the fabric,
+    /// which ships it in its `Execute` frame) instead of on its shard.
+    gather_at_admission: bool,
+}
+
+impl LineProtocol {
+    /// The line protocol over `pipeline`, on `clock`, giving each request
+    /// `deadline_s` from its arrival.
+    pub(crate) fn new(
+        pipeline: Pipeline<(Token, String)>,
+        clock: Arc<dyn Clock>,
+        deadline_s: f64,
+        default_table: Option<String>,
+        gather_at_admission: bool,
+    ) -> Self {
+        LineProtocol {
+            pipeline,
+            clock,
+            deadline_s,
+            next_id: 0,
+            default_table,
+            gather_at_admission,
+        }
+    }
+
+    /// Serves every complete line buffered on `t`, whose buffer `buffer`
+    /// finds in the connection's state. An oversized line (framing lost)
+    /// closes the connection. `lost` names the tables no shard can ever
+    /// serve again (the fabric's), whose queries are refused as `shutdown`.
+    ///
+    /// # Errors
+    ///
+    /// A failed reference gather at admission.
+    pub(crate) fn read<C: ConnState>(
+        &mut self,
+        conns: &mut Conns<'_, C>,
+        t: Token,
+        buffer: impl Fn(&mut C) -> Option<&mut LineBuffer>,
+        lost: impl Fn(&str) -> bool,
+    ) -> Result<()> {
+        // Looked up again each iteration: answering a line may fail the
+        // connection mid-loop (hard write error).
+        while let Some(buf) = conns.state_mut(t).and_then(&buffer) {
+            match buf.pop_line() {
+                Ok(Some(line)) => self.query(conns, t, &line, &lost)?,
+                Ok(None) => break,
+                Err(_) => {
+                    conns.close(t);
+                    break;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One query line: a blank line is skipped, with no reply and nothing
+    /// owed; otherwise parse, refuse while draining, route, validate, count
+    /// it submitted and admit — or refuse with one `E` line.
+    fn query<C: ConnState>(
+        &mut self,
+        conns: &mut Conns<'_, C>,
+        t: Token,
+        line: &[u8],
+        lost: &impl Fn(&str) -> bool,
+    ) -> Result<()> {
+        if line.is_empty() {
+            return Ok(());
+        }
+        let refuse = |conns: &mut Conns<'_, C>, tag: &str, kind| {
+            conns.send(t, &codec::encode_error(tag, kind));
+        };
+        let Ok(query) = codec::parse_query(line) else {
+            refuse(conns, &fallback_tag(line), ErrorKind::Invalid);
+            return Ok(());
+        };
+        if conns.draining {
+            refuse(conns, &query.tag, ErrorKind::Shutdown);
+            return Ok(());
+        }
+        let model = match &self.default_table {
+            Some(default) => query.table.as_deref().unwrap_or(default),
+            None => "",
+        };
+        let Some(replica) = self.pipeline.model(model).map(Arc::clone) else {
+            refuse(conns, &query.tag, ErrorKind::Invalid);
+            return Ok(());
+        };
+        if lost(model) {
+            refuse(conns, &query.tag, ErrorKind::Shutdown);
+            return Ok(());
+        }
+        if replica.validate_indices(&query.indices).is_err() {
+            refuse(conns, &query.tag, ErrorKind::Invalid);
+            return Ok(());
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        self.pipeline.metrics.record_submitted();
+        let now = self.clock.now();
+        let (deadline_s, gather) = (now + self.deadline_s, self.gather_at_admission);
+        let build = || {
+            let req = replica.request_from_valid(id, now, deadline_s, query.indices);
+            if gather {
+                replica.referenced(req)
+            } else {
+                Ok(req)
+            }
+        };
+        match self.pipeline.admit(("", model), (t, query.tag), build)? {
+            None => conns.owe(t),
+            Some(((_, tag), _)) => refuse(conns, &tag, ErrorKind::Rejected),
+        }
+        Ok(())
+    }
+}
+
+/// The pipeline sink of both line fronts: a request's terminal outcome
+/// becomes one reply line on the connection that submitted it, settling
+/// what that connection is owed. A queued request ends `Rejected` only when
+/// the fabric's table is lost, so that reads `shutdown`.
+pub(crate) fn answer<C: ConnState>(
+    conns: &mut Conns<'_, C>,
+    req: Request,
+    (t, tag): (Token, String),
+    outcome: Outcome,
+) {
+    let line = match outcome {
+        Outcome::Completed { correct, .. } => {
+            codec::encode_result(&tag, correct, req.expected_checksum.to_bits())
+        }
+        Outcome::DeadlineExceeded { .. } => codec::encode_error(&tag, ErrorKind::Deadline),
+        Outcome::Rejected { .. } => codec::encode_error(&tag, ErrorKind::Shutdown),
+    };
+    conns.settle(t);
+    conns.send(t, &line);
+}
+
+/// Best-effort tag extraction from an unparsable line, so the `E` reply
+/// still correlates ("-" when even the tag is unusable).
+fn fallback_tag(line: &[u8]) -> String {
+    std::str::from_utf8(line)
+        .ok()
+        .and_then(|s| s.split(' ').nth(1))
+        .filter(|t| codec::valid_name(t))
+        .unwrap_or("-")
+        .to_string()
+}
+
+// ---------------------------------------------------------------------------
 // ServerLoop
 // ---------------------------------------------------------------------------
 
@@ -252,17 +479,12 @@ impl ConnState for LineBuffer {
     }
 }
 
-/// The line-protocol front end: the codec over a `Pipeline` whose
-/// outcomes go to (connection token, client tag), run by the shared
-/// connection core on any [`EventSource`].
+/// The line-protocol front end: the line protocol (`LineProtocol`) over
+/// the runtime's one model, run by the shared connection core on any
+/// [`EventSource`].
 #[derive(Debug)]
 pub struct ServerLoop {
-    deadline_s: f64,
-    replica: Arc<ReplicaModel>,
-    clock: Arc<dyn Clock>,
-    metrics: Arc<Metrics>,
-    pipeline: Pipeline<(Token, String)>,
-    next_id: u64,
+    lines: LineProtocol,
 }
 
 impl ServerLoop {
@@ -273,13 +495,10 @@ impl ServerLoop {
     ///
     /// Configuration validation of the batcher.
     pub fn new(rt: &Runtime, clock: Arc<dyn Clock>, metrics: Arc<Metrics>) -> Result<Self> {
+        let pipeline = Pipeline::line(rt, metrics)?;
+        let deadline_s = rt.config().deadline_s;
         Ok(ServerLoop {
-            deadline_s: rt.config().deadline_s,
-            replica: rt.replica_arc(),
-            clock,
-            pipeline: Pipeline::line(rt, Arc::clone(&metrics))?,
-            metrics,
-            next_id: 0,
+            lines: LineProtocol::new(pipeline, clock, deadline_s, None, false),
         })
     }
 
@@ -295,56 +514,14 @@ impl ServerLoop {
     pub fn run(&mut self, source: &mut dyn EventSource, shards: &mut Shards<'_>) -> Result<()> {
         conn::drive(source, self, shards)
     }
-
-    /// Parses and admits (or refuses) one query line.
-    fn handle_line(
-        &mut self,
-        conns: &mut Conns<'_, LineBuffer>,
-        t: Token,
-        line: &[u8],
-    ) -> Result<()> {
-        if line.is_empty() {
-            return Ok(());
-        }
-        let now = self.clock.now();
-        let query = match codec::parse_query(line) {
-            Ok(q) => q,
-            Err(_) => {
-                conns.send(
-                    t,
-                    &codec::encode_error(&fallback_tag(line), ErrorKind::Invalid),
-                );
-                return Ok(());
-            }
-        };
-        if conns.draining {
-            conns.send(t, &codec::encode_error(&query.tag, ErrorKind::Shutdown));
-            return Ok(());
-        }
-        if self.replica.validate_indices(&query.indices).is_err() {
-            conns.send(t, &codec::encode_error(&query.tag, ErrorKind::Invalid));
-            return Ok(());
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.metrics.record_submitted();
-        let (replica, deadline_s) = (&self.replica, now + self.deadline_s);
-        let build = || replica.request_from_valid(id, now, deadline_s, query.indices);
-        match self.pipeline.admit(("", ""), (t, query.tag), build) {
-            None => conns.owe(t),
-            Some(((t, tag), _)) => {
-                conns.send(t, &codec::encode_error(&tag, ErrorKind::Rejected));
-            }
-        }
-        Ok(())
-    }
 }
 
 impl<'s> Front<Shards<'s>> for ServerLoop {
     type Conn = LineBuffer;
 
     fn next_timeout(&self, shards: &Shards<'s>) -> Option<f64> {
-        self.pipeline.next_timeout(self.clock.now(), shards)
+        let now = self.lines.clock.now();
+        self.lines.pipeline.next_timeout(now, shards)
     }
 
     fn accept(&self) -> LineBuffer {
@@ -359,59 +536,23 @@ impl<'s> Front<Shards<'s>> for ServerLoop {
         t: Token,
         _eof: bool,
     ) -> Result<()> {
-        // Looked up again each iteration: answering a line may fail the
-        // connection mid-loop (hard write error).
-        while let Some(buf) = conns.state_mut(t) {
-            match buf.pop_line() {
-                Ok(Some(line)) => self.handle_line(conns, t, &line)?,
-                Ok(None) => break,
-                Err(_) => {
-                    // Oversized line: framing is lost.
-                    conns.close(t);
-                    break;
-                }
-            }
-        }
-        Ok(())
+        self.lines.read(conns, t, |buf| Some(buf), |_| false)
     }
 
-    /// Runs the pipeline with a sink that answers each terminal outcome
-    /// with one reply line on the connection that submitted the request,
-    /// settling what that connection is owed.
+    /// Runs the pipeline with the line protocol's sink ([`answer`]).
     fn step(&mut self, conns: &mut Conns<'_, LineBuffer>, shards: &mut Shards<'s>) -> Result<bool> {
         let draining = conns.draining;
-        let mut sink = |req: Request, (t, tag): (Token, String), outcome: Outcome| {
-            let line = match outcome {
-                Outcome::Completed { correct, .. } => {
-                    codec::encode_result(&tag, correct, req.expected_checksum.to_bits())
-                }
-                // The pipeline's only other terminal outcome is a shed.
-                _ => codec::encode_error(&tag, ErrorKind::Deadline),
-            };
-            conns.settle(t);
-            conns.send(t, &line);
-        };
-        let delivered = self.pipeline.deliver(shards, &mut sink)?;
-        let now = self.clock.now();
-        let pumped = self.pipeline.pump(now, draining, shards, &mut sink)?;
+        let mut sink = |req, to, outcome| answer(conns, req, to, outcome);
+        let pipeline = &mut self.lines.pipeline;
+        let delivered = pipeline.deliver(shards, &mut sink)?;
+        let now = self.lines.clock.now();
+        let pumped = pipeline.pump(now, draining, shards, &mut sink)?;
         Ok(delivered || pumped)
     }
 
     fn idle(&self, shards: &Shards<'s>) -> bool {
-        self.pipeline.idle(shards)
+        self.lines.pipeline.idle(shards)
     }
-}
-
-/// Best-effort tag extraction from an unparsable line, so the `E` reply
-/// still correlates ("-" when even the tag is unusable). Shared with the
-/// fabric front end, which speaks the same line protocol to clients.
-pub(crate) fn fallback_tag(line: &[u8]) -> String {
-    std::str::from_utf8(line)
-        .ok()
-        .and_then(|s| s.split(' ').nth(1))
-        .filter(|t| codec::valid_name(t))
-        .unwrap_or("-")
-        .to_string()
 }
 
 // ---------------------------------------------------------------------------
@@ -703,13 +844,13 @@ impl HttpServerLoop {
         self.next_id += 1;
         self.metrics.record_submitted();
         let deadline_s = now + self.deadline_s;
-        let build = || replica.request_from_valid(id, now, deadline_s, indices);
+        let build = || Ok(replica.request_from_valid(id, now, deadline_s, indices));
         let to = HttpRoute {
             conn: t,
             seq,
             keep_alive: keep,
         };
-        match self.pipeline.admit((tenant, model), to, build) {
+        match self.pipeline.admit((tenant, model), to, build)? {
             None => conns.owe(t),
             Some((_, refusal)) => {
                 let (status, msg) = match refusal {
@@ -842,7 +983,8 @@ impl<'s> Front<Shards<'s>> for HttpServerLoop {
                 let body = http::infer_result_body(correct, req.expected_checksum.to_bits());
                 Self::answer(conns, &to, 200, "application/json", &body);
             }
-            // The pipeline's only other terminal outcome is a shed.
+            // Only the fabric's lost tables end a queued request as
+            // rejected, so the other outcome here is a shed.
             _ => Self::answer(conns, &to, 504, TEXT_PLAIN, b"deadline exceeded\n"),
         };
         let delivered = self.pipeline.deliver(shards, &mut sink)?;
@@ -925,7 +1067,7 @@ mod tests {
             let now = self.clock.now();
             let replica = self.rt.replica();
             let req = replica.random_request(id, now, deadline_s, &mut self.rng);
-            let refused = self.pipeline.admit(("", ""), (), || req);
+            let refused = self.pipeline.admit(("", ""), (), || Ok(req)).unwrap();
             assert_eq!(refused, None, "request {id} refused");
         }
 
@@ -1112,7 +1254,7 @@ mod tests {
         let mut rig = Rig::new(&rt);
         let refuse = |rig: &mut Rig<'_>| {
             let build = || panic!("a refused request is never built");
-            let refused = rig.pipeline.admit(("", ""), (), build);
+            let refused = rig.pipeline.admit(("", ""), (), build).unwrap();
             assert_eq!(refused, Some(((), AdmitRefusal::QueueFull)));
         };
         rig.admit(0, f64::INFINITY);

@@ -515,6 +515,11 @@ impl Supervisor {
         self.shards.get(&shard).map(|s| s.state)
     }
 
+    /// The placed tables' names, sorted.
+    pub(crate) fn table_names(&self) -> impl Iterator<Item = &str> {
+        self.tables.keys().map(String::as_str)
+    }
+
     /// A table's residency state (`None` for an unknown name).
     pub fn table_state(&self, table: &str) -> Option<TableState> {
         self.tables.get(table).map(|t| t.state)

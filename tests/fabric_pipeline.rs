@@ -391,6 +391,14 @@ fn a_repeated_exec_done_fails_the_shard() {
 }
 
 #[test]
+fn blank_lines_are_skipped() {
+    sim::blank_lines(
+        Front::fabric(1, 10.0, tables(&["only"], 9)),
+        0xF485_F6AF_9CAF_9CD2,
+    );
+}
+
+#[test]
 fn explored_fabric_schedules_terminate_exactly_once() {
     sim::explore(Kind::Fabric, CASES, 0x2743_D54D_D0AD_7445);
 }

@@ -117,6 +117,11 @@ fn rejected_requests_cost_no_reference_gather() {
 }
 
 #[test]
+fn blank_lines_are_skipped() {
+    sim::blank_lines(Front::Line, 0x2E27_18F4_1734_7300);
+}
+
+#[test]
 fn explored_line_schedules_terminate_exactly_once() {
     sim::explore(Kind::Line, CASES, 0x2EF0_28F8_709F_6FFF);
 }

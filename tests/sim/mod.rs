@@ -730,6 +730,31 @@ pub fn refuse_before_paying(front: Front, pinned: u64) {
     pin("refuse before paying", &[&run], pinned);
 }
 
+/// The blank-line rule of the line protocol, on the line and fabric fronts
+/// (`front` as for [`final_drain`]): an empty line (`\n` or `\r\n`),
+/// before, between or after queries, is skipped with no reply and nothing
+/// owed, so the two queries are answered and the connection closes at the
+/// client's EOF.
+pub fn blank_lines(front: Front, pinned: u64) {
+    let rt = runtime(64, f64::INFINITY);
+    let w = rt.replica().workload();
+    let run = run(&rt, &front, &|s| {
+        s.workers(0.0);
+        let c = s.connect(0.0);
+        let (q0, o0) = s.encode("q0", None, &indices_for(w, 0));
+        let (q1, o1) = s.encode("q1", None, &indices_for(w, 1));
+        let bytes = [b"\n".as_slice(), &q0, b"\r\n\n", &q1, b"\n"].concat();
+        s.send(0.1, c, bytes, [o0, o1]);
+        s.send(0.2, c, b"\n\r\n".to_vec(), None);
+        s.close(1.0, c);
+    });
+    assert_eq!(lines(&run.outputs[0]).len(), 2, "one reply per query");
+    let snap = &run.snapshot;
+    assert_eq!((snap.submitted, snap.completed), (2, 2));
+    assert!(!run.open[0], "a blank line owes nothing");
+    pin("blank lines", &[&run], pinned);
+}
+
 /// The loop the explorer drives.
 #[derive(Debug, Clone, Copy)]
 pub enum Kind {
