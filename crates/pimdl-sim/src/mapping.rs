@@ -163,26 +163,30 @@ impl TraversalOrder {
     /// A tile stays resident while only loops it does not depend on
     /// iterate inside it; it reloads whenever a loop it depends on — or any
     /// loop *outside* such a loop — advances. Loops with a single
-    /// iteration never change the tile and are ignored.
+    /// iteration never change the tile and are ignored. So the count is the
+    /// product of the trips from the outermost loop down to the innermost
+    /// one that the tile uses and that iterates, or 1 if there is none: one
+    /// pick of the three `(trip, uses)` by the order, then a product.
     #[inline]
-    pub fn load_count(self, trips: (u64, u64, u64), uses: (bool, bool, bool)) -> u64 {
-        let trip = |d: LoopDim| match d {
-            LoopDim::N => trips.0,
-            LoopDim::F => trips.1,
-            LoopDim::Cb => trips.2,
+    pub fn load_count(self, (t_n, t_f, t_cb): (u64, u64, u64), uses: (bool, bool, bool)) -> u64 {
+        let (n, f, cb) = ((t_n, uses.0), (t_f, uses.1), (t_cb, uses.2));
+        let [outer, middle, inner] = match self {
+            TraversalOrder::Nfc => [n, f, cb],
+            TraversalOrder::Ncf => [n, cb, f],
+            TraversalOrder::Fnc => [f, n, cb],
+            TraversalOrder::Fcn => [f, cb, n],
+            TraversalOrder::Cnf => [cb, n, f],
+            TraversalOrder::Cfn => [cb, f, n],
         };
-        let used = |d: LoopDim| match d {
-            LoopDim::N => uses.0,
-            LoopDim::F => uses.1,
-            LoopDim::Cb => uses.2,
-        };
-        // Walk outer→inner; once we pass the innermost used loop that
-        // actually iterates, the remaining inner loops give free reuse.
-        let dims = self.dims();
-        let innermost_used = dims.iter().rposition(|&d| used(d) && trip(d) > 1);
-        match innermost_used {
-            None => 1, // invariant tile: loaded once
-            Some(pos) => dims[..=pos].iter().map(|&d| trip(d)).product(),
+        let moves = |(trip, used): (u64, bool)| used && trip > 1;
+        if moves(inner) {
+            outer.0 * middle.0 * inner.0
+        } else if moves(middle) {
+            outer.0 * middle.0
+        } else if moves(outer) {
+            outer.0
+        } else {
+            1
         }
     }
 
@@ -593,6 +597,76 @@ mod tests {
         let w = workload();
         let m = legal_mapping();
         assert_eq!(m.trip_counts(&w), (4, 2, 2));
+    }
+
+    /// [`TraversalOrder::load_count`] by walking the loop nest outer→inner
+    /// ([`TraversalOrder::dims`]): once past the innermost used loop that
+    /// iterates, the inner loops give free reuse. The closed form's oracle.
+    fn load_count_walk(
+        order: TraversalOrder,
+        trips: (u64, u64, u64),
+        uses: (bool, bool, bool),
+    ) -> u64 {
+        let trip = |d: LoopDim| match d {
+            LoopDim::N => trips.0,
+            LoopDim::F => trips.1,
+            LoopDim::Cb => trips.2,
+        };
+        let used = |d: LoopDim| match d {
+            LoopDim::N => uses.0,
+            LoopDim::F => uses.1,
+            LoopDim::Cb => uses.2,
+        };
+        let dims = order.dims();
+        match dims.iter().rposition(|&d| used(d) && trip(d) > 1) {
+            None => 1,
+            Some(pos) => dims[..=pos].iter().map(|&d| trip(d)).product(),
+        }
+    }
+
+    /// Every `uses` pattern of the eight, as `load_count` takes it.
+    fn all_uses() -> impl Iterator<Item = (bool, bool, bool)> {
+        (0..8u8).map(|bits| (bits & 1 != 0, bits & 2 != 0, bits & 4 != 0))
+    }
+
+    #[test]
+    fn load_count_matches_the_walk_exhaustively() {
+        // All six orders, all eight `uses`, every trip triple in {1,2,3}³:
+        // each loop both still and iterating, at distinct trips.
+        for order in TraversalOrder::all() {
+            for uses in all_uses() {
+                for code in 0..27u64 {
+                    let trips = (1 + code % 3, 1 + code / 3 % 3, 1 + code / 9);
+                    assert_eq!(
+                        order.load_count(trips, uses),
+                        load_count_walk(order, trips, uses),
+                        "{order} {trips:?} {uses:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The closed form against the walk at trips up to `u16::MAX`.
+        #[test]
+        fn load_count_matches_the_walk(
+            order in 0usize..6,
+            uses in 0u8..8,
+            t_n in 1u64..=u64::from(u16::MAX),
+            t_f in 1u64..=u64::from(u16::MAX),
+            t_cb in 1u64..=u64::from(u16::MAX),
+        ) {
+            let order = TraversalOrder::all()[order];
+            let uses = (uses & 1 != 0, uses & 2 != 0, uses & 4 != 0);
+            let trips = (t_n, t_f, t_cb);
+            proptest::prop_assert_eq!(
+                order.load_count(trips, uses),
+                load_count_walk(order, trips, uses)
+            );
+        }
     }
 
     #[test]

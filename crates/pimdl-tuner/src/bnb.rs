@@ -379,6 +379,10 @@ impl Node {
     /// `traversal` order, or of the node itself with each stream at its
     /// fewest loads (`None`), with the index and output streams it read:
     /// under a complete tiling they are its leaves' exact stream terms.
+    /// Always inlined: called out of line from [`descend_traversals`]'s
+    /// six children, it cost `tune_sim` more than the closed-form
+    /// [`TraversalOrder::load_count`] inside it saves.
+    #[inline(always)]
     fn non_lut_lb(&self, ctx: &PairCtx, traversal: Option<TraversalOrder>) -> (f64, TileStreams) {
         let trips = self.price.trips;
         let loads = match traversal {
