@@ -296,9 +296,12 @@ pub(crate) fn leaf_schemes(
 /// of a `platform`, counted without visiting them: `(offered, fits)`, the
 /// chunks whose buffer fits the platform's WRAM, and of those, the ones
 /// whose buffer is at most `room` bytes. A chunk's buffer `cb_load·CT·f_load`
-/// grows with `f_load` along the ascending `F_m` menu, so each `cb_load`
-/// counts by binary search. Nothing here reads the traversal: the six
-/// tilings of one m-tile node share the counts.
+/// is at most a limit exactly when `f_load` is at most the limit over
+/// `cb_load·CT`, integer division, so each count per `cb_load` is the
+/// ascending `F_m` menu's prefix up to that quotient. Along the ascending
+/// `cb_load` menu both quotients only fall, so both prefixes are found in
+/// one pass, each by a pointer that only moves down. Nothing here reads
+/// the traversal: the six tilings of one m-tile node share the counts.
 pub(crate) fn coarse_leaf_counts(
     menus: &ChunkMenus,
     workload: &LutWorkload,
@@ -306,15 +309,19 @@ pub(crate) fn coarse_leaf_counts(
     room: usize,
 ) -> (usize, usize) {
     let f_loads = menus.f_loads;
+    let (mut offered, mut fits) = (f_loads.len(), f_loads.len());
     let mut counts = (0, 0);
     for &cb_load in menus.cb_loads {
-        let offered = f_loads.partition_point(|&f_load| {
-            lut_tile_bytes(workload, cb_load, f_load) <= platform.wram_bytes
-        });
-        let fits = f_loads[..offered]
-            .partition_point(|&f_load| lut_tile_bytes(workload, cb_load, f_load) <= room);
+        let row = lut_tile_bytes(workload, cb_load, 1);
+        let (offered_max, fits_max) = (platform.wram_bytes / row, room / row);
+        while offered > 0 && f_loads[offered - 1] > offered_max {
+            offered -= 1;
+        }
+        while fits > 0 && f_loads[fits - 1] > fits_max {
+            fits -= 1;
+        }
         counts.0 += offered;
-        counts.1 += fits;
+        counts.1 += fits.min(offered);
     }
     counts
 }
