@@ -250,12 +250,11 @@ impl<'a> PairCtx<'a> {
         (node.non_lut_lb(self, p.traversal).0, node.lut_lb)
     }
 
-    /// Structural WRAM cut, decidable once the three m-tiles of `p` are set
-    /// (`node` holds their terms): even the smallest scheme buffer does not
-    /// fit beside the index and output tiles.
-    fn overflows_wram(&self, p: Partial, node: &Node) -> bool {
-        p.mtiles().is_some()
-            && node.price.tiles_bytes() + self.min_lut_buffer > self.platform.wram_bytes
+    /// Structural WRAM cut of an m-tile node, whose terms are `node`: even
+    /// the smallest scheme buffer does not fit beside the index and output
+    /// tiles.
+    fn overflows_wram(&self, node: &Node) -> bool {
+        node.price.tiles_bytes() + self.min_lut_buffer > self.platform.wram_bytes
     }
 
     /// The fine class's LUT bound at `F_m = f_m`: the gathered volume at
@@ -450,10 +449,12 @@ pub(crate) struct LeafWork {
 /// (the menus it branches on are built once, beside it).
 #[derive(Default)]
 struct Walk {
-    /// The bounded children of every node on the current path, each
-    /// node's run above its parent's, in menu order: each with its corner
-    /// terms, which its own children derive theirs from.
-    children: Vec<(Partial, Node)>,
+    /// The corner terms of the bounded children of every node on the
+    /// current path, each node's run above its parent's, in menu order:
+    /// what each child's own children derive theirs from. A child is its
+    /// level, one below its parent's, and its terms' m-tiles
+    /// ([`Partial::at`]), so the terms alone are held.
+    children: Vec<Node>,
     /// Each child's bound and its index in `children`, each node's run
     /// sorted best-first: sorting these moves two words, not a node.
     frontier: Vec<(f64, usize)>,
@@ -504,7 +505,7 @@ pub(crate) fn search_priced(
             walk.pruned_subtrees += 1;
             continue;
         }
-        descend(ctx, Partial::default(), root, &mut walk);
+        descend(ctx, 0, root, &mut walk);
     }
 
     let (mapping, predicted, evaluated) = walk.incumbent.into_best(platform, workload)?;
@@ -575,7 +576,7 @@ pub fn pair_frontier(
             bar,
             ..Incumbent::default()
         };
-        descend(&ctx, Partial::default(), &root, &mut walk);
+        descend(&ctx, 0, &root, &mut walk);
         if let Some((mapping, predicted)) = walk.incumbent.best.take() {
             bar = walk.incumbent.bar;
             out.push(PairBest {
@@ -590,12 +591,13 @@ pub fn pair_frontier(
     Ok(out)
 }
 
-/// Depth-first descent below the `node` of unset m-tiles within one P1
-/// pair, whose corner terms are `corner`: bound the children of the first
-/// unset level, each from terms derived from `corner`, visit them
-/// best-first and cut those the incumbent already beats; an m-tile node's
-/// traversals go to [`descend_traversals`] with the terms its bound read.
-fn descend(ctx: &PairCtx, node: Partial, corner: &Node, walk: &mut Walk) {
+/// Depth-first descent below the node of unset m-tiles within one P1 pair
+/// with `level` m-tiles set and corner terms `corner`: bound the children
+/// of the first unset level, each from terms derived from `corner`, visit
+/// them best-first and cut those the incumbent already beats; an m-tile
+/// node's traversals go to [`descend_traversals`] with the terms its bound
+/// read.
+fn descend(ctx: &PairCtx, level: usize, corner: &Node, walk: &mut Walk) {
     // This node's children go on top of the two buffers; every descent
     // below one of them pushes above them and truncates back before
     // returning.
@@ -603,25 +605,27 @@ fn descend(ctx: &PairCtx, node: Partial, corner: &Node, walk: &mut Walk) {
     let Walk {
         children, frontier, ..
     } = walk;
-    node.children(&ctx.pair_menus, |child| {
+    Partial::at(level, corner.price.mtiles).children(&ctx.pair_menus, |child| {
         let terms = corner.child(ctx, ctx.corner(child));
         frontier.push((terms.bound(ctx), children.len()));
-        children.push((child, terms));
+        children.push(terms);
     });
     let last = walk.frontier.len();
-    let level = usize::from(node.n_m.is_some()) + usize::from(node.f_m.is_some());
     walk.leaves.bounded[level] += last - first;
     sort_children(&mut walk.frontier[first..]);
+    // The children set the last m-tile: each is an m-tile node.
+    let mtile_nodes = level + 1 == Partial::MTILES;
     for i in first..last {
         let (lb, at) = walk.frontier[i];
-        let (child, terms) = walk.children[at];
-        if prunes(lb, walk.incumbent.bar) || ctx.overflows_wram(child, &terms) {
+        let terms = walk.children[at];
+        if prunes(lb, walk.incumbent.bar) || (mtile_nodes && ctx.overflows_wram(&terms)) {
             walk.pruned_subtrees += 1;
             continue;
         }
-        match child.mtiles() {
-            Some(_) => descend_traversals(ctx, terms, walk),
-            None => descend(ctx, child, &terms, walk),
+        if mtile_nodes {
+            descend_traversals(ctx, terms, walk);
+        } else {
+            descend(ctx, level + 1, &terms, walk);
         }
     }
     walk.frontier.truncate(first);
@@ -984,7 +988,8 @@ mod tests {
                         break;
                     }
                     let child = children[pick(children.len())];
-                    overflows |= ctx.overflows_wram(child, &Node::new(&ctx, ctx.corner(child)));
+                    overflows |= child.mtiles().is_some()
+                        && ctx.overflows_wram(&Node::new(&ctx, ctx.corner(child)));
                     path.push(child);
                 }
                 let leaf_node = path[path.len() - 1];

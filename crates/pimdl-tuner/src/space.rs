@@ -181,6 +181,21 @@ pub(crate) struct Partial {
 pub(crate) type Tiling = (usize, usize, usize, TraversalOrder);
 
 impl Partial {
+    /// The m-tile levels, `N_m`, `F_m` and `CB_m`, set before the traversal.
+    pub(crate) const MTILES: usize = 3;
+
+    /// The node with its first `level` m-tiles set, to those of `mtiles`,
+    /// and its traversal unset: a node of the descent is its level and
+    /// its corner's m-tiles.
+    pub(crate) fn at(level: usize, (n_m, f_m, cb_m): (usize, usize, usize)) -> Self {
+        Partial {
+            n_m: (level > 0).then_some(n_m),
+            f_m: (level > 1).then_some(f_m),
+            cb_m: (level > 2).then_some(cb_m),
+            traversal: None,
+        }
+    }
+
     /// The assignment once every level is set.
     pub(crate) fn complete(self) -> Option<Tiling> {
         Some((self.n_m?, self.f_m?, self.cb_m?, self.traversal?))
@@ -188,6 +203,7 @@ impl Partial {
 
     /// `(N_m, F_m, CB_m)` once the three m-tiles are set and the traversal
     /// is not: the node whose children are the six traversals.
+    #[cfg(test)]
     pub(crate) fn mtiles(self) -> Option<(usize, usize, usize)> {
         match self.traversal {
             None => Some((self.n_m?, self.f_m?, self.cb_m?)),
