@@ -2,6 +2,7 @@
 
 use pimdl_sim::config::PlatformConfig;
 use pimdl_sim::cost::{lut_buffer_bytes, lut_tile_bytes};
+use pimdl_sim::mapping::LoopDim;
 use pimdl_sim::{LoadScheme, LutWorkload, Mapping, MicroKernel, TraversalOrder};
 
 use crate::{Result, TuneError};
@@ -33,11 +34,7 @@ pub fn divisors(n: usize) -> Vec<usize> {
 /// Tiling-factor candidates for a dimension: all divisors when few, the
 /// power-of-two divisors (plus the dimension itself) otherwise.
 pub fn tile_candidates(dim: usize) -> Vec<usize> {
-    capped(divisors(dim), dim)
-}
-
-/// `dim`'s ascending divisors `menu` as its [`tile_candidates`].
-fn capped(mut menu: Vec<usize>, dim: usize) -> Vec<usize> {
+    let mut menu = divisors(dim);
     if menu.len() > MAX_DIVISORS {
         menu.retain(|&d| d.is_power_of_two() || d == dim);
     }
@@ -47,41 +44,89 @@ fn capped(mut menu: Vec<usize>, dim: usize) -> Vec<usize> {
 /// The tiling-factor menus one search reads, built once up front: the
 /// [`tile_candidates`] of every dimension it branches on (`N_s`, `F_s`,
 /// `CB`) or enumerates a leaf's chunks under (each `F_m` and `CB_m`).
+/// Every such dimension divides one of the workload's (`N_s` divides `N`;
+/// `F_s` and its menu `F`; `CB` and its menu `CB`), so its divisors are
+/// those of that workload dimension it is a multiple of: three trial
+/// divisions per search, each menu a filter of one of them, all the menus
+/// back to back in one buffer.
 #[derive(Debug)]
 pub(crate) struct Menus {
-    /// `(dim, tile_candidates(dim))`, ascending in `dim`.
-    menus: Vec<(usize, Vec<usize>)>,
+    /// Every menu built, back to back.
+    entries: Vec<usize>,
+    /// Per workload dimension, indexed by [`LoopDim`] (`N`, `F`, `CB`):
+    /// its divisors, ascending, each with the span of its menu in
+    /// `entries`, empty if the search reads none.
+    divisors: [Vec<(usize, (usize, usize))>; 3],
 }
 
 impl Menus {
-    /// The menus of a search over the P1 `pairs` of `w`. Every dimension
-    /// divides one of the workload's (`N_s` divides `N`; `F_s` and its
-    /// menu `F`; `CB` and its menu `CB`), so its divisors are that
-    /// dimension's that it is a multiple of: three trial divisions per
-    /// search, each menu a filter of one of them.
+    /// The menus of a search over the P1 `pairs` of `w`: of `CB` and of
+    /// every `CB_m` on its menu, and per pair, of `N_s`, of `F_s` and of
+    /// every `F_m` on `F_s`'s menu.
     pub(crate) fn new(w: &LutWorkload, pairs: &[(usize, usize)]) -> Self {
-        let (of_n, of_f, of_cb) = (divisors(w.n), divisors(w.f), divisors(w.cb));
-        let menu = |of: &[usize], dim: usize| {
-            let divisors = of.iter().copied().filter(|&d| dim.is_multiple_of(d));
-            capped(divisors.collect(), dim)
+        let of = |dim| divisors(dim).into_iter().map(|d| (d, (0, 0))).collect();
+        let mut menus = Menus {
+            entries: Vec::new(),
+            divisors: [of(w.n), of(w.f), of(w.cb)],
         };
-        let mut dims: Vec<(usize, &[usize])> = Vec::new();
-        dims.extend(menu(&of_cb, w.cb).into_iter().map(|d| (d, &of_cb[..])));
+        menus.build_with_menu(LoopDim::Cb, w.cb);
         for &(n_stile, f_stile) in pairs {
-            dims.extend([(n_stile, &of_n[..]), (f_stile, &of_f[..])]);
-            dims.extend(menu(&of_f, f_stile).into_iter().map(|d| (d, &of_f[..])));
+            menus.build(LoopDim::N, n_stile);
+            menus.build_with_menu(LoopDim::F, f_stile);
         }
-        dims.sort_unstable_by_key(|&(d, _)| d);
-        dims.dedup_by_key(|&mut (d, _)| d);
-        let menus = dims.into_iter().map(|(d, of)| (d, menu(of, d))).collect();
-        Menus { menus }
+        menus
     }
 
-    /// [`tile_candidates`] of `dim`, which [`Self::new`] built.
-    pub(crate) fn of(&self, dim: usize) -> &[usize] {
-        let found = self.menus.binary_search_by_key(&dim, |&(d, _)| d);
-        debug_assert!(found.is_ok(), "no menu built for dimension {dim}");
-        found.map_or(&[], |i| &self.menus[i].1)
+    /// Builds the menus of `dim`, a divisor of workload dimension `of`, and
+    /// of every entry on it.
+    fn build_with_menu(&mut self, of: LoopDim, dim: usize) {
+        let (start, end) = self.build(of, dim);
+        for at in start..end {
+            self.build(of, self.entries[at]);
+        }
+    }
+
+    /// Builds the menu of `dim`, a divisor of workload dimension `of`,
+    /// unless it is built, and returns its span in `entries`: the divisors
+    /// of `of` up to `dim` that divide it, capped as [`tile_candidates`]
+    /// caps them (none if `dim` is not a divisor, which [`Self::of`]
+    /// asserts against).
+    fn build(&mut self, of: LoopDim, dim: usize) -> (usize, usize) {
+        let Menus { entries, divisors } = self;
+        let divisors = &mut divisors[of as usize];
+        let Ok(at) = divisors.binary_search_by_key(&dim, |&(d, _)| d) else {
+            return (0, 0);
+        };
+        let span = divisors[at].1;
+        if span.0 < span.1 {
+            return span;
+        }
+        let start = entries.len();
+        let below = divisors[..=at].iter().map(|&(d, _)| d);
+        entries.extend(below.filter(|&d| dim.is_multiple_of(d)));
+        if entries.len() - start > MAX_DIVISORS {
+            let mut kept = start;
+            for i in start..entries.len() {
+                let d = entries[i];
+                if d.is_power_of_two() || d == dim {
+                    entries[kept] = d;
+                    kept += 1;
+                }
+            }
+            entries.truncate(kept);
+        }
+        divisors[at].1 = (start, entries.len());
+        divisors[at].1
+    }
+
+    /// [`tile_candidates`] of `dim`, a divisor of workload dimension `of`,
+    /// which [`Self::new`] built.
+    fn of(&self, of: LoopDim, dim: usize) -> &[usize] {
+        let divisors = &self.divisors[of as usize];
+        let found = divisors.binary_search_by_key(&dim, |&(d, _)| d);
+        let (start, end) = found.map_or((0, 0), |at| divisors[at].1);
+        debug_assert!(start < end, "no menu built for {dim} of {of:?}");
+        &self.entries[start..end]
     }
 
     /// The three menus every node below P1 pair `(n_stile, f_stile)`
@@ -92,9 +137,9 @@ impl Menus {
         (n_stile, f_stile): (usize, usize),
     ) -> PairMenus<'_> {
         PairMenus {
-            n_m: self.of(n_stile),
-            f_m: self.of(f_stile),
-            cb_m: self.of(w.cb),
+            n_m: self.of(LoopDim::N, n_stile),
+            f_m: self.of(LoopDim::F, f_stile),
+            cb_m: self.of(LoopDim::Cb, w.cb),
         }
     }
 
@@ -102,8 +147,8 @@ impl Menus {
     /// looked up once per m-tile node.
     pub(crate) fn of_mtiles(&self, f_m: usize, cb_m: usize) -> ChunkMenus<'_> {
         ChunkMenus {
-            cb_loads: self.of(cb_m),
-            f_loads: self.of(f_m),
+            cb_loads: self.of(LoopDim::Cb, cb_m),
+            f_loads: self.of(LoopDim::F, f_m),
         }
     }
 }
@@ -416,26 +461,50 @@ mod tests {
     #[test]
     fn menus_are_the_tile_candidates_of_their_dimensions() {
         // Filtered from the workload's divisor lists, each menu must be
-        // the trial-divided one; 720720 and 5040 pass the divisor cap.
+        // the trial-divided one. 720720 (240 divisors), 5040 (60) and 720
+        // (30) pass the divisor cap: each of N, F and CB has a capped menu
+        // (720720 as an `N_s`, 720 as an `F_s`, 5040 as `CB`), and each
+        // capped menu must still match.
+        let mut capped = [0; 3];
         for (n, cb, f) in [(64 * 512, 192, 3072), (720720, 5040, 720), (7, 1, 13)] {
             let w = LutWorkload::new(n, cb, 16, f).unwrap();
-            let pairs: Vec<(usize, usize)> = divisors(n)
-                .into_iter()
-                .zip(divisors(f).into_iter().rev())
+            let (of_n, of_f) = (divisors(n), divisors(f));
+            // The smallest `N_s` with the largest `F_s`, and the reverse.
+            let pairs: Vec<(usize, usize)> = (of_n.iter().zip(of_f.iter().rev()))
+                .chain(of_n.iter().rev().zip(&of_f))
+                .map(|(&n_s, &f_s)| (n_s, f_s))
                 .collect();
             let menus = Menus::new(&w, &pairs);
-            for &(dim, ref menu) in &menus.menus {
-                assert_eq!(menu, &tile_candidates(dim), "{dim} of {w:?}");
-            }
-            for (n_s, f_s) in pairs {
-                for dim in [n_s, f_s, cb] {
-                    assert_eq!(menus.of(dim), tile_candidates(dim), "{dim}");
+            for (of, divisors_of) in [LoopDim::N, LoopDim::F, LoopDim::Cb]
+                .into_iter()
+                .zip(&menus.divisors)
+            {
+                for &(dim, (start, end)) in divisors_of {
+                    if start < end {
+                        let menu = &menus.entries[start..end];
+                        assert_eq!(menu, tile_candidates(dim), "{dim} of {of:?} in {w:?}");
+                        capped[of as usize] += usize::from(menu.len() < divisors(dim).len());
+                    }
                 }
-                for dim in tile_candidates(f_s).into_iter().chain(tile_candidates(cb)) {
-                    assert_eq!(menus.of(dim), tile_candidates(dim), "{dim}");
+            }
+            for pair @ (n_s, f_s) in pairs {
+                let of_pair = menus.of_pair(&w, pair);
+                assert_eq!(of_pair.n_m, tile_candidates(n_s), "{n_s}");
+                assert_eq!(of_pair.f_m, tile_candidates(f_s), "{f_s}");
+                assert_eq!(of_pair.cb_m, tile_candidates(cb), "{cb}");
+                for f_m in tile_candidates(f_s) {
+                    for cb_m in tile_candidates(cb) {
+                        let chunks = menus.of_mtiles(f_m, cb_m);
+                        assert_eq!(chunks.f_loads, tile_candidates(f_m), "{f_m}");
+                        assert_eq!(chunks.cb_loads, tile_candidates(cb_m), "{cb_m}");
+                    }
                 }
             }
         }
+        assert!(
+            capped.iter().all(|&c| c > 0),
+            "menus capped per N, F, CB: {capped:?}"
+        );
     }
 
     #[test]
@@ -503,7 +572,7 @@ mod tests {
         for ct in [ct, 512] {
             let w = LutWorkload::new(1, cb, ct, f).unwrap();
             let menus = Menus::new(&w, &[(1, f)]);
-            let (cbs, fs) = (menus.of(cb), menus.of(f));
+            let (cbs, fs) = (menus.of(LoopDim::Cb, cb), menus.of(LoopDim::F, f));
             let (f_m, cb_m) = (fs[f_pick % fs.len()], cbs[cb_pick % cbs.len()]);
             let chunks = menus.of_mtiles(f_m, cb_m);
             let mut p = platform(1);
