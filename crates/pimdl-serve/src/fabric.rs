@@ -876,6 +876,10 @@ pub struct FabricServerLoop<'a> {
     /// Shard connections that failed and await death bookkeeping, each
     /// with the cause of its first failure.
     pending_dead: Vec<(Token, Cause)>,
+    /// Jobs the dead shards' in-flight batches put back in the queue,
+    /// past any capacity check: the queue is within its capacity plus
+    /// these ([`observe_queue_depth`]).
+    requeued: usize,
     next_batch_id: u64,
     /// Latched `true` the first time every table routes (all workers
     /// hello'd and loaded). [`FabricHandle::wait_all_ready`] observes it.
@@ -926,6 +930,7 @@ impl<'a> FabricServerLoop<'a> {
             sup,
             inflight: BTreeMap::new(),
             pending_dead: Vec::new(),
+            requeued: 0,
             next_batch_id: 0,
             all_ready: Arc::new(AtomicBool::new(false)),
         })
@@ -1253,6 +1258,7 @@ impl<'a> FabricServerLoop<'a> {
         let mut progress = pipeline.shed(now, &mut |req, to, outcome| {
             answer(conns, req, to, outcome);
         });
+        observe_queue_depth(&self.metrics, pipeline.batcher(), self.requeued);
         let mut execute = Vec::new();
         for table in self.sup.table_names() {
             let Some((shard, token)) = self.sup.route(table) else {
@@ -1326,6 +1332,8 @@ impl<'a> FabricServerLoop<'a> {
             };
             for job in batch.jobs.into_iter().rev() {
                 self.lines.pipeline.batcher_mut().requeue_front(job);
+                self.requeued += 1;
+                observe_queue_depth(&self.metrics, self.lines.pipeline.batcher(), self.requeued);
             }
         }
         for o in orders {
@@ -1360,6 +1368,21 @@ impl<'a> FabricServerLoop<'a> {
         }
         conns.close(t);
     }
+}
+
+/// Observes the fabric's queue depth into `metrics`, as
+/// [`crate::server::Pipeline`]'s pump does after each shed; the fabric
+/// also observes it after each job a dead shard's batch puts back. That
+/// requeue checks no capacity, so the queue is bounded by its capacity
+/// plus the `requeued` jobs, which a debug build asserts.
+fn observe_queue_depth(metrics: &Metrics, batcher: &FairBatcher, requeued: usize) {
+    let queued = batcher.queued_total();
+    debug_assert!(
+        queued <= batcher.capacity() + requeued,
+        "{queued} queued past capacity {} plus {requeued} requeued",
+        batcher.capacity()
+    );
+    metrics.observe_queue_depth(queued);
 }
 
 // ---------------------------------------------------------------------------

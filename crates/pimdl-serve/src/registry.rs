@@ -282,6 +282,11 @@ impl FairBatcher {
         self.queued_total
     }
 
+    /// The global queued-job capacity admission holds the queue to.
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Whether no job is queued anywhere.
     pub fn is_empty(&self) -> bool {
         self.queued_total == 0

@@ -405,17 +405,17 @@ fn explored_fabric_schedules_terminate_exactly_once() {
 
 #[test]
 fn explored_forged_exec_dones_terminate_exactly_once() {
-    sim::explore(Kind::FabricForged, CASES, 0x228E_2C07_4E8B_172F);
+    sim::explore(Kind::FabricForged, CASES, 0x0F20_FE1C_FF06_8276);
 }
 
 #[test]
 #[ignore = "long explorer pass, run by scripts/check.sh"]
 fn explored_fabric_schedules_long() {
-    sim::explore(Kind::Fabric, LONG_CASES, 0xC446_1EA5_0BF9_3E53);
+    sim::explore(Kind::Fabric, LONG_CASES, 0x7E58_9DFB_63B8_6B38);
 }
 
 #[test]
 #[ignore = "long explorer pass, run by scripts/check.sh"]
 fn explored_forged_exec_dones_long() {
-    sim::explore(Kind::FabricForged, LONG_CASES, 0x275D_3FA8_F9EB_70D2);
+    sim::explore(Kind::FabricForged, LONG_CASES, 0x8E5B_93D1_2E89_53C7);
 }
