@@ -9,7 +9,7 @@
 //!   guard), `Ty::m(..)` / `Self::m(..)` paths, and free functions by name.
 //!
 //! The statement syntax (`let` heads, assignments, chain heads and
-//! segments) comes from [`crate::cursor`], shared with the taint walker;
+//! segments) comes from `cursor`, shared with the taint walker;
 //! what a binding or a chain means is decided here. Known approximations
 //! are documented in DESIGN.md §10: closure parameters are untyped
 //! (chains through them do not resolve), destructuring `let` patterns do

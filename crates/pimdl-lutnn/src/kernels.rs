@@ -127,7 +127,7 @@ const CCS_LANES: usize = 8;
 ///
 /// For codebook `c`, centroid `k`, dimension `d`, the value lives at
 /// `data[(((c / 8) * ct + k) * v + d) * 8 + c % 8]`: the same `(k, d)`
-/// component of [`CCS_LANES`] consecutive codebooks is contiguous, so one
+/// component of `CCS_LANES` consecutive codebooks is contiguous, so one
 /// vector op advances eight independent searches and each lane keeps its own
 /// running best. The last block is zero-padded; its dead lanes are computed
 /// and discarded.

@@ -89,7 +89,7 @@ impl Clock for RealClock {
 
 /// A manually advanced clock for deterministic tests.
 ///
-/// [`crate::reactor::SimPoller::wait`] advances it to the next scripted
+/// [`crate::reactor::SimPoller`]'s [`wait`](crate::reactor::EventSource::wait) advances it to the next scripted
 /// instant or timeout — under [`crate::runtime::Runtime::run_virtual`] as
 /// under the scripted server tests. `sleep` advances time immediately: the
 /// one thread driving the loop is the only waiter, so there is nothing to

@@ -593,7 +593,7 @@ impl Runtime {
     /// thread: an [`crate::EpollPoller`] owns the listener and every
     /// accepted connection, and [`Shards::threaded`] runs one worker per
     /// shard. `speedup` compresses simulated service seconds into real
-    /// time (`1.0` = real time; see [`RealClock::accelerated`]).
+    /// time (`1.0` = real time; see [`crate::RealClock::accelerated`]).
     ///
     /// # Errors
     ///

@@ -99,9 +99,11 @@ impl ReplicaModel {
     ///
     /// # Errors
     ///
-    /// Refuses a shape [`Self::check_workload`] refuses, propagates tuner
-    /// failures (no legal mapping for the workload on the platform) and
-    /// rejects table shapes the LUT types cannot index.
+    /// Refuses a shape that fails [`LutWorkload::validate`], whose `CT` a
+    /// u16 index cannot address, or whose table, one query's indices or
+    /// one query's output exceed 16 MiB; propagates tuner failures (no
+    /// legal mapping for the workload on the platform) and rejects table
+    /// shapes the LUT types cannot index.
     pub fn build(engine: &PimDlEngine, workload: LutWorkload, seed: u64) -> Result<Self> {
         Self::check_workload(&workload)?;
         let mapping = engine.mapping_for(&workload)?;

@@ -3,7 +3,7 @@
 //! Executes a compiled [`PimProgram`] against one PE's operands (its index
 //! tile and LUT tile) exactly as the simulated hardware would: DMA
 //! instructions move tiles between local memory and the on-chip buffer
-//! (charged through the platform's [`LocalMemModel`]), gathers respect the
+//! (charged through the platform's [`LocalMemModel`](crate::config::LocalMemModel)), gathers respect the
 //! per-thread hold-last-entry reuse of the fine-grain scheme, and
 //! accumulates run in i32 at `single_reduce_s` per operation.
 //!

@@ -230,9 +230,9 @@ const GATHER_CHUNK_TAIL: usize = 16;
 /// codebook's selected entry slice `[j0, j0 + jb)` of the row-major
 /// `(CB·CT) × F` table `codes`. `stage` is i16 scratch of `acc`'s length.
 ///
-/// Entries are accumulated [`GATHER_UNROLL`] codebooks per pass into the
+/// Entries are accumulated `GATHER_UNROLL` codebooks per pass into the
 /// i16 `stage` tile — twice the lanes of an i32 add per vector op — in runs
-/// of at most [`I16_RUN`] codebooks, each finished run widened into `acc`.
+/// of at most `I16_RUN` codebooks, each finished run widened into `acc`.
 /// Integer addition is associative and no partial sum leaves its type's
 /// range while `CB ≤` [`MAX_CB`], so the result is exact by construction.
 /// Codebooks stay outermost and rows inner, which keeps a pass's table

@@ -471,7 +471,7 @@ fn plan_of(ops: &[OpShape], per_op: &[Vec<Cand>], picks: &[usize]) -> AllocPlan 
 }
 
 /// Every operator's pair frontiers over the request's `(V, CT)` menu, each
-/// searched once, at the operator's per-layer byte cap ([`byte_caps`] over
+/// searched once, at the operator's per-layer byte cap (`byte_caps` over
 /// the whole menu). Both allocators read it. [`Self::per_layer`] takes the
 /// frontiers whole. [`Self::global`] takes, per uniform setting, each
 /// operator's frontier at that setting cut at the setting's own cap: a

@@ -10,7 +10,7 @@
 //! proptest oracle in `tests/properties.rs` asserts bit-identical totals).
 //!
 //! A leaf is priced as its tiling's exact price plus its LUT stream
-//! ([`crate::model::TilingPrice`]): under a complete tiling the descent
+//! (`model::TilingPrice`): under a complete tiling the descent
 //! computes everything the load scheme does not move once, then prices
 //! each P4 leaf by its WRAM fit and its LUT stream alone. That is the
 //! price `hierarchical_cost` returns after `Mapping::validate`, to the bit.
@@ -30,11 +30,11 @@
 //! Each term of a bound and of a leaf's price is computed only when one of
 //! its own inputs changes (DESIGN.md §12.1): the sub-LUT transfers, the
 //! static class's LUT bound and the branching menus per P1 pair
-//! ([`PairCtx`]); trip counts, tile bytes and their Eq. 8 rates, the reduce
-//! term, the other LUT class bounds and the LUT room per node ([`Node`]),
+//! (`PairCtx`); trip counts, tile bytes and their Eq. 8 rates, the reduce
+//! term, the other LUT class bounds and the LUT room per node (`Node`),
 //! each child's derived from its parent's by recomputing only what its
 //! m-tile moves; the tiles' row terms per load and the coarse leaf counts
-//! per m-tile node ([`MTileNode`]), shared by its six traversal children
+//! per m-tile node (`MTileNode`), shared by its six traversal children
 //! and their leaves; the index and output streams per traversal, read by
 //! the child's bound and by its tiling's price alike. Each is the same
 //! function of the same inputs, summed in the same order, so every bound

@@ -20,19 +20,19 @@
 //! A search prices a mapping in two parts. Everything but the LUT stream
 //! is a function of the complete tiling `(pair, N_m, F_m, CB_m,
 //! traversal)` alone, and dozens of load-scheme leaves share each tiling,
-//! so [`TilingPrice`] computes that part once. It is assembled from terms
+//! so `TilingPrice` computes that part once. It is assembled from terms
 //! computed at the level of the search tree that fixes their inputs: the
-//! sub-LUT transfers per P1 pair ([`PairPrice`]), the trip counts, tile
-//! bytes, their Eq. 8 rates and the reduce term per node ([`MTilePrice`],
+//! sub-LUT transfers per P1 pair (`PairPrice`), the trip counts, tile
+//! bytes, their Eq. 8 rates and the reduce term per node (`MTilePrice`,
 //! a child's derived from its parent's), the tiles' rows per load per
-//! m-tile node ([`TileRows`]), the index and output streams per traversal
-//! ([`TileStreams`], which the branch-and-bound's bound reads too). Each
+//! m-tile node (`TileRows`), the index and output streams per traversal
+//! (`TileStreams`, which the branch-and-bound's bound reads too). Each
 //! leaf is then its tiling's exact price plus its own LUT stream: one WRAM
 //! check, one [`lut_stream`], one LUT term, and the LUT row terms added
 //! last. Most of those leaves are coarse-grain, and they share far fewer
 //! chunk sizes `cb_load·f_load`, which alone fix a multi-chunk leaf's
 //! stream: the branch-and-bound prices each size once per tiling, and a
-//! leaf not at all when [`TilingPrice::floor_s`] of its true LUT volume is
+//! leaf not at all when `TilingPrice::floor_s` of its true LUT volume is
 //! already over the incumbent ([`crate::bnb`]).
 //! [`hierarchical_cost`] is `validate` followed by the same price, so the
 //! model, branch-and-bound and the exhaustive reference share one

@@ -65,6 +65,16 @@ for crate in "${WORKSPACE_CRATES[@]}"; do
     cargo clippy --offline -p "${crate}" --all-targets -- -D warnings
 done
 
+# The API docs of every workspace crate and the root package build without
+# a warning: a broken intra-doc link, or a public doc linking a private
+# item, fails here.
+echo "==> RUSTDOCFLAGS=-D warnings cargo doc --no-deps"
+doc_crates=(-p pimdl)
+for crate in "${WORKSPACE_CRATES[@]}"; do
+    doc_crates+=(-p "${crate}")
+done
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps "${doc_crates[@]}"
+
 # Every workspace crate's own suite. pimdl-bench's lib tests are the
 # `reproduce` experiments' unit tests (~10 s in a debug build on two
 # cores; the accuracy claims run on one-layer models, and their
