@@ -807,6 +807,14 @@ mod tests {
     use pimdl_nn::transformer::{InputKind, ModelConfig};
 
     fn trained_model_and_data(seed: u64) -> (TransformerClassifier, Dataset, Dataset, DataRng) {
+        trained_model_and_data_of(seed, 2)
+    }
+
+    /// [`trained_model_and_data`] with `layers` encoder blocks.
+    fn trained_model_and_data_of(
+        seed: u64,
+        layers: usize,
+    ) -> (TransformerClassifier, Dataset, Dataset, DataRng) {
         let mut rng = DataRng::new(seed);
         let mut ds = nlp_dataset(NlpTask::ContainsAnswer, 180, 12, 6, &mut rng);
         let test = ds.split_off(40);
@@ -814,7 +822,7 @@ mod tests {
             input: InputKind::Tokens { vocab: 12 },
             hidden: 16,
             heads: 2,
-            layers: 2,
+            layers,
             ffn_dim: 32,
             max_seq: 6,
             classes: 2,
@@ -975,12 +983,12 @@ mod tests {
         assert!((0.0..=1.0).contains(&acc));
     }
 
-    #[test]
-    fn elutnn_recovers_from_random_init() {
-        // The A2 claim in miniature: starting from *random* centroids
-        // (§6.2's setting), eLUT-NN calibration recovers accuracy close to
-        // the original model.
-        let (model, ds, test, _) = trained_model_and_data(4);
+    /// The A2 claim in miniature: starting from *random* centroids
+    /// (§6.2's setting), eLUT-NN calibration of a `layers`-block model on
+    /// `calib` sequences for `epochs` recovers accuracy close to the
+    /// original model's.
+    fn elutnn_recovers(layers: usize, calib: usize, epochs: usize) {
+        let (model, ds, test, _) = trained_model_and_data_of(4, layers);
         let original_acc = evaluate(&model, &test).unwrap();
 
         let cfg = CalibrationConfig {
@@ -990,12 +998,12 @@ mod tests {
             kmeans_iters: 0,
             beta: 1e-3,
             lr: 3e-3,
-            epochs: 8,
+            epochs,
             batch_size: 8,
             seed: 5,
             max_activation_rows: 2048,
         };
-        let calib_set = ds.take(60);
+        let calib_set = ds.take(calib);
         let (elut, stats) = convert_elutnn(&model, &calib_set, &cfg).unwrap();
         let elut_acc = lut_accuracy(&elut, &test, false).unwrap();
         assert!(!stats.losses.is_empty());
@@ -1006,11 +1014,24 @@ mod tests {
     }
 
     #[test]
-    fn elutnn_beats_soft_baseline_from_random_init() {
-        // The Tables 4/5 ordering: from random centroid init, the
-        // soft-assignment baseline trails eLUT-NN.
-        let (model, ds, test, _) = trained_model_and_data(6);
-        let calib_set = ds.take(60);
+    fn elutnn_recovers_from_random_init() {
+        // One block, 30 sequences, 4 epochs: 0.875 against the original's
+        // 1.0 (the full-size copy recovers 1.0).
+        elutnn_recovers(1, 30, 4);
+    }
+
+    #[test]
+    #[ignore = "full-size copy: two blocks, 60 sequences, 8 epochs"]
+    fn elutnn_recovers_from_random_init_full() {
+        elutnn_recovers(2, 60, 8);
+    }
+
+    /// The Tables 4/5 ordering: from random centroid init, the
+    /// soft-assignment baseline trails eLUT-NN, on a `layers`-block model
+    /// calibrated on `calib` sequences for `epochs`.
+    fn elutnn_beats_soft_baseline(layers: usize, calib: usize, epochs: usize) {
+        let (model, ds, test, _) = trained_model_and_data_of(6, layers);
+        let calib_set = ds.take(calib);
 
         let bcfg = BaselineLutNnConfig {
             v: 4,
@@ -1020,7 +1041,7 @@ mod tests {
             tau: 1.0,
             gumbel_noise: true,
             lr: 3e-3,
-            epochs: 8,
+            epochs,
             batch_size: 8,
             seed: 5,
             max_activation_rows: 2048,
@@ -1035,7 +1056,7 @@ mod tests {
             kmeans_iters: 0,
             beta: 1e-3,
             lr: 3e-3,
-            epochs: 8,
+            epochs,
             batch_size: 8,
             seed: 5,
             max_activation_rows: 2048,
@@ -1047,6 +1068,20 @@ mod tests {
             elut_acc >= baseline_acc - 0.05,
             "eLUT-NN {elut_acc} should not trail the soft baseline {baseline_acc}"
         );
+    }
+
+    #[test]
+    fn elutnn_beats_soft_baseline_from_random_init() {
+        // One block, 30 sequences, 4 epochs: eLUT-NN 1.0, the baseline
+        // 0.525 (at full size both reach 1.0, so the small copy is the
+        // one that separates them).
+        elutnn_beats_soft_baseline(1, 30, 4);
+    }
+
+    #[test]
+    #[ignore = "full-size copy: two blocks, 60 sequences, 8 epochs"]
+    fn elutnn_beats_soft_baseline_from_random_init_full() {
+        elutnn_beats_soft_baseline(2, 60, 8);
     }
 
     #[test]

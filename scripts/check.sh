@@ -101,6 +101,13 @@ done
 echo "==> cargo test -p pimdl-tuner --offline (long oracle pass)"
 cargo test --offline -p pimdl-tuner --lib -- --ignored
 
+# The eLUT-NN calibration claims at full size: the #[ignore]d two-block,
+# 60-sequence, 8-epoch copies of the random-init recovery and the ordering
+# against the soft baseline, which the lib suite above checks on one-block
+# models (~3 s in a debug build on two cores).
+echo "==> cargo test -p pimdl-lutnn --offline (full-size calibration pass)"
+cargo test --offline -p pimdl-lutnn --lib -- --ignored
+
 # The long accuracy pass: the #[ignore]d experiment-scale copies of the
 # accuracy claims the lib suite above checks on small models,
 # data_efficiency's small_budget_favors_elutnn_full (the four-layer model),
