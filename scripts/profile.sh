@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Where one benchmark workload's CPU time goes, without `perf`:
 #
-#     scripts/profile.sh WORKLOAD SECONDS
+#     scripts/profile.sh WORKLOAD SECONDS [FUNCTION]
 #
-# e.g. `scripts/profile.sh tune_sim 14`. Three parts:
+# e.g. `scripts/profile.sh tune_sim 14`, or `scripts/profile.sh tune_sim 14
+# descend` to also see what is under one function. Three parts:
 #
 # 1. An LD_PRELOADed sampler, built here with gcc: a SIGPROF handler on an
 #    ITIMER_PROF timer (one sample per millisecond of CPU time, any thread)
@@ -18,14 +19,20 @@
 # 3. `llvm-symbolizer --inlining`, which expands each address into its
 #    chain of inlined frames. A function's inclusive share is the fraction
 #    of samples with it anywhere on the stack, inlined or called; its self
-#    share the fraction whose innermost frame it is.
+#    share the fraction whose innermost frame it is. With FUNCTION (a
+#    path's last segments, e.g. `descend` or `bnb::score_leaves`), each
+#    sample under it is charged to its innermost frame of that name: to
+#    the function itself if it is the innermost frame (its self time),
+#    otherwise to the frame just inside it (its direct callee, inlined or
+#    called), each as a share of all samples.
 #
 # The benchmark's JSON line and the raw samples stay in the printed
 # directory. Run nothing else while it samples. check.sh does not run this.
 set -euo pipefail
-usage="usage: scripts/profile.sh WORKLOAD SECONDS"
+usage="usage: scripts/profile.sh WORKLOAD SECONDS [FUNCTION]"
 workload=${1:?$usage}
 seconds=${2:?$usage}
+focus=${3:-}
 cd "$(dirname "$0")/.."
 root=$(pwd)
 for tool in gcc llvm-symbolizer taskset python3; do
@@ -141,10 +148,10 @@ PROFILE_SAMPLES_DIR="$out" PIMDL_BENCH_PINNED=1 LD_PRELOAD="$out/sampler.so" \
     taskset -c "$cpu" "$bin" --workload "$workload" --seed 7 --seconds "$seconds" --trace 0 \
     >"$out/bench.json"
 
-python3 - "$out" <<'EOF'
+python3 - "$out" "$focus" <<'EOF'
 import collections, glob, os, re, subprocess, sys
 
-out = sys.argv[1]
+out, focus = sys.argv[1], sys.argv[2]
 samples = []
 for path in glob.glob(os.path.join(out, "samples.*")):
     with open(path) as f:
@@ -189,7 +196,12 @@ for module, offsets in by_module.items():
             chain.append(f"{hash_suffix.sub('', function)} ({where})")
         chains[(module, offset)] = chain
 
+def is_focus(name):
+    path = name.rsplit(" (", 1)[0]
+    return path == focus or path.endswith("::" + focus)
+
 inclusive, own = collections.Counter(), collections.Counter()
+under = collections.Counter()
 for sample in samples:
     seen = []
     for frame in map(split, sample):
@@ -199,6 +211,10 @@ for sample in samples:
         seen += names
     for name in set(seen):
         inclusive[name] += 1
+    # Innermost first: the first frame of that name, and the one inside it.
+    at = next((i for i, name in enumerate(seen) if focus and is_focus(name)), None)
+    if at is not None:
+        under["(self) " + seen[0] if at == 0 else seen[at - 1]] += 1
 
 total = len(samples)
 def table(title, counts, rows):
@@ -207,6 +223,10 @@ def table(title, counts, rows):
         print(f"{100.0 * n / total:6.1f} %  {name[-160:]}")
 table("inclusive share", inclusive, 60)
 table("self share", own, 25)
+if focus:
+    inside = sum(under.values())
+    print(f"\nunder {focus}: {100.0 * inside / total:.1f} % of samples, by direct callee")
+    table(f"direct callees and self time of {focus}", under, 40)
 EOF
 echo
 echo "samples and the benchmark's JSON line: $out"
