@@ -96,7 +96,7 @@ done
 # leaf count against the enumeration on ~1,000 random menus, the
 # byte-capped pair frontier against the uncapped one's prefix on ~1,000
 # spaces, and the capped allocators against an uncapped allocate_global
-# and against brute force on ~1,000 requests each (~26 s in a debug build
+# and against brute force on ~1,000 requests each (~19 s in a debug build
 # on two cores).
 echo "==> cargo test -p pimdl-tuner --offline (long oracle pass)"
 cargo test --offline -p pimdl-tuner --lib -- --ignored
@@ -104,7 +104,7 @@ cargo test --offline -p pimdl-tuner --lib -- --ignored
 # The eLUT-NN calibration claims at full size: the #[ignore]d two-block,
 # 60-sequence, 8-epoch copies of the random-init recovery and the ordering
 # against the soft baseline, which the lib suite above checks on one-block
-# models (~3 s in a debug build on two cores).
+# models (~4 s in a debug build on two cores).
 echo "==> cargo test -p pimdl-lutnn --offline (full-size calibration pass)"
 cargo test --offline -p pimdl-lutnn --lib -- --ignored
 
