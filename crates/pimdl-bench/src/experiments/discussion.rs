@@ -17,7 +17,7 @@
 
 use serde::Serialize;
 
-use pimdl_engine::baseline::{HostModel, CCS_EFFICIENCY, UPMEM_GEMM_EFFICIENCY};
+use pimdl_engine::baseline::{ccs_flops, dpu_gemm_s, link_s, HostModel};
 use pimdl_engine::pipeline::{PimDlEngine, ServingConfig};
 use pimdl_engine::shapes::TransformerShape;
 use pimdl_sim::cost::cost_with_repeat;
@@ -172,23 +172,20 @@ pub fn run(batch: usize, seq_len: usize) -> Result<DiscussionResult, pimdl_engin
     }
 
     // --- CCS placement (§5.2): host vs PIM ---
-    let host = HostModel::cpu_xeon_4210();
+    let host = HostModel::host_of(&platform);
     let mut ccs_placement = Vec::new();
     let n = batch * seq_len;
-    let (v, ct) = (4usize, 16usize);
+    let (v, ct) = (cfg.v, cfg.ct);
     for shape in TransformerShape::evaluation_models() {
         let mut host_s = 0.0;
         let mut pim_s = 0.0;
         for op in shape.linear_ops() {
-            let flops = 3 * n as u64 * op.in_dim as u64 * ct as u64;
-            let bytes = (n * op.in_dim * 4 + n * op.in_dim / v) as u64;
-            // Host: argmin kernel at CCS_EFFICIENCY of dense-GEMM rate.
-            host_s += host.gemm_time_s((flops as f64 / CCS_EFFICIENCY) as u64, bytes);
+            let workload = LutWorkload::new(n, op.in_dim / v, ct, op.out_dim)?;
+            host_s += host.ccs_s(&workload, v);
             // PIM: the same distance GEMM on DPUs, which multiply in
             // software; plus activations crossing the host↔PIM link.
-            let eff_gops = platform.peak_gops * UPMEM_GEMM_EFFICIENCY;
-            pim_s += flops as f64 / (eff_gops * 1e9)
-                + (n * op.in_dim * 4) as f64 / (platform.host_transfer.to_pim_peak_gbps * 1e9);
+            pim_s += dpu_gemm_s(&platform, ccs_flops(&workload, v))
+                + link_s(&platform, (n * op.in_dim * 4) as u64);
         }
         host_s *= shape.layers as f64;
         pim_s *= shape.layers as f64;
@@ -291,6 +288,32 @@ mod tests {
                 row.pim_slowdown
             );
         }
+    }
+
+    #[test]
+    fn placement_study_prices_the_host_ccs_that_serve_charges() {
+        // The study sums a model's per-layer CCS and multiplies by the
+        // layer count once; `serve` charges each operator all its layers.
+        // The same host work, summed in another order.
+        let (batch, seq_len) = (4, 32);
+        let shape = TransformerShape::bert_base();
+        let row = run(batch, seq_len)
+            .unwrap()
+            .ccs_placement
+            .into_iter()
+            .find(|row| row.model == shape.name)
+            .unwrap();
+        let cfg = ServingConfig::new(batch, seq_len, 4, 16).unwrap();
+        let served = PimDlEngine::new(PlatformConfig::upmem())
+            .serve(&shape, &cfg)
+            .unwrap();
+        let charged: f64 = served.per_linear.iter().map(|op| op.ccs_s).sum();
+        let rel = (row.host_ccs_s - charged).abs() / charged;
+        assert!(
+            rel <= 1e-12,
+            "study {} vs serve {charged} (relative error {rel})",
+            row.host_ccs_s
+        );
     }
 
     #[test]

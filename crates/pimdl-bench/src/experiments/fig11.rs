@@ -86,9 +86,7 @@ pub fn run(batch: usize, seq_len: usize) -> Result<Fig11Result, pimdl_engine::En
                 .into_iter()
                 .find(|o| o.name == lc.name)
                 .expect("operator name");
-            let flops = 2 * n as u64 * op.in_dim as u64 * op.out_dim as u64;
-            let bytes = (op.in_dim * op.out_dim + n * (op.in_dim + op.out_dim)) as u64;
-            let cpu_s = cpu_int8.gemm_time_s(flops, bytes) * shape.layers as f64;
+            let cpu_s = cpu_int8.linear_s(n, &op, 1) * shape.layers as f64;
             let pimdl_s = lc.lut_s + lc.ccs_s;
             let speedup = cpu_s / pimdl_s;
             speedups.push(speedup);

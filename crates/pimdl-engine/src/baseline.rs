@@ -14,12 +14,19 @@
 use serde::{Deserialize, Serialize};
 
 use pimdl_sim::config::PlatformKind;
-use pimdl_sim::PlatformConfig;
+use pimdl_sim::{LutWorkload, PlatformConfig};
 
-use crate::shapes::TransformerShape;
+use crate::shapes::{LinearOp, TransformerShape};
 
 /// A host processor cost model (CPU or GPU).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Every host-side term of the repo is one method here, priced per layer;
+/// each caller multiplies by the layer count where it sums:
+/// [`HostModel::linear_s`] (the dense baselines and Fig. 11-(b)'s CPU
+/// column), [`HostModel::ccs_s`] (`PimDlEngine::serve` and the §5.2
+/// placement study), [`HostModel::attention_s`] and
+/// [`HostModel::elementwise_s`] (`serve` and both baselines).
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostModel {
     /// Display name.
     pub name: &'static str,
@@ -115,14 +122,46 @@ impl HostModel {
 
     /// Roofline GEMM time: `max(flops / gops, bytes / bw)` plus one
     /// dispatch overhead.
-    pub fn gemm_time_s(&self, flops: u64, bytes: u64) -> f64 {
+    fn gemm_time_s(&self, flops: u64, bytes: u64) -> f64 {
         let compute = flops as f64 / (self.effective_gemm_gops * 1e9);
         let memory = bytes as f64 / (self.mem_bw_gbps * 1e9);
         self.op_overhead_s + compute.max(memory)
     }
 
-    /// Memory-bound element-wise operator time.
-    pub fn elementwise_time_s(&self, bytes: u64) -> f64 {
+    /// One dense linear operator on `n` activation rows: `2·N·in·out`
+    /// flops over the weights and the activations in and out, each element
+    /// `elem_bytes` wide (4 for FP32, 1 for INT8).
+    pub fn linear_s(&self, n: usize, op: &LinearOp, elem_bytes: usize) -> f64 {
+        let flops = 2 * n as u64 * op.in_dim as u64 * op.out_dim as u64;
+        let bytes = (op.in_dim * op.out_dim) as u64 * elem_bytes as u64
+            + (n * (op.in_dim + op.out_dim)) as u64 * elem_bytes as u64;
+        self.gemm_time_s(flops, bytes)
+    }
+
+    /// Closest-centroid search for one LUT operator (§3.3), `V` the
+    /// sub-vector length: [`ccs_flops`] at `CCS_EFFICIENCY` of the
+    /// dense-GEMM rate, streaming the f32 activations in and the
+    /// workload's centroid indices out.
+    pub fn ccs_s(&self, workload: &LutWorkload, v: usize) -> f64 {
+        let flops = (ccs_flops(workload, v) as f64 / CCS_EFFICIENCY) as u64;
+        let bytes = (workload.n * workload.cb * v * 4) as u64 + workload.index_bytes();
+        self.gemm_time_s(flops, bytes)
+    }
+
+    /// Attention's score and value GEMMs (`QKᵀ`, `PV`) of one layer, over
+    /// the Q/K/V activations and the score matrix at f32.
+    pub fn attention_s(&self, shape: &TransformerShape, batch: usize, seq_len: usize) -> f64 {
+        let n = batch * seq_len;
+        let flops = shape.attention_flops_per_layer(batch, seq_len);
+        let bytes = (3 * n * shape.hidden) as u64 * 4
+            + (batch * shape.heads * seq_len * seq_len) as u64 * 4;
+        self.gemm_time_s(flops, bytes)
+    }
+
+    /// The memory-bound element-wise and normalisation operators of one
+    /// layer.
+    pub fn elementwise_s(&self, shape: &TransformerShape, batch: usize, seq_len: usize) -> f64 {
+        let bytes = shape.elementwise_bytes_per_layer(batch, seq_len);
         self.op_overhead_s + bytes as f64 / (self.mem_bw_gbps * 1e9)
     }
 }
@@ -159,26 +198,13 @@ pub fn host_inference(
     let n = batch * seq_len;
     let mut linear_s = 0.0;
     for op in shape.linear_ops() {
-        let flops = 2 * n as u64 * op.in_dim as u64 * op.out_dim as u64;
-        let bytes = (op.in_dim * op.out_dim) as u64 * elem_bytes as u64
-            + (n * (op.in_dim + op.out_dim)) as u64 * elem_bytes as u64;
-        linear_s += host.gemm_time_s(flops, bytes);
+        linear_s += host.linear_s(n, &op, elem_bytes);
     }
-    linear_s *= shape.layers as f64;
-
-    let attn_flops = shape.attention_flops_per_layer(batch, seq_len);
-    // Attention operands: Q/K/V activations + score matrix at f32.
-    let attn_bytes =
-        (3 * n * shape.hidden) as u64 * 4 + (batch * shape.heads * seq_len * seq_len) as u64 * 4;
-    let attention_s = host.gemm_time_s(attn_flops, attn_bytes) * shape.layers as f64;
-
-    let elementwise_s = host.elementwise_time_s(shape.elementwise_bytes_per_layer(batch, seq_len))
-        * shape.layers as f64;
-
+    let layers = shape.layers as f64;
     HostInference {
-        linear_s,
-        attention_s,
-        elementwise_s,
+        linear_s: linear_s * layers,
+        attention_s: host.attention_s(shape, batch, seq_len) * layers,
+        elementwise_s: host.elementwise_s(shape, batch, seq_len) * layers,
     }
 }
 
@@ -192,7 +218,7 @@ pub fn host_inference(
 /// Anchor: Fig. 11-(a) — CCS is 24–30 % of LUT-NN inference latency, i.e.
 /// ≈ 20 % of end-to-end latency, which at the ~20 s BERT-base total implies
 /// ≈ 20 GOPS of effective CCS throughput on the Xeon 4210 host.
-pub const CCS_EFFICIENCY: f64 = 0.15;
+const CCS_EFFICIENCY: f64 = 0.15;
 
 /// Efficiency of FP32/INT8 GEMM on UPMEM DPUs relative to the DIMM's peak
 /// GOP/s rating.
@@ -204,7 +230,7 @@ pub const CCS_EFFICIENCY: f64 = 0.15;
 /// Anchor: Fig. 10's per-layer PIM latency line (38.47 s / 68.04 s /
 /// 105.88 s for BERT-base/large/ViT-huge at batch 64, seq 512) — matching
 /// requires ≈ 9 effective GOP/s over the 8-DIMM system.
-pub const UPMEM_GEMM_EFFICIENCY: f64 = 0.026;
+const UPMEM_GEMM_EFFICIENCY: f64 = 0.026;
 
 /// Per-row GEMV command overhead for GEMM-based inference on the MAC-based
 /// products (HBM-PIM / AiM).
@@ -216,7 +242,24 @@ pub const UPMEM_GEMM_EFFICIENCY: f64 = 0.026;
 /// Anchor: Fig. 14 — PIM-DL is 23.94× (HBM-PIM) / 19.06× (AiM) faster than
 /// GEMM-based inference, with the gap *growing* with batch size (up to
 /// 2.23×), i.e. the baseline's per-row overhead does not amortize.
-pub const MAC_PIM_ROW_OVERHEAD_S: f64 = 60e-6;
+const MAC_PIM_ROW_OVERHEAD_S: f64 = 60e-6;
+
+/// The closest-centroid search's operation count for one LUT operator,
+/// `3·N·H·CT` (§3.3), `H = CB·V` the operator's input width.
+pub fn ccs_flops(workload: &LutWorkload, v: usize) -> u64 {
+    (3 * workload.n * workload.cb * v * workload.ct) as u64
+}
+
+/// `flops` of GEMM in software on the UPMEM DPUs, whose effective
+/// throughput is `UPMEM_GEMM_EFFICIENCY` of the rated add throughput.
+pub fn dpu_gemm_s(platform: &PlatformConfig, flops: u64) -> f64 {
+    flops as f64 / (platform.peak_gops * UPMEM_GEMM_EFFICIENCY * 1e9)
+}
+
+/// `bytes` over the host→PIM link at its peak rate.
+pub fn link_s(platform: &PlatformConfig, bytes: u64) -> f64 {
+    bytes as f64 / (platform.host_transfer.to_pim_peak_gbps * 1e9)
+}
 
 /// GEMM-based inference with all linear layers offloaded to the DRAM-PIM
 /// platform (the "PIM" baseline of Fig. 10 and the normal-DNN baselines of
@@ -228,19 +271,11 @@ pub fn pim_gemm_inference(
     batch: usize,
     seq_len: usize,
 ) -> HostInference {
-    let host = HostModel::host_of(platform);
     let n = batch * seq_len;
     let elem = platform.pim_dtype.size_bytes();
 
-    let mut linear_s = 0.0;
-    match platform.kind {
-        PlatformKind::Upmem => {
-            // Software GEMM on DPUs: effective throughput is a small
-            // fraction of the rated add throughput.
-            let eff_gops = platform.peak_gops * UPMEM_GEMM_EFFICIENCY;
-            let flops = shape.linear_flops_per_layer(n);
-            linear_s += flops as f64 / (eff_gops * 1e9);
-        }
+    let mut linear_s = match platform.kind {
+        PlatformKind::Upmem => dpu_gemm_s(platform, shape.linear_flops_per_layer(n)),
         PlatformKind::HbmPim | PlatformKind::Aim => {
             // Row-at-a-time GEMV execution: weights stream from banks for
             // every row; each row pays command overhead.
@@ -250,29 +285,21 @@ pub fn pim_gemm_inference(
                 .map(|op| (op.in_dim * op.out_dim * elem) as u64)
                 .sum();
             let stream_s = weight_bytes_per_layer as f64 / (platform.peak_internal_bw_gbps * 1e9);
-            linear_s += n as f64 * (4.0 * MAC_PIM_ROW_OVERHEAD_S + stream_s);
+            n as f64 * (4.0 * MAC_PIM_ROW_OVERHEAD_S + stream_s)
         }
-    }
+    };
     // Activation traffic over the host↔PIM link (in + out per linear op).
     let io_bytes: u64 = shape
         .linear_ops()
         .iter()
         .map(|op| (n * (op.in_dim + op.out_dim) * elem) as u64)
         .sum();
-    linear_s += io_bytes as f64 / (platform.host_transfer.to_pim_peak_gbps * 1e9);
-    linear_s *= shape.layers as f64;
-
-    let attn_flops = shape.attention_flops_per_layer(batch, seq_len);
-    let attn_bytes =
-        (3 * n * shape.hidden) as u64 * 4 + (batch * shape.heads * seq_len * seq_len) as u64 * 4;
-    let attention_s = host.gemm_time_s(attn_flops, attn_bytes) * shape.layers as f64;
-    let elementwise_s = host.elementwise_time_s(shape.elementwise_bytes_per_layer(batch, seq_len))
-        * shape.layers as f64;
-
+    linear_s += link_s(platform, io_bytes);
+    let (host, layers) = (HostModel::host_of(platform), shape.layers as f64);
     HostInference {
-        linear_s,
-        attention_s,
-        elementwise_s,
+        linear_s: linear_s * layers,
+        attention_s: host.attention_s(shape, batch, seq_len) * layers,
+        elementwise_s: host.elementwise_s(shape, batch, seq_len) * layers,
     }
 }
 

@@ -256,14 +256,7 @@ impl PimDlEngine {
             // transfer.
             let op_lut_s = report.time.total_resident_s() * layers;
 
-            // CCS on the host: 3·N·H·CT ops (§3.3), streaming the f32
-            // activations and writing one index byte per sub-vector. The
-            // argmin-shaped kernel sustains only CCS_EFFICIENCY of the
-            // host's dense-GEMM throughput.
-            let ccs_flops =
-                ((3 * n * op.in_dim * ct) as f64 / crate::baseline::CCS_EFFICIENCY) as u64;
-            let ccs_bytes = (n * op.in_dim * 4) as u64 + workload.index_bytes();
-            let op_ccs_s = self.host.gemm_time_s(ccs_flops, ccs_bytes) * layers;
+            let op_ccs_s = self.host.ccs_s(&workload, v) * layers;
 
             lut_s += op_lut_s;
             ccs_s += op_ccs_s;
@@ -300,14 +293,8 @@ impl PimDlEngine {
             }
         }
 
-        let attn_flops = shape.attention_flops_per_layer(batch, seq_len);
-        let attn_bytes = (3 * n * shape.hidden) as u64 * 4
-            + (batch * shape.heads * seq_len * seq_len) as u64 * 4;
-        let attention_s = self.host.gemm_time_s(attn_flops, attn_bytes) * layers;
-        let other_s = self
-            .host
-            .elementwise_time_s(shape.elementwise_bytes_per_layer(batch, seq_len))
-            * layers;
+        let attention_s = self.host.attention_s(shape, batch, seq_len) * layers;
+        let other_s = self.host.elementwise_s(shape, batch, seq_len) * layers;
 
         let total_s = lut_s + ccs_s + attention_s + other_s;
         let energy = EnergyReport::from_window(
