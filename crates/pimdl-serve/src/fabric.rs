@@ -1083,6 +1083,7 @@ impl<'e> Front<dyn FabricShardEngine + 'e> for FabricServerLoop<'_> {
         if !self.all_ready.load(Ordering::Relaxed) && self.sup.all_tables_ready() {
             self.all_ready.store(true, Ordering::Relaxed);
         }
+        self.lines.pipeline.check_step(self.requeued);
         Ok(progress)
     }
 

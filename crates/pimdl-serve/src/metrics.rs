@@ -188,6 +188,14 @@ impl Metrics {
             .fetch_max(depth as u64, Ordering::Relaxed);
     }
 
+    /// `(submitted, answered)`: the requests that entered, and those
+    /// completed, rejected or shed, for a step's ledger check.
+    pub(crate) fn ledger(&self) -> (u64, u64) {
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let answered = read(&self.completed) + read(&self.rejected) + read(&self.deadline_exceeded);
+        (read(&self.submitted), answered)
+    }
+
     /// Immutable snapshot of every counter and derived statistic (reactor
     /// stats zeroed; see [`Metrics::snapshot_with_reactor`]).
     pub fn snapshot(&self) -> MetricsSnapshot {

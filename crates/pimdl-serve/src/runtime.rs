@@ -310,6 +310,7 @@ impl<'s> Front<Shards<'s>> for LedgerFront {
         }
         let mut sink = ledger(&mut self.records);
         progress |= self.pipeline.pump(now, conns.draining, shards, &mut sink)?;
+        self.pipeline.check_step(0);
         Ok(progress)
     }
 

@@ -293,6 +293,26 @@ impl<R> Pipeline<R> {
         }
     }
 
+    /// Asserts, in a debug build, what holds at the end of every front's
+    /// step: no more requests answered (completed, rejected or shed) than
+    /// submitted, and the queue within its capacity plus the `requeued`
+    /// jobs the front put back past it (the fabric's dead shards' batches;
+    /// 0 on the in-process fronts). A release build checks nothing.
+    pub(crate) fn check_step(&self, requeued: usize) {
+        if cfg!(debug_assertions) {
+            let (submitted, answered) = self.metrics.ledger();
+            assert!(
+                answered <= submitted,
+                "{answered} answered of {submitted} submitted"
+            );
+            let (queued, capacity) = (self.batcher.queued_total(), self.batcher.capacity());
+            assert!(
+                queued <= capacity + requeued,
+                "{queued} queued past capacity {capacity} plus {requeued} requeued"
+            );
+        }
+    }
+
     /// Whether nothing is queued or in flight.
     pub(crate) fn idle(&self, shards: &Shards<'_>) -> bool {
         self.batcher.is_empty() && shards.in_flight() == 0
@@ -547,6 +567,7 @@ impl<'s> Front<Shards<'s>> for ServerLoop {
         let delivered = pipeline.deliver(shards, &mut sink)?;
         let now = self.lines.clock.now();
         let pumped = pipeline.pump(now, draining, shards, &mut sink)?;
+        pipeline.check_step(0);
         Ok(delivered || pumped)
     }
 
@@ -990,6 +1011,7 @@ impl<'s> Front<Shards<'s>> for HttpServerLoop {
         let delivered = self.pipeline.deliver(shards, &mut sink)?;
         let now = self.clock.now();
         let pumped = self.pipeline.pump(now, draining, shards, &mut sink)?;
+        self.pipeline.check_step(0);
         Ok(delivered || pumped)
     }
 
