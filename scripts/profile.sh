@@ -173,6 +173,15 @@ for sample in samples:
     for module, offset in map(split, sample):
         by_module[module].add(offset)
 hash_suffix = re.compile(r"::h[0-9a-f]{16}( \(\.llvm\.\d+\))?$")
+# Some frames come out in the legacy mangling's escapes (e.g.
+# `score_leaves::_$u7b$$u7b$closure$u7d$$u7d$`); spell them as the
+# demangled frames of the same code are spelled (`score_leaves::{{closure}}`).
+legacy_escape = re.compile(r"\$(u[0-9a-f]+|LT|GT|RF|BP|SP|LP|RP|C)\$")
+legacy_names = {"LT": "<", "GT": ">", "RF": "&", "BP": "*", "SP": "@", "LP": "(", "RP": ")", "C": ","}
+def decode(name):
+    name = re.sub(r"(^|::|\.\.)_\$", r"\1$", name).replace("..", "::")
+    return legacy_escape.sub(
+        lambda m: legacy_names.get(m[1]) or chr(int(m[1][1:], 16)), name)
 chains = {}
 for module, offsets in by_module.items():
     offsets = sorted(offsets)
@@ -193,12 +202,16 @@ for module, offsets in by_module.items():
                 where = os.path.basename(module)
             if function == "??":
                 function = symbols[module, offset]
-            chain.append(f"{hash_suffix.sub('', function)} ({where})")
+            chain.append(f"{decode(hash_suffix.sub('', function))} ({where})")
         chains[(module, offset)] = chain
 
+# `{{closure}}` and `{closure#N}` name the same closures: either spelling
+# of FUNCTION finds both.
+closure = re.compile(r"\{closure#\d+\}")
+focus_path = closure.sub("{{closure}}", focus)
 def is_focus(name):
-    path = name.rsplit(" (", 1)[0]
-    return path == focus or path.endswith("::" + focus)
+    path = closure.sub("{{closure}}", name.rsplit(" (", 1)[0])
+    return path == focus_path or path.endswith("::" + focus_path)
 
 inclusive, own = collections.Counter(), collections.Counter()
 under = collections.Counter()
