@@ -15,13 +15,15 @@
 //! serving pipeline (`server::Pipeline`), as the line and HTTP fronts
 //! are: its tables are the pipeline's [`crate::ModelRegistry`], a client's
 //! query line is read, refused, validated and admitted by the code the
-//! line front runs (`server::LineProtocol`, which here also gathers the
-//! request's reference at admission), and expired queries are shed and
-//! finished ones completed and answered by the pipeline, under the one
-//! policy every front runs ([`crate::FairBatcher`], keyed by table). What
-//! the loop adds is routing a table's batch to its resident shard, the
-//! lost-table drain, re-queueing a dead shard's batches, `Execute`
-//! framing and the supervisor.
+//! line front runs (`server::LineProtocol`), and expired queries are shed,
+//! a dead shard's batches requeued and finished ones completed and
+//! answered by the pipeline, under the one policy every front runs
+//! ([`crate::FairBatcher`], keyed by table). What the loop adds is routing
+//! a table's batch to its resident shard, the lost-table drain, `Execute`
+//! framing (a request's reference is gathered just before, at its first
+//! dispatch, as on every front) and the supervisor. One worker frame
+//! handler answers `LoadTable` and `Execute` in a worker process and in
+//! [`SimShardEngine`] alike.
 //!
 //! It runs on the crate's connection core (`conn.rs`: the event loop, the
 //! transport path and the reactor-thread spawner are shared with the line
@@ -71,7 +73,7 @@ use crate::registry::{FairBatcher, ModelRegistry, TaggedJob};
 use crate::request::Request;
 use crate::runtime::Runtime;
 use crate::server::{answer, LineProtocol, Pipeline, ServeHandle};
-use crate::shard::{run_batch, Done, ReplicaModel, ServiceModel};
+use crate::shard::{gather_references, run_batch, Done, ReplicaModel, ServiceModel};
 use crate::supervisor::{Cause, EventLog, LoadOrder, Supervisor, TableState};
 use crate::Result;
 
@@ -636,9 +638,10 @@ impl FabricShardEngine for ProcessShardEngine {
     fn forget(&mut self, _token: Token) {}
 }
 
-/// Deterministic in-process stand-in for shard worker processes: executes
-/// `LoadTable`/`Execute` frames inline, then schedules the encoded reply
-/// (`TableReady` after `load_delay_s`, `ExecDone` after the batch's
+/// Deterministic in-process stand-in for shard worker processes: answers
+/// `LoadTable`/`Execute` frames inline through the worker processes' own
+/// frame handler (one per shard connection), then schedules the encoded
+/// reply (`TableReady` after `load_delay_s`, `ExecDone` after the batch's
 /// service time) on the virtual clock, waking the loop through
 /// [`WAKE_COMPLETION`]. Replies flow through the same [`FrameDecoder`]
 /// path real sockets feed.
@@ -648,7 +651,8 @@ pub struct SimShardEngine<'a> {
     handle: SimHandle,
     load_delay_s: f64,
     network: NetworkModel,
-    replicas: BTreeMap<(u64, String), Arc<ReplicaModel>>,
+    /// Shard connection → its worker.
+    workers: BTreeMap<u64, ShardWorker>,
     /// (due, insertion seq, shard conn, encoded reply) — sorted on drain
     /// so equal-time replies pop in send order, keeping runs bit-identical.
     pending: Vec<(f64, u64, Token, Vec<u8>)>,
@@ -665,7 +669,7 @@ impl<'a> SimShardEngine<'a> {
             handle,
             load_delay_s,
             network: NetworkModel::zero(),
-            replicas: BTreeMap::new(),
+            workers: BTreeMap::new(),
             pending: Vec::new(),
             seq: 0,
         }
@@ -700,54 +704,26 @@ impl<'a> SimShardEngine<'a> {
 }
 
 impl<'a> FabricShardEngine for SimShardEngine<'a> {
+    /// The connection's worker answers at once; the reply is due after the
+    /// frame's crossing, the load delay or the batch's service time, and
+    /// the reply's crossing. `Shutdown` forgets the worker.
     fn on_send(&mut self, token: Token, frame: &Frame, now_s: f64) -> Result<()> {
-        match frame {
-            Frame::LoadTable { table, seed } => {
-                let in_cost = self.one_way_cost_s(frame)?;
-                let replica = self.rt.build_replica(*seed)?;
-                self.replicas.insert((token.0, table.clone()), replica);
-                let reply = Frame::TableReady {
-                    table: table.clone(),
-                }
-                .encode()?;
-                let out_cost = self.network.frame_cost_s(reply.len());
-                let due = now_s + in_cost + self.load_delay_s + out_cost;
-                self.push_reply(due, token, reply);
-                Ok(())
-            }
-            Frame::Execute {
-                batch_id,
-                service_s,
-                table,
-                requests,
-            } => {
-                let Some(replica) = self.replicas.get(&(token.0, table.clone())) else {
-                    return Err(ServeError::Io {
-                        detail: format!("simulated shard got Execute for unloaded table {table:?}"),
-                    });
-                };
-                let in_cost = self.one_way_cost_s(frame)?;
-                let flags = replica.execute_batch(requests)?;
-                let reply = Frame::ExecDone {
-                    batch_id: *batch_id,
-                    flags,
-                }
-                .encode()?;
-                let out_cost = self.network.frame_cost_s(reply.len());
-                let due = now_s + in_cost + service_s.max(0.0) + out_cost;
-                self.push_reply(due, token, reply);
-                Ok(())
-            }
-            Frame::Shutdown => {
-                self.forget(token);
-                Ok(())
-            }
-            Frame::Hello { .. } | Frame::TableReady { .. } | Frame::ExecDone { .. } => {
-                Err(ServeError::Io {
-                    detail: "front end sent a shard-to-host frame".to_string(),
-                })
-            }
-        }
+        let rt = self.rt;
+        let worker = self.workers.entry(token.0).or_default();
+        let build = |seed| rt.build_replica(seed);
+        let Some(reply) = worker.answer(frame, build, |_, execute| execute())? else {
+            self.forget(token);
+            return Ok(());
+        };
+        let busy_s = match frame {
+            Frame::Execute { service_s, .. } => service_s.max(0.0),
+            _ => self.load_delay_s,
+        };
+        let reply = reply.encode()?;
+        let out_cost = self.network.frame_cost_s(reply.len());
+        let due = now_s + self.one_way_cost_s(frame)? + busy_s + out_cost;
+        self.push_reply(due, token, reply);
+        Ok(())
     }
 
     fn due_replies(&mut self, now_s: f64) -> Vec<(Token, Vec<u8>)> {
@@ -766,7 +742,65 @@ impl<'a> FabricShardEngine for SimShardEngine<'a> {
 
     fn forget(&mut self, token: Token) {
         self.pending.retain(|p| p.2 != token);
-        self.replicas.retain(|(t, _), _| *t != token.0);
+        self.workers.remove(&token.0);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Shard worker
+// ---------------------------------------------------------------------------
+
+/// A shard worker's frame handler, the one a worker process
+/// ([`shard_worker_main`]) and [`SimShardEngine`] both run: the replicas it
+/// holds, by table, and its answer to each frame a front end sends.
+#[derive(Debug, Default)]
+pub(crate) struct ShardWorker {
+    replicas: BTreeMap<String, Arc<ReplicaModel>>,
+}
+
+impl ShardWorker {
+    /// Answers `frame`: `LoadTable` builds the table's replica with `build`
+    /// (from the frame's seed) and answers `TableReady`; `Execute` runs the
+    /// batch on its table's replica through `run`, which is handed the
+    /// frame's `service_s` and the execution, and answers `ExecDone`.
+    /// `Shutdown` has no answer.
+    ///
+    /// # Errors
+    ///
+    /// `build`'s and `run`'s, an `Execute` for a table not loaded, and a
+    /// frame only a worker sends.
+    pub(crate) fn answer(
+        &mut self,
+        frame: &Frame,
+        build: impl FnOnce(u64) -> Result<Arc<ReplicaModel>>,
+        run: impl FnOnce(f64, &dyn Fn() -> Result<Vec<bool>>) -> Result<Vec<bool>>,
+    ) -> Result<Option<Frame>> {
+        match frame {
+            Frame::LoadTable { table, seed } => {
+                self.replicas.insert(table.clone(), build(*seed)?);
+                let table = table.clone();
+                Ok(Some(Frame::TableReady { table }))
+            }
+            Frame::Execute {
+                batch_id,
+                service_s,
+                table,
+                requests,
+            } => {
+                let replica = self.replicas.get(table).ok_or_else(|| ServeError::Io {
+                    detail: format!("Execute for unloaded table {table:?}"),
+                })?;
+                let flags = run(*service_s, &|| replica.execute_batch(requests))?;
+                let batch_id = *batch_id;
+                Ok(Some(Frame::ExecDone { batch_id, flags }))
+            }
+            Frame::Shutdown => Ok(None),
+            Frame::Hello { .. } | Frame::TableReady { .. } | Frame::ExecDone { .. } => {
+                Err(ServeError::Io {
+                    detail: format!("worker got unexpected frame {frame:?}"),
+                })
+            }
+        }
     }
 }
 
@@ -852,9 +886,9 @@ impl ConnState for ConnKind {
 /// Clients speak the line protocol of the line front, through the same
 /// code (`server::LineProtocol`): the tables are the registry of its one
 /// `Pipeline`, a query names its table (or takes the first), and each
-/// query's reference is gathered at admission and shipped in its
-/// `Execute` frame. Admission, deadline shedding, completion and the reply
-/// lines are the pipeline's, under the one policy every front runs (a
+/// query's reference is gathered at its first dispatch, as on every front,
+/// and shipped in its `Execute` frame. Admission, deadline shedding, the
+/// requeue, completion and the reply lines are the pipeline's, under the one policy every front runs (a
 /// [`crate::FairBatcher`] keyed by table with one implicit tenant, bounded
 /// by the runtime's `queue_capacity` across all tables; a batch of up to
 /// `max_batch` leaves when full, when the oldest has waited `max_wait_s`,
@@ -876,10 +910,6 @@ pub struct FabricServerLoop<'a> {
     /// Shard connections that failed and await death bookkeeping, each
     /// with the cause of its first failure.
     pending_dead: Vec<(Token, Cause)>,
-    /// Jobs the dead shards' in-flight batches put back in the queue,
-    /// past any capacity check: the queue is within its capacity plus
-    /// these ([`observe_queue_depth`]).
-    requeued: usize,
     next_batch_id: u64,
     /// Latched `true` the first time every table routes (all workers
     /// hello'd and loaded). [`FabricHandle::wait_all_ready`] observes it.
@@ -924,13 +954,12 @@ impl<'a> FabricServerLoop<'a> {
         let first = Some(first.clone());
         Ok(FabricServerLoop {
             service: rt.service_model(),
-            lines: LineProtocol::new(pipeline, Arc::clone(&clock), cfg.deadline_s, first, true),
+            lines: LineProtocol::new(pipeline, Arc::clone(&clock), cfg.deadline_s, first),
             clock,
             metrics,
             sup,
             inflight: BTreeMap::new(),
             pending_dead: Vec::new(),
-            requeued: 0,
             next_batch_id: 0,
             all_ready: Arc::new(AtomicBool::new(false)),
         })
@@ -1036,7 +1065,7 @@ impl<'e> Front<dyn FabricShardEngine + 'e> for FabricServerLoop<'_> {
             Some(ConnKind::Client(_)) => {
                 let sup = &self.sup;
                 let lost = |table: &str| sup.table_state(table) == Some(TableState::Lost);
-                self.lines.read(conns, t, ConnKind::client, lost)?;
+                self.lines.read(conns, t, ConnKind::client, lost);
             }
             Some(ConnKind::Shard { .. }) => {
                 self.pump_shard_frames(conns, engine, t)?;
@@ -1083,7 +1112,7 @@ impl<'e> Front<dyn FabricShardEngine + 'e> for FabricServerLoop<'_> {
         if !self.all_ready.load(Ordering::Relaxed) && self.sup.all_tables_ready() {
             self.all_ready.store(true, Ordering::Relaxed);
         }
-        self.lines.pipeline.check_step(self.requeued);
+        self.lines.pipeline.check_step();
         Ok(progress)
     }
 
@@ -1247,8 +1276,9 @@ impl<'a> FabricServerLoop<'a> {
 
     /// Sheds expired queued requests, error-drains lost tables, and
     /// dispatches each table's batch the batcher says is due (or any, on
-    /// drain) to the table's resident shard while that shard is free.
-    /// Returns whether anything moved.
+    /// drain) to the table's resident shard while that shard is free,
+    /// gathering the references of the requests that leave for the first
+    /// time. Returns whether anything moved.
     fn pump(
         &mut self,
         conns: &mut Conns<'_, ConnKind>,
@@ -1259,7 +1289,6 @@ impl<'a> FabricServerLoop<'a> {
         let mut progress = pipeline.shed(now, &mut |req, to, outcome| {
             answer(conns, req, to, outcome);
         });
-        observe_queue_depth(&self.metrics, pipeline.batcher(), self.requeued);
         let mut execute = Vec::new();
         for table in self.sup.table_names() {
             let Some((shard, token)) = self.sup.route(table) else {
@@ -1276,9 +1305,13 @@ impl<'a> FabricServerLoop<'a> {
             if busy || !(conns.draining || pipeline.batcher().ready_key(table, now)) {
                 continue;
             }
-            let Some(jobs) = pipeline.batcher_mut().take_key(table) else {
+            let Some(mut jobs) = pipeline.batcher_mut().take_key(table) else {
                 continue;
             };
+            let model = pipeline.model(table).ok_or_else(|| ServeError::Config {
+                detail: format!("batch for unregistered table {table:?}"),
+            })?;
+            gather_references(model, jobs.iter_mut().map(|j| &mut j.request))?;
             let service_s = self.service.batch_service_s(jobs.len())?;
             let batch_id = self.next_batch_id;
             self.next_batch_id += 1;
@@ -1332,9 +1365,7 @@ impl<'a> FabricServerLoop<'a> {
                 continue;
             };
             for job in batch.jobs.into_iter().rev() {
-                self.lines.pipeline.batcher_mut().requeue_front(job);
-                self.requeued += 1;
-                observe_queue_depth(&self.metrics, self.lines.pipeline.batcher(), self.requeued);
+                self.lines.pipeline.requeue_front(job);
             }
         }
         for o in orders {
@@ -1369,21 +1400,6 @@ impl<'a> FabricServerLoop<'a> {
         }
         conns.close(t);
     }
-}
-
-/// Observes the fabric's queue depth into `metrics`, as
-/// [`crate::server::Pipeline`]'s pump does after each shed; the fabric
-/// also observes it after each job a dead shard's batch puts back. That
-/// requeue checks no capacity, so the queue is bounded by its capacity
-/// plus the `requeued` jobs, which a debug build asserts.
-fn observe_queue_depth(metrics: &Metrics, batcher: &FairBatcher, requeued: usize) {
-    let queued = batcher.queued_total();
-    debug_assert!(
-        queued <= batcher.capacity() + requeued,
-        "{queued} queued past capacity {} plus {requeued} requeued",
-        batcher.capacity()
-    );
-    metrics.observe_queue_depth(queued);
 }
 
 // ---------------------------------------------------------------------------
@@ -1597,9 +1613,10 @@ fn worker_service_s(service_s: f64, speedup: f64) -> f64 {
 }
 
 /// Entry point of a shard worker process: connects to the front end,
-/// sends `Hello`, then serves `LoadTable`/`Execute` frames until
-/// `Shutdown` or EOF. It builds replicas deterministically from their
-/// seeds and runs each batch under the one shard batch rule
+/// sends `Hello`, then answers `LoadTable`/`Execute` frames through the
+/// one worker frame handler (`ShardWorker`, which [`SimShardEngine`] runs
+/// too) until `Shutdown` or EOF. It builds replicas deterministically from
+/// their seeds and runs each batch under the one shard batch rule
 /// (`shard::run_batch`) on a clock `speedup` times real time.
 ///
 /// Blocking std-only I/O on purpose: the worker is a leaf process, and a
@@ -1630,7 +1647,7 @@ pub fn shard_worker_main(addr: &str, shard_id: u32, speedup: f64, spec_json: &st
         .map_err(ServeError::from_io("send Hello"))?;
 
     let mut decoder = FrameDecoder::new();
-    let mut replicas: BTreeMap<String, ReplicaModel> = BTreeMap::new();
+    let mut worker = ShardWorker::default();
     loop {
         let n = decoder
             .read_from(&mut stream)
@@ -1638,43 +1655,17 @@ pub fn shard_worker_main(addr: &str, shard_id: u32, speedup: f64, spec_json: &st
         if n == 0 {
             return Ok(()); // front end went away: clean exit
         }
-        loop {
-            match decoder.next_frame() {
-                Ok(None) => break,
-                Err(e) => return Err(e.into()),
-                Ok(Some(Frame::LoadTable { table, seed })) => {
-                    let replica = ReplicaModel::build(&engine, spec.lut, seed)?;
-                    replicas.insert(table.clone(), replica);
-                    let out = Frame::TableReady { table }.encode()?;
-                    stream
-                        .write_all(&out)
-                        .map_err(ServeError::from_io("send TableReady"))?;
-                }
-                Ok(Some(Frame::Execute {
-                    batch_id,
-                    service_s,
-                    table,
-                    requests,
-                })) => {
-                    let Some(replica) = replicas.get(&table) else {
-                        return Err(ServeError::Io {
-                            detail: format!("Execute for unloaded table {table:?}"),
-                        });
-                    };
-                    let service_s = worker_service_s(service_s, speedup);
-                    let flags = run_batch(&clock, service_s, || replica.execute_batch(&requests))?;
-                    let out = Frame::ExecDone { batch_id, flags }.encode()?;
-                    stream
-                        .write_all(&out)
-                        .map_err(ServeError::from_io("send ExecDone"))?;
-                }
-                Ok(Some(Frame::Shutdown)) => return Ok(()),
-                Ok(Some(other)) => {
-                    return Err(ServeError::Io {
-                        detail: format!("worker got unexpected frame {other:?}"),
-                    });
-                }
-            }
+        while let Some(frame) = decoder.next_frame()? {
+            let build = |seed| Ok(Arc::new(ReplicaModel::build(&engine, spec.lut, seed)?));
+            let run = |service_s, execute: &dyn Fn() -> Result<Vec<bool>>| {
+                run_batch(&clock, worker_service_s(service_s, speedup), execute)
+            };
+            let Some(reply) = worker.answer(&frame, build, run)? else {
+                return Ok(()); // Shutdown
+            };
+            stream
+                .write_all(&reply.encode()?)
+                .map_err(ServeError::from_io("send fabric reply"))?;
         }
     }
 }

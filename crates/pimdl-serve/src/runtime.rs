@@ -304,13 +304,13 @@ impl<'s> Front<Shards<'s>> for LedgerFront {
                 arrival_s: req.arrival_s,
                 outcome: Outcome::Rejected { at_s: now },
             };
-            if self.pipeline.admit(("", ""), (), || Ok(req))?.is_some() {
+            if self.pipeline.admit(("", ""), (), || req).is_some() {
                 self.records.push(rejected);
             }
         }
         let mut sink = ledger(&mut self.records);
         progress |= self.pipeline.pump(now, conns.draining, shards, &mut sink)?;
-        self.pipeline.check_step(0);
+        self.pipeline.check_step();
         Ok(progress)
     }
 

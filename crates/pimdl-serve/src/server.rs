@@ -9,9 +9,10 @@
 //! its outcomes go to. The line protocol itself (`LineProtocol`: a query
 //! line in, a reply line out) is written once here for both line fronts,
 //! this one and [`crate::FabricServerLoop`], whose pipeline keeps its
-//! tables and sheds and completes through the same code. The event loop, the transport path and the
-//! reactor-thread spawner are `conn.rs`'s, written once against
-//! [`EventSource`], so the identical byte-for-byte pipeline runs under:
+//! tables and sheds, requeues and completes through the same code. The
+//! event loop, the transport path and the reactor-thread spawner are
+//! `conn.rs`'s, written once against [`EventSource`], so the identical
+//! byte-for-byte pipeline runs under:
 //!
 //! * [`crate::EpollPoller`] + [`Shards::threaded`] — real sockets, one
 //!   worker thread per shard ([`Runtime::serve`] / [`Runtime::serve_http`]
@@ -57,7 +58,8 @@ use pimdl_engine::scheduler::TenantQuota;
 /// dispatching, and which metric each transition records, are decided
 /// here. The fabric, whose tables leave only for their resident shards,
 /// runs its own dispatch over the bookkeeping halves of [`Pipeline::pump`]
-/// and [`Pipeline::deliver`] ([`Pipeline::shed`], [`Pipeline::complete`]).
+/// and [`Pipeline::deliver`] ([`Pipeline::shed`], [`Pipeline::complete`])
+/// and puts a dead shard's batches back ([`Pipeline::requeue_front`]).
 #[derive(Debug)]
 pub(crate) struct Pipeline<R> {
     models: ModelRegistry,
@@ -66,6 +68,9 @@ pub(crate) struct Pipeline<R> {
     /// request id → (tenant, destination) of every admitted request not
     /// yet answered.
     routes: HashMap<u64, (String, R)>,
+    /// Jobs put back past the capacity check ([`Pipeline::requeue_front`]):
+    /// the queue is within its capacity plus these.
+    requeued: usize,
 }
 
 impl<R> Pipeline<R> {
@@ -77,6 +82,7 @@ impl<R> Pipeline<R> {
             metrics,
             batcher,
             routes: HashMap::new(),
+            requeued: 0,
         }
     }
 
@@ -115,25 +121,20 @@ impl<R> Pipeline<R> {
     /// front's implicit ones are the empty name, which allocates nothing),
     /// its outcome bound for `to`. When a job of `tenant` would be refused
     /// now, nothing is built, the rejection is counted, and `to` comes back
-    /// with the reason. Admission gathers nothing on the in-process fronts:
-    /// a request's reference checksum, its most expensive step, is computed
-    /// on the shard its batch is dispatched to (see [`Shards`]), so a
-    /// refused or shed request never pays for one. The fabric's `build`
-    /// gathers it, after the refusal.
-    ///
-    /// # Errors
-    ///
-    /// `build`'s.
+    /// with the reason. Admission gathers nothing on any front: a request's
+    /// reference checksum, its most expensive step, is computed when its
+    /// batch is first dispatched (see `shard::gather_references`), so a
+    /// refused request, or one shed before it leaves, never pays for one.
     pub(crate) fn admit(
         &mut self,
         (tenant, model): (&str, &str),
         to: R,
-        build: impl FnOnce() -> Result<Request>,
-    ) -> Result<Option<(R, AdmitRefusal)>> {
+        build: impl FnOnce() -> Request,
+    ) -> Option<(R, AdmitRefusal)> {
         let refusal = match self.batcher.refusal_for(tenant) {
             Some(why) => why,
             None => {
-                let request = build()?;
+                let request = build();
                 let id = request.id;
                 let (tenant, model) = (tenant.to_string(), model.to_string());
                 let job = TaggedJob {
@@ -143,17 +144,44 @@ impl<R> Pipeline<R> {
                 };
                 match self.batcher.admit(job) {
                     Ok(()) => {
-                        self.metrics
-                            .observe_queue_depth(self.batcher.queued_total());
+                        self.observe_depth();
                         self.routes.insert(id, (tenant, to));
-                        return Ok(None);
+                        return None;
                     }
                     Err((_, why)) => why,
                 }
             }
         };
         self.metrics.record_rejected();
-        Ok(Some((to, refusal)))
+        Some((to, refusal))
+    }
+
+    /// Puts `job`, taken in a batch that never ran (the fabric's dead
+    /// shard), back at the front of its key's queue. It was admitted once,
+    /// so no capacity check applies; it is counted among the requeued jobs
+    /// the queue may hold past its capacity.
+    pub(crate) fn requeue_front(&mut self, job: TaggedJob) {
+        self.batcher.requeue_front(job);
+        self.requeued += 1;
+        self.observe_depth();
+    }
+
+    /// The queue depth, asserted in a debug build to be within its
+    /// capacity plus the requeued jobs.
+    fn depth(&self) -> usize {
+        let (queued, capacity) = (self.batcher.queued_total(), self.batcher.capacity());
+        debug_assert!(
+            queued <= capacity + self.requeued,
+            "{queued} queued past capacity {capacity} plus {} requeued",
+            self.requeued
+        );
+        queued
+    }
+
+    /// Observes the queue depth (see [`Pipeline::depth`]) into the metrics'
+    /// peak: after each admission, each shed and each requeue.
+    fn observe_depth(&self) {
+        self.metrics.observe_queue_depth(self.depth());
     }
 
     /// Relative timeout of the driver's next wait: the flush window or a
@@ -213,9 +241,9 @@ impl<R> Pipeline<R> {
     }
 
     /// Hands every queued request whose deadline has passed at `now` to
-    /// `sink` as `DeadlineExceeded`: the bookkeeping half of
-    /// [`Pipeline::pump`], which the fabric calls before its own dispatch.
-    /// Returns whether any was shed.
+    /// `sink` as `DeadlineExceeded`, then observes the queue depth: the
+    /// bookkeeping half of [`Pipeline::pump`], which the fabric calls before
+    /// its own dispatch. Returns whether any was shed.
     pub(crate) fn shed(&mut self, now: f64, sink: &mut impl FnMut(Request, R, Outcome)) -> bool {
         let mut progress = false;
         for job in self.batcher.shed_expired(now) {
@@ -225,6 +253,7 @@ impl<R> Pipeline<R> {
                 sink(job.request, to, Outcome::DeadlineExceeded { at_s: now });
             }
         }
+        self.observe_depth();
         progress
     }
 
@@ -269,8 +298,6 @@ impl<R> Pipeline<R> {
         let mut progress = false;
         loop {
             progress |= self.shed(now, sink);
-            self.metrics
-                .observe_queue_depth(self.batcher.queued_total());
             let flush = self.batcher.ready(now) || (draining && !self.batcher.is_empty());
             let (models, batcher) = (&self.models, &mut self.batcher);
             let take = || {
@@ -295,21 +322,17 @@ impl<R> Pipeline<R> {
 
     /// Asserts, in a debug build, what holds at the end of every front's
     /// step: no more requests answered (completed, rejected or shed) than
-    /// submitted, and the queue within its capacity plus the `requeued`
-    /// jobs the front put back past it (the fabric's dead shards' batches;
-    /// 0 on the in-process fronts). A release build checks nothing.
-    pub(crate) fn check_step(&self, requeued: usize) {
+    /// submitted, and the queue within its capacity plus the jobs requeued
+    /// past it (the fabric's dead shards' batches; none on the in-process
+    /// fronts). A release build checks nothing.
+    pub(crate) fn check_step(&self) {
         if cfg!(debug_assertions) {
             let (submitted, answered) = self.metrics.ledger();
             assert!(
                 answered <= submitted,
                 "{answered} answered of {submitted} submitted"
             );
-            let (queued, capacity) = (self.batcher.queued_total(), self.batcher.capacity());
-            assert!(
-                queued <= capacity + requeued,
-                "{queued} queued past capacity {capacity} plus {requeued} requeued"
-            );
+            self.depth();
         }
     }
 
@@ -339,9 +362,6 @@ pub(crate) struct LineProtocol {
     /// `None` on the line front, which serves its one model whatever a
     /// query names.
     default_table: Option<String>,
-    /// Whether a request's reference is gathered at admission (the fabric,
-    /// which ships it in its `Execute` frame) instead of on its shard.
-    gather_at_admission: bool,
 }
 
 impl LineProtocol {
@@ -352,7 +372,6 @@ impl LineProtocol {
         clock: Arc<dyn Clock>,
         deadline_s: f64,
         default_table: Option<String>,
-        gather_at_admission: bool,
     ) -> Self {
         LineProtocol {
             pipeline,
@@ -360,7 +379,6 @@ impl LineProtocol {
             deadline_s,
             next_id: 0,
             default_table,
-            gather_at_admission,
         }
     }
 
@@ -368,22 +386,18 @@ impl LineProtocol {
     /// finds in the connection's state. An oversized line (framing lost)
     /// closes the connection. `lost` names the tables no shard can ever
     /// serve again (the fabric's), whose queries are refused as `shutdown`.
-    ///
-    /// # Errors
-    ///
-    /// A failed reference gather at admission.
     pub(crate) fn read<C: ConnState>(
         &mut self,
         conns: &mut Conns<'_, C>,
         t: Token,
         buffer: impl Fn(&mut C) -> Option<&mut LineBuffer>,
         lost: impl Fn(&str) -> bool,
-    ) -> Result<()> {
+    ) {
         // Looked up again each iteration: answering a line may fail the
         // connection mid-loop (hard write error).
         while let Some(buf) = conns.state_mut(t).and_then(&buffer) {
             match buf.pop_line() {
-                Ok(Some(line)) => self.query(conns, t, &line, &lost)?,
+                Ok(Some(line)) => self.query(conns, t, &line, &lost),
                 Ok(None) => break,
                 Err(_) => {
                     conns.close(t);
@@ -391,7 +405,6 @@ impl LineProtocol {
                 }
             }
         }
-        Ok(())
     }
 
     /// One query line: a blank line is skipped, with no reply and nothing
@@ -403,20 +416,20 @@ impl LineProtocol {
         t: Token,
         line: &[u8],
         lost: &impl Fn(&str) -> bool,
-    ) -> Result<()> {
+    ) {
         if line.is_empty() {
-            return Ok(());
+            return;
         }
         let refuse = |conns: &mut Conns<'_, C>, tag: &str, kind| {
             conns.send(t, &codec::encode_error(tag, kind));
         };
         let Ok(query) = codec::parse_query(line) else {
             refuse(conns, &fallback_tag(line), ErrorKind::Invalid);
-            return Ok(());
+            return;
         };
         if conns.draining {
             refuse(conns, &query.tag, ErrorKind::Shutdown);
-            return Ok(());
+            return;
         }
         let model = match &self.default_table {
             Some(default) => query.table.as_deref().unwrap_or(default),
@@ -424,34 +437,26 @@ impl LineProtocol {
         };
         let Some(replica) = self.pipeline.model(model).map(Arc::clone) else {
             refuse(conns, &query.tag, ErrorKind::Invalid);
-            return Ok(());
+            return;
         };
         if lost(model) {
             refuse(conns, &query.tag, ErrorKind::Shutdown);
-            return Ok(());
+            return;
         }
         if replica.validate_indices(&query.indices).is_err() {
             refuse(conns, &query.tag, ErrorKind::Invalid);
-            return Ok(());
+            return;
         }
         let id = self.next_id;
         self.next_id += 1;
         self.pipeline.metrics.record_submitted();
         let now = self.clock.now();
-        let (deadline_s, gather) = (now + self.deadline_s, self.gather_at_admission);
-        let build = || {
-            let req = replica.request_from_valid(id, now, deadline_s, query.indices);
-            if gather {
-                replica.referenced(req)
-            } else {
-                Ok(req)
-            }
-        };
-        match self.pipeline.admit(("", model), (t, query.tag), build)? {
+        let deadline_s = now + self.deadline_s;
+        let build = || replica.request_from_valid(id, now, deadline_s, query.indices);
+        match self.pipeline.admit(("", model), (t, query.tag), build) {
             None => conns.owe(t),
             Some(((_, tag), _)) => refuse(conns, &tag, ErrorKind::Rejected),
         }
-        Ok(())
     }
 }
 
@@ -518,7 +523,7 @@ impl ServerLoop {
         let pipeline = Pipeline::line(rt, metrics)?;
         let deadline_s = rt.config().deadline_s;
         Ok(ServerLoop {
-            lines: LineProtocol::new(pipeline, clock, deadline_s, None, false),
+            lines: LineProtocol::new(pipeline, clock, deadline_s, None),
         })
     }
 
@@ -556,7 +561,8 @@ impl<'s> Front<Shards<'s>> for ServerLoop {
         t: Token,
         _eof: bool,
     ) -> Result<()> {
-        self.lines.read(conns, t, |buf| Some(buf), |_| false)
+        self.lines.read(conns, t, |buf| Some(buf), |_| false);
+        Ok(())
     }
 
     /// Runs the pipeline with the line protocol's sink ([`answer`]).
@@ -567,7 +573,7 @@ impl<'s> Front<Shards<'s>> for ServerLoop {
         let delivered = pipeline.deliver(shards, &mut sink)?;
         let now = self.lines.clock.now();
         let pumped = pipeline.pump(now, draining, shards, &mut sink)?;
-        pipeline.check_step(0);
+        pipeline.check_step();
         Ok(delivered || pumped)
     }
 
@@ -788,16 +794,11 @@ impl HttpServerLoop {
     }
 
     /// Routes and answers one parsed request.
-    fn handle_request(
-        &mut self,
-        conns: &mut Conns<'_, HttpConn>,
-        t: Token,
-        req: &HttpRequest,
-    ) -> Result<()> {
+    fn handle_request(&mut self, conns: &mut Conns<'_, HttpConn>, t: Token, req: &HttpRequest) {
         let keep = req.keep_alive();
         let seq = {
             let Some(state) = conns.state_mut(t) else {
-                return Ok(());
+                return;
             };
             let seq = state.next_seq;
             state.next_seq += 1;
@@ -822,9 +823,8 @@ impl HttpServerLoop {
                 Self::respond_text(conns, t, seq, keep, 405, b"method not allowed\n");
             }
             Route::NotFound => Self::respond_text(conns, t, seq, keep, 404, b"not found\n"),
-            Route::Infer { model } => self.handle_infer(conns, t, seq, keep, req, &model)?,
+            Route::Infer { model } => self.handle_infer(conns, t, seq, keep, req, &model),
         }
-        Ok(())
     }
 
     /// Admits (or refuses) one infer request.
@@ -836,28 +836,28 @@ impl HttpServerLoop {
         keep: bool,
         req: &HttpRequest,
         model: &str,
-    ) -> Result<()> {
+    ) {
         let refuse = |conns: &mut Conns<'_, HttpConn>, status: u16, msg: &str| {
             Self::respond_text(conns, t, seq, keep, status, format!("{msg}\n").as_bytes());
         };
         let Some(replica) = self.pipeline.model(model).map(Arc::clone) else {
             refuse(conns, 404, &format!("unknown model {model:?}"));
-            return Ok(());
+            return;
         };
         if conns.draining {
             refuse(conns, 503, "draining");
-            return Ok(());
+            return;
         }
         let indices = match http::parse_infer_body(&req.body) {
             Ok(indices) => indices,
             Err(detail) => {
                 refuse(conns, 400, &detail);
-                return Ok(());
+                return;
             }
         };
         if let Err(e) = replica.validate_indices(&indices) {
             refuse(conns, 400, &format!("invalid infer payload: {e}"));
-            return Ok(());
+            return;
         }
         let tenant = req.header("x-tenant").unwrap_or("anonymous");
         let now = self.clock.now();
@@ -865,13 +865,13 @@ impl HttpServerLoop {
         self.next_id += 1;
         self.metrics.record_submitted();
         let deadline_s = now + self.deadline_s;
-        let build = || Ok(replica.request_from_valid(id, now, deadline_s, indices));
+        let build = || replica.request_from_valid(id, now, deadline_s, indices);
         let to = HttpRoute {
             conn: t,
             seq,
             keep_alive: keep,
         };
-        match self.pipeline.admit((tenant, model), to, build)? {
+        match self.pipeline.admit((tenant, model), to, build) {
             None => conns.owe(t),
             Some((_, refusal)) => {
                 let (status, msg) = match refusal {
@@ -884,7 +884,6 @@ impl HttpServerLoop {
                 refuse(conns, status, &msg);
             }
         }
-        Ok(())
     }
 
     /// Answers an admitted infer request, settling what its connection is
@@ -977,7 +976,7 @@ impl<'s> Front<Shards<'s>> for HttpServerLoop {
                 break; // a close-marked response is already on the wire
             }
             match state.parser.next_request() {
-                Ok(Some(req)) => self.handle_request(conns, t, &req)?,
+                Ok(Some(req)) => self.handle_request(conns, t, &req),
                 Ok(None) => break,
                 Err(e) => {
                     // Fatal framing error: one error response, connection
@@ -1011,7 +1010,7 @@ impl<'s> Front<Shards<'s>> for HttpServerLoop {
         let delivered = self.pipeline.deliver(shards, &mut sink)?;
         let now = self.clock.now();
         let pumped = self.pipeline.pump(now, draining, shards, &mut sink)?;
-        self.pipeline.check_step(0);
+        self.pipeline.check_step();
         Ok(delivered || pumped)
     }
 
@@ -1089,7 +1088,7 @@ mod tests {
             let now = self.clock.now();
             let replica = self.rt.replica();
             let req = replica.random_request(id, now, deadline_s, &mut self.rng);
-            let refused = self.pipeline.admit(("", ""), (), || Ok(req)).unwrap();
+            let refused = self.pipeline.admit(("", ""), (), || req);
             assert_eq!(refused, None, "request {id} refused");
         }
 
@@ -1276,7 +1275,7 @@ mod tests {
         let mut rig = Rig::new(&rt);
         let refuse = |rig: &mut Rig<'_>| {
             let build = || panic!("a refused request is never built");
-            let refused = rig.pipeline.admit(("", ""), (), build).unwrap();
+            let refused = rig.pipeline.admit(("", ""), (), build);
             assert_eq!(refused, Some(((), AdmitRefusal::QueueFull)));
         };
         rig.admit(0, f64::INFINITY);

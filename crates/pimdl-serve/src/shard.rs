@@ -11,9 +11,10 @@
 //! reference on the shard, against the batch's own replica, just before
 //! the kernel: on the shard thread inside the batch's service time under
 //! [`Shards::threaded`], inline at dispatch under [`Shards::simulated`].
-//! The fronts admit a request with no reference, so the reactor thread
-//! never gathers; a fabric front still computes it at admission and ships
-//! it in the `Execute` frame. Both sides run the
+//! Every front admits a request with no reference and gathers it when its
+//! batch is first dispatched, through the one helper `gather_references`:
+//! the in-process shards here, the fabric front just before it encodes the
+//! `Execute` frame that ships it. Both sides of the compare run the
 //! one INT8 gather (`pimdl_tensor::quant::lut_gather`), so the compare checks
 //! the tuned mapping, the band assembly and the dequantization; the gather
 //! itself is held to the scalar `QuantLutTable::lookup` and the ISA
@@ -194,9 +195,9 @@ impl ReplicaModel {
     /// A request for indices that already passed
     /// [`Self::validate_indices`], with no reference yet: its
     /// `expected_checksum` is NaN, which no output checksum equals, so it
-    /// fails closed until [`Shards`] computes the reference on the shard.
-    /// The in-process fronts build every request this way, after their
-    /// admission refusals, and gather nothing on the reactor thread.
+    /// fails closed until its first dispatch gathers the reference
+    /// (`gather_references`). Every front builds every request this way,
+    /// after its admission refusals, and admission gathers nothing.
     pub(crate) fn request_from_valid(
         &self,
         id: u64,
@@ -213,9 +214,8 @@ impl ReplicaModel {
         }
     }
 
-    /// `req` with its host-reference checksum computed in: the one gather
-    /// of a request, wherever it runs (on the shard for the in-process
-    /// fronts, at admission for the fabric front and the public builders).
+    /// `req` with its host-reference checksum computed in, for the public
+    /// builders; a served request is gathered by `gather_references`.
     ///
     /// # Errors
     ///
@@ -266,9 +266,10 @@ impl ReplicaModel {
     }
 
     /// Reference gathers this replica has run: one per request that got as
-    /// far as its checksum. Under the in-process fronts that is one per
-    /// dispatched request, counted on the shard; a refused or shed request
-    /// never gathers. Under the fabric front it is one per admission.
+    /// far as its checksum. Under every front that is one per request at
+    /// its first dispatch; a refused request, or one shed or drained before
+    /// it was dispatched, never gathers, and a fabric request requeued off
+    /// a dead shard keeps the reference it was shipped with.
     pub fn reference_gathers(&self) -> u64 {
         self.reference_gathers.load(Ordering::Relaxed)
     }
@@ -418,18 +419,38 @@ type Work = (f64, Arc<ReplicaModel>, Vec<Request>);
 /// How a shard thread runs a batch.
 type Execute = fn(&ReplicaModel, &[Request]) -> Result<Vec<bool>>;
 
-/// The in-process shards' one execute path, in both [`Exec`] modes: each
-/// request's host reference computed into it against the batch's own
-/// `model`, then `execute`. A gather that fails is the batch's execution
-/// error, as a kernel failure is.
-fn check_batch(model: &ReplicaModel, batch: &mut [Request], execute: Execute) -> Result<Vec<bool>> {
-    for req in batch.iter_mut() {
-        req.expected_checksum = model.reference_checksum(&req.indices).map_err(|e| {
-            ServeError::Sim(SimError::Execution {
-                detail: e.to_string(),
-            })
-        })?;
+/// The one gather of a served request: computes, against `model`, the host
+/// reference of each of `requests` whose reference is still unset (NaN, as
+/// every front admits it). Its callers run it when a batch is dispatched:
+/// the in-process shards in `check_batch`, the fabric front just before it
+/// encodes `Execute`. A request a dead fabric shard handed back keeps the
+/// reference it was shipped with, so none is gathered twice.
+///
+/// # Errors
+///
+/// As [`ReplicaModel::reference_checksum`].
+pub(crate) fn gather_references<'r>(
+    model: &ReplicaModel,
+    requests: impl IntoIterator<Item = &'r mut Request>,
+) -> Result<()> {
+    for req in requests {
+        if req.expected_checksum.is_nan() {
+            req.expected_checksum = model.reference_checksum(&req.indices)?;
+        }
     }
+    Ok(())
+}
+
+/// The in-process shards' one execute path, in both [`Exec`] modes: the
+/// batch's references gathered against its own `model`, then `execute`. A
+/// gather that fails is the batch's execution error, as a kernel failure
+/// is.
+fn check_batch(model: &ReplicaModel, batch: &mut [Request], execute: Execute) -> Result<Vec<bool>> {
+    gather_references(model, batch.iter_mut()).map_err(|e| {
+        ServeError::Sim(SimError::Execution {
+            detail: e.to_string(),
+        })
+    })?;
     execute(model, batch)
 }
 

@@ -165,7 +165,7 @@ fn lone_shard_death_error_drains_lost_tables() {
         snap.submitted,
         snap.completed + snap.rejected + snap.deadline_exceeded
     );
-    sim::pin("fabric lone shard death", &[&run], 0x03C4_5877_B81C_D124);
+    sim::pin("fabric lone shard death", &[&run], 0x9540_826B_5E66_3D30);
 }
 
 /// A worker that connects but never says `Hello` (or never connects at
@@ -400,22 +400,22 @@ fn blank_lines_are_skipped() {
 
 #[test]
 fn explored_fabric_schedules_terminate_exactly_once() {
-    sim::explore(Kind::Fabric, CASES, 0x2743_D54D_D0AD_7445);
+    sim::explore(Kind::Fabric, CASES, 0xEBAD_4838_F3E6_67B6);
 }
 
 #[test]
 fn explored_forged_exec_dones_terminate_exactly_once() {
-    sim::explore(Kind::FabricForged, CASES, 0x0F20_FE1C_FF06_8276);
+    sim::explore(Kind::FabricForged, CASES, 0x0EFD_28C7_EB48_05EB);
 }
 
 #[test]
 #[ignore = "long explorer pass, run by scripts/check.sh"]
 fn explored_fabric_schedules_long() {
-    sim::explore(Kind::Fabric, LONG_CASES, 0x7E58_9DFB_63B8_6B38);
+    sim::explore(Kind::Fabric, LONG_CASES, 0xB919_28D5_E6CF_CD2E);
 }
 
 #[test]
 #[ignore = "long explorer pass, run by scripts/check.sh"]
 fn explored_forged_exec_dones_long() {
-    sim::explore(Kind::FabricForged, LONG_CASES, 0x8E5B_93D1_2E89_53C7);
+    sim::explore(Kind::FabricForged, LONG_CASES, 0xD309_03F6_0C99_215C);
 }
