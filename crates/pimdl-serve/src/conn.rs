@@ -247,6 +247,19 @@ impl<'s, S: ConnState> Conns<'s, S> {
         self.table.values().any(|c| !c.out.is_empty())
     }
 
+    /// Asserts, in a debug build, what holds after every front pass: no
+    /// connection holds more unsent output than [`MAX_CONN_OUT_BYTES`]. A
+    /// release build checks nothing.
+    fn check_step(&self) {
+        for (t, c) in &self.table {
+            let held = c.out.len();
+            debug_assert!(
+                held <= MAX_CONN_OUT_BYTES,
+                "connection {t} holds {held} unsent bytes"
+            );
+        }
+    }
+
     /// Closes and forgets a connection (idempotent). Requests it has in
     /// flight still execute and are counted; their responses are dropped.
     pub(crate) fn close(&mut self, t: Token) {
@@ -340,6 +353,7 @@ pub(crate) fn drive<B: ?Sized, F: Front<B>>(
                 IoEvent::Readable(t) => {
                     if let Some(rr) = conns.read(t)? {
                         front.readable(&mut conns, backend, t, rr.closed)?;
+                        conns.check_step();
                         conns.reap(t);
                         progress |= rr.bytes > 0 || rr.closed;
                     }
@@ -361,6 +375,7 @@ pub(crate) fn drive<B: ?Sized, F: Front<B>>(
             }
         }
         progress |= front.step(&mut conns, backend)?;
+        conns.check_step();
         if had_wake && !progress {
             stats.record_spurious_wakeup();
         }
@@ -583,6 +598,38 @@ mod tests {
 
     const SHUTDOWN: IoEvent = IoEvent::Wake(WAKE_SHUTDOWN);
 
+    /// A front that answers every read with a maximal frame's worth of
+    /// bytes and never holds work.
+    #[derive(Debug)]
+    struct Flood;
+
+    impl Front<()> for Flood {
+        type Conn = Open;
+
+        fn next_timeout(&self, _backend: &()) -> Option<f64> {
+            None
+        }
+        fn accept(&self) -> Open {
+            Open::default()
+        }
+        fn readable(
+            &mut self,
+            conns: &mut Conns<'_, Open>,
+            _: &mut (),
+            t: Token,
+            _eof: bool,
+        ) -> Result<()> {
+            conns.send(t, &vec![0; MAX_FRAME_PAYLOAD + 12]);
+            Ok(())
+        }
+        fn step(&mut self, _conns: &mut Conns<'_, Open>, _: &mut ()) -> Result<bool> {
+            Ok(false)
+        }
+        fn idle(&self, _backend: &()) -> bool {
+            true
+        }
+    }
+
     #[test]
     fn empty_untimed_batch_exits_only_a_quiescing_source() {
         let mut scripted = Stub {
@@ -660,6 +707,26 @@ mod tests {
         assert_eq!(front.failed, [t], "the stale Writable finds no connection");
         assert_eq!(source.closed, [t]);
         assert_eq!(source.interest, [(t, true)]);
+    }
+
+    #[test]
+    fn drive_fails_a_peer_that_never_reads_at_the_output_cap() {
+        // Every write takes nothing: the second reply would pass the cap,
+        // so the connection fails there, once, and the loop's per-pass
+        // check never sees a backlog over it.
+        let t = Token(16);
+        let mut source = Stub {
+            script: VecDeque::from([
+                vec![IoEvent::Accepted(t)],
+                vec![IoEvent::Readable(t)],
+                vec![IoEvent::Readable(t)],
+                vec![IoEvent::Readable(t), SHUTDOWN],
+            ]),
+            write_caps: VecDeque::from(vec![0; 16]),
+            ..Stub::default()
+        };
+        drive(&mut source, &mut Flood, &mut ()).unwrap();
+        assert_eq!(source.closed, [t]);
     }
 
     #[test]

@@ -1113,6 +1113,11 @@ impl<'e> Front<dyn FabricShardEngine + 'e> for FabricServerLoop<'_> {
             self.all_ready.store(true, Ordering::Relaxed);
         }
         self.lines.pipeline.check_step();
+        let on_shard = |shard| self.inflight.values().filter(|b| b.shard == shard).count();
+        debug_assert!(
+            self.inflight.values().all(|b| on_shard(b.shard) == 1),
+            "two batches in flight on one shard"
+        );
         Ok(progress)
     }
 
@@ -1122,6 +1127,7 @@ impl<'e> Front<dyn FabricShardEngine + 'e> for FabricServerLoop<'_> {
 
     /// Best-effort `Shutdown` frames to every live shard on exit.
     fn exit(&mut self, conns: &mut Conns<'_, ConnKind>, engine: &mut (dyn FabricShardEngine + 'e)) {
+        self.lines.pipeline.check_exit();
         let now = self.clock.now();
         for t in self.sup.live_tokens() {
             if let Ok(bytes) = Frame::Shutdown.encode() {

@@ -297,6 +297,19 @@ impl FairBatcher {
         self.tenants.get(tenant).map_or(0, |t| t.in_flight)
     }
 
+    /// A tenant holding more admitted-but-unfinished jobs than its
+    /// `max_in_flight` quota, with that count and the quota, for a step's
+    /// debug check; `None` while every tenant is within its quota.
+    pub(crate) fn over_quota(&self) -> Option<(&str, usize, usize)> {
+        self.tenants.iter().find_map(|(name, t)| {
+            (t.in_flight > t.quota.max_in_flight).then_some((
+                name.as_str(),
+                t.in_flight,
+                t.quota.max_in_flight,
+            ))
+        })
+    }
+
     /// Why [`Self::admit`] would refuse a job of `tenant` right now (`None`
     /// if it would be admitted): lets the caller skip building a job it
     /// could only have bounced. The capacity counts every queued job, the

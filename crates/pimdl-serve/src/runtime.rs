@@ -311,11 +311,16 @@ impl<'s> Front<Shards<'s>> for LedgerFront {
         let mut sink = ledger(&mut self.records);
         progress |= self.pipeline.pump(now, conns.draining, shards, &mut sink)?;
         self.pipeline.check_step();
+        shards.check_step();
         Ok(progress)
     }
 
     fn idle(&self, shards: &Shards<'s>) -> bool {
         self.pipeline.idle(shards)
+    }
+
+    fn exit(&mut self, _conns: &mut Conns<'_, ()>, _shards: &mut Shards<'s>) {
+        self.pipeline.check_exit();
     }
 }
 

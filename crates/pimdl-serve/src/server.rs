@@ -322,9 +322,10 @@ impl<R> Pipeline<R> {
 
     /// Asserts, in a debug build, what holds at the end of every front's
     /// step: no more requests answered (completed, rejected or shed) than
-    /// submitted, and the queue within its capacity plus the jobs requeued
-    /// past it (the fabric's dead shards' batches; none on the in-process
-    /// fronts). A release build checks nothing.
+    /// submitted, the queue within its capacity plus the jobs requeued past
+    /// it (the fabric's dead shards' batches; none on the in-process
+    /// fronts), and no tenant holding more jobs than its `max_in_flight`. A
+    /// release build checks nothing.
     pub(crate) fn check_step(&self) {
         if cfg!(debug_assertions) {
             let (submitted, answered) = self.metrics.ledger();
@@ -333,7 +334,17 @@ impl<R> Pipeline<R> {
                 "{answered} answered of {submitted} submitted"
             );
             self.depth();
+            let over = self.batcher.over_quota();
+            assert_eq!(over, None, "(tenant, jobs, quota) past its quota");
         }
+    }
+
+    /// Asserts, in a debug build, what holds once a front's loop returns:
+    /// every submitted request was answered exactly once (completed,
+    /// rejected or shed). A release build checks nothing.
+    pub(crate) fn check_exit(&self) {
+        let (submitted, answered) = self.metrics.ledger();
+        debug_assert_eq!(answered, submitted, "answered, submitted at exit");
     }
 
     /// Whether nothing is queued or in flight.
@@ -574,11 +585,16 @@ impl<'s> Front<Shards<'s>> for ServerLoop {
         let now = self.lines.clock.now();
         let pumped = pipeline.pump(now, draining, shards, &mut sink)?;
         pipeline.check_step();
+        shards.check_step();
         Ok(delivered || pumped)
     }
 
     fn idle(&self, shards: &Shards<'s>) -> bool {
         self.lines.pipeline.idle(shards)
+    }
+
+    fn exit(&mut self, _conns: &mut Conns<'_, LineBuffer>, _shards: &mut Shards<'s>) {
+        self.lines.pipeline.check_exit();
     }
 }
 
@@ -1011,11 +1027,16 @@ impl<'s> Front<Shards<'s>> for HttpServerLoop {
         let now = self.clock.now();
         let pumped = self.pipeline.pump(now, draining, shards, &mut sink)?;
         self.pipeline.check_step();
+        shards.check_step();
         Ok(delivered || pumped)
     }
 
     fn idle(&self, shards: &Shards<'s>) -> bool {
         self.pipeline.idle(shards)
+    }
+
+    fn exit(&mut self, _conns: &mut Conns<'_, HttpConn>, _shards: &mut Shards<'s>) {
+        self.pipeline.check_exit();
     }
 }
 

@@ -639,6 +639,14 @@ impl<'a> Shards<'a> {
         self.free.contains(&true)
     }
 
+    /// Asserts, in a debug build, what holds at the end of every step: at
+    /// most one batch in flight per shard, so the batches out are as many
+    /// as the busy shards. A release build checks nothing.
+    pub(crate) fn check_step(&self) {
+        let busy = || self.free.iter().filter(|&&free| !free).count();
+        debug_assert_eq!(self.in_flight, busy(), "batches in flight, busy shards");
+    }
+
     /// Dispatches the batch `take` yields to the least-loaded free shard:
     /// prices it from the service table, books it and hands it to the
     /// shard. `take` runs only once a shard is known to be free. Returns
