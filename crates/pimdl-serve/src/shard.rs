@@ -806,6 +806,32 @@ mod tests {
     }
 
     #[test]
+    fn a_requeued_request_keeps_its_reference_and_is_not_gathered_again() {
+        let r = replica();
+        let mut rng = DataRng::new(14);
+        let mut batch: Vec<Request> = (0..3)
+            .map(|id| r.random_request(id, 0.0, f64::INFINITY, &mut rng))
+            .collect();
+        gather_references(&r, batch.iter_mut()).unwrap();
+        assert_eq!(r.reference_gathers(), 3, "one gather per first dispatch");
+        let shipped: Vec<u64> = batch
+            .iter()
+            .map(|q| q.expected_checksum.to_bits())
+            .collect();
+        // A dead fabric shard hands the batch back, and a newcomer joins it:
+        // the next dispatch gathers the newcomer alone.
+        batch.push(r.random_request(3, 0.0, f64::INFINITY, &mut rng));
+        gather_references(&r, batch.iter_mut()).unwrap();
+        assert_eq!(r.reference_gathers(), 4);
+        let kept: Vec<u64> = batch[..3]
+            .iter()
+            .map(|q| q.expected_checksum.to_bits())
+            .collect();
+        assert_eq!(kept, shipped, "the shipped references are kept");
+        assert_eq!(r.execute_batch(&batch).unwrap(), [true; 4]);
+    }
+
+    #[test]
     fn malformed_queries_are_refused_before_any_gather() {
         let r = replica(); // n=8, CB=8, CT=16
         let good = vec![3u16; 64];

@@ -83,6 +83,10 @@ fn shard_death_mid_batch_loses_nothing_and_rereplicates() {
     assert_eq!(run.snapshot.completed, 24);
     assert_eq!(run.snapshot.rejected, 0);
     assert_eq!(run.snapshot.deadline_exceeded, 0);
+    assert_eq!(
+        run.gathers, 24,
+        "the requeued batch keeps its references and is not gathered again"
+    );
 
     // The victim is dead; the survivors are ready; every table (the dead
     // shard's included) ended Ready on a live shard — re-replication, not

@@ -337,8 +337,9 @@ pub struct Run {
     pub open: Vec<bool>,
     /// Per-shard dispatches (in-process shards).
     pub dispatches: Vec<u64>,
-    /// Reference gathers the run's replicas ran: on the shards for the
-    /// line and HTTP loops, at admission for the fabric front.
+    /// Reference gathers the run's serving replicas ran, one per request
+    /// at its first dispatch: on the shards for the line and HTTP loops,
+    /// on the fabric front just before it encodes the `Execute` frame.
     pub gathers: u64,
     /// The fabric's end state: each worker's and each table's.
     pub shard_states: Vec<Option<ShardState>>,
@@ -571,16 +572,26 @@ const HTTP_REFUSALS: [u16; 4] = [403, 429, 503, 504];
 /// unanswered because the loop has exited; every one sent before it is
 /// still answered. Over HTTP, a request carrying `Connection: close` sent
 /// before the shutdown is answered with a close-marked response, nothing
-/// follows it, and the server closes the connection. On the line and HTTP
-/// loops a reference is gathered once per dispatched request, on its
-/// shard, and never for a refusal, a shed or a shutdown answer: nothing is
-/// in flight at exit and every dispatched request completes, so the
-/// gathers equal the completions.
+/// follows it, and the server closes the connection. On every loop a
+/// reference is gathered once per request, at its first dispatch, and
+/// never for a refusal, a shed or a shutdown answer: nothing is in flight
+/// at exit, so every completion was gathered once. Every gathered request
+/// completes too, but for one case: a fabric request requeued off a dead
+/// shard keeps its reference and may then be shed, or drained with a lost
+/// table. So the gathers equal the completions unless the fabric shed a
+/// request or lost a table, and never fall short of them.
 fn check(run: &Run, front: &Front, clients: &[(Token, Vec<Owed>)], shutdown_s: Option<f64>) {
     let s = &run.snapshot;
     let terminal = s.completed + s.rejected + s.deadline_exceeded;
     assert_eq!(s.submitted, terminal, "ledger does not close: {s:?}");
-    if !matches!(front, Front::Fabric { .. }) {
+    assert!(
+        run.gathers >= s.completed,
+        "{} completed, {} gathered",
+        s.completed,
+        run.gathers
+    );
+    let requeue_ended = s.deadline_exceeded > 0 || run.any_lost;
+    if !(matches!(front, Front::Fabric { .. }) && requeue_ended) {
         assert_eq!(
             run.gathers, s.completed,
             "one reference gather per dispatched request"
@@ -692,8 +703,8 @@ pub fn final_drain(front: Front, pinned: u64) {
 /// [`final_drain`]): a burst that overflows the 4-deep queue is rejected
 /// on the queue bound alone (`E rejected`, HTTP 503), and a query reaching
 /// past the codebook is refused unsubmitted (`E invalid`, HTTP 400) — a
-/// reference is gathered only for a request that is dispatched (the line
-/// and HTTP loops, on its shard) or admitted (the fabric front).
+/// reference is gathered only for a request that is dispatched (on its
+/// shard, or on the fabric front just before its `Execute` frame).
 pub fn refuse_before_paying(front: Front, pinned: u64) {
     let rt = runtime(4, f64::INFINITY);
     let w = rt.replica().workload();
