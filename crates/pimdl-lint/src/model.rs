@@ -1,7 +1,7 @@
 //! Per-file source model shared by every pass: the token stream, comment
 //! map, attribute spans, `#[cfg(test)]`/`#[test]` regions, function
-//! spans, and the structural index (matching closers, enclosing blocks,
-//! owning functions), all computed once per file.
+//! spans, and the structural index (matching closers, owning
+//! functions), all computed once per file.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -24,8 +24,6 @@ pub struct SourceFile {
     /// For each `(`/`[`/`{` token, the index of its matching closer;
     /// `tokens.len()` for unmatched openers and every other token.
     close_of: Vec<usize>,
-    /// For each token, the innermost open `{` containing it.
-    encl_block: Vec<Option<usize>>,
     /// For each token, the index (into `fns`) of the innermost fn whose
     /// body contains it.
     owner: Vec<Option<usize>>,
@@ -62,7 +60,6 @@ impl SourceFile {
         let close_of = match_braces(&tokens);
         let test_tok = mark_test_regions(&tokens, &attr_tok, &close_of);
         let fns = find_fns(&tokens, &close_of);
-        let encl_block = enclosing_blocks(&tokens);
         let owner = owner_map(&fns, tokens.len());
         let nested = fns
             .iter()
@@ -97,7 +94,6 @@ impl SourceFile {
             test_tok,
             fns,
             close_of,
-            encl_block,
             owner,
             nested,
             comment_by_line,
@@ -145,11 +141,6 @@ impl SourceFile {
     /// Index one past the balanced group opened at `open`.
     pub fn skip_balanced(&self, open: usize) -> usize {
         (self.close_of(open) + 1).min(self.tokens.len())
-    }
-
-    /// The innermost open `{` containing token `idx`.
-    pub fn enclosing_block(&self, idx: usize) -> Option<usize> {
-        self.encl_block.get(idx).copied().flatten()
     }
 
     /// Index (into `fns()`) of the innermost fn whose body contains `idx`.
@@ -271,21 +262,6 @@ fn match_braces(tokens: &[Tok]) -> Vec<usize> {
         }
     }
     close_of
-}
-
-/// For each token index, the innermost open `{` containing it.
-fn enclosing_blocks(tokens: &[Tok]) -> Vec<Option<usize>> {
-    let mut out = vec![None; tokens.len()];
-    let mut stack: Vec<usize> = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        out[i] = stack.last().copied();
-        if t.is_punct('{') {
-            stack.push(i);
-        } else if t.is_punct('}') {
-            stack.pop();
-        }
-    }
-    out
 }
 
 /// For each of `n` tokens, the index of the innermost fn whose body

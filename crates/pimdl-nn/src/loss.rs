@@ -90,19 +90,6 @@ pub fn accuracy(predictions: &[usize], labels: &[usize]) -> f32 {
     correct as f32 / predictions.len() as f32
 }
 
-/// Mean-squared error and its gradient `2 (pred - target) / n`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-pub fn mse(pred: &Matrix, target: &Matrix) -> Result<(f32, Matrix)> {
-    let diff = pred.sub(target)?;
-    let n = diff.len().max(1) as f32;
-    let loss = diff.frobenius_sq() / n;
-    let grad = diff.scale(2.0 / n);
-    Ok((loss, grad))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,19 +147,5 @@ mod tests {
         assert_eq!(accuracy(&preds, &[1, 0]), 1.0);
         assert_eq!(accuracy(&preds, &[1, 1]), 0.5);
         assert_eq!(accuracy(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn mse_loss_and_grad() {
-        let pred = Matrix::from_vec(1, 2, vec![1.0, 2.0]).unwrap();
-        let target = Matrix::from_vec(1, 2, vec![0.0, 0.0]).unwrap();
-        let (loss, grad) = mse(&pred, &target).unwrap();
-        assert!((loss - 2.5).abs() < 1e-6); // (1 + 4) / 2
-        assert_eq!(grad.row(0), &[1.0, 2.0]); // 2*diff/2
-    }
-
-    #[test]
-    fn mse_shape_mismatch() {
-        assert!(mse(&Matrix::zeros(1, 2), &Matrix::zeros(2, 1)).is_err());
     }
 }

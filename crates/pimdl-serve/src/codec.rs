@@ -108,11 +108,6 @@ pub(crate) fn valid_name(name: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'.')
 }
 
-/// Encodes a query line (includes the trailing `\n`, ready to write).
-pub fn encode_query(tag: &str, indices: &[u16]) -> Vec<u8> {
-    encode_query_for(tag, indices, None)
-}
-
 /// Encodes a query line targeting a named table (fabric routing); `None`
 /// produces the plain three-field form.
 pub fn encode_query_for(tag: &str, indices: &[u16], table: Option<&str>) -> Vec<u8> {
@@ -409,7 +404,7 @@ mod tests {
 
     #[test]
     fn query_round_trips() {
-        let line = encode_query("req-7", &[1, 2, 300]);
+        let line = encode_query_for("req-7", &[1, 2, 300], None);
         assert_eq!(line, b"Q req-7 1,2,300\n");
         let q = parse_query(&line[..line.len() - 1]).unwrap();
         assert_eq!(q.tag, "req-7");

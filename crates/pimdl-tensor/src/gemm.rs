@@ -273,70 +273,6 @@ pub fn matmul_parallel(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix>
     Ok(c)
 }
 
-/// Quantized GEMM: `C = A · B` over INT8 codes with i32 accumulation,
-/// dequantized once per output element (`scale_a × scale_b`).
-///
-/// This is the arithmetic of a GGML-style INT8 CPU kernel (the paper's CPU
-/// INT8 baseline) and of the PIM-side INT8 LUT accumulation: multiplies and
-/// adds stay in integer domain; a single float multiply finishes each
-/// output.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `A.cols != B.rows`.
-///
-/// # Example
-///
-/// ```rust
-/// use pimdl_tensor::{gemm, Matrix, quant::QuantMatrix};
-///
-/// let a = Matrix::from_vec(1, 2, vec![1.0, -2.0])?;
-/// let b = Matrix::from_vec(2, 1, vec![0.5, 0.25])?;
-/// let qa = QuantMatrix::quantize(&a);
-/// let qb = QuantMatrix::quantize(&b);
-/// let c = gemm::matmul_quant(&qa, &qb)?;
-/// let exact = gemm::matmul(&a, &b)?;
-/// assert!((c.get(0, 0) - exact.get(0, 0)).abs() < 0.05);
-/// # Ok::<(), pimdl_tensor::TensorError>(())
-/// ```
-pub fn matmul_quant(
-    a: &crate::quant::QuantMatrix,
-    b: &crate::quant::QuantMatrix,
-) -> Result<Matrix> {
-    if a.cols() != b.rows() {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_quant",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let scale = a.scale() * b.scale();
-    let a_codes = a.codes();
-    let b_codes = b.codes();
-    let mut c = Matrix::zeros(m, n);
-    let mut acc = vec![0i32; n];
-    for i in 0..m {
-        acc.iter_mut().for_each(|v| *v = 0);
-        let a_row = &a_codes[i * k..(i + 1) * k];
-        for (p, &a_ip) in a_row.iter().enumerate() {
-            if a_ip == 0 {
-                continue;
-            }
-            let a_ip = a_ip as i32;
-            let b_row = &b_codes[p * n..(p + 1) * n];
-            for (v, &b_pj) in acc.iter_mut().zip(b_row) {
-                *v += a_ip * b_pj as i32;
-            }
-        }
-        for (out, &v) in c.row_mut(i).iter_mut().zip(&acc) {
-            *out = v as f32 * scale;
-        }
-    }
-    Ok(c)
-}
-
 /// Number of floating-point operations a GEMM of these shapes performs
 /// (`2 * m * k * n`; multiply + add).
 pub fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
@@ -406,40 +342,6 @@ mod tests {
         let b = Matrix::zeros(4, 3);
         let c = matmul_parallel(&a, &b, 4).unwrap();
         assert_eq!(c.shape(), (0, 3));
-    }
-
-    #[test]
-    fn quant_gemm_close_to_f32() {
-        let a = random(17, 23, 8);
-        let b = random(23, 11, 9);
-        let exact = matmul(&a, &b).unwrap();
-        let qa = crate::quant::QuantMatrix::quantize(&a);
-        let qb = crate::quant::QuantMatrix::quantize(&b);
-        let approx = matmul_quant(&qa, &qb).unwrap();
-        // Error per output ≤ k · (|a|max·Δb + |b|max·Δa) roughly; use a
-        // generous bound scaled by the inner dim.
-        let bound = 23.0 * (qa.scale() + qb.scale()) * 1.5;
-        let max_diff = approx.sub(&exact).unwrap().max_abs();
-        assert!(max_diff < bound, "max diff {max_diff} bound {bound}");
-    }
-
-    #[test]
-    fn quant_gemm_shape_mismatch() {
-        let qa = crate::quant::QuantMatrix::quantize(&Matrix::zeros(2, 3));
-        let qb = crate::quant::QuantMatrix::quantize(&Matrix::zeros(2, 3));
-        assert!(matmul_quant(&qa, &qb).is_err());
-    }
-
-    #[test]
-    fn quant_gemm_exact_on_integer_data() {
-        // Data already on the quantization grid multiplies exactly.
-        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let b = Matrix::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]).unwrap();
-        let qa = crate::quant::QuantMatrix::quantize_with_scale(&a, 1.0);
-        let qb = crate::quant::QuantMatrix::quantize_with_scale(&b, 1.0);
-        let c = matmul_quant(&qa, &qb).unwrap();
-        let exact = matmul(&a, &b).unwrap();
-        assert!(c.approx_eq(&exact, 1e-6));
     }
 
     #[test]
