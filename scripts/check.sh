@@ -198,4 +198,9 @@ echo "==> bench/: cargo clippy + cargo test --release"
 cargo clippy --offline --manifest-path bench/Cargo.toml --all-targets -- -D warnings
 cargo test --release --offline --manifest-path bench/Cargo.toml
 
+# Aim 2's size in every log: non-test lines per crate (a report, not a
+# gate).
+echo "==> scripts/loc.sh"
+scripts/loc.sh
+
 echo "All checks passed."

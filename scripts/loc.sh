@@ -7,7 +7,8 @@
 # under crates/. For each `crates/CRATE/src/**.rs` file it counts the lines
 # that are not blank and do not start (after indentation) with `//`, up to
 # the file's first line-initial `#[cfg(test)]`, and prints the total per
-# crate, then the sum over the crates named. check.sh does not run this.
+# crate, then the sum over the crates named. check.sh prints it for every
+# crate at its end, as a report, not a gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 if [ $# -eq 0 ]; then
